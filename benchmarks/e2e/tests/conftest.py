@@ -1,0 +1,6 @@
+"""Make the benchmark's modules importable: ``python -m pytest benchmarks/e2e/tests -q``."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
