@@ -6,7 +6,8 @@ pytest needed), so CI and developers get numbers and a pass/fail gate from
 one command:
 
 - ``micro``   — substrate hot paths (route evaluation, probe pairs, the
-  full subcluster-C mapping run with the evaluation cache on and off);
+  full subcluster-C mapping run with the evaluation cache on and off, the
+  full-NOW core decomposition behind ``recommended_search_depth``);
 - ``mapping`` — figure-level workloads (Figure 4 subcluster map, Figure 5
   full-NOW map, the routing pipeline);
 - ``scale``   — datacenter-tier three-tier fat trees (80 / 320 / 1125
@@ -139,6 +140,23 @@ def _stacked_layers() -> tuple:
     return (CountingLayer(), TraceBusLayer((published.append,)))
 
 
+def _micro_core_decomposition() -> tuple[float, dict]:
+    """``D``, ``F`` and every ``Q(v)`` of the full NOW: the whole cost of
+    ``recommended_search_depth``, which every default remap cycle pays."""
+    from repro.topology.analysis import core_decomposition
+    from repro.topology.generators import build_full_now
+
+    net = build_full_now()
+    h0 = sorted(net.hosts)[0]
+    decomp = core_decomposition(net, h0)
+    assert (decomp.diameter, decomp.q, decomp.search_depth) == (8, 7, 16)
+    per_op = _time_op(lambda: core_decomposition(net, h0), 5)
+    return per_op, {
+        "search_depth": decomp.search_depth,
+        "q_values": len(decomp.q_values),
+    }
+
+
 def _sanlint_repo(cache_path: Path) -> tuple[float, dict]:
     from repro.analysis.engine import lint_paths
 
@@ -182,6 +200,7 @@ MICRO_SUITE: dict[str, Bench] = {
     "full_mapping_subcluster_stacked": lambda: _mapping_run(
         True, _stacked_layers()
     ),
+    "core_decomposition_full_now": _micro_core_decomposition,
     "sanlint_whole_repo_cold": _micro_sanlint_cold,
     "sanlint_whole_repo_warm": _micro_sanlint_warm,
 }

@@ -196,22 +196,6 @@ def _combine_seeds(scenario_seed: int, cell_seed: int) -> int:
     return (scenario_seed * 1_000_003 + cell_seed) & 0x7FFFFFFF
 
 
-def _settle_depth(net: Network, faults: FaultModel, host: str) -> int:
-    """Search depth against the *effective* network.
-
-    Cutting cables can grow the diameter (a cut ring becomes a chain), so
-    the proven ``Q + D + 1`` must be computed on what the mapper can
-    actually reach, not on the pristine ground truth.
-    """
-    eff = effective_network(net, faults, host)
-    if eff.n_switches < 1 or eff.n_hosts < 2 or host not in eff.hosts:
-        return 2
-    try:
-        return recommended_search_depth(eff, host)
-    except (TopologyError, ValueError):
-        return 2
-
-
 def _map_digest(net: Network | None) -> str:
     if net is None:
         return ""
@@ -267,7 +251,12 @@ def _execute_cell(
         mapper_host,
         service_factory=service_factory,
         mapper_factory=mapper_factory,
-        depth_fn=lambda n, h: _settle_depth(n, faults, h),
+        # Cutting cables can grow the diameter (a cut ring becomes a chain)
+        # and a dead wire answers no probe, so the proven ``Q + D + 1`` is
+        # taken on the effective network, not on the pristine ground truth.
+        depth_fn=lambda n, h: recommended_search_depth(
+            effective_network(n, faults, h), h
+        ),
         # The incremental arm: cycle N+1 seeds its mapper from cycle N's
         # map plus both delta journals; every unseedable situation (healed
         # wire, probability reconfig, mid-map chaos pushing the window)

@@ -68,7 +68,6 @@ def run_map_job(payload: dict) -> dict:
     )
     from repro.topology.analysis import core_network, recommended_search_depth
     from repro.topology.isomorphism import match_networks
-    from repro.topology.model import TopologyError
     from repro.topology.serialize import network_from_dict
 
     tenant = payload.get("tenant", "?")
@@ -98,15 +97,7 @@ def run_map_job(payload: dict) -> dict:
 
     depth = payload.get("search_depth")
     if depth is None:
-        if effective.n_switches < 1 or effective.n_hosts < 2:
-            depth = 2
-        else:
-            try:
-                depth = recommended_search_depth(effective, mapper_host)
-            except (TopologyError, ValueError):
-                # Degenerate component (e.g. everything cut away): any
-                # small depth maps what little remains.
-                depth = 2
+        depth = recommended_search_depth(effective, mapper_host)
 
     records: list = []
     bus = TraceBusLayer((records.append,))

@@ -2,9 +2,14 @@
 
 import pytest
 
+from repro.chaos.oracles import effective_network
 from repro.core.remapper import RemapperDaemon
+from repro.simulator.faults import FaultModel
 from repro.simulator.path_eval import PathStatus, evaluate_route
+from repro.topology.analysis import core_network
 from repro.topology.builder import NetworkBuilder
+from repro.topology.generators import build_subcluster
+from repro.topology.isomorphism import match_networks
 
 
 @pytest.fixture()
@@ -91,3 +96,20 @@ class TestAdaptation:
         assert [c.index for c in daemon.history] == [0, 1, 2]
         assert daemon.history[0].changed  # first cycle always "changes"
         assert not daemon.history[2].changed
+
+    def test_partitioning_cut_maps_the_near_side(self):
+        # Regression: the default depth bound took the diameter of the whole
+        # fabric and died with networkx's "graph is not connected".
+        net = build_subcluster("C")
+        for wire in list(net.wires_of("C-leaf-0")):
+            if net.is_switch(wire.a.node) and net.is_switch(wire.b.node):
+                net.disconnect(wire)
+        assert not net.is_connected()
+        daemon = RemapperDaemon(net, "C-svc")
+        cycle = daemon.run_cycle()
+        near = effective_network(net, FaultModel(), "C-svc")
+        assert near.n_switches == net.n_switches - 1
+        assert match_networks(cycle.map_result.network, core_network(near))
+        assert cycle.routes_recomputed and cycle.deadlock_free
+        far_hosts = set(net.hosts) - set(near.hosts)
+        assert far_hosts and not far_hosts & set(daemon.current_map.hosts)

@@ -219,6 +219,20 @@ class TestCommittedBaselines:
             "cache_hit_rate"
         ] > 0.5
 
+    def test_micro_baseline_gates_the_search_depth_layer(self, harness):
+        """``core_decomposition_full_now`` is the fragment number behind
+        the e2e ledger's ``topology.search_depth_ms``; the gate only
+        compares names present in the baseline, so it must be committed —
+        and below the ~700 ms the per-node network simplex used to take."""
+        doc = json.loads(
+            (REPO_ROOT / "benchmarks" / "BENCH_micro.json").read_text()
+        )
+        assert "core_decomposition_full_now" in harness.MICRO_SUITE
+        assert "core_decomposition_full_now" not in harness.SLOW_BENCHES
+        entry = doc["benchmarks"]["core_decomposition_full_now"]
+        assert entry["extra"] == {"q_values": 140, "search_depth": 16}
+        assert entry["median_us"] < 100_000
+
     def test_scale_baseline_covers_every_tier(self):
         doc = json.loads(
             (REPO_ROOT / "benchmarks" / "BENCH_scale.json").read_text()
