@@ -28,13 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Protocol
 
-import networkx as nx
-
 from repro.routing.compile_routes import RouteTable
 from repro.routing.deadlock import routes_deadlock_free
 from repro.simulator.faults import FaultModel
 from repro.simulator.path_eval import PathStatus, evaluate_route
-from repro.topology.analysis import core_network
+from repro.topology.analysis import core_network, effective_network
 from repro.topology.isomorphism import match_networks
 from repro.topology.model import Network
 
@@ -120,29 +118,6 @@ class Oracle(Protocol):
 
     def check(self, ctx: CellContext) -> OracleVerdict:
         ...  # pragma: no cover - protocol
-
-
-# ---------------------------------------------------------------------------
-# the effective network: what the mapper could possibly have observed
-# ---------------------------------------------------------------------------
-def effective_network(
-    net: Network, faults: FaultModel, mapper_host: str
-) -> Network:
-    """Ground truth minus dead cables, restricted to the mapper's component.
-
-    A silently dead cable (Section 5.6) is in-band indistinguishable from an
-    absent cable, and anything the mapper cannot reach cannot appear in its
-    map — so this is the network the theorem's ``N`` becomes under faults.
-    """
-    eff = net.copy()
-    if faults.dead_wires:
-        for wire in list(eff.wires):
-            if frozenset((wire.a, wire.b)) in faults.dead_wires:
-                eff.disconnect(wire)
-    g = nx.Graph(eff.to_networkx())
-    if mapper_host not in g:
-        return eff.induced_subnetwork([mapper_host])
-    return eff.induced_subnetwork(nx.node_connected_component(g, mapper_host))
 
 
 def _viable(net: Network) -> bool:

@@ -29,7 +29,6 @@ from repro.chaos.oracles import (
     CycleOutcome,
     Oracle,
     OracleVerdict,
-    effective_network,
 )
 from repro.chaos.scenario import (
     ChaosEvent,
@@ -39,11 +38,9 @@ from repro.chaos.scenario import (
     scenario_to_dict,
 )
 from repro.core.mapper import MappingError
-from repro.core.mapper_protocol import get_mapper_spec
 from repro.core.remapper import RemapperDaemon
 from repro.simulator.faults import FaultModel
-from repro.simulator.stack import CountingLayer, StatsLayer, build_service_stack
-from repro.topology.analysis import recommended_search_depth
+from repro.simulator.stack import CountingLayer
 from repro.topology.model import Network, TopologyError
 from repro.topology.serialize import network_to_dict
 
@@ -137,9 +134,14 @@ class ChaosLayer(CountingLayer):
         applier: ScenarioApplier,
         events: Iterable[ChaosEvent] = (),
     ) -> None:
+        self._applier = applier
+        self.arm(events)
+
+    def arm(self, events: Iterable[ChaosEvent]) -> None:
+        """Restart the probe clock with one cycle's mid-map events (the
+        layer outlives the cycle's stack: the daemon reuses its layers)."""
         ordered = sorted(events, key=lambda e: (e.after_probes, e.action, e.args))
         super().__init__((e.after_probes, e) for e in ordered)
-        self._applier = applier
 
     def fire(self, payload) -> None:
         self._applier.apply(payload)
@@ -223,47 +225,21 @@ def _execute_cell(
 
     faults = FaultModel(seed=_combine_seeds(scenario.seed, seed))
     applier = ScenarioApplier(net, faults)
-    midmap_events: list[ChaosEvent] = []
-    # A registry-name factory may need a specific probe-service class
-    # (e.g. "selfid"); the injected stack must provide it.
-    service_cls = (
-        get_mapper_spec(mapper_factory).service_cls
-        if isinstance(mapper_factory, str)
-        else None
-    )
-
-    def service_factory(n: Network, h: str):
-        # keep_trace=False: campaign cycles never read per-probe records,
-        # so large grids stop holding every ProbeRecord in memory.
-        return build_service_stack(
-            n,
-            h,
-            layers=(
-                ChaosLayer(applier, midmap_events),
-                StatsLayer(keep_trace=False),
-            ),
-            faults=faults,
-            service_cls=service_cls,
-        )
-
+    chaos = ChaosLayer(applier)
     daemon = RemapperDaemon(
         net,
         mapper_host,
-        service_factory=service_factory,
         mapper_factory=mapper_factory,
-        # Cutting cables can grow the diameter (a cut ring becomes a chain)
-        # and a dead wire answers no probe, so the proven ``Q + D + 1`` is
-        # taken on the effective network, not on the pristine ground truth.
-        depth_fn=lambda n, h: recommended_search_depth(
-            effective_network(n, faults, h), h
-        ),
-        # The incremental arm: cycle N+1 seeds its mapper from cycle N's
-        # map plus both delta journals; every unseedable situation (healed
-        # wire, probability reconfig, mid-map chaos pushing the window)
-        # falls back to the plain from-scratch cycle the oracles already
-        # police. Outcomes must agree either way — that equivalence is
-        # exactly what replaying the corpus under this arm checks.
-        faults=faults if incremental else None,
+        # The stack probes through ``faults``, the search depth is taken on
+        # the fabric minus its dead wires, and on the incremental arm cycle
+        # N+1 seeds its mapper from cycle N's map plus both delta journals;
+        # every unseedable situation (healed wire, probability reconfig,
+        # mid-map chaos pushing the window) falls back to the plain
+        # from-scratch cycle the oracles already police. Outcomes must
+        # agree either way — that equivalence is exactly what replaying
+        # the corpus under this arm checks.
+        faults=faults,
+        layers=(chaos,),
         incremental=incremental,
     )
 
@@ -274,7 +250,7 @@ def _execute_cell(
             for ev in events:
                 if ev.after_probes == 0:
                     applier.apply(ev)
-            midmap_events[:] = [e for e in events if e.after_probes > 0]
+            chaos.arm(e for e in events if e.after_probes > 0)
             try:
                 cyc = daemon.run_cycle()
             except (MappingError, ValueError) as exc:

@@ -186,6 +186,18 @@ class MapSeed:
     #: confirmation frontier); any mismatch abandons the seed entirely.
     confirm: bool = True
 
+    @classmethod
+    def from_result(
+        cls, prior: MapResult, affected: frozenset[Endpoint]
+    ) -> "MapSeed":
+        """The seed a prior run's result makes, given the delta since it."""
+        return cls(
+            network=prior.network,
+            witnesses=prior.witnesses,
+            affected=affected,
+            entries=prior.entry_ports,
+        )
+
 
 @register_mapper(
     "berkeley",

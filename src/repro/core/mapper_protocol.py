@@ -262,18 +262,25 @@ def resolve_mapper_factory(
 
 
 def build_mapper_service(
-    mapper: str | MapperSpec, net: object, mapper_host: str, **stack_kwargs: Any
+    mapper: str | MapperSpec | Callable[[object, int], Mapper],
+    net: object,
+    mapper_host: str,
+    **stack_kwargs: Any,
 ) -> Any:
     """Build a probe-service stack suitable for the given mapper.
 
     Honors the spec's ``service_cls`` (e.g. ``SelfIdProbeService`` for
     the self-id baseline) unless the caller passes an explicit
-    ``service_cls`` of its own; everything else goes straight to
+    ``service_cls`` of its own; an injected factory callable declares
+    none and gets the default core. Everything else goes straight to
     :func:`repro.simulator.stack.build_service_stack`.
     """
     from repro.simulator.stack import build_service_stack
 
-    spec = mapper if isinstance(mapper, MapperSpec) else get_mapper_spec(mapper)
-    if spec.service_cls is not None:
-        stack_kwargs.setdefault("service_cls", spec.service_cls)
+    if not callable(mapper):
+        spec = (
+            mapper if isinstance(mapper, MapperSpec) else get_mapper_spec(mapper)
+        )
+        if spec.service_cls is not None:
+            stack_kwargs.setdefault("service_cls", spec.service_cls)
     return build_service_stack(net, mapper_host, **stack_kwargs)

@@ -4,6 +4,12 @@
 compute and to distribute a set of mutually deadlock-free routes to all
 network interfaces."
 
+:func:`map_cycle` and :func:`route_cycle` are that loop's two halves —
+depth, probe stack, mapper, seed, ``map()``; then orient, paths, tables and
+the Dally–Seitz check — and the only copy of them: the daemon here and the
+map server's worker (:func:`repro.service.workers.run_map_job`) both run
+these (``docs/ARCHITECTURE.md``, "The remap cycle").
+
 :class:`RemapperDaemon` packages one complete cycle — map, diff against the
 previous map, and (only when something changed) recompute + verify +
 distribute routes — and keeps a history of cycles so operators can see what
@@ -13,13 +19,13 @@ and simulations control time; a deployment would call it on a timer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable
 
 from repro.core.mapper import MapResult, MapSeed
 from repro.core.mapper_protocol import (
     Mapper,
-    get_mapper_spec,
+    build_mapper_service,
     resolve_mapper_factory,
 )
 from repro.routing.compile_routes import RouteTable, compile_route_tables
@@ -30,14 +36,84 @@ from repro.routing.paths import all_pairs_updown_paths
 from repro.routing.updown import orient_updown
 from repro.simulator.collision import CircuitModel, CollisionModel
 from repro.simulator.faults import FaultModel
-from repro.simulator.stack import build_service_stack
+from repro.simulator.stack import ProbeLayer
 from repro.simulator.timing import MYRINET_TIMING, TimingModel
-from repro.topology.analysis import recommended_search_depth
-from repro.topology.delta import EMPTY_DELTA
+from repro.topology.analysis import effective_network, recommended_search_depth
+from repro.topology.delta import EMPTY_DELTA, seedable_removals
 from repro.topology.diff import MapDiff, diff_networks
 from repro.topology.model import Network
 
-__all__ = ["RemapCycle", "RemapperDaemon"]
+__all__ = [
+    "MAX_EXPLORATIONS",
+    "RemapCycle",
+    "RemapperDaemon",
+    "map_cycle",
+    "route_cycle",
+]
+
+#: Switch-exploration bound per cycle, for mappers that take one. A
+#: resource guard, not a tuning knob: the full NOW needs 135 explorations
+#: and a three-tier fat tree k=10 needs 1491.
+MAX_EXPLORATIONS = 20_000
+
+
+def map_cycle(
+    net: Network,
+    mapper_host: str,
+    *,
+    faults: FaultModel | None = None,
+    mapper: str | Callable[[object, int], Mapper] = "berkeley",
+    seed: MapSeed | None = None,
+    search_depth: int | None = None,
+    max_explorations: int | None = MAX_EXPLORATIONS,
+    **stack_kwargs: Any,
+) -> tuple[MapResult, Any]:
+    """The mapping half of a remap cycle; returns the result and the
+    probe stack it ran on.
+
+    ``mapper`` is a :data:`~repro.core.mapper_protocol.MAPPER_REGISTRY`
+    name — built with this function's defaults where the algorithm's
+    constructor accepts them, on the probe-service class its spec
+    requires — or a ``(service, depth) -> Mapper`` callable.
+    ``stack_kwargs`` (``layers=``, ``collision=``, ``timing=``) go to
+    :func:`~repro.simulator.stack.build_service_stack`. A ``seed`` handed
+    to a mapper without ``seed_with`` is dropped, and the result says so.
+    Raises :class:`~repro.core.mapper.MappingError` on a deduction
+    contradiction.
+    """
+    fabric = net
+    if faults is not None:
+        stack_kwargs["faults"] = faults
+        if faults.dead_wires:
+            # Cutting cables can grow the diameter (a cut ring becomes a
+            # chain) and a dead wire answers no probe, so the proven
+            # ``Q + D + 1`` is taken on what the mapper can still reach.
+            fabric = effective_network(net, faults, mapper_host)
+    depth = search_depth or recommended_search_depth(fabric, mapper_host)
+    svc = build_mapper_service(mapper, net, mapper_host, **stack_kwargs)
+    built = resolve_mapper_factory(
+        mapper, host_first=False, max_explorations=max_explorations
+    )(svc, depth)
+    seeder = getattr(built, "seed_with", None)
+    if seed is not None and seeder is not None:
+        seeder(seed)
+    result = built.map()
+    if seed is not None and seeder is None:
+        result.seed_fallback = "mapper does not support seeding"
+    return result, svc
+
+
+def route_cycle(new_map: Network) -> tuple[dict[str, RouteTable], bool]:
+    """The routing half: UP*/DOWN* tables for ``new_map`` and their
+    Dally–Seitz verdict.
+
+    Raises ``ValueError`` when the map is too degenerate to orient (e.g.
+    the mapper host alone behind a cut).
+    """
+    orientation = orient_updown(new_map)
+    paths = all_pairs_updown_paths(new_map, orientation)
+    tables = compile_route_tables(new_map, paths, orientation=orientation)
+    return tables, routes_deadlock_free(tables)
 
 
 @dataclass(slots=True)
@@ -72,20 +148,19 @@ class RemapperDaemon:
     """Drive periodic remapping against a (possibly mutating) network.
 
     The daemon holds a reference to the *actual* network object purely as
-    the thing to probe — all knowledge flows through the probe service it
-    constructs each cycle, so topology mutations between cycles are
-    discovered in-band like the real system would.
+    the thing to probe — all knowledge flows through the probe service
+    built each cycle, so topology mutations between cycles are discovered
+    in-band like the real system would.
 
-    ``service_factory``, ``mapper_factory`` and ``depth_fn`` are injection
-    points for harnesses that wrap the cycle (the chaos campaign runner
-    injects fault models and mid-cycle event schedules through them); the
-    defaults reproduce the plain quiescent daemon exactly.
-
-    ``mapper_factory`` also accepts a :data:`~repro.core.mapper_protocol.
-    MAPPER_REGISTRY` name ("berkeley", "myricom", ...): the daemon then
-    builds that algorithm each cycle — with the daemon's own defaults
-    where the algorithm's constructor accepts them — and builds its
-    probe service with the spec's required service class.
+    A cycle is :func:`map_cycle`, a diff against the previous map and —
+    only when something changed — :func:`route_cycle` plus incremental
+    distribution. ``mapper_factory`` (a registry name or a ``(service,
+    depth) -> Mapper`` callable), ``faults`` and ``layers`` go to
+    :func:`map_cycle` unchanged; the same layer objects join every
+    cycle's stack, so a layer with per-cycle state rearms itself (the
+    chaos runner's does). ``faults`` also feeds seed planning, which
+    ``incremental`` turns on; every fallback path degrades to the plain
+    from-scratch cycle and says why.
     """
 
     def __init__(
@@ -96,33 +171,21 @@ class RemapperDaemon:
         collision: CollisionModel | None = None,
         timing: TimingModel = MYRINET_TIMING,
         search_depth: int | None = None,
-        max_explorations: int | None = 5000,
-        service_factory: Callable[[Network, str], object] | None = None,
+        max_explorations: int | None = MAX_EXPLORATIONS,
         mapper_factory: Callable[[object, int], Mapper] | str | None = None,
-        depth_fn: Callable[[Network, str], int] | None = None,
         faults: FaultModel | None = None,
+        layers: Iterable[ProbeLayer] = (),
         incremental: bool = False,
     ) -> None:
         self._net = net
         self._mapper_host = mapper_host
         self._collision = collision or CircuitModel()
         self._timing = timing
-        self._fixed_depth = search_depth
+        self._search_depth = search_depth
         self._max_explorations = max_explorations
-        self._service_factory = service_factory
-        self._mapper_factory = mapper_factory
-        # A registry name may require a specific probe-service class
-        # (e.g. "selfid" -> SelfIdProbeService); resolve it once.
-        self._service_cls: type | None = None
-        if isinstance(mapper_factory, str):
-            self._service_cls = get_mapper_spec(mapper_factory).service_cls
-        self._depth_fn = depth_fn
-        # ``faults`` is only consulted for delta planning: when the harness
-        # injects a fault model through its service factory, passing the
-        # same object here lets cycle N+1 read the fault-side delta journal
-        # too. ``incremental`` turns seed planning on; every fallback path
-        # degrades to the plain from-scratch cycle and says why.
+        self._mapper = mapper_factory or "berkeley"
         self._faults = faults
+        self._layers = tuple(layers)
         self._incremental = incremental
         self.history: list[RemapCycle] = []
         self.current_map: Network | None = None
@@ -133,74 +196,27 @@ class RemapperDaemon:
         self._scratch_probes: int | None = None
 
     # ------------------------------------------------------------------
-    def _build_service(self) -> object:
-        if self._service_factory is not None:
-            return self._service_factory(self._net, self._mapper_host)
-        return build_service_stack(
-            self._net,
-            self._mapper_host,
-            collision=self._collision,
-            timing=self._timing,
-            service_cls=self._service_cls,
-        )
-
-    def _build_mapper(self, svc: object, depth: int) -> Mapper:
-        factory = resolve_mapper_factory(
-            self._mapper_factory if self._mapper_factory is not None
-            else "berkeley",
-            host_first=False,
-            max_explorations=self._max_explorations,
-        )
-        return factory(svc, depth)
-
     def _plan_seed(self) -> tuple[MapSeed | None, str | None]:
         """Build a seed from the previous cycle's map and the delta
-        journals, or explain why this cycle must run from scratch.
-
-        The delta covers ``last map's epoch snapshot .. now``; the bounded
-        journal window, an unbounded entry (probability reconfig) and any
-        *added* connectivity (a plugged cable, a healed wire, a segment
-        merge) all make incremental adoption unsound, so each returns a
-        fallback reason instead of a seed.
+        journals (``last map's epoch snapshot .. now``), or explain why
+        this cycle must run from scratch. A first cycle has nothing to
+        fall back from: no seed, no reason.
         """
         prior = self._last_result
         if prior is None or self._net_epoch is None:
-            return None, "no prior map to seed from"
-        topo = self._net.affected_since(self._net_epoch)
-        if topo is None:
-            return None, "topology delta fell out of the journal window"
+            return None, None
         fault = EMPTY_DELTA
         if self._faults is not None and self._fault_epoch is not None:
             fault = self._faults.affected_since(self._fault_epoch)
-            if fault is None:
-                return None, "fault delta fell out of the journal window"
-        delta = topo.merge(fault)
-        if delta.unbounded:
-            return None, "delta is unbounded (not describable by wire ends)"
-        if delta.added:
-            return None, (
-                "connectivity was added; a kept subtree cannot prove a "
-                "wire it never probed does not exist"
-            )
-        return (
-            MapSeed(
-                network=prior.network,
-                witnesses=prior.witnesses,
-                affected=delta.removed,
-                entries=prior.entry_ports,
-            ),
-            None,
+        affected, reason = seedable_removals(
+            self._net.affected_since(self._net_epoch), fault
         )
+        if affected is None:
+            return None, reason
+        return MapSeed.from_result(prior, affected), None
 
     def run_cycle(self) -> RemapCycle:
         """One complete cycle; appends to and returns from ``history``."""
-        if self._fixed_depth:
-            depth = self._fixed_depth
-        elif self._depth_fn is not None:
-            depth = self._depth_fn(self._net, self._mapper_host)
-        else:
-            depth = recommended_search_depth(self._net, self._mapper_host)
-        svc = self._build_service()
         seed: MapSeed | None = None
         plan_fallback: str | None = None
         if self._incremental:
@@ -212,14 +228,18 @@ class RemapperDaemon:
         fault_epoch = (
             self._faults.fault_epoch if self._faults is not None else None
         )
-        mapper = self._build_mapper(svc, depth)
-        if seed is not None:
-            seeder = getattr(mapper, "seed_with", None)
-            if seeder is None:
-                seed, plan_fallback = None, "mapper does not support seeding"
-            else:
-                seeder(seed)
-        result = mapper.map()
+        result, _ = map_cycle(
+            self._net,
+            self._mapper_host,
+            faults=self._faults,
+            mapper=self._mapper,
+            seed=seed,
+            search_depth=self._search_depth,
+            max_explorations=self._max_explorations,
+            layers=self._layers,
+            collision=self._collision,
+            timing=self._timing,
+        )
         new_map = result.network
         self._last_result = result
         self._net_epoch = net_epoch
@@ -238,55 +258,37 @@ class RemapperDaemon:
         else:
             diff = diff_networks(self.current_map, new_map)
 
-        seed_fallback: str | None = None
-        if self._incremental and not result.seeded:
-            seed_fallback = result.seed_fallback or plan_fallback
-
+        tables = self.current_tables
+        rerouted = not (diff.identical and tables is not None)
+        safe: bool | None = None
+        report: DistributionReport | None = None
         elapsed = result.stats.elapsed_ms
-        if diff.identical and self.current_tables is not None:
-            cycle = RemapCycle(
-                index=len(self.history),
-                map_result=result,
-                diff=diff,
-                routes_recomputed=False,
-                deadlock_free=None,
-                n_routes=sum(len(t) for t in self.current_tables.values()),
-                distribution=None,
-                elapsed_ms=elapsed,
-                incremental=result.seeded,
-                seed_fallback=seed_fallback,
-                probes_saved=probes_saved,
-                subtrees_kept=result.kept_nodes,
+        if rerouted:
+            tables, safe = route_cycle(new_map)
+            # Incremental distribution: push only per-host deltas against
+            # the previous generation (the first cycle degenerates to a
+            # full push).
+            report = distribute_incremental(
+                new_map,
+                self._mapper_host,
+                tables,
+                self.current_tables,
+                timing=self._timing,
             )
-            self.history.append(cycle)
-            return cycle
-
-        orientation = orient_updown(new_map)
-        paths = all_pairs_updown_paths(new_map, orientation)
-        tables = compile_route_tables(new_map, paths, orientation=orientation)
-        safe = routes_deadlock_free(tables)
-        # Incremental distribution: push only per-host deltas against the
-        # previous generation (the first cycle degenerates to a full push).
-        report = distribute_incremental(
-            new_map,
-            self._mapper_host,
-            tables,
-            self.current_tables,
-            timing=self._timing,
-        )
-        self.current_map = new_map
-        self.current_tables = tables
+            self.current_map = new_map
+            self.current_tables = tables
+            elapsed += report.elapsed_ms
         cycle = RemapCycle(
             index=len(self.history),
             map_result=result,
             diff=diff,
-            routes_recomputed=True,
+            routes_recomputed=rerouted,
             deadlock_free=safe,
             n_routes=sum(len(t) for t in tables.values()),
             distribution=report,
-            elapsed_ms=elapsed + report.elapsed_ms,
+            elapsed_ms=elapsed,
             incremental=result.seeded,
-            seed_fallback=seed_fallback,
+            seed_fallback=result.seed_fallback or plan_fallback,
             probes_saved=probes_saved,
             subtrees_kept=result.kept_nodes,
         )

@@ -22,6 +22,7 @@ from typing import Any, Mapping
 from repro.routing.compile_routes import RouteTable
 from repro.service.serialize import SerializationError
 from repro.simulator.faults import FaultModel
+from repro.topology.delta import seedable_removals
 from repro.topology.model import Network, PortRef
 from repro.topology.serialize import network_from_dict, network_to_dict
 
@@ -231,9 +232,12 @@ class TenantState:
 
         Includes a witness seed when the spec asks for incremental cycles,
         a prior map exists, and the tenant's delta journal can prove what
-        changed since it — the same soundness ladder as
-        :meth:`RemapperDaemon._plan_seed`, reproduced here because the
-        prior map lives as JSON, not as a live daemon.
+        changed since it (the soundness ladder of
+        :func:`repro.topology.delta.seedable_removals`, the one
+        :class:`RemapperDaemon` climbs); when it cannot, the reason
+        travels instead and comes back as the outcome's ``seed_fallback``.
+        No server op reconfigures ``self.faults``, so only the network's
+        journal is consulted.
         """
         payload: dict[str, Any] = {
             "tenant": self.spec.name,
@@ -252,17 +256,15 @@ class TenantState:
             and self.last_result_doc is not None
             and self.net_epoch_at_last_map is not None
         ):
-            delta = self.net.affected_since(self.net_epoch_at_last_map)
-            if delta is None:
-                payload["seed_skipped"] = "topology delta fell out of the journal window"
-            elif delta.unbounded:
-                payload["seed_skipped"] = "delta is unbounded"
-            elif delta.added:
-                payload["seed_skipped"] = "connectivity was added since the last map"
+            affected, reason = seedable_removals(
+                self.net.affected_since(self.net_epoch_at_last_map)
+            )
+            if affected is None:
+                payload["seed_fallback"] = reason
             else:
                 payload["map_seed"] = {
                     "map_result": self.last_result_doc,
-                    "affected": sorted([n, p] for n, p in delta.removed),
+                    "affected": sorted([n, p] for n, p in affected),
                 }
         return payload
 

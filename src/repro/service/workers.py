@@ -18,14 +18,22 @@ re-running a failed payload reproduces the failure bit-for-bit.
 
 from __future__ import annotations
 
-from typing import Any
+import networkx as nx
 
+from repro.core.instrumentation import analyze_records
+from repro.core.mapper import MappingError, MapSeed
+from repro.core.remapper import map_cycle, route_cycle
 from repro.service.serialize import (
     map_result_from_dict,
     map_result_to_dict,
     route_tables_to_dict,
 )
 from repro.service.tenant import dead_wires_from_doc
+from repro.simulator.faults import FaultModel
+from repro.simulator.stack import TraceBusLayer, describe_stack
+from repro.topology.analysis import core_network, effective_network
+from repro.topology.isomorphism import match_networks
+from repro.topology.serialize import network_from_dict
 
 __all__ = ["run_map_job"]
 
@@ -43,41 +51,23 @@ def _mapping_failure(payload: dict, kind: str, message: str) -> dict:
 def run_map_job(payload: dict) -> dict:
     """Run one complete map→routes→verify cycle from a JSON payload.
 
-    Returns a JSON-able outcome dict: ``ok`` plus either the serialized
-    ``map_result``/``tables`` and verification verdicts, or an ``error``
-    code and message. Only *expected* mapping failures (a probe-model
-    contradiction, an unusable seed payload) are converted to error
-    outcomes; anything else propagates and surfaces in the server log —
-    a bug must keep its traceback (SAN006 discipline).
+    Decode the payload, run the shared :func:`~repro.core.remapper.
+    map_cycle` and :func:`~repro.core.remapper.route_cycle`, verify the
+    map against the effective fabric, encode. Returns a JSON-able outcome
+    dict: ``ok`` plus either the serialized ``map_result``/``tables`` and
+    verification verdicts, or an ``error`` code and message. Only
+    *expected* failures (an unusable payload or seed, a probe-model
+    contradiction, an unroutable map) are converted to error outcomes;
+    anything else propagates and surfaces in the server log — a bug must
+    keep its traceback (SAN006 discipline).
     """
-    import networkx as nx
-
-    from repro.chaos.oracles import effective_network
-    from repro.core.instrumentation import analyze_records
-    from repro.core.mapper import MapSeed, MappingError
-    from repro.core.mapper_protocol import UnknownMapperError, get_mapper_spec
-    from repro.routing.compile_routes import compile_route_tables
-    from repro.routing.deadlock import routes_deadlock_free
-    from repro.routing.paths import all_pairs_updown_paths
-    from repro.routing.updown import orient_updown
-    from repro.simulator.faults import FaultModel
-    from repro.simulator.stack import (
-        TraceBusLayer,
-        build_service_stack,
-        describe_stack,
-    )
-    from repro.topology.analysis import core_network, recommended_search_depth
-    from repro.topology.isomorphism import match_networks
-    from repro.topology.serialize import network_from_dict
-
-    tenant = payload.get("tenant", "?")
     try:
         net = network_from_dict(payload["network"])
         dead = dead_wires_from_doc(payload.get("dead_wires", []))
     except (KeyError, TypeError, ValueError) as exc:
         return _mapping_failure(payload, "bad-payload", str(exc))
     mapper_host = payload.get("mapper") or sorted(net.hosts)[0]
-    if not net.is_host(mapper_host):
+    if mapper_host not in net.hosts:
         return _mapping_failure(
             payload, "bad-payload", f"mapper {mapper_host!r} is not a host"
         )
@@ -87,89 +77,50 @@ def run_map_job(payload: dict) -> dict:
         dead_wires=dead,
         seed=int(payload.get("seed", 0)),
     )
+    seed = None
+    if "map_seed" in payload:
+        seed_doc = payload["map_seed"]
+        try:
+            seed = MapSeed.from_result(
+                map_result_from_dict(seed_doc["map_result"]),
+                frozenset(
+                    (str(n), int(p)) for n, p in seed_doc.get("affected", [])
+                ),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            return _mapping_failure(payload, "bad-seed", str(exc))
 
+    records: list = []
+    try:
+        result, svc = map_cycle(
+            net,
+            mapper_host,
+            faults=faults,
+            seed=seed,
+            layers=(TraceBusLayer((records.append,)),),
+        )
+    except MappingError as exc:
+        return _mapping_failure(payload, "mapping-failed", str(exc))
+    try:
+        tables, deadlock_free = route_cycle(result.network)
+    except (ValueError, nx.NetworkXException) as exc:
+        # A fabric split can leave the mapper's component too degenerate
+        # to route (e.g. the mapper host alone behind the cut). Expected
+        # under faults, so it degrades the tenant instead of crashing.
+        return _mapping_failure(payload, "routing-failed", str(exc))
     # The effective fabric the map must match: the actual network minus
     # dead cables (a dead wire answers no probe, exactly like a cut one),
     # restricted to the mapper's connected component — a cut that splits
     # the fabric hides the far side from in-band discovery, it does not
     # make the near side unmappable.
     effective = effective_network(net, faults, mapper_host)
-
-    depth = payload.get("search_depth")
-    if depth is None:
-        depth = recommended_search_depth(effective, mapper_host)
-
-    records: list = []
-    bus = TraceBusLayer((records.append,))
-    try:
-        spec = get_mapper_spec(payload.get("mapper_algorithm", "berkeley"))
-    except UnknownMapperError as exc:
-        return _mapping_failure(payload, "bad-payload", str(exc))
-    svc = build_service_stack(
-        net,
-        mapper_host,
-        layers=(bus,),
-        faults=faults,
-        service_cls=spec.service_cls,
-    )
-    mapper = spec.create(
-        svc,
-        search_depth=depth,
-        **spec.accepted_kwargs(
-            {
-                "host_first": False,
-                "max_explorations": payload.get("max_explorations", 20000),
-            }
-        ),
-    )
-    if "map_seed" in payload:
-        seed_doc = payload["map_seed"]
-        try:
-            prior = map_result_from_dict(seed_doc["map_result"])
-            affected = frozenset(
-                (str(n), int(p)) for n, p in seed_doc.get("affected", [])
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            return _mapping_failure(payload, "bad-seed", str(exc))
-        seeder = getattr(mapper, "seed_with", None)
-        if seeder is None:
-            return _mapping_failure(
-                payload,
-                "bad-seed",
-                "requested mapper algorithm does not support seeding",
-            )
-        seeder(
-            MapSeed(
-                network=prior.network,
-                witnesses=prior.witnesses,
-                affected=affected,
-                entries=prior.entry_ports,
-            )
-        )
-    try:
-        result = mapper.map()
-    except MappingError as exc:
-        return _mapping_failure(payload, "mapping-failed", str(exc))
-
-    try:
-        orientation = orient_updown(result.network)
-        paths = all_pairs_updown_paths(result.network, orientation)
-        tables = compile_route_tables(
-            result.network, paths, orientation=orientation
-        )
-    except (ValueError, nx.NetworkXException) as exc:
-        # A fabric split can leave the mapper's component too degenerate
-        # to route (e.g. the mapper host alone behind the cut). Expected
-        # under faults, so it degrades the tenant instead of crashing.
-        return _mapping_failure(payload, "routing-failed", str(exc))
-    deadlock_free = routes_deadlock_free(tables)
     report = match_networks(result.network, core_network(effective))
     analysis = analyze_records(records)
     cache = svc.eval_cache_stats
 
     return {
         "ok": True,
-        "tenant": tenant,
+        "tenant": payload.get("tenant", "?"),
         "net_epoch": payload.get("net_epoch"),
         "map_result": map_result_to_dict(result),
         "tables": route_tables_to_dict(tables),
@@ -181,7 +132,8 @@ def run_map_job(payload: dict) -> dict:
         "elapsed_ms": result.stats.elapsed_ms,
         "seeded": result.seeded,
         "kept_nodes": result.kept_nodes,
-        "seed_fallback": result.seed_fallback,
+        # The mapper's own reason, else the one seed planning gave.
+        "seed_fallback": result.seed_fallback or payload.get("seed_fallback"),
         "stack": describe_stack(svc),
         "trace": {
             "probes": analysis.total,

@@ -32,10 +32,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from typing import TYPE_CHECKING
 
 import networkx as nx
 
 from repro.topology.model import Network, TopologyError, Wire
+
+if TYPE_CHECKING:
+    from repro.simulator.faults import FaultModel
 
 __all__ = [
     "CoreDecomposition",
@@ -43,6 +47,7 @@ __all__ = [
     "core_decomposition",
     "core_network",
     "diameter",
+    "effective_network",
     "hop_distances",
     "q_max",
     "q_value",
@@ -488,3 +493,24 @@ def core_network(net: Network) -> Network:
     """The core ``N - F`` as a standalone :class:`Network`."""
     keep = set(net.nodes) - separated_set(net)
     return net.induced_subnetwork(keep)
+
+
+def effective_network(
+    net: Network, faults: "FaultModel", mapper_host: str
+) -> Network:
+    """Ground truth minus dead cables, restricted to the mapper's component.
+
+    A silently dead cable (Section 5.6) is in-band indistinguishable from an
+    absent cable, and anything the mapper cannot reach cannot appear in its
+    map — so this is the network the theorem's ``N`` becomes under faults.
+    Reads only ``faults.dead_wires``.
+    """
+    eff = net.copy()
+    if faults.dead_wires:
+        for wire in list(eff.wires):
+            if frozenset((wire.a, wire.b)) in faults.dead_wires:
+                eff.disconnect(wire)
+    g = nx.Graph(eff.to_networkx())
+    if mapper_host not in g:
+        return eff.induced_subnetwork([mapper_host])
+    return eff.induced_subnetwork(nx.node_connected_component(g, mapper_host))

@@ -41,6 +41,7 @@ __all__ = [
     "EMPTY_DELTA",
     "Endpoint",
     "UNBOUNDED_DELTA",
+    "seedable_removals",
 ]
 
 #: A wire end as a plain ``(node, port)`` tuple — the same flat key shape
@@ -98,6 +99,34 @@ def merge_deltas(deltas: Iterable[Delta]) -> Delta:
     for d in deltas:
         out = out.merge(d)
     return out
+
+
+def seedable_removals(
+    topology: Delta | None, faults: Delta | None = EMPTY_DELTA
+) -> tuple[frozenset[Endpoint] | None, str | None]:
+    """The seeding soundness ladder over the two journals' deltas.
+
+    ``topology`` and ``faults`` are what ``Network.affected_since`` and
+    ``FaultModel.affected_since`` returned for the epochs snapshotted at
+    the prior map. A prior map may seed the next one only across a
+    bounded, removals-only delta: returns ``(removed wire ends, None)``
+    then, and ``(None, reason)`` for a delta that fell out of either
+    journal window, is unbounded (a probability reconfiguration) or
+    *added* connectivity (a plugged cable, a healed wire).
+    """
+    if topology is None:
+        return None, "topology delta fell out of the journal window"
+    if faults is None:
+        return None, "fault delta fell out of the journal window"
+    delta = topology.merge(faults)
+    if delta.unbounded:
+        return None, "delta is unbounded (not describable by wire ends)"
+    if delta.added:
+        return None, (
+            "connectivity was added; a kept subtree cannot prove a "
+            "wire it never probed does not exist"
+        )
+    return delta.removed, None
 
 
 class DeltaJournal:

@@ -42,17 +42,7 @@ def _arm(incremental: bool):
     net = build_full_now()
     h0 = sorted(net.hosts)[0]
     faults = FaultModel()
-
-    def service_factory(n, m):
-        return QuiescentProbeService(net=n, mapper=m, faults=faults)
-
-    daemon = RemapperDaemon(
-        net,
-        h0,
-        service_factory=service_factory,
-        faults=faults,
-        incremental=incremental,
-    )
+    daemon = RemapperDaemon(net, h0, faults=faults, incremental=incremental)
     return net, h0, faults, daemon
 
 

@@ -163,7 +163,6 @@ class TestChaosDifferential:
         from repro.chaos.scenario import ChaosEvent
         from repro.core.remapper import RemapperDaemon
         from repro.simulator.faults import FaultModel
-        from repro.simulator.quiescent import QuiescentProbeService
         from repro.topology.generators import build_ring
 
         net = build_ring(6)
@@ -173,9 +172,7 @@ class TestChaosDifferential:
             net,
             "ring-n000",
             search_depth=8,
-            service_factory=lambda n, h: QuiescentProbeService(
-                n, h, faults=faults
-            ),
+            faults=faults,
         )
         daemon.run_cycle()  # clean baseline generation
         for action, args in scenario_events:

@@ -1,0 +1,145 @@
+"""``run_map_job`` called directly: the served wrapper of the one cycle.
+
+Two contracts. *Differential*: the daemon and the worker wrap the same
+``map_cycle``/``route_cycle`` (docs/ARCHITECTURE.md, "The remap cycle"),
+so the same fabric driven through the same cold → cut → plug sequence must
+produce equal documents, probe counts and fallback reasons either way.
+*Error codes*: every expected failure comes back as a dict with a stable
+code; the worker never raises for one.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.core.remapper import RemapperDaemon
+from repro.service.serialize import (
+    map_result_to_dict,
+    route_tables_from_dict,
+    route_tables_to_dict,
+)
+from repro.service.tenant import TenantSpec, TenantState, build_tenant_network
+from repro.service.workers import run_map_job
+
+
+def _served_cycle(tenant: TenantState) -> tuple[dict, dict]:
+    """One cycle the way the server runs it, minus the pool."""
+    payload = tenant.job_payload()
+    outcome = run_map_job(payload)
+    assert outcome["ok"], outcome
+    tenant.adopt(outcome, route_tables_from_dict(outcome["tables"]))
+    return payload, outcome
+
+
+class TestDaemonAndWorkerAgree:
+    @pytest.mark.parametrize(
+        "topology, cut, probes",
+        [
+            ("now-c", ("C-l2-0", 3), [762, 86, 762]),
+            ("now-full", ("A-l2-1", 2), [2159, 109, 2159]),
+        ],
+        ids=["subcluster-c", "full-now"],
+    )
+    def test_cold_cut_plug(self, topology, cut, probes):
+        tenant = TenantState(TenantSpec(name="t", topology=topology))
+        daemon_net = build_tenant_network(tenant.spec)
+        daemon = RemapperDaemon(
+            daemon_net, tenant.mapper_host(), incremental=True
+        )
+        wire = daemon_net.wire_at(*cut)
+        ends = (wire.a.node, wire.a.port, wire.b.node, wire.b.port)
+        steps = [
+            lambda net: None,
+            lambda net: net.disconnect(net.wire_at(*cut)),
+            lambda net: net.connect(*ends),
+        ]
+        fallbacks = []
+        for step, expected_probes in zip(steps, probes):
+            step(tenant.net)
+            step(daemon_net)
+            _, outcome = _served_cycle(tenant)
+            cycle = daemon.run_cycle()
+            assert outcome["map_result"] == map_result_to_dict(cycle.map_result)
+            assert outcome["tables"] == route_tables_to_dict(
+                daemon.current_tables
+            )
+            assert (
+                outcome["probes"]
+                == cycle.map_result.stats.total_probes
+                == expected_probes
+            )
+            assert outcome["seeded"] == cycle.incremental
+            assert outcome["seed_fallback"] == cycle.seed_fallback
+            assert outcome["isomorphic"] and outcome["deadlock_free"]
+            fallbacks.append(cycle.seed_fallback)
+        assert fallbacks[:2] == [None, None]
+        assert "connectivity was added" in fallbacks[2]
+
+
+class TestPlanTimeFallbackIsReported:
+    def test_replug_says_why_it_could_not_seed(self):
+        """Regression: the planning-time reason used to be written to a
+        payload key nothing read, so the cycle reported ``None`` and the
+        tenant's ``seed_fallbacks`` counter never moved."""
+        tenant = TenantState(TenantSpec(name="t", topology="now-c"))
+        _served_cycle(tenant)
+        wire = tenant.net.wire_at("C-l2-0", 3)
+        tenant.net.disconnect(wire)
+        _, cut_outcome = _served_cycle(tenant)
+        assert cut_outcome["seeded"] and cut_outcome["seed_fallback"] is None
+        tenant.net.connect(wire.a.node, wire.a.port, wire.b.node, wire.b.port)
+        payload, outcome = _served_cycle(tenant)
+        assert "map_seed" not in payload
+        assert "seed_skipped" not in payload
+        assert not outcome["seeded"]
+        assert "connectivity was added" in outcome["seed_fallback"]
+        assert tenant.last_cycle["seed_fallback"] == outcome["seed_fallback"]
+        assert tenant.seed_fallbacks == 1
+
+
+def _payload(**overrides) -> dict:
+    tenant = TenantState(
+        TenantSpec(name="t", topology="ring", params={"size": 4})
+    )
+    return {**tenant.job_payload(), **overrides}
+
+
+def _mapper_alone_behind_a_cut() -> dict:
+    tenant = TenantState(
+        TenantSpec(name="t", topology="ring", params={"size": 4})
+    )
+    tenant.net.disconnect(tenant.net.wire_at(tenant.mapper_host(), 0))
+    return tenant.job_payload()
+
+
+class TestErrorCodes:
+    @pytest.mark.parametrize(
+        "make_payload, code",
+        [
+            (lambda: _payload(network={"nodes": "nope"}), "bad-payload"),
+            (lambda: _payload(mapper="ring-s0"), "bad-payload"),
+            (lambda: _payload(mapper="no-such-node"), "bad-payload"),
+            (
+                lambda: _payload(map_seed={"map_result": {"kind": "?"}}),
+                "bad-seed",
+            ),
+            (_mapper_alone_behind_a_cut, "routing-failed"),
+        ],
+        ids=[
+            "malformed-network",
+            "switch-as-mapper",
+            "unknown-mapper-node",
+            "corrupt-seed",
+            "mapper-host-isolated",
+        ],
+    )
+    def test_expected_failures_are_outcomes_not_exceptions(
+        self, make_payload, code
+    ):
+        payload = make_payload()
+        outcome = run_map_job(payload)
+        assert outcome["ok"] is False
+        assert outcome["error"] == code
+        assert outcome["message"]
+        assert outcome["tenant"] == "t"
+        assert outcome["net_epoch"] == payload["net_epoch"]
