@@ -161,7 +161,6 @@ LAYER_ROOT_CLASSES = frozenset(
         "ProbeLayer",
         "CountingLayer",
         "CapLayer",
-        "StatsLayer",
         "TraceBusLayer",
         "RetryLayer",
         "InterferenceLayer",

@@ -23,38 +23,21 @@ import json
 import sys
 from pathlib import Path
 
+from repro.topology.generators import NAMED_TOPOLOGIES, build_named_topology
 from repro.topology.serialize import load_network, save_network
 
 __all__ = ["main"]
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    from repro.topology import generators as gen
-
-    kind = args.topology
-    if kind in ("now-a", "now-b", "now-c"):
-        net = gen.build_subcluster(kind[-1].upper())
-    elif kind == "now-full":
-        net = gen.build_full_now()
-    elif kind == "ring":
-        net = gen.build_ring(args.size, hosts_per_switch=args.hosts_per_switch)
-    elif kind == "chain":
-        net = gen.build_chain(args.size, hosts_per_switch=args.hosts_per_switch)
-    elif kind == "mesh":
-        net = gen.build_mesh(args.size, args.size, hosts_per_switch=args.hosts_per_switch)
-    elif kind == "torus":
-        net = gen.build_torus(args.size, args.size, hosts_per_switch=args.hosts_per_switch)
-    elif kind == "hypercube":
-        net = gen.build_hypercube(args.size, hosts_per_switch=args.hosts_per_switch)
-    elif kind == "random":
-        net = gen.random_san(
-            n_switches=args.size,
-            n_hosts=max(2, args.size * args.hosts_per_switch),
-            extra_links=args.size // 2,
-            seed=args.seed,
-        )
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(kind)
+    net = build_named_topology(
+        args.topology,
+        {
+            "size": args.size,
+            "hosts_per_switch": args.hosts_per_switch,
+            "seed": args.seed,
+        },
+    )
     save_network(net, args.out)
     print(f"wrote {args.out}: {net.n_hosts} hosts, {net.n_switches} switches, "
           f"{net.n_wires} wires")
@@ -388,10 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="build a topology and save it")
     p.add_argument(
         "--topology",
-        choices=[
-            "now-a", "now-b", "now-c", "now-full",
-            "ring", "chain", "mesh", "torus", "hypercube", "random",
-        ],
+        # The fat tree's own parameters (k, hosts per edge) have no flags
+        # here; it stays a tenant-spec kind.
+        choices=[k for k in NAMED_TOPOLOGIES if k != "fat-tree-3tier"],
         required=True,
     )
     p.add_argument("--size", type=int, default=4,

@@ -38,6 +38,7 @@ from __future__ import annotations
 import random
 import statistics
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from repro.core.mapper import BerkeleyMapper, MapResult
 from repro.simulator.collision import CircuitModel, CollisionModel
@@ -196,11 +197,6 @@ class _RivalSilenceLayer(ProbeLayer):
         return f"RivalSilenceLayer(rival_events={len(self._events)})"
 
 
-# Cache of rival schedules per (network identity, depth): they are
-# deterministic and expensive; election_times reuses them across seeds.
-_SCHEDULE_CACHE: dict[tuple[int, int, int], dict[str, list[tuple[float, str]]]] = {}
-
-
 def election_run(
     net: Network,
     *,
@@ -214,69 +210,89 @@ def election_run(
     seed: int = 0,
 ) -> ElectionOutcome:
     """Simulate one election-mode mapping run."""
+    (outcome,) = _election_runs(
+        net,
+        (seed,),
+        search_depth=search_depth,
+        participants=participants,
+        collision=collision,
+        timing=timing,
+        jitter=jitter,
+        start_spread_ms=start_spread_ms,
+        rival_probe_cap=rival_probe_cap,
+    )
+    return outcome
+
+
+def _election_runs(
+    net: Network,
+    seeds: Iterable[int],
+    *,
+    search_depth: int,
+    participants: list[str] | None = None,
+    collision: CollisionModel | None = None,
+    timing: TimingModel = MYRINET_TIMING,
+    jitter: float = 0.08,
+    start_spread_ms: float = 30.0,
+    rival_probe_cap: int = 600,
+) -> Iterator[ElectionOutcome]:
+    """One election run per seed, all over the same rival schedules.
+
+    The schedules are deterministic in everything but the seed and cost a
+    capped mapping run per rival, so they are computed once per call.
+    """
     collision = collision or CircuitModel()
     hosts = sorted(participants if participants is not None else net.hosts)
     if not hosts:
         raise ValueError("election needs at least one participant")
     winner = hosts[-1]
-    rng = random.Random(seed)
+    schedules = {
+        h: _rival_schedule(
+            net,
+            h,
+            search_depth=search_depth,
+            collision=collision,
+            timing=timing,
+            cap=rival_probe_cap,
+        )
+        for h in hosts
+        if h != winner
+    }
+    for seed in seeds:
+        rng = random.Random(seed)
+        start_us = {h: rng.uniform(0.0, start_spread_ms * 1000.0) for h in hosts}
+        rival_events: list[tuple[float, str, str]] = []
+        rival_end: dict[str, float] = {}
+        for h, sched in schedules.items():
+            for t_rel, target in sched:
+                rival_events.append((start_us[h] + t_rel, h, target))
+            rival_end[h] = sched[-1][0] if sched else 0.0
 
-    cache_key = (
-        id(net),
-        net.n_wires,
-        tuple(hosts),
-        search_depth,
-        rival_probe_cap,
-    )
-    schedules = _SCHEDULE_CACHE.get(cache_key)
-    if schedules is None:
-        schedules = {
-            h: _rival_schedule(
-                net,
-                h,
-                search_depth=search_depth,
-                collision=collision,
-                timing=timing,
-                cap=rival_probe_cap,
-            )
-            for h in hosts
-            if h != winner
-        }
-        _SCHEDULE_CACHE[cache_key] = schedules
-
-    start_us = {h: rng.uniform(0.0, start_spread_ms * 1000.0) for h in hosts}
-    rival_events: list[tuple[float, str, str]] = []
-    rival_end: dict[str, float] = {}
-    for h, sched in schedules.items():
-        for t_rel, target in sched:
-            rival_events.append((start_us[h] + t_rel, h, target))
-        rival_end[h] = sched[-1][0] if sched else 0.0
-
-    silence = _RivalSilenceLayer(
-        winner=winner,
-        timing=timing,
-        start_us=start_us,
-        rival_events=rival_events,
-        rival_end_us=rival_end,
-    )
-    svc = build_service_stack(
-        net,
-        winner,
-        layers=(silence,),
-        collision=collision,
-        timing=timing,
-        jitter=jitter,
-        rng=rng,
-    )
-    result = BerkeleyMapper(svc, search_depth=search_depth, host_first=False).run()
-    elapsed_us = silence.now_us  # includes the winner's own start delay
-    return ElectionOutcome(
-        winner=winner,
-        elapsed_ms=elapsed_us / 1000.0,
-        map_result=result,
-        yield_times_ms={h: t / 1000.0 for h, t in silence.yield_times().items()},
-        anchor_misses=silence.anchor_misses,
-    )
+        silence = _RivalSilenceLayer(
+            winner=winner,
+            timing=timing,
+            start_us=start_us,
+            rival_events=rival_events,
+            rival_end_us=rival_end,
+        )
+        svc = build_service_stack(
+            net,
+            winner,
+            layers=(silence,),
+            collision=collision,
+            timing=timing,
+            jitter=jitter,
+            rng=rng,
+        )
+        result = BerkeleyMapper(svc, search_depth=search_depth, host_first=False).run()
+        elapsed_us = silence.now_us  # includes the winner's own start delay
+        yield ElectionOutcome(
+            winner=winner,
+            elapsed_ms=elapsed_us / 1000.0,
+            map_result=result,
+            yield_times_ms={h: t / 1000.0 for h, t in silence.yield_times().items()},
+            anchor_misses=silence.anchor_misses,
+        )
 
 
 def election_times(
@@ -291,10 +307,13 @@ def election_times(
     from repro.core.parallel import TimingSummary
 
     times = [
-        election_run(
-            net, search_depth=search_depth, seed=base_seed + i, **kwargs
-        ).elapsed_ms
-        for i in range(runs)
+        outcome.elapsed_ms
+        for outcome in _election_runs(
+            net,
+            range(base_seed, base_seed + runs),
+            search_depth=search_depth,
+            **kwargs,
+        )
     ]
     return TimingSummary(
         min_ms=min(times),

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.simulator.path_eval import EvalCacheStats
-from repro.simulator.probes import ProbeKind, ProbeStats
+from repro.simulator.probes import ProbeKind
 
 __all__ = [
     "PhaseProfile",
@@ -30,7 +30,6 @@ __all__ = [
     "TraceAnalysis",
     "TraceRecorder",
     "analyze_records",
-    "analyze_trace",
     "cache_summary",
     "chaos_summary",
 ]
@@ -186,9 +185,9 @@ class TraceAnalysis:
 class TraceRecorder:
     """Trace-bus subscriber that accumulates every published probe record.
 
-    Attach to a :class:`~repro.simulator.stack.TraceBusLayer` to observe a
-    run without asking the service to retain its own trace
-    (``keep_trace=True``); the recorder then feeds :func:`analyze_records`.
+    Attach to a :class:`~repro.simulator.stack.TraceBusLayer` to keep a
+    run's probe trace (the service itself retains only counters); the
+    recorder then feeds :func:`analyze_records`.
     """
 
     __slots__ = ("records",)
@@ -200,18 +199,8 @@ class TraceRecorder:
         self.records.append(record)
 
 
-def analyze_trace(stats: ProbeStats) -> TraceAnalysis:
-    """Analyze a probe trace; requires the service ran with a trace kept."""
-    if stats.trace is None:
-        raise ValueError(
-            "no trace recorded: construct the probe service with "
-            "keep_trace=True"
-        )
-    return analyze_records(stats.trace)
-
-
 def analyze_records(records) -> TraceAnalysis:
-    """Aggregate a sequence of probe records (a kept trace or a bus feed)."""
+    """Aggregate a sequence of probe records (a trace-bus feed)."""
     by_length: dict[int, list[int]] = {}
     answered = 0.0
     timeout = 0.0

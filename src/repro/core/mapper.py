@@ -222,21 +222,13 @@ class BerkeleyMapper:
         identifies the node).
     record_growth:
         Keep the per-exploration model-size trace (Figure 8).
-    batch:
-        Submit each run of sibling probes (same prefix, consecutive planned
-        turns) to the service as a pre-evaluation batch when the service
-        supports it (``warm_siblings``). Probe order, count, RNG draws and
-        stats are byte-identical either way; batching only lets a caching
-        evaluator walk the shared prefix once per run instead of per probe.
     profiler:
         Optional :class:`~repro.core.instrumentation.PhaseProfiler`; when
         given, per-phase wall-clock is accumulated and snapshotted into
         ``MapResult.profile``. Purely observational.
     """
 
-    capabilities = MapperCapabilities(
-        seed_with=True, batch=True, profiler=True
-    )
+    capabilities = MapperCapabilities(seed_with=True, profiler=True)
 
     def __init__(
         self,
@@ -248,9 +240,7 @@ class BerkeleyMapper:
         record_growth: bool = False,
         radix: int = 8,
         max_explorations: int | None = None,
-        batch: bool = True,
         profiler: "PhaseProfiler | None" = None,
-        seed: "MapSeed | None" = None,
     ) -> None:
         """``max_explorations`` bounds the number of switch explorations.
 
@@ -271,9 +261,8 @@ class BerkeleyMapper:
         self._record_growth = record_growth
         self._radix = radix
         self._max_explorations = max_explorations
-        self._batch = batch
         self._prof = profiler
-        self._seed = seed
+        self._seed: MapSeed | None = None
         self._seeded = False
         self._kept_nodes = 0
         self._seed_fallback: str | None = None
@@ -589,27 +578,21 @@ class BerkeleyMapper:
 
     def _explore(self, v: MergedVertex) -> None:
         plan = self._planner.new_plan()
-        prime = getattr(self._svc, "warm_siblings", None) if self._batch else None
-        if prime is None:
-            # Every probe below extends v's probe string by one turn; tell a
-            # caching service so the shared prefix is walked once, not per
-            # probe.
-            warm = getattr(self._svc, "warm_prefix", None)
-            if warm is not None:
-                warm(v.probe_string)
         # Knowledge inherited from merged replicates: every known index is a
         # confirmed wire (narrowing the entry-port window), and re-probing it
         # cannot teach anything — an actual port has exactly one cable.
         for idx in v.nbrs:
             plan.feed(idx, True)
+        prime = getattr(self._svc, "warm_siblings", None)
         if prime is not None:
-            # Submit the whole sibling group in one batch: every probe below
-            # is v.probe_string extended by one planned turn, so one descent
-            # of the shared prefix serves them all (each probe then costs a
-            # single child step). Probes still go through the service one at
-            # a time — order, count, RNG draws and stats are byte-identical
-            # to the unbatched path; turns a hit later prunes from the plan
-            # were announced but never evaluated, and cost nothing.
+            # Announce the whole sibling group to a caching service: every
+            # probe below is v.probe_string extended by one planned turn, so
+            # one descent of the shared prefix serves them all (each probe
+            # then costs a single child step). Probes still go through the
+            # service one at a time — order, count, RNG draws and stats are
+            # byte-identical to a service that ignores the hint; turns a hit
+            # later prunes from the plan were announced but never evaluated,
+            # and cost nothing.
             prime(v.probe_string, plan.peek_pending())
         while (turn := plan.next_turn()) is not None:
             if v.nbrs.get(turn):

@@ -16,9 +16,8 @@ experiments, the tournament harness) race them interchangeably:
   them; ``map()`` is the common denominator the drivers call.
 * :class:`MapperCapabilities` — declared, checkable flags for the
   optional parts of the interface (``seed_with`` incremental seeding,
-  ``batch`` sibling pre-evaluation, ``profiler`` phase timing), so a
-  driver can feature-test a registry entry instead of duck-typing an
-  instance.
+  ``profiler`` phase timing), so a driver can feature-test a registry
+  entry instead of duck-typing an instance.
 * :data:`MAPPER_REGISTRY` — string-keyed specs. Construction goes
   through :func:`create_mapper`/:func:`resolve_mapper_factory` so the
   choice of algorithm is data (``mapper_factory="berkeley"``), not an
@@ -70,7 +69,7 @@ class Mapper(Protocol):
 
     ``map()`` probes the network through the service the mapper was
     constructed with and returns a :class:`~repro.core.mapper.MapResult`.
-    Everything beyond that — seeding, batching, profiling — is optional
+    Everything beyond that — seeding, profiling — is optional
     and advertised through the registry spec's
     :class:`MapperCapabilities`.
     """
@@ -86,25 +85,20 @@ class MapperCapabilities:
     ``seed_with``
         The mapper accepts a prior-map seed via ``seed_with(MapSeed)``
         before ``map()`` (the incremental-remap fast path).
-    ``batch``
-        The constructor takes ``batch=`` and submits sibling probe runs
-        for pre-evaluation when the service supports ``warm_siblings``.
     ``profiler``
         The constructor takes ``profiler=`` and snapshots per-phase
         wall-clock into ``MapResult.profile``.
     """
 
     seed_with: bool = False
-    batch: bool = False
     profiler: bool = False
 
     def flags(self) -> Iterator[tuple[str, bool]]:
         yield "seed_with", self.seed_with
-        yield "batch", self.batch
         yield "profiler", self.profiler
 
     def summary(self) -> str:
-        """Compact ``seed_with+batch`` style rendering for CLI listings."""
+        """Compact ``seed_with+profiler`` style rendering for CLI listings."""
         on = [name for name, flag in self.flags() if flag]
         return "+".join(on) if on else "-"
 

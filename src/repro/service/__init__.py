@@ -28,8 +28,6 @@ from repro.service.serialize import (
     SerializationError,
     map_result_from_dict,
     map_result_to_dict,
-    remap_cycle_from_dict,
-    remap_cycle_to_dict,
     route_table_from_dict,
     route_table_to_dict,
     route_tables_from_dict,
@@ -55,8 +53,6 @@ __all__ = [
     "map_result_from_dict",
     "map_result_to_dict",
     "read_frame",
-    "remap_cycle_from_dict",
-    "remap_cycle_to_dict",
     "route_table_from_dict",
     "route_table_to_dict",
     "route_tables_from_dict",

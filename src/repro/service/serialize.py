@@ -1,10 +1,10 @@
-"""JSON codecs for the service boundary: results, routes, remap cycles.
+"""JSON codecs for the service boundary: map results and route tables.
 
 The server process and its simulator workers exchange everything as JSON:
 a worker returns a serialized :class:`~repro.core.mapper.MapResult` plus
 route tables, and the server hands witness seeds back for incremental
 cycles. Clients receive the same documents over the wire, so the codecs
-live here rather than inside the server — archiving a cycle, diffing two
+live here rather than inside the server — archiving a result, diffing two
 of them, or replaying a worker payload all use the same format.
 
 Every ``*_from_dict`` validates shape before building anything and raises
@@ -20,12 +20,9 @@ from typing import Any, Mapping
 
 from repro.core.instrumentation import PhaseProfile
 from repro.core.mapper import GrowthSample, MapResult
-from repro.core.remapper import RemapCycle
 from repro.routing.compile_routes import CompiledRoute, RouteTable
-from repro.routing.distribute import DistributionReport
 from repro.simulator.path_eval import Traversal
-from repro.simulator.probes import ProbeKind, ProbeRecord, ProbeStats
-from repro.topology.diff import MapDiff
+from repro.simulator.probes import ProbeStats
 from repro.topology.model import PortRef
 from repro.topology.serialize import network_from_dict, network_to_dict
 
@@ -35,8 +32,7 @@ __all__ = [
     "map_result_to_dict",
     "probe_stats_from_dict",
     "probe_stats_to_dict",
-    "remap_cycle_from_dict",
-    "remap_cycle_to_dict",
+    "require_kind",
     "route_table_from_dict",
     "route_table_to_dict",
     "route_tables_from_dict",
@@ -52,8 +48,8 @@ class SerializationError(ValueError):
     """A payload does not describe the object it claims to."""
 
 
-def _require(data: Any, kind: str) -> dict:
-    """The envelope check every ``*_from_dict`` runs first."""
+def require_kind(data: Any, kind: str) -> dict:
+    """The kind/version envelope check every ``*_from_dict`` runs first."""
     if not isinstance(data, dict):
         raise SerializationError(f"{kind}: expected an object, got {type(data).__name__}")
     if data.get("kind") != kind:
@@ -119,8 +115,8 @@ def _traversals_doc(traversals: tuple[Traversal, ...]) -> list:
 # ProbeStats
 # ---------------------------------------------------------------------------
 
-def probe_stats_to_dict(stats: ProbeStats, *, include_trace: bool = False) -> dict:
-    doc: dict[str, Any] = {
+def probe_stats_to_dict(stats: ProbeStats) -> dict:
+    return {
         "kind": "probe-stats",
         "version": FORMAT_VERSION,
         "host_probes": stats.host_probes,
@@ -129,59 +125,25 @@ def probe_stats_to_dict(stats: ProbeStats, *, include_trace: bool = False) -> di
         "switch_hits": stats.switch_hits,
         "elapsed_us": stats.elapsed_us,
     }
-    if include_trace and stats.trace is not None:
-        doc["trace"] = [
-            {
-                "probe_kind": rec.kind.value,
-                "turns": list(rec.turns),
-                "hit": rec.hit,
-                "cost_us": rec.cost_us,
-                "response": rec.response,
-            }
-            for rec in stats.trace
-        ]
-    return doc
 
 
 def probe_stats_from_dict(data: Any) -> ProbeStats:
     kind = "probe-stats"
-    data = _require(data, kind)
-    stats = ProbeStats(
+    data = require_kind(data, kind)
+    return ProbeStats(
         host_probes=_field(data, kind, "host_probes", int),
         host_hits=_field(data, kind, "host_hits", int),
         switch_probes=_field(data, kind, "switch_probes", int),
         switch_hits=_field(data, kind, "switch_hits", int),
         elapsed_us=float(_field(data, kind, "elapsed_us", (int, float))),
     )
-    if "trace" in data:
-        trace = _field(data, kind, "trace", list)
-        stats.trace = []
-        for item in trace:
-            if not isinstance(item, dict):
-                raise SerializationError(f"{kind}: malformed trace record")
-            try:
-                probe_kind = ProbeKind(item["probe_kind"])
-            except (KeyError, ValueError) as exc:
-                raise SerializationError(f"{kind}: bad trace record: {exc}") from exc
-            stats.trace.append(
-                # Deserialization rebuilds records a real service emitted on
-                # the worker side; no probe is being forged here.
-                ProbeRecord(  # sanlint: disable=SAN007
-                    kind=probe_kind,
-                    turns=_turns(item.get("turns"), kind, "trace turns"),
-                    hit=bool(item.get("hit")),
-                    cost_us=float(item.get("cost_us", 0.0)),
-                    response=item.get("response"),
-                )
-            )
-    return stats
 
 
 # ---------------------------------------------------------------------------
 # MapResult
 # ---------------------------------------------------------------------------
 
-def map_result_to_dict(result: MapResult, *, include_trace: bool = False) -> dict:
+def map_result_to_dict(result: MapResult) -> dict:
     profile = None
     if result.profile is not None:
         profile = {
@@ -192,7 +154,7 @@ def map_result_to_dict(result: MapResult, *, include_trace: bool = False) -> dic
         "kind": "map-result",
         "version": FORMAT_VERSION,
         "network": network_to_dict(result.network),
-        "stats": probe_stats_to_dict(result.stats, include_trace=include_trace),
+        "stats": probe_stats_to_dict(result.stats),
         "mapper_host": result.mapper_host,
         "search_depth": result.search_depth,
         "explorations": result.explorations,
@@ -218,7 +180,7 @@ def map_result_to_dict(result: MapResult, *, include_trace: bool = False) -> dic
 
 def map_result_from_dict(data: Any) -> MapResult:
     kind = "map-result"
-    data = _require(data, kind)
+    data = require_kind(data, kind)
     try:
         network = network_from_dict(_field(data, kind, "network", dict))
     except (KeyError, TypeError, ValueError) as exc:
@@ -299,7 +261,7 @@ def route_table_to_dict(table: RouteTable) -> dict:
 
 def route_table_from_dict(data: Any) -> RouteTable:
     kind = "route-table"
-    data = _require(data, kind)
+    data = require_kind(data, kind)
     host = _field(data, kind, "host", str)
     table = RouteTable(host=host)
     for dst, doc in _field(data, kind, "routes", dict).items():
@@ -328,7 +290,7 @@ def route_tables_to_dict(tables: Mapping[str, RouteTable]) -> dict:
 
 def route_tables_from_dict(data: Any) -> dict[str, RouteTable]:
     kind = "route-tables"
-    data = _require(data, kind)
+    data = require_kind(data, kind)
     out: dict[str, RouteTable] = {}
     for host, doc in _field(data, kind, "tables", dict).items():
         table = route_table_from_dict(doc)
@@ -338,117 +300,3 @@ def route_tables_from_dict(data: Any) -> dict[str, RouteTable]:
             )
         out[host] = table
     return out
-
-
-# ---------------------------------------------------------------------------
-# MapDiff / DistributionReport / RemapCycle
-# ---------------------------------------------------------------------------
-
-def _map_diff_to_dict(diff: MapDiff) -> dict:
-    return {
-        "identical": diff.identical,
-        "hosts_added": list(diff.hosts_added),
-        "hosts_removed": list(diff.hosts_removed),
-        "hosts_moved": list(diff.hosts_moved),
-        "switch_count_delta": diff.switch_count_delta,
-        "wire_count_delta": diff.wire_count_delta,
-        "degree_profile_changed": diff.degree_profile_changed,
-    }
-
-
-def _str_list(value: Any, kind: str, name: str) -> list[str]:
-    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
-        raise SerializationError(f"{kind}: {name} is not a list of strings")
-    return list(value)
-
-
-def _map_diff_from_dict(data: Any, kind: str) -> MapDiff:
-    if not isinstance(data, dict):
-        raise SerializationError(f"{kind}: diff is not an object")
-    return MapDiff(
-        identical=bool(_field(data, kind, "identical", bool)),
-        hosts_added=_str_list(data.get("hosts_added", []), kind, "hosts_added"),
-        hosts_removed=_str_list(
-            data.get("hosts_removed", []), kind, "hosts_removed"
-        ),
-        hosts_moved=_str_list(data.get("hosts_moved", []), kind, "hosts_moved"),
-        switch_count_delta=int(data.get("switch_count_delta", 0)),
-        wire_count_delta=int(data.get("wire_count_delta", 0)),
-        degree_profile_changed=bool(data.get("degree_profile_changed", False)),
-    )
-
-
-def _distribution_to_dict(report: DistributionReport) -> dict:
-    return {
-        "mapper_host": report.mapper_host,
-        "delivered": list(report.delivered),
-        "failed": list(report.failed),
-        "bytes_sent": report.bytes_sent,
-        "elapsed_us": report.elapsed_us,
-    }
-
-
-def _distribution_from_dict(data: Any, kind: str) -> DistributionReport:
-    if not isinstance(data, dict):
-        raise SerializationError(f"{kind}: distribution is not an object")
-    return DistributionReport(
-        mapper_host=_field(data, kind, "mapper_host", str),
-        delivered=_str_list(data.get("delivered", []), kind, "delivered"),
-        failed=_str_list(data.get("failed", []), kind, "failed"),
-        bytes_sent=int(data.get("bytes_sent", 0)),
-        elapsed_us=float(data.get("elapsed_us", 0.0)),
-    )
-
-
-def remap_cycle_to_dict(cycle: RemapCycle, *, include_trace: bool = False) -> dict:
-    return {
-        "kind": "remap-cycle",
-        "version": FORMAT_VERSION,
-        "index": cycle.index,
-        "map_result": map_result_to_dict(
-            cycle.map_result, include_trace=include_trace
-        ),
-        "diff": _map_diff_to_dict(cycle.diff),
-        "routes_recomputed": cycle.routes_recomputed,
-        "deadlock_free": cycle.deadlock_free,
-        "n_routes": cycle.n_routes,
-        "distribution": (
-            None
-            if cycle.distribution is None
-            else _distribution_to_dict(cycle.distribution)
-        ),
-        "elapsed_ms": cycle.elapsed_ms,
-        "incremental": cycle.incremental,
-        "seed_fallback": cycle.seed_fallback,
-        "probes_saved": cycle.probes_saved,
-        "subtrees_kept": cycle.subtrees_kept,
-    }
-
-
-def remap_cycle_from_dict(data: Any) -> RemapCycle:
-    kind = "remap-cycle"
-    data = _require(data, kind)
-    deadlock = data.get("deadlock_free")
-    if deadlock is not None and not isinstance(deadlock, bool):
-        raise SerializationError(f"{kind}: deadlock_free is not a bool or null")
-    fallback = data.get("seed_fallback")
-    if fallback is not None and not isinstance(fallback, str):
-        raise SerializationError(f"{kind}: seed_fallback is not a string")
-    return RemapCycle(
-        index=_field(data, kind, "index", int),
-        map_result=map_result_from_dict(_field(data, kind, "map_result", dict)),
-        diff=_map_diff_from_dict(data.get("diff"), kind),
-        routes_recomputed=bool(_field(data, kind, "routes_recomputed", bool)),
-        deadlock_free=deadlock,
-        n_routes=_field(data, kind, "n_routes", int),
-        distribution=(
-            None
-            if data.get("distribution") is None
-            else _distribution_from_dict(data["distribution"], kind)
-        ),
-        elapsed_ms=float(_field(data, kind, "elapsed_ms", (int, float))),
-        incremental=bool(data.get("incremental", False)),
-        seed_fallback=fallback,
-        probes_saved=int(data.get("probes_saved", 0)),
-        subtrees_kept=int(data.get("subtrees_kept", 0)),
-    )

@@ -31,7 +31,11 @@ from concurrent.futures import Executor, ProcessPoolExecutor
 from typing import Any, Iterable
 
 from repro.service.protocol import ProtocolError, read_frame, write_frame
-from repro.service.serialize import SerializationError, route_tables_from_dict
+from repro.service.serialize import (
+    SerializationError,
+    require_kind,
+    route_tables_from_dict,
+)
 from repro.service.tenant import TenantSpec, TenantState
 from repro.service.workers import run_map_job
 from repro.routing.deadlock import routes_deadlock_free
@@ -555,8 +559,14 @@ class MapServer:
             }
         tables = None
         if outcome.get("ok") and "tables" in outcome:
+            # Everything adopt() stores is checked here, before it touches
+            # the tenant: a bad map_result would poison every later seed.
             try:
                 tables = route_tables_from_dict(outcome["tables"])
+                require_kind(outcome.get("map_result"), "map-result")
+                epoch = outcome.get("net_epoch")
+                if not isinstance(epoch, int) or isinstance(epoch, bool):
+                    raise SerializationError("outcome: net_epoch is not an int")
             except SerializationError as exc:
                 outcome = {
                     "ok": False,

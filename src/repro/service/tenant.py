@@ -10,8 +10,9 @@ never touches another tenant's state.
 
 :class:`TenantSpec` is the JSON-able description (``san-map serve
 --config`` is a list of these); :func:`build_tenant_network` turns the
-spec's topology stanza into an actual :class:`Network` using the same
-generator vocabulary as ``san-map generate``.
+spec's topology stanza into an actual :class:`Network` through the
+generator vocabulary ``san-map generate`` uses
+(:func:`repro.topology.generators.build_named_topology`).
 """
 
 from __future__ import annotations
@@ -23,27 +24,15 @@ from repro.routing.compile_routes import RouteTable
 from repro.service.serialize import SerializationError
 from repro.simulator.faults import FaultModel
 from repro.topology.delta import seedable_removals
+from repro.topology.generators import NAMED_TOPOLOGIES, build_named_topology
 from repro.topology.model import Network, PortRef
 from repro.topology.serialize import network_from_dict, network_to_dict
 
 __all__ = ["TenantSpec", "TenantState", "build_tenant_network"]
 
-#: Topology kinds a spec may name, mirroring ``san-map generate`` plus the
-#: scale-tier fat trees and an explicit inline network document.
-TOPOLOGY_KINDS = (
-    "now-a",
-    "now-b",
-    "now-c",
-    "now-full",
-    "ring",
-    "chain",
-    "mesh",
-    "torus",
-    "hypercube",
-    "random",
-    "fat-tree-3tier",
-    "explicit",
-)
+#: Topology kinds a spec may name: the ``san-map generate`` vocabulary, the
+#: scale-tier fat tree, and an explicit inline network document.
+TOPOLOGY_KINDS = (*NAMED_TOPOLOGIES, "explicit")
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,8 +50,6 @@ class TenantSpec:
     seed: int = 0
     drop_prob: float = 0.0
     corrupt_prob: float = 0.0
-    #: Plan witness seeds from the previous cycle's map when sound.
-    incremental: bool = True
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -82,7 +69,6 @@ class TenantSpec:
             "seed": self.seed,
             "drop_prob": self.drop_prob,
             "corrupt_prob": self.corrupt_prob,
-            "incremental": self.incremental,
         }
 
     @classmethod
@@ -103,7 +89,6 @@ class TenantSpec:
                 seed=int(data.get("seed", 0)),
                 drop_prob=float(data.get("drop_prob", 0.0)),
                 corrupt_prob=float(data.get("corrupt_prob", 0.0)),
-                incremental=bool(data.get("incremental", True)),
             )
         except (TypeError, ValueError) as exc:
             raise SerializationError(f"tenant spec: {exc}") from exc
@@ -111,41 +96,13 @@ class TenantSpec:
 
 def build_tenant_network(spec: TenantSpec) -> Network:
     """Materialize the spec's topology stanza as an actual network."""
-    from repro.topology import generators as gen
-
-    kind = spec.topology
-    params = dict(spec.params)
-    size = int(params.get("size", 4))
-    hps = int(params.get("hosts_per_switch", 1))
-    if kind in ("now-a", "now-b", "now-c"):
-        return gen.build_subcluster(kind[-1].upper())
-    if kind == "now-full":
-        return gen.build_full_now()
-    if kind == "ring":
-        return gen.build_ring(size, hosts_per_switch=hps)
-    if kind == "chain":
-        return gen.build_chain(size, hosts_per_switch=hps)
-    if kind == "mesh":
-        return gen.build_mesh(size, size, hosts_per_switch=hps)
-    if kind == "torus":
-        return gen.build_torus(size, size, hosts_per_switch=hps)
-    if kind == "hypercube":
-        return gen.build_hypercube(size, hosts_per_switch=hps)
-    if kind == "random":
-        return gen.random_san(
-            n_switches=size,
-            n_hosts=max(2, size * hps),
-            extra_links=size // 2,
-            seed=int(params.get("seed", spec.seed)),
-        )
-    if kind == "fat-tree-3tier":
-        return gen.build_three_tier_fat_tree(
-            int(params.get("k", 4)),
-            hosts_per_edge=params.get("hosts_per_edge"),
+    if spec.topology != "explicit":
+        return build_named_topology(
+            spec.topology, {"seed": spec.seed, **spec.params}
         )
     # "explicit": the topology document travels inside the spec itself.
     try:
-        return network_from_dict(params["network"])
+        return network_from_dict(spec.params["network"])
     except KeyError:
         raise SerializationError(
             "tenant spec: explicit topology requires params['network']"
@@ -230,9 +187,8 @@ class TenantState:
     def job_payload(self) -> dict:
         """The JSON document a simulator worker maps this tenant from.
 
-        Includes a witness seed when the spec asks for incremental cycles,
-        a prior map exists, and the tenant's delta journal can prove what
-        changed since it (the soundness ladder of
+        Includes a witness seed when a prior map exists and the tenant's
+        delta journal can prove what changed since it (the soundness ladder of
         :func:`repro.topology.delta.seedable_removals`, the one
         :class:`RemapperDaemon` climbs); when it cannot, the reason
         travels instead and comes back as the outcome's ``seed_fallback``.
@@ -251,11 +207,7 @@ class TenantState:
             "corrupt_prob": self.spec.corrupt_prob,
             "dead_wires": _dead_wires_doc(self.faults),
         }
-        if (
-            self.spec.incremental
-            and self.last_result_doc is not None
-            and self.net_epoch_at_last_map is not None
-        ):
+        if self.last_result_doc is not None and self.net_epoch_at_last_map is not None:
             affected, reason = seedable_removals(
                 self.net.affected_since(self.net_epoch_at_last_map)
             )

@@ -56,7 +56,6 @@ from repro.simulator.stack import (
     ProbeContext,
     ProbeLayer,
     RetryLayer,
-    StatsLayer,
     TraceBusLayer,
     build_service_stack,
     describe_stack,
@@ -87,7 +86,6 @@ __all__ = [
     "ProbeStats",
     "QuiescentProbeService",
     "RetryLayer",
-    "StatsLayer",
     "TimingModel",
     "TraceBusLayer",
     "TURN_MAX",

@@ -193,7 +193,7 @@ class EvalCacheStats:
     nodes_dropped: int = 0
     #: Probes resolved through the sibling-batch hint table. Each such
     #: probe still credits ``hits`` for every level the hint let it skip
-    #: (the accounting is identical to the unbatched descent of the same
+    #: (the accounting is identical to a full descent of the same
     #: string); this counter records how often the shortcut itself fired.
     hinted: int = 0
 
@@ -648,12 +648,10 @@ class IncrementalPathEvaluator:
             if node is not None:
                 self._hinted += 1
                 # Credit one hit per level the hint let us skip, so the
-                # counters read identically to the unbatched descent of
-                # the same string: root + len(seq)-1 prefix children for
-                # an in-flight node, root + failed_at+1 children down to
-                # an absorbing one. (Before this, a hinted probe charged
-                # a single hit and the batch=True hit rate was
-                # incomparable with the unbatched one.)
+                # counters read identically to a full descent of the same
+                # string: root + len(seq)-1 prefix children for an
+                # in-flight node, root + failed_at+1 children down to an
+                # absorbing one.
                 if node.status is not None:
                     # The prefix already failed; so does every extension.
                     if node.failed_at is None:
@@ -683,10 +681,6 @@ class IncrementalPathEvaluator:
                 return node
         return node
 
-    def warm(self, h0: str, turns: Iterable[int]) -> None:
-        """Pre-walk a prefix so later extensions of it are single hops."""
-        self._walk(h0, tuple(turns))
-
     def warm_siblings(
         self, h0: str, prefix: Iterable[int], turns: Iterable[int]
     ) -> int:
@@ -701,8 +695,8 @@ class IncrementalPathEvaluator:
         actually arrives, so siblings the caller announces but never probes
         (a hit narrowed its plan) cost nothing. Hints share the trie's
         lifetime (any epoch move drops both), so a mid-batch topology or
-        fault mutation falls back to a fresh walk exactly like the
-        unbatched path. Returns the number of siblings the hint covers.
+        fault mutation falls back to a fresh walk from the root. Returns
+        the number of siblings the hint covers.
         """
         seq = tuple(prefix)
         self._refresh()
@@ -725,24 +719,6 @@ class IncrementalPathEvaluator:
                     break
         self._hints[(h0, seq)] = node
         return sum(1 for _ in turns)
-
-    def evaluate_batch(
-        self,
-        h0: str,
-        prefix: Iterable[int],
-        turns: Iterable[int],
-        collision: "CollisionModel | None" = None,
-    ) -> list[ProbeInfo]:
-        """Evaluate every sibling ``prefix + (t,)`` via one trie descent.
-
-        Semantically identical to calling :meth:`probe_info` per sibling —
-        same results, same trie contents afterwards — but the shared prefix
-        is walked once instead of once per sibling.
-        """
-        seq = tuple(prefix)
-        group = tuple(turns)
-        self.warm_siblings(h0, seq, group)
-        return [self.probe_info(h0, seq + (t,), collision) for t in group]
 
     def evaluate(self, h0: str, turns: Iterable[int]) -> PathResult:
         """Drop-in replacement for :func:`evaluate_route`."""

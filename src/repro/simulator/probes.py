@@ -19,7 +19,7 @@ the mapper implementations honest reproductions of in-band discovery.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Protocol, runtime_checkable
 
 from repro.simulator.turns import Turns
@@ -57,7 +57,6 @@ class ProbeStats:
     switch_probes: int = 0
     switch_hits: int = 0
     elapsed_us: float = 0.0
-    trace: list[ProbeRecord] | None = None
 
     def record(self, rec: ProbeRecord) -> None:
         if rec.kind is ProbeKind.HOST:
@@ -67,8 +66,6 @@ class ProbeStats:
             self.switch_probes += 1
             self.switch_hits += rec.hit
         self.elapsed_us += rec.cost_us
-        if self.trace is not None:
-            self.trace.append(rec)
 
     @property
     def total_probes(self) -> int:
@@ -91,14 +88,8 @@ class ProbeStats:
         return self.elapsed_us / 1000.0
 
     def snapshot(self) -> "ProbeStats":
-        """Copy of the counters (without the trace)."""
-        return ProbeStats(
-            host_probes=self.host_probes,
-            host_hits=self.host_hits,
-            switch_probes=self.switch_probes,
-            switch_hits=self.switch_hits,
-            elapsed_us=self.elapsed_us,
-        )
+        """Copy of the counters."""
+        return replace(self)
 
 
 @runtime_checkable

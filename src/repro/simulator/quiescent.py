@@ -40,7 +40,7 @@ from repro.simulator.path_eval import (
     route_touches,
 )
 from repro.simulator.probes import ProbeKind, ProbeRecord, ProbeStats
-from repro.simulator.stack import ProbeContext, ProbeLayer, StatsLayer
+from repro.simulator.stack import ProbeContext, ProbeLayer
 from repro.simulator.timing import MYRINET_TIMING, TimingModel
 from repro.simulator.turns import Turns, switch_probe_turns, validate_turns
 from repro.topology.delta import Endpoint
@@ -71,10 +71,7 @@ class QuiescentProbeService:
         Optional loss/corruption/dead-wire injection.
     layers:
         Middleware layers (:class:`~repro.simulator.stack.ProbeLayer`)
-        hooked into every probe transaction, in order. A
-        :class:`~repro.simulator.stack.StatsLayer` among them takes over
-        stats ownership (and its trace policy wins over ``keep_trace``);
-        otherwise one is created from ``keep_trace``.
+        hooked into every probe transaction, in order.
     rng:
         Share a jitter RNG with the caller (the election run interleaves
         its own draws with probe jitter on one stream). ``None`` seeds a
@@ -87,7 +84,6 @@ class QuiescentProbeService:
     timing: TimingModel = MYRINET_TIMING
     responders: frozenset[str] | None = None
     faults: FaultModel = field(default_factory=FaultModel)
-    keep_trace: bool = False
     #: Multiplicative software-time jitter: each probe's cost is scaled by a
     #: uniform factor in [1 - jitter, 1 + jitter]. Models OS scheduling and
     #: SBUS contention noise — the source of the paper's min/avg/max spread
@@ -106,20 +102,8 @@ class QuiescentProbeService:
             raise ValueError(f"mapper {self.mapper} is not a host")
         if not 0.0 <= self.jitter < 1.0:
             raise ValueError("jitter must be in [0, 1)")
-        stats_layer: StatsLayer | None = None
-        rest: list[ProbeLayer] = []
-        for layer in self.layers:
-            if isinstance(layer, StatsLayer):
-                if stats_layer is not None:
-                    raise ValueError("at most one StatsLayer per stack")
-                stats_layer = layer
-            else:
-                rest.append(layer)
-        if stats_layer is None:
-            stats_layer = StatsLayer(keep_trace=self.keep_trace)
-        self._stats_layer = stats_layer
-        self._stats = stats_layer.stats
-        self._layers: tuple[ProbeLayer, ...] = tuple(rest)
+        self._stats = ProbeStats()
+        self._layers: tuple[ProbeLayer, ...] = tuple(self.layers)
         # Turn-alphabet radius: Myrinet encodes {-7..+7}; wider fabrics
         # need wider routing flits, so derive the limit from the hardware.
         self._turn_limit = max(
@@ -137,7 +121,6 @@ class QuiescentProbeService:
         # callers consume the context before the next probe starts.
         self._ctx = ProbeContext(ProbeKind.HOST, (), self)
         self._last_validated: Turns | None = None
-        stats_layer.on_attach(self)
         for layer in self._layers:
             layer.on_attach(self)
 
@@ -277,17 +260,11 @@ class QuiescentProbeService:
 
     @property
     def stack_layers(self) -> tuple[ProbeLayer, ...]:
-        """The middleware layers, in hook order (stats excluded)."""
+        """The middleware layers, in hook order."""
         return self._layers
-
-    @property
-    def stats_layer(self) -> StatsLayer:
-        return self._stats_layer
 
     def find_layer(self, cls: type):
         """First attached layer that is an instance of ``cls``, or None."""
-        if isinstance(self._stats_layer, cls):
-            return self._stats_layer
         for layer in self._layers:
             if isinstance(layer, cls):
                 return layer
@@ -373,11 +350,6 @@ class QuiescentProbeService:
             return self._evaluator.evaluate(self.mapper, turns)
         return evaluate_route(self.net, self.mapper, turns)  # sanlint: disable=SAN009
 
-    def warm_prefix(self, turns: Turns) -> None:
-        """Hint from the mapper: ``turns`` is about to be extended."""
-        if self._evaluator is not None:
-            self._evaluator.warm(self.mapper, turns)
-
     def warm_siblings(self, prefix: Turns, turns: Iterable[int]) -> None:
         """Hint from the mapper: each ``prefix + (t,)`` is about to be probed.
 
@@ -385,7 +357,7 @@ class QuiescentProbeService:
         (see :meth:`IncrementalPathEvaluator.warm_siblings`); the probes
         themselves still go through :meth:`_transact` one at a time, so
         middleware layers, accounting and RNG draw order are byte-identical
-        to the unbatched path. A no-op without the cache.
+        to the pure walk. A no-op without the cache.
         """
         if self._evaluator is not None:
             self._evaluator.warm_siblings(self.mapper, tuple(prefix), turns)

@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable
 
-from repro.simulator.probes import ProbeKind, ProbeRecord, ProbeStats
+from repro.simulator.probes import ProbeKind, ProbeRecord
 from repro.simulator.turns import Turns
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -54,7 +54,6 @@ __all__ = [
     "ProbeContext",
     "ProbeLayer",
     "RetryLayer",
-    "StatsLayer",
     "TraceBusLayer",
     "build_service_stack",
     "describe_stack",
@@ -115,24 +114,6 @@ class ProbeLayer:
     def describe(self) -> str:
         """One-line human description for ``san-map map --stack``."""
         return type(self).__name__
-
-
-class StatsLayer(ProbeLayer):
-    """Owns the :class:`ProbeStats` the engine accounts into.
-
-    Accounting itself happens exactly once, inside the engine's
-    transaction — this layer only decides the retention policy.
-    ``keep_trace=False`` (the default) drops per-probe records so large
-    chaos campaigns stop holding every :class:`ProbeRecord` in memory;
-    counters and elapsed time are kept either way.
-    """
-
-    def __init__(self, *, keep_trace: bool = False) -> None:
-        self.keep_trace = keep_trace
-        self.stats = ProbeStats(trace=[] if keep_trace else None)
-
-    def describe(self) -> str:
-        return f"StatsLayer(keep_trace={self.keep_trace})"
 
 
 class CountingLayer(ProbeLayer):
@@ -358,9 +339,6 @@ def build_service_stack(
 def describe_stack(service) -> str:
     """Render the composed layer chain (``san-map map --stack``)."""
     lines = [f"core: {type(service).__name__}(mapper={service.mapper_host})"]
-    stats_layer = getattr(service, "stats_layer", None)
-    if stats_layer is not None:
-        lines.append(f"stats: {stats_layer.describe()}")
     layers = tuple(getattr(service, "stack_layers", ()))
     if not layers:
         lines.append("layers: (none)")

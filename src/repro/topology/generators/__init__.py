@@ -10,6 +10,8 @@
   contrasts with.
 - :mod:`~repro.topology.generators.random_topo` — seeded random connected
   SANs for property-based testing.
+- :mod:`~repro.topology.generators.named` — the above by name, from a flat
+  parameter mapping (``san-map generate``, map-server tenant specs).
 """
 
 from repro.topology.generators.now import (
@@ -32,14 +34,17 @@ from repro.topology.generators.regular import (
     build_torus,
 )
 from repro.topology.generators.random_topo import random_san
+from repro.topology.generators.named import NAMED_TOPOLOGIES, build_named_topology
 
 __all__ = [
+    "NAMED_TOPOLOGIES",
     "NOW_EXPECTED_COMPONENTS",
     "build_chain",
     "build_fat_tree",
     "build_full_now",
     "build_hypercube",
     "build_mesh",
+    "build_named_topology",
     "build_ring",
     "build_star",
     "build_subcluster",

@@ -112,14 +112,9 @@ def test_capability_flags_match_the_instance(name):
     assert callable(getattr(mapper, "seed_with", None)) == (
         spec.capabilities.seed_with
     )
-    for flag, kwargs in (
-        ("batch", {"batch": True}),
-        ("profiler", {"profiler": object()}),
-    ):
-        if getattr(spec.capabilities, flag):
-            continue
+    if not spec.capabilities.profiler:
         with pytest.raises(TypeError):
-            spec.create(svc, search_depth=3, **kwargs)
+            spec.create(svc, search_depth=3, profiler=object())
 
 
 def test_registry_construction_matches_direct_and_pins_figure5():

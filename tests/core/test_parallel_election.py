@@ -1,11 +1,15 @@
 """Master/slave timing driver and election-mode simulation tests."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.election import election_run, election_times
 from repro.core.parallel import TimingSummary, repeated_times, timed_run
 from repro.simulator.daemons import DaemonPlacement
+from repro.simulator.timing import MYRINET_TIMING
 from repro.topology.analysis import recommended_search_depth
+from repro.topology.generators import build_subcluster
 from repro.topology.isomorphism import match_networks
 
 
@@ -94,6 +98,28 @@ class TestElection:
         a = election_run(subcluster_c, search_depth=subcluster_c_depth, seed=7)
         b = election_run(subcluster_c, search_depth=subcluster_c_depth, seed=7)
         assert a.elapsed_ms == b.elapsed_ms
+
+    def test_run_does_not_depend_on_earlier_calls(
+        self, subcluster_c, subcluster_c_depth
+    ):
+        """Regression: rival schedules were cached per network object under
+        a key without the timing model, so a run with slower timing replayed
+        the faster rival schedules of an earlier run on the same network."""
+        slow = dataclasses.replace(
+            MYRINET_TIMING,
+            host_overhead_us=450.0,
+            reply_overhead_us=120.0,
+            timeout_us=960.0,
+        )
+        election_run(subcluster_c, search_depth=subcluster_c_depth, seed=0)
+        after, fresh = (
+            election_run(net, search_depth=subcluster_c_depth, seed=0, timing=slow)
+            for net in (subcluster_c, build_subcluster("C"))
+        )
+        assert (after.elapsed_ms, after.anchor_misses) == (
+            fresh.elapsed_ms,
+            fresh.anchor_misses,
+        )
 
     def test_seed_changes_outcome(self, subcluster_c, subcluster_c_depth):
         a = election_run(subcluster_c, search_depth=subcluster_c_depth, seed=1)

@@ -1,16 +1,19 @@
 """Equivalence property: sibling-batched probing is invisible.
 
-`BerkeleyMapper(batch=True)` primes the evaluator's sibling-batch hints so
-each explore walks the shared probe-string prefix once; `batch=False` is
-the per-probe escape hatch. Batching is a pure optimisation — for any
+`BerkeleyMapper` announces each explore's sibling group to the service
+(`warm_siblings`), which primes the evaluator's hint table so the shared
+probe-string prefix is walked once. The oracle arm is the same mapper over
+a `use_cache=False` service: no trie, no hint table, every probe re-walked
+by the pure `evaluate_route`. Batching is a pure optimisation — for any
 topology, fault configuration and mid-run perturbation the two arms must
 produce **byte-identical** observables: the same produced network (names
-included), the same merge/exploration counts, every `ProbeRecord` in the
-trace (costs included), and lockstep fault-RNG draws.
+included), the same merge/exploration counts, every `ProbeRecord` on the
+trace bus (costs included), and lockstep fault-RNG draws.
 
-The evaluator-level test pins the same property one layer down:
-`evaluate_batch()` against N independent `probe_info()` walks, through
-topology cuts that invalidate the trie between batches.
+The evaluator-level test pins the same property one layer down: a
+`warm_siblings()`-primed group against N independent `probe_info()` walks
+on an unprimed evaluator, through topology cuts that invalidate the trie
+between batches.
 """
 
 from __future__ import annotations
@@ -19,10 +22,11 @@ import random
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core.instrumentation import TraceRecorder
 from repro.core.mapper import BerkeleyMapper
 from repro.simulator.faults import FaultModel
 from repro.simulator.path_eval import IncrementalPathEvaluator
-from repro.simulator.stack import CountingLayer, StatsLayer, build_service_stack
+from repro.simulator.stack import CountingLayer, TraceBusLayer, build_service_stack
 from repro.topology.generators import random_san
 from repro.topology.isomorphism import networks_equal
 from repro.topology.model import TopologyError
@@ -41,9 +45,9 @@ _SETTINGS = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 
 def _run_arm(
-    params, *, batch, drop, corrupt, jitter, seed, cut_at, cut_seed
+    params, *, use_cache, drop, corrupt, jitter, seed, cut_at, cut_seed
 ):
-    """One full mapping run; returns (outcome, result-or-error, stats).
+    """One full mapping run; returns (outcome, result-or-error, stats, trace).
 
     Each arm builds its own Network from the same generator seed: a mid-run
     cable cut mutates the topology, and the arms must not see each other's
@@ -62,29 +66,27 @@ def _run_arm(
                 net.disconnect(random.Random(cut_seed).choice(wires))
 
         triggers.append((cut_at, cut))
-    stats_layer = StatsLayer(keep_trace=True)
+    recorder = TraceRecorder()
     svc = build_service_stack(
         net,
         mapper_host,
-        layers=(CountingLayer(triggers), stats_layer),
+        layers=(CountingLayer(triggers), TraceBusLayer((recorder,))),
         faults=FaultModel(drop_prob=drop, corrupt_prob=corrupt, seed=seed),
         jitter=jitter,
         seed=seed,
-        use_cache=True,
+        use_cache=use_cache,
     )
-    mapper = BerkeleyMapper(
-        svc, search_depth=6, host_first=False, batch=batch
-    )
+    mapper = BerkeleyMapper(svc, search_depth=6, host_first=False)
     try:
         result = mapper.run()
     except Exception as exc:  # a mid-run cut may legally trip the mapper
-        return "error", f"{type(exc).__name__}: {exc}", svc.stats
-    return "ok", result, svc.stats
+        return "error", f"{type(exc).__name__}: {exc}", svc.stats, recorder.records
+    return "ok", result, svc.stats, recorder.records
 
 
 def _assert_arms_identical(batched, unbatched) -> None:
-    b_kind, b_val, b_stats = batched
-    u_kind, u_val, u_stats = unbatched
+    b_kind, b_val, b_stats, b_trace = batched
+    u_kind, u_val, u_stats, u_trace = unbatched
     assert b_kind == u_kind
     if b_kind == "error":
         assert b_val == u_val
@@ -101,7 +103,7 @@ def _assert_arms_identical(batched, unbatched) -> None:
     # Byte-identical, not approximately equal: both arms must charge the
     # exact same float costs in the exact same order.
     assert b_stats.elapsed_us == u_stats.elapsed_us
-    assert b_stats.trace == u_stats.trace
+    assert b_trace == u_trace
 
 
 class TestBatchedMappingEquivalence:
@@ -112,14 +114,14 @@ class TestBatchedMappingEquivalence:
     )
     @settings(max_examples=60, **_SETTINGS)
     def test_clean_runs_byte_identical(self, params, jitter, seed):
-        """No faults: batched and per-probe maps agree to the byte."""
+        """No faults: batched and pure per-probe maps agree to the byte."""
         try:
             arms = [
                 _run_arm(
-                    params, batch=b, drop=0.0, corrupt=0.0, jitter=jitter,
+                    params, use_cache=c, drop=0.0, corrupt=0.0, jitter=jitter,
                     seed=seed, cut_at=None, cut_seed=0,
                 )
-                for b in (True, False)
+                for c in (True, False)
             ]
         except TopologyError:
             return
@@ -140,10 +142,10 @@ class TestBatchedMappingEquivalence:
         try:
             arms = [
                 _run_arm(
-                    params, batch=b, drop=drop, corrupt=corrupt, jitter=0.0,
+                    params, use_cache=c, drop=drop, corrupt=corrupt, jitter=0.0,
                     seed=seed, cut_at=None, cut_seed=0,
                 )
-                for b in (True, False)
+                for c in (True, False)
             ]
         except TopologyError:
             return
@@ -164,10 +166,10 @@ class TestBatchedMappingEquivalence:
         try:
             arms = [
                 _run_arm(
-                    params, batch=b, drop=0.0, corrupt=0.0, jitter=0.0,
+                    params, use_cache=c, drop=0.0, corrupt=0.0, jitter=0.0,
                     seed=seed, cut_at=cut_at, cut_seed=cut_seed,
                 )
-                for b in (True, False)
+                for c in (True, False)
             ]
         except TopologyError:
             return
@@ -197,8 +199,9 @@ class TestEvaluateBatchEquivalence:
     )
     @settings(max_examples=60, **_SETTINGS)
     def test_batches_match_per_probe_walks_through_cuts(self, params, plan):
-        """`evaluate_batch` must equal N independent `probe_info` calls,
-        including across invalidations triggered by topology mutation."""
+        """A primed sibling group must equal N independent `probe_info`
+        calls, including across invalidations triggered by topology
+        mutation."""
         try:
             net = random_san(**params)
         except TopologyError:
@@ -213,7 +216,8 @@ class TestEvaluateBatchEquivalence:
                     net.disconnect(random.Random(payload).choice(wires))
                 continue
             prefix, group = payload
-            got = batched_ev.evaluate_batch(h0, prefix, group)
+            batched_ev.warm_siblings(h0, prefix, group)
+            got = [batched_ev.probe_info(h0, prefix + (t,)) for t in group]
             want = [plain_ev.probe_info(h0, prefix + (t,)) for t in group]
             assert got == want
         # Both evaluators walked the same probes, just in different access

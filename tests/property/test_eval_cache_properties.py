@@ -18,10 +18,11 @@ import random
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core.instrumentation import TraceRecorder
 from repro.simulator.collision import CircuitModel, CutThroughModel, PacketModel
 from repro.simulator.faults import FaultModel
 from repro.simulator.quiescent import QuiescentProbeService
-from repro.simulator.stack import StatsLayer, build_service_stack
+from repro.simulator.stack import TraceBusLayer, build_service_stack
 from repro.topology.generators import random_san
 from repro.topology.model import TopologyError
 
@@ -63,6 +64,14 @@ _collisions = st.sampled_from(
 _SETTINGS = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 
+class _KeptTrace(TraceBusLayer):
+    """A trace bus whose subscriber is a TraceRecorder the test reads back."""
+
+    def __init__(self) -> None:
+        self.recorder = TraceRecorder()
+        super().__init__((self.recorder,))
+
+
 def _services(params, collision, *, drop, corrupt, jitter, seed):
     """The cached service and its escape-hatch twin, identically configured.
 
@@ -78,12 +87,12 @@ def _services(params, collision, *, drop, corrupt, jitter, seed):
     mapper = sorted(net.hosts)[0]
 
     def build(use_cache: bool) -> QuiescentProbeService:
-        # Built through the stack factory with an explicit StatsLayer so
+        # Built through the stack factory with a recording trace bus so
         # the equivalence proof covers the stacked construction path too.
         return build_service_stack(
             net,
             mapper,
-            layers=(StatsLayer(keep_trace=True),),
+            layers=(_KeptTrace(),),
             collision=collision,
             faults=FaultModel(drop_prob=drop, corrupt_prob=corrupt, seed=seed),
             jitter=jitter,
@@ -147,7 +156,10 @@ def _assert_stats_identical(cached, pure) -> None:
     # Byte-identical, not approximately equal: both arms must charge the
     # exact same float costs in the exact same order.
     assert a.elapsed_us == b.elapsed_us  # noqa: timing equality is the point
-    assert a.trace == b.trace
+    assert (
+        cached.find_layer(_KeptTrace).recorder.records
+        == pure.find_layer(_KeptTrace).recorder.records
+    )
 
 
 class TestCacheEquivalence:

@@ -23,9 +23,7 @@ import json
 import pytest
 
 from repro.core.instrumentation import PhaseProfile
-from repro.core.remapper import RemapCycle
 from repro.routing.compile_routes import compile_route_tables
-from repro.routing.distribute import DistributionReport
 from repro.routing.paths import all_pairs_updown_paths
 from repro.routing.updown import orient_updown
 from repro.service.serialize import (
@@ -34,14 +32,11 @@ from repro.service.serialize import (
     map_result_to_dict,
     probe_stats_from_dict,
     probe_stats_to_dict,
-    remap_cycle_from_dict,
-    remap_cycle_to_dict,
     route_table_from_dict,
     route_table_to_dict,
     route_tables_from_dict,
     route_tables_to_dict,
 )
-from repro.topology.diff import MapDiff, diff_networks
 from repro.topology.isomorphism import match_networks
 
 
@@ -130,53 +125,6 @@ class TestRouteTableRoundTrip:
         assert set(back) == set(mapped_tables)
 
 
-class TestRemapCycleRoundTrip:
-    def test_full_cycle_reserializes_identically(self, mapped_c, mapped_tables):
-        cycle = RemapCycle(
-            index=3,
-            map_result=mapped_c,
-            diff=diff_networks(mapped_c.network, mapped_c.network),
-            routes_recomputed=True,
-            deadlock_free=True,
-            n_routes=sum(len(t) for t in mapped_tables.values()),
-            distribution=DistributionReport(
-                mapper_host=mapped_c.mapper_host,
-                delivered=sorted(mapped_tables),
-                failed=[],
-                bytes_sent=4096,
-                elapsed_us=17.5,
-            ),
-            elapsed_ms=12.25,
-            incremental=True,
-            seed_fallback="delta is unbounded",
-            probes_saved=11,
-            subtrees_kept=4,
-        )
-        doc = remap_cycle_to_dict(cycle)
-        back = remap_cycle_from_dict(_json_round_trip(doc))
-        assert remap_cycle_to_dict(back) == doc
-        assert back.index == 3 and back.changed is False
-        assert back.distribution.delivered == sorted(mapped_tables)
-        assert back.seed_fallback == "delta is unbounded"
-
-    def test_optional_fields_may_be_absent_or_null(self, mapped_c):
-        cycle = RemapCycle(
-            index=0,
-            map_result=mapped_c,
-            diff=MapDiff(identical=False, hosts_added=["h9"]),
-            routes_recomputed=False,
-            deadlock_free=None,
-            n_routes=0,
-            distribution=None,
-            elapsed_ms=1.0,
-        )
-        back = remap_cycle_from_dict(_json_round_trip(remap_cycle_to_dict(cycle)))
-        assert back.deadlock_free is None
-        assert back.distribution is None
-        assert back.diff.hosts_added == ["h9"]
-        assert back.incremental is False and back.seed_fallback is None
-
-
 class TestMalformedRejection:
     """Every decoder refuses payloads that don't describe what they claim."""
 
@@ -186,7 +134,6 @@ class TestMalformedRejection:
             probe_stats_from_dict,
             route_table_from_dict,
             route_tables_from_dict,
-            remap_cycle_from_dict,
         ):
             with pytest.raises(SerializationError, match="expected an object"):
                 decoder([1, 2, 3])
@@ -257,25 +204,3 @@ class TestMalformedRejection:
         )
         with pytest.raises(SerializationError, match="claims host"):
             route_tables_from_dict(doc)
-
-    def test_bad_probe_trace_record_is_rejected(self, mapped_c):
-        doc = probe_stats_to_dict(mapped_c.stats)
-        doc["trace"] = [{"probe_kind": "no-such-kind", "turns": []}]
-        with pytest.raises(SerializationError, match="bad trace record"):
-            probe_stats_from_dict(doc)
-
-    def test_cycle_with_non_bool_deadlock_verdict_is_rejected(self, mapped_c):
-        cycle = RemapCycle(
-            index=0,
-            map_result=mapped_c,
-            diff=MapDiff(identical=True),
-            routes_recomputed=False,
-            deadlock_free=None,
-            n_routes=0,
-            distribution=None,
-            elapsed_ms=0.0,
-        )
-        doc = remap_cycle_to_dict(cycle)
-        doc["deadlock_free"] = "yes"
-        with pytest.raises(SerializationError, match="deadlock_free"):
-            remap_cycle_from_dict(doc)

@@ -49,6 +49,22 @@ class _GatedPool(ThreadPoolExecutor):
         return super().submit(gated, *args, **kwargs)
 
 
+class _DoctoringPool(ThreadPoolExecutor):
+    """A thread pool whose honest job outcomes pass through ``doctor``
+    (when set) on their way back — a worker that returns garbage."""
+
+    doctor = None
+
+    def submit(self, fn, /, *args, **kwargs):
+        def doctored(*inner_args, **inner_kwargs):
+            outcome = fn(*inner_args, **inner_kwargs)
+            if self.doctor is not None:
+                self.doctor(outcome)
+            return outcome
+
+        return super().submit(doctored, *args, **kwargs)
+
+
 @contextlib.asynccontextmanager
 async def _server(*specs: TenantSpec, max_workers: int = 2):
     """A started MapServer on an ephemeral port, torn down afterwards."""
@@ -312,6 +328,53 @@ class TestFailureSemantics:
                 assert tenant.tables is None
             finally:
                 await server.stop()
+            return True
+
+        assert asyncio.run(run())
+
+    @pytest.mark.parametrize(
+        "doctor",
+        [
+            pytest.param(lambda o: o.pop("map_result"), id="no-map-result"),
+            pytest.param(
+                lambda o: o.update(map_result={"kind": "nonsense"}),
+                id="map-result-of-the-wrong-kind",
+            ),
+            pytest.param(
+                lambda o: o.update(net_epoch="latest"), id="net-epoch-not-an-int"
+            ),
+        ],
+    )
+    def test_malformed_ok_outcome_leaves_the_tenant_untouched(self, doctor):
+        """An ``ok`` outcome is validated whole before adoption: a missing
+        map_result used to raise inside adopt() after the counters had
+        moved, and a wrong-kind one was stored as the next cycle's seed,
+        turning every later honest cycle into ``bad-seed``."""
+
+        async def run():
+            with _DoctoringPool(max_workers=1) as pool:
+                server = MapServer([RING], executor=pool)
+                host, port = await server.start()
+                try:
+                    async with MapClient(host, port) as client:
+                        pool.doctor = doctor
+                        bad = await client.map("ring")
+                        assert bad["ok"] is False
+                        assert bad["error"] == "bad-worker-outcome"
+                        assert bad["generation"] == 0
+                        tenant = server.tenants["ring"]
+                        assert tenant.status == "failed"
+                        assert (tenant.maps_completed, tenant.maps_failed) == (0, 1)
+                        assert tenant.tables is None
+                        assert tenant.last_result_doc is None
+                        assert tenant.last_cycle["adopted"] is False
+
+                        pool.doctor = None
+                        good = await client.map("ring")
+                        assert good["adopted"] is True
+                        assert good["generation"] == 1
+                finally:
+                    await server.stop()
             return True
 
         assert asyncio.run(run())

@@ -58,7 +58,7 @@ class TestEvaluate:
 
     def test_warm_prefills_the_walk(self, now_c):
         ev = IncrementalPathEvaluator(now_c)
-        ev.warm("C-n00", (5, 1, -2))
+        ev.warm_siblings("C-n00", (5, 1, -2), (2,))
         nodes = ev.stats.nodes
         ev.evaluate("C-n00", (5, 1, -2))
         assert ev.stats.nodes == nodes  # nothing new to build

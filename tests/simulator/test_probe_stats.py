@@ -38,25 +38,10 @@ class TestCounters:
             s.record(_rec(ProbeKind.HOST, hit))
         assert s.host_hit_ratio == 0.5
 
-
-class TestTrace:
-    def test_trace_disabled_by_default(self):
+    def test_snapshot_is_decoupled(self):
         s = ProbeStats()
         s.record(_rec(ProbeKind.HOST, True))
-        assert s.trace is None
-
-    def test_trace_keeps_records(self):
-        s = ProbeStats(trace=[])
-        r1, r2 = _rec(ProbeKind.HOST, True), _rec(ProbeKind.SWITCH, False)
-        s.record(r1)
-        s.record(r2)
-        assert s.trace == [r1, r2]
-
-    def test_snapshot_copies_counters_not_trace(self):
-        s = ProbeStats(trace=[])
-        s.record(_rec(ProbeKind.HOST, True))
         snap = s.snapshot()
-        assert snap.trace is None
-        assert snap.host_probes == 1
+        assert snap == s and snap is not s
         s.record(_rec(ProbeKind.HOST, True))
-        assert snap.host_probes == 1  # snapshot is decoupled
+        assert snap.host_probes == 1

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.core.instrumentation import TraceRecorder
 from repro.simulator.collision import CircuitModel, PacketModel
 from repro.simulator.faults import FaultModel
 from repro.simulator.quiescent import QuiescentProbeService
+from repro.simulator.stack import TraceBusLayer
 from repro.simulator.timing import TimingModel
 from repro.topology.builder import NetworkBuilder
 
@@ -135,7 +137,10 @@ class TestTimingAccounting:
             QuiescentProbeService(tiny_net, "h0", jitter=1.5)
 
     def test_stats_counters(self, two_switch_net):
-        svc = QuiescentProbeService(two_switch_net, "h0", keep_trace=True)
+        recorder = TraceRecorder()
+        svc = QuiescentProbeService(
+            two_switch_net, "h0", layers=(TraceBusLayer((recorder,)),)
+        )
         svc.probe_host((1,))
         svc.probe_host((2,))
         svc.probe_switch((4,))
@@ -144,9 +149,8 @@ class TestTimingAccounting:
         assert (s.switch_probes, s.switch_hits) == (1, 1)
         assert s.total_probes == 3 and s.total_hits == 2
         assert s.host_hit_ratio == 0.5
-        assert len(s.trace) == 3
-        snap = s.snapshot()
-        assert snap.trace is None and snap.total_probes == 3
+        assert len(recorder.records) == 3
+        assert s.snapshot().total_probes == 3
 
 
 class TestFaults:

@@ -7,6 +7,7 @@ factory, the describe chain and the hook-ordering contract.
 
 import pytest
 
+from repro.core.instrumentation import TraceRecorder
 from repro.simulator.probes import ProbeKind, ProbeRecord
 from repro.simulator.quiescent import QuiescentProbeService
 from repro.simulator.stack import (
@@ -15,7 +16,6 @@ from repro.simulator.stack import (
     ProbeBudgetExceeded,
     ProbeLayer,
     RetryLayer,
-    StatsLayer,
     TraceBusLayer,
     build_service_stack,
     describe_stack,
@@ -103,33 +103,6 @@ class TestCapLayer:
             CapLayer(-1)
 
 
-class TestStatsLayer:
-    def test_default_drops_trace_but_keeps_counters(self, tiny_net):
-        svc = build_service_stack(tiny_net, "h0", layers=(StatsLayer(),))
-        svc.probe_host((3,))
-        assert svc.stats.trace is None
-        assert svc.stats.total_probes == 1
-        assert svc.stats.elapsed_us > 0
-
-    def test_keep_trace_retains_records(self, tiny_net):
-        svc = build_service_stack(
-            tiny_net, "h0", layers=(StatsLayer(keep_trace=True),)
-        )
-        svc.probe_host((3,))
-        assert svc.stats.trace is not None and len(svc.stats.trace) == 1
-
-    def test_engine_keep_trace_flag_still_works(self, tiny_net):
-        svc = build_service_stack(tiny_net, "h0", keep_trace=True)
-        svc.probe_host((3,))
-        assert svc.stats.trace is not None and len(svc.stats.trace) == 1
-
-    def test_two_stats_layers_rejected(self, tiny_net):
-        with pytest.raises(ValueError, match="StatsLayer"):
-            build_service_stack(
-                tiny_net, "h0", layers=(StatsLayer(), StatsLayer())
-            )
-
-
 class TestTraceBusLayer:
     def test_publishes_every_accounted_record(self, tiny_net):
         seen: list[ProbeRecord] = []
@@ -151,15 +124,18 @@ class TestTraceBusLayer:
         assert order == ["a", "b"]
 
     def test_bus_matches_kept_trace(self, tiny_net):
+        # The service retains counters only; a subscribed TraceRecorder is
+        # how a trace is kept, and it accounts for exactly what they count.
         seen = []
+        recorder = TraceRecorder()
         svc = build_service_stack(
-            tiny_net,
-            "h0",
-            layers=(StatsLayer(keep_trace=True), TraceBusLayer((seen.append,))),
+            tiny_net, "h0", layers=(TraceBusLayer((seen.append, recorder)),)
         )
         svc.probe_host((3,))
         svc.probe_switch((1,))
-        assert seen == list(svc.stats.trace)
+        assert recorder.records == seen
+        assert len(seen) == svc.stats.total_probes == 2
+        assert sum(r.cost_us for r in seen) == svc.stats.elapsed_us
 
 
 class TestHookContract:
@@ -228,11 +204,10 @@ class TestFactoryAndDescribe:
         assert isinstance(svc, SelfIdProbeService)
         assert svc.probe_switch_id(()) == "s0"
 
-    def test_find_layer_locates_layers_and_stats(self, tiny_net):
+    def test_find_layer_locates_layers(self, tiny_net):
         retry = RetryLayer(1)
         svc = build_service_stack(tiny_net, "h0", layers=(retry,))
         assert svc.find_layer(RetryLayer) is retry
-        assert svc.find_layer(StatsLayer) is svc.stats_layer
         assert svc.find_layer(CapLayer) is None
 
     def test_describe_stack_renders_the_chain(self, tiny_net):
@@ -244,7 +219,6 @@ class TestFactoryAndDescribe:
         text = describe_stack(svc)
         assert text.splitlines() == [
             "core: QuiescentProbeService(mapper=h0)",
-            "stats: StatsLayer(keep_trace=False)",
             "layer 1: CapLayer(cap=9)",
             "layer 2: RetryLayer(retries=2)",
             "layer 3: TraceBusLayer(subscribers=0)",

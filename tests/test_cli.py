@@ -68,7 +68,6 @@ class TestMapCommand:
         assert main(["map", "--network", str(ring_json), "--stack"]) == 0
         out = capsys.readouterr().out
         assert "core: QuiescentProbeService(mapper=" in out
-        assert "stats: StatsLayer(keep_trace=False)" in out
         assert "layers: (none)" in out
 
     def test_stack_flag_names_the_selfid_core(self, ring_json, capsys):
