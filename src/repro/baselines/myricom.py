@@ -32,13 +32,20 @@ Implementation notes (faithful to the text, with two documented choices):
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.core.mapper import MapResult, MappingError
+from repro.core.mapper import MapResult
 from repro.core.mapper_protocol import MapperCapabilities, register_mapper
 from repro.core.planner import PortPlan
+from repro.core.relative import (
+    Candidate,
+    MappingError,
+    SwitchRecord,
+    assemble,
+    record_wire,
+    x_sweep,
+)
 from repro.simulator.probes import ProbeStats
 from repro.simulator.quiescent import QuiescentProbeService
 from repro.simulator.turns import Turns, reverse_turns
@@ -77,31 +84,6 @@ class MyricomResult:
         return self.stats.elapsed_ms
 
 
-class _Switch:
-    """An explored switch: its route and relative-port knowledge."""
-
-    __slots__ = ("sid", "route", "ports", "window")
-
-    def __init__(self, sid: int, route: Turns, radix: int) -> None:
-        self.sid = sid
-        self.route = route  # brings a worm into this switch
-        #: relative index (port - entry port) -> ("host", name) | ("switch", sid)
-        self.ports: dict[int, tuple[str, object]] = {}
-        #: feasible absolute entry ports, narrowed by hits (planner window)
-        self.window: tuple[int, int] = (0, radix - 1)
-
-    @property
-    def depth(self) -> int:
-        return len(self.route)
-
-
-@dataclass(slots=True)
-class _Candidate:
-    route: Turns  # route into the candidate switch
-    parent: _Switch
-    parent_turn: int
-
-
 @register_mapper(
     "myricom",
     summary="eager O(N²) compare-all baseline (Section 4)",
@@ -127,17 +109,15 @@ class MyricomMapper:
         self._svc = service
         self._depth = search_depth
         self._radix = radix
-        self._ids = itertools.count()
-        self._explored: list[_Switch] = []
-        self._hosts: dict[str, tuple[_Switch, int]] = {}
+        self._explored: list[SwitchRecord] = []
+        self._hosts: dict[str, tuple[SwitchRecord, int]] = {}
         self._breakdown = ProbeBreakdown()
         self._pops = 0
 
     # ------------------------------------------------------------------
     def run(self) -> MyricomResult:
-        root = _Switch(next(self._ids), (), self._radix)
-        self._explored.append(root)
-        frontier: deque[_Candidate] = deque()
+        root = self._new_switch(())
+        frontier: deque[Candidate] = deque()
         self._explore(root, frontier)
         while frontier:
             cand = frontier.popleft()
@@ -145,16 +125,16 @@ class MyricomMapper:
             match = self._identify(cand)
             if match is not None:
                 switch, rel = match
-                self._record_wire(cand.parent, cand.parent_turn, switch, rel)
+                record_wire(cand.parent, cand.parent_turn, switch, rel)
                 continue
-            new = _Switch(next(self._ids), cand.route, self._radix)
-            self._explored.append(new)
-            self._record_wire(cand.parent, cand.parent_turn, new, 0)
+            new = self._new_switch(cand.route)
+            record_wire(cand.parent, cand.parent_turn, new, 0)
             if new.depth < self._depth:
                 self._explore(new, frontier)
-        network = self._build_network()
+        nodes = {sw.name: sw.ports for sw in self._explored}
+        nodes.update(dict.fromkeys(self._hosts))
         return MyricomResult(
-            network=network,
+            network=assemble(nodes, self._radix)[0],
             breakdown=self._breakdown,
             stats=self._svc.stats.snapshot(),
             mapper_host=self._svc.mapper_host,
@@ -166,31 +146,32 @@ class MyricomMapper:
         """Protocol entry point: run and repackage as a ``MapResult``.
 
         ``run`` keeps the algorithm's native :class:`MyricomResult` (the
-        Figure 10 probe breakdown); ``map`` flattens it into the common
-        shape every driver understands. Eager identification means each
-        explored switch is final — explorations and peak model size are
-        both the explored-switch count, and nothing ever merges.
+        Figure 10 probe breakdown, every switch reached — ``F`` included);
+        ``map`` flattens it into the common pruned shape every driver
+        understands. Eager identification means each explored switch is
+        final — explorations and peak model size are both the
+        explored-switch count, and nothing ever merges.
         """
-        result = self.run()
-        return MapResult(
-            network=result.network,
-            stats=result.stats,
-            mapper_host=result.mapper_host,
-            search_depth=self._depth,
-            explorations=result.switches_explored,
-            merges=0,
-            peak_model_nodes=result.switches_explored,
-        )
+        native = self.run()
+        n = native.switches_explored
+        return MapResult.from_native(native, self._depth, n, 0, n)
 
     # ------------------------------------------------------------------
     # exploration of a confirmed-new switch
     # ------------------------------------------------------------------
-    def _explore(self, sw: _Switch, frontier: deque[_Candidate]) -> None:
+    def _new_switch(self, route: Turns) -> SwitchRecord:
+        sw = SwitchRecord(
+            f"switch-{len(self._explored)}", route, (0, self._radix - 1)
+        )
+        self._explored.append(sw)
+        return sw
+
+    def _explore(self, sw: SwitchRecord, frontier: deque[Candidate]) -> None:
         plan = PortPlan(radix=self._radix)
-        if sw.sid == 0:
+        if not sw.route:
             # The root switch is entered over the mapper's own wire.
             self._hosts[self._svc.mapper_host] = (sw, 0)
-            sw.ports[0] = ("host", self._svc.mapper_host)
+            sw.ports[0] = (self._svc.mapper_host, 0)
         while (turn := plan.next_turn()) is not None:
             route = sw.route + (turn,)
             host = self._svc.probe_host(route)
@@ -203,12 +184,12 @@ class MyricomMapper:
                         "violates the single-attachment assumption"
                     )
                 self._hosts[host] = (sw, turn)
-                sw.ports[turn] = ("host", host)
+                sw.ports[turn] = (host, 0)
                 continue
             self._breakdown.switch += 1
             if self._svc.probe_switch(route):
                 plan.feed(turn, True)
-                frontier.append(_Candidate(route, sw, turn))
+                frontier.append(Candidate(route, sw, turn))
             else:
                 plan.feed(turn, False)
         sw.window = plan.entry_port_window
@@ -216,22 +197,25 @@ class MyricomMapper:
     # ------------------------------------------------------------------
     # eager replicate identification (the comparison probes)
     # ------------------------------------------------------------------
-    def _identify(self, cand: _Candidate) -> tuple[_Switch, int] | None:
+    def _identify(self, cand: Candidate) -> tuple[SwitchRecord, int] | None:
         """Compare the candidate against explored switches; None = new.
 
         The self-comparison against the candidate's parent runs first and is
         counted in the ``loop`` category (it is what detects loopback
-        cables); remaining switches are ordered by BFS-depth proximity.
+        cables); remaining switches are ordered by BFS-depth proximity,
+        oldest first among equals (the sort is stable).
         """
         others = [s for s in self._explored if s is not cand.parent]
-        others.sort(key=lambda s: (abs(s.depth - len(cand.route)), s.sid))
+        others.sort(key=lambda s: abs(s.depth - len(cand.route)))
         for category, sw in [("loop", cand.parent)] + [("comp", s) for s in others]:
             rel = self._compare(cand.route, sw, category)
             if rel is not None:
                 return sw, rel
         return None
 
-    def _compare(self, route: Turns, sw: _Switch, category: str) -> int | None:
+    def _compare(
+        self, route: Turns, sw: SwitchRecord, category: str
+    ) -> int | None:
         """Is the switch at ``route`` the explored ``sw``? Returns the
         relative index at which ``route`` enters ``sw``, else None.
 
@@ -241,13 +225,7 @@ class MyricomMapper:
         port: the entry's relative index at ``sw`` is then ``-X``.
         """
         retrace = reverse_turns(sw.route)
-        lo, hi = sw.window
-        for x in self._x_sweep():
-            # Sound pruning: entering at relative index -X must be feasible
-            # for some absolute entry port q in sw's window: q + (-X) must
-            # be a legal port.
-            if not (-hi <= -x <= (self._radix - 1) - lo):
-                continue
+        for x in x_sweep(sw.window, self._radix):
             if category == "loop":
                 self._breakdown.loop += 1
             else:
@@ -255,69 +233,3 @@ class MyricomMapper:
             if self._svc.probe_loopback(route + (x,) + retrace):
                 return -x
         return None
-
-    def _x_sweep(self):
-        """X order: 0 first (same-entry-port case), then outward by size."""
-        yield 0
-        for mag in range(1, self._radix):
-            yield mag
-            yield -mag
-
-    # ------------------------------------------------------------------
-    # map assembly
-    # ------------------------------------------------------------------
-    def _record_wire(
-        self, parent: _Switch, parent_turn: int, child: _Switch, child_rel: int
-    ) -> None:
-        existing = parent.ports.get(parent_turn)
-        entry = ("switch", (child.sid, child_rel))
-        if existing is not None and existing != entry:
-            raise MappingError(
-                f"switch port resolved to two different far ends: "
-                f"{existing} vs {entry}"
-            )
-        parent.ports[parent_turn] = entry
-        back = child.ports.get(child_rel)
-        back_entry = ("switch", (parent.sid, parent_turn))
-        if back is not None and back != back_entry:
-            raise MappingError(
-                f"switch port resolved to two different far ends: "
-                f"{back} vs {back_entry}"
-            )
-        child.ports[child_rel] = back_entry
-
-    def _build_network(self) -> Network:
-        net = Network(default_radix=self._radix)
-        names: dict[int, str] = {}
-        offsets: dict[int, int] = {}
-        by_sid = {s.sid: s for s in self._explored}
-        for sw in self._explored:
-            name = f"switch-{sw.sid}"
-            names[sw.sid] = name
-            used = sorted(sw.ports)
-            lo = used[0] if used else 0
-            hi = used[-1] if used else 0
-            if hi - lo >= self._radix:
-                raise MappingError(f"{name} spans more ports than the radix")
-            offsets[sw.sid] = -lo
-            net.add_switch(name, radix=self._radix)
-        for host in self._hosts:
-            net.add_host(host)
-        seen: set[frozenset] = set()
-        for sw in self._explored:
-            for rel, (kind, payload) in sw.ports.items():
-                port = rel + offsets[sw.sid]
-                if kind == "host":
-                    end_a = (names[sw.sid], port)
-                    end_b = (payload, 0)
-                else:
-                    far_sid, far_rel = payload  # type: ignore[misc]
-                    far = by_sid[far_sid]
-                    end_a = (names[sw.sid], port)
-                    end_b = (names[far_sid], far_rel + offsets[far_sid])
-                key = frozenset((end_a, end_b))
-                if key in seen:
-                    continue
-                seen.add(key)
-                net.connect(end_a[0], end_a[1], end_b[0], end_b[1])
-        return net

@@ -21,13 +21,19 @@ index stay unresolved (counted in ``unresolved_wires``).
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 
-from repro.core.mapper import MapResult, MappingError
+from repro.core.mapper import MapResult
 from repro.core.mapper_protocol import MapperCapabilities, register_mapper
 from repro.core.planner import PortPlan
+from repro.core.relative import (
+    MappingError,
+    SwitchRecord,
+    assemble,
+    record_wire,
+    x_sweep,
+)
 from repro.simulator.path_eval import PathStatus
 from repro.simulator.probes import ProbeKind, ProbeStats
 from repro.simulator.quiescent import QuiescentProbeService
@@ -64,14 +70,6 @@ class SelfIdProbeService(QuiescentProbeService):
             ProbeKind.SWITCH, turns, self._eval_switch_id, round_trip=False
         )
         return ctx.payload if ctx.hit else None
-
-
-@dataclass(slots=True)
-class _IdSwitch:
-    sid: str
-    route: Turns
-    ports: dict  # relative index -> ("host", name) | ("switch", (sid, rel))
-    window: tuple[int, int]
 
 
 @dataclass(slots=True)
@@ -114,14 +112,8 @@ class SelfIdMapper:
         root_id = svc.probe_switch_id(())
         if root_id is None:
             raise MappingError("mapper host is not attached to a switch")
-        switches: dict[str, _IdSwitch] = {
-            root_id: _IdSwitch(
-                root_id,
-                (),
-                {0: ("host", svc.mapper_host)},
-                (0, self._radix - 1),
-            )
-        }
+        switches = {root_id: self._new_switch(root_id, ())}
+        switches[root_id].ports[0] = (svc.mapper_host, 0)
         frontier: deque[str] = deque([root_id])
         while frontier:
             sw = switches[frontier.popleft()]
@@ -143,22 +135,22 @@ class SelfIdMapper:
         Self-identification makes every switch final on first sight, so
         explorations and peak model size both equal the switch count and
         nothing merges (``run`` keeps the richer :class:`SelfIdResult`
-        with pin-probe and unresolved-wire counts).
+        with pin-probe and unresolved-wire counts, ``F`` unpruned).
         """
-        result = self.run()
-        return MapResult(
-            network=result.network,
-            stats=result.stats,
-            mapper_host=result.mapper_host,
-            search_depth=self._depth,
-            explorations=result.switches_explored,
-            merges=0,
-            peak_model_nodes=result.switches_explored,
-        )
+        native = self.run()
+        n = native.switches_explored
+        return MapResult.from_native(native, self._depth, n, 0, n)
 
     # ------------------------------------------------------------------
+    def _new_switch(self, sid: str, route: Turns) -> SwitchRecord:
+        """Records go by the hardware id; the map's names come later."""
+        return SwitchRecord(sid, route, (0, self._radix - 1))
+
     def _scan(
-        self, sw: _IdSwitch, switches: dict[str, _IdSwitch], frontier: deque[str]
+        self,
+        sw: SwitchRecord,
+        switches: dict[str, SwitchRecord],
+        frontier: deque[str],
     ) -> None:
         plan = PortPlan(radix=self._radix)
         for idx in sw.ports:
@@ -171,14 +163,8 @@ class SelfIdMapper:
             if far_id is not None:
                 plan.feed(turn, True)
                 if far_id not in switches:
-                    far = _IdSwitch(
-                        far_id,
-                        probe,
-                        {0: ("switch", (sw.sid, turn))},
-                        (0, self._radix - 1),
-                    )
-                    switches[far_id] = far
-                    sw.ports[turn] = ("switch", (far_id, 0))
+                    far = switches[far_id] = self._new_switch(far_id, probe)
+                    record_wire(sw, turn, far, 0)
                     frontier.append(far_id)
                 else:
                     far = switches[far_id]
@@ -186,16 +172,15 @@ class SelfIdMapper:
                     if rel is None:
                         self._unresolved += 1
                     else:
-                        sw.ports[turn] = ("switch", (far_id, rel))
-                        far.ports.setdefault(rel, ("switch", (sw.sid, turn)))
+                        record_wire(sw, turn, far, rel)
                 continue
             host = self._svc.probe_host(probe)
             plan.feed(turn, host is not None)
             if host is not None:
-                sw.ports[turn] = ("host", host)
+                sw.ports[turn] = (host, 0)
         sw.window = plan.entry_port_window
 
-    def _pin(self, route: Turns, far: _IdSwitch) -> int | None:
+    def _pin(self, route: Turns, far: SwitchRecord) -> int | None:
         """One X-sweep against the (single, known) far switch's route.
 
         Probe ``route + (X,) + reverse(far.route)`` loops back iff turn X
@@ -203,12 +188,7 @@ class SelfIdMapper:
         i.e. the wire enters ``far`` at relative index ``-X``.
         """
         retrace = reverse_turns(far.route)
-        lo, hi = far.window
-        for x in itertools.chain(
-            (0,), (s * m for m in range(1, self._radix) for s in (1, -1))
-        ):
-            if not (-hi <= -x <= (self._radix - 1) - lo):
-                continue
+        for x in x_sweep(far.window, self._radix):
             if -x in far.ports:
                 continue  # that far port is already known to hold another wire
             self._pin_probes += 1
@@ -217,38 +197,21 @@ class SelfIdMapper:
         return None
 
     # ------------------------------------------------------------------
-    def _build(self, switches: dict[str, _IdSwitch]) -> Network:
-        net = Network(default_radix=self._radix)
+    def _build(self, switches: dict[str, SwitchRecord]) -> Network:
+        """Name the switches ``switch-<rank of hardware id>`` and assemble."""
         names = {sid: f"switch-{i}" for i, sid in enumerate(sorted(switches))}
-        offsets: dict[str, int] = {}
-        for sid, sw in switches.items():
-            used = sorted(sw.ports)
-            lo = used[0] if used else 0
-            hi = used[-1] if used else 0
-            if hi - lo >= self._radix:
-                raise MappingError("port span exceeds radix")
-            offsets[sid] = -lo
-            net.add_switch(names[sid], radix=self._radix)
-        hosts = {
-            payload
-            for sw in switches.values()
-            for kind, payload in sw.ports.values()
-            if kind == "host"
+        nodes: dict[str, dict | None] = {
+            names[sid]: {
+                rel: (names.get(far, far), far_rel)
+                for rel, (far, far_rel) in sw.ports.items()
+            }
+            for sid, sw in switches.items()
         }
-        for h in sorted(hosts):  # type: ignore[arg-type]
-            net.add_host(h)
-        seen: set[frozenset] = set()
-        for sid, sw in switches.items():
-            for rel, (kind, payload) in sw.ports.items():
-                a = (names[sid], rel + offsets[sid])
-                if kind == "host":
-                    b = (payload, 0)
-                else:
-                    far_sid, far_rel = payload
-                    b = (names[far_sid], far_rel + offsets[far_sid])
-                key = frozenset((a, b))
-                if key in seen:
-                    continue
-                seen.add(key)
-                net.connect(a[0], a[1], b[0], b[1])
-        return net
+        hosts = {
+            far
+            for sw in switches.values()
+            for far, _ in sw.ports.values()
+            if far not in switches
+        }
+        nodes.update(dict.fromkeys(sorted(hosts)))
+        return assemble(nodes, self._radix)[0]

@@ -28,7 +28,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.core.mapper import MappingError
+from repro.core.relative import MappingError, assemble
 from repro.simulator.probes import ProbeService, ProbeStats
 from repro.simulator.turns import Turns
 from repro.topology.model import Network
@@ -91,7 +91,9 @@ class LabeledMapper:
         self._max_tree = max_tree_size
         self._ids = itertools.count()
         self._vertices: list[TreeVertex] = []
-        self._label_classes: dict[object, set[TreeVertex]] = {}
+        #: label -> its vertices in creation/merge order (never a set:
+        #: which label survives a merge must not depend on addresses)
+        self._label_classes: dict[object, list[TreeVertex]] = {}
         self._fresh_labels = itertools.count()
 
     # ------------------------------------------------------------------
@@ -217,7 +219,7 @@ class LabeledMapper:
             if delta:
                 self._shift_indices(w, delta)
             w.label = new_label
-        self._label_classes.setdefault(new_label, set()).update(movers)
+        self._label_classes.setdefault(new_label, []).extend(movers)
         self._label_classes.pop(old_label, None)
 
     @staticmethod
@@ -235,77 +237,50 @@ class LabeledMapper:
     def _quotient_and_prune(self) -> Network:
         """Build ``M / L``, then repeatedly delete its degree-1 switches."""
         kind_of: dict[object, str] = {}
-        indices_of: dict[object, set[int]] = {}
-        edges: set[frozenset] = set()
+        ports: dict[object, dict[int, tuple[object, int]]] = {}
         for v in self._vertices:
             kind_of[v.label] = v.kind
-            indices_of.setdefault(v.label, set()).update(v.neighbors)
+            mine = ports.setdefault(v.label, {})
             for idx, (nbr, nbr_idx) in v.neighbors.items():
-                edges.add(frozenset(((v.label, idx), (nbr.label, nbr_idx))))
+                end = (nbr.label, nbr_idx)
+                if mine.setdefault(idx, end) != end:
+                    raise MappingError(
+                        f"label {v.label!r} index {idx} leads to both "
+                        f"{mine[idx]} and {end}"
+                    )
 
         # PRUNE: degree-1 switches of the quotient, to a fixed point.
-        changed = True
-        while changed:
-            changed = False
-            degree: dict[object, int] = {}
-            for edge in edges:
-                ends = list(edge)
-                if len(ends) == 1:  # loopback landing on one (label, idx)?
-                    continue
-                for (label, _idx) in ends:
-                    degree[label] = degree.get(label, 0) + 1
-            for label, kind in list(kind_of.items()):
-                if kind == _KIND_SWITCH and degree.get(label, 0) <= 1:
-                    edges = {
-                        e for e in edges if all(l != label for (l, _i) in e)
-                    }
-                    del kind_of[label]
-                    indices_of.pop(label, None)
-                    changed = True
+        while dead := [
+            label
+            for label, ends in ports.items()
+            if kind_of[label] == _KIND_SWITCH and len(ends) <= 1
+        ]:
+            for label in dead:
+                for far, far_idx in ports.pop(label).values():
+                    ports.get(far, {}).pop(far_idx, None)
 
-        # Canonical per-switch port offset: minimum used index becomes 0.
-        net = Network(default_radix=self._radix)
+        # Hosts keep their names; switches are numbered in label order.
         names: dict[object, str] = {}
-        offsets: dict[object, int] = {}
-        counter = 0
-        live_indices: dict[object, set[int]] = {label: set() for label in kind_of}
-        for edge in edges:
-            for (label, idx) in edge:
-                live_indices[label].add(idx)
-        for label in sorted(kind_of, key=str):
+        numbers = itertools.count()
+        for label in sorted(ports, key=str):
             if kind_of[label] == _KIND_HOST:
                 names[label] = str(label)
-                offsets[label] = 0
-                net.add_host(str(label))
             else:
-                name = f"switch-{counter}"
-                counter += 1
-                used = live_indices[label]
-                lo = min(used, default=0)
-                hi = max(used, default=0)
-                if hi - lo >= self._radix:
-                    raise MappingError(
-                        f"label {label!r} spans {hi - lo + 1} ports > radix"
-                    )
-                names[label] = name
-                offsets[label] = -lo
-                net.add_switch(name, radix=self._radix)
-
-        for edge in sorted(
-            edges, key=lambda e: sorted((str(l), i) for (l, i) in e)
-        ):
-            ends = sorted(edge, key=lambda t: (str(t[0]), t[1]))
-            if len(ends) == 1:
+                names[label] = f"switch-{next(numbers)}"
+        nodes: dict[str, dict | None] = {}
+        for label, name in names.items():
+            if kind_of[label] == _KIND_HOST:
+                nodes[name] = None
                 continue
-            (la, ia), (lb, ib) = ends
-            net.connect(
-                names[la], ia + offsets[la], names[lb], ib + offsets[lb]
-            )
-        return net
+            nodes[name] = {
+                idx: (names[far], far_idx)
+                for idx, (far, far_idx) in sorted(ports[label].items())
+            }
+        return assemble(nodes, self._radix)[0]
 
     # ------------------------------------------------------------------
     def _new_vertex(self, kind: str, label, probe_string: Turns) -> TreeVertex:
         v = TreeVertex(next(self._ids), kind, label, probe_string)
         self._vertices.append(v)
-        self._label_classes.setdefault(label, set()).add(v)
+        self._label_classes.setdefault(label, []).append(v)
         return v

@@ -35,9 +35,11 @@ from typing import TYPE_CHECKING, Mapping
 
 from repro.core.mapper_protocol import MapperCapabilities, register_mapper
 from repro.core.planner import ProbePlanner
+from repro.core.relative import End, MappingError, assemble
 from repro.simulator.path_eval import PathStatus, evaluate_route
 from repro.simulator.probes import ProbeService, ProbeStats
 from repro.simulator.turns import Turns
+from repro.topology.analysis import core_network
 from repro.topology.delta import Endpoint
 from repro.topology.model import Network
 
@@ -51,15 +53,6 @@ __all__ = [
     "MapSeed",
     "MappingError",
 ]
-
-
-class MappingError(RuntimeError):
-    """The deduction engine found a contradiction.
-
-    Under the paper's assumptions (quiescent network, correct responses)
-    this cannot happen: deductions are sound (Lemma 2). A contradiction
-    means the network violates the system model or responses were corrupted.
-    """
 
 
 _KIND_SWITCH = "switch"
@@ -158,6 +151,32 @@ class MapResult:
     @property
     def elapsed_ms(self) -> float:
         return self.stats.elapsed_ms
+
+    @classmethod
+    def from_native(
+        cls,
+        native,
+        search_depth: int,
+        explorations: int,
+        merges: int,
+        peak_model_nodes: int,
+    ) -> "MapResult":
+        """The protocol shape of a breadth-first mapper's native result.
+
+        A mapper that explores every switch it reaches maps ``N`` — its
+        ``run()`` keeps that — while :meth:`Mapper.map` promises the
+        theorem's ``N - F`` for every algorithm, as Berkeley's PRUNE stage
+        delivers it. This is the one place a breadth-first map is pruned.
+        """
+        return cls(
+            network=core_network(native.network),
+            stats=native.stats,
+            mapper_host=native.mapper_host,
+            search_depth=search_depth,
+            explorations=explorations,
+            merges=merges,
+            peak_model_nodes=peak_model_nodes,
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -873,61 +892,38 @@ class BerkeleyMapper:
         map without re-deriving the coordinate system.
         """
         live = sorted(self._live_vertices(), key=lambda v: v.vid)
-        net = Network(default_radix=self._radix)
         names: dict[int, str] = {}
         witnesses: dict[str, Turns] = {}
-        entry_ports: dict[str, int] = {}
-        offsets: dict[int, int] = {}
-        counter = 0
         for v in live:
+            if any(len(ends) > 1 for ends in v.nbrs.values()):
+                raise MappingError(
+                    f"unresolved multi-wire port survived on {v!r}; "
+                    "increase the search depth"
+                )
             if v.kind == _KIND_HOST:
-                if v.host_name in net:
+                if v.host_name in witnesses:
                     raise MappingError(
                         f"two model vertices for host {v.host_name} survived"
                     )
-                net.add_host(v.host_name)  # type: ignore[arg-type]
-                witnesses[v.host_name] = v.probe_string  # type: ignore[index]
+                name = v.host_name
             else:
-                name = f"switch-{counter}"
-                counter += 1
-                names[v.vid] = name
-                witnesses[name] = v.probe_string
-                indices = sorted(v.nbrs)
-                if indices:
-                    span = indices[-1] - indices[0]
-                    if span >= self._radix:
-                        raise MappingError(
-                            f"switch {name} uses a port span of {span + 1} > "
-                            f"radix {self._radix}"
-                        )
-                    offsets[v.vid] = -indices[0]
-                else:
-                    offsets[v.vid] = 0
-                entry_ports[name] = offsets[v.vid]
-                net.add_switch(name, radix=self._radix)
+                name = names[v.vid] = f"switch-{len(names)}"
+            witnesses[name] = v.probe_string  # type: ignore[index]
 
-        def endpoint(v: MergedVertex, i: int) -> tuple[str, int]:
-            if v.kind == _KIND_HOST:
-                return (v.host_name, 0)  # type: ignore[return-value]
-            return (names[v.vid], i + offsets[v.vid])
-
-        seen: set[frozenset[tuple[str, int]]] = set()
+        nodes: dict[str, dict[int, End] | None] = {}
         for v in live:
+            if v.kind == _KIND_HOST:
+                nodes[v.host_name] = None  # type: ignore[index]
+                continue
+            ports = nodes[names[v.vid]] = {}
             for i, ends in v.nbrs.items():
-                if len(ends) > 1:
-                    raise MappingError(
-                        f"unresolved multi-wire port survived on {v!r}; "
-                        "increase the search depth"
-                    )
                 for (w, wi) in ends:
                     w = self._find(w)
-                    a = endpoint(v, i)
-                    b = endpoint(w, wi)
-                    key = frozenset((a, b))
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    net.connect(a[0], a[1], b[0], b[1])
+                    if w.kind == _KIND_HOST:
+                        ports[i] = (w.host_name, 0)  # type: ignore[assignment]
+                    else:
+                        ports[i] = (names[w.vid], wi)
+        net, entry_ports = assemble(nodes, self._radix)
         return net, names, witnesses, entry_ports
 
     # ------------------------------------------------------------------

@@ -92,7 +92,10 @@ def map_cycle(
     depth = search_depth or recommended_search_depth(fabric, mapper_host)
     svc = build_mapper_service(mapper, net, mapper_host, **stack_kwargs)
     built = resolve_mapper_factory(
-        mapper, host_first=False, max_explorations=max_explorations
+        mapper,
+        host_first=False,
+        max_explorations=max_explorations,
+        radix=net.default_radix,
     )(svc, depth)
     seeder = getattr(built, "seed_with", None)
     if seed is not None and seeder is not None:

@@ -30,12 +30,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.mapper import MappingError
-from repro.core.mapper_protocol import create_mapper
+from repro.core.relative import MappingError, assemble
+from repro.core.remapper import map_cycle
 from repro.simulator.collision import CircuitModel, CollisionModel
-from repro.simulator.stack import build_service_stack
 from repro.simulator.timing import MYRINET_TIMING, TimingModel
-from repro.topology.model import HOST_PORT, Network, PortRef
+from repro.topology.model import HOST_PORT, Network
 
 __all__ = [
     "MergeConflict",
@@ -71,16 +70,14 @@ def map_local_region(
     timing: TimingModel = MYRINET_TIMING,
 ) -> PartialMap:
     """Map the region within ``local_depth`` probe turns of one host."""
-    svc = build_service_stack(
-        net, mapper_host, collision=collision or CircuitModel(), timing=timing
-    )
-    result = create_mapper(
-        "berkeley",
-        svc,
+    result, _ = map_cycle(
+        net,
+        mapper_host,
         search_depth=local_depth,
-        host_first=False,
         max_explorations=max_explorations,
-    ).map()
+        collision=collision or CircuitModel(),
+        timing=timing,
+    )
     return PartialMap(
         owner=mapper_host,
         network=result.network,
@@ -215,40 +212,18 @@ class _Accumulator:
 
     # -- output ------------------------------------------------------------
     def to_network(self) -> Network:
-        net = Network(default_radix=self.radix)
-        offsets: dict[str, int] = {}
+        nodes: dict[str, dict | None] = {}
         for name, ports in self.switches.items():
-            used = sorted(ports)
-            lo = used[0] if used else 0
-            hi = used[-1] if used else 0
-            if hi - lo >= self.radix:
-                raise MergeConflict(
-                    f"merged switch {name} spans {hi - lo + 1} ports > "
-                    f"radix {self.radix}"
-                )
-            offsets[name] = -lo
-            net.add_switch(name, radix=self.radix)
-        for host, meta in self.host_meta.items():
-            net.add_host(host, **meta)
-        for host in self._hosts:
-            if host not in net:
-                net.add_host(host)
-        seen: set[frozenset] = set()
-        for name, ports in self.switches.items():
+            record = nodes[name] = {}
             for index, endpoint in ports.items():
-                endpoint = self._normalize(endpoint)
-                a = (name, index + offsets[name])
-                if endpoint[0] == "host":
-                    b = (endpoint[1], HOST_PORT)
-                else:
-                    far_name, far_index = endpoint[1]
-                    b = (far_name, far_index + offsets[far_name])
-                key = frozenset((a, b))
-                if key in seen:
-                    continue
-                seen.add(key)
-                net.connect(a[0], a[1], b[0], b[1])
-        return net
+                kind, far = self._normalize(endpoint)
+                record[index] = (far, HOST_PORT) if kind == "host" else far
+        for host in (*self.host_meta, *self._hosts):
+            nodes[host] = None
+        try:
+            return assemble(nodes, self.radix, self.host_meta)[0]
+        except MappingError as exc:
+            raise MergeConflict(f"merged view: {exc}") from exc
 
 
 def merge_partial_maps(partials: list[PartialMap]) -> list[Network]:

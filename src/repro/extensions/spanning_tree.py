@@ -36,13 +36,19 @@ collisions, not to the number of explored switches.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.core.mapper import MapResult, MappingError
+from repro.core.mapper import MapResult
 from repro.core.mapper_protocol import MapperCapabilities, register_mapper
 from repro.core.planner import PortPlan
+from repro.core.relative import (
+    Candidate,
+    MappingError,
+    SwitchRecord,
+    assemble,
+    record_wire,
+)
 from repro.simulator.probes import ProbeStats
 from repro.simulator.quiescent import QuiescentProbeService
 from repro.simulator.turns import Turns, reverse_turns
@@ -71,37 +77,6 @@ class SpanningTreeResult:
     @property
     def elapsed_ms(self) -> float:
         return self.stats.elapsed_ms
-
-
-class _StSwitch:
-    """A switch view: route, relative-port knowledge, union-find alias."""
-
-    __slots__ = ("sid", "route", "ports", "used")
-
-    def __init__(self, sid: int, route: Turns) -> None:
-        self.sid = sid
-        self.route = route
-        #: rel index (port - entry port) ->
-        #: ("host", name) | ("switch", _StSwitch, rel-at-far-switch)
-        #: Holds only *resolved* wires; switch-hits whose far end is
-        #: still a queued candidate are in ``used`` but not here yet.
-        #: Views recognized as duplicates are discarded outright (their
-        #: evidence folds into the adopted switch), so every reference
-        #: here points at an adopted switch — no aliasing needed.
-        self.ports: dict[int, tuple] = {}
-        #: Complete used-port pattern from this view's exploration.
-        self.used: frozenset[int] = frozenset()
-
-    @property
-    def depth(self) -> int:
-        return len(self.route)
-
-
-@dataclass(slots=True)
-class _Candidate:
-    route: Turns
-    parent: _StSwitch
-    parent_turn: int
 
 
 @dataclass(slots=True)
@@ -141,10 +116,16 @@ class SpanningTreeMapper:
         self._svc = service
         self._depth = search_depth
         self._radix = radix
-        self._ids = itertools.count()
-        self._switches: list[_StSwitch] = []
-        self._hosts: dict[str, tuple[_StSwitch, int]] = {}
-        self._sigs: dict[tuple, list[_StSwitch]] = {}
+        #: Adopted switches. A record's ``ports`` holds only *resolved*
+        #: wires; switch-hits whose far end is still a queued candidate are
+        #: in ``_used`` but not there yet. Views recognized as duplicates
+        #: are discarded outright (their evidence folds into the adopted
+        #: switch), so every far end names an adopted switch.
+        self._switches: list[SwitchRecord] = []
+        #: Switch name -> complete used-index pattern from its exploration.
+        self._used: dict[str, frozenset[int]] = {}
+        self._hosts: dict[str, tuple[SwitchRecord, int]] = {}
+        self._sigs: dict[tuple, list[SwitchRecord]] = {}
         self._explorations = 0
         self._merges = 0
         self._skipped = 0
@@ -152,10 +133,10 @@ class SpanningTreeMapper:
 
     # ------------------------------------------------------------------
     def run(self) -> SpanningTreeResult:
-        root = _StSwitch(next(self._ids), ())
-        root.ports[0] = ("host", self._svc.mapper_host)
+        root = self._new_switch(())
+        root.ports[0] = (self._svc.mapper_host, 0)
         self._hosts[self._svc.mapper_host] = (root, 0)
-        frontier: deque[_Candidate] = deque()
+        frontier: deque[Candidate] = deque()
         view = self._explore(())
         self._adopt(root, view)
         self._enqueue_children(root, view, frontier)
@@ -170,18 +151,19 @@ class SpanningTreeMapper:
             view = self._explore(cand.route)
             known = self._recognize(view)
             if known is None:
-                sw = _StSwitch(next(self._ids), cand.route)
+                sw = self._new_switch(cand.route)
                 self._adopt(sw, view)
-                self._record(parent, pturn, sw, 0)
+                record_wire(parent, pturn, sw, 0)
                 if sw.depth < self._depth:
                     self._enqueue_children(sw, view, frontier)
             else:
                 far, shift = known
                 self._merges += 1
-                self._record(parent, pturn, far, shift)
-        network = self._build()
+                record_wire(parent, pturn, far, shift)
+        nodes = {sw.name: dict(sorted(sw.ports.items())) for sw in self._switches}
+        nodes.update(dict.fromkeys(self._hosts))
         return SpanningTreeResult(
-            network=network,
+            network=assemble(nodes, self._radix)[0],
             stats=self._svc.stats.snapshot(),
             mapper_host=self._svc.mapper_host,
             explorations=self._explorations,
@@ -191,16 +173,15 @@ class SpanningTreeMapper:
         )
 
     def map(self) -> MapResult:
-        """Protocol entry point: run and repackage as a ``MapResult``."""
-        result = self.run()
-        return MapResult(
-            network=result.network,
-            stats=result.stats,
-            mapper_host=result.mapper_host,
-            search_depth=self._depth,
-            explorations=result.explorations,
-            merges=result.merges,
-            peak_model_nodes=len(self._switches),
+        """Protocol entry point: run and repackage as a ``MapResult``
+        (``run`` keeps the unpruned :class:`SpanningTreeResult`)."""
+        native = self.run()
+        return MapResult.from_native(
+            native,
+            self._depth,
+            native.explorations,
+            native.merges,
+            len(self._switches),
         )
 
     # ------------------------------------------------------------------
@@ -240,7 +221,7 @@ class SpanningTreeMapper:
             (i - lo, hosts.get(i, "")) for i in used
         )
 
-    def _recognize(self, view: _View) -> tuple[_StSwitch, int] | None:
+    def _recognize(self, view: _View) -> tuple[SwitchRecord, int] | None:
         """Match a completed view against known switches.
 
         Returns ``(switch, shift)`` — view index i is switch index
@@ -258,21 +239,22 @@ class SpanningTreeMapper:
         # Signature + one shift-aligned confirmation probe per collision.
         sig = self._signature(used, view.hosts)
         peers = list(self._sigs.get(sig, ()))
-        peers.sort(key=lambda s: (abs(s.depth - len(view.route)), s.sid))
+        # Nearest BFS depth first; the stable sort keeps adoption order.
+        peers.sort(key=lambda s: abs(s.depth - len(view.route)))
         for peer in peers:
-            shift = min(peer.used) - used[0]
+            shift = min(self._used[peer.name]) - used[0]
             if self._confirm(view.route, peer, shift):
                 return peer, shift
         return None
 
     def _check_alignment(
-        self, view: _View, used: list[int], far: _StSwitch, shift: int
+        self, view: _View, used: list[int], far: SwitchRecord, shift: int
     ) -> None:
         """A host-anchored merge must align both complete views exactly."""
-        if frozenset(i + shift for i in used) != far.used:
+        if frozenset(i + shift for i in used) != self._used[far.name]:
             raise MappingError(
                 f"host anchor aligns switch views with different port "
-                f"patterns (shift {shift} onto switch-{far.sid})"
+                f"patterns (shift {shift} onto {far.name})"
             )
         for i, name in view.hosts.items():
             entry = self._hosts.get(name)
@@ -282,7 +264,7 @@ class SpanningTreeMapper:
                     f"view recorded it"
                 )
 
-    def _confirm(self, route: Turns, peer: _StSwitch, shift: int) -> bool:
+    def _confirm(self, route: Turns, peer: SwitchRecord, shift: int) -> bool:
         """One loopback probe: does ``route`` enter ``peer`` at rel -x?
 
         The comparison probe is the Myricom ``route + (X,) +
@@ -301,92 +283,32 @@ class SpanningTreeMapper:
     # ------------------------------------------------------------------
     # bookkeeping
     # ------------------------------------------------------------------
-    def _adopt(self, sw: _StSwitch, view: _View) -> None:
+    def _new_switch(self, route: Turns) -> SwitchRecord:
+        return SwitchRecord(
+            f"switch-{len(self._switches)}", route, (0, self._radix - 1)
+        )
+
+    def _adopt(self, sw: SwitchRecord, view: _View) -> None:
         """Commit a completed view as a new (tree) switch."""
         used = view.used()
         if used[-1] - used[0] >= self._radix:
             raise MappingError(
-                f"switch-{sw.sid} spans more ports than the radix"
+                f"{sw.name} spans more ports than the radix"
             )
-        sw.used = frozenset(used)
+        self._used[sw.name] = frozenset(used)
         for i, name in view.hosts.items():
             if name in self._hosts:
                 raise MappingError(
                     f"host {name} appeared on two switches; violates "
                     "the single-attachment assumption"
                 )
-            sw.ports[i] = ("host", name)
+            sw.ports[i] = (name, 0)
             self._hosts[name] = (sw, i)
         self._switches.append(sw)
         self._sigs.setdefault(self._signature(used, view.hosts), []).append(sw)
 
     def _enqueue_children(
-        self, sw: _StSwitch, view: _View, frontier: deque[_Candidate]
+        self, sw: SwitchRecord, view: _View, frontier: deque[Candidate]
     ) -> None:
         for turn in sorted(view.switch_turns):
-            frontier.append(_Candidate(sw.route + (turn,), sw, turn))
-
-    def _record(
-        self, parent: _StSwitch, pturn: int, child: _StSwitch, crel: int
-    ) -> None:
-        """Conflict-checked double-entry wire record (both port views)."""
-        self._set_port(parent, pturn, ("switch", child, crel))
-        self._set_port(child, crel, ("switch", parent, pturn))
-
-    def _set_port(self, sw: _StSwitch, rel: int, entry: tuple) -> None:
-        existing = sw.ports.get(rel)
-        if existing is None:
-            sw.ports[rel] = entry
-            return
-        if existing[0] != entry[0]:
-            raise MappingError(
-                f"switch-{sw.sid} port resolved to two different far "
-                f"ends: {existing[0]} vs {entry[0]}"
-            )
-        if entry[0] == "switch":
-            if existing[1] is not entry[1] or existing[2] != entry[2]:
-                raise MappingError(
-                    f"switch-{sw.sid} port resolved to two different "
-                    f"far switches"
-                )
-        elif existing[1] != entry[1]:
-            raise MappingError(
-                f"switch-{sw.sid} port resolved to two different hosts"
-            )
-
-    # ------------------------------------------------------------------
-    # map assembly
-    # ------------------------------------------------------------------
-    def _build(self) -> Network:
-        net = Network(default_radix=self._radix)
-        live = self._switches
-        names = {s.sid: f"switch-{s.sid}" for s in live}
-        offsets: dict[int, int] = {}
-        for sw in live:
-            used = sorted(sw.ports)
-            if used[-1] - used[0] >= self._radix:
-                raise MappingError(
-                    f"{names[sw.sid]} spans more ports than the radix"
-                )
-            offsets[sw.sid] = -used[0]
-            net.add_switch(names[sw.sid], radix=self._radix)
-        for host in self._hosts:
-            net.add_host(host)
-        seen: set[frozenset] = set()
-        for sw in live:
-            for rel in sorted(sw.ports):
-                entry = sw.ports[rel]
-                port = rel + offsets[sw.sid]
-                if entry[0] == "host":
-                    end_a = (names[sw.sid], port)
-                    end_b = (entry[1], 0)
-                else:
-                    far, frel = entry[1], entry[2]
-                    end_a = (names[sw.sid], port)
-                    end_b = (names[far.sid], frel + offsets[far.sid])
-                key = frozenset((end_a, end_b))
-                if key in seen:
-                    continue
-                seen.add(key)
-                net.connect(end_a[0], end_a[1], end_b[0], end_b[1])
-        return net
+            frontier.append(Candidate(sw.route + (turn,), sw, turn))

@@ -418,11 +418,15 @@ class Network:
         return dup
 
     def induced_subnetwork(self, keep: Iterable[str]) -> "Network":
-        """The subnetwork induced on ``keep`` (wires with both ends kept)."""
+        """The subnetwork induced on ``keep`` (wires with both ends kept),
+        nodes and wires in this network's order."""
         keep_set = set(keep)
+        for name in keep_set.difference(self._nodes):
+            self._info(name)  # raises: no such node
         sub = Network(default_radix=self._default_radix)
-        for name in keep_set:
-            info = self._info(name)
+        for name, info in self._nodes.items():
+            if name not in keep_set:
+                continue
             if info.kind is NodeKind.HOST:
                 sub.add_host(name, **info.meta)
             else:

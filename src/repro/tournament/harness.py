@@ -1,13 +1,12 @@
 """The mapper tournament: every registered algorithm, raced.
 
 One cell = (mapper, topology family, collision model): build the family's
-network, build the probe-service stack the mapper's registry spec asks
-for, run ``map()``, verify the produced map against the actual core, and
-record probe count, simulated time, exploration/merge counts and
-wall-clock. A second sweep scores *chaos robustness*: each mapper drives
-the remapper daemon through a small pinned fault schedule (quiet /
-single-cut / cut-then-heal on the 6-switch ring) under the full oracle
-battery of :mod:`repro.chaos`.
+network, run one :func:`~repro.core.remapper.map_cycle` on it, verify the
+produced map against the actual core, and record probe count, simulated
+time, exploration/merge counts and wall-clock. A second sweep scores
+*chaos robustness*: each mapper drives the remapper daemon through a
+small pinned fault schedule (quiet / single-cut / cut-then-heal on the
+6-switch ring) under the full oracle battery of :mod:`repro.chaos`.
 
 Everything except wall-clock is deterministic, so the committed
 ``benchmarks/BENCH_tournament.json`` doubles as a regression gate:
@@ -23,13 +22,10 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping
 
-from repro.core.mapper_protocol import (
-    build_mapper_service,
-    get_mapper_spec,
-    mapper_names,
-)
+from repro.core.mapper_protocol import mapper_names
+from repro.core.remapper import map_cycle
 from repro.simulator.collision import CircuitModel, CollisionModel, CutThroughModel
-from repro.topology.analysis import core_network, recommended_search_depth
+from repro.topology.analysis import core_network
 from repro.topology.isomorphism import match_networks
 from repro.tournament.families import (
     FAMILIES,
@@ -55,11 +51,6 @@ COLLISIONS: dict[str, Callable[[], CollisionModel]] = {
     "circuit": CircuitModel,
     "cut-through": lambda: CutThroughModel(slack_hops=1),
 }
-
-#: Driver-wide constructor defaults, filtered per-algorithm through
-#: :meth:`~repro.core.mapper_protocol.MapperSpec.accepted_kwargs`.
-_DRIVER_KWARGS: dict[str, Any] = {"host_first": False, "max_explorations": 50_000}
-
 
 @dataclass(frozen=True)
 class TournamentCell:
@@ -210,16 +201,17 @@ class TournamentReport:
 
 
 def _run_cell(mapper: str, family: Family, collision: str) -> TournamentCell:
-    spec = get_mapper_spec(mapper)
     net = family.build()
     host = family.mapper_host or sorted(net.hosts)[0]
-    depth = family.search_depth or recommended_search_depth(net, host)
-    svc = build_mapper_service(
-        spec, net, host, collision=COLLISIONS[collision]()
-    )
-    kwargs = spec.accepted_kwargs(_DRIVER_KWARGS)
     start = time.perf_counter()
-    result = spec.create(svc, search_depth=depth, **kwargs).map()
+    result, _ = map_cycle(
+        net,
+        host,
+        mapper=mapper,
+        search_depth=family.search_depth,
+        max_explorations=50_000,
+        collision=COLLISIONS[collision](),
+    )
     wall_ms = (time.perf_counter() - start) * 1e3
     report = match_networks(result.network, core_network(net))
     return TournamentCell(

@@ -90,6 +90,36 @@ def test_maps_full_now_isomorphically(name, now_results):
 
 
 @pytest.mark.parametrize("name", ALL_MAPPERS)
+def test_maps_a_pendant_region_to_n_minus_f(name, bridge_net):
+    """``map()`` means ``N - F`` for every mapper: the host-free chain
+    behind the switch-bridge is explored by the breadth-first three (their
+    ``run()`` keeps it) and pruned from the protocol result."""
+    result = _map_once(name, bridge_net, "h0")
+    report = match_networks(result.network, core_network(bridge_net))
+    assert report, f"{name}: {report.reason}"
+    assert result.network.n_switches == 2
+
+
+@pytest.mark.parametrize("name", ALL_MAPPERS)
+def test_survives_a_host_free_dead_end(name):
+    """Killing a ring switch's only host and cutting one of its two ring
+    cables leaves a host-free dead end: ``F`` is non-empty mid-campaign
+    and every oracle must still hold."""
+    from repro.chaos.runner import run_cell
+    from repro.chaos.scenario import Scenario, cut, kill_host
+
+    scenario = Scenario(
+        "dead-end-switch",
+        (kill_host(1, "ring-n003"), cut(1, "ring-s3", 1)),
+        seed=104,
+    )
+    cell = run_cell(
+        scenario, {"kind": "ring", "size": 6}, 0, mapper_factory=name
+    )
+    assert cell.passed, cell.failing
+
+
+@pytest.mark.parametrize("name", ALL_MAPPERS)
 def test_two_runs_are_byte_identical(name):
     net = build_subcluster("C")
 
@@ -101,6 +131,54 @@ def test_two_runs_are_byte_identical(name):
         )
 
     assert digest() == digest()
+
+
+_LABELED_DIGEST = """
+import json
+from repro.core.labeled import LabeledMapper
+from repro.simulator.stack import build_service_stack
+from repro.topology.builder import NetworkBuilder
+from repro.topology.serialize import network_to_dict
+
+b = NetworkBuilder()
+b.switches("s0", "s1")
+b.hosts("h0", "h1", "h2")
+b.attach("h0", "s0", port=3)
+b.attach("h1", "s0", port=1)
+b.attach("h2", "s1", port=3)
+b.link("s0", "s1", port_a=4, port_b=0)
+b.link("s0", "s1", port_a=6, port_b=5)
+result = LabeledMapper(build_service_stack(b.build(), "h0"), search_depth=3).run()
+print(json.dumps(network_to_dict(result.network), sort_keys=True))
+"""
+
+
+def test_labeled_mapper_is_byte_identical_across_processes():
+    """The proof-vehicle mapper is not in the registry but makes the same
+    promise. Its label classes used to be sets of identity-hashed
+    vertices, so which label survived a merge followed memory addresses:
+    on this fabric switch-0/switch-1 swapped in about one process of four.
+    """
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": "0"}
+    digests = {
+        subprocess.run(
+            [sys.executable, "-c", _LABELED_DIGEST],
+            env=env,
+            check=True,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        ).stdout
+        for _ in range(8)
+    }
+    assert len(digests) == 1 and digests.pop().strip()
 
 
 @pytest.mark.parametrize("name", ALL_MAPPERS)

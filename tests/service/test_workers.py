@@ -37,8 +37,12 @@ class TestDaemonAndWorkerAgree:
         [
             ("now-c", ("C-l2-0", 3), [762, 86, 762]),
             ("now-full", ("A-l2-1", 2), [2159, 109, 2159]),
+            # Default k=4: radix-4 switches, so the cycle must tell the
+            # mapper the fabric's radix (it used to assume 8 and die with
+            # "turn 4 outside alphabet [-3, 3]" -> worker-failed).
+            ("fat-tree-3tier", ("clos-core-0", 0), [264, 104, 264]),
         ],
-        ids=["subcluster-c", "full-now"],
+        ids=["subcluster-c", "full-now", "fat-tree-default-k"],
     )
     def test_cold_cut_plug(self, topology, cut, probes):
         tenant = TenantState(TenantSpec(name="t", topology=topology))
