@@ -237,7 +237,10 @@ def _fig5_map() -> tuple[float, dict]:
 
 
 def _routing_pipeline() -> tuple[float, dict]:
+    """Everything ``route_cycle`` does for a map: orient, paths, compile and
+    the Dally–Seitz check (which this used to stop short of)."""
     from repro.routing.compile_routes import compile_route_tables
+    from repro.routing.deadlock import routes_deadlock_free
     from repro.routing.paths import all_pairs_updown_paths, build_phase_graph
     from repro.routing.updown import orient_updown
     from repro.topology.generators import build_full_now
@@ -248,8 +251,13 @@ def _routing_pipeline() -> tuple[float, dict]:
     graph = build_phase_graph(net, ori)
     paths = all_pairs_updown_paths(net, ori, graph=graph)
     tables = compile_route_tables(net, paths, orientation=ori)
+    deadlock_free = routes_deadlock_free(tables)
     elapsed = time.perf_counter() - start
-    return elapsed, {"routes": sum(len(t) for t in tables.values())}
+    assert deadlock_free
+    return elapsed, {
+        "routes": sum(len(t) for t in tables.values()),
+        "deadlock_free": deadlock_free,
+    }
 
 
 MAPPING_SUITE: dict[str, Bench] = {

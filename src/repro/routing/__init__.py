@@ -23,7 +23,7 @@ raw BFS labeling) are relabeled per the paper's heuristic.
 from repro.routing.updown import UpDownOrientation, orient_updown, pick_root
 from repro.routing.paths import RoutingPaths, all_pairs_updown_paths
 from repro.routing.compile_routes import RouteTable, compile_route_tables
-from repro.routing.deadlock import channel_dependency_graph, routes_deadlock_free
+from repro.routing.deadlock import routes_deadlock_free
 from repro.routing.distribute import DistributionReport, distribute_routes
 from repro.routing.incremental import diff_route_tables, distribute_incremental
 from repro.routing.lash import LashRouting, lash_route_tables
@@ -41,7 +41,6 @@ __all__ = [
     "RoutingPaths",
     "UpDownOrientation",
     "all_pairs_updown_paths",
-    "channel_dependency_graph",
     "compile_route_tables",
     "distribute_routes",
     "orient_updown",

@@ -16,25 +16,30 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.routing.paths import RoutingPaths
 from repro.routing.updown import UpDownOrientation
 from repro.simulator.path_eval import Traversal
 from repro.simulator.turns import Turns
-from repro.topology.model import HOST_PORT, Network, PortRef, Wire
+from repro.topology.model import Network
 
 __all__ = [
     "CompiledRoute",
     "RouteTable",
     "WireIndex",
     "build_wire_index",
+    "channel_table",
     "compile_route_tables",
     "path_to_turns",
 ]
 
-#: Parallel-cable candidates per directed node pair, pre-sorted by endpoint
-#: (the deterministic order the seeded RNG draws from).
-WireIndex = dict[tuple[str, str], list[Wire]]
+#: Per directed node pair, the parallel cables between the two nodes as
+#: channels — each the directed wire half leaving the first node — sorted
+#: by wire endpoint (the deterministic order the seeded RNG draws from).
+#: One :class:`Traversal` per wire half: every route of a generation that
+#: crosses the half holds this same frozen object.
+WireIndex = dict[tuple[str, str], list[Traversal]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,50 +71,72 @@ class RouteTable:
 
 
 def build_wire_index(net: Network) -> WireIndex:
-    """Index the wire list by directed node pair (one O(E) pass).
+    """Index the wire list by directed node pair (one O(E log E) pass).
 
-    :func:`compile_route_tables` compiles O(hosts²) routes, and every hop of
-    every route used to rescan ``net.wires_of(u)``; the index makes the scan
-    a dict lookup. Candidates are pre-sorted exactly as the per-hop path
-    sorted them, so the seeded parallel-wire draw is unchanged.
+    :func:`compile_route_tables` compiles O(hosts²) routes; the index makes
+    each hop one dict lookup that already yields the channel object.
     """
     index: WireIndex = {}
-    for wire in net.wires:
-        u, v = wire.nodes
-        if u == v:
+    for wire in sorted(net.wires, key=lambda w: (w.a, w.b)):
+        a, b = wire.a, wire.b
+        if a.node == b.node:
             continue  # self-loop cables never carry a route hop
-        index.setdefault((u, v), []).append(wire)
-        index.setdefault((v, u), []).append(wire)
-    for candidates in index.values():
-        candidates.sort(key=lambda w: (w.a, w.b))
+        index.setdefault((a.node, b.node), []).append(Traversal(a, b))
+        index.setdefault((b.node, a.node), []).append(Traversal(b, a))
     return index
 
 
-def _pick_wire(
-    net: Network,
-    u: str,
-    v: str,
-    orientation: UpDownOrientation | None,
-    rng: random.Random,
-    wire_index: WireIndex | None = None,
-) -> Wire:
-    """A wire between u and v; random among parallel cables (load balance)."""
-    if wire_index is not None:
-        candidates = wire_index.get((u, v), [])
-    else:
-        candidates = sorted(
-            (
-                w
-                for w in net.wires_of(u)
-                if {w.a.node, w.b.node} == {u, v} and w.a.node != w.b.node
-            ),
-            key=lambda w: (w.a, w.b),
-        )
-    if not candidates:
-        raise ValueError(f"no wire between {u} and {v}")
-    if len(candidates) == 1:
-        return candidates[0]
-    return rng.choice(candidates)
+def channel_table(
+    routes: Sequence[CompiledRoute],
+) -> tuple[list[Traversal], list[list[int]]]:
+    """The distinct channels of ``routes`` numbered in first-seen order, and
+    every route as the list of its channels' numbers.
+
+    A :class:`Traversal` shared between routes (as :func:`build_wire_index`
+    and the wire decoder hand them out) resolves by identity; any other
+    resolves by value, so a hand-built or copied route set numbers exactly
+    as its interned equal does. ``routes`` must be a sequence the caller
+    holds for the call: that is what keeps every ``id`` distinct while it
+    is a key.
+    """
+    by_id: dict[int, int] = {}
+    by_value: dict[Traversal, int] = {}
+    channels: list[Traversal] = []
+    numbered: list[list[int]] = []
+    for route in routes:
+        row = []
+        for traversal in route.traversals:
+            number = by_id.get(id(traversal))
+            if number is None:
+                number = by_value.get(traversal)
+                if number is None:
+                    number = by_value[traversal] = len(channels)
+                    channels.append(traversal)
+                by_id[id(traversal)] = number
+            row.append(number)
+        numbered.append(row)
+    return channels, numbered
+
+
+def _compile(
+    node_path: list[str], wire_index: WireIndex, rng: random.Random
+) -> CompiledRoute:
+    """Choose a channel per hop — random among parallel cables, for load
+    balance — and read the turn at each switch off consecutive channels."""
+    channels: list[Traversal] = []
+    turns: list[int] = []
+    hops = iter(node_path)
+    u = next(hops)
+    for v in hops:
+        candidates = wire_index.get((u, v))
+        if not candidates:
+            raise ValueError(f"no wire between {u} and {v}")
+        channel = candidates[0] if len(candidates) == 1 else rng.choice(candidates)
+        if channels:
+            turns.append(channel.src.port - channels[-1].dst.port)
+        channels.append(channel)
+        u = v
+    return CompiledRoute(node_path[0], u, tuple(turns), tuple(channels))
 
 
 def path_to_turns(
@@ -123,24 +150,12 @@ def path_to_turns(
     """Compile a host-to-host node path into a relative-turn source route."""
     if len(node_path) < 2:
         raise ValueError("a route needs at least source and destination")
-    src, dst = node_path[0], node_path[-1]
-    if not (net.is_host(src) and net.is_host(dst)):
+    if not (net.is_host(node_path[0]) and net.is_host(node_path[-1])):
         raise ValueError("routes run between hosts")
-    rng = rng or random.Random(0)
-
-    traversals: list[Traversal] = []
-    for u, v in zip(node_path, node_path[1:]):
-        wire = _pick_wire(net, u, v, orientation, rng, wire_index)
-        end_u = wire.a if wire.a.node == u else wire.b
-        traversals.append(Traversal(end_u, wire.other_end(end_u)))
-
-    turns: list[int] = []
-    for incoming, outgoing in zip(traversals, traversals[1:]):
-        in_port = incoming.dst.port
-        out_port = outgoing.src.port
-        turns.append(out_port - in_port)
-    return CompiledRoute(
-        src=src, dst=dst, turns=tuple(turns), traversals=tuple(traversals)
+    return _compile(
+        node_path,
+        build_wire_index(net) if wire_index is None else wire_index,
+        rng or random.Random(0),
     )
 
 
@@ -154,15 +169,9 @@ def compile_route_tables(
     """Route tables for every host pair with a compliant path."""
     rng = random.Random(seed)
     wire_index = build_wire_index(net)
-    tables: dict[str, RouteTable] = {h: RouteTable(h) for h in sorted(net.hosts)}
-    for src in sorted(net.hosts):
-        for dst in sorted(net.hosts):
-            if src == dst:
-                continue
-            node_path = paths.node_path(src, dst)
-            if node_path is None:
-                continue
-            tables[src].routes[dst] = path_to_turns(
-                net, node_path, orientation=orientation, rng=rng, wire_index=wire_index
-            )
+    hosts = sorted(net.hosts)
+    tables: dict[str, RouteTable] = {h: RouteTable(h) for h in hosts}
+    for src, dst, node_path in paths.node_paths(hosts, hosts):
+        if src != dst:
+            tables[src].routes[dst] = _compile(node_path, wire_index, rng)
     return tables

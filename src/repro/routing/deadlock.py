@@ -9,35 +9,27 @@ descent in the label order), and the test suite verifies that theorem holds
 for every orientation we produce; this module provides the *checker*, which
 also works on arbitrary route sets (e.g. to show that unrestricted shortest
 paths on a cyclic topology are NOT deadlock-free — the motivating contrast).
+
+A fabric has few channels (two per wire) and many routes, so the graph is
+kept as one small successor set per *numbered* channel
+(:func:`~repro.routing.compile_routes.channel_table`): every consecutive
+pair of every route is still visited, as two integers.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-import networkx as nx
-
-from repro.routing.compile_routes import CompiledRoute, RouteTable
+from repro.routing.compile_routes import CompiledRoute, RouteTable, channel_table
 
 __all__ = [
-    "channel_dependency_graph",
     "dependency_cycle",
     "routes_deadlock_free",
 ]
 
 Channel = tuple  # (PortRef src, PortRef dst)
 
-
-def channel_dependency_graph(routes: Iterable[CompiledRoute]) -> nx.DiGraph:
-    """Build the Dally–Seitz channel dependency graph of a route set."""
-    g = nx.DiGraph()
-    for route in routes:
-        trs = route.traversals
-        for a, b in zip(trs, trs[1:]):
-            ch_a: Channel = (a.src, a.dst)
-            ch_b: Channel = (b.src, b.dst)
-            g.add_edge(ch_a, ch_b)
-    return g
+_UNSEEN, _OPEN, _DONE = 0, 1, 2
 
 
 def routes_deadlock_free(
@@ -51,13 +43,37 @@ def dependency_cycle(
     tables: dict[str, RouteTable] | Iterable[CompiledRoute],
 ) -> list[Channel] | None:
     """A witness dependency cycle, or None when the routes are safe."""
-    routes = _flatten(tables)
-    g = channel_dependency_graph(routes)
-    try:
-        cycle_edges = nx.find_cycle(g)
-    except nx.NetworkXNoCycle:
-        return None
-    return [edge[0] for edge in cycle_edges]
+    channels, numbered = channel_table(_flatten(tables))
+    successors: list[set[int]] = [set() for _ in channels]
+    for row in numbered:
+        for held, wanted in zip(row, row[1:]):
+            successors[held].add(wanted)
+
+    # Iterative three-colour depth-first search: an arc into a channel
+    # that is still open closes a cycle through the open chain.
+    colour = [_UNSEEN] * len(channels)
+    for root in range(len(channels)):
+        if colour[root] != _UNSEEN:
+            continue
+        colour[root] = _OPEN
+        chain = [root]
+        pending = [iter(successors[root])]
+        while chain:
+            for wanted in pending[-1]:
+                if colour[wanted] == _OPEN:
+                    return [
+                        (channels[c].src, channels[c].dst)
+                        for c in chain[chain.index(wanted):]
+                    ]
+                if colour[wanted] == _UNSEEN:
+                    colour[wanted] = _OPEN
+                    chain.append(wanted)
+                    pending.append(iter(successors[wanted]))
+                    break
+            else:
+                colour[chain.pop()] = _DONE
+                pending.pop()
+    return None
 
 
 def _flatten(

@@ -32,8 +32,12 @@ from dataclasses import dataclass, field
 
 import networkx as nx
 
-from repro.routing.compile_routes import CompiledRoute, RouteTable, path_to_turns
-from repro.routing.deadlock import channel_dependency_graph
+from repro.routing.compile_routes import (
+    CompiledRoute,
+    RouteTable,
+    build_wire_index,
+    path_to_turns,
+)
 from repro.topology.model import Network
 
 __all__ = ["LashRouting", "lash_route_tables"]
@@ -77,6 +81,7 @@ def lash_route_tables(
     rng.shuffle(pairs)
 
     sp = dict(nx.all_pairs_shortest_path(g))
+    wire_index = build_wire_index(net)
     tables: dict[str, RouteTable] = {h: RouteTable(h) for h in hosts}
     layer_of: dict[tuple[str, str], int] = {}
     # Per-layer dependency graphs, extended incrementally.
@@ -84,7 +89,7 @@ def lash_route_tables(
 
     for src, dst in pairs:
         node_path = sp[src][dst]
-        route = path_to_turns(net, node_path, rng=rng)
+        route = path_to_turns(net, node_path, rng=rng, wire_index=wire_index)
         deps = list(_dependencies(route))
         placed = False
         for layer_idx, cdg in enumerate(layer_cdg):

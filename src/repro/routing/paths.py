@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -119,26 +120,50 @@ class RoutingPaths:
 
     def node_path(self, src: str, dst: str) -> list[str] | None:
         """The node sequence of one shortest compliant path."""
-        n = len(self.nodes)
-        s = self.index[src]
-        d_up, d_down = self.index[dst], self.index[dst] + n
-        target = d_up if self.dist[s, d_up] <= self.dist[s, d_down] else d_down
-        if self.dist[s, target] >= _INF:
-            return None
-        path = [src]
-        state = s
-        guard = 0
-        while state != target:
-            state = int(self.succ[state, target])
-            if state < 0:
-                return None  # defensive: broken successor chain
-            node = self.nodes[state % n]
-            if node != path[-1]:  # the free UP->DOWN hop stays in place
-                path.append(node)
-            guard += 1
-            if guard > 2 * n + 2:
-                raise RuntimeError("successor chain did not converge")
-        return path
+        for _, _, path in self.node_paths([src], [dst]):
+            return path
+        return None
+
+    def node_paths(
+        self, sources: Sequence[str], targets: Sequence[str]
+    ) -> Iterator[tuple[str, str, list[str]]]:
+        """``(src, dst, node path)`` for every pair joined by a compliant
+        path, source-major in the orders given.
+
+        The distance row of each source and the successor column of each
+        target state are read out as plain lists once, so walking a whole
+        generation of routes pays no per-step numpy scalar read.
+        """
+        nodes = self.nodes
+        n = len(nodes)
+        ups = [self.index[t] for t in targets]
+        succ_up = self.succ[:, ups].T.tolist()
+        succ_down = self.succ[:, [d + n for d in ups]].T.tolist()
+        for src in sources:
+            s = self.index[src]  # start in the UP phase
+            row = self.dist[s].tolist()
+            for j, dst in enumerate(targets):
+                target, column = ups[j], succ_up[j]
+                if row[target + n] < row[target]:
+                    target, column = target + n, succ_down[j]
+                if row[target] >= _INF:
+                    continue
+                path = [src]
+                state = last = s
+                steps = 0
+                while state != target:
+                    state = column[state]
+                    if state < 0:
+                        break  # defensive: broken successor chain
+                    node = state - n if state >= n else state
+                    if node != last:  # the free UP->DOWN hop stays in place
+                        path.append(nodes[node])
+                        last = node
+                    steps += 1
+                    if steps > 2 * n + 2:
+                        raise RuntimeError("successor chain did not converge")
+                else:
+                    yield src, dst, path
 
 
 def all_pairs_updown_paths(

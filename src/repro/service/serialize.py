@@ -20,7 +20,7 @@ from typing import Any, Mapping
 
 from repro.core.instrumentation import PhaseProfile
 from repro.core.mapper import GrowthSample, MapResult
-from repro.routing.compile_routes import CompiledRoute, RouteTable
+from repro.routing.compile_routes import CompiledRoute, RouteTable, channel_table
 from repro.simulator.path_eval import Traversal
 from repro.simulator.probes import ProbeStats
 from repro.topology.model import PortRef
@@ -41,7 +41,7 @@ __all__ = [
 
 #: Version stamp of every document this module emits; bump on any shape
 #: change so a mixed-version server/worker pair fails loudly, not subtly.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class SerializationError(ValueError):
@@ -91,24 +91,6 @@ def _port_ref(value: Any, kind: str) -> PortRef:
     ):
         raise SerializationError(f"{kind}: malformed port ref {value!r}")
     return PortRef(value[0], value[1])
-
-
-def _traversals(value: Any, kind: str) -> tuple[Traversal, ...]:
-    if not isinstance(value, list):
-        raise SerializationError(f"{kind}: traversals is not a list")
-    out = []
-    for item in value:
-        if not isinstance(item, list) or len(item) != 2:
-            raise SerializationError(f"{kind}: malformed traversal {item!r}")
-        out.append(Traversal(_port_ref(item[0], kind), _port_ref(item[1], kind)))
-    return tuple(out)
-
-
-def _traversals_doc(traversals: tuple[Traversal, ...]) -> list:
-    return [
-        [[t.src.node, t.src.port], [t.dst.node, t.dst.port]]
-        for t in traversals
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -244,56 +226,129 @@ def map_result_from_dict(data: Any) -> MapResult:
 # RouteTable
 # ---------------------------------------------------------------------------
 
+# A route-table document lists each distinct channel (directed wire half)
+# once, as ``[[node, port], [node, port]]``, and a route names its channels
+# by position in that list. A ``route-tables`` document keeps one list for
+# the whole generation; the tables nested in it carry none of their own.
+
+def _encode_tables(tables: list[RouteTable]) -> tuple[list, list[dict]]:
+    """The channel list ``tables`` share, and each table's document
+    (still without a channel list) referring into it."""
+    ordered = [sorted(table.routes.items()) for table in tables]
+    channels, numbered = channel_table(
+        [route for items in ordered for _, route in items]
+    )
+    rows = iter(numbered)
+    docs = [
+        {
+            "kind": "route-table",
+            "version": FORMAT_VERSION,
+            "host": table.host,
+            "routes": {
+                dst: {"turns": list(route.turns), "channels": next(rows)}
+                for dst, route in items
+            },
+        }
+        for table, items in zip(tables, ordered)
+    ]
+    return [
+        [[c.src.node, c.src.port], [c.dst.node, c.dst.port]] for c in channels
+    ], docs
+
+
+def _channels(value: Any, kind: str) -> tuple[list[Traversal], list[tuple]]:
+    """Validate and build every channel once: the shared objects, and their
+    ``(src node, src port, dst node, dst port)`` for the per-hop checks."""
+    if not isinstance(value, list):
+        raise SerializationError(f"{kind}: channels is not a list")
+    channels = []
+    for item in value:
+        if not isinstance(item, list) or len(item) != 2:
+            raise SerializationError(f"{kind}: malformed channel {item!r}")
+        channels.append(Traversal(_port_ref(item[0], kind), _port_ref(item[1], kind)))
+    return channels, [
+        (c.src.node, c.src.port, c.dst.node, c.dst.port) for c in channels
+    ]
+
+
+def _route(
+    doc: Any, host: str, dst: str, channels: list[Traversal], ends: list[tuple]
+) -> CompiledRoute:
+    """One route, refused unless its turns and channels tell one story:
+    the channels chain from ``host`` to ``dst`` and every turn is the out
+    port minus the in port at the switch where two of them meet."""
+    kind = "route-table"
+    where = f"route {host!r} -> {dst!r}"
+    if not isinstance(doc, dict):
+        raise SerializationError(f"{kind}: {where} is not an object")
+    turns = _turns(doc.get("turns"), kind, where)
+    numbers = doc.get("channels")
+    if not isinstance(numbers, list):
+        raise SerializationError(f"{kind}: {where}: channels is not a list")
+    for number in numbers:
+        if type(number) is not int or not 0 <= number < len(channels):
+            raise SerializationError(
+                f"{kind}: {where}: malformed channel index {number!r}"
+            )
+    if len(numbers) != len(turns) + 1:
+        raise SerializationError(
+            f"{kind}: {where}: {len(turns)} turns over {len(numbers)} channels"
+        )
+    src_node, _, node, in_port = ends[numbers[0]]
+    if src_node != host:
+        raise SerializationError(f"{kind}: {where}: first channel leaves {src_node!r}")
+    for turn, number in zip(turns, numbers[1:]):
+        src_node, out_port, next_node, next_port = ends[number]
+        if src_node != node or out_port - in_port != turn:
+            raise SerializationError(
+                f"{kind}: {where}: turns and channels disagree at {node!r}"
+            )
+        node, in_port = next_node, next_port
+    if node != dst:
+        raise SerializationError(f"{kind}: {where}: last channel enters {node!r}")
+    return CompiledRoute(host, dst, turns, tuple([channels[n] for n in numbers]))
+
+
+def _table(data: dict, channels: list[Traversal], ends: list[tuple]) -> RouteTable:
+    kind = "route-table"
+    host = _field(data, kind, "host", str)
+    table = RouteTable(host=host)
+    for dst, doc in _field(data, kind, "routes", dict).items():
+        table.routes[dst] = _route(doc, host, dst, channels, ends)
+    return table
+
+
 def route_table_to_dict(table: RouteTable) -> dict:
-    return {
-        "kind": "route-table",
-        "version": FORMAT_VERSION,
-        "host": table.host,
-        "routes": {
-            dst: {
-                "turns": list(route.turns),
-                "traversals": _traversals_doc(route.traversals),
-            }
-            for dst, route in sorted(table.routes.items())
-        },
-    }
+    channels, (doc,) = _encode_tables([table])
+    doc["channels"] = channels
+    return doc
 
 
 def route_table_from_dict(data: Any) -> RouteTable:
     kind = "route-table"
     data = require_kind(data, kind)
-    host = _field(data, kind, "host", str)
-    table = RouteTable(host=host)
-    for dst, doc in _field(data, kind, "routes", dict).items():
-        if not isinstance(doc, dict):
-            raise SerializationError(f"{kind}: route to {dst!r} is not an object")
-        table.routes[dst] = CompiledRoute(
-            src=host,
-            dst=dst,
-            turns=_turns(doc.get("turns"), kind, f"route to {dst!r}"),
-            traversals=_traversals(doc.get("traversals"), kind),
-        )
-    return table
+    return _table(data, *_channels(data.get("channels"), kind))
 
 
 def route_tables_to_dict(tables: Mapping[str, RouteTable]) -> dict:
     """A whole generation of tables, keyed by source host."""
+    hosts = sorted(tables)
+    channels, docs = _encode_tables([tables[host] for host in hosts])
     return {
         "kind": "route-tables",
         "version": FORMAT_VERSION,
-        "tables": {
-            host: route_table_to_dict(table)
-            for host, table in sorted(tables.items())
-        },
+        "channels": channels,
+        "tables": dict(zip(hosts, docs)),
     }
 
 
 def route_tables_from_dict(data: Any) -> dict[str, RouteTable]:
     kind = "route-tables"
     data = require_kind(data, kind)
+    channels, ends = _channels(data.get("channels"), kind)
     out: dict[str, RouteTable] = {}
     for host, doc in _field(data, kind, "tables", dict).items():
-        table = route_table_from_dict(doc)
+        table = _table(require_kind(doc, "route-table"), channels, ends)
         if table.host != host:
             raise SerializationError(
                 f"{kind}: table keyed {host!r} claims host {table.host!r}"

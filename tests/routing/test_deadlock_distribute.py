@@ -3,17 +3,14 @@
 import pytest
 
 from repro.routing.compile_routes import CompiledRoute, compile_route_tables
-from repro.routing.deadlock import (
-    channel_dependency_graph,
-    dependency_cycle,
-    routes_deadlock_free,
-)
+from repro.routing.deadlock import dependency_cycle, routes_deadlock_free
 from repro.routing.distribute import distribute_routes
 from repro.routing.paths import all_pairs_updown_paths
 from repro.routing.updown import orient_updown
 from repro.simulator.path_eval import Traversal
 from repro.topology.generators import build_hypercube, build_ring, build_torus
 from repro.topology.model import PortRef
+from tests.routing.reference_deadlock import channel_dependency_graph
 
 
 def _updown_tables(net):

@@ -4,7 +4,7 @@ import networkx as nx
 import pytest
 
 from repro.routing.compile_routes import compile_route_tables
-from repro.routing.deadlock import channel_dependency_graph, routes_deadlock_free
+from repro.routing.deadlock import routes_deadlock_free
 from repro.routing.lash import lash_route_tables
 from repro.routing.paths import all_pairs_updown_paths
 from repro.routing.quality import analyze_routes

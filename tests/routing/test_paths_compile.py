@@ -117,6 +117,23 @@ class TestCompilation:
             for d in a[h].routes
         )
 
+    @pytest.mark.parametrize("fixture", ["ring_net", "two_switch_net"])
+    def test_routes_share_one_object_per_channel(self, fixture, request):
+        """A channel is a directed wire half: however many routes cross it,
+        a generation holds it once. And each route still follows the node
+        path ``RoutingPaths.node_path`` gives for its pair."""
+        net = request.getfixturevalue(fixture)
+        ori = orient_updown(net)
+        paths = all_pairs_updown_paths(net, ori)
+        tables = compile_route_tables(net, paths, orientation=ori, seed=3)
+        routes = [r for table in tables.values() for r in table.routes.values()]
+        held = [t for route in routes for t in route.traversals]
+        assert len({id(t) for t in held}) == len(set(held)) <= 2 * len(net.wires)
+        assert len(set(held)) < len(held)
+        for route in routes:
+            nodes = [route.src] + [t.dst.node for t in route.traversals]
+            assert nodes == paths.node_path(route.src, route.dst)
+
     def test_route_table_len(self, ring_net):
         ori = orient_updown(ring_net)
         paths = all_pairs_updown_paths(ring_net, ori)

@@ -124,6 +124,24 @@ class TestRouteTableRoundTrip:
         assert route_tables_to_dict(back) == doc
         assert set(back) == set(mapped_tables)
 
+    def test_a_decoded_generation_shares_one_object_per_channel(
+        self, mapped_c, mapped_tables
+    ):
+        """The document lists each channel once and the decoder builds it
+        once: every route crossing a wire half holds the same object."""
+        doc = _json_round_trip(route_tables_to_dict(mapped_tables))
+        back = route_tables_from_dict(doc)
+        held = [
+            t
+            for table in back.values()
+            for route in table.routes.values()
+            for t in route.traversals
+        ]
+        assert len(set(held)) == len({id(t) for t in held}) == len(doc["channels"])
+        assert len(doc["channels"]) <= 2 * len(mapped_c.network.wires) < len(held)
+        single = route_table_to_dict(sorted(mapped_tables.values(), key=lambda t: t.host)[0])
+        assert len(single["channels"]) < len(doc["channels"])
+
 
 class TestMalformedRejection:
     """Every decoder refuses payloads that don't describe what they claim."""
@@ -190,8 +208,7 @@ class TestMalformedRejection:
 
     def test_malformed_traversal_endpoint_is_rejected(self, mapped_tables):
         doc = route_table_to_dict(sorted(mapped_tables.values(), key=lambda t: t.host)[0])
-        dst = sorted(doc["routes"])[0]
-        doc["routes"][dst]["traversals"] = [[["s0", 0], ["s1"]]]
+        doc["channels"][0] = [["s0", 0], ["s1"]]
         with pytest.raises(SerializationError, match="port ref"):
             route_table_from_dict(doc)
 
@@ -204,3 +221,65 @@ class TestMalformedRejection:
         )
         with pytest.raises(SerializationError, match="claims host"):
             route_tables_from_dict(doc)
+
+    def test_version_1_documents_are_refused(self, mapped_tables):
+        doc = route_tables_to_dict(mapped_tables)
+        doc["version"] = 1
+        with pytest.raises(SerializationError, match="unsupported version 1"):
+            route_tables_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "doctor, complaint",
+        [
+            (lambda d: d.update(channels={"0": []}), "channels is not a list"),
+            (lambda d: d["channels"].__setitem__(1, [["a", 0]]), "malformed channel"),
+            (lambda d: d["routes"]["h1"].pop("channels"), "channels is not a list"),
+            (lambda d: d["routes"]["h1"].update(channels=[0, 1, 9]), "channel index 9"),
+            (lambda d: d["routes"]["h1"].update(channels=[0, -1, 2]), "channel index -1"),
+            (lambda d: d["routes"]["h1"].update(channels=[0, True, 2]), "channel index True"),
+            (lambda d: d["routes"]["h1"].update(channels=[0, 1.0, 2]), "channel index 1.0"),
+            (lambda d: d["routes"]["h1"].update(channels=[0, "1", 2]), "channel index '1'"),
+            # Turns and channels must tell one story.
+            (lambda d: d["routes"]["h1"].update(turns=[7, 7, 7], channels=[]),
+             "3 turns over 0 channels"),
+            (lambda d: d["routes"]["h1"].update(turns=[]), "0 turns over 3 channels"),
+            (lambda d: d["routes"]["h1"].update(channels=[0, 3, 2]), "disagree at 'a'"),
+            (lambda d: d["routes"]["h1"].update(turns=[2, 2]), "disagree at 'a'"),
+            (lambda d: d["routes"]["h1"].update(turns=[3, 1]), "disagree at 'b'"),
+            (lambda d: d["routes"]["h1"].update(turns=[3], channels=[1, 2]),
+             "first channel leaves 'a'"),
+            (lambda d: d["routes"]["h1"].update(turns=[3], channels=[0, 1]),
+             "last channel enters 'b'"),
+        ],
+    )
+    def test_route_whose_turns_and_channels_disagree_is_rejected(
+        self, doctor, complaint
+    ):
+        """h0 -> a (in 0, out 3) -> b (in 1, out 3) -> h1, plus a stray
+        channel that meets nothing. Undoctored, the document decodes."""
+        doc = {
+            "kind": "route-table",
+            "version": 2,
+            "host": "h0",
+            "channels": [
+                [["h0", 0], ["a", 0]],
+                [["a", 3], ["b", 1]],
+                [["b", 3], ["h1", 0]],
+                [["zzz", 5], ["q", 2]],
+            ],
+            "routes": {"h1": {"turns": [3, 2], "channels": [0, 1, 2]}},
+        }
+        route = route_table_from_dict(doc).routes["h1"]
+        assert route.turns == (3, 2) and route.hops == 3
+        doctor(doc)
+        with pytest.raises(SerializationError, match=complaint):
+            route_table_from_dict(doc)
+        with pytest.raises(SerializationError, match=complaint):
+            route_tables_from_dict(
+                {
+                    "kind": "route-tables",
+                    "version": 2,
+                    "channels": doc.get("channels"),
+                    "tables": {"h0": doc},
+                }
+            )

@@ -343,6 +343,15 @@ class TestFailureSemantics:
             pytest.param(
                 lambda o: o.update(net_epoch="latest"), id="net-epoch-not-an-int"
             ),
+            pytest.param(
+                lambda o: next(
+                    route["turns"]
+                    for table in o["tables"]["tables"].values()
+                    for route in table["routes"].values()
+                    if route["turns"]
+                ).append(0),
+                id="route-turns-disagree-with-its-channels",
+            ),
         ],
     )
     def test_malformed_ok_outcome_leaves_the_tenant_untouched(self, doctor):

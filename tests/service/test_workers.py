@@ -10,6 +10,8 @@ code; the worker never raises for one.
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.core.remapper import RemapperDaemon
@@ -78,6 +80,30 @@ class TestDaemonAndWorkerAgree:
             fallbacks.append(cycle.seed_fallback)
         assert fallbacks[:2] == [None, None]
         assert "connectivity was added" in fallbacks[2]
+
+
+class TestOutcomeCarriesEachChannelOnce:
+    def test_full_now_outcome_size_and_sharing(self):
+        """What crosses the pool is pickled, unpickled and decoded on the
+        event loop: 9 900 routes refer to 332 channels by number (1.79 MB
+        when every hop spelled its two port refs out), and the adopted
+        generation holds those 332 objects, not 60 600."""
+        tenant = TenantState(TenantSpec(name="t", topology="now-full"))
+        outcome = run_map_job(tenant.job_payload())
+        assert outcome["n_routes"] == 9900
+        assert len(pickle.dumps(outcome)) < 700_000
+        doc = outcome["tables"]
+        assert len(doc["channels"]) == 332
+        tables = route_tables_from_dict(pickle.loads(pickle.dumps(doc)))
+        assert route_tables_to_dict(tables) == doc
+        held = [
+            t
+            for table in tables.values()
+            for route in table.routes.values()
+            for t in route.traversals
+        ]
+        assert len(held) == 60_600
+        assert len({id(t) for t in held}) == 332 <= 2 * len(tenant.net.wires)
 
 
 class TestPlanTimeFallbackIsReported:

@@ -233,6 +233,21 @@ class TestCommittedBaselines:
         assert entry["extra"] == {"q_values": 140, "search_depth": 16}
         assert entry["median_us"] < 100_000
 
+    def test_mapping_baseline_routes_through_the_deadlock_check(self, harness):
+        """``routing_pipeline_full_now`` is everything ``route_cycle`` does
+        for a map. It used to stop before ``routes_deadlock_free``, so its
+        204 ms hid the 305 ms check behind it; the committed entry now
+        carries the verdict, and the whole pipeline sits below what the
+        first four stages alone took."""
+        doc = json.loads(
+            (REPO_ROOT / "benchmarks" / "BENCH_mapping.json").read_text()
+        )
+        entry = doc["benchmarks"]["routing_pipeline_full_now"]
+        assert entry["extra"] == {"routes": 9900, "deadlock_free": True}
+        assert entry["median_us"] < 204_000
+        _, extra = harness.MAPPING_SUITE["routing_pipeline_full_now"]()
+        assert extra == entry["extra"]
+
     def test_scale_baseline_covers_every_tier(self):
         doc = json.loads(
             (REPO_ROOT / "benchmarks" / "BENCH_scale.json").read_text()
