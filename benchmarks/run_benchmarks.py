@@ -46,6 +46,7 @@ Baselines are committed; refresh them (see docs/PERFORMANCE.md) with::
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import statistics
 import sys
@@ -287,22 +288,35 @@ def _scale_map(k: int, hosts_per_edge: int | None = None) -> tuple[float, dict]:
     from repro.topology.isomorphism import match_networks
 
     net = build_three_tier_fat_tree(k, hosts_per_edge=hosts_per_edge)
+    # A dropped trie is cyclic garbage (child -> parent -> children): left
+    # alone, the previous sample's would be reclaimed inside this one.
+    gc.collect()
     start = time.perf_counter()
     svc = build_service_stack(net, net.hosts[0])
-    result = create_mapper(
+    mapper = create_mapper(
         "berkeley", svc, radix=k, search_depth=6, host_first=False
-    ).map()
+    )
+    map_start = time.perf_counter()
+    result = mapper.map()
+    map_seconds = time.perf_counter() - map_start
     report = match_networks(result.network, net)
     elapsed = time.perf_counter() - start
     assert report.isomorphic, report.reason
     n_switches, n_hosts = three_tier_counts(k, hosts_per_edge)
     assert result.network.n_switches == n_switches
+    cache = svc.eval_cache_stats
     return elapsed, {
         "switches": n_switches,
         "hosts": n_hosts,
         "probes": result.stats.total_probes,
         "explorations": result.explorations,
         "merges": result.merges,
+        # Why a tier costs what it costs per probe: the map-only time of
+        # one probe, the trie it left behind, and how often the node
+        # backstop flushed that trie on the way.
+        "us_per_probe": round(map_seconds * 1e6 / result.stats.total_probes, 2),
+        "cache_nodes": cache.nodes,
+        "cache_invalidations": cache.invalidations,
     }
 
 

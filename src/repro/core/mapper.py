@@ -681,7 +681,10 @@ class BerkeleyMapper:
     ) -> None:
         """Record wire-end ``(w, wi)`` at index ``ui`` of ``u``, keeping the
         multi-end counter exact (the add may be a set-semantics no-op)."""
-        ends = u.nbrs.setdefault(ui, set())
+        ends = u.nbrs.get(ui)
+        if ends is None:
+            u.nbrs[ui] = {(w, wi)}
+            return
         before = len(ends)
         ends.add((w, wi))
         if len(ends) > 1:
@@ -752,8 +755,12 @@ class BerkeleyMapper:
         for i, ends in moved:
             new_i = i + shift
             # Deterministic order: set iteration follows id()-based hashes,
-            # which vary run to run; merge order must not.
-            for (w, wi) in sorted(ends, key=lambda e: (e[0].vid, e[1])):
+            # which vary run to run; merge order must not. (The common
+            # single end has only one order.)
+            ordered = (
+                sorted(ends, key=lambda e: (e[0].vid, e[1])) if len(ends) > 1 else ends
+            )
+            for (w, wi) in ordered:
                 w = self._find(w)
                 if w is absorb:
                     # Loopback wire inside the absorbed vertex; its far end

@@ -26,7 +26,6 @@ from repro.topology.model import HOST_PORT, Network, PortRef
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.simulator.collision import CollisionModel
-    from repro.simulator.faults import FaultModel
 
 __all__ = [
     "EvalCacheStats",
@@ -203,82 +202,86 @@ class EvalCacheStats:
         return self.hits / total if total else 0.0
 
 
-@dataclass(frozen=True, slots=True)
-class ProbeInfo:
-    """The slice of a path evaluation the probe hot path actually needs.
 
-    Unlike :class:`PathResult` this carries no node list and shares its
-    traversal tuple with the evaluator's trie, so constructing one is O(1).
-    ``blocked`` is the collision model's verdict (index of the first
-    self-blocking traversal) and is only meaningful when ``ok``.
+class _Hop:
+    """One directed wire half, read from the network once per trie generation.
+
+    The evaluator's hop table holds one record per source end ``(node,
+    out_port)``; every trie node whose step crosses that half points at the
+    same record, so the far end, its kind and radix, and the forward and
+    reverse :class:`Traversal` exist once however many cached walks (and
+    :class:`ProbeInfo` tuples) cross the wire. ``dep`` is the two wire ends
+    the crossing read; ``cid`` / ``rcid`` are small ints naming this
+    channel and its reverse — an id stands for a *source end* and is never
+    handed to another, and a source end has one wire at a time, so within
+    one walk equal ids mean the same directed channel.
     """
 
-    status: PathStatus
-    hops: int
-    delivered_to: str | None
-    blocked: int | None
-    traversals: tuple[Traversal, ...]
+    __slots__ = ("dst", "dst_is_host", "dst_radix", "fwd", "rev", "dep", "cid", "rcid")
 
-    @property
-    def ok(self) -> bool:
-        return self.status is PathStatus.DELIVERED
-
-
-_FAILED = (
-    PathStatus.ILLEGAL_TURN,
-    PathStatus.NO_SUCH_WIRE,
-    PathStatus.HIT_HOST_TOO_SOON,
-    PathStatus.NOT_ATTACHED,
-)
+    def __init__(
+        self,
+        src: PortRef,
+        dst: PortRef,
+        dst_is_host: bool,
+        dst_radix: int,
+        cid: int,
+        rcid: int,
+    ) -> None:
+        self.dst = dst
+        self.dst_is_host = dst_is_host
+        self.dst_radix = dst_radix
+        self.fwd = Traversal(src, dst)
+        self.rev = Traversal(dst, src)
+        self.dep: tuple[Endpoint, Endpoint] = (
+            (src.node, src.port),
+            (dst.node, dst.port),
+        )
+        self.cid = cid
+        self.rcid = rcid
 
 
 class _TrieNode:
     """One cached walk state: the message after consuming a turns-prefix.
 
-    ``status`` is ``None`` while the walk is still in flight (the message
-    sits at ``current``); otherwise the node is *absorbing* — the prefix
-    already failed, and every extension yields the identical failure, so
-    children are never materialized past it.
+    A node is its parent plus the one :class:`_Hop` its own step crossed:
+    the message sits at ``hop.dst`` after ``depth`` wire crossings.
+    ``status`` is ``None`` while the walk is still in flight; otherwise the
+    node is *absorbing* — the prefix already failed (``hop`` is ``None``,
+    ``depth`` is the parent's), every extension yields the identical
+    failure, and children are never materialized past it. The traversal
+    tuple is not stored: :meth:`traversals` rebuilds it from the parent
+    chain for the few readers that want it.
     """
 
     __slots__ = (
-        "children",
-        "current",
-        "current_is_host",
-        "current_radix",
+        "parent",
+        "hop",
+        "depth",
         "status",
         "failed_at",
-        "nodes",
-        "traversals",
-        "rev_traversals",
-        "collision_memo",
-        "loopback_traversals",
-        "loopback_memo",
+        "dep",
         "fwd_blocked",
         "last_rev",
-        "dep",
+        "chans",
+        "children",
+        "memo",
     )
 
     def __init__(
         self,
-        *,
-        current: PortRef | None,
-        current_is_host: bool,
-        current_radix: int,
+        parent: "_TrieNode | None",
+        hop: _Hop | None,
+        depth: int,
         status: PathStatus | None,
         failed_at: int | None,
-        nodes: tuple[str, ...],
-        traversals: tuple[Traversal, ...],
-        dep: tuple[Endpoint, ...] = (),
+        dep: tuple[Endpoint, ...],
     ) -> None:
-        self.children: dict[int, _TrieNode] = {}
-        self.current = current
-        self.current_is_host = current_is_host
-        self.current_radix = current_radix
+        self.parent = parent
+        self.hop = hop
+        self.depth = depth
         self.status = status
         self.failed_at = failed_at
-        self.nodes = nodes
-        self.traversals = traversals
         # The wire ends *this node's own step* reads from the network: the
         # crossed wire's two ends for an in-flight extension, the probed
         # (node, out-port) for a NO_SUCH_WIRE verdict, the source's port 0
@@ -290,28 +293,110 @@ class _TrieNode:
         # exists; removal is covered by the ancestor that crossed into the
         # node), so their dep is empty.
         self.dep = dep
-        # Retrace of ``traversals`` (each hop reversed, in backward order),
-        # built incrementally at extension time so the loopback tuple is a
-        # plain concat instead of m fresh Traversal constructions. Only
-        # in-flight nodes need it (failures never build loopbacks).
-        self.rev_traversals: tuple[Traversal, ...] = ()
-        # Per-node memo of collision-model verdicts, keyed by the (frozen,
-        # hashable) model instance. Lazily created: most nodes never reach
-        # a delivered terminal.
-        self.collision_memo: dict[object, int | None] | None = None
-        # Lazily-built traversal tuple of this prefix's switch-probe
-        # loopback (out along the prefix, bounce, retrace), plus its own
-        # collision memo.
-        self.loopback_traversals: tuple[Traversal, ...] | None = None
-        self.loopback_memo: dict[object, int | None] | None = None
         # Incremental circuit-model state (in-flight nodes only): the index
         # of the first directed re-crossing (None while all channels are
-        # distinct), and the largest index whose reverse channel was also
+        # distinct), the largest index whose reverse channel was also
         # crossed (drives the loopback verdict: a retrace re-crosses every
-        # wire backwards). The channels themselves are ``traversals`` — a
-        # handful of hops, scanned instead of copied into a per-node set.
+        # wire backwards), and the ids of the channels crossed so far — a
+        # handful of ints, no longer extended once the worm has blocked.
         self.fwd_blocked: int | None = None
         self.last_rev: int | None = None
+        self.chans: tuple[int, ...] = ()
+        # Both created on first use: most nodes are leaves, and only a
+        # non-circuit collision model ever memoizes a verdict (keyed
+        # ``(model, loopback?)``, see :meth:`blocked_at`).
+        self.children: dict[int, _TrieNode] | None = None
+        self.memo: dict[tuple[object, bool], int | None] | None = None
+
+    def traversals(self, loopback: bool = False) -> tuple[Traversal, ...]:
+        """The crossings of this prefix, or of its switch-probe loopback
+        (out along the prefix, bounce, retrace every hop backwards)."""
+        back: list[_Hop] = []
+        node: _TrieNode | None = self
+        while node is not None:
+            if node.hop is not None:
+                back.append(node.hop)
+            node = node.parent
+        out = tuple([hop.fwd for hop in reversed(back)])
+        return out + tuple([hop.rev for hop in back]) if loopback else out
+
+    def blocked_at(self, collision: "CollisionModel", loopback: bool) -> int | None:
+        """A collision model's verdict on :meth:`traversals`.
+
+        Memoized per node per model instance (models are frozen
+        dataclasses, hence hashable); an unhashable custom model simply
+        skips the memo.
+        """
+        memo = self.memo
+        if memo is None:
+            memo = self.memo = {}
+        key = (collision, loopback)
+        try:
+            return memo[key]
+        except KeyError:
+            blocked = memo[key] = collision.blocked_at(self.traversals(loopback))
+        except TypeError:  # unhashable model: compute, skip the memo
+            blocked = collision.blocked_at(self.traversals(loopback))
+        return blocked
+
+
+class ProbeInfo:
+    """The slice of a path evaluation the probe hot path actually needs.
+
+    Unlike :class:`PathResult` this carries no node list, and constructing
+    one is O(1): ``traversals`` is either an explicit tuple (the
+    pure-function arm) or the evaluator's trie node, from whose parent
+    chain the tuple is built on first read — its :class:`Traversal` objects
+    are the hop table's, shared with every probe crossing the same wire
+    half. ``blocked`` is the collision model's verdict (index of the first
+    self-blocking traversal) and is only meaningful when ``ok``.
+    """
+
+    __slots__ = ("status", "hops", "delivered_to", "blocked", "_traversals")
+
+    def __init__(
+        self,
+        status: PathStatus,
+        hops: int,
+        delivered_to: str | None,
+        blocked: int | None,
+        traversals: "tuple[Traversal, ...] | _TrieNode",
+    ) -> None:
+        self.status = status
+        self.hops = hops
+        self.delivered_to = delivered_to
+        self.blocked = blocked
+        self._traversals = traversals
+
+    @property
+    def ok(self) -> bool:
+        return self.status is PathStatus.DELIVERED
+
+    @property
+    def traversals(self) -> tuple[Traversal, ...]:
+        got = self._traversals
+        if isinstance(got, _TrieNode):
+            # Only a delivered loopback has more hops than the forward walk
+            # it was answered from.
+            got = self._traversals = got.traversals(self.hops > got.depth)
+        return got
+
+    def _fields(self) -> tuple:
+        return (self.status, self.hops, self.delivered_to, self.blocked, self.traversals)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ProbeInfo):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            "ProbeInfo(status={!r}, hops={!r}, delivered_to={!r}, "
+            "blocked={!r}, traversals={!r})".format(*self._fields())
+        )
 
 
 def _collect_subtree(node: _TrieNode, into: set[int]) -> None:
@@ -326,7 +411,8 @@ def _collect_subtree(node: _TrieNode, into: set[int]) -> None:
     while stack:
         n = stack.pop()
         into.add(id(n))
-        stack.extend(n.children.values())
+        if n.children:
+            stack.extend(n.children.values())
 
 
 class IncrementalPathEvaluator:
@@ -338,30 +424,22 @@ class IncrementalPathEvaluator:
     That is exactly the access pattern of the mapper's explore loop, which
     extends known probe strings one turn at a time.
 
-    Correctness is guarded by epoch counters plus the owners' delta
-    journals. When ``net.topology_epoch`` moves, the evaluator asks the
+    Correctness is guarded by the network's epoch counter plus its delta
+    journal. When ``net.topology_epoch`` moves, the evaluator asks the
     network *which wire ends* changed (:meth:`Network.affected_since`) and
     drops only the subtrees whose cached walk touched one of them — each
     trie node records the ends its own step read (``_TrieNode.dep``), so
     "no node on the root path has an affected dep" proves the whole cached
     walk still evaluates identically. Only when the journal cannot answer
     (window exceeded) does the evaluator fall back to the wholesale flush.
-    A ``faults.fault_epoch`` move needs no invalidation at all: cached
-    walks never consult the fault model — kill decisions are drawn fresh
-    per probe by the services — so only the epoch cursor advances. Results
-    remain byte-identical to the pure function — including the
-    ``ValueError`` on a non-host source.
+    A fault reconfiguration needs no invalidation and is not watched:
+    cached walks never consult the fault model — kill decisions are drawn
+    fresh per probe by the services. Results remain byte-identical to the
+    pure function — including the ``ValueError`` on a non-host source.
     """
 
-    def __init__(
-        self,
-        net: Network,
-        *,
-        faults: "FaultModel | None" = None,
-        max_nodes: int = 1_000_000,
-    ) -> None:
+    def __init__(self, net: Network, *, max_nodes: int = 1_000_000) -> None:
         self._net = net
-        self._faults = faults
         self._max_nodes = max_nodes
         # Resolved here (not at module level) to avoid an import cycle:
         # collision.py imports Traversal from this module.
@@ -376,16 +454,16 @@ class IncrementalPathEvaluator:
         # wholesale invalidation clears the table, surgical invalidation
         # prunes exactly the hints pointing into dropped subtrees.
         self._hints: dict[tuple[str, tuple[int, ...]], _TrieNode] = {}
-        # Flat (node, port) -> (far end, far is host, far radix) memo,
-        # filled on demand (None for unwired ports). Plain-tuple keys hash
-        # much faster than PortRef dataclasses on the per-probe extension
-        # path, and carrying the far node's kind and radix saves two more
-        # registry lookups per hop; dropped with the trie on invalidation.
-        self._adj: dict[
-            tuple[str, int], tuple[PortRef, bool, int] | None
-        ] = {}
+        # The hop table: source end ``(node, out_port)`` -> the wire half
+        # leaving it, filled on demand (None for an unwired port) and
+        # dropped with the trie on invalidation. Plain-tuple keys hash much
+        # faster than PortRef dataclasses on the per-probe extension path.
+        self._hops: dict[Endpoint, _Hop | None] = {}
+        # Channel ids, one per source end ever crossed. Never cleared: a
+        # chain detached by the node backstop is still being extended, and
+        # must not meet a recycled id.
+        self._chan_ids: dict[Endpoint, int] = {}
         self._topo_epoch = net.topology_epoch
-        self._fault_epoch = faults.fault_epoch if faults is not None else 0
         self._n_nodes = 0
         self._hits = 0
         self._misses = 0
@@ -412,12 +490,10 @@ class IncrementalPathEvaluator:
         """Drop every cached walk (counted in ``stats.invalidations``)."""
         self._roots.clear()
         self._hints.clear()
-        self._adj.clear()
+        self._hops.clear()
         self._n_nodes = 0
         self._invalidations += 1
         self._topo_epoch = self._net.topology_epoch
-        if self._faults is not None:
-            self._fault_epoch = self._faults.fault_epoch
 
     def invalidate_endpoints(
         self, endpoints: frozenset[Endpoint] | set[Endpoint]
@@ -427,9 +503,9 @@ class IncrementalPathEvaluator:
         A subtree survives iff no node on its root path has a ``dep`` in
         ``endpoints`` — sound because a walk reads the network only
         through its deps (see ``_TrieNode.dep``). Sibling hints that point
-        into a dropped subtree are pruned with it; adjacency memos are
-        popped for exactly the affected keys (a changed end may have gone
-        from wired to free or vice versa — the memo caches both answers).
+        into a dropped subtree are pruned with it; hop records are popped
+        for exactly the affected keys (a changed end may have gone from
+        wired to free or vice versa — the table caches both answers).
         Returns the number of trie nodes dropped.
         """
         dropped_ids: set[int] = set()
@@ -441,8 +517,9 @@ class IncrementalPathEvaluator:
                 continue
             stack = [root]
             while stack:
-                node = stack.pop()
-                children = node.children
+                children = stack.pop().children
+                if not children:
+                    continue
                 for turn in list(children):
                     child = children[turn]
                     if any(e in endpoints for e in child.dep):
@@ -460,30 +537,26 @@ class IncrementalPathEvaluator:
                     if id(v) not in dropped_ids
                 }
         for key in endpoints:
-            self._adj.pop(key, None)
+            self._hops.pop(key, None)
         self._surgical += 1
         self._nodes_dropped += dropped
         return dropped
 
     def _refresh(self) -> None:
-        """Bring the cache up to the owners' epochs before a walk.
+        """Catch the cache up after ``net.topology_epoch`` moved.
 
-        Topology moves are resolved surgically through the network's delta
+        The move is resolved surgically through the network's delta
         journal; an unanswerable (out-of-window) or unbounded delta falls
-        back to the wholesale flush. Fault moves advance the cursor only —
-        cached walks are fault-independent by construction.
+        back to the wholesale flush.
         """
         net = self._net
-        if net.topology_epoch != self._topo_epoch:
-            delta = net.affected_since(self._topo_epoch)
-            if delta is None or delta.unbounded:
-                self.invalidate()
-                return
-            if delta.removed or delta.added:
-                self.invalidate_endpoints(delta.endpoints)
-            self._topo_epoch = net.topology_epoch
-        if self._faults is not None:
-            self._fault_epoch = self._faults.fault_epoch
+        delta = net.affected_since(self._topo_epoch)
+        if delta is None or delta.unbounded:
+            self.invalidate()
+            return
+        if delta.removed or delta.added:
+            self.invalidate_endpoints(delta.endpoints)
+        self._topo_epoch = net.topology_epoch
 
     def touches(
         self,
@@ -495,141 +568,97 @@ class IncrementalPathEvaluator:
         intersect the given wire ends?
 
         Walks (and therefore caches) the route like any evaluation, then
-        checks every crossed wire end plus the failure pin (the node's own
-        ``dep`` — for absorbing verdicts this is the end the failure
-        depends on). Purely local computation: no probe is charged.
+        checks the ``dep`` of every node on its root path: both ends of
+        each crossed wire plus, for an absorbing verdict, the end the
+        failure is pinned to. Purely local computation: no probe is
+        charged.
         """
-        node = self._walk(h0, tuple(turns))
-        for tr in node.traversals:
-            if (tr.src.node, tr.src.port) in endpoints:
-                return True
-            if (tr.dst.node, tr.dst.port) in endpoints:
-                return True
-        if node.status is not None:
-            return any(e in endpoints for e in node.dep)
+        node: _TrieNode | None = self._walk(h0, tuple(turns))
+        while node is not None:
+            for end in node.dep:
+                if end in endpoints:
+                    return True
+            node = node.parent
         return False
+
+    def _read_hop(self, key: Endpoint) -> _Hop | None:
+        """Read the wire half leaving ``key`` into the hop table."""
+        net = self._net
+        dst = net.neighbor_at(*key)
+        hop = None
+        if dst is not None:
+            ids = self._chan_ids
+            hop = _Hop(
+                PortRef(*key),
+                dst,
+                net.is_host(dst.node),
+                net.radix(dst.node),
+                ids.setdefault(key, len(ids)),
+                ids.setdefault((dst.node, dst.port), len(ids)),
+            )
+        self._hops[key] = hop
+        return hop
 
     def _root(self, h0: str) -> _TrieNode:
         root = self._roots.get(h0)
         if root is not None:
             self._hits += 1
             return root
-        net = self._net
-        if not net.is_host(h0):
+        if not self._net.is_host(h0):
             raise ValueError(f"source {h0} is not a host")
-        attach = net.neighbor_at(h0, HOST_PORT)
-        if attach is None:
-            root = _TrieNode(
-                current=None,
-                current_is_host=False,
-                current_radix=0,
-                status=PathStatus.NOT_ATTACHED,
-                failed_at=None,
-                nodes=(h0,),
-                traversals=(),
-                dep=((h0, HOST_PORT),),
-            )
+        key = (h0, HOST_PORT)
+        hop = self._hops[key] if key in self._hops else self._read_hop(key)
+        if hop is None:
+            root = _TrieNode(None, None, 0, PathStatus.NOT_ATTACHED, None, (key,))
         else:
-            root = _TrieNode(
-                current=attach,
-                current_is_host=net.is_host(attach.node),
-                current_radix=net.radix(attach.node),
-                status=None,
-                failed_at=None,
-                nodes=(h0, attach.node),
-                traversals=(Traversal(PortRef(h0, HOST_PORT), attach),),
-                dep=((h0, HOST_PORT), (attach.node, attach.port)),
-            )
-            root.rev_traversals = (Traversal(attach, PortRef(h0, HOST_PORT)),)
+            root = _TrieNode(None, hop, 1, None, None, hop.dep)
+            root.chans = (hop.cid,)
         self._roots[h0] = root
         self._n_nodes += 1
         self._misses += 1
         return root
 
     def _extend(self, parent: _TrieNode, turn: int, i: int) -> _TrieNode:
-        net = self._net
-        if parent.current_is_host:
+        at = parent.hop
+        assert at is not None  # in-flight nodes always have a position
+        if at.dst_is_host:
             child = _TrieNode(
-                current=None,
-                current_is_host=False,
-                current_radix=0,
-                status=PathStatus.HIT_HOST_TOO_SOON,
-                failed_at=i,
-                nodes=parent.nodes,
-                traversals=parent.traversals,
+                parent, None, parent.depth, PathStatus.HIT_HOST_TOO_SOON, i, ()
             )
         else:
-            cur = parent.current
-            assert cur is not None  # in-flight nodes always have a position
-            out_port = cur.port + turn  # NOT modulo the radix (Section 2.2)
-            if not 0 <= out_port < parent.current_radix:
+            dst = at.dst
+            out_port = dst.port + turn  # NOT modulo the radix (Section 2.2)
+            if not 0 <= out_port < at.dst_radix:
                 child = _TrieNode(
-                    current=None,
-                    current_is_host=False,
-                    current_radix=0,
-                    status=PathStatus.ILLEGAL_TURN,
-                    failed_at=i,
-                    nodes=parent.nodes,
-                    traversals=parent.traversals,
+                    parent, None, parent.depth, PathStatus.ILLEGAL_TURN, i, ()
                 )
             else:
-                key = (cur.node, out_port)
-                adj = self._adj
-                if key in adj:
-                    far = adj[key]
-                else:
-                    dst = net.neighbor_at(cur.node, out_port)
-                    far = adj[key] = None if dst is None else (
-                        dst, net.is_host(dst.node), net.radix(dst.node)
-                    )
-                if far is None:
+                key = (dst.node, out_port)
+                hops = self._hops
+                hop = hops[key] if key in hops else self._read_hop(key)
+                if hop is None:
                     child = _TrieNode(
-                        current=None,
-                        current_is_host=False,
-                        current_radix=0,
-                        status=PathStatus.NO_SUCH_WIRE,
-                        failed_at=i,
-                        nodes=parent.nodes,
-                        traversals=parent.traversals,
-                        dep=(key,),
+                        parent, None, parent.depth, PathStatus.NO_SUCH_WIRE, i, (key,)
                     )
                 else:
-                    dst, dst_is_host, dst_radix = far
-                    src = PortRef(cur.node, out_port)
                     child = _TrieNode(
-                        current=dst,
-                        current_is_host=dst_is_host,
-                        current_radix=dst_radix,
-                        status=None,
-                        failed_at=None,
-                        nodes=parent.nodes + (dst.node,),
-                        traversals=parent.traversals + (Traversal(src, dst),),
-                        dep=(key, (dst.node, dst.port)),
+                        parent, hop, parent.depth + 1, None, None, hop.dep
                     )
-                    child.rev_traversals = (
-                        Traversal(dst, src),
-                    ) + parent.rev_traversals
-                    # Extend the circuit-model state by one channel. The
-                    # channels crossed so far are exactly the parent's
-                    # traversals, so a short scan replaces the per-node
-                    # channel-set copy the old code paid on every hop.
+                    # Extend the circuit-model state by one channel.
                     if parent.fwd_blocked is not None:
                         child.fwd_blocked = parent.fwd_blocked
+                    elif hop.cid in parent.chans:
+                        child.fwd_blocked = i + 1  # +1: the attach hop
                     else:
-                        fwd = rev = False
-                        for t in parent.traversals:
-                            if t.src == src and t.dst == dst:
-                                fwd = True
-                                break
-                            if t.src == dst and t.dst == src:
-                                rev = True
-                        if fwd:
-                            child.fwd_blocked = i + 1  # +1: the attach hop
-                        else:
-                            child.last_rev = (
-                                i + 1 if rev else parent.last_rev
-                            )
-        parent.children[turn] = child
+                        child.chans = parent.chans + (hop.cid,)
+                        child.last_rev = (
+                            i + 1 if hop.rcid in parent.chans else parent.last_rev
+                        )
+        children = parent.children
+        if children is None:
+            parent.children = {turn: child}
+        else:
+            children[turn] = child
         self._n_nodes += 1
         self._misses += 1
         if self._n_nodes > self._max_nodes:
@@ -641,8 +670,27 @@ class IncrementalPathEvaluator:
             self._invalidations += 1
         return child
 
+    def _descend(self, node: _TrieNode, seq: tuple[int, ...]) -> _TrieNode:
+        """Follow ``seq`` down from a root, extending where the trie ends;
+        stops at the first absorbing node (every extension of a failed
+        prefix is the identical failure)."""
+        if node.status is not None:
+            return node
+        for i, turn in enumerate(seq):
+            children = node.children
+            child = children.get(turn) if children else None
+            if child is None:
+                child = self._extend(node, turn, i)
+            else:
+                self._hits += 1
+            node = child
+            if node.status is not None:
+                break
+        return node
+
     def _walk(self, h0: str, seq: tuple[int, ...]) -> _TrieNode:
-        self._refresh()
+        if self._net.topology_epoch != self._topo_epoch:
+            self._refresh()
         if seq and self._hints:
             node = self._hints.get((h0, seq[:-1]))
             if node is not None:
@@ -661,25 +709,14 @@ class IncrementalPathEvaluator:
                     return node
                 self._hits += len(seq)
                 turn = seq[-1]
-                child = node.children.get(turn)
+                children = node.children
+                child = children.get(turn) if children else None
                 if child is None:
                     child = self._extend(node, turn, len(seq) - 1)
                 else:
                     self._hits += 1
                 return child
-        node = self._root(h0)
-        if node.status is not None:
-            return node
-        for i, turn in enumerate(seq):
-            child = node.children.get(turn)
-            if child is None:
-                child = self._extend(node, turn, i)
-            else:
-                self._hits += 1
-            node = child
-            if node.status is not None:
-                return node
-        return node
+        return self._descend(self._root(h0), seq)
 
     def warm_siblings(
         self, h0: str, prefix: Iterable[int], turns: Iterable[int]
@@ -694,55 +731,45 @@ class IncrementalPathEvaluator:
         evaluated speculatively: the final hop happens only when the probe
         actually arrives, so siblings the caller announces but never probes
         (a hit narrowed its plan) cost nothing. Hints share the trie's
-        lifetime (any epoch move drops both), so a mid-batch topology or
-        fault mutation falls back to a fresh walk from the root. Returns
-        the number of siblings the hint covers.
+        lifetime (an epoch move drops both), so a mid-batch topology
+        mutation falls back to a fresh walk from the root — and so no hint
+        is registered when the node backstop flushed the trie during this
+        very walk: the node is then detached from ``_roots``, where no
+        surgical invalidation could ever find it. Returns the number of
+        siblings the hint covers.
         """
         seq = tuple(prefix)
-        self._refresh()
+        if self._net.topology_epoch != self._topo_epoch:
+            self._refresh()
         if (h0, seq) in self._hints:
             # Re-primed mid-run (the caller saw a hit): the prefix node is
             # already hinted, nothing to walk.
             return sum(1 for _ in turns)
-        node = self._root(h0)
-        if node.status is None:
-            for i, turn in enumerate(seq):
-                child = node.children.get(turn)
-                if child is None:
-                    child = self._extend(node, turn, i)
-                else:
-                    self._hits += 1
-                node = child
-                if node.status is not None:
-                    # Absorbing prefix: every extension is the identical
-                    # failure node (what _walk returns for longer strings).
-                    break
-        self._hints[(h0, seq)] = node
+        flushes = self._invalidations
+        node = self._descend(self._root(h0), seq)
+        if self._invalidations == flushes:
+            self._hints[(h0, seq)] = node
         return sum(1 for _ in turns)
 
     def evaluate(self, h0: str, turns: Iterable[int]) -> PathResult:
         """Drop-in replacement for :func:`evaluate_route`."""
         node = self._walk(h0, tuple(turns))
         self._evaluations += 1
-        if node.status is not None:
-            return PathResult(
-                status=node.status,
-                nodes=list(node.nodes),
-                traversals=list(node.traversals),
-                failed_at_turn=node.failed_at,
-            )
-        if node.current_is_host:
-            assert node.current is not None
-            return PathResult(
-                status=PathStatus.DELIVERED,
-                nodes=list(node.nodes),
-                traversals=list(node.traversals),
-                delivered_to=node.current.node,
-            )
+        status, delivered_to = node.status, None
+        if status is None:
+            at = node.hop
+            assert at is not None
+            if at.dst_is_host:
+                status, delivered_to = PathStatus.DELIVERED, at.dst.node
+            else:
+                status = PathStatus.STRANDED
+        traversals = node.traversals()
         return PathResult(
-            status=PathStatus.STRANDED,
-            nodes=list(node.nodes),
-            traversals=list(node.traversals),
+            status=status,
+            nodes=[h0, *(tr.dst.node for tr in traversals)],
+            traversals=list(traversals),
+            delivered_to=delivered_to,
+            failed_at_turn=node.failed_at,
         )
 
     def probe_info(
@@ -751,42 +778,28 @@ class IncrementalPathEvaluator:
         turns: Iterable[int],
         collision: "CollisionModel | None" = None,
     ) -> ProbeInfo:
-        """Evaluate without materializing lists, with the collision verdict.
+        """Evaluate in O(1) past the walk, with the collision verdict.
 
-        The collision model's ``blocked_at`` is memoized per trie node per
-        model instance (models are frozen dataclasses, hence hashable); an
-        unhashable custom model simply skips the memo.
+        The circuit model's verdict is the walk's own incremental state;
+        any other model reads the traversals, memoized per trie node.
         """
         node = self._walk(h0, tuple(turns))
         self._evaluations += 1
         if node.status is not None:
-            return ProbeInfo(node.status, len(node.traversals), None, None, node.traversals)
-        assert node.current is not None
-        if not node.current_is_host:
-            return ProbeInfo(
-                PathStatus.STRANDED, len(node.traversals), None, None, node.traversals
-            )
+            return ProbeInfo(node.status, node.depth, None, None, node)
+        at = node.hop
+        assert at is not None
+        if not at.dst_is_host:
+            return ProbeInfo(PathStatus.STRANDED, node.depth, None, None, node)
         blocked: int | None = None
         if collision is not None:
             if collision.__class__ is self._circuit_type:
                 # Exact incremental verdict: first directed re-crossing.
                 blocked = node.fwd_blocked
             else:
-                memo = node.collision_memo
-                if memo is None:
-                    memo = node.collision_memo = {}
-                try:
-                    blocked = memo[collision]
-                except KeyError:
-                    blocked = memo[collision] = collision.blocked_at(node.traversals)
-                except TypeError:  # unhashable model: compute, skip the memo
-                    blocked = collision.blocked_at(node.traversals)
+                blocked = node.blocked_at(collision, False)
         return ProbeInfo(
-            PathStatus.DELIVERED,
-            len(node.traversals),
-            node.current.node,
-            blocked,
-            node.traversals,
+            PathStatus.DELIVERED, node.depth, at.dst.node, blocked, node
         )
 
     def loopback_info(
@@ -801,67 +814,36 @@ class IncrementalPathEvaluator:
         re-crosses the entry wire and every ``-a_i`` provably retraces the
         forward hop it negates (out-port ``p_i + a_i - a_i = p_i``, a wire
         that exists because the forward pass crossed it), terminating back
-        at ``h0`` — so the loopback is DELIVERED with the forward traversals
-        followed by their exact reversal, and no return-half trie nodes are
-        ever built. The three failure shapes match the pure function: a
-        forward-half failure fails identically, and a forward walk that
-        lands on a host consumes the bounce as HIT_HOST_TOO_SOON.
+        at ``h0`` — so the loopback is DELIVERED over the forward traversals
+        followed by their exact reversal, ``2m`` hops, and no return-half
+        trie nodes are ever built. The three failure shapes match the pure
+        function: a forward-half failure fails identically, and a forward
+        walk that lands on a host consumes the bounce as HIT_HOST_TOO_SOON.
         """
         node = self._walk(h0, tuple(turns))
         self._evaluations += 1
         if node.status is not None:
-            return ProbeInfo(node.status, len(node.traversals), None, None, node.traversals)
-        assert node.current is not None
-        if node.current_is_host:
+            return ProbeInfo(node.status, node.depth, None, None, node)
+        at = node.hop
+        assert at is not None
+        if at.dst_is_host:
             # The bounce turn arrives with the message already at a host.
             return ProbeInfo(
-                PathStatus.HIT_HOST_TOO_SOON,
-                len(node.traversals),
-                None,
-                None,
-                node.traversals,
+                PathStatus.HIT_HOST_TOO_SOON, node.depth, None, None, node
             )
-        if collision is not None and collision.__class__ is self._circuit_type:
-            # Exact incremental verdict. The forward channels are all
-            # distinct past ``fwd_blocked``'s check, so the loopback's
-            # first re-crossing is either the forward one or the earliest
-            # retrace of a wire the forward pass crossed both ways — the
-            # retrace visits reverses in backward order, so the *largest*
-            # such forward index blocks first, at ``2m - 1 - last_rev``.
-            m = len(node.traversals)
-            if node.fwd_blocked is not None:
-                blocked = node.fwd_blocked
-            elif node.last_rev is not None:
-                blocked = 2 * m - 1 - node.last_rev
-            else:
-                blocked = None
-            if blocked is not None:
-                # A blocked probe's traversals are never consulted by the
-                # services (no fault draw, no occupancy placement), so the
-                # forward half stands in for the full loopback.
-                return ProbeInfo(
-                    PathStatus.DELIVERED, 2 * m, h0, blocked, node.traversals
-                )
-            lb = node.loopback_traversals
-            if lb is None:
-                lb = node.loopback_traversals = (
-                    node.traversals + node.rev_traversals
-                )
-            return ProbeInfo(PathStatus.DELIVERED, len(lb), h0, None, lb)
-        lb = node.loopback_traversals
-        if lb is None:
-            lb = node.loopback_traversals = (
-                node.traversals + node.rev_traversals
-            )
+        m = node.depth
         blocked: int | None = None
         if collision is not None:
-            memo = node.loopback_memo
-            if memo is None:
-                memo = node.loopback_memo = {}
-            try:
-                blocked = memo[collision]
-            except KeyError:
-                blocked = memo[collision] = collision.blocked_at(lb)
-            except TypeError:  # unhashable model: compute, skip the memo
-                blocked = collision.blocked_at(lb)
-        return ProbeInfo(PathStatus.DELIVERED, len(lb), h0, blocked, lb)
+            if collision.__class__ is not self._circuit_type:
+                blocked = node.blocked_at(collision, True)
+            elif node.fwd_blocked is not None:
+                blocked = node.fwd_blocked
+            elif node.last_rev is not None:
+                # Exact incremental verdict. The forward channels are all
+                # distinct past ``fwd_blocked``'s check, so the loopback's
+                # first re-crossing is the earliest retrace of a wire the
+                # forward pass crossed both ways — the retrace visits
+                # reverses in backward order, so the *largest* such
+                # forward index blocks first.
+                blocked = 2 * m - 1 - node.last_rev
+        return ProbeInfo(PathStatus.DELIVERED, 2 * m, h0, blocked, node)

@@ -111,9 +111,7 @@ class QuiescentProbeService:
         )
         self._rng = self.rng if self.rng is not None else random.Random(self.seed)
         self._evaluator = (
-            IncrementalPathEvaluator(self.net, faults=self.faults)
-            if self.use_cache
-            else None
+            IncrementalPathEvaluator(self.net) if self.use_cache else None
         )
         # One reusable transaction context per service. ``_transact`` is
         # not re-entrant: no layer hook may probe through its own service
@@ -211,7 +209,7 @@ class QuiescentProbeService:
         ctx.info = info
         if info.ok and info.blocked is None:
             # Inactive faults kill nothing and draw nothing, so skipping the
-            # call is byte-identical (and keeps the traversal tuple untouched).
+            # call is byte-identical (and the traversal tuple is never built).
             if not self.faults.active or not self.faults.kills_traversals(
                 info.traversals
             ):
@@ -321,8 +319,9 @@ class QuiescentProbeService:
     def _probe_info(self, turns: Turns) -> ProbeInfo:
         """Walk ``turns`` from the mapper, with the collision verdict.
 
-        The cache path shares traversal tuples with the trie; the escape
-        hatch recomputes everything through the pure function. Both arms
+        The cache path answers from the trie and leaves the traversal
+        tuple to be built on read; the escape hatch recomputes everything
+        through the pure function and hands it over explicitly. Both arms
         draw from the fault RNG at identical points, so the two modes are
         byte-equivalent (the property tests assert this).
         """

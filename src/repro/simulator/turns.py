@@ -42,13 +42,14 @@ def validate_turns(
     wider fabrics pass ``radix - 1``.
     """
     # Already-canonical input (a tuple of exact ints, the common case on
-    # the probe hot path) is returned as the same object, so callers can
-    # memoize validation by identity.
-    if type(turns) is tuple and all(type(t) is int for t in turns):
-        out = turns
-    else:
-        out = tuple(int(t) for t in turns)
+    # the probe hot path) is checked in one pass and returned as the same
+    # object, so callers can memoize validation by identity.
+    out = turns if type(turns) is tuple else tuple(int(t) for t in turns)
     for t in out:
+        if type(t) is not int:
+            return validate_turns(
+                tuple(int(t) for t in out), allow_zero=allow_zero, limit=limit
+            )
         if not -limit <= t <= limit:
             raise ValueError(f"turn {t} outside alphabet [{-limit}, {limit}]")
         if t == 0 and not allow_zero:

@@ -107,7 +107,7 @@ class TestInvalidation:
 
     def test_fault_reconfig_is_cache_transparent(self, now_c):
         faults = FaultModel()
-        ev = IncrementalPathEvaluator(now_c, faults=faults)
+        ev = IncrementalPathEvaluator(now_c)
         ev.evaluate("C-n00", (5, 1))
         nodes = ev.stats.nodes
         assert nodes > 0
@@ -174,3 +174,29 @@ class TestNodeBackstop:
                 want.delivered_to,
             )
         assert ev.stats.nodes <= 3 + 2  # cap plus the walk in flight
+
+    @pytest.mark.parametrize("prime", ["warm_siblings", "walk"])
+    def test_cut_after_a_backstop_flush_is_seen(self, prime):
+        """The backstop fires inside the prefix walk, which then finishes
+        on a chain detached from the roots. Nothing may keep serving that
+        chain: the surgical invalidation DFS starts at the roots and would
+        never reach it (a hint registered after the flush used to)."""
+        ring = build_ring(4, hosts_per_switch=1)
+        h0 = sorted(ring.hosts)[0]
+        ev = IncrementalPathEvaluator(ring, max_nodes=3)
+        prefix = (-2, 1, 1)
+        if prime == "warm_siblings":
+            ev.warm_siblings(h0, prefix, (1,))
+        else:
+            ev.evaluate(h0, prefix)
+        assert ev.stats.invalidations == 1
+        last = evaluate_route(ring, h0, prefix).traversals[-1]
+        ring.disconnect(ring.wire_at(last.src.node, last.src.port))
+        got = ev.evaluate(h0, (*prefix, -7))
+        want = evaluate_route(ring, h0, (*prefix, -7))
+        assert want.status is PathStatus.NO_SUCH_WIRE
+        assert (got.status, got.nodes, got.failed_at_turn) == (
+            want.status,
+            want.nodes,
+            want.failed_at_turn,
+        )

@@ -30,6 +30,19 @@ class TestValidate:
     def test_empty_ok(self):
         assert validate_turns([]) == ()
 
+    def test_canonical_tuple_comes_back_as_the_same_object(self):
+        turns = (1, -3, 7)
+        assert validate_turns(turns) is turns
+
+    def test_non_int_elements_are_normalised_then_checked(self):
+        out = validate_turns((2, True, 3.0))
+        assert out == (2, 1, 3)
+        assert [type(t) for t in out] == [int, int, int]
+        with pytest.raises(ValueError, match="turn 0"):
+            validate_turns((1, False))
+        with pytest.raises(ValueError, match="alphabet"):
+            validate_turns((1, 8.0))
+
 
 class TestAlgebra:
     def test_reverse(self):
