@@ -79,9 +79,10 @@ def _print_mapper_registry() -> int:
 
 
 def _cmd_map(args: argparse.Namespace) -> int:
-    from repro.core.mapper_protocol import build_mapper_service, get_mapper_spec
+    from repro.core.mapper_protocol import get_mapper_spec, resolve_mapper_factory
+    from repro.core.remapper import MAX_EXPLORATIONS, map_cycle
     from repro.simulator.stack import describe_stack
-    from repro.topology.analysis import core_network, recommended_search_depth
+    from repro.topology.analysis import core_network
     from repro.topology.isomorphism import match_networks
     from repro.topology.render import to_ascii
 
@@ -96,17 +97,29 @@ def _cmd_map(args: argparse.Namespace) -> int:
 
     net = load_network(args.network)
     mapper_host = args.mapper_host or sorted(net.hosts)[0]
-    depth = args.depth or recommended_search_depth(net, mapper_host)
 
-    kwargs = spec.accepted_kwargs({"host_first": False})
-    profiler = None
     if args.profile and spec.capabilities.profiler:
         from repro.core.instrumentation import PhaseProfiler
 
-        profiler = PhaseProfiler()
-        kwargs["profiler"] = profiler
-    svc = build_mapper_service(spec, net, mapper_host)
-    result = spec.create(svc, search_depth=depth, **kwargs).map()
+        # Only a callable can carry a profiler in: the spec's mapper built
+        # with map_cycle's own defaults, on the spec's service class.
+        result, svc = map_cycle(
+            net,
+            mapper_host,
+            mapper=resolve_mapper_factory(
+                algorithm,
+                host_first=False,
+                max_explorations=MAX_EXPLORATIONS,
+                radix=net.default_radix,
+                profiler=PhaseProfiler(),
+            ),
+            search_depth=args.depth,
+            service_cls=spec.service_cls,
+        )
+    else:
+        result, svc = map_cycle(
+            net, mapper_host, mapper=algorithm, search_depth=args.depth
+        )
     produced, stats = result.network, result.stats
 
     if args.stack:
@@ -120,12 +133,10 @@ def _cmd_map(args: argparse.Namespace) -> int:
 
         print(cache_summary(getattr(svc, "eval_cache_stats", None)))
     if args.profile:
-        if profiler is None:
+        if result.profile is None:
             print(f"profile: the {algorithm} mapper does not record phases")
         else:
-            profile = getattr(result, "profile", None)
-            if profile is not None:
-                print(profile.render())
+            print(result.profile.render())
     report = match_networks(produced, core_network(net))
     print(f"verified against actual core: "
           f"{'isomorphic' if report else f'MISMATCH ({report.reason})'}")

@@ -8,8 +8,9 @@ Two implementations are provided, mirroring the paper's presentation:
   the map is the quotient ``M / L``. This is the version the proof is about.
 - :mod:`~repro.core.mapper` — the *actual* algorithm after the Section 3.3
   modifications: merging interleaved with exploration, vertex objects merged
-  via a mergelist, probe-order heuristics. This is the version the empirical
-  study (Sections 5.1-5.3) measures.
+  via a mergelist (:mod:`~repro.core.model_graph`, the deduction engine the
+  partial-map merger shares), probe-order heuristics. This is the version
+  the empirical study (Sections 5.1-5.3) measures.
 
 Both observe the network only through a
 :class:`~repro.simulator.probes.ProbeService`.

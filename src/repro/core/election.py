@@ -40,7 +40,8 @@ import statistics
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from repro.core.mapper import BerkeleyMapper, MapResult
+from repro.core.mapper import MapResult
+from repro.core.remapper import map_cycle
 from repro.simulator.collision import CircuitModel, CollisionModel
 from repro.simulator.probes import ProbeKind, ProbeRecord
 from repro.simulator.stack import (
@@ -49,7 +50,6 @@ from repro.simulator.stack import (
     ProbeContext,
     ProbeLayer,
     TraceBusLayer,
-    build_service_stack,
 )
 from repro.simulator.timing import MYRINET_TIMING, TimingModel
 from repro.topology.model import Network
@@ -97,15 +97,16 @@ def _rival_schedule(
         if rec.kind is ProbeKind.HOST and rec.hit and rec.response is not None:
             events.append((clock, rec.response))
 
-    svc = build_service_stack(
-        net,
-        host,
-        layers=(CapLayer(cap), TraceBusLayer((on_record,))),
-        collision=collision,
-        timing=timing,
-    )
     try:
-        BerkeleyMapper(svc, search_depth=search_depth, host_first=False).run()
+        map_cycle(
+            net,
+            host,
+            search_depth=search_depth,
+            max_explorations=None,
+            layers=(CapLayer(cap), TraceBusLayer((on_record,))),
+            collision=collision,
+            timing=timing,
+        )
     except ProbeBudgetExceeded:
         pass
     return events
@@ -275,16 +276,17 @@ def _election_runs(
             rival_events=rival_events,
             rival_end_us=rival_end,
         )
-        svc = build_service_stack(
+        result, _ = map_cycle(
             net,
             winner,
+            search_depth=search_depth,
+            max_explorations=None,
             layers=(silence,),
             collision=collision,
             timing=timing,
             jitter=jitter,
             rng=rng,
         )
-        result = BerkeleyMapper(svc, search_depth=search_depth, host_first=False).run()
         elapsed_us = silence.now_us  # includes the winner's own start delay
         yield ElectionOutcome(
             winner=winner,

@@ -34,8 +34,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.mapper import _KIND_SWITCH, BerkeleyMapper, MergedVertex
+from repro.core.mapper import BerkeleyMapper
 from repro.core.mapper_protocol import register_mapper
+from repro.core.model_graph import KIND_SWITCH, MergedVertex
 from repro.core.planner import PortPlan, _alternating_order
 
 __all__ = ["InfoGainMapper", "InfoGainPlanner"]
@@ -163,7 +164,7 @@ class InfoGainMapper(BerkeleyMapper):
             if (
                 v.dead
                 or v.explored
-                or v.kind != _KIND_SWITCH
+                or v.kind != KIND_SWITCH
                 or v.vid in seen
             ):
                 continue

@@ -1,0 +1,418 @@
+"""The model graph and its one deduction rule (Section 3.3, modification 2).
+
+After the paper's second modification, labels are replaced by *merging
+vertex objects*, driven by a ``mergelist`` of vertices whose neighborhoods
+changed — "merging two switches may produce new ones to merge".
+
+The model graph here is a set of :class:`MergedVertex` objects with
+union-find aliasing. Each vertex keeps a ``nbrs`` mapping from *relative
+port index* (relative to the entry port of the vertex's creation probe
+path) to the set of ``(neighbor, neighbor_index)`` wire-ends seen there.
+The single deduction rule is the paper's: an actual switch port has exactly
+one cable, so two wire-ends recorded at the same index must lead to
+replicates — merge them, shifting the absorbed vertex's indices so the
+shared wire-end aligns (the ``mergeLabels`` re-indexing of Section 3.1.2).
+
+Hosts carry unique names; two host-vertices with one name merge on sight
+(every host has a single network connection, so their parent switches are
+then forced together — the anchor step of Lemma 3).
+
+:class:`ModelGraph` is that graph and nothing else: create, link, merge,
+deduce, PRUNE, and the hand-off to :func:`repro.core.relative.assemble`.
+Whoever feeds it decides what the wire-ends mean.
+:class:`~repro.core.mapper.BerkeleyMapper` *is* one and feeds it probe
+responses (so do its coupon and information-gain variants);
+:func:`repro.extensions.parallel_maps.merge_partial_maps` feeds it whole
+partial maps, one vertex per view node. The methods keep the underscore
+names the mapper family has always driven the graph by.
+"""
+
+from __future__ import annotations
+
+import itertools
+from collections import deque
+from typing import TYPE_CHECKING, Iterable, Mapping
+
+from repro.core.relative import End, MappingError, assemble
+from repro.simulator.turns import Turns
+from repro.topology.model import Network
+
+if TYPE_CHECKING:
+    from repro.core.instrumentation import PhaseProfiler
+
+__all__ = ["KIND_HOST", "KIND_SWITCH", "MergedVertex", "ModelGraph"]
+
+
+KIND_SWITCH = "switch"
+KIND_HOST = "host"
+
+
+class MergedVertex:
+    """A vertex of the model graph (after modification 2 of Section 3.3)."""
+
+    __slots__ = (
+        "vid",
+        "kind",
+        "host_name",
+        "probe_string",
+        "nbrs",
+        "alias",
+        "explored",
+        "dead",
+        "multi",
+    )
+
+    def __init__(
+        self,
+        vid: int,
+        kind: str,
+        probe_string: Turns,
+        host_name: str | None = None,
+    ) -> None:
+        self.vid = vid
+        self.kind = kind
+        self.host_name = host_name
+        self.probe_string = probe_string
+        self.nbrs: dict[int, set[tuple["MergedVertex", int]]] = {}
+        self.alias: "MergedVertex | None" = None
+        self.explored = False
+        self.dead = False
+        # Number of indices in ``nbrs`` currently holding more than one
+        # wire-end. Maintained at every set mutation so the deduction drain
+        # can skip vertices with nothing to deduce in O(1) instead of
+        # rescanning the whole adjacency (mergelist entries are mostly
+        # sterile: a vertex is re-queued on every touch).
+        self.multi = 0
+
+    @property
+    def depth(self) -> int:
+        return len(self.probe_string)
+
+    def degree(self) -> int:
+        """Incident wire-ends (a loopback cable contributes two)."""
+        return sum(len(s) for s in self.nbrs.values())
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        tag = self.host_name if self.kind == KIND_HOST else f"sw{self.vid}"
+        return f"<MV {tag} depth={self.depth} deg={self.degree()}>"
+
+
+class ModelGraph:
+    """Merging vertices, the mergelist, PRUNE and the output stage.
+
+    ``radix`` is the switch radix of the network :meth:`_build_network`
+    emits; ``profiler`` is an optional
+    :class:`~repro.core.instrumentation.PhaseProfiler` that receives the
+    ``merge`` phase row.
+    """
+
+    def __init__(
+        self, *, radix: int, profiler: "PhaseProfiler | None" = None
+    ) -> None:
+        self._radix = radix
+        self._prof = profiler
+        self._ids = itertools.count()
+        self._vertices: list[MergedVertex] = []
+        # Live (undead, unaliased) vertices by vid, maintained incrementally
+        # at creation/merge/delete so nothing ever rescans ``_vertices``.
+        # dict preserves insertion order, so iteration matches the old
+        # creation-order scan exactly.
+        self._live: dict[int, MergedVertex] = {}
+        self._hosts: dict[str, MergedVertex] = {}
+        self._mergelist: deque[MergedVertex] = deque()
+        self._merges = 0
+
+    # ------------------------------------------------------------------
+    # vertices and wire-ends
+    # ------------------------------------------------------------------
+    def _new_vertex(
+        self, kind: str, probe_string: Turns, host_name: str | None = None
+    ) -> MergedVertex:
+        v = MergedVertex(next(self._ids), kind, probe_string, host_name)
+        self._vertices.append(v)
+        self._live[v.vid] = v
+        return v
+
+    def _find(self, v: MergedVertex) -> MergedVertex:
+        root = v
+        while root.alias is not None:
+            root = root.alias
+        while v.alias is not None:  # path compression
+            v.alias, v = root, v.alias
+        return root
+
+    def _link(self, u: MergedVertex, ui: int, w: MergedVertex, wi: int) -> None:
+        u, w = self._find(u), self._find(w)
+        self._add_end(u, ui, w, wi)
+        self._add_end(w, wi, u, ui)
+
+    def _add_end(
+        self, u: MergedVertex, ui: int, w: MergedVertex, wi: int
+    ) -> None:
+        """Record wire-end ``(w, wi)`` at index ``ui`` of ``u``, keeping the
+        multi-end counter exact (the add may be a set-semantics no-op)."""
+        ends = u.nbrs.get(ui)
+        if ends is None:
+            u.nbrs[ui] = {(w, wi)}
+            return
+        before = len(ends)
+        ends.add((w, wi))
+        if len(ends) > 1:
+            if before == 1:
+                u.multi += 1
+            self._mergelist.append(u)
+
+    def _drop_end(
+        self, w: MergedVertex, wi: int, end: tuple[MergedVertex, int]
+    ) -> None:
+        """Remove a wire-end back-reference, keeping ``multi`` exact."""
+        back = w.nbrs.get(wi)
+        if back is None:
+            return
+        before = len(back)
+        back.discard(end)
+        if before == 2 and len(back) == 1:
+            w.multi -= 1
+        if not back:
+            del w.nbrs[wi]
+
+    def _register_host(self, child: MergedVertex) -> None:
+        assert child.host_name is not None
+        existing = self._hosts.get(child.host_name)
+        if existing is None:
+            self._hosts[child.host_name] = child
+            return
+        # "When a new host-vertex is created, it is put on mergelist":
+        # identical names force a merge (hosts are uniquely identified).
+        self._merge(self._find(existing), self._find(child), 0)
+
+    # ------------------------------------------------------------------
+    # merging (the deduction engine)
+    # ------------------------------------------------------------------
+    def _merge(self, keep: MergedVertex, absorb: MergedVertex, shift: int) -> None:
+        """Merge ``absorb`` into ``keep``; absorb's index i becomes i+shift."""
+        keep, absorb = self._find(keep), self._find(absorb)
+        if keep is absorb:
+            if shift != 0:
+                raise MappingError(
+                    f"vertex {keep!r} would merge with itself under a nonzero "
+                    f"port shift ({shift}); the network violates the system model"
+                )
+            return
+        if keep.kind != absorb.kind:
+            raise MappingError(
+                f"cannot merge a {keep.kind} with a {absorb.kind}; "
+                "responses are inconsistent with the system model"
+            )
+        if keep.kind == KIND_HOST:
+            if keep.host_name != absorb.host_name:
+                raise MappingError(
+                    f"hosts {keep.host_name} and {absorb.host_name} forced together"
+                )
+            if shift != 0:
+                raise MappingError(
+                    f"host {keep.host_name} merged under a nonzero port shift"
+                )
+        # Keep an explored representative when possible so frontier entries
+        # pointing at the absorbed twin are skipped rather than re-probed.
+        if absorb.explored and not keep.explored:
+            keep, absorb, shift = absorb, keep, -shift
+
+        prof = self._prof
+        t0 = prof.clock() if prof is not None else 0.0
+        # Detach absorb's adjacency, rewrite endpoint references, reattach.
+        moved = list(absorb.nbrs.items())
+        absorb.nbrs = {}
+        absorb.multi = 0
+        for i, ends in moved:
+            new_i = i + shift
+            # Deterministic order: set iteration follows id()-based hashes,
+            # which vary run to run; merge order must not. (The common
+            # single end has only one order.)
+            ordered = (
+                sorted(ends, key=lambda e: (e[0].vid, e[1])) if len(ends) > 1 else ends
+            )
+            for (w, wi) in ordered:
+                w = self._find(w)
+                if w is absorb:
+                    # Loopback wire inside the absorbed vertex; its far end
+                    # moves too (it is in `moved`, handled when reached).
+                    w = keep
+                    wi = wi + shift
+                else:
+                    # Remove the back-reference to absorb.
+                    self._drop_end(w, wi, (absorb, i))
+                if w is keep and wi == new_i:
+                    # A wire from absorb to keep at what is now the same
+                    # wire-end on both sides cannot exist physically.
+                    raise MappingError(
+                        "merge would create a wire from a port to itself"
+                    )
+                self._add_end(keep, new_i, w, wi)
+                self._add_end(w, wi, keep, new_i)
+
+        absorb.alias = keep
+        absorb.dead = True
+        self._live.pop(absorb.vid, None)
+        keep.explored = keep.explored or absorb.explored
+        if keep.kind == KIND_HOST:
+            self._hosts[keep.host_name] = keep  # type: ignore[index]
+        self._merges += 1
+        self._mergelist.append(keep)
+        if prof is not None:
+            prof.add("merge", prof.clock() - t0)
+
+    def _drain_mergelist(self) -> None:
+        """Apply the deduction rule until stable (Section 3.3 item 2).
+
+        Vertices are queued on every adjacency touch, so most entries are
+        sterile; the ``multi`` counter makes popping those O(1) instead of
+        an O(radix) rescan. Productive entries scan in the same index order
+        as always — merge order is observable (it picks representatives and
+        port frames) and must not change.
+        """
+        while self._mergelist:
+            v = self._find(self._mergelist.popleft())
+            if v.dead or not v.multi:
+                continue
+            self._deduce_at(v)
+
+    def _deduce_at(self, v: MergedVertex) -> None:
+        """Collapse any index of ``v`` holding more than one wire-end."""
+        progressed = True
+        while progressed:
+            progressed = False
+            v = self._find(v)
+            if v.dead or not v.multi:
+                return
+            for i in list(v.nbrs):
+                ends = v.nbrs.get(i)
+                if not ends or len(ends) < 2:
+                    continue
+                ordered = sorted(ends, key=lambda e: (e[0].vid, e[1]))
+                (w1, wi1) = ordered[0]
+                (w2, wi2) = ordered[1]
+                w1, w2 = self._find(w1), self._find(w2)
+                if w1 is w2:
+                    if wi1 == wi2:
+                        continue  # duplicates collapse via set semantics
+                    raise MappingError(
+                        f"port index {i} of {v!r} is wired to two different "
+                        f"ports of the same node; violates the system model"
+                    )
+                # Two wire-ends on one actual port: replicates. Align the
+                # indices of the shared wire-end (Section 3.1.2 re-indexing).
+                self._merge(w1, w2, wi1 - wi2)
+                progressed = True
+                break
+
+    # ------------------------------------------------------------------
+    # pruning and output
+    # ------------------------------------------------------------------
+    def _live_vertices(self) -> list[MergedVertex]:
+        # Maintained incrementally (creation / merge / delete); insertion
+        # order equals creation order, matching the old full-list scan.
+        return list(self._live.values())
+
+    def _prune(self) -> None:
+        """Delete degree-<=1 switches and everything that cascades (PRUNE).
+
+        Removes F-region probe trees and unexplored frontier stubs; core
+        switches always have degree >= 2 (a degree-1 switch cannot lie on
+        any non-edge-repeating path between hosts). One seed scan finds the
+        initial prunable set; each deletion enqueues neighbors whose degree
+        drops, so the whole stage is O(V + E) instead of a fixpoint of full
+        rescans. The surviving set is the same either way: pruning is
+        confluent (deletions only ever lower other degrees).
+        """
+        pending = deque(
+            v
+            for v in self._live.values()
+            if v.kind == KIND_SWITCH and v.degree() <= 1
+        )
+        while pending:
+            v = pending.popleft()
+            if v.dead or v.degree() > 1:
+                continue
+            self._delete(v, cascade=pending)
+
+    def _delete(
+        self, v: MergedVertex, cascade: deque[MergedVertex] | None = None
+    ) -> None:
+        for i, ends in list(v.nbrs.items()):
+            for (w, wi) in ends:
+                w = self._find(w)
+                if w is v:
+                    continue
+                self._drop_end(w, wi, (v, i))
+                if (
+                    cascade is not None
+                    and not w.dead
+                    and w.kind == KIND_SWITCH
+                    and w.degree() <= 1
+                ):
+                    cascade.append(w)
+        v.nbrs = {}
+        v.multi = 0
+        v.dead = True
+        self._live.pop(v.vid, None)
+
+    def _build_network(
+        self,
+        live: Iterable[MergedVertex] | None = None,
+        radix: int | None = None,
+        host_meta: Mapping[str, Mapping] | None = None,
+    ) -> tuple[Network, dict[int, str], dict[str, Turns], dict[str, int]]:
+        """Convert the merged model graph into a :class:`Network`.
+
+        Switch port numbers are the relative indices shifted so the minimum
+        used index is 0 — the canonical representative of the
+        per-switch-offset equivalence class the mapper can determine. Also
+        records each node's discovery witness (its vertex's probe string)
+        and each switch's witness entry port (model index 0 after the
+        shift), which is what a future run needs to seed itself from this
+        map without re-deriving the coordinate system.
+
+        ``live`` restricts the output to those live vertices (a set closed
+        under adjacency — one island of merged views), ``radix`` overrides
+        the graph's own for it, and ``host_meta`` goes to
+        :func:`~repro.core.relative.assemble`.
+        """
+        if live is None:
+            live = self._live_vertices()
+        live = sorted(live, key=lambda v: v.vid)
+        names: dict[int, str] = {}
+        witnesses: dict[str, Turns] = {}
+        for v in live:
+            if any(len(ends) > 1 for ends in v.nbrs.values()):
+                raise MappingError(
+                    f"unresolved multi-wire port survived on {v!r}; "
+                    "increase the search depth"
+                )
+            if v.kind == KIND_HOST:
+                if v.host_name in witnesses:
+                    raise MappingError(
+                        f"two model vertices for host {v.host_name} survived"
+                    )
+                name = v.host_name
+            else:
+                name = names[v.vid] = f"switch-{len(names)}"
+            witnesses[name] = v.probe_string  # type: ignore[index]
+
+        nodes: dict[str, dict[int, End] | None] = {}
+        for v in live:
+            if v.kind == KIND_HOST:
+                nodes[v.host_name] = None  # type: ignore[index]
+                continue
+            ports = nodes[names[v.vid]] = {}
+            for i, ends in v.nbrs.items():
+                for (w, wi) in ends:
+                    w = self._find(w)
+                    if w.kind == KIND_HOST:
+                        ports[i] = (w.host_name, 0)  # type: ignore[assignment]
+                    else:
+                        ports[i] = (names[w.vid], wi)
+        net, entry_ports = assemble(
+            nodes, self._radix if radix is None else radix, host_meta
+        )
+        return net, names, witnesses, entry_ports

@@ -17,16 +17,14 @@ the paper's Figure 7 reports.
 
 from __future__ import annotations
 
+import random
 import statistics
 from dataclasses import dataclass
 from typing import Any
 
-from repro.core.mapper import BerkeleyMapper, MapResult
-from repro.core.planner import ProbePlanner
+from repro.core.mapper import MapResult
+from repro.core.remapper import map_cycle
 from repro.simulator.daemons import DaemonPlacement
-from repro.simulator.collision import CircuitModel, CollisionModel
-from repro.simulator.stack import build_service_stack
-from repro.simulator.timing import MYRINET_TIMING, TimingModel
 from repro.topology.model import Network
 
 __all__ = ["TimingSummary", "repeated_times", "timed_run"]
@@ -51,37 +49,27 @@ def timed_run(
     *,
     search_depth: int,
     placement: DaemonPlacement | None = None,
-    collision: CollisionModel | None = None,
-    timing: TimingModel = MYRINET_TIMING,
-    planner: ProbePlanner | None = None,
-    host_first: bool = False,
     jitter: float = 0.0,
     seed: int = 0,
-    record_growth: bool = False,
     max_explorations: int | None = None,
 ) -> MapResult:
-    """One master/slave mapping run; elapsed time is in ``result.stats``."""
+    """One master/slave mapping run; elapsed time is in ``result.stats``.
+
+    ``seed`` seeds the probe-cost jitter stream.
+    """
     responders = None
     if placement is not None:
         responders = frozenset(placement.including(mapper_host).responders)
-    svc = build_service_stack(
+    result, _ = map_cycle(
         net,
         mapper_host,
-        collision=collision or CircuitModel(),
-        timing=timing,
+        search_depth=search_depth,
+        max_explorations=max_explorations,
         responders=responders,
         jitter=jitter,
-        seed=seed,
+        rng=random.Random(seed),
     )
-    mapper = BerkeleyMapper(
-        svc,
-        search_depth=search_depth,
-        planner=planner,
-        host_first=host_first,
-        record_growth=record_growth,
-        max_explorations=max_explorations,
-    )
-    return mapper.run()
+    return result
 
 
 def repeated_times(

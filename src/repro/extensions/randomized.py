@@ -31,6 +31,7 @@ import random
 
 from repro.core.mapper import BerkeleyMapper
 from repro.core.mapper_protocol import register_mapper
+from repro.core.model_graph import KIND_HOST, KIND_SWITCH
 from repro.simulator.path_eval import PathStatus
 from repro.simulator.probes import ProbeKind
 from repro.simulator.quiescent import QuiescentProbeService
@@ -79,9 +80,6 @@ class EarlyHostProbeService(QuiescentProbeService):
         )
         return ctx.payload if ctx.hit else None
 
-_KIND_SWITCH = "switch"
-_KIND_HOST = "host"
-
 
 @register_mapper(
     "coupon",
@@ -118,7 +116,7 @@ class CouponMapper(BerkeleyMapper):
         # The root switch (created by _initialize) anchors every random walk.
         root = None
         for v in self._vertices:
-            if v.kind == _KIND_SWITCH:
+            if v.kind == KIND_SWITCH:
                 root = v
                 break
         assert root is not None
@@ -176,7 +174,7 @@ class CouponMapper(BerkeleyMapper):
                 # Port already known: follow the wire instead of duplicating.
                 far, far_idx = min(existing, key=lambda e: (e[0].vid, e[1]))
                 far = self._find(far)
-                if far.kind != _KIND_SWITCH:
+                if far.kind != KIND_SWITCH:
                     # The model claims a host here, yet the probe passed
                     # through. Unresolvable locally; stop absorbing (sound:
                     # we add nothing rather than something wrong).
@@ -184,11 +182,11 @@ class CouponMapper(BerkeleyMapper):
                 current, entry = far, far_idx
                 continue
             if is_last:
-                child = self._new_vertex(_KIND_HOST, prefix, host_name=host)
+                child = self._new_vertex(KIND_HOST, prefix, host_name=host)
                 self._link(current, idx, child, 0)
                 self._register_host(child)
             else:
-                child = self._new_vertex(_KIND_SWITCH, prefix)
+                child = self._new_vertex(KIND_SWITCH, prefix)
                 self._link(current, idx, child, 0)
                 self._frontier.append(child)
                 current, entry = self._find(child), 0

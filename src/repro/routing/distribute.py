@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.routing.compile_routes import RouteTable
-from repro.simulator.path_eval import PathStatus, evaluate_route
 from repro.simulator.timing import MYRINET_TIMING, TimingModel
 from repro.topology.model import Network
 
@@ -52,31 +51,21 @@ def distribute_routes(
 ) -> DistributionReport:
     """Send every host its table along the mapper's route to it.
 
-    A host whose table cannot be delivered (no route, or the route fails to
-    evaluate on the actual network — impossible when the map is correct) is
-    recorded in ``failed``.
+    A full push is
+    :func:`~repro.routing.incremental.distribute_incremental` with no
+    previous generation: every route is an addition. A host whose table
+    cannot be delivered (no route, or the route fails to evaluate on the
+    actual network — impossible when the map is correct) is recorded in
+    ``failed``.
     """
-    report = DistributionReport(mapper_host=mapper_host)
-    mapper_table = tables.get(mapper_host)
-    for host in sorted(tables):
-        if host == mapper_host:
-            report.delivered.append(host)
-            continue
-        route = mapper_table.routes.get(host) if mapper_table else None
-        if route is None:
-            report.failed.append(host)
-            continue
-        outcome = evaluate_route(net, mapper_host, route.turns)
-        if outcome.status is not PathStatus.DELIVERED or outcome.delivered_to != host:
-            report.failed.append(host)
-            continue
-        table_bytes = bytes_per_route * len(tables[host])
-        report.bytes_sent += table_bytes
-        hops = outcome.hops
-        report.elapsed_us += (
-            timing.host_overhead_us
-            + hops * timing.switch_latency_us
-            + table_bytes / timing.link_bandwidth_bytes_per_us
-        )
-        report.delivered.append(host)
-    return report
+    # Imported here: incremental.py takes DistributionReport from this module.
+    from repro.routing.incremental import distribute_incremental
+
+    return distribute_incremental(
+        net,
+        mapper_host,
+        tables,
+        None,
+        timing=timing,
+        bytes_per_route=bytes_per_route,
+    )

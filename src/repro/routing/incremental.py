@@ -11,8 +11,9 @@ distributes only the delta:
 - hosts whose tables are untouched receive nothing;
 - new hosts receive their full table; departed hosts are dropped.
 
-The byte accounting mirrors :mod:`repro.routing.distribute` so experiments
-can compare full vs incremental distribution cost directly.
+A full push (:func:`repro.routing.distribute.distribute_routes`) is the
+same loop with no previous generation, so experiments compare full vs
+incremental distribution cost on one byte and time formula.
 """
 
 from __future__ import annotations
