@@ -4,8 +4,11 @@ These are the operations the experiment harness executes millions of times;
 tracking them guards against performance regressions in the simulator.
 """
 
+from pathlib import Path
+
 import pytest
 
+from repro.analysis.engine import lint_paths
 from repro.core.mapper_protocol import create_mapper
 from repro.routing.paths import all_pairs_updown_paths
 from repro.routing.updown import orient_updown
@@ -121,53 +124,10 @@ def test_isomorphism_check_full_now(benchmark, now_full):
     assert report
 
 
-def _sanlint_repo(cache_path):
-    from pathlib import Path
-
-    from repro.analysis.engine import lint_paths
-
+def test_sanlint_whole_repo(benchmark):
+    """One sanlint pass over ``src/repro``: parse + the per-module rules."""
     package = Path(__file__).resolve().parents[1] / "src" / "repro"
-    diags = lint_paths([package], cache_path=cache_path)
-    assert diags == []
-    return diags
-
-
-def test_sanlint_whole_repo_cold(benchmark, tmp_path):
-    """Cold sanflow pass: parse + module rules + summaries + project rules."""
-
-    def run():
-        cache = tmp_path / "cold" / "cache.json"
-        if cache.exists():
-            cache.unlink()
-        cache.parent.mkdir(exist_ok=True)
-        return _sanlint_repo(cache)
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
-
-
-def test_sanlint_whole_repo_warm(benchmark, tmp_path):
-    """Warm pass: content hashes hit, only project rules re-run."""
-    cache = tmp_path / "warm-cache.json"
-    _sanlint_repo(cache)  # populate
-    benchmark.pedantic(_sanlint_repo, args=(cache,), rounds=3, iterations=1)
-
-
-def test_sanlint_warm_cache_speedup_at_least_5x(tmp_path):
-    """The ISSUE-6 acceptance bar, measured the same way the mapping-cache
-    bar above is: min-of-N on both arms."""
-    import time
-
-    cache = tmp_path / "cache.json"
-
-    def once() -> float:
-        start = time.perf_counter()
-        _sanlint_repo(cache)
-        return time.perf_counter() - start
-
-    cold = once()
-    warm = min(once() for _ in range(3))
-    speedup = cold / warm
-    assert speedup >= 5.0, (
-        f"warm sanflow speedup {speedup:.2f}x < 5x "
-        f"(cold {cold * 1e3:.1f} ms, warm {warm * 1e3:.1f} ms)"
+    diags = benchmark.pedantic(
+        lint_paths, args=([package],), rounds=1, iterations=1
     )
+    assert diags == []

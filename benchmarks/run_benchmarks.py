@@ -158,38 +158,15 @@ def _micro_core_decomposition() -> tuple[float, dict]:
     }
 
 
-def _sanlint_repo(cache_path: Path) -> tuple[float, dict]:
+def _micro_sanlint() -> tuple[float, dict]:
+    """One sanlint pass over ``src/repro``: parse + the per-module rules."""
     from repro.analysis.engine import lint_paths
 
     start = time.perf_counter()
-    diags = lint_paths([REPO_ROOT / "src" / "repro"], cache_path=cache_path)
+    diags = lint_paths([REPO_ROOT / "src" / "repro"])
     elapsed = time.perf_counter() - start
     assert diags == [], "src/repro must lint clean"
     return elapsed, {}
-
-
-def _micro_sanlint_cold() -> tuple[float, dict]:
-    """Whole-repo sanflow pass with an empty result cache every time."""
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as td:
-        return _sanlint_repo(Path(td) / "cache.json")
-
-
-_SANLINT_WARM_CACHE: Path | None = None
-
-
-def _micro_sanlint_warm() -> tuple[float, dict]:
-    """Whole-repo sanflow pass against a populated result cache."""
-    import tempfile
-
-    global _SANLINT_WARM_CACHE
-    if _SANLINT_WARM_CACHE is None:
-        _SANLINT_WARM_CACHE = (
-            Path(tempfile.mkdtemp(prefix="sanlint-bench-")) / "cache.json"
-        )
-        _sanlint_repo(_SANLINT_WARM_CACHE)  # populate once
-    return _sanlint_repo(_SANLINT_WARM_CACHE)
 
 
 MICRO_SUITE: dict[str, Bench] = {
@@ -202,8 +179,7 @@ MICRO_SUITE: dict[str, Bench] = {
         True, _stacked_layers()
     ),
     "core_decomposition_full_now": _micro_core_decomposition,
-    "sanlint_whole_repo_cold": _micro_sanlint_cold,
-    "sanlint_whole_repo_warm": _micro_sanlint_warm,
+    "sanlint_whole_repo": _micro_sanlint,
 }
 
 

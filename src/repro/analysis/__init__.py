@@ -5,40 +5,30 @@ the code can only honour by discipline: deterministic lockstep simulation,
 seeded RNGs everywhere, relative non-modular port arithmetic staying in
 ``[0, radix)``, and all network observation flowing through
 :class:`~repro.simulator.probes.ProbeService`. This package makes those
-substrate guarantees machine-checked:
+substrate guarantees machine-checked, one module at a time:
 
-- :mod:`repro.analysis.rules` — the SAN001-SAN014 rule set (SAN012-014
-  are the whole-program *sanflow* rules: epoch soundness, RNG seed
-  taint, ProbeLayer purity — see ``docs/SANFLOW.md``);
+- :mod:`repro.analysis.registry` — the ``Rule`` base class and the
+  ``SANxxx`` registry;
+- :mod:`repro.analysis.rules` — the thirteen rules (SAN001-SAN011, SAN014,
+  SAN015; SAN012/SAN013 are retired and their guarantee is carried by
+  dynamic tests — see ``docs/STATIC_ANALYSIS.md``);
 - :mod:`repro.analysis.engine` — parsing, ``# sanlint: disable=...``
-  suppression, reporting, and the sanflow orchestration;
-- :mod:`repro.analysis.flow` / :mod:`repro.analysis.project` — per-function
-  CFGs and the repo-wide symbol table / call graph the sanflow rules query;
-- :mod:`repro.analysis.cache` — content-hash incremental result cache;
-- :mod:`repro.analysis.baseline` / :mod:`repro.analysis.sarif` — adoption
-  baseline filtering and SARIF 2.1.0 output for code scanning;
+  suppression and reporting;
 - :mod:`repro.analysis.cli` — the ``san-lint`` console script;
 - ``tests/analysis/test_codebase_clean.py`` — lints ``src/repro`` on every
   pytest run, so a violating change fails tier-1.
 """
 
-from repro.analysis.baseline import Baseline, load_baseline, write_baseline
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.engine import lint_paths, lint_source, render_report
 from repro.analysis.registry import all_rule_ids, get_rule, iter_rules
-from repro.analysis.sarif import render_sarif, to_sarif
 
 __all__ = [
-    "Baseline",
     "Diagnostic",
     "all_rule_ids",
     "get_rule",
     "iter_rules",
     "lint_paths",
     "lint_source",
-    "load_baseline",
     "render_report",
-    "render_sarif",
-    "to_sarif",
-    "write_baseline",
 ]

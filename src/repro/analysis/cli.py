@@ -3,9 +3,6 @@
 Exit status is 0 when every linted file is clean and 1 when any diagnostic
 survives suppression — which is what lets CI (and the tier-1 test
 ``tests/analysis/test_codebase_clean.py``) gate on the domain rules.
-Findings recorded in a ``--baseline`` file are dropped before the exit
-status is decided; ``--write-baseline`` records the current findings and
-exits 0 (that run *defines* clean).
 """
 
 from __future__ import annotations
@@ -13,18 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 from typing import Sequence
 
-from repro.analysis.baseline import load_baseline, write_baseline
 from repro.analysis.engine import lint_paths, render_report
 from repro.analysis.registry import all_rule_ids, get_rule
-from repro.analysis.sarif import render_sarif
 
 __all__ = ["build_parser", "main"]
-
-#: Default location of the incremental result cache (gitignored).
-DEFAULT_CACHE = ".sanflow_cache.json"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -32,9 +23,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="san-lint",
         description=(
             "Domain-aware static analysis for the SAN mapping reproduction: "
-            "simulator determinism and probe-protocol invariants, plus the "
-            "whole-program sanflow pass (epoch soundness, RNG seed taint, "
-            "layer purity)."
+            "simulator determinism and probe-protocol invariants."
         ),
     )
     parser.add_argument(
@@ -57,41 +46,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=["text", "json", "sarif"],
+        choices=["text", "json"],
         default="text",
         help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--sarif",
-        metavar="FILE",
-        default=None,
-        help="additionally write a SARIF 2.1.0 log to FILE",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help="drop findings recorded in this baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        default=None,
-        help="record current findings as the new baseline and exit 0",
-    )
-    parser.add_argument(
-        "--cache",
-        metavar="FILE",
-        default=DEFAULT_CACHE,
-        help=(
-            "incremental result cache file "
-            f"(default: {DEFAULT_CACHE}; only used for full-rule-set runs)"
-        ),
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the incremental result cache",
     )
     parser.add_argument(
         "--no-hints",
@@ -133,32 +90,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             args.paths,
             select=_split_ids(args.select),
             ignore=_split_ids(args.ignore),
-            cache_path=None if args.no_cache else args.cache,
         )
     except (FileNotFoundError, KeyError) as exc:
         print(f"san-lint: error: {exc}", file=sys.stderr)
         return 2
-    if args.write_baseline is not None:
-        count = write_baseline(Path(args.write_baseline), diagnostics)
-        print(f"san-lint: baseline written: {count} entries")
-        return 0
-    if args.baseline is not None:
-        try:
-            baseline = load_baseline(Path(args.baseline))
-        except (OSError, ValueError, KeyError) as exc:
-            print(
-                f"san-lint: error: unreadable baseline: {exc}", file=sys.stderr
-            )
-            return 2
-        diagnostics = baseline.filter(diagnostics)
-    if args.sarif is not None:
-        Path(args.sarif).write_text(
-            render_sarif(diagnostics) + "\n", encoding="utf-8"
-        )
     if args.format == "json":
         print(json.dumps([d.to_json() for d in diagnostics], indent=2))
-    elif args.format == "sarif":
-        print(render_sarif(diagnostics))
     else:
         print(render_report(diagnostics, show_hints=not args.no_hints))
     return 1 if diagnostics else 0

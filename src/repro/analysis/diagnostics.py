@@ -39,15 +39,3 @@ class Diagnostic:
             "message": self.message,
             "hint": self.hint,
         }
-
-    @classmethod
-    def from_json(cls, data: dict[str, object]) -> "Diagnostic":
-        """Inverse of :meth:`to_json`; used by the incremental cache."""
-        return cls(
-            path=str(data["path"]),
-            line=int(data["line"]),  # type: ignore[arg-type]
-            col=int(data["col"]),  # type: ignore[arg-type]
-            rule_id=str(data["rule"]),
-            message=str(data["message"]),
-            hint=None if data.get("hint") is None else str(data["hint"]),
-        )

@@ -21,17 +21,10 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from repro.analysis.cache import (
-    AnalysisCache,
-    cached_diagnostics,
-    cached_suppressions,
-    source_digest,
-)
 from repro.analysis.diagnostics import Diagnostic
-from repro.analysis.project import Project, summarize_module
-from repro.analysis.registry import ProjectRule, Rule, iter_rules
+from repro.analysis.registry import Rule, iter_rules
 
 __all__ = [
     "ModuleInfo",
@@ -88,26 +81,16 @@ class ModuleInfo:
         return None
 
     def is_suppressed(self, diag: Diagnostic) -> bool:
-        return _is_suppressed(
-            diag, self.line_suppressions, self.file_suppressions
-        )
-
-
-def _is_suppressed(
-    diag: Diagnostic,
-    line_suppressions: dict[int, set[str] | None],
-    file_suppressions: set[str] | None | bool,
-) -> bool:
-    if diag.rule_id == PARSE_ERROR_ID:
+        if diag.rule_id == PARSE_ERROR_ID:
+            return False
+        if self.file_suppressions is None:
+            return True
+        if self.file_suppressions and diag.rule_id in self.file_suppressions:
+            return True
+        if diag.line in self.line_suppressions:
+            ids = self.line_suppressions[diag.line]
+            return ids is None or diag.rule_id in ids
         return False
-    if file_suppressions is None:
-        return True
-    if file_suppressions and diag.rule_id in file_suppressions:
-        return True
-    if diag.line in line_suppressions:
-        ids = line_suppressions[diag.line]
-        return ids is None or diag.rule_id in ids
-    return False
 
 
 def _scan_suppressions(source: str) -> tuple[dict[int, set[str] | None], set[str] | None | bool]:
@@ -153,11 +136,6 @@ def module_name_for(path: Path) -> str:
     return ".".join(parts) if parts else path.stem
 
 
-def load_module(path: Path, *, module: str | None = None) -> ModuleInfo:
-    source = path.read_text(encoding="utf-8")
-    return lint_module_info(source, path=path, module=module)
-
-
 def lint_module_info(
     source: str, *, path: Path, module: str | None = None
 ) -> ModuleInfo:
@@ -196,57 +174,6 @@ def _run_rules(info: ModuleInfo, rules: Sequence[Rule]) -> list[Diagnostic]:
     return out
 
 
-def _split_rules(
-    rules: Sequence[Rule],
-) -> tuple[list[Rule], list[ProjectRule]]:
-    module_rules = [r for r in rules if not isinstance(r, ProjectRule)]
-    project_rules = [r for r in rules if isinstance(r, ProjectRule)]
-    return module_rules, project_rules
-
-
-@dataclass
-class _FileResult:
-    """Everything one analyzed file contributes to the final report."""
-
-    path: str
-    module: str
-    diagnostics: list[Diagnostic]
-    summary: dict[str, Any]
-    line_suppressions: dict[int, set[str] | None]
-    file_suppressions: set[str] | None | bool
-
-
-def _run_project_rules(
-    results: Sequence[_FileResult], project_rules: Sequence[ProjectRule]
-) -> list[Diagnostic]:
-    """The sanflow pass: build the Project, run rules, honor suppressions."""
-    if not project_rules:
-        return []
-    project = Project(r.summary for r in results)
-    suppressions = {
-        r.path: (r.line_suppressions, r.file_suppressions) for r in results
-    }
-    out: list[Diagnostic] = []
-    for rule in project_rules:
-        for diag in rule.check_project(project):
-            tables = suppressions.get(diag.path)
-            if tables is not None and _is_suppressed(diag, *tables):
-                continue
-            out.append(diag)
-    return out
-
-
-def _file_result(info: ModuleInfo, module_rules: Sequence[Rule]) -> _FileResult:
-    return _FileResult(
-        path=str(info.path),
-        module=info.module,
-        diagnostics=_run_rules(info, module_rules),
-        summary=summarize_module(info.module, str(info.path), info.tree),
-        line_suppressions=info.line_suppressions,
-        file_suppressions=info.file_suppressions,
-    )
-
-
 def lint_source(
     source: str,
     *,
@@ -255,31 +182,12 @@ def lint_source(
     select: Iterable[str] | None = None,
     ignore: Iterable[str] | None = None,
 ) -> list[Diagnostic]:
-    """Lint a source string (the unit the golden-file tests drive).
-
-    Project rules run too, over the single-module project — cross-module
-    facts are simply absent, so they check what the one file shows.
-    """
+    """Lint a source string (the unit the golden-file tests drive)."""
     # Import for the registration side effect; idempotent after first call.
     import repro.analysis.rules  # noqa: F401
 
-    module_rules, project_rules = _split_rules(iter_rules(select, ignore))
     info = lint_module_info(source, path=Path(path), module=module)
-    result = _file_result(info, module_rules)
-    return sorted(
-        result.diagnostics + _run_project_rules([result], project_rules)
-    )
-
-
-def _parse_error(path: Path, exc: SyntaxError) -> Diagnostic:
-    return Diagnostic(
-        path=str(path),
-        line=exc.lineno or 1,
-        col=(exc.offset or 1) - 1,
-        rule_id=PARSE_ERROR_ID,
-        message=f"could not parse: {exc.msg}",
-        hint=None,
-    )
+    return sorted(_run_rules(info, iter_rules(select, ignore)))
 
 
 def lint_paths(
@@ -287,71 +195,30 @@ def lint_paths(
     *,
     select: Iterable[str] | None = None,
     ignore: Iterable[str] | None = None,
-    cache_path: Path | str | None = None,
 ) -> list[Diagnostic]:
-    """Lint files and directories; returns all diagnostics, sorted.
-
-    With ``cache_path``, per-file parse/rule results are reused for files
-    whose content hash is unchanged (see :mod:`repro.analysis.cache`).
-    The cache only serves full-rule-set runs: ``select``/``ignore``
-    disable it rather than risk serving partial results.
-    """
+    """Lint files and directories; returns all diagnostics, sorted."""
     import repro.analysis.rules  # noqa: F401
 
-    module_rules, project_rules = _split_rules(iter_rules(select, ignore))
-    cache = (
-        AnalysisCache(Path(cache_path))
-        if cache_path is not None and select is None and ignore is None
-        else None
-    )
+    rules = iter_rules(select, ignore)
     out: list[Diagnostic] = []
-    results: list[_FileResult] = []
-    keys: set[str] = set()
     for path in collect_files(paths):
-        # Keyed on the resolved path so relative and absolute invocations
-        # of the same tree share (rather than evict) each other's entries.
-        key = str(path.resolve())
-        keys.add(key)
-        source = path.read_text(encoding="utf-8")
-        if cache is not None:
-            digest = source_digest(source)
-            entry = cache.get(key, digest)
-            if entry is not None:
-                line_supp, file_supp = cached_suppressions(entry)
-                results.append(
-                    _FileResult(
-                        path=entry["summary"]["path"],
-                        module=entry["module"],
-                        diagnostics=cached_diagnostics(entry),
-                        summary=entry["summary"],
-                        line_suppressions=line_supp,
-                        file_suppressions=file_supp,
-                    )
-                )
-                continue
         try:
-            info = lint_module_info(source, path=path)
-        except SyntaxError as exc:
-            out.append(_parse_error(path, exc))
-            continue
-        result = _file_result(info, module_rules)
-        results.append(result)
-        if cache is not None:
-            cache.put(
-                key,
-                digest,
-                module=result.module,
-                diagnostics=result.diagnostics,
-                summary=result.summary,
-                line_suppressions=result.line_suppressions,
-                file_suppressions=result.file_suppressions,
+            info = lint_module_info(
+                path.read_text(encoding="utf-8"), path=path
             )
-    for result in results:
-        out.extend(result.diagnostics)
-    out.extend(_run_project_rules(results, project_rules))
-    if cache is not None:
-        cache.prune(keys)
-        cache.save()
+        except SyntaxError as exc:
+            out.append(
+                Diagnostic(
+                    path=str(path),
+                    line=exc.lineno or 1,
+                    col=(exc.offset or 1) - 1,
+                    rule_id=PARSE_ERROR_ID,
+                    message=f"could not parse: {exc.msg}",
+                    hint=None,
+                )
+            )
+            continue
+        out.extend(_run_rules(info, rules))
     return sorted(out)
 
 

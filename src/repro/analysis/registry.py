@@ -15,16 +15,14 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import TYPE_CHECKING, Callable, ClassVar, Iterable, Iterator
+from typing import TYPE_CHECKING, ClassVar, Iterable, Iterator
 
 from repro.analysis.diagnostics import Diagnostic
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.analysis.engine import ModuleInfo
-    from repro.analysis.project import Project
 
 __all__ = [
-    "ProjectRule",
     "Rule",
     "all_rule_ids",
     "get_rule",
@@ -42,9 +40,6 @@ class Rule:
     title: ClassVar[str]
     rationale: ClassVar[str]
     hint: ClassVar[str]
-    #: ``"module"`` rules see one file at a time; ``"project"`` rules (the
-    #: sanflow pass) see every analyzed module's summary at once.
-    scope: ClassVar[str] = "module"
 
     def check(self, module: "ModuleInfo") -> Iterator[Diagnostic]:
         raise NotImplementedError
@@ -62,44 +57,6 @@ class Rule:
             path=str(module.path),
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0),
-            rule_id=self.rule_id,
-            message=message,
-            hint=hint if hint is not None else self.hint,
-        )
-
-
-class ProjectRule(Rule):
-    """A whole-program rule, checked once over all module summaries.
-
-    Project rules never parse source themselves: they read the JSON-ready
-    summaries held by a :class:`~repro.analysis.project.Project`, which is
-    what makes them cacheable — a warm run rebuilds the project from cached
-    summaries without touching the AST of unchanged files. Diagnostics are
-    attributed back to their module by path, so ``# sanlint: disable=``
-    comments work exactly as they do for module rules.
-    """
-
-    scope: ClassVar[str] = "project"
-
-    def check(self, module: "ModuleInfo") -> Iterator[Diagnostic]:
-        return iter(())  # project rules contribute nothing per module
-
-    def check_project(self, project: "Project") -> Iterator[Diagnostic]:
-        raise NotImplementedError
-
-    def project_diag(
-        self,
-        path: str,
-        line: int,
-        col: int,
-        message: str,
-        *,
-        hint: str | None = None,
-    ) -> Diagnostic:
-        return Diagnostic(
-            path=path,
-            line=line,
-            col=col,
             rule_id=self.rule_id,
             message=message,
             hint=hint if hint is not None else self.hint,
@@ -146,8 +103,3 @@ def iter_rules(
             continue
         rules.append(get_rule(rule_id)())
     return rules
-
-
-# Used by the engine to resolve helper callbacks without importing rules
-# eagerly; kept here so the registry stays the single point of coupling.
-RuleFactory = Callable[[], Rule]

@@ -10,14 +10,11 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.engine import ModuleInfo
-from repro.analysis.registry import ProjectRule, Rule, register
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.analysis.project import Project
+from repro.analysis.registry import Rule, register
 
 __all__ = [
     "NoWallClock",
@@ -31,10 +28,8 @@ __all__ = [
     "ServiceEvaluatesViaCache",
     "SeededChaosSchedules",
     "NoAdHocServiceWrappers",
-    "MappersViaRegistry",
-    "EpochSoundMutators",
-    "SeededRngTaint",
     "ProbeLayerPurity",
+    "MappersViaRegistry",
 ]
 
 #: Switch radix of the paper's Myrinet fabric; port indices live in [0, 8).
@@ -44,14 +39,18 @@ DEFAULT_RADIX = 8
 SIMULATED_TIME_PACKAGES = ("repro.simulator", "repro.core")
 
 
+def _terminal_name(node: ast.expr) -> str | None:
+    """Last identifier of a Name/Attribute expression (``c`` for ``a.b.c``)."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    return None
+
+
 def _call_name(node: ast.Call) -> str | None:
     """Terminal identifier of the called object (``Foo`` for ``a.b.Foo()``)."""
-    func = node.func
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None
+    return _terminal_name(node.func)
 
 
 def _dotted(node: ast.expr) -> str | None:
@@ -91,13 +90,13 @@ class NoWallClock(Rule):
     rule_id = "SAN001"
     title = "no wall-clock reads in simulator/core hot paths"
     rationale = (
-        "Mapping time is *simulated* time: the lockstep scheduler and the "
-        "event queue define `now`. A wall-clock read in repro.simulator or "
+        "Mapping time is *simulated* time: the lockstep scheduler defines "
+        "`now`. A wall-clock read in repro.simulator or "
         "repro.core couples results to host speed and destroys "
         "byte-for-byte replayability of Figure 7/9 runs."
     )
     hint = (
-        "use the simulated clock (EventQueue.now / LockstepScheduler.now / "
+        "use the simulated clock (LockstepScheduler.now / "
         "ProbeStats.elapsed_us) instead of the host's wall clock"
     )
 
@@ -155,7 +154,8 @@ class NoUnseededRng(Rule):
         "Every stochastic path (jitter, daemon placement, fault injection, "
         "randomized probing) must be replayable from a seed. The global "
         "`random` module and the legacy `np.random.*` functions share hidden "
-        "process-wide state; one call silently breaks replay."
+        "process-wide state, and `random.Random()` / `default_rng()` with no "
+        "argument seed from OS entropy; one call silently breaks replay."
     )
     hint = (
         "construct an explicit `random.Random(seed)` (or "
@@ -164,6 +164,7 @@ class NoUnseededRng(Rule):
 
     _ALLOWED_RANDOM = frozenset({"Random", "SystemRandom", "getstate"})
     _ALLOWED_NP = frozenset({"default_rng", "Generator", "SeedSequence", "BitGenerator"})
+    _SEEDABLE_CTORS = frozenset({"Random", "default_rng"})
 
     def check(self, module: ModuleInfo) -> Iterator[Diagnostic]:
         numpy_aliases = {"numpy"}
@@ -195,6 +196,18 @@ class NoUnseededRng(Rule):
                                 f"`from numpy.random import {alias.name}` uses "
                                 "the legacy global numpy RNG",
                             )
+            elif (
+                isinstance(node, ast.Call)
+                and _call_name(node) in self._SEEDABLE_CTORS
+                and not node.args
+                and not node.keywords
+            ):
+                yield self.diag(
+                    module,
+                    node,
+                    f"`{ast.unparse(node)}` has no seed argument: it falls "
+                    "back on OS entropy",
+                )
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 value = node.value
                 if (
@@ -371,13 +384,13 @@ class SchedulerStateEncapsulation(Rule):
     title = "simulator clock/queue state mutated only inside repro.simulator"
     rationale = (
         "Determinism of the lockstep substrate depends on every state "
-        "transition flowing through schedule()/wait()/run(). A direct write "
+        "transition flowing through spawn()/wait()/run(). A direct write "
         "to `_now`, `_heap`, or `_queue` from outside the simulator package "
         "bypasses tie-breaking and reorders events between runs."
     )
     hint = (
-        "go through the scheduler API (schedule(), schedule_at(), wait(), "
-        "run(until=...)) instead of writing simulator internals directly"
+        "go through the scheduler API (spawn(), wait(), run()) instead of "
+        "writing simulator internals directly"
     )
 
     _GUARDED = frozenset({"_now", "_heap", "_queue", "_baton", "_running"})
@@ -684,6 +697,153 @@ class NoAdHocServiceWrappers(Rule):
                     )
 
 
+#: Container methods that mutate their receiver in place.
+MUTATING_METHODS = frozenset(
+    {
+        "add",
+        "append",
+        "appendleft",
+        "clear",
+        "discard",
+        "extend",
+        "insert",
+        "pop",
+        "popitem",
+        "popleft",
+        "remove",
+        "reverse",
+        "setdefault",
+        "sort",
+        "update",
+    }
+)
+
+#: Receiver names treated as Network/FaultModel instances by SAN014 (on
+#: top of explicit ``Network``/``FaultModel`` parameter annotations).
+NETFAULT_NAMES = frozenset(
+    {
+        "net",
+        "network",
+        "_net",
+        "_network",
+        "fault",
+        "faults",
+        "_faults",
+        "fault_model",
+        "_fault_model",
+    }
+)
+
+#: Annotation class names that mark a parameter as simulator state.
+NETFAULT_TYPES = frozenset({"Network", "FaultModel"})
+
+
+def _annotation_receivers(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
+    """Parameter names annotated as Network/FaultModel."""
+    names: set[str] = set()
+    args = fn.args
+    for a in (*args.posonlyargs, *args.args, *args.kwonlyargs):
+        ann = a.annotation
+        if ann is None:
+            continue
+        dotted = _dotted(ann) or (
+            ann.value if isinstance(ann, ast.Constant) and isinstance(ann.value, str) else ""
+        )
+        if dotted and str(dotted).split(".")[-1].strip('"') in NETFAULT_TYPES:
+            names.add(a.arg)
+    return names
+
+
+def _layer_impurities(
+    fn: ast.FunctionDef | ast.AsyncFunctionDef,
+) -> Iterator[tuple[ast.AST, str]]:
+    """Direct Network/FaultModel state mutations in one method, as
+    ``(offending node, description)`` pairs."""
+    receivers = NETFAULT_NAMES | _annotation_receivers(fn)
+
+    def is_netfault(node: ast.expr) -> bool:
+        """Does the attribute hang off a Network/FaultModel receiver?"""
+        return _terminal_name(node) in receivers
+
+    for node in ast.walk(fn):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
+            targets = (
+                node.targets
+                if isinstance(node, (ast.Assign, ast.Delete))
+                else [node.target]
+            )
+            for target in targets:
+                base = target
+                if isinstance(base, ast.Subscript):
+                    base = base.value
+                if isinstance(base, ast.Attribute) and is_netfault(base.value):
+                    yield node, f"direct write to `{ast.unparse(target)}`"
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if not isinstance(func, ast.Attribute):
+                continue
+            # private API call on a net/fault receiver: net._anything(...)
+            if (
+                func.attr.startswith("_")
+                and not func.attr.startswith("__")
+                and is_netfault(func.value)
+            ):
+                yield node, f"private call `{ast.unparse(func)}()`"
+            # in-place container mutation: faults.dead_wires.add(...)
+            elif (
+                func.attr in MUTATING_METHODS
+                and isinstance(func.value, ast.Attribute)
+                and is_netfault(func.value.value)
+            ):
+                yield node, f"in-place mutation `{ast.unparse(func)}()`"
+
+
+@register
+class ProbeLayerPurity(Rule):
+    rule_id = "SAN014"
+    title = "ProbeLayer hooks leave Network/FaultModel state alone"
+    rationale = (
+        "The middleware stack's equivalence proofs (stacked service ≡ "
+        "bare service + accounting) assume layers observe probes but "
+        "never perturb the substrate. A hook that writes Network or "
+        "FaultModel state directly — bypassing the epoch-bumping "
+        "mutators — invalidates both the proofs and every cached walk, "
+        "without any epoch trace of the change. Chaos layers *may* "
+        "inject faults, but only through the public mutators, which "
+        "this rule still permits."
+    )
+    hint = (
+        "call a public epoch-bumping mutator (`set_drop_prob`, "
+        "`set_dead_wires`, `connect`, ...) instead of touching simulator "
+        "state from a layer hook"
+    )
+
+    @staticmethod
+    def _class_is_layer(cls: ast.ClassDef) -> bool:
+        """Every layer derives, by name, from a ``*Layer`` base."""
+        return any(
+            (base_name := _dotted(base)) is not None
+            and base_name.split(".")[-1].endswith("Layer")
+            for base in cls.bases
+        )
+
+    def check(self, module: ModuleInfo) -> Iterator[Diagnostic]:
+        for node in ast.walk(module.tree):
+            if not isinstance(node, ast.ClassDef) or not self._class_is_layer(node):
+                continue
+            for stmt in node.body:
+                if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                for culprit, desc in _layer_impurities(stmt):
+                    yield self.diag(
+                        module,
+                        culprit,
+                        f"ProbeLayer hook `{node.name}.{stmt.name}` {desc} — "
+                        "simulator state must change only through "
+                        "epoch-bumping mutators",
+                    )
+
+
 @register
 class MappersViaRegistry(Rule):
     rule_id = "SAN015"
@@ -778,118 +938,4 @@ class MappersViaRegistry(Rule):
                         node,
                         f"direct `{name}(...)` construction outside "
                         "repro.core — build it by registry name instead",
-                    )
-
-
-# ---------------------------------------------------------------------------
-# sanflow project rules: whole-program, flow-sensitive (SAN012-SAN014).
-# These never parse source themselves — they query the Project built from
-# cached module summaries; see docs/SANFLOW.md for the architecture.
-# ---------------------------------------------------------------------------
-
-
-@register
-class EpochSoundMutators(ProjectRule):
-    rule_id = "SAN012"
-    title = "state mutations in epoch-versioned classes bump the epoch on every path"
-    rationale = (
-        "The prefix-trie evaluator caches whole probe walks keyed on "
-        "`topology_epoch`/`fault_epoch`. A mutator with even one "
-        "return path that skips the bump lets a cached walk survive a "
-        "topology or fault change — the mapper then reasons about a "
-        "network that no longer exists, which is precisely the "
-        "inconsistent-observation failure the paper's incremental "
-        "remapping argument (Section 3) rules out. Raise paths are "
-        "exempt: a failed mutator aborts before state and epoch diverge."
-    )
-    hint = (
-        "bump the epoch (`self._bump_epoch()`) on every path that "
-        "returns after the mutation, or route the change through an "
-        "existing epoch-bumping mutator"
-    )
-
-    def check_project(self, project: "Project") -> Iterator[Diagnostic]:
-        for summary, cls in project.iter_classes():
-            props = project.epoch_properties_of(summary["module"], cls["name"])
-            if not props:
-                continue
-            prop = props[0]
-            for name, method in cls["methods"].items():
-                for fact in method["unbumped_mutations"]:
-                    yield self.project_diag(
-                        summary["path"],
-                        fact["line"],
-                        fact["col"],
-                        f"`{cls['name']}.{name}` {fact['desc']} on a path "
-                        f"that returns without bumping `{prop}`",
-                    )
-
-
-@register
-class SeededRngTaint(ProjectRule):
-    rule_id = "SAN013"
-    title = "every RNG constructor seed traces to an explicit seed source"
-    rationale = (
-        "SAN002 catches the bare `random.random()` module calls; this "
-        "rule proves the stronger property the chaos determinism oracle "
-        "replays on: every `random.Random(...)` argument, followed "
-        "through the call graph, derives from an explicit `seed=` "
-        "parameter, a Scenario field, or a split of one — never from "
-        "wall-clock time, `id()`, or an unseeded default. Without it a "
-        "single forgotten argument silently breaks byte-for-byte replay "
-        "of whole campaigns."
-    )
-    hint = (
-        "thread an explicit seed (a `seed=` parameter, Scenario field, "
-        "or `derive_seed(...)` split) into this constructor"
-    )
-
-    def check_project(self, project: "Project") -> Iterator[Diagnostic]:
-        for summary, site in project.iter_rng_sites():
-            verdict = project.evaluate_taint(site["term"])
-            if verdict.ok:
-                continue
-            ctor = site["ctor"].rsplit(".", 1)[-1]
-            yield self.project_diag(
-                summary["path"],
-                site["line"],
-                site["col"],
-                f"`{ctor}(...)` seed does not trace to an explicit seed "
-                f"source: {verdict.why}",
-            )
-
-
-@register
-class ProbeLayerPurity(ProjectRule):
-    rule_id = "SAN014"
-    title = "ProbeLayer hooks leave Network/FaultModel state alone"
-    rationale = (
-        "The middleware stack's equivalence proofs (stacked service ≡ "
-        "bare service + accounting) assume layers observe probes but "
-        "never perturb the substrate. A hook that writes Network or "
-        "FaultModel state directly — bypassing the epoch-bumping "
-        "mutators — invalidates both the proofs and every cached walk, "
-        "without any epoch trace of the change. Chaos layers *may* "
-        "inject faults, but only through the public mutators, which "
-        "this rule still permits."
-    )
-    hint = (
-        "call a public epoch-bumping mutator (`set_drop_prob`, "
-        "`set_dead_wires`, `connect`, ...) instead of touching simulator "
-        "state from a layer hook"
-    )
-
-    def check_project(self, project: "Project") -> Iterator[Diagnostic]:
-        for summary, cls in project.iter_classes():
-            if not project.is_probe_layer(summary["module"], cls["name"]):
-                continue
-            for name, method in cls["methods"].items():
-                for fact in method["impurities"]:
-                    yield self.project_diag(
-                        summary["path"],
-                        fact["line"],
-                        fact["col"],
-                        f"ProbeLayer hook `{cls['name']}.{name}` "
-                        f"{fact['desc']} — simulator state must change "
-                        "only through epoch-bumping mutators",
                     )

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from repro.core.mapper import MappingError
 from repro.core.mapper_protocol import create_mapper
 from repro.simulator.collision import CircuitModel, CollisionModel
+from repro.simulator.faults import NO_FAULTS
 from repro.simulator.occupancy import ChannelOccupancy
 from repro.simulator.stack import (
     InterferenceLayer,
@@ -37,7 +38,7 @@ from repro.simulator.stack import (
 )
 from repro.simulator.timing import MYRINET_TIMING, TimingModel
 from repro.simulator.traffic import CrossTraffic
-from repro.topology.analysis import core_network
+from repro.topology.analysis import core_network, effective_network
 from repro.topology.isomorphism import match_networks
 from repro.topology.model import Network
 
@@ -125,7 +126,7 @@ def crosstraffic_study(
     seed: int = 0,
 ) -> list[TrafficPoint]:
     """Sweep traffic intensity x retry budget; measure map quality/cost."""
-    core = core_network(net)
+    core = core_network(effective_network(net, NO_FAULTS, mapper_host))
     points: list[TrafficPoint] = []
     for rate in rates:
         for n_retries in retries:

@@ -379,7 +379,9 @@ class MapServer:
         if tenant.tables is None:
             return _error("unmapped", f"tenant {tenant.spec.name!r} has no map yet")
         sample = request.get("sample")
-        if sample is not None and (not isinstance(sample, int) or sample < 1):
+        if sample is not None and (
+            not isinstance(sample, int) or isinstance(sample, bool) or sample < 1
+        ):
             return _error("bad-request", "'sample' must be a positive integer")
         deadlock_free = routes_deadlock_free(tenant.tables)
         checked = delivered = 0
@@ -473,7 +475,11 @@ class MapServer:
             wire = candidates[0]
         else:
             node, port = request.get("node"), request.get("port")
-            if not isinstance(node, str) or not isinstance(port, int):
+            if (
+                not isinstance(node, str)
+                or not isinstance(port, int)
+                or isinstance(port, bool)
+            ):
                 return _error(
                     "bad-request", "cut needs string 'node' and int 'port', or 'auto'"
                 )
@@ -500,6 +506,7 @@ class MapServer:
                 or len(end) != 2
                 or not isinstance(end[0], str)
                 or not isinstance(end[1], int)
+                or isinstance(end[1], bool)
             ):
                 return _error("bad-request", "plug needs 'a' and 'b' [node, port]")
         try:

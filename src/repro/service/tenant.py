@@ -136,6 +136,7 @@ def dead_wires_from_doc(doc: Any) -> frozenset[frozenset]:
                 or len(end) != 2
                 or not isinstance(end[0], str)
                 or not isinstance(end[1], int)
+                or isinstance(end[1], bool)
             ):
                 raise SerializationError(f"dead wires: malformed end {end!r}")
             ends.append(PortRef(end[0], end[1]))

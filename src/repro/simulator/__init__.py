@@ -16,7 +16,6 @@ Everything the mapping algorithms can observe in-band is produced here:
   quiescent core (stats, caps, chaos, interference, trace bus) and the
   :func:`~repro.simulator.stack.build_service_stack` factory;
 - :mod:`~repro.simulator.timing` — hardware constants and the cost model;
-- :mod:`~repro.simulator.events` — a discrete-event engine;
 - :mod:`~repro.simulator.occupancy` — directed-channel occupancy for
   concurrent worms (election mode, cross-traffic);
 - :mod:`~repro.simulator.traffic` — background cross-traffic generation;

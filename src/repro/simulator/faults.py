@@ -93,7 +93,7 @@ class FaultModel:
         return self._epoch
 
     def _bump_epoch(self, delta: Delta = EMPTY_DELTA) -> None:
-        """The canonical epoch bump: every mutator's last act (SAN012).
+        """The canonical epoch bump: every mutator's last act.
 
         ``delta`` journals the wire-end footprint of the mutation (see
         :mod:`repro.topology.delta`), queryable via :meth:`affected_since`.

@@ -136,7 +136,7 @@ class Network:
         self._epoch = 0
 
     def _bump_epoch(self, delta: Delta = EMPTY_DELTA) -> None:
-        """The canonical epoch bump: every mutator's last act (SAN012).
+        """The canonical epoch bump: every mutator's last act.
 
         ``delta`` is the wire-end footprint of the mutation being
         committed; it is journaled under the epoch being closed, so

@@ -25,7 +25,8 @@ from typing import Any, Callable, Iterable, Mapping
 from repro.core.mapper_protocol import mapper_names
 from repro.core.remapper import map_cycle
 from repro.simulator.collision import CircuitModel, CollisionModel, CutThroughModel
-from repro.topology.analysis import core_network
+from repro.simulator.faults import NO_FAULTS
+from repro.topology.analysis import core_network, effective_network
 from repro.topology.isomorphism import match_networks
 from repro.tournament.families import (
     FAMILIES,
@@ -213,7 +214,8 @@ def _run_cell(mapper: str, family: Family, collision: str) -> TournamentCell:
         collision=COLLISIONS[collision](),
     )
     wall_ms = (time.perf_counter() - start) * 1e3
-    report = match_networks(result.network, core_network(net))
+    reachable = effective_network(net, NO_FAULTS, host)
+    report = match_networks(result.network, core_network(reachable))
     return TournamentCell(
         mapper=mapper,
         family=family.name,

@@ -1,17 +1,16 @@
-"""Mutant-based acceptance tests for the sanflow rules.
+"""Mutant-based acceptance tests for the rules.
 
 Each test copies a *real* simulator module, seeds exactly the defect its
-rule exists to catch — a deleted epoch bump, an unseeded RNG, a
-state-mutating layer hook — and asserts ``san-lint`` exits non-zero with
-the expected rule id, while an unmutated copy lints green. This is the
-ISSUE-6 acceptance criterion stated as executable truth: the rules catch
-the regressions they were built for, on the code they were built for,
-not just on synthetic snippets.
+rule exists to catch — a wall-clock RNG seed, a state-mutating layer
+hook — and asserts ``san-lint`` exits non-zero with the expected rule id,
+while an unmutated copy lints green: the rules catch the regressions they
+were built for, on the code they were built for, not just on synthetic
+snippets. (A deleted epoch bump or an unseeded ``FaultModel`` RNG fails a
+dynamic tier-1 test instead — see docs/STATIC_ANALYSIS.md.)
 """
 
 from __future__ import annotations
 
-import time
 from pathlib import Path
 
 from repro.analysis.cli import main
@@ -38,12 +37,12 @@ def lint_ids(path: Path) -> list[str]:
 
 
 def run_cli(path: Path, capsys) -> tuple[int, str]:
-    code = main(["--no-cache", str(path)])
+    code = main([str(path)])
     return code, capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
-# SAN012: delete one epoch bump from a real Network mutator
+# clean copies of the epoch-versioned modules, and a wall-clock RNG seed
 # ---------------------------------------------------------------------------
 
 
@@ -53,58 +52,15 @@ def test_clean_network_copy_lints_green(tmp_path):
     assert lint_ids(copy) == []
 
 
-def test_deleted_epoch_bump_fires_san012(tmp_path, capsys):
-    source = (SRC / "topology" / "model.py").read_text()
-    assert "self._bump_epoch()" in source
-    # Remove the bump from exactly one mutator: disconnect().
-    head, mid = source.split("def disconnect", 1)
-    assert mid.count("self._bump_epoch(delta)") >= 1
-    mutated = (
-        head + "def disconnect" + mid.replace("self._bump_epoch(delta)", "pass", 1)
-    )
-    copy = install_copy(tmp_path, "topology/model.py", mutated)
-    code, out = run_cli(copy, capsys)
-    assert code == 1
-    assert "SAN012" in out
-    assert "disconnect" in out and "topology_epoch" in out
-    # The rest of the mutators still prove sound: no other method named.
-    assert "connect`" not in out.replace("disconnect", "")
-
-
-def test_deleted_fault_epoch_bump_fires_san012(tmp_path, capsys):
-    source = (SRC / "simulator" / "faults.py").read_text()
-    head, mid = source.split("def set_drop_prob", 1)
-    mutated = head + "def set_drop_prob" + mid.replace(
-        "self._bump_epoch(UNBOUNDED_DELTA)", "pass", 1
-    )
-    copy = install_copy(tmp_path, "simulator/faults.py", mutated)
-    code, out = run_cli(copy, capsys)
-    assert code == 1
-    assert "SAN012" in out and "set_drop_prob" in out and "fault_epoch" in out
-
-
-# ---------------------------------------------------------------------------
-# SAN013: swap the seeded RNG in FaultModel for an unseeded one
-# ---------------------------------------------------------------------------
-
-
 def test_clean_fault_model_copy_lints_green(tmp_path):
     source = (SRC / "simulator" / "faults.py").read_text()
     copy = install_copy(tmp_path, "simulator/faults.py", source)
     assert lint_ids(copy) == []
 
 
-def test_unseeded_rng_fires_san013(tmp_path, capsys):
-    source = (SRC / "simulator" / "faults.py").read_text()
-    assert "random.Random(self.seed)" in source
-    mutated = source.replace("random.Random(self.seed)", "random.Random()")
-    copy = install_copy(tmp_path, "simulator/faults.py", mutated)
-    code, out = run_cli(copy, capsys)
-    assert code == 1
-    assert "SAN013" in out and "OS entropy" in out
-
-
 def test_wall_clock_seed_fires_san013(tmp_path, capsys):
+    # SAN013 is retired; SAN001 (wall clock in simulator code) always
+    # caught this mutant too, and names the unreplayable source.
     source = (SRC / "simulator" / "faults.py").read_text()
     mutated = source.replace(
         "random.Random(self.seed)", "random.Random(time.time())"
@@ -112,9 +68,7 @@ def test_wall_clock_seed_fires_san013(tmp_path, capsys):
     copy = install_copy(tmp_path, "simulator/faults.py", mutated)
     code, out = run_cli(copy, capsys)
     assert code == 1
-    # SAN001 (wall clock in simulator code) and SAN013 both catch it; the
-    # taint finding must name the unreplayable source.
-    assert "SAN013" in out and "time.time" in out
+    assert "SAN001" in out and "time.time" in out
 
 
 # ---------------------------------------------------------------------------
@@ -176,29 +130,3 @@ def test_public_mutator_call_in_hook_stays_green(tmp_path):
     copy = install_copy(tmp_path, "simulator/stack.py", mutated)
     assert lint_ids(copy) == []
 
-
-# ---------------------------------------------------------------------------
-# warm-cache performance (the ISSUE-6 ≥5x acceptance criterion)
-# ---------------------------------------------------------------------------
-
-
-def test_warm_cache_is_at_least_5x_faster_than_cold(tmp_path):
-    cache = tmp_path / "cache.json"
-
-    def run() -> float:
-        t0 = time.perf_counter()
-        lint_paths([SRC], cache_path=cache)
-        return time.perf_counter() - t0
-
-    cold = run()
-    warm = min(run() for _ in range(3))
-    assert warm < cold / 5, (
-        f"warm whole-repo analysis {warm * 1e3:.1f}ms vs cold "
-        f"{cold * 1e3:.1f}ms: expected >=5x speedup"
-    )
-
-
-def test_whole_repo_lints_green_through_the_cache(tmp_path):
-    cache = tmp_path / "cache.json"
-    assert lint_paths([SRC], cache_path=cache) == []
-    assert lint_paths([SRC], cache_path=cache) == []

@@ -89,25 +89,6 @@ BAD_SNIPPETS = {
             def probe_host(self, turns):
                 return self._inner.probe_host(turns)
     """,
-    "SAN012": """
-        class WireRegistry:
-            def __init__(self):
-                self._entries = {}
-                self._epoch = 0
-
-            @property
-            def registry_epoch(self):
-                return self._epoch
-
-            def put(self, key, value):
-                self._entries[key] = value
-    """,
-    "SAN013": """
-        import random
-
-        def make_rng():
-            return random.Random()
-    """,
     "SAN014": """
         from repro.simulator.stack import ProbeLayer
 
@@ -142,12 +123,11 @@ def test_every_diag_carries_the_rules_hint(rule_id):
     assert "hint:" not in diag.render(show_hint=False)
 
 
-def test_registry_has_the_fifteen_domain_rules():
+def test_registry_has_the_thirteen_domain_rules():
+    # SAN012 and SAN013 are retired; their ids are never reused.
     assert all_rule_ids() == [f"SAN00{i}" for i in range(1, 10)] + [
         "SAN010",
         "SAN011",
-        "SAN012",
-        "SAN013",
         "SAN014",
         "SAN015",
     ]
@@ -203,6 +183,15 @@ def test_san002_allows_seeded_rng_and_flags_numpy_legacy():
             return np.random.default_rng(seed).normal()
     """
     assert ids(lint(good_np)) == []
+    # A seedable constructor called with nothing seeds from OS entropy.
+    no_seed = """
+        import random
+        import numpy as np
+
+        def make():
+            return random.Random(), np.random.default_rng()
+    """
+    assert ids(lint(no_seed)) == ["SAN002", "SAN002"]
 
 
 def test_san002_flags_from_random_import():
@@ -232,7 +221,7 @@ def test_san004_keyword_and_range_behaviour():
 def test_san005_allows_self_and_simulator_package():
     bad = "def f(q):\n    q._heap = []\n"
     assert ids(lint(bad)) == ["SAN005"]
-    assert ids(lint(bad, module="repro.simulator.events")) == []
+    assert ids(lint(bad, module="repro.simulator.lockstep")) == []
     own = """
         class Thing:
             def __init__(self):

@@ -1,389 +1,44 @@
-"""sanflow behavior tests: CFGs, cross-module facts, cache, baseline, SARIF.
+"""SAN014 across files, plus suppression and fix-it hints.
 
-The golden single-snippet behavior of SAN012-SAN014 lives with the other
-rules in ``test_rules.py``; this file exercises what makes sanflow a
-*whole-program* pass — facts that only exist across module boundaries —
-plus the machinery that makes it adoptable (incremental cache, baseline
-files, SARIF output) and the epoch-bump unification it rides on.
+What is left of the whole-program ("sanflow") suite now that every rule is
+a per-module rule: a layer subclass defined away from ``simulator/stack.py``
+is still checked (recognised by its base-class name), and the suppression
+comments and fix-it hints work for SAN014 / the no-argument RNG finding as
+for every other rule. The file keeps its name so the test ids stay stable.
 """
 
 from __future__ import annotations
 
-import ast
-import json
 import textwrap
 
-import pytest
-
-from repro.analysis import lint_paths, lint_source, load_baseline, write_baseline
-from repro.analysis.cli import main
-from repro.analysis.flow import (
-    RETURN_EXIT,
-    all_paths_hit,
-    build_cfg,
-    unguarded_path_nodes,
-)
-from repro.analysis.project import Project, summarize_module
-from repro.analysis.sarif import to_sarif
-from repro.simulator.faults import FaultModel
-from repro.topology.model import Network
+from tests.analysis.test_mutants import install_copy, lint_ids
+from tests.analysis.test_rules import ids, lint
 
 
-def ids(diags) -> list[str]:
-    return [d.rule_id for d in diags]
+def test_layer_subclass_across_modules_is_checked(tmp_path):
+    own_attribute = """
+        from repro.simulator.stack import CountingLayer
 
-
-def lint(source: str, **kwargs):
-    return lint_source(
-        textwrap.dedent(source), module="repro.core.example", path="example.py", **kwargs
-    )
-
-
-def write_pkg(root, files: dict[str, str]) -> list:
-    """Materialize ``{"repro/x/y.py": src}`` files plus package inits."""
-    paths = []
-    for rel, src in files.items():
-        p = root / rel
-        p.parent.mkdir(parents=True, exist_ok=True)
-        for parent in [p.parent, *p.parent.parents]:
-            if parent == root:
-                break
-            init = parent / "__init__.py"
-            if not init.exists():
-                init.write_text("")
-        p.write_text(textwrap.dedent(src))
-        paths.append(p)
-    return paths
-
-
-# ---------------------------------------------------------------------------
-# flow.py: the CFG path queries SAN012 is built on
-# ---------------------------------------------------------------------------
-
-
-def cfg_of(source: str):
-    tree = ast.parse(textwrap.dedent(source))
-    fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef))
-    return build_cfg(fn)
-
-
-def _is_bump(stmt: ast.stmt) -> bool:
-    return isinstance(stmt, ast.AugAssign)
-
-
-def _is_mutation(stmt: ast.stmt) -> bool:
-    return isinstance(stmt, ast.Assign)
-
-
-def check_guarded(source: str) -> bool:
-    """True when every mutation (Assign) is epoch-guarded (AugAssign)."""
-    cfg = cfg_of(source)
-    return not unguarded_path_nodes(
-        cfg, cfg.nodes_matching(_is_mutation), cfg.nodes_matching(_is_bump)
-    )
-
-
-def test_cfg_straight_line_guarded():
-    assert check_guarded(
-        """
-        def f(self, x):
-            self.state = x
-            self.epoch += 1
-        """
-    )
-
-
-def test_cfg_early_return_escapes_guard():
-    assert not check_guarded(
-        """
-        def f(self, x, fast):
-            self.state = x
-            if fast:
-                return
-            self.epoch += 1
-        """
-    )
-
-
-def test_cfg_branch_with_bump_on_both_arms():
-    assert check_guarded(
-        """
-        def f(self, x):
-            self.state = x
-            if x:
-                self.epoch += 1
-            else:
-                self.epoch += 2
-        """
-    )
-
-
-def test_cfg_branch_with_bump_on_one_arm_only():
-    assert not check_guarded(
-        """
-        def f(self, x):
-            self.state = x
-            if x:
-                self.epoch += 1
-        """
-    )
-
-
-def test_cfg_raise_paths_are_exempt():
-    # The only bump-free path ends in `raise`: atomicity holds, no finding.
-    assert check_guarded(
-        """
-        def f(self, x):
-            self.state = x
-            if not x:
-                raise ValueError(x)
-            self.epoch += 1
-        """
-    )
-
-
-def test_cfg_loop_back_edge_does_not_hide_the_miss():
-    assert not check_guarded(
-        """
-        def f(self, items):
-            for item in items:
-                self.state = item
-            while items:
-                self.epoch += 1
-        """
-    )
-
-
-def test_cfg_mutation_inside_guarded_loop():
-    assert check_guarded(
-        """
-        def f(self, items):
-            for item in items:
-                self.state = item
-                self.epoch += 1
-        """
-    )
-
-
-def test_cfg_try_handler_path_is_tracked():
-    # The except arm swallows the error and returns without a bump.
-    assert not check_guarded(
-        """
-        def f(self, x):
-            self.state = x
-            try:
-                check(x)
-            except ValueError:
-                return
-            self.epoch += 1
-        """
-    )
-
-
-def test_cfg_all_paths_hit_and_return_exit():
-    cfg = cfg_of(
-        """
-        def f(self, x):
-            if x:
-                self.epoch += 1
-            else:
-                self.epoch += 1
-        """
-    )
-    assert all_paths_hit(cfg, cfg.nodes_matching(_is_bump))
-    assert RETURN_EXIT in cfg.forward_avoiding(set())
-
-
-# ---------------------------------------------------------------------------
-# cross-module facts (the whole-program part)
-# ---------------------------------------------------------------------------
-
-
-def project_of(modules: dict[str, str]) -> Project:
-    summaries = [
-        summarize_module(name, f"{name.replace('.', '/')}.py", ast.parse(textwrap.dedent(src)))
-        for name, src in modules.items()
-    ]
-    return Project(summaries)
-
-
-def test_taint_traces_across_modules_to_literal():
-    project = project_of(
-        {
-            "repro.a": """
-                import random
-
-                def make(entropy):
-                    return random.Random(entropy)
-            """,
-            "repro.b": """
-                from repro.a import make
-
-                def run():
-                    return make(1234)
-            """,
-        }
-    )
-    [(_, site)] = list(project.iter_rng_sites())
-    assert project.evaluate_taint(site["term"]).ok
-
-
-def test_taint_flags_wall_clock_reaching_ctor_through_helper():
-    project = project_of(
-        {
-            "repro.a": """
-                import random
-
-                def make(entropy):
-                    return random.Random(entropy)
-            """,
-            "repro.b": """
-                import time
-                from repro.a import make
-
-                def run():
-                    return make(time.time())
-            """,
-        }
-    )
-    [(_, site)] = list(project.iter_rng_sites())
-    verdict = project.evaluate_taint(site["term"])
-    assert not verdict.ok
-    assert "time.time" in verdict.why
-
-
-def test_taint_parameter_with_no_call_sites_is_unproven():
-    project = project_of(
-        {
-            "repro.a": """
-                import random
-
-                def make(entropy):
-                    return random.Random(entropy)
-            """,
-        }
-    )
-    [(_, site)] = list(project.iter_rng_sites())
-    verdict = project.evaluate_taint(site["term"])
-    assert not verdict.ok
-    assert "no call sites" in verdict.why
-
-
-def test_taint_dataclass_seed_field_and_derived_split():
-    project = project_of(
-        {
-            "repro.a": """
-                import random
-                from dataclasses import dataclass
-
-                @dataclass
-                class Scenario:
-                    seed: int = 0
-
-                def run(sc: Scenario):
-                    return random.Random(hash((sc.seed, "phase-2")))
-            """,
-        }
-    )
-    [(_, site)] = list(project.iter_rng_sites())
-    assert project.evaluate_taint(site["term"]).ok
-
-
-def test_epoch_property_inherited_across_modules():
-    diags = lint_paths_of(
-        {
-            "repro/base.py": """
-                class Versioned:
-                    def __init__(self):
-                        self._epoch = 0
-
-                    @property
-                    def state_epoch(self):
-                        return self._epoch
-            """,
-            "repro/impl.py": """
-                from repro.base import Versioned
-
-                class Table(Versioned):
-                    def put(self, key):
-                        self._items = {key: 1}
-            """,
-        }
-    )
-    assert ids(diags) == ["SAN012"]
-    assert "state_epoch" in diags[0].message
-
-
-def test_layer_subclass_across_modules_is_checked():
-    diags = lint_paths_of(
-        {
-            "repro/layers.py": """
-                from repro.simulator.stack import CountingLayer
-
-                class Sneaky(CountingLayer):
-                    def fire(self, payload):
-                        self.net_faults = payload
-            """,
-        }
+        class Sneaky(CountingLayer):
+            def fire(self, payload):
+                self.net_faults = payload
+    """
+    copy = install_copy(
+        tmp_path / "own-attribute", "layers.py", textwrap.dedent(own_attribute)
     )
     # `net_faults` is the layer's own attribute, not simulator state.
-    assert ids(diags) == []
-    diags = lint_paths_of(
-        {
-            "repro/layers.py": """
-                from repro.simulator.stack import CountingLayer
+    assert lint_ids(copy) == []
+    simulator_state = """
+        from repro.simulator.stack import CountingLayer
 
-                class Sneaky(CountingLayer):
-                    def fire(self, payload):
-                        self.service.faults.dead_wires.add(payload)
-            """,
-        }
+        class Sneaky(CountingLayer):
+            def fire(self, payload):
+                self.service.faults.dead_wires.add(payload)
+    """
+    copy = install_copy(
+        tmp_path / "simulator-state", "layers.py", textwrap.dedent(simulator_state)
     )
-    assert ids(diags) == ["SAN014"]
-
-
-_lint_roots = []
-
-
-def lint_paths_of(files: dict[str, str], tmp_root=None, **kwargs):
-    import tempfile
-    from pathlib import Path
-
-    root = Path(tempfile.mkdtemp(prefix="sanflow-test-"))
-    _lint_roots.append(root)  # left for the OS tmp reaper
-    paths = write_pkg(root, files)
-    return lint_paths(paths, **kwargs)
-
-
-# ---------------------------------------------------------------------------
-# suppression and hints for the new rules
-# ---------------------------------------------------------------------------
-
-
-def test_san012_line_suppression():
-    src = """
-        class Table:
-            def __init__(self):
-                self._epoch = 0
-
-            @property
-            def table_epoch(self):
-                return self._epoch
-
-            def put(self, key):
-                self._items = {key: 1}  # sanlint: disable=SAN012
-    """
-    assert ids(lint(src)) == []
-
-
-def test_san013_line_suppression():
-    src = """
-        import random
-
-        def make():
-            return random.Random()  # sanlint: disable=SAN013
-    """
-    assert ids(lint(src)) == []
+    assert lint_ids(copy) == ["SAN014"]
 
 
 def test_san014_file_suppression():
@@ -407,241 +62,3 @@ def test_sanflow_diags_carry_fixit_hints():
     """
     [diag] = lint(src)
     assert diag.hint is not None and "seed" in diag.hint
-
-
-# ---------------------------------------------------------------------------
-# incremental cache
-# ---------------------------------------------------------------------------
-
-
-def test_cache_round_trip_same_diagnostics(tmp_path):
-    files = {
-        "repro/impl.py": """
-            import random
-
-            def make():
-                return random.Random()
-        """
-    }
-    paths = write_pkg(tmp_path, files)
-    cache = tmp_path / "cache.json"
-    cold = lint_paths(paths, cache_path=cache)
-    warm = lint_paths(paths, cache_path=cache)
-    assert cold == warm
-    assert ids(warm) == ["SAN013"]
-    # Hints survive the JSON round trip (the golden fix-it contract).
-    assert warm[0].hint == cold[0].hint is not None
-
-
-def test_cache_invalidated_by_content_change(tmp_path):
-    paths = write_pkg(
-        tmp_path, {"repro/impl.py": "import random\nrng = random.Random()\n"}
-    )
-    cache = tmp_path / "cache.json"
-    assert ids(lint_paths(paths, cache_path=cache)) == ["SAN013"]
-    paths[0].write_text("import random\nrng = random.Random(1234)\n")
-    assert ids(lint_paths(paths, cache_path=cache)) == []
-
-
-def test_cache_detects_cross_module_breakage_in_unchanged_file(tmp_path):
-    # The RNG ctor lives in a.py, which never changes; editing only the
-    # *caller* must still flip the verdict — project rules re-run over
-    # cached summaries every time.
-    files = {
-        "repro/a.py": """
-            import random
-
-            def make(entropy):
-                return random.Random(entropy)
-        """,
-        "repro/b.py": """
-            from repro.a import make
-
-            def run():
-                return make(1234)
-        """,
-    }
-    paths = write_pkg(tmp_path, files)
-    cache = tmp_path / "cache.json"
-    assert ids(lint_paths(paths, cache_path=cache)) == []
-    b = next(p for p in paths if p.name == "b.py")
-    b.write_text(
-        textwrap.dedent(
-            """
-            import time
-            from repro.a import make
-
-            def run():
-                return make(time.time())
-            """
-        )
-    )
-    diags = lint_paths(paths, cache_path=cache)
-    assert ids(diags) == ["SAN013"]
-    assert diags[0].path.endswith("a.py")  # reported at the ctor site
-
-
-def test_cache_suppressions_survive_warm_runs(tmp_path):
-    paths = write_pkg(
-        tmp_path,
-        {
-            "repro/impl.py": (
-                "import random\n"
-                "rng = random.Random()  # sanlint: disable=SAN013\n"
-            )
-        },
-    )
-    cache = tmp_path / "cache.json"
-    assert lint_paths(paths, cache_path=cache) == []
-    assert lint_paths(paths, cache_path=cache) == []  # warm path
-
-
-def test_corrupt_cache_is_ignored(tmp_path):
-    paths = write_pkg(
-        tmp_path, {"repro/impl.py": "import random\nrng = random.Random()\n"}
-    )
-    cache = tmp_path / "cache.json"
-    cache.write_text("{not json")
-    assert ids(lint_paths(paths, cache_path=cache)) == ["SAN013"]
-    assert json.loads(cache.read_text())["files"]  # rewritten healthy
-
-
-def test_select_bypasses_cache(tmp_path):
-    paths = write_pkg(
-        tmp_path, {"repro/impl.py": "import random\nrng = random.Random()\n"}
-    )
-    cache = tmp_path / "cache.json"
-    diags = lint_paths(paths, select=["SAN013"], cache_path=cache)
-    assert ids(diags) == ["SAN013"]
-    assert not cache.exists()  # partial runs never populate the cache
-
-
-# ---------------------------------------------------------------------------
-# baseline workflow
-# ---------------------------------------------------------------------------
-
-
-def test_baseline_round_trip_filters_only_recorded_findings(tmp_path):
-    paths = write_pkg(
-        tmp_path,
-        {
-            "repro/impl.py": (
-                "import random\n"
-                "a = random.Random()\n"
-                "b = random.Random()\n"
-            )
-        },
-    )
-    diags = lint_paths(paths)
-    assert ids(diags) == ["SAN013", "SAN013"]
-    baseline_file = tmp_path / "baseline.json"
-    write_baseline(baseline_file, diags[:1])
-    baseline = load_baseline(baseline_file)
-    remaining = baseline.filter(diags)
-    assert ids(remaining) == ["SAN013"]
-    assert remaining[0].line == diags[1].line
-
-
-def test_cli_baseline_makes_legacy_tree_green(tmp_path, capsys):
-    [bad] = write_pkg(
-        tmp_path, {"repro/impl.py": "import random\nrng = random.Random()\n"}
-    )
-    baseline_file = tmp_path / "baseline.json"
-    assert (
-        main(["--no-cache", "--write-baseline", str(baseline_file), str(bad)])
-        == 0
-    )
-    assert "1 entries" in capsys.readouterr().out
-    assert main(["--no-cache", "--baseline", str(baseline_file), str(bad)]) == 0
-    # A *new* finding in the same file still fails the run.
-    bad.write_text(bad.read_text() + "rng2 = random.Random()\n")
-    assert main(["--no-cache", "--baseline", str(baseline_file), str(bad)]) == 1
-
-
-def test_cli_unreadable_baseline_is_exit_2(tmp_path, capsys):
-    [bad] = write_pkg(tmp_path, {"repro/impl.py": "x = 1\n"})
-    missing = tmp_path / "nope.json"
-    assert main(["--no-cache", "--baseline", str(missing), str(bad)]) == 2
-    assert "unreadable baseline" in capsys.readouterr().err
-
-
-# ---------------------------------------------------------------------------
-# SARIF output
-# ---------------------------------------------------------------------------
-
-
-def test_sarif_document_shape(tmp_path):
-    paths = write_pkg(
-        tmp_path, {"repro/impl.py": "import random\nrng = random.Random()\n"}
-    )
-    doc = to_sarif(lint_paths(paths))
-    assert doc["version"] == "2.1.0"
-    [run] = doc["runs"]
-    rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
-    assert "SAN013" in rule_ids and "SAN001" in rule_ids
-    [result] = run["results"]
-    assert result["ruleId"] == "SAN013"
-    region = result["locations"][0]["physicalLocation"]["region"]
-    assert region["startLine"] == 2 and region["startColumn"] >= 1
-
-
-def test_cli_sarif_file_and_format(tmp_path, capsys):
-    [bad] = write_pkg(
-        tmp_path, {"repro/impl.py": "import random\nrng = random.Random()\n"}
-    )
-    sarif_file = tmp_path / "out.sarif"
-    assert main(["--no-cache", "--sarif", str(sarif_file), str(bad)]) == 1
-    capsys.readouterr()
-    doc = json.loads(sarif_file.read_text())
-    assert doc["runs"][0]["results"][0]["ruleId"] == "SAN013"
-    assert main(["--no-cache", "--format", "sarif", str(bad)]) == 1
-    stdout_doc = json.loads(capsys.readouterr().out)
-    assert stdout_doc["runs"][0]["results"] == doc["runs"][0]["results"]
-
-
-# ---------------------------------------------------------------------------
-# the _bump_epoch() unification (satellite fix), differential-tested
-# ---------------------------------------------------------------------------
-
-
-def test_network_epoch_counts_one_bump_per_mutation():
-    net = Network()
-    observed = [net.topology_epoch]
-    net.add_host("h0")
-    observed.append(net.topology_epoch)
-    net.add_switch("sw0")
-    observed.append(net.topology_epoch)
-    wire = net.connect("h0", 0, "sw0", 3)
-    observed.append(net.topology_epoch)
-    net.disconnect(wire)
-    observed.append(net.topology_epoch)
-    net.remove_node("sw0")
-    observed.append(net.topology_epoch)
-    # Exactly +1 per successful mutator call, same as before unification.
-    assert observed == [0, 1, 2, 3, 4, 5]
-
-
-def test_network_failed_mutation_leaves_epoch_untouched():
-    net = Network()
-    net.add_host("h0")
-    before = net.topology_epoch
-    with pytest.raises(Exception):
-        net.add_host("h0")  # duplicate name
-    with pytest.raises(Exception):
-        net.connect("h0", 0, "h0", 0)
-    assert net.topology_epoch == before
-
-
-def test_fault_model_epoch_counts_one_bump_per_mutation():
-    fm = FaultModel()
-    assert fm.fault_epoch == 0
-    fm.set_drop_prob(0.25)
-    fm.set_corrupt_prob(0.5)
-    fm.set_dead_wires([frozenset({("a", 0), ("b", 1)})])
-    assert fm.fault_epoch == 3
-    before = fm.fault_epoch
-    with pytest.raises(ValueError):
-        fm.set_drop_prob(1.5)
-    with pytest.raises(ValueError):
-        fm.set_dead_wires([frozenset()])
-    assert fm.fault_epoch == before

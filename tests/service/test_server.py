@@ -112,6 +112,27 @@ class TestDispatch:
         assert snapshot["errors"]["?"] == 2
         assert snapshot["requests"]["nope"] == 1
 
+    def test_a_boolean_is_not_a_port_or_a_sample_count(self):
+        """``isinstance(True, int)`` holds, so ``true`` used to address
+        port 1 (and ``false`` port 0) and count as ``sample=1``."""
+        async def run():
+            server = MapServer([RING])
+            tenant = server.tenants["ring"]
+            tenant.tables = {}  # an (empty) generation: verify gets past "unmapped"
+            wires = tenant.net.n_wires
+            for request in (
+                {"op": "cut", "node": "ring-s0", "port": True},
+                {"op": "plug", "a": ["ring-s0", True], "b": ["ring-s1", 5]},
+                {"op": "plug", "a": ["ring-s0", 5], "b": ["ring-s1", False]},
+                {"op": "verify", "sample": True},
+            ):
+                response = await server.handle_request({**request, "tenant": "ring"})
+                assert response["ok"] is False, request
+                assert response["error"] == "bad-request", request
+            assert tenant.net.n_wires == wires
+
+        asyncio.run(run())
+
     def test_unknown_tenant_is_an_error_not_an_exception(self):
         async def run():
             server = MapServer([RING])

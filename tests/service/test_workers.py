@@ -150,6 +150,10 @@ class TestErrorCodes:
             (lambda: _payload(mapper="ring-s0"), "bad-payload"),
             (lambda: _payload(mapper="no-such-node"), "bad-payload"),
             (
+                lambda: _payload(dead_wires=[[["ring-s0", True], ["ring-s1", 0]]]),
+                "bad-payload",
+            ),
+            (
                 lambda: _payload(map_seed={"map_result": {"kind": "?"}}),
                 "bad-seed",
             ),
@@ -159,6 +163,7 @@ class TestErrorCodes:
             "malformed-network",
             "switch-as-mapper",
             "unknown-mapper-node",
+            "boolean-dead-wire-port",
             "corrupt-seed",
             "mapper-host-isolated",
         ],

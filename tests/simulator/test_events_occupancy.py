@@ -1,108 +1,11 @@
-"""Event engine, channel occupancy, traffic and daemon placement tests."""
+"""Channel occupancy, traffic and daemon placement tests."""
 
-import pytest
-
-from repro.simulator.events import EventQueue
 from repro.simulator.occupancy import ChannelOccupancy
 from repro.simulator.path_eval import PathResult, PathStatus, Traversal
 from repro.simulator.timing import TimingModel
 from repro.simulator.traffic import CrossTraffic, host_pair_paths
 from repro.simulator.daemons import DaemonMode, DaemonPlacement
 from repro.topology.model import PortRef
-
-
-class TestEventQueue:
-    def test_events_run_in_time_order(self):
-        q = EventQueue()
-        order = []
-        q.schedule(5.0, lambda: order.append("b"))
-        q.schedule(1.0, lambda: order.append("a"))
-        q.schedule(9.0, lambda: order.append("c"))
-        assert q.run() == 3
-        assert order == ["a", "b", "c"]
-        assert q.now == 9.0
-
-    def test_ties_break_by_insertion(self):
-        q = EventQueue()
-        order = []
-        q.schedule(1.0, lambda: order.append(1))
-        q.schedule(1.0, lambda: order.append(2))
-        q.run()
-        assert order == [1, 2]
-
-    def test_until_bound(self):
-        q = EventQueue()
-        fired = []
-        q.schedule(1.0, lambda: fired.append(1))
-        q.schedule(10.0, lambda: fired.append(2))
-        q.run(until=5.0)
-        assert fired == [1]
-        assert q.now == 5.0
-
-    def test_cancellation(self):
-        q = EventQueue()
-        fired = []
-        ev = q.schedule(1.0, lambda: fired.append(1))
-        q.cancel(ev)
-        assert q.run() == 0
-        assert fired == []
-        assert len(q) == 0
-
-    def test_scheduling_inside_events(self):
-        q = EventQueue()
-        seen = []
-
-        def chain():
-            seen.append(q.now)
-            if len(seen) < 3:
-                q.schedule(1.0, chain)
-
-        q.schedule(0.0, chain)
-        q.run()
-        assert seen == [0.0, 1.0, 2.0]
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(ValueError):
-            EventQueue().schedule(-1.0, lambda: None)
-
-    def test_schedule_at_absolute_time(self):
-        q = EventQueue()
-        fired = []
-        q.schedule(1.0, lambda: fired.append(q.now))
-        q.schedule_at(5.0, lambda: fired.append(q.now))
-        q.run()
-        assert fired == [1.0, 5.0]
-
-    def test_schedule_at_past_time_rejected(self):
-        q = EventQueue()
-        q.schedule(1.0, lambda: None)
-        q.run()
-        assert q.now == 1.0
-        with pytest.raises(ValueError):
-            q.schedule_at(0.5, lambda: None)
-        # Exactly "now" is fine — same contract as schedule(0.0, ...).
-        q.schedule_at(1.0, lambda: None)
-        assert q.run() == 1
-
-    def test_cancel_is_idempotent(self):
-        q = EventQueue()
-        ev = q.schedule(1.0, lambda: None)
-        keep = q.schedule(2.0, lambda: None)
-        q.cancel(ev)
-        q.cancel(ev)
-        assert len(q) == 1
-        assert q.run() == 1
-        assert keep.cancelled is False
-
-    def test_cancelled_events_are_compacted(self):
-        """Mass cancellation must not leak heap entries (len stays O(1))."""
-        q = EventQueue()
-        handles = [q.schedule(float(i + 1), lambda: None) for i in range(1000)]
-        for ev in handles[:900]:
-            q.cancel(ev)
-        assert len(q) == 100
-        assert len(q._heap) <= 2 * len(q)  # leak bound, not an O(n) scan
-        assert q.run() == 100
 
 
 def _path(*hops):

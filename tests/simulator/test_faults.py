@@ -71,6 +71,20 @@ class TestEpochMutators:
         assert faults.fault_epoch == 3
         assert faults.active
 
+    def test_fault_model_epoch_counts_one_bump_per_mutation(self):
+        fm = FaultModel()
+        assert fm.fault_epoch == 0
+        fm.set_drop_prob(0.25)
+        fm.set_corrupt_prob(0.5)
+        fm.set_dead_wires([frozenset({("a", 0), ("b", 1)})])
+        assert fm.fault_epoch == 3
+        before = fm.fault_epoch
+        with pytest.raises(ValueError):
+            fm.set_drop_prob(1.5)
+        with pytest.raises(ValueError):
+            fm.set_dead_wires([frozenset()])
+        assert fm.fault_epoch == before
+
     def test_noop_mutations_are_bump_free(self, two_switch_net):
         """Setting the value already in place is a true no-op: no epoch
         bump, no journal entry — a wholesale applier recomputing its dead

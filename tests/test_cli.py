@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.topology.serialize import load_network
+from repro.topology.generators import build_ring
+from repro.topology.serialize import load_network, save_network
 
 
 @pytest.fixture()
@@ -53,6 +54,28 @@ class TestMapCommand:
     def test_alternative_algorithms(self, ring_json, algorithm):
         assert main(["map", "--network", str(ring_json),
                      "--algorithm", algorithm]) == 0
+
+    @pytest.mark.parametrize("mapper", ["berkeley", "myricom"])
+    def test_map_of_an_island_is_verified_against_that_island(
+        self, tmp_path, capsys, mapper
+    ):
+        """The mapper host (``far-h0``, sorted first) sits on an island the
+        ring is not wired to: a correct map of the island is the whole
+        answer, so the verdict is taken on the mapper's own component."""
+        net = build_ring(4)
+        net.add_switch("far-s0")
+        net.add_switch("far-s1")
+        net.add_host("far-h0")
+        net.add_host("far-h1")
+        net.connect("far-s0", 0, "far-s1", 0)
+        net.connect("far-h0", 0, "far-s0", 2)
+        net.connect("far-h1", 0, "far-s1", 2)
+        path = tmp_path / "two_islands.json"
+        save_network(net, path)
+        assert main(["map", "--network", str(path), "--mapper", mapper]) == 0
+        out = capsys.readouterr().out
+        assert "2 hosts, 2 switches, 3 wires" in out
+        assert "verified against actual core: isomorphic" in out
 
     def test_render_flag(self, ring_json, capsys):
         main(["map", "--network", str(ring_json), "--render"])

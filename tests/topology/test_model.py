@@ -219,3 +219,34 @@ class TestCopiesAndExport:
 
     def test_is_connected(self, tiny_net):
         assert tiny_net.is_connected()
+
+
+class TestTopologyEpoch:
+    """Every successful mutator bumps ``topology_epoch`` exactly once — the
+    contract the probe trie's cached walks are keyed on."""
+
+    def test_network_epoch_counts_one_bump_per_mutation(self):
+        net = Network()
+        observed = [net.topology_epoch]
+        net.add_host("h0")
+        observed.append(net.topology_epoch)
+        net.add_switch("sw0")
+        observed.append(net.topology_epoch)
+        wire = net.connect("h0", 0, "sw0", 3)
+        observed.append(net.topology_epoch)
+        net.disconnect(wire)
+        observed.append(net.topology_epoch)
+        net.remove_node("sw0")
+        observed.append(net.topology_epoch)
+        # Exactly +1 per successful mutator call, same as before unification.
+        assert observed == [0, 1, 2, 3, 4, 5]
+
+    def test_network_failed_mutation_leaves_epoch_untouched(self):
+        net = Network()
+        net.add_host("h0")
+        before = net.topology_epoch
+        with pytest.raises(Exception):
+            net.add_host("h0")  # duplicate name
+        with pytest.raises(Exception):
+            net.connect("h0", 0, "h0", 0)
+        assert net.topology_epoch == before
