@@ -10,13 +10,20 @@ map are byte-for-byte valid on the physical network.
 "Where multiple edges are available between two switches, the algorithm has
 the option of randomly choosing among them for load balance" — wire choice
 among parallel cables is seeded-random here for exactly that reason.
+
+Every host on a switch shares, per destination, one chain from that switch
+on. So when all hosts are leaves (:mod:`repro.routing.paths`) each
+destination's in-tree of chains is compiled once per state and a route is
+its host's one channel plus a shared suffix; only a route that crosses a
+hop with parallel cables is compiled hop by hop, which keeps the seeded
+draws in the order a pair-by-pair compile makes them.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from repro.routing.paths import RoutingPaths
 from repro.routing.updown import UpDownOrientation
@@ -118,6 +125,13 @@ def channel_table(
     return channels, numbered
 
 
+def _candidates(wire_index: WireIndex, u: str, v: str) -> list[Traversal]:
+    candidates = wire_index.get((u, v))
+    if not candidates:
+        raise ValueError(f"no wire between {u} and {v}")
+    return candidates
+
+
 def _compile(
     node_path: list[str], wire_index: WireIndex, rng: random.Random
 ) -> CompiledRoute:
@@ -128,15 +142,91 @@ def _compile(
     hops = iter(node_path)
     u = next(hops)
     for v in hops:
-        candidates = wire_index.get((u, v))
-        if not candidates:
-            raise ValueError(f"no wire between {u} and {v}")
+        candidates = _candidates(wire_index, u, v)
         channel = candidates[0] if len(candidates) == 1 else rng.choice(candidates)
         if channels:
             turns.append(channel.src.port - channels[-1].dst.port)
         channels.append(channel)
         u = v
     return CompiledRoute(node_path[0], u, tuple(turns), tuple(channels))
+
+
+#: A compiled chain suffix: the nodes after the one it starts at and,
+#: unless a hop of it has parallel cables to draw from (then ``None``),
+#: its channels with the turns between them.
+_Tail = tuple[tuple[str, ...], tuple[Traversal, ...] | None, tuple[int, ...]]
+
+
+def _hop(u: str, v: str, tail: _Tail, wire_index: WireIndex) -> _Tail:
+    """``tail`` with the hop ``u -> v`` put in front of it."""
+    nodes, channels, turns = tail
+    candidates = _candidates(wire_index, u, v)
+    if channels is None or len(candidates) > 1:
+        return (v, *nodes), None, ()
+    channel = candidates[0]
+    if channels:
+        turns = (channels[0].src.port - channel.dst.port, *turns)
+    return (v, *nodes), (channel, *channels), turns
+
+
+def _tail(
+    state: int,
+    step: list[int],
+    done: dict[int, _Tail],
+    names: list[str],
+    wire_index: WireIndex,
+) -> _Tail:
+    """The compiled suffix from ``state`` on, grown back from the first
+    state of its chain that ``done`` already holds (at worst the goal)."""
+    chain = []
+    while state not in done:
+        chain.append(state)
+        state = step[state]
+    tail = done[state]
+    for prev in reversed(chain):
+        if names[prev] != names[state]:  # else the free turn in place
+            tail = _hop(names[prev], names[state], tail, wire_index)
+        done[prev] = tail
+        state = prev
+    return tail
+
+
+def _in_tree_routes(
+    hosts: list[str], paths: RoutingPaths, wire_index: WireIndex, rng: random.Random
+) -> Iterator[CompiledRoute]:
+    """Every route between leaf hosts, source-major.
+
+    All chains into one destination form an in-tree over the path states,
+    so a chain is compiled once per state and every route through that
+    state shares the suffix (``trees``: per destination, the successor
+    column and its state -> suffix memo).
+    A route over a hop with parallel cables is compiled on its own by
+    :func:`_compile`, which keeps the seeded draws in route order.
+    """
+    names = paths.names
+    trees: list[tuple[str, list[int], dict[int, _Tail]]] = []
+    for dst in hosts:
+        goal, step = paths.in_tree(dst)
+        trees.append((dst, step, {goal: ((), (), ())}))
+    for src in hosts:
+        switch = paths.leaf_switch[src]
+        entry = paths.index[switch]
+        head = _candidates(wire_index, src, switch)[0]  # a host's one wire
+        for dst, step, done in trees:
+            if src == dst or step[entry] < 0:
+                continue
+            nodes, channels, turns = done.get(entry) or _tail(
+                entry, step, done, names, wire_index
+            )
+            if channels is None:
+                yield _compile([src, switch, *nodes], wire_index, rng)
+            else:
+                yield CompiledRoute(
+                    src,
+                    dst,
+                    (channels[0].src.port - head.dst.port, *turns),
+                    (head, *channels),
+                )
 
 
 def path_to_turns(
@@ -166,12 +256,24 @@ def compile_route_tables(
     orientation: UpDownOrientation | None = None,
     seed: int = 0,
 ) -> dict[str, RouteTable]:
-    """Route tables for every host pair with a compliant path."""
+    """Route tables for every host pair with a compliant path.
+
+    With every host a leaf (the system model: one wire, to a switch) the
+    routes come off the per-destination in-trees; a fabric with any other
+    host is compiled pair by pair from ``paths.node_paths``.
+    """
     rng = random.Random(seed)
     wire_index = build_wire_index(net)
     hosts = sorted(net.hosts)
     tables: dict[str, RouteTable] = {h: RouteTable(h) for h in hosts}
-    for src, dst, node_path in paths.node_paths(hosts, hosts):
-        if src != dst:
-            tables[src].routes[dst] = _compile(node_path, wire_index, rng)
+    if all(h in paths.leaf_switch for h in hosts):
+        routes = _in_tree_routes(hosts, paths, wire_index, rng)
+    else:
+        routes = (
+            _compile(node_path, wire_index, rng)
+            for src, dst, node_path in paths.node_paths(hosts, hosts)
+            if src != dst
+        )
+    for route in routes:
+        tables[route.src].routes[route.dst] = route
     return tables

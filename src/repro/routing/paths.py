@@ -9,8 +9,16 @@ Primary method — Floyd–Warshall on the *phase graph*: each node appears in
 two states, (node, UP) "still allowed to go up" and (node, DOWN) "committed
 to going down". Up edges connect UP states; down edges connect UP→DOWN and
 DOWN→DOWN. The forbidden down→up transition simply has no arc. The min-plus
-recurrence runs vectorized with numpy over the 2N×2N distance matrix, with
-a successor matrix for path reconstruction.
+recurrence runs vectorized with numpy, with a successor matrix for path
+reconstruction.
+
+Hosts are leaves: a host has one wire, and when that wire is an up arc to a
+switch no compliant path passes *through* the host. Such a host is a column
+of the matrix and a derived row, never a state the sweep visits, so the
+recurrence runs over the switch core only (80 × 180 instead of 280 × 280 on
+the full NOW) and still breaks every tie exactly as the full sweep would —
+see :func:`all_pairs_updown_paths`. The state numbering stays inside this
+module; :meth:`RoutingPaths.in_tree` hands the route compiler opaque states.
 
 Cross-check method — per-source BFS over the same phase graph
 (:func:`bfs_updown_lengths`), used by the test suite to validate the FW
@@ -104,19 +112,43 @@ def _graph_for(
 
 @dataclass(slots=True)
 class RoutingPaths:
-    """Distances and reconstructable paths between all node pairs."""
+    """Distances and reconstructable paths between all node pairs.
 
-    nodes: list[str]
-    index: dict[str, int]
-    dist: "np.ndarray"  # (2N, 2N) phase-graph distances
+    Only *core* nodes are states. Row ``c`` is ``(core[c], UP)`` and row
+    ``c + len(core)`` is ``(core[c], DOWN)``; the columns are those states
+    followed by one DOWN column per leaf host. A leaf's own row is derived:
+    one up hop to its switch, then the switch's UP row.
+    """
+
+    core: list[str]  # sorted: every node that is not a leaf host
+    names: list[str]  # the node of each column
+    index: dict[str, int]  # core node -> its UP state; leaf -> its column
+    leaf_switch: dict[str, str]  # leaf host -> the switch it hangs off
+    dist: "np.ndarray"  # (2C, 2C + L) phase-graph distances
     succ: "np.ndarray"  # successor state for path reconstruction
+
+    def _entry(self, src: str) -> tuple[int, list[str]]:
+        """The row paths out of ``src`` are read from, and the nodes
+        walked to get onto it."""
+        switch = self.leaf_switch.get(src)
+        if switch is None:
+            return self.index[src], [src]
+        return self.index[switch], [src, switch]
+
+    def _columns(self, dst: str) -> tuple[int, ...]:
+        """``dst``'s states as targets, preferred first (UP wins a tie)."""
+        column = self.index[dst]
+        if dst in self.leaf_switch:
+            return (column,)  # only the host itself is ever at (dst, UP)
+        return column, column + len(self.core)
 
     def distance(self, src: str, dst: str) -> int | None:
         """Length of the shortest compliant path, or None if unreachable."""
-        n = len(self.nodes)
-        s = self.index[src]  # start in the UP phase
-        best = min(self.dist[s, self.index[dst]], self.dist[s, self.index[dst] + n])
-        return None if best >= _INF else int(best)
+        row, prefix = self._entry(src)
+        if src == dst:
+            return 0
+        best = min(self.dist[row, column] for column in self._columns(dst))
+        return None if best >= _INF else int(best) + len(prefix) - 1
 
     def node_path(self, src: str, dst: str) -> list[str] | None:
         """The node sequence of one shortest compliant path."""
@@ -134,36 +166,46 @@ class RoutingPaths:
         target state are read out as plain lists once, so walking a whole
         generation of routes pays no per-step numpy scalar read.
         """
-        nodes = self.nodes
-        n = len(nodes)
-        ups = [self.index[t] for t in targets]
-        succ_up = self.succ[:, ups].T.tolist()
-        succ_down = self.succ[:, [d + n for d in ups]].T.tolist()
+        names = self.names
+        columns = [self._columns(t) for t in targets]
+        succ = {
+            column: self.succ[:, column].tolist()
+            for column in {c for pair in columns for c in pair}
+        }
         for src in sources:
-            s = self.index[src]  # start in the UP phase
-            row = self.dist[s].tolist()
-            for j, dst in enumerate(targets):
-                target, column = ups[j], succ_up[j]
-                if row[target + n] < row[target]:
-                    target, column = target + n, succ_down[j]
-                if row[target] >= _INF:
+            row, prefix = self._entry(src)
+            dist = self.dist[row].tolist()
+            for dst, candidates in zip(targets, columns):
+                if src == dst:
+                    yield src, dst, [src]
                     continue
-                path = [src]
-                state = last = s
-                steps = 0
-                while state != target:
-                    state = column[state]
+                target = min(candidates, key=dist.__getitem__)
+                if dist[target] >= _INF:
+                    continue
+                step = succ[target]
+                path = list(prefix)
+                state = row
+                for _ in range(len(names) + 2):
+                    if state == target:
+                        yield src, dst, path
+                        break
+                    state = step[state]
                     if state < 0:
                         break  # defensive: broken successor chain
-                    node = state - n if state >= n else state
-                    if node != last:  # the free UP->DOWN hop stays in place
-                        path.append(nodes[node])
-                        last = node
-                    steps += 1
-                    if steps > 2 * n + 2:
-                        raise RuntimeError("successor chain did not converge")
+                    if names[state] != path[-1]:  # the free UP->DOWN hop stays in place
+                        path.append(names[state])
                 else:
-                    yield src, dst, path
+                    raise RuntimeError("successor chain did not converge")
+
+    def in_tree(self, dst: str) -> tuple[int, list[int]]:
+        """The successor chains into leaf host ``dst``, all at once: the
+        goal state, and per core state the next state towards it (negative
+        where ``dst`` is unreachable). Enter at ``index[switch]``, name a
+        state with ``names``; consecutive states with one name are the
+        free UP->DOWN hop in place.
+        """
+        goal = self.index[dst]
+        return goal, self.succ[:, goal].tolist()
 
 
 def all_pairs_updown_paths(
@@ -172,35 +214,59 @@ def all_pairs_updown_paths(
     *,
     graph: PhaseGraph | None = None,
 ) -> RoutingPaths:
-    """Floyd–Warshall over the up/down phase graph (vectorized min-plus).
+    """Floyd–Warshall over the core of the up/down phase graph (vectorized
+    min-plus).
+
+    A *leaf host* — a host whose only arc is the up arc to a switch — is
+    left out of the sweep: nothing but the host itself reaches its UP state
+    and nothing leaves its DOWN state, so as an intermediate ``k`` it never
+    wins a strict improvement, and the core rows evolve exactly as they
+    would in the full matrix, tie-breaks included. Any other host (cabled
+    to a host, unattached, oriented above its switch) is simply core.
 
     Pass a prebuilt (and still current) :class:`PhaseGraph` to skip the
     adjacency derivation; a stale graph is silently rebuilt.
     """
     graph = _graph_for(net, orientation, graph)
-    nodes = graph.nodes
-    index = graph.index
-    n = len(nodes)
-    m = 2 * n  # states: [0, n) = UP phase, [n, 2n) = DOWN phase
-    dist = np.full((m, m), _INF, dtype=np.int32)
-    succ = np.full((m, m), -1, dtype=np.int32)
+    nodes, up_adj, down_adj = graph.nodes, graph.up_adj, graph.down_adj
+    leaf_switch = {
+        name: nodes[up_adj[i][0]]
+        for i, name in enumerate(nodes)
+        if net.is_host(name)
+        and len(up_adj[i]) == 1
+        and not down_adj[i]
+        and net.is_switch(nodes[up_adj[i][0]])
+    }
+    core = [name for name in nodes if name not in leaf_switch]
+    c = len(core)
+    m = 2 * c  # states: [0, c) = UP phase, [c, 2c) = DOWN phase
+    names = core + core + list(leaf_switch)
+    index = {name: i for i, name in enumerate(core)}
+    index.update((name, m + i) for i, name in enumerate(leaf_switch))
+    dist = np.full((m, len(names)), _INF, dtype=np.int32)
+    succ = np.full((m, len(names)), -1, dtype=np.int32)
+    ups = np.arange(c)
     np.fill_diagonal(dist, 0)
     # Entering the DOWN phase without moving is free: (u, UP) -> (u, DOWN).
-    for i in range(n):
-        dist[i, i + n] = 0
-        succ[i, i + n] = i + n
+    dist[ups, ups + c] = 0
+    succ[ups, ups + c] = ups + c
 
-    def arc(a: int, b: int) -> None:
-        if 1 < dist[a, b]:
-            dist[a, b] = 1
-            succ[a, b] = b
-
-    for x in range(n):
-        for y in graph.up_adj[x]:
-            arc(x, y)          # UP -> UP
-        for y in graph.down_adj[x]:
-            arc(x, y + n)      # UP -> DOWN (the single allowed turn)
-            arc(x + n, y + n)  # DOWN -> DOWN
+    tails: list[int] = []
+    heads: list[int] = []
+    column = [index[name] for name in nodes]
+    for i, x in enumerate(column):
+        if x >= m:
+            continue  # a leaf's row is derived, never stored
+        for j in up_adj[i]:  # UP -> UP
+            tails.append(x)
+            heads.append(column[j])
+        for j in down_adj[i]:
+            y = column[j]
+            down = y if y >= m else y + c
+            tails += (x, x + c)  # UP -> DOWN (the single allowed turn),
+            heads += (down, down)  # and DOWN -> DOWN
+    dist[tails, heads] = 1
+    succ[tails, heads] = heads
 
     # Min-plus Floyd–Warshall with numpy row/column broadcasting.
     for k in range(m):
@@ -209,7 +275,14 @@ def all_pairs_updown_paths(
         if better.any():
             dist[better] = via[better]
             succ[better] = np.broadcast_to(succ[:, k, None], succ.shape)[better]
-    return RoutingPaths(nodes=nodes, index=index, dist=dist, succ=succ)
+    return RoutingPaths(
+        core=core,
+        names=names,
+        index=index,
+        leaf_switch=leaf_switch,
+        dist=dist,
+        succ=succ,
+    )
 
 
 def bfs_updown_lengths(

@@ -20,17 +20,46 @@ Two refinements from the paper are implemented:
 
 Labels are totally ordered pairs ``(level, tiebreak)`` so that parallel
 wires and equal BFS depths orient deterministically.
+
+Root choice and labelling are plain BFS over one neighbour-set adjacency,
+built once per :func:`orient_updown`. A host has one wire, so it is one
+hop further from everything than the switch it hangs off: the root is
+scored from one BFS per host-bearing switch, not one per host.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from repro.topology.model import Network, Wire
 
 __all__ = ["UpDownOrientation", "orient_updown", "pick_root"]
+
+
+def _adjacency(net: Network) -> dict[str, set[str]]:
+    """Neighbour sets of the underlying simple graph (loopbacks ignored)."""
+    adjacency: dict[str, set[str]] = {n: set() for n in net.nodes}
+    for wire in net.wires:
+        u, v = wire.nodes
+        if u != v:
+            adjacency[u].add(v)
+            adjacency[v].add(u)
+    return adjacency
+
+
+def _hops_from(start: str, adjacency: dict[str, set[str]]) -> dict[str, int]:
+    """Plain BFS hop counts from ``start`` to everything it reaches."""
+    hops = {start: 0}
+    queue: deque[str] = deque([start])
+    while queue:
+        u = queue.popleft()
+        for v in adjacency[u]:
+            if v not in hops:
+                hops[v] = hops[u] + 1
+                queue.append(v)
+    return hops
 
 
 def pick_root(net: Network, *, ignore_utility: bool = True) -> str:
@@ -42,8 +71,12 @@ def pick_root(net: Network, *, ignore_utility: bool = True) -> str:
     packets to flow up to the least common ancestor of a source and
     destination".
     """
-    import networkx as nx
+    return _pick_root(net, _adjacency(net), ignore_utility)
 
+
+def _pick_root(
+    net: Network, adjacency: dict[str, set[str]], ignore_utility: bool
+) -> str:
     hosts = [
         h
         for h in net.hosts
@@ -53,26 +86,26 @@ def pick_root(net: Network, *, ignore_utility: bool = True) -> str:
         hosts = list(net.hosts)
     if not hosts:
         raise ValueError("network has no hosts to route between")
-    g = nx.Graph(net.to_networkx())
-    dist_to_hosts: dict[str, list[int]] = {s: [] for s in net.switches}
-    for h in hosts:
-        lengths = nx.single_source_shortest_path_length(g, h)
-        for s in net.switches:
-            if s in lengths:
-                dist_to_hosts[s].append(lengths[s])
-    best: tuple[int, int] | None = None
-    best_switch: str | None = None
-    for s in sorted(net.switches):
-        ds = dist_to_hosts[s]
-        if not ds:
-            continue
-        key = (min(ds), sum(ds))
-        if best is None or key > best:
-            best = key
-            best_switch = s
-    if best_switch is None:
+    # One BFS per attachment switch, weighted by the hosts on it (each one
+    # hop further than the switch); a host wired to no switch reaches none
+    # and contributes nothing.
+    hosts_on = Counter(
+        attached
+        for h in hosts
+        for attached in adjacency[h]
+        if net.is_switch(attached)
+    )
+    nearest: dict[str, int] = {}
+    total: dict[str, int] = {}
+    for attached, count in hosts_on.items():
+        for node, hops in _hops_from(attached, adjacency).items():
+            nearest[node] = min(nearest.get(node, hops + 1), hops + 1)
+            total[node] = total.get(node, 0) + count * (hops + 1)
+    reached = [s for s in sorted(net.switches) if s in nearest]
+    if not reached:
         raise ValueError("no switch is reachable from the hosts")
-    return best_switch
+    # max() keeps the first of equal keys: ties break on name.
+    return max(reached, key=lambda s: (nearest[s], total[s]))
 
 
 @dataclass(slots=True)
@@ -98,52 +131,34 @@ def orient_updown(
     net: Network, *, root: str | None = None, relabel_dominant: bool = True
 ) -> UpDownOrientation:
     """Compute the UP*/DOWN* orientation of a network map."""
+    adjacency = _adjacency(net)
     if root is None:
-        root = pick_root(net)
+        root = _pick_root(net, adjacency, True)
     if not net.is_switch(root):
         raise ValueError(f"root {root} is not a switch")
 
-    # BFS levels over the underlying simple graph (loopbacks ignored).
-    level: dict[str, int] = {root: 0}
-    queue: deque[str] = deque([root])
-    adjacency: dict[str, set[str]] = {n: set() for n in net.nodes}
-    for wire in net.wires:
-        u, v = wire.nodes
-        if u != v:
-            adjacency[u].add(v)
-            adjacency[v].add(u)
-    while queue:
-        u = queue.popleft()
-        for v in sorted(adjacency[u]):
-            if v not in level:
-                level[v] = level[u] + 1
-                queue.append(v)
+    # BFS levels over the underlying simple graph.
+    level = _hops_from(root, adjacency)
 
     # A partial map can be disconnected (islands from partial-view merging
     # or bounded exploration). Each extra component gets its own BFS from a
     # local sub-root; orientations never interact across components because
     # no wire crosses one.
-    remaining = sorted(n for n in net.nodes if n not in level)
+    ordered = sorted(net.nodes)
+    remaining = [n for n in ordered if n not in level]
     while remaining:
         sub_root = next(
             (n for n in remaining if net.is_switch(n)), remaining[0]
         )
-        level[sub_root] = 0
-        queue.append(sub_root)
-        while queue:
-            u = queue.popleft()
-            for v in sorted(adjacency[u]):
-                if v not in level:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        remaining = sorted(n for n in net.nodes if n not in level)
+        level.update(_hops_from(sub_root, adjacency))
+        remaining = [n for n in remaining if n not in level]
 
     # Total order: (level, stable index). Hosts sit below their switch by
     # construction of BFS (their only neighbor is one level up), so host
     # wires orient host -> switch = up automatically.
-    tiebreak = {n: i for i, n in enumerate(sorted(net.nodes))}
+    tiebreak = {n: i for i, n in enumerate(ordered)}
     labels: dict[str, tuple[Fraction, int]] = {
-        n: (Fraction(level[n]), tiebreak[n]) for n in level
+        n: (Fraction(level[n]), i) for n, i in tiebreak.items()
     }
 
     relabeled: list[str] = []

@@ -18,8 +18,6 @@ re-running a failed payload reproduces the failure bit-for-bit.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.core.instrumentation import analyze_records
 from repro.core.mapper import MappingError, MapSeed
 from repro.core.remapper import map_cycle, route_cycle
@@ -103,7 +101,7 @@ def run_map_job(payload: dict) -> dict:
         return _mapping_failure(payload, "mapping-failed", str(exc))
     try:
         tables, deadlock_free = route_cycle(result.network)
-    except (ValueError, nx.NetworkXException) as exc:
+    except ValueError as exc:
         # A fabric split can leave the mapper's component too degenerate
         # to route (e.g. the mapper host alone behind the cut). Expected
         # under faults, so it degrades the tenant instead of crashing.

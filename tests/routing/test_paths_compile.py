@@ -1,9 +1,15 @@
 """Compliant-path computation and route compilation tests."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+from repro.routing import updown
 from repro.routing.compile_routes import compile_route_tables, path_to_turns
 from repro.routing.paths import (
     all_pairs_updown_paths,
@@ -12,7 +18,12 @@ from repro.routing.paths import (
 )
 from repro.routing.updown import orient_updown
 from repro.simulator.path_eval import PathStatus, evaluate_route
-from repro.topology.generators import build_hypercube, build_mesh, build_ring
+from repro.topology.generators import (
+    build_hypercube,
+    build_mesh,
+    build_named_topology,
+    build_ring,
+)
 
 
 class TestDistances:
@@ -148,3 +159,60 @@ class TestCompilation:
     def test_rejects_switch_endpoints(self, ring_net):
         with pytest.raises(ValueError):
             path_to_turns(ring_net, ["s0", "s1"])
+
+
+class TestHostsAreLeaves:
+    """The shape the routing layer is built on: only the switch core is
+    swept, a leaf host is a column and a derived row."""
+
+    def test_full_now_matrix_is_core_sized(self):
+        net = build_named_topology("now-full", {})
+        ori = orient_updown(net)
+        paths = all_pairs_updown_paths(net, ori)
+        assert len(paths.core) == net.n_switches == 40
+        assert sorted(paths.leaf_switch) == sorted(net.hosts)
+        # 2 x 40 core states; their columns plus one DOWN column per host
+        assert paths.dist.shape == paths.succ.shape == (80, 180)
+        root, far = ori.root, max(net.switches, key=lambda s: ori.label(s))
+        host = sorted(net.hosts)[0]
+        for src, dst in ((root, far), (far, root), (far, host), (host, far)):
+            path = paths.node_path(src, dst)
+            assert path[0] == src and path[-1] == dst
+            assert len(path) - 1 == paths.distance(src, dst)
+
+    def test_route_cycle_never_asks_updown_for_networkx(self):
+        """``updown.py`` is plain Python now: neither importing it nor a
+        whole ``route_cycle`` on a fresh interpreter imports networkx on
+        the routing layer's behalf."""
+        source = Path(updown.__file__).read_text()
+        assert "networkx" not in source and "nx." not in source
+        script = textwrap.dedent(
+            """
+            import builtins, sys
+            asked = set()
+            real = builtins.__import__
+            def recording(name, globals=None, *args, **kwargs):
+                if name.partition(".")[0] == "networkx" and globals:
+                    asked.add(globals.get("__name__"))
+                return real(name, globals, *args, **kwargs)
+            builtins.__import__ = recording
+            import repro.routing.updown
+            from repro.core.remapper import route_cycle
+            from repro.topology.generators import build_ring
+            tables, ok = route_cycle(build_ring(4))
+            assert ok and len(tables) == 4
+            cycle = {"repro.routing.updown", "repro.routing.paths",
+                     "repro.routing.compile_routes", "repro.routing.deadlock",
+                     "repro.core.remapper"}
+            print(sorted(asked & cycle))
+            """
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(updown.__file__).parents[2])},
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"

@@ -1,12 +1,16 @@
 """Route tables are pinned: same routes, same turns, same wires, same draws.
 
-``tests/goldens/route_tables_digest.json`` was captured at the commit
-before the channel table landed (PR 17's parent), by this module's
-:func:`compute_digests` run against that tree. Each digest covers every
-route of one ``compile_route_tables`` call — sorted ``(src, dst, turns,
-channel endpoints)`` — so a change to path selection, to the wire-choice
-rule among parallel cables or to the order the seeded RNG is drawn in
-moves it. To regenerate (only when a routing change is *meant*)::
+``tests/goldens/route_tables_digest.json`` was captured by this module's
+:func:`compute_digests` run against the tree *before* a routing rewrite:
+the first seven fabrics at the commit before the channel table landed
+(PR 17's parent), the ``-mapped`` / ``host-host-island`` /
+``unattached-host`` entries and the served-document digest at the commit
+before the routing layer learned that hosts are leaves (PR 21's parent).
+Each digest covers every route of one ``compile_route_tables`` call —
+sorted ``(src, dst, turns, channel endpoints)`` — so a change to path
+selection, to the wire-choice rule among parallel cables or to the order
+the seeded RNG is drawn in moves it. To regenerate (only when a routing
+change is *meant*)::
 
     PYTHONPATH=src python tests/routing/test_route_tables_golden.py
 """
@@ -19,9 +23,11 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.remapper import map_cycle, route_cycle
 from repro.routing.compile_routes import compile_route_tables
 from repro.routing.paths import all_pairs_updown_paths
 from repro.routing.updown import orient_updown
+from repro.service.serialize import route_tables_to_dict
 from repro.topology.builder import NetworkBuilder
 from repro.topology.generators import build_named_topology
 
@@ -47,8 +53,45 @@ def parallel_cable_fabric():
     return b.build()
 
 
+def host_host_island():
+    """Two switches with a host each, beside an ``h2``—``h3`` cable: the
+    island's two hosts route to each other without any switch."""
+    b = NetworkBuilder()
+    b.switches("s0", "s1")
+    b.hosts("h0", "h1", "h2", "h3")
+    b.attach("h0", "s0", port=0)
+    b.attach("h1", "s1", port=0)
+    b.link("s0", "s1", port_a=3, port_b=5)
+    b.link("h2", "h3", port_a=0, port_b=0)
+    return b.build(validate=False)  # outside the model; routing must cope
+
+
+def unattached_host():
+    """A three-switch line with three hosts, and ``h3`` plugged in nowhere."""
+    b = NetworkBuilder()
+    b.switches("s0", "s1", "s2")
+    b.hosts("h0", "h1", "h2", "h3")
+    b.attach("h0", "s0", port=0)
+    b.attach("h1", "s1", port=0)
+    b.attach("h2", "s2", port=0)
+    b.link("s0", "s1", port_a=2, port_b=4)
+    b.link("s1", "s2", port_a=6, port_b=1)
+    return b.build(validate=False)  # outside the model; routing must cope
+
+
 def _named(kind: str, **params):
     return lambda: build_named_topology(kind, params)
+
+
+def _mapped(kind: str, **params):
+    """What a cycle really routes: the ``map_cycle`` result (``switch-N``
+    names, offset ports), mapped from the first host in sorted order."""
+
+    def build():
+        net = build_named_topology(kind, params)
+        return map_cycle(net, sorted(net.hosts)[0])[0].network
+
+    return build
 
 
 FABRICS = {
@@ -59,7 +102,16 @@ FABRICS = {
     "random-10-seed3": _named("random", size=10, seed=3),
     "random-10-seed5": _named("random", size=10, seed=5),
     "parallel-cables": parallel_cable_fabric,
+    "now-full-mapped": _mapped("now-full"),
+    "fat-tree-3tier-k4-mapped": _mapped("fat-tree-3tier", k=4),
+    "host-host-island": host_host_island,
+    "unattached-host": unattached_host,
 }
+
+#: Golden key of the served document: ``json.dumps`` of
+#: ``route_tables_to_dict`` of one ``route_cycle`` on the mapped full NOW,
+#: so table order, route order and channel numbering are pinned bytewise.
+SERVED_DOCUMENT = "served-document:now-full-mapped"
 
 #: Fabrics where the seeded draw among parallel cables matters: the two
 #: compile seeds must disagree there (that is what pins the draw order)
@@ -98,14 +150,27 @@ def compute_digests(name: str) -> dict[str, str]:
     }
 
 
+def served_document_digest() -> str:
+    tables, _ = route_cycle(FABRICS["now-full-mapped"]())
+    return hashlib.sha256(
+        json.dumps(route_tables_to_dict(tables)).encode()
+    ).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(FABRICS))
 def test_route_tables_match_the_pinned_digest(name):
     golden = json.loads(GOLDEN.read_text())
     assert compute_digests(name) == golden[name]
 
 
+def test_served_document_matches_the_pinned_bytes():
+    golden = json.loads(GOLDEN.read_text())
+    assert served_document_digest() == golden[SERVED_DOCUMENT]
+
+
 def test_golden_covers_exactly_the_pinned_fabrics():
     golden = json.loads(GOLDEN.read_text())
+    assert isinstance(golden.pop(SERVED_DOCUMENT), str)
     assert sorted(golden) == sorted(FABRICS)
     for name, by_seed in golden.items():
         first, second = (by_seed[str(seed)] for seed in COMPILE_SEEDS)
@@ -113,7 +178,6 @@ def test_golden_covers_exactly_the_pinned_fabrics():
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(
-        json.dumps({name: compute_digests(name) for name in sorted(FABRICS)}, indent=1)
-        + "\n"
-    )
+    digests: dict = {name: compute_digests(name) for name in sorted(FABRICS)}
+    digests[SERVED_DOCUMENT] = served_document_digest()
+    GOLDEN.write_text(json.dumps(digests, indent=1) + "\n")

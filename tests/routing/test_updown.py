@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.core.remapper import map_cycle
 from repro.routing.updown import orient_updown, pick_root
+from repro.topology.analysis import core_network
 from repro.topology.builder import NetworkBuilder
 from repro.topology.generators import build_hypercube, build_subcluster
+from repro.topology.isomorphism import match_networks
 
 
 class TestRootSelection:
@@ -34,6 +37,24 @@ class TestRootSelection:
         b.switch("s0")
         with pytest.raises(ValueError):
             pick_root(b.build(validate=False))
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a mapped network carries no host metadata, so the utility "
+        "host counts inside a cycle (docs/ALGORITHM.md §5); fixing it "
+        "changes installed tables and is its own issue",
+    )
+    def test_a_cycle_roots_where_the_paper_would(self, subcluster_c):
+        """Intended: the root a remap cycle picks on its *map* is the
+        switch the paper's rule picks on the fabric — utility host ignored.
+        Today the map's root is the image of ``C-root-1``, the answer with
+        ``ignore_utility=False``."""
+        assert pick_root(subcluster_c) == "C-root-0"
+        assert pick_root(subcluster_c, ignore_utility=False) == "C-root-1"
+        mapped = map_cycle(subcluster_c, sorted(subcluster_c.hosts)[0])[0].network
+        report = match_networks(mapped, core_network(subcluster_c))
+        assert report.isomorphic
+        assert report.node_map[pick_root(mapped)] == "C-root-0"
 
 
 class TestOrientation:
