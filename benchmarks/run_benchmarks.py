@@ -432,6 +432,10 @@ def _service_burst(n_tenants: int, rounds: int) -> tuple[float, dict]:
     # route queries kept being answered while those cycles ran.
     assert report.maps_completed >= n_tenants, report.to_dict()
     assert report.overlap_queries > 0, report.to_dict()
+    # One map of the burst fails by construction (the chain tenant's cut
+    # strands its mapper host: ``LoadReport.map_errors``); any other code
+    # is a regression, whatever the wall clock says.
+    assert set(report.map_errors) <= {"routing-failed"}, report.map_errors
     return report.wall_s, report.to_dict()
 
 

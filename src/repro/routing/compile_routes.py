@@ -12,11 +12,14 @@ the option of randomly choosing among them for load balance" — wire choice
 among parallel cables is seeded-random here for exactly that reason.
 
 Every host on a switch shares, per destination, one chain from that switch
-on. So when all hosts are leaves (:mod:`repro.routing.paths`) each
-destination's in-tree of chains is compiled once per state and a route is
-its host's one channel plus a shared suffix; only a route that crosses a
-hop with parallel cables is compiled hop by hop, which keeps the seeded
-draws in the order a pair-by-pair compile makes them.
+on. So a route *is* its host's one channel plus a :data:`Tail` — the chain
+from the entry switch to the destination — and a generation holds each
+tail once, as it holds each channel once: when all hosts are leaves
+(:mod:`repro.routing.paths`) each destination's in-tree of chains is
+compiled once per state and every host on a switch gets that switch's one
+tail object. Only a route that crosses a hop with parallel cables is
+compiled hop by hop and owns its tail, which keeps the seeded draws in the
+order a pair-by-pair compile makes them.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from repro.topology.model import Network
 __all__ = [
     "CompiledRoute",
     "RouteTable",
+    "Tail",
     "WireIndex",
     "build_wire_index",
     "channel_table",
@@ -49,18 +53,39 @@ __all__ = [
 WireIndex = dict[tuple[str, str], list[Traversal]]
 
 
+#: What a route does after its first channel: the channels from the entry
+#: switch on, and the turns at the switches where two of them meet (one
+#: fewer). Shared, frozen, read-only: every route of a generation that
+#: enters the fabric at one switch for one destination holds the same
+#: object. Empty for a one-hop route (a host–host cable).
+Tail = tuple[tuple[Traversal, ...], Turns]
+
+
 @dataclass(frozen=True, slots=True)
 class CompiledRoute:
-    """One source route: the turn string plus its wire-level trace."""
+    """One source route: the turn string plus its wire-level trace, held
+    as the source's own channel, the turn where that meets the tail
+    (``None`` over an empty tail), and the shared tail."""
 
     src: str
     dst: str
-    turns: Turns
-    traversals: tuple[Traversal, ...]
+    head: Traversal
+    first_turn: int | None
+    tail: Tail
+
+    @property
+    def turns(self) -> Turns:
+        if self.first_turn is None:
+            return ()
+        return (self.first_turn, *self.tail[1])
+
+    @property
+    def traversals(self) -> tuple[Traversal, ...]:
+        return (self.head, *self.tail[0])
 
     @property
     def hops(self) -> int:
-        return len(self.traversals)
+        return 1 + len(self.tail[0])
 
 
 @dataclass(slots=True)
@@ -95,34 +120,53 @@ def build_wire_index(net: Network) -> WireIndex:
 
 def channel_table(
     routes: Sequence[CompiledRoute],
-) -> tuple[list[Traversal], list[list[int]]]:
-    """The distinct channels of ``routes`` numbered in first-seen order, and
-    every route as the list of its channels' numbers.
+) -> tuple[list[Traversal], list[tuple[list[int], Turns]], list[tuple[int, int]]]:
+    """The distinct channels of ``routes`` numbered in first-seen order,
+    the distinct tails likewise — each as its channels' numbers and its
+    turns — and every route as ``(head channel, tail)`` numbers.
 
-    A :class:`Traversal` shared between routes (as :func:`build_wire_index`
-    and the wire decoder hand them out) resolves by identity; any other
-    resolves by value, so a hand-built or copied route set numbers exactly
-    as its interned equal does. ``routes`` must be a sequence the caller
-    holds for the call: that is what keeps every ``id`` distinct while it
-    is a key.
+    A :class:`Traversal` or :data:`Tail` shared between routes (as
+    :func:`compile_route_tables` and the wire decoder hand them out)
+    resolves by identity; any other resolves by value, so a hand-built or
+    copied route set numbers exactly as its interned equal does.
+    ``routes`` must be a sequence the caller holds for the call: that is
+    what keeps every ``id`` distinct while it is a key.
     """
     by_id: dict[int, int] = {}
     by_value: dict[Traversal, int] = {}
     channels: list[Traversal] = []
-    numbered: list[list[int]] = []
+
+    def number(traversal: Traversal) -> int:
+        """A channel not yet seen as this object: by value, then remembered."""
+        found = by_value.get(traversal)
+        if found is None:
+            found = by_value[traversal] = len(channels)
+            channels.append(traversal)
+        by_id[id(traversal)] = found
+        return found
+
+    tail_by_id: dict[int, int] = {}
+    tail_by_value: dict[tuple, int] = {}
+    tails: list[tuple[list[int], Turns]] = []
+    numbered: list[tuple[int, int]] = []
+    seen = by_id.get
     for route in routes:
-        row = []
-        for traversal in route.traversals:
-            number = by_id.get(id(traversal))
-            if number is None:
-                number = by_value.get(traversal)
-                if number is None:
-                    number = by_value[traversal] = len(channels)
-                    channels.append(traversal)
-                by_id[id(traversal)] = number
-            row.append(number)
-        numbered.append(row)
-    return channels, numbered
+        head = seen(id(route.head))
+        if head is None:
+            head = number(route.head)
+        tail = tail_by_id.get(id(route.tail))
+        if tail is None:
+            held, turns = route.tail
+            row = []
+            for traversal in held:
+                found = seen(id(traversal))
+                row.append(number(traversal) if found is None else found)
+            tail = tail_by_value.setdefault((tuple(row), turns), len(tails))
+            if tail == len(tails):
+                tails.append((row, turns))
+            tail_by_id[id(route.tail)] = tail
+        numbered.append((head, tail))
+    return channels, tails, numbered
 
 
 def _candidates(wire_index: WireIndex, u: str, v: str) -> list[Traversal]:
@@ -148,47 +192,49 @@ def _compile(
             turns.append(channel.src.port - channels[-1].dst.port)
         channels.append(channel)
         u = v
-    return CompiledRoute(node_path[0], u, tuple(turns), tuple(channels))
+    tail = (tuple(channels[1:]), tuple(turns[1:]))
+    return CompiledRoute(node_path[0], u, channels[0], turns[0] if turns else None, tail)
 
 
 #: A compiled chain suffix: the nodes after the one it starts at and,
 #: unless a hop of it has parallel cables to draw from (then ``None``),
 #: its channels with the turns between them.
-_Tail = tuple[tuple[str, ...], tuple[Traversal, ...] | None, tuple[int, ...]]
+_Suffix = tuple[tuple[str, ...], Tail | None]
 
 
-def _hop(u: str, v: str, tail: _Tail, wire_index: WireIndex) -> _Tail:
-    """``tail`` with the hop ``u -> v`` put in front of it."""
-    nodes, channels, turns = tail
+def _hop(u: str, v: str, suffix: _Suffix, wire_index: WireIndex) -> _Suffix:
+    """``suffix`` with the hop ``u -> v`` put in front of it."""
+    nodes, tail = suffix
     candidates = _candidates(wire_index, u, v)
-    if channels is None or len(candidates) > 1:
-        return (v, *nodes), None, ()
+    if tail is None or len(candidates) > 1:
+        return (v, *nodes), None
     channel = candidates[0]
+    channels, turns = tail
     if channels:
         turns = (channels[0].src.port - channel.dst.port, *turns)
-    return (v, *nodes), (channel, *channels), turns
+    return (v, *nodes), ((channel, *channels), turns)
 
 
-def _tail(
+def _suffix(
     state: int,
     step: list[int],
-    done: dict[int, _Tail],
+    done: dict[int, _Suffix],
     names: list[str],
     wire_index: WireIndex,
-) -> _Tail:
+) -> _Suffix:
     """The compiled suffix from ``state`` on, grown back from the first
     state of its chain that ``done`` already holds (at worst the goal)."""
     chain = []
     while state not in done:
         chain.append(state)
         state = step[state]
-    tail = done[state]
+    suffix = done[state]
     for prev in reversed(chain):
         if names[prev] != names[state]:  # else the free turn in place
-            tail = _hop(names[prev], names[state], tail, wire_index)
-        done[prev] = tail
+            suffix = _hop(names[prev], names[state], suffix, wire_index)
+        done[prev] = suffix
         state = prev
-    return tail
+    return suffix
 
 
 def _in_tree_routes(
@@ -197,17 +243,17 @@ def _in_tree_routes(
     """Every route between leaf hosts, source-major.
 
     All chains into one destination form an in-tree over the path states,
-    so a chain is compiled once per state and every route through that
-    state shares the suffix (``trees``: per destination, the successor
-    column and its state -> suffix memo).
+    so a chain is compiled once per state and every route entering at
+    that state holds the one tail object (``trees``: per destination, the
+    successor column and its state -> suffix memo).
     A route over a hop with parallel cables is compiled on its own by
     :func:`_compile`, which keeps the seeded draws in route order.
     """
     names = paths.names
-    trees: list[tuple[str, list[int], dict[int, _Tail]]] = []
+    trees: list[tuple[str, list[int], dict[int, _Suffix]]] = []
     for dst in hosts:
         goal, step = paths.in_tree(dst)
-        trees.append((dst, step, {goal: ((), (), ())}))
+        trees.append((dst, step, {goal: ((), ((), ()))}))
     for src in hosts:
         switch = paths.leaf_switch[src]
         entry = paths.index[switch]
@@ -215,17 +261,14 @@ def _in_tree_routes(
         for dst, step, done in trees:
             if src == dst or step[entry] < 0:
                 continue
-            nodes, channels, turns = done.get(entry) or _tail(
+            nodes, tail = done.get(entry) or _suffix(
                 entry, step, done, names, wire_index
             )
-            if channels is None:
+            if tail is None:
                 yield _compile([src, switch, *nodes], wire_index, rng)
             else:
                 yield CompiledRoute(
-                    src,
-                    dst,
-                    (channels[0].src.port - head.dst.port, *turns),
-                    (head, *channels),
+                    src, dst, head, tail[0][0].src.port - head.dst.port, tail
                 )
 
 

@@ -12,8 +12,10 @@ paths on a cyclic topology are NOT deadlock-free — the motivating contrast).
 
 A fabric has few channels (two per wire) and many routes, so the graph is
 kept as one small successor set per *numbered* channel
-(:func:`~repro.routing.compile_routes.channel_table`): every consecutive
-pair of every route is still visited, as two integers.
+(:func:`~repro.routing.compile_routes.channel_table`). Routes that share
+a tail share its dependency arcs, so every consecutive pair of every
+*distinct tail* is visited once, as two integers, plus the one arc per
+route from its head channel into its tail.
 """
 
 from __future__ import annotations
@@ -39,15 +41,27 @@ def routes_deadlock_free(
     return dependency_cycle(tables) is None
 
 
+def _successors(routes: list[CompiledRoute]) -> tuple[list, list[set[int]]]:
+    """The numbered channels of ``routes`` and, per channel, the channels
+    some route wants next while holding it: the arcs inside each distinct
+    tail, then each route's one arc from its head channel into its tail."""
+    channels, tails, numbered = channel_table(routes)
+    successors: list[set[int]] = [set() for _ in channels]
+    for row, _ in tails:
+        for held, wanted in zip(row, row[1:]):
+            successors[held].add(wanted)
+    entered = [row[0] if row else None for row, _ in tails]
+    for head, tail in numbered:
+        if (wanted := entered[tail]) is not None:
+            successors[head].add(wanted)
+    return channels, successors
+
+
 def dependency_cycle(
     tables: dict[str, RouteTable] | Iterable[CompiledRoute],
 ) -> list[Channel] | None:
     """A witness dependency cycle, or None when the routes are safe."""
-    channels, numbered = channel_table(_flatten(tables))
-    successors: list[set[int]] = [set() for _ in channels]
-    for row in numbered:
-        for held, wanted in zip(row, row[1:]):
-            successors[held].add(wanted)
+    channels, successors = _successors(_flatten(tables))
 
     # Iterative three-colour depth-first search: an arc into a channel
     # that is still open closes a cycle through the open chain.

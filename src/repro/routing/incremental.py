@@ -64,9 +64,11 @@ def diff_route_tables(
         old_routes = old_table.routes if old_table else {}
         for dst, route in table.routes.items():
             prev = old_routes.get(dst)
+            # Turn strings are compared where a route holds them (first
+            # turn, then the shared tail's) and built only to be sent.
             if prev is None:
                 delta.added[dst] = route.turns
-            elif prev.turns != route.turns:
+            elif prev.first_turn != route.first_turn or prev.tail[1] != route.tail[1]:
                 delta.changed[dst] = route.turns
         for dst in old_routes:
             if dst not in table.routes:

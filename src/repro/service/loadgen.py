@@ -74,7 +74,11 @@ class LoadReport:
     rounds: int
     wall_s: float
     maps_completed: int = 0
-    maps_failed: int = 0
+    #: Failed map cycles by the outcome's error code. The synthetic burst
+    #: has exactly one, by construction: the ``chain`` tenant's auto cut
+    #: takes its first switch-to-switch wire, which leaves the mapper host
+    #: alone behind the cut, and that cycle degrades with ``routing-failed``.
+    map_errors: dict[str, int] = field(default_factory=dict)
     route_queries: int = 0
     route_ok: int = 0
     route_misses: int = 0
@@ -82,6 +86,10 @@ class LoadReport:
     overlap_queries: int = 0
     map_latency_s: list[float] = field(default_factory=list)
     route_latency_s: list[float] = field(default_factory=list)
+
+    @property
+    def maps_failed(self) -> int:
+        return sum(self.map_errors.values())
 
     @property
     def maps_per_s(self) -> float:
@@ -98,6 +106,7 @@ class LoadReport:
             "wall_s": round(self.wall_s, 4),
             "maps_completed": self.maps_completed,
             "maps_failed": self.maps_failed,
+            "map_errors": dict(sorted(self.map_errors.items())),
             "maps_per_s": round(self.maps_per_s, 2),
             "route_queries": self.route_queries,
             "route_ok": self.route_ok,
@@ -155,7 +164,8 @@ async def run_load(
                 if outcome.get("ok"):
                     report.maps_completed += 1
                 else:
-                    report.maps_failed += 1
+                    code = str(outcome.get("error"))
+                    report.map_errors[code] = report.map_errors.get(code, 0) + 1
 
     async def querier(worker_seed: int) -> None:
         rng = random.Random(worker_seed)

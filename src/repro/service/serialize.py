@@ -20,7 +20,12 @@ from typing import Any, Mapping
 
 from repro.core.instrumentation import PhaseProfile
 from repro.core.mapper import GrowthSample, MapResult
-from repro.routing.compile_routes import CompiledRoute, RouteTable, channel_table
+from repro.routing.compile_routes import (
+    CompiledRoute,
+    RouteTable,
+    Tail,
+    channel_table,
+)
 from repro.simulator.path_eval import Traversal
 from repro.simulator.probes import ProbeStats
 from repro.topology.model import PortRef
@@ -41,7 +46,7 @@ __all__ = [
 
 #: Version stamp of every document this module emits; bump on any shape
 #: change so a mixed-version server/worker pair fails loudly, not subtly.
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class SerializationError(ValueError):
@@ -227,15 +232,18 @@ def map_result_from_dict(data: Any) -> MapResult:
 # ---------------------------------------------------------------------------
 
 # A route-table document lists each distinct channel (directed wire half)
-# once, as ``[[node, port], [node, port]]``, and a route names its channels
-# by position in that list. A ``route-tables`` document keeps one list for
-# the whole generation; the tables nested in it carry none of their own.
+# once, as ``[[node, port], [node, port]]``, and each distinct tail (the
+# chain from an entry switch to a destination) once, as ``[channel
+# numbers, turns between them]``; a route is ``[head channel, tail, first
+# turn]`` by position in those lists. A ``route-tables`` document keeps one
+# pair of lists for the whole generation; the tables nested in it carry
+# none of their own.
 
-def _encode_tables(tables: list[RouteTable]) -> tuple[list, list[dict]]:
-    """The channel list ``tables`` share, and each table's document
-    (still without a channel list) referring into it."""
+def _encode_tables(tables: list[RouteTable]) -> tuple[list, list, list[dict]]:
+    """The channel and tail lists ``tables`` share, and each table's
+    document (still without those lists) referring into them."""
     ordered = [sorted(table.routes.items()) for table in tables]
-    channels, numbered = channel_table(
+    channels, tails, numbered = channel_table(
         [route for items in ordered for _, route in items]
     )
     rows = iter(numbered)
@@ -245,99 +253,150 @@ def _encode_tables(tables: list[RouteTable]) -> tuple[list, list[dict]]:
             "version": FORMAT_VERSION,
             "host": table.host,
             "routes": {
-                dst: {"turns": list(route.turns), "channels": next(rows)}
-                for dst, route in items
+                dst: [*next(rows), route.first_turn] for dst, route in items
             },
         }
         for table, items in zip(tables, ordered)
     ]
-    return [
-        [[c.src.node, c.src.port], [c.dst.node, c.dst.port]] for c in channels
-    ], docs
+    return (
+        [[[c.src.node, c.src.port], [c.dst.node, c.dst.port]] for c in channels],
+        [[row, list(turns)] for row, turns in tails],
+        docs,
+    )
 
 
-def _channels(value: Any, kind: str) -> tuple[list[Traversal], list[tuple]]:
-    """Validate and build every channel once: the shared objects, and their
-    ``(src node, src port, dst node, dst port)`` for the per-hop checks."""
+def _channels(value: Any, kind: str) -> list[tuple]:
+    """Validate and build every channel once: per channel its ``(src node,
+    src port, dst node, dst port)`` for the chain checks, then the shared
+    object."""
     if not isinstance(value, list):
         raise SerializationError(f"{kind}: channels is not a list")
     channels = []
     for item in value:
         if not isinstance(item, list) or len(item) != 2:
             raise SerializationError(f"{kind}: malformed channel {item!r}")
-        channels.append(Traversal(_port_ref(item[0], kind), _port_ref(item[1], kind)))
-    return channels, [
-        (c.src.node, c.src.port, c.dst.node, c.dst.port) for c in channels
-    ]
+        src, dst = _port_ref(item[0], kind), _port_ref(item[1], kind)
+        channels.append((src.node, src.port, dst.node, dst.port, Traversal(src, dst)))
+    return channels
+
+
+def _tails(value: Any, kind: str, channels: list[tuple]) -> list[tuple]:
+    """Validate and build every tail once: its channels chain and every
+    turn is the out port minus the in port at the switch where two of them
+    meet. Per tail, its ``(entry node, first out port, last node)`` for the
+    per-route junction check (``None`` for an empty tail), then the shared
+    object."""
+    if not isinstance(value, list):
+        raise SerializationError(f"{kind}: tails is not a list")
+    tails = []
+    for at, item in enumerate(value):
+        where = f"tail {at}"
+        if not isinstance(item, list) or len(item) != 2:
+            raise SerializationError(f"{kind}: malformed {where}")
+        numbers, turns = item[0], _turns(item[1], kind, where)
+        if not isinstance(numbers, list):
+            raise SerializationError(f"{kind}: {where}: channels is not a list")
+        for number in numbers:
+            if type(number) is not int or not 0 <= number < len(channels):
+                raise SerializationError(
+                    f"{kind}: {where}: malformed channel index {number!r}"
+                )
+        # one turn fewer than channels; the empty tail has neither
+        if len(numbers) != len(turns) + bool(numbers):
+            raise SerializationError(
+                f"{kind}: {where}: {len(turns)} turns over {len(numbers)} channels"
+            )
+        junction = None
+        if numbers:
+            entry, first_out, node, in_port, _ = channels[numbers[0]]
+            for turn, number in zip(turns, numbers[1:]):
+                src_node, out_port, next_node, next_port, _ = channels[number]
+                if src_node != node or out_port - in_port != turn:
+                    raise SerializationError(
+                        f"{kind}: {where}: turns and channels disagree at {node!r}"
+                    )
+                node, in_port = next_node, next_port
+            junction = (entry, first_out, node)
+        tail: Tail = (tuple([channels[n][4] for n in numbers]), turns)
+        tails.append((junction, tail))
+    return tails
+
+
+def _shared(data: dict, kind: str) -> tuple[list[tuple], list[tuple]]:
+    """What the routes of one document refer into."""
+    channels = _channels(data.get("channels"), kind)
+    return channels, _tails(data.get("tails"), kind, channels)
 
 
 def _route(
-    doc: Any, host: str, dst: str, channels: list[Traversal], ends: list[tuple]
+    doc: Any, host: str, dst: str, channels: list[tuple], tails: list[tuple]
 ) -> CompiledRoute:
-    """One route, refused unless its turns and channels tell one story:
-    the channels chain from ``host`` to ``dst`` and every turn is the out
-    port minus the in port at the switch where two of them meet."""
-    kind = "route-table"
-    where = f"route {host!r} -> {dst!r}"
-    if not isinstance(doc, dict):
-        raise SerializationError(f"{kind}: {where} is not an object")
-    turns = _turns(doc.get("turns"), kind, where)
-    numbers = doc.get("channels")
-    if not isinstance(numbers, list):
-        raise SerializationError(f"{kind}: {where}: channels is not a list")
-    for number in numbers:
-        if type(number) is not int or not 0 <= number < len(channels):
-            raise SerializationError(
-                f"{kind}: {where}: malformed channel index {number!r}"
-            )
-    if len(numbers) != len(turns) + 1:
-        raise SerializationError(
-            f"{kind}: {where}: {len(turns)} turns over {len(numbers)} channels"
-        )
-    src_node, _, node, in_port = ends[numbers[0]]
+    """One route, refused unless its turns and channels tell one story at
+    the one place its tail has not already proven it: the head channel
+    leaves ``host`` and meets the tail's first channel under the stated
+    first turn, and the tail (or, over an empty tail, the head) enters
+    ``dst``."""
+    if not isinstance(doc, list) or len(doc) != 3:
+        raise _refused(host, dst, "not a [head, tail, first turn] triple")
+    head, tail, turn = doc
+    if type(head) is not int or not 0 <= head < len(channels):
+        raise _refused(host, dst, f"malformed channel index {head!r}")
+    if type(tail) is not int or not 0 <= tail < len(tails):
+        raise _refused(host, dst, f"malformed tail index {tail!r}")
+    src_node, _, node, in_port, channel = channels[head]
+    junction, chain = tails[tail]
     if src_node != host:
-        raise SerializationError(f"{kind}: {where}: first channel leaves {src_node!r}")
-    for turn, number in zip(turns, numbers[1:]):
-        src_node, out_port, next_node, next_port = ends[number]
-        if src_node != node or out_port - in_port != turn:
-            raise SerializationError(
-                f"{kind}: {where}: turns and channels disagree at {node!r}"
-            )
-        node, in_port = next_node, next_port
+        raise _refused(host, dst, f"first channel leaves {src_node!r}")
+    if junction is None:
+        if turn is not None:
+            raise _refused(host, dst, f"first turn {turn!r} over an empty tail")
+    else:
+        entry, first_out, last = junction
+        if type(turn) is not int:
+            raise _refused(host, dst, f"malformed first turn {turn!r}")
+        if entry != node or first_out - in_port != turn:
+            raise _refused(host, dst, f"turns and channels disagree at {node!r}")
+        node = last
     if node != dst:
-        raise SerializationError(f"{kind}: {where}: last channel enters {node!r}")
-    return CompiledRoute(host, dst, turns, tuple([channels[n] for n in numbers]))
+        raise _refused(host, dst, f"last channel enters {node!r}")
+    return CompiledRoute(host, dst, channel, turn, chain)
 
 
-def _table(data: dict, channels: list[Traversal], ends: list[tuple]) -> RouteTable:
+def _refused(host: str, dst: str, why: str) -> SerializationError:
+    return SerializationError(f"route-table: route {host!r} -> {dst!r}: {why}")
+
+
+def _table(data: dict, channels: list[tuple], tails: list[tuple]) -> RouteTable:
     kind = "route-table"
     host = _field(data, kind, "host", str)
     table = RouteTable(host=host)
     for dst, doc in _field(data, kind, "routes", dict).items():
-        table.routes[dst] = _route(doc, host, dst, channels, ends)
+        table.routes[dst] = _route(doc, host, dst, channels, tails)
     return table
 
 
 def route_table_to_dict(table: RouteTable) -> dict:
-    channels, (doc,) = _encode_tables([table])
+    channels, tails, (doc,) = _encode_tables([table])
     doc["channels"] = channels
+    doc["tails"] = tails
     return doc
 
 
 def route_table_from_dict(data: Any) -> RouteTable:
     kind = "route-table"
     data = require_kind(data, kind)
-    return _table(data, *_channels(data.get("channels"), kind))
+    return _table(data, *_shared(data, kind))
 
 
 def route_tables_to_dict(tables: Mapping[str, RouteTable]) -> dict:
     """A whole generation of tables, keyed by source host."""
     hosts = sorted(tables)
-    channels, docs = _encode_tables([tables[host] for host in hosts])
+    channels, tails, docs = _encode_tables([tables[host] for host in hosts])
     return {
         "kind": "route-tables",
         "version": FORMAT_VERSION,
         "channels": channels,
+        "tails": tails,
         "tables": dict(zip(hosts, docs)),
     }
 
@@ -345,10 +404,10 @@ def route_tables_to_dict(tables: Mapping[str, RouteTable]) -> dict:
 def route_tables_from_dict(data: Any) -> dict[str, RouteTable]:
     kind = "route-tables"
     data = require_kind(data, kind)
-    channels, ends = _channels(data.get("channels"), kind)
+    shared = _shared(data, kind)
     out: dict[str, RouteTable] = {}
     for host, doc in _field(data, kind, "tables", dict).items():
-        table = _table(require_kind(doc, "route-table"), channels, ends)
+        table = _table(require_kind(doc, "route-table"), *shared)
         if table.host != host:
             raise SerializationError(
                 f"{kind}: table keyed {host!r} claims host {table.host!r}"

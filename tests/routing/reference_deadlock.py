@@ -16,6 +16,24 @@ from typing import Iterable
 import networkx as nx
 
 from repro.routing.compile_routes import CompiledRoute
+from repro.simulator.path_eval import Traversal
+from repro.simulator.turns import Turns
+
+
+def flat_route(
+    src: str, dst: str, turns: Turns, traversals: tuple[Traversal, ...]
+) -> CompiledRoute:
+    """A route from its flat turn string and channel tuple, as the class
+    took them before a route became head channel + shared tail. It keeps
+    whatever it is given, consistent or not (a test may hand it channels
+    without turns, or turns without channels), and owns its tail."""
+    return CompiledRoute(
+        src,
+        dst,
+        traversals[0] if traversals else None,
+        turns[0] if turns else None,
+        (tuple(traversals[1:]), tuple(turns[1:])),
+    )
 
 
 def channel_dependency_graph(routes: Iterable[CompiledRoute]) -> nx.DiGraph:

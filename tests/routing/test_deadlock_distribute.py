@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.routing.compile_routes import CompiledRoute, compile_route_tables
+from repro.routing.compile_routes import compile_route_tables
 from repro.routing.deadlock import dependency_cycle, routes_deadlock_free
 from repro.routing.distribute import distribute_routes
 from repro.routing.paths import all_pairs_updown_paths
@@ -10,7 +10,7 @@ from repro.routing.updown import orient_updown
 from repro.simulator.path_eval import Traversal
 from repro.topology.generators import build_hypercube, build_ring, build_torus
 from repro.topology.model import PortRef
-from tests.routing.reference_deadlock import channel_dependency_graph
+from tests.routing.reference_deadlock import channel_dependency_graph, flat_route
 
 
 def _updown_tables(net):
@@ -60,9 +60,7 @@ class TestDeadlockFreedom:
                 ring_traversal((i + 1) % 4),
                 Traversal(attach_k, PortRef(host_k, 0)),
             )
-            routes.append(
-                CompiledRoute(host_i, host_k, turns=(), traversals=trs)
-            )
+            routes.append(flat_route(host_i, host_k, turns=(), traversals=trs))
         cycle = dependency_cycle(routes)
         assert cycle is not None
         assert not routes_deadlock_free(routes)

@@ -13,7 +13,6 @@ exactly as the interned set does.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import random
 
@@ -37,6 +36,7 @@ from repro.topology.generators import build_hypercube, build_ring, build_torus
 from repro.topology.model import Network, PortRef, TopologyError
 from tests.routing.reference_deadlock import (
     channel_dependency_graph,
+    flat_route,
     reference_deadlock_free,
 )
 from tests.topology.test_analysis_reference import seeded_fabric
@@ -99,9 +99,11 @@ def flat(tables: dict[str, RouteTable]) -> list[CompiledRoute]:
 def rebuilt(routes: list[CompiledRoute]) -> list[CompiledRoute]:
     """Equal routes in which no two hops share a ``Traversal`` object."""
     return [
-        dataclasses.replace(
-            route,
-            traversals=tuple(
+        flat_route(
+            route.src,
+            route.dst,
+            route.turns,
+            tuple(
                 Traversal(
                     PortRef(t.src.node, t.src.port), PortRef(t.dst.node, t.dst.port)
                 )
@@ -223,6 +225,6 @@ class TestRegularFabrics:
 
     def test_a_channel_depending_on_itself_is_a_cycle(self):
         loop = Traversal(PortRef("s0", 1), PortRef("s0", 2))
-        route = CompiledRoute("h0", "h1", turns=(), traversals=(loop, loop))
+        route = flat_route("h0", "h1", turns=(), traversals=(loop, loop))
         assert assert_agrees_with_reference([route]) is False
         assert dependency_cycle([route]) == [(loop.src, loop.dst)]

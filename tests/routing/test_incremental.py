@@ -112,7 +112,8 @@ class TestChaosDifferential:
 
     def _reconstruct(self, old, deltas):
         """old tables ⊕ deltas, as fresh RouteTable objects."""
-        from repro.routing.compile_routes import CompiledRoute, RouteTable
+        from repro.routing.compile_routes import RouteTable
+        from tests.routing.reference_deadlock import flat_route
 
         rebuilt = {}
         for host, delta in deltas.items():
@@ -122,9 +123,7 @@ class TestChaosDifferential:
             for dst, turns in {**delta.added, **delta.changed}.items():
                 # The wire-level trace is not part of the delta wire
                 # format; equality below is on turn strings.
-                routes[dst] = CompiledRoute(
-                    src=host, dst=dst, turns=turns, traversals=()
-                )
+                routes[dst] = flat_route(host, dst, turns=turns, traversals=())
             rebuilt[host] = RouteTable(host=host, routes=routes)
         return rebuilt
 

@@ -145,6 +145,46 @@ class TestCompilation:
             nodes = [route.src] + [t.dst.node for t in route.traversals]
             assert nodes == paths.node_path(route.src, route.dst)
 
+    def test_hosts_on_one_switch_share_one_tail_per_destination(self):
+        """A route is its host's own channel plus the chain from its switch
+        on, and a generation holds that chain once: per (entry switch,
+        destination) one tail object, whichever host on the switch asks."""
+        net = build_named_topology("now-c", {})
+        ori = orient_updown(net)
+        paths = all_pairs_updown_paths(net, ori)
+        tables = compile_route_tables(net, paths, orientation=ori)
+        routes = [r for table in tables.values() for r in table.routes.values()]
+        by_entry: dict[tuple[str, str], set[int]] = {}
+        for route in routes:
+            assert route.head.src.node == route.src
+            assert route.traversals == (route.head, *route.tail[0])
+            assert route.turns == (route.first_turn, *route.tail[1])
+            assert route.hops == len(route.turns) + 1
+            entry = (route.head.dst.node, route.dst)
+            by_entry.setdefault(entry, set()).add(id(route.tail))
+        assert all(len(ids) == 1 for ids in by_entry.values())
+        assert len({id(r.tail) for r in routes}) == len(by_entry) < len(routes) / 2
+
+    def test_a_route_over_parallel_cables_owns_its_tail(self, two_switch_net):
+        """The draw among parallel cables is made once per route, in route
+        order (the seed-0 / seed-11 goldens pin that), so such a route
+        cannot share: its tail is its own object even where the draws of
+        two routes happen to agree."""
+        ori = orient_updown(two_switch_net)
+        paths = all_pairs_updown_paths(two_switch_net, ori)
+        tables = compile_route_tables(two_switch_net, paths, orientation=ori, seed=0)
+        crossing = [
+            r
+            for table in tables.values()
+            for r in table.routes.values()
+            if r.hops == 3
+        ]
+        assert len(crossing) == 8
+        assert len({id(r.tail) for r in crossing}) == 8
+        assert len({r.tail for r in crossing}) == 5  # some draws do agree
+        local = [tables[a].routes[b] for a, b in (("h0", "h1"), ("h1", "h0"))]
+        assert [r.hops for r in local] == [2, 2]
+
     def test_route_table_len(self, ring_net):
         ori = orient_updown(ring_net)
         paths = all_pairs_updown_paths(ring_net, ori)

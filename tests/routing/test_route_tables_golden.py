@@ -6,6 +6,11 @@ the first seven fabrics at the commit before the channel table landed
 (PR 17's parent), the ``-mapped`` / ``host-host-island`` /
 ``unattached-host`` entries and the served-document digest at the commit
 before the routing layer learned that hosts are leaves (PR 21's parent).
+The served-document digest alone was regenerated when the document went
+to version 3 (one tail table per generation, PR 22): the format changed,
+the routes did not — every table digest stayed byte-identical, and
+``tests/service/test_codec_reference.py`` decodes the version-2 and the
+version-3 document of each fabric here to equal tables.
 Each digest covers every route of one ``compile_route_tables`` call —
 sorted ``(src, dst, turns, channel endpoints)`` — so a change to path
 selection, to the wire-choice rule among parallel cables or to the order

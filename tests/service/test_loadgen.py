@@ -49,7 +49,7 @@ class TestLoadReport:
     def test_rates_and_percentiles(self):
         report = LoadReport(tenants=2, rounds=1, wall_s=2.0)
         report.maps_completed = 3
-        report.maps_failed = 1
+        report.map_errors = {"routing-failed": 1}
         report.route_queries = 100
         report.map_latency_s = [0.010, 0.020, 0.030, 0.040]
         report.route_latency_s = [0.001] * 10
@@ -57,6 +57,7 @@ class TestLoadReport:
         assert report.routes_per_s == 50.0
         doc = report.to_dict()
         assert doc["maps_per_s"] == 2.0
+        assert (doc["maps_failed"], doc["map_errors"]) == (1, {"routing-failed": 1})
         assert doc["route_p50_ms"] == 1.0
         assert doc["map_p99_ms"] == 40.0
 
@@ -124,6 +125,29 @@ class TestBurst:
         assert report.maps_completed == 4
         assert report.maps_failed == 0
         assert statuses == {"a": "mapped", "b": "mapped"}
+
+    def test_the_one_failed_map_of_the_synthetic_burst_is_routing_failed(self):
+        """``maps_failed: 1`` of 16 in BENCH_service.json, explained: the
+        rotation's ``chain`` tenant (``tenant-04``) has its mapper host on
+        the end switch, ``cut auto`` takes the first sorted switch-to-switch
+        wire — the one next to it — and a mapper alone behind a cut has
+        nobody to route to. Deterministic, and counted under its code."""
+        spec = synthetic_tenants(5)[4]
+        assert (spec.name, spec.topology) == ("tenant-04", "chain")
+
+        async def run():
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                server = MapServer([spec], executor=pool)
+                host, port = await server.start()
+                try:
+                    return await run_load(host, port, rounds=2, route_clients=1, cut=True)
+                finally:
+                    await server.stop()
+
+        report = asyncio.run(run())
+        assert report.maps_completed == 1
+        assert report.map_errors == {"routing-failed": 1}
+        assert report.to_dict()["maps_failed"] == 1
 
     def test_empty_server_is_rejected(self):
         async def run():

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +40,7 @@ from repro.service.serialize import (
     route_tables_to_dict,
 )
 from repro.topology.isomorphism import match_networks
+from tests.service import reference_codec
 
 
 def _json_round_trip(doc: dict) -> dict:
@@ -124,11 +127,25 @@ class TestRouteTableRoundTrip:
         assert route_tables_to_dict(back) == doc
         assert set(back) == set(mapped_tables)
 
+    def test_the_documented_example_is_what_the_encoder_writes(self):
+        """docs/SERVICE.md's worked version-3 document: two hosts on one
+        switch, one shared tail."""
+        text = (Path(__file__).parents[2] / "docs" / "SERVICE.md").read_text()
+        doc = json.loads(
+            re.search(r"```json\n(\{\"kind\": \"route-tables\".*?)```", text, re.S).group(1)
+        )
+        tables = route_tables_from_dict(doc)
+        assert route_tables_to_dict(tables) == doc
+        assert tables["h0"].routes["h1"].turns == (3, 3)
+        assert tables["h2"].routes["h1"].turns == (2, 3)
+        assert tables["h0"].routes["h1"].tail is tables["h2"].routes["h1"].tail
+
     def test_a_decoded_generation_shares_one_object_per_channel(
         self, mapped_c, mapped_tables
     ):
-        """The document lists each channel once and the decoder builds it
-        once: every route crossing a wire half holds the same object."""
+        """The document lists each channel and each tail once and the
+        decoder builds each once: every route crossing a wire half, or
+        entering at one switch for one destination, holds the same object."""
         doc = _json_round_trip(route_tables_to_dict(mapped_tables))
         back = route_tables_from_dict(doc)
         held = [
@@ -139,6 +156,9 @@ class TestRouteTableRoundTrip:
         ]
         assert len(set(held)) == len({id(t) for t in held}) == len(doc["channels"])
         assert len(doc["channels"]) <= 2 * len(mapped_c.network.wires) < len(held)
+        tails = [r.tail for table in back.values() for r in table.routes.values()]
+        assert len(set(tails)) == len({id(t) for t in tails}) == len(doc["tails"])
+        assert len(doc["tails"]) < len(tails)
         single = route_table_to_dict(sorted(mapped_tables.values(), key=lambda t: t.host)[0])
         assert len(single["channels"]) < len(doc["channels"])
 
@@ -228,38 +248,82 @@ class TestMalformedRejection:
         with pytest.raises(SerializationError, match="unsupported version 1"):
             route_tables_from_dict(doc)
 
+    def test_version_2_documents_are_refused(self, mapped_tables):
+        """A real version-2 document (every route spelled out, no ``tails``)
+        as the parent's encoder wrote it: one format, so the version check
+        refuses it whole rather than a fallback decoder guessing at it."""
+        doc = reference_codec.route_tables_to_dict(mapped_tables)
+        assert doc["version"] == 2 and "tails" not in doc
+        with pytest.raises(SerializationError, match="unsupported version 2"):
+            route_tables_from_dict(doc)
+        single = reference_codec.route_table_to_dict(mapped_tables[min(mapped_tables)])
+        with pytest.raises(SerializationError, match="unsupported version 2"):
+            route_table_from_dict(single)
+
     @pytest.mark.parametrize(
         "doctor, complaint",
         [
             (lambda d: d.update(channels={"0": []}), "channels is not a list"),
             (lambda d: d["channels"].__setitem__(1, [["a", 0]]), "malformed channel"),
-            (lambda d: d["routes"]["h1"].pop("channels"), "channels is not a list"),
-            (lambda d: d["routes"]["h1"].update(channels=[0, 1, 9]), "channel index 9"),
-            (lambda d: d["routes"]["h1"].update(channels=[0, -1, 2]), "channel index -1"),
-            (lambda d: d["routes"]["h1"].update(channels=[0, True, 2]), "channel index True"),
-            (lambda d: d["routes"]["h1"].update(channels=[0, 1.0, 2]), "channel index 1.0"),
-            (lambda d: d["routes"]["h1"].update(channels=[0, "1", 2]), "channel index '1'"),
-            # Turns and channels must tell one story.
-            (lambda d: d["routes"]["h1"].update(turns=[7, 7, 7], channels=[]),
-             "3 turns over 0 channels"),
-            (lambda d: d["routes"]["h1"].update(turns=[]), "0 turns over 3 channels"),
-            (lambda d: d["routes"]["h1"].update(channels=[0, 3, 2]), "disagree at 'a'"),
-            (lambda d: d["routes"]["h1"].update(turns=[2, 2]), "disagree at 'a'"),
-            (lambda d: d["routes"]["h1"].update(turns=[3, 1]), "disagree at 'b'"),
-            (lambda d: d["routes"]["h1"].update(turns=[3], channels=[1, 2]),
-             "first channel leaves 'a'"),
-            (lambda d: d["routes"]["h1"].update(turns=[3], channels=[0, 1]),
-             "last channel enters 'b'"),
+            (lambda d: d.update(tails={"0": []}), "tails is not a list"),
+            (lambda d: d.pop("tails"), "tails is not a list"),
+            (lambda d: d["tails"].__setitem__(0, [[1, 2]]), "malformed tail 0"),
+            (lambda d: d["tails"].__setitem__(0, {"channels": [1, 2], "turns": [2]}),
+             "malformed tail 0"),
+            (lambda d: d["tails"][0].__setitem__(0, {"1": 2}), "tail 0: channels is not a list"),
+            (lambda d: d["tails"][0].__setitem__(0, [1, 9]), "tail 0: malformed channel index 9"),
+            (lambda d: d["tails"][0].__setitem__(0, [-1, 2]), "channel index -1"),
+            (lambda d: d["tails"][0].__setitem__(0, [True, 2]), "channel index True"),
+            (lambda d: d["tails"][0].__setitem__(0, [1.0, 2]), "channel index 1.0"),
+            (lambda d: d["tails"][0].__setitem__(0, ["1", 2]), "channel index '1'"),
+            (lambda d: d["tails"][0].__setitem__(1, [True]), "tail 0 is not a turn list"),
+            (lambda d: d["tails"][0].__setitem__(1, [2.0]), "tail 0 is not a turn list"),
+            (lambda d: d["tails"][0].__setitem__(1, None), "tail 0 is not a turn list"),
+            # A tail's turns and channels must tell one story...
+            (lambda d: d["tails"].__setitem__(0, [[], [7]]), "1 turns over 0 channels"),
+            (lambda d: d["tails"][0].__setitem__(1, []), "0 turns over 2 channels"),
+            (lambda d: d["tails"][0].__setitem__(1, [2, 2]), "2 turns over 2 channels"),
+            (lambda d: d["tails"][0].__setitem__(0, [1, 3]), "tail 0: .* disagree at 'b'"),
+            (lambda d: d["tails"][0].__setitem__(1, [1]), "tail 0: .* disagree at 'b'"),
+            # ...and so must a route at the one junction the tail cannot see.
+            (lambda d: d["routes"].update(h1={"turns": [3, 2], "channels": [0, 1, 2]}),
+             "not a .head, tail, first turn. triple"),
+            (lambda d: d["routes"].update(h1=[0, 0]), "not a .head, tail, first turn. triple"),
+            (lambda d: d["routes"].update(h1=[0, 0, 3, 2]), "first turn. triple"),
+            (lambda d: d["routes"].update(h1=[9, 0, 3]), "malformed channel index 9"),
+            (lambda d: d["routes"].update(h1=[-1, 0, 3]), "malformed channel index -1"),
+            (lambda d: d["routes"].update(h1=[False, 0, 3]), "channel index False"),
+            (lambda d: d["routes"].update(h1=[0.0, 0, 3]), "channel index 0.0"),
+            (lambda d: d["routes"].update(h1=["0", 0, 3]), "channel index '0'"),
+            (lambda d: d["routes"].update(h1=[0, 4, 3]), "malformed tail index 4"),
+            (lambda d: d["routes"].update(h1=[0, -1, 3]), "malformed tail index -1"),
+            (lambda d: d["routes"].update(h1=[0, False, 3]), "tail index False"),
+            (lambda d: d["routes"].update(h1=[0, [0], 3]), "tail index .0."),
+            (lambda d: d["routes"].update(h1=[0, 0, True]), "malformed first turn True"),
+            (lambda d: d["routes"].update(h1=[0, 0, 3.0]), "malformed first turn 3.0"),
+            (lambda d: d["routes"].update(h1=[0, 0, "3"]), "malformed first turn '3'"),
+            (lambda d: d["routes"].update(h1=[0, 0, None]), "malformed first turn None"),
+            (lambda d: d["routes"].update(h1=[0, 3, 3]), "first turn 3 over an empty tail"),
+            (lambda d: d["routes"].update(h1=[0, 3, None]), "last channel enters 'a'"),
+            (lambda d: d["routes"].update(h1=[1, 0, 3]), "first channel leaves 'a'"),
+            # The three lies sharing makes possible: a tail that starts at
+            # another switch, one that ends at another host, and a first
+            # turn that is not the one the two channels make.
+            (lambda d: d["routes"].update(h1=[0, 1, 3]), "route 'h0' -> 'h1': .* disagree at 'a'"),
+            (lambda d: d["routes"].update(h1=[0, 2, 3]), "last channel enters 'b'"),
+            (lambda d: d["routes"].update(h1=[0, 0, 2]), "route 'h0' -> 'h1': .* disagree at 'a'"),
         ],
     )
     def test_route_whose_turns_and_channels_disagree_is_rejected(
         self, doctor, complaint
     ):
         """h0 -> a (in 0, out 3) -> b (in 1, out 3) -> h1, plus a stray
-        channel that meets nothing. Undoctored, the document decodes."""
+        channel that meets nothing and three tails no honest route to h1
+        from h0 could name: one entered at b, one that stops at b, an empty
+        one. Undoctored, the document decodes."""
         doc = {
             "kind": "route-table",
-            "version": 2,
+            "version": 3,
             "host": "h0",
             "channels": [
                 [["h0", 0], ["a", 0]],
@@ -267,7 +331,8 @@ class TestMalformedRejection:
                 [["b", 3], ["h1", 0]],
                 [["zzz", 5], ["q", 2]],
             ],
-            "routes": {"h1": {"turns": [3, 2], "channels": [0, 1, 2]}},
+            "tails": [[[1, 2], [2]], [[2], []], [[1], []], [[], []]],
+            "routes": {"h1": [0, 0, 3]},
         }
         route = route_table_from_dict(doc).routes["h1"]
         assert route.turns == (3, 2) and route.hops == 3
@@ -278,8 +343,9 @@ class TestMalformedRejection:
             route_tables_from_dict(
                 {
                     "kind": "route-tables",
-                    "version": 2,
+                    "version": 3,
                     "channels": doc.get("channels"),
+                    "tails": doc.get("tails"),
                     "tables": {"h0": doc},
                 }
             )

@@ -65,6 +65,35 @@ class _DoctoringPool(ThreadPoolExecutor):
         return super().submit(doctored, *args, **kwargs)
 
 
+def _first_route(outcome: dict) -> tuple[dict, list]:
+    """The outcome's ``route-tables`` document and its first route's
+    ``[head, tail, first turn]`` triple, to be lied in."""
+    doc = outcome["tables"]
+    table = doc["tables"][min(doc["tables"])]
+    return doc, table["routes"][min(table["routes"])]
+
+
+def _name_another_tail(outcome: dict, *, same_entry: bool) -> None:
+    """Point the first route at a valid tail that is not its own: one
+    entered at another switch, or one entered at the same switch that ends
+    at another host (the first turn made right for it, so only the far end
+    lies)."""
+    doc, route = _first_route(outcome)
+    channels = doc["channels"]
+
+    def entry(tail):  # [node, out port] its first channel leaves
+        return channels[tail[0][0]][0]
+
+    own = entry(doc["tails"][route[1]])[0]
+    route[1] = next(
+        at
+        for at, tail in enumerate(doc["tails"])
+        if at != route[1] and (entry(tail)[0] == own) == same_entry
+    )
+    if same_entry:
+        route[2] = entry(doc["tails"][route[1]])[1] - channels[route[0]][1][1]
+
+
 @contextlib.asynccontextmanager
 async def _server(*specs: TenantSpec, max_workers: int = 2):
     """A started MapServer on an ephemeral port, torn down afterwards."""
@@ -354,28 +383,62 @@ class TestFailureSemantics:
         assert asyncio.run(run())
 
     @pytest.mark.parametrize(
-        "doctor",
+        "doctor, complaint",
         [
-            pytest.param(lambda o: o.pop("map_result"), id="no-map-result"),
+            pytest.param(lambda o: o.pop("map_result"), "map-result", id="no-map-result"),
             pytest.param(
                 lambda o: o.update(map_result={"kind": "nonsense"}),
+                "map-result",
                 id="map-result-of-the-wrong-kind",
             ),
             pytest.param(
-                lambda o: o.update(net_epoch="latest"), id="net-epoch-not-an-int"
+                lambda o: o.update(net_epoch="latest"),
+                "net_epoch",
+                id="net-epoch-not-an-int",
             ),
             pytest.param(
-                lambda o: next(
-                    route["turns"]
-                    for table in o["tables"]["tables"].values()
-                    for route in table["routes"].values()
-                    if route["turns"]
-                ).append(0),
-                id="route-turns-disagree-with-its-channels",
+                lambda o: o["tables"].update(version=2),
+                "unsupported version 2",
+                id="tables-of-the-previous-version",
+            ),
+            pytest.param(
+                lambda o: o["tables"]["tails"][0][1].append(0),
+                "2 turns over 2 channels",
+                id="tail-turns-disagree-with-its-channels",
+            ),
+            pytest.param(
+                lambda o: o["tables"]["tails"][0][0].append(len(o["tables"]["channels"])),
+                "malformed channel index",
+                id="tail-channel-out-of-range",
+            ),
+            pytest.param(
+                lambda o: _first_route(o)[1].__setitem__(0, "0"),
+                "malformed channel index '0'",
+                id="route-head-is-a-string",
+            ),
+            pytest.param(
+                lambda o: _first_route(o)[1].pop(),
+                "first turn] triple",
+                id="route-is-not-a-triple",
+            ),
+            pytest.param(
+                lambda o: _first_route(o)[1].__setitem__(2, _first_route(o)[1][2] + 1),
+                "turns and channels disagree at 'switch-",
+                id="route-first-turn-disagrees-with-the-junction",
+            ),
+            pytest.param(
+                lambda o: _name_another_tail(o, same_entry=False),
+                "turns and channels disagree at 'switch-",
+                id="route-names-a-tail-from-another-switch",
+            ),
+            pytest.param(
+                lambda o: _name_another_tail(o, same_entry=True),
+                "last channel enters 'ring-n",
+                id="route-names-a-tail-to-another-host",
             ),
         ],
     )
-    def test_malformed_ok_outcome_leaves_the_tenant_untouched(self, doctor):
+    def test_malformed_ok_outcome_leaves_the_tenant_untouched(self, doctor, complaint):
         """An ``ok`` outcome is validated whole before adoption: a missing
         map_result used to raise inside adopt() after the counters had
         moved, and a wrong-kind one was stored as the next cycle's seed,
@@ -391,6 +454,7 @@ class TestFailureSemantics:
                         bad = await client.map("ring")
                         assert bad["ok"] is False
                         assert bad["error"] == "bad-worker-outcome"
+                        assert complaint in bad["message"]
                         assert bad["generation"] == 0
                         tenant = server.tenants["ring"]
                         assert tenant.status == "failed"

@@ -85,25 +85,28 @@ class TestDaemonAndWorkerAgree:
 class TestOutcomeCarriesEachChannelOnce:
     def test_full_now_outcome_size_and_sharing(self):
         """What crosses the pool is pickled, unpickled and decoded on the
-        event loop: 9 900 routes refer to 332 channels by number (1.79 MB
-        when every hop spelled its two port refs out), and the adopted
-        generation holds those 332 objects, not 60 600."""
+        event loop: 9 900 routes are 100 host channels in front of 2 397
+        tails over 332 channels, each named by number (1.79 MB when every
+        hop spelled its two port refs out, 0.55 MB when every route still
+        listed its own channels and turns), and the adopted generation
+        holds those 332 + 2 397 objects, not 60 600 + 9 900."""
         tenant = TenantState(TenantSpec(name="t", topology="now-full"))
         outcome = run_map_job(tenant.job_payload())
         assert outcome["n_routes"] == 9900
-        assert len(pickle.dumps(outcome)) < 700_000
+        assert len(pickle.dumps(outcome)) < 300_000
         doc = outcome["tables"]
         assert len(doc["channels"]) == 332
+        assert 0 < len(doc["tails"]) <= 2400
         tables = route_tables_from_dict(pickle.loads(pickle.dumps(doc)))
         assert route_tables_to_dict(tables) == doc
-        held = [
-            t
-            for table in tables.values()
-            for route in table.routes.values()
-            for t in route.traversals
-        ]
+        routes = [r for table in tables.values() for r in table.routes.values()]
+        held = [t for route in routes for t in route.traversals]
         assert len(held) == 60_600
         assert len({id(t) for t in held}) == 332 <= 2 * len(tenant.net.wires)
+        assert len({id(route.tail) for route in routes}) == len(doc["tails"])
+        # A tail's two tuples are its own: nothing else per route but the
+        # route object itself.
+        assert len({id(part) for route in routes for part in route.tail}) <= 2 * 2400
 
 
 class TestPlanTimeFallbackIsReported:
