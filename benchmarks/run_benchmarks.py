@@ -1,32 +1,26 @@
 #!/usr/bin/env python
-"""The perf harness: timed suites, JSON baselines, regression gating.
+"""The perf harness for what the cycle ledger does not own.
 
-Two suites mirror the pytest-benchmark modules but run standalone (no
-pytest needed), so CI and developers get numbers and a pass/fail gate from
-one command:
+Whole remap cycles and every per-layer row are timed by ``benchmarks/e2e``
+(``BENCHMARK.json``). The three suites here cover the rest, standalone (no
+pytest needed), with numbers and a pass/fail gate from one command:
 
-- ``micro``   — substrate hot paths (route evaluation, probe pairs, the
-  full subcluster-C mapping run with the evaluation cache on and off, the
-  full-NOW core decomposition behind ``recommended_search_depth``);
-- ``mapping`` — figure-level workloads (Figure 4 subcluster map, Figure 5
-  full-NOW map, the routing pipeline);
-- ``scale``   — datacenter-tier three-tier fat trees (80 / 320 / 1125
+- ``micro`` — substrate hot paths below a cycle: one route evaluation, one
+  switch-probe loopback, one probe pair, the full-NOW core decomposition
+  behind ``recommended_search_depth``, one sanlint pass over ``src/repro``;
+- ``scale`` — datacenter-tier three-tier fat trees (80 / 320 / 1125
   switches), each mapped end-to-end and verified. The k=8 tier is the CI
   smoke gate; the larger tiers are ``--quick``-skipped and the 1125-switch
   tier records a single sample;
-- ``remap``   — incremental remapping: one cable cut on a warm, fully
+- ``remap`` — incremental remapping: one cable cut on a warm, fully
   mapped fabric, the seeded remap timed against a from-scratch run. The
-  >=10x probe-reduction acceptance ratio is asserted inside each bench;
-- ``service`` — the async multi-tenant map server: an 8-tenant synthetic
-  load burst (maps/sec, routed queries/sec, p50/p99 latency, and the
-  count of route queries answered while remap cycles were in flight)
-  plus the idle route-lookup round-trip floor.
+  >=10x probe-reduction acceptance ratio is asserted inside each bench.
 
 Each benchmark repeats ``--repeats`` times and records the **median**
 wall-clock time per operation plus any extra counters (probe totals,
 cache hit rates from :class:`repro.simulator.path_eval.EvalCacheStats`).
-Results land in ``BENCH_micro.json`` / ``BENCH_mapping.json`` next to this
-script (override with ``--out``).
+Results land in ``BENCH_<suite>.json`` next to this script (override with
+``--out``).
 
 Regression gating::
 
@@ -107,40 +101,6 @@ def _micro_probe_pair() -> tuple[float, dict]:
     return per_op, {"cache_hit_rate": round(stats.hit_rate, 4)}
 
 
-def _mapping_run(use_cache: bool, layers: tuple = ()) -> tuple[float, dict]:
-    from repro.core.mapper_protocol import create_mapper
-    from repro.simulator.stack import build_service_stack
-    from repro.topology.generators import build_subcluster
-
-    net = build_subcluster("C")
-    start = time.perf_counter()
-    svc = build_service_stack(net, "C-svc", layers=layers, use_cache=use_cache)
-    result = create_mapper(
-        "berkeley", svc, search_depth=11, host_first=False
-    ).map()
-    elapsed = time.perf_counter() - start
-    assert result.network.n_switches == 13
-    extra = {"probes": result.stats.total_probes}
-    stats = svc.eval_cache_stats
-    if stats is not None:
-        extra["cache_hit_rate"] = round(stats.hit_rate, 4)
-        extra["cache_nodes"] = stats.nodes
-    return elapsed, extra
-
-
-def _stacked_layers() -> tuple:
-    """A representative observation stack: counting + trace bus.
-
-    Measures the per-probe overhead of the middleware hooks against the
-    layer-less arm; the bus subscriber is deliberately trivial so the
-    number isolates the stack machinery itself.
-    """
-    from repro.simulator.stack import CountingLayer, TraceBusLayer
-
-    published: list = []
-    return (CountingLayer(), TraceBusLayer((published.append,)))
-
-
 def _micro_core_decomposition() -> tuple[float, dict]:
     """``D``, ``F`` and every ``Q(v)`` of the full NOW: the whole cost of
     ``recommended_search_depth``, which every default remap cycle pays."""
@@ -173,74 +133,8 @@ MICRO_SUITE: dict[str, Bench] = {
     "route_eval": _micro_route_eval,
     "switch_probe_eval": _micro_switch_probe_eval,
     "probe_pair": _micro_probe_pair,
-    "full_mapping_subcluster_cached": lambda: _mapping_run(True),
-    "full_mapping_subcluster_uncached": lambda: _mapping_run(False),
-    "full_mapping_subcluster_stacked": lambda: _mapping_run(
-        True, _stacked_layers()
-    ),
     "core_decomposition_full_now": _micro_core_decomposition,
     "sanlint_whole_repo": _micro_sanlint,
-}
-
-
-# ---------------------------------------------------------------------------
-# mapping (figure) suite
-# ---------------------------------------------------------------------------
-
-def _fig4_map() -> tuple[float, dict]:
-    from repro.experiments.fig4_subcluster_map import run
-
-    start = time.perf_counter()
-    exp = run("C")
-    elapsed = time.perf_counter() - start
-    assert exp.verification.isomorphic
-    extra = {"probes": exp.result.stats.total_probes}
-    if exp.cache is not None:
-        extra["cache_hit_rate"] = round(exp.cache.hit_rate, 4)
-    return elapsed, extra
-
-
-def _fig5_map() -> tuple[float, dict]:
-    from repro.experiments.fig5_full_map import run
-
-    start = time.perf_counter()
-    exp = run()
-    elapsed = time.perf_counter() - start
-    assert exp.verification.isomorphic
-    extra = {"probes": exp.result.stats.total_probes}
-    if exp.cache is not None:
-        extra["cache_hit_rate"] = round(exp.cache.hit_rate, 4)
-    return elapsed, extra
-
-
-def _routing_pipeline() -> tuple[float, dict]:
-    """Everything ``route_cycle`` does for a map: orient, paths, compile and
-    the Dally–Seitz check (which this used to stop short of)."""
-    from repro.routing.compile_routes import compile_route_tables
-    from repro.routing.deadlock import routes_deadlock_free
-    from repro.routing.paths import all_pairs_updown_paths, build_phase_graph
-    from repro.routing.updown import orient_updown
-    from repro.topology.generators import build_full_now
-
-    net = build_full_now()
-    start = time.perf_counter()
-    ori = orient_updown(net)
-    graph = build_phase_graph(net, ori)
-    paths = all_pairs_updown_paths(net, ori, graph=graph)
-    tables = compile_route_tables(net, paths, orientation=ori)
-    deadlock_free = routes_deadlock_free(tables)
-    elapsed = time.perf_counter() - start
-    assert deadlock_free
-    return elapsed, {
-        "routes": sum(len(t) for t in tables.values()),
-        "deadlock_free": deadlock_free,
-    }
-
-
-MAPPING_SUITE: dict[str, Bench] = {
-    "fig4_map_subcluster_c": _fig4_map,
-    "fig5_map_full_now": _fig5_map,
-    "routing_pipeline_full_now": _routing_pipeline,
 }
 
 
@@ -397,97 +291,15 @@ REMAP_SUITE: dict[str, Bench] = {
     "remap_single_cut_fattree8": _remap_fattree8,
 }
 
-# ---------------------------------------------------------------------------
-# service suite: the async multi-tenant map server under synthetic load
-# ---------------------------------------------------------------------------
-
-def _service_burst(n_tenants: int, rounds: int) -> tuple[float, dict]:
-    """Boot a real MapServer (process-pool workers) and run the synthetic
-    load generator against it: per-tenant operators cutting cables and
-    remapping while a querier pool hammers route lookups.
-
-    The timed quantity is the whole burst wall-clock; the extras carry the
-    service's headline numbers — maps/sec, routed queries/sec, p50/p99
-    latency for both — plus ``overlap_queries``, the count of route
-    queries answered *while* at least one remap cycle was in flight (the
-    acceptance criterion for the service's concurrency model).
-    """
-    import asyncio
-
-    from repro.service.loadgen import run_load, synthetic_tenants
-    from repro.service.server import MapServer
-
-    async def burst():
-        server = MapServer(synthetic_tenants(n_tenants, seed=0), max_workers=4)
-        host, port = await server.start()
-        try:
-            return await run_load(
-                host, port, rounds=rounds, route_clients=4, cut=True, seed=0
-            )
-        finally:
-            await server.stop()
-
-    report = asyncio.run(burst())
-    # Round 0 maps every tenant from scratch; the acceptance bar is that
-    # route queries kept being answered while those cycles ran.
-    assert report.maps_completed >= n_tenants, report.to_dict()
-    assert report.overlap_queries > 0, report.to_dict()
-    # One map of the burst fails by construction (the chain tenant's cut
-    # strands its mapper host: ``LoadReport.map_errors``); any other code
-    # is a regression, whatever the wall clock says.
-    assert set(report.map_errors) <= {"routing-failed"}, report.map_errors
-    return report.wall_s, report.to_dict()
-
-
-def _service_route_rtt() -> tuple[float, dict]:
-    """Median route-lookup round-trip against one mapped, idle tenant —
-    the floor of what a client pays per query when no cycle is running."""
-    import asyncio
-
-    from repro.service.client import MapClient
-    from repro.service.server import MapServer
-    from repro.service.tenant import TenantSpec
-
-    async def measure():
-        server = MapServer(
-            [TenantSpec(name="t", topology="now-c")], max_workers=2
-        )
-        host, port = await server.start()
-        try:
-            async with MapClient(host, port) as client:
-                outcome = await client.map("t")
-                assert outcome.get("adopted"), outcome
-                listing = await client.tenants(include_hosts=True)
-                names = listing[0]["host_names"]
-                pairs = [(a, b) for a in names for b in names if a != b]
-                start = time.perf_counter()
-                n = 0
-                for src, dst in pairs * 4:
-                    response = await client.route("t", src, dst)
-                    assert response.get("ok"), response
-                    n += 1
-                return (time.perf_counter() - start) / n, n
-        finally:
-            await server.stop()
-
-    per_op, n = asyncio.run(measure())
-    return per_op, {"queries": n, "routes_per_s": round(1.0 / per_op, 1)}
-
-
-SERVICE_SUITE: dict[str, Bench] = {
-    # 8 concurrent tenants, 2 rounds (round 1 cuts a cable per tenant, so
-    # the remaps exercise the incremental seed path over the wire).
-    "service_burst_8tenants": lambda: _service_burst(8, 2),
-    "service_route_rtt_single_tenant": _service_route_rtt,
+#: Every suite by name: ``BENCH_<name>.json`` is its committed baseline.
+SUITES: dict[str, dict[str, Bench]] = {
+    "micro": MICRO_SUITE,
+    "scale": SCALE_SUITE,
+    "remap": REMAP_SUITE,
 }
 
-
 #: Benchmarks skipped by --quick (the CI smoke job): too slow for a gate.
-SLOW_BENCHES = frozenset({
-    "fig5_map_full_now",
-    "fat_tree_map_3tier_k16",
-    "fat_tree_map_3tier_k30",
-})
+SLOW_BENCHES = frozenset({"fat_tree_map_3tier_k16", "fat_tree_map_3tier_k30"})
 
 #: Benchmarks so heavy they record a single sample with no warm-up run.
 #: The baseline stores the honest one-shot number ("repeats": 1).
@@ -557,10 +369,7 @@ def find_regressions(
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--suite",
-                        choices=["micro", "mapping", "scale", "remap",
-                                 "service", "all"],
-                        default="micro")
+    parser.add_argument("--suite", choices=[*SUITES, "all"], default="micro")
     parser.add_argument("--repeats", type=int, default=5,
                         help="samples per benchmark (median is recorded)")
     parser.add_argument("--quick", action="store_true",
@@ -591,16 +400,8 @@ def main(argv: list[str] | None = None) -> int:
         docs = {"input": json.loads(args.input.read_text())}
     else:
         repeats = max(1, args.repeats // 2) if args.quick else args.repeats
-        all_suites = {
-            "micro": MICRO_SUITE,
-            "mapping": MAPPING_SUITE,
-            "scale": SCALE_SUITE,
-            "remap": REMAP_SUITE,
-            "service": SERVICE_SUITE,
-        }
         suites = (
-            all_suites if args.suite == "all"
-            else {args.suite: all_suites[args.suite]}
+            SUITES if args.suite == "all" else {args.suite: SUITES[args.suite]}
         )
         docs = {}
         for suite_name, suite in suites.items():

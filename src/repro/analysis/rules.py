@@ -578,14 +578,14 @@ class ServiceEvaluatesViaCache(Rule):
     )
     hint = (
         "use IncrementalPathEvaluator (probe_info()/loopback_info()/"
-        "evaluate()) or the service's _probe_info()/_path() helpers; a "
-        "deliberate pure-path escape hatch marks the line with "
-        "`# sanlint: disable=SAN009`"
+        "evaluate()) or the service's _probe_info()/_path() helpers; the "
+        "pure-walk oracle is a test-side subclass "
+        "(tests/simulator/reference_service.py)"
     )
 
     def check(self, module: ModuleInfo) -> Iterator[Diagnostic]:
-        # No package exemption: the quiescent service's own escape-hatch
-        # lines carry explicit disable comments instead.
+        # No package exemption: the quiescent service itself has no
+        # pure-walk arm left to exempt.
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call) or _call_name(node) != "evaluate_route":
                 continue

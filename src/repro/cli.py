@@ -87,7 +87,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
     from repro.topology.isomorphism import match_networks
     from repro.topology.render import to_ascii
 
-    algorithm = args.mapper or args.algorithm or "berkeley"
+    algorithm = args.mapper
     if algorithm == "list":
         return _print_mapper_registry()
     if not args.network:
@@ -132,7 +132,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
     if args.stats:
         from repro.core.instrumentation import cache_summary
 
-        print(cache_summary(getattr(svc, "eval_cache_stats", None)))
+        print(cache_summary(svc.eval_cache_stats))
     if args.profile:
         if result.profile is None:
             print(f"profile: the {algorithm} mapper does not record phases")
@@ -405,11 +405,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("map", help="map a network in-band")
     p.add_argument("--network", default=None,
                    help="topology JSON (required unless --mapper list)")
-    p.add_argument("--mapper", default=None, metavar="NAME",
+    p.add_argument("--mapper", default="berkeley", metavar="NAME",
                    help="discovery algorithm registry name "
                         "(or 'list' to print the registry)")
-    p.add_argument("--algorithm", default=None,
-                   help="back-compat alias for --mapper")
     p.add_argument("--mapper-host", default=None,
                    help="host to map from (default: first host)")
     p.add_argument("--depth", type=int, default=None)

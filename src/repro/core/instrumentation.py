@@ -112,9 +112,9 @@ class PhaseProfiler:
 def cache_summary(stats: EvalCacheStats | None) -> str:
     """One-line rendering of the probe-evaluation cache counters.
 
-    ``None`` (service running with ``use_cache=False``, or one that has no
-    cache at all) renders as disabled rather than erroring, so callers can
-    pass ``getattr(svc, "eval_cache_stats", None)`` unconditionally.
+    Every service in ``src/`` has a cache; ``None`` is what the pure-walk
+    test oracle (``tests/simulator/reference_service.py``) reports, and
+    renders as disabled.
     """
     if stats is None:
         return "eval cache: disabled"

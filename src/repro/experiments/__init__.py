@@ -2,9 +2,8 @@
 
 Every module exposes ``run(...)`` returning structured rows and ``main()``
 printing the same table/series the paper reports, side by side with the
-paper's published numbers. The benchmarks under ``benchmarks/`` wrap these
-same entry points, so ``pytest benchmarks/ --benchmark-only`` regenerates
-every experiment.
+paper's published numbers. ``san-map experiment <name>`` (or ``all``) runs
+them; ``tests/experiments/`` asserts the paper-shape claims on the rows.
 
 | module               | paper artifact                                     |
 |----------------------|----------------------------------------------------|

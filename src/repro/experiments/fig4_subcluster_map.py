@@ -30,7 +30,7 @@ class MapExperiment:
     verification: IsomorphismReport
     ascii_map: str
     dot_source: str
-    cache: EvalCacheStats | None = None
+    cache: EvalCacheStats
 
 
 def run(name: str = "C") -> MapExperiment:

@@ -21,8 +21,8 @@ see :func:`all_pairs_updown_paths`. The state numbering stays inside this
 module; :meth:`RoutingPaths.in_tree` hands the route compiler opaque states.
 
 Cross-check method — per-source BFS over the same phase graph
-(:func:`bfs_updown_lengths`), used by the test suite to validate the FW
-distances independently.
+(``bfs_updown_lengths`` in ``tests/routing/reference_paths.py``), used by
+the test suite to validate the FW distances independently.
 
 Parallel wires: the phase graph works on nodes; wire selection (including
 the paper's random choice among parallel wires for load balance) happens in
@@ -31,7 +31,6 @@ the paper's random choice among parallel wires for load balance) happens in
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -44,7 +43,6 @@ __all__ = [
     "PhaseGraph",
     "RoutingPaths",
     "all_pairs_updown_paths",
-    "bfs_updown_lengths",
     "build_phase_graph",
 ]
 
@@ -53,23 +51,12 @@ _INF = np.iinfo(np.int32).max // 4
 
 @dataclass(slots=True)
 class PhaseGraph:
-    """The up/down phase adjacency, built once and shared across queries.
-
-    Both the Floyd–Warshall sweep and every per-root BFS need the same
-    oriented adjacency; previously each call re-derived it from the wire
-    list (O(E) per root). ``topology_epoch`` records the network state the
-    graph was built against, so consumers can detect staleness the same
-    way the probe-evaluation trie does.
-    """
+    """The up/down phase adjacency over sorted node names."""
 
     nodes: list[str]
     index: dict[str, int]
     up_adj: list[list[int]]
     down_adj: list[list[int]]
-    topology_epoch: int
-
-    def current_for(self, net: Network) -> bool:
-        return self.topology_epoch == net.topology_epoch
 
 
 def build_phase_graph(net: Network, orientation: UpDownOrientation) -> PhaseGraph:
@@ -93,21 +80,7 @@ def build_phase_graph(net: Network, orientation: UpDownOrientation) -> PhaseGrap
             if iy not in seen[ix]:  # parallel cables add no new arcs
                 seen[ix].add(iy)
                 adj[ix].append(iy)
-    return PhaseGraph(
-        nodes=nodes,
-        index=index,
-        up_adj=up_adj,
-        down_adj=down_adj,
-        topology_epoch=net.topology_epoch,
-    )
-
-
-def _graph_for(
-    net: Network, orientation: UpDownOrientation, graph: PhaseGraph | None
-) -> PhaseGraph:
-    if graph is not None and graph.current_for(net):
-        return graph
-    return build_phase_graph(net, orientation)
+    return PhaseGraph(nodes=nodes, index=index, up_adj=up_adj, down_adj=down_adj)
 
 
 @dataclass(slots=True)
@@ -209,10 +182,7 @@ class RoutingPaths:
 
 
 def all_pairs_updown_paths(
-    net: Network,
-    orientation: UpDownOrientation,
-    *,
-    graph: PhaseGraph | None = None,
+    net: Network, orientation: UpDownOrientation
 ) -> RoutingPaths:
     """Floyd–Warshall over the core of the up/down phase graph (vectorized
     min-plus).
@@ -223,11 +193,8 @@ def all_pairs_updown_paths(
     wins a strict improvement, and the core rows evolve exactly as they
     would in the full matrix, tie-breaks included. Any other host (cabled
     to a host, unattached, oriented above its switch) is simply core.
-
-    Pass a prebuilt (and still current) :class:`PhaseGraph` to skip the
-    adjacency derivation; a stale graph is silently rebuilt.
     """
-    graph = _graph_for(net, orientation, graph)
+    graph = build_phase_graph(net, orientation)
     nodes, up_adj, down_adj = graph.nodes, graph.up_adj, graph.down_adj
     leaf_switch = {
         name: nodes[up_adj[i][0]]
@@ -283,40 +250,3 @@ def all_pairs_updown_paths(
         dist=dist,
         succ=succ,
     )
-
-
-def bfs_updown_lengths(
-    net: Network,
-    orientation: UpDownOrientation,
-    source: str,
-    *,
-    graph: PhaseGraph | None = None,
-) -> dict[str, int]:
-    """Independent single-source compliant-path lengths (for cross-checks).
-
-    ``graph`` reuses one adjacency across the per-root calls — without it
-    every root re-derives the same O(E) structure.
-    """
-    graph = _graph_for(net, orientation, graph)
-    nodes = graph.nodes
-    index = graph.index
-    up_adj, down_adj = graph.up_adj, graph.down_adj
-    # BFS over states (node, phase).
-    start = (index[source], 0)
-    seen = {start: 0}
-    queue: deque[tuple[tuple[int, int], int]] = deque([(start, 0)])
-    best: dict[int, int] = {index[source]: 0}
-    while queue:
-        (i, phase), d = queue.popleft()
-        moves: list[tuple[int, int]] = []
-        if phase == 0:
-            moves += [(j, 0) for j in up_adj[i]]
-            moves += [(j, 1) for j in down_adj[i]]
-        else:
-            moves += [(j, 1) for j in down_adj[i]]
-        for state in moves:
-            if state not in seen:
-                seen[state] = d + 1
-                best[state[0]] = min(best.get(state[0], _INF), d + 1)
-                queue.append((state, d + 1))
-    return {nodes[i]: d for i, d in best.items()}

@@ -143,9 +143,7 @@ def run_map_job(payload: dict) -> dict:
                 for length, pair in sorted(analysis.by_length.items())
             },
         },
-        "eval_cache": None
-        if cache is None
-        else {
+        "eval_cache": {
             "hits": cache.hits,
             "misses": cache.misses,
             "hinted": cache.hinted,

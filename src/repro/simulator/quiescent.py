@@ -34,15 +34,12 @@ from repro.simulator.path_eval import (
     EvalCacheStats,
     IncrementalPathEvaluator,
     PathResult,
-    PathStatus,
     ProbeInfo,
-    evaluate_route,
-    route_touches,
 )
 from repro.simulator.probes import ProbeKind, ProbeRecord, ProbeStats
 from repro.simulator.stack import ProbeContext, ProbeLayer
 from repro.simulator.timing import MYRINET_TIMING, TimingModel
-from repro.simulator.turns import Turns, switch_probe_turns, validate_turns
+from repro.simulator.turns import Turns, validate_turns
 from repro.topology.delta import Endpoint
 from repro.topology.model import Network
 
@@ -90,10 +87,6 @@ class QuiescentProbeService:
     #: in Figure 7. Zero disables it (fully deterministic timing).
     jitter: float = 0.0
     seed: int = 0
-    #: Escape hatch: set False to re-walk every probe via the pure
-    #: :func:`evaluate_route` (used by the equivalence tests and the
-    #: cache-off benchmark arm).
-    use_cache: bool = True
     layers: tuple = ()
     rng: random.Random | None = None
 
@@ -110,9 +103,7 @@ class QuiescentProbeService:
             (self.net.radix(s) - 1 for s in self.net.switches), default=7
         )
         self._rng = self.rng if self.rng is not None else random.Random(self.seed)
-        self._evaluator = (
-            IncrementalPathEvaluator(self.net) if self.use_cache else None
-        )
+        self._evaluator = IncrementalPathEvaluator(self.net)
         # One reusable transaction context per service. ``_transact`` is
         # not re-entrant: no layer hook may probe through its own service
         # (they mutate clocks/topology or observe records instead), and
@@ -316,38 +307,23 @@ class QuiescentProbeService:
         return ctx.hit
 
     # -- cached evaluation -------------------------------------------------
+    # The pure-walk oracle this section is proven byte-equivalent to (same
+    # records, same fault-RNG draw points) overrides exactly these methods:
+    # tests/simulator/reference_service.py.
     def _probe_info(self, turns: Turns) -> ProbeInfo:
         """Walk ``turns`` from the mapper, with the collision verdict.
 
-        The cache path answers from the trie and leaves the traversal
-        tuple to be built on read; the escape hatch recomputes everything
-        through the pure function and hands it over explicitly. Both arms
-        draw from the fault RNG at identical points, so the two modes are
-        byte-equivalent (the property tests assert this).
+        Answered from the trie; the traversal tuple is built on read.
         """
-        if self._evaluator is not None:
-            return self._evaluator.probe_info(self.mapper, turns, self.collision)
-        path = evaluate_route(self.net, self.mapper, turns)  # sanlint: disable=SAN009
-        blocked = (
-            self.collision.blocked_at(path.traversals)
-            if path.status is PathStatus.DELIVERED
-            else None
-        )
-        return ProbeInfo(
-            path.status, path.hops, path.delivered_to, blocked, tuple(path.traversals)
-        )
+        return self._evaluator.probe_info(self.mapper, turns, self.collision)
 
     def _loopback_info(self, turns: Turns) -> ProbeInfo:
         """Switch-probe loopback of ``turns`` without walking the retrace."""
-        if self._evaluator is not None:
-            return self._evaluator.loopback_info(self.mapper, turns, self.collision)
-        return self._probe_info(switch_probe_turns(turns, limit=self._turn_limit))
+        return self._evaluator.loopback_info(self.mapper, turns, self.collision)
 
     def _path(self, turns: Turns) -> PathResult:
         """Full :class:`PathResult` (node list included) for subclasses."""
-        if self._evaluator is not None:
-            return self._evaluator.evaluate(self.mapper, turns)
-        return evaluate_route(self.net, self.mapper, turns)  # sanlint: disable=SAN009
+        return self._evaluator.evaluate(self.mapper, turns)
 
     def warm_siblings(self, prefix: Turns, turns: Iterable[int]) -> None:
         """Hint from the mapper: each ``prefix + (t,)`` is about to be probed.
@@ -356,10 +332,9 @@ class QuiescentProbeService:
         (see :meth:`IncrementalPathEvaluator.warm_siblings`); the probes
         themselves still go through :meth:`_transact` one at a time, so
         middleware layers, accounting and RNG draw order are byte-identical
-        to the pure walk. A no-op without the cache.
+        to the pure walk.
         """
-        if self._evaluator is not None:
-            self._evaluator.warm_siblings(self.mapper, tuple(prefix), turns)
+        self._evaluator.warm_siblings(self.mapper, tuple(prefix), turns)
 
     def route_crosses(
         self, turns: Turns, endpoints: frozenset[Endpoint] | set[Endpoint]
@@ -370,21 +345,18 @@ class QuiescentProbeService:
         wire-level event, and an incremental remapper must correlate its
         recorded probe paths against that report to decide which deductions
         still stand. The correlation is *local* — it consults the cached
-        walk (or re-walks the pure function), sends nothing, and charges no
-        probe to the stats; see docs/INCREMENTAL.md for why this deviation
-        from the probe-only discipline is sound. Turn values are not
-        alphabet-checked: the caller correlates prior-map port arithmetic,
-        not a sendable probe string.
+        walk, sends nothing, and charges no probe to the stats; see
+        docs/INCREMENTAL.md for why this deviation from the probe-only
+        discipline is sound. Turn values are not alphabet-checked: the
+        caller correlates prior-map port arithmetic, not a sendable probe
+        string.
         """
-        seq = tuple(turns)
-        if self._evaluator is not None:
-            return self._evaluator.touches(self.mapper, seq, endpoints)
-        return route_touches(self.net, self.mapper, seq, endpoints)
+        return self._evaluator.touches(self.mapper, tuple(turns), endpoints)
 
     @property
-    def eval_cache_stats(self) -> EvalCacheStats | None:
-        """Cache counters, or ``None`` when running with the escape hatch."""
-        return self._evaluator.stats if self._evaluator is not None else None
+    def eval_cache_stats(self) -> EvalCacheStats:
+        """The evaluation trie's counters."""
+        return self._evaluator.stats
 
     # -- helpers ----------------------------------------------------------
     def _responds(self, host: str) -> bool:

@@ -328,7 +328,7 @@ def build_service_stack(
     e.g. the self-identifying baseline) plus the given layers in order.
     All remaining keyword arguments go to the service constructor
     (``collision=``, ``timing=``, ``faults=``, ``jitter=``, ``seed=``,
-    ``rng=``, ``use_cache=``, ...).
+    ``rng=``, ``responders=``).
     """
     from repro.simulator.quiescent import QuiescentProbeService
 

@@ -5,8 +5,9 @@ Implements:
 - the network diameter ``D``;
 - bridges and *switch-bridges* (bridges with switches at both ends);
 - the set ``F`` of nodes separated from the hosts ``H`` by a switch-bridge
-  (Lemma 1), computed two independent ways — by one depth-first bridge pass
-  and by the max-flow/min-cut criterion the paper's proof uses;
+  (Lemma 1), by one depth-first bridge pass (the max-flow/min-cut
+  criterion the paper's proof uses is the cross-check in
+  ``tests/topology/reference_analysis.py``);
 - ``Q(v)`` (Definition 2): the length of the shortest path from the mapper
   ``h0`` through ``v`` and on to any host that repeats no edge in either
   direction, except that the first and last edge may coincide;
@@ -53,11 +54,8 @@ __all__ = [
     "q_value",
     "recommended_search_depth",
     "separated_set",
-    "separated_set_flow",
     "switch_bridges",
 ]
-
-_SINK = "__sink__"
 
 
 class _Fabric:
@@ -252,38 +250,6 @@ def separated_set(net: Network) -> set[str]:
     fab = _Fabric.of(net)
     _, separated = fab.bridge_pass()
     return {fab.names[i] for i in separated}
-
-
-def separated_set_flow(net: Network) -> set[str]:
-    """``F`` via the Max-Flow/Min-Cut criterion used in the Lemma 1 proof.
-
-    A switch ``v`` is outside ``F`` iff two units of flow can be pushed from
-    ``v`` to the host set with unit capacity on every wire. Hosts are never
-    in ``F``.
-    """
-    if net.n_hosts == 0:
-        return set(net.switches)
-    dg = nx.DiGraph()
-    for wire in net.wires:
-        u, v = wire.nodes
-        if u == v:
-            continue
-        for a, b in ((u, v), (v, u)):
-            if dg.has_edge(a, b):
-                dg[a][b]["capacity"] += 1
-            else:
-                dg.add_edge(a, b, capacity=1)
-    for host in net.hosts:
-        dg.add_edge(host, _SINK, capacity=1)
-    f: set[str] = set()
-    for switch in net.switches:
-        if switch not in dg:
-            f.add(switch)  # fully disconnected switch
-            continue
-        value = nx.maximum_flow_value(dg, switch, _SINK)
-        if value < 2:
-            f.add(switch)
-    return f
 
 
 class _TrailFlow:

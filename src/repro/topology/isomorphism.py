@@ -15,16 +15,15 @@ what the theorem "``M / L`` is isomorphic to ``N - F``" is checked against in
 tests and experiments. :func:`networks_equal` is the strict comparison
 (identical names, ports and wires) used for serialization round-trips.
 
-Two matching strategies share the propagation core. The default (``auto``)
-first refines both networks into *canonical signature classes* — an
-iterative Weisfeiler-Leman-style coloring over (radix, attached host
+The matcher first refines both networks into *canonical signature classes*
+— an iterative Weisfeiler-Leman-style coloring over (radix, attached host
 names, offset-normalized port structure) — refuting non-isomorphic pairs
 without any assignment search and restricting the host-free backtracking
 fallback to same-class candidates with the one port offset that aligns
-their used-port ranges. ``pairwise`` is the original exhaustive
-candidates-times-offsets scan, kept verbatim as the differential oracle:
-both strategies provably explore the same witness space (a non-aligned
-offset can never equate wire signatures), so their verdicts always agree.
+their used-port ranges. The original exhaustive candidates-times-offsets
+scan is the differential oracle in ``tests/topology/reference_isomorphism.py``:
+both provably explore the same witness space (a non-aligned offset can
+never equate wire signatures), so their verdicts always agree.
 """
 
 from __future__ import annotations
@@ -64,9 +63,7 @@ def networks_equal(a: Network, b: Network) -> bool:
     return wires_a == wires_b
 
 
-def match_networks(
-    model: Network, actual: Network, *, strategy: str = "auto"
-) -> IsomorphismReport:
+def match_networks(model: Network, actual: Network) -> IsomorphismReport:
     """Find a host-anchored, offset-tolerant isomorphism ``model -> actual``.
 
     The match is propagated breadth-first from the hosts: a host pins its
@@ -75,16 +72,10 @@ def match_networks(
     contradiction at any point, or counts that do not agree, refutes the
     isomorphism. Networks whose every switch lies on some path between hosts
     (true of every core ``N - F``) are matched completely by propagation; a
-    backtracking fallback covers host-free switch clusters.
-
-    ``strategy`` selects how that fallback searches: ``"auto"`` (default)
-    prunes it with canonical WL signature classes (and refutes up front
-    when the class multisets disagree); ``"pairwise"`` is the original
-    exhaustive scan, kept as the differential oracle. Verdicts are
-    identical; witnesses may differ when several isomorphisms exist.
+    backtracking fallback covers host-free switch clusters, pruned by
+    canonical WL signature classes (which also refute up front when the
+    class multisets disagree).
     """
-    if strategy not in ("auto", "pairwise"):
-        raise ValueError(f"unknown strategy {strategy!r}")
     if set(model.hosts) != set(actual.hosts):
         return IsomorphismReport(False, reason="host sets differ")
     if model.n_switches != actual.n_switches:
@@ -97,19 +88,17 @@ def match_networks(
             False, reason=f"wire counts differ: {model.n_wires} vs {actual.n_wires}"
         )
 
-    colors: dict[tuple[int, str], int] | None = None
-    if strategy == "auto":
-        colors = _wl_colors(model, actual)
-        if Counter(
-            colors[(0, s)] for s in model.switches
-        ) != Counter(colors[(1, s)] for s in actual.switches):
-            return IsomorphismReport(
-                False,
-                reason=(
-                    "canonical signature classes differ (WL refinement "
-                    "over radix, host anchors and port structure)"
-                ),
-            )
+    colors = _wl_colors(model, actual)
+    if Counter(colors[(0, s)] for s in model.switches) != Counter(
+        colors[(1, s)] for s in actual.switches
+    ):
+        return IsomorphismReport(
+            False,
+            reason=(
+                "canonical signature classes differ (WL refinement "
+                "over radix, host anchors and port structure)"
+            ),
+        )
 
     node_map: dict[str, str] = {h: h for h in model.hosts}
     reverse: dict[str, str] = dict(node_map)
@@ -206,16 +195,9 @@ def match_networks(
     if unmatched:
         # Host-free switch clusters (e.g. comparing full networks that still
         # contain F). Solve the remainder by backtracking.
-        if colors is not None:
-            solution = _backtrack_wl(
-                model, actual, unmatched, node_map, reverse, offsets, colors
-            )
-        else:
-            remaining_actual = [s for s in actual.switches if s not in reverse]
-            solution = _backtrack(
-                model, actual, unmatched, remaining_actual, node_map, reverse,
-                offsets,
-            )
+        solution = _backtrack_wl(
+            model, actual, unmatched, node_map, reverse, offsets, colors
+        )
         if solution is None:
             return IsomorphismReport(
                 False, reason=f"no assignment for host-free switches {unmatched}"
@@ -365,9 +347,10 @@ def _backtrack_wl(
 ):
     """Class-pruned assignment for switches unreachable from any host.
 
-    Same witness space as :func:`_backtrack` (the oracle), minus the
-    candidate pairs WL already proved impossible and the port offsets that
-    cannot align the used-port ranges.
+    Same witness space as the exhaustive oracle
+    (``tests/topology/reference_isomorphism.py``), minus the candidate
+    pairs WL already proved impossible and the port offsets that cannot
+    align the used-port ranges.
     """
     by_class: dict[int, list[str]] = {}
     for s in actual.switches:
@@ -421,42 +404,6 @@ def _assign_wl(
         del node_map[m_switch]
         del reverse[a_switch]
         del offsets[m_switch]
-    return None
-
-
-def _backtrack(
-    model: Network,
-    actual: Network,
-    todo: list[str],
-    candidates: list[str],
-    node_map: dict[str, str],
-    reverse: dict[str, str],
-    offsets: dict[str, int],
-):
-    """Exhaustive assignment for switches unreachable from any host."""
-    if not todo:
-        return dict(node_map), dict(offsets)
-    m_switch = todo[0]
-    for a_switch in candidates:
-        if a_switch in reverse:
-            continue
-        for delta in range(-(model.radix(m_switch) - 1), actual.radix(a_switch)):
-            if _wire_signature(model, m_switch, delta) != _wire_signature(
-                actual, a_switch, 0
-            ):
-                continue
-            node_map[m_switch] = a_switch
-            reverse[a_switch] = m_switch
-            offsets[m_switch] = delta
-            if _locally_consistent(model, actual, m_switch, node_map, offsets):
-                result = _backtrack(
-                    model, actual, todo[1:], candidates, node_map, reverse, offsets
-                )
-                if result is not None:
-                    return result
-            del node_map[m_switch]
-            del reverse[a_switch]
-            del offsets[m_switch]
     return None
 
 

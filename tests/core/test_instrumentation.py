@@ -7,6 +7,7 @@ from repro.core.mapper import BerkeleyMapper
 from repro.simulator.quiescent import QuiescentProbeService
 from repro.simulator.stack import TraceBusLayer
 from repro.topology.analysis import recommended_search_depth
+from tests.simulator.reference_service import PureWalkProbeService
 
 
 @pytest.fixture()
@@ -79,7 +80,7 @@ class TestCacheSummary:
         assert "trie nodes" in line
 
     def test_disabled_cache_renders_cleanly(self, subcluster_c):
-        svc = QuiescentProbeService(subcluster_c, "C-svc", use_cache=False)
+        svc = PureWalkProbeService(subcluster_c, "C-svc")
         svc.probe_host((1,))
         assert svc.eval_cache_stats is None
         assert cache_summary(svc.eval_cache_stats) == "eval cache: disabled"

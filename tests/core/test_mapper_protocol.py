@@ -200,7 +200,8 @@ def test_registry_construction_matches_direct_and_pins_figure5():
 
     Probe count and produced network must be byte-identical between the
     two construction paths, and the count itself is pinned to the
-    committed ``benchmarks/BENCH_mapping.json`` Figure 5 number.
+    Figure 5 number (``core.probes_per_cycle`` on ``now_cold`` maps the
+    same fabric from its first sorted host: 2 159).
     """
     net = build_full_now()
     depth = recommended_search_depth(net, "C-svc")

@@ -87,3 +87,6 @@ class TestStudy:
         )
         no_retry, with_retry = points
         assert with_retry.completeness >= no_retry.completeness
+        # Retries re-expose probes to the traffic: they lose at least
+        # comparably many, never magically fewer.
+        assert with_retry.probes_lost >= no_retry.probes_lost * 0.5

@@ -3,8 +3,8 @@
 `BerkeleyMapper` announces each explore's sibling group to the service
 (`warm_siblings`), which primes the evaluator's hint table so the shared
 probe-string prefix is walked once. The oracle arm is the same mapper over
-a `use_cache=False` service: no trie, no hint table, every probe re-walked
-by the pure `evaluate_route`. Batching is a pure optimisation — for any
+the pure-walk oracle (`tests/simulator/reference_service.py`): no trie, no
+hint table, every probe re-walked by the pure `evaluate_route`. Batching is a pure optimisation — for any
 topology, fault configuration and mid-run perturbation the two arms must
 produce **byte-identical** observables: the same produced network (names
 included), the same merge/exploration counts, every `ProbeRecord` on the
@@ -26,10 +26,12 @@ from repro.core.instrumentation import TraceRecorder
 from repro.core.mapper import BerkeleyMapper
 from repro.simulator.faults import FaultModel
 from repro.simulator.path_eval import IncrementalPathEvaluator
+from repro.simulator.quiescent import QuiescentProbeService
 from repro.simulator.stack import CountingLayer, TraceBusLayer, build_service_stack
 from repro.topology.generators import random_san
 from repro.topology.isomorphism import networks_equal
 from repro.topology.model import TopologyError
+from tests.simulator.reference_service import PureWalkProbeService
 
 network_params = st.fixed_dictionaries(
     {
@@ -41,11 +43,14 @@ network_params = st.fixed_dictionaries(
     }
 )
 
+#: The batched service and the pure-walk oracle.
+_ARMS = (QuiescentProbeService, PureWalkProbeService)
+
 _SETTINGS = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 
 def _run_arm(
-    params, *, use_cache, drop, corrupt, jitter, seed, cut_at, cut_seed
+    params, *, service_cls, drop, corrupt, jitter, seed, cut_at, cut_seed
 ):
     """One full mapping run; returns (outcome, result-or-error, stats, trace).
 
@@ -74,7 +79,7 @@ def _run_arm(
         faults=FaultModel(drop_prob=drop, corrupt_prob=corrupt, seed=seed),
         jitter=jitter,
         seed=seed,
-        use_cache=use_cache,
+        service_cls=service_cls,
     )
     mapper = BerkeleyMapper(svc, search_depth=6, host_first=False)
     try:
@@ -118,10 +123,10 @@ class TestBatchedMappingEquivalence:
         try:
             arms = [
                 _run_arm(
-                    params, use_cache=c, drop=0.0, corrupt=0.0, jitter=jitter,
+                    params, service_cls=c, drop=0.0, corrupt=0.0, jitter=jitter,
                     seed=seed, cut_at=None, cut_seed=0,
                 )
-                for c in (True, False)
+                for c in _ARMS
             ]
         except TopologyError:
             return
@@ -142,10 +147,10 @@ class TestBatchedMappingEquivalence:
         try:
             arms = [
                 _run_arm(
-                    params, use_cache=c, drop=drop, corrupt=corrupt, jitter=0.0,
+                    params, service_cls=c, drop=drop, corrupt=corrupt, jitter=0.0,
                     seed=seed, cut_at=None, cut_seed=0,
                 )
-                for c in (True, False)
+                for c in _ARMS
             ]
         except TopologyError:
             return
@@ -166,10 +171,10 @@ class TestBatchedMappingEquivalence:
         try:
             arms = [
                 _run_arm(
-                    params, use_cache=c, drop=0.0, corrupt=0.0, jitter=0.0,
+                    params, service_cls=c, drop=0.0, corrupt=0.0, jitter=0.0,
                     seed=seed, cut_at=cut_at, cut_seed=cut_seed,
                 )
-                for c in (True, False)
+                for c in _ARMS
             ]
         except TopologyError:
             return

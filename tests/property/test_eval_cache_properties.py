@@ -1,9 +1,9 @@
 """Equivalence property: the prefix-trie evaluator is invisible.
 
-The `IncrementalPathEvaluator` behind `QuiescentProbeService(use_cache=True)`
-is a pure optimisation — for any topology, collision model, fault model,
-jitter seed and probe sequence, the cached service must produce
-**byte-identical** observables to the `use_cache=False` escape hatch: every
+The `IncrementalPathEvaluator` behind `QuiescentProbeService` is a pure
+optimisation — for any topology, collision model, fault model, jitter seed
+and probe sequence, the cached service must produce **byte-identical**
+observables to the pure-walk oracle (`tests/simulator/reference_service.py`): every
 probe return value, every `ProbeRecord` in the trace (costs included), and
 the final `ProbeStats` counters. That includes runs where faults are
 injected, cables are cut, and the responder set changes mid-sequence — the
@@ -25,6 +25,7 @@ from repro.simulator.quiescent import QuiescentProbeService
 from repro.simulator.stack import TraceBusLayer, build_service_stack
 from repro.topology.generators import random_san
 from repro.topology.model import TopologyError
+from tests.simulator.reference_service import PureWalkProbeService
 
 network_params = st.fixed_dictionaries(
     {
@@ -73,7 +74,7 @@ class _KeptTrace(TraceBusLayer):
 
 
 def _services(params, collision, *, drop, corrupt, jitter, seed):
-    """The cached service and its escape-hatch twin, identically configured.
+    """The cached service and its pure-walk twin, identically configured.
 
     Both share one Network object (so a topology cut hits both) but carry
     their *own* FaultModel — the models draw from private RNGs whose states
@@ -86,7 +87,7 @@ def _services(params, collision, *, drop, corrupt, jitter, seed):
         return None
     mapper = sorted(net.hosts)[0]
 
-    def build(use_cache: bool) -> QuiescentProbeService:
+    def build(service_cls: type) -> QuiescentProbeService:
         # Built through the stack factory with a recording trace bus so
         # the equivalence proof covers the stacked construction path too.
         return build_service_stack(
@@ -97,10 +98,10 @@ def _services(params, collision, *, drop, corrupt, jitter, seed):
             faults=FaultModel(drop_prob=drop, corrupt_prob=corrupt, seed=seed),
             jitter=jitter,
             seed=seed,
-            use_cache=use_cache,
+            service_cls=service_cls,
         )
 
-    return build(True), build(False)
+    return build(QuiescentProbeService), build(PureWalkProbeService)
 
 
 def _apply(op, payload, cached, pure) -> None:

@@ -4,15 +4,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.routing.compile_routes import compile_route_tables
 from repro.routing.deadlock import routes_deadlock_free
-from repro.routing.paths import (
-    all_pairs_updown_paths,
-    bfs_updown_lengths,
-    build_phase_graph,
-)
+from repro.routing.paths import all_pairs_updown_paths, build_phase_graph
 from repro.routing.updown import orient_updown
 from repro.simulator.path_eval import PathStatus, evaluate_route
 from repro.topology.generators import random_san
 from repro.topology.model import TopologyError
+from tests.routing.reference_paths import bfs_updown_lengths
 
 network_params = st.fixed_dictionaries(
     {
@@ -91,7 +88,7 @@ class TestUpDownInvariants:
             return
         ori = orient_updown(net)
         graph = build_phase_graph(net, ori)
-        paths = all_pairs_updown_paths(net, ori, graph=graph)
+        paths = all_pairs_updown_paths(net, ori)
         src = sorted(net.hosts)[0]
         bfs = bfs_updown_lengths(net, ori, src, graph=graph)
         for dst in sorted(net.nodes):

@@ -14,7 +14,13 @@ from repro.core.mapper import BerkeleyMapper
 from repro.simulator.collision import CircuitModel, CutThroughModel, PacketModel
 from repro.simulator.quiescent import QuiescentProbeService
 from repro.topology.analysis import core_network, recommended_search_depth
-from repro.topology.generators import random_san
+from repro.topology.generators import (
+    build_fat_tree,
+    build_hypercube,
+    build_mesh,
+    build_torus,
+    random_san,
+)
 from repro.topology.isomorphism import match_networks
 from repro.topology.model import TopologyError
 
@@ -56,7 +62,28 @@ def _map_with(net, collision, mapper=None):
     ).run()
 
 
+#: Larger structured and random fabrics than hypothesis is allowed to draw.
+LARGER_FABRICS = {
+    "fat-tree-8x4": lambda: build_fat_tree(
+        n_leaves=8, hosts_per_leaf=4, level_widths=(4, 2), uplinks=2
+    ),
+    "mesh-4x4": lambda: build_mesh(4, 4, hosts_per_switch=1),
+    "torus-3x4": lambda: build_torus(3, 4, hosts_per_switch=1),
+    "hypercube-4": lambda: build_hypercube(4, hosts_per_switch=1),
+    "random-12sw": lambda: random_san(
+        n_switches=12, n_hosts=10, extra_links=6, seed=42
+    ),
+}
+
+
 class TestTheoremCircuit:
+    @pytest.mark.parametrize("name", sorted(LARGER_FABRICS))
+    def test_larger_fabric_isomorphic_to_core(self, name):
+        net = LARGER_FABRICS[name]()
+        result = _map_with(net, CircuitModel())
+        report = match_networks(result.network, core_network(net))
+        assert report, f"{name}: {report.reason}"
+
     @given(params=network_params)
     @settings(**_SETTINGS)
     def test_map_isomorphic_to_core(self, params):

@@ -10,11 +10,16 @@ where the core sweep takes 3) and kept only as the oracle of
 ``test_paths_reference.py``, which requires equal roots, distances, node
 paths *and tie-breaks* — hence equal tables, insertion order and seeded
 draws included — from the core-only sweep and the compiled in-trees.
+
+``bfs_updown_lengths`` is the other cross-check: per-source BFS over the
+same phase graph, validating the Floyd–Warshall distances independently
+(``test_paths_compile.py``, ``tests/property/test_routing_properties.py``).
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -22,7 +27,7 @@ import networkx as nx
 import numpy as np
 
 from repro.routing.compile_routes import RouteTable, _compile, build_wire_index
-from repro.routing.paths import PhaseGraph, _graph_for
+from repro.routing.paths import PhaseGraph, build_phase_graph
 from repro.routing.updown import UpDownOrientation
 from repro.topology.model import Network
 
@@ -94,17 +99,10 @@ class ReferenceRoutingPaths:
 
 
 def reference_all_pairs_updown_paths(
-    net: Network,
-    orientation: UpDownOrientation,
-    *,
-    graph: PhaseGraph | None = None,
+    net: Network, orientation: UpDownOrientation
 ) -> ReferenceRoutingPaths:
-    """Floyd–Warshall over the up/down phase graph (vectorized min-plus).
-
-    Pass a prebuilt (and still current) :class:`PhaseGraph` to skip the
-    adjacency derivation; a stale graph is silently rebuilt.
-    """
-    graph = _graph_for(net, orientation, graph)
+    """Floyd–Warshall over the up/down phase graph (vectorized min-plus)."""
+    graph = build_phase_graph(net, orientation)
     nodes = graph.nodes
     index = graph.index
     n = len(nodes)
@@ -137,6 +135,43 @@ def reference_all_pairs_updown_paths(
             dist[better] = via[better]
             succ[better] = np.broadcast_to(succ[:, k, None], succ.shape)[better]
     return ReferenceRoutingPaths(nodes=nodes, index=index, dist=dist, succ=succ)
+
+
+def bfs_updown_lengths(
+    net: Network,
+    orientation: UpDownOrientation,
+    source: str,
+    *,
+    graph: PhaseGraph | None = None,
+) -> dict[str, int]:
+    """Independent single-source compliant-path lengths (for cross-checks).
+
+    ``graph`` shares one adjacency across the per-root calls.
+    """
+    if graph is None:
+        graph = build_phase_graph(net, orientation)
+    nodes = graph.nodes
+    index = graph.index
+    up_adj, down_adj = graph.up_adj, graph.down_adj
+    # BFS over states (node, phase).
+    start = (index[source], 0)
+    seen = {start: 0}
+    queue: deque[tuple[tuple[int, int], int]] = deque([(start, 0)])
+    best: dict[int, int] = {index[source]: 0}
+    while queue:
+        (i, phase), d = queue.popleft()
+        moves: list[tuple[int, int]] = []
+        if phase == 0:
+            moves += [(j, 0) for j in up_adj[i]]
+            moves += [(j, 1) for j in down_adj[i]]
+        else:
+            moves += [(j, 1) for j in down_adj[i]]
+        for state in moves:
+            if state not in seen:
+                seen[state] = d + 1
+                best[state[0]] = min(best.get(state[0], _INF), d + 1)
+                queue.append((state, d + 1))
+    return {nodes[i]: d for i, d in best.items()}
 
 
 def reference_pick_root(net: Network, *, ignore_utility: bool = True) -> str:

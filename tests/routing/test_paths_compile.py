@@ -11,11 +11,7 @@ import pytest
 
 from repro.routing import updown
 from repro.routing.compile_routes import compile_route_tables, path_to_turns
-from repro.routing.paths import (
-    all_pairs_updown_paths,
-    bfs_updown_lengths,
-    build_phase_graph,
-)
+from repro.routing.paths import all_pairs_updown_paths, build_phase_graph
 from repro.routing.updown import orient_updown
 from repro.simulator.path_eval import PathStatus, evaluate_route
 from repro.topology.generators import (
@@ -24,13 +20,14 @@ from repro.topology.generators import (
     build_named_topology,
     build_ring,
 )
+from tests.routing.reference_paths import bfs_updown_lengths
 
 
 class TestDistances:
     def test_fw_matches_bfs_cross_check(self, ring_net):
         ori = orient_updown(ring_net)
         graph = build_phase_graph(ring_net, ori)  # shared across the roots
-        paths = all_pairs_updown_paths(ring_net, ori, graph=graph)
+        paths = all_pairs_updown_paths(ring_net, ori)
         for src in ring_net.hosts:
             bfs = bfs_updown_lengths(ring_net, ori, src, graph=graph)
             for dst in ring_net.nodes:
@@ -48,7 +45,7 @@ class TestDistances:
         net = net_builder()
         ori = orient_updown(net)
         graph = build_phase_graph(net, ori)
-        paths = all_pairs_updown_paths(net, ori, graph=graph)
+        paths = all_pairs_updown_paths(net, ori)
         hosts = sorted(net.hosts)[:4]
         for src in hosts:
             bfs = bfs_updown_lengths(net, ori, src, graph=graph)

@@ -56,11 +56,13 @@ import pytest
 from hypothesis import HealthCheck, given, reject, settings, strategies as st
 
 from repro.routing.compile_routes import channel_table, compile_route_tables
+from repro.routing import paths as paths_module
 from repro.routing.paths import all_pairs_updown_paths, build_phase_graph
 from repro.routing.updown import UpDownOrientation, orient_updown, pick_root
 from repro.topology.builder import NetworkBuilder
 from repro.topology.generators import build_named_topology
 from repro.topology.model import Network, TopologyError
+from tests.routing import reference_paths
 from tests.routing.reference_paths import (
     reference_all_pairs_updown_paths,
     reference_pick_root,
@@ -88,11 +90,11 @@ def assert_same_root(net: Network) -> None:
         ), f"ignore_utility={ignore_utility}"
 
 
-def assert_same_paths(net: Network, orientation: UpDownOrientation, graph=None):
+def assert_same_paths(net: Network, orientation: UpDownOrientation):
     """Equal distance and node path for *all* node pairs, equal
     ``node_paths`` order; returns the two path objects."""
-    new = all_pairs_updown_paths(net, orientation, graph=graph)
-    ref = reference_all_pairs_updown_paths(net, orientation, graph=graph)
+    new = all_pairs_updown_paths(net, orientation)
+    ref = reference_all_pairs_updown_paths(net, orientation)
     nodes = sorted(net.nodes)
     for src in nodes:
         for dst in nodes:
@@ -215,11 +217,11 @@ def test_host_above_its_switch_is_core():
     assert_same_tables(net, orientation, new, ref)
 
 
-def test_dual_homed_host_is_core():
-    """No wired fabric has one (a host has one port), but the sweep takes
-    any :class:`PhaseGraph`: a host with a second arc — up to a second
-    switch, or down to a switch below it — carries transit paths and is a
-    state like any switch."""
+def test_dual_homed_host_is_core(monkeypatch):
+    """No wired fabric has one (a host has one port), but the sweep works
+    on whatever :func:`build_phase_graph` hands it, so one is doctored in:
+    a host with a second arc — up to a second switch, or down to a switch
+    below it — carries transit paths and is a state like any switch."""
     net = utility_host()
     orientation = orient_updown(net)
     for second, direction in (("s0", "up"), ("s3", "down")):
@@ -231,7 +233,12 @@ def test_dual_homed_host_is_core():
         else:
             graph.down_adj[h0].append(other)
             graph.up_adj[other].append(h0)
-        new, _ = assert_same_paths(net, orientation, graph)
+        # Both sweeps look the builder up in their own module at call time.
+        for module in (paths_module, reference_paths):
+            monkeypatch.setattr(
+                module, "build_phase_graph", lambda net, orientation, g=graph: g
+            )
+        new, _ = assert_same_paths(net, orientation)
         assert "h0" not in new.leaf_switch
         assert "h0" in new.core
 

@@ -127,7 +127,7 @@ class TestBurst:
         assert statuses == {"a": "mapped", "b": "mapped"}
 
     def test_the_one_failed_map_of_the_synthetic_burst_is_routing_failed(self):
-        """``maps_failed: 1`` of 16 in BENCH_service.json, explained: the
+        """``maps_failed: 1`` of 16 in the synthetic burst, explained: the
         rotation's ``chain`` tenant (``tenant-04``) has its mapper host on
         the end switch, ``cut auto`` takes the first sorted switch-to-switch
         wire — the one next to it — and a mapper alone behind a cut has

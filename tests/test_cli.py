@@ -53,7 +53,7 @@ class TestMapCommand:
     @pytest.mark.parametrize("algorithm", ["myricom", "selfid"])
     def test_alternative_algorithms(self, ring_json, algorithm):
         assert main(["map", "--network", str(ring_json),
-                     "--algorithm", algorithm]) == 0
+                     "--mapper", algorithm]) == 0
 
     @pytest.mark.parametrize("mapper", ["berkeley", "myricom"])
     def test_map_of_an_island_is_verified_against_that_island(
@@ -95,7 +95,7 @@ class TestMapCommand:
 
     def test_stack_flag_names_the_selfid_core(self, ring_json, capsys):
         assert main(["map", "--network", str(ring_json),
-                     "--algorithm", "selfid", "--stack"]) == 0
+                     "--mapper", "selfid", "--stack"]) == 0
         assert "core: SelfIdProbeService(mapper=" in capsys.readouterr().out
 
 

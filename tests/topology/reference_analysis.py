@@ -5,6 +5,10 @@ moved to one shared residual arc array: a fresh ``nx.DiGraph`` and one
 ``nx.network_simplex`` per ``Q(v)``, switch-bridge removal for ``F``,
 ``nx.diameter`` for ``D``. They are slow (about 5 ms per node on the full
 NOW) and kept only as the oracle of ``test_analysis_reference.py``.
+
+``separated_set_flow`` is the paper's own derivation of Lemma 1 — ``F`` by
+the max-flow/min-cut criterion — kept as a second, independent computation
+for ``test_analysis.py``.
 """
 
 from __future__ import annotations
@@ -55,6 +59,38 @@ def reference_separated_set(net: Network) -> set[str]:
             if not component & host_set:
                 f |= component
         g.add_edge(u, v, multiplicity=1)
+    return f
+
+
+def separated_set_flow(net: Network) -> set[str]:
+    """``F`` via the Max-Flow/Min-Cut criterion used in the Lemma 1 proof.
+
+    A switch ``v`` is outside ``F`` iff two units of flow can be pushed from
+    ``v`` to the host set with unit capacity on every wire. Hosts are never
+    in ``F``.
+    """
+    if net.n_hosts == 0:
+        return set(net.switches)
+    dg = nx.DiGraph()
+    for wire in net.wires:
+        u, v = wire.nodes
+        if u == v:
+            continue
+        for a, b in ((u, v), (v, u)):
+            if dg.has_edge(a, b):
+                dg[a][b]["capacity"] += 1
+            else:
+                dg.add_edge(a, b, capacity=1)
+    for host in net.hosts:
+        dg.add_edge(host, _SINK, capacity=1)
+    f: set[str] = set()
+    for switch in net.switches:
+        if switch not in dg:
+            f.add(switch)  # fully disconnected switch
+            continue
+        value = nx.maximum_flow_value(dg, switch, _SINK)
+        if value < 2:
+            f.add(switch)
     return f
 
 

@@ -11,11 +11,11 @@ from repro.topology.analysis import (
     q_value,
     recommended_search_depth,
     separated_set,
-    separated_set_flow,
     switch_bridges,
 )
 from repro.topology.builder import NetworkBuilder
 from repro.topology.generators import random_san
+from tests.topology.reference_analysis import separated_set_flow
 
 
 class TestDiameter:

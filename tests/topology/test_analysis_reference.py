@@ -177,6 +177,9 @@ class TestPinned:
         assert set(d.q_values.values()) == {0, 2, 4, 5, 6, 7}
         assert len(d.q_values) == 140 and not d.f_set
 
+    def test_subcluster_c_from_the_utility_host(self):
+        assert core_decomposition(build_subcluster("C"), "C-svc").search_depth == 11
+
     def test_degenerate_component_gets_depth_two(self):
         b = NetworkBuilder()
         b.switch("s0").hosts("h0", "h1")

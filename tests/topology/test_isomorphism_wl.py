@@ -1,10 +1,11 @@
 """WL signature matching against the pairwise oracle.
 
-``match_networks(strategy="auto")`` refines both networks into canonical
-signature classes (iterative Weisfeiler-Leman-style coloring) to refute
-mismatches without search and to prune the host-free backtracking
-fallback. ``strategy="pairwise"`` is the original exhaustive scan, kept
-verbatim as the differential oracle: the verdicts must always agree.
+``match_networks`` refines both networks into canonical signature classes
+(iterative Weisfeiler-Leman-style coloring) to refute mismatches without
+search and to prune the host-free backtracking fallback.
+``reference_isomorphism.match_networks_pairwise`` is the original
+exhaustive scan, kept verbatim as the differential oracle: the verdicts
+must always agree.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from repro.topology.generators import (
 )
 from repro.topology.isomorphism import match_networks
 from repro.topology.model import Network, TopologyError
+from tests.topology.reference_isomorphism import match_networks_pairwise
 
 
 def _shifted_copy(net: Network, rng: random.Random) -> Network:
@@ -47,29 +49,24 @@ def _shifted_copy(net: Network, rng: random.Random) -> Network:
 
 
 def _assert_verdicts_agree(model: Network, actual: Network) -> None:
-    auto = match_networks(model, actual, strategy="auto")
-    oracle = match_networks(model, actual, strategy="pairwise")
+    auto = match_networks(model, actual)
+    oracle = match_networks_pairwise(model, actual)
     assert auto.isomorphic == oracle.isomorphic, (
         auto.reason, oracle.reason
     )
     if auto.isomorphic:
-        # Each strategy may pick a different witness, but both must be
+        # Each search may pick a different witness, but both must be
         # complete over the switch set.
         assert set(auto.node_map) == set(oracle.node_map)
 
 
 class TestStrategyDispatch:
-    def test_unknown_strategy_rejected(self):
-        net = build_ring(4)
-        with pytest.raises(ValueError, match="unknown strategy"):
-            match_networks(net, net, strategy="wl")
-
     def test_wl_refutes_without_search(self):
         """Structurally different same-size networks die in the class
         prefilter with a signature-specific reason."""
         a = build_mesh(2, 3)
         b = build_ring(6)
-        report = match_networks(a, b, strategy="auto")
+        report = match_networks(a, b)
         assert not report
 
 
