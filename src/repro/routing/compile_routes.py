@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import NamedTuple, Sequence
 
 from repro.routing.paths import RoutingPaths
 from repro.routing.updown import UpDownOrientation
@@ -61,11 +61,11 @@ WireIndex = dict[tuple[str, str], list[Traversal]]
 Tail = tuple[tuple[Traversal, ...], Turns]
 
 
-@dataclass(frozen=True, slots=True)
-class CompiledRoute:
+class CompiledRoute(NamedTuple):
     """One source route: the turn string plus its wire-level trace, held
     as the source's own channel, the turn where that meets the tail
-    (``None`` over an empty tail), and the shared tail."""
+    (``None`` over an empty tail), and the shared tail. A named tuple:
+    immutable and hashable, and a generation builds ~10 000 of them."""
 
     src: str
     dst: str
@@ -238,38 +238,48 @@ def _suffix(
 
 
 def _in_tree_routes(
-    hosts: list[str], paths: RoutingPaths, wire_index: WireIndex, rng: random.Random
-) -> Iterator[CompiledRoute]:
-    """Every route between leaf hosts, source-major.
+    tables: dict[str, RouteTable], paths: RoutingPaths, wire_index: WireIndex, rng: random.Random
+) -> None:
+    """Fill ``tables`` (all leaf hosts, sorted) source-major.
 
     All chains into one destination form an in-tree over the path states,
     so a chain is compiled once per state and every route entering at
     that state holds the one tail object (``trees``: per destination, the
-    successor column and its state -> suffix memo).
+    successor column and its state -> suffix memo). Once per entry switch,
+    ``rows`` lists ``(dst, nodes, tail, tail's first out port)``; a host
+    on that switch reads its whole table off the row, its first turn
+    being that out port minus its own in port.
     A route over a hop with parallel cables is compiled on its own by
     :func:`_compile`, which keeps the seeded draws in route order.
     """
     names = paths.names
     trees: list[tuple[str, list[int], dict[int, _Suffix]]] = []
-    for dst in hosts:
+    for dst in tables:
         goal, step = paths.in_tree(dst)
         trees.append((dst, step, {goal: ((), ((), ()))}))
-    for src in hosts:
+    rows: dict[str, list[tuple[str, tuple[str, ...], Tail | None, int]]] = {}
+    for src, table in tables.items():
         switch = paths.leaf_switch[src]
-        entry = paths.index[switch]
+        row = rows.get(switch)
+        if row is None:
+            entry = paths.index[switch]
+            row = rows[switch] = []
+            for dst, step, done in trees:
+                if step[entry] >= 0:
+                    nodes, tail = done.get(entry) or _suffix(
+                        entry, step, done, names, wire_index
+                    )
+                    row.append((dst, nodes, tail, tail[0][0].src.port if tail else 0))
         head = _candidates(wire_index, src, switch)[0]  # a host's one wire
-        for dst, step, done in trees:
-            if src == dst or step[entry] < 0:
+        in_port = head.dst.port
+        routes = table.routes
+        for dst, nodes, tail, out_port in row:
+            if dst == src:
                 continue
-            nodes, tail = done.get(entry) or _suffix(
-                entry, step, done, names, wire_index
-            )
             if tail is None:
-                yield _compile([src, switch, *nodes], wire_index, rng)
+                routes[dst] = _compile([src, switch, *nodes], wire_index, rng)
             else:
-                yield CompiledRoute(
-                    src, dst, head, tail[0][0].src.port - head.dst.port, tail
-                )
+                routes[dst] = CompiledRoute(src, dst, head, out_port - in_port, tail)
 
 
 def path_to_turns(
@@ -310,13 +320,9 @@ def compile_route_tables(
     hosts = sorted(net.hosts)
     tables: dict[str, RouteTable] = {h: RouteTable(h) for h in hosts}
     if all(h in paths.leaf_switch for h in hosts):
-        routes = _in_tree_routes(hosts, paths, wire_index, rng)
-    else:
-        routes = (
-            _compile(node_path, wire_index, rng)
-            for src, dst, node_path in paths.node_paths(hosts, hosts)
-            if src != dst
-        )
-    for route in routes:
-        tables[route.src].routes[route.dst] = route
+        _in_tree_routes(tables, paths, wire_index, rng)
+        return tables
+    for src, dst, node_path in paths.node_paths(hosts, hosts):
+        if src != dst:
+            tables[src].routes[dst] = _compile(node_path, wire_index, rng)
     return tables

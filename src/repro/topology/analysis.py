@@ -22,7 +22,9 @@ one wire (the 2-cycle would cancel), so the "no repeated edge in either
 direction" constraint is enforced automatically. Two units need two
 shortest augmenting paths, and every ``v`` shares one residual arc array
 and one first-stage search (see :class:`_TrailFlow` and
-``docs/ALGORITHM.md`` §4).
+``docs/ALGORITHM.md`` §4). Hosts are leaves: a host whose one wire goes to
+a switch needs neither a flow nor a BFS of its own — its ``Q(v)`` is its
+hop distance from ``h0`` and its eccentricity is read off its switch's BFS.
 
 Everything parameterised by a mapper host ``h0`` is computed over ``h0``'s
 connected component: what in-band probing cannot reach has no bearing on
@@ -62,10 +64,12 @@ class _Fabric:
     """Integer-indexed simple graph of a network (loopback cables dropped).
 
     ``mult`` maps each adjacent node pair, once, to its number of parallel
-    wires; ``nbrs`` is the adjacency it induces.
+    wires; ``nbrs`` is the adjacency it induces. ``leaf[v]`` is the switch
+    a *leaf host* ``v`` hangs off — a host's one wire, to a switch — and
+    ``-1`` for every other node.
     """
 
-    __slots__ = ("names", "is_host", "mult", "nbrs")
+    __slots__ = ("names", "is_host", "mult", "nbrs", "leaf")
 
     def __init__(
         self,
@@ -80,6 +84,10 @@ class _Fabric:
         for a, b in mult:
             self.nbrs[a].append(b)
             self.nbrs[b].append(a)
+        self.leaf = [
+            nbrs[0] if host and len(nbrs) == 1 and not is_host[nbrs[0]] else -1
+            for host, nbrs in zip(is_host, self.nbrs)
+        ]
 
     @classmethod
     def of(cls, net: Network) -> _Fabric:
@@ -136,12 +144,25 @@ class _Fabric:
         return dist
 
     def diameter(self) -> int:
+        """The largest eccentricity, by one BFS per node that is not a leaf.
+
+        A leaf ``h`` on switch ``s`` reaches everything through ``s``, so
+        ``ecc(h) = 1 + max_{x≠h} d(s, x)``: ``1 + ecc(s)`` whenever ``s``
+        has another neighbour (one at distance 1 if nothing is farther),
+        else 1, which ``s``'s own BFS already counts.
+        """
+        hubs = set(self.leaf)
         longest = 0
-        for source in range(len(self.names)):
+        for source, switch in enumerate(self.leaf):
+            if switch >= 0:
+                continue
             dist = self.distances(source)
             if min(dist) < 0:
                 raise TopologyError("network is not connected")
-            longest = max(longest, max(dist))
+            far = max(dist)
+            if source in hubs and len(self.nbrs[source]) > 1:
+                far += 1
+            longest = max(longest, far)
         return longest
 
     def bridge_pass(self) -> tuple[list[tuple[int, int]], set[int]]:
@@ -408,13 +429,18 @@ class CoreDecomposition:
 
 
 def _decompose(fab: _Fabric, root: int) -> CoreDecomposition:
+    """``Q(v)`` of a leaf ``v`` is ``d(h0, v)``: the flow's first unit
+    leaves through ``v``'s own host arc (``pi[v] = 0``) and the second
+    takes the shortest path to ``h0`` — one BFS from the root for all of
+    them. Every other node runs the flow."""
     _, separated = fab.bridge_pass()
     flow = _TrailFlow(fab, root)
+    reach = fab.distances(root)
     qvals: dict[str, int] = {}
     for v, name in enumerate(fab.names):
         if v in separated:
             continue
-        q = flow.q(v)
+        q = reach[v] if fab.leaf[v] >= 0 else flow.q(v)
         if q is not None:
             qvals[name] = q
     return CoreDecomposition(

@@ -64,26 +64,30 @@ class MapDiff:
         return ", ".join(parts) or "structural change"
 
 
-def _host_signature(net: Network, host: str) -> tuple:
-    """Offset-invariant description of where a host is attached."""
-    attach = net.host_attachment(host)
-    if attach is None:
-        return ("detached",)
-    switch = attach.node
-    peers = tuple(
-        sorted(
-            far.node
-            for port in net.used_ports(switch)
-            if (far := net.neighbor_at(switch, port)) is not None
-            and net.is_host(far.node)
-            and far.node != host
-        )
-    )
-    return (net.degree(switch), peers)
+def _observations(net: Network) -> tuple[dict[str, tuple], Counter]:
+    """Every host's attachment signature and the switch degree profile,
+    from one pass over the wires.
 
-
-def _degree_profile(net: Network) -> Counter:
-    return Counter(net.degree(s) for s in net.switches)
+    A host's signature is what its switch shows — the switch's degree (a
+    loopback cable counts twice) and its sorted host neighbours — so every
+    host on one switch shares one entry. A host is among its own switch's
+    neighbours in both maps, so keeping it in changes no comparison.
+    """
+    hosts = set(net.hosts)
+    degree: Counter = Counter()
+    site: dict[str, str] = {}
+    peers: dict[str, list[str]] = {}
+    for wire in net.wires:
+        a, b = wire.a.node, wire.b.node
+        degree[a] += 1
+        degree[b] += 1
+        for end, far in ((a, b), (b, a)):
+            if end in hosts:
+                site[end] = far
+                peers.setdefault(far, []).append(end)
+    shown = {node: (degree[node], tuple(sorted(on))) for node, on in peers.items()}
+    signatures = {h: shown[site[h]] if h in site else ("detached",) for h in hosts}
+    return signatures, Counter(degree[s] for s in net.switches)
 
 
 def diff_networks(old: Network, new: Network) -> MapDiff:
@@ -91,14 +95,10 @@ def diff_networks(old: Network, new: Network) -> MapDiff:
     if match_networks(old, new):
         return MapDiff(identical=True)
 
-    old_hosts, new_hosts = set(old.hosts), set(new.hosts)
-    added = sorted(new_hosts - old_hosts)
-    removed = sorted(old_hosts - new_hosts)
-    moved = sorted(
-        h
-        for h in old_hosts & new_hosts
-        if _host_signature(old, h) != _host_signature(new, h)
-    )
+    (old_sig, old_profile), (new_sig, new_profile) = _observations(old), _observations(new)
+    added = sorted(new_sig.keys() - old_sig.keys())
+    removed = sorted(old_sig.keys() - new_sig.keys())
+    moved = sorted(h for h in old_sig.keys() & new_sig.keys() if old_sig[h] != new_sig[h])
     return MapDiff(
         identical=False,
         hosts_added=added,
@@ -106,5 +106,5 @@ def diff_networks(old: Network, new: Network) -> MapDiff:
         hosts_moved=moved,
         switch_count_delta=new.n_switches - old.n_switches,
         wire_count_delta=new.n_wires - old.n_wires,
-        degree_profile_changed=_degree_profile(old) != _degree_profile(new),
+        degree_profile_changed=old_profile != new_profile,
     )

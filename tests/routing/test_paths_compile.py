@@ -1,6 +1,7 @@
 """Compliant-path computation and route compilation tests."""
 
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -10,9 +11,14 @@ from pathlib import Path
 import pytest
 
 from repro.routing import updown
-from repro.routing.compile_routes import compile_route_tables, path_to_turns
+from repro.routing.compile_routes import (
+    CompiledRoute,
+    compile_route_tables,
+    path_to_turns,
+)
 from repro.routing.paths import all_pairs_updown_paths, build_phase_graph
 from repro.routing.updown import orient_updown
+from repro.service.serialize import route_tables_from_dict, route_tables_to_dict
 from repro.simulator.path_eval import PathStatus, evaluate_route
 from repro.topology.generators import (
     build_hypercube,
@@ -196,6 +202,50 @@ class TestCompilation:
     def test_rejects_switch_endpoints(self, ring_net):
         with pytest.raises(ValueError):
             path_to_turns(ring_net, ["s0", "s1"])
+
+
+class TestCompiledRouteIsAValue:
+    """A route is a named tuple of five fields: immutable, hashable, and
+    the same value whether compiled, decoded off the wire or unpickled."""
+
+    @pytest.fixture(scope="class")
+    def now_tables(self):
+        net = build_named_topology("now-full", {})
+        ori = orient_updown(net)
+        return compile_route_tables(
+            net, all_pairs_updown_paths(net, ori), orientation=ori
+        )
+
+    def test_fields_are_fixed_and_read_only(self, now_tables):
+        assert CompiledRoute._fields == ("src", "dst", "head", "first_turn", "tail")
+        hosts = sorted(now_tables)
+        route = now_tables[hosts[0]].routes[hosts[-1]]
+        for name in (*CompiledRoute._fields, "turns", "traversals", "hops"):
+            with pytest.raises(AttributeError):
+                setattr(route, name, None)
+        assert route.turns == (route.first_turn, *route.tail[1])
+        assert route.hops == len(route.traversals) == 1 + len(route.tail[0])
+
+    def test_decoder_output_equals_compile_output(self, now_tables):
+        decoded = route_tables_from_dict(route_tables_to_dict(now_tables))
+        pairs = [
+            (route, decoded[host].routes[dst])
+            for host, table in now_tables.items()
+            for dst, route in table.routes.items()
+        ]
+        assert len(pairs) == 100 * 99
+        for route, got in pairs:
+            assert type(got) is CompiledRoute
+            assert got == route and hash(got) == hash(route)
+
+    def test_pickle_round_trip_keeps_values_and_sharing(self, now_tables):
+        back = pickle.loads(pickle.dumps(now_tables))
+        before = [r for table in now_tables.values() for r in table.routes.values()]
+        after = [r for table in back.values() for r in table.routes.values()]
+        assert after == before
+        for field in ("head", "tail"):  # one shared object before <-> one after
+            ids = {(id(getattr(o, field)), id(getattr(n, field))) for o, n in zip(before, after)}
+            assert len(ids) == len({o for o, _ in ids}) == len({n for _, n in ids})
 
 
 class TestHostsAreLeaves:

@@ -31,6 +31,7 @@ from repro.topology.generators import (
     random_san,
 )
 from repro.topology.model import Network, TopologyError
+from tests.routing.test_route_tables_golden import FABRICS as GOLDEN_FABRICS
 from tests.topology.reference_analysis import (
     reference_diameter,
     reference_q_value,
@@ -89,6 +90,34 @@ def seeded_fabric(seed: int, n_switches: int, n_hosts: int, extra_links: int,
     return net
 
 
+def add_odd_hosts(
+    net: Network, seed: int, crowd: int, star: int, pair: bool, lone: bool
+) -> Network:
+    """Put hosts that are not leaves, and leaves in unusual places, beside
+    the fabric's own: a switch with ``crowd`` leaves cabled into the fabric
+    (an island when no fabric port is free), a switch whose only
+    neighbours are ``star`` hosts, a host–host cable and an unattached
+    host. Each island's hosts are mapper hosts of their own component."""
+    rng = random.Random(seed)
+    if crowd:
+        net.add_switch("crowd")
+        for i in range(crowd):
+            net.connect(net.add_host(f"crowd-h{i}"), 0, "crowd", i)
+        roomy = [s for s in net.switches if s != "crowd" and net.free_ports(s)]
+        if roomy:
+            s = rng.choice(sorted(roomy))
+            net.connect("crowd", crowd, s, net.free_ports(s)[0])
+    if star:
+        net.add_switch("star")
+        for i in range(star):
+            net.connect(net.add_host(f"star-h{i}"), 0, "star", 2 * i + 1)
+    if pair:
+        net.connect(net.add_host("pair-a"), 0, net.add_host("pair-b"), 0)
+    if lone:
+        net.add_host("lone")
+    return net
+
+
 def cut_switch_wires(net: Network, seed: int, n_cuts: int) -> Network:
     """Disconnect up to ``n_cuts`` seeded switch-to-switch wires (may partition)."""
     rng = random.Random(seed)
@@ -119,10 +148,17 @@ class TestRandomFabrics:
         pendants=st.integers(min_value=0, max_value=2),
         loopbacks=st.integers(min_value=0, max_value=2),
         n_cuts=st.integers(min_value=0, max_value=2),
+        crowd=st.sampled_from([0, 4]),
+        star=st.integers(min_value=0, max_value=3),
+        pair=st.booleans(),
+        lone=st.booleans(),
     )
     def test_equals_reference_for_every_mapper_host(
-        self, seed, n_switches, n_hosts, extra_links, pendants, loopbacks, n_cuts
+        self, seed, n_switches, n_hosts, extra_links, pendants, loopbacks, n_cuts,
+        crowd, star, pair, lone,
     ):
+        """Leaf hosts (read off their switch) beside every other kind of
+        host (on the general path), each also the mapper."""
         try:
             net = seeded_fabric(
                 seed, n_switches, n_hosts, extra_links, pendants, loopbacks
@@ -130,6 +166,7 @@ class TestRandomFabrics:
         except TopologyError:
             return  # density does not fit the radix
         cut_switch_wires(net, seed, n_cuts)
+        add_odd_hosts(net, seed, crowd, star, pair, lone)
         for h0 in net.hosts:
             assert_matches_reference(net, h0)
         if net.is_connected():
@@ -165,6 +202,22 @@ class TestNamedFabrics:
         assert_matches_reference(net, "C-svc")
         with pytest.raises(TopologyError):
             diameter(net)
+
+
+class TestLeafHostsReadOffTheirSwitch:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_FABRICS))
+    def test_q_value_flow_equals_the_decomposition(self, name):
+        """``q_value`` still runs the flow for any ``v``; the decomposition
+        reads a leaf's ``Q(v)`` off one BFS from ``h0``. Every golden
+        fabric (the full NOW and fat-tree k=4 among them), from its first
+        and last host — a host–host cable and an unattached host too."""
+        net = GOLDEN_FABRICS[name]()
+        hosts = sorted(net.hosts)
+        for h0 in (hosts[0], hosts[-1]):
+            d = core_decomposition(net, h0)
+            for v in net.nodes:
+                if v not in d.f_set:
+                    assert q_value(net, h0, v) == d.q_values.get(v), (h0, v)
 
 
 class TestPinned:
