@@ -2,15 +2,15 @@
 
 The Berkeley algorithm's correctness argument (Section 3) assumes things
 the code can only honour by discipline: deterministic lockstep simulation,
-seeded RNGs everywhere, relative non-modular port arithmetic staying in
-``[0, radix)``, and all network observation flowing through
+seeded RNGs everywhere, and all network observation flowing through
 :class:`~repro.simulator.probes.ProbeService`. This package makes those
 substrate guarantees machine-checked, one module at a time:
 
 - :mod:`repro.analysis.registry` — the ``Rule`` base class and the
   ``SANxxx`` registry;
-- :mod:`repro.analysis.rules` — the thirteen rules (SAN001-SAN011, SAN014,
-  SAN015; SAN012/SAN013 are retired and their guarantee is carried by
+- :mod:`repro.analysis.rules` — the eleven rules (SAN001-SAN003,
+  SAN005-SAN009, SAN011, SAN014, SAN015; SAN004, SAN010, SAN012 and
+  SAN013 are retired and their guarantee is carried by runtime checks and
   dynamic tests — see ``docs/STATIC_ANALYSIS.md``);
 - :mod:`repro.analysis.engine` — parsing, ``# sanlint: disable=...``
   suppression and reporting;

@@ -20,20 +20,15 @@ __all__ = [
     "NoWallClock",
     "NoUnseededRng",
     "NoFloatTimingEquality",
-    "PortLiteralInRange",
     "SchedulerStateEncapsulation",
     "NoSilentBroadExcept",
     "ProbeConstructionViaService",
     "NoMutableDefaults",
     "ServiceEvaluatesViaCache",
-    "SeededChaosSchedules",
     "NoAdHocServiceWrappers",
     "ProbeLayerPurity",
     "MappersViaRegistry",
 ]
-
-#: Switch radix of the paper's Myrinet fabric; port indices live in [0, 8).
-DEFAULT_RADIX = 8
 
 #: Packages whose code runs under the simulated clock (SAN001, SAN005).
 SIMULATED_TIME_PACKAGES = ("repro.simulator", "repro.core")
@@ -310,75 +305,6 @@ class NoFloatTimingEquality(Rule):
 
 
 @register
-class PortLiteralInRange(Rule):
-    rule_id = "SAN004"
-    title = "port-index literals must lie in [0, radix)"
-    rationale = (
-        "Port arithmetic is relative and non-modular (Section 2.2): indices "
-        "live in [0, 8) on the paper's 8-port Myrinet switches, and a literal "
-        "outside that range can never name a real port — it is a latent "
-        "off-by-radix bug the type system cannot catch."
-    )
-    hint = (
-        "derive port indices from `range(radix)` (or validate against the "
-        "switch radix); a literal >= 8 or < 0 cannot name a Myrinet port"
-    )
-
-    _PORT_KW_EXCLUDED_PREFIXES = ("n_", "num_", "max_", "min_", "hosts_per")
-
-    @staticmethod
-    def _int_literal(node: ast.expr) -> int | None:
-        """The value of an integer literal, unfolding unary +/- signs."""
-        sign = 1
-        while isinstance(node, ast.UnaryOp) and isinstance(
-            node.op, (ast.USub, ast.UAdd)
-        ):
-            if isinstance(node.op, ast.USub):
-                sign = -sign
-            node = node.operand
-        if (
-            isinstance(node, ast.Constant)
-            and isinstance(node.value, int)
-            and not isinstance(node.value, bool)
-        ):
-            return sign * node.value
-        return None
-
-    def _is_port_kw(self, name: str) -> bool:
-        if name.startswith(self._PORT_KW_EXCLUDED_PREFIXES):
-            return False
-        return name == "port" or name.endswith("_port")
-
-    def check(self, module: ModuleInfo) -> Iterator[Diagnostic]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            for kw in node.keywords:
-                if kw.arg and self._is_port_kw(kw.arg):
-                    value = self._int_literal(kw.value)
-                    if value is not None and not 0 <= value < DEFAULT_RADIX:
-                        yield self.diag(
-                            module,
-                            kw.value,
-                            f"port keyword `{kw.arg}={value}` outside "
-                            f"[0, {DEFAULT_RADIX})",
-                        )
-            # Network.connect(node_a, port_a, node_b, port_b): positional
-            # port literals sit at indices 1 and 3.
-            if _call_name(node) == "connect" and len(node.args) == 4:
-                for pos in (1, 3):
-                    arg = node.args[pos]
-                    value = self._int_literal(arg)
-                    if value is not None and not 0 <= value < DEFAULT_RADIX:
-                        yield self.diag(
-                            module,
-                            arg,
-                            f"port literal {value} passed to connect() "
-                            f"outside [0, {DEFAULT_RADIX})",
-                        )
-
-
-@register
 class SchedulerStateEncapsulation(Rule):
     rule_id = "SAN005"
     title = "simulator clock/queue state mutated only inside repro.simulator"
@@ -597,48 +523,6 @@ class ServiceEvaluatesViaCache(Rule):
                 node,
                 "direct evaluate_route() call inside a ProbeService "
                 "implementation bypasses the evaluation cache",
-            )
-
-
-@register
-class SeededChaosSchedules(Rule):
-    rule_id = "SAN010"
-    title = "chaos scenarios and campaigns carry explicit seeds"
-    rationale = (
-        "A chaos cell is only evidence if it replays bit-for-bit: the "
-        "determinism oracle, the shrinker and the committed corpus all "
-        "assume that the schedule plus its seed pins every stochastic "
-        "choice. A Scenario(...) built without seed=, or a "
-        "CampaignConfig(...) without seeds=, would fall back on ambient "
-        "randomness and turn every failure it finds into an unreproducible "
-        "anecdote."
-    )
-    hint = (
-        "pass seed= to Scenario(...) and seeds=(...) to CampaignConfig(...) "
-        "as explicit keyword arguments (positional construction doesn't "
-        "count: the call must be auditable at the call site)"
-    )
-
-    _REQUIRED = {"Scenario": "seed", "CampaignConfig": "seeds"}
-
-    def check(self, module: ModuleInfo) -> Iterator[Diagnostic]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = _call_name(node)
-            needed = self._REQUIRED.get(name or "")
-            if needed is None:
-                continue
-            kwarg_names = {kw.arg for kw in node.keywords}
-            if needed in kwarg_names:
-                continue
-            if None in kwarg_names:
-                continue  # a **kwargs splat may carry it; don't guess
-            yield self.diag(
-                module,
-                node,
-                f"`{name}(...)` without an explicit `{needed}=` keyword — "
-                "an unseeded chaos schedule is not replayable",
             )
 
 

@@ -10,9 +10,10 @@ deterministic script of exactly those disturbances:
   count (``after_probes``), so replays are exact — no wall-clock anywhere;
 - the whole schedule is plain data (ints, strings, floats), serializable to
   JSON and therefore shrinkable event-by-event by :mod:`repro.chaos.shrink`;
-- every scenario carries an explicit ``seed`` for its stochastic faults
-  (enforced repo-wide by sanlint rule SAN010): same scenario, same seed ⇒
-  byte-identical campaign trace.
+- every scenario carries an explicit ``seed`` for its stochastic faults (a
+  keyword-only field with no default, so a missing seed is a ``TypeError``
+  at construction): same scenario, same seed ⇒ byte-identical campaign
+  trace.
 
 The module deliberately has no YAML/JSON dependency of its own: the loader
 (:func:`scenario_from_dict`) takes a plain dict, and the CLI handles file

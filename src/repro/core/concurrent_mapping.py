@@ -3,9 +3,9 @@
 Section 4.2's second operational mode has "all interfaces or hosts actively
 map the network". Where :mod:`repro.core.election` approximates the rivals
 with quiescent replays (fast, used for the Figure 7 sweeps), this module
-runs every mapper *for real*: each is an unmodified
-:class:`~repro.core.mapper.BerkeleyMapper` in its own lockstep-scheduled
-actor, its probes placed on a shared
+runs every mapper *for real*: each host's
+:func:`~repro.core.remapper.map_cycle`, with any registered mapper, runs in
+its own lockstep-scheduled actor, its probes placed on a shared
 :class:`~repro.simulator.occupancy.ChannelOccupancy`. Probes that collide
 with another mapper's in-flight worm are destroyed by the forward reset and
 show up as timeouts — exactly the hardware behavior.
@@ -24,9 +24,12 @@ What this lets you measure honestly:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
-from repro.core.mapper import BerkeleyMapper, MapResult
+from repro.core.mapper import MapResult
+from repro.core.mapper_protocol import Mapper
+from repro.core.remapper import map_cycle
 from repro.simulator.collision import CircuitModel, CollisionModel
 from repro.simulator.lockstep import LockstepScheduler
 from repro.simulator.occupancy import ChannelOccupancy
@@ -36,7 +39,6 @@ from repro.simulator.stack import (
     LockstepLayer,
     ProbeContext,
     ProbeLayer,
-    build_service_stack,
 )
 from repro.simulator.timing import MYRINET_TIMING, TimingModel
 from repro.topology.model import Network
@@ -68,55 +70,39 @@ class ConcurrentOutcome:
         return self.elapsed_us / 1000.0
 
 
-class _SharedFabric:
-    """Election/yield state shared by all concurrent probe services."""
-
-    def __init__(self, timing: TimingModel) -> None:
-        self.occupancy = ChannelOccupancy(timing)
-        self.active: dict[str, bool] = {}
-        self.yield_rule = False
-        #: do actively-mapping hosts still answer host-probes? True in the
-        #: plain everyone-maps mode (the firmware echo is always on);
-        #: False under the election protocol, where a busy user-level
-        #: mapper is silent (matching repro.core.election).
-        self.mappers_respond = True
+class _Yielded(Exception):
+    """Raised at a mapper's next probe once its host lost the election."""
 
 
 class _FabricYieldLayer(ProbeLayer):
-    """The election/yield rule on the shared fabric (host-probes only).
+    """The election rule on the shared fabric (host-probes only).
 
-    A delivered host-probe carries the sender's interface address: under
-    the election rule a lower-address active mapper at the target yields.
-    And under the election protocol an actively-mapping target does not
-    reply; otherwise the firmware echo is always on.
+    A delivered host-probe carries the sender's interface address: a
+    lower-address active mapper at the target yields (and, now passive,
+    answers), while any other actively-mapping target does not reply.
+    ``before`` stops a yielded host's mapper at its next probe, the way
+    :class:`~repro.simulator.stack.CapLayer` stops an election rival.
     """
 
-    def __init__(self, fabric: _SharedFabric, host: str) -> None:
-        self._fabric = fabric
+    def __init__(self, active: dict[str, bool], host: str) -> None:
+        self._active = active
         self._host = host
+
+    def before(self, ctx: ProbeContext) -> None:
+        if not self._active[self._host]:
+            raise _Yielded
 
     def gate(self, ctx: ProbeContext) -> None:
         if ctx.kind is not ProbeKind.HOST:
             return
-        fabric = self._fabric
         target = ctx.responder
         assert target is not None
-        if (
-            fabric.yield_rule
-            and target != self._host
-            and fabric.active.get(target, False)
-            and self._host > target
-        ):
-            fabric.active[target] = False
-        if not (
-            target == self._host
-            or fabric.mappers_respond
-            or not fabric.active.get(target, False)
-        ):
+        if target == self._host or not self._active.get(target, False):
+            return
+        if self._host > target:
+            self._active[target] = False
+        else:
             ctx.hit = False
-
-    def describe(self) -> str:
-        return f"FabricYieldLayer(yield_rule={self._fabric.yield_rule})"
 
 
 def run_concurrent_mappers(
@@ -129,71 +115,54 @@ def run_concurrent_mappers(
     start_stagger_us: float = 500.0,
     yield_rule: bool = False,
     max_explorations: int | None = 2000,
-    mapper_factory=None,
+    mapper: str | Callable[[object, int], Mapper] = "berkeley",
 ) -> ConcurrentOutcome:
-    """Run unmodified mappers concurrently on one fabric.
+    """Run one :func:`~repro.core.remapper.map_cycle` per host concurrently
+    on one fabric.
 
     ``yield_rule`` enables the election protocol (lower-address mappers
     stop when probed by higher ones, and active mappers do not answer
     host-probes). Without it, every mapper answers probes and maps to
-    completion — the "everyone maps" mode.
-
-    ``mapper_factory(service)`` builds the mapper to drive (anything with a
-    ``run()`` returning an object carrying ``.network``); the default is
-    the Berkeley mapper. The Myricom mapper works too — the service
-    provides its raw-loopback probes.
+    completion — the "everyone maps" mode. ``mapper`` is what
+    :func:`~repro.core.remapper.map_cycle` takes: a registry name (built
+    on the probe-service class its spec requires) or a ``(service, depth)
+    -> Mapper`` callable.
     """
     if not mappers:
         raise ValueError("need at least one mapper host")
     collision = collision or CircuitModel()
     scheduler = LockstepScheduler()
-    fabric = _SharedFabric(timing)
-    fabric.yield_rule = yield_rule
-    fabric.mappers_respond = not yield_rule
-    for host in mappers:
-        fabric.active[host] = True
-
+    occupancy = ChannelOccupancy(timing)
+    active = dict.fromkeys(mappers, True)
     outcomes: dict[str, MapperOutcome] = {}
 
     def make_actor(host: str):
-        contention = InterferenceLayer(
-            fabric.occupancy, clock=lambda: scheduler.now
-        )
-        svc = build_service_stack(
-            net,
-            host,
-            layers=(
-                contention,
-                _FabricYieldLayer(fabric, host),
-                LockstepLayer(scheduler),
-            ),
-            collision=collision,
-            timing=timing,
-        )
+        contention = InterferenceLayer(occupancy, clock=lambda: scheduler.now)
+        election = (_FabricYieldLayer(active, host),) if yield_rule else ()
+        layers = (contention, *election, LockstepLayer(scheduler))
 
         def actor(sched: LockstepScheduler) -> None:
-            if mapper_factory is not None:
-                mapper = mapper_factory(svc)
-            else:
-                mapper = BerkeleyMapper(
-                    svc,
-                    search_depth=search_depth,
-                    host_first=False,
-                    max_explorations=max_explorations,
-                )
-            yielded = False
             result: MapResult | None = None
             try:
-                result = _run_yieldable(mapper, fabric, host)
+                result, _ = map_cycle(
+                    net,
+                    host,
+                    mapper=mapper,
+                    search_depth=search_depth,
+                    max_explorations=max_explorations,
+                    layers=layers,
+                    collision=collision,
+                    timing=timing,
+                )
             except _Yielded:
-                yielded = True
-            fabric.active[host] = False
+                pass
+            active[host] = False
             outcomes[host] = MapperOutcome(
                 host=host,
                 result=result,
                 finished_at_us=sched.now,
                 probes_lost_to_contention=contention.lost,
-                yielded=yielded,
+                yielded=result is None,
             )
 
         return actor
@@ -205,23 +174,3 @@ def run_concurrent_mappers(
     return ConcurrentOutcome(
         mappers=outcomes, elapsed_us=elapsed, total_collisions=total
     )
-
-
-class _Yielded(Exception):
-    pass
-
-
-def _run_yieldable(mapper, fabric: _SharedFabric, host: str):
-    """Run the mapper, aborting if the election silenced this host."""
-    if not fabric.yield_rule or not hasattr(mapper, "_explore"):
-        return mapper.run()
-
-    original_explore = mapper._explore
-
-    def checked_explore(v):
-        if not fabric.active.get(host, True):
-            raise _Yielded()
-        original_explore(v)
-
-    mapper._explore = checked_explore  # type: ignore[method-assign]
-    return mapper.run()

@@ -36,11 +36,11 @@ hosts were silent.
 from __future__ import annotations
 
 import random
-import statistics
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from repro.core.mapper import MapResult
+from repro.core.parallel import TimingSummary
 from repro.core.remapper import map_cycle
 from repro.simulator.collision import CircuitModel, CollisionModel
 from repro.simulator.probes import ProbeKind, ProbeRecord
@@ -304,22 +304,9 @@ def election_times(
     runs: int = 10,
     base_seed: int = 0,
     **kwargs,
-):
+) -> TimingSummary:
     """min/avg/max election-mode times over seeds (the Figure 7 column)."""
-    from repro.core.parallel import TimingSummary
-
-    times = [
-        outcome.elapsed_ms
-        for outcome in _election_runs(
-            net,
-            range(base_seed, base_seed + runs),
-            search_depth=search_depth,
-            **kwargs,
-        )
-    ]
-    return TimingSummary(
-        min_ms=min(times),
-        avg_ms=statistics.fmean(times),
-        max_ms=max(times),
-        runs=runs,
+    outcomes = _election_runs(
+        net, range(base_seed, base_seed + runs), search_depth=search_depth, **kwargs
     )
+    return TimingSummary.of([outcome.elapsed_ms for outcome in outcomes])

@@ -39,6 +39,15 @@ class TimingSummary:
     max_ms: float
     runs: int
 
+    @classmethod
+    def of(cls, times_ms: list[float]) -> TimingSummary:
+        return cls(
+            min_ms=min(times_ms),
+            avg_ms=statistics.fmean(times_ms),
+            max_ms=max(times_ms),
+            runs=len(times_ms),
+        )
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.min_ms:.0f} / {self.avg_ms:.0f} / {self.max_ms:.0f} ms"
 
@@ -94,9 +103,4 @@ def repeated_times(
         ).stats.elapsed_ms
         for i in range(runs)
     ]
-    return TimingSummary(
-        min_ms=min(times),
-        avg_ms=statistics.fmean(times),
-        max_ms=max(times),
-        runs=runs,
-    )
+    return TimingSummary.of(times)

@@ -20,7 +20,6 @@ from repro.experiments.common import system
 from repro.experiments.tables import print_table
 from repro.extensions.parallel_maps import (
     ParallelMappingReport,
-    merge_partial_maps,
     parallel_mapping_study,
 )
 from repro.topology.isomorphism import match_networks
@@ -70,9 +69,8 @@ def run(
         local_depth=local_depth,
         max_explorations=max_explorations,
     )
-    islands = merge_partial_maps(report.partials)
-    complete = len(islands) == 1 and bool(
-        match_networks(islands[0], fixture.core)
+    complete = len(report.islands) == 1 and bool(
+        match_networks(report.islands[0], fixture.core)
     )
     rows.append(
         ParallelRow(

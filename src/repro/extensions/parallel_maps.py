@@ -167,10 +167,8 @@ class ParallelMappingReport:
 
     n_mappers: int
     local_depth: int
-    islands: int
-    merged_hosts: int
-    merged_switches: int
-    merged_wires: int
+    #: The merged views, one network per island (see merge_partial_maps).
+    islands: list[Network]
     total_probes: int
     max_local_ms: float  # parallel wall clock
     sum_local_ms: float
@@ -196,15 +194,10 @@ def parallel_mapping_study(
         )
         for host in mappers
     ]
-    islands = merge_partial_maps(partials)
-    biggest = max(islands, key=lambda n: n.n_hosts + n.n_switches)
     return ParallelMappingReport(
         n_mappers=len(mappers),
         local_depth=local_depth,
-        islands=len(islands),
-        merged_hosts=biggest.n_hosts,
-        merged_switches=biggest.n_switches,
-        merged_wires=biggest.n_wires,
+        islands=merge_partial_maps(partials),
         total_probes=sum(p.probes for p in partials),
         max_local_ms=max(p.elapsed_ms for p in partials),
         sum_local_ms=sum(p.elapsed_ms for p in partials),

@@ -14,8 +14,8 @@ clock. :class:`LockstepScheduler` does exactly that:
   byte-for-byte reproducible.
 
 This is the execution substrate for
-:mod:`repro.core.concurrent_mapping` — genuinely concurrent Berkeley
-mappers whose probes contend on a shared
+:mod:`repro.core.concurrent_mapping` — genuinely concurrent mappers (any
+registered algorithm) whose probes contend on a shared
 :class:`~repro.simulator.occupancy.ChannelOccupancy`.
 """
 

@@ -232,26 +232,13 @@ def _run_cell(mapper: str, family: Family, collision: str) -> TournamentCell:
     )
 
 
-def _robustness_scenarios():
-    from repro.chaos.scenario import Scenario, cut, heal
-
-    return (
-        Scenario("quiet-baseline", (), seed=101),
-        Scenario("single-cut", (cut(1, "ring-s2", 1),), seed=102),
-        Scenario(
-            "cut-then-heal",
-            (cut(1, "ring-s2", 1), heal(2, "ring-s2", 1)),
-            seed=103,
-        ),
-    )
-
-
 def _run_robustness(mapper: str) -> list[RobustnessRow]:
-    """Drive the remap daemon with this mapper through pinned chaos cells."""
-    from repro.chaos.runner import run_cell
+    """Drive the remap daemon with this mapper through the first three
+    pinned chaos scenarios (quiet, single cut, cut then heal)."""
+    from repro.chaos.runner import demo_scenarios, run_cell
 
     rows = []
-    for scenario in _robustness_scenarios():
+    for scenario in demo_scenarios()[:3]:
         cell = run_cell(
             scenario,
             {"kind": "ring", "size": 6},

@@ -27,7 +27,7 @@ def test_package_exists_where_expected():
 
 
 def test_whole_package_lints_clean():
-    # The acceptance bar: src/repro is green under all thirteen rules.
+    # The acceptance bar: src/repro is green under every registered rule.
     diagnostics = lint_paths([PACKAGE])
     assert diagnostics == [], "\n" + render_report(diagnostics)
 
@@ -108,7 +108,7 @@ def test_cli_json_format(tmp_path, capsys):
 
 
 def test_cli_unknown_rule_is_an_error(capsys):
-    # SAN012 is a retired id: never reused, no longer selectable.
-    for rule_id in ("SAN999", "SAN012"):
+    # Retired ids are never reused and no longer selectable.
+    for rule_id in ("SAN999", "SAN004", "SAN010", "SAN012"):
         assert main(["--select", rule_id, str(PACKAGE)]) == 2
         assert "unknown rule" in capsys.readouterr().err

@@ -41,10 +41,6 @@ BAD_SNIPPETS = {
         def same(elapsed_us, cost_us):
             return elapsed_us == cost_us
     """,
-    "SAN004": """
-        def wire(net):
-            net.connect("sw0", 9, "sw1", 0)
-    """,
     "SAN005": """
         def rewind(queue):
             queue._now = 0.0
@@ -75,11 +71,6 @@ BAD_SNIPPETS = {
         class FastProbeService(QuiescentProbeService):
             def _walk(self, turns):
                 return evaluate_route(self.net, self.mapper, turns)
-    """,
-    "SAN010": """
-        from repro.chaos.scenario import Scenario
-
-        campaign = [Scenario("flaky-links", events)]
     """,
     "SAN011": """
         class CappedProbeService:
@@ -124,12 +115,11 @@ def test_every_diag_carries_the_rules_hint(rule_id):
 
 
 def test_registry_has_the_thirteen_domain_rules():
-    # SAN012 and SAN013 are retired; their ids are never reused.
-    assert all_rule_ids() == [f"SAN00{i}" for i in range(1, 10)] + [
-        "SAN010",
-        "SAN011",
-        "SAN014",
-        "SAN015",
+    # SAN004, SAN010, SAN012 and SAN013 are retired (docs/STATIC_ANALYSIS.md,
+    # "Checked by tests"); their ids are never reused.
+    assert all_rule_ids() == [
+        "SAN001", "SAN002", "SAN003", "SAN005", "SAN006", "SAN007",
+        "SAN008", "SAN009", "SAN011", "SAN014", "SAN015",
     ]
 
 
@@ -205,17 +195,6 @@ def test_san003_ignores_none_and_non_timing_names():
     assert ids(lint("def f(name, other):\n    return name == other\n")) == []
     assert ids(lint("def f(elapsed_us):\n    return elapsed_us < 3.0\n")) == []
     assert ids(lint("def f(self):\n    return self._now != 0.0\n")) == ["SAN003"]
-
-
-def test_san004_keyword_and_range_behaviour():
-    assert ids(lint("def f(sw):\n    sw.attach(port=12)\n")) == ["SAN004"]
-    assert ids(lint("def f(sw):\n    sw.attach(port=-1)\n")) == ["SAN004"]
-    assert ids(lint("def f(sw):\n    sw.attach(port=7)\n")) == []
-    # counts and radixes are not port indices
-    assert ids(lint("def f(net):\n    net.grow(n_port=64)\n")) == []
-    assert ids(lint("def f():\n    return range(8)\n")) == []
-    # connect() with computed ports is fine
-    assert ids(lint("def f(net, p):\n    net.connect('a', p, 'b', p + 1)\n")) == []
 
 
 def test_san005_allows_self_and_simulator_package():
@@ -439,39 +418,6 @@ def test_syntax_error_becomes_san000(tmp_path):
     diags = lint_paths([bad])
     assert [d.rule_id for d in diags] == ["SAN000"]
     assert "could not parse" in diags[0].message
-
-
-def test_san010_requires_explicit_seed_keywords():
-    # Positional seeds don't count: the call site must be auditable.
-    positional = """
-        from repro.chaos.scenario import Scenario
-
-        s = Scenario("x", (), 3, 42)
-    """
-    assert ids(lint(positional)) == ["SAN010"]
-    unseeded_campaign = """
-        from repro.chaos.runner import CampaignConfig
-
-        c = CampaignConfig("grid", scenarios=scens, topologies=topos)
-    """
-    assert ids(lint(unseeded_campaign)) == ["SAN010"]
-
-
-def test_san010_quiet_on_seeded_and_splatted_calls():
-    seeded = """
-        from repro.chaos.runner import CampaignConfig
-        from repro.chaos.scenario import Scenario
-
-        s = Scenario("x", (), seed=42)
-        c = CampaignConfig("grid", scenarios=(s,), topologies=(), seeds=(0,))
-    """
-    assert ids(lint(seeded)) == []
-    splat = """
-        from repro.chaos.scenario import Scenario
-
-        s = Scenario("x", **loaded_kwargs)
-    """
-    assert ids(lint(splat)) == []  # a splat may carry seed=; don't guess
 
 
 def test_san011_flags_each_canonical_method_once():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.chaos.runner import CampaignConfig
 from repro.chaos.scenario import (
     ChaosEvent,
     Scenario,
@@ -90,6 +91,18 @@ class TestSerialization:
     def test_seed_is_mandatory(self):
         with pytest.raises(ScenarioError, match="seed"):
             scenario_from_dict({"name": "x", "events": []})
+
+    def test_constructors_reject_a_missing_or_positional_seed(self):
+        """Seeds are keyword-only with no default: an unseeded or
+        positionally seeded schedule cannot be built at all."""
+        with pytest.raises(TypeError):
+            Scenario("x", ())
+        with pytest.raises(TypeError):
+            Scenario("x", (), 0, 42)
+        with pytest.raises(TypeError):
+            CampaignConfig("grid", scenarios=(), topologies=())
+        with pytest.raises(TypeError):
+            CampaignConfig("grid", (), (), (0,))
 
     def test_event_dict_missing_key(self):
         with pytest.raises(ScenarioError, match="missing key"):

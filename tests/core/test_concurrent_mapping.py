@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.concurrent_mapping import run_concurrent_mappers
+from repro.core.mapper_protocol import mapper_names
 from repro.topology.analysis import core_network, recommended_search_depth
 from repro.topology.isomorphism import match_networks
 
@@ -96,6 +97,28 @@ class TestElectionYieldRule:
         # the truth, and usually is complete (rivals yield early).
         assert set(winner.network.hosts) <= set(subcluster_c.hosts)
 
+    @pytest.mark.parametrize("mapper", mapper_names())
+    def test_every_registered_mapper_yields_and_the_winner_maps(
+        self, mapper, subcluster_c, subcluster_c_depth, subcluster_c_core
+    ):
+        """Each host runs the registered mapper through ``map_cycle`` — on
+        its spec's service class, stopped at its next probe once it lost
+        the election, whatever that mapper's internals look like."""
+        out = run_concurrent_mappers(
+            subcluster_c,
+            ["C-n00", "C-n17", "C-svc"],
+            search_depth=subcluster_c_depth,
+            yield_rule=True,
+            mapper=mapper,
+        )
+        for loser in ("C-n00", "C-n17"):
+            assert out.mappers[loser].yielded
+            assert out.mappers[loser].result is None
+        winner = out.mappers["C-svc"]
+        assert not winner.yielded
+        report = match_networks(winner.result.network, subcluster_c_core)
+        assert report, f"{mapper}: {report.reason}"
+
     def test_requires_mappers(self, subcluster_c, subcluster_c_depth):
         with pytest.raises(ValueError):
             run_concurrent_mappers(
@@ -109,15 +132,11 @@ class TestMyricomConcurrent:
     ):
         """'Both algorithms have two operational modes' (Section 4.2): the
         Myricom mapper also runs under the concurrent scheduler."""
-        from repro.baselines.myricom import MyricomMapper
-
         out = run_concurrent_mappers(
             subcluster_c,
             ["C-n00", "C-svc"],
             search_depth=subcluster_c_depth,
-            mapper_factory=lambda svc: MyricomMapper(
-                svc, search_depth=subcluster_c_depth
-            ),
+            mapper="myricom",
         )
         for outcome in out.mappers.values():
             assert outcome.result is not None
