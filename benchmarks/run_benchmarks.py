@@ -207,10 +207,13 @@ def _remap_single_cut(make_net, cut_end) -> tuple[float, dict]:
     """Cut one cable on a warm, fully mapped fabric and remap both ways.
 
     The timed quantity is the *seeded* remap — cycle N+1 reusing cycle N's
-    map plus the delta journal — on the long-lived warm service. The
-    from-scratch arm runs on a cold service (fresh evaluator, no trie),
-    which is exactly what every remap cost before seeding existed, so the
-    recorded ratios are against the honest pre-incremental baseline.
+    map plus the delta journal — on the long-lived warm service. The cut
+    flushes that service's probe trie on its first walk, so the seeded arm
+    re-walks its witnesses as it would on the fresh stack ``map_cycle``
+    builds. The from-scratch arm runs on a cold service (fresh evaluator,
+    no trie), which is exactly what every remap cost before seeding
+    existed, so the recorded ratios are against the honest
+    pre-incremental baseline.
 
     Probe counts are deterministic, so the >=10x acceptance ratio is
     asserted here (a gate that cannot flake on runner noise); wall-clock

@@ -40,7 +40,7 @@ def remap(actual, mapper_host: str, event: str) -> None:
     report = match_networks(result.network, core_network(actual))
     orientation = orient_updown(result.network)
     paths = all_pairs_updown_paths(result.network, orientation)
-    tables = compile_route_tables(result.network, paths, orientation=orientation)
+    tables = compile_route_tables(result.network, paths)
     n_routes = sum(len(t) for t in tables.values())
     print(
         f"[{event}] {actual.n_hosts} hosts / {actual.n_switches} switches / "

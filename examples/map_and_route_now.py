@@ -65,7 +65,7 @@ def main() -> None:
 
     # --- 4: all-pairs compliant routes ----------------------------------
     paths = all_pairs_updown_paths(the_map, orientation)
-    tables = compile_route_tables(the_map, paths, orientation=orientation)
+    tables = compile_route_tables(the_map, paths)
     n_routes = sum(len(t) for t in tables.values())
     print(f"computed {n_routes} host-to-host routes "
           f"({the_map.n_hosts} hosts, all pairs)")

@@ -63,10 +63,6 @@ class ScenarioApplier:
     def killed_nodes(self) -> frozenset[str]:
         return frozenset(self._killed)
 
-    @property
-    def cut_cables(self) -> frozenset[frozenset[PortRef]]:
-        return frozenset(self._cut)
-
     def apply(self, event: ChaosEvent) -> None:
         """Apply one event; raises :class:`ScenarioError` on incoherence."""
         try:

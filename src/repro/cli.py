@@ -202,7 +202,7 @@ def _cmd_routes(args: argparse.Namespace) -> int:
     else:
         orientation = orient_updown(net_map)
         paths = all_pairs_updown_paths(net_map, orientation)
-        tables = compile_route_tables(net_map, paths, orientation=orientation)
+        tables = compile_route_tables(net_map, paths)
         safe = routes_deadlock_free(tables)
         print(f"root switch: {orientation.root}"
               + (f" (relabeled dominant: {orientation.relabeled})"

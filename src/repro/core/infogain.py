@@ -48,8 +48,7 @@ class InfoGainPlanner:
     Shared mutable state across every plan it issues: ``observe`` feeds
     the histogram, ``new_plan`` freezes the current ranking into the
     plan's turn order (a plan never re-ranks mid-flight — determinism
-    and the batching ``peek_pending`` contract both depend on the order
-    being fixed at creation).
+    depends on the order being fixed at creation).
     """
 
     def __init__(
@@ -118,7 +117,7 @@ class InfoGainMapper(BerkeleyMapper):
 
     Same deduction engine, same soundness (any exploration interleaving
     is valid — modification 1), different spending order. Capabilities
-    are inherited: seeding, batching and profiling all still apply.
+    are inherited: seeding and profiling both still apply.
     """
 
     def __init__(

@@ -109,19 +109,11 @@ class PhaseProfiler:
         )
 
 
-def cache_summary(stats: EvalCacheStats | None) -> str:
-    """One-line rendering of the probe-evaluation cache counters.
-
-    Every service in ``src/`` has a cache; ``None`` is what the pure-walk
-    test oracle (``tests/simulator/reference_service.py``) reports, and
-    renders as disabled.
-    """
-    if stats is None:
-        return "eval cache: disabled"
-    hinted = f", {stats.hinted} hinted" if stats.hinted else ""
+def cache_summary(stats: EvalCacheStats) -> str:
+    """One-line rendering of the probe-evaluation cache counters."""
     return (
         f"eval cache: {stats.hits} hits / {stats.misses} misses "
-        f"({stats.hit_rate:.1%} hit rate){hinted}, {stats.nodes} trie nodes, "
+        f"({stats.hit_rate:.1%} hit rate), {stats.nodes} trie nodes, "
         f"{stats.invalidations} invalidations"
     )
 
@@ -155,10 +147,6 @@ class TraceAnalysis:
     host_probes: int
     switch_probes: int
     running_cost_us: list[float] = field(repr=False, default_factory=list)
-
-    @property
-    def hit_ratio(self) -> float:
-        return self.hits / self.total if self.total else 0.0
 
     @property
     def timeout_share(self) -> float:

@@ -375,8 +375,9 @@ class BerkeleyMapper(ModelGraph):
         The soundness argument, node by node: a prior node's *witness* is
         the probe string whose walk identified it. If that route's
         footprint (every wire end it reads — crossed wires plus the failure
-        pin, see :func:`repro.simulator.path_eval.route_touches`) is
-        disjoint from ``seed.affected``, the route walks exactly as it did
+        pin, see
+        :meth:`repro.simulator.path_eval.IncrementalPathEvaluator.touches`)
+        is disjoint from ``seed.affected``, the route walks exactly as it did
         when the prior map was built, so the node still exists with the
         same identity. Likewise per wire: the prior run deduced the wire at
         prior-map port ``p`` of switch ``u`` from a probe exiting ``u``
@@ -532,17 +533,6 @@ class BerkeleyMapper(ModelGraph):
         # cannot teach anything — an actual port has exactly one cable.
         for idx in v.nbrs:
             plan.feed(idx, True)
-        prime = getattr(self._svc, "warm_siblings", None)
-        if prime is not None:
-            # Announce the whole sibling group to a caching service: every
-            # probe below is v.probe_string extended by one planned turn, so
-            # one descent of the shared prefix serves them all (each probe
-            # then costs a single child step). Probes still go through the
-            # service one at a time — order, count, RNG draws and stats are
-            # byte-identical to a service that ignores the hint; turns a hit
-            # later prunes from the plan were announced but never evaluated,
-            # and cost nothing.
-            prime(v.probe_string, plan.peek_pending())
         while (turn := plan.next_turn()) is not None:
             if v.nbrs.get(turn):
                 continue

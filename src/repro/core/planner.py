@@ -84,22 +84,6 @@ class PortPlan:
         """Feasible absolute entry ports given the hits so far."""
         return self._window
 
-    def peek_pending(self) -> tuple[int, ...]:
-        """The turns :meth:`next_turn` would yield if every one missed.
-
-        A pure projection: neither the cursor, the window nor the skip
-        counter moves. Misses never change the plan, so this is exactly the
-        run of turns the plan will issue up to (and including) the next hit
-        — the sibling group a batching prober can pre-evaluate safely.
-        """
-        if not self.use_window:
-            return tuple(self.order[self._cursor:])
-        lo, hi = self._window
-        limit = (self.radix - 1) - lo
-        return tuple(
-            t for t in self.order[self._cursor:] if -hi <= t <= limit
-        )
-
     def turns(self) -> Iterator[int]:
         """Iterate remaining turns; callers must still call :meth:`feed`."""
         while True:

@@ -115,7 +115,7 @@ def route_cycle(new_map: Network) -> tuple[dict[str, RouteTable], bool]:
     """
     orientation = orient_updown(new_map)
     paths = all_pairs_updown_paths(new_map, orientation)
-    tables = compile_route_tables(new_map, paths, orientation=orientation)
+    tables = compile_route_tables(new_map, paths)
     return tables, routes_deadlock_free(tables)
 
 

@@ -62,7 +62,7 @@ def _diamond() -> Network:
 def _measure(name: str, net: Network, *, root=None, relabel=True) -> QualityRow:
     ori = orient_updown(net, root=root, relabel_dominant=relabel)
     paths = all_pairs_updown_paths(net, ori)
-    tables = compile_route_tables(net, paths, orientation=ori)
+    tables = compile_route_tables(net, paths)
     q = analyze_routes(net, tables, ori)
     return QualityRow(
         topology=name,
@@ -103,7 +103,7 @@ def spread_demo() -> dict:
     net = b.build()
     ori = orient_updown(net)
     paths = all_pairs_updown_paths(net, ori)
-    tables = compile_route_tables(net, paths, orientation=ori, seed=11)
+    tables = compile_route_tables(net, paths, seed=11)
     return parallel_wire_spread(net, tables)
 
 
@@ -135,7 +135,7 @@ def compare_schemes() -> list[SchemeRow]:
     for name, net in cases:
         ori = orient_updown(net)
         paths = all_pairs_updown_paths(net, ori)
-        ud = compile_route_tables(net, paths, orientation=ori)
+        ud = compile_route_tables(net, paths)
         udq = analyze_routes(net, ud, ori)
         rows.append(
             SchemeRow(

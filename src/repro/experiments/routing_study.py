@@ -58,7 +58,7 @@ def run(systems=SYSTEMS) -> list[RoutingRow]:
         m = result.network
         orientation = orient_updown(m)
         paths = all_pairs_updown_paths(m, orientation)
-        tables = compile_route_tables(m, paths, orientation=orientation)
+        tables = compile_route_tables(m, paths)
         n_hosts = m.n_hosts
         n_routes = sum(len(t) for t in tables.values())
         valid = 0

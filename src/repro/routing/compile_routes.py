@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 from repro.routing.paths import RoutingPaths
-from repro.routing.updown import UpDownOrientation
 from repro.simulator.path_eval import Traversal
 from repro.simulator.turns import Turns
 from repro.topology.model import Network
@@ -94,9 +93,6 @@ class RouteTable:
 
     host: str
     routes: dict[str, CompiledRoute] = field(default_factory=dict)
-
-    def turns_to(self, dst: str) -> Turns:
-        return self.routes[dst].turns
 
     def __len__(self) -> int:
         return len(self.routes)
@@ -286,7 +282,6 @@ def path_to_turns(
     net: Network,
     node_path: list[str],
     *,
-    orientation: UpDownOrientation | None = None,
     rng: random.Random | None = None,
     wire_index: WireIndex | None = None,
 ) -> CompiledRoute:
@@ -306,7 +301,6 @@ def compile_route_tables(
     net: Network,
     paths: RoutingPaths,
     *,
-    orientation: UpDownOrientation | None = None,
     seed: int = 0,
 ) -> dict[str, RouteTable]:
     """Route tables for every host pair with a compliant path.

@@ -33,7 +33,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from repro.topology.model import Network, Wire
+from repro.topology.model import Network
 
 __all__ = ["UpDownOrientation", "orient_updown", "pick_root"]
 
@@ -122,9 +122,6 @@ class UpDownOrientation:
     def is_up(self, from_node: str, to_node: str) -> bool:
         """Does traversing ``from_node -> to_node`` move up (toward root)?"""
         return self.labels[to_node] < self.labels[from_node]
-
-    def wire_is_self_loop(self, wire: Wire) -> bool:
-        return wire.a.node == wire.b.node
 
 
 def orient_updown(

@@ -146,7 +146,6 @@ def run_map_job(payload: dict) -> dict:
         "eval_cache": {
             "hits": cache.hits,
             "misses": cache.misses,
-            "hinted": cache.hinted,
             "hit_rate": round(cache.hit_rate, 4),
             "nodes": cache.nodes,
         },

@@ -40,7 +40,6 @@ __all__ = [
     "CollisionModel",
     "CutThroughModel",
     "PacketModel",
-    "first_blocked_index",
 ]
 
 
@@ -108,10 +107,3 @@ class CutThroughModel:
                 return i
             last_use[key] = i
         return None
-
-
-def first_blocked_index(
-    model: CollisionModel, traversals: Sequence[Traversal]
-) -> int | None:
-    """Convenience dispatch (kept for symmetry with older call sites)."""
-    return model.blocked_at(traversals)

@@ -35,7 +35,6 @@ __all__ = [
     "Traversal",
     "PathResult",
     "evaluate_route",
-    "route_touches",
 ]
 
 
@@ -140,60 +139,19 @@ def evaluate_route(
     return result
 
 
-def route_touches(
-    net: Network,
-    h0: str,
-    turns: Iterable[int],
-    endpoints: frozenset[Endpoint] | set[Endpoint],
-) -> bool:
-    """Whether the message path of ``turns`` touches any wire end given.
-
-    The footprint of a route is every wire end its traversals cross *plus*
-    the end its failure (if any) is pinned to: a NO_SUCH_WIRE verdict
-    depends on the computed output port staying unwired, and a
-    NOT_ATTACHED verdict on the source's port 0 staying free — a wire
-    plugged there later changes the answer, so those ends belong to the
-    footprint. A route whose footprint is disjoint from a mutation delta
-    provably evaluates identically before and after the mutation (the walk
-    consults the network only through these ends).
-
-    This is the pure-function form; :meth:`IncrementalPathEvaluator.touches`
-    answers the same question from the trie without re-walking.
-    """
-    seq = tuple(turns)
-    path = evaluate_route(net, h0, seq)
-    for tr in path.traversals:
-        if (tr.src.node, tr.src.port) in endpoints:
-            return True
-        if (tr.dst.node, tr.dst.port) in endpoints:
-            return True
-    if path.status is PathStatus.NOT_ATTACHED:
-        return (h0, HOST_PORT) in endpoints
-    if path.status is PathStatus.NO_SUCH_WIRE:
-        at = path.traversals[-1].dst
-        assert path.failed_at_turn is not None
-        return (at.node, at.port + seq[path.failed_at_turn]) in endpoints
-    return False
-
-
 @dataclass(frozen=True, slots=True)
 class EvalCacheStats:
     """Snapshot of an :class:`IncrementalPathEvaluator`'s counters."""
 
     hits: int = 0
     misses: int = 0
+    #: Flushes: a topology move seen by a walk, or the node backstop.
     invalidations: int = 0
     evaluations: int = 0
     nodes: int = 0
-    #: Surgical (delta-driven) invalidation passes — ``invalidations``
-    #: counts only wholesale flushes.
-    surgical: int = 0
-    #: Trie nodes dropped across all surgical passes.
+    #: Trie nodes dropped across all flushes.
     nodes_dropped: int = 0
-    #: Probes resolved through the sibling-batch hint table. Each such
-    #: probe still credits ``hits`` for every level the hint let it skip
-    #: (the accounting is identical to a full descent of the same
-    #: string); this counter records how often the shortcut itself fired.
+    #: Always 0; benchmarks/e2e/spans.py still reads it by name.
     hinted: int = 0
 
     @property
@@ -285,13 +243,12 @@ class _TrieNode:
         # The wire ends *this node's own step* reads from the network: the
         # crossed wire's two ends for an in-flight extension, the probed
         # (node, out-port) for a NO_SUCH_WIRE verdict, the source's port 0
-        # for a root. Ancestors carry the deps of earlier hops, so a
-        # subtree is stale w.r.t. a mutation delta exactly when some node
-        # on its root path has a dep in the delta — which is what the
-        # surgical invalidation DFS checks. ILLEGAL_TURN and
-        # HIT_HOST_TOO_SOON read only radix/kind (immutable while the node
-        # exists; removal is covered by the ancestor that crossed into the
-        # node), so their dep is empty.
+        # for a root. Ancestors carry the deps of earlier hops, so the
+        # deps on a node's root path are its walk's whole footprint —
+        # which is what :meth:`IncrementalPathEvaluator.touches` reads.
+        # ILLEGAL_TURN and HIT_HOST_TOO_SOON read only radix/kind
+        # (immutable while the node exists; removal is covered by the
+        # ancestor that crossed into the node), so their dep is empty.
         self.dep = dep
         # Incremental circuit-model state (in-flight nodes only): the index
         # of the first directed re-crossing (None while all channels are
@@ -399,43 +356,25 @@ class ProbeInfo:
         )
 
 
-def _collect_subtree(node: _TrieNode, into: set[int]) -> None:
-    """Record the identity of every node in a subtree being dropped.
-
-    The ids let the hint table be pruned precisely (a hint is stale iff it
-    points at a dropped node); the set's size is the drop count. Collected
-    and consumed within one invalidation pass, before any allocation could
-    reuse an address.
-    """
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        into.add(id(n))
-        if n.children:
-            stack.extend(n.children.values())
-
-
 class IncrementalPathEvaluator:
-    """Prefix-trie cache over :func:`evaluate_route`.
+    """Prefix-trie cache over :func:`evaluate_route`, for one mapping run.
 
     Keyed on ``(source host, turns-prefix)``: each trie node stores the
     walk state after consuming that prefix, so evaluating ``turns + (a,)``
     right after ``turns`` costs one switch-hop instead of ``len(turns)+1``.
     That is exactly the access pattern of the mapper's explore loop, which
-    extends known probe strings one turn at a time.
+    extends known probe strings one turn at a time. Every walk descends
+    from its root.
 
-    Correctness is guarded by the network's epoch counter plus its delta
-    journal. When ``net.topology_epoch`` moves, the evaluator asks the
-    network *which wire ends* changed (:meth:`Network.affected_since`) and
-    drops only the subtrees whose cached walk touched one of them — each
-    trie node records the ends its own step read (``_TrieNode.dep``), so
-    "no node on the root path has an affected dep" proves the whole cached
-    walk still evaluates identically. Only when the journal cannot answer
-    (window exceeded) does the evaluator fall back to the wholesale flush.
-    A fault reconfiguration needs no invalidation and is not watched:
-    cached walks never consult the fault model — kill decisions are drawn
-    fresh per probe by the services. Results remain byte-identical to the
-    pure function — including the ``ValueError`` on a non-host source.
+    Correctness is guarded by the network's epoch counter: a walk that
+    finds ``net.topology_epoch`` moved flushes the whole trie first
+    (:meth:`invalidate`, the same routine the node backstop uses). Every
+    remap cycle builds a fresh probe stack, and so a fresh trie; only a
+    topology change in the middle of a run reaches the flush. A fault
+    reconfiguration needs no invalidation and is not watched: cached walks
+    never consult the fault model — kill decisions are drawn fresh per
+    probe by the services. Results remain byte-identical to the pure
+    function — including the ``ValueError`` on a non-host source.
     """
 
     def __init__(self, net: Network, *, max_nodes: int = 1_000_000) -> None:
@@ -447,13 +386,6 @@ class IncrementalPathEvaluator:
 
         self._circuit_type = CircuitModel
         self._roots: dict[str, _TrieNode] = {}
-        # Sibling-batch hints: ``(h0, shared prefix)`` -> trie node after
-        # consuming that prefix, primed by :meth:`warm_siblings`. A walk of
-        # ``prefix + (t,)`` then costs one dict lookup plus one child step
-        # instead of an O(depth) descent. A hint lives as long as its node:
-        # wholesale invalidation clears the table, surgical invalidation
-        # prunes exactly the hints pointing into dropped subtrees.
-        self._hints: dict[tuple[str, tuple[int, ...]], _TrieNode] = {}
         # The hop table: source end ``(node, out_port)`` -> the wire half
         # leaving it, filled on demand (None for an unwired port) and
         # dropped with the trie on invalidation. Plain-tuple keys hash much
@@ -469,9 +401,7 @@ class IncrementalPathEvaluator:
         self._misses = 0
         self._invalidations = 0
         self._evaluations = 0
-        self._surgical = 0
         self._nodes_dropped = 0
-        self._hinted = 0
 
     @property
     def stats(self) -> EvalCacheStats:
@@ -481,82 +411,17 @@ class IncrementalPathEvaluator:
             invalidations=self._invalidations,
             evaluations=self._evaluations,
             nodes=self._n_nodes,
-            surgical=self._surgical,
             nodes_dropped=self._nodes_dropped,
-            hinted=self._hinted,
         )
 
     def invalidate(self) -> None:
         """Drop every cached walk (counted in ``stats.invalidations``)."""
         self._roots.clear()
-        self._hints.clear()
         self._hops.clear()
+        self._nodes_dropped += self._n_nodes
         self._n_nodes = 0
         self._invalidations += 1
         self._topo_epoch = self._net.topology_epoch
-
-    def invalidate_endpoints(
-        self, endpoints: frozenset[Endpoint] | set[Endpoint]
-    ) -> int:
-        """Drop exactly the cached walks that touched the given wire ends.
-
-        A subtree survives iff no node on its root path has a ``dep`` in
-        ``endpoints`` — sound because a walk reads the network only
-        through its deps (see ``_TrieNode.dep``). Sibling hints that point
-        into a dropped subtree are pruned with it; hop records are popped
-        for exactly the affected keys (a changed end may have gone from
-        wired to free or vice versa — the table caches both answers).
-        Returns the number of trie nodes dropped.
-        """
-        dropped_ids: set[int] = set()
-        for h0 in list(self._roots):
-            root = self._roots[h0]
-            if any(e in endpoints for e in root.dep):
-                _collect_subtree(root, dropped_ids)
-                del self._roots[h0]
-                continue
-            stack = [root]
-            while stack:
-                children = stack.pop().children
-                if not children:
-                    continue
-                for turn in list(children):
-                    child = children[turn]
-                    if any(e in endpoints for e in child.dep):
-                        _collect_subtree(child, dropped_ids)
-                        del children[turn]
-                    else:
-                        stack.append(child)
-        dropped = len(dropped_ids)
-        if dropped:
-            self._n_nodes -= dropped
-            if self._hints:
-                self._hints = {
-                    k: v
-                    for k, v in self._hints.items()
-                    if id(v) not in dropped_ids
-                }
-        for key in endpoints:
-            self._hops.pop(key, None)
-        self._surgical += 1
-        self._nodes_dropped += dropped
-        return dropped
-
-    def _refresh(self) -> None:
-        """Catch the cache up after ``net.topology_epoch`` moved.
-
-        The move is resolved surgically through the network's delta
-        journal; an unanswerable (out-of-window) or unbounded delta falls
-        back to the wholesale flush.
-        """
-        net = self._net
-        delta = net.affected_since(self._topo_epoch)
-        if delta is None or delta.unbounded:
-            self.invalidate()
-            return
-        if delta.removed or delta.added:
-            self.invalidate_endpoints(delta.endpoints)
-        self._topo_epoch = net.topology_epoch
 
     def touches(
         self,
@@ -564,14 +429,20 @@ class IncrementalPathEvaluator:
         turns: Iterable[int],
         endpoints: frozenset[Endpoint] | set[Endpoint],
     ) -> bool:
-        """Trie-backed :func:`route_touches`: does this route's footprint
-        intersect the given wire ends?
+        """Does this route's footprint intersect the given wire ends?
+
+        The footprint of a route is every wire end its traversals cross
+        *plus* the end its failure (if any) is pinned to: a NO_SUCH_WIRE
+        verdict depends on the computed output port staying unwired, and a
+        NOT_ATTACHED verdict on the source's port 0 staying free — a wire
+        plugged there later changes the answer. A route whose footprint is
+        disjoint from a mutation delta provably evaluates identically
+        before and after the mutation (the walk consults the network only
+        through these ends).
 
         Walks (and therefore caches) the route like any evaluation, then
-        checks the ``dep`` of every node on its root path: both ends of
-        each crossed wire plus, for an absorbing verdict, the end the
-        failure is pinned to. Purely local computation: no probe is
-        charged.
+        checks the ``dep`` of every node on its root path. Purely local
+        computation: no probe is charged.
         """
         node: _TrieNode | None = self._walk(h0, tuple(turns))
         while node is not None:
@@ -664,16 +535,16 @@ class IncrementalPathEvaluator:
         if self._n_nodes > self._max_nodes:
             # Backstop against unbounded growth on adversarial probe sets:
             # drop the trie but keep handing out this (still valid) node.
-            self._roots.clear()
-            self._hints.clear()
-            self._n_nodes = 0
-            self._invalidations += 1
+            self.invalidate()
         return child
 
-    def _descend(self, node: _TrieNode, seq: tuple[int, ...]) -> _TrieNode:
-        """Follow ``seq`` down from a root, extending where the trie ends;
-        stops at the first absorbing node (every extension of a failed
-        prefix is the identical failure)."""
+    def _walk(self, h0: str, seq: tuple[int, ...]) -> _TrieNode:
+        """Follow ``seq`` down from ``h0``'s root, extending where the trie
+        ends; stops at the first absorbing node (every extension of a
+        failed prefix is the identical failure)."""
+        if self._net.topology_epoch != self._topo_epoch:
+            self.invalidate()
+        node = self._root(h0)
         if node.status is not None:
             return node
         for i, turn in enumerate(seq):
@@ -687,69 +558,6 @@ class IncrementalPathEvaluator:
             if node.status is not None:
                 break
         return node
-
-    def _walk(self, h0: str, seq: tuple[int, ...]) -> _TrieNode:
-        if self._net.topology_epoch != self._topo_epoch:
-            self._refresh()
-        if seq and self._hints:
-            node = self._hints.get((h0, seq[:-1]))
-            if node is not None:
-                self._hinted += 1
-                # Credit one hit per level the hint let us skip, so the
-                # counters read identically to a full descent of the same
-                # string: root + len(seq)-1 prefix children for an
-                # in-flight node, root + failed_at+1 children down to an
-                # absorbing one.
-                if node.status is not None:
-                    # The prefix already failed; so does every extension.
-                    if node.failed_at is None:
-                        self._hits += 1  # absorbing root: NOT_ATTACHED
-                    else:
-                        self._hits += node.failed_at + 2
-                    return node
-                self._hits += len(seq)
-                turn = seq[-1]
-                children = node.children
-                child = children.get(turn) if children else None
-                if child is None:
-                    child = self._extend(node, turn, len(seq) - 1)
-                else:
-                    self._hits += 1
-                return child
-        return self._descend(self._root(h0), seq)
-
-    def warm_siblings(
-        self, h0: str, prefix: Iterable[int], turns: Iterable[int]
-    ) -> int:
-        """Prime the shared prefix for a run of sibling probes.
-
-        The mapper's explore loop extends one probe string by each turn of
-        its port plan; walking the shared prefix per probe costs O(depth)
-        dict hops each. This walks it *once* and records the resulting node
-        in the hint table consulted by :meth:`_walk` — each sibling's
-        evaluation is then one hint lookup plus one child step. Nothing is
-        evaluated speculatively: the final hop happens only when the probe
-        actually arrives, so siblings the caller announces but never probes
-        (a hit narrowed its plan) cost nothing. Hints share the trie's
-        lifetime (an epoch move drops both), so a mid-batch topology
-        mutation falls back to a fresh walk from the root — and so no hint
-        is registered when the node backstop flushed the trie during this
-        very walk: the node is then detached from ``_roots``, where no
-        surgical invalidation could ever find it. Returns the number of
-        siblings the hint covers.
-        """
-        seq = tuple(prefix)
-        if self._net.topology_epoch != self._topo_epoch:
-            self._refresh()
-        if (h0, seq) in self._hints:
-            # Re-primed mid-run (the caller saw a hit): the prefix node is
-            # already hinted, nothing to walk.
-            return sum(1 for _ in turns)
-        flushes = self._invalidations
-        node = self._descend(self._root(h0), seq)
-        if self._invalidations == flushes:
-            self._hints[(h0, seq)] = node
-        return sum(1 for _ in turns)
 
     def evaluate(self, h0: str, turns: Iterable[int]) -> PathResult:
         """Drop-in replacement for :func:`evaluate_route`."""

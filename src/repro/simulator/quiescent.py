@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from repro.simulator.collision import CircuitModel, CollisionModel
 from repro.simulator.faults import FaultModel
@@ -324,17 +323,6 @@ class QuiescentProbeService:
     def _path(self, turns: Turns) -> PathResult:
         """Full :class:`PathResult` (node list included) for subclasses."""
         return self._evaluator.evaluate(self.mapper, turns)
-
-    def warm_siblings(self, prefix: Turns, turns: Iterable[int]) -> None:
-        """Hint from the mapper: each ``prefix + (t,)`` is about to be probed.
-
-        One trie descent primes hint nodes for the whole sibling group
-        (see :meth:`IncrementalPathEvaluator.warm_siblings`); the probes
-        themselves still go through :meth:`_transact` one at a time, so
-        middleware layers, accounting and RNG draw order are byte-identical
-        to the pure walk.
-        """
-        self._evaluator.warm_siblings(self.mapper, tuple(prefix), turns)
 
     def route_crosses(
         self, turns: Turns, endpoints: frozenset[Endpoint] | set[Endpoint]

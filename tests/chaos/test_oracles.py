@@ -126,7 +126,7 @@ class TestRouteOracles:
 
         ori = orient_updown(net)
         return compile_route_tables(
-            net, all_pairs_updown_paths(net, ori), orientation=ori
+            net, all_pairs_updown_paths(net, ori)
         )
 
     def test_updown_tables_pass_both(self):

@@ -7,7 +7,6 @@ from repro.core.mapper import BerkeleyMapper
 from repro.simulator.quiescent import QuiescentProbeService
 from repro.simulator.stack import TraceBusLayer
 from repro.topology.analysis import recommended_search_depth
-from tests.simulator.reference_service import PureWalkProbeService
 
 
 @pytest.fixture()
@@ -78,9 +77,3 @@ class TestCacheSummary:
         assert line.startswith("eval cache:")
         assert "hit rate" in line
         assert "trie nodes" in line
-
-    def test_disabled_cache_renders_cleanly(self, subcluster_c):
-        svc = PureWalkProbeService(subcluster_c, "C-svc")
-        svc.probe_host((1,))
-        assert svc.eval_cache_stats is None
-        assert cache_summary(svc.eval_cache_stats) == "eval cache: disabled"

@@ -72,7 +72,7 @@ class TestRadix4:
         net = _radix4_net()
         ori = orient_updown(net)
         paths = all_pairs_updown_paths(net, ori)
-        tables = compile_route_tables(net, paths, orientation=ori)
+        tables = compile_route_tables(net, paths)
         assert sum(len(t) for t in tables.values()) == 6
         assert routes_deadlock_free(tables)
 

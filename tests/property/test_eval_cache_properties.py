@@ -9,7 +9,10 @@ the final `ProbeStats` counters. That includes runs where faults are
 injected, cables are cut, and the responder set changes mid-sequence — the
 epoch counters on `Network`/`FaultModel` must invalidate exactly enough.
 
-The three tests together run ≥200 randomized cases (120 + 50 + 40).
+The three probe-plan tests together run ≥200 randomized cases (120 + 50 +
+40). `TestMappingEquivalence` pins the same property one layer up: a whole
+`BerkeleyMapper` run on each arm, through a cable cut that lands mid-map
+and flushes the cached arm's trie.
 """
 
 from __future__ import annotations
@@ -19,11 +22,13 @@ import random
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.instrumentation import TraceRecorder
+from repro.core.mapper import BerkeleyMapper
 from repro.simulator.collision import CircuitModel, CutThroughModel, PacketModel
 from repro.simulator.faults import FaultModel
 from repro.simulator.quiescent import QuiescentProbeService
-from repro.simulator.stack import TraceBusLayer, build_service_stack
+from repro.simulator.stack import CountingLayer, TraceBusLayer, build_service_stack
 from repro.topology.generators import random_san
+from repro.topology.isomorphism import networks_equal
 from repro.topology.model import TopologyError
 from tests.simulator.reference_service import PureWalkProbeService
 
@@ -133,7 +138,7 @@ def _apply(op, payload, cached, pure) -> None:
             net.disconnect(random.Random(payload).choice(wires))
     elif op == "plug_wire":
         # Added connectivity invalidates cached *absences* (memoized
-        # NO_SUCH_WIRE walks) — the surgical path must drop exactly those.
+        # NO_SUCH_WIRE walks) — the flush must drop those too.
         free = [
             (name, port)
             for name in sorted(net.switches)
@@ -243,4 +248,64 @@ class TestCacheEquivalence:
             if i == responders_at:
                 _apply("responders", responder_seed, cached, pure)
             _apply(op, payload, cached, pure)
+        _assert_stats_identical(cached, pure)
+
+
+def _map_with_cut(params, service_cls, *, seed, cut_at, cut_seed):
+    """One full mapping run with a cable cut after ``cut_at`` probes.
+
+    Each arm builds its own Network from the same generator seed, so the
+    arms never see each other's damage. The cut fires off a probe-count
+    trigger and so lands at the same probe ordinal in both arms.
+    """
+    net = random_san(**params)
+
+    def cut() -> None:
+        wires = net.wires
+        if wires:
+            net.disconnect(random.Random(cut_seed).choice(wires))
+
+    svc = build_service_stack(
+        net,
+        sorted(net.hosts)[0],
+        layers=(CountingLayer(((cut_at, cut),)), _KeptTrace()),
+        faults=FaultModel(seed=seed),
+        seed=seed,
+        service_cls=service_cls,
+    )
+    try:
+        result = BerkeleyMapper(svc, search_depth=6, host_first=False).run()
+    except Exception as exc:  # a mid-run cut may legally trip the mapper
+        return f"{type(exc).__name__}: {exc}", svc
+    return result, svc
+
+
+class TestMappingEquivalence:
+    @given(
+        params=network_params,
+        cut_at=st.integers(min_value=0, max_value=40),
+        cut_seed=st.integers(min_value=0, max_value=10_000),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=40, **_SETTINGS)
+    def test_midrun_cut_maps_alike(self, params, cut_at, cut_seed, seed):
+        """A cable cut mid-map flushes the cached arm's trie; the whole map,
+        every probe record and every cost must match the pure walk."""
+        try:
+            (got, cached), (want, pure) = (
+                _map_with_cut(
+                    params, cls, seed=seed, cut_at=cut_at, cut_seed=cut_seed
+                )
+                for cls in (QuiescentProbeService, PureWalkProbeService)
+            )
+        except TopologyError:
+            return
+        assert type(got) is type(want)
+        if isinstance(got, str):
+            assert got == want
+        else:
+            assert networks_equal(got.network, want.network)
+            assert (got.merges, got.explorations) == (
+                want.merges, want.explorations
+            )
         _assert_stats_identical(cached, pure)

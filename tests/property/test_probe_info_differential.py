@@ -75,9 +75,7 @@ def _steered(net, h0, picks) -> tuple[int, ...]:
     return tuple(turns) or (1,)
 
 
-def _check(ev, net, h0, turns, collision, warm) -> None:
-    if warm:
-        ev.warm_siblings(h0, turns[:-1], turns[-1:])
+def _check(ev, net, h0, turns, collision) -> None:
     want = evaluate_route(net, h0, turns)
     info = ev.probe_info(h0, turns, collision)
     assert (info.status, info.hops, info.delivered_to) == (
@@ -118,14 +116,13 @@ def _check(ev, net, h0, turns, collision, warm) -> None:
     collision=_collisions,
     strings=st.lists(_turns, min_size=2, max_size=6),
     walks=st.lists(_picks, min_size=2, max_size=6),
-    warm=st.booleans(),
     seed=st.integers(min_value=0, max_value=10_000),
 )
 @settings(
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 def test_derived_views_match_the_pure_walk(
-    params, collision, strings, walks, warm, seed
+    params, collision, strings, walks, seed
 ):
     try:
         net = _fabric(params)
@@ -138,7 +135,7 @@ def test_derived_views_match_the_pure_walk(
 
     def check_all() -> None:
         for turns in probes:
-            _check(ev, net, h0, turns, collision, warm)
+            _check(ev, net, h0, turns, collision)
 
     check_all()
     walked = [

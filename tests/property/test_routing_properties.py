@@ -31,7 +31,7 @@ _SETTINGS = dict(
 def _pipeline(net):
     ori = orient_updown(net)
     paths = all_pairs_updown_paths(net, ori)
-    tables = compile_route_tables(net, paths, orientation=ori)
+    tables = compile_route_tables(net, paths)
     return ori, paths, tables
 
 

@@ -1,20 +1,18 @@
-"""Surgical invalidation property: warm answers equal cold answers.
+"""Trie invalidation property: warm answers equal cold answers.
 
-PR-2's equivalence harness proves the trie evaluator invisible against the
-uncached escape hatch *in lockstep*. This suite attacks the new surgical
-path from the other side: drive one long-lived cached service through an
-arbitrary mutator sequence — cable cuts and plugs, node removals, dead-wire
-reconfigurations, probability changes, probes interleaved throughout so the
-trie is warm when the mutations land — then compare every query against a
-**freshly built** evaluator that walks the final network cold. If surgical
-invalidation ever under-drops (keeps a cached subtree whose walk crossed a
-changed wire end) some query must disagree; the property forbids it for
+The probe trie is a cache for one mapping run, and a topology move in the
+middle of the run flushes it whole. This suite drives one long-lived cached
+service through an arbitrary mutator sequence — cable cuts and plugs, node
+removals, dead-wire reconfigurations, probability changes, probes
+interleaved throughout so the trie is warm when the mutations land — then
+compares every query against a **freshly built** evaluator that walks the
+final network cold. If a flush were ever missed (a cached walk kept across
+a changed wire end) some query must disagree; the property forbids it for
 every sequence hypothesis can dream up.
 
-The warm evaluator must also never fall back to a wholesale flush here:
-every mutation in the op set journals a bounded delta (probability changes
-are fault-side and cost no trie state at all), so ``invalidations`` staying
-at zero is part of the property.
+The flush count is part of the property: exactly one per topology-epoch
+move a walk sees. Fault-side changes (dead wires, probabilities) are not
+topology moves and flush nothing.
 """
 
 from __future__ import annotations
@@ -51,6 +49,7 @@ _probe_ops = st.one_of(
     st.tuples(st.just("switch"), _turns),
     st.tuples(st.just("loopback"), _loop_turns),
 )
+_PROBE_KINDS = ("host", "switch", "loopback")
 _ops = st.one_of(
     _probe_ops,
     st.tuples(st.just("cut"), st.integers(min_value=0, max_value=10_000)),
@@ -116,7 +115,17 @@ def _apply(op, payload, svc: QuiescentProbeService, faults: FaultModel) -> None:
         raise AssertionError(op)
 
 
-class TestSurgicalEqualsCold:
+def _same_answers(warm, cold, queries) -> None:
+    for op, payload in queries:
+        if op == "host":
+            assert warm.probe_host(payload) == cold.probe_host(payload)
+        elif op == "switch":
+            assert warm.probe_switch(payload) == cold.probe_switch(payload)
+        else:
+            assert warm.probe_loopback(payload) == cold.probe_loopback(payload)
+
+
+class TestFlushEqualsCold:
     @given(
         params=network_params,
         plan=st.lists(_ops, min_size=5, max_size=30),
@@ -128,8 +137,8 @@ class TestSurgicalEqualsCold:
         self, params, plan, queries, seed
     ):
         """After *any* mutator sequence — including cuts landing on a warm
-        trie mid-run — the surgically maintained evaluator answers every
-        probe exactly as a cold evaluator over the final network does."""
+        trie mid-run — the flushed evaluator answers every probe exactly as
+        a cold evaluator over the final network does."""
         try:
             net = random_san(**params)
         except TopologyError:
@@ -139,10 +148,17 @@ class TestSurgicalEqualsCold:
         warm = QuiescentProbeService(
             net=net, mapper=mapper, collision=CircuitModel(), faults=warm_faults
         )
+        # A probe that finds the topology epoch moved since the last probe
+        # flushes the trie once, however many mutations moved it.
+        epoch, moves = net.topology_epoch, 0
         for op, payload in plan:
+            if op in _PROBE_KINDS and net.topology_epoch != epoch:
+                epoch, moves = net.topology_epoch, moves + 1
             _apply(op, payload, warm, warm_faults)
         if mapper not in net.hosts:
             return  # an unplug_node cascade took the mapper host with it
+        if net.topology_epoch != epoch:
+            moves += 1  # seen by the first query
 
         # Quiesce the probabilistic knobs so the comparison is
         # deterministic, then rebuild cold over the *same* final state.
@@ -152,22 +168,8 @@ class TestSurgicalEqualsCold:
         cold = QuiescentProbeService(
             net=net, mapper=mapper, collision=CircuitModel(), faults=cold_faults
         )
-
-        for op, payload in queries:
-            if op == "host":
-                assert warm.probe_host(payload) == cold.probe_host(payload)
-            elif op == "switch":
-                assert warm.probe_switch(payload) == cold.probe_switch(payload)
-            else:
-                assert warm.probe_loopback(payload) == cold.probe_loopback(
-                    payload
-                )
-
-        # Every op above journals a bounded delta (probability changes are
-        # fault-side: a cursor move, no trie state) — the wholesale flush
-        # path must never have fired.
-        stats = warm.eval_cache_stats
-        assert stats is not None and stats.invalidations == 0
+        _same_answers(warm, cold, queries)
+        assert warm.eval_cache_stats.invalidations == moves
 
     @given(
         params=network_params,
@@ -176,12 +178,9 @@ class TestSurgicalEqualsCold:
         queries=st.lists(_probe_ops, min_size=3, max_size=10),
     )
     @settings(max_examples=60, **_SETTINGS)
-    def test_single_cut_drops_only_crossing_subtrees(
-        self, params, warmup, cut_seed, queries
-    ):
-        """A single cable cut on a warm trie keeps every cached walk whose
-        footprint avoids the cut — and the kept walks still answer
-        identically to a cold evaluator."""
+    def test_single_cut_flushes_once(self, params, warmup, cut_seed, queries):
+        """A single cable cut on a warm trie drops every cached walk, once,
+        and the rebuilt walks answer identically to a cold evaluator."""
         try:
             net = random_san(**params)
         except TopologyError:
@@ -194,24 +193,13 @@ class TestSurgicalEqualsCold:
             _apply(op, payload, warm, warm.faults)
         if not net.wires:
             return
-        before = warm.eval_cache_stats
-        nodes_before = before.nodes if before is not None else 0
+        nodes_before = warm.eval_cache_stats.nodes
         net.disconnect(random.Random(cut_seed).choice(net.wires))
 
         cold = QuiescentProbeService(
             net=net, mapper=mapper, collision=CircuitModel(), faults=FaultModel()
         )
-        for op, payload in queries:
-            if op == "host":
-                assert warm.probe_host(payload) == cold.probe_host(payload)
-            elif op == "switch":
-                assert warm.probe_switch(payload) == cold.probe_switch(payload)
-            else:
-                assert warm.probe_loopback(payload) == cold.probe_loopback(
-                    payload
-                )
+        _same_answers(warm, cold, queries)
         after = warm.eval_cache_stats
-        assert after is not None
-        assert after.invalidations == 0
-        # Surgical: nothing beyond what existed can have been dropped.
-        assert after.nodes_dropped <= nodes_before
+        assert after.invalidations == 1
+        assert after.nodes_dropped == nodes_before

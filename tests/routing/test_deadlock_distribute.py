@@ -16,7 +16,7 @@ from tests.routing.reference_deadlock import channel_dependency_graph, flat_rout
 def _updown_tables(net):
     ori = orient_updown(net)
     paths = all_pairs_updown_paths(net, ori)
-    return compile_route_tables(net, paths, orientation=ori)
+    return compile_route_tables(net, paths)
 
 
 class TestDeadlockFreedom:

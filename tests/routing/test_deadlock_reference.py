@@ -51,7 +51,7 @@ _SETTINGS = dict(
 def updown_tables(net: Network, seed: int = 0) -> dict[str, RouteTable]:
     orientation = orient_updown(net)
     paths = all_pairs_updown_paths(net, orientation)
-    return compile_route_tables(net, paths, orientation=orientation, seed=seed)
+    return compile_route_tables(net, paths, seed=seed)
 
 
 def shortest_path_tables(net: Network, seed: int = 0) -> dict[str, RouteTable]:

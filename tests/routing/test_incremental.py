@@ -13,7 +13,7 @@ from repro.topology.builder import NetworkBuilder
 def _tables(net, seed=0):
     ori = orient_updown(net)
     paths = all_pairs_updown_paths(net, ori)
-    return compile_route_tables(net, paths, orientation=ori, seed=seed)
+    return compile_route_tables(net, paths, seed=seed)
 
 
 @pytest.fixture()

@@ -77,7 +77,7 @@ class TestVersusUpDown:
 
         ori = orient_updown(net)
         paths = all_pairs_updown_paths(net, ori)
-        ud_tables = compile_route_tables(net, paths, orientation=ori)
+        ud_tables = compile_route_tables(net, paths)
         ud_quality = analyze_routes(net, ud_tables, ori)
         assert ud_quality.max_path_inflation > 1.0
 

@@ -106,7 +106,7 @@ class TestCompilation:
     def test_turns_deliver_on_network(self, ring_net):
         ori = orient_updown(ring_net)
         paths = all_pairs_updown_paths(ring_net, ori)
-        tables = compile_route_tables(ring_net, paths, orientation=ori)
+        tables = compile_route_tables(ring_net, paths)
         for table in tables.values():
             for dst, route in table.routes.items():
                 out = evaluate_route(ring_net, table.host, route.turns)
@@ -123,8 +123,8 @@ class TestCompilation:
     def test_parallel_wire_choice_is_seeded(self, two_switch_net):
         ori = orient_updown(two_switch_net)
         paths = all_pairs_updown_paths(two_switch_net, ori)
-        a = compile_route_tables(two_switch_net, paths, orientation=ori, seed=1)
-        b = compile_route_tables(two_switch_net, paths, orientation=ori, seed=1)
+        a = compile_route_tables(two_switch_net, paths, seed=1)
+        b = compile_route_tables(two_switch_net, paths, seed=1)
         assert all(
             a[h].routes[d].turns == b[h].routes[d].turns
             for h in a
@@ -139,7 +139,7 @@ class TestCompilation:
         net = request.getfixturevalue(fixture)
         ori = orient_updown(net)
         paths = all_pairs_updown_paths(net, ori)
-        tables = compile_route_tables(net, paths, orientation=ori, seed=3)
+        tables = compile_route_tables(net, paths, seed=3)
         routes = [r for table in tables.values() for r in table.routes.values()]
         held = [t for route in routes for t in route.traversals]
         assert len({id(t) for t in held}) == len(set(held)) <= 2 * len(net.wires)
@@ -155,7 +155,7 @@ class TestCompilation:
         net = build_named_topology("now-c", {})
         ori = orient_updown(net)
         paths = all_pairs_updown_paths(net, ori)
-        tables = compile_route_tables(net, paths, orientation=ori)
+        tables = compile_route_tables(net, paths)
         routes = [r for table in tables.values() for r in table.routes.values()]
         by_entry: dict[tuple[str, str], set[int]] = {}
         for route in routes:
@@ -175,7 +175,7 @@ class TestCompilation:
         two routes happen to agree."""
         ori = orient_updown(two_switch_net)
         paths = all_pairs_updown_paths(two_switch_net, ori)
-        tables = compile_route_tables(two_switch_net, paths, orientation=ori, seed=0)
+        tables = compile_route_tables(two_switch_net, paths, seed=0)
         crossing = [
             r
             for table in tables.values()
@@ -191,7 +191,7 @@ class TestCompilation:
     def test_route_table_len(self, ring_net):
         ori = orient_updown(ring_net)
         paths = all_pairs_updown_paths(ring_net, ori)
-        tables = compile_route_tables(ring_net, paths, orientation=ori)
+        tables = compile_route_tables(ring_net, paths)
         for table in tables.values():
             assert len(table) == len(ring_net.hosts) - 1
 
@@ -213,7 +213,7 @@ class TestCompiledRouteIsAValue:
         net = build_named_topology("now-full", {})
         ori = orient_updown(net)
         return compile_route_tables(
-            net, all_pairs_updown_paths(net, ori), orientation=ori
+            net, all_pairs_updown_paths(net, ori)
         )
 
     def test_fields_are_fixed_and_read_only(self, now_tables):

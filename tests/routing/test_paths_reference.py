@@ -108,11 +108,11 @@ def assert_same_paths(net: Network, orientation: UpDownOrientation):
     return new, ref
 
 
-def assert_same_tables(net: Network, orientation, new, ref) -> None:
+def assert_same_tables(net: Network, new, ref) -> None:
     """Equal tables for both compile seeds: table order, route order, every
     route by value, and the same sharing of channel objects."""
     for seed in COMPILE_SEEDS:
-        got = compile_route_tables(net, new, orientation=orientation, seed=seed)
+        got = compile_route_tables(net, new, seed=seed)
         want = reference_route_tables(net, ref, seed=seed)
         assert list(got) == list(want)
         for host, table in got.items():
@@ -134,7 +134,7 @@ def assert_equals_reference(net: Network, **orient_kwargs) -> None:
         orientation = orient_updown(net, **orient_kwargs)
     except ValueError:
         return  # nothing to route; assert_same_root saw both sides refuse
-    assert_same_tables(net, orientation, *assert_same_paths(net, orientation))
+    assert_same_tables(net, *assert_same_paths(net, orientation))
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +214,7 @@ def test_host_above_its_switch_is_core():
     assert not orientation.is_up("h0", "s2")
     new, ref = assert_same_paths(net, orientation)
     assert "h0" not in new.leaf_switch and "h1" in new.leaf_switch
-    assert_same_tables(net, orientation, new, ref)
+    assert_same_tables(net, new, ref)
 
 
 def test_dual_homed_host_is_core(monkeypatch):

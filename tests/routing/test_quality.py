@@ -13,7 +13,7 @@ from repro.topology.generators import build_subcluster
 def _route(net, *, relabel=True, seed=0):
     ori = orient_updown(net, relabel_dominant=relabel)
     paths = all_pairs_updown_paths(net, ori)
-    tables = compile_route_tables(net, paths, orientation=ori, seed=seed)
+    tables = compile_route_tables(net, paths, seed=seed)
     return ori, tables
 
 
@@ -62,7 +62,7 @@ class TestQualityMetrics:
         net = b.build()
         ori_off = orient_updown(net, root="root", relabel_dominant=False)
         paths = all_pairs_updown_paths(net, ori_off)
-        tables = compile_route_tables(net, paths, orientation=ori_off)
+        tables = compile_route_tables(net, paths)
         q_off = analyze_routes(net, tables, ori_off)
         assert q_off.unused_switches == ["far"]
 

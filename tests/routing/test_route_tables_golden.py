@@ -149,7 +149,7 @@ def compute_digests(name: str) -> dict[str, str]:
     paths = all_pairs_updown_paths(net, orientation)
     return {
         str(seed): tables_digest(
-            compile_route_tables(net, paths, orientation=orientation, seed=seed)
+            compile_route_tables(net, paths, seed=seed)
         )
         for seed in COMPILE_SEEDS
     }

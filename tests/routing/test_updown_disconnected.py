@@ -36,7 +36,7 @@ class TestDisconnectedMaps:
     def test_intra_island_routes_only(self, two_islands):
         ori = orient_updown(two_islands)
         paths = all_pairs_updown_paths(two_islands, ori)
-        tables = compile_route_tables(two_islands, paths, orientation=ori)
+        tables = compile_route_tables(two_islands, paths)
         assert set(tables["h0"].routes) == {"h1"}
         assert set(tables["h2"].routes) == {"h3"}
         assert routes_deadlock_free(tables)

@@ -83,7 +83,7 @@ def _document(name: str) -> dict:
     net = FABRICS[name]()
     orientation = orient_updown(net)
     paths = all_pairs_updown_paths(net, orientation)
-    tables = compile_route_tables(net, paths, orientation=orientation, seed=0)
+    tables = compile_route_tables(net, paths, seed=0)
     return json.loads(json.dumps(route_tables_to_dict(tables)))
 
 

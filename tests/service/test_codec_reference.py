@@ -123,7 +123,7 @@ def assert_equals_reference(tables: dict[str, RouteTable]) -> None:
 def _updown_tables(net: Network, seed: int, orientation=None):
     orientation = orientation or orient_updown(net)
     paths = all_pairs_updown_paths(net, orientation)
-    return compile_route_tables(net, paths, orientation=orientation, seed=seed)
+    return compile_route_tables(net, paths, seed=seed)
 
 
 @pytest.mark.parametrize(

@@ -53,7 +53,7 @@ def mapped_tables(request):
     result = request.getfixturevalue("mapped_c")
     orientation = orient_updown(result.network)
     paths = all_pairs_updown_paths(result.network, orientation)
-    return compile_route_tables(result.network, paths, orientation=orientation)
+    return compile_route_tables(result.network, paths)
 
 
 class TestMapResultRoundTrip:

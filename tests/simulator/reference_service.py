@@ -1,4 +1,4 @@
-"""The pure-walk probe service: every probe re-walked, no trie, no hints.
+"""The pure-walk probe service: every probe re-walked, no trie.
 
 This is what ``QuiescentProbeService(use_cache=False)`` was before the
 option left the production constructor: a subclass overriding exactly the
@@ -6,8 +6,7 @@ evaluation methods with the stateless :func:`evaluate_route` /
 :func:`route_touches` bodies. It draws from the fault RNG at the same
 points as the cached service, so records are byte-comparable. Inject it
 through the ``service_cls=`` seam of ``build_service_stack``; it is the
-oracle of ``tests/property/test_eval_cache_properties.py``,
-``test_batch_equivalence.py`` and ``tests/core/test_instrumentation.py``.
+oracle of ``tests/property/test_eval_cache_properties.py``.
 """
 
 from __future__ import annotations
@@ -19,10 +18,41 @@ from repro.simulator.path_eval import (
     PathStatus,
     ProbeInfo,
     evaluate_route,
-    route_touches,
 )
 from repro.simulator.quiescent import QuiescentProbeService
 from repro.simulator.turns import Turns, switch_probe_turns
+from repro.topology.delta import Endpoint
+from repro.topology.model import HOST_PORT, Network
+
+
+def route_touches(
+    net: Network,
+    h0: str,
+    turns: Iterable[int],
+    endpoints: frozenset[Endpoint] | set[Endpoint],
+) -> bool:
+    """Whether the message path of ``turns`` touches any wire end given.
+
+    The pure-function form of
+    :meth:`~repro.simulator.path_eval.IncrementalPathEvaluator.touches`:
+    every wire end the walk crosses, plus the end its failure (if any) is
+    pinned to — the computed output port of a NO_SUCH_WIRE verdict, the
+    source's port 0 of a NOT_ATTACHED one.
+    """
+    seq = tuple(turns)
+    path = evaluate_route(net, h0, seq)
+    for tr in path.traversals:
+        if (tr.src.node, tr.src.port) in endpoints:
+            return True
+        if (tr.dst.node, tr.dst.port) in endpoints:
+            return True
+    if path.status is PathStatus.NOT_ATTACHED:
+        return (h0, HOST_PORT) in endpoints
+    if path.status is PathStatus.NO_SUCH_WIRE:
+        at = path.traversals[-1].dst
+        assert path.failed_at_turn is not None
+        return (at.node, at.port + seq[path.failed_at_turn]) in endpoints
+    return False
 
 
 class PureWalkProbeService(QuiescentProbeService):
@@ -44,9 +74,6 @@ class PureWalkProbeService(QuiescentProbeService):
 
     def _path(self, turns: Turns) -> PathResult:
         return evaluate_route(self.net, self.mapper, turns)
-
-    def warm_siblings(self, prefix: Turns, turns: Iterable[int]) -> None:
-        """Nothing to prime."""
 
     def route_crosses(self, turns: Turns, endpoints) -> bool:
         return route_touches(self.net, self.mapper, tuple(turns), endpoints)

@@ -56,41 +56,32 @@ class TestEvaluate:
         ev.evaluate("C-n00", (5, 1, -2, 2))
         assert ev.stats.nodes == nodes_before + 1
 
-    def test_warm_prefills_the_walk(self, now_c):
-        ev = IncrementalPathEvaluator(now_c)
-        ev.warm_siblings("C-n00", (5, 1, -2), (2,))
-        nodes = ev.stats.nodes
-        ev.evaluate("C-n00", (5, 1, -2))
-        assert ev.stats.nodes == nodes  # nothing new to build
-        assert ev.stats.hits > 0
+
+def _answer(ev, turns):
+    got = ev.evaluate("C-n00", turns)
+    return got.status, got.nodes, got.delivered_to, got.failed_at_turn
 
 
 class TestInvalidation:
-    def test_topology_mutation_invalidates_surgically(self, now_c):
+    def test_mid_run_cut_flushes_once_and_answers_cold(self, now_c):
         ev = IncrementalPathEvaluator(now_c)
-        before = ev.evaluate("C-n00", (5, 1))
-        wire = next(iter(now_c.wires))
-        now_c.disconnect(wire)
-        after = ev.evaluate("C-n00", (5, 1))
-        # The delta journal localizes the cut: a surgical pass, never a
-        # wholesale flush.
-        assert ev.stats.invalidations == 0
-        assert ev.stats.surgical >= 1
-        want = evaluate_route(now_c, "C-n00", (5, 1))
-        assert (after.status, after.delivered_to) == (
-            want.status,
-            want.delivered_to,
-        )
-        # Restore so other asserts on the shared fixture would still hold.
-        end_a, end_b = wire.a, wire.b
-        now_c.connect(end_a.node, end_a.port, end_b.node, end_b.port)
-        assert before.status is PathStatus.DELIVERED or True
+        for turns in PROBES:
+            ev.evaluate("C-n00", turns)
+        nodes = ev.stats.nodes
+        last = evaluate_route(now_c, "C-n00", (5, 1, -2)).traversals[-1]
+        now_c.disconnect(now_c.wire_at(last.src.node, last.src.port))
+        cold = IncrementalPathEvaluator(now_c)
+        for turns in PROBES:
+            assert _answer(ev, turns) == _answer(cold, turns)
+        assert ev.stats.invalidations == 1
+        assert ev.stats.nodes_dropped == nodes
 
-    def test_unrelated_cut_keeps_cached_walks(self, now_c):
+    def test_unrelated_cut_flushes_too(self, now_c):
         ev = IncrementalPathEvaluator(now_c)
         ev.evaluate("C-n00", (5, 1))
         nodes = ev.stats.nodes
-        # Cut a wire the cached walk never crossed: the subtree survives.
+        # A wire the cached walk never crossed: the trie goes all the same,
+        # and the walk is rebuilt node for node.
         path = evaluate_route(now_c, "C-n00", (5, 1))
         crossed = {t.src for t in path.traversals} | {
             t.dst for t in path.traversals
@@ -100,10 +91,18 @@ class TestInvalidation:
         )
         now_c.disconnect(wire)
         ev.evaluate("C-n00", (5, 1))
+        assert ev.stats.invalidations == 1
+        assert ev.stats.nodes_dropped == nodes
         assert ev.stats.nodes == nodes
-        assert ev.stats.nodes_dropped == 0
-        end_a, end_b = wire.a, wire.b
-        now_c.connect(end_a.node, end_a.port, end_b.node, end_b.port)
+
+    def test_epoch_moves_between_walks_flush_once(self, now_c):
+        ev = IncrementalPathEvaluator(now_c)
+        before = _answer(ev, (5, 1, -2))
+        wire = next(iter(now_c.wires))
+        now_c.disconnect(wire)
+        now_c.connect(wire.a.node, wire.a.port, wire.b.node, wire.b.port)
+        assert _answer(ev, (5, 1, -2)) == before
+        assert ev.stats.invalidations == 1
 
     def test_fault_reconfig_is_cache_transparent(self, now_c):
         faults = FaultModel()
@@ -175,21 +174,22 @@ class TestNodeBackstop:
             )
         assert ev.stats.nodes <= 3 + 2  # cap plus the walk in flight
 
-    @pytest.mark.parametrize("prime", ["warm_siblings", "walk"])
+    @pytest.mark.parametrize("prime", ["walk", "loopback"])
     def test_cut_after_a_backstop_flush_is_seen(self, prime):
         """The backstop fires inside the prefix walk, which then finishes
         on a chain detached from the roots. Nothing may keep serving that
-        chain: the surgical invalidation DFS starts at the roots and would
-        never reach it (a hint registered after the flush used to)."""
+        chain once the topology moves. The backstop flush is the epoch
+        flush: it counts the nodes it drops."""
         ring = build_ring(4, hosts_per_switch=1)
         h0 = sorted(ring.hosts)[0]
         ev = IncrementalPathEvaluator(ring, max_nodes=3)
         prefix = (-2, 1, 1)
-        if prime == "warm_siblings":
-            ev.warm_siblings(h0, prefix, (1,))
+        if prime == "loopback":
+            ev.loopback_info(h0, prefix)
         else:
             ev.evaluate(h0, prefix)
         assert ev.stats.invalidations == 1
+        assert ev.stats.nodes_dropped == 4  # the cap plus the node past it
         last = evaluate_route(ring, h0, prefix).traversals[-1]
         ring.disconnect(ring.wire_at(last.src.node, last.src.port))
         got = ev.evaluate(h0, (*prefix, -7))
