@@ -25,7 +25,7 @@ from repro import (
     compile_route_tables,
     core_network,
     create_mapper,
-    distribute_routes,
+    distribute_incremental,
     match_networks,
     orient_updown,
     recommended_search_depth,
@@ -92,7 +92,7 @@ def main() -> None:
     )
 
     # --- 6: distribution ---------------------------------------------------
-    report = distribute_routes(the_map, mapper_host, tables)
+    report = distribute_incremental(the_map, mapper_host, tables, None)
     print(
         f"distributed tables to {len(report.delivered)} interfaces "
         f"({report.bytes_sent} bytes, {report.elapsed_ms:.1f} ms)"

@@ -54,7 +54,7 @@ from repro.core.remapper import RemapCycle, RemapperDaemon
 from repro.routing import (
     all_pairs_updown_paths,
     compile_route_tables,
-    distribute_routes,
+    distribute_incremental,
     orient_updown,
     routes_deadlock_free,
 )
@@ -78,7 +78,7 @@ from repro.topology.generators import (
     random_san,
 )
 from repro.topology.diff import MapDiff, diff_networks
-from repro.topology.isomorphism import isomorphic_up_to_port_offsets, match_networks
+from repro.topology.isomorphism import match_networks
 from repro.topology.serialize import load_network, save_network
 
 __version__ = "1.0.0"
@@ -113,8 +113,7 @@ __all__ = [
     "core_network",
     "create_mapper",
     "diff_networks",
-    "distribute_routes",
-    "isomorphic_up_to_port_offsets",
+    "distribute_incremental",
     "load_network",
     "mapper_names",
     "match_networks",

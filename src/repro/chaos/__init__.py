@@ -19,7 +19,6 @@ from repro.chaos.oracles import (
     CellContext,
     OracleVerdict,
     effective_network,
-    route_tables_equal,
 )
 from repro.chaos.runner import (
     CampaignConfig,
@@ -48,7 +47,6 @@ __all__ = [
     "build_topology",
     "demo_campaign",
     "effective_network",
-    "route_tables_equal",
     "run_campaign",
     "run_cell",
     "save_report",

@@ -26,7 +26,7 @@ itself — it needs two executions — and reported under the same
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Protocol
+from typing import Protocol
 
 from repro.routing.compile_routes import RouteTable
 from repro.routing.deadlock import routes_deadlock_free
@@ -48,7 +48,6 @@ __all__ = [
     "QuotientMapOracle",
     "RouteDeliveryOracle",
     "effective_network",
-    "route_tables_equal",
 ]
 
 
@@ -264,38 +263,3 @@ DEFAULT_ORACLES: tuple[Oracle, ...] = (
     ConvergenceOracle(),
     NoContradictionOracle(),
 )
-
-
-# ---------------------------------------------------------------------------
-# differential helper (shared with the routing/incremental chaos tests)
-# ---------------------------------------------------------------------------
-def route_tables_equal(
-    a: dict[str, RouteTable] | None,
-    b: dict[str, RouteTable] | None,
-    *,
-    hosts: Iterable[str] | None = None,
-) -> tuple[bool, str]:
-    """Turn-string equality of two table generations (the differential oracle).
-
-    Compares host -> destination -> turns; ``hosts`` restricts the check to
-    a subset (e.g. the hosts a partial recompilation claims to have updated).
-    Returns ``(equal, first difference)``.
-    """
-    a = a or {}
-    b = b or {}
-    keys = set(a) | set(b)
-    if hosts is not None:
-        keys &= set(hosts)
-    for host in sorted(keys):
-        ta, tb = a.get(host), b.get(host)
-        if ta is None or tb is None:
-            return False, f"host {host} present in only one generation"
-        if set(ta.routes) != set(tb.routes):
-            return False, f"host {host} routes to different destination sets"
-        for dst in sorted(ta.routes):
-            if ta.routes[dst].turns != tb.routes[dst].turns:
-                return False, (
-                    f"{host}->{dst}: {ta.routes[dst].turns} != "
-                    f"{tb.routes[dst].turns}"
-                )
-    return True, ""

@@ -154,10 +154,6 @@ class TraceAnalysis:
         denom = self.answered_us + self.timeout_us
         return self.timeout_us / denom if denom else 0.0
 
-    def hit_ratio_at(self, length: int) -> float:
-        probes, hits = self.by_length.get(length, (0, 0))
-        return hits / probes if probes else 0.0
-
     def histogram(self) -> str:
         """Plain-text per-length histogram (probes, hits, ratio)."""
         lines = ["len  probes  hits  ratio"]

@@ -234,8 +234,8 @@ class BerkeleyMapper(ModelGraph):
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
-    def run(self) -> MapResult:
-        """Map the network and return the result."""
+    def map(self) -> MapResult:
+        """Map the network — the :class:`Mapper` protocol entry point."""
         prof = self._prof
         self._initialize()
         self._seed_phase()
@@ -267,17 +267,8 @@ class BerkeleyMapper(ModelGraph):
             seed_fallback=self._seed_fallback,
         )
 
-    def map(self) -> MapResult:
-        """Map the network — the :class:`Mapper` protocol entry point.
-
-        Delegates to :meth:`run`; the two are the same operation. ``run``
-        predates the protocol and stays for callers that know the
-        concrete class, ``map`` is what registry-driven drivers call.
-        """
-        return self.run()
-
     def seed_with(self, seed: MapSeed) -> None:
-        """Install a prior-map seed (must be called before :meth:`run`).
+        """Install a prior-map seed (must be called before :meth:`map`).
 
         Exists so drivers that build mappers through an injected factory
         (the remapper daemon, the chaos runner) can add seeding without

@@ -30,8 +30,7 @@ from repro.core.mapper_protocol import (
 )
 from repro.routing.compile_routes import RouteTable, compile_route_tables
 from repro.routing.deadlock import routes_deadlock_free
-from repro.routing.distribute import DistributionReport
-from repro.routing.incremental import distribute_incremental
+from repro.routing.incremental import DistributionReport, distribute_incremental
 from repro.routing.paths import all_pairs_updown_paths
 from repro.routing.updown import orient_updown
 from repro.simulator.collision import CircuitModel, CollisionModel

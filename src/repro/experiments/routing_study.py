@@ -22,7 +22,7 @@ from repro.experiments.tables import print_table
 from repro.routing import (
     all_pairs_updown_paths,
     compile_route_tables,
-    distribute_routes,
+    distribute_incremental,
     orient_updown,
     routes_deadlock_free,
 )
@@ -72,7 +72,7 @@ def run(systems=SYSTEMS) -> list[RoutingRow]:
                 ):
                     valid += 1
                 max_hops = max(max_hops, route.hops)
-        report = distribute_routes(m, fixture.mapper_host, tables)
+        report = distribute_incremental(m, fixture.mapper_host, tables, None)
         rows.append(
             RoutingRow(
                 system=name,

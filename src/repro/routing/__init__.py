@@ -16,16 +16,19 @@ raw BFS labeling) are relabeled per the paper's heuristic.
   source routes, verified by simulation;
 - :mod:`~repro.routing.deadlock` — channel-dependency-graph acyclicity
   (Dally–Seitz) over complete route sets;
-- :mod:`~repro.routing.distribute` — route-table distribution to all
-  interfaces.
+- :mod:`~repro.routing.incremental` — route-table distribution to all
+  interfaces, full or only what changed.
 """
 
 from repro.routing.updown import UpDownOrientation, orient_updown, pick_root
 from repro.routing.paths import RoutingPaths, all_pairs_updown_paths
 from repro.routing.compile_routes import RouteTable, compile_route_tables
 from repro.routing.deadlock import routes_deadlock_free
-from repro.routing.distribute import DistributionReport, distribute_routes
-from repro.routing.incremental import diff_route_tables, distribute_incremental
+from repro.routing.incremental import (
+    DistributionReport,
+    diff_route_tables,
+    distribute_incremental,
+)
 from repro.routing.lash import LashRouting, lash_route_tables
 from repro.routing.quality import RouteQuality, analyze_routes
 
@@ -42,7 +45,6 @@ __all__ = [
     "UpDownOrientation",
     "all_pairs_updown_paths",
     "compile_route_tables",
-    "distribute_routes",
     "orient_updown",
     "pick_root",
     "routes_deadlock_free",

@@ -1,4 +1,10 @@
-"""Incremental route distribution: only push what changed.
+"""Route distribution: push every host the part of its table that changed.
+
+"Once the master or elected leader generates a network map, it derives
+mutually deadlock-free routes from it and distributes them throughout the
+system." The distributor sends each host its table over the network, using
+the freshly computed route from the mapper to that host — which is itself
+an end-to-end validation that the new routes deliver.
 
 The remapping daemon of the abstract runs *periodically*; most cycles find
 small changes (one host came or went, one cable moved). Re-distributing
@@ -11,9 +17,11 @@ distributes only the delta:
 - hosts whose tables are untouched receive nothing;
 - new hosts receive their full table; departed hosts are dropped.
 
-A full push (:func:`repro.routing.distribute.distribute_routes`) is the
-same loop with no previous generation, so experiments compare full vs
-incremental distribution cost on one byte and time formula.
+A full push is the same loop with no previous generation (``old_tables``
+None: every route is an addition), so experiments compare full vs
+incremental distribution cost on one byte and time formula. The timing
+model is charged per table message and each delivery is verified by
+evaluating the mapper->host route on the actual network.
 """
 
 from __future__ import annotations
@@ -21,12 +29,35 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.routing.compile_routes import RouteTable
-from repro.routing.distribute import DistributionReport
 from repro.simulator.path_eval import PathStatus, evaluate_route
 from repro.simulator.timing import MYRINET_TIMING, TimingModel
 from repro.topology.model import Network
 
-__all__ = ["RouteTableDelta", "diff_route_tables", "distribute_incremental"]
+__all__ = [
+    "DistributionReport",
+    "RouteTableDelta",
+    "diff_route_tables",
+    "distribute_incremental",
+]
+
+
+@dataclass(slots=True)
+class DistributionReport:
+    """Outcome of pushing route tables to all interfaces."""
+
+    mapper_host: str
+    delivered: list[str] = field(default_factory=list)
+    failed: list[str] = field(default_factory=list)
+    bytes_sent: int = 0
+    elapsed_us: float = 0.0
+
+    @property
+    def ok(self) -> bool:
+        return not self.failed
+
+    @property
+    def elapsed_ms(self) -> float:
+        return self.elapsed_us / 1000.0
 
 
 @dataclass(slots=True)
@@ -90,7 +121,9 @@ def distribute_incremental(
     """Push only the per-host deltas; hosts with empty deltas get nothing.
 
     Delivery runs over the mapper's *new* routes (a changed topology may
-    have invalidated the old ones).
+    have invalidated the old ones). A host whose delta cannot be delivered
+    (no route, or the route fails to evaluate on the actual network —
+    impossible when the map is correct) is recorded in ``failed``.
     """
     report = DistributionReport(mapper_host=mapper_host)
     deltas = diff_route_tables(old_tables, new_tables)

@@ -28,8 +28,6 @@ from repro.service.serialize import (
     SerializationError,
     map_result_from_dict,
     map_result_to_dict,
-    route_table_from_dict,
-    route_table_to_dict,
     route_tables_from_dict,
     route_tables_to_dict,
 )
@@ -53,8 +51,6 @@ __all__ = [
     "map_result_from_dict",
     "map_result_to_dict",
     "read_frame",
-    "route_table_from_dict",
-    "route_table_to_dict",
     "route_tables_from_dict",
     "route_tables_to_dict",
     "run_load",

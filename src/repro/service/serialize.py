@@ -38,8 +38,6 @@ __all__ = [
     "probe_stats_from_dict",
     "probe_stats_to_dict",
     "require_kind",
-    "route_table_from_dict",
-    "route_table_to_dict",
     "route_tables_from_dict",
     "route_tables_to_dict",
 ]
@@ -231,13 +229,12 @@ def map_result_from_dict(data: Any) -> MapResult:
 # RouteTable
 # ---------------------------------------------------------------------------
 
-# A route-table document lists each distinct channel (directed wire half)
-# once, as ``[[node, port], [node, port]]``, and each distinct tail (the
-# chain from an entry switch to a destination) once, as ``[channel
-# numbers, turns between them]``; a route is ``[head channel, tail, first
-# turn]`` by position in those lists. A ``route-tables`` document keeps one
-# pair of lists for the whole generation; the tables nested in it carry
-# none of their own.
+# A ``route-tables`` document (one generation) lists each distinct channel
+# (directed wire half) once, as ``[[node, port], [node, port]]``, and each
+# distinct tail (the chain from an entry switch to a destination) once, as
+# ``[channel numbers, turns between them]``. The ``route-table`` documents
+# nested in it carry no lists of their own: a route is ``[head channel,
+# tail, first turn]`` by position in the generation's lists.
 
 def _encode_tables(tables: list[RouteTable]) -> tuple[list, list, list[dict]]:
     """The channel and tail lists ``tables`` share, and each table's
@@ -322,12 +319,6 @@ def _tails(value: Any, kind: str, channels: list[tuple]) -> list[tuple]:
     return tails
 
 
-def _shared(data: dict, kind: str) -> tuple[list[tuple], list[tuple]]:
-    """What the routes of one document refer into."""
-    channels = _channels(data.get("channels"), kind)
-    return channels, _tails(data.get("tails"), kind, channels)
-
-
 def _route(
     doc: Any, host: str, dst: str, channels: list[tuple], tails: list[tuple]
 ) -> CompiledRoute:
@@ -375,19 +366,6 @@ def _table(data: dict, channels: list[tuple], tails: list[tuple]) -> RouteTable:
     return table
 
 
-def route_table_to_dict(table: RouteTable) -> dict:
-    channels, tails, (doc,) = _encode_tables([table])
-    doc["channels"] = channels
-    doc["tails"] = tails
-    return doc
-
-
-def route_table_from_dict(data: Any) -> RouteTable:
-    kind = "route-table"
-    data = require_kind(data, kind)
-    return _table(data, *_shared(data, kind))
-
-
 def route_tables_to_dict(tables: Mapping[str, RouteTable]) -> dict:
     """A whole generation of tables, keyed by source host."""
     hosts = sorted(tables)
@@ -404,10 +382,11 @@ def route_tables_to_dict(tables: Mapping[str, RouteTable]) -> dict:
 def route_tables_from_dict(data: Any) -> dict[str, RouteTable]:
     kind = "route-tables"
     data = require_kind(data, kind)
-    shared = _shared(data, kind)
+    channels = _channels(data.get("channels"), kind)
+    tails = _tails(data.get("tails"), kind, channels)
     out: dict[str, RouteTable] = {}
     for host, doc in _field(data, kind, "tables", dict).items():
-        table = _table(require_kind(doc, "route-table"), *shared)
+        table = _table(require_kind(doc, "route-table"), channels, tails)
         if table.host != host:
             raise SerializationError(
                 f"{kind}: table keyed {host!r} claims host {table.host!r}"

@@ -33,7 +33,7 @@ from typing import Any, Iterable
 from repro.service.protocol import ProtocolError, read_frame, write_frame
 from repro.service.serialize import (
     SerializationError,
-    require_kind,
+    map_result_from_dict,
     route_tables_from_dict,
 )
 from repro.service.tenant import TenantSpec, TenantState
@@ -567,14 +567,16 @@ class MapServer:
         tables = None
         if outcome.get("ok") and "tables" in outcome:
             # Everything adopt() stores is checked here, before it touches
-            # the tenant: a bad map_result would poison every later seed.
+            # the tenant: a bad map_result would poison every later seed,
+            # so it is decoded whole and refused on whatever the worker's
+            # seed decode would refuse it on.
             try:
                 tables = route_tables_from_dict(outcome["tables"])
-                require_kind(outcome.get("map_result"), "map-result")
+                map_result_from_dict(outcome.get("map_result"))
                 epoch = outcome.get("net_epoch")
                 if not isinstance(epoch, int) or isinstance(epoch, bool):
                     raise SerializationError("outcome: net_epoch is not an int")
-            except SerializationError as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 outcome = {
                     "ok": False,
                     "tenant": tenant.spec.name,

@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from repro.simulator.path_eval import PathResult, Traversal
+from repro.simulator.path_eval import Traversal
 from repro.topology.delta import (
     Delta,
     DeltaJournal,
@@ -157,12 +157,9 @@ class FaultModel:
         self.corrupt_prob = corrupt_prob
         self._bump_epoch(UNBOUNDED_DELTA)
 
-    def kills_probe(self, path: PathResult) -> bool:
-        """Decide whether this (otherwise successful) probe is lost."""
-        return self.kills_traversals(path.traversals)
-
     def kills_traversals(self, traversals: Sequence[Traversal]) -> bool:
-        """`kills_probe` on a bare traversal sequence (cached-path form)."""
+        """Decide whether an (otherwise successful) probe along these
+        wire crossings is lost."""
         if self.dead_wires:
             for tr in traversals:
                 if frozenset((tr.src, tr.dst)) in self.dead_wires:

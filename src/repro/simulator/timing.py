@@ -61,18 +61,14 @@ class TimingModel:
         )
 
     def probe_timeout_us(self) -> float:
-        """Cost of a probe that vanished: the mapper waits out the timer."""
-        return self.host_overhead_us + self.timeout_us
+        """Cost of a probe that vanished: the mapper waits out the timer.
 
-    def probe_blocked_us(self) -> float:
-        """Cost of a probe that blocked in the network.
-
-        The worm waits up to the switch ROM timeout before the forward
-        reset destroys it; the mapper meanwhile is waiting on its own
-        (longer) software timer, so the observed cost at the mapper is the
-        same as any unanswered probe.
+        A probe that blocked in the network costs the same: the worm waits
+        up to the switch ROM timeout before the forward reset destroys it,
+        while the mapper waits on its own (longer) software timer — a
+        blocked worm costs the mapper its timeout.
         """
-        return self.probe_timeout_us()
+        return self.host_overhead_us + self.timeout_us
 
 
 #: Default model with the paper's hardware constants.

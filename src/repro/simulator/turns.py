@@ -17,7 +17,6 @@ __all__ = [
     "TURN_MIN",
     "Turns",
     "format_turns",
-    "parse_turns",
     "reverse_turns",
     "switch_probe_turns",
     "validate_turns",
@@ -71,11 +70,3 @@ def switch_probe_turns(turns: Iterable[int], *, limit: int = TURN_MAX) -> Turns:
 def format_turns(turns: Iterable[int]) -> str:
     """Human-readable rendering, e.g. ``"+1.-3.+2"``."""
     return ".".join(f"{t:+d}" for t in turns) or "(empty)"
-
-
-def parse_turns(text: str) -> Turns:
-    """Inverse of :func:`format_turns` (also accepts comma separators)."""
-    if text in ("", "(empty)"):
-        return ()
-    parts = text.replace(",", ".").split(".")
-    return validate_turns(int(p) for p in parts)

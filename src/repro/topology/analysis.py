@@ -37,8 +37,6 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING
 
-import networkx as nx
-
 from repro.topology.model import Network, TopologyError, Wire
 
 if TYPE_CHECKING:
@@ -51,7 +49,6 @@ __all__ = [
     "core_network",
     "diameter",
     "effective_network",
-    "hop_distances",
     "q_max",
     "q_value",
     "recommended_search_depth",
@@ -231,13 +228,6 @@ def diameter(net: Network) -> int:
     Raises :class:`TopologyError` when the network is not connected.
     """
     return _Fabric.of(net).diameter()
-
-
-def hop_distances(net: Network, source: str) -> dict[str, int]:
-    """Single-source hop distances (BFS) over the underlying simple graph."""
-    fab = _Fabric.of(net)
-    dist = fab.distances(fab.names.index(source))
-    return {fab.names[i]: d for i, d in enumerate(dist) if d >= 0}
 
 
 def bridges(net: Network) -> list[Wire]:
@@ -502,7 +492,10 @@ def effective_network(
         for wire in list(eff.wires):
             if frozenset((wire.a, wire.b)) in faults.dead_wires:
                 eff.disconnect(wire)
-    g = nx.Graph(eff.to_networkx())
-    if mapper_host not in g:
-        return eff.induced_subnetwork([mapper_host])
-    return eff.induced_subnetwork(nx.node_connected_component(g, mapper_host))
+    if mapper_host not in eff:
+        return eff.induced_subnetwork([mapper_host])  # raises: no such node
+    fab = _Fabric.of(eff)
+    dist = fab.distances(fab.names.index(mapper_host))
+    return eff.induced_subnetwork(
+        name for name, d in zip(fab.names, dist) if d >= 0
+    )

@@ -40,11 +40,6 @@ class MapDiff:
     wire_count_delta: int = 0
     degree_profile_changed: bool = False
 
-    @property
-    def routes_stale(self) -> bool:
-        """Must routes be recomputed? Any structural change says yes."""
-        return not self.identical
-
     def summary(self) -> str:
         if self.identical:
             return "no change"

@@ -10,7 +10,8 @@ strongest guarantee a mapper can give is an isomorphism that
 - maps wires to wires such that at each switch the port numbers on
   corresponding wire ends differ by a per-switch constant offset.
 
-:func:`isomorphic_up_to_port_offsets` decides exactly that relation; it is
+:func:`match_networks` decides exactly that relation (a report that is
+truthy iff the networks correspond, with the witness or a reason); it is
 what the theorem "``M / L`` is isomorphic to ``N - F``" is checked against in
 tests and experiments. :func:`networks_equal` is the strict comparison
 (identical names, ports and wires) used for serialization round-trips.
@@ -35,7 +36,6 @@ from repro.topology.model import Network, PortRef
 
 __all__ = [
     "IsomorphismReport",
-    "isomorphic_up_to_port_offsets",
     "match_networks",
     "networks_equal",
 ]
@@ -207,11 +207,6 @@ def match_networks(model: Network, actual: Network) -> IsomorphismReport:
     if not _verify(model, actual, node_map, offsets):
         return IsomorphismReport(False, reason="verification of witness failed")
     return IsomorphismReport(True, node_map=node_map, port_offsets=offsets)
-
-
-def isomorphic_up_to_port_offsets(model: Network, actual: Network) -> bool:
-    """Convenience wrapper returning a bare bool."""
-    return bool(match_networks(model, actual))
 
 
 # ----------------------------------------------------------------------

@@ -17,15 +17,7 @@ from io import StringIO
 
 from repro.topology.model import Network
 
-__all__ = ["to_ascii", "to_dot", "to_layered_ascii", "summary_line"]
-
-
-def summary_line(net: Network) -> str:
-    """One-line component summary matching the Figure 3 vocabulary."""
-    return (
-        f"{net.n_hosts} interfaces, {net.n_switches} switches, "
-        f"{net.n_wires} links"
-    )
+__all__ = ["to_ascii", "to_dot"]
 
 
 def to_ascii(net: Network, *, title: str | None = None) -> str:
@@ -33,7 +25,11 @@ def to_ascii(net: Network, *, title: str | None = None) -> str:
     out = StringIO()
     if title:
         out.write(f"== {title} ==\n")
-    out.write(summary_line(net) + "\n")
+    # The component counts in the Figure 3 vocabulary.
+    out.write(
+        f"{net.n_hosts} interfaces, {net.n_switches} switches, "
+        f"{net.n_wires} links\n"
+    )
     hosts = sorted(net.hosts)
     out.write("hosts: " + " ".join(hosts) + "\n")
     for switch in sorted(net.switches):
@@ -42,70 +38,6 @@ def to_ascii(net: Network, *, title: str | None = None) -> str:
             far = net.neighbor_at(switch, port)
             cells.append(f"{port}:{'-' if far is None else f'{far.node}.{far.port}'}")
         out.write(f"{switch}  [" + " ".join(cells) + "]\n")
-    return out.getvalue()
-
-
-def to_layered_ascii(net: Network, *, title: str | None = None) -> str:
-    """Figure 4-style layered rendering: hosts on top, switch levels below.
-
-    Levels are assigned by hop distance from the hosts (leaf switches at
-    level 1, their uplink switches at level 2, ...), which reconstructs the
-    paper's drawing convention without requiring generator metadata — so it
-    works on mapper *output*, whose switches are anonymous.
-    """
-    out = StringIO()
-    if title:
-        out.write(f"== {title} ==\n")
-    out.write(summary_line(net) + "\n\n")
-
-    # Level = shortest hop distance to any host (hosts at 0).
-    level: dict[str, int] = {h: 0 for h in net.hosts}
-    frontier = sorted(net.hosts)
-    depth = 0
-    while frontier:
-        depth += 1
-        nxt: list[str] = []
-        for node in frontier:
-            for wire in net.wires_of(node):
-                for end in (wire.a, wire.b):
-                    far = wire.other_end(end).node if end.node == node else None
-                    if far is not None and far not in level:
-                        level[far] = depth
-                        nxt.append(far)
-        frontier = sorted(set(nxt))
-    unreachable = [n for n in net.nodes if n not in level]
-
-    hosts = sorted(net.hosts)
-    out.write("hosts:  " + " ".join(hosts) + "\n")
-    max_level = max((lv for lv in level.values()), default=0)
-    for lv in range(1, max_level + 1):
-        members = sorted(n for n, l in level.items() if l == lv and net.is_switch(n))
-        if not members:
-            continue
-        out.write(f"level {lv}:\n")
-        for switch in members:
-            down, lateral, up = [], [], []
-            for port in net.used_ports(switch):
-                far = net.neighbor_at(switch, port)
-                assert far is not None
-                tag = f"{far.node}"
-                far_level = level.get(far.node)
-                if far_level is None or far_level == lv:
-                    lateral.append(tag)
-                elif far_level < lv:
-                    down.append(tag)
-                else:
-                    up.append(tag)
-            parts = []
-            if down:
-                parts.append("down: " + " ".join(sorted(down)))
-            if lateral:
-                parts.append("same: " + " ".join(sorted(lateral)))
-            if up:
-                parts.append("up: " + " ".join(sorted(up)))
-            out.write(f"  {switch}  [" + " | ".join(parts) + "]\n")
-    if unreachable:
-        out.write("unreachable: " + " ".join(sorted(unreachable)) + "\n")
     return out.getvalue()
 
 

@@ -503,7 +503,7 @@ def test_san015_construction_only_in_core_or_the_defining_module():
         from repro.core.mapper import BerkeleyMapper
 
         def run(svc, depth):
-            return BerkeleyMapper(svc, search_depth=depth).run()
+            return BerkeleyMapper(svc, search_depth=depth).map()
     """
     assert ids(lint(call, module="repro.experiments.fig4")) == ["SAN015"]
     assert ids(lint(call, module="repro.core.election")) == []

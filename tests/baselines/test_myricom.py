@@ -77,7 +77,7 @@ class TestAccounting:
         svc_b = QuiescentProbeService(subcluster_c, "C-svc")
         berkeley = BerkeleyMapper(
             svc_b, search_depth=subcluster_c_depth, host_first=False
-        ).run()
+        ).map()
         ratio = myricom.breakdown.total / berkeley.stats.total_probes
         assert 2.0 <= ratio <= 8.0  # paper: 3.2x for C
 

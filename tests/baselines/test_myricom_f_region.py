@@ -24,7 +24,7 @@ class TestFRegionBehavior:
         svc_b = QuiescentProbeService(bridge_net, "h0")
         berkeley = BerkeleyMapper(
             svc_b, search_depth=depth, host_first=False
-        ).run()
+        ).map()
         svc_m = QuiescentProbeService(bridge_net, "h0")
         myricom = MyricomMapper(svc_m, search_depth=depth).run()
 

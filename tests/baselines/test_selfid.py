@@ -56,5 +56,5 @@ class TestMapper:
         svc_b = QuiescentProbeService(subcluster_c, "C-svc")
         berkeley = BerkeleyMapper(
             svc_b, search_depth=subcluster_c_depth, host_first=False
-        ).run()
+        ).map()
         assert selfid.stats.total_probes < berkeley.stats.total_probes / 2

@@ -16,8 +16,8 @@ from repro.core.mapper import BerkeleyMapper
 class _WireDroppingMapper(BerkeleyMapper):
     """Correct mapper until a fault exists; then it loses one cable."""
 
-    def run(self):
-        result = super().run()
+    def map(self):
+        result = super().map()
         faults = getattr(self._svc, "faults", None)
         if faults is not None and faults.dead_wires:
             net = result.network

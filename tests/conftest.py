@@ -99,5 +99,5 @@ def mapped_c(subcluster_c, subcluster_c_depth):
         search_depth=subcluster_c_depth,
         host_first=False,
         record_growth=True,
-    ).run()
+    ).map()
     return result

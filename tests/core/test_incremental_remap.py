@@ -179,7 +179,7 @@ class TestFatTreeK8:
         depth = recommended_search_depth(net, h0)
         svc = QuiescentProbeService(net=net, mapper=h0, faults=FaultModel())
         epoch = net.topology_epoch
-        prior = BerkeleyMapper(svc, search_depth=depth).run()
+        prior = BerkeleyMapper(svc, search_depth=depth).map()
 
         net.disconnect(net.wire_at(*FT8_CUT))
         assert net.is_connected()
@@ -187,7 +187,7 @@ class TestFatTreeK8:
         assert delta is not None and not delta.added
 
         base = svc.stats.total_probes
-        scratch = BerkeleyMapper(svc, search_depth=depth).run()
+        scratch = BerkeleyMapper(svc, search_depth=depth).map()
         scratch_probes = svc.stats.total_probes - base
 
         seeded_mapper = BerkeleyMapper(svc, search_depth=depth)
@@ -200,7 +200,7 @@ class TestFatTreeK8:
             )
         )
         base = svc.stats.total_probes
-        seeded = seeded_mapper.run()
+        seeded = seeded_mapper.map()
         seeded_probes = svc.stats.total_probes - base
 
         assert seeded.seeded, seeded.seed_fallback
@@ -221,7 +221,7 @@ class TestSeedValidation:
         h0 = sorted(net.hosts)[0]
         depth = recommended_search_depth(net, h0)
         svc = QuiescentProbeService(net=net, mapper=h0, faults=FaultModel())
-        prior = BerkeleyMapper(svc, search_depth=depth).run()
+        prior = BerkeleyMapper(svc, search_depth=depth).map()
         mapper = BerkeleyMapper(svc, search_depth=depth)
         mapper.seed_with(
             MapSeed(
@@ -230,7 +230,7 @@ class TestSeedValidation:
                 affected=frozenset(),
             )
         )
-        result = mapper.run()
+        result = mapper.map()
         assert result.seeded
         assert match_networks(result.network, prior.network)
 
@@ -240,7 +240,7 @@ class TestSeedValidation:
         h0 = sorted(net.hosts)[0]
         depth = recommended_search_depth(net, h0)
         svc = QuiescentProbeService(net=net, mapper=h0, faults=FaultModel())
-        prior = BerkeleyMapper(svc, search_depth=depth).run()
+        prior = BerkeleyMapper(svc, search_depth=depth).map()
         witnesses = dict(prior.witnesses)
         if break_witness:
             victim = sorted(n for n in witnesses if witnesses[n])[0]
@@ -256,6 +256,6 @@ class TestSeedValidation:
                 affected=frozenset(),
             )
         )
-        result = mapper.run()
+        result = mapper.map()
         assert not result.seeded and result.seed_fallback
         assert match_networks(result.network, prior.network)

@@ -15,7 +15,7 @@ def traced_run(subcluster_c, subcluster_c_depth):
     svc = QuiescentProbeService(
         subcluster_c, "C-svc", layers=(TraceBusLayer((recorder,)),)
     )
-    BerkeleyMapper(svc, search_depth=subcluster_c_depth, host_first=False).run()
+    BerkeleyMapper(svc, search_depth=subcluster_c_depth, host_first=False).map()
     return svc.stats, recorder.records
 
 
@@ -41,9 +41,9 @@ class TestAnalyzeTrace:
         stats, records = traced_run
         a = analyze_records(records)
         lengths = sorted(a.by_length)
-        shallow = a.hit_ratio_at(lengths[0])
-        deep = a.hit_ratio_at(lengths[-1])
-        assert deep <= shallow
+        shallow_probes, shallow_hits = a.by_length[lengths[0]]
+        deep_probes, deep_hits = a.by_length[lengths[-1]]
+        assert deep_hits / deep_probes <= shallow_hits / shallow_probes
 
     def test_timeout_share_dominates(self, traced_run):
         """With ~35% hit ratio and timeouts costing ~2.4x a response, the

@@ -9,7 +9,7 @@ from repro.simulator.collision import CutThroughModel
 from repro.simulator.quiescent import QuiescentProbeService
 from repro.topology.analysis import core_network, recommended_search_depth
 from repro.topology.builder import NetworkBuilder
-from repro.topology.isomorphism import isomorphic_up_to_port_offsets, match_networks
+from repro.topology.isomorphism import match_networks
 
 
 def _labeled(net, mapper="h0", depth=None, **kwargs):
@@ -68,8 +68,8 @@ class TestAgreement:
         svc = QuiescentProbeService(net, "h0")
         production = BerkeleyMapper(
             svc, search_depth=depth, host_first=False
-        ).run()
-        assert isomorphic_up_to_port_offsets(labeled.network, production.network)
+        ).map()
+        assert match_networks(labeled.network, production.network)
 
     def test_production_uses_fewer_probes(self, ring_net):
         depth = recommended_search_depth(ring_net, "h0")
@@ -77,7 +77,7 @@ class TestAgreement:
         svc = QuiescentProbeService(ring_net, "h0")
         production = BerkeleyMapper(
             svc, search_depth=depth, host_first=False
-        ).run()
+        ).map()
         assert production.stats.total_probes < labeled.stats.total_probes
 
 

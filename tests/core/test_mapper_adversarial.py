@@ -46,7 +46,7 @@ class TestContradictions:
         # Truth: port 3 is h1, port 7 is h2. Lie: both claim to be h1.
         liar = _Liar(inner, {(7,): "h1"})
         with pytest.raises(MappingError):
-            BerkeleyMapper(liar, search_depth=depth, host_first=True).run()
+            BerkeleyMapper(liar, search_depth=depth, host_first=True).map()
 
     def test_mapper_host_reported_elsewhere(self, tiny_net):
         """A probe claiming the mapper's own host hangs off another port
@@ -55,7 +55,7 @@ class TestContradictions:
         inner = QuiescentProbeService(tiny_net, "h0")
         liar = _Liar(inner, {(3,): "h0"})
         with pytest.raises(MappingError):
-            BerkeleyMapper(liar, search_depth=depth, host_first=True).run()
+            BerkeleyMapper(liar, search_depth=depth, host_first=True).map()
 
     def test_consistent_renaming_is_not_detectable(self, tiny_net):
         """A systematic renaming (h1<->h2 swapped everywhere) is a
@@ -64,7 +64,7 @@ class TestContradictions:
         depth = recommended_search_depth(tiny_net, "h0")
         inner = QuiescentProbeService(tiny_net, "h0")
         liar = _Liar(inner, {(3,): "h2", (7,): "h1"})
-        result = BerkeleyMapper(liar, search_depth=depth, host_first=True).run()
+        result = BerkeleyMapper(liar, search_depth=depth, host_first=True).map()
         assert set(result.network.hosts) == {"h0", "h1", "h2"}
         # The produced map is tiny_net with the two hosts exchanged.
         att1 = result.network.host_attachment("h1")

@@ -57,5 +57,5 @@ class TestMapperHostChoice:
         svc = QuiescentProbeService(subcluster_c, "C-n17")
         result = BerkeleyMapper(
             svc, search_depth=subcluster_c_depth, host_first=False
-        ).run()
+        ).map()
         assert match_networks(result.network, subcluster_c_core)

@@ -207,7 +207,7 @@ def test_registry_construction_matches_direct_and_pins_figure5():
     depth = recommended_search_depth(net, "C-svc")
 
     svc = build_service_stack(net, "C-svc")
-    direct = BerkeleyMapper(svc, search_depth=depth, host_first=False).run()
+    direct = BerkeleyMapper(svc, search_depth=depth, host_first=False).map()
     svc = build_service_stack(net, "C-svc")
     via_registry = create_mapper(
         "berkeley", svc, search_depth=depth, host_first=False

@@ -20,7 +20,7 @@ def _map(net, mapper="h0", depth=None, **kwargs):
     svc = QuiescentProbeService(net, mapper, **{
         k: kwargs.pop(k) for k in ("collision", "responders") if k in kwargs
     })
-    return BerkeleyMapper(svc, search_depth=depth, host_first=False, **kwargs).run()
+    return BerkeleyMapper(svc, search_depth=depth, host_first=False, **kwargs).map()
 
 
 class TestBasics:
@@ -124,7 +124,7 @@ class TestLimits:
         depth = recommended_search_depth(ring_net, "h0")
         result = BerkeleyMapper(
             svc, search_depth=depth, host_first=False, record_growth=True
-        ).run()
+        ).map()
         growth = result.growth
         assert growth[-1].n_frontier == 0
         assert max(s.n_nodes for s in growth) == result.peak_model_nodes

@@ -72,7 +72,7 @@ class TestMapperIntegration:
         svc = build_service_stack(net, "C-svc")
         return BerkeleyMapper(
             svc, search_depth=11, host_first=False, profiler=profiler
-        ).run()
+        ).map()
 
     def test_profile_attached_with_injected_clock(self):
         result = self._run(PhaseProfiler(clock=FakeClock(step=0.001)))

@@ -55,7 +55,7 @@ class TestRadix4:
         svc = QuiescentProbeService(net, "h0")
         result = BerkeleyMapper(
             svc, search_depth=depth, host_first=False, radix=4
-        ).run()
+        ).map()
         report = match_networks(result.network, net)
         assert report, report.reason
         assert result.network.radix(result.network.switches[0]) == 4
@@ -86,7 +86,7 @@ class TestRadix16:
         svc = QuiescentProbeService(net, "h0")
         result = BerkeleyMapper(
             svc, search_depth=depth, host_first=False, radix=16
-        ).run()
+        ).map()
         report = match_networks(result.network, net)
         assert report, report.reason
         assert result.network.n_wires == 12

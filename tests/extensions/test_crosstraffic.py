@@ -21,8 +21,8 @@ class TestTrafficService:
         depth = recommended_search_depth(ring_net, "h0")
         svc_t = build_crosstraffic_service(ring_net, "h0", rate_msgs_per_ms=0.0)
         svc_q = QuiescentProbeService(ring_net, "h0")
-        a = BerkeleyMapper(svc_t, search_depth=depth, host_first=False).run()
-        b = BerkeleyMapper(svc_q, search_depth=depth, host_first=False).run()
+        a = BerkeleyMapper(svc_t, search_depth=depth, host_first=False).map()
+        b = BerkeleyMapper(svc_q, search_depth=depth, host_first=False).map()
         assert a.stats.total_probes == b.stats.total_probes
         assert _lost(svc_t) == 0
 
@@ -31,7 +31,7 @@ class TestTrafficService:
         svc = build_crosstraffic_service(
             ring_net, "h0", rate_msgs_per_ms=200.0, traffic_seed=3
         )
-        BerkeleyMapper(svc, search_depth=depth, host_first=False).run()
+        BerkeleyMapper(svc, search_depth=depth, host_first=False).map()
         assert _lost(svc) > 0
 
     def test_losses_never_corrupt_only_omit(self, ring_net):
@@ -40,7 +40,7 @@ class TestTrafficService:
         svc = build_crosstraffic_service(
             ring_net, "h0", rate_msgs_per_ms=150.0, traffic_seed=5
         )
-        result = BerkeleyMapper(svc, search_depth=depth, host_first=False).run()
+        result = BerkeleyMapper(svc, search_depth=depth, host_first=False).map()
         produced = result.network
         assert produced.n_hosts <= ring_net.n_hosts
         assert produced.n_switches <= ring_net.n_switches

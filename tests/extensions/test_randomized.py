@@ -21,7 +21,7 @@ def _coupon(net, mapper="h0", coupon_probes=40, seed=1, early=True, **kwargs):
         coupon_seed=seed,
         **kwargs,
     )
-    return mapper_obj, mapper_obj.run()
+    return mapper_obj, mapper_obj.map()
 
 
 class TestCorrectness:

@@ -130,8 +130,8 @@ class TestShrinkerFaithfulness:
         from repro.core.mapper import BerkeleyMapper
 
         class WireDroppingMapper(BerkeleyMapper):
-            def run(self):
-                result = super().run()
+            def map(self):
+                result = super().map()
                 if self._svc.faults.dead_wires:
                     net = result.network
                     sw = [

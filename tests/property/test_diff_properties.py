@@ -45,7 +45,6 @@ class TestDiffProperties:
             return
         d = diff_networks(net, net.copy())
         assert d.identical
-        assert not d.routes_stale
 
     @given(p=params, victim_idx=st.integers(min_value=0, max_value=10))
     @settings(**_SETTINGS)
@@ -60,7 +59,6 @@ class TestDiffProperties:
         d = diff_networks(net, mutated)
         assert not d.identical
         assert victim in d.hosts_removed
-        assert d.routes_stale
 
     @given(p=params)
     @settings(**_SETTINGS)

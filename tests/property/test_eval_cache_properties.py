@@ -274,7 +274,7 @@ def _map_with_cut(params, service_cls, *, seed, cut_at, cut_seed):
         service_cls=service_cls,
     )
     try:
-        result = BerkeleyMapper(svc, search_depth=6, host_first=False).run()
+        result = BerkeleyMapper(svc, search_depth=6, host_first=False).map()
     except Exception as exc:  # a mid-run cut may legally trip the mapper
         return f"{type(exc).__name__}: {exc}", svc
     return result, svc

@@ -10,7 +10,7 @@ from repro.simulator.quiescent import QuiescentProbeService
 from repro.simulator.turns import reverse_turns, switch_probe_turns
 from repro.topology.analysis import recommended_search_depth, separated_set
 from repro.topology.generators import random_san
-from repro.topology.isomorphism import isomorphic_up_to_port_offsets
+from repro.topology.isomorphism import match_networks
 from repro.topology.model import TopologyError
 from repro.topology.serialize import network_from_dict, network_to_dict
 from repro.topology.isomorphism import networks_equal
@@ -117,9 +117,9 @@ class TestMapperAgreement:
         svc_b = QuiescentProbeService(net, mapper)
         berkeley = BerkeleyMapper(
             svc_b, search_depth=depth, host_first=False, max_explorations=3000
-        ).run()
+        ).map()
         svc_m = QuiescentProbeService(net, mapper)
         myricom = MyricomMapper(svc_m, search_depth=depth).run()
-        assert isomorphic_up_to_port_offsets(
+        assert match_networks(
             berkeley.network, myricom.network
         ), params

@@ -59,7 +59,7 @@ def _map_with(net, collision, mapper=None):
     svc = QuiescentProbeService(net, mapper, collision=collision)
     return BerkeleyMapper(
         svc, search_depth=depth, host_first=False, max_explorations=4000
-    ).run()
+    ).map()
 
 
 #: Larger structured and random fabrics than hypothesis is allowed to draw.
@@ -164,7 +164,7 @@ class TestSoundness:
         svc = QuiescentProbeService(net, mapper, responders=responders)
         result = BerkeleyMapper(
             svc, search_depth=depth, host_first=False, max_explorations=2000
-        ).run()
+        ).map()
         produced = result.network
         assert set(produced.hosts) <= set(net.hosts)
         assert set(produced.hosts) <= responders | {mapper}

@@ -4,7 +4,7 @@ import pytest
 
 from repro.routing.compile_routes import compile_route_tables
 from repro.routing.deadlock import dependency_cycle, routes_deadlock_free
-from repro.routing.distribute import distribute_routes
+from repro.routing.incremental import distribute_incremental
 from repro.routing.paths import all_pairs_updown_paths
 from repro.routing.updown import orient_updown
 from repro.simulator.path_eval import Traversal
@@ -80,7 +80,7 @@ class TestDeadlockFreedom:
 class TestDistribution:
     def test_all_tables_delivered(self, ring_net):
         tables = _updown_tables(ring_net)
-        report = distribute_routes(ring_net, "h0", tables)
+        report = distribute_incremental(ring_net, "h0", tables, None)
         assert report.ok
         assert set(report.delivered) == set(ring_net.hosts)
         assert report.bytes_sent > 0
@@ -93,6 +93,6 @@ class TestDistribution:
         broken = dict(tables)
         victim = sorted(h for h in ring_net.hosts if h != "h0")[0]
         del broken["h0"].routes[victim]
-        report = distribute_routes(ring_net, "h0", broken)
+        report = distribute_incremental(ring_net, "h0", broken, None)
         assert victim in report.failed
         assert not report.ok

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.routing.compile_routes import compile_route_tables
-from repro.routing.distribute import distribute_routes
+from repro.routing.compile_routes import RouteTable, compile_route_tables
 from repro.routing.incremental import diff_route_tables, distribute_incremental
 from repro.routing.paths import all_pairs_updown_paths
 from repro.routing.updown import orient_updown
@@ -14,6 +13,31 @@ def _tables(net, seed=0):
     ori = orient_updown(net)
     paths = all_pairs_updown_paths(net, ori)
     return compile_route_tables(net, paths, seed=seed)
+
+
+def route_tables_equal(
+    a: dict[str, RouteTable] | None, b: dict[str, RouteTable] | None
+) -> tuple[bool, str]:
+    """Turn-string equality of two table generations (the differential oracle).
+
+    Compares host -> destination -> turns. Returns ``(equal, first
+    difference)``.
+    """
+    a = a or {}
+    b = b or {}
+    for host in sorted(set(a) | set(b)):
+        ta, tb = a.get(host), b.get(host)
+        if ta is None or tb is None:
+            return False, f"host {host} present in only one generation"
+        if set(ta.routes) != set(tb.routes):
+            return False, f"host {host} routes to different destination sets"
+        for dst in sorted(ta.routes):
+            if ta.routes[dst].turns != tb.routes[dst].turns:
+                return False, (
+                    f"{host}->{dst}: {ta.routes[dst].turns} != "
+                    f"{tb.routes[dst].turns}"
+                )
+    return True, ""
 
 
 @pytest.fixture()
@@ -86,7 +110,7 @@ class TestIncrementalDistribution:
         evolving_net.add_host("h3")
         evolving_net.connect("h3", 0, "s1", 1)
         after = _tables(evolving_net)
-        full = distribute_routes(evolving_net, "h0", after)
+        full = distribute_incremental(evolving_net, "h0", after, None)
         incremental = distribute_incremental(
             evolving_net, "h0", after, before
         )
@@ -94,10 +118,14 @@ class TestIncrementalDistribution:
         assert incremental.bytes_sent < full.bytes_sent
 
     def test_first_generation_equals_full(self, evolving_net):
+        """With no previous generation every route is an addition: every
+        host but the mapper receives its whole table."""
         tables = _tables(evolving_net)
-        full = distribute_routes(evolving_net, "h0", tables)
-        incremental = distribute_incremental(evolving_net, "h0", tables, None)
-        assert incremental.bytes_sent == full.bytes_sent
+        full = distribute_incremental(evolving_net, "h0", tables, None)
+        assert full.ok and sorted(full.delivered) == sorted(tables)
+        assert full.bytes_sent == 16 * sum(
+            len(t.routes) for host, t in tables.items() if host != "h0"
+        )
 
 
 class TestChaosDifferential:
@@ -112,7 +140,6 @@ class TestChaosDifferential:
 
     def _reconstruct(self, old, deltas):
         """old tables ⊕ deltas, as fresh RouteTable objects."""
-        from repro.routing.compile_routes import RouteTable
         from tests.routing.reference_deadlock import flat_route
 
         rebuilt = {}
@@ -128,8 +155,6 @@ class TestChaosDifferential:
         return rebuilt
 
     def test_delta_application_reconstructs_new_generation(self, evolving_net):
-        from repro.chaos.oracles import route_tables_equal
-
         before = _tables(evolving_net)
         # A chaos-style rewire: the inter-switch cable moves ports.
         evolving_net.disconnect(evolving_net.wire_at("s0", 5))
@@ -158,7 +183,6 @@ class TestChaosDifferential:
         """After each disturbed remap cycle, the daemon's incrementally
         distributed tables equal a from-scratch compilation of its map."""
         from repro.chaos.apply import ScenarioApplier
-        from repro.chaos.oracles import route_tables_equal
         from repro.chaos.scenario import ChaosEvent
         from repro.core.remapper import RemapperDaemon
         from repro.simulator.faults import FaultModel

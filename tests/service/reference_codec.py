@@ -11,7 +11,8 @@ constant is this module's own (``require_kind`` has moved on to 3), the
 decoder's last line builds the route through ``flat_route`` (the class no
 longer takes a flat turn string and channel tuple), and the successor-set
 loop of ``deadlock.dependency_cycle`` is lifted out as
-:func:`reference_successors`.
+:func:`reference_successors`. The standalone one-table document's
+encoder and decoder are gone with the product's.
 """
 
 from __future__ import annotations
@@ -156,18 +157,6 @@ def _table(data: dict, channels: list[Traversal], ends: list[tuple]) -> RouteTab
     for dst, doc in _field(data, kind, "routes", dict).items():
         table.routes[dst] = _route(doc, host, dst, channels, ends)
     return table
-
-
-def route_table_to_dict(table: RouteTable) -> dict:
-    channels, (doc,) = _encode_tables([table])
-    doc["channels"] = channels
-    return doc
-
-
-def route_table_from_dict(data: Any) -> RouteTable:
-    kind = "route-table"
-    data = require_kind(data, kind)
-    return _table(data, *_channels(data.get("channels"), kind))
 
 
 def route_tables_to_dict(tables: Mapping[str, RouteTable]) -> dict:

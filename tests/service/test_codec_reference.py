@@ -11,8 +11,7 @@ draws of ``seeded_fabric`` with cuts and those decorations:
 
 - tables decoded from the version-3 document ``==`` tables decoded from
   the version-2 document ``==`` the compiled tables (route by route, in
-  table and route order), for the whole generation and for the first ten
-  single ``route-table`` documents;
+  table and route order), for the whole generation;
 - ``channel_table`` numbers channels in the reference's first-seen order
   and every route's ``[head, *tail]`` row is the reference's flat row;
 - the dependency graph has the reference's arcs, channel by channel; up
@@ -39,8 +38,6 @@ from repro.routing.deadlock import _successors, dependency_cycle
 from repro.routing.paths import all_pairs_updown_paths
 from repro.routing.updown import orient_updown
 from repro.service.serialize import (
-    route_table_from_dict,
-    route_table_to_dict,
     route_tables_from_dict,
     route_tables_to_dict,
 )
@@ -92,15 +89,6 @@ def assert_codecs_agree(tables: dict[str, RouteTable]) -> None:
     assert json.dumps(route_tables_to_dict(new)) == json.dumps(doc)
     routes = _flat(new)
     assert len({id(r.tail) for r in routes}) == len(doc["tails"]) <= len(routes)
-    for host, table in list(tables.items())[:10]:
-        single = route_table_to_dict(table)
-        back = route_table_from_dict(_wire(single))
-        want = reference_codec.route_table_from_dict(
-            _wire(reference_codec.route_table_to_dict(table))
-        )
-        assert back.host == want.host == host
-        assert list(back.routes.items()) == list(want.routes.items())
-        assert single["channels"] == reference_codec.route_table_to_dict(table)["channels"]
 
 
 def assert_same_numbering_and_arcs(routes: list[CompiledRoute]) -> None:

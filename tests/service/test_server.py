@@ -392,6 +392,21 @@ class TestFailureSemantics:
                 id="map-result-of-the-wrong-kind",
             ),
             pytest.param(
+                lambda o: o["map_result"].pop("witnesses"),
+                "missing field 'witnesses'",
+                id="map-result-without-witnesses",
+            ),
+            pytest.param(
+                lambda o: o["map_result"].update(network={"not": "a network"}),
+                "bad network",
+                id="map-result-whose-network-does-not-decode",
+            ),
+            pytest.param(
+                lambda o: o["map_result"].update(profile={"explore": ["once", 0.5]}),
+                "invalid literal for int()",
+                id="map-result-whose-profile-does-not-decode",
+            ),
+            pytest.param(
                 lambda o: o.update(net_epoch="latest"),
                 "net_epoch",
                 id="net-epoch-not-an-int",
@@ -441,8 +456,9 @@ class TestFailureSemantics:
     def test_malformed_ok_outcome_leaves_the_tenant_untouched(self, doctor, complaint):
         """An ``ok`` outcome is validated whole before adoption: a missing
         map_result used to raise inside adopt() after the counters had
-        moved, and a wrong-kind one was stored as the next cycle's seed,
-        turning every later honest cycle into ``bad-seed``."""
+        moved, and a wrong-kind one — or a right-kind one whose body does
+        not decode — was stored as the next cycle's seed, turning every
+        later honest cycle into ``bad-seed``."""
 
         async def run():
             with _DoctoringPool(max_workers=1) as pool:

@@ -82,7 +82,7 @@ class TestPartialPlacementProbing:
         )
         produced = BerkeleyMapper(
             svc, search_depth=depth, host_first=False
-        ).run().network
+        ).map().network
         assert set(produced.hosts) == {"h0", "h1"}
         # Unanchored switches get synthetic names; count is what's knowable.
         assert produced.n_switches == 2
@@ -103,7 +103,7 @@ class TestDeterministicReplay:
             depth = recommended_search_depth(ring_net, "h0")
             result = BerkeleyMapper(
                 svc, search_depth=depth, host_first=False
-            ).run()
+            ).map()
             return (
                 network_to_dict(result.network),
                 result.stats.total_probes,

@@ -23,20 +23,20 @@ class TestFaultModel:
     def test_drop_prob_statistics(self, tiny_net):
         faults = FaultModel(drop_prob=0.5, seed=42)
         path = evaluate_route(tiny_net, "h0", (3,))
-        kills = sum(faults.kills_probe(path) for _ in range(400))
+        kills = sum(faults.kills_traversals(path.traversals) for _ in range(400))
         assert 140 < kills < 260  # ~50%
 
     def test_corrupt_prob_also_kills(self, tiny_net):
         faults = FaultModel(corrupt_prob=1.0)
         path = evaluate_route(tiny_net, "h0", (3,))
-        assert faults.kills_probe(path)
+        assert faults.kills_traversals(path.traversals)
 
     def test_deterministic_per_seed(self, tiny_net):
         path = evaluate_route(tiny_net, "h0", (3,))
 
         def seq(seed):
             f = FaultModel(drop_prob=0.3, seed=seed)
-            return [f.kills_probe(path) for _ in range(50)]
+            return [f.kills_traversals(path.traversals) for _ in range(50)]
 
         assert seq(7) == seq(7)
         assert seq(7) != seq(8)
@@ -48,8 +48,8 @@ class TestFaultModel:
         )
         crossing = evaluate_route(two_switch_net, "h0", (4, 4))  # uses it
         local = evaluate_route(two_switch_net, "h0", (1,))  # does not
-        assert faults.kills_probe(crossing)
-        assert not faults.kills_probe(local)
+        assert faults.kills_traversals(crossing.traversals)
+        assert not faults.kills_traversals(local.traversals)
 
 
 class TestEpochMutators:
@@ -182,7 +182,7 @@ class TestMappingUnderFaults:
         faults = FaultModel(dead_wires=frozenset({frozenset((wire.a, wire.b))}))
         depth = recommended_search_depth(ring_net, "h0")
         svc = QuiescentProbeService(ring_net, "h0", faults=faults)
-        result = BerkeleyMapper(svc, search_depth=depth, host_first=False).run()
+        result = BerkeleyMapper(svc, search_depth=depth, host_first=False).map()
         produced = result.network
         # The dead cable is missing from the map; everything else survives.
         assert produced.n_wires == ring_net.n_wires - 1
@@ -193,7 +193,7 @@ class TestMappingUnderFaults:
         svc = QuiescentProbeService(
             ring_net, "h0", faults=FaultModel(drop_prob=0.2, seed=3)
         )
-        result = BerkeleyMapper(svc, search_depth=depth, host_first=False).run()
+        result = BerkeleyMapper(svc, search_depth=depth, host_first=False).map()
         produced = result.network
         assert set(produced.hosts) <= set(ring_net.hosts)
         assert produced.n_switches <= ring_net.n_switches

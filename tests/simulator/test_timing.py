@@ -35,7 +35,6 @@ class TestCostComposition:
         others' (Section 5.2)."""
         t = MYRINET_TIMING
         assert t.probe_timeout_us() > t.probe_response_us(8, 8)
-        assert t.probe_blocked_us() == t.probe_timeout_us()
 
     def test_custom_model(self):
         t = TimingModel(host_overhead_us=10, reply_overhead_us=5, timeout_us=100)

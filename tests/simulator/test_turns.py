@@ -4,7 +4,6 @@ import pytest
 
 from repro.simulator.turns import (
     format_turns,
-    parse_turns,
     reverse_turns,
     switch_probe_turns,
     validate_turns,
@@ -68,14 +67,3 @@ class TestFormatting:
     def test_format(self):
         assert format_turns((1, -3)) == "+1.-3"
         assert format_turns(()) == "(empty)"
-
-    def test_parse_round_trip(self):
-        t = (1, -7, 3)
-        assert parse_turns(format_turns(t)) == t
-
-    def test_parse_empty(self):
-        assert parse_turns("") == ()
-        assert parse_turns("(empty)") == ()
-
-    def test_parse_commas(self):
-        assert parse_turns("1,-2") == (1, -2)

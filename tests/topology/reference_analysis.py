@@ -9,12 +9,17 @@ NOW) and kept only as the oracle of ``test_analysis_reference.py``.
 ``separated_set_flow`` is the paper's own derivation of Lemma 1 — ``F`` by
 the max-flow/min-cut criterion — kept as a second, independent computation
 for ``test_analysis.py``.
+
+``reference_effective_network`` is ``effective_network`` as it found the
+mapper's component before it used the analysis module's own BFS: a
+networkx ``Graph`` of the faulted copy and ``node_connected_component``.
 """
 
 from __future__ import annotations
 
 import networkx as nx
 
+from repro.simulator.faults import FaultModel
 from repro.topology.model import Network
 
 _SINK = "__sink__"
@@ -131,3 +136,18 @@ def reference_q_value(net: Network, h0: str, v: str) -> int | None:
     except nx.NetworkXUnfeasible:
         return None
     return int(cost)
+
+
+def reference_effective_network(
+    net: Network, faults: FaultModel, mapper_host: str
+) -> Network:
+    """Ground truth minus dead cables, restricted to the mapper's component."""
+    eff = net.copy()
+    if faults.dead_wires:
+        for wire in list(eff.wires):
+            if frozenset((wire.a, wire.b)) in faults.dead_wires:
+                eff.disconnect(wire)
+    g = nx.Graph(eff.to_networkx())
+    if mapper_host not in g:
+        return eff.induced_subnetwork([mapper_host])
+    return eff.induced_subnetwork(nx.node_connected_component(g, mapper_host))

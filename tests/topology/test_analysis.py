@@ -7,7 +7,6 @@ from repro.topology.analysis import (
     core_decomposition,
     core_network,
     diameter,
-    hop_distances,
     q_value,
     recommended_search_depth,
     separated_set,
@@ -24,13 +23,6 @@ class TestDiameter:
 
     def test_two_switch(self, two_switch_net):
         assert diameter(two_switch_net) == 3
-
-    def test_hop_distances(self, two_switch_net):
-        d = hop_distances(two_switch_net, "h0")
-        assert d["h0"] == 0
-        assert d["s0"] == 1
-        assert d["s1"] == 2
-        assert d["h3"] == 3
 
 
 class TestBridges:

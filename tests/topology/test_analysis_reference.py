@@ -16,7 +16,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.chaos.oracles import effective_network
 from repro.simulator.faults import FaultModel
 from repro.topology.analysis import (
+    bridges,
     core_decomposition,
+    core_network,
     diameter,
     q_max,
     q_value,
@@ -34,6 +36,7 @@ from repro.topology.model import Network, TopologyError
 from tests.routing.test_route_tables_golden import FABRICS as GOLDEN_FABRICS
 from tests.topology.reference_analysis import (
     reference_diameter,
+    reference_effective_network,
     reference_q_value,
     reference_separated_set,
 )
@@ -202,6 +205,102 @@ class TestNamedFabrics:
         assert_matches_reference(net, "C-svc")
         with pytest.raises(TopologyError):
             diameter(net)
+
+
+def assert_effective_matches_reference(
+    net: Network, faults: FaultModel, h0: str
+) -> Network:
+    """The BFS ``effective_network`` equals the networkx one: the same
+    nodes and wires, in the same order, and the same core ``N - F``."""
+    got = effective_network(net, faults, h0)
+    want = reference_effective_network(net, faults, h0)
+    assert got.nodes == want.nodes, h0
+    assert [(w.a, w.b) for w in got.wires] == [(w.a, w.b) for w in want.wires], h0
+    got_core, want_core = core_network(got), core_network(want)
+    assert got_core.nodes == want_core.nodes, h0
+    assert {(w.a, w.b) for w in got_core.wires} == {
+        (w.a, w.b) for w in want_core.wires
+    }, h0
+    return got
+
+
+class TestEffectiveNetwork:
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        seed=st.integers(min_value=0, max_value=10**6),
+        n_switches=st.integers(min_value=1, max_value=7),
+        n_hosts=st.integers(min_value=2, max_value=5),
+        extra_links=st.integers(min_value=0, max_value=4),
+        loopbacks=st.integers(min_value=0, max_value=2),
+        n_dead=st.integers(min_value=0, max_value=3),
+        cut_bridge=st.booleans(),
+        strand_a_host=st.booleans(),
+        pair=st.booleans(),
+        lone=st.booleans(),
+    )
+    def test_equals_reference_for_every_mapper_host(
+        self, seed, n_switches, n_hosts, extra_links, loopbacks, n_dead,
+        cut_bridge, strand_a_host, pair, lone,
+    ):
+        """Dead wires drawn from every cable (parallel and loopback ones
+        included), a dead switch-bridge that splits the fabric, a host whose
+        only wire is dead, a host–host cable and an unattached host; every
+        host is the mapper once."""
+        try:
+            net = seeded_fabric(seed, n_switches, n_hosts, extra_links, 1, loopbacks)
+        except TopologyError:
+            return  # density does not fit the radix
+        add_odd_hosts(net, seed, 0, 0, pair, lone)
+        rng = random.Random(seed)
+        wires = sorted(net.wires, key=lambda w: w.key)
+        dead = rng.sample(wires, min(n_dead, len(wires)))
+        if cut_bridge:
+            trunk = [
+                w for w in bridges(net)
+                if net.is_switch(w.a.node) and net.is_switch(w.b.node)
+            ]
+            dead += trunk[:1]
+        if strand_a_host:
+            leaf = rng.choice(sorted(h for h in net.hosts if net.wires_of(h)))
+            dead += net.wires_of(leaf)
+        faults = FaultModel(
+            dead_wires=frozenset(frozenset((w.a, w.b)) for w in dead)
+        )
+        for h0 in net.hosts:
+            assert_effective_matches_reference(net, faults, h0)
+
+    def test_dead_trunk_splits_off_a_leaf_switch(self):
+        net = build_subcluster("C")
+        trunk = [
+            w for w in net.wires_of("C-leaf-0")
+            if net.is_switch(w.a.node) and net.is_switch(w.b.node)
+        ]
+        faults = FaultModel(
+            dead_wires=frozenset(frozenset((w.a, w.b)) for w in trunk)
+        )
+        got = assert_effective_matches_reference(net, faults, "C-svc")
+        assert "C-leaf-0" not in got.nodes and "C-svc" in got.nodes
+        behind = min(
+            h for h in net.hosts if net.host_attachment(h).node == "C-leaf-0"
+        )
+        stranded = assert_effective_matches_reference(net, faults, behind)
+        assert "C-leaf-0" in stranded.nodes and "C-svc" not in stranded.nodes
+
+    def test_mapper_whose_only_wire_is_dead_is_alone(self, tiny_net):
+        (wire,) = tiny_net.wires_of("h0")
+        faults = FaultModel(dead_wires=frozenset({frozenset((wire.a, wire.b))}))
+        got = assert_effective_matches_reference(tiny_net, faults, "h0")
+        assert got.nodes == ["h0"] and got.n_wires == 0
+
+    def test_unknown_mapper_is_refused_alike(self, tiny_net):
+        with pytest.raises(TopologyError):
+            reference_effective_network(tiny_net, FaultModel(), "nowhere")
+        with pytest.raises(TopologyError):
+            effective_network(tiny_net, FaultModel(), "nowhere")
 
 
 class TestLeafHostsReadOffTheirSwitch:

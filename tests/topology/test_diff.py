@@ -24,7 +24,7 @@ class TestIdentical:
     def test_copy_is_identical(self):
         net = _sample()
         d = diff_networks(net, net.copy())
-        assert d.identical and not d.routes_stale
+        assert d.identical
         assert d.summary() == "no change"
 
     def test_port_offsets_tolerated(self):
@@ -49,7 +49,7 @@ class TestChanges:
         new.connect("h3", 0, "s1", 3)
         d = diff_networks(old, new)
         assert d.hosts_added == ["h3"]
-        assert d.routes_stale
+        assert not d.identical
         assert "+1 hosts" in d.summary()
 
     def test_host_removed(self):

@@ -4,7 +4,6 @@ import pytest
 
 from repro.topology.builder import NetworkBuilder
 from repro.topology.isomorphism import (
-    isomorphic_up_to_port_offsets,
     match_networks,
     networks_equal,
 )
@@ -27,7 +26,7 @@ def _two_switch(port_shift: int = 0, swap_names: bool = False):
 class TestPositive:
     def test_identical_networks(self):
         assert networks_equal(_two_switch(), _two_switch())
-        assert isomorphic_up_to_port_offsets(_two_switch(), _two_switch())
+        assert match_networks(_two_switch(), _two_switch())
 
     def test_port_offset_tolerated(self):
         a, b = _two_switch(0), _two_switch(2)
@@ -39,7 +38,7 @@ class TestPositive:
         assert len(shifted) == 1
 
     def test_switch_names_ignored(self):
-        assert isomorphic_up_to_port_offsets(
+        assert match_networks(
             _two_switch(), _two_switch(swap_names=True)
         )
 
@@ -48,7 +47,7 @@ class TestPositive:
         assert set(report.node_map) >= {"s0", "s1", "h0", "h1", "h2"}
 
     def test_parallel_wires_matched_individually(self, two_switch_net):
-        assert isomorphic_up_to_port_offsets(two_switch_net, two_switch_net)
+        assert match_networks(two_switch_net, two_switch_net)
 
 
 class TestNegative:
@@ -119,7 +118,7 @@ class TestLoopbacks:
             b.link("s0", "s0", port_a=4 + shift, port_b=6 + shift)
             return b.build()
 
-        assert isomorphic_up_to_port_offsets(build(0), build(1))
+        assert match_networks(build(0), build(1))
 
     def test_loopback_position_matters(self):
         def build(pa, pb):

@@ -1,11 +1,12 @@
 """Rendering smoke tests (Figures 4/5 output paths)."""
 
-from repro.topology.render import summary_line, to_ascii, to_dot
+from repro.topology.render import to_ascii, to_dot
 
 
 class TestAscii:
     def test_summary_line(self, two_switch_net):
-        assert summary_line(two_switch_net) == "4 interfaces, 2 switches, 6 links"
+        first = to_ascii(two_switch_net).splitlines()[0]
+        assert first == "4 interfaces, 2 switches, 6 links"
 
     def test_ascii_contains_every_node(self, two_switch_net):
         text = to_ascii(two_switch_net, title="test")
@@ -36,37 +37,3 @@ class TestDot:
 
     def test_dot_host_shape(self, tiny_net):
         assert '"h0" [shape=ellipse]' in to_dot(tiny_net)
-
-
-class TestLayered:
-    def test_levels_by_host_distance(self, subcluster_c):
-        from repro.topology.render import to_layered_ascii
-
-        text = to_layered_ascii(subcluster_c, title="C")
-        assert "== C ==" in text
-        assert "level 1:" in text and "level 3:" in text
-        # Leaf switches list their hosts as "down".
-        assert "down: C-n00 C-n01 C-n02 C-n03 C-n04" in text
-        # The secondary root is the deepest switch.
-        lines = text.splitlines()
-        lvl3 = lines.index("level 3:")
-        assert "C-root-1" in lines[lvl3 + 1]
-
-    def test_works_on_mapper_output(self, mapped_c):
-        from repro.topology.render import to_layered_ascii
-
-        text = to_layered_ascii(mapped_c.network)
-        assert "level 1:" in text
-        assert "C-svc" in text
-
-    def test_unreachable_nodes_flagged(self):
-        from repro.topology.builder import NetworkBuilder
-        from repro.topology.render import to_layered_ascii
-
-        b = NetworkBuilder()
-        b.switch("s0").switch("lonely")
-        b.hosts("h0", "h1")
-        b.attach("h0", "s0")
-        b.attach("h1", "s0")
-        text = to_layered_ascii(b.build(validate=False))
-        assert "unreachable: lonely" in text
