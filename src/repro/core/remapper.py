@@ -28,7 +28,7 @@ from repro.core.mapper_protocol import (
     build_mapper_service,
     resolve_mapper_factory,
 )
-from repro.routing.compile_routes import RouteTable, compile_route_tables
+from repro.routing.compile_routes import RouteGeneration, compile_route_tables
 from repro.routing.deadlock import routes_deadlock_free
 from repro.routing.incremental import DistributionReport, distribute_incremental
 from repro.routing.paths import all_pairs_updown_paths
@@ -105,7 +105,7 @@ def map_cycle(
     return result, svc
 
 
-def route_cycle(new_map: Network) -> tuple[dict[str, RouteTable], bool]:
+def route_cycle(new_map: Network) -> tuple[RouteGeneration, bool]:
     """The routing half: UP*/DOWN* tables for ``new_map`` and their
     Dally–Seitz verdict.
 
@@ -191,7 +191,7 @@ class RemapperDaemon:
         self._incremental = incremental
         self.history: list[RemapCycle] = []
         self.current_map: Network | None = None
-        self.current_tables: dict[str, RouteTable] | None = None
+        self.current_tables: RouteGeneration | None = None
         self._last_result: MapResult | None = None
         self._net_epoch: int | None = None
         self._fault_epoch: int | None = None

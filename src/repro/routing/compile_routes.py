@@ -20,13 +20,21 @@ compiled once per state and every host on a switch gets that switch's one
 tail object. Only a route that crosses a hop with parallel cables is
 compiled hop by hop and owns its tail, which keeps the seeded draws in the
 order a pair-by-pair compile makes them.
+
+The compiler's output is numbered as it is built: a
+:class:`RouteGeneration` gives each channel and each distinct tail its
+number the first time a route uses it, over routes in (host, destination)
+order, head before tail — the order the version-3 wire document lists
+them in. The Dally–Seitz check reads its arcs off those numbers, the codec
+writes them as they are, and a :class:`CompiledRoute` is built only when
+a table is read.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from repro.routing.paths import RoutingPaths
 from repro.simulator.path_eval import Traversal
@@ -35,9 +43,11 @@ from repro.topology.model import Network
 
 __all__ = [
     "CompiledRoute",
+    "RouteGeneration",
     "RouteTable",
     "Tail",
     "WireIndex",
+    "as_generation",
     "build_wire_index",
     "channel_table",
     "compile_route_tables",
@@ -64,7 +74,7 @@ class CompiledRoute(NamedTuple):
     """One source route: the turn string plus its wire-level trace, held
     as the source's own channel, the turn where that meets the tail
     (``None`` over an empty tail), and the shared tail. A named tuple:
-    immutable and hashable, and a generation builds ~10 000 of them."""
+    immutable and hashable; a generation builds one when a table is read."""
 
     src: str
     dst: str
@@ -89,13 +99,188 @@ class CompiledRoute(NamedTuple):
 
 @dataclass(slots=True)
 class RouteTable:
-    """All routes out of one host, keyed by destination host."""
+    """All routes out of one host, keyed by destination host: a dict when
+    built by hand, a read-only view of its :class:`RouteGeneration` when
+    compiled or decoded."""
 
     host: str
-    routes: dict[str, CompiledRoute] = field(default_factory=dict)
+    routes: Mapping[str, CompiledRoute] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.routes)
+
+
+#: What every table of a generation reads its routes off: the channels, the
+#: tails, each host's channel number, and the tail a route compiled on its
+#: own holds instead of the shared one it equals, by (host, destination).
+_Parts = tuple[list[Traversal], list[Tail], dict[str, int], dict[tuple[str, str], Tail]]
+
+
+class _Routes(Mapping[str, CompiledRoute]):
+    """One host's routes, each built when asked for from its tail number:
+    the host's channel, the tail, and the turn where the two meet — the
+    tail's first out port minus the channel's in port."""
+
+    __slots__ = ("_host", "_numbered", "_parts")
+
+    def __init__(self, host: str, numbered: dict[str, int], parts: _Parts) -> None:
+        self._host, self._numbered, self._parts = host, numbered, parts
+
+    def __getitem__(self, dst: str) -> CompiledRoute:
+        number = self._numbered[dst]
+        channels, tails, heads, owned = self._parts
+        head, tail = channels[heads[self._host]], owned.get((self._host, dst)) or tails[number]
+        turn = tail[0][0].src.port - head.dst.port if tail[0] else None
+        return CompiledRoute(self._host, dst, head, turn, tail)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._numbered)
+
+    def __len__(self) -> int:
+        return len(self._numbered)
+
+
+class RouteGeneration(dict[str, RouteTable]):
+    """One generation of route tables, keyed by source host, held by number
+    (read-only: build a new generation rather than edit one):
+
+    - ``channels``: every channel a route crosses, once;
+    - ``rows`` and ``tails``: every distinct tail once, as its channels'
+      numbers and as the :data:`Tail` object the routes share; ``outs``:
+      per tail, the port its first channel leaves by (``None`` when empty);
+    - ``heads``: per host with routes, the number of its one channel;
+    - ``numbered``: per host, per destination, the route's tail number.
+      Its first turn is not held: it is the tail's out port minus the
+      in port of the host's channel.
+
+    Compiled, and written to the wire, in first-seen order over routes in
+    (host, destination) order, head before tail; decoded, in the
+    document's own order.
+    """
+
+    __slots__ = ("channels", "rows", "tails", "outs", "heads", "numbered")
+
+    def __init__(
+        self,
+        channels: list[Traversal],
+        rows: list[tuple[int, ...]],
+        tails: list[Tail],
+        heads: dict[str, int],
+        numbered: dict[str, dict[str, int]],
+        owned: dict[tuple[str, str], Tail] | None = None,
+    ) -> None:
+        parts = (channels, tails, heads, owned or {})
+        super().__init__(
+            (host, RouteTable(host, _Routes(host, routes, parts)))
+            for host, routes in numbered.items()
+        )
+        self.channels, self.rows, self.tails = channels, rows, tails
+        self.outs = [tail[0][0].src.port if tail[0] else None for tail in tails]
+        self.heads, self.numbered = heads, numbered
+
+    def in_port(self, host: str) -> int:
+        """The port ``host``'s channel enters by — a route's first turn is
+        its tail's out port minus this (0 for a host without routes)."""
+        return self.channels[self.heads[host]].dst.port if host in self.heads else 0
+
+
+class _Numbering:
+    """A generation being numbered: channels and tails in the order they
+    are first seen, by identity and then by value — a channel as itself, a
+    tail as its channels' numbers and its turns — so a copy numbers as its
+    interned equal does; per host its channel, per route its tail. An
+    ``id`` is a key, so every channel and tail numbered must outlive the
+    numbering."""
+
+    __slots__ = ("channels", "rows", "tails", "heads", "numbered", "owned", "_ids", "_values")
+
+    def __init__(self, hosts: Sequence[str] = ()) -> None:
+        self.channels: list[Traversal] = []
+        self.rows: list[tuple[int, ...]] = []
+        self.tails: list[Tail] = []
+        self.heads: dict[str, int] = {}
+        self.numbered: dict[str, dict[str, int]] = {host: {} for host in hosts}
+        self.owned: dict[tuple[str, str], Tail] = {}
+        self._ids: dict[int, int] = {}
+        self._values: dict[object, int] = {}  # a channel, or a tail's (row, turns)
+
+    def channel(self, traversal: Traversal) -> int:
+        found = self._ids.get(id(traversal))
+        if found is None:
+            found = self._ids[id(traversal)] = self._values.setdefault(
+                traversal, len(self.channels)
+            )
+            if found == len(self.channels):
+                self.channels.append(traversal)
+        return found
+
+    def row(self, tail: Tail) -> tuple[int, ...]:
+        """The numbers of ``tail``'s channels, numbering any not seen yet."""
+        seen = self._ids.get
+        return tuple([n if (n := seen(id(t))) is not None else self.channel(t) for t in tail[0]])
+
+    def tail(self, tail: Tail) -> int:
+        found = self._ids.get(id(tail))
+        if found is None:
+            row = self.row(tail)
+            found = self._ids[id(tail)] = self._values.setdefault((row, tail[1]), len(self.rows))
+            if found == len(self.rows):
+                self.rows.append(row)
+                self.tails.append(tail)
+        return found
+
+    def add(self, tail: Tail) -> int:
+        """Number a tail no other tail can equal, without looking it up."""
+        self.rows.append(self.row(tail))
+        self.tails.append(tail)
+        return len(self.rows) - 1
+
+    def route(self, route: CompiledRoute) -> tuple[int, int]:
+        return self.channel(route.head), self.tail(route.tail)
+
+    def own(self, host: str, dst: str, route: CompiledRoute) -> None:
+        """Number a route that keeps its own tail object; the first route
+        of a host names the host's channel."""
+        head, self.numbered[host][dst] = self.route(route)
+        self.heads.setdefault(host, head)
+        self.owned[host, dst] = route.tail
+
+    def generation(self) -> RouteGeneration:
+        return RouteGeneration(
+            self.channels, self.rows, self.tails, self.heads, self.numbered, self.owned
+        )
+
+
+def channel_table(
+    routes: Sequence[CompiledRoute],
+) -> tuple[list[Traversal], list[tuple[tuple[int, ...], Turns]], list[tuple[int, int]]]:
+    """Number a hand-built or copied route set as the compiler numbers its
+    own: the distinct channels in first-seen order, the distinct tails
+    likewise — each as its channels' numbers and its turns — and every
+    route as ``(head channel, tail)`` numbers. ``routes`` must be a
+    sequence the caller holds for the call."""
+    numbering = _Numbering()
+    numbered = [numbering.route(route) for route in routes]
+    turns = [tail[1] for tail in numbering.tails]
+    return numbering.channels, list(zip(numbering.rows, turns)), numbered
+
+
+def as_generation(tables: Mapping[str, RouteTable]) -> RouteGeneration:
+    """``tables`` as one generation: itself when it is one, else numbered
+    as :func:`channel_table` numbers, over routes in (host, destination)
+    order. Tables that do not read back equal — a host whose routes leave
+    by two channels, a route whose first turn is not where its channels
+    meet — have no numbered form: ValueError."""
+    if isinstance(tables, RouteGeneration):
+        return tables
+    numbering = _Numbering(sorted(tables))
+    for host in numbering.numbered:
+        for dst, route in sorted(tables[host].routes.items()):
+            numbering.own(host, dst, route)
+    generation = numbering.generation()
+    if generation != tables:
+        raise ValueError("route tables with no numbered form")
+    return generation
 
 
 def build_wire_index(net: Network) -> WireIndex:
@@ -112,57 +297,6 @@ def build_wire_index(net: Network) -> WireIndex:
         index.setdefault((a.node, b.node), []).append(Traversal(a, b))
         index.setdefault((b.node, a.node), []).append(Traversal(b, a))
     return index
-
-
-def channel_table(
-    routes: Sequence[CompiledRoute],
-) -> tuple[list[Traversal], list[tuple[list[int], Turns]], list[tuple[int, int]]]:
-    """The distinct channels of ``routes`` numbered in first-seen order,
-    the distinct tails likewise — each as its channels' numbers and its
-    turns — and every route as ``(head channel, tail)`` numbers.
-
-    A :class:`Traversal` or :data:`Tail` shared between routes (as
-    :func:`compile_route_tables` and the wire decoder hand them out)
-    resolves by identity; any other resolves by value, so a hand-built or
-    copied route set numbers exactly as its interned equal does.
-    ``routes`` must be a sequence the caller holds for the call: that is
-    what keeps every ``id`` distinct while it is a key.
-    """
-    by_id: dict[int, int] = {}
-    by_value: dict[Traversal, int] = {}
-    channels: list[Traversal] = []
-
-    def number(traversal: Traversal) -> int:
-        """A channel not yet seen as this object: by value, then remembered."""
-        found = by_value.get(traversal)
-        if found is None:
-            found = by_value[traversal] = len(channels)
-            channels.append(traversal)
-        by_id[id(traversal)] = found
-        return found
-
-    tail_by_id: dict[int, int] = {}
-    tail_by_value: dict[tuple, int] = {}
-    tails: list[tuple[list[int], Turns]] = []
-    numbered: list[tuple[int, int]] = []
-    seen = by_id.get
-    for route in routes:
-        head = seen(id(route.head))
-        if head is None:
-            head = number(route.head)
-        tail = tail_by_id.get(id(route.tail))
-        if tail is None:
-            held, turns = route.tail
-            row = []
-            for traversal in held:
-                found = seen(id(traversal))
-                row.append(number(traversal) if found is None else found)
-            tail = tail_by_value.setdefault((tuple(row), turns), len(tails))
-            if tail == len(tails):
-                tails.append((row, turns))
-            tail_by_id[id(route.tail)] = tail
-        numbered.append((head, tail))
-    return channels, tails, numbered
 
 
 def _candidates(wire_index: WireIndex, u: str, v: str) -> list[Traversal]:
@@ -234,27 +368,29 @@ def _suffix(
 
 
 def _in_tree_routes(
-    tables: dict[str, RouteTable], paths: RoutingPaths, wire_index: WireIndex, rng: random.Random
+    numbering: _Numbering, paths: RoutingPaths, wire_index: WireIndex, rng: random.Random
 ) -> None:
-    """Fill ``tables`` (all leaf hosts, sorted) source-major.
+    """Number every route (all hosts leaves, sorted) source-major.
 
     All chains into one destination form an in-tree over the path states,
     so a chain is compiled once per state and every route entering at
     that state holds the one tail object (``trees``: per destination, the
     successor column and its state -> suffix memo). Once per entry switch,
-    ``rows`` lists ``(dst, nodes, tail, tail's first out port)``; a host
-    on that switch reads its whole table off the row, its first turn
-    being that out port minus its own in port.
+    ``rows`` lists ``[dst, nodes, tail, tail's number]``, the number taken
+    when a route first uses the tail, and each host on that switch reads
+    its whole table off the row. No other tail can equal a shared one: it
+    starts at its entry switch and ends at its destination, and each
+    (entry switch, destination) has one row item.
     A route over a hop with parallel cables is compiled on its own by
     :func:`_compile`, which keeps the seeded draws in route order.
     """
     names = paths.names
     trees: list[tuple[str, list[int], dict[int, _Suffix]]] = []
-    for dst in tables:
+    for dst in numbering.numbered:
         goal, step = paths.in_tree(dst)
         trees.append((dst, step, {goal: ((), ((), ()))}))
-    rows: dict[str, list[tuple[str, tuple[str, ...], Tail | None, int]]] = {}
-    for src, table in tables.items():
+    rows: dict[str, list[list]] = {}
+    for src, routes in numbering.numbered.items():
         switch = paths.leaf_switch[src]
         row = rows.get(switch)
         if row is None:
@@ -262,20 +398,21 @@ def _in_tree_routes(
             row = rows[switch] = []
             for dst, step, done in trees:
                 if step[entry] >= 0:
-                    nodes, tail = done.get(entry) or _suffix(
-                        entry, step, done, names, wire_index
-                    )
-                    row.append((dst, nodes, tail, tail[0][0].src.port if tail else 0))
+                    nodes, tail = done.get(entry) or _suffix(entry, step, done, names, wire_index)
+                    row.append([dst, nodes, tail, None])
         head = _candidates(wire_index, src, switch)[0]  # a host's one wire
-        in_port = head.dst.port
-        routes = table.routes
-        for dst, nodes, tail, out_port in row:
+        for item in row:
+            dst, nodes, tail, number = item
             if dst == src:
                 continue
             if tail is None:
-                routes[dst] = _compile([src, switch, *nodes], wire_index, rng)
-            else:
-                routes[dst] = CompiledRoute(src, dst, head, out_port - in_port, tail)
+                numbering.own(src, dst, _compile([src, switch, *nodes], wire_index, rng))
+                continue
+            if src not in numbering.heads:
+                numbering.heads[src] = numbering.channel(head)
+            if number is None:
+                number = item[3] = numbering.add(tail)
+            routes[dst] = number
 
 
 def path_to_turns(
@@ -302,8 +439,8 @@ def compile_route_tables(
     paths: RoutingPaths,
     *,
     seed: int = 0,
-) -> dict[str, RouteTable]:
-    """Route tables for every host pair with a compliant path.
+) -> RouteGeneration:
+    """Route tables for every host pair with a compliant path, numbered.
 
     With every host a leaf (the system model: one wire, to a switch) the
     routes come off the per-destination in-trees; a fabric with any other
@@ -312,11 +449,11 @@ def compile_route_tables(
     rng = random.Random(seed)
     wire_index = build_wire_index(net)
     hosts = sorted(net.hosts)
-    tables: dict[str, RouteTable] = {h: RouteTable(h) for h in hosts}
+    numbering = _Numbering(hosts)
     if all(h in paths.leaf_switch for h in hosts):
-        _in_tree_routes(tables, paths, wire_index, rng)
-        return tables
-    for src, dst, node_path in paths.node_paths(hosts, hosts):
-        if src != dst:
-            tables[src].routes[dst] = _compile(node_path, wire_index, rng)
-    return tables
+        _in_tree_routes(numbering, paths, wire_index, rng)
+    else:
+        for src, dst, node_path in paths.node_paths(hosts, hosts):
+            if src != dst:
+                numbering.own(src, dst, _compile(node_path, wire_index, rng))
+    return numbering.generation()

@@ -11,18 +11,20 @@ also works on arbitrary route sets (e.g. to show that unrestricted shortest
 paths on a cyclic topology are NOT deadlock-free — the motivating contrast).
 
 A fabric has few channels (two per wire) and many routes, so the graph is
-kept as one small successor set per *numbered* channel
-(:func:`~repro.routing.compile_routes.channel_table`). Routes that share
-a tail share its dependency arcs, so every consecutive pair of every
-*distinct tail* is visited once, as two integers, plus the one arc per
-route from its head channel into its tail.
+kept as one small successor set per numbered channel. A
+:class:`~repro.routing.compile_routes.RouteGeneration` is numbered already:
+every consecutive pair of every *distinct tail* is read off its row once,
+as two integers, plus the one arc per route from its head channel into its
+tail. Any other route set — hand-built, copied, one LASH layer — is
+numbered first, the same way, by
+:func:`~repro.routing.compile_routes.channel_table`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Mapping
 
-from repro.routing.compile_routes import CompiledRoute, RouteTable, channel_table
+from repro.routing.compile_routes import CompiledRoute, RouteGeneration, RouteTable, channel_table
 
 __all__ = [
     "dependency_cycle",
@@ -35,33 +37,41 @@ _UNSEEN, _OPEN, _DONE = 0, 1, 2
 
 
 def routes_deadlock_free(
-    tables: dict[str, RouteTable] | Iterable[CompiledRoute],
+    tables: Mapping[str, RouteTable] | Iterable[CompiledRoute],
 ) -> bool:
     """True iff the channel dependency graph of the routes is acyclic."""
     return dependency_cycle(tables) is None
 
 
-def _successors(routes: list[CompiledRoute]) -> tuple[list, list[set[int]]]:
-    """The numbered channels of ``routes`` and, per channel, the channels
+def _successors(
+    tables: Mapping[str, RouteTable] | Iterable[CompiledRoute],
+) -> tuple[list, list[set[int]]]:
+    """The numbered channels of the routes and, per channel, the channels
     some route wants next while holding it: the arcs inside each distinct
     tail, then each route's one arc from its head channel into its tail."""
-    channels, tails, numbered = channel_table(routes)
+    routes: Iterable[tuple[int, int]]
+    if isinstance(tables, RouteGeneration):
+        channels, rows, heads = tables.channels, tables.rows, tables.heads
+        routes = ((heads[h], t) for h, by_dst in tables.numbered.items() for t in by_dst.values())
+    else:
+        channels, tails, routes = channel_table(_flatten(tables))
+        rows = [row for row, _ in tails]
     successors: list[set[int]] = [set() for _ in channels]
-    for row, _ in tails:
+    for row in rows:
         for held, wanted in zip(row, row[1:]):
             successors[held].add(wanted)
-    entered = [row[0] if row else None for row, _ in tails]
-    for head, tail in numbered:
+    entered = [row[0] if row else None for row in rows]
+    for head, tail in routes:
         if (wanted := entered[tail]) is not None:
             successors[head].add(wanted)
     return channels, successors
 
 
 def dependency_cycle(
-    tables: dict[str, RouteTable] | Iterable[CompiledRoute],
+    tables: Mapping[str, RouteTable] | Iterable[CompiledRoute],
 ) -> list[Channel] | None:
     """A witness dependency cycle, or None when the routes are safe."""
-    channels, successors = _successors(_flatten(tables))
+    channels, successors = _successors(tables)
 
     # Iterative three-colour depth-first search: an arc into a channel
     # that is still open closes a cycle through the open chain.
@@ -91,8 +101,8 @@ def dependency_cycle(
 
 
 def _flatten(
-    tables: dict[str, RouteTable] | Iterable[CompiledRoute],
+    tables: Mapping[str, RouteTable] | Iterable[CompiledRoute],
 ) -> list[CompiledRoute]:
-    if isinstance(tables, dict):
+    if isinstance(tables, Mapping):
         return [r for t in tables.values() for r in t.routes.values()]
     return list(tables)

@@ -27,8 +27,9 @@ evaluating the mapper->host route on the actual network.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
 
-from repro.routing.compile_routes import RouteTable
+from repro.routing.compile_routes import RouteTable, as_generation
 from repro.simulator.path_eval import PathStatus, evaluate_route
 from repro.simulator.timing import MYRINET_TIMING, TimingModel
 from repro.topology.model import Network
@@ -79,7 +80,7 @@ class RouteTableDelta:
 
 
 def diff_route_tables(
-    old: dict[str, RouteTable] | None, new: dict[str, RouteTable]
+    old: Mapping[str, RouteTable] | None, new: Mapping[str, RouteTable]
 ) -> dict[str, RouteTableDelta]:
     """Per-host deltas from ``old`` to ``new`` (None old = everything new).
 
@@ -88,21 +89,29 @@ def diff_route_tables(
     additions.
     """
     deltas: dict[str, RouteTableDelta] = {}
-    old = old or {}
-    for host, table in new.items():
+    generation, previous = as_generation(new), as_generation(old or {})
+    tails, outs = generation.tails, generation.outs
+    # Turn strings are compared off the generations' numbers — the tail's
+    # turns, and the first turn as the tail's out port minus the host's
+    # in port — and built only to be sent.
+    for host, routes in generation.numbered.items():
         delta = RouteTableDelta(host)
-        old_table = old.get(host)
-        old_routes = old_table.routes if old_table else {}
-        for dst, route in table.routes.items():
-            prev = old_routes.get(dst)
-            # Turn strings are compared where a route holds them (first
-            # turn, then the shared tail's) and built only to be sent.
+        old_routes = previous.numbered.get(host, {})
+        in_port, old_in = generation.in_port(host), previous.in_port(host)
+        for dst, tail in routes.items():
+            prev, out = old_routes.get(dst), outs[tail]
+            turn = None if out is None else out - in_port
+            if prev is not None and previous.tails[prev][1] == tails[tail][1]:
+                old_out = previous.outs[prev]
+                if turn == (None if old_out is None else old_out - old_in):
+                    continue
+            sent = () if turn is None else (turn, *tails[tail][1])
             if prev is None:
-                delta.added[dst] = route.turns
-            elif prev.first_turn != route.first_turn or prev.tail[1] != route.tail[1]:
-                delta.changed[dst] = route.turns
+                delta.added[dst] = sent
+            else:
+                delta.changed[dst] = sent
         for dst in old_routes:
-            if dst not in table.routes:
+            if dst not in routes:
                 delta.withdrawn.append(dst)
         deltas[host] = delta
     return deltas
@@ -111,8 +120,8 @@ def diff_route_tables(
 def distribute_incremental(
     net: Network,
     mapper_host: str,
-    new_tables: dict[str, RouteTable],
-    old_tables: dict[str, RouteTable] | None,
+    new_tables: Mapping[str, RouteTable],
+    old_tables: Mapping[str, RouteTable] | None,
     *,
     timing: TimingModel = MYRINET_TIMING,
     bytes_per_route: int = 16,

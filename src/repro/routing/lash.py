@@ -82,7 +82,7 @@ def lash_route_tables(
 
     sp = dict(nx.all_pairs_shortest_path(g))
     wire_index = build_wire_index(net)
-    tables: dict[str, RouteTable] = {h: RouteTable(h) for h in hosts}
+    routes: dict[str, dict[str, CompiledRoute]] = {h: {} for h in hosts}
     layer_of: dict[tuple[str, str], int] = {}
     # Per-layer dependency graphs, extended incrementally.
     layer_cdg: list[nx.DiGraph] = []
@@ -108,10 +108,10 @@ def lash_route_tables(
             cdg.add_edges_from(deps)
             layer_cdg.append(cdg)
             layer_of[(src, dst)] = len(layer_cdg) - 1
-        tables[src].routes[dst] = route
+        routes[src][dst] = route
 
     return LashRouting(
-        tables=tables,
+        tables={h: RouteTable(h, table) for h, table in routes.items()},
         layer_of=layer_of,
         n_layers=len(layer_cdg),
     )

@@ -12,6 +12,14 @@ Every ``*_from_dict`` validates shape before building anything and raises
 a service must reject a bad payload with a clean error, never half-build
 state from it. Every ``*_to_dict`` emits only JSON-native types, so
 ``json.dumps(doc)`` always succeeds and round-trips.
+
+A ``route-tables`` document is a
+:class:`~repro.routing.compile_routes.RouteGeneration` written by number:
+the encoder writes the generation's own channel, tail and route numbers
+(a hand-built table set is numbered first, by
+:func:`~repro.routing.compile_routes.as_generation`), and the decoder
+builds a generation over the document's numbers — no route object until
+a table is read.
 """
 
 from __future__ import annotations
@@ -20,12 +28,7 @@ from typing import Any, Mapping
 
 from repro.core.instrumentation import PhaseProfile
 from repro.core.mapper import GrowthSample, MapResult
-from repro.routing.compile_routes import (
-    CompiledRoute,
-    RouteTable,
-    Tail,
-    channel_table,
-)
+from repro.routing.compile_routes import RouteGeneration, RouteTable, Tail, as_generation
 from repro.simulator.path_eval import Traversal
 from repro.simulator.probes import ProbeStats
 from repro.topology.model import PortRef
@@ -236,44 +239,19 @@ def map_result_from_dict(data: Any) -> MapResult:
 # nested in it carry no lists of their own: a route is ``[head channel,
 # tail, first turn]`` by position in the generation's lists.
 
-def _encode_tables(tables: list[RouteTable]) -> tuple[list, list, list[dict]]:
-    """The channel and tail lists ``tables`` share, and each table's
-    document (still without those lists) referring into them."""
-    ordered = [sorted(table.routes.items()) for table in tables]
-    channels, tails, numbered = channel_table(
-        [route for items in ordered for _, route in items]
-    )
-    rows = iter(numbered)
-    docs = [
-        {
-            "kind": "route-table",
-            "version": FORMAT_VERSION,
-            "host": table.host,
-            "routes": {
-                dst: [*next(rows), route.first_turn] for dst, route in items
-            },
-        }
-        for table, items in zip(tables, ordered)
-    ]
-    return (
-        [[[c.src.node, c.src.port], [c.dst.node, c.dst.port]] for c in channels],
-        [[row, list(turns)] for row, turns in tails],
-        docs,
-    )
-
-
 def _channels(value: Any, kind: str) -> list[tuple]:
     """Validate and build every channel once: per channel its ``(src node,
     src port, dst node, dst port)`` for the chain checks, then the shared
-    object."""
+    object, then its number (one ``int`` object per number: a generation
+    keeps none of the document's)."""
     if not isinstance(value, list):
         raise SerializationError(f"{kind}: channels is not a list")
     channels = []
-    for item in value:
+    for at, item in enumerate(value):
         if not isinstance(item, list) or len(item) != 2:
             raise SerializationError(f"{kind}: malformed channel {item!r}")
         src, dst = _port_ref(item[0], kind), _port_ref(item[1], kind)
-        channels.append((src.node, src.port, dst.node, dst.port, Traversal(src, dst)))
+        channels.append((src.node, src.port, dst.node, dst.port, Traversal(src, dst), at))
     return channels
 
 
@@ -282,7 +260,7 @@ def _tails(value: Any, kind: str, channels: list[tuple]) -> list[tuple]:
     turn is the out port minus the in port at the switch where two of them
     meet. Per tail, its ``(entry node, first out port, last node)`` for the
     per-route junction check (``None`` for an empty tail), then the shared
-    object."""
+    object, its channel numbers and its own number."""
     if not isinstance(value, list):
         raise SerializationError(f"{kind}: tails is not a list")
     tails = []
@@ -305,9 +283,9 @@ def _tails(value: Any, kind: str, channels: list[tuple]) -> list[tuple]:
             )
         junction = None
         if numbers:
-            entry, first_out, node, in_port, _ = channels[numbers[0]]
+            entry, first_out, node, in_port, _, _ = channels[numbers[0]]
             for turn, number in zip(turns, numbers[1:]):
-                src_node, out_port, next_node, next_port, _ = channels[number]
+                src_node, out_port, next_node, next_port, _, _ = channels[number]
                 if src_node != node or out_port - in_port != turn:
                     raise SerializationError(
                         f"{kind}: {where}: turns and channels disagree at {node!r}"
@@ -315,18 +293,18 @@ def _tails(value: Any, kind: str, channels: list[tuple]) -> list[tuple]:
                 node, in_port = next_node, next_port
             junction = (entry, first_out, node)
         tail: Tail = (tuple([channels[n][4] for n in numbers]), turns)
-        tails.append((junction, tail))
+        tails.append((junction, tail, tuple([channels[n][5] for n in numbers]), at))
     return tails
 
 
 def _route(
     doc: Any, host: str, dst: str, channels: list[tuple], tails: list[tuple]
-) -> CompiledRoute:
-    """One route, refused unless its turns and channels tell one story at
-    the one place its tail has not already proven it: the head channel
-    leaves ``host`` and meets the tail's first channel under the stated
-    first turn, and the tail (or, over an empty tail, the head) enters
-    ``dst``."""
+) -> tuple[int, int]:
+    """One route's head and tail numbers, refused unless its turns and
+    channels tell one story at the one place its tail has not already
+    proven it: the head channel leaves ``host`` and meets the tail's first
+    channel under the stated first turn, and the tail (or, over an empty
+    tail, the head) enters ``dst``."""
     if not isinstance(doc, list) or len(doc) != 3:
         raise _refused(host, dst, "not a [head, tail, first turn] triple")
     head, tail, turn = doc
@@ -334,8 +312,8 @@ def _route(
         raise _refused(host, dst, f"malformed channel index {head!r}")
     if type(tail) is not int or not 0 <= tail < len(tails):
         raise _refused(host, dst, f"malformed tail index {tail!r}")
-    src_node, _, node, in_port, channel = channels[head]
-    junction, chain = tails[tail]
+    src_node, _, node, in_port, _, _ = channels[head]
+    junction, _, _, tail = tails[tail]
     if src_node != host:
         raise _refused(host, dst, f"first channel leaves {src_node!r}")
     if junction is None:
@@ -350,46 +328,84 @@ def _route(
         node = last
     if node != dst:
         raise _refused(host, dst, f"last channel enters {node!r}")
-    return CompiledRoute(host, dst, channel, turn, chain)
+    return head, tail
 
 
 def _refused(host: str, dst: str, why: str) -> SerializationError:
     return SerializationError(f"route-table: route {host!r} -> {dst!r}: {why}")
 
 
-def _table(data: dict, channels: list[tuple], tails: list[tuple]) -> RouteTable:
+def _table(
+    data: dict, channels: list[tuple], tails: list[tuple]
+) -> tuple[str, int | None, dict[str, int]]:
+    """A table's host, its one head channel and its routes' tail numbers."""
     kind = "route-table"
     host = _field(data, kind, "host", str)
-    table = RouteTable(host=host)
+    first, routes = None, {}
     for dst, doc in _field(data, kind, "routes", dict).items():
-        table.routes[dst] = _route(doc, host, dst, channels, tails)
-    return table
+        head, routes[dst] = _route(doc, host, dst, channels, tails)
+        if first is not None and head != first:
+            raise _refused(host, dst, f"leaves by channel {head}, its table by {first}")
+        first = head
+    return host, first, routes
 
 
 def route_tables_to_dict(tables: Mapping[str, RouteTable]) -> dict:
     """A whole generation of tables, keyed by source host."""
-    hosts = sorted(tables)
-    channels, tails, docs = _encode_tables([tables[host] for host in hosts])
+    generation = as_generation(tables)
+    outs = generation.outs
+
+    def routes(host: str) -> dict:
+        head, in_port = generation.heads.get(host), generation.in_port(host)
+        return {
+            dst: [head, tail, None if (out := outs[tail]) is None else out - in_port]
+            for dst, tail in sorted(generation.numbered[host].items())
+        }
+
     return {
         "kind": "route-tables",
         "version": FORMAT_VERSION,
-        "channels": channels,
-        "tails": tails,
-        "tables": dict(zip(hosts, docs)),
+        "channels": [
+            [[c.src.node, c.src.port], [c.dst.node, c.dst.port]]
+            for c in generation.channels
+        ],
+        "tails": [
+            [list(row), list(tail[1])]
+            for row, tail in zip(generation.rows, generation.tails)
+        ],
+        "tables": {
+            host: {
+                "kind": "route-table",
+                "version": FORMAT_VERSION,
+                "host": host,
+                "routes": routes(host),
+            }
+            for host in sorted(generation)
+        },
     }
 
 
-def route_tables_from_dict(data: Any) -> dict[str, RouteTable]:
+def route_tables_from_dict(data: Any) -> RouteGeneration:
     kind = "route-tables"
     data = require_kind(data, kind)
     channels = _channels(data.get("channels"), kind)
     tails = _tails(data.get("tails"), kind, channels)
-    out: dict[str, RouteTable] = {}
+    heads: dict[str, int] = {}
+    numbered: dict[str, dict[str, int]] = {}
     for host, doc in _field(data, kind, "tables", dict).items():
-        table = _table(require_kind(doc, "route-table"), channels, tails)
-        if table.host != host:
+        claimed, head, numbered[host] = _table(
+            require_kind(doc, "route-table"), channels, tails
+        )
+        if claimed != host:
             raise SerializationError(
-                f"{kind}: table keyed {host!r} claims host {table.host!r}"
+                f"{kind}: table keyed {host!r} claims host {claimed!r}"
             )
-        out[host] = table
-    return out
+        if head is not None:
+            heads[host] = head
+    return RouteGeneration(
+        [channel[4] for channel in channels],
+        [tail[2] for tail in tails],
+        [tail[1] for tail in tails],
+        heads,
+        numbered,
+    )

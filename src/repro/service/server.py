@@ -569,9 +569,15 @@ class MapServer:
             # Everything adopt() stores is checked here, before it touches
             # the tenant: a bad map_result would poison every later seed,
             # so it is decoded whole and refused on whatever the worker's
-            # seed decode would refuse it on.
+            # seed decode would refuse it on; and tables are served only
+            # if they are deadlock-free as decoded, whatever the worker's
+            # own verdict says.
             try:
                 tables = route_tables_from_dict(outcome["tables"])
+                if not routes_deadlock_free(tables):
+                    raise SerializationError(
+                        "route-tables: the channel dependency graph has a cycle"
+                    )
                 map_result_from_dict(outcome.get("map_result"))
                 epoch = outcome.get("net_epoch")
                 if not isinstance(epoch, int) or isinstance(epoch, bool):

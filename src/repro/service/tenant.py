@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from repro.routing.compile_routes import RouteTable
+from repro.routing.compile_routes import RouteGeneration
 from repro.service.serialize import SerializationError
 from repro.simulator.faults import FaultModel
 from repro.topology.delta import seedable_removals
@@ -162,7 +162,7 @@ class TenantState:
         )
         #: Current route-table generation; ``None`` until the first
         #: successful cycle. Swapped atomically, never mutated in place.
-        self.tables: dict[str, RouteTable] | None = None
+        self.tables: RouteGeneration | None = None
         self.generation = 0
         #: Serialized MapResult of the last successful cycle (the witness
         #: seed for the next incremental cycle travels from this).
@@ -221,7 +221,7 @@ class TenantState:
                 }
         return payload
 
-    def adopt(self, outcome: dict, tables: dict[str, RouteTable] | None) -> None:
+    def adopt(self, outcome: dict, tables: RouteGeneration | None) -> None:
         """Fold a finished worker cycle into the tenant (event loop only).
 
         A failed or unverified cycle never touches the served tables: the

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.routing.compile_routes import compile_route_tables
+from repro.routing.compile_routes import RouteTable, compile_route_tables
 from repro.routing.deadlock import dependency_cycle, routes_deadlock_free
 from repro.routing.incremental import distribute_incremental
 from repro.routing.paths import all_pairs_updown_paths
@@ -89,10 +89,13 @@ class TestDistribution:
     def test_distribution_uses_computed_routes(self, ring_net):
         tables = _updown_tables(ring_net)
         # Sabotage the mapper's route to one host: distribution must
-        # report the failure rather than cheat.
+        # report the failure rather than cheat. A compiled table is a
+        # read-only view, so the sabotaged one is built by hand.
         broken = dict(tables)
         victim = sorted(h for h in ring_net.hosts if h != "h0")[0]
-        del broken["h0"].routes[victim]
+        broken["h0"] = RouteTable(
+            "h0", {d: r for d, r in tables["h0"].routes.items() if d != victim}
+        )
         report = distribute_incremental(ring_net, "h0", broken, None)
         assert victim in report.failed
         assert not report.ok

@@ -308,6 +308,15 @@ class TestMalformedRejection:
             (lambda d: d["routes"].update(h1=[0, 1, 3]), "route 'h0' -> 'h1': .* disagree at 'a'"),
             (lambda d: d["routes"].update(h1=[0, 2, 3]), "last channel enters 'b'"),
             (lambda d: d["routes"].update(h1=[0, 0, 2]), "route 'h0' -> 'h1': .* disagree at 'a'"),
+            # A host has one port: a second route that is consistent on its
+            # own but leaves by another channel is refused with its table.
+            (
+                lambda d: (
+                    d["channels"].append([["h0", 0], ["a", 1]]),
+                    d["routes"].update(b=[4, 2, 2]),
+                ),
+                "route 'h0' -> 'b': leaves by channel 4, its table by 0",
+            ),
         ],
     )
     def test_route_whose_turns_and_channels_disagree_is_rejected(

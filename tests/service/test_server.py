@@ -19,8 +19,11 @@ import pytest
 
 from repro.service.client import MapClient, ServiceError
 from repro.service.protocol import read_frame
+from repro.service.serialize import route_tables_to_dict
 from repro.service.server import MapServer, percentile
 from repro.service.tenant import TenantSpec
+from repro.topology.generators import build_ring
+from tests.routing.test_deadlock_reference import shortest_path_tables
 
 RING = TenantSpec(name="ring", topology="ring", params={"size": 4, "hosts_per_switch": 1})
 MESH = TenantSpec(name="mesh", topology="mesh", params={"size": 2, "hosts_per_switch": 1})
@@ -450,6 +453,19 @@ class TestFailureSemantics:
                 lambda o: _name_another_tail(o, same_entry=True),
                 "last channel enters 'ring-n",
                 id="route-names-a-tail-to-another-host",
+            ),
+            pytest.param(
+                # Well-formed tables with a channel-dependency cycle
+                # (unrestricted shortest paths around a ring), under the
+                # worker's claim that they are deadlock-free.
+                lambda o: o.update(
+                    tables=route_tables_to_dict(
+                        shortest_path_tables(build_ring(5, hosts_per_switch=1))
+                    ),
+                    deadlock_free=True,
+                ),
+                "channel dependency graph has a cycle",
+                id="tables-with-a-dependency-cycle-claimed-deadlock-free",
             ),
         ],
     )
