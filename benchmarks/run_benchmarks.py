@@ -7,7 +7,8 @@ pytest needed), with numbers and a pass/fail gate from one command:
 
 - ``micro`` — substrate hot paths below a cycle: one route evaluation, one
   switch-probe loopback, one probe pair, the full-NOW core decomposition
-  behind ``recommended_search_depth``, one sanlint pass over ``src/repro``;
+  behind ``recommended_search_depth``, the route compile plus deadlock
+  check on the mapped full NOW, one sanlint pass over ``src/repro``;
 - ``scale`` — datacenter-tier three-tier fat trees (80 / 320 / 1125
   switches), each mapped end-to-end and verified. The k=8 tier is the CI
   smoke gate; the larger tiers are ``--quick``-skipped and the 1125-switch
@@ -118,6 +119,45 @@ def _micro_core_decomposition() -> tuple[float, dict]:
     }
 
 
+def _micro_route_compile() -> tuple[float, dict]:
+    """``compile_route_tables`` then ``routes_deadlock_free`` on the mapped
+    full NOW: the fragment behind the e2e ledger's ``routing.compile_ms``
+    and ``routing.deadlock_ms``, without the map and paths in front. The
+    extras say what one compile holds and how many chain hops it compiled
+    (counted on an untimed compile)."""
+    from repro.core.remapper import map_cycle
+    from repro.routing import compile_routes
+    from repro.routing.deadlock import routes_deadlock_free
+    from repro.routing.paths import all_pairs_updown_paths
+    from repro.routing.updown import orient_updown
+    from repro.topology.generators import build_full_now
+
+    net = build_full_now()
+    mapped = map_cycle(net, sorted(net.hosts)[0])[0].network
+    paths = all_pairs_updown_paths(mapped, orient_updown(mapped))
+    hop, hops = compile_routes._hop, []
+
+    def counted_hop(*args):
+        hops.append(args)
+        return hop(*args)
+
+    compile_routes._hop = counted_hop
+    try:
+        tables = compile_routes.compile_route_tables(mapped, paths)
+    finally:
+        compile_routes._hop = hop
+
+    def compile_and_check() -> None:
+        assert routes_deadlock_free(compile_routes.compile_route_tables(mapped, paths))
+
+    per_op = _time_op(compile_and_check, 20)
+    return per_op, {
+        "tails": len(tables.tails),
+        "channels": len(tables.channels),
+        "hop_compiles": len(hops),
+    }
+
+
 def _micro_sanlint() -> tuple[float, dict]:
     """One sanlint pass over ``src/repro``: parse + the per-module rules."""
     from repro.analysis.engine import lint_paths
@@ -134,6 +174,7 @@ MICRO_SUITE: dict[str, Bench] = {
     "switch_probe_eval": _micro_switch_probe_eval,
     "probe_pair": _micro_probe_pair,
     "core_decomposition_full_now": _micro_core_decomposition,
+    "route_compile_full_now": _micro_route_compile,
     "sanlint_whole_repo": _micro_sanlint,
 }
 

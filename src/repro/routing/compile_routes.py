@@ -14,10 +14,14 @@ among parallel cables is seeded-random here for exactly that reason.
 Every host on a switch shares, per destination, one chain from that switch
 on. So a route *is* its host's one channel plus a :data:`Tail` — the chain
 from the entry switch to the destination — and a generation holds each
-tail once, as it holds each channel once: when all hosts are leaves
-(:mod:`repro.routing.paths`) each destination's in-tree of chains is
-compiled once per state and every host on a switch gets that switch's one
-tail object. Only a route that crosses a hop with parallel cables is
+tail once, as it holds each channel once. When all hosts are leaves
+(:mod:`repro.routing.paths`) the hosts on one switch share one in-tree of
+chains, so it is read and compiled once per state for each host-bearing
+destination *switch* (24 on the full NOW, not one per each of its 100
+hosts); a tail into another host on that switch swaps only the last
+channel. Every host on an entry switch gets that switch's one tail object
+per destination, and once the switch's row is numbered a host's table is
+a copy of it. Only a route that crosses a hop with parallel cables is
 compiled hop by hop and owns its tail, which keeps the seeded draws in the
 order a pair-by-pair compile makes them.
 
@@ -229,9 +233,10 @@ class _Numbering:
                 self.tails.append(tail)
         return found
 
-    def add(self, tail: Tail) -> int:
-        """Number a tail no other tail can equal, without looking it up."""
-        self.rows.append(self.row(tail))
+    def add(self, tail: Tail, row: tuple[int, ...]) -> int:
+        """Number a tail no other tail can equal, without looking it up;
+        ``row`` is its channels' numbers."""
+        self.rows.append(row)
         self.tails.append(tail)
         return len(self.rows) - 1
 
@@ -290,7 +295,7 @@ def build_wire_index(net: Network) -> WireIndex:
     each hop one dict lookup that already yields the channel object.
     """
     index: WireIndex = {}
-    for wire in sorted(net.wires, key=lambda w: (w.a, w.b)):
+    for wire in sorted(net.wires, key=lambda w: (w.a.node, w.a.port, w.b.node, w.b.port)):
         a, b = wire.a, wire.b
         if a.node == b.node:
             continue  # self-loop cables never carry a route hop
@@ -367,51 +372,87 @@ def _suffix(
     return suffix
 
 
-def _in_tree_routes(
+def _retarget(numbering: _Numbering, chain: list, channel: Traversal) -> int:
+    """Number the tail of ``chain`` — into the first host on a switch — with
+    its last channel swapped for ``channel``, into a host on that switch
+    (for the first host, the chain's own tail). Its row is the chain's row
+    but the last, numbered the first time and kept in ``chain``, plus the
+    number of ``channel``."""
+    _, tail, row = chain
+    channels, turns = tail
+    if channel is channels[-1]:
+        return numbering.add(tail, numbering.row(tail))
+    if row is None:
+        row = chain[2] = numbering.row((channels[:-1], turns))
+    if len(channels) > 1:
+        turns = (*turns[:-1], channel.src.port - channels[-2].dst.port)
+    return numbering.add(((*channels[:-1], channel), turns), (*row, numbering.channel(channel)))
+
+
+def _switch_routes(
     numbering: _Numbering, paths: RoutingPaths, wire_index: WireIndex, rng: random.Random
 ) -> None:
     """Number every route (all hosts leaves, sorted) source-major.
 
-    All chains into one destination form an in-tree over the path states,
-    so a chain is compiled once per state and every route entering at
-    that state holds the one tail object (``trees``: per destination, the
-    successor column and its state -> suffix memo). Once per entry switch,
-    ``rows`` lists ``[dst, nodes, tail, tail's number]``, the number taken
-    when a route first uses the tail, and each host on that switch reads
-    its whole table off the row. No other tail can equal a shared one: it
-    starts at its entry switch and ends at its destination, and each
-    (entry switch, destination) has one row item.
-    A route over a hop with parallel cables is compiled on its own by
-    :func:`_compile`, which keeps the seeded draws in route order.
+    The leaves on one switch have one successor column but for the goal,
+    so one in-tree serves them all: it is read off the switch's first host
+    and compiled once per state as that host's chains (``trees``). Per
+    entry switch, ``chains`` holds for each destination switch ``[nodes,
+    tail, row]``: the chain into that switch's first host and, from the
+    first time a route uses it, its channel numbers but the last. The tail
+    into another host on the switch swaps the last channel for that host's
+    own one. ``row`` maps each destination to its tail's number (-1 until a
+    route first uses it): the switch's first host numbers every tail but
+    its own, and every other host copies the row minus itself, the second
+    one after numbering the first host's tail. No other tail can equal a shared one: it starts at its
+    entry switch and ends at its destination, and each (entry switch,
+    destination) has one row item. A row with a chain over a hop with
+    parallel cables is read route by route, and such a route is compiled
+    on its own by :func:`_compile`, which keeps the seeded draws in route
+    order.
     """
-    names = paths.names
+    names, leaf_switch = paths.names, paths.leaf_switch
+    on: dict[str, list[str]] = {}
+    for host in numbering.numbered:
+        on.setdefault(leaf_switch[host], []).append(host)
     trees: list[tuple[str, list[int], dict[int, _Suffix]]] = []
-    for dst in numbering.numbered:
-        goal, step = paths.in_tree(dst)
-        trees.append((dst, step, {goal: ((), ((), ()))}))
-    rows: dict[str, list[list]] = {}
+    for switch, hosts in on.items():
+        goal, step = paths.in_tree(hosts[0])
+        trees.append((switch, step, {goal: ((), ((), ()))}))
+    into = {dst: _candidates(wire_index, leaf_switch[dst], dst)[0] for dst in numbering.numbered}
+    rows: dict[str, tuple[dict[str, int], dict[str, list], bool]] = {}
     for src, routes in numbering.numbered.items():
-        switch = paths.leaf_switch[src]
-        row = rows.get(switch)
-        if row is None:
-            entry = paths.index[switch]
-            row = rows[switch] = []
-            for dst, step, done in trees:
-                if step[entry] >= 0:
-                    nodes, tail = done.get(entry) or _suffix(entry, step, done, names, wire_index)
-                    row.append([dst, nodes, tail, None])
+        switch = leaf_switch[src]
         head = _candidates(wire_index, src, switch)[0]  # a host's one wire
-        for item in row:
-            dst, nodes, tail, number = item
+        if switch not in rows:
+            entry = paths.index[switch]
+            chains: dict[str, list] = {
+                to: [*(done.get(entry) or _suffix(entry, step, done, names, wire_index)), None]
+                for to, step, done in trees
+                if step[entry] >= 0
+            }
+            row = dict.fromkeys((d for d in numbering.numbered if leaf_switch[d] in chains), -1)
+            rows[switch] = row, chains, all(chain[1] is not None for chain in chains.values())
+        row, chains, shared = rows[switch]
+        if shared and src != (first := on[switch][0]):  # a later host on a shared row
+            numbering.heads[src] = numbering.channel(head)
+            if row[first] < 0:
+                row[first] = _retarget(numbering, chains[switch], into[first])
+            routes.update(row)
+            del routes[src]
+            continue
+        for dst, number in row.items():
             if dst == src:
                 continue
-            if tail is None:
-                numbering.own(src, dst, _compile([src, switch, *nodes], wire_index, rng))
+            chain = chains[leaf_switch[dst]]
+            if chain[1] is None:
+                nodes = [src, switch, *chain[0][:-1], dst]
+                numbering.own(src, dst, _compile(nodes, wire_index, rng))
                 continue
             if src not in numbering.heads:
                 numbering.heads[src] = numbering.channel(head)
-            if number is None:
-                number = item[3] = numbering.add(tail)
+            if number < 0:
+                number = row[dst] = _retarget(numbering, chain, into[dst])
             routes[dst] = number
 
 
@@ -451,7 +492,7 @@ def compile_route_tables(
     hosts = sorted(net.hosts)
     numbering = _Numbering(hosts)
     if all(h in paths.leaf_switch for h in hosts):
-        _in_tree_routes(numbering, paths, wire_index, rng)
+        _switch_routes(numbering, paths, wire_index, rng)
     else:
         for src, dst, node_path in paths.node_paths(hosts, hosts):
             if src != dst:

@@ -176,6 +176,12 @@ class RoutingPaths:
         where ``dst`` is unreachable). Enter at ``index[switch]``, name a
         state with ``names``; consecutive states with one name are the
         free UP->DOWN hop in place.
+
+        The sweep's ``k`` runs over core states only, and the columns of
+        two leaves on one switch start equal but for the goal, so they end
+        equal but for the goal: the chains into every host on a switch are
+        one in-tree, and the compiler reads it once per switch, off its
+        first host.
         """
         goal = self.index[dst]
         return goal, self.succ[:, goal].tolist()

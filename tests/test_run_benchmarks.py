@@ -168,9 +168,9 @@ class TestRemapSuite:
 
 
 class TestSuiteRegistry:
-    def test_three_suites_ten_arms_and_every_committed_name_is_one(self, harness):
+    def test_eleven_arms_and_every_committed_name_is_one(self, harness):
         """Whole cycles and per-layer rows belong to ``benchmarks/e2e``; what
-        is left here is exactly these ten arms. ``find_regressions`` compares
+        is left here is exactly these eleven arms. ``find_regressions`` compares
         only names common to both documents, so a baseline entry whose arm
         was renamed or dropped would silently stop being gated: every
         committed name must be a registered arm of its own suite."""
@@ -180,6 +180,7 @@ class TestSuiteRegistry:
                 "switch_probe_eval",
                 "probe_pair",
                 "core_decomposition_full_now",
+                "route_compile_full_now",
                 "sanlint_whole_repo",
             },
             "scale": {
@@ -234,6 +235,21 @@ class TestCommittedBaselines:
         entry = doc["benchmarks"]["core_decomposition_full_now"]
         assert entry["extra"] == {"q_values": 140, "search_depth": 16}
         assert entry["median_us"] < 100_000
+
+    def test_micro_baseline_gates_the_route_compile(self, harness):
+        """``route_compile_full_now`` is the fragment behind the ledger's
+        ``routing.compile_ms`` and ``routing.deadlock_ms``: committed, never
+        skipped by ``--quick``, and compiling per destination switch (the
+        mapped full NOW's 2 397 tails over 332 channels from at most 1 000
+        hop compiles, where one in-tree per destination host took 3 662)."""
+        doc = json.loads(
+            (REPO_ROOT / "benchmarks" / "BENCH_micro.json").read_text()
+        )
+        assert "route_compile_full_now" in harness.MICRO_SUITE
+        assert "route_compile_full_now" not in harness.SLOW_BENCHES
+        extra = doc["benchmarks"]["route_compile_full_now"]["extra"]
+        assert (extra["tails"], extra["channels"]) == (2397, 332)
+        assert extra["hop_compiles"] <= 1000
 
     def test_scale_baseline_covers_every_tier(self):
         doc = json.loads(
