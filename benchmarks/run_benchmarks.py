@@ -447,6 +447,8 @@ def main(argv: list[str] | None = None) -> int:
             SUITES if args.suite == "all" else {args.suite: SUITES[args.suite]}
         )
         docs = {}
+        # Before the first arm: a missing --out must not cost a whole run.
+        args.out.mkdir(parents=True, exist_ok=True)
         for suite_name, suite in suites.items():
             print(f"suite {suite_name} (repeats={repeats}"
                   + (", quick" if args.quick else "") + "):")

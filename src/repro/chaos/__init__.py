@@ -24,7 +24,6 @@ from repro.chaos.runner import (
     CampaignConfig,
     CampaignReport,
     CellResult,
-    build_topology,
     demo_campaign,
     run_campaign,
     run_cell,
@@ -44,7 +43,6 @@ __all__ = [
     "Scenario",
     "ScenarioError",
     "ShrinkResult",
-    "build_topology",
     "demo_campaign",
     "effective_network",
     "run_campaign",

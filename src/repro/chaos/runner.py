@@ -41,6 +41,7 @@ from repro.core.mapper import MappingError
 from repro.core.remapper import RemapperDaemon
 from repro.simulator.faults import FaultModel
 from repro.simulator.stack import CountingLayer
+from repro.topology.generators import build_topology
 from repro.topology.model import Network, TopologyError
 from repro.topology.serialize import network_to_dict
 
@@ -49,7 +50,6 @@ __all__ = [
     "CampaignReport",
     "CellResult",
     "ChaosLayer",
-    "build_topology",
     "campaign_config_from_dict",
     "campaign_config_to_dict",
     "demo_campaign",
@@ -57,61 +57,6 @@ __all__ = [
     "run_cell",
     "save_report",
 ]
-
-
-# ---------------------------------------------------------------------------
-# topology specs: serializable generator invocations
-# ---------------------------------------------------------------------------
-def build_topology(spec: Mapping[str, Any]) -> tuple[Network, str]:
-    """Materialize a topology spec; returns ``(network, mapper_host)``.
-
-    Specs are plain dicts so cells (and shrunk regression artifacts) are
-    fully serializable: ``{"kind": "ring", "size": 6}``. Supported kinds:
-    ``ring``, ``chain``, ``mesh``, ``torus``, ``hypercube``, ``star``,
-    ``random``, ``subcluster``. ``mapper`` optionally names the mapping
-    host (default: first host in sorted order).
-    """
-    from repro.topology import generators as gen
-
-    kind = spec.get("kind")
-    hps = int(spec.get("hosts_per_switch", 1))
-    if kind == "ring":
-        net = gen.build_ring(int(spec.get("size", 4)), hosts_per_switch=hps)
-    elif kind == "chain":
-        net = gen.build_chain(int(spec.get("size", 3)), hosts_per_switch=hps)
-    elif kind == "mesh":
-        net = gen.build_mesh(
-            int(spec.get("rows", spec.get("size", 3))),
-            int(spec.get("cols", spec.get("size", 3))),
-            hosts_per_switch=hps,
-        )
-    elif kind == "torus":
-        net = gen.build_torus(
-            int(spec.get("rows", spec.get("size", 3))),
-            int(spec.get("cols", spec.get("size", 3))),
-            hosts_per_switch=hps,
-        )
-    elif kind == "hypercube":
-        net = gen.build_hypercube(int(spec.get("size", 3)), hosts_per_switch=hps)
-    elif kind == "star":
-        net = gen.build_star(int(spec.get("size", 4)), hosts_per_switch=hps)
-    elif kind == "random":
-        net = gen.random_san(
-            n_switches=int(spec.get("n_switches", 4)),
-            n_hosts=int(spec.get("n_hosts", 4)),
-            extra_links=int(spec.get("extra_links", 1)),
-            parallel_link_prob=float(spec.get("parallel_link_prob", 0.0)),
-            pendant_switches=int(spec.get("pendant_switches", 0)),
-            seed=int(spec.get("seed", 0)),
-        )
-    elif kind == "subcluster":
-        net = gen.build_subcluster(str(spec.get("which", "C")))
-    else:
-        raise ScenarioError(f"unknown topology kind {kind!r}")
-    mapper = spec.get("mapper") or sorted(net.hosts)[0]
-    if mapper not in net.hosts:
-        raise ScenarioError(f"mapper host {mapper!r} not in topology")
-    return net, mapper
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +164,7 @@ def _execute_cell(
     result = CellResult(scenario, dict(topology), seed)
     try:
         net, mapper_host = build_topology(topology)
-    except (ScenarioError, TopologyError) as exc:
+    except TopologyError as exc:
         result.invalid = f"topology: {exc}"
         return result
 

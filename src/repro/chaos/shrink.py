@@ -22,6 +22,7 @@ from typing import Any, Callable, Mapping
 from repro.chaos.oracles import Oracle, DEFAULT_ORACLES
 from repro.chaos.runner import CellResult, run_cell
 from repro.chaos.scenario import ChaosEvent, Scenario
+from repro.topology.generators import shrink_candidates
 
 __all__ = ["ShrinkResult", "shrink_failure"]
 
@@ -75,38 +76,6 @@ def _renumber(events: tuple[ChaosEvent, ...]) -> tuple[ChaosEvent, ...]:
     cycles = sorted({e.cycle for e in events})
     remap = {c: i for i, c in enumerate(cycles)}
     return tuple(replace(e, cycle=remap[e.cycle]) for e in events)
-
-
-def _topology_candidates(spec: Mapping[str, Any]) -> list[dict[str, Any]]:
-    """Strictly smaller versions of a topology spec, most aggressive first."""
-    out: list[dict[str, Any]] = []
-    kind = spec.get("kind")
-
-    def smaller(key: str, floor: int) -> None:
-        val = int(spec.get(key, 0))
-        for nxt in (floor, (val + floor) // 2, val - 1):
-            if floor <= nxt < val:
-                cand = dict(spec)
-                cand[key] = nxt
-                if cand not in out:
-                    out.append(cand)
-
-    if kind in ("ring", "star"):
-        smaller("size", 3)
-    elif kind == "chain":
-        smaller("size", 2)
-    elif kind in ("mesh", "torus"):
-        smaller("rows", 2)
-        smaller("cols", 2)
-    elif kind == "hypercube":
-        smaller("size", 1)
-    elif kind == "random":
-        smaller("n_switches", 1)
-        smaller("n_hosts", 2)
-        smaller("extra_links", 0)
-    if int(spec.get("hosts_per_switch", 1)) > 1:
-        smaller("hosts_per_switch", 1)
-    return out
 
 
 def shrink_failure(
@@ -209,7 +178,7 @@ def shrink_failure(
     progress = True
     while progress and budget.used < budget.limit:
         progress = False
-        for cand_topo in _topology_candidates(topology):
+        for cand_topo in shrink_candidates(topology):
             if reproduces(scenario, cand_topo) is not None:
                 topology = cand_topo
                 progress = True

@@ -385,9 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="build a topology and save it")
     p.add_argument(
         "--topology",
-        # The fat tree's own parameters (k, hosts per edge) have no flags
-        # here; it stays a tenant-spec kind.
-        choices=[k for k in NAMED_TOPOLOGIES if k != "fat-tree-3tier"],
+        # The fat trees' own parameters (leaves, k, hosts per leaf or edge)
+        # have no flags here; they stay spec kinds.
+        choices=[k for k in NAMED_TOPOLOGIES if not k.startswith("fat-tree")],
         required=True,
     )
     p.add_argument("--size", type=int, default=4,

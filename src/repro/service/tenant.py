@@ -30,8 +30,8 @@ from repro.topology.serialize import network_from_dict, network_to_dict
 
 __all__ = ["TenantSpec", "TenantState", "build_tenant_network"]
 
-#: Topology kinds a spec may name: the ``san-map generate`` vocabulary, the
-#: scale-tier fat tree, and an explicit inline network document.
+#: Topology kinds a spec may name: every kind of the one registry, and an
+#: explicit inline network document.
 TOPOLOGY_KINDS = (*NAMED_TOPOLOGIES, "explicit")
 
 

@@ -10,8 +10,10 @@
   contrasts with.
 - :mod:`~repro.topology.generators.random_topo` — seeded random connected
   SANs for property-based testing.
-- :mod:`~repro.topology.generators.named` — the above by name, from a flat
-  parameter mapping (``san-map generate``, map-server tenant specs).
+- :mod:`~repro.topology.generators.named` — the above by name, from a spec
+  dict: the one vocabulary of ``san-map generate``, tenant specs, chaos
+  cells and tournament families, with each kind's defaults and shrink
+  floors.
 """
 
 from repro.topology.generators.now import (
@@ -35,6 +37,7 @@ from repro.topology.generators.regular import (
 )
 from repro.topology.generators.random_topo import random_san
 from repro.topology.generators.named import NAMED_TOPOLOGIES, build_named_topology
+from repro.topology.generators.named import build_topology, shrink_candidates
 
 __all__ = [
     "NAMED_TOPOLOGIES",
@@ -49,8 +52,10 @@ __all__ = [
     "build_star",
     "build_subcluster",
     "build_three_tier_fat_tree",
+    "build_topology",
     "build_torus",
     "combine_subclusters",
     "random_san",
+    "shrink_candidates",
     "three_tier_counts",
 ]

@@ -1,9 +1,10 @@
 """Topology families the mapper tournament sweeps.
 
-Each family is a deterministic generator call — the same five shapes the
-paper's evaluation and the scale benchmarks use: the measured NOW system
-(Figure 5), an incomplete fat tree, a ring, a regular torus, and a random
-SAN. The random family is pinned to seed 5 because the committed
+Each family is a topology spec that
+:func:`repro.topology.generators.build_topology` builds — the same five
+shapes the paper's evaluation and the scale benchmarks use: the measured
+NOW system (Figure 5), an incomplete fat tree, a ring, a regular torus,
+and a random SAN. The random family is pinned to seed 5 because the committed
 ``benchmarks/BENCH_tournament.json`` is; the seed is not special. Every
 registered algorithm's ``map()`` matches the core on seeds 0-39 of that
 generator, 40 of 40 — including the 33 seeds with a host-free dead end
@@ -16,56 +17,21 @@ spanning-tree confirmation probes) mis-merges on none of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
-
-from repro.topology.model import Network
+from typing import Any, Mapping
 
 __all__ = ["Family", "FAMILIES", "family_names", "get_family", "quick_family_names"]
 
 
 @dataclass(frozen=True)
 class Family:
-    """One tournament column: a topology plus how to map it."""
+    """One tournament column: a topology spec (see
+    :mod:`repro.topology.generators.named`), mapped at the proven Q+D+1."""
 
     name: str
     summary: str
-    build: Callable[[], Network]
-    #: Host the mapper runs on; ``None`` -> first host in sorted order.
-    mapper_host: str | None = None
-    #: Fixed exploration depth; ``None`` -> the proven Q+D+1.
-    search_depth: int | None = None
+    spec: Mapping[str, Any]
     #: Included in the CI ``--quick`` grid.
     quick: bool = True
-
-
-def _now() -> Network:
-    from repro.topology.generators import build_full_now
-
-    return build_full_now()
-
-
-def _fat_tree() -> Network:
-    from repro.topology.generators import build_fat_tree
-
-    return build_fat_tree(n_leaves=8, hosts_per_leaf=2)
-
-
-def _ring() -> Network:
-    from repro.topology.generators import build_ring
-
-    return build_ring(8)
-
-
-def _torus() -> Network:
-    from repro.topology.generators import build_torus
-
-    return build_torus(3, 3)
-
-
-def _random() -> Network:
-    from repro.topology.generators import random_san
-
-    return random_san(n_switches=10, n_hosts=10, extra_links=3, seed=5)
 
 
 FAMILIES: dict[str, Family] = {
@@ -74,14 +40,21 @@ FAMILIES: dict[str, Family] = {
         Family(
             "now",
             "the full measured C+A+B system (Figure 5)",
-            _now,
-            mapper_host="C-svc",
+            {"kind": "now-full", "mapper": "C-svc"},
             quick=False,
         ),
-        Family("fat-tree", "incomplete fat tree, 8 leaves x 2 hosts", _fat_tree),
-        Family("ring", "8-switch ring, one host each", _ring),
-        Family("torus", "3x3 torus, one host each", _torus),
-        Family("random", "random SAN, 10 switches / 10 hosts, seed 5", _random),
+        Family(
+            "fat-tree",
+            "incomplete fat tree, 8 leaves x 2 hosts",
+            {"kind": "fat-tree", "n_leaves": 8, "hosts_per_leaf": 2},
+        ),
+        Family("ring", "8-switch ring, one host each", {"kind": "ring", "size": 8}),
+        Family("torus", "3x3 torus, one host each", {"kind": "torus", "size": 3}),
+        Family(
+            "random",
+            "random SAN, 10 switches / 10 hosts, seed 5",
+            {"kind": "random", "n_switches": 10, "n_hosts": 10, "extra_links": 3, "seed": 5},
+        ),
     )
 }
 

@@ -27,6 +27,7 @@ from repro.core.remapper import map_cycle
 from repro.simulator.collision import CircuitModel, CollisionModel, CutThroughModel
 from repro.simulator.faults import NO_FAULTS
 from repro.topology.analysis import core_network, effective_network
+from repro.topology.generators import build_topology
 from repro.topology.isomorphism import match_networks
 from repro.tournament.families import (
     FAMILIES,
@@ -202,14 +203,12 @@ class TournamentReport:
 
 
 def _run_cell(mapper: str, family: Family, collision: str) -> TournamentCell:
-    net = family.build()
-    host = family.mapper_host or sorted(net.hosts)[0]
+    net, host = build_topology(family.spec)
     start = time.perf_counter()
     result, _ = map_cycle(
         net,
         host,
         mapper=mapper,
-        search_depth=family.search_depth,
         max_explorations=50_000,
         collision=COLLISIONS[collision](),
     )

@@ -7,7 +7,6 @@ import pytest
 from repro.chaos.runner import (
     CampaignConfig,
     ChaosLayer,
-    build_topology,
     campaign_config_from_dict,
     campaign_config_to_dict,
     demo_campaign,
@@ -24,11 +23,15 @@ from repro.chaos.scenario import (
 )
 from repro.simulator.faults import FaultModel
 from repro.simulator.stack import build_service_stack
+from repro.topology.generators import NAMED_TOPOLOGIES, build_topology
+from repro.topology.model import TopologyError
 
 RING6 = {"kind": "ring", "size": 6}
 
 
 class TestBuildTopology:
+    """Cells build through the one registry (``repro.topology.generators``)."""
+
     @pytest.mark.parametrize(
         "spec",
         [
@@ -39,7 +42,7 @@ class TestBuildTopology:
             {"kind": "hypercube", "size": 3},
             {"kind": "star", "size": 4},
             {"kind": "random", "n_switches": 3, "n_hosts": 4, "seed": 2},
-            {"kind": "subcluster", "which": "C"},
+            {"kind": "now-c"},
         ],
     )
     def test_known_kinds_build(self, spec):
@@ -52,12 +55,29 @@ class TestBuildTopology:
         assert mapper == "ring-n004"
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ScenarioError, match="unknown topology"):
+        with pytest.raises(TopologyError, match="unknown topology"):
             build_topology({"kind": "klein-bottle"})
+        cell = run_cell(Scenario("q", (), seed=1), {"kind": "klein-bottle"}, 0)
+        assert cell.invalid == "topology: unknown topology kind 'klein-bottle'"
+        assert cell.failing == ("scenario_valid",)
 
     def test_unknown_mapper_rejected(self):
-        with pytest.raises(ScenarioError, match="mapper host"):
+        with pytest.raises(TopologyError, match="mapper host"):
             build_topology({**RING6, "mapper": "ghost"})
+        cell = run_cell(Scenario("q", (), seed=1), {**RING6, "mapper": "ghost"}, 0)
+        assert cell.invalid == "topology: mapper host 'ghost' not in topology"
+
+    @pytest.mark.parametrize(
+        "kind", [k for k in NAMED_TOPOLOGIES if k not in ("now-full", "fat-tree-3tier")]
+    )
+    def test_every_kind_runs_a_quiet_cell(self, kind):
+        """Every registry kind is a chaos kind: its default spec maps,
+        routes and passes the oracles (the two big fabrics are left to the
+        tournament and the benchmarks)."""
+        cell = run_cell(
+            Scenario("quiet", (), seed=1), {"kind": kind}, 0, check_determinism=False
+        )
+        assert cell.passed, (kind, cell.invalid, cell.failing)
 
 
 class TestMidMapEvents:

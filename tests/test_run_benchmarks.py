@@ -87,6 +87,21 @@ class TestGateCli:
         args = ["--check-against", base, "--input", cur, "--tolerance", "0.30"]
         assert harness.main(args) == 0
 
+    def test_missing_out_dir_is_created_before_the_first_arm(
+        self, harness, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "missing" / "dir"
+        seen: list[bool] = []
+
+        def arm():
+            seen.append(out.is_dir())
+            return 0.001, {}
+
+        monkeypatch.setattr(harness, "SUITES", {"micro": {"b": arm}})
+        assert harness.main(["--suite", "micro", "--quick", "--out", str(out)]) == 0
+        assert seen and all(seen)
+        assert json.loads((out / "BENCH_micro.json").read_text())["benchmarks"]["b"]
+
 
 class TestScaleSuite:
     """The datacenter-tier arms and their CI-facing run policies."""

@@ -3,7 +3,7 @@ and consistency of the committed ``benchmarks/BENCH_tournament.json``."""
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -17,7 +17,8 @@ from repro.tournament import (
     load_report,
     run_tournament,
 )
-from repro.tournament.families import quick_family_names
+from repro.topology.generators import build_topology
+from repro.tournament.families import Family, quick_family_names
 
 BENCH = Path(__file__).resolve().parents[2] / "benchmarks" / "BENCH_tournament.json"
 
@@ -40,6 +41,16 @@ def test_families_cover_the_issue_grid():
         assert get_family(name) is FAMILIES[name]
     with pytest.raises(ValueError, match="unknown family"):
         get_family("clos")
+
+
+def test_families_are_registry_specs():
+    """A family is a spec the one topology registry builds; the NOW family
+    names its mapping host, every other maps from the first host."""
+    assert [f.name for f in fields(Family)] == ["name", "summary", "spec", "quick"]
+    for family in FAMILIES.values():
+        net, mapper = build_topology(family.spec)
+        assert mapper == family.spec.get("mapper", sorted(net.hosts)[0])
+    assert FAMILIES["now"].spec == {"kind": "now-full", "mapper": "C-svc"}
 
 
 def test_small_grid_runs_and_scores(small_run):
