@@ -30,14 +30,8 @@ __all__ = ["main"]
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    net = build_named_topology(
-        args.topology,
-        {
-            "size": args.size,
-            "hosts_per_switch": args.hosts_per_switch,
-            "seed": args.seed,
-        },
-    )
+    given = {"size": args.size, "hosts_per_switch": args.hosts_per_switch, "seed": args.seed}
+    net = build_named_topology(args.topology, {k: v for k, v in given.items() if v is not None})
     save_network(net, args.out)
     print(f"wrote {args.out}: {net.n_hosts} hosts, {net.n_switches} switches, "
           f"{net.n_wires} wires")
@@ -390,10 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[k for k in NAMED_TOPOLOGIES if not k.startswith("fat-tree")],
         required=True,
     )
-    p.add_argument("--size", type=int, default=4,
-                   help="switch count / grid side / cube dimension")
-    p.add_argument("--hosts-per-switch", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    # No defaults here: an omitted flag takes the registry's default.
+    p.add_argument("--size", type=int, help="switch count / grid side / cube dimension")
+    p.add_argument("--hosts-per-switch", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_generate)
 

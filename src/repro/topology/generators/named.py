@@ -119,12 +119,16 @@ NAMED_TOPOLOGIES: dict[str, TopologyKind] = {
 }
 
 
+def _entry(kind: Any) -> TopologyKind | None:
+    # A kind read from JSON may be any value; only a string names a kind.
+    return NAMED_TOPOLOGIES.get(kind) if isinstance(kind, str) else None
+
+
 def build_named_topology(kind: str, params: Params) -> Network:
     """Build the topology ``kind`` (a :data:`NAMED_TOPOLOGIES` key) from ``params``."""
-    try:
-        entry = NAMED_TOPOLOGIES[kind]
-    except KeyError:
-        raise TopologyError(f"unknown topology kind {kind!r}") from None
+    entry = _entry(kind)
+    if entry is None:
+        raise TopologyError(f"unknown topology kind {kind!r}")
     return entry.build(entry.resolve(params))
 
 
@@ -142,13 +146,16 @@ def build_topology(spec: Params) -> tuple[Network, str]:
 
 
 def shrink_candidates(spec: Params) -> list[dict[str, Any]]:
-    """Strictly smaller versions of ``spec``, most aggressive first.
+    """Smaller versions of ``spec``, most aggressive first.
 
     Each floored parameter, in declaration order, is lowered from the value
     the fabric was built with (explicit or default) to its floor, halfway
-    there, and by one. An unknown kind has no candidates.
+    there, and by one. An unknown kind has no candidates. Every candidate
+    builds a strictly smaller fabric but one: ``random`` reads
+    ``hosts_per_switch`` only to derive ``n_hosts``, so with ``n_hosts``
+    explicit its ``hosts_per_switch`` candidates build the same fabric.
     """
-    entry = NAMED_TOPOLOGIES.get(spec.get("kind"))
+    entry = _entry(spec.get("kind"))
     if entry is None:
         return []
     p = entry.resolve(spec)

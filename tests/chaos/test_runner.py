@@ -61,6 +61,12 @@ class TestBuildTopology:
         assert cell.invalid == "topology: unknown topology kind 'klein-bottle'"
         assert cell.failing == ("scenario_valid",)
 
+    def test_unhashable_kind_marks_the_cell_invalid(self):
+        """A kind read from JSON may be a list; it names no kind, it does
+        not crash the campaign."""
+        cell = run_cell(Scenario("q", (), seed=1), {"kind": ["ring"]}, 0)
+        assert cell.invalid == "topology: unknown topology kind ['ring']"
+
     def test_unknown_mapper_rejected(self):
         with pytest.raises(TopologyError, match="mapper host"):
             build_topology({**RING6, "mapper": "ghost"})

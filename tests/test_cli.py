@@ -5,8 +5,8 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.topology.generators import build_ring
-from repro.topology.serialize import load_network, save_network
+from repro.topology.generators import build_named_topology, build_ring
+from repro.topology.serialize import load_network, network_to_dict, save_network
 
 
 @pytest.fixture()
@@ -32,6 +32,14 @@ class TestGenerate:
         assert main(["generate", "--topology", topology, "--size", "3",
                      "--out", str(out)]) == 0
         assert load_network(out).n_switches >= 1
+
+    @pytest.mark.parametrize("topology", ["chain", "mesh", "random"])
+    def test_omitted_flags_take_the_registry_defaults(self, tmp_path, topology):
+        out = tmp_path / f"{topology}.json"
+        assert main(["generate", "--topology", topology, "--out", str(out)]) == 0
+        assert network_to_dict(load_network(out)) == network_to_dict(
+            build_named_topology(topology, {})
+        )
 
 
 class TestAnalyze(object):

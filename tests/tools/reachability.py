@@ -3,8 +3,9 @@
 Run from the repository root (it takes a few minutes, so it is not part
 of tier-1)::
 
-    python tests/tools/reachability.py             # plain list
-    python tests/tools/reachability.py --markdown  # the docs/STATIC_ANALYSIS.md table
+    python tests/tools/reachability.py
+
+It prints the docs/STATIC_ANALYSIS.md table on stdout.
 
 Every product entry point runs in its own subprocess with a generated
 ``sitecustomize.py`` on ``PYTHONPATH``. It installs a ``sys.setprofile``
@@ -23,13 +24,12 @@ workers count. The entry points:
 - ``san-map serve --burst``.
 
 Every ``def`` under ``src/`` (by module and qualified name) that no
-process entered is listed. A failing entry point is reported and fails
+process entered is a row, with an empty disposition column. A failing entry point is reported and fails
 the run, because its functions would be listed as unreachable.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import os
 import subprocess
@@ -107,15 +107,15 @@ def entry_points(scratch: Path) -> list[tuple[str, list[str]]]:
     return runs
 
 
-def defined_functions() -> dict[tuple[str, str], int]:
-    """``(module path, qualname) -> line`` of every ``def`` under ``src/``."""
-    found: dict[tuple[str, str], int] = {}
+def defined_functions() -> set[tuple[str, str]]:
+    """``(module path, qualname)`` of every ``def`` under ``src/``."""
+    found: set[tuple[str, str]] = set()
 
     def walk(node: ast.AST, prefix: str, path: str) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 qual = prefix + child.name
-                found.setdefault((path, qual), child.lineno)
+                found.add((path, qual))
                 walk(child, qual + ".<locals>.", path)
             elif isinstance(child, ast.ClassDef):
                 walk(child, prefix + child.name + ".", path)
@@ -136,11 +136,7 @@ def entered(reach_dir: Path) -> set[tuple[str, str]]:
     return seen
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--markdown", action="store_true",
-                        help="print a table with an empty disposition column")
-    args = parser.parse_args(argv)
+def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         scratch = Path(tmp)
         (scratch / "site").mkdir()
@@ -161,18 +157,11 @@ def main(argv: list[str] | None = None) -> int:
                 failed.append(label)
                 print(done.stderr[-2000:], file=sys.stderr)
         seen = entered(reach_dir)
-    defined = defined_functions()
-    never = sorted(key for key in defined if key not in seen)
-    if args.markdown:
-        print("| module | function | line | disposition |")
-        print("|---|---|---|---|")
+    never = sorted(defined_functions() - seen)
+    print("| module | function | disposition |")
+    print("|---|---|---|")
     for path, qual in never:
-        line = defined[(path, qual)]
-        module = path.removeprefix("src/")
-        if args.markdown:
-            print(f"| `{module}` | `{qual}` | {line} | |")
-        else:
-            print(f"{module}:{line} {qual}")
+        print(f"| `{path.removeprefix('src/')}` | `{qual}` | |")
     print(f"{len(never)} functions never entered"
           + (f"; entry points failed: {', '.join(failed)}" if failed else ""),
           file=sys.stderr)

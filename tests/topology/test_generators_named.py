@@ -10,6 +10,7 @@ from repro.topology.generators import (
     shrink_candidates,
 )
 from repro.topology.model import TopologyError
+from repro.topology.serialize import network_to_dict
 
 
 @pytest.mark.parametrize("kind", NAMED_TOPOLOGIES)
@@ -31,6 +32,7 @@ def test_unknown_kind_and_missing_mapper_are_rejected():
     with pytest.raises(TopologyError, match="mapper host"):
         build_topology({"kind": "ring", "mapper": "ghost"})
     assert shrink_candidates({"kind": "klein-bottle"}) == []
+    assert shrink_candidates({"kind": ["ring"]}) == []
 
 
 @pytest.mark.parametrize(
@@ -55,6 +57,17 @@ def test_every_candidate_builds_strictly_smaller(kind):
     for cand in shrink_candidates({"kind": kind}):
         smaller, _ = build_topology(cand)
         assert _size(smaller) < _size(net), cand
+
+
+def test_random_hosts_per_switch_candidate_is_a_no_op_with_explicit_hosts():
+    """``random`` reads ``hosts_per_switch`` only to derive ``n_hosts``:
+    with ``n_hosts`` explicit, its candidate builds the same fabric (the
+    one exception ``shrink_candidates`` documents)."""
+    spec = {"kind": "random", "n_hosts": 4, "hosts_per_switch": 2}
+    net, _ = build_topology(spec)
+    cands = [c for c in shrink_candidates(spec) if c["hosts_per_switch"] == 1]
+    assert cands == [{**spec, "hosts_per_switch": 1}]
+    assert network_to_dict(build_topology(cands[0])[0]) == network_to_dict(net)
 
 
 def test_candidates_start_from_the_resolved_value():
