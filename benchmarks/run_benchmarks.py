@@ -123,7 +123,8 @@ def _micro_route_compile() -> tuple[float, dict]:
     """``compile_route_tables`` then ``routes_deadlock_free`` on the mapped
     full NOW: the fragment behind the e2e ledger's ``routing.compile_ms``
     and ``routing.deadlock_ms``, without the map and paths in front. The
-    extras say what one compile holds and how many chain hops it compiled
+    extras say what one compile holds — chains, tails (each a chain plus
+    its last channel) and channels — and how many chain hops it compiled
     (counted on an untimed compile)."""
     from repro.core.remapper import map_cycle
     from repro.routing import compile_routes
@@ -152,7 +153,8 @@ def _micro_route_compile() -> tuple[float, dict]:
 
     per_op = _time_op(compile_and_check, 20)
     return per_op, {
-        "tails": len(tables.tails),
+        "chains": len(tables.chains),
+        "tails": len(tables.pairs),
         "channels": len(tables.channels),
         "hop_compiles": len(hops),
     }

@@ -354,6 +354,7 @@ class BerkeleyMapper(ModelGraph):
         self._hosts.clear()
         self._frontier.clear()
         self._mergelist.clear()
+        self._names.clear()
         self._kept_nodes = 0
 
     # ------------------------------------------------------------------
@@ -439,7 +440,7 @@ class BerkeleyMapper(ModelGraph):
             )
 
         # Adopt clean nodes (deterministic order: vertex ids pick merge
-        # representatives and the final switch numbering).
+        # representatives). A kept switch keeps its name in the map.
         made: dict[str, MergedVertex] = {}
         for name in order:
             if not clean[name]:
@@ -451,6 +452,7 @@ class BerkeleyMapper(ModelGraph):
             else:
                 v = self._new_vertex(KIND_SWITCH, wit)
                 v.explored = True
+                self._names[v] = name
             made[name] = v
 
         # Re-link clean wires; anything touching a dropped node or a dirty

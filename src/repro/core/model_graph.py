@@ -121,6 +121,8 @@ class ModelGraph:
         self._hosts: dict[str, MergedVertex] = {}
         self._mergelist: deque[MergedVertex] = deque()
         self._merges = 0
+        # A switch's name in the map a seed adopted it from, by vertex.
+        self._names: dict[MergedVertex, str] = {}
 
     # ------------------------------------------------------------------
     # vertices and wire-ends
@@ -373,6 +375,12 @@ class ModelGraph:
         shift), which is what a future run needs to seed itself from this
         map without re-deriving the coordinate system.
 
+        A switch a seed adopted keeps its name in the prior map, through
+        any merge; every other switch takes the lowest ``switch-N`` that no
+        kept switch or host holds, in vertex order. A cold map so numbers
+        its switches in discovery order, and a seeded one renames nothing
+        it kept: a route that did not change reads the same.
+
         ``live`` restricts the output to those live vertices (a set closed
         under adjacency — one island of merged views), ``radix`` overrides
         the graph's own for it, and ``host_meta`` goes to
@@ -381,6 +389,9 @@ class ModelGraph:
         if live is None:
             live = self._live_vertices()
         live = sorted(live, key=lambda v: v.vid)
+        kept = {self._find(v).vid: name for v, name in self._names.items()}
+        taken = {kept.get(v.vid) if v.kind == KIND_SWITCH else v.host_name for v in live}
+        fresh = (name for n in itertools.count() if (name := f"switch-{n}") not in taken)
         names: dict[int, str] = {}
         witnesses: dict[str, Turns] = {}
         for v in live:
@@ -396,7 +407,7 @@ class ModelGraph:
                     )
                 name = v.host_name
             else:
-                name = names[v.vid] = f"switch-{len(names)}"
+                name = names[v.vid] = kept.get(v.vid) or next(fresh)
             witnesses[name] = v.probe_string  # type: ignore[index]
 
         nodes: dict[str, dict[int, End] | None] = {}

@@ -12,26 +12,28 @@ the option of randomly choosing among them for load balance" — wire choice
 among parallel cables is seeded-random here for exactly that reason.
 
 Every host on a switch shares, per destination, one chain from that switch
-on. So a route *is* its host's one channel plus a :data:`Tail` — the chain
-from the entry switch to the destination — and a generation holds each
-tail once, as it holds each channel once. When all hosts are leaves
+on. So a route *is* its host's one channel, a chain — from the entry switch
+to the destination's switch — and the last channel, into the destination:
+a generation holds each chain once, as it holds each channel once, and a
+:data:`Tail` (what a route does after its first channel) as the pair of
+its chain and its last channel. When all hosts are leaves
 (:mod:`repro.routing.paths`) the hosts on one switch share one in-tree of
 chains, so it is read and compiled once per state for each host-bearing
 destination *switch* (24 on the full NOW, not one per each of its 100
-hosts); a tail into another host on that switch swaps only the last
-channel. Every host on an entry switch gets that switch's one tail object
+hosts); the tail into any host on that switch is the chain plus that
+host's channel. Every host on an entry switch gets that switch's one tail
 per destination, and once the switch's row is numbered a host's table is
 a copy of it. Only a route that crosses a hop with parallel cables is
 compiled hop by hop and owns its tail, which keeps the seeded draws in the
 order a pair-by-pair compile makes them.
 
 The compiler's output is numbered as it is built: a
-:class:`RouteGeneration` gives each channel and each distinct tail its
-number the first time a route uses it, over routes in (host, destination)
-order, head before tail — the order the version-3 wire document lists
-them in. The Dally–Seitz check reads its arcs off those numbers, the codec
-writes them as they are, and a :class:`CompiledRoute` is built only when
-a table is read.
+:class:`RouteGeneration` gives each channel, each distinct chain and each
+distinct tail its number the first time a route uses it, over routes in
+(host, destination) order, head before tail — the order the version-3 wire
+document lists them in. The Dally–Seitz check reads its arcs off those
+numbers, the codec writes them as they are, and a :class:`CompiledRoute`
+(and its tail's channel tuple) is built only when a table is read.
 """
 
 from __future__ import annotations
@@ -114,10 +116,48 @@ class RouteTable:
         return len(self.routes)
 
 
+#: A chain, held once per generation: its channels' numbers and the turns
+#: at the switches where two of them meet (one fewer; both empty for the
+#: chain of a tail that is only its last channel).
+Chain = tuple[tuple[int, ...], Turns]
+
+#: A tail by number: its chain's number and its last channel's number
+#: (``None`` when the chain is the whole tail, as in a one-hop route's
+#: empty tail).
+Pair = tuple[int, int | None]
+
+
+def _spelled(channels: Sequence[Traversal], chains: Sequence[Chain], pair: Pair) -> Chain:
+    """A tail's channel numbers and turns, in a chain's shape: its chain's
+    channels, then its last channel; its chain's turns, then the turn into
+    the last channel (its out port minus the chain's last in port)."""
+    chain, last = pair
+    row, turns = chains[chain]
+    if row and last is not None:
+        turns = (*turns, channels[last].src.port - channels[row[-1]].dst.port)
+    return (row if last is None else (*row, last)), turns
+
+
+class _Tails(dict[int, Tail]):
+    """The tails of a generation by number, as the :data:`Tail` objects
+    its routes share, each built from its chain and last channel when
+    first read."""
+
+    def __init__(self, channels: list[Traversal], chains: list[Chain], pairs: list[Pair]) -> None:
+        super().__init__()
+        self.parts = channels, chains, pairs
+
+    def __missing__(self, number: int) -> Tail:
+        channels, chains, pairs = self.parts
+        row, turns = _spelled(channels, chains, pairs[number])
+        tail = self[number] = (tuple([channels[n] for n in row]), turns)
+        return tail
+
+
 #: What every table of a generation reads its routes off: the channels, the
 #: tails, each host's channel number, and the tail a route compiled on its
 #: own holds instead of the shared one it equals, by (host, destination).
-_Parts = tuple[list[Traversal], list[Tail], dict[str, int], dict[tuple[str, str], Tail]]
+_Parts = tuple[list[Traversal], _Tails, dict[str, int], dict[tuple[str, str], Tail]]
 
 
 class _Routes(Mapping[str, CompiledRoute]):
@@ -149,38 +189,72 @@ class RouteGeneration(dict[str, RouteTable]):
     (read-only: build a new generation rather than edit one):
 
     - ``channels``: every channel a route crosses, once;
-    - ``rows`` and ``tails``: every distinct tail once, as its channels'
-      numbers and as the :data:`Tail` object the routes share; ``outs``:
-      per tail, the port its first channel leaves by (``None`` when empty);
+    - ``chains``: every distinct chain once (:data:`Chain`);
+    - ``pairs``: every distinct tail once, as its chain and its last
+      channel (:data:`Pair`);
     - ``heads``: per host with routes, the number of its one channel;
     - ``numbered``: per host, per destination, the route's tail number.
       Its first turn is not held: it is the tail's out port minus the
       in port of the host's channel.
+
+    Read off those when asked for: ``rows``, every tail's channel
+    numbers; ``tails``, every tail as the :data:`Tail` object its routes
+    share (each built once); ``outs``, per tail the port its first
+    channel leaves by (``None`` when empty); and ``turn_keys``, listed
+    once, per tail that out port and its turns — two routes whose hosts'
+    channels enter by one port send the same turn string exactly when
+    their tails' keys are equal.
 
     Compiled, and written to the wire, in first-seen order over routes in
     (host, destination) order, head before tail; decoded, in the
     document's own order.
     """
 
-    __slots__ = ("channels", "rows", "tails", "outs", "heads", "numbered")
+    __slots__ = ("channels", "chains", "pairs", "heads", "numbered", "_tails", "_keys")
 
     def __init__(
         self,
         channels: list[Traversal],
-        rows: list[tuple[int, ...]],
-        tails: list[Tail],
+        chains: list[Chain],
+        pairs: list[Pair],
         heads: dict[str, int],
         numbered: dict[str, dict[str, int]],
         owned: dict[tuple[str, str], Tail] | None = None,
     ) -> None:
-        parts = (channels, tails, heads, owned or {})
+        self._tails = _Tails(channels, chains, pairs)
+        parts = (channels, self._tails, heads, owned or {})
         super().__init__(
             (host, RouteTable(host, _Routes(host, routes, parts)))
             for host, routes in numbered.items()
         )
-        self.channels, self.rows, self.tails = channels, rows, tails
-        self.outs = [tail[0][0].src.port if tail[0] else None for tail in tails]
+        self.channels, self.chains, self.pairs = channels, chains, pairs
         self.heads, self.numbered = heads, numbered
+        self._keys: list[tuple[int | None, Turns]] | None = None
+
+    @property
+    def rows(self) -> list[tuple[int, ...]]:
+        return [_spelled(self.channels, self.chains, pair)[0] for pair in self.pairs]
+
+    @property
+    def tails(self) -> list[Tail]:
+        return [self._tails[number] for number in range(len(self.pairs))]
+
+    @property
+    def outs(self) -> list[int | None]:
+        return [out for out, _ in self.turn_keys]
+
+    @property
+    def turn_keys(self) -> list[tuple[int | None, Turns]]:
+        if self._keys is None:
+            ports = [(channel.src.port, channel.dst.port) for channel in self.channels]
+            self._keys = []
+            for chain, last in self.pairs:
+                row, turns = self.chains[chain]
+                if row and last is not None:
+                    turns = (*turns, ports[last][0] - ports[row[-1]][1])
+                first = row[0] if row else last
+                self._keys.append((None if first is None else ports[first][0], turns))
+        return self._keys
 
     def in_port(self, host: str) -> int:
         """The port ``host``'s channel enters by — a route's first turn is
@@ -189,56 +263,48 @@ class RouteGeneration(dict[str, RouteTable]):
 
 
 class _Numbering:
-    """A generation being numbered: channels and tails in the order they
-    are first seen, by identity and then by value — a channel as itself, a
-    tail as its channels' numbers and its turns — so a copy numbers as its
-    interned equal does; per host its channel, per route its tail. An
-    ``id`` is a key, so every channel and tail numbered must outlive the
-    numbering."""
+    """A generation being numbered: channels, chains and tails, each a dict
+    from value to number in the order they are first seen — a channel by
+    identity and then as itself, a chain as its channels' numbers and its
+    turns, a tail by identity and then as its (chain, last channel) pair —
+    so a copy numbers as its interned equal does; per host its channel,
+    per route its tail. An ``id`` is a key, so every channel and tail
+    numbered must outlive the numbering."""
 
-    __slots__ = ("channels", "rows", "tails", "heads", "numbered", "owned", "_ids", "_values")
+    __slots__ = ("channels", "chains", "pairs", "heads", "numbered", "owned", "_ids")
 
     def __init__(self, hosts: Sequence[str] = ()) -> None:
-        self.channels: list[Traversal] = []
-        self.rows: list[tuple[int, ...]] = []
-        self.tails: list[Tail] = []
+        self.channels: dict[Traversal, int] = {}
+        self.chains: dict[Chain, int] = {}
+        self.pairs: dict[Pair, int] = {}
         self.heads: dict[str, int] = {}
         self.numbered: dict[str, dict[str, int]] = {host: {} for host in hosts}
         self.owned: dict[tuple[str, str], Tail] = {}
         self._ids: dict[int, int] = {}
-        self._values: dict[object, int] = {}  # a channel, or a tail's (row, turns)
 
     def channel(self, traversal: Traversal) -> int:
         found = self._ids.get(id(traversal))
         if found is None:
-            found = self._ids[id(traversal)] = self._values.setdefault(
+            found = self._ids[id(traversal)] = self.channels.setdefault(
                 traversal, len(self.channels)
             )
-            if found == len(self.channels):
-                self.channels.append(traversal)
         return found
 
-    def row(self, tail: Tail) -> tuple[int, ...]:
-        """The numbers of ``tail``'s channels, numbering any not seen yet."""
+    def chain(self, channels: Sequence[Traversal], turns: Turns) -> int:
+        """The number of the chain over ``channels``, numbering it and any
+        channel of it not seen yet."""
         seen = self._ids.get
-        return tuple([n if (n := seen(id(t))) is not None else self.channel(t) for t in tail[0]])
+        row = tuple([n if (n := seen(id(t))) is not None else self.channel(t) for t in channels])
+        return self.chains.setdefault((row, turns), len(self.chains))
 
     def tail(self, tail: Tail) -> int:
         found = self._ids.get(id(tail))
         if found is None:
-            row = self.row(tail)
-            found = self._ids[id(tail)] = self._values.setdefault((row, tail[1]), len(self.rows))
-            if found == len(self.rows):
-                self.rows.append(row)
-                self.tails.append(tail)
+            channels, turns = tail
+            chain = self.chain(channels[:-1], turns[:-1])
+            pair = (chain, self.channel(channels[-1]) if channels else None)
+            found = self._ids[id(tail)] = self.pairs.setdefault(pair, len(self.pairs))
         return found
-
-    def add(self, tail: Tail, row: tuple[int, ...]) -> int:
-        """Number a tail no other tail can equal, without looking it up;
-        ``row`` is its channels' numbers."""
-        self.rows.append(row)
-        self.tails.append(tail)
-        return len(self.rows) - 1
 
     def route(self, route: CompiledRoute) -> tuple[int, int]:
         return self.channel(route.head), self.tail(route.tail)
@@ -251,9 +317,8 @@ class _Numbering:
         self.owned[host, dst] = route.tail
 
     def generation(self) -> RouteGeneration:
-        return RouteGeneration(
-            self.channels, self.rows, self.tails, self.heads, self.numbered, self.owned
-        )
+        channels, chains, pairs = list(self.channels), list(self.chains), list(self.pairs)
+        return RouteGeneration(channels, chains, pairs, self.heads, self.numbered, self.owned)
 
 
 def channel_table(
@@ -266,16 +331,16 @@ def channel_table(
     sequence the caller holds for the call."""
     numbering = _Numbering()
     numbered = [numbering.route(route) for route in routes]
-    turns = [tail[1] for tail in numbering.tails]
-    return numbering.channels, list(zip(numbering.rows, turns)), numbered
+    channels, chains = list(numbering.channels), list(numbering.chains)
+    return channels, [_spelled(channels, chains, pair) for pair in numbering.pairs], numbered
 
 
 def as_generation(tables: Mapping[str, RouteTable]) -> RouteGeneration:
     """``tables`` as one generation: itself when it is one, else numbered
     as :func:`channel_table` numbers, over routes in (host, destination)
     order. Tables that do not read back equal — a host whose routes leave
-    by two channels, a route whose first turn is not where its channels
-    meet — have no numbered form: ValueError."""
+    by two channels, a route whose first or last turn is not where its
+    channels meet — have no numbered form: ValueError."""
     if isinstance(tables, RouteGeneration):
         return tables
     numbering = _Numbering(sorted(tables))
@@ -372,21 +437,16 @@ def _suffix(
     return suffix
 
 
-def _retarget(numbering: _Numbering, chain: list, channel: Traversal) -> int:
-    """Number the tail of ``chain`` — into the first host on a switch — with
-    its last channel swapped for ``channel``, into a host on that switch
-    (for the first host, the chain's own tail). Its row is the chain's row
-    but the last, numbered the first time and kept in ``chain``, plus the
-    number of ``channel``."""
-    _, tail, row = chain
-    channels, turns = tail
-    if channel is channels[-1]:
-        return numbering.add(tail, numbering.row(tail))
-    if row is None:
-        row = chain[2] = numbering.row((channels[:-1], turns))
-    if len(channels) > 1:
-        turns = (*turns[:-1], channel.src.port - channels[-2].dst.port)
-    return numbering.add(((*channels[:-1], channel), turns), (*row, numbering.channel(channel)))
+def _follow(numbering: _Numbering, chain: list, channel: Traversal) -> int:
+    """Number the tail that follows ``chain`` — ``[nodes, path, chain
+    number]``, the path compiled into the first host on the destination
+    switch — and ends by ``channel``, into a host on that switch. The path
+    but its last channel is the chain, numbered the first time and kept in
+    ``chain``; the tail is that chain and ``channel``."""
+    if chain[2] is None:
+        chain[2] = numbering.chain(chain[1][0][:-1], chain[1][1][:-1])
+    # no other tail can equal this one, so the lookup only numbers it
+    return numbering.pairs.setdefault((chain[2], numbering.channel(channel)), len(numbering.pairs))
 
 
 def _switch_routes(
@@ -398,14 +458,15 @@ def _switch_routes(
     so one in-tree serves them all: it is read off the switch's first host
     and compiled once per state as that host's chains (``trees``). Per
     entry switch, ``chains`` holds for each destination switch ``[nodes,
-    tail, row]``: the chain into that switch's first host and, from the
-    first time a route uses it, its channel numbers but the last. The tail
-    into another host on the switch swaps the last channel for that host's
-    own one. ``row`` maps each destination to its tail's number (-1 until a
-    route first uses it): the switch's first host numbers every tail but
-    its own, and every other host copies the row minus itself, the second
-    one after numbering the first host's tail. No other tail can equal a shared one: it starts at its
-    entry switch and ends at its destination, and each (entry switch,
+    tail, chain]``: the compiled path into that switch's first host and,
+    from the first time a route uses it, the number of the chain — that
+    path but its last channel. The tail into a host on the switch is the
+    chain plus that host's channel. ``row`` maps each destination to its
+    tail's number (-1 until a route first uses it): the switch's first
+    host numbers every tail but its own, and every other host copies the
+    row minus itself, the second one after numbering the first host's
+    tail. No other tail can equal a shared one: it starts at its entry
+    switch and ends at its destination, and each (entry switch,
     destination) has one row item. A row with a chain over a hop with
     parallel cables is read route by route, and such a route is compiled
     on its own by :func:`_compile`, which keeps the seeded draws in route
@@ -437,7 +498,7 @@ def _switch_routes(
         if shared and src != (first := on[switch][0]):  # a later host on a shared row
             numbering.heads[src] = numbering.channel(head)
             if row[first] < 0:
-                row[first] = _retarget(numbering, chains[switch], into[first])
+                row[first] = _follow(numbering, chains[switch], into[first])
             routes.update(row)
             del routes[src]
             continue
@@ -452,7 +513,7 @@ def _switch_routes(
             if src not in numbering.heads:
                 numbering.heads[src] = numbering.channel(head)
             if number < 0:
-                number = row[dst] = _retarget(numbering, chain, into[dst])
+                number = row[dst] = _follow(numbering, chain, into[dst])
             routes[dst] = number
 
 

@@ -13,13 +13,15 @@ paths on a cyclic topology are NOT deadlock-free — the motivating contrast).
 A fabric has few channels (two per wire) and many routes, so the graph is
 kept as one small successor set per numbered channel. A
 :class:`~repro.routing.compile_routes.RouteGeneration` is numbered already:
-every consecutive pair of every *distinct tail* is read off its row once,
-as two integers, plus the one arc per route from its head channel into its
-tail — per host one ``set.update`` over its table's tail numbers, so the
-9 900 head arcs of the full NOW cost 100 calls, not a Python step each.
-Any other route set — hand-built, copied, one LASH layer — is
-numbered first, the same way, by
-:func:`~repro.routing.compile_routes.channel_table`.
+every consecutive pair inside every *distinct chain* is read off its row
+once, as two integers; each distinct tail adds the one arc from its
+chain's last channel into its own last channel; and each route adds the
+arc from its head channel into its tail — per host one ``set.update`` over
+its table's tail numbers, so the 9 900 head arcs of the full NOW cost 100
+calls, not a Python step each. Any other route set — hand-built, copied,
+one LASH layer — is numbered first, the same way, by
+:func:`~repro.routing.compile_routes.channel_table`, and each of its tails
+is read as a chain with no last channel.
 """
 
 from __future__ import annotations
@@ -50,24 +52,30 @@ def _successors(
 ) -> tuple[list, list[set[int]]]:
     """The numbered channels of the routes and, per channel, the channels
     some route wants next while holding it: the arcs inside each distinct
-    tail, then the arcs from each head channel into its routes' tails (per
-    host, in one pass over its table)."""
+    chain, then the arc from each distinct tail's chain into its last
+    channel, then the arcs from each head channel into its routes' tails
+    (per host, in one pass over its table)."""
     routes: Iterable[tuple[int, Iterable[int]]]
     if isinstance(tables, RouteGeneration):
-        channels, rows, heads = tables.channels, tables.rows, tables.heads
+        channels, chains, pairs, heads = tables.channels, tables.chains, tables.pairs, tables.heads
         routes = ((heads[h], by_dst.values()) for h, by_dst in tables.numbered.items() if by_dst)
     else:
-        channels, tails, numbered = channel_table(_flatten(tables))
-        rows = [row for row, _ in tails]
+        channels, chains, numbered = channel_table(_flatten(tables))
+        pairs = [(tail, None) for tail in range(len(chains))]
         routes = ((head, (tail,)) for head, tail in numbered)
     successors: list[set] = [set() for _ in channels]
-    for row in rows:
+    for row, _ in chains:
         for held, wanted in zip(row, row[1:]):
             successors[held].add(wanted)
-    entered = [row[0] if row else None for row in rows]
+    entered = []
+    for chain, last in pairs:
+        row = chains[chain][0]
+        if row and last is not None:
+            successors[row[-1]].add(last)
+        entered.append(row[0] if row else last)  # None: an empty tail, a host-host cable
     for head, into in routes:
         successors[head].update(map(entered.__getitem__, into))
-        successors[head].discard(None)  # an empty tail: a host-host cable
+        successors[head].discard(None)
     return channels, successors
 
 

@@ -31,6 +31,7 @@ from typing import Mapping
 
 from repro.routing.compile_routes import RouteTable, as_generation
 from repro.simulator.path_eval import PathStatus, evaluate_route
+from repro.simulator.turns import Turns
 from repro.simulator.timing import MYRINET_TIMING, TimingModel
 from repro.topology.model import Network
 
@@ -90,31 +91,38 @@ def diff_route_tables(
     """
     deltas: dict[str, RouteTableDelta] = {}
     generation, previous = as_generation(new), as_generation(old or {})
-    tails, outs = generation.tails, generation.outs
-    # Turn strings are compared off the generations' numbers — the tail's
-    # turns, and the first turn as the tail's out port minus the host's
-    # in port — and built only to be sent.
+    keys, old_keys = generation.turn_keys, previous.turn_keys
+    # Turn strings are compared off the generations' numbers — for a host
+    # whose channel still enters by the same port, as the tails' turn
+    # keys — and built only to be sent.
     for host, routes in generation.numbered.items():
         delta = RouteTableDelta(host)
         old_routes = previous.numbered.get(host, {})
         in_port, old_in = generation.in_port(host), previous.in_port(host)
         for dst, tail in routes.items():
-            prev, out = old_routes.get(dst), outs[tail]
-            turn = None if out is None else out - in_port
-            if prev is not None and previous.tails[prev][1] == tails[tail][1]:
-                old_out = previous.outs[prev]
-                if turn == (None if old_out is None else old_out - old_in):
-                    continue
-            sent = () if turn is None else (turn, *tails[tail][1])
+            prev, key = old_routes.get(dst), keys[tail]
+            if prev is not None and (
+                key == old_keys[prev]
+                if in_port == old_in
+                else _sent(key, in_port) == _sent(old_keys[prev], old_in)
+            ):
+                continue
             if prev is None:
-                delta.added[dst] = sent
+                delta.added[dst] = _sent(key, in_port)
             else:
-                delta.changed[dst] = sent
+                delta.changed[dst] = _sent(key, in_port)
         for dst in old_routes:
             if dst not in routes:
                 delta.withdrawn.append(dst)
         deltas[host] = delta
     return deltas
+
+
+def _sent(key: tuple[int | None, Turns], in_port: int) -> Turns:
+    """The turn string of a route on a tail with turn key ``key`` from a
+    host whose channel enters by ``in_port``."""
+    out, turns = key
+    return () if out is None else (out - in_port, *turns)
 
 
 def distribute_incremental(

@@ -18,8 +18,9 @@ A ``route-tables`` document is a
 the encoder writes the generation's own channel, tail and route numbers
 (a hand-built table set is numbered first, by
 :func:`~repro.routing.compile_routes.as_generation`), and the decoder
-builds a generation over the document's numbers — no route object until
-a table is read.
+builds a generation over the document's numbers, each tail split into its
+interned chain and its last channel — no route object until a table is
+read.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Any, Mapping
 
 from repro.core.instrumentation import PhaseProfile
 from repro.core.mapper import GrowthSample, MapResult
-from repro.routing.compile_routes import RouteGeneration, RouteTable, Tail, as_generation
+from repro.routing.compile_routes import Chain, Pair, RouteGeneration, RouteTable, as_generation
 from repro.simulator.path_eval import Traversal
 from repro.simulator.probes import ProbeStats
 from repro.topology.model import PortRef
@@ -255,15 +256,18 @@ def _channels(value: Any, kind: str) -> list[tuple]:
     return channels
 
 
-def _tails(value: Any, kind: str, channels: list[tuple]) -> list[tuple]:
-    """Validate and build every tail once: its channels chain and every
-    turn is the out port minus the in port at the switch where two of them
-    meet. Per tail, its ``(entry node, first out port, last node)`` for the
-    per-route junction check (``None`` for an empty tail), then the shared
-    object, its channel numbers and its own number."""
+def _tails(value: Any, kind: str, channels: list[tuple]) -> tuple[list, list, list]:
+    """Validate every tail once: its channels chain and every turn is the
+    out port minus the in port at the switch where two of them meet. Per
+    tail, its ``(entry node, first out port, last node)`` for the
+    per-route junction check (``None`` for an empty tail) and its own
+    number; then the generation's chains — each tail but its last channel,
+    interned — and per tail its chain and last channel."""
     if not isinstance(value, list):
         raise SerializationError(f"{kind}: tails is not a list")
-    tails = []
+    tails: list[tuple] = []
+    chains: dict[Chain, int] = {}  # interned, in first-seen order
+    pairs: list[Pair] = []
     for at, item in enumerate(value):
         where = f"tail {at}"
         if not isinstance(item, list) or len(item) != 2:
@@ -292,9 +296,11 @@ def _tails(value: Any, kind: str, channels: list[tuple]) -> list[tuple]:
                     )
                 node, in_port = next_node, next_port
             junction = (entry, first_out, node)
-        tail: Tail = (tuple([channels[n][4] for n in numbers]), turns)
-        tails.append((junction, tail, tuple([channels[n][5] for n in numbers]), at))
-    return tails
+        row = tuple([channels[n][5] for n in numbers])
+        chain = chains.setdefault((row[:-1], turns[:-1]), len(chains))
+        pairs.append((chain, row[-1] if row else None))
+        tails.append((junction, at))
+    return tails, list(chains), pairs
 
 
 def _route(
@@ -313,7 +319,7 @@ def _route(
     if type(tail) is not int or not 0 <= tail < len(tails):
         raise _refused(host, dst, f"malformed tail index {tail!r}")
     src_node, _, node, in_port, _, _ = channels[head]
-    junction, _, _, tail = tails[tail]
+    junction, tail = tails[tail]
     if src_node != host:
         raise _refused(host, dst, f"first channel leaves {src_node!r}")
     if junction is None:
@@ -369,9 +375,10 @@ def route_tables_to_dict(tables: Mapping[str, RouteTable]) -> dict:
             [[c.src.node, c.src.port], [c.dst.node, c.dst.port]]
             for c in generation.channels
         ],
+        # a tail is its chain, then its last channel
         "tails": [
-            [list(row), list(tail[1])]
-            for row, tail in zip(generation.rows, generation.tails)
+            [[] if last is None else [*generation.chains[chain][0], last], list(turns)]
+            for (chain, last), (_, turns) in zip(generation.pairs, generation.turn_keys)
         ],
         "tables": {
             host: {
@@ -389,7 +396,7 @@ def route_tables_from_dict(data: Any) -> RouteGeneration:
     kind = "route-tables"
     data = require_kind(data, kind)
     channels = _channels(data.get("channels"), kind)
-    tails = _tails(data.get("tails"), kind, channels)
+    tails, chains, pairs = _tails(data.get("tails"), kind, channels)
     heads: dict[str, int] = {}
     numbered: dict[str, dict[str, int]] = {}
     for host, doc in _field(data, kind, "tables", dict).items():
@@ -402,10 +409,4 @@ def route_tables_from_dict(data: Any) -> RouteGeneration:
             )
         if head is not None:
             heads[host] = head
-    return RouteGeneration(
-        [channel[4] for channel in channels],
-        [tail[2] for tail in tails],
-        [tail[1] for tail in tails],
-        heads,
-        numbered,
-    )
+    return RouteGeneration([channel[4] for channel in channels], chains, pairs, heads, numbered)

@@ -7,7 +7,9 @@ host, each chain compiled up to the host itself, and a per-host loop over
 the whole row of its entry switch. ``_in_tree_routes`` and
 ``compile_route_tables`` are the parent's, verbatim but for the
 ``reference_`` names; ``_ReferenceNumbering.add`` is the parent's
-``_Numbering.add``, which numbered a tail's channels itself. The rest —
+``_Numbering.add``, which numbered a tail's channels itself, written for
+the chain-form numbering (a tail is numbered as its chain and its last
+channel, without looking the tail up). The rest —
 ``_Numbering``, ``_suffix`` / ``_hop``, ``_compile`` — is imported, so a
 counter patched onto ``compile_routes._hop`` counts this compiler's hops
 too. Kept only as the oracle of ``test_compile_reference.py``, which
@@ -37,11 +39,11 @@ from repro.topology.model import Network
 class _ReferenceNumbering(_Numbering):
     __slots__ = ()
 
-    def add(self, tail: Tail) -> int:  # type: ignore[override]
+    def add(self, tail: Tail) -> int:
         """Number a tail no other tail can equal, without looking it up."""
-        self.rows.append(self.row(tail))
-        self.tails.append(tail)
-        return len(self.rows) - 1
+        channels, turns = tail
+        pair = (self.chain(channels[:-1], turns[:-1]), self.channel(channels[-1]))
+        return self.pairs.setdefault(pair, len(self.pairs))
 
 
 def _in_tree_routes(

@@ -255,15 +255,16 @@ class TestCommittedBaselines:
         """``route_compile_full_now`` is the fragment behind the ledger's
         ``routing.compile_ms`` and ``routing.deadlock_ms``: committed, never
         skipped by ``--quick``, and compiling per destination switch (the
-        mapped full NOW's 2 397 tails over 332 channels from at most 1 000
-        hop compiles, where one in-tree per destination host took 3 662)."""
+        mapped full NOW's 2 397 tails, each one of 553 chains plus a last
+        channel, over 332 channels, from at most 1 000 hop compiles, where
+        one in-tree per destination host took 3 662)."""
         doc = json.loads(
             (REPO_ROOT / "benchmarks" / "BENCH_micro.json").read_text()
         )
         assert "route_compile_full_now" in harness.MICRO_SUITE
         assert "route_compile_full_now" not in harness.SLOW_BENCHES
         extra = doc["benchmarks"]["route_compile_full_now"]["extra"]
-        assert (extra["tails"], extra["channels"]) == (2397, 332)
+        assert (extra["chains"], extra["tails"], extra["channels"]) == (553, 2397, 332)
         assert extra["hop_compiles"] <= 1000
 
     def test_scale_baseline_covers_every_tier(self):
