@@ -41,7 +41,7 @@ Package layout:
 """
 
 from repro.baselines import MyricomMapper, SelfIdMapper
-from repro.core import BerkeleyMapper, LabeledMapper, MapResult, MappingError
+from repro.core import BerkeleyMapper, MapResult, MappingError
 from repro.core.mapper_protocol import (
     MAPPER_REGISTRY,
     Mapper,
@@ -87,7 +87,6 @@ __all__ = [
     "BerkeleyMapper",
     "CircuitModel",
     "CutThroughModel",
-    "LabeledMapper",
     "MAPPER_REGISTRY",
     "MapResult",
     "Mapper",

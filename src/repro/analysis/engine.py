@@ -30,7 +30,6 @@ __all__ = [
     "ModuleInfo",
     "collect_files",
     "lint_paths",
-    "lint_source",
     "module_name_for",
     "render_report",
 ]
@@ -172,22 +171,6 @@ def _run_rules(info: ModuleInfo, rules: Sequence[Rule]) -> list[Diagnostic]:
             if not info.is_suppressed(diag):
                 out.append(diag)
     return out
-
-
-def lint_source(
-    source: str,
-    *,
-    path: Path | str = "<string>",
-    module: str | None = None,
-    select: Iterable[str] | None = None,
-    ignore: Iterable[str] | None = None,
-) -> list[Diagnostic]:
-    """Lint a source string (the unit the golden-file tests drive)."""
-    # Import for the registration side effect; idempotent after first call.
-    import repro.analysis.rules  # noqa: F401
-
-    info = lint_module_info(source, path=Path(path), module=module)
-    return sorted(_run_rules(info, iter_rules(select, ignore)))
 
 
 def lint_paths(

@@ -20,7 +20,6 @@ __all__ = [
     "NoWallClock",
     "NoUnseededRng",
     "NoFloatTimingEquality",
-    "SchedulerStateEncapsulation",
     "NoSilentBroadExcept",
     "ProbeConstructionViaService",
     "NoMutableDefaults",
@@ -30,7 +29,7 @@ __all__ = [
     "MappersViaRegistry",
 ]
 
-#: Packages whose code runs under the simulated clock (SAN001, SAN005).
+#: Packages whose code runs under the simulated clock (SAN001).
 SIMULATED_TIME_PACKAGES = ("repro.simulator", "repro.core")
 
 
@@ -85,14 +84,14 @@ class NoWallClock(Rule):
     rule_id = "SAN001"
     title = "no wall-clock reads in simulator/core hot paths"
     rationale = (
-        "Mapping time is *simulated* time: the lockstep scheduler defines "
-        "`now`. A wall-clock read in repro.simulator or "
+        "Mapping time is *simulated* time: the probe service's accumulated "
+        "cost defines `now`. A wall-clock read in repro.simulator or "
         "repro.core couples results to host speed and destroys "
         "byte-for-byte replayability of Figure 7/9 runs."
     )
     hint = (
-        "use the simulated clock (LockstepScheduler.now / "
-        "ProbeStats.elapsed_us) instead of the host's wall clock"
+        "use the simulated clock (ProbeStats.elapsed_us) instead of the "
+        "host's wall clock"
     )
 
     _TIME_FNS = frozenset(
@@ -302,57 +301,6 @@ class NoFloatTimingEquality(Rule):
                     f"(`{ast.unparse(left)} {'==' if isinstance(op, ast.Eq) else '!='} "
                     f"{ast.unparse(right)}`)",
                 )
-
-
-@register
-class SchedulerStateEncapsulation(Rule):
-    rule_id = "SAN005"
-    title = "simulator clock/queue state mutated only inside repro.simulator"
-    rationale = (
-        "Determinism of the lockstep substrate depends on every state "
-        "transition flowing through spawn()/wait()/run(). A direct write "
-        "to `_now`, `_heap`, or `_queue` from outside the simulator package "
-        "bypasses tie-breaking and reorders events between runs."
-    )
-    hint = (
-        "go through the scheduler API (spawn(), wait(), run()) instead of "
-        "writing simulator internals directly"
-    )
-
-    _GUARDED = frozenset({"_now", "_heap", "_queue", "_baton", "_running"})
-
-    def _targets(self, node: ast.stmt) -> list[ast.expr]:
-        if isinstance(node, ast.Assign):
-            return list(node.targets)
-        if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            return [node.target]
-        if isinstance(node, ast.Delete):
-            return list(node.targets)
-        return []
-
-    def check(self, module: ModuleInfo) -> Iterator[Diagnostic]:
-        if module.in_package("repro.simulator"):
-            return
-        for node in ast.walk(module.tree):
-            if not isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
-                continue
-            for target in self._targets(node):
-                if (
-                    isinstance(target, ast.Attribute)
-                    and target.attr in self._GUARDED
-                    # Writes to one's *own* private state (self._now) belong
-                    # to whatever class is being defined, not the simulator.
-                    and not (
-                        isinstance(target.value, ast.Name)
-                        and target.value.id == "self"
-                    )
-                ):
-                    yield self.diag(
-                        module,
-                        node,
-                        f"direct write to simulator-private `{ast.unparse(target)}` "
-                        "from outside repro.simulator",
-                    )
 
 
 @register
@@ -759,9 +707,7 @@ class MappersViaRegistry(Rule):
     def _is_mapper_class(self, cls: ast.ClassDef) -> bool:
         """A class that implements the protocol (or extends a mapper).
 
-        ``map()`` is the protocol; a ``*Mapper`` base inherits it. The
-        pedagogical Section 3.1 ``LabeledMapper`` has only ``run()`` and
-        deliberately stays outside the registry.
+        ``map()`` is the protocol; a ``*Mapper`` base inherits it.
         """
         if not self._MAPPER_NAME.match(cls.name):
             return False

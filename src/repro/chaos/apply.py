@@ -59,10 +59,6 @@ class ScenarioApplier:
         }
 
     # ------------------------------------------------------------------
-    @property
-    def killed_nodes(self) -> frozenset[str]:
-        return frozenset(self._killed)
-
     def apply(self, event: ChaosEvent) -> None:
         """Apply one event; raises :class:`ScenarioError` on incoherence."""
         try:

@@ -24,11 +24,9 @@ from typing import Any, Callable, Iterable, Mapping
 
 from repro.chaos.runner import CellResult, run_cell
 from repro.chaos.scenario import ScenarioError, scenario_from_dict, scenario_to_dict
-from repro.chaos.shrink import ShrinkResult
 
 __all__ = [
     "artifact_from_cells",
-    "artifact_from_shrink",
     "load_artifact",
     "load_corpus",
     "replay_artifact",
@@ -57,27 +55,6 @@ def artifact_from_cells(name: str, cells: Iterable[CellResult]) -> dict[str, Any
                 "verdicts": {v.oracle: v.ok for v in c.verdicts},
             }
             for c in cells
-        ],
-    }
-
-
-def artifact_from_shrink(name: str, shrink: ShrinkResult) -> dict[str, Any]:
-    """Promote a shrunk failure: the artifact asserts the bug still bites."""
-    final = shrink.final
-    if final is None:
-        raise ValueError("shrink result has no final cell")
-    return {
-        "schema": _SCHEMA,
-        "name": name,
-        "scenario": scenario_to_dict(shrink.scenario),
-        "topology": dict(shrink.topology),
-        "expect_failing": list(shrink.failing),
-        "cells": [
-            {
-                "seed": shrink.seed,
-                "map_digest": final.map_digest,
-                "verdicts": {v.oracle: v.ok for v in final.verdicts},
-            }
         ],
     }
 

@@ -51,7 +51,6 @@ __all__ = [
     "CellResult",
     "ChaosLayer",
     "campaign_config_from_dict",
-    "campaign_config_to_dict",
     "demo_campaign",
     "run_campaign",
     "run_cell",
@@ -413,19 +412,6 @@ def save_report(report: CampaignReport, path) -> None:
 
     doc = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
     Path(path).write_text(doc)
-
-
-def campaign_config_to_dict(config: CampaignConfig) -> dict[str, Any]:
-    return {
-        "name": config.name,
-        "scenarios": [scenario_to_dict(s) for s in config.scenarios],
-        "topologies": [dict(t) for t in config.topologies],
-        "seeds": list(config.seeds),
-        "settle_cycles": config.settle_cycles,
-        "probe_budget": config.probe_budget,
-        "check_determinism": config.check_determinism,
-        "incremental": config.incremental,
-    }
 
 
 def campaign_config_from_dict(data: Mapping[str, Any]) -> CampaignConfig:

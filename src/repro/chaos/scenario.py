@@ -179,9 +179,6 @@ class Scenario:
         """A copy with a new event list (cycles re-derived) — shrinker API."""
         return replace(self, events=tuple(events), cycles=0)
 
-    def __len__(self) -> int:
-        return len(self.events)
-
 
 # ---------------------------------------------------------------------------
 # DSL sugar: one constructor per action

@@ -43,19 +43,6 @@ class ShrinkResult:
     def n_events(self) -> int:
         return len(self.scenario.events)
 
-    def to_dict(self) -> dict[str, Any]:
-        from repro.chaos.scenario import scenario_to_dict
-
-        return {
-            "scenario": scenario_to_dict(self.scenario),
-            "topology": dict(self.topology),
-            "seed": self.seed,
-            "failing": list(self.failing),
-            "runs": self.runs,
-            "original_events": len(self.original.scenario.events),
-            "shrunk_events": self.n_events,
-        }
-
 
 class _Budget:
     """Counts cell executions; the shrinker stops reducing when exhausted."""

@@ -54,7 +54,7 @@ from repro.simulator.stack import (
 from repro.simulator.timing import MYRINET_TIMING, TimingModel
 from repro.topology.model import Network
 
-__all__ = ["ElectionOutcome", "election_run", "election_times"]
+__all__ = ["ElectionOutcome", "election_runs", "election_times"]
 
 
 @dataclass(slots=True)
@@ -66,10 +66,6 @@ class ElectionOutcome:
     map_result: MapResult
     yield_times_ms: dict[str, float]
     anchor_misses: int
-
-    @property
-    def hosts_mapped(self) -> int:
-        return self.map_result.network.n_hosts
 
 
 def _rival_schedule(
@@ -198,34 +194,7 @@ class _RivalSilenceLayer(ProbeLayer):
         return f"RivalSilenceLayer(rival_events={len(self._events)})"
 
 
-def election_run(
-    net: Network,
-    *,
-    search_depth: int,
-    participants: list[str] | None = None,
-    collision: CollisionModel | None = None,
-    timing: TimingModel = MYRINET_TIMING,
-    jitter: float = 0.08,
-    start_spread_ms: float = 30.0,
-    rival_probe_cap: int = 600,
-    seed: int = 0,
-) -> ElectionOutcome:
-    """Simulate one election-mode mapping run."""
-    (outcome,) = _election_runs(
-        net,
-        (seed,),
-        search_depth=search_depth,
-        participants=participants,
-        collision=collision,
-        timing=timing,
-        jitter=jitter,
-        start_spread_ms=start_spread_ms,
-        rival_probe_cap=rival_probe_cap,
-    )
-    return outcome
-
-
-def _election_runs(
+def election_runs(
     net: Network,
     seeds: Iterable[int],
     *,
@@ -306,7 +275,7 @@ def election_times(
     **kwargs,
 ) -> TimingSummary:
     """min/avg/max election-mode times over seeds (the Figure 7 column)."""
-    outcomes = _election_runs(
+    outcomes = election_runs(
         net, range(base_seed, base_seed + runs), search_depth=search_depth, **kwargs
     )
     return TimingSummary.of([outcome.elapsed_ms for outcome in outcomes])

@@ -57,12 +57,6 @@ class PhaseProfile:
             if name not in self.NESTED
         )
 
-    def wall_ms(self, phase: str) -> float:
-        return self.phases.get(phase, (0, 0.0))[1] * 1000.0
-
-    def calls(self, phase: str) -> int:
-        return self.phases.get(phase, (0, 0.0))[0]
-
     def render(self) -> str:
         """Plain-text table for ``san-map map --profile``."""
         lines = ["phase      calls    wall ms"]

@@ -1,8 +1,9 @@
 """The Berkeley mapping algorithm — the production form of Section 3.3.
 
-The simplified algorithm of Section 3.1 (see :mod:`repro.core.labeled`)
-explores fully, then labels, then prunes. The paper then applies three
-modifications that "converge to the actual one":
+The simplified algorithm of Section 3.1 (the test oracle
+``tests/core/reference_labeled.py``) explores fully, then labels, then
+prunes. The paper then applies three modifications that "converge to the
+actual one":
 
 1. labeling is interleaved with exploration (a deduction made early is never
    invalidated by later probes);

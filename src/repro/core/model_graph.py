@@ -92,10 +92,6 @@ class MergedVertex:
         """Incident wire-ends (a loopback cable contributes two)."""
         return sum(len(s) for s in self.nbrs.values())
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        tag = self.host_name if self.kind == KIND_HOST else f"sw{self.vid}"
-        return f"<MV {tag} depth={self.depth} deg={self.degree()}>"
-
 
 class ModelGraph:
     """Merging vertices, the mergelist, PRUNE and the output stage.

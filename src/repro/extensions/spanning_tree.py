@@ -74,10 +74,6 @@ class SpanningTreeResult:
     #: Identity-confirmation loopback probes sent.
     sweep_probes: int
 
-    @property
-    def elapsed_ms(self) -> float:
-        return self.stats.elapsed_ms
-
 
 @dataclass(slots=True)
 class _View:

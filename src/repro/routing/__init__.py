@@ -20,7 +20,7 @@ raw BFS labeling) are relabeled per the paper's heuristic.
   interfaces, full or only what changed.
 """
 
-from repro.routing.updown import UpDownOrientation, orient_updown, pick_root
+from repro.routing.updown import UpDownOrientation, orient_updown
 from repro.routing.paths import RoutingPaths, all_pairs_updown_paths
 from repro.routing.compile_routes import RouteTable, compile_route_tables
 from repro.routing.deadlock import routes_deadlock_free
@@ -46,6 +46,5 @@ __all__ = [
     "all_pairs_updown_paths",
     "compile_route_tables",
     "orient_updown",
-    "pick_root",
     "routes_deadlock_free",
 ]

@@ -197,9 +197,7 @@ class RouteGeneration(dict[str, RouteTable]):
       Its first turn is not held: it is the tail's out port minus the
       in port of the host's channel.
 
-    Read off those when asked for: ``rows``, every tail's channel
-    numbers; ``tails``, every tail as the :data:`Tail` object its routes
-    share (each built once); ``outs``, per tail the port its first
+    Read off those when asked for: ``outs``, per tail the port its first
     channel leaves by (``None`` when empty); and ``turn_keys``, listed
     once, per tail that out port and its turns — two routes whose hosts'
     channels enter by one port send the same turn string exactly when
@@ -230,14 +228,6 @@ class RouteGeneration(dict[str, RouteTable]):
         self.channels, self.chains, self.pairs = channels, chains, pairs
         self.heads, self.numbered = heads, numbered
         self._keys: list[tuple[int | None, Turns]] | None = None
-
-    @property
-    def rows(self) -> list[tuple[int, ...]]:
-        return [_spelled(self.channels, self.chains, pair)[0] for pair in self.pairs]
-
-    @property
-    def tails(self) -> list[Tail]:
-        return [self._tails[number] for number in range(len(self.pairs))]
 
     @property
     def outs(self) -> list[int | None]:

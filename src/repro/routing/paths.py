@@ -115,20 +115,6 @@ class RoutingPaths:
             return (column,)  # only the host itself is ever at (dst, UP)
         return column, column + len(self.core)
 
-    def distance(self, src: str, dst: str) -> int | None:
-        """Length of the shortest compliant path, or None if unreachable."""
-        row, prefix = self._entry(src)
-        if src == dst:
-            return 0
-        best = min(self.dist[row, column] for column in self._columns(dst))
-        return None if best >= _INF else int(best) + len(prefix) - 1
-
-    def node_path(self, src: str, dst: str) -> list[str] | None:
-        """The node sequence of one shortest compliant path."""
-        for _, _, path in self.node_paths([src], [dst]):
-            return path
-        return None
-
     def node_paths(
         self, sources: Sequence[str], targets: Sequence[str]
     ) -> Iterator[tuple[str, str, list[str]]]:

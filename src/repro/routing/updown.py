@@ -11,7 +11,7 @@ Two refinements from the paper are implemented:
 
 - "in our system, we ignore the specially-designated utility host when
   picking a switch distant from all hosts" (hosts with metadata
-  ``utility=True`` are ignored by :func:`pick_root`);
+  ``utility=True`` are ignored by :func:`_pick_root`);
 - locally dominant switches — "the BFS numbering of these switches is such
   that all edges lead away from them; consequently, no route will ever use
   them" — are "relabeled with the minimum of their neighbors' BFS labels
@@ -35,7 +35,7 @@ from fractions import Fraction
 
 from repro.topology.model import Network
 
-__all__ = ["UpDownOrientation", "orient_updown", "pick_root"]
+__all__ = ["UpDownOrientation", "orient_updown"]
 
 
 def _adjacency(net: Network) -> dict[str, set[str]]:
@@ -62,7 +62,9 @@ def _hops_from(start: str, adjacency: dict[str, set[str]]) -> dict[str, int]:
     return hops
 
 
-def pick_root(net: Network, *, ignore_utility: bool = True) -> str:
+def _pick_root(
+    net: Network, adjacency: dict[str, set[str]], ignore_utility: bool
+) -> str:
     """The switch maximizing distance from all (non-utility) hosts.
 
     Distance to the host set is the minimum hop distance to any considered
@@ -71,12 +73,6 @@ def pick_root(net: Network, *, ignore_utility: bool = True) -> str:
     packets to flow up to the least common ancestor of a source and
     destination".
     """
-    return _pick_root(net, _adjacency(net), ignore_utility)
-
-
-def _pick_root(
-    net: Network, adjacency: dict[str, set[str]], ignore_utility: bool
-) -> str:
     hosts = [
         h
         for h in net.hosts
@@ -115,9 +111,6 @@ class UpDownOrientation:
     root: str
     labels: dict[str, tuple[Fraction, int]]
     relabeled: list[str] = field(default_factory=list)
-
-    def label(self, node: str) -> tuple[Fraction, int]:
-        return self.labels[node]
 
     def is_up(self, from_node: str, to_node: str) -> bool:
         """Does traversing ``from_node -> to_node`` move up (toward root)?"""

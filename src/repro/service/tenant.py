@@ -60,17 +60,6 @@ class TenantSpec:
                 f"{', '.join(TOPOLOGY_KINDS)}"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "topology": self.topology,
-            "params": dict(self.params),
-            "mapper": self.mapper,
-            "seed": self.seed,
-            "drop_prob": self.drop_prob,
-            "corrupt_prob": self.corrupt_prob,
-        }
-
     @classmethod
     def from_dict(cls, data: Any) -> "TenantSpec":
         if not isinstance(data, dict):

@@ -56,14 +56,6 @@ class Traversal:
     src: PortRef
     dst: PortRef
 
-    @property
-    def undirected(self) -> tuple[PortRef, PortRef]:
-        """Direction-insensitive wire identity."""
-        return (self.src, self.dst) if self.src <= self.dst else (self.dst, self.src)
-
-    def reversed(self) -> "Traversal":
-        return Traversal(self.dst, self.src)
-
 
 @dataclass(slots=True)
 class PathResult:
@@ -74,10 +66,6 @@ class PathResult:
     traversals: list[Traversal] = field(default_factory=list)
     delivered_to: str | None = None
     failed_at_turn: int | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.status is PathStatus.DELIVERED
 
     @property
     def hops(self) -> int:

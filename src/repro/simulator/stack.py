@@ -18,7 +18,7 @@ This module replaces the zoo with one engine
     Gates after the vetoing one are skipped.
 ``after``
     runs once the :class:`~repro.simulator.probes.ProbeRecord` has been
-    accounted — trace publication, lockstep waits.
+    accounted — trace publication.
 ``retry_after_miss``
     consulted only on a miss; returning True re-runs the whole
     transaction (a retry is a full fresh attempt: ``before`` hooks fire
@@ -27,7 +27,7 @@ This module replaces the zoo with one engine
 
 Hooks run in layer order for every phase, so ordering is part of the
 contract: counting/budget layers first, interference gates next,
-observation layers (trace bus, lockstep) last. ``docs/ARCHITECTURE.md``
+observation layers (trace bus) last. ``docs/ARCHITECTURE.md``
 spells out the rules.
 
 Build stacks through :func:`build_service_stack`; ad-hoc wrapper classes
@@ -49,7 +49,6 @@ __all__ = [
     "CapLayer",
     "CountingLayer",
     "InterferenceLayer",
-    "LockstepLayer",
     "ProbeBudgetExceeded",
     "ProbeContext",
     "ProbeLayer",
@@ -199,12 +198,7 @@ class TraceBusLayer(ProbeLayer):
     def __init__(
         self, subscribers: Iterable[Callable[[ProbeRecord], None]] = ()
     ) -> None:
-        self._subscribers: list[Callable[[ProbeRecord], None]] = list(
-            subscribers
-        )
-
-    def subscribe(self, fn: Callable[[ProbeRecord], None]) -> None:
-        self._subscribers.append(fn)
+        self._subscribers = tuple(subscribers)
 
     def after(self, ctx: ProbeContext) -> None:
         record = ctx.record
@@ -245,9 +239,8 @@ class InterferenceLayer(ProbeLayer):
     traversals into ``occupancy`` at the current simulated time and vetoes
     the hit when any channel is busy. ``traffic`` (optional) is a
     :class:`~repro.simulator.traffic.CrossTraffic` generator advanced to
-    ``now + fill_ahead_us`` before each placement; ``clock`` overrides the
-    default clock (the service's accumulated ``stats.elapsed_us``) for
-    lockstep schedulers.
+    ``now + fill_ahead_us`` before each placement. The clock is the
+    service's accumulated ``stats.elapsed_us`` (:meth:`now_us`).
     """
 
     def __init__(
@@ -255,21 +248,17 @@ class InterferenceLayer(ProbeLayer):
         occupancy,
         *,
         traffic=None,
-        clock: Callable[[], float] | None = None,
         fill_ahead_us: float = 10_000.0,
         record_blocked: bool = True,
     ) -> None:
         self.occupancy = occupancy
         self.traffic = traffic
-        self._clock = clock
         self._fill_ahead_us = fill_ahead_us
         self._record_blocked = record_blocked
         #: Hits vetoed by occupancy (the old ``probes_lost_to_traffic``).
         self.lost = 0
 
     def now_us(self, ctx: ProbeContext) -> float:
-        if self._clock is not None:
-            return self._clock()
         return ctx.service.stats.elapsed_us
 
     def gate(self, ctx: ProbeContext) -> None:
@@ -286,26 +275,6 @@ class InterferenceLayer(ProbeLayer):
     def describe(self) -> str:
         traffic = "on" if self.traffic is not None else "off"
         return f"InterferenceLayer(traffic={traffic}, lost={self.lost})"
-
-
-class LockstepLayer(ProbeLayer):
-    """Yield the probe's cost to a :class:`LockstepScheduler` actor.
-
-    Concurrent mappers interleave by waiting out each probe's simulated
-    cost on the shared clock; this layer does the wait right after the
-    record is accounted, exactly where the old concurrent wrapper did.
-    """
-
-    def __init__(self, scheduler) -> None:
-        self._sched = scheduler
-
-    def after(self, ctx: ProbeContext) -> None:
-        record = ctx.record
-        assert record is not None
-        self._sched.wait(record.cost_us)
-
-    def describe(self) -> str:
-        return "LockstepLayer()"
 
 
 # ----------------------------------------------------------------------

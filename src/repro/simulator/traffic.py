@@ -142,7 +142,3 @@ class CrossTraffic:
             else:
                 self.messages_blocked += 1
         return self.messages_placed - placed_before
-
-    def fill(self, horizon_us: float) -> int:
-        """Eager variant of :meth:`fill_until` from time zero."""
-        return self.fill_until(horizon_us)

@@ -47,13 +47,9 @@ __all__ = [
     "bridges",
     "core_decomposition",
     "core_network",
-    "diameter",
     "effective_network",
-    "q_max",
-    "q_value",
     "recommended_search_depth",
     "separated_set",
-    "switch_bridges",
 ]
 
 
@@ -222,14 +218,6 @@ class _Fabric:
         return found, separated
 
 
-def diameter(net: Network) -> int:
-    """The diameter ``D`` of the network (hop count over all node pairs).
-
-    Raises :class:`TopologyError` when the network is not connected.
-    """
-    return _Fabric.of(net).diameter()
-
-
 def bridges(net: Network) -> list[Wire]:
     """All bridge wires: wires whose removal disconnects the network.
 
@@ -240,15 +228,6 @@ def bridges(net: Network) -> list[Wire]:
     found, _ = fab.bridge_pass()
     pairs = {frozenset((fab.names[p], fab.names[c])) for p, c in found}
     return [w for w in net.wires if frozenset(w.nodes) in pairs]
-
-
-def switch_bridges(net: Network) -> list[Wire]:
-    """Bridges with switches at both ends (the paper's *switch-bridge*)."""
-    return [
-        w
-        for w in bridges(net)
-        if net.is_switch(w.a.node) and net.is_switch(w.b.node)
-    ]
 
 
 def separated_set(net: Network) -> set[str]:
@@ -383,18 +362,7 @@ class _TrailFlow:
         return None
 
 
-def q_value(net: Network, h0: str, v: str) -> int | None:
-    """``Q(v)`` of Definition 2, or ``None`` when undefined (``v`` in ``F``).
 
-    Min-cost flow: supply 2 at ``v``; one unit must terminate at ``h0`` and
-    one at any host (possibly ``h0`` again via its attachment wire, the
-    Definition 2 anomaly, in which case the arc into ``h0`` carries 2).
-    Nodes outside ``h0``'s connected component have no ``Q``.
-    """
-    fab, root = _Fabric.around(net, h0)
-    if v not in fab.names:
-        return None
-    return _TrailFlow(fab, root).q(fab.names.index(v))
 
 
 @dataclass(frozen=True, slots=True)
@@ -412,10 +380,6 @@ class CoreDecomposition:
         """The paper's bound ``Q + D + 1`` on probe string length."""
         return self.q + self.diameter + 1
 
-    @property
-    def refined_search_depth(self) -> int:
-        """``Q + D``: the refinement noted at the end of Section 3.2.7."""
-        return self.q + self.diameter
 
 
 def _decompose(fab: _Fabric, root: int) -> CoreDecomposition:
@@ -449,11 +413,6 @@ def core_decomposition(net: Network, h0: str) -> CoreDecomposition:
     :class:`TopologyError` when ``h0`` is not a host of ``net``.
     """
     return _decompose(*_Fabric.around(net, h0))
-
-
-def q_max(net: Network, h0: str) -> int:
-    """``Q`` of Definition 3."""
-    return core_decomposition(net, h0).q
 
 
 def recommended_search_depth(net: Network, h0: str) -> int:

@@ -13,23 +13,20 @@ strongest guarantee a mapper can give is an isomorphism that
 :func:`match_networks` decides exactly that relation (a report that is
 truthy iff the networks correspond, with the witness or a reason); it is
 what the theorem "``M / L`` is isomorphic to ``N - F``" is checked against in
-tests and experiments. :func:`networks_equal` is the strict comparison
-(identical names, ports and wires) used for serialization round-trips.
+tests and experiments.
 
-The matcher first refines both networks into *canonical signature classes*
-— an iterative Weisfeiler-Leman-style coloring over (radix, attached host
-names, offset-normalized port structure) — refuting non-isomorphic pairs
-without any assignment search and restricting the host-free backtracking
-fallback to same-class candidates with the one port offset that aligns
-their used-port ranges. The original exhaustive candidates-times-offsets
-scan is the differential oracle in ``tests/topology/reference_isomorphism.py``:
-both provably explore the same witness space (a non-aligned offset can
-never equate wire signatures), so their verdicts always agree.
+The matcher is host-anchored propagation plus a full witness check. It is
+complete on networks where every switch shares a connected component with
+a host — every core ``N - F`` the mappers are checked against — because a
+host pins its attachment switch and its port offset, and a pinned switch
+pins every switch it is wired to. A switch in a host-free component has
+nothing to anchor it; the matcher refuses such a pair with a named reason
+instead of searching. The exhaustive search over host-free clusters is
+the differential oracle in ``tests/topology/reference_isomorphism.py``.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.topology.model import Network, PortRef
@@ -37,7 +34,6 @@ from repro.topology.model import Network, PortRef
 __all__ = [
     "IsomorphismReport",
     "match_networks",
-    "networks_equal",
 ]
 
 
@@ -54,15 +50,6 @@ class IsomorphismReport:
         return self.isomorphic
 
 
-def networks_equal(a: Network, b: Network) -> bool:
-    """Strict structural equality: same nodes, kinds, and wired ports."""
-    if set(a.hosts) != set(b.hosts) or set(a.switches) != set(b.switches):
-        return False
-    wires_a = {(w.a, w.b) for w in a.wires}
-    wires_b = {(w.a, w.b) for w in b.wires}
-    return wires_a == wires_b
-
-
 def match_networks(model: Network, actual: Network) -> IsomorphismReport:
     """Find a host-anchored, offset-tolerant isomorphism ``model -> actual``.
 
@@ -70,11 +57,10 @@ def match_networks(model: Network, actual: Network) -> IsomorphismReport:
     attachment switch and that switch's port offset; a pinned switch pins
     every neighbor it has a wire to (and the neighbor's offset). A
     contradiction at any point, or counts that do not agree, refutes the
-    isomorphism. Networks whose every switch lies on some path between hosts
+    isomorphism. Networks whose every switch shares a component with a host
     (true of every core ``N - F``) are matched completely by propagation; a
-    backtracking fallback covers host-free switch clusters, pruned by
-    canonical WL signature classes (which also refute up front when the
-    class multisets disagree).
+    model switch propagation cannot reach lies in a host-free component,
+    and the pair is refused with that reason, without a search.
     """
     if set(model.hosts) != set(actual.hosts):
         return IsomorphismReport(False, reason="host sets differ")
@@ -86,18 +72,6 @@ def match_networks(model: Network, actual: Network) -> IsomorphismReport:
     if model.n_wires != actual.n_wires:
         return IsomorphismReport(
             False, reason=f"wire counts differ: {model.n_wires} vs {actual.n_wires}"
-        )
-
-    colors = _wl_colors(model, actual)
-    if Counter(colors[(0, s)] for s in model.switches) != Counter(
-        colors[(1, s)] for s in actual.switches
-    ):
-        return IsomorphismReport(
-            False,
-            reason=(
-                "canonical signature classes differ (WL refinement "
-                "over radix, host anchors and port structure)"
-            ),
         )
 
     node_map: dict[str, str] = {h: h for h in model.hosts}
@@ -193,16 +167,10 @@ def match_networks(model: Network, actual: Network) -> IsomorphismReport:
 
     unmatched = [s for s in model.switches if s not in node_map]
     if unmatched:
-        # Host-free switch clusters (e.g. comparing full networks that still
-        # contain F). Solve the remainder by backtracking.
-        solution = _backtrack_wl(
-            model, actual, unmatched, node_map, reverse, offsets, colors
+        return IsomorphismReport(
+            False,
+            reason=f"host-free switches {unmatched}: no host anchors their component",
         )
-        if solution is None:
-            return IsomorphismReport(
-                False, reason=f"no assignment for host-free switches {unmatched}"
-            )
-        node_map, offsets = solution
 
     if not _verify(model, actual, node_map, offsets):
         return IsomorphismReport(False, reason="verification of witness failed")
@@ -222,213 +190,6 @@ def _ends_on(wire, node: str):
     if wire.b.node == node:
         ends.append(wire.b)
     return ends
-
-
-def _wire_signature(net: Network, node: str, offset: int) -> frozenset[tuple]:
-    """Offset-normalized wire stubs at ``node``: (shifted port, far kind)."""
-    sig = []
-    for wire in net.wires_of(node):
-        for end in _ends_on(wire, node):
-            far = wire.other_end(end)
-            far_kind = "host" if net.is_host(far.node) else "switch"
-            sig.append((end.port + offset, far_kind))
-    return frozenset(sig)
-
-
-def _wl_colors(
-    model: Network, actual: Network
-) -> dict[tuple[int, str], int]:
-    """Canonical signature classes for every switch of both networks.
-
-    Iterative Weisfeiler-Leman-style refinement computed *jointly* (one
-    class table spans both sides, so equal ids mean equal signatures across
-    networks). Features are invariant under the per-switch port offset the
-    mapper cannot observe: ports are normalized by the minimum used port,
-    hosts anchor by name, and each round folds in the neighbor's class and
-    the normalized far-end port. Class ids are assigned by sorting the
-    canonical keys — never by ``hash()`` — so the refinement is
-    deterministic across processes.
-
-    Soundness: any isomorphism-up-to-offsets preserves every feature, so
-    switches in different classes can never correspond. Equal classes are
-    *not* sufficient — the backtracking assignment still verifies.
-    """
-    nets = (model, actual)
-    base: dict[tuple[int, str], int] = {}
-    for side, net in enumerate(nets):
-        for s in net.switches:
-            ports = net.used_ports(s)
-            base[(side, s)] = min(ports) if ports else 0
-
-    keys: dict[tuple[int, str], tuple] = {}
-    for side, net in enumerate(nets):
-        for s in net.switches:
-            b = base[(side, s)]
-            stub = []
-            for wire in net.wires_of(s):
-                for end in _ends_on(wire, s):
-                    far = wire.other_end(end)
-                    tag = (
-                        "h:" + far.node if net.is_host(far.node) else "s"
-                    )
-                    stub.append((end.port - b, tag))
-            keys[(side, s)] = (net.radix(s), tuple(sorted(stub)))
-    colors = _assign_class_ids(keys)
-
-    n_switches = model.n_switches + actual.n_switches
-    n_classes = len(set(colors.values()))
-    for _ in range(n_switches):
-        keys = {}
-        for side, net in enumerate(nets):
-            for s in net.switches:
-                b = base[(side, s)]
-                nbr = []
-                for wire in net.wires_of(s):
-                    for end in _ends_on(wire, s):
-                        far = wire.other_end(end)
-                        if net.is_host(far.node):
-                            nbr.append((end.port - b, -1, "h:" + far.node, 0))
-                        else:
-                            nbr.append(
-                                (
-                                    end.port - b,
-                                    colors[(side, far.node)],
-                                    "s",
-                                    far.port - base[(side, far.node)],
-                                )
-                            )
-                keys[(side, s)] = (colors[(side, s)], tuple(sorted(nbr)))
-        colors = _assign_class_ids(keys)
-        refined = len(set(colors.values()))
-        if refined == n_classes:
-            break  # stable partition: refinement only ever splits classes
-        n_classes = refined
-    return colors
-
-
-def _assign_class_ids(keys: dict[tuple[int, str], tuple]) -> dict[tuple[int, str], int]:
-    ids = {key: i for i, key in enumerate(sorted(set(keys.values())))}
-    return {node: ids[key] for node, key in keys.items()}
-
-
-def _min_aligned_delta(
-    model: Network, m_switch: str, actual: Network, a_switch: str
-) -> int | None:
-    """The only port offset that can equate the two wire signatures.
-
-    Shifting preserves order, so ``{m_ports + delta} == {a_ports}`` forces
-    ``delta = min(a_ports) - min(m_ports)`` — every other delta fails the
-    signature comparison, which is exactly why the exhaustive oracle's
-    delta sweep finds at most this one (wireless switches match under any
-    in-range delta; 0 is as good a canonical choice as any).
-    """
-    m_ports = model.used_ports(m_switch)
-    a_ports = actual.used_ports(a_switch)
-    if not m_ports and not a_ports:
-        return 0
-    if not m_ports or not a_ports:
-        return None
-    return min(a_ports) - min(m_ports)
-
-
-def _backtrack_wl(
-    model: Network,
-    actual: Network,
-    todo: list[str],
-    node_map: dict[str, str],
-    reverse: dict[str, str],
-    offsets: dict[str, int],
-    colors: dict[tuple[int, str], int],
-):
-    """Class-pruned assignment for switches unreachable from any host.
-
-    Same witness space as the exhaustive oracle
-    (``tests/topology/reference_isomorphism.py``), minus the candidate
-    pairs WL already proved impossible and the port offsets that cannot
-    align the used-port ranges.
-    """
-    by_class: dict[int, list[str]] = {}
-    for s in actual.switches:
-        if s not in reverse:
-            by_class.setdefault(colors[(1, s)], []).append(s)
-    for group in by_class.values():
-        group.sort()
-    # Most-constrained first: small candidate pools fail (and prune) early.
-    order = sorted(
-        todo, key=lambda s: (len(by_class.get(colors[(0, s)], ())), s)
-    )
-    return _assign_wl(
-        model, actual, order, 0, node_map, reverse, offsets, colors, by_class
-    )
-
-
-def _assign_wl(
-    model: Network,
-    actual: Network,
-    order: list[str],
-    i: int,
-    node_map: dict[str, str],
-    reverse: dict[str, str],
-    offsets: dict[str, int],
-    colors: dict[tuple[int, str], int],
-    by_class: dict[int, list[str]],
-):
-    if i == len(order):
-        return dict(node_map), dict(offsets)
-    m_switch = order[i]
-    for a_switch in by_class.get(colors[(0, m_switch)], ()):
-        if a_switch in reverse:
-            continue
-        delta = _min_aligned_delta(model, m_switch, actual, a_switch)
-        if delta is None:
-            continue
-        if _wire_signature(model, m_switch, delta) != _wire_signature(
-            actual, a_switch, 0
-        ):
-            continue
-        node_map[m_switch] = a_switch
-        reverse[a_switch] = m_switch
-        offsets[m_switch] = delta
-        if _locally_consistent(model, actual, m_switch, node_map, offsets):
-            result = _assign_wl(
-                model, actual, order, i + 1, node_map, reverse, offsets,
-                colors, by_class,
-            )
-            if result is not None:
-                return result
-        del node_map[m_switch]
-        del reverse[a_switch]
-        del offsets[m_switch]
-    return None
-
-
-def _locally_consistent(
-    model: Network,
-    actual: Network,
-    m_switch: str,
-    node_map: dict[str, str],
-    offsets: dict[str, int],
-) -> bool:
-    """Check the wires of ``m_switch`` against all currently pinned neighbors."""
-    a_switch = node_map[m_switch]
-    delta = offsets[m_switch]
-    for wire in model.wires_of(m_switch):
-        for end in _ends_on(wire, m_switch):
-            a_port = end.port + delta
-            if not 0 <= a_port < actual.radix(a_switch):
-                return False
-            a_wire = actual.wire_at(a_switch, a_port)
-            if a_wire is None:
-                return False
-            m_far = wire.other_end(end)
-            a_far = a_wire.other_end(PortRef(a_switch, a_port))
-            if m_far.node in node_map:
-                if node_map[m_far.node] != a_far.node:
-                    return False
-                if model.is_switch(m_far.node):
-                    if offsets[m_far.node] != a_far.port - m_far.port:
-                        return False
-    return True
 
 
 def _verify(

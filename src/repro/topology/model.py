@@ -252,9 +252,6 @@ class Network:
         """
         return self._journal.since(epoch, self._epoch)
 
-    def kind(self, name: str) -> NodeKind:
-        return self._info(name).kind
-
     def is_host(self, name: str) -> bool:
         return self._info(name).kind is NodeKind.HOST
 

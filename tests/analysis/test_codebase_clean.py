@@ -74,7 +74,7 @@ def test_cli_exits_zero_on_clean_tree(capsys):
 
 @pytest.mark.parametrize("rule_id", sorted(BAD_SNIPPETS))
 def test_cli_reports_seeded_violation(rule_id, tmp_path, capsys):
-    # Package-scoped rules (SAN001, SAN005, SAN007) key off the dotted module
+    # Package-scoped rules (SAN001, SAN007) key off the dotted module
     # name, which the engine infers by walking __init__.py parents — so seed
     # the violation inside a fake `repro.core` package.
     pkg = tmp_path / "repro" / "core"
@@ -109,6 +109,6 @@ def test_cli_json_format(tmp_path, capsys):
 
 def test_cli_unknown_rule_is_an_error(capsys):
     # Retired ids are never reused and no longer selectable.
-    for rule_id in ("SAN999", "SAN004", "SAN010", "SAN012"):
+    for rule_id in ("SAN999", "SAN004", "SAN005", "SAN010", "SAN012"):
         assert main(["--select", rule_id, str(PACKAGE)]) == 2
         assert "unknown rule" in capsys.readouterr().err

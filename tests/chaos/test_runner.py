@@ -8,7 +8,6 @@ from repro.chaos.runner import (
     CampaignConfig,
     ChaosLayer,
     campaign_config_from_dict,
-    campaign_config_to_dict,
     demo_campaign,
     run_campaign,
     run_cell,
@@ -25,6 +24,7 @@ from repro.simulator.faults import FaultModel
 from repro.simulator.stack import build_service_stack
 from repro.topology.generators import NAMED_TOPOLOGIES, build_topology
 from repro.topology.model import TopologyError
+from tests.chaos.reference_documents import campaign_config_to_dict
 
 RING6 = {"kind": "ring", "size": 6}
 

@@ -6,10 +6,11 @@ caught by an oracle and the failing schedule shrinks to at most 5 events.
 
 import pytest
 
-from repro.chaos.corpus import artifact_from_shrink, replay_artifact
+from repro.chaos.corpus import replay_artifact
 from repro.chaos.runner import demo_scenarios, run_cell
 from repro.chaos.scenario import Scenario, cut, drop, heal, kill_host
 from repro.chaos.shrink import shrink_failure
+from tests.chaos.reference_documents import artifact_from_shrink, shrink_result_to_dict
 
 RING6 = {"kind": "ring", "size": 6}
 
@@ -112,7 +113,7 @@ class TestShrinkMechanics:
             mapper_factory=buggy_mapper_factory,
         )
         shrunk = shrink_failure(cell, mapper_factory=buggy_mapper_factory)
-        doc = shrunk.to_dict()
+        doc = shrink_result_to_dict(shrunk)
         assert doc["original_events"] == 5
         assert doc["shrunk_events"] <= doc["original_events"]
         assert doc["failing"]

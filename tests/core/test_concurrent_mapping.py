@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.core.concurrent_mapping import run_concurrent_mappers
 from repro.core.mapper_protocol import mapper_names
 from repro.topology.analysis import core_network, recommended_search_depth
 from repro.topology.isomorphism import match_networks
+from tests.core.reference_concurrent import run_concurrent_mappers
 
 
 class TestEveryoneMaps:
@@ -149,11 +149,11 @@ class TestModelCrossValidation:
         self, subcluster_c, subcluster_c_depth
     ):
         """The fast replay model (core.election, used for Figure 7 sweeps)
-        and the full lockstep simulation must land in the same regime."""
-        from repro.core.election import election_run
+        and the full lockstep simulation (the oracle) must land in the same regime."""
+        from repro.core.election import election_runs
 
-        replay = election_run(
-            subcluster_c, search_depth=subcluster_c_depth, seed=0
+        replay = next(
+            election_runs(subcluster_c, (0,), search_depth=subcluster_c_depth)
         )
         full = run_concurrent_mappers(
             subcluster_c,

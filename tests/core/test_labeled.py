@@ -3,13 +3,13 @@ production mapper — the two presentations of the same theorem."""
 
 import pytest
 
-from repro.core.labeled import LabeledMapper
 from repro.core.mapper import BerkeleyMapper, MappingError
 from repro.simulator.collision import CutThroughModel
 from repro.simulator.quiescent import QuiescentProbeService
 from repro.topology.analysis import core_network, recommended_search_depth
 from repro.topology.builder import NetworkBuilder
 from repro.topology.isomorphism import match_networks
+from tests.core.reference_labeled import LabeledMapper
 
 
 def _labeled(net, mapper="h0", depth=None, **kwargs):

@@ -135,10 +135,10 @@ def test_two_runs_are_byte_identical(name):
 
 _LABELED_DIGEST = """
 import json
-from repro.core.labeled import LabeledMapper
 from repro.simulator.stack import build_service_stack
 from repro.topology.builder import NetworkBuilder
 from repro.topology.serialize import network_to_dict
+from tests.core.reference_labeled import LabeledMapper
 
 b = NetworkBuilder()
 b.switches("s0", "s1")
@@ -154,8 +154,8 @@ print(json.dumps(network_to_dict(result.network), sort_keys=True))
 
 
 def test_labeled_mapper_is_byte_identical_across_processes():
-    """The proof-vehicle mapper is not in the registry but makes the same
-    promise. Its label classes used to be sets of identity-hashed
+    """The proof-vehicle mapper (a test oracle, not in the registry) makes
+    the same promise. Its label classes used to be sets of identity-hashed
     vertices, so which label survived a merge followed memory addresses:
     on this fabric switch-0/switch-1 swapped in about one process of four.
     """
@@ -166,7 +166,8 @@ def test_labeled_mapper_is_byte_identical_across_processes():
     import repro
 
     src = os.path.dirname(os.path.dirname(repro.__file__))
-    env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": "0"}
+    root = os.path.dirname(src)  # the oracle lives under tests/
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, root]), "PYTHONHASHSEED": "0"}
     digests = {
         subprocess.run(
             [sys.executable, "-c", _LABELED_DIGEST],

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.core.election import election_run, election_times
+from repro.core.election import election_runs, election_times
 from repro.core.parallel import TimingSummary, repeated_times, timed_run
 from repro.simulator.daemons import DaemonPlacement
 from repro.simulator.timing import MYRINET_TIMING
@@ -72,13 +72,13 @@ class TestRepeatedTimes:
 
 class TestElection:
     def test_winner_is_highest_address(self, subcluster_c, subcluster_c_depth):
-        out = election_run(subcluster_c, search_depth=subcluster_c_depth, seed=0)
+        out = next(election_runs(subcluster_c, (0,), search_depth=subcluster_c_depth))
         assert out.winner == sorted(subcluster_c.hosts)[-1]
 
     def test_all_rivals_eventually_yield_or_finish(
         self, subcluster_c, subcluster_c_depth
     ):
-        out = election_run(subcluster_c, search_depth=subcluster_c_depth, seed=1)
+        out = next(election_runs(subcluster_c, (1,), search_depth=subcluster_c_depth))
         # yields are a subset of non-winner hosts.
         assert out.winner not in out.yield_times_ms
         assert set(out.yield_times_ms) <= set(subcluster_c.hosts)
@@ -95,8 +95,8 @@ class TestElection:
         assert election.avg_ms > master.avg_ms
 
     def test_deterministic_per_seed(self, subcluster_c, subcluster_c_depth):
-        a = election_run(subcluster_c, search_depth=subcluster_c_depth, seed=7)
-        b = election_run(subcluster_c, search_depth=subcluster_c_depth, seed=7)
+        a = next(election_runs(subcluster_c, (7,), search_depth=subcluster_c_depth))
+        b = next(election_runs(subcluster_c, (7,), search_depth=subcluster_c_depth))
         assert a.elapsed_ms == b.elapsed_ms
 
     def test_run_does_not_depend_on_earlier_calls(
@@ -111,9 +111,9 @@ class TestElection:
             reply_overhead_us=120.0,
             timeout_us=960.0,
         )
-        election_run(subcluster_c, search_depth=subcluster_c_depth, seed=0)
+        next(election_runs(subcluster_c, (0,), search_depth=subcluster_c_depth))
         after, fresh = (
-            election_run(net, search_depth=subcluster_c_depth, seed=0, timing=slow)
+            next(election_runs(net, (0,), search_depth=subcluster_c_depth, timing=slow))
             for net in (subcluster_c, build_subcluster("C"))
         )
         assert (after.elapsed_ms, after.anchor_misses) == (
@@ -122,24 +122,29 @@ class TestElection:
         )
 
     def test_seed_changes_outcome(self, subcluster_c, subcluster_c_depth):
-        a = election_run(subcluster_c, search_depth=subcluster_c_depth, seed=1)
-        b = election_run(subcluster_c, search_depth=subcluster_c_depth, seed=2)
+        a = next(election_runs(subcluster_c, (1,), search_depth=subcluster_c_depth))
+        b = next(election_runs(subcluster_c, (2,), search_depth=subcluster_c_depth))
         assert a.elapsed_ms != b.elapsed_ms
 
     def test_subset_participants(self, subcluster_c, subcluster_c_depth):
         hosts = sorted(subcluster_c.hosts)[:10]
-        out = election_run(
-            subcluster_c,
-            search_depth=subcluster_c_depth,
-            participants=hosts,
-            seed=0,
+        out = next(
+            election_runs(
+                subcluster_c,
+                (0,),
+                search_depth=subcluster_c_depth,
+                participants=hosts,
+            )
         )
         assert out.winner == hosts[-1]
 
     def test_requires_participants(self, subcluster_c, subcluster_c_depth):
         with pytest.raises(ValueError):
-            election_run(
-                subcluster_c,
-                search_depth=subcluster_c_depth,
-                participants=[],
+            next(
+                election_runs(
+                    subcluster_c,
+                    (0,),
+                    search_depth=subcluster_c_depth,
+                    participants=[],
+                )
             )

@@ -12,7 +12,15 @@ from repro.core.instrumentation import PhaseProfile, PhaseProfiler
 from repro.core.mapper import BerkeleyMapper
 from repro.simulator.stack import build_service_stack
 from repro.topology.generators import build_subcluster
-from repro.topology.isomorphism import networks_equal
+from tests.topology.reference_isomorphism import networks_equal
+
+
+def calls(profile: PhaseProfile, phase: str) -> int:
+    return profile.phases.get(phase, (0, 0.0))[0]
+
+
+def wall_ms(profile: PhaseProfile, phase: str) -> float:
+    return profile.phases.get(phase, (0, 0.0))[1] * 1000.0
 
 
 class FakeClock:
@@ -34,15 +42,15 @@ class TestPhaseProfiler:
         prof.add("explore", 0.5)
         prof.add("probe", 0.25, calls=10)
         profile = prof.snapshot()
-        assert profile.calls("explore") == 2
-        assert profile.wall_ms("explore") == 2000.0
-        assert profile.calls("probe") == 10
-        assert profile.wall_ms("probe") == 250.0
+        assert calls(profile, "explore") == 2
+        assert wall_ms(profile, "explore") == 2000.0
+        assert calls(profile, "probe") == 10
+        assert wall_ms(profile, "probe") == 250.0
 
     def test_unknown_phase_reads_as_zero(self):
         profile = PhaseProfiler(clock=FakeClock()).snapshot()
-        assert profile.calls("explore") == 0
-        assert profile.wall_ms("explore") == 0.0
+        assert calls(profile, "explore") == 0
+        assert wall_ms(profile, "explore") == 0.0
 
     def test_total_excludes_nested_phases(self):
         prof = PhaseProfiler(clock=FakeClock())
@@ -79,10 +87,10 @@ class TestMapperIntegration:
         profile = result.profile
         assert profile is not None
         for phase in ("explore", "probe", "deduce", "prune", "build"):
-            assert profile.calls(phase) > 0, phase
-            assert profile.wall_ms(phase) > 0.0, phase
-        assert profile.calls("explore") == result.explorations
-        assert profile.calls("merge") == result.merges
+            assert calls(profile, phase) > 0, phase
+            assert wall_ms(profile, phase) > 0.0, phase
+        assert calls(profile, "explore") == result.explorations
+        assert calls(profile, "merge") == result.merges
 
     def test_no_profiler_means_no_profile(self):
         assert self._run(None).profile is None

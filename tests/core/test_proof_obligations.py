@@ -18,12 +18,12 @@ then check the paper's invariants:
 
 import pytest
 
-from repro.core.labeled import LabeledMapper
 from repro.simulator.path_eval import PathStatus, evaluate_route
 from repro.simulator.quiescent import QuiescentProbeService
 from repro.topology.analysis import core_network, recommended_search_depth
 from repro.topology.generators import random_san
 from repro.topology.model import TopologyError
+from tests.core.reference_labeled import LabeledMapper
 
 
 def _correspondence(net, mapper_host, vertex):

@@ -244,7 +244,7 @@ class ApplierMachine(RuleBasedStateMachine):
             for wire in self.net.wires_of(node):
                 expect.add(frozenset((wire.a, wire.b)))
         assert self.faults.dead_wires == frozenset(expect)
-        assert self.applier.killed_nodes == frozenset(self.killed)
+        assert self.applier._killed == set(self.killed)
 
     @invariant()
     def epoch_is_monotone(self):

@@ -28,9 +28,9 @@ from repro.simulator.faults import FaultModel
 from repro.simulator.quiescent import QuiescentProbeService
 from repro.simulator.stack import CountingLayer, TraceBusLayer, build_service_stack
 from repro.topology.generators import random_san
-from repro.topology.isomorphism import networks_equal
 from repro.topology.model import TopologyError
 from tests.simulator.reference_service import PureWalkProbeService
+from tests.topology.reference_isomorphism import networks_equal
 
 network_params = st.fixed_dictionaries(
     {

@@ -12,7 +12,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 from repro.topology.model import HOST_PORT, Network, TopologyError
 from repro.topology.serialize import network_from_dict, network_to_dict
-from repro.topology.isomorphism import networks_equal
+from tests.topology.reference_isomorphism import networks_equal
 
 
 class NetworkMachine(RuleBasedStateMachine):

@@ -19,7 +19,7 @@ import random
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.simulator.collision import CircuitModel, CutThroughModel, PacketModel
-from repro.simulator.path_eval import IncrementalPathEvaluator, evaluate_route
+from repro.simulator.path_eval import IncrementalPathEvaluator, PathStatus, evaluate_route
 from repro.simulator.turns import switch_probe_turns
 from repro.topology.generators import random_san
 from repro.topology.model import TopologyError
@@ -84,7 +84,7 @@ def _check(ev, net, h0, turns, collision) -> None:
         want.delivered_to,
     )
     assert info.traversals == tuple(want.traversals)
-    if want.ok:
+    if want.status is PathStatus.DELIVERED:
         assert info.blocked == collision.blocked_at(want.traversals)
     full = ev.evaluate(h0, turns)
     assert (full.status, full.nodes, full.traversals) == (
@@ -106,7 +106,7 @@ def _check(ev, net, h0, turns, collision) -> None:
         want.delivered_to,
     )
     assert loop.traversals == tuple(want.traversals)
-    if want.ok:
+    if want.status is PathStatus.DELIVERED:
         assert loop.hops == 2 * info.hops
         assert loop.blocked == collision.blocked_at(want.traversals)
 

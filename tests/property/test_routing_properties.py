@@ -10,6 +10,7 @@ from repro.simulator.path_eval import PathStatus, evaluate_route
 from repro.topology.generators import random_san
 from repro.topology.model import TopologyError
 from tests.routing.reference_paths import bfs_updown_lengths
+from tests.routing.reference_views import distance, node_path
 
 network_params = st.fixed_dictionaries(
     {
@@ -92,7 +93,7 @@ class TestUpDownInvariants:
         src = sorted(net.hosts)[0]
         bfs = bfs_updown_lengths(net, ori, src, graph=graph)
         for dst in sorted(net.nodes):
-            assert paths.distance(src, dst) == bfs.get(dst), (params, dst)
+            assert distance(paths, src, dst) == bfs.get(dst), (params, dst)
 
     @given(params=network_params)
     @settings(**_SETTINGS)
@@ -106,7 +107,7 @@ class TestUpDownInvariants:
             for dst in hosts[:3]:
                 if src == dst:
                     continue
-                p = paths.node_path(src, dst)
+                p = node_path(paths, src, dst)
                 went_down = False
                 for u, v in zip(p, p[1:]):
                     if ori.is_up(u, v):

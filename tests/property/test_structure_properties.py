@@ -13,7 +13,7 @@ from repro.topology.generators import random_san
 from repro.topology.isomorphism import match_networks
 from repro.topology.model import TopologyError
 from repro.topology.serialize import network_from_dict, network_to_dict
-from repro.topology.isomorphism import networks_equal
+from tests.topology.reference_isomorphism import networks_equal
 
 turns_strategy = st.lists(
     st.integers(min_value=-7, max_value=7).filter(bool), min_size=1, max_size=10

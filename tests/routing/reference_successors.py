@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from repro.routing.compile_routes import CompiledRoute, RouteGeneration, RouteTable, channel_table
+from tests.routing.reference_views import rows as tail_rows
 
 Channel = tuple  # (PortRef src, PortRef dst)
 
@@ -30,7 +31,7 @@ def reference_successors(
     host, in one pass over its table)."""
     routes: Iterable[tuple[int, Iterable[int]]]
     if isinstance(tables, RouteGeneration):
-        channels, rows, heads = tables.channels, tables.rows, tables.heads
+        channels, rows, heads = tables.channels, tail_rows(tables), tables.heads
         routes = ((heads[h], by_dst.values()) for h, by_dst in tables.numbered.items() if by_dst)
     else:
         channels, tails, numbered = channel_table(_flatten(tables))

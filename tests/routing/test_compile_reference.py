@@ -53,6 +53,7 @@ from repro.topology.generators import (
 )
 from repro.topology.model import Network, TopologyError
 from tests.routing.reference_compile import reference_compile_route_tables
+from tests.routing.reference_views import rows, tails
 from tests.routing.test_route_tables_golden import COMPILE_SEEDS, FABRICS
 from tests.topology.test_analysis_reference import cut_switch_wires
 
@@ -63,8 +64,8 @@ def numbered_parts(generation: RouteGeneration) -> tuple:
     owned = table.routes._parts[3] if table is not None else {}
     return (
         generation.channels,
-        generation.rows,
-        generation.tails,
+        rows(generation),
+        tails(generation),
         list(generation.heads.items()),
         list(owned.items()),
         [(host, list(by_dst.items())) for host, by_dst in generation.numbered.items()],

@@ -43,6 +43,7 @@ from tests.routing.reference_paths import (
     reference_all_pairs_updown_paths,
     reference_route_tables,
 )
+from tests.routing.reference_views import rows, tails
 from tests.routing.test_paths_reference import decorated
 from tests.routing.test_route_tables_golden import COMPILE_SEEDS, FABRICS
 from tests.service import reference_codec
@@ -53,8 +54,8 @@ def numbers(generation: RouteGeneration) -> tuple:
     """Everything a generation says by number, tails by value."""
     return (
         generation.channels,
-        generation.rows,
-        generation.tails,
+        rows(generation),
+        tails(generation),
         generation.outs,
         generation.heads,
         generation.numbered,
@@ -76,13 +77,14 @@ def assert_equals_reference(net: Network, orientation, seed: int) -> None:
             route = table.routes[dst]
             assert route == expected and hash(route) == hash(expected), (host, dst)
             routes.append(route)
-    channels, rows = reference_codec.channel_table(routes)
+    got_rows = rows(got)
+    channels, want_rows = reference_codec.channel_table(routes)
     assert got.channels == channels
     assert [
-        [got.heads[host], *got.rows[tail]]
+        [got.heads[host], *got_rows[tail]]
         for host, routes_of in got.numbered.items()
         for tail in routes_of.values()
-    ] == rows
+    ] == want_rows
     assert numbers(as_generation(dict(got))) == numbers(got)
 
 

@@ -27,6 +27,7 @@ from repro.topology.generators import (
     build_ring,
 )
 from tests.routing.reference_paths import bfs_updown_lengths
+from tests.routing.reference_views import distance, node_path
 
 
 class TestDistances:
@@ -37,7 +38,7 @@ class TestDistances:
         for src in ring_net.hosts:
             bfs = bfs_updown_lengths(ring_net, ori, src, graph=graph)
             for dst in ring_net.nodes:
-                assert paths.distance(src, dst) == bfs.get(dst), (src, dst)
+                assert distance(paths, src, dst) == bfs.get(dst), (src, dst)
 
     @pytest.mark.parametrize(
         "net_builder",
@@ -56,7 +57,7 @@ class TestDistances:
         for src in hosts:
             bfs = bfs_updown_lengths(net, ori, src, graph=graph)
             for dst in hosts:
-                assert paths.distance(src, dst) == bfs.get(dst)
+                assert distance(paths, src, dst) == bfs.get(dst)
 
     def test_compliant_at_least_shortest(self, ring_net):
         """Turn restriction can only lengthen paths, never shorten them."""
@@ -68,23 +69,23 @@ class TestDistances:
         for src in ring_net.hosts:
             plain = nx.single_source_shortest_path_length(g, src)
             for dst in ring_net.hosts:
-                d = paths.distance(src, dst)
+                d = distance(paths, src, dst)
                 assert d is not None
                 assert d >= plain[dst]
 
     def test_self_distance_zero(self, ring_net):
         ori = orient_updown(ring_net)
         paths = all_pairs_updown_paths(ring_net, ori)
-        assert paths.distance("h0", "h0") == 0
+        assert distance(paths, "h0", "h0") == 0
 
 
 class TestNodePaths:
     def test_path_endpoints(self, ring_net):
         ori = orient_updown(ring_net)
         paths = all_pairs_updown_paths(ring_net, ori)
-        p = paths.node_path("h0", "h2")
+        p = node_path(paths, "h0", "h2")
         assert p[0] == "h0" and p[-1] == "h2"
-        assert len(p) - 1 == paths.distance("h0", "h2")
+        assert len(p) - 1 == distance(paths, "h0", "h2")
 
     def test_paths_are_updown_compliant(self, ring_net):
         ori = orient_updown(ring_net)
@@ -93,7 +94,7 @@ class TestNodePaths:
             for dst in ring_net.hosts:
                 if src == dst:
                     continue
-                p = paths.node_path(src, dst)
+                p = node_path(paths, src, dst)
                 went_down = False
                 for u, v in zip(p, p[1:]):
                     if ori.is_up(u, v):
@@ -116,7 +117,7 @@ class TestCompilation:
     def test_turn_count_is_switch_count(self, ring_net):
         ori = orient_updown(ring_net)
         paths = all_pairs_updown_paths(ring_net, ori)
-        p = paths.node_path("h0", "h1")
+        p = node_path(paths, "h0", "h1")
         route = path_to_turns(ring_net, p)
         assert len(route.turns) == len(p) - 2  # one turn per switch
 
@@ -146,7 +147,7 @@ class TestCompilation:
         assert len(set(held)) < len(held)
         for route in routes:
             nodes = [route.src] + [t.dst.node for t in route.traversals]
-            assert nodes == paths.node_path(route.src, route.dst)
+            assert nodes == node_path(paths, route.src, route.dst)
 
     def test_hosts_on_one_switch_share_one_tail_per_destination(self):
         """A route is its host's own channel plus the chain from its switch
@@ -260,12 +261,12 @@ class TestHostsAreLeaves:
         assert sorted(paths.leaf_switch) == sorted(net.hosts)
         # 2 x 40 core states; their columns plus one DOWN column per host
         assert paths.dist.shape == paths.succ.shape == (80, 180)
-        root, far = ori.root, max(net.switches, key=lambda s: ori.label(s))
+        root, far = ori.root, max(net.switches, key=lambda s: ori.labels[s])
         host = sorted(net.hosts)[0]
         for src, dst in ((root, far), (far, root), (far, host), (host, far)):
-            path = paths.node_path(src, dst)
+            path = node_path(paths, src, dst)
             assert path[0] == src and path[-1] == dst
-            assert len(path) - 1 == paths.distance(src, dst)
+            assert len(path) - 1 == distance(paths, src, dst)
 
     def test_route_cycle_never_asks_updown_for_networkx(self):
         """``updown.py`` is plain Python now: neither importing it nor a

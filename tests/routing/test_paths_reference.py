@@ -58,7 +58,7 @@ from hypothesis import HealthCheck, given, reject, settings, strategies as st
 from repro.routing.compile_routes import channel_table, compile_route_tables
 from repro.routing import paths as paths_module
 from repro.routing.paths import all_pairs_updown_paths, build_phase_graph
-from repro.routing.updown import UpDownOrientation, orient_updown, pick_root
+from repro.routing.updown import UpDownOrientation, orient_updown
 from repro.topology.builder import NetworkBuilder
 from repro.topology.generators import build_named_topology
 from repro.topology.model import Network, TopologyError
@@ -68,6 +68,7 @@ from tests.routing.reference_paths import (
     reference_pick_root,
     reference_route_tables,
 )
+from tests.routing.reference_views import distance, node_path, pick_root
 from tests.routing.test_route_tables_golden import (
     COMPILE_SEEDS,
     host_host_island,
@@ -98,8 +99,8 @@ def assert_same_paths(net: Network, orientation: UpDownOrientation):
     nodes = sorted(net.nodes)
     for src in nodes:
         for dst in nodes:
-            assert new.distance(src, dst) == ref.distance(src, dst), (src, dst)
-            assert new.node_path(src, dst) == ref.node_path(src, dst), (src, dst)
+            assert distance(new, src, dst) == ref.distance(src, dst), (src, dst)
+            assert node_path(new, src, dst) == ref.node_path(src, dst), (src, dst)
     hosts = sorted(net.hosts)
     for sources, targets in ((hosts, hosts), (nodes, nodes), (nodes[::-1], hosts)):
         assert list(new.node_paths(sources, targets)) == list(

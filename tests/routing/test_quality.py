@@ -8,6 +8,7 @@ from repro.routing.quality import analyze_routes, parallel_wire_spread
 from repro.routing.updown import orient_updown
 from repro.topology.builder import NetworkBuilder
 from repro.topology.generators import build_subcluster
+from tests.routing.reference_views import distance
 
 
 def _route(net, *, relabel=True, seed=0):
@@ -70,7 +71,7 @@ class TestQualityMetrics:
         # With the fixed orientation 'far' offers an alternative valley;
         # at minimum it is no longer structurally excluded.
         paths_on = all_pairs_updown_paths(net, ori_on)
-        d_via_far = paths_on.distance("h0", "h2")
+        d_via_far = distance(paths_on, "h0", "h2")
         assert d_via_far is not None
 
     def test_path_inflation_on_updown(self, subcluster_c):

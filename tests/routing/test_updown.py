@@ -3,11 +3,12 @@
 import pytest
 
 from repro.core.remapper import map_cycle
-from repro.routing.updown import orient_updown, pick_root
+from repro.routing.updown import orient_updown
 from repro.topology.analysis import core_network
 from repro.topology.builder import NetworkBuilder
 from repro.topology.generators import build_hypercube, build_subcluster
 from repro.topology.isomorphism import match_networks
+from tests.routing.reference_views import pick_root
 
 
 class TestRootSelection:
@@ -75,9 +76,9 @@ class TestOrientation:
 
     def test_root_is_global_minimum(self, ring_net):
         ori = orient_updown(ring_net)
-        root_label = ori.label(ori.root)
+        root_label = ori.labels[ori.root]
         assert all(
-            root_label <= ori.label(n)
+            root_label <= ori.labels[n]
             for n in ring_net.nodes
             if n in ori.labels
         )

@@ -7,6 +7,7 @@ from repro.routing.deadlock import routes_deadlock_free
 from repro.routing.paths import all_pairs_updown_paths
 from repro.routing.updown import orient_updown
 from repro.topology.builder import NetworkBuilder
+from tests.routing.reference_views import distance, node_path
 
 
 @pytest.fixture()
@@ -44,5 +45,5 @@ class TestDisconnectedMaps:
     def test_cross_island_distance_none(self, two_islands):
         ori = orient_updown(two_islands)
         paths = all_pairs_updown_paths(two_islands, ori)
-        assert paths.distance("h0", "h2") is None
-        assert paths.node_path("h0", "h2") is None
+        assert distance(paths, "h0", "h2") is None
+        assert node_path(paths, "h0", "h2") is None

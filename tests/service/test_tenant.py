@@ -11,8 +11,8 @@ from repro.topology.generators import (
     build_three_tier_fat_tree,
     random_san,
 )
-from repro.topology.isomorphism import networks_equal
 from repro.topology.serialize import network_to_dict
+from tests.topology.reference_isomorphism import networks_equal
 
 
 def test_tenant_kinds_are_the_generator_table_plus_explicit():

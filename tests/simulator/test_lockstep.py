@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simulator.lockstep import ActorError, LockstepScheduler
+from tests.core.reference_concurrent import ActorError, LockstepScheduler
 
 
 class TestScheduling:

@@ -17,7 +17,7 @@ class TestDelivery:
     def test_one_turn_to_sibling_host(self, tiny_net):
         # h0 enters s0 at port 0; +3 goes to port 3 = h1.
         result = evaluate_route(tiny_net, "h0", (3,))
-        assert result.ok and result.delivered_to == "h1"
+        assert result.status is PathStatus.DELIVERED and result.delivered_to == "h1"
         assert result.nodes == ["h0", "s0", "h1"]
         assert result.hops == 2
 
@@ -97,7 +97,7 @@ class TestBouncesAndLoops:
 
         loop = switch_probe_turns((4,))
         result = evaluate_route(two_switch_net, "h0", loop)
-        assert result.ok and result.delivered_to == "h0"
+        assert result.status is PathStatus.DELIVERED and result.delivered_to == "h0"
 
     def test_loopback_cable_traversal(self):
         b = NetworkBuilder()

@@ -117,8 +117,7 @@ class TestTraceBusLayer:
 
     def test_subscribers_run_in_subscription_order(self, tiny_net):
         order = []
-        bus = TraceBusLayer((lambda r: order.append("a"),))
-        bus.subscribe(lambda r: order.append("b"))
+        bus = TraceBusLayer((lambda r: order.append("a"), lambda r: order.append("b")))
         svc = build_service_stack(tiny_net, "h0", layers=(bus,))
         svc.probe_switch((1,))
         assert order == ["a", "b"]

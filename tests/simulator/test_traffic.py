@@ -56,7 +56,7 @@ class TestCrossTrafficGenerator:
 
     def test_zero_rate_places_nothing(self, ring_net):
         traffic = self._traffic(ring_net, rate=0.0)
-        assert traffic.fill(50_000.0) == 0
+        assert traffic.fill_until(50_000.0) == 0
         assert traffic.messages_placed == 0
 
     def test_fill_until_is_lazy_and_monotone(self, ring_net):
@@ -72,7 +72,7 @@ class TestCrossTrafficGenerator:
     def test_seeded_replay_is_identical(self, ring_net):
         def run(seed):
             traffic = self._traffic(ring_net, seed=seed)
-            traffic.fill(30_000.0)
+            traffic.fill_until(30_000.0)
             return traffic.messages_placed, traffic.messages_blocked
 
         assert run(4) == run(4)

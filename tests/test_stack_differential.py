@@ -22,13 +22,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.concurrent_mapping import run_concurrent_mappers
-from repro.core.election import _rival_schedule, election_run
+from repro.core.election import _rival_schedule, election_runs
 from repro.extensions.crosstraffic import crosstraffic_study
 from repro.simulator.collision import CircuitModel
 from repro.simulator.timing import MYRINET_TIMING
 from repro.topology.analysis import recommended_search_depth
 from repro.topology.generators import build_ring, build_subcluster
+from tests.core.reference_concurrent import run_concurrent_mappers
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "goldens" / "legacy_service_stack.json").read_text()
@@ -44,12 +44,12 @@ def subcluster_c():
 @pytest.mark.parametrize("seed", [0, 7])
 def test_election_byte_identical_to_legacy_wrappers(subcluster_c, seed):
     net, depth = subcluster_c
-    out = election_run(net, search_depth=depth, seed=seed)
+    out = next(election_runs(net, (seed,), search_depth=depth))
     want = GOLDEN[f"election_s{seed}"]
     assert out.winner == want["winner"]
     assert out.elapsed_ms == want["elapsed_ms"]
     assert out.anchor_misses == want["anchor_misses"]
-    assert out.hosts_mapped == want["hosts_mapped"]
+    assert out.map_result.network.n_hosts == want["hosts_mapped"]
     assert out.map_result.stats.total_probes == want["probes"]
     assert out.yield_times_ms == want["yield_times_ms"]
 

@@ -1,24 +1,30 @@
 """The pairwise isomorphism search: propagation + exhaustive backtracking.
 
-This is what ``match_networks(strategy="pairwise")`` was before the option
-left the production signature: the same host-anchored propagation, then —
-for host-free switch clusters — every remaining actual switch tried under
-every port offset in range, with no WL class refutation or pruning. Slow
-and obviously complete; kept only as the differential oracle of
-``test_isomorphism_wl.py``. The wire-signature, local-consistency and
-witness checks are production's own (one definition of "matches").
+The same host-anchored propagation as ``match_networks``, then — for
+host-free switch clusters, which production refuses — every remaining
+actual switch tried under every port offset in range. Slow and obviously
+complete; kept as the differential oracle of
+``test_isomorphism_differential.py``. The witness check is production's
+own (one definition of "matches"); the wire-signature and
+local-consistency checks live here, the only place that searches.
+
+``networks_equal`` is the strict comparison (identical names, ports and
+wires) the serialization round-trip tests use.
 """
 
 from __future__ import annotations
 
-from repro.topology.isomorphism import (
-    IsomorphismReport,
-    _ends_on,
-    _locally_consistent,
-    _verify,
-    _wire_signature,
-)
+from repro.topology.isomorphism import IsomorphismReport, _ends_on, _verify
 from repro.topology.model import Network, PortRef
+
+
+def networks_equal(a: Network, b: Network) -> bool:
+    """Strict structural equality: same nodes, kinds, and wired ports."""
+    if set(a.hosts) != set(b.hosts) or set(a.switches) != set(b.switches):
+        return False
+    wires_a = {(w.a, w.b) for w in a.wires}
+    wires_b = {(w.a, w.b) for w in b.wires}
+    return wires_a == wires_b
 
 
 def match_networks_pairwise(model: Network, actual: Network) -> IsomorphismReport:
@@ -176,3 +182,43 @@ def _backtrack(
             del reverse[a_switch]
             del offsets[m_switch]
     return None
+
+
+def _wire_signature(net: Network, node: str, offset: int) -> frozenset[tuple]:
+    """Offset-normalized wire stubs at ``node``: (shifted port, far kind)."""
+    sig = []
+    for wire in net.wires_of(node):
+        for end in _ends_on(wire, node):
+            far = wire.other_end(end)
+            far_kind = "host" if net.is_host(far.node) else "switch"
+            sig.append((end.port + offset, far_kind))
+    return frozenset(sig)
+
+
+def _locally_consistent(
+    model: Network,
+    actual: Network,
+    m_switch: str,
+    node_map: dict[str, str],
+    offsets: dict[str, int],
+) -> bool:
+    """Check the wires of ``m_switch`` against all currently pinned neighbors."""
+    a_switch = node_map[m_switch]
+    delta = offsets[m_switch]
+    for wire in model.wires_of(m_switch):
+        for end in _ends_on(wire, m_switch):
+            a_port = end.port + delta
+            if not 0 <= a_port < actual.radix(a_switch):
+                return False
+            a_wire = actual.wire_at(a_switch, a_port)
+            if a_wire is None:
+                return False
+            m_far = wire.other_end(end)
+            a_far = a_wire.other_end(PortRef(a_switch, a_port))
+            if m_far.node in node_map:
+                if node_map[m_far.node] != a_far.node:
+                    return False
+                if model.is_switch(m_far.node):
+                    if offsets[m_far.node] != a_far.port - m_far.port:
+                        return False
+    return True

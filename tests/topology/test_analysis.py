@@ -6,15 +6,13 @@ from repro.topology.analysis import (
     bridges,
     core_decomposition,
     core_network,
-    diameter,
-    q_value,
     recommended_search_depth,
     separated_set,
-    switch_bridges,
 )
 from repro.topology.builder import NetworkBuilder
 from repro.topology.generators import random_san
 from tests.topology.reference_analysis import separated_set_flow
+from tests.topology.reference_queries import diameter, q_value, switch_bridges
 
 
 class TestDiameter:
@@ -127,7 +125,6 @@ class TestDecomposition:
         assert d.diameter == diameter(bridge_net)
         assert d.q == max(d.q_values.values())
         assert d.search_depth == d.q + d.diameter + 1
-        assert d.refined_search_depth == d.search_depth - 1
 
     def test_recommended_depth_positive(self, tiny_net):
         assert recommended_search_depth(tiny_net, "h0") >= 2

@@ -19,9 +19,6 @@ from repro.topology.analysis import (
     bridges,
     core_decomposition,
     core_network,
-    diameter,
-    q_max,
-    q_value,
     recommended_search_depth,
     separated_set,
 )
@@ -40,6 +37,7 @@ from tests.topology.reference_analysis import (
     reference_q_value,
     reference_separated_set,
 )
+from tests.topology.reference_queries import diameter, q_max, q_value
 
 
 def assert_matches_reference(net: Network, h0: str) -> None:

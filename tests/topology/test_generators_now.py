@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.topology.analysis import diameter, separated_set
+from repro.topology.analysis import separated_set
 from repro.topology.generators import (
     NOW_EXPECTED_COMPONENTS,
     build_full_now,
@@ -10,6 +10,7 @@ from repro.topology.generators import (
     combine_subclusters,
 )
 from repro.topology.model import TopologyError
+from tests.topology.reference_queries import diameter
 
 
 class TestSubclusters:

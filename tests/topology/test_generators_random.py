@@ -4,8 +4,8 @@ import pytest
 
 from repro.topology.analysis import separated_set
 from repro.topology.generators import random_san
-from repro.topology.isomorphism import networks_equal
 from repro.topology.model import TopologyError
+from tests.topology.reference_isomorphism import networks_equal
 
 
 class TestDeterminism:

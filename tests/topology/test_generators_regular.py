@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.topology.analysis import diameter
 from repro.topology.generators import (
     build_chain,
     build_fat_tree,
@@ -13,6 +12,7 @@ from repro.topology.generators import (
     build_torus,
 )
 from repro.topology.model import TopologyError
+from tests.topology.reference_queries import diameter
 
 
 class TestChainAndRing:

@@ -3,10 +3,8 @@
 import pytest
 
 from repro.topology.builder import NetworkBuilder
-from repro.topology.isomorphism import (
-    match_networks,
-    networks_equal,
-)
+from repro.topology.isomorphism import match_networks
+from tests.topology.reference_isomorphism import networks_equal
 
 
 def _two_switch(port_shift: int = 0, swap_names: bool = False):

@@ -5,7 +5,6 @@ import pytest
 from repro.topology.model import (
     HOST_PORT,
     Network,
-    NodeKind,
     PortRef,
     TopologyError,
     Wire,
@@ -19,8 +18,6 @@ class TestNodes:
         net.add_switch("s0")
         assert net.is_host("h0") and not net.is_switch("h0")
         assert net.is_switch("s0") and not net.is_host("s0")
-        assert net.kind("h0") is NodeKind.HOST
-        assert net.kind("s0") is NodeKind.SWITCH
 
     def test_host_has_one_port(self):
         net = Network()

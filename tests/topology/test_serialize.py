@@ -5,13 +5,13 @@ import json
 import pytest
 
 from repro.topology.generators import build_subcluster
-from repro.topology.isomorphism import networks_equal
 from repro.topology.serialize import (
     load_network,
     network_from_dict,
     network_to_dict,
     save_network,
 )
+from tests.topology.reference_isomorphism import networks_equal
 
 
 class TestRoundTrip:
