@@ -8,7 +8,9 @@ pytest needed), with numbers and a pass/fail gate from one command:
 - ``micro`` — substrate hot paths below a cycle: one route evaluation, one
   switch-probe loopback, one probe pair, the full-NOW core decomposition
   behind ``recommended_search_depth``, the route compile plus deadlock
-  check on the mapped full NOW, one sanlint pass over ``src/repro``;
+  check on the mapped full NOW, that generation's document across the
+  pool (encode, pickle, unpickle, decode), one sanlint pass over
+  ``src/repro``;
 - ``scale`` — datacenter-tier three-tier fat trees (80 / 320 / 1125
   switches), each mapped end-to-end and verified. The k=8 tier is the CI
   smoke gate; the larger tiers are ``--quick``-skipped and the 1125-switch
@@ -160,6 +162,36 @@ def _micro_route_compile() -> tuple[float, dict]:
     }
 
 
+def _micro_route_document() -> tuple[float, dict]:
+    """The served generation's trip across the pool on the mapped full
+    NOW: ``route_tables_to_dict`` in the worker, pickle, unpickle and
+    ``route_tables_from_dict`` on the event loop — the fragment behind the
+    e2e ledger's ``service.result_encode_ms`` (its tables half),
+    ``service.pickle_ms`` and ``service.tables_decode_ms``. The extras say
+    what crosses: pickled bytes, chains, tails and routes."""
+    import pickle
+
+    from repro.core.remapper import map_cycle, route_cycle
+    from repro.service.serialize import route_tables_from_dict, route_tables_to_dict
+    from repro.topology.generators import build_full_now
+
+    net = build_full_now()
+    tables, _ = route_cycle(map_cycle(net, sorted(net.hosts)[0])[0].network)
+
+    def cross():
+        return route_tables_from_dict(pickle.loads(pickle.dumps(route_tables_to_dict(tables))))
+
+    assert cross().numbered == tables.numbered
+    per_op = _time_op(cross, 20)
+    doc = route_tables_to_dict(tables)
+    return per_op, {
+        "pickled_bytes": len(pickle.dumps(doc)),
+        "chains": len(doc["chains"]),
+        "tails": len(doc["tails"]),
+        "routes": sum(len(table["routes"]) for table in doc["tables"].values()),
+    }
+
+
 def _micro_sanlint() -> tuple[float, dict]:
     """One sanlint pass over ``src/repro``: parse + the per-module rules."""
     from repro.analysis.engine import lint_paths
@@ -177,6 +209,7 @@ MICRO_SUITE: dict[str, Bench] = {
     "probe_pair": _micro_probe_pair,
     "core_decomposition_full_now": _micro_core_decomposition,
     "route_compile_full_now": _micro_route_compile,
+    "route_document_full_now": _micro_route_document,
     "sanlint_whole_repo": _micro_sanlint,
 }
 

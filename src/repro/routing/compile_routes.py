@@ -30,8 +30,8 @@ order a pair-by-pair compile makes them.
 The compiler's output is numbered as it is built: a
 :class:`RouteGeneration` gives each channel, each distinct chain and each
 distinct tail its number the first time a route uses it, over routes in
-(host, destination) order, head before tail — the order the version-3 wire
-document lists them in. The Dally–Seitz check reads its arcs off those
+(host, destination) order, head before tail — the order the wire document
+lists them in. The Dally–Seitz check reads its arcs off those
 numbers, the codec writes them as they are, and a :class:`CompiledRoute`
 (and its tail's channel tuple) is built only when a table is read.
 """
@@ -197,11 +197,10 @@ class RouteGeneration(dict[str, RouteTable]):
       Its first turn is not held: it is the tail's out port minus the
       in port of the host's channel.
 
-    Read off those when asked for: ``outs``, per tail the port its first
-    channel leaves by (``None`` when empty); and ``turn_keys``, listed
-    once, per tail that out port and its turns — two routes whose hosts'
-    channels enter by one port send the same turn string exactly when
-    their tails' keys are equal.
+    Read off those when asked for, and listed once: ``turn_keys``, per
+    tail the port its first channel leaves by (``None`` when empty) and
+    its turns — two routes whose hosts' channels enter by one port send
+    the same turn string exactly when their tails' keys are equal.
 
     Compiled, and written to the wire, in first-seen order over routes in
     (host, destination) order, head before tail; decoded, in the
@@ -228,10 +227,6 @@ class RouteGeneration(dict[str, RouteTable]):
         self.channels, self.chains, self.pairs = channels, chains, pairs
         self.heads, self.numbered = heads, numbered
         self._keys: list[tuple[int | None, Turns]] | None = None
-
-    @property
-    def outs(self) -> list[int | None]:
-        return [out for out, _ in self.turn_keys]
 
     @property
     def turn_keys(self) -> list[tuple[int | None, Turns]]:

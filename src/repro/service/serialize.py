@@ -13,18 +13,24 @@ a service must reject a bad payload with a clean error, never half-build
 state from it. Every ``*_to_dict`` emits only JSON-native types, so
 ``json.dumps(doc)`` always succeeds and round-trips.
 
-A ``route-tables`` document is a
-:class:`~repro.routing.compile_routes.RouteGeneration` written by number:
-the encoder writes the generation's own channel, tail and route numbers
+A ``route-tables`` document (version 4) is a
+:class:`~repro.routing.compile_routes.RouteGeneration` written by number,
+with nothing in it that the rest derives: the encoder writes the
+generation's own channels, chains (channel numbers only), tails (chain and
+last channel) and, per host, its head channel and each route's tail number
 (a hand-built table set is numbered first, by
-:func:`~repro.routing.compile_routes.as_generation`), and the decoder
-builds a generation over the document's numbers, each tail split into its
-interned chain and its last channel — no route object until a table is
-read.
+:func:`~repro.routing.compile_routes.as_generation`). No turn is written.
+The decoder derives every turn from the ports, refuses any number, chain,
+tail, head or route whose channels do not meet where the document says,
+checks each table in a few C-level passes over its routes, and builds the
+generation over the document's numbers with one ``int`` per number — no
+route object until a table is read.
 """
 
 from __future__ import annotations
 
+import itertools
+from operator import itemgetter
 from typing import Any, Mapping
 
 from repro.core.instrumentation import PhaseProfile
@@ -48,7 +54,12 @@ __all__ = [
 
 #: Version stamp of every document this module emits; bump on any shape
 #: change so a mixed-version server/worker pair fails loudly, not subtly.
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
+
+
+#: The one type a number in a document may have: ``int``, never ``bool``
+#: (``_INT.issuperset(map(type, numbers))`` checks a whole list at C speed).
+_INT = {int}
 
 
 class SerializationError(ValueError):
@@ -73,7 +84,7 @@ def _field(data: Mapping, kind: str, name: str, types: type | tuple) -> Any:
         value = data[name]
     except KeyError:
         raise SerializationError(f"{kind}: missing field {name!r}") from None
-    if not isinstance(value, types):
+    if not isinstance(value, types) or type(value) is bool:
         raise SerializationError(
             f"{kind}: field {name!r} has type {type(value).__name__}"
         )
@@ -176,7 +187,7 @@ def map_result_from_dict(data: Any) -> MapResult:
         raise SerializationError(f"{kind}: bad network: {exc}") from exc
     growth = []
     for item in _field(data, kind, "growth", list):
-        if not isinstance(item, list) or len(item) != 4:
+        if type(item) is not list or len(item) != 4 or not _INT.issuperset(map(type, item)):
             raise SerializationError(f"{kind}: malformed growth sample {item!r}")
         growth.append(GrowthSample(*item))
     switch_names: dict[int, str] = {}
@@ -184,7 +195,7 @@ def map_result_from_dict(data: Any) -> MapResult:
         if (
             not isinstance(item, list)
             or len(item) != 2
-            or not isinstance(item[0], int)
+            or type(item[0]) is not int
             or not isinstance(item[1], str)
         ):
             raise SerializationError(f"{kind}: malformed switch name {item!r}")
@@ -194,9 +205,14 @@ def map_result_from_dict(data: Any) -> MapResult:
         raw = _field(data, kind, "profile", dict)
         phases: dict[str, tuple[int, float]] = {}
         for name, pair in raw.items():
-            if not isinstance(pair, list) or len(pair) != 2:
+            if (
+                type(pair) is not list
+                or len(pair) != 2
+                or type(pair[0]) is not int
+                or type(pair[1]) not in (int, float)
+            ):
                 raise SerializationError(f"{kind}: malformed profile row {name!r}")
-            phases[name] = (int(pair[0]), float(pair[1]))
+            phases[name] = (pair[0], float(pair[1]))
         profile = PhaseProfile(phases=phases)
     witnesses = {
         name: _turns(turns, kind, f"witness {name!r}")
@@ -233,141 +249,133 @@ def map_result_from_dict(data: Any) -> MapResult:
 # RouteTable
 # ---------------------------------------------------------------------------
 
-# A ``route-tables`` document (one generation) lists each distinct channel
-# (directed wire half) once, as ``[[node, port], [node, port]]``, and each
-# distinct tail (the chain from an entry switch to a destination) once, as
-# ``[channel numbers, turns between them]``. The ``route-table`` documents
-# nested in it carry no lists of their own: a route is ``[head channel,
-# tail, first turn]`` by position in the generation's lists.
+# A ``route-tables`` document (one generation) carries only what cannot be
+# derived: each distinct channel (directed wire half) once, as ``[[node,
+# port], [node, port]]``; each chain once, as its channels' numbers; each
+# tail once, as ``[chain, last channel | null]``; and per host its one head
+# channel and, per destination, the route's tail number. No turn is
+# written: every turn is the out port minus the in port where two channels
+# meet, and the decoder derives each one from the ports.
 
-def _channels(value: Any, kind: str) -> list[tuple]:
-    """Validate and build every channel once: per channel its ``(src node,
-    src port, dst node, dst port)`` for the chain checks, then the shared
-    object, then its number (one ``int`` object per number: a generation
-    keeps none of the document's)."""
-    if not isinstance(value, list):
-        raise SerializationError(f"{kind}: channels is not a list")
-    channels = []
-    for at, item in enumerate(value):
-        if not isinstance(item, list) or len(item) != 2:
-            raise SerializationError(f"{kind}: malformed channel {item!r}")
-        src, dst = _port_ref(item[0], kind), _port_ref(item[1], kind)
-        channels.append((src.node, src.port, dst.node, dst.port, Traversal(src, dst), at))
+def _indices(values: Any, bound: int, where: str) -> None:
+    """Refuse ``values`` unless each is an ``int`` (a ``bool`` is not) in
+    ``range(bound)``: C-level passes, then the first offender named."""
+    if not _INT.issuperset(map(type, values)) or (
+        values and not 0 <= min(values) <= max(values) < bound
+    ):
+        bad = next(v for v in values if type(v) is not int or not 0 <= v < bound)
+        raise SerializationError(f"route-tables: {where}: malformed index {bad!r}")
+
+
+def _list(value: Any, where: str) -> list:
+    if type(value) is not list:
+        raise SerializationError(f"route-tables: {where} is not a list")
+    return value
+
+
+def _channels(value: Any) -> list[Traversal]:
+    channels, kind = [], "route-tables"
+    for item in _list(value, "channels"):
+        if type(item) is not list or len(item) != 2:
+            raise SerializationError(f"route-tables: malformed channel {item!r}")
+        channels.append(Traversal(_port_ref(item[0], kind), _port_ref(item[1], kind)))
     return channels
 
 
-def _tails(value: Any, kind: str, channels: list[tuple]) -> tuple[list, list, list]:
-    """Validate every tail once: its channels chain and every turn is the
-    out port minus the in port at the switch where two of them meet. Per
-    tail, its ``(entry node, first out port, last node)`` for the
-    per-route junction check (``None`` for an empty tail) and its own
-    number; then the generation's chains — each tail but its last channel,
-    interned — and per tail its chain and last channel."""
-    if not isinstance(value, list):
-        raise SerializationError(f"{kind}: tails is not a list")
-    tails: list[tuple] = []
-    chains: dict[Chain, int] = {}  # interned, in first-seen order
-    pairs: list[Pair] = []
-    for at, item in enumerate(value):
-        where = f"tail {at}"
-        if not isinstance(item, list) or len(item) != 2:
-            raise SerializationError(f"{kind}: malformed {where}")
-        numbers, turns = item[0], _turns(item[1], kind, where)
-        if not isinstance(numbers, list):
-            raise SerializationError(f"{kind}: {where}: channels is not a list")
-        for number in numbers:
-            if type(number) is not int or not 0 <= number < len(channels):
+def _chains(
+    rows: list, channels: list[Traversal], ids: list[int]
+) -> tuple[list[Chain], list[tuple]]:
+    """Every chain, its channels' numbers interned and its turns derived,
+    refused unless each channel leaves the node the one before it enters;
+    and per chain the node it starts at and the node it ends at (``None``
+    for the empty chain)."""
+    if not {list}.issuperset(map(type, rows)):
+        raise SerializationError("route-tables: a chain is not a list")
+    _indices(list(itertools.chain.from_iterable(rows)), len(channels), "chains")
+    chains, ends = [], []
+    for at, row in enumerate(rows):
+        hops = [channels[n] for n in row]
+        for held, wanted in zip(hops, hops[1:]):
+            if wanted.src.node != held.dst.node:
                 raise SerializationError(
-                    f"{kind}: {where}: malformed channel index {number!r}"
+                    f"route-tables: chain {at} does not chain at {held.dst.node!r}"
                 )
-        # one turn fewer than channels; the empty tail has neither
-        if len(numbers) != len(turns) + bool(numbers):
-            raise SerializationError(
-                f"{kind}: {where}: {len(turns)} turns over {len(numbers)} channels"
-            )
-        junction = None
-        if numbers:
-            entry, first_out, node, in_port, _, _ = channels[numbers[0]]
-            for turn, number in zip(turns, numbers[1:]):
-                src_node, out_port, next_node, next_port, _, _ = channels[number]
-                if src_node != node or out_port - in_port != turn:
-                    raise SerializationError(
-                        f"{kind}: {where}: turns and channels disagree at {node!r}"
-                    )
-                node, in_port = next_node, next_port
-            junction = (entry, first_out, node)
-        row = tuple([channels[n][5] for n in numbers])
-        chain = chains.setdefault((row[:-1], turns[:-1]), len(chains))
-        pairs.append((chain, row[-1] if row else None))
-        tails.append((junction, at))
-    return tails, list(chains), pairs
+        turns = tuple([w.src.port - h.dst.port for h, w in zip(hops, hops[1:])])
+        chains.append((tuple(map(ids.__getitem__, row)), turns))
+        ends.append((hops[0].src.node, hops[-1].dst.node) if hops else (None, None))
+    return chains, ends
 
 
-def _route(
-    doc: Any, host: str, dst: str, channels: list[tuple], tails: list[tuple]
-) -> tuple[int, int]:
-    """One route's head and tail numbers, refused unless its turns and
-    channels tell one story at the one place its tail has not already
-    proven it: the head channel leaves ``host`` and meets the tail's first
-    channel under the stated first turn, and the tail (or, over an empty
-    tail, the head) enters ``dst``."""
-    if not isinstance(doc, list) or len(doc) != 3:
-        raise _refused(host, dst, "not a [head, tail, first turn] triple")
-    head, tail, turn = doc
-    if type(head) is not int or not 0 <= head < len(channels):
-        raise _refused(host, dst, f"malformed channel index {head!r}")
-    if type(tail) is not int or not 0 <= tail < len(tails):
-        raise _refused(host, dst, f"malformed tail index {tail!r}")
-    src_node, _, node, in_port, _, _ = channels[head]
-    junction, tail = tails[tail]
-    if src_node != host:
-        raise _refused(host, dst, f"first channel leaves {src_node!r}")
-    if junction is None:
-        if turn is not None:
-            raise _refused(host, dst, f"first turn {turn!r} over an empty tail")
-    else:
-        entry, first_out, last = junction
-        if type(turn) is not int:
-            raise _refused(host, dst, f"malformed first turn {turn!r}")
-        if entry != node or first_out - in_port != turn:
-            raise _refused(host, dst, f"turns and channels disagree at {node!r}")
-        node = last
-    if node != dst:
-        raise _refused(host, dst, f"last channel enters {node!r}")
-    return head, tail
+def _tails(
+    items: list, channels: list[Traversal], ends: list[tuple], ids: list[int]
+) -> tuple[list[Pair], list, list]:
+    """Every tail as its interned (chain, last channel) pair, refused unless
+    its last channel leaves the node where its chain ends; and per tail the
+    node it enters the fabric at and the node it ends at (both ``None`` for
+    the empty tail)."""
+    if not {list}.issuperset(map(type, items)) or not {2}.issuperset(map(len, items)):
+        raise SerializationError("route-tables: a tail is not a [chain, last channel] pair")
+    chain_col, last_col = list(map(itemgetter(0), items)), list(map(itemgetter(1), items))
+    _indices(chain_col, len(ends), "tails")
+    _indices([last for last in last_col if last is not None], len(channels), "tails")
+    pairs, enters, exits = [], [], []
+    for at, (chain, last) in enumerate(zip(chain_col, last_col)):
+        start, end = ends[chain]
+        if last is not None:
+            channel = channels[last]
+            if end is not None and channel.src.node != end:
+                raise SerializationError(
+                    f"route-tables: tail {at}: last channel leaves {channel.src.node!r},"
+                    f" its chain ends at {end!r}"
+                )
+            start = channel.src.node if start is None else start
+            end, last = channel.dst.node, ids[last]
+        pairs.append((ids[chain], last))
+        enters.append(start)
+        exits.append(end)
+    return pairs, enters, exits
 
 
 def _refused(host: str, dst: str, why: str) -> SerializationError:
-    return SerializationError(f"route-table: route {host!r} -> {dst!r}: {why}")
+    return SerializationError(f"route-tables: route {host!r} -> {dst!r}: {why}")
 
 
 def _table(
-    data: dict, channels: list[tuple], tails: list[tuple]
-) -> tuple[str, int | None, dict[str, int]]:
-    """A table's host, its one head channel and its routes' tail numbers."""
-    kind = "route-table"
-    host = _field(data, kind, "host", str)
-    first, routes = None, {}
-    for dst, doc in _field(data, kind, "routes", dict).items():
-        head, routes[dst] = _route(doc, host, dst, channels, tails)
-        if first is not None and head != first:
-            raise _refused(host, dst, f"leaves by channel {head}, its table by {first}")
-        first = head
-    return host, first, routes
+    host: Any, doc: Any, channels: list[Traversal], enters: list, exits: list, ids: list[int]
+) -> tuple[int | None, dict[str, int]]:
+    """A table's head channel and its routes' interned tail numbers, refused
+    unless the head leaves ``host`` and every tail enters where the head
+    lands and ends at its destination (an empty tail: the head lands
+    there). A few C-level passes over the routes; one per route only to
+    name the first that fails."""
+    where = f"route-tables: table {host!r}"
+    if type(host) is not str or type(doc) is not dict:
+        raise SerializationError(f"{where} is malformed")
+    head, routes = _field(doc, where, "head", (int, type(None))), _field(doc, where, "routes", dict)
+    if (head is None) != (not routes):
+        raise SerializationError(f"{where}: head {head!r} over {len(routes)} routes")
+    if head is None:
+        return None, {}
+    _indices([head], len(channels), f"table {host!r}")
+    if (leaves := channels[head].src.node) != host:
+        raise SerializationError(f"{where}: head leaves {leaves!r}")
+    tails, land = routes.values(), channels[head].dst.node
+    _indices(tails, len(enters), f"table {host!r}")
+    if not {land, None}.issuperset(map(enters.__getitem__, tails)) or list(
+        map(exits.__getitem__, tails)
+    ) != list(routes):
+        for dst, tail in routes.items():
+            if enters[tail] not in (land, None):
+                raise _refused(host, dst, f"tail {tail} enters at {enters[tail]!r}, not {land!r}")
+            if (land if exits[tail] is None else exits[tail]) != dst:
+                raise _refused(host, dst, f"tail {tail} ends at {exits[tail] or land!r}")
+    return ids[head], dict(zip(routes, map(ids.__getitem__, tails)))
 
 
 def route_tables_to_dict(tables: Mapping[str, RouteTable]) -> dict:
     """A whole generation of tables, keyed by source host."""
     generation = as_generation(tables)
-    outs = generation.outs
-
-    def routes(host: str) -> dict:
-        head, in_port = generation.heads.get(host), generation.in_port(host)
-        return {
-            dst: [head, tail, None if (out := outs[tail]) is None else out - in_port]
-            for dst, tail in sorted(generation.numbered[host].items())
-        }
-
+    heads, numbered = generation.heads, generation.numbered
     return {
         "kind": "route-tables",
         "version": FORMAT_VERSION,
@@ -375,38 +383,28 @@ def route_tables_to_dict(tables: Mapping[str, RouteTable]) -> dict:
             [[c.src.node, c.src.port], [c.dst.node, c.dst.port]]
             for c in generation.channels
         ],
-        # a tail is its chain, then its last channel
-        "tails": [
-            [[] if last is None else [*generation.chains[chain][0], last], list(turns)]
-            for (chain, last), (_, turns) in zip(generation.pairs, generation.turn_keys)
-        ],
+        "chains": [list(row) for row, _ in generation.chains],
+        "tails": [list(pair) for pair in generation.pairs],
         "tables": {
-            host: {
-                "kind": "route-table",
-                "version": FORMAT_VERSION,
-                "host": host,
-                "routes": routes(host),
-            }
+            host: {"head": heads.get(host), "routes": dict(sorted(numbered[host].items()))}
             for host in sorted(generation)
         },
     }
 
 
 def route_tables_from_dict(data: Any) -> RouteGeneration:
-    kind = "route-tables"
-    data = require_kind(data, kind)
-    channels = _channels(data.get("channels"), kind)
-    tails, chains, pairs = _tails(data.get("tails"), kind, channels)
+    """A generation over the document's own numbering, with one ``int``
+    object per number: it keeps none of the document's."""
+    data = require_kind(data, "route-tables")
+    channels = _channels(data.get("channels"))
+    rows, items = _list(data.get("chains"), "chains"), _list(data.get("tails"), "tails")
+    ids = list(range(max(len(channels), len(rows), len(items))))
+    chains, ends = _chains(rows, channels, ids)
+    pairs, enters, exits = _tails(items, channels, ends, ids)
     heads: dict[str, int] = {}
     numbered: dict[str, dict[str, int]] = {}
-    for host, doc in _field(data, kind, "tables", dict).items():
-        claimed, head, numbered[host] = _table(
-            require_kind(doc, "route-table"), channels, tails
-        )
-        if claimed != host:
-            raise SerializationError(
-                f"{kind}: table keyed {host!r} claims host {claimed!r}"
-            )
+    for host, doc in _field(data, "route-tables", "tables", dict).items():
+        head, numbered[host] = _table(host, doc, channels, enters, exits, ids)
         if head is not None:
             heads[host] = head
-    return RouteGeneration([channel[4] for channel in channels], chains, pairs, heads, numbered)
+    return RouteGeneration(channels, chains, pairs, heads, numbered)

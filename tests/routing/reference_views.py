@@ -2,9 +2,10 @@
 
 ``RouteGeneration`` stores each chain once and each tail as (chain, last
 channel); the codec, the deadlock check and the route views read those.
-``rows`` (every tail's channel numbers) and ``tails`` (every tail as the
-shared ``Tail`` object) spell the tails out in number order, for the
-oracles that compare a generation with the parent compiler's.
+``rows`` (every tail's channel numbers), ``tails`` (every tail as the
+shared ``Tail`` object) and ``outs`` (every tail's first out port) spell
+the tails out in number order, for the oracles that compare a generation
+with the parent compiler's and for the version-3 reference encoder.
 
 ``RoutingPaths`` is read by the compiler through ``in_tree`` and
 ``node_paths``; ``distance`` and ``node_path`` are the one-pair questions
@@ -31,6 +32,12 @@ def rows(generation: RouteGeneration) -> list[tuple[int, ...]]:
 def tails(generation: RouteGeneration) -> list[Tail]:
     """Every tail as the :data:`Tail` object its routes share."""
     return [generation._tails[number] for number in range(len(generation.pairs))]
+
+
+def outs(generation: RouteGeneration) -> list[int | None]:
+    """Every tail's first out port (``None`` for the empty tail), by tail
+    number."""
+    return [out for out, _ in generation.turn_keys]
 
 
 def distance(paths: RoutingPaths, src: str, dst: str) -> int | None:

@@ -43,7 +43,7 @@ from tests.routing.reference_paths import (
     reference_all_pairs_updown_paths,
     reference_route_tables,
 )
-from tests.routing.reference_views import rows, tails
+from tests.routing.reference_views import outs, rows, tails
 from tests.routing.test_paths_reference import decorated
 from tests.routing.test_route_tables_golden import COMPILE_SEEDS, FABRICS
 from tests.service import reference_codec
@@ -56,7 +56,7 @@ def numbers(generation: RouteGeneration) -> tuple:
         generation.channels,
         rows(generation),
         tails(generation),
-        generation.outs,
+        outs(generation),
         generation.heads,
         generation.numbered,
     )

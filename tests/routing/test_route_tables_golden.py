@@ -10,7 +10,12 @@ The served-document digest alone was regenerated when the document went
 to version 3 (one tail table per generation, PR 22): the format changed,
 the routes did not — every table digest stayed byte-identical, and
 ``tests/service/test_codec_reference.py`` decodes the version-2 and the
-version-3 document of each fabric here to equal tables.
+version-3 document of each fabric here to equal tables. It was
+regenerated once more, alone, when the document went to version 4 (each
+chain once, each tail as chain + last channel, one head per table, no
+turns): again every table digest stayed byte-identical, and the same
+suite decodes the version-4 document to the same tables and to the
+compiled generation's own numbering.
 Each digest covers every route of one ``compile_route_tables`` call —
 sorted ``(src, dst, turns, channel endpoints)`` — so a change to path
 selection, to the wire-choice rule among parallel cables or to the order

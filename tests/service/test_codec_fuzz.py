@@ -1,4 +1,4 @@
-"""Structure-aware fuzz of the version-3 ``route-tables`` document.
+"""Structure-aware fuzz of the version-4 ``route-tables`` document.
 
 The decoder runs on the server's event loop over whatever a worker sent
 back, and the server turns exactly one exception — ``SerializationError``
@@ -13,47 +13,62 @@ decoder has two honest answers and no third:
 
 Mutations know the document's structure (that is what reaches the checks
 behind the first one): top-level and per-table fields dropped, retagged or
-duplicated; every kind of index — a tail's channel numbers, a route's
-head and tail — replaced by a bool, float, string, ``None``, list,
-negative, out-of-range or merely *other* number; whole tails swapped,
-spliced between destinations or cut short; turns perturbed, dropped or
-made ``None``; channel ends renamed or re-ported; a route cut to a pair or
-handed back in the version-2 shape.
+duplicated; whole channels, chains, tails or tables replaced by junk;
+every kind of number — a chain's channel numbers, a tail's chain and last
+channel, a table's head, a route's tail — replaced by a bool, float,
+string, ``None``, list, negative, out-of-range or merely *other* number;
+another table's head, or the head moved by one; chains cut at either end
+or lengthened; chains or tails swapped where they stand; a route spliced
+from another host or destination, or handed back in the version-3 triple
+or the version-2 shape; channel ends renamed or re-ported. A real
+version-3 document of each fabric is refused by its version, and
+relabelled as version 4, by its shape.
 
-Decoder mutants run by hand against this file (``pytest -x``; fourteen,
-none survives), each with the check removed from ``serialize.py`` and the
-shrunk draw that kills it — ``(mutator, at, slot, junk)`` on document
-``which=0`` unless said:
+Decoder mutants run by hand against this file (``pytest -x``;
+twenty-three, nineteen killed here), each with the check removed from ``serialize.py``
+and the shrunk draw that kills it — ``(mutator, at, slot, junk)`` on
+document ``which=0``:
 
-- ``_route``: no ``type(head) is int`` — ``(route_index, 0, 0, 0.5)``,
-  ``TypeError: list indices must be integers``;
-- ``_route``: no range check on the tail index — ``(route_index, 0, 1,
-  10**6)``, ``IndexError``;
-- ``_route``: no ``len(doc) != 3`` — ``(cut_route, 0, 0, ·)``,
-  ``ValueError: not enough values to unpack``;
-- ``_tails``: non-``int`` channel numbers let through — ``(tail_channel,
-  0, 0, 0.5)``, ``TypeError``;
-- ``_route``: first turn not compared at the junction — ``(turn_first, 0,
-  0, ·)`` (the turn plus one) decodes: "turns re-derive";
-- ``_route``: tail entry not compared with where the head lands —
-  ``(bend_channel, 2, 2, ·)`` renames the node a tail's first channel
-  leaves: "channels chain";
-- ``_route``: last node not compared with the destination — ``(cut_tail,
-  1, 1, ·)`` stops a tail one switch short: "enters its destination";
-- ``_route``: head not compared with the host — ``(foreign_route, 0, 0,
-  ·)``, another host's honest route to the same destination: "leaves its
-  source" (no single-value bend reaches it: the junction check fires
-  first, which is why the mutator exists);
-- ``_tails``: chain continuity dropped — ``(bend_channel, 224, 2, ·)``:
-  "channels chain"; turn-vs-ports dropped — ``(tail_turn, 1, 1, ·)``:
-  "turns re-derive"; turn count not compared with channel count —
-  ``(tail_turn, 0, 0, 0.5)`` appends a turn: "turns re-derive";
-- ``_route``: ``None`` first turn accepted over a non-empty tail —
-  ``(turn_first, 0, 1, ·)``: no turns over two channels; a first turn
-  accepted over an empty tail — ``which=1, (turn_first, 2, 0, ·)``;
-- ``_route``: no ``type(turn) is int`` — ``(turn_first, 0, 662, ·)`` hands
-  ``True`` where the turn is 1; it compares equal and would be adopted:
-  "turns are ints".
+- ``_indices``: no ``int``-only type pass — ``(cut_route, 0, 0, True)``,
+  ``TypeError`` comparing an ``int`` with a list; no range pass —
+  ``(chain_channel, 1, 0, 10**6)`` or ``(route_index, 0, 0, 10**6)``,
+  ``IndexError``;
+- ``_channels``: no ``[end, end]`` shape check — ``(retype_entry, 0, 0,
+  True)``, ``TypeError``;
+- ``_chains``: no list check — ``(retype_entry, 0, 1, True)``,
+  ``TypeError``; no index pass — ``(chain_channel, 1, 0, 0.5)``,
+  ``TypeError``; no continuity check — the fixed sweep of
+  ``test_the_mutators_reach_past_the_first_check``: "channels chain";
+- ``_tails``: no ``[chain, last]`` pair check — ``(retype_entry, 0, 2,
+  {})``, ``IndexError``; no chain index pass — ``(tail_pair, 0, 0, 0.5)``
+  and no last-channel index pass — ``(tail_pair, 0, 1, 0.5)``,
+  ``TypeError``; last channel not compared with where its chain ends —
+  ``(bend_channel, 3, 2, True)``: "channels chain";
+- ``_table``: no table-object check — ``(retype_entry, 0, 3, True)``,
+  ``TypeError``; no head index pass — the fixed sweep, ``IndexError``;
+  head not compared with the host — ``(duplicate_table, 0, 0, True)``:
+  "leaves its source"; no tail index pass — ``(cut_route, 0, 0, True)``,
+  ``TypeError``;
+- ``_table``, the C-level passes: no entry pass — ``(cut_chain, 1, 0,
+  True)``: "channels chain"; no exit pass — ``(duplicate_route, 0, 1,
+  True)``: "enters its destination";
+- ``_table``, the route-by-route walk a failed pass falls back to: no
+  entry check — ``(foreign_route, 0, 0, True)``: "channels chain"; no exit
+  check — ``(duplicate_route, 172, 973, True)``: "enters its
+  destination";
+- ``require_kind``: no version check —
+  ``test_a_version_3_document_is_refused_whole``.
+
+Four survive this file, because what they let through is not a route
+that fails to re-derive, and ``test_serialize.py``'s doctors kill each:
+``head`` / ``routes`` agreement dropped (a table whose head is ``null``
+decodes with its routes silently dropped) — "head None over 1 routes";
+the ``head`` field's type check replaced by ``doc.get`` (a missing head
+reads as ``null``) — "missing field 'head'"; a non-string table key
+accepted (an empty table under ``0``) — "table 0 is malformed"; and
+``_field`` letting a ``bool`` through, which the route decoder's index
+passes refuse anyway — the ``map_result`` cases "search-depth-is-a-bool"
+and "stats-count-is-a-bool".
 """
 
 from __future__ import annotations
@@ -64,7 +79,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.routing.compile_routes import RouteTable, compile_route_tables
+from repro.routing.compile_routes import RouteGeneration, RouteTable, compile_route_tables
 from repro.routing.paths import all_pairs_updown_paths
 from repro.routing.updown import orient_updown
 from repro.service.serialize import (
@@ -73,28 +88,28 @@ from repro.service.serialize import (
     route_tables_to_dict,
 )
 from tests.routing.test_route_tables_golden import FABRICS
+from tests.service import reference_codec
 
 #: What a number in the document may be replaced by; an ``int`` stays an
 #: ``int`` (taken modulo nothing: negative and far out of range included).
 JUNK = [True, False, 0.5, 1.0, "1", None, [0], {}, -1, -7, 10**6, 0, 1, 2, 3, 5, 8, 13]
 
 
-def _document(name: str) -> dict:
+#: Small, and between them every shape: shared tails, owned tails over
+#: parallel cables, the empty tail of a host–host cable, an empty table.
+NAMES = ("parallel-cables", "host-host-island", "unattached-host", "random-10-seed3")
+
+
+def _tables(name: str) -> RouteGeneration:
     net = FABRICS[name]()
     orientation = orient_updown(net)
     paths = all_pairs_updown_paths(net, orientation)
-    tables = compile_route_tables(net, paths, seed=0)
-    return json.loads(json.dumps(route_tables_to_dict(tables)))
+    return compile_route_tables(net, paths, seed=0)
 
 
 @pytest.fixture(scope="module")
 def documents() -> list[dict]:
-    """Small, and between them every shape: shared tails, owned tails over
-    parallel cables, the empty tail of a host–host cable, an empty table."""
-    return [
-        _document(name)
-        for name in ("parallel-cables", "host-host-island", "unattached-host", "random-10-seed3")
-    ]
+    return [json.loads(json.dumps(route_tables_to_dict(_tables(name)))) for name in NAMES]
 
 
 def _pick(items, at: int):
@@ -122,22 +137,49 @@ def drop_field(doc, at, slot, junk):
 
 def retag(doc, at, slot, junk):
     doc[_pick(["kind", "version"], at)] = _pick(
-        ["route-table", "map-result", 2, 1, "3", None, junk], slot
+        ["route-table", "map-result", 3, 2, "4", 4.5, None, junk], slot
     )
 
 
 def retype_field(doc, at, slot, junk):
-    doc[_pick(["channels", "tails", "tables"], at)] = _pick([junk, {}, [], "x", [junk]], slot)
+    doc[_pick(["channels", "chains", "tails", "tables"], at)] = _pick(
+        [junk, {}, [], "x", [junk]], slot
+    )
+
+
+def _table_docs(doc) -> list[dict]:
+    tables = doc.get("tables")
+    return [t for t in tables.values() if isinstance(t, dict)] if isinstance(tables, dict) else []
 
 
 def table_field(doc, at, slot, junk):
-    table = _pick(doc["tables"].values(), at) if isinstance(doc.get("tables"), dict) else None
-    if isinstance(table, dict):
-        field = _pick(["kind", "version", "host", "routes"], slot)
-        if junk is None:
+    table = _pick(_table_docs(doc), at)
+    if table is not None:
+        field = _pick(["head", "routes", "kind", "host"], slot)
+        if junk is None and slot % 2:
             table.pop(field, None)
         else:
             table[field] = junk
+
+
+def other_head(doc, at, slot, junk):
+    """Another table's honest head, or the head moved by one: a channel
+    that leaves some other host, or lands elsewhere."""
+    tables = _table_docs(doc)
+    table = _pick(tables, at)
+    if table is not None:
+        other = _pick(tables, slot).get("head")
+        nudged = table.get("head") + 1 if isinstance(table.get("head"), int) else junk
+        table["head"] = _pick([other, nudged], at + slot)
+
+
+def retype_entry(doc, at, slot, junk):
+    """A whole channel, chain, tail or table replaced by junk."""
+    rows = doc.get(_pick(["channels", "chains", "tails", "tables"], slot))
+    if isinstance(rows, list) and rows:
+        rows[at % len(rows)] = junk
+    elif isinstance(rows, dict) and rows:
+        rows[_pick(sorted(rows), at)] = junk
 
 
 def duplicate_table(doc, at, slot, junk):
@@ -155,7 +197,7 @@ def duplicate_route(doc, at, slot, junk):
 
 
 def duplicate_entry(doc, at, slot, junk):
-    rows = doc.get(_pick(["channels", "tails"], slot))
+    rows = doc.get(_pick(["channels", "chains", "tails"], slot))
     if isinstance(rows, list) and rows:
         rows.insert(at % (len(rows) + 1), copy.deepcopy(_pick(rows, at)))
 
@@ -172,79 +214,69 @@ def foreign_route(doc, at, slot, junk):
 
 
 def route_index(doc, at, slot, junk):
+    """A route's tail number replaced by junk, or by another number."""
     routes = _routes(doc)
     if routes:
         routes_of, dst = _pick(routes, at)
-        if isinstance(routes_of[dst], list) and routes_of[dst]:
-            routes_of[dst][slot % min(2, len(routes_of[dst]))] = junk
+        routes_of[dst] = junk
 
 
 def cut_route(doc, at, slot, junk):
+    """A route in another shape: a list around its tail, the version-3
+    triple, the version-2 object."""
     routes = _routes(doc)
     if routes:
         routes_of, dst = _pick(routes, at)
         old = routes_of[dst]
         routes_of[dst] = _pick(
-            [old[:2], [*old, junk], {"turns": [junk], "channels": old}, junk, []]
-            if isinstance(old, list)
-            else [junk],
-            slot,
+            [[old], [0, old, junk], {"turns": [junk], "channels": [old]}, [], str(old)], slot
         )
 
 
-def turn_first(doc, at, slot, junk):
-    routes = _routes(doc)
-    if routes:
-        routes_of, dst = _pick(routes, at)
-        route = routes_of[dst]
-        if isinstance(route, list) and len(route) == 3:
-            turn = route[2] if isinstance(route[2], int) else 0
-            # one more, none at all, junk, and the same value in another type
-            route[2] = _pick(
-                [turn + 1, None, junk, float(turn), bool(turn) if turn in (0, 1) else -turn],
-                slot,
-            )
+def _row(doc, name, at):
+    rows = doc.get(name)
+    row = _pick(rows, at) if isinstance(rows, list) else None
+    return row if isinstance(row, list) else None
 
 
-def _tail(doc, at):
-    tails = doc.get("tails")
-    tail = _pick(tails, at) if isinstance(tails, list) else None
-    return tail if isinstance(tail, list) and len(tail) == 2 else None
+def chain_channel(doc, at, slot, junk):
+    chain = _row(doc, "chains", at)
+    if chain:
+        chain[slot % len(chain)] = junk
 
 
-def tail_channel(doc, at, slot, junk):
-    tail = _tail(doc, at)
-    if tail and isinstance(tail[0], list) and tail[0]:
-        tail[0][slot % len(tail[0])] = junk
-
-
-def tail_turn(doc, at, slot, junk):
-    tail = _tail(doc, at)
-    if tail and isinstance(tail[1], list):
-        if tail[1] and slot % 3:
-            here = slot % len(tail[1])
-            old = tail[1][here]
-            tail[1][here] = old + 1 if slot % 3 == 1 and isinstance(old, int) else junk
+def cut_chain(doc, at, slot, junk):
+    """A chain one channel short at either end, or one longer."""
+    chain = _row(doc, "chains", at)
+    if chain:
+        if slot % 3 == 0:
+            del chain[-1]
+        elif slot % 3 == 1:
+            del chain[0]
         else:
-            tail[1].append(junk if isinstance(junk, int) else 0)
+            chain.append(junk if isinstance(junk, int) else chain[0])
 
 
-def cut_tail(doc, at, slot, junk):
-    tail = _tail(doc, at)
-    if tail and isinstance(tail[0], list) and tail[0]:
-        end = slot % len(tail[0])
-        tail[0] = tail[0][:end]
-        if isinstance(tail[1], list):
-            tail[1] = tail[1][: max(end - 1, 0)]
+def splice_rows(doc, at, slot, junk):
+    """Swap two chains or two tails where they stand: every tail or route
+    naming either now names a valid one of some other place."""
+    rows = doc.get(_pick(["chains", "tails"], at + slot))
+    if isinstance(rows, list) and len(rows) > 1:
+        a, b = at % len(rows), slot % len(rows)
+        rows[a], rows[b] = rows[b], rows[a]
 
 
-def splice_tails(doc, at, slot, junk):
-    """Swap two tails where they stand: every route naming either now
-    names a valid tail of some other (entry switch, destination)."""
-    tails = doc.get("tails")
-    if isinstance(tails, list) and len(tails) > 1:
-        a, b = at % len(tails), slot % len(tails)
-        tails[a], tails[b] = tails[b], tails[a]
+def tail_pair(doc, at, slot, junk):
+    """A tail's chain or last channel replaced by junk, another number or
+    ``None``; or the pair cut short or made longer."""
+    tail = _row(doc, "tails", at)
+    if tail:
+        if slot % 4 < 2:
+            tail[slot % len(tail)] = junk
+        elif slot % 4 == 2:
+            tail[-1] = None
+        else:
+            tail[:] = _pick([tail[:1], [*tail, junk], [list(tail)]], at)
 
 
 def bend_channel(doc, at, slot, junk):
@@ -264,17 +296,18 @@ MUTATORS = [
     retag,
     retype_field,
     table_field,
+    other_head,
+    retype_entry,
     duplicate_table,
     duplicate_route,
     duplicate_entry,
     foreign_route,
     route_index,
     cut_route,
-    turn_first,
-    tail_channel,
-    tail_turn,
-    cut_tail,
-    splice_tails,
+    chain_channel,
+    cut_chain,
+    splice_rows,
+    tail_pair,
     bend_channel,
 ]
 
@@ -348,3 +381,15 @@ def test_the_mutators_reach_past_the_first_check(documents):
                     except SerializationError as exc:
                         complaints.add(str(exc).split(":")[-1].strip().split(" ")[0])
     assert decoded > 50 and len(complaints) >= 10, (decoded, sorted(complaints))
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_a_version_3_document_is_refused_whole(name):
+    """The parent's document of the same generation: refused by its
+    version, and — relabelled as version 4 — by its shape."""
+    doc = json.loads(json.dumps(reference_codec.route_tables_to_dict_v3(_tables(name))))
+    with pytest.raises(SerializationError, match="unsupported version 3"):
+        route_tables_from_dict(doc)
+    doc["version"] = 4
+    with pytest.raises(SerializationError, match="chains is not a list"):
+        route_tables_from_dict(doc)

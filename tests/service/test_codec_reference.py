@@ -3,15 +3,21 @@ are held, numbered, checked and written down — never which routes.
 
 The oracle is ``reference_codec.py``: the per-route ``channel_table``, the
 version-2 encoder / decoder and the per-route successor sets, verbatim
-from the commit before a route became head channel + shared tail. Over
+from the commit before a route became head channel + shared tail, and the
+version-3 encoder / decoder, verbatim from the commit before the document
+dropped its turns. Over
 every fabric of ``tests/goldens/route_tables_digest.json`` (the full NOW
 in its mapped form only; both compile seeds where the seed matters), hand-made fabrics for what the compiler cannot share (parallel
 cables, a host–host island, a host that is not a leaf) and hypothesis
 draws of ``seeded_fabric`` with cuts and those decorations:
 
-- tables decoded from the version-3 document ``==`` tables decoded from
-  the version-2 document ``==`` the compiled tables (route by route, in
-  table and route order), for the whole generation;
+- tables decoded from the version-4 document ``==`` tables decoded from
+  the version-3 document ``==`` tables decoded from the version-2
+  document ``==`` the compiled tables (route by route, in table and route
+  order), for the whole generation;
+- the decoded version-4 generation's ``channels``, ``chains``, ``pairs``,
+  ``heads`` and ``numbered`` are the compiled generation's, key order
+  included, with one ``int`` object per tail number;
 - ``channel_table`` numbers channels in the reference's first-seen order
   and every route's ``[head, *tail]`` row is the reference's flat row;
 - the dependency graph has the reference's arcs, channel by channel; up
@@ -23,7 +29,10 @@ draws of ``seeded_fabric`` with cuts and those decorations:
 
 from __future__ import annotations
 
+import gc
 import json
+import pickle
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, reject, settings, strategies as st
@@ -31,6 +40,7 @@ from hypothesis import HealthCheck, given, reject, settings, strategies as st
 from repro.routing.compile_routes import (
     CompiledRoute,
     RouteTable,
+    as_generation,
     channel_table,
     compile_route_tables,
 )
@@ -71,21 +81,41 @@ def assert_same_route_for_route(got, want) -> None:
         assert list(table.routes.items()) == list(want[host].routes.items()), host
 
 
+def assert_same_numbering(got, want) -> None:
+    """The five numbered fields, equal and in the same order."""
+    assert got.channels == want.channels
+    assert got.chains == want.chains
+    assert got.pairs == want.pairs
+    assert list(got.heads.items()) == list(want.heads.items())
+    assert [(h, list(d.items())) for h, d in got.numbered.items()] == [
+        (h, list(d.items())) for h, d in want.numbered.items()
+    ]
+
+
 def assert_codecs_agree(tables: dict[str, RouteTable]) -> None:
-    """v3 round trip == v2 round trip == ``tables``; the decoded v3 tables
-    re-encode to the same bytes and share one object per tail."""
+    """v4 round trip == v3 round trip == v2 round trip == ``tables``; the
+    decoded v4 generation is numbered as the compiled one, holds one
+    ``int`` per tail number, re-encodes to the same bytes and shares one
+    object per tail."""
     doc = route_tables_to_dict(tables)
     new = route_tables_from_dict(_wire(doc))
+    v3 = reference_codec.route_tables_from_dict_v3(
+        _wire(reference_codec.route_tables_to_dict_v3(tables))
+    )
     old = reference_codec.route_tables_from_dict(
         _wire(reference_codec.route_tables_to_dict(tables))
     )
-    # Both codecs write tables and routes in sorted order.
+    # Every codec writes tables and routes in sorted order.
     ordered = {
         host: RouteTable(host, dict(sorted(tables[host].routes.items())))
         for host in sorted(tables)
     }
-    assert_same_route_for_route(new, old)
+    assert_same_route_for_route(new, v3)
+    assert_same_route_for_route(v3, old)
     assert_same_route_for_route(new, ordered)
+    assert_same_numbering(new, as_generation(tables))
+    numbers = [n for routes in new.numbered.values() for n in routes.values()]
+    assert len({id(n) for n in numbers}) == len(set(numbers))
     assert json.dumps(route_tables_to_dict(new)) == json.dumps(doc)
     routes = _flat(new)
     assert len({id(r.tail) for r in routes}) == len(doc["tails"]) <= len(routes)
@@ -146,8 +176,41 @@ def test_a_one_hop_route_has_the_empty_tail():
     route = tables["h2"].routes["h3"]
     assert (route.first_turn, route.tail, route.turns, route.hops) == (None, ((), ()), (), 1)
     doc = route_tables_to_dict(tables)
-    assert doc["tables"]["h2"]["routes"]["h3"][2] is None
-    assert [[], []] in doc["tails"]
+    chain, last = doc["tails"][doc["tables"]["h2"]["routes"]["h3"]]
+    assert (doc["chains"][chain], last) == ([], None)
+
+
+def _retained_bytes(tables, encode, decode) -> int:
+    """What a generation decoded from a pickled document keeps allocated
+    once the document is gone: tracemalloc, from the unpickle on."""
+    sent = pickle.dumps(encode(tables))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        doc = pickle.loads(sent)
+        decoded = decode(doc)
+        del doc
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(decoded) == len(tables)
+    return retained
+
+
+def test_a_decoded_now_generation_retains_no_more_than_the_v3_decode():
+    """Faster cycles keep more generations alive in the server's window:
+    the version-4 decode of the mapped full NOW must not hold more bytes
+    than the version-3 reference decode of the same generation did (one
+    ``int`` per tail number in both, one ``Traversal`` per channel)."""
+    tables = _updown_tables(FABRICS["now-full-mapped"](), 0)
+    v4 = _retained_bytes(tables, route_tables_to_dict, route_tables_from_dict)
+    v3 = _retained_bytes(
+        tables,
+        reference_codec.route_tables_to_dict_v3,
+        reference_codec.route_tables_from_dict_v3,
+    )
+    assert 0 < v4 <= v3, (v4, v3)
 
 
 def test_unrestricted_cyclic_routes_get_the_reference_arcs():

@@ -130,7 +130,7 @@ class TestRouteTableRoundTrip:
         assert set(back) == set(mapped_tables)
 
     def test_the_documented_example_is_what_the_encoder_writes(self):
-        """docs/SERVICE.md's worked version-3 document: two hosts on one
+        """docs/SERVICE.md's worked version-4 document: two hosts on one
         switch, one shared tail."""
         text = (Path(__file__).parents[2] / "docs" / "SERVICE.md").read_text()
         doc = json.loads(
@@ -225,6 +225,46 @@ class TestMalformedRejection:
         with pytest.raises(SerializationError, match="growth sample"):
             map_result_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "doctor, complaint",
+        [
+            pytest.param(
+                lambda d: d.update(search_depth=True),
+                "field 'search_depth' has type bool",
+                id="search-depth-is-a-bool",
+            ),
+            pytest.param(
+                lambda d: d["stats"].update(host_probes=False),
+                "probe-stats: field 'host_probes' has type bool",
+                id="stats-count-is-a-bool",
+            ),
+            pytest.param(
+                lambda d: d.update(switch_names=[[True, "x"]]),
+                "malformed switch name",
+                id="switch-name-vertex-is-a-bool",
+            ),
+            pytest.param(
+                lambda d: d.update(growth=[["a", "b", None, {}]]),
+                "malformed growth sample",
+                id="growth-sample-of-non-ints",
+            ),
+            pytest.param(
+                lambda d: d.update(profile={"x": ["7", "nan"]}),
+                "malformed profile row 'x'",
+                id="profile-row-of-strings",
+            ),
+        ],
+    )
+    def test_a_map_result_is_refused_rather_than_coerced(self, mapped_c, doctor, complaint):
+        """The server decodes a worker's map_result before adopting it as
+        the next cycle's seed: a bool where a count belongs, or a growth or
+        profile row of strings, is refused — not adopted as ``True``, not
+        coerced to ``(7, nan)``."""
+        doc = _json_round_trip(map_result_to_dict(mapped_c))
+        doctor(doc)
+        with pytest.raises(SerializationError, match=complaint):
+            map_result_from_dict(doc)
+
     def test_malformed_traversal_endpoint_is_rejected(self, mapped_tables):
         doc = route_tables_to_dict(mapped_tables)
         doc["channels"][0] = [["s0", 0], ["s1"]]
@@ -232,13 +272,14 @@ class TestMalformedRejection:
             route_tables_from_dict(doc)
 
     def test_table_keyed_under_the_wrong_host_is_rejected(self, mapped_tables):
+        """A table is keyed by its host, and its head must leave that host."""
         doc = route_tables_to_dict(mapped_tables)
         hosts = sorted(doc["tables"])
         doc["tables"][hosts[0]], doc["tables"][hosts[1]] = (
             doc["tables"][hosts[1]],
             doc["tables"][hosts[0]],
         )
-        with pytest.raises(SerializationError, match="claims host"):
+        with pytest.raises(SerializationError, match=f"table '{hosts[0]}': head leaves"):
             route_tables_from_dict(doc)
 
     def test_version_1_documents_are_refused(self, mapped_tables):
@@ -256,98 +297,113 @@ class TestMalformedRejection:
         with pytest.raises(SerializationError, match="unsupported version 2"):
             route_tables_from_dict(doc)
 
+    def test_version_3_documents_are_refused(self, mapped_tables):
+        """A real version-3 document (tails spelled out with their turns,
+        routes as nested ``[head, tail, first turn]`` triples) as the
+        parent's encoder wrote it, refused whole by the version check."""
+        doc = reference_codec.route_tables_to_dict_v3(mapped_tables)
+        assert doc["version"] == 3 and "chains" not in doc
+        with pytest.raises(SerializationError, match="unsupported version 3"):
+            route_tables_from_dict(doc)
+
     @pytest.mark.parametrize(
         "doctor, complaint",
         [
             (lambda d: d.update(channels={"0": []}), "channels is not a list"),
             (lambda d: d["channels"].__setitem__(1, [["a", 0]]), "malformed channel"),
+            (lambda d: d["channels"].__setitem__(1, [["a", 3], ["b", True]]), "port ref"),
+            # chains: lists of channel numbers that chain
+            (lambda d: d.update(chains={"0": []}), "chains is not a list"),
+            (lambda d: d.pop("chains"), "chains is not a list"),
+            (lambda d: d["chains"].__setitem__(0, {"1": 2}), "a chain is not a list"),
+            (lambda d: d["chains"].__setitem__(0, [1, 9]), "chains: malformed index 9"),
+            (lambda d: d["chains"].__setitem__(0, [-1]), "chains: malformed index -1"),
+            (lambda d: d["chains"].__setitem__(0, [True]), "chains: malformed index True"),
+            (lambda d: d["chains"].__setitem__(0, [1.0]), "chains: malformed index 1.0"),
+            (lambda d: d["chains"].__setitem__(0, ["1"]), "chains: malformed index '1'"),
+            (lambda d: d["chains"].__setitem__(0, [1, 3]), "chain 0 does not chain at 'b'"),
+            (lambda d: d["chains"].__setitem__(0, [3, 1]), "chain 0 does not chain at 'q'"),
+            # tails: [chain, last channel | null] pairs whose last channel
+            # leaves where the chain ends
             (lambda d: d.update(tails={"0": []}), "tails is not a list"),
             (lambda d: d.pop("tails"), "tails is not a list"),
-            (lambda d: d["tails"].__setitem__(0, [[1, 2]]), "malformed tail 0"),
-            (lambda d: d["tails"].__setitem__(0, {"channels": [1, 2], "turns": [2]}),
-             "malformed tail 0"),
-            (lambda d: d["tails"][0].__setitem__(0, {"1": 2}), "tail 0: channels is not a list"),
-            (lambda d: d["tails"][0].__setitem__(0, [1, 9]), "tail 0: malformed channel index 9"),
-            (lambda d: d["tails"][0].__setitem__(0, [-1, 2]), "channel index -1"),
-            (lambda d: d["tails"][0].__setitem__(0, [True, 2]), "channel index True"),
-            (lambda d: d["tails"][0].__setitem__(0, [1.0, 2]), "channel index 1.0"),
-            (lambda d: d["tails"][0].__setitem__(0, ["1", 2]), "channel index '1'"),
-            (lambda d: d["tails"][0].__setitem__(1, [True]), "tail 0 is not a turn list"),
-            (lambda d: d["tails"][0].__setitem__(1, [2.0]), "tail 0 is not a turn list"),
-            (lambda d: d["tails"][0].__setitem__(1, None), "tail 0 is not a turn list"),
-            # A tail's turns and channels must tell one story...
-            (lambda d: d["tails"].__setitem__(0, [[], [7]]), "1 turns over 0 channels"),
-            (lambda d: d["tails"][0].__setitem__(1, []), "0 turns over 2 channels"),
-            (lambda d: d["tails"][0].__setitem__(1, [2, 2]), "2 turns over 2 channels"),
-            (lambda d: d["tails"][0].__setitem__(0, [1, 3]), "tail 0: .* disagree at 'b'"),
-            (lambda d: d["tails"][0].__setitem__(1, [1]), "tail 0: .* disagree at 'b'"),
-            # ...and so must a route at the one junction the tail cannot see.
-            (lambda d: d["routes"].update(h1={"turns": [3, 2], "channels": [0, 1, 2]}),
-             "not a .head, tail, first turn. triple"),
-            (lambda d: d["routes"].update(h1=[0, 0]), "not a .head, tail, first turn. triple"),
-            (lambda d: d["routes"].update(h1=[0, 0, 3, 2]), "first turn. triple"),
-            (lambda d: d["routes"].update(h1=[9, 0, 3]), "malformed channel index 9"),
-            (lambda d: d["routes"].update(h1=[-1, 0, 3]), "malformed channel index -1"),
-            (lambda d: d["routes"].update(h1=[False, 0, 3]), "channel index False"),
-            (lambda d: d["routes"].update(h1=[0.0, 0, 3]), "channel index 0.0"),
-            (lambda d: d["routes"].update(h1=["0", 0, 3]), "channel index '0'"),
-            (lambda d: d["routes"].update(h1=[0, 4, 3]), "malformed tail index 4"),
-            (lambda d: d["routes"].update(h1=[0, -1, 3]), "malformed tail index -1"),
-            (lambda d: d["routes"].update(h1=[0, False, 3]), "tail index False"),
-            (lambda d: d["routes"].update(h1=[0, [0], 3]), "tail index .0."),
-            (lambda d: d["routes"].update(h1=[0, 0, True]), "malformed first turn True"),
-            (lambda d: d["routes"].update(h1=[0, 0, 3.0]), "malformed first turn 3.0"),
-            (lambda d: d["routes"].update(h1=[0, 0, "3"]), "malformed first turn '3'"),
-            (lambda d: d["routes"].update(h1=[0, 0, None]), "malformed first turn None"),
-            (lambda d: d["routes"].update(h1=[0, 3, 3]), "first turn 3 over an empty tail"),
-            (lambda d: d["routes"].update(h1=[0, 3, None]), "last channel enters 'a'"),
-            (lambda d: d["routes"].update(h1=[1, 0, 3]), "first channel leaves 'a'"),
+            (lambda d: d["tails"].__setitem__(0, [0]), "not a .chain, last channel. pair"),
+            (lambda d: d["tails"].__setitem__(0, [0, 2, 2]), "not a .chain, last channel. pair"),
+            (lambda d: d["tails"].__setitem__(0, {"0": 2}), "not a .chain, last channel. pair"),
+            (lambda d: d["tails"].__setitem__(0, [2, 2]), "tails: malformed index 2"),
+            (lambda d: d["tails"].__setitem__(0, [True, 2]), "tails: malformed index True"),
+            (lambda d: d["tails"].__setitem__(0, [None, 2]), "tails: malformed index None"),
+            (lambda d: d["tails"].__setitem__(0, [0, 4]), "tails: malformed index 4"),
+            (lambda d: d["tails"].__setitem__(0, [0, -1]), "tails: malformed index -1"),
+            (lambda d: d["tails"].__setitem__(0, [0, False]), "tails: malformed index False"),
+            (lambda d: d["tails"].__setitem__(0, [0, "2"]), "tails: malformed index '2'"),
+            (lambda d: d["tails"].__setitem__(0, [0, 1]),
+             "tail 0: last channel leaves 'a', its chain ends at 'b'"),
+            (lambda d: d["chains"].__setitem__(0, [1, 2]),
+             "tail 0: last channel leaves 'b', its chain ends at 'h1'"),
+            # a table: its head leaves its host, and heads a route exactly
+            # when it has routes
+            (lambda d: d["tables"].__setitem__("h0", []), "table 'h0' is malformed"),
+            (lambda d: d["tables"].__setitem__(0, {"head": None, "routes": {}}),
+             "table 0 is malformed"),
+            (lambda d: d["tables"]["h0"].pop("head"), "table 'h0': missing field 'head'"),
+            (lambda d: d["tables"]["h0"].update(head="0"), "field 'head' has type str"),
+            (lambda d: d["tables"]["h0"].update(head=True), "field 'head' has type bool"),
+            (lambda d: d["tables"]["h0"].update(head=0.0), "field 'head' has type float"),
+            (lambda d: d["tables"]["h0"].update(head=9), "table 'h0': malformed index 9"),
+            (lambda d: d["tables"]["h0"].update(head=-1), "table 'h0': malformed index -1"),
+            (lambda d: d["tables"]["h0"].update(head=None), "head None over 1 routes"),
+            (lambda d: d["tables"]["h0"].update(routes={}), "head 0 over 0 routes"),
+            (lambda d: d["tables"]["h0"].update(head=1), "table 'h0': head leaves 'a'"),
+            (lambda d: d["tables"].update(h9=d["tables"]["h0"]), "table 'h9': head leaves 'h0'"),
+            (lambda d: d["tables"]["h0"].pop("routes"), "missing field 'routes'"),
+            (lambda d: d["tables"]["h0"].update(routes=[0]), "field 'routes' has type list"),
+            # a route: a tail number
+            (lambda d: d["routes"].update(h1="0"), "table 'h0': malformed index '0'"),
+            (lambda d: d["routes"].update(h1=False), "malformed index False"),
+            (lambda d: d["routes"].update(h1=0.0), "malformed index 0.0"),
+            (lambda d: d["routes"].update(h1=None), "malformed index None"),
+            (lambda d: d["routes"].update(h1=[0]), r"malformed index \[0\]"),
+            (lambda d: d["routes"].update(h1=4), "malformed index 4"),
+            (lambda d: d["routes"].update(h1=-1), "malformed index -1"),
             # The three lies sharing makes possible: a tail that starts at
-            # another switch, one that ends at another host, and a first
-            # turn that is not the one the two channels make.
-            (lambda d: d["routes"].update(h1=[0, 1, 3]), "route 'h0' -> 'h1': .* disagree at 'a'"),
-            (lambda d: d["routes"].update(h1=[0, 2, 3]), "last channel enters 'b'"),
-            (lambda d: d["routes"].update(h1=[0, 0, 2]), "route 'h0' -> 'h1': .* disagree at 'a'"),
-            # A host has one port: a second route that is consistent on its
-            # own but leaves by another channel is refused with its table.
-            (
-                lambda d: (
-                    d["channels"].append([["h0", 0], ["a", 1]]),
-                    d["routes"].update(b=[4, 2, 2]),
-                ),
-                "route 'h0' -> 'b': leaves by channel 4, its table by 0",
-            ),
+            # another switch, one that ends at another host, and the empty
+            # tail under a head that does not land on the destination.
+            (lambda d: d["routes"].update(h1=1),
+             "route 'h0' -> 'h1': tail 1 enters at 'b', not 'a'"),
+            (lambda d: d["routes"].update(h1=2), "route 'h0' -> 'h1': tail 2 ends at 'b'"),
+            (lambda d: d["routes"].update(h1=3), "route 'h0' -> 'h1': tail 3 ends at 'a'"),
+            (lambda d: d["routes"].update(b=0), "route 'h0' -> 'b': tail 0 ends at 'h1'"),
         ],
     )
     def test_route_whose_turns_and_channels_disagree_is_rejected(
         self, doctor, complaint
     ):
         """h0 -> a (in 0, out 3) -> b (in 1, out 3) -> h1, plus a stray
-        channel that meets nothing and three tails no honest route to h1
-        from h0 could name: one entered at b, one that stops at b, an empty
-        one. Undoctored, the generation decodes."""
+        channel that meets nothing, two chains (a -> b, and the empty one)
+        and three tails no honest route to h1 from h0 could name: one
+        entered at b, one that stops at b, an empty one. No turn is
+        written, so none can disagree: every one is derived from the ports,
+        and each place two channels meet is checked once — inside a chain,
+        where a tail's last channel follows its chain, and where a route's
+        tail follows its table's head. Undoctored, the generation decodes."""
         doc = {
-            "kind": "route-table",
-            "version": 3,
-            "host": "h0",
+            "kind": "route-tables",
+            "version": 4,
             "channels": [
                 [["h0", 0], ["a", 0]],
                 [["a", 3], ["b", 1]],
                 [["b", 3], ["h1", 0]],
                 [["zzz", 5], ["q", 2]],
             ],
-            "tails": [[[1, 2], [2]], [[2], []], [[1], []], [[], []]],
-            "routes": {"h1": [0, 0, 3]},
+            "chains": [[1], []],
+            "tails": [[0, 2], [1, 2], [1, 1], [1, None]],
+            "tables": {"h0": {"head": 0, "routes": {"h1": 0}}},
         }
+        doc["routes"] = doc["tables"]["h0"]["routes"]  # a shortcut for the doctors
 
         def generation():
-            return {
-                "kind": "route-tables",
-                "version": 3,
-                "channels": doc.get("channels"),
-                "tails": doc.get("tails"),
-                "tables": {"h0": doc},
-            }
+            return {key: value for key, value in doc.items() if key != "routes"}
 
         route = route_tables_from_dict(generation())["h0"].routes["h1"]
         assert route.turns == (3, 2) and route.hops == 3

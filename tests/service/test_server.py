@@ -68,33 +68,37 @@ class _DoctoringPool(ThreadPoolExecutor):
         return super().submit(doctored, *args, **kwargs)
 
 
-def _first_route(outcome: dict) -> tuple[dict, list]:
-    """The outcome's ``route-tables`` document and its first route's
-    ``[head, tail, first turn]`` triple, to be lied in."""
+def _first_route(outcome: dict) -> tuple[dict, dict, str]:
+    """The outcome's ``route-tables`` document, its first table and that
+    table's first destination, to be lied in."""
     doc = outcome["tables"]
     table = doc["tables"][min(doc["tables"])]
-    return doc, table["routes"][min(table["routes"])]
+    return doc, table, min(table["routes"])
+
+
+def _a_long_tail(outcome: dict) -> list:
+    """The first ``[chain, last channel]`` tail whose chain has a channel."""
+    doc = outcome["tables"]
+    return next(tail for tail in doc["tails"] if doc["chains"][tail[0]])
 
 
 def _name_another_tail(outcome: dict, *, same_entry: bool) -> None:
     """Point the first route at a valid tail that is not its own: one
     entered at another switch, or one entered at the same switch that ends
-    at another host (the first turn made right for it, so only the far end
-    lies)."""
-    doc, route = _first_route(outcome)
-    channels = doc["channels"]
+    at another host (so only the far end lies)."""
+    doc, table, dst = _first_route(outcome)
+    channels, chains, tails = doc["channels"], doc["chains"], doc["tails"]
 
-    def entry(tail):  # [node, out port] its first channel leaves
-        return channels[tail[0][0]][0]
+    def entry(tail):  # the node its first channel leaves
+        chain, last = tail
+        return channels[chains[chain][0] if chains[chain] else last][0][0]
 
-    own = entry(doc["tails"][route[1]])[0]
-    route[1] = next(
+    own = table["routes"][dst]
+    table["routes"][dst] = next(
         at
-        for at, tail in enumerate(doc["tails"])
-        if at != route[1] and (entry(tail)[0] == own) == same_entry
+        for at, tail in enumerate(tails)
+        if at != own and (entry(tail) == entry(tails[own])) == same_entry
     )
-    if same_entry:
-        route[2] = entry(doc["tails"][route[1]])[1] - channels[route[0]][1][1]
 
 
 @contextlib.asynccontextmanager
@@ -406,7 +410,7 @@ class TestFailureSemantics:
             ),
             pytest.param(
                 lambda o: o["map_result"].update(profile={"explore": ["once", 0.5]}),
-                "invalid literal for int()",
+                "malformed profile row 'explore'",
                 id="map-result-whose-profile-does-not-decode",
             ),
             pytest.param(
@@ -415,43 +419,52 @@ class TestFailureSemantics:
                 id="net-epoch-not-an-int",
             ),
             pytest.param(
-                lambda o: o["tables"].update(version=2),
-                "unsupported version 2",
+                lambda o: o["tables"].update(version=3),
+                "unsupported version 3",
                 id="tables-of-the-previous-version",
             ),
             pytest.param(
-                lambda o: o["tables"]["tails"][0][1].append(0),
-                "2 turns over 2 channels",
-                id="tail-turns-disagree-with-its-channels",
+                lambda o: o["tables"]["chains"][_a_long_tail(o)[0]].append(
+                    o["tables"]["chains"][_a_long_tail(o)[0]][0]
+                ),
+                "does not chain at 'switch-",
+                id="chain-does-not-chain",
             ),
             pytest.param(
-                lambda o: o["tables"]["tails"][0][0].append(len(o["tables"]["channels"])),
-                "malformed channel index",
-                id="tail-channel-out-of-range",
+                lambda o: _a_long_tail(o).__setitem__(
+                    1, o["tables"]["chains"][_a_long_tail(o)[0]][0]
+                ),
+                "last channel leaves 'switch-",
+                id="tail-whose-last-channel-leaves-elsewhere",
             ),
             pytest.param(
-                lambda o: _first_route(o)[1].__setitem__(0, "0"),
-                "malformed channel index '0'",
-                id="route-head-is-a-string",
+                lambda o: o["tables"]["chains"][-1].append(len(o["tables"]["channels"])),
+                "malformed index",
+                id="chain-channel-out-of-range",
             ),
             pytest.param(
-                lambda o: _first_route(o)[1].pop(),
-                "first turn] triple",
-                id="route-is-not-a-triple",
+                lambda o: _first_route(o)[1].update(head="0"),
+                "field 'head' has type str",
+                id="head-is-a-string",
             ),
             pytest.param(
-                lambda o: _first_route(o)[1].__setitem__(2, _first_route(o)[1][2] + 1),
-                "turns and channels disagree at 'switch-",
-                id="route-first-turn-disagrees-with-the-junction",
+                lambda o: _first_route(o)[1].update(head=None),
+                "head None over",
+                id="table-with-routes-and-no-head",
+            ),
+            pytest.param(
+                lambda o: _first_route(o)[1]["routes"].__setitem__(_first_route(o)[2], "0"),
+                "malformed index '0'",
+                id="tail-number-is-a-string",
             ),
             pytest.param(
                 lambda o: _name_another_tail(o, same_entry=False),
-                "turns and channels disagree at 'switch-",
+                "enters at 'switch-",
                 id="route-names-a-tail-from-another-switch",
             ),
             pytest.param(
                 lambda o: _name_another_tail(o, same_entry=True),
-                "last channel enters 'ring-n",
+                "ends at 'ring-n",
                 id="route-names-a-tail-to-another-host",
             ),
             pytest.param(

@@ -86,17 +86,19 @@ class TestOutcomeCarriesEachChannelOnce:
     def test_full_now_outcome_size_and_sharing(self):
         """What crosses the pool is pickled, unpickled and decoded on the
         event loop: 9 900 routes are 100 host channels in front of 2 397
-        tails over 332 channels, each named by number (1.79 MB when every
-        hop spelled its two port refs out, 0.55 MB when every route still
-        listed its own channels and turns), and the adopted generation
-        holds those 332 + 2 397 objects, not 60 600 + 9 900."""
+        tails over 553 chains and 332 channels, each named by number and
+        no turn written (1.79 MB when every hop spelled its two port refs
+        out, 0.55 MB when every route still listed its own channels and
+        turns, 0.25 MB when every tail and route still carried its turns),
+        and the adopted generation holds those 332 + 2 397 objects, not
+        60 600 + 9 900."""
         tenant = TenantState(TenantSpec(name="t", topology="now-full"))
         outcome = run_map_job(tenant.job_payload())
         assert outcome["n_routes"] == 9900
-        assert len(pickle.dumps(outcome)) < 300_000
+        assert len(pickle.dumps(outcome)) < 110_000
         doc = outcome["tables"]
         assert len(doc["channels"]) == 332
-        assert 0 < len(doc["tails"]) <= 2400
+        assert 0 < len(doc["chains"]) < len(doc["tails"]) <= 2400
         tables = route_tables_from_dict(pickle.loads(pickle.dumps(doc)))
         assert route_tables_to_dict(tables) == doc
         routes = [r for table in tables.values() for r in table.routes.values()]

@@ -183,9 +183,9 @@ class TestRemapSuite:
 
 
 class TestSuiteRegistry:
-    def test_eleven_arms_and_every_committed_name_is_one(self, harness):
+    def test_twelve_arms_and_every_committed_name_is_one(self, harness):
         """Whole cycles and per-layer rows belong to ``benchmarks/e2e``; what
-        is left here is exactly these eleven arms. ``find_regressions`` compares
+        is left here is exactly these twelve arms. ``find_regressions`` compares
         only names common to both documents, so a baseline entry whose arm
         was renamed or dropped would silently stop being gated: every
         committed name must be a registered arm of its own suite."""
@@ -196,6 +196,7 @@ class TestSuiteRegistry:
                 "probe_pair",
                 "core_decomposition_full_now",
                 "route_compile_full_now",
+                "route_document_full_now",
                 "sanlint_whole_repo",
             },
             "scale": {
@@ -266,6 +267,22 @@ class TestCommittedBaselines:
         extra = doc["benchmarks"]["route_compile_full_now"]["extra"]
         assert (extra["chains"], extra["tails"], extra["channels"]) == (553, 2397, 332)
         assert extra["hop_compiles"] <= 1000
+
+    def test_micro_baseline_gates_the_route_document(self, harness):
+        """``route_document_full_now`` is the fragment behind the ledger's
+        ``service.result_encode_ms`` (tables half), ``service.pickle_ms``
+        and ``service.tables_decode_ms``: committed, never skipped by
+        ``--quick``, and crossing the mapped full NOW's generation as its
+        numbers — 553 chains, 2 397 tails, 9 900 routes in under 110 kB
+        pickled (the version-3 document took 254 kB)."""
+        doc = json.loads(
+            (REPO_ROOT / "benchmarks" / "BENCH_micro.json").read_text()
+        )
+        assert "route_document_full_now" in harness.MICRO_SUITE
+        assert "route_document_full_now" not in harness.SLOW_BENCHES
+        extra = doc["benchmarks"]["route_document_full_now"]["extra"]
+        assert (extra["chains"], extra["tails"], extra["routes"]) == (553, 2397, 9900)
+        assert extra["pickled_bytes"] < 110_000
 
     def test_scale_baseline_covers_every_tier(self):
         doc = json.loads(
