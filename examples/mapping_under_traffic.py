@@ -31,7 +31,6 @@ def main() -> None:
         fixture.mapper_host,
         search_depth=fixture.search_depth,
         rates=(0.0, 2.0, 10.0, 30.0, 80.0),
-        retries=(0, 2),
     )
 
     header = (

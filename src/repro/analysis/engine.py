@@ -135,14 +135,12 @@ def module_name_for(path: Path) -> str:
     return ".".join(parts) if parts else path.stem
 
 
-def lint_module_info(
-    source: str, *, path: Path, module: str | None = None
-) -> ModuleInfo:
+def lint_module_info(source: str, *, path: Path) -> ModuleInfo:
     tree = ast.parse(source, filename=str(path))
     line_level, file_level = _scan_suppressions(source)
     return ModuleInfo(
         path=path,
-        module=module if module is not None else module_name_for(path),
+        module=module_name_for(path),
         source=source,
         tree=tree,
         line_suppressions=line_level,

@@ -49,8 +49,6 @@ class Rule:
         module: "ModuleInfo",
         node: ast.AST,
         message: str,
-        *,
-        hint: str | None = None,
     ) -> Diagnostic:
         """Build a diagnostic anchored at ``node`` with this rule's hint."""
         return Diagnostic(
@@ -59,7 +57,7 @@ class Rule:
             col=getattr(node, "col_offset", 0),
             rule_id=self.rule_id,
             message=message,
-            hint=hint if hint is not None else self.hint,
+            hint=self.hint,
         )
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 from repro.chaos.runner import CellResult, run_cell
 from repro.chaos.scenario import ScenarioError, scenario_from_dict, scenario_to_dict
@@ -82,12 +82,6 @@ def load_corpus(directory: str | Path) -> list[dict[str, Any]]:
 
 def replay_artifact(
     artifact: Mapping[str, Any],
-    *,
-    mapper_factory: Callable | None = None,
-    settle_cycles: int = 3,
-    probe_budget: int = 1_000_000,
-    check_determinism: bool = True,
-    incremental: bool = False,
 ) -> list[str]:
     """Re-run an artifact's cells; returns human-readable mismatches (empty = green).
 
@@ -95,27 +89,13 @@ def replay_artifact(
     cells) the final-map digest must too. ``expect_failing`` artifacts only
     require their recorded failures to persist — incidental verdicts that
     *improved* are reported so the fixed bug's artifact gets retired.
-
-    With ``incremental`` the cells re-run under the daemon's delta-seeded
-    arm and only the verdict booleans are compared: a seeded map must be
-    *isomorphic* to the from-scratch one (the oracles check that), but its
-    switch numbering — and hence the serialized digest — may differ.
     """
     scenario = scenario_from_dict(artifact["scenario"])
     topology = artifact["topology"]
     expect_failing = set(artifact.get("expect_failing", ()))
     problems: list[str] = []
     for cell in artifact["cells"]:
-        result = run_cell(
-            scenario,
-            topology,
-            int(cell["seed"]),
-            settle_cycles=settle_cycles,
-            probe_budget=probe_budget,
-            check_determinism=check_determinism,
-            mapper_factory=mapper_factory,
-            incremental=incremental,
-        )
+        result = run_cell(scenario, topology, int(cell["seed"]))
         tag = f"{artifact.get('name', scenario.name)}[seed={cell['seed']}]"
         if result.invalid is not None:
             problems.append(f"{tag}: scenario no longer applies: {result.invalid}")
@@ -124,8 +104,7 @@ def replay_artifact(
         for oracle, expected_ok in sorted(cell["verdicts"].items()):
             actual = got.get(oracle)
             if actual is None:
-                if check_determinism or oracle != "deterministic":
-                    problems.append(f"{tag}: oracle {oracle} no longer runs")
+                problems.append(f"{tag}: oracle {oracle} no longer runs")
             elif actual != expected_ok:
                 if oracle in expect_failing and actual:
                     problems.append(
@@ -135,7 +114,7 @@ def replay_artifact(
                     problems.append(
                         f"{tag}: {oracle} expected ok={expected_ok}, got {actual}"
                     )
-        if not expect_failing and not incremental and cell.get("map_digest"):
+        if not expect_failing and cell.get("map_digest"):
             if result.map_digest != cell["map_digest"]:
                 problems.append(
                     f"{tag}: map digest {result.map_digest} != "

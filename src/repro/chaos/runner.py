@@ -27,7 +27,6 @@ from repro.chaos.oracles import (
     DEFAULT_ORACLES,
     CellContext,
     CycleOutcome,
-    Oracle,
     OracleVerdict,
 )
 from repro.chaos.scenario import (
@@ -73,13 +72,9 @@ class ChaosLayer(CountingLayer):
     digests are stable.
     """
 
-    def __init__(
-        self,
-        applier: ScenarioApplier,
-        events: Iterable[ChaosEvent] = (),
-    ) -> None:
+    def __init__(self, applier: ScenarioApplier) -> None:
         self._applier = applier
-        self.arm(events)
+        self.arm(())
 
     def arm(self, events: Iterable[ChaosEvent]) -> None:
         """Restart the probe clock with one cycle's mid-map events (the
@@ -156,7 +151,6 @@ def _execute_cell(
     *,
     settle_cycles: int,
     probe_budget: int,
-    oracles: tuple[Oracle, ...],
     mapper_factory: Callable | str | None,
     incremental: bool,
 ) -> CellResult:
@@ -247,7 +241,7 @@ def _execute_cell(
         cycles=result.cycles,
         probe_budget=probe_budget,
     )
-    result.verdicts = [oracle.check(ctx) for oracle in oracles]
+    result.verdicts = [oracle.check(ctx) for oracle in DEFAULT_ORACLES]
     return result
 
 
@@ -258,7 +252,6 @@ def run_cell(
     *,
     settle_cycles: int = 3,
     probe_budget: int = 1_000_000,
-    oracles: tuple[Oracle, ...] = DEFAULT_ORACLES,
     check_determinism: bool = True,
     mapper_factory: Callable | str | None = None,
     incremental: bool = False,
@@ -277,7 +270,6 @@ def run_cell(
         seed,
         settle_cycles=settle_cycles,
         probe_budget=probe_budget,
-        oracles=oracles,
         mapper_factory=mapper_factory,
         incremental=incremental,
     )
@@ -288,7 +280,6 @@ def run_cell(
             seed,
             settle_cycles=settle_cycles,
             probe_budget=probe_budget,
-            oracles=oracles,
             mapper_factory=mapper_factory,
             incremental=incremental,
         )
@@ -377,7 +368,6 @@ class CampaignReport:
 def run_campaign(
     config: CampaignConfig,
     *,
-    mapper_factory: Callable | str | None = None,
     progress: Callable[[str], None] | None = None,
 ) -> CampaignReport:
     """Sweep the full grid in deterministic order."""
@@ -392,7 +382,6 @@ def run_campaign(
                     settle_cycles=config.settle_cycles,
                     probe_budget=config.probe_budget,
                     check_determinism=config.check_determinism,
-                    mapper_factory=mapper_factory,
                     incremental=config.incremental,
                 )
                 report.cells.append(cell)
@@ -564,13 +553,13 @@ def demo_scenarios() -> tuple[Scenario, ...]:
     )
 
 
-def demo_campaign(*, seeds: tuple[int, ...] = (0, 1, 2)) -> CampaignConfig:
+def demo_campaign() -> CampaignConfig:
     """The committed demonstration grid: 21 scenarios × 1 topology × 3 seeds."""
     return CampaignConfig(
         name="demo-ring6",
         scenarios=demo_scenarios(),
         topologies=({"kind": "ring", "size": 6},),
-        seeds=seeds,
+        seeds=(0, 1, 2),
         settle_cycles=3,
         probe_budget=250_000,
         check_determinism=True,

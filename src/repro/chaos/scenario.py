@@ -188,9 +188,9 @@ def cut(cycle: int, node: str, port: int, *, after_probes: int = 0) -> ChaosEven
     return ChaosEvent(cycle, "cut", (node, port), after_probes)
 
 
-def heal(cycle: int, node: str, port: int, *, after_probes: int = 0) -> ChaosEvent:
+def heal(cycle: int, node: str, port: int) -> ChaosEvent:
     """The previously cut cable at ``(node, port)`` works again."""
-    return ChaosEvent(cycle, "heal", (node, port), after_probes)
+    return ChaosEvent(cycle, "heal", (node, port))
 
 
 def kill_switch(cycle: int, switch: str, *, after_probes: int = 0) -> ChaosEvent:
@@ -198,17 +198,17 @@ def kill_switch(cycle: int, switch: str, *, after_probes: int = 0) -> ChaosEvent
     return ChaosEvent(cycle, "kill_switch", (switch,), after_probes)
 
 
-def revive_switch(cycle: int, switch: str, *, after_probes: int = 0) -> ChaosEvent:
-    return ChaosEvent(cycle, "revive_switch", (switch,), after_probes)
+def revive_switch(cycle: int, switch: str) -> ChaosEvent:
+    return ChaosEvent(cycle, "revive_switch", (switch,))
 
 
-def kill_host(cycle: int, host: str, *, after_probes: int = 0) -> ChaosEvent:
+def kill_host(cycle: int, host: str) -> ChaosEvent:
     """The host's interface goes dark (it stops answering and forwarding)."""
-    return ChaosEvent(cycle, "kill_host", (host,), after_probes)
+    return ChaosEvent(cycle, "kill_host", (host,))
 
 
-def revive_host(cycle: int, host: str, *, after_probes: int = 0) -> ChaosEvent:
-    return ChaosEvent(cycle, "revive_host", (host,), after_probes)
+def revive_host(cycle: int, host: str) -> ChaosEvent:
+    return ChaosEvent(cycle, "revive_host", (host,))
 
 
 def drop(cycle: int, prob: float, *, after_probes: int = 0) -> ChaosEvent:
@@ -216,27 +216,19 @@ def drop(cycle: int, prob: float, *, after_probes: int = 0) -> ChaosEvent:
     return ChaosEvent(cycle, "drop", (prob,), after_probes)
 
 
-def corrupt(cycle: int, prob: float, *, after_probes: int = 0) -> ChaosEvent:
+def corrupt(cycle: int, prob: float) -> ChaosEvent:
     """Set the CRC-corruption probability."""
-    return ChaosEvent(cycle, "corrupt", (prob,), after_probes)
+    return ChaosEvent(cycle, "corrupt", (prob,))
 
 
-def unplug(cycle: int, node: str, port: int, *, after_probes: int = 0) -> ChaosEvent:
+def unplug(cycle: int, node: str, port: int) -> ChaosEvent:
     """Physically remove the cable at ``(node, port)`` (topology mutation)."""
-    return ChaosEvent(cycle, "unplug", (node, port), after_probes)
+    return ChaosEvent(cycle, "unplug", (node, port))
 
 
-def plug(
-    cycle: int,
-    node_a: str,
-    port_a: int,
-    node_b: str,
-    port_b: int,
-    *,
-    after_probes: int = 0,
-) -> ChaosEvent:
+def plug(cycle: int, node_a: str, port_a: int, node_b: str, port_b: int) -> ChaosEvent:
     """Run a new cable between two free ports (topology mutation)."""
-    return ChaosEvent(cycle, "plug", (node_a, port_a, node_b, port_b), after_probes)
+    return ChaosEvent(cycle, "plug", (node_a, port_a, node_b, port_b))
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,8 @@ always shrinks to the same artifact.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
-from repro.chaos.oracles import Oracle, DEFAULT_ORACLES
 from repro.chaos.runner import CellResult, run_cell
 from repro.chaos.scenario import ChaosEvent, Scenario
 from repro.topology.generators import shrink_candidates
@@ -42,6 +41,10 @@ class ShrinkResult:
     @property
     def n_events(self) -> int:
         return len(self.scenario.events)
+
+
+#: Cell executions one shrink may spend.
+MAX_RUNS = 150
 
 
 class _Budget:
@@ -67,12 +70,6 @@ def _renumber(events: tuple[ChaosEvent, ...]) -> tuple[ChaosEvent, ...]:
 
 def shrink_failure(
     failure: CellResult,
-    *,
-    oracles: tuple[Oracle, ...] = DEFAULT_ORACLES,
-    mapper_factory: Callable | None = None,
-    settle_cycles: int = 3,
-    probe_budget: int = 1_000_000,
-    max_runs: int = 150,
 ) -> ShrinkResult:
     """Minimize a failing cell while preserving at least one failing oracle.
 
@@ -84,7 +81,7 @@ def shrink_failure(
     target = set(failure.failing)
     if not target:
         raise ValueError("shrink_failure needs a failing cell")
-    budget = _Budget(max_runs)
+    budget = _Budget(MAX_RUNS)
     check_det = "deterministic" in target
 
     def reproduces(
@@ -93,16 +90,7 @@ def shrink_failure(
         """The candidate's result iff it still fails one of the target oracles."""
         if not budget.take():
             return None
-        result = run_cell(
-            scenario,
-            topology,
-            failure.seed,
-            settle_cycles=settle_cycles,
-            probe_budget=probe_budget,
-            oracles=oracles,
-            check_determinism=check_det,
-            mapper_factory=mapper_factory,
-        )
+        result = run_cell(scenario, topology, failure.seed, check_determinism=check_det)
         if result.invalid is not None:
             return None  # incoherent schedule, not a reproduction
         return result if target & set(result.failing) else None
@@ -171,16 +159,7 @@ def shrink_failure(
                 progress = True
                 break
 
-    final = run_cell(
-        scenario,
-        topology,
-        failure.seed,
-        settle_cycles=settle_cycles,
-        probe_budget=probe_budget,
-        oracles=oracles,
-        check_determinism=True,
-        mapper_factory=mapper_factory,
-    )
+    final = run_cell(scenario, topology, failure.seed)
     return ShrinkResult(
         original=failure,
         scenario=scenario,

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from repro.core.mapper import MapResult
-from repro.core.parallel import TimingSummary
+from repro.core.parallel import JITTER, RUNS, TimingSummary
 from repro.core.remapper import map_cycle
 from repro.simulator.collision import CircuitModel, CollisionModel
 from repro.simulator.probes import ProbeKind, ProbeRecord
@@ -55,6 +55,11 @@ from repro.simulator.timing import MYRINET_TIMING, TimingModel
 from repro.topology.model import Network
 
 __all__ = ["ElectionOutcome", "election_runs", "election_times"]
+
+#: Rival start times are drawn uniformly from [0, START_SPREAD_MS).
+START_SPREAD_MS = 30.0
+#: Probes a rival's replayed schedule runs before it yields.
+RIVAL_PROBE_CAP = 600
 
 
 @dataclass(slots=True)
@@ -199,12 +204,7 @@ def election_runs(
     seeds: Iterable[int],
     *,
     search_depth: int,
-    participants: list[str] | None = None,
     collision: CollisionModel | None = None,
-    timing: TimingModel = MYRINET_TIMING,
-    jitter: float = 0.08,
-    start_spread_ms: float = 30.0,
-    rival_probe_cap: int = 600,
 ) -> Iterator[ElectionOutcome]:
     """One election run per seed, all over the same rival schedules.
 
@@ -212,9 +212,8 @@ def election_runs(
     capped mapping run per rival, so they are computed once per call.
     """
     collision = collision or CircuitModel()
-    hosts = sorted(participants if participants is not None else net.hosts)
-    if not hosts:
-        raise ValueError("election needs at least one participant")
+    timing = MYRINET_TIMING
+    hosts = sorted(net.hosts)
     winner = hosts[-1]
     schedules = {
         h: _rival_schedule(
@@ -223,14 +222,14 @@ def election_runs(
             search_depth=search_depth,
             collision=collision,
             timing=timing,
-            cap=rival_probe_cap,
+            cap=RIVAL_PROBE_CAP,
         )
         for h in hosts
         if h != winner
     }
     for seed in seeds:
         rng = random.Random(seed)
-        start_us = {h: rng.uniform(0.0, start_spread_ms * 1000.0) for h in hosts}
+        start_us = {h: rng.uniform(0.0, START_SPREAD_MS * 1000.0) for h in hosts}
         rival_events: list[tuple[float, str, str]] = []
         rival_end: dict[str, float] = {}
         for h, sched in schedules.items():
@@ -253,7 +252,7 @@ def election_runs(
             layers=(silence,),
             collision=collision,
             timing=timing,
-            jitter=jitter,
+            jitter=JITTER,
             rng=rng,
         )
         elapsed_us = silence.now_us  # includes the winner's own start delay
@@ -266,16 +265,7 @@ def election_runs(
         )
 
 
-def election_times(
-    net: Network,
-    *,
-    search_depth: int,
-    runs: int = 10,
-    base_seed: int = 0,
-    **kwargs,
-) -> TimingSummary:
-    """min/avg/max election-mode times over seeds (the Figure 7 column)."""
-    outcomes = election_runs(
-        net, range(base_seed, base_seed + runs), search_depth=search_depth, **kwargs
-    )
+def election_times(net: Network, *, search_depth: int) -> TimingSummary:
+    """min/avg/max election-mode times over seeds 0 .. RUNS-1 (the Figure 7 column)."""
+    outcomes = election_runs(net, range(RUNS), search_depth=search_depth)
     return TimingSummary.of([outcome.elapsed_ms for outcome in outcomes])

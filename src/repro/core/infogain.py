@@ -25,9 +25,9 @@ discrimination it is expected to buy the model tree:
   merges (Lemma 3), killing replicate frontier entries *before* they are
   explored rather than after.
 
-Both are deterministic given ``rng_seed``: the seed only breaks ranking
-ties (via a fixed per-vertex jitter), every other input is the probe
-history itself, and misses never re-rank an already-issued plan.
+Both are deterministic: a fixed per-vertex jitter breaks ranking ties,
+every other input is the probe history itself, and misses never re-rank
+an already-issued plan.
 """
 
 from __future__ import annotations
@@ -41,6 +41,9 @@ from repro.core.planner import PortPlan, _alternating_order
 
 __all__ = ["InfoGainMapper", "InfoGainPlanner"]
 
+#: Weight of a turn's 1/|t| prior against its observed hit rate.
+PRIOR_WEIGHT = 2.0
+
 
 class InfoGainPlanner:
     """Per-run factory for turn plans ranked by learned hit probability.
@@ -51,11 +54,8 @@ class InfoGainPlanner:
     depends on the order being fixed at creation).
     """
 
-    def __init__(
-        self, *, radix: int = 8, prior_weight: float = 2.0
-    ) -> None:
+    def __init__(self, *, radix: int = 8) -> None:
         self.radix = radix
-        self._prior_weight = prior_weight
         turns = [t for t in range(-(radix - 1), radix) if t != 0]
         self._hits: dict[int, int] = {t: 0 for t in turns}
         self._trials: dict[int, int] = {t: 0 for t in turns}
@@ -75,7 +75,7 @@ class InfoGainPlanner:
 
     def _score(self, turn: int) -> float:
         """Posterior mean hit rate with a ±1-first prior."""
-        w = self._prior_weight
+        w = PRIOR_WEIGHT
         prior = w / abs(turn)
         return (self._hits[turn] + prior) / (self._trials[turn] + w)
 
@@ -125,23 +125,18 @@ class InfoGainMapper(BerkeleyMapper):
         service,
         *,
         search_depth: int,
-        rng_seed: int = 0,
-        prior_weight: float = 2.0,
         radix: int = 8,
         **kwargs,
     ) -> None:
         if kwargs.get("planner") is None:
-            kwargs["planner"] = InfoGainPlanner(
-                radix=radix, prior_weight=prior_weight
-            )
+            kwargs["planner"] = InfoGainPlanner(radix=radix)
         super().__init__(
             service, search_depth=search_depth, radix=radix, **kwargs
         )
-        self._rng_seed = rng_seed
 
     def _jitter(self, vid: int) -> int:
-        """Fixed per-vertex tie-break, deterministic given ``rng_seed``."""
-        return (vid * 2654435761 + self._rng_seed * 40503) % 997
+        """Fixed per-vertex tie-break."""
+        return (vid * 2654435761) % 997
 
     def _pop_frontier(self) -> MergedVertex:
         """Pick the frontier vertex with the best expected discrimination.

@@ -7,8 +7,7 @@ turns a kept probe trace into the distributions that explain it:
 
 - hits and misses by probe-string length (deep probes miss more: more ways
   to fall off the network, and replicate exploration grows with depth);
-- cost decomposition into answered time vs timeout time;
-- the running cost curve (for plotting Figure-7-style progress).
+- cost decomposition into answered time vs timeout time.
 
 It also formats the evaluation-cache counters
 (:class:`~repro.simulator.path_eval.EvalCacheStats`) for the ``san-map map
@@ -18,7 +17,7 @@ surface prints the same line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.simulator.path_eval import EvalCacheStats
@@ -90,11 +89,11 @@ class PhaseProfiler:
         self.clock = clock
         self._acc: dict[str, list] = {}
 
-    def add(self, phase: str, seconds: float, calls: int = 1) -> None:
+    def add(self, phase: str, seconds: float) -> None:
         slot = self._acc.get(phase)
         if slot is None:
             self._acc[phase] = slot = [0, 0.0]
-        slot[0] += calls
+        slot[0] += 1
         slot[1] += seconds
 
     def snapshot(self) -> PhaseProfile:
@@ -140,7 +139,6 @@ class TraceAnalysis:
     timeout_us: float
     host_probes: int
     switch_probes: int
-    running_cost_us: list[float] = field(repr=False, default_factory=list)
 
     @property
     def timeout_share(self) -> float:
@@ -185,8 +183,6 @@ def analyze_records(records) -> TraceAnalysis:
     host_probes = 0
     switch_probes = 0
     hits = 0
-    running: list[float] = []
-    acc = 0.0
     for rec in records:
         bucket = by_length.setdefault(len(rec.turns), [0, 0])
         bucket[0] += 1
@@ -200,8 +196,6 @@ def analyze_records(records) -> TraceAnalysis:
             host_probes += 1
         else:
             switch_probes += 1
-        acc += rec.cost_us
-        running.append(acc)
     return TraceAnalysis(
         total=len(records),
         hits=hits,
@@ -210,5 +204,4 @@ def analyze_records(records) -> TraceAnalysis:
         timeout_us=timeout,
         host_probes=host_probes,
         switch_probes=switch_probes,
-        running_cost_us=running,
     )

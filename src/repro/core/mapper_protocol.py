@@ -173,20 +173,17 @@ def register_mapper(
     name: str,
     *,
     summary: str,
-    capabilities: MapperCapabilities | None = None,
     service_cls: type | None = None,
 ) -> Callable[[type], type]:
     """Class decorator: add a mapper class to :data:`MAPPER_REGISTRY`.
 
-    Capabilities default to the class's ``capabilities`` attribute so a
-    subclass that inherits the flags does not restate them. The class
-    gains a ``registry_name`` attribute for round-tripping.
+    Capabilities are the class's ``capabilities`` attribute, so a subclass
+    that inherits the flags does not restate them. The class gains a
+    ``registry_name`` attribute for round-tripping.
     """
 
     def decorate(cls: type) -> type:
-        caps = capabilities
-        if caps is None:
-            caps = getattr(cls, "capabilities", None) or MapperCapabilities()
+        caps = getattr(cls, "capabilities", None) or MapperCapabilities()
         existing = MAPPER_REGISTRY.get(name)
         if existing is not None and existing.factory is not cls:
             raise ValueError(f"mapper name {name!r} is already registered")

@@ -20,12 +20,16 @@ from __future__ import annotations
 import random
 import statistics
 from dataclasses import dataclass
-from typing import Any
 
 from repro.core.mapper import MapResult
 from repro.core.remapper import map_cycle
 from repro.simulator.daemons import DaemonPlacement
 from repro.topology.model import Network
+
+#: Seeded runs behind each Figure 7 min/avg/max cell (seeds 0 .. RUNS-1).
+RUNS = 10
+#: The probe-cost jitter of a Figure 7 run.
+JITTER = 0.08
 
 __all__ = ["TimingSummary", "repeated_times", "timed_run"]
 
@@ -81,26 +85,12 @@ def timed_run(
     return result
 
 
-def repeated_times(
-    net: Network,
-    mapper_host: str,
-    *,
-    search_depth: int,
-    runs: int = 10,
-    jitter: float = 0.08,
-    base_seed: int = 0,
-    **kwargs: Any,
-) -> TimingSummary:
-    """min/avg/max mapping time over ``runs`` jittered runs (Figure 7)."""
+def repeated_times(net: Network, mapper_host: str, *, search_depth: int) -> TimingSummary:
+    """min/avg/max mapping time over :data:`RUNS` jittered runs (Figure 7)."""
     times = [
         timed_run(
-            net,
-            mapper_host,
-            search_depth=search_depth,
-            jitter=jitter,
-            seed=base_seed + i,
-            **kwargs,
+            net, mapper_host, search_depth=search_depth, jitter=JITTER, seed=i
         ).stats.elapsed_ms
-        for i in range(runs)
+        for i in range(RUNS)
     ]
     return TimingSummary.of(times)

@@ -25,7 +25,6 @@ us nothing about the range of turns that we should be focusing on".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 __all__ = ["PortPlan", "ProbePlanner"]
 
@@ -83,14 +82,6 @@ class PortPlan:
     def entry_port_window(self) -> tuple[int, int]:
         """Feasible absolute entry ports given the hits so far."""
         return self._window
-
-    def turns(self) -> Iterator[int]:
-        """Iterate remaining turns; callers must still call :meth:`feed`."""
-        while True:
-            t = self.next_turn()
-            if t is None:
-                return
-            yield t
 
 
 @dataclass(frozen=True, slots=True)

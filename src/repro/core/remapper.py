@@ -33,10 +33,8 @@ from repro.routing.deadlock import routes_deadlock_free
 from repro.routing.incremental import DistributionReport, distribute_incremental
 from repro.routing.paths import all_pairs_updown_paths
 from repro.routing.updown import orient_updown
-from repro.simulator.collision import CircuitModel, CollisionModel
 from repro.simulator.faults import FaultModel
 from repro.simulator.stack import ProbeLayer
-from repro.simulator.timing import MYRINET_TIMING, TimingModel
 from repro.topology.analysis import effective_network, recommended_search_depth
 from repro.topology.delta import EMPTY_DELTA, seedable_removals
 from repro.topology.diff import MapDiff, diff_networks
@@ -170,10 +168,7 @@ class RemapperDaemon:
         net: Network,
         mapper_host: str,
         *,
-        collision: CollisionModel | None = None,
-        timing: TimingModel = MYRINET_TIMING,
         search_depth: int | None = None,
-        max_explorations: int | None = MAX_EXPLORATIONS,
         mapper_factory: Callable[[object, int], Mapper] | str | None = None,
         faults: FaultModel | None = None,
         layers: Iterable[ProbeLayer] = (),
@@ -181,10 +176,7 @@ class RemapperDaemon:
     ) -> None:
         self._net = net
         self._mapper_host = mapper_host
-        self._collision = collision or CircuitModel()
-        self._timing = timing
         self._search_depth = search_depth
-        self._max_explorations = max_explorations
         self._mapper = mapper_factory or "berkeley"
         self._faults = faults
         self._layers = tuple(layers)
@@ -237,10 +229,7 @@ class RemapperDaemon:
             mapper=self._mapper,
             seed=seed,
             search_depth=self._search_depth,
-            max_explorations=self._max_explorations,
             layers=self._layers,
-            collision=self._collision,
-            timing=self._timing,
         )
         new_map = result.network
         self._last_result = result
@@ -275,7 +264,6 @@ class RemapperDaemon:
                 self._mapper_host,
                 tables,
                 self.current_tables,
-                timing=self._timing,
             )
             self.current_map = new_map
             self.current_tables = tables

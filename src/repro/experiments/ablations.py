@@ -46,7 +46,7 @@ def run(name: str = "C+A+B") -> list[AblationRow]:
     fixture = system(name)
     rows: list[AblationRow] = []
 
-    def record(variant: str, result, correct: bool | None = None) -> None:
+    def record(variant: str, result) -> None:
         net = result.network
         rows.append(
             AblationRow(
@@ -55,11 +55,7 @@ def run(name: str = "C+A+B") -> list[AblationRow]:
                 elapsed_ms=result.stats.elapsed_ms,
                 explorations=getattr(result, "explorations", 0),
                 peak_model_nodes=getattr(result, "peak_model_nodes", 0),
-                correct=(
-                    bool(match_networks(net, fixture.core))
-                    if correct is None
-                    else correct
-                ),
+                correct=bool(match_networks(net, fixture.core)),
             )
         )
 
@@ -134,8 +130,8 @@ def run(name: str = "C+A+B") -> list[AblationRow]:
     return rows
 
 
-def main(name: str = "C+A+B") -> None:
-    rows = run(name)
+def main() -> None:
+    rows = run()
     print_table(
         ["variant", "probes", "time (ms)", "explorations", "peak nodes", "correct"],
         [
@@ -149,7 +145,7 @@ def main(name: str = "C+A+B") -> None:
             )
             for r in rows
         ],
-        title=f"Ablations on {name}",
+        title="Ablations on C+A+B",
     )
 
 

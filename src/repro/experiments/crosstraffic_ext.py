@@ -18,21 +18,14 @@ from repro.extensions.crosstraffic import TrafficPoint, crosstraffic_study
 __all__ = ["run", "main"]
 
 
-def run(
-    name: str = "C",
-    *,
-    rates: tuple[float, ...] = (0.0, 1.0, 5.0, 20.0, 50.0, 100.0),
-    retries: tuple[int, ...] = (0, 2),
-    seed: int = 0,
-) -> list[TrafficPoint]:
+#: Aggregate traffic rates (messages/ms) the experiment sweeps.
+RATES = (0.0, 1.0, 5.0, 20.0, 50.0, 100.0)
+
+
+def run(name: str = "C") -> list[TrafficPoint]:
     fixture = system(name)
     return crosstraffic_study(
-        fixture.net,
-        fixture.mapper_host,
-        search_depth=fixture.search_depth,
-        rates=rates,
-        retries=retries,
-        seed=seed,
+        fixture.net, fixture.mapper_host, search_depth=fixture.search_depth, rates=RATES
     )
 
 

@@ -40,14 +40,13 @@ class ProbeCountRow:
     paper: tuple[int, int, int, int, int, int]
 
 
-def run(*, host_first: bool = False) -> list[ProbeCountRow]:
+def run() -> list[ProbeCountRow]:
     rows = []
     for name in SYSTEMS:
         fixture = system(name)
         svc = build_service_stack(fixture.net, fixture.mapper_host)
         result = create_mapper(
-            "berkeley", svc, search_depth=fixture.search_depth,
-            host_first=host_first,
+            "berkeley", svc, search_depth=fixture.search_depth, host_first=False
         ).map()
         s = result.stats
         rows.append(
@@ -66,15 +65,15 @@ def run(*, host_first: bool = False) -> list[ProbeCountRow]:
     return rows
 
 
-def probe_length_histogram(name: str = "C") -> str:
-    """Per-probe-length hit ratios for one system (supporting analysis).
+def probe_length_histogram() -> str:
+    """Per-probe-length hit ratios for subcluster C (supporting analysis).
 
     Explains the Figure 6 ratios: deep probes are replicate-exploration
     tails and hit less, and every miss costs the full timeout.
     """
     from repro.core.instrumentation import TraceRecorder, analyze_records
 
-    fixture = system(name)
+    fixture = system("C")
     recorder = TraceRecorder()
     svc = build_service_stack(
         fixture.net,
@@ -122,7 +121,7 @@ def main() -> None:
         title="Figure 6: host and switch probe message hit ratios",
     )
     print("Probe-length breakdown for system C:")
-    print(probe_length_histogram("C"))
+    print(probe_length_histogram())
 
 
 if __name__ == "__main__":

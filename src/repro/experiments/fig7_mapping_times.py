@@ -32,19 +32,16 @@ class TimesRow:
     paper_election: tuple[int, int, int]
 
 
-def run(*, runs: int = 10, systems=SYSTEMS) -> list[TimesRow]:
+def run() -> list[TimesRow]:
     rows = []
-    for name in systems:
+    for name in SYSTEMS:
         fixture = system(name)
         master = repeated_times(
             fixture.net,
             fixture.mapper_host,
             search_depth=fixture.search_depth,
-            runs=runs,
         )
-        election = election_times(
-            fixture.net, search_depth=fixture.search_depth, runs=runs
-        )
+        election = election_times(fixture.net, search_depth=fixture.search_depth)
         rows.append(
             TimesRow(
                 system=name,
@@ -57,8 +54,8 @@ def run(*, runs: int = 10, systems=SYSTEMS) -> list[TimesRow]:
     return rows
 
 
-def main(runs: int = 10) -> None:
-    rows = run(runs=runs)
+def main() -> None:
+    rows = run()
     print_table(
         [
             "System",

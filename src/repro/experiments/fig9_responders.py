@@ -27,6 +27,9 @@ from repro.simulator.daemons import DaemonPlacement
 
 __all__ = ["ResponderPoint", "run", "main"]
 
+#: The mapper's exploration bound in every Figure 9 run (see :func:`run`).
+MAX_EXPLORATIONS = 1200
+
 
 @dataclass(frozen=True, slots=True)
 class ResponderPoint:
@@ -41,10 +44,8 @@ def run(
     name: str = "C+A+B",
     *,
     counts: tuple[int, ...] = (1, 2, 5, 10, 15, 20, 30, 40, 50, 60, 70, 80, 90, 100),
-    random_seed: int = 0,
-    max_explorations: int = 1200,
 ) -> list[ResponderPoint]:
-    """``max_explorations`` is the mapper's resource bound: with few
+    """:data:`MAX_EXPLORATIONS` is the mapper's resource bound: with few
     responders the unmerged walk tree is exponential (2^O(D+Q)), and the
     real user-level mapper runs under memory/time bounds. ~1200 is roughly
     6x the full system's anchored exploration count (Figure 8)."""
@@ -55,15 +56,13 @@ def run(
             if kind == "sequential":
                 placement = DaemonPlacement.sequential_fill(fixture.net, count)
             else:
-                placement = DaemonPlacement.random_fill(
-                    fixture.net, count, seed=random_seed
-                )
+                placement = DaemonPlacement.random_fill(fixture.net, count)
             result = timed_run(
                 fixture.net,
                 fixture.mapper_host,
                 search_depth=fixture.search_depth,
                 placement=placement,
-                max_explorations=max_explorations,
+                max_explorations=MAX_EXPLORATIONS,
             )
             points.append(
                 ResponderPoint(

@@ -26,6 +26,12 @@ from repro.topology.isomorphism import match_networks
 
 __all__ = ["ParallelRow", "run", "main"]
 
+#: Every STRIDE-th host (by name) maps its own region, LOCAL_DEPTH deep,
+#: under an exploration bound of MAX_EXPLORATIONS.
+STRIDE = 5
+LOCAL_DEPTH = 7
+MAX_EXPLORATIONS = 120
+
 
 @dataclass(frozen=True, slots=True)
 class ParallelRow:
@@ -36,13 +42,7 @@ class ParallelRow:
     complete: bool
 
 
-def run(
-    name: str = "C+A+B",
-    *,
-    stride: int = 5,
-    local_depth: int = 7,
-    max_explorations: int = 120,
-) -> list[ParallelRow]:
+def run(name: str = "C+A+B") -> list[ParallelRow]:
     fixture = system(name)
     rows: list[ParallelRow] = []
 
@@ -60,21 +60,21 @@ def run(
     )
 
     hosts = sorted(fixture.net.hosts)
-    mappers = hosts[::stride]
+    mappers = hosts[::STRIDE]
     if fixture.mapper_host not in mappers:
         mappers.append(fixture.mapper_host)
     report: ParallelMappingReport = parallel_mapping_study(
         fixture.net,
         mappers,
-        local_depth=local_depth,
-        max_explorations=max_explorations,
+        local_depth=LOCAL_DEPTH,
+        max_explorations=MAX_EXPLORATIONS,
     )
     complete = len(report.islands) == 1 and bool(
         match_networks(report.islands[0], fixture.core)
     )
     rows.append(
         ParallelRow(
-            label=f"{report.n_mappers} local mappers (depth {local_depth})",
+            label=f"{report.n_mappers} local mappers (depth {LOCAL_DEPTH})",
             mappers=report.n_mappers,
             probes=report.total_probes,
             wall_ms=report.max_local_ms,

@@ -39,13 +39,6 @@ def print_table(headers, rows, *, title=None) -> None:
     print()
 
 
-def ratio(ours: float, paper: float) -> str:
-    """'ours/paper' ratio cell, guarded against zero."""
-    if paper == 0:
-        return "n/a"
-    return f"{ours / paper:.2f}x"
-
-
 def _cell(value: object) -> str:
     if isinstance(value, float):
         return f"{value:.1f}"

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 
 from repro.core.mapper import MappingError
 from repro.core.mapper_protocol import create_mapper
-from repro.simulator.collision import CircuitModel, CollisionModel
 from repro.simulator.faults import NO_FAULTS
 from repro.simulator.occupancy import ChannelOccupancy
 from repro.simulator.stack import (
@@ -36,11 +35,17 @@ from repro.simulator.stack import (
     RetryLayer,
     build_service_stack,
 )
-from repro.simulator.timing import MYRINET_TIMING, TimingModel
+from repro.simulator.timing import MYRINET_TIMING
 from repro.simulator.traffic import CrossTraffic
 from repro.topology.analysis import core_network, effective_network
 from repro.topology.isomorphism import match_networks
 from repro.topology.model import Network
+
+#: Bytes of one background message, and the seed of the traffic generator.
+MESSAGE_BYTES = 4096
+TRAFFIC_SEED = 0
+#: Retry budgets a study sweeps at every rate.
+RETRIES = (0, 2)
 
 __all__ = [
     "TrafficPoint",
@@ -54,10 +59,6 @@ def build_crosstraffic_service(
     mapper: str,
     *,
     rate_msgs_per_ms: float,
-    message_bytes: int = 4096,
-    collision: CollisionModel | None = None,
-    timing: TimingModel = MYRINET_TIMING,
-    traffic_seed: int = 0,
     retries: int = 0,
     **kwargs,
 ):
@@ -68,14 +69,14 @@ def build_crosstraffic_service(
     layer). Blocked placements are not recorded against the occupancy —
     a destroyed probe worm leaves nothing behind in the fabric.
     """
-    occupancy = ChannelOccupancy(timing)
+    occupancy = ChannelOccupancy(MYRINET_TIMING)
     traffic = CrossTraffic(
         net,
         occupancy,
-        timing,
+        MYRINET_TIMING,
         rate_msgs_per_ms=rate_msgs_per_ms,
-        message_bytes=message_bytes,
-        seed=traffic_seed,
+        message_bytes=MESSAGE_BYTES,
+        seed=TRAFFIC_SEED,
         exclude_hosts=frozenset({mapper}),
     )
     layers = [InterferenceLayer(occupancy, traffic=traffic, record_blocked=False)]
@@ -85,8 +86,6 @@ def build_crosstraffic_service(
         net,
         mapper,
         layers=layers,
-        collision=collision or CircuitModel(),
-        timing=timing,
         **kwargs,
     )
 
@@ -122,20 +121,14 @@ def crosstraffic_study(
     *,
     search_depth: int,
     rates: tuple[float, ...] = (0.0, 0.5, 1.0, 2.0, 5.0, 10.0),
-    retries: tuple[int, ...] = (0, 2),
-    seed: int = 0,
 ) -> list[TrafficPoint]:
-    """Sweep traffic intensity x retry budget; measure map quality/cost."""
+    """Sweep traffic intensity x :data:`RETRIES`; measure map quality/cost."""
     core = core_network(effective_network(net, NO_FAULTS, mapper_host))
     points: list[TrafficPoint] = []
     for rate in rates:
-        for n_retries in retries:
+        for n_retries in RETRIES:
             svc = build_crosstraffic_service(
-                net,
-                mapper_host,
-                rate_msgs_per_ms=rate,
-                traffic_seed=seed,
-                retries=n_retries,
+                net, mapper_host, rate_msgs_per_ms=rate, retries=n_retries
             )
             interference = svc.find_layer(InterferenceLayer)
             error = ""

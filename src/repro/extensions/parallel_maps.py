@@ -36,8 +36,6 @@ from dataclasses import dataclass, field
 from repro.core.model_graph import KIND_HOST, KIND_SWITCH, MergedVertex, ModelGraph
 from repro.core.relative import MappingError
 from repro.core.remapper import map_cycle
-from repro.simulator.collision import CircuitModel, CollisionModel
-from repro.simulator.timing import MYRINET_TIMING, TimingModel
 from repro.topology.model import Network
 
 __all__ = [
@@ -70,8 +68,6 @@ def map_local_region(
     *,
     local_depth: int,
     max_explorations: int | None = 60,
-    collision: CollisionModel | None = None,
-    timing: TimingModel = MYRINET_TIMING,
 ) -> PartialMap:
     """Map the region within ``local_depth`` probe turns of one host."""
     result, _ = map_cycle(
@@ -79,8 +75,6 @@ def map_local_region(
         mapper_host,
         search_depth=local_depth,
         max_explorations=max_explorations,
-        collision=collision or CircuitModel(),
-        timing=timing,
     )
     return PartialMap(
         owner=mapper_host,

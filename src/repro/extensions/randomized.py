@@ -100,7 +100,6 @@ class CouponMapper(BerkeleyMapper):
         *,
         search_depth: int,
         coupon_probes: int = 40,
-        coupon_depth: int | None = None,
         coupon_seed: int = 0,
         **kwargs,
     ) -> None:
@@ -108,7 +107,6 @@ class CouponMapper(BerkeleyMapper):
         if coupon_probes < 0:
             raise ValueError("coupon_probes must be non-negative")
         self._coupon_probes = coupon_probes
-        self._coupon_depth = coupon_depth or search_depth
         self._coupon_rng = random.Random(coupon_seed)
         self.coupon_hits = 0
 
@@ -128,7 +126,7 @@ class CouponMapper(BerkeleyMapper):
         weights = [1.0 / (abs(t) ** 2) for t in turns_alphabet]
         for _ in range(self._coupon_probes):
             length = self._coupon_rng.randint(
-                max(1, self._coupon_depth // 2), self._coupon_depth
+                max(1, self._depth // 2), self._depth
             )
             string = tuple(
                 self._coupon_rng.choices(turns_alphabet, weights=weights)[0]

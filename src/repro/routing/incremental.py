@@ -32,8 +32,13 @@ from typing import Mapping
 from repro.routing.compile_routes import RouteTable, as_generation
 from repro.simulator.path_eval import PathStatus, evaluate_route
 from repro.simulator.turns import Turns
-from repro.simulator.timing import MYRINET_TIMING, TimingModel
+from repro.simulator.timing import MYRINET_TIMING
 from repro.topology.model import Network
+
+#: Bytes a table message spends per added or changed route, and per
+#: withdrawn one; each message is charged on the Myrinet timing model.
+BYTES_PER_ROUTE = 16
+BYTES_PER_WITHDRAWAL = 4
 
 __all__ = [
     "DistributionReport",
@@ -130,10 +135,6 @@ def distribute_incremental(
     mapper_host: str,
     new_tables: Mapping[str, RouteTable],
     old_tables: Mapping[str, RouteTable] | None,
-    *,
-    timing: TimingModel = MYRINET_TIMING,
-    bytes_per_route: int = 16,
-    bytes_per_withdrawal: int = 4,
 ) -> DistributionReport:
     """Push only the per-host deltas; hosts with empty deltas get nothing.
 
@@ -159,14 +160,14 @@ def distribute_incremental(
             report.failed.append(host)
             continue
         payload = (
-            bytes_per_route * (len(delta.added) + len(delta.changed))
-            + bytes_per_withdrawal * len(delta.withdrawn)
+            BYTES_PER_ROUTE * (len(delta.added) + len(delta.changed))
+            + BYTES_PER_WITHDRAWAL * len(delta.withdrawn)
         )
         report.bytes_sent += payload
         report.elapsed_us += (
-            timing.host_overhead_us
-            + outcome.hops * timing.switch_latency_us
-            + payload / timing.link_bandwidth_bytes_per_us
+            MYRINET_TIMING.host_overhead_us
+            + outcome.hops * MYRINET_TIMING.switch_latency_us
+            + payload / MYRINET_TIMING.link_bandwidth_bytes_per_us
         )
         report.delivered.append(host)
     return report

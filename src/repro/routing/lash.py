@@ -40,6 +40,11 @@ from repro.routing.compile_routes import (
 )
 from repro.topology.model import Network
 
+#: The shuffle seed of the route insertion order.
+SEED = 0
+#: Virtual layers LASH may open before it gives up on a topology.
+MAX_LAYERS = 8
+
 __all__ = ["LashRouting", "lash_route_tables"]
 
 
@@ -59,20 +64,15 @@ class LashRouting:
         ]
 
 
-def lash_route_tables(
-    net: Network,
-    *,
-    seed: int = 0,
-    max_layers: int = 8,
-) -> LashRouting:
+def lash_route_tables(net: Network) -> LashRouting:
     """Compute LASH routes for all host pairs.
 
     Routes are considered in a deterministic shuffled order (seeded) — the
     classic heuristic, since insertion order affects how many layers are
-    needed. Raises :class:`ValueError` if ``max_layers`` is exceeded
+    needed. Raises :class:`ValueError` if :data:`MAX_LAYERS` is exceeded
     (never observed below dozens of switches).
     """
-    rng = random.Random(seed)
+    rng = random.Random(SEED)
     g = nx.Graph(net.to_networkx())
     hosts = sorted(net.hosts)
     pairs = [
@@ -99,9 +99,9 @@ def lash_route_tables(
                 placed = True
                 break
         if not placed:
-            if len(layer_cdg) >= max_layers:
+            if len(layer_cdg) >= MAX_LAYERS:
                 raise ValueError(
-                    f"LASH needs more than {max_layers} layers on this "
+                    f"LASH needs more than {MAX_LAYERS} layers on this "
                     "topology"
                 )
             cdg = nx.DiGraph()

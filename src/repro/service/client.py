@@ -88,12 +88,13 @@ class MapClient:
     async def ping(self) -> dict:
         return await self.request("ping")
 
-    async def tenants(self, *, include_hosts: bool = False) -> list[dict]:
-        fields: dict[str, Any] = {"include_hosts": True} if include_hosts else {}
-        return (await self.request("tenants", **fields))["tenants"]
+    async def tenants(self) -> list[dict]:
+        return (await self.request("tenants"))["tenants"]
 
-    async def map(self, tenant: str, *, wait: bool = True) -> dict:
-        return await self.request_raw("map", tenant=tenant, wait=wait)
+    async def map(self, tenant: str) -> dict:
+        """Map ``tenant`` and wait for the cycle (``request_raw("map",
+        tenant=..., wait=False)`` starts one without waiting)."""
+        return await self.request_raw("map", tenant=tenant, wait=True)
 
     async def route(self, tenant: str, src: str, dst: str) -> dict:
         return await self.request_raw("route", tenant=tenant, src=src, dst=dst)

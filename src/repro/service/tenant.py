@@ -23,7 +23,7 @@ from typing import Any, Mapping
 from repro.routing.compile_routes import RouteGeneration
 from repro.service.serialize import SerializationError
 from repro.simulator.faults import FaultModel
-from repro.topology.delta import seedable_removals
+from repro.topology.delta import EMPTY_DELTA, seedable_removals
 from repro.topology.generators import NAMED_TOPOLOGIES, build_named_topology
 from repro.topology.model import Network, PortRef
 from repro.topology.serialize import network_from_dict, network_to_dict
@@ -62,22 +62,37 @@ class TenantSpec:
 
     @classmethod
     def from_dict(cls, data: Any) -> "TenantSpec":
+        """The spec a JSON object describes; refuses any key or value it
+        would otherwise have to guess at (a misspelled probability must not
+        load as a fault-free tenant)."""
         if not isinstance(data, dict):
             raise SerializationError("tenant spec: expected an object")
+        unknown = sorted(set(data) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise SerializationError(f"tenant spec: unknown keys {unknown}")
         if not isinstance(data.get("name"), str):
             raise SerializationError("tenant spec: missing string field 'name'")
         params = data.get("params", {})
         if not isinstance(params, dict):
             raise SerializationError("tenant spec: 'params' is not an object")
+        mapper = data.get("mapper")
+        if mapper is not None and not isinstance(mapper, str):
+            raise SerializationError("tenant spec: 'mapper' is not a string")
+        seed = data.get("seed", 0)
+        if type(seed) is not int:
+            raise SerializationError("tenant spec: 'seed' is not an integer")
+        probs = {key: data.get(key, 0.0) for key in ("drop_prob", "corrupt_prob")}
+        for key, value in probs.items():
+            if type(value) not in (int, float):
+                raise SerializationError(f"tenant spec: {key!r} is not a number")
         try:
             return cls(
                 name=data["name"],
                 topology=data.get("topology", "now-c"),
                 params=params,
-                mapper=data.get("mapper"),
-                seed=int(data.get("seed", 0)),
-                drop_prob=float(data.get("drop_prob", 0.0)),
-                corrupt_prob=float(data.get("corrupt_prob", 0.0)),
+                mapper=mapper,
+                seed=seed,
+                **{key: float(value) for key, value in probs.items()},
             )
         except (TypeError, ValueError) as exc:
             raise SerializationError(f"tenant spec: {exc}") from exc
@@ -141,9 +156,13 @@ class TenantState:
     finished remap cycle swaps the whole generation in one assignment.
     """
 
-    def __init__(self, spec: TenantSpec, net: Network | None = None) -> None:
+    def __init__(self, spec: TenantSpec) -> None:
         self.spec = spec
-        self.net = net if net is not None else build_tenant_network(spec)
+        self.net = build_tenant_network(spec)
+        if spec.mapper is not None and spec.mapper not in self.net.hosts:
+            raise SerializationError(
+                f"tenant {spec.name!r}: mapper {spec.mapper!r} is not a host of its fabric"
+            )
         self.faults = FaultModel(
             drop_prob=spec.drop_prob,
             corrupt_prob=spec.corrupt_prob,
@@ -199,7 +218,7 @@ class TenantState:
         }
         if self.last_result_doc is not None and self.net_epoch_at_last_map is not None:
             affected, reason = seedable_removals(
-                self.net.affected_since(self.net_epoch_at_last_map)
+                self.net.affected_since(self.net_epoch_at_last_map), EMPTY_DELTA
             )
             if affected is None:
                 payload["seed_fallback"] = reason

@@ -18,7 +18,7 @@ channel that its own body still occupies:
   blocks on a directed channel only if its previous same-direction crossing
   was recent enough that the tail has not yet passed. We parameterize this
   with ``slack_hops``: the number of most recent crossings the worm body
-  still occupies, ``ceil(message_bytes / per_port_buffer_bytes)`` in
+  still occupies, ceil(message bytes / per-port buffer bytes) in
   hardware terms. ``slack_hops=inf`` degenerates to the circuit model;
   ``slack_hops=0`` to packet routing.
 
@@ -29,7 +29,6 @@ first blocking traversal, or ``None`` if the worm completes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
@@ -79,8 +78,8 @@ class CutThroughModel:
 
     A directed channel is still occupied by the worm's body for the most
     recent ``slack_hops`` crossings; re-crossing within that window blocks.
-
-    ``from_message(...)`` derives ``slack_hops`` from hardware parameters.
+    The slack is set directly: a body of m bytes through ports that buffer
+    b bytes spans ceil(m / b) hops.
     """
 
     slack_hops: int = 1
@@ -88,15 +87,6 @@ class CutThroughModel:
     def __post_init__(self) -> None:
         if self.slack_hops < 0:
             raise ValueError("slack_hops must be non-negative")
-
-    @classmethod
-    def from_message(
-        cls, *, message_bytes: int, per_port_buffer_bytes: int = 108
-    ) -> "CutThroughModel":
-        """Hardware derivation: how many hops of buffering the body spans."""
-        if message_bytes <= 0 or per_port_buffer_bytes <= 0:
-            raise ValueError("sizes must be positive")
-        return cls(slack_hops=math.ceil(message_bytes / per_port_buffer_bytes))
 
     def blocked_at(self, traversals: Sequence[Traversal]) -> int | None:
         last_use: dict[tuple, int] = {}

@@ -36,10 +36,6 @@ class DaemonPlacement:
     mode: DaemonMode = DaemonMode.MASTER_SLAVE
 
     @classmethod
-    def everyone(cls, net: Network, mode: DaemonMode = DaemonMode.MASTER_SLAVE) -> "DaemonPlacement":
-        return cls(frozenset(net.hosts), mode)
-
-    @classmethod
     def sequential_fill(cls, net: Network, count: int) -> "DaemonPlacement":
         """First ``count`` hosts in sorted (node-number) order.
 
@@ -51,16 +47,13 @@ class DaemonPlacement:
         return cls(frozenset(hosts[: max(0, count)]))
 
     @classmethod
-    def random_fill(cls, net: Network, count: int, *, seed: int = 0) -> "DaemonPlacement":
+    def random_fill(cls, net: Network, count: int) -> "DaemonPlacement":
         """``count`` uniformly random hosts (Figure 9's bottom line)."""
         hosts = sorted(net.hosts)
-        rng = random.Random(seed)
+        rng = random.Random(0)
         rng.shuffle(hosts)
         return cls(frozenset(hosts[: max(0, count)]))
 
     def including(self, *hosts: str) -> "DaemonPlacement":
         """The placement with ``hosts`` added (the mapper must respond)."""
         return DaemonPlacement(self.responders | set(hosts), self.mode)
-
-    def __len__(self) -> int:
-        return len(self.responders)

@@ -30,7 +30,6 @@ from repro.simulator.path_eval import Traversal
 from repro.topology.delta import (
     Delta,
     DeltaJournal,
-    EMPTY_DELTA,
     Endpoint,
     UNBOUNDED_DELTA,
 )
@@ -92,7 +91,7 @@ class FaultModel:
         """
         return self._epoch
 
-    def _bump_epoch(self, delta: Delta = EMPTY_DELTA) -> None:
+    def _bump_epoch(self, delta: Delta) -> None:
         """The canonical epoch bump: every mutator's last act.
 
         ``delta`` journals the wire-end footprint of the mutation (see

@@ -133,17 +133,6 @@ class ChannelOccupancy:
         finish = plan[-1][2] if plan else start_us
         return WormPlacement(ok=True, start_us=start_us, finish_us=finish)
 
-    def utilization(self, channel: Channel, horizon_us: float) -> float:
-        """Fraction of [0, horizon] the channel was busy (for reporting)."""
-        if horizon_us <= 0:
-            return 0.0
-        busy = sum(
-            min(end, horizon_us) - max(begin, 0.0)
-            for begin, end in self._busy.get(channel, [])
-            if end > 0 and begin < horizon_us
-        )
-        return busy / horizon_us
-
     # -- internals -------------------------------------------------------
     def _overlaps(self, channel: Channel, begin: float, end: float) -> bool:
         ivs = self._busy.get(channel)

@@ -37,6 +37,9 @@ __all__ = [
     "evaluate_route",
 ]
 
+#: Trie nodes an evaluator holds before its backstop flushes the trie.
+MAX_TRIE_NODES = 1_000_000
+
 
 class PathStatus(enum.Enum):
     """Outcome of evaluating a routing address."""
@@ -365,9 +368,8 @@ class IncrementalPathEvaluator:
     function — including the ``ValueError`` on a non-host source.
     """
 
-    def __init__(self, net: Network, *, max_nodes: int = 1_000_000) -> None:
+    def __init__(self, net: Network) -> None:
         self._net = net
-        self._max_nodes = max_nodes
         # Resolved here (not at module level) to avoid an import cycle:
         # collision.py imports Traversal from this module.
         from repro.simulator.collision import CircuitModel
@@ -520,7 +522,7 @@ class IncrementalPathEvaluator:
             children[turn] = child
         self._n_nodes += 1
         self._misses += 1
-        if self._n_nodes > self._max_nodes:
+        if self._n_nodes > MAX_TRIE_NODES:
             # Backstop against unbounded growth on adversarial probe sets:
             # drop the trie but keep handing out this (still valid) node.
             self.invalidate()

@@ -42,6 +42,10 @@ from typing import TYPE_CHECKING, Callable, Iterable
 from repro.simulator.probes import ProbeKind, ProbeRecord
 from repro.simulator.turns import Turns
 
+#: How far ahead of the probe's start (us) an interference layer advances
+#: its cross-traffic generator before placing the probe.
+FILL_AHEAD_US = 10_000.0
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulator.quiescent import QuiescentProbeService
 
@@ -239,7 +243,7 @@ class InterferenceLayer(ProbeLayer):
     traversals into ``occupancy`` at the current simulated time and vetoes
     the hit when any channel is busy. ``traffic`` (optional) is a
     :class:`~repro.simulator.traffic.CrossTraffic` generator advanced to
-    ``now + fill_ahead_us`` before each placement. The clock is the
+    ``now + FILL_AHEAD_US`` before each placement. The clock is the
     service's accumulated ``stats.elapsed_us`` (:meth:`now_us`).
     """
 
@@ -248,12 +252,10 @@ class InterferenceLayer(ProbeLayer):
         occupancy,
         *,
         traffic=None,
-        fill_ahead_us: float = 10_000.0,
         record_blocked: bool = True,
     ) -> None:
         self.occupancy = occupancy
         self.traffic = traffic
-        self._fill_ahead_us = fill_ahead_us
         self._record_blocked = record_blocked
         #: Hits vetoed by occupancy (the old ``probes_lost_to_traffic``).
         self.lost = 0
@@ -264,7 +266,7 @@ class InterferenceLayer(ProbeLayer):
     def gate(self, ctx: ProbeContext) -> None:
         now = self.now_us(ctx)
         if self.traffic is not None:
-            self.traffic.fill_until(now + self._fill_ahead_us)
+            self.traffic.fill_until(now + FILL_AHEAD_US)
         placement = self.occupancy.try_place(
             ctx.info, now, record_blocked=self._record_blocked
         )

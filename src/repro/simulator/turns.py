@@ -16,7 +16,6 @@ __all__ = [
     "TURN_MAX",
     "TURN_MIN",
     "Turns",
-    "format_turns",
     "reverse_turns",
     "switch_probe_turns",
     "validate_turns",
@@ -61,12 +60,7 @@ def reverse_turns(turns: Iterable[int]) -> Turns:
     return tuple(-t for t in reversed(tuple(turns)))
 
 
-def switch_probe_turns(turns: Iterable[int], *, limit: int = TURN_MAX) -> Turns:
+def switch_probe_turns(turns: Iterable[int]) -> Turns:
     """The loopback string ``a1...ak 0 -ak...-a1`` of the switch-probe."""
-    fwd = validate_turns(turns, limit=limit)
+    fwd = validate_turns(turns)
     return fwd + (0,) + reverse_turns(fwd)
-
-
-def format_turns(turns: Iterable[int]) -> str:
-    """Human-readable rendering, e.g. ``"+1.-3.+2"``."""
-    return ".".join(f"{t:+d}" for t in turns) or "(empty)"

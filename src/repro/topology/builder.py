@@ -1,9 +1,9 @@
 """Fluent construction helpers for :class:`~repro.topology.model.Network`.
 
-The generators and many tests build small topologies by hand; this builder
-removes the port-bookkeeping boilerplate (auto-assigning the next free port)
-while keeping explicit port control available when an experiment needs a
-specific wiring (e.g. reproducing the Figure 4 irregularities).
+The generators build their topologies through this builder, which removes
+the port bookkeeping: every cable takes the next free port on each side. A
+wiring that needs specific ports calls :meth:`Network.connect` on
+:meth:`NetworkBuilder.peek` directly.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ class NetworkBuilder:
         b = NetworkBuilder()
         b.switch("s0")
         b.hosts("h0", "h1")
-        b.attach("h0", "s0")          # host -> next free switch port
-        b.attach("h1", "s0", port=5)  # host -> explicit switch port
+        b.attach("h0", "s0")  # host -> next free switch port
+        b.attach("h1", "s0")
         net = b.build()
     """
 
@@ -39,8 +39,8 @@ class NetworkBuilder:
             self._net.add_host(name)
         return self
 
-    def switch(self, name: str, *, radix: int | None = None, **meta: object) -> "NetworkBuilder":
-        self._net.add_switch(name, radix=radix, **meta)
+    def switch(self, name: str, **meta: object) -> "NetworkBuilder":
+        self._net.add_switch(name, **meta)
         return self
 
     def switches(self, *names: str) -> "NetworkBuilder":
@@ -49,50 +49,21 @@ class NetworkBuilder:
         return self
 
     # -- wires ---------------------------------------------------------
-    def attach(self, host: str, switch: str, *, port: int | None = None) -> Wire:
-        """Wire a host's single port to a switch port (next free by default)."""
+    def attach(self, host: str, switch: str) -> Wire:
+        """Wire a host's single port to the switch's next free port."""
         if not self._net.is_host(host):
             raise TopologyError(f"{host} is not a host")
-        sw_port = self._next_free(switch) if port is None else port
-        return self._net.connect(host, HOST_PORT, switch, sw_port)
+        return self._net.connect(host, HOST_PORT, switch, self._next_free(switch))
 
-    def link(
-        self,
-        node_a: str,
-        node_b: str,
-        *,
-        port_a: int | None = None,
-        port_b: int | None = None,
-    ) -> Wire:
-        """Wire two switches (or any two nodes) together.
-
-        Ports default to the next free port on each side. ``node_a`` may
-        equal ``node_b`` to install a loopback cable between two ports of
-        one switch.
-        """
-        pa = self._next_free(node_a) if port_a is None else port_a
-        if port_b is None:
-            # For a loopback on the same switch, skip the port we just chose.
-            pb = self._next_free(node_b, exclude=pa if node_a == node_b else None)
-        else:
-            pb = port_b
-        return self._net.connect(node_a, pa, node_b, pb)
-
-    def chain(self, *nodes: str) -> "NetworkBuilder":
-        """Wire consecutive nodes in a path, auto-assigning ports."""
-        for a, b in zip(nodes, nodes[1:]):
-            if self._net.is_host(a):
-                self.attach(a, b)
-            elif self._net.is_host(b):
-                self.attach(b, a)
-            else:
-                self.link(a, b)
-        return self
+    def link(self, node_a: str, node_b: str) -> Wire:
+        """Wire two distinct nodes together, each on its next free port."""
+        return self._net.connect(
+            node_a, self._next_free(node_a), node_b, self._next_free(node_b)
+        )
 
     # -- finish ----------------------------------------------------------
-    def build(self, *, validate: bool = True, require_connected: bool = False) -> Network:
-        if validate:
-            self._net.validate(require_connected=require_connected)
+    def build(self, *, require_connected: bool = False) -> Network:
+        self._net.validate(require_connected=require_connected)
         return self._net
 
     def peek(self) -> Network:
@@ -100,8 +71,8 @@ class NetworkBuilder:
         return self._net
 
     # -- internals -------------------------------------------------------
-    def _next_free(self, node: str, exclude: int | None = None) -> int:
-        for p in self._net.free_ports(node):
-            if p != exclude:
-                return p
-        raise TopologyError(f"no free port on {node}")
+    def _next_free(self, node: str) -> int:
+        free = self._net.free_ports(node)
+        if not free:
+            raise TopologyError(f"no free port on {node}")
+        return free[0]

@@ -62,11 +62,6 @@ class Delta:
     def empty(self) -> bool:
         return not (self.removed or self.added or self.unbounded)
 
-    @property
-    def endpoints(self) -> frozenset[Endpoint]:
-        """Every end touched in either direction (the invalidation keyset)."""
-        return self.removed | self.added
-
     def merge(self, other: "Delta") -> "Delta":
         """The footprint of applying ``self`` then ``other``.
 
@@ -102,7 +97,7 @@ def merge_deltas(deltas: Iterable[Delta]) -> Delta:
 
 
 def seedable_removals(
-    topology: Delta | None, faults: Delta | None = EMPTY_DELTA
+    topology: Delta | None, faults: Delta | None
 ) -> tuple[frozenset[Endpoint] | None, str | None]:
     """The seeding soundness ladder over the two journals' deltas.
 
@@ -129,36 +124,32 @@ def seedable_removals(
     return delta.removed, None
 
 
+#: How many per-epoch deltas a journal keeps.
+JOURNAL_WINDOW = 256
+
+
 class DeltaJournal:
     """Bounded log of per-epoch deltas, indexed by epoch number.
 
     Entry ``i`` of the log describes the mutation that moved the owner's
     epoch from ``base + i`` to ``base + i + 1``. The log is bounded: once
-    ``maxlen`` entries accumulate, the oldest are discarded and ``base``
-    advances, so a consumer whose epoch predates the window gets ``None``
+    :data:`JOURNAL_WINDOW` entries accumulate, the oldest are discarded
+    and ``base`` advances, so a consumer whose epoch predates the window gets ``None``
     from :meth:`since` and must fall back to a full rebuild. The bound
     keeps long-lived owners (a network mutated thousands of times by a
     chaos campaign) at O(window) memory regardless of lifetime.
     """
 
-    __slots__ = ("_base", "_entries", "_maxlen")
+    __slots__ = ("_base", "_entries")
 
-    def __init__(self, *, maxlen: int = 256, base: int = 0) -> None:
-        if maxlen < 1:
-            raise ValueError("journal window must hold at least one entry")
-        self._maxlen = maxlen
-        self._base = base
+    def __init__(self) -> None:
+        self._base = 0
         self._entries: deque[Delta] = deque()
-
-    @property
-    def window_base(self) -> int:
-        """The oldest epoch :meth:`since` can still answer for."""
-        return self._base
 
     def record(self, delta: Delta) -> None:
         """Journal the delta of the mutation that is bumping the epoch."""
         self._entries.append(delta)
-        if len(self._entries) > self._maxlen:
+        if len(self._entries) > JOURNAL_WINDOW:
             self._entries.popleft()
             self._base += 1
 

@@ -20,57 +20,37 @@ from repro.topology.model import Network, TopologyError
 __all__ = ["build_fat_tree", "build_three_tier_fat_tree", "three_tier_counts"]
 
 
-def build_fat_tree(
-    *,
-    n_leaves: int,
-    hosts_per_leaf: int,
-    level_widths: tuple[int, ...] = (2,),
-    uplinks: int = 2,
-    radix: int = 8,
-    prefix: str = "ft",
-    utility_host: bool = False,
-) -> Network:
-    """Build a fat tree.
+def build_fat_tree(*, n_leaves: int, hosts_per_leaf: int) -> Network:
+    """Build a two-level fat tree of radix-8 switches.
 
-    ``level_widths`` gives the number of switches at each level above the
-    leaves (last entry = roots). Each switch at level ``i`` uplinks to
-    ``uplinks`` distinct switches of level ``i+1``, chosen round-robin, so
-    the tree is "incomplete" in the same way the NOW subclusters are.
+    Every leaf uplinks once to each of the two roots, the first uplink
+    going to root ``i % 2`` for leaf ``i``, so the tree is "incomplete" in
+    the same way the NOW subclusters are.
 
-    Raises :class:`TopologyError` when the radix cannot accommodate the
-    requested fan-in/fan-out.
+    Raises :class:`TopologyError` when a leaf cannot hold its hosts and
+    two uplinks.
     """
-    if n_leaves < 1 or hosts_per_leaf < 1 or not level_widths:
-        raise TopologyError("fat tree needs leaves, hosts and at least one level")
-    if hosts_per_leaf + min(uplinks, len(level_widths) and uplinks) > radix:
-        raise TopologyError(
-            f"leaf needs {hosts_per_leaf} host ports + {uplinks} uplinks > radix {radix}"
-        )
+    if n_leaves < 1 or hosts_per_leaf < 1:
+        raise TopologyError("fat tree needs leaves and hosts")
+    if hosts_per_leaf + 2 > 8:
+        raise TopologyError(f"leaf needs {hosts_per_leaf} host ports + 2 uplinks > radix 8")
 
-    b = NetworkBuilder(default_radix=radix)
-    levels: list[list[str]] = [[f"{prefix}-leaf-{i}" for i in range(n_leaves)]]
-    for li, width in enumerate(level_widths):
-        levels.append([f"{prefix}-l{li + 1}-{i}" for i in range(width)])
-    for level in levels:
-        for s in level:
-            b.switch(s)
+    b = NetworkBuilder()
+    leaves = [f"ft-leaf-{i}" for i in range(n_leaves)]
+    roots = ["ft-l1-0", "ft-l1-1"]
+    for s in leaves + roots:
+        b.switch(s)
 
     host_no = 0
-    for leaf in levels[0]:
+    for leaf in leaves:
         for _ in range(hosts_per_leaf):
-            b.host(f"{prefix}-n{host_no:03d}")
-            b.attach(f"{prefix}-n{host_no:03d}", leaf)
+            b.host(f"ft-n{host_no:03d}")
+            b.attach(f"ft-n{host_no:03d}", leaf)
             host_no += 1
 
-    for lower, upper in zip(levels, levels[1:]):
-        fan = min(uplinks, len(upper))
-        for i, sw in enumerate(lower):
-            for j in range(fan):
-                b.link(sw, upper[(i + j) % len(upper)])
-
-    if utility_host:
-        b.host(f"{prefix}-svc", utility=True)
-        b.attach(f"{prefix}-svc", levels[-1][0])
+    for i, sw in enumerate(leaves):
+        for j in range(2):
+            b.link(sw, roots[(i + j) % 2])
 
     return b.build(require_connected=True)
 
@@ -86,7 +66,6 @@ def build_three_tier_fat_tree(
     k: int,
     *,
     hosts_per_edge: int | None = None,
-    prefix: str = "clos",
 ) -> Network:
     """Build a regular three-tier fat tree (folded Clos) of ``k``-port switches.
 
@@ -112,14 +91,14 @@ def build_three_tier_fat_tree(
         )
 
     b = NetworkBuilder(default_radix=k)
-    cores = [f"{prefix}-core-{c}" for c in range(half * half)]
+    cores = [f"clos-core-{c}" for c in range(half * half)]
     for core in cores:
         b.switch(core)
 
     host_no = 0
     for p in range(k):
-        aggs = [f"{prefix}-p{p}-agg-{j}" for j in range(half)]
-        edges = [f"{prefix}-p{p}-edge-{j}" for j in range(half)]
+        aggs = [f"clos-p{p}-agg-{j}" for j in range(half)]
+        edges = [f"clos-p{p}-edge-{j}" for j in range(half)]
         for s in aggs + edges:
             b.switch(s)
         for j, agg in enumerate(aggs):
@@ -129,7 +108,7 @@ def build_three_tier_fat_tree(
                 b.link(agg, edge)
         for edge in edges:
             for _ in range(hosts_per_edge):
-                name = f"{prefix}-n{host_no:04d}"
+                name = f"clos-n{host_no:04d}"
                 b.host(name)
                 b.attach(name, edge)
                 host_no += 1

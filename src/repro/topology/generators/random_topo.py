@@ -24,9 +24,7 @@ def random_san(
     extra_links: int = 0,
     parallel_link_prob: float = 0.0,
     pendant_switches: int = 0,
-    radix: int = 8,
     seed: int = 0,
-    prefix: str = "r",
 ) -> Network:
     """Generate a random connected SAN.
 
@@ -37,16 +35,17 @@ def random_san(
     switches. ``pendant_switches`` adds host-free switch chains hanging off
     a single cable — these are behind switch-bridges and populate ``F``.
 
-    Deterministic for a given seed. Raises :class:`TopologyError` when the
-    requested density cannot fit the radix.
+    Switches have radix 8 and names start ``r-``. Deterministic for a
+    given seed. Raises :class:`TopologyError` when the requested density
+    cannot fit the radix.
     """
     if n_switches < 1:
         raise TopologyError("need at least one switch")
     if n_hosts < 2:
         raise TopologyError("the model requires at least two hosts")
     rng = random.Random(seed)
-    b = NetworkBuilder(default_radix=radix)
-    switches = [f"{prefix}-s{i}" for i in range(n_switches)]
+    b = NetworkBuilder()
+    switches = [f"r-s{i}" for i in range(n_switches)]
     for s in switches:
         b.switch(s)
 
@@ -87,7 +86,7 @@ def random_san(
     # Pendant (host-free) switch chains: one cable in, nothing else -> the
     # cable is a switch-bridge and the chain lands in F.
     for i in range(pendant_switches):
-        name = f"{prefix}-f{i}"
+        name = f"r-f{i}"
         b.switch(name)
         anchors = [s for s in switches if net.free_ports(s)]
         if not anchors:
@@ -102,7 +101,7 @@ def random_san(
             raise TopologyError("could not attach all hosts within radix")
         target = switches[rng.randrange(n_switches)]
         if net.free_ports(target):
-            host = f"{prefix}-h{placed_hosts}"
+            host = f"r-h{placed_hosts}"
             b.host(host)
             b.attach(host, target)
             placed_hosts += 1

@@ -115,6 +115,12 @@ def match_networks(model: Network, actual: Network) -> IsomorphismReport:
                     False, reason=f"host {host} attached in only one network"
                 )
             continue
+        if model.is_host(m_at.node):  # a host-host cable anchors no switch
+            if a_at != m_at:
+                return IsomorphismReport(
+                    False, reason=f"host {host} wired differently (actual end {a_at})"
+                )
+            continue
         err = pin(m_at.node, a_at.node, a_at.port - m_at.port)
         if err:
             return IsomorphismReport(False, reason=err)

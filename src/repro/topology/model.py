@@ -135,7 +135,7 @@ class Network:
         self._journal = DeltaJournal()
         self._epoch = 0
 
-    def _bump_epoch(self, delta: Delta = EMPTY_DELTA) -> None:
+    def _bump_epoch(self, delta: Delta) -> None:
         """The canonical epoch bump: every mutator's last act.
 
         ``delta`` is the wire-end footprint of the mutation being
@@ -153,7 +153,7 @@ class Network:
         """Add a host node. Hosts have the single port 0."""
         self._check_fresh(name)
         self._nodes[name] = _NodeInfo(NodeKind.HOST, 1, dict(meta))
-        self._bump_epoch()
+        self._bump_epoch(EMPTY_DELTA)  # a new node has no wire ends yet
         return name
 
     def add_switch(self, name: str, *, radix: int | None = None, **meta: object) -> str:
@@ -163,7 +163,7 @@ class Network:
         if r < 1:
             raise TopologyError("switch radix must be positive")
         self._nodes[name] = _NodeInfo(NodeKind.SWITCH, r, dict(meta))
-        self._bump_epoch()
+        self._bump_epoch(EMPTY_DELTA)  # a new node has no wire ends yet
         return name
 
     def connect(
@@ -323,22 +323,11 @@ class Network:
                 seen.add(key)
                 yield self._wires[key]
 
-    def degree(self, node: str) -> int:
-        """Number of wired ports on ``node`` (a loopback cable counts twice)."""
-        info = self._info(node)
-        return sum(
-            1 for port in range(info.radix) if PortRef(node, port) in self._port_map
-        )
-
     def free_ports(self, node: str) -> list[int]:
         info = self._info(node)
         return [
             p for p in range(info.radix) if PortRef(node, p) not in self._port_map
         ]
-
-    def used_ports(self, node: str) -> list[int]:
-        info = self._info(node)
-        return [p for p in range(info.radix) if PortRef(node, p) in self._port_map]
 
     def host_attachment(self, host: str) -> PortRef | None:
         """The switch port a host is plugged into (hosts have one wire)."""

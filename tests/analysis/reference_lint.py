@@ -6,6 +6,7 @@ No product path lints a string (``san-lint`` lints files through
 
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 from typing import Iterable
 
@@ -26,5 +27,7 @@ def lint_source(
     # Import for the registration side effect; idempotent after first call.
     import repro.analysis.rules  # noqa: F401
 
-    info = lint_module_info(source, path=Path(path), module=module)
+    info = lint_module_info(source, path=Path(path))
+    if module is not None:  # the dotted name a package-scoped rule keys off
+        info = dataclasses.replace(info, module=module)
     return sorted(_run_rules(info, iter_rules(select, ignore)))

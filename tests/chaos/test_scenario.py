@@ -41,10 +41,12 @@ class TestEventValidation:
             ChaosEvent(0, "corrupt", ("not-a-number",))
 
     def test_sugar_builds_the_right_events(self):
-        ev = plug(2, "s0", 3, "s3", 3, after_probes=7)
+        ev = plug(2, "s0", 3, "s3", 3)
         assert ev.action == "plug"
         assert ev.args == ("s0", 3, "s3", 3)
-        assert ev.cycle == 2 and ev.after_probes == 7
+        assert ev.cycle == 2 and ev.after_probes == 0
+        ev = drop(1, 0.5, after_probes=7)
+        assert (ev.action, ev.args, ev.cycle, ev.after_probes) == ("drop", (0.5,), 1, 7)
 
 
 class TestScenarioNormalization:

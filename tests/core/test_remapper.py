@@ -7,7 +7,7 @@ from repro.core.remapper import RemapperDaemon
 from repro.simulator.faults import FaultModel
 from repro.simulator.path_eval import PathStatus, evaluate_route
 from repro.topology.analysis import core_network
-from repro.topology.builder import NetworkBuilder
+from tests.topology.reference_builder import NetworkBuilder
 from repro.topology.generators import build_subcluster
 from repro.topology.isomorphism import match_networks
 

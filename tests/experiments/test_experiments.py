@@ -18,6 +18,8 @@ from repro.experiments import (
     fig10_myricom,
     routing_study,
 )
+from repro.core import election, parallel
+from repro.extensions import crosstraffic
 from repro.experiments.common import PAPER, system
 
 
@@ -71,8 +73,10 @@ class TestFig6:
 
 
 class TestFig7:
-    def test_times_in_the_paper_regime(self):
-        rows = fig7_mapping_times.run(runs=3)
+    def test_times_in_the_paper_regime(self, monkeypatch):
+        monkeypatch.setattr(parallel, "RUNS", 3)
+        monkeypatch.setattr(election, "RUNS", 3)
+        rows = fig7_mapping_times.run()
         for row in rows:
             # Election mode costs more on average, as the paper reports.
             assert row.election.avg_ms > row.master.avg_ms, row.system
@@ -98,10 +102,9 @@ class TestFig8:
 
 
 class TestFig9:
-    def test_speedup_shape(self):
-        points = fig9_responders.run(
-            "C", counts=(1, 5, 20, 36), max_explorations=300
-        )
+    def test_speedup_shape(self, monkeypatch):
+        monkeypatch.setattr(fig9_responders, "MAX_EXPLORATIONS", 300)
+        points = fig9_responders.run("C", counts=(1, 5, 20, 36))
         seq = {p.n_responders: p for p in points if p.placement == "sequential"}
         assert seq[1].elapsed_ms > seq[36].elapsed_ms
         speedup = seq[1].elapsed_ms / seq[36].elapsed_ms
@@ -110,9 +113,7 @@ class TestFig9:
     def test_full_system_speedup_band(self):
         """The paper's numbers need all three subclusters: the 8x headline,
         the random-placement knee and the sequential-fill steps."""
-        points = fig9_responders.run(
-            "C+A+B", counts=(1, 15, 20, 40, 100), max_explorations=1200
-        )
+        points = fig9_responders.run("C+A+B", counts=(1, 15, 20, 40, 100))
         seq = {p.n_responders: p for p in points if p.placement == "sequential"}
         rnd = {p.n_responders: p for p in points if p.placement == "random"}
         # "~8x speedup from 1 to 100 responders."
@@ -189,14 +190,18 @@ class TestAblations:
 
 
 class TestCrossTrafficExt:
-    def test_clean_point_correct(self):
-        points = crosstraffic_ext.run("C", rates=(0.0,), retries=(0,))
+    def test_clean_point_correct(self, monkeypatch):
+        monkeypatch.setattr(crosstraffic_ext, "RATES", (0.0,))
+        monkeypatch.setattr(crosstraffic, "RETRIES", (0,))
+        points = crosstraffic_ext.run("C")
         assert points[0].correct and points[0].completeness == 1.0
 
-    def test_heavy_traffic_only_omits(self):
+    def test_heavy_traffic_only_omits(self, monkeypatch):
         """Every produced element is real (the study embeds the partial map
         in the truth), so traffic can only cost completeness."""
-        (heavy,) = crosstraffic_ext.run("C", rates=(80.0,), retries=(0,))
+        monkeypatch.setattr(crosstraffic_ext, "RATES", (80.0,))
+        monkeypatch.setattr(crosstraffic, "RETRIES", (0,))
+        (heavy,) = crosstraffic_ext.run("C")
         assert heavy.probes_lost > 0
         assert heavy.completeness <= 1.0
 
@@ -230,9 +235,10 @@ class TestRoutingQuality:
 
 
 class TestParallelExt:
-    def test_parallel_beats_single_on_wall_clock(self):
-        rows = parallel_ext.run("C", stride=5, local_depth=6,
-                                max_explorations=80)
+    def test_parallel_beats_single_on_wall_clock(self, monkeypatch):
+        monkeypatch.setattr(parallel_ext, "LOCAL_DEPTH", 6)
+        monkeypatch.setattr(parallel_ext, "MAX_EXPLORATIONS", 80)
+        rows = parallel_ext.run("C")
         single, parallel = rows
         assert single.complete
         assert parallel.probes > single.probes

@@ -1,6 +1,6 @@
 """Table formatter tests (the harness's only output dependency)."""
 
-from repro.experiments.tables import format_table, ratio
+from repro.experiments.tables import format_table
 
 
 class TestFormatTable:
@@ -27,11 +27,3 @@ class TestFormatTable:
     def test_empty_rows(self):
         text = format_table(["a", "b"], [])
         assert len(text.splitlines()) == 2
-
-
-class TestRatio:
-    def test_basic(self):
-        assert ratio(6, 3) == "2.00x"
-
-    def test_zero_paper_guard(self):
-        assert ratio(5, 0) == "n/a"

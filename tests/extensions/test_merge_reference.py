@@ -25,7 +25,7 @@ from repro.extensions.parallel_maps import (
     parallel_mapping_study,
 )
 from repro.topology.analysis import core_network, recommended_search_depth
-from repro.topology.builder import NetworkBuilder
+from tests.topology.reference_builder import NetworkBuilder
 from repro.topology.generators import random_san
 from repro.topology.isomorphism import match_networks
 from repro.topology.model import Network, TopologyError

@@ -10,7 +10,7 @@ from repro.extensions.parallel_maps import (
     parallel_mapping_study,
 )
 from repro.topology.analysis import core_network, recommended_search_depth
-from repro.topology.builder import NetworkBuilder
+from tests.topology.reference_builder import NetworkBuilder
 from repro.topology.generators import build_subcluster
 from repro.topology.isomorphism import match_networks
 

@@ -52,9 +52,7 @@ class TestCorrectness:
 class TestSeeding:
     def test_coupon_hits_register_hosts_early(self):
         """Random maximal-depth probes land on hosts in a dense fat tree."""
-        net = build_fat_tree(
-            n_leaves=4, hosts_per_leaf=4, level_widths=(2,), uplinks=2
-        )
+        net = build_fat_tree(n_leaves=4, hosts_per_leaf=4)
         mapper, result = _coupon(
             net, mapper=sorted(net.hosts)[0], coupon_probes=150, seed=4
         )

@@ -19,10 +19,13 @@ event, and round-trips through serialization.
 from __future__ import annotations
 
 import json
+from functools import partial
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
+from repro.chaos import shrink
 from repro.chaos.apply import ScenarioApplier
 from repro.chaos.runner import run_cell
 from repro.chaos.scenario import (
@@ -164,9 +167,12 @@ class TestShrinkerFaithfulness:
         )
         if cell.invalid is not None or cell.passed:
             return  # the extra events made the schedule incoherent/benign
-        shrunk = shrink_failure(
-            cell, mapper_factory=factory, settle_cycles=2, max_runs=60
-        )
+        # The shrinker's cell runs and budget are constants; this property
+        # shrinks with the cell's own two settle cycles and a 60-run budget.
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(shrink, "run_cell", partial(run_cell, mapper_factory=factory, settle_cycles=2))
+            m.setattr(shrink, "MAX_RUNS", 60)
+            shrunk = shrink_failure(cell)
         assert shrunk.final is not None and not shrunk.final.passed
         assert set(shrunk.failing) & set(cell.failing)
         assert shrunk.n_events <= len(scenario.events)

@@ -13,6 +13,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 from repro.topology.model import HOST_PORT, Network, TopologyError
 from repro.topology.serialize import network_from_dict, network_to_dict
 from tests.topology.reference_isomorphism import networks_equal
+from tests.topology.reference_queries import degree, used_ports
 
 
 class NetworkMachine(RuleBasedStateMachine):
@@ -120,10 +121,10 @@ class NetworkMachine(RuleBasedStateMachine):
     @invariant()
     def degrees_consistent(self):
         for node in self.net.nodes:
-            used = len(self.net.used_ports(node))
+            used = len(used_ports(self.net, node))
             free = len(self.net.free_ports(node))
             assert used + free == self.net.radix(node)
-            assert self.net.degree(node) == used
+            assert degree(self.net, node) == used
 
     @invariant()
     def serialization_round_trips(self):

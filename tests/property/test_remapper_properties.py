@@ -85,7 +85,7 @@ class TestRemapperConvergence:
             return
         rng = random.Random(seed)
         mapper_host = sorted(net.hosts)[0]
-        daemon = RemapperDaemon(net, mapper_host, max_explorations=3000)
+        daemon = RemapperDaemon(net, mapper_host)
         daemon.run_cycle()
         for _ in range(n_mutations):
             _mutate(net, rng, mapper_host)

@@ -15,14 +15,14 @@ from repro.simulator.collision import CircuitModel, CutThroughModel, PacketModel
 from repro.simulator.quiescent import QuiescentProbeService
 from repro.topology.analysis import core_network, recommended_search_depth
 from repro.topology.generators import (
-    build_fat_tree,
     build_hypercube,
     build_mesh,
     build_torus,
     random_san,
 )
 from repro.topology.isomorphism import match_networks
-from repro.topology.model import TopologyError
+from repro.topology.builder import NetworkBuilder
+from repro.topology.model import Network, TopologyError
 
 
 def _try_san(**params):
@@ -62,11 +62,27 @@ def _map_with(net, collision, mapper=None):
     ).map()
 
 
+def _three_level_fat_tree() -> Network:
+    """Eight leaves of four hosts under four middle switches and two roots;
+    every switch uplinks to two of the level above, round-robin."""
+    b = NetworkBuilder()
+    levels = [[f"ft-leaf-{i}" for i in range(8)]]
+    levels += [[f"ft-l{li}-{i}" for i in range(width)] for li, width in ((1, 4), (2, 2))]
+    for s in (s for level in levels for s in level):
+        b.switch(s)
+    for no in range(32):
+        b.host(f"ft-n{no:03d}")
+        b.attach(f"ft-n{no:03d}", levels[0][no // 4])
+    for lower, upper in zip(levels, levels[1:]):
+        for i, sw in enumerate(lower):
+            for j in range(2):
+                b.link(sw, upper[(i + j) % len(upper)])
+    return b.build(require_connected=True)
+
+
 #: Larger structured and random fabrics than hypothesis is allowed to draw.
 LARGER_FABRICS = {
-    "fat-tree-8x4": lambda: build_fat_tree(
-        n_leaves=8, hosts_per_leaf=4, level_widths=(4, 2), uplinks=2
-    ),
+    "fat-tree-8x4": _three_level_fat_tree,
     "mesh-4x4": lambda: build_mesh(4, 4, hosts_per_switch=1),
     "torus-3x4": lambda: build_torus(3, 4, hosts_per_switch=1),
     "hypercube-4": lambda: build_hypercube(4, hosts_per_switch=1),

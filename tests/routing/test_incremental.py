@@ -6,7 +6,7 @@ from repro.routing.compile_routes import RouteTable, compile_route_tables
 from repro.routing.incremental import diff_route_tables, distribute_incremental
 from repro.routing.paths import all_pairs_updown_paths
 from repro.routing.updown import orient_updown
-from repro.topology.builder import NetworkBuilder
+from tests.topology.reference_builder import NetworkBuilder
 
 
 def _tables(net, seed=0):

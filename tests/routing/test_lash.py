@@ -5,6 +5,7 @@ import pytest
 
 from repro.routing.compile_routes import compile_route_tables
 from repro.routing.deadlock import routes_deadlock_free
+from repro.routing import lash
 from repro.routing.lash import lash_route_tables
 from repro.routing.paths import all_pairs_updown_paths
 from repro.routing.quality import analyze_routes
@@ -58,13 +59,14 @@ class TestCorrectness:
         }
 
     def test_deterministic_per_seed(self, ring_net):
-        a = lash_route_tables(ring_net, seed=5)
-        b = lash_route_tables(ring_net, seed=5)
+        a = lash_route_tables(ring_net)
+        b = lash_route_tables(ring_net)
         assert a.layer_of == b.layer_of
 
-    def test_layer_cap_enforced(self, ring_net):
+    def test_layer_cap_enforced(self, ring_net, monkeypatch):
+        monkeypatch.setattr(lash, "MAX_LAYERS", 0)
         with pytest.raises(ValueError, match="layers"):
-            lash_route_tables(ring_net, max_layers=0)
+            lash_route_tables(ring_net)
 
 
 class TestVersusUpDown:

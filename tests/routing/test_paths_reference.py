@@ -164,7 +164,8 @@ def utility_host() -> Network:
     b.attach("h0", "s2")
     b.attach("h1", "s3")
     b.attach("h2", "s3")
-    b.chain("s0", "s1", "s2", "s3")
+    for x, y in (("s0", "s1"), ("s1", "s2"), ("s2", "s3")):
+        b.link(x, y)
     return b.build()
 
 

@@ -38,7 +38,7 @@ from repro.routing.compile_routes import compile_route_tables
 from repro.routing.paths import all_pairs_updown_paths
 from repro.routing.updown import orient_updown
 from repro.service.serialize import route_tables_to_dict
-from repro.topology.builder import NetworkBuilder
+from tests.topology.reference_builder import NetworkBuilder
 from repro.topology.generators import build_named_topology
 
 GOLDEN = Path(__file__).parent.parent / "goldens" / "route_tables_digest.json"

@@ -5,7 +5,7 @@ import pytest
 from repro.core.remapper import map_cycle
 from repro.routing.updown import orient_updown
 from repro.topology.analysis import core_network
-from repro.topology.builder import NetworkBuilder
+from tests.topology.reference_builder import NetworkBuilder
 from repro.topology.generators import build_hypercube, build_subcluster
 from repro.topology.isomorphism import match_networks
 from tests.routing.reference_views import pick_root

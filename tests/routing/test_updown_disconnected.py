@@ -6,7 +6,7 @@ from repro.routing.compile_routes import compile_route_tables
 from repro.routing.deadlock import routes_deadlock_free
 from repro.routing.paths import all_pairs_updown_paths
 from repro.routing.updown import orient_updown
-from repro.topology.builder import NetworkBuilder
+from tests.topology.reference_builder import NetworkBuilder
 from tests.routing.reference_views import distance, node_path
 
 

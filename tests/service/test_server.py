@@ -199,7 +199,7 @@ class TestMapRouteVerify:
         async def run():
             async with _server(RING, MESH) as (server, host, port):
                 async with MapClient(host, port) as client:
-                    listing = await client.tenants(include_hosts=True)
+                    listing = (await client.request("tenants", include_hosts=True))["tenants"]
                     assert [t["name"] for t in listing] == ["ring", "mesh"]
                     assert all(t["status"] == "unmapped" for t in listing)
                     hosts = {t["name"]: t["host_names"] for t in listing}
@@ -313,8 +313,8 @@ class TestCoalescing:
                 host, port = await server.start()
                 try:
                     async with MapClient(host, port) as client:
-                        a = await client.map("ring", wait=False)
-                        b = await client.map("ring", wait=False)
+                        a = await client.request_raw("map", tenant="ring", wait=False)
+                        b = await client.request_raw("map", tenant="ring", wait=False)
                         assert a["dispatched"] and a["coalesced"] is False
                         assert b["dispatched"] and b["coalesced"] is True
                         listing = await client.tenants()
@@ -336,7 +336,7 @@ class TestFailureSemantics:
         async def run():
             async with _server(RING, MESH) as (server, host, port):
                 async with MapClient(host, port) as client:
-                    listing = await client.tenants(include_hosts=True)
+                    listing = (await client.request("tenants", include_hosts=True))["tenants"]
                     hosts = {t["name"]: t["host_names"] for t in listing}
                     await client.map("ring")
                     baseline = await client.route(
@@ -541,7 +541,7 @@ class TestStats:
             async with _server(RING) as (server, host, port):
                 async with MapClient(host, port) as client:
                     await client.map("ring")
-                    listing = await client.tenants(include_hosts=True)
+                    listing = (await client.request("tenants", include_hosts=True))["tenants"]
                     names = listing[0]["host_names"]
                     hit = await client.route("ring", names[0], names[1])
                     assert hit["ok"] is True

@@ -20,7 +20,7 @@ from repro.simulator.path_eval import (
     evaluate_route,
 )
 from repro.simulator.quiescent import QuiescentProbeService
-from repro.simulator.turns import Turns, switch_probe_turns
+from repro.simulator.turns import Turns, reverse_turns, validate_turns
 from repro.topology.delta import Endpoint
 from repro.topology.model import HOST_PORT, Network
 
@@ -70,7 +70,8 @@ class PureWalkProbeService(QuiescentProbeService):
         )
 
     def _loopback_info(self, turns: Turns) -> ProbeInfo:
-        return self._probe_info(switch_probe_turns(turns, limit=self._turn_limit))
+        fwd = validate_turns(turns, limit=self._turn_limit)
+        return self._probe_info(fwd + (0,) + reverse_turns(fwd))
 
     def _path(self, turns: Turns) -> PathResult:
         return evaluate_route(self.net, self.mapper, turns)

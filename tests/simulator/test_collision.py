@@ -73,25 +73,9 @@ class TestCutThrough:
         for trs in (SIMPLE, OUT_AND_BACK, DIRECTED_REUSE):
             assert model.blocked_at(trs) == circuit.blocked_at(trs)
 
-    def test_from_message_hardware_derivation(self):
-        # 64-byte probe, 108 bytes/port buffering -> body spans one hop.
-        model = CutThroughModel.from_message(
-            message_bytes=64, per_port_buffer_bytes=108
-        )
-        assert model.slack_hops == 1
-        model = CutThroughModel.from_message(
-            message_bytes=1000, per_port_buffer_bytes=108
-        )
-        assert model.slack_hops == 10
-
     def test_negative_slack_rejected(self):
         with pytest.raises(ValueError):
             CutThroughModel(slack_hops=-1)
-
-    def test_bad_message_size_rejected(self):
-        with pytest.raises(ValueError):
-            CutThroughModel.from_message(message_bytes=0)
-
 
 class TestPaperSemantics:
     """The two Section 2.3.1 clauses, as observable probe behavior."""

@@ -8,38 +8,26 @@ placement, including that a fixed placement replays deterministically.
 """
 
 from repro.core.mapper import BerkeleyMapper
-from repro.simulator.daemons import DaemonMode, DaemonPlacement
+from repro.simulator.daemons import DaemonPlacement
 from repro.simulator.quiescent import QuiescentProbeService
 from repro.topology.analysis import recommended_search_depth
 from repro.topology.serialize import network_to_dict
 
 
 class TestPlacementConstructors:
-    def test_everyone(self, two_switch_net):
-        placement = DaemonPlacement.everyone(two_switch_net)
-        assert placement.responders == frozenset(two_switch_net.hosts)
-        assert placement.mode is DaemonMode.MASTER_SLAVE
-
     def test_sequential_fill_takes_lowest_node_numbers(self, two_switch_net):
         placement = DaemonPlacement.sequential_fill(two_switch_net, 2)
         assert placement.responders == frozenset({"h0", "h1"})
 
     def test_sequential_fill_clamps(self, two_switch_net):
-        assert len(DaemonPlacement.sequential_fill(two_switch_net, -3)) == 0
-        assert len(DaemonPlacement.sequential_fill(two_switch_net, 99)) == 4
+        assert not DaemonPlacement.sequential_fill(two_switch_net, -3).responders
+        assert len(DaemonPlacement.sequential_fill(two_switch_net, 99).responders) == 4
 
     def test_random_fill_is_deterministic_per_seed(self, two_switch_net):
-        a = DaemonPlacement.random_fill(two_switch_net, 2, seed=5)
-        b = DaemonPlacement.random_fill(two_switch_net, 2, seed=5)
+        a = DaemonPlacement.random_fill(two_switch_net, 2)
+        b = DaemonPlacement.random_fill(two_switch_net, 2)
         assert a.responders == b.responders
-        assert len(a) == 2
-
-    def test_random_fill_varies_with_seed(self, two_switch_net):
-        picks = {
-            DaemonPlacement.random_fill(two_switch_net, 2, seed=s).responders
-            for s in range(8)
-        }
-        assert len(picks) > 1
+        assert len(a.responders) == 2
 
     def test_including_adds_the_mapper(self, two_switch_net):
         placement = DaemonPlacement(frozenset({"h2"})).including("h0")
@@ -94,7 +82,7 @@ class TestDeterministicReplay:
         same map, same probe count, same simulated clock."""
 
         def run():
-            placement = DaemonPlacement.random_fill(ring_net, 3, seed=11)
+            placement = DaemonPlacement.random_fill(ring_net, 3)
             svc = QuiescentProbeService(
                 ring_net,
                 "h0",

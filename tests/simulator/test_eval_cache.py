@@ -3,6 +3,7 @@
 import pytest
 
 from repro.simulator.collision import CircuitModel, CutThroughModel
+from repro.simulator import path_eval
 from repro.simulator.faults import FaultModel
 from repro.simulator.path_eval import (
     IncrementalPathEvaluator,
@@ -161,10 +162,11 @@ class TestProbeInfo:
 
 
 class TestNodeBackstop:
-    def test_max_nodes_caps_memory_but_stays_correct(self):
+    def test_max_nodes_caps_memory_but_stays_correct(self, monkeypatch):
         ring = build_ring(4, hosts_per_switch=1)
         mapper = sorted(ring.hosts)[0]
-        ev = IncrementalPathEvaluator(ring, max_nodes=3)
+        monkeypatch.setattr(path_eval, "MAX_TRIE_NODES", 3)
+        ev = IncrementalPathEvaluator(ring)
         for turns in [(1,), (1, 1), (1, 1, 1), (2,), (2, 1), (1, 2, 1)]:
             got = ev.evaluate(mapper, turns)
             want = evaluate_route(ring, mapper, turns)
@@ -175,14 +177,15 @@ class TestNodeBackstop:
         assert ev.stats.nodes <= 3 + 2  # cap plus the walk in flight
 
     @pytest.mark.parametrize("prime", ["walk", "loopback"])
-    def test_cut_after_a_backstop_flush_is_seen(self, prime):
+    def test_cut_after_a_backstop_flush_is_seen(self, prime, monkeypatch):
         """The backstop fires inside the prefix walk, which then finishes
         on a chain detached from the roots. Nothing may keep serving that
         chain once the topology moves. The backstop flush is the epoch
         flush: it counts the nodes it drops."""
         ring = build_ring(4, hosts_per_switch=1)
         h0 = sorted(ring.hosts)[0]
-        ev = IncrementalPathEvaluator(ring, max_nodes=3)
+        monkeypatch.setattr(path_eval, "MAX_TRIE_NODES", 3)
+        ev = IncrementalPathEvaluator(ring)
         prefix = (-2, 1, 1)
         if prime == "loopback":
             ev.loopback_info(h0, prefix)

@@ -4,7 +4,7 @@ from repro.simulator.occupancy import ChannelOccupancy
 from repro.simulator.path_eval import PathResult, PathStatus, Traversal
 from repro.simulator.timing import TimingModel
 from repro.simulator.traffic import CrossTraffic, host_pair_paths
-from repro.simulator.daemons import DaemonMode, DaemonPlacement
+from repro.simulator.daemons import DaemonPlacement
 from repro.topology.model import PortRef
 
 
@@ -72,15 +72,6 @@ class TestOccupancy:
         assert not occ.try_place(p, 200.0).ok
         assert occ.try_place(p, 1000.0).ok
 
-    def test_utilization(self):
-        timing = self._timing()
-        occ = ChannelOccupancy(timing)
-        p = _path(("a", 0, "b", 0))
-        occ.try_place(p, 0.0, message_bytes=16_000)  # ~100us busy
-        channel = (PortRef("a", 0), PortRef("b", 0))
-        u = occ.utilization(channel, 1000.0)
-        assert 0.05 < u < 0.2
-
 
 class TestCrossTraffic:
     def test_host_pair_paths_cover_all_pairs(self, two_switch_net):
@@ -124,20 +115,15 @@ class TestCrossTraffic:
 
 
 class TestDaemonPlacement:
-    def test_everyone(self, two_switch_net):
-        p = DaemonPlacement.everyone(two_switch_net)
-        assert len(p) == 4
-        assert p.mode is DaemonMode.MASTER_SLAVE
-
     def test_sequential_fill_order(self, two_switch_net):
         p = DaemonPlacement.sequential_fill(two_switch_net, 2)
         assert p.responders == {"h0", "h1"}
 
     def test_random_fill_deterministic(self, two_switch_net):
-        a = DaemonPlacement.random_fill(two_switch_net, 2, seed=5)
-        b = DaemonPlacement.random_fill(two_switch_net, 2, seed=5)
+        a = DaemonPlacement.random_fill(two_switch_net, 2)
+        b = DaemonPlacement.random_fill(two_switch_net, 2)
         assert a.responders == b.responders
-        assert len(a) == 2
+        assert len(a.responders) == 2
 
     def test_including(self, two_switch_net):
         p = DaemonPlacement.sequential_fill(two_switch_net, 1).including("h3")

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.simulator.path_eval import PathStatus, Traversal, evaluate_route
-from repro.topology.builder import NetworkBuilder
+from tests.topology.reference_builder import NetworkBuilder
 from repro.topology.model import PortRef
 
 

@@ -8,7 +8,7 @@ from repro.simulator.faults import FaultModel
 from repro.simulator.quiescent import QuiescentProbeService
 from repro.simulator.stack import TraceBusLayer
 from repro.simulator.timing import TimingModel
-from repro.topology.builder import NetworkBuilder
+from tests.topology.reference_builder import NetworkBuilder
 
 
 class TestHostProbe:

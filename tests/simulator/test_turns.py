@@ -3,7 +3,6 @@
 import pytest
 
 from repro.simulator.turns import (
-    format_turns,
     reverse_turns,
     switch_probe_turns,
     validate_turns,
@@ -61,9 +60,3 @@ class TestAlgebra:
     def test_switch_probe_validates(self):
         with pytest.raises(ValueError):
             switch_probe_turns((0,))
-
-
-class TestFormatting:
-    def test_format(self):
-        assert format_turns((1, -3)) == "+1.-3"
-        assert format_turns(()) == "(empty)"

@@ -6,7 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.topology.serialize import save_network
-from repro.topology.builder import NetworkBuilder
+from tests.topology.reference_builder import NetworkBuilder
 
 
 class TestBadInputs:

@@ -23,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.election import _rival_schedule, election_runs
+from repro.extensions import crosstraffic
 from repro.extensions.crosstraffic import crosstraffic_study
 from repro.simulator.collision import CircuitModel
 from repro.simulator.timing import MYRINET_TIMING
@@ -94,16 +95,10 @@ def test_concurrent_mapping_byte_identical_to_legacy_wrapper(yield_rule):
     assert got == want["mappers"]
 
 
-def test_crosstraffic_study_byte_identical_to_legacy_wrappers(subcluster_c):
+def test_crosstraffic_study_byte_identical_to_legacy_wrappers(subcluster_c, monkeypatch):
     net, depth = subcluster_c
-    pts = crosstraffic_study(
-        net,
-        "C-svc",
-        search_depth=depth,
-        rates=(0.0, 2.0, 5.0),
-        retries=(0, 2),
-        seed=3,
-    )
+    monkeypatch.setattr(crosstraffic, "TRAFFIC_SEED", 3)
+    pts = crosstraffic_study(net, "C-svc", search_depth=depth, rates=(0.0, 2.0, 5.0))
     got = [
         {
             "rate": p.rate_msgs_per_ms,

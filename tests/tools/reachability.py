@@ -1,23 +1,28 @@
-"""Which ``src/`` functions does no product entry point ever enter?
+"""Which ``src/`` functions does no product entry point ever enter, and
+which defaulted parameters does none ever vary?
 
 Run from the repository root (it takes a few minutes, so it is not part
 of tier-1)::
 
-    python tests/tools/reachability.py           # print the table
-    python tests/tools/reachability.py --check   # compare with the committed one
+    python tests/tools/reachability.py           # print both tables
+    python tests/tools/reachability.py --check   # compare with the committed ones
 
-It prints the docs/STATIC_ANALYSIS.md table on stdout, each row with the
-disposition the committed table gives it (blank for a new row). With
-``--check`` it prints nothing on stdout and exits 1 when a never-entered
-def has no row, or a row names a def that is gone or that some entry
-point now enters.
+It prints the two docs/STATIC_ANALYSIS.md tables on stdout, each row with
+the disposition the committed table gives it (blank for a new row). With
+``--check`` it prints nothing on stdout and exits 1 when either table is
+stale: a never-entered def or a never-varied parameter has no row, or a
+row names a def or parameter that is gone, or that some entry point now
+enters or varies.
 
 Every product entry point runs in its own subprocess with a generated
 ``sitecustomize.py`` on ``PYTHONPATH``. It installs a ``sys.setprofile``
 collector (``threading.setprofile`` for later threads) that appends each
 ``src/`` code object the first time the process enters it to a file of
-that process's own. A forked child reopens a file of its own, so pool
-workers count. The entry points:
+that process's own. For a code object with defaulted parameters it also
+appends up to two distinct fingerprints of the value each one is bound
+to (:func:`fingerprint`: scalars, enum members and tuples of these by
+value, anything else by class). A forked child reopens a file of its
+own, so pool workers count. The entry points:
 
 - every ``san-map`` subcommand on its smallest inputs (``chaos`` and
   ``tournament`` as CI runs them, plus one incremental ``chaos --config``
@@ -34,17 +39,30 @@ workers count. The entry points:
   shutdown, each op through :class:`~repro.service.client.MapClient`.
 
 Every ``def`` under ``src/`` (by module and qualified name) that no
-process entered is a row. A failing entry point is reported and fails
-the run, because its functions would be listed as unreachable.
+process entered is a row of the functions table. A defaulted parameter
+is a row of the options table when every fingerprint recorded for it is
+its default's (none at all if its def was never entered) and no call
+site under ``src/``, ``examples/`` or ``benchmarks/`` passes it a literal
+other than the default, traced or not. Defaults are resolved by
+qualified name, so a nested def's default counts only when it is a
+literal. Dataclass-generated ``__init__``s are not ``src/`` code objects,
+so config-object fields are out of reach. A failing entry point is
+reported and fails the run, because its functions would be listed as
+unreachable.
 
 A disposition is one of (``test_reachability_table.py`` holds the
-committed table to it in tier-1):
+committed tables to it in tier-1, and refuses the first three in a
+committed row: a disposition is carried out by the change that records
+it):
 
-- ``delete`` — nothing calls it;
-- ``reference: <path>`` — only tests call it, so it moves to the test
-  helper at ``<path>`` that reads it;
-- ``kept: <reason>`` — one of :data:`KEPT_REASONS`, optionally followed
-  by `` — `` and a detail.
+- ``delete`` (functions) — nothing calls it;
+- ``reference: <path>`` (functions) — only tests call it, so it moves to
+  the test helper at ``<path>`` that reads it;
+- ``constant`` (options) — the parameter goes and its value becomes a
+  module constant or is inlined;
+- ``kept: <reason>`` — one of :data:`KEPT_REASONS` (functions) or
+  :data:`OPTION_KEPT_REASONS` (options), optionally followed by `` — ``
+  and a detail.
 """
 
 from __future__ import annotations
@@ -63,6 +81,7 @@ ROOT = Path(__file__).resolve().parents[2]
 SRC = ROOT / "src"
 TABLE = ROOT / "docs" / "STATIC_ANALYSIS.md"
 HEADER = "| module | function | disposition |"
+OPTIONS_HEADER = "| module | function | parameter | disposition |"
 
 #: Why a never-entered def stays in ``src/``.
 KEPT_REASONS = (
@@ -73,7 +92,17 @@ KEPT_REASONS = (
     "registry kind",
 )
 
+#: Why a never-varied parameter stays settable.
+OPTION_KEPT_REASONS = (
+    "deployment setting",
+    "injected clock (SAN001)",
+    "outside input",
+    "registry kind parameter",
+    "benchmark call shape",
+)
+
 _ROW = re.compile(r"^\| `([^`]+)` \| `([^`]+)` \| (.*?) ?\|$")
+_OPTION_ROW = re.compile(r"^\| `([^`]+)` \| `([^`]+)` \| `([^`]+)` \| (.*?) ?\|$")
 
 #: A one-tenant serve config and the client session run against it.
 _TENANTS = [{"name": "t0", "topology": "ring", "params": {"size": 4}}]
@@ -137,18 +166,38 @@ _CAMPAIGN = {
 }
 
 
-_COLLECTOR = '''\
-import os, sys, threading
+#: Shared by the collector and :func:`fingerprint`, so a recorded value
+#: and a resolved default are fingerprinted by the same code.
+_FINGERPRINT = '''\
+import enum
+
+
+def fingerprint(value):
+    if isinstance(value, enum.Enum):
+        return f"{type(value).__qualname__}.{value.name}"
+    if value is None or type(value) in (bool, int, float, str, bytes):
+        return f"{type(value).__name__}:{value!r}"
+    if type(value) is tuple:
+        return "(" + ",".join(map(fingerprint, value)) + ")"
+    return f"<{type(value).__module__}.{type(value).__qualname__}>"
+'''
+
+_COLLECTOR = _FINGERPRINT + '''
+import json, os, sys, threading
 
 _SRC = os.environ["REACH_SRC"]
 _DIR = os.environ["REACH_DIR"]
+with open(os.environ["REACH_PARAMS"]) as _f:
+    _DEFAULTED = {(path, qual): names for path, qual, names in json.load(_f)}
 _seen = {}
+_open_params = {}  # id(code) -> {parameter: fingerprints seen}, until two
 _out = None
 
 
 def _open():
     global _out
     _seen.clear()
+    _open_params.clear()
     _out = open(os.path.join(_DIR, f"{os.getpid()}.tsv"), "a", buffering=1)
 
 
@@ -156,10 +205,27 @@ def _hook(frame, event, arg):
     if event != "call":
         return
     code = frame.f_code
-    if id(code) not in _seen:
-        _seen[id(code)] = code  # kept alive, so an id is never reused
+    key = id(code)
+    if key not in _seen:
+        _seen[key] = code  # kept alive, so an id is never reused
         if code.co_filename.startswith(_SRC):
             _out.write(f"{code.co_filename}\\t{code.co_qualname}\\n")
+            names = _DEFAULTED.get((code.co_filename, code.co_qualname))
+            if names:
+                _open_params[key] = {name: set() for name in names}
+    params = _open_params.get(key)
+    if params is None:
+        return
+    local = frame.f_locals
+    for name, prints in list(params.items()):
+        print_ = fingerprint(local.get(name))
+        if print_ not in prints:
+            prints.add(print_)
+            _out.write(f"{code.co_filename}\\t{code.co_qualname}\\t{name}\\t{print_}\\n")
+            if len(prints) == 2:
+                del params[name]
+    if not params:
+        del _open_params[key]
 
 
 _open()
@@ -222,79 +288,223 @@ def entry_points(scratch: Path) -> list[tuple[str, list[str]]]:
     return runs
 
 
-def defined_functions() -> set[tuple[str, str]]:
-    """``(module path, qualname)`` of every ``def`` under ``src/``."""
-    found: set[tuple[str, str]] = set()
+def _defs(root: Path = SRC):
+    """``(module path, qualname, def node, is a method)`` of every ``def`` under ``root``."""
 
-    def walk(node: ast.AST, prefix: str, path: str) -> None:
+    def walk(node: ast.AST, prefix: str, path: str, in_class: bool):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 qual = prefix + child.name
-                found.add((path, qual))
-                walk(child, qual + ".<locals>.", path)
+                yield path, qual, child, in_class
+                yield from walk(child, qual + ".<locals>.", path, False)
             elif isinstance(child, ast.ClassDef):
-                walk(child, prefix + child.name + ".", path)
+                yield from walk(child, prefix + child.name + ".", path, True)
             else:
-                walk(child, prefix, path)
+                yield from walk(child, prefix, path, in_class)
 
-    for file in sorted(SRC.rglob("*.py")):
-        walk(ast.parse(file.read_text()), "", str(file.relative_to(ROOT)))
-    return found
+    for file in sorted(root.rglob("*.py")):
+        yield from walk(ast.parse(file.read_text()), "", str(file.relative_to(ROOT)), False)
 
 
-def entered(reach_dir: Path) -> set[tuple[str, str]]:
-    seen = set()
+def defined_functions() -> set[tuple[str, str]]:
+    """``(module path, qualname)`` of every ``def`` under ``src/``."""
+    return {(path, qual) for path, qual, _, _ in _defs()}
+
+
+def _defaults(node: ast.FunctionDef | ast.AsyncFunctionDef) -> dict[str, ast.expr]:
+    args = node.args
+    positional = args.posonlyargs + args.args
+    named = dict(zip([a.arg for a in positional[len(positional) - len(args.defaults):]],
+                     args.defaults))
+    named.update((a.arg, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+    return named
+
+
+def defaulted_parameters() -> dict[tuple[str, str], dict[str, ast.expr]]:
+    """``(module path, qualname) -> {parameter: default expression}`` under ``src/``."""
+    return {(path, qual): named for path, qual, node, _ in _defs() if (named := _defaults(node))}
+
+
+def defined_parameters() -> set[tuple[str, str, str]]:
+    return {(*key, name) for key, named in defaulted_parameters().items() for name in named}
+
+
+_fingerprint_ns: dict = {}
+exec(_FINGERPRINT, _fingerprint_ns)
+#: The collector's fingerprint: scalars, enum members and tuples of these
+#: by value, anything else by class.
+fingerprint = _fingerprint_ns["fingerprint"]
+
+
+def _literal(node: ast.expr) -> tuple[bool, object]:
+    try:
+        return True, ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError):
+        return False, None
+
+
+def default_fingerprints(
+    params: dict[tuple[str, str], dict[str, ast.expr]],
+) -> dict[tuple[str, str, str], str | None]:
+    """Each default, resolved by qualified name and fingerprinted (None: unresolved)."""
+    import importlib
+    import inspect
+
+    sys.path.insert(0, str(SRC))
+    prints: dict[tuple[str, str, str], str | None] = {}
+    for (path, qual), named in params.items():
+        func = None
+        if "<locals>" not in qual:
+            module = ".".join(Path(path).relative_to("src").with_suffix("").parts)
+            obj = importlib.import_module(module.removesuffix(".__init__"))
+            for part in qual.split("."):
+                obj = inspect.getattr_static(obj, part, None)
+                obj = getattr(obj, "__func__", None) or getattr(obj, "fget", None) or obj
+            func = inspect.unwrap(obj) if callable(obj) else None
+        signature = inspect.signature(func).parameters if func is not None else {}
+        for name, node in named.items():
+            if name in signature:
+                prints[(path, qual, name)] = fingerprint(signature[name].default)
+            else:
+                ok, value = _literal(node)
+                prints[(path, qual, name)] = fingerprint(value) if ok else None
+    return prints
+
+
+def statically_varied(
+    params: dict[tuple[str, str], dict[str, ast.expr]],
+    defaults: dict[tuple[str, str, str], str | None],
+) -> set[tuple[str, str, str]]:
+    """Parameters a call site under ``src/``, ``examples/`` or ``benchmarks/``
+    passes a literal other than the default, traced or not.
+
+    A call is matched to every def of the called name (a class name calls
+    its ``__init__``), so a shared name can only hide a row, never add one.
+    """
+    by_name: dict[str, list[tuple[tuple[str, str], list[str]]]] = {}
+    for path, qual, node, method in _defs():
+        if (path, qual) not in params:
+            continue
+        positional = [a.arg for a in node.args.posonlyargs + node.args.args]
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+        if method and not static:
+            positional = positional[1:]
+        parts = qual.split(".")
+        name = parts[-2] if parts[-1] == "__init__" and len(parts) > 1 else parts[-1]
+        by_name.setdefault(name, []).append(((path, qual), positional))
+    varied = set()
+    for root in ("src", "examples", "benchmarks"):
+        for file in sorted((ROOT / root).rglob("*.py")):
+            for call in ast.walk(ast.parse(file.read_text())):
+                if not isinstance(call, ast.Call):
+                    continue
+                func = call.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                for key, positional in by_name.get(name, ()):
+                    passed = [(kw.arg, kw.value) for kw in call.keywords if kw.arg]
+                    for index, arg in enumerate(call.args):
+                        if isinstance(arg, ast.Starred) or index >= len(positional):
+                            break
+                        passed.append((positional[index], arg))
+                    for param, value in passed:
+                        if param not in params[key]:
+                            continue
+                        ok, literal = _literal(value)
+                        if ok and fingerprint(literal) != defaults[(*key, param)]:
+                            varied.add((*key, param))
+    return varied
+
+
+def read_runs(reach_dir: Path) -> tuple[set[tuple[str, str]], dict[tuple[str, str, str], set[str]]]:
+    """The defs the runs entered, and each parameter's recorded fingerprints."""
+    seen: set[tuple[str, str]] = set()
+    bound: dict[tuple[str, str, str], set[str]] = {}
     for file in reach_dir.glob("*.tsv"):
         for line in file.read_text().splitlines():
-            filename, qual = line.split("\t")
-            seen.add((str(Path(filename).relative_to(ROOT)), qual))
-    return seen
+            filename, qual, *param = line.split("\t")
+            path = str(Path(filename).relative_to(ROOT))
+            seen.add((path, qual))
+            if param:
+                name, print_ = param
+                bound.setdefault((path, qual, name), set()).add(print_)
+    return seen, bound
 
 
-def committed_table(path: Path = TABLE) -> dict[tuple[str, str], str]:
-    """``(module path, qualname) -> disposition`` of the committed table."""
-    rows: dict[tuple[str, str], str] = {}
+def never_varied(bound: dict[tuple[str, str, str], set[str]]) -> set[tuple[str, str, str]]:
+    """Every defaulted ``src/`` parameter no run and no literal call site varies."""
+    params = defaulted_parameters()
+    defaults = default_fingerprints(params)
+    unvaried = {
+        key for key, default in defaults.items()
+        if default is not None and bound.get(key, {default}) == {default}
+    }
+    return unvaried - statically_varied(params, defaults)
+
+
+def _committed(header: str, row: re.Pattern, path: Path) -> dict[tuple[str, ...], str]:
+    rows: dict[tuple[str, ...], str] = {}
     lines = iter(path.read_text().splitlines())
     for line in lines:
-        if line == HEADER:
+        if line == header:
             break
     next(lines, None)  # the |---| rule
     for line in lines:
-        match = _ROW.match(line)
+        match = row.match(line)
         if match is None:
             break
-        module, qual, disposition = match.groups()
-        rows[("src/" + module, qual)] = disposition.strip()
+        *key, disposition = match.groups()
+        rows[("src/" + key[0], *key[1:])] = disposition.strip()
     return rows
 
 
-def disposition_problem(disposition: str) -> str | None:
-    """Why ``disposition`` is not from the vocabulary, or None."""
-    if disposition == "delete":
+def committed_table(path: Path = TABLE) -> dict[tuple[str, ...], str]:
+    """``(module path, qualname) -> disposition`` of the committed functions table."""
+    return _committed(HEADER, _ROW, path)
+
+
+def committed_options(path: Path = TABLE) -> dict[tuple[str, ...], str]:
+    """``(module path, qualname, parameter) -> disposition`` of the committed options table."""
+    return _committed(OPTIONS_HEADER, _OPTION_ROW, path)
+
+
+def disposition_problem(disposition: str, options: bool = False) -> str | None:
+    """Why ``disposition`` is not from the functions (or options) vocabulary, or None."""
+    if disposition == ("constant" if options else "delete"):
         return None
     kind, _, rest = disposition.partition(": ")
-    if kind == "reference":
+    if kind == "reference" and not options:
         return None if (ROOT / rest).is_file() else f"no file {rest}"
     if kind == "kept":
         reason = rest.split(" — ")[0]
-        return None if reason in KEPT_REASONS else f"unknown reason {reason!r}"
-    return f"not delete / reference: <path> / kept: <reason>: {disposition!r}"
+        return None if reason in (OPTION_KEPT_REASONS if options else KEPT_REASONS) \
+            else f"unknown reason {reason!r}"
+    vocabulary = "constant / kept: <reason>" if options else "delete / reference: <path> / kept: <reason>"
+    return f"not {vocabulary}: {disposition!r}"
 
 
-def check(never: set[tuple[str, str]], defined: set[tuple[str, str]]) -> list[str]:
-    """Every way the committed table disagrees with this run."""
-    rows = committed_table()
-    problems = [f"no row for never-entered {path}:{qual}" for path, qual in sorted(never - set(rows))]
-    for (path, qual) in sorted(set(rows) - never):
-        gone = (path, qual) not in defined
-        problems.append(f"row for {path}:{qual}, which is " + ("gone" if gone else "now entered"))
+def check(never: set, defined: set, rows: dict) -> list[str]:
+    """Every way a committed table disagrees with this run."""
+    problems = [f"no row for {':'.join(key)}" for key in sorted(never - set(rows))]
+    for key in sorted(set(rows) - never):
+        gone = key not in defined
+        problems.append(f"row for {':'.join(key)}, which is " + ("gone" if gone else "now reached"))
     return problems
+
+
+def _print_table(header: str, keys: set, rows: dict) -> None:
+    print(header)
+    print("|" + "---|" * (header.count("|") - 1))
+    for key in sorted(keys):
+        disposition = rows.get(key)
+        cell = f" {disposition} " if disposition else " "
+        cells = " | ".join(f"`{part}`" for part in (key[0].removeprefix("src/"), *key[1:]))
+        print(f"| {cells} |{cell}|")
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", action="store_true",
-                        help="exit 1 when the committed table is out of date")
+                        help="exit 1 when a committed table is out of date")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         scratch = Path(tmp)
@@ -302,11 +512,17 @@ def main(argv: list[str] | None = None) -> int:
         (scratch / "site" / "sitecustomize.py").write_text(_COLLECTOR)
         reach_dir = scratch / "reach"
         reach_dir.mkdir()
+        params_file = scratch / "params.json"
+        params_file.write_text(json.dumps([
+            [str(ROOT / path), qual, list(named)]
+            for (path, qual), named in sorted(defaulted_parameters().items())
+        ]))
         env = {
             **os.environ,
             "PYTHONPATH": os.pathsep.join([str(scratch / "site"), str(SRC)]),
             "REACH_SRC": str(SRC) + os.sep,
             "REACH_DIR": str(reach_dir),
+            "REACH_PARAMS": str(params_file),
         }
         failed = []
         for label, cmd in entry_points(scratch):
@@ -315,24 +531,22 @@ def main(argv: list[str] | None = None) -> int:
             if done.returncode != 0:
                 failed.append(label)
                 print(done.stderr[-2000:], file=sys.stderr)
-        seen = entered(reach_dir)
+        seen, bound = read_runs(reach_dir)
     defined = defined_functions()
     never = defined - seen
-    print(f"{len(never)} functions never entered"
+    unvaried = never_varied(bound)
+    print(f"{len(never)} functions never entered, {len(unvaried)} parameters never varied"
           + (f"; entry points failed: {', '.join(failed)}" if failed else ""),
           file=sys.stderr)
     if args.check:
-        problems = check(never, defined)
+        problems = check(never, defined, committed_table())
+        problems += check(unvaried, defined_parameters(), committed_options())
         for problem in problems:
             print(problem, file=sys.stderr)
         return 1 if failed or problems else 0
-    rows = committed_table()
-    print(HEADER)
-    print("|---|---|---|")
-    for path, qual in sorted(never):
-        disposition = rows.get((path, qual))
-        cell = f" {disposition} " if disposition else " "
-        print(f"| `{path.removeprefix('src/')}` | `{qual}` |{cell}|")
+    _print_table(HEADER, never, committed_table())
+    print()
+    _print_table(OPTIONS_HEADER, unvaried, committed_options())
     return 1 if failed else 0
 
 

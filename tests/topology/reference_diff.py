@@ -16,6 +16,7 @@ from collections import Counter
 from repro.topology.diff import MapDiff
 from repro.topology.isomorphism import match_networks
 from repro.topology.model import Network
+from tests.topology.reference_queries import degree, used_ports
 
 
 def host_signature(net: Network, host: str) -> tuple:
@@ -27,17 +28,17 @@ def host_signature(net: Network, host: str) -> tuple:
     peers = tuple(
         sorted(
             far.node
-            for port in net.used_ports(switch)
+            for port in used_ports(net, switch)
             if (far := net.neighbor_at(switch, port)) is not None
             and net.is_host(far.node)
             and far.node != host
         )
     )
-    return (net.degree(switch), peers)
+    return (degree(net, switch), peers)
 
 
 def degree_profile(net: Network) -> Counter:
-    return Counter(net.degree(s) for s in net.switches)
+    return Counter(degree(net, s) for s in net.switches)
 
 
 def reference_diff_networks(old: Network, new: Network) -> MapDiff:

@@ -1,4 +1,4 @@
-"""One-value questions of ``repro.topology.analysis`` that only tests ask.
+"""One-value questions of ``repro.topology`` that only tests ask.
 
 The product reads ``D``, the switch-bridges and every ``Q(v)`` off one
 :func:`~repro.topology.analysis.core_decomposition` pass (or one
@@ -10,6 +10,16 @@ from __future__ import annotations
 
 from repro.topology.analysis import _Fabric, _TrailFlow, bridges, core_decomposition
 from repro.topology.model import Network, Wire
+
+
+def used_ports(net: Network, node: str) -> list[int]:
+    """The wired ports of ``node``, ascending."""
+    return [p for p in range(net.radix(node)) if net.neighbor_at(node, p) is not None]
+
+
+def degree(net: Network, node: str) -> int:
+    """Number of wired ports on ``node`` (a loopback cable counts twice)."""
+    return len(used_ports(net, node))
 
 
 def diameter(net: Network) -> int:

@@ -9,7 +9,7 @@ from repro.topology.analysis import (
     recommended_search_depth,
     separated_set,
 )
-from repro.topology.builder import NetworkBuilder
+from tests.topology.reference_builder import NetworkBuilder
 from repro.topology.generators import random_san
 from tests.topology.reference_analysis import separated_set_flow
 from tests.topology.reference_queries import diameter, q_value, switch_bridges

@@ -22,7 +22,7 @@ from repro.topology.analysis import (
     recommended_search_depth,
     separated_set,
 )
-from repro.topology.builder import NetworkBuilder
+from tests.topology.reference_builder import NetworkBuilder
 from repro.topology.generators import (
     build_full_now,
     build_subcluster,

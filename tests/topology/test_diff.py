@@ -1,7 +1,7 @@
 """Structural map-diff tests."""
 
 from repro.topology.diff import diff_networks
-from repro.topology.builder import NetworkBuilder
+from tests.topology.reference_builder import NetworkBuilder
 from repro.topology.generators import build_subcluster
 
 

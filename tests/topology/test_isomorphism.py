@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.topology.builder import NetworkBuilder
+from tests.topology.reference_builder import NetworkBuilder
 from repro.topology.isomorphism import match_networks
 from tests.topology.reference_isomorphism import networks_equal
 
@@ -46,6 +46,24 @@ class TestPositive:
 
     def test_parallel_wires_matched_individually(self, two_switch_net):
         assert match_networks(two_switch_net, two_switch_net)
+
+    def test_host_to_host_cable(self):
+        """A host cabled to a host anchors no switch; the pair still
+        matches, and the same host on a switch instead does not."""
+
+        def with_host_cable(on_switch: bool):
+            net = _two_switch()
+            net.add_host("h3")
+            net.add_host("h4")
+            if on_switch:
+                net.connect("h3", 0, "s1", 7)
+            else:
+                net.connect("h3", 0, "h4", 0)
+            return net
+
+        assert match_networks(with_host_cable(False), with_host_cable(False))
+        report = match_networks(with_host_cable(False), with_host_cable(True))
+        assert not report and "h3" in report.reason
 
 
 class TestNegative:

@@ -8,7 +8,7 @@ nothing to anchor it; the matcher refuses such a pair with a named reason
 instead of searching, and the exhaustive oracle shows a witness exists.
 """
 
-from repro.topology.builder import NetworkBuilder
+from tests.topology.reference_builder import NetworkBuilder
 from repro.topology.isomorphism import match_networks
 from tests.topology.reference_isomorphism import match_networks_pairwise
 

@@ -16,7 +16,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.topology.builder import NetworkBuilder
+from tests.topology.reference_builder import NetworkBuilder
 from repro.topology.generators import (
     build_mesh,
     build_ring,
@@ -27,6 +27,7 @@ from repro.topology.generators import (
 from repro.topology.isomorphism import match_networks
 from repro.topology.model import Network, TopologyError
 from tests.topology.reference_isomorphism import match_networks_pairwise
+from tests.topology.reference_queries import used_ports
 
 
 def _shifted_copy(net: Network, rng: random.Random) -> Network:
@@ -35,7 +36,7 @@ def _shifted_copy(net: Network, rng: random.Random) -> Network:
     shift: dict[str, int] = {}
     for s in net.switches:
         out.add_switch(s, radix=net.radix(s))
-        ports = net.used_ports(s)
+        ports = used_ports(net, s)
         lo = min(ports) if ports else 0
         hi = max(ports) if ports else 0
         shift[s] = rng.randint(-lo, net.radix(s) - 1 - hi)
