@@ -35,7 +35,11 @@ from repro.routing.paths import all_pairs_updown_paths
 from repro.routing.updown import orient_updown
 from repro.simulator.faults import FaultModel
 from repro.simulator.stack import ProbeLayer
-from repro.topology.analysis import effective_network, recommended_search_depth
+from repro.topology.analysis import (
+    DistanceMemo,
+    effective_network,
+    recommended_search_depth,
+)
 from repro.topology.delta import EMPTY_DELTA, seedable_removals
 from repro.topology.diff import MapDiff, diff_networks
 from repro.topology.model import Network
@@ -63,6 +67,7 @@ def map_cycle(
     seed: MapSeed | None = None,
     search_depth: int | None = None,
     max_explorations: int | None = MAX_EXPLORATIONS,
+    memo: DistanceMemo | None = None,
     **stack_kwargs: Any,
 ) -> tuple[MapResult, Any]:
     """The mapping half of a remap cycle; returns the result and the
@@ -75,6 +80,8 @@ def map_cycle(
     ``stack_kwargs`` (``layers=``, ``collision=``, ``timing=``) go to
     :func:`~repro.simulator.stack.build_service_stack`. A ``seed`` handed
     to a mapper without ``seed_with`` is dropped, and the result says so.
+    With no ``search_depth`` the cycle maps at the proven depth, through
+    ``memo`` when the caller keeps one across cycles.
     Raises :class:`~repro.core.mapper.MappingError` on a deduction
     contradiction.
     """
@@ -86,7 +93,9 @@ def map_cycle(
             # chain) and a dead wire answers no probe, so the proven
             # ``Q + D + 1`` is taken on what the mapper can still reach.
             fabric = effective_network(net, faults, mapper_host)
-    depth = search_depth or recommended_search_depth(fabric, mapper_host)
+    depth = search_depth
+    if depth is None:
+        depth = recommended_search_depth(fabric, mapper_host, memo)
     svc = build_mapper_service(mapper, net, mapper_host, **stack_kwargs)
     built = resolve_mapper_factory(
         mapper,
@@ -103,14 +112,17 @@ def map_cycle(
     return result, svc
 
 
-def route_cycle(new_map: Network) -> tuple[RouteGeneration, bool]:
+def route_cycle(
+    new_map: Network, memo: DistanceMemo | None = None
+) -> tuple[RouteGeneration, bool]:
     """The routing half: UP*/DOWN* tables for ``new_map`` and their
-    Dally–Seitz verdict.
+    Dally–Seitz verdict. ``memo`` keeps the root pick's BFS rows across
+    the maps of one caller.
 
     Raises ``ValueError`` when the map is too degenerate to orient (e.g.
     the mapper host alone behind a cut).
     """
-    orientation = orient_updown(new_map)
+    orientation = orient_updown(new_map, memo=memo)
     paths = all_pairs_updown_paths(new_map, orientation)
     tables = compile_route_tables(new_map, paths)
     return tables, routes_deadlock_free(tables)
@@ -160,7 +172,10 @@ class RemapperDaemon:
     cycle's stack, so a layer with per-cycle state rearms itself (the
     chaos runner's does). ``faults`` also feeds seed planning, which
     ``incremental`` turns on; every fallback path degrades to the plain
-    from-scratch cycle and says why.
+    from-scratch cycle and says why. Every daemon keeps two
+    :class:`~repro.topology.analysis.DistanceMemo` objects across cycles,
+    one for the search depth on the true fabric and one for the root pick
+    on its maps: both are exact, so neither is a setting.
     """
 
     def __init__(
@@ -188,6 +203,8 @@ class RemapperDaemon:
         self._net_epoch: int | None = None
         self._fault_epoch: int | None = None
         self._scratch_probes: int | None = None
+        self._depth_memo = DistanceMemo()
+        self._root_memo = DistanceMemo()
 
     # ------------------------------------------------------------------
     def _plan_seed(self) -> tuple[MapSeed | None, str | None]:
@@ -229,6 +246,7 @@ class RemapperDaemon:
             mapper=self._mapper,
             seed=seed,
             search_depth=self._search_depth,
+            memo=self._depth_memo,
             layers=self._layers,
         )
         new_map = result.network
@@ -255,7 +273,7 @@ class RemapperDaemon:
         report: DistributionReport | None = None
         elapsed = result.stats.elapsed_ms
         if rerouted:
-            tables, safe = route_cycle(new_map)
+            tables, safe = route_cycle(new_map, self._root_memo)
             # Incremental distribution: push only per-host deltas against
             # the previous generation (the first cycle degenerates to a
             # full push).

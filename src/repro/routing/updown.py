@@ -21,49 +21,34 @@ Two refinements from the paper are implemented:
 Labels are totally ordered pairs ``(level, tiebreak)`` so that parallel
 wires and equal BFS depths orient deterministically.
 
-Root choice and labelling are plain BFS over one neighbour-set adjacency,
+Root choice and labelling are plain BFS rows over one integer-indexed
+fabric (:class:`~repro.topology.analysis._Fabric`, nodes in name order),
 built once per :func:`orient_updown`. A host has one wire, so it is one
 hop further from everything than the switch it hangs off: the root is
-scored from one BFS per host-bearing switch, not one per host.
+scored from one BFS row per host-bearing switch, not one per host. A
+caller that orients map after map passes the same
+:class:`~repro.topology.analysis.DistanceMemo`, and a map that only lost
+wires re-runs only the rows the loss changed (docs/ALGORITHM.md §5).
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
+from repro.topology.analysis import DistanceMemo, _Fabric
 from repro.topology.model import Network
 
 __all__ = ["UpDownOrientation", "orient_updown"]
 
 
-def _adjacency(net: Network) -> dict[str, set[str]]:
-    """Neighbour sets of the underlying simple graph (loopbacks ignored)."""
-    adjacency: dict[str, set[str]] = {n: set() for n in net.nodes}
-    for wire in net.wires:
-        u, v = wire.nodes
-        if u != v:
-            adjacency[u].add(v)
-            adjacency[v].add(u)
-    return adjacency
-
-
-def _hops_from(start: str, adjacency: dict[str, set[str]]) -> dict[str, int]:
-    """Plain BFS hop counts from ``start`` to everything it reaches."""
-    hops = {start: 0}
-    queue: deque[str] = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v in adjacency[u]:
-            if v not in hops:
-                hops[v] = hops[u] + 1
-                queue.append(v)
-    return hops
-
-
 def _pick_root(
-    net: Network, adjacency: dict[str, set[str]], ignore_utility: bool
+    net: Network,
+    fab: _Fabric,
+    distances: Callable[[int], list[int]],
+    ignore_utility: bool,
 ) -> str:
     """The switch maximizing distance from all (non-utility) hosts.
 
@@ -71,7 +56,8 @@ def _pick_root(
     host; ties break on the larger *total* distance, then on name (for
     determinism). This "picks a natural root of the network and allows
     packets to flow up to the least common ancestor of a source and
-    destination".
+    destination". ``fab`` indexes the nodes in name order and
+    ``distances`` answers its BFS rows.
     """
     hosts = [
         h
@@ -82,26 +68,32 @@ def _pick_root(
         hosts = list(net.hosts)
     if not hosts:
         raise ValueError("network has no hosts to route between")
-    # One BFS per attachment switch, weighted by the hosts on it (each one
-    # hop further than the switch); a host wired to no switch reaches none
-    # and contributes nothing.
+    # One BFS row per attachment switch, weighted by the hosts on it (each
+    # one hop further than the switch); a host wired to no switch reaches
+    # none and contributes nothing.
+    index = {name: i for i, name in enumerate(fab.names)}
+    is_host = fab.is_host
     hosts_on = Counter(
         attached
         for h in hosts
-        for attached in adjacency[h]
-        if net.is_switch(attached)
+        for attached in fab.nbrs[index[h]]
+        if not is_host[attached]
     )
-    nearest: dict[str, int] = {}
-    total: dict[str, int] = {}
+    switches = [i for i, host in enumerate(is_host) if not host]
+    nearest: dict[int, int] = {}
+    total: dict[int, int] = {}
     for attached, count in hosts_on.items():
-        for node, hops in _hops_from(attached, adjacency).items():
-            nearest[node] = min(nearest.get(node, hops + 1), hops + 1)
-            total[node] = total.get(node, 0) + count * (hops + 1)
-    reached = [s for s in sorted(net.switches) if s in nearest]
+        row = distances(attached)
+        for s in switches:
+            hops = row[s] + 1
+            if hops:  # row[s] is -1 where the switch is not reached
+                nearest[s] = min(nearest.get(s, hops), hops)
+                total[s] = total.get(s, 0) + count * hops
+    reached = [s for s in switches if s in nearest]
     if not reached:
         raise ValueError("no switch is reachable from the hosts")
     # max() keeps the first of equal keys: ties break on name.
-    return max(reached, key=lambda s: (nearest[s], total[s]))
+    return fab.names[max(reached, key=lambda s: (nearest[s], total[s]))]
 
 
 @dataclass(slots=True)
@@ -118,37 +110,49 @@ class UpDownOrientation:
 
 
 def orient_updown(
-    net: Network, *, root: str | None = None, relabel_dominant: bool = True
+    net: Network,
+    *,
+    root: str | None = None,
+    relabel_dominant: bool = True,
+    memo: DistanceMemo | None = None,
 ) -> UpDownOrientation:
-    """Compute the UP*/DOWN* orientation of a network map."""
-    adjacency = _adjacency(net)
+    """Compute the UP*/DOWN* orientation of a network map.
+
+    ``memo`` keeps the root pick's BFS rows from one call to the next.
+    """
+    ordered = sorted(net.nodes)
+    fab = _Fabric.of(net, ordered)
     if root is None:
-        root = _pick_root(net, adjacency, True)
+        if memo is None:
+            memo = DistanceMemo()
+        memo.begin(fab, None)
+        root = _pick_root(net, fab, memo.distances, True)
     if not net.is_switch(root):
         raise ValueError(f"root {root} is not a switch")
 
-    # BFS levels over the underlying simple graph.
-    level = _hops_from(root, adjacency)
+    # BFS levels over the underlying simple graph; a node's index is its
+    # place in name order.
+    level = fab.distances(ordered.index(root))
 
     # A partial map can be disconnected (islands from partial-view merging
     # or bounded exploration). Each extra component gets its own BFS from a
     # local sub-root; orientations never interact across components because
     # no wire crosses one.
-    ordered = sorted(net.nodes)
-    remaining = [n for n in ordered if n not in level]
+    remaining = [i for i, hops in enumerate(level) if hops < 0]
     while remaining:
         sub_root = next(
-            (n for n in remaining if net.is_switch(n)), remaining[0]
+            (i for i in remaining if not fab.is_host[i]), remaining[0]
         )
-        level.update(_hops_from(sub_root, adjacency))
-        remaining = [n for n in remaining if n not in level]
+        for i, hops in enumerate(fab.distances(sub_root)):
+            if hops >= 0:
+                level[i] = hops
+        remaining = [i for i in remaining if level[i] < 0]
 
     # Total order: (level, stable index). Hosts sit below their switch by
     # construction of BFS (their only neighbor is one level up), so host
     # wires orient host -> switch = up automatically.
-    tiebreak = {n: i for i, n in enumerate(ordered)}
     labels: dict[str, tuple[Fraction, int]] = {
-        n: (Fraction(level[n]), i) for n, i in tiebreak.items()
+        n: (Fraction(level[i]), i) for i, n in enumerate(ordered)
     }
 
     relabeled: list[str] = []
@@ -160,13 +164,15 @@ def orient_updown(
         # one switch can expose another), with a safety cap.
         changed = True
         rounds = 0
+        switches = [i for i, host in enumerate(fab.is_host) if not host]
         while changed and rounds <= net.n_switches * net.n_switches:
             rounds += 1
             changed = False
-            for s in sorted(net.switches):
-                if s == root or s not in labels:
+            for i in switches:
+                s = ordered[i]
+                if s == root:
                     continue
-                nbrs = [n for n in adjacency[s] if n in labels]
+                nbrs = [ordered[w] for w in fab.nbrs[i]]
                 if not nbrs:
                     continue
                 if all(labels[n] < labels[s] for n in nbrs):
@@ -175,7 +181,7 @@ def orient_updown(
                     # BFS labels minus one" — fractional step keeps the
                     # label above the next level up, preserving the rest of
                     # the order.
-                    labels[s] = (lowest[0] - Fraction(1, 2), tiebreak[s])
+                    labels[s] = (lowest[0] - Fraction(1, 2), i)
                     relabeled.append(s)
                     changed = True
 

@@ -29,13 +29,19 @@ hop distance from ``h0`` and its eccentricity is read off its switch's BFS.
 Everything parameterised by a mapper host ``h0`` is computed over ``h0``'s
 connected component: what in-band probing cannot reach has no bearing on
 the depth the mapper needs.
+
+A caller that asks again after a change keeps a :class:`DistanceMemo`:
+after a change that only removed wires it re-runs only the flows and BFS
+rows the removal changed (``docs/ALGORITHM.md`` §4). The UP*/DOWN* root
+pick keeps its BFS rows in one too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING
+from math import inf
+from typing import TYPE_CHECKING, Callable
 
 from repro.topology.model import Network, TopologyError, Wire
 
@@ -44,6 +50,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "CoreDecomposition",
+    "DistanceMemo",
     "bridges",
     "core_decomposition",
     "core_network",
@@ -83,8 +90,11 @@ class _Fabric:
         ]
 
     @classmethod
-    def of(cls, net: Network) -> _Fabric:
-        names = net.nodes
+    def of(cls, net: Network, names: list[str] | None = None) -> _Fabric:
+        """The fabric of ``net``, its nodes indexed in ``names`` order
+        (``net.nodes`` when not given)."""
+        if names is None:
+            names = net.nodes
         index = {name: i for i, name in enumerate(names)}
         mult: dict[tuple[int, int], int] = {}
         for wire in net.wires:
@@ -136,8 +146,9 @@ class _Fabric:
             frontier = reached
         return dist
 
-    def diameter(self) -> int:
-        """The largest eccentricity, by one BFS per node that is not a leaf.
+    def diameter(self, distances: Callable[[int], list[int]]) -> int:
+        """The largest eccentricity, by one BFS row per node that is not a
+        leaf, each read from ``distances``.
 
         A leaf ``h`` on switch ``s`` reaches everything through ``s``, so
         ``ecc(h) = 1 + max_{x≠h} d(s, x)``: ``1 + ecc(s)`` whenever ``s``
@@ -149,7 +160,7 @@ class _Fabric:
         for source, switch in enumerate(self.leaf):
             if switch >= 0:
                 continue
-            dist = self.distances(source)
+            dist = distances(source)
             if min(dist) < 0:
                 raise TopologyError("network is not connected")
             far = max(dist)
@@ -259,10 +270,13 @@ class _TrailFlow:
     just follows ``toward``, and the same ``pi`` serves as the potentials
     that keep the second search's reduced costs ``rc`` non-negative. Each
     ``q(v)`` pushes one unit along that path, runs one Dijkstra on the
-    residual arcs, and puts the capacities back.
+    residual arcs, and puts the capacities back. Wire arc ``a`` belongs to
+    the node pair ``pairs[a >> 2]``.
     """
 
-    __slots__ = ("root", "sink", "head", "cap", "rc", "out", "pi", "toward")
+    __slots__ = (
+        "root", "sink", "head", "cap", "rc", "out", "pi", "toward", "pairs", "n_wire_arcs",
+    )
 
     def __init__(self, fab: _Fabric, root: int) -> None:
         n = len(fab.names)
@@ -285,6 +299,8 @@ class _TrailFlow:
             arc(a, b, 2 * m if b == root else m, 1)
             arc(b, a, 2 * m if a == root else m, 1)
         n_wire_arcs = len(head)
+        self.pairs = list(fab.mult)
+        self.n_wire_arcs = n_wire_arcs
 
         pi = [-1] * (n + 3)
         toward = [-1] * (n + 3)
@@ -322,10 +338,11 @@ class _TrailFlow:
             cost[a] + pi[head[a]] - pi[head[a ^ 1]] for a in range(len(head))
         ]
 
-    def q(self, v: int) -> int | None:
-        """``Q(v)``, or ``None`` when no two such trails exist."""
+    def q(self, v: int) -> tuple[int | None, frozenset[tuple[int, int]]]:
+        """``Q(v)`` (``None`` when no two such trails exist) and its
+        witness: the node pairs that either augmenting path crosses."""
         if v == self.root:
-            return 0
+            return 0, frozenset()
         head, cap, toward = self.head, self.cap, self.toward
         path = []
         u = v
@@ -335,34 +352,147 @@ class _TrailFlow:
             cap[a] -= 1
             cap[a ^ 1] += 1
             u = head[a]
-        second = self._residual_distance(v)
+        second = self._residual_path(v)
         for a in path:
             cap[a] += 1
             cap[a ^ 1] -= 1
-        return None if second is None else 2 * self.pi[v] + second
+        if second is None:
+            return None, frozenset()
+        cost, arcs = second
+        pairs, n_wire_arcs = self.pairs, self.n_wire_arcs
+        witness = frozenset(
+            pairs[a >> 2] for a in path + arcs if a < n_wire_arcs
+        )
+        return 2 * self.pi[v] + cost, witness
 
-    def _residual_distance(self, v: int) -> int | None:
-        """Reduced-cost distance from ``v`` to the sink over residual arcs."""
+    def _residual_path(self, v: int) -> tuple[int, list[int]] | None:
+        """Reduced-cost distance from ``v`` to the sink over residual arcs,
+        and the arcs of one shortest such path."""
         head, cap, rc, out, sink = self.head, self.cap, self.rc, self.out, self.sink
-        best = {v: 0}
+        best: list[float] = [inf] * len(out)
+        best[v] = 0
+        via = [0] * len(out)
         heap = [(0, v)]
         while heap:
             d, u = heappop(heap)
             if u == sink:
-                return d
+                arcs = []
+                while u != v:
+                    a = via[u]
+                    arcs.append(a)
+                    u = head[a ^ 1]
+                return d, arcs
             if d > best[u]:
                 continue
             for a in out[u]:
                 if cap[a]:
                     w = head[a]
                     nd = d + rc[a]
-                    if nd < best.get(w, nd + 1):
+                    if nd < best[w]:
                         best[w] = nd
+                        via[w] = a
                         heappush(heap, (nd, w))
         return None
 
 
+class DistanceMemo:
+    """Distance work one owner keeps from one call to the next.
 
+    A memo holds the last fabric it was given, the BFS rows asked of it
+    there and the ``Q(v)`` flows with their witnesses. :meth:`begin`
+    compares a new fabric with that one by ``mult``. When the change only
+    removed wires, a kept row is reused if it passes the row test and a
+    kept flow if none of its witness pairs lost a wire (docs/ALGORITHM.md
+    §4); both are then exact. Any other change drops everything, and
+    ``fallback`` names why. ``rows_run`` and ``flows_run`` count what the
+    last call computed afresh; what it did not ask for is forgotten.
+    """
+
+    __slots__ = (
+        "fallback", "rows", "flows", "rows_run", "flows_run",
+        "_fab", "_root", "_flow", "_kept_rows", "_kept_flows", "_gone", "_lost",
+    )
+
+    def __init__(self) -> None:
+        self.fallback: str | None = None
+        self.rows: dict[int, list[int]] = {}
+        self.flows: dict[int, tuple[int | None, frozenset[tuple[int, int]]]] = {}
+        self.rows_run = 0
+        self.flows_run = 0
+        self._fab = _Fabric([], [], {})
+        self._root: int | None = None
+        self._flow: _TrailFlow | None = None
+        self._kept_rows: dict[int, list[int]] = {}
+        self._kept_flows: dict[int, tuple[int | None, frozenset[tuple[int, int]]]] = {}
+        self._gone: list[tuple[int, int]] = []
+        self._lost: set[tuple[int, int]] = set()
+
+    def begin(self, fab: _Fabric, root: int | None) -> None:
+        """Move to ``fab``; ``root`` is the mapper host's index, when the
+        flows are wanted."""
+        prev, self._fab = self._fab, fab
+        prev_root, self._root = self._root, root
+        self._flow = None
+        if not prev.names:
+            reason: str | None = "first call"
+        elif prev.names != fab.names or prev.is_host != fab.is_host:
+            reason = "different node list"
+        elif root != prev_root:
+            reason = "different mapper host"
+        elif any(m > prev.mult.get(pair, 0) for pair, m in fab.mult.items()):
+            reason = "a wire was added"
+        else:
+            reason = None
+        self.fallback = reason
+        if reason is None:
+            self._lost = {
+                pair for pair, m in prev.mult.items() if fab.mult.get(pair, 0) < m
+            }
+            self._gone = [pair for pair in self._lost if pair not in fab.mult]
+            self._kept_rows, self._kept_flows = self.rows, self.flows
+        else:
+            self._lost, self._gone = set(), []
+            self._kept_rows, self._kept_flows = {}, {}
+        self.rows, self.flows = {}, {}
+        self.rows_run = self.flows_run = 0
+
+    def distances(self, source: int) -> list[int]:
+        """:meth:`_Fabric.distances` of the current fabric, kept when exact."""
+        row = self._kept_rows.get(source)
+        if row is None or not self._holds(row):
+            row = self._fab.distances(source)
+            self.rows_run += 1
+        self.rows[source] = row
+        return row
+
+    def _holds(self, row: list[int]) -> bool:
+        """The row test: the far end of every vanished pair one level
+        apart still has a neighbour one level nearer the source."""
+        nbrs = self._fab.nbrs
+        for a, b in self._gone:
+            if row[a] == row[b] + 1:
+                far = a
+            elif row[b] == row[a] + 1:
+                far = b
+            else:
+                continue
+            nearer = row[far] - 1
+            if all(row[w] != nearer for w in nbrs[far]):
+                return False
+        return True
+
+    def q(self, v: int) -> int | None:
+        """``Q(v)``, kept while no witness pair lost a wire. The flow's arc
+        array is built on the first flow a call runs."""
+        kept = self._kept_flows.get(v)
+        if kept is None or not self._lost.isdisjoint(kept[1]):
+            if self._flow is None:
+                assert self._root is not None, "begin() was given no root"
+                self._flow = _TrailFlow(self._fab, self._root)
+            kept = self._flow.q(v)
+            self.flows_run += 1
+        self.flows[v] = kept
+        return kept[0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -382,24 +512,26 @@ class CoreDecomposition:
 
 
 
-def _decompose(fab: _Fabric, root: int) -> CoreDecomposition:
+def _decompose(fab: _Fabric, root: int, memo: DistanceMemo) -> CoreDecomposition:
     """``Q(v)`` of a leaf ``v`` is ``d(h0, v)``: the flow's first unit
     leaves through ``v``'s own host arc (``pi[v] = 0``) and the second
     takes the shortest path to ``h0`` — one BFS from the root for all of
-    them. Every other node runs the flow."""
+    them. Every other node runs the flow. The bridge pass and the root's
+    row are computed afresh; the other rows and the flows come through
+    ``memo``."""
+    memo.begin(fab, root)
     _, separated = fab.bridge_pass()
-    flow = _TrailFlow(fab, root)
     reach = fab.distances(root)
     qvals: dict[str, int] = {}
     for v, name in enumerate(fab.names):
         if v in separated:
             continue
-        q = reach[v] if fab.leaf[v] >= 0 else flow.q(v)
+        q = reach[v] if fab.leaf[v] >= 0 else memo.q(v)
         if q is not None:
             qvals[name] = q
     return CoreDecomposition(
         h0=fab.names[root],
-        diameter=fab.diameter(),
+        diameter=fab.diameter(memo.distances),
         f_set=frozenset(fab.names[i] for i in separated),
         q=max(qvals.values(), default=0),
         q_values=qvals,
@@ -412,22 +544,28 @@ def core_decomposition(net: Network, h0: str) -> CoreDecomposition:
     All four are taken over ``h0``'s connected component. Raises
     :class:`TopologyError` when ``h0`` is not a host of ``net``.
     """
-    return _decompose(*_Fabric.around(net, h0))
+    return _decompose(*_Fabric.around(net, h0), DistanceMemo())
 
 
-def recommended_search_depth(net: Network, h0: str) -> int:
+def recommended_search_depth(
+    net: Network, h0: str, memo: DistanceMemo | None = None
+) -> int:
     """The exploration depth ``Q + D + 1`` the algorithm is proven with.
 
     Computed over ``h0``'s connected component, so a cut that partitions
     the fabric yields the depth for the side the mapper can still reach.
     A component below the model's minimums (no switch, or ``h0`` the only
-    host) gets depth 2: any small depth maps what little remains.
+    host) gets depth 2: any small depth maps what little remains. A
+    caller that asks again after a change passes the same ``memo`` and
+    pays only for the distance work the change invalidated.
     """
     fab, root = _Fabric.around(net, h0)
     n_hosts = sum(fab.is_host)
     if n_hosts < 2 or n_hosts == len(fab.names):
         return 2
-    return _decompose(fab, root).search_depth
+    if memo is None:
+        memo = DistanceMemo()
+    return _decompose(fab, root, memo).search_depth
 
 
 def core_network(net: Network) -> Network:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.chaos.oracles import effective_network
-from repro.core.remapper import RemapperDaemon
+from repro.core.remapper import RemapperDaemon, map_cycle
 from repro.simulator.faults import FaultModel
 from repro.simulator.path_eval import PathStatus, evaluate_route
 from repro.topology.analysis import core_network
@@ -96,6 +96,14 @@ class TestAdaptation:
         assert [c.index for c in daemon.history] == [0, 1, 2]
         assert daemon.history[0].changed  # first cycle always "changes"
         assert not daemon.history[2].changed
+
+    @pytest.mark.parametrize("depth", [0, -3])
+    def test_a_depth_below_one_is_refused_not_replaced(self, live_net, depth):
+        """``search_depth=0`` is a given depth, not a missing one."""
+        with pytest.raises(ValueError, match="at least 1"):
+            map_cycle(live_net, "h0", search_depth=depth)
+        with pytest.raises(ValueError, match="at least 1"):
+            RemapperDaemon(live_net, "h0", search_depth=depth).run_cycle()
 
     def test_partitioning_cut_maps_the_near_side(self):
         # Regression: the default depth bound took the diameter of the whole

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from repro.routing.compile_routes import RouteGeneration, Tail, _spelled
 from repro.routing.paths import _INF, RoutingPaths
-from repro.routing.updown import _adjacency, _pick_root
+from repro.routing.updown import _pick_root
+from repro.topology.analysis import _Fabric
 from repro.topology.model import Network
 
 
@@ -58,4 +59,5 @@ def node_path(paths: RoutingPaths, src: str, dst: str) -> list[str] | None:
 
 def pick_root(net: Network, *, ignore_utility: bool = True) -> str:
     """The root ``orient_updown`` would pick (see ``_pick_root``)."""
-    return _pick_root(net, _adjacency(net), ignore_utility)
+    fab = _Fabric.of(net, sorted(net.nodes))
+    return _pick_root(net, fab, fab.distances, ignore_utility)

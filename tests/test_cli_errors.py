@@ -42,6 +42,19 @@ class TestExitCodes:
         assert code == 1
         assert "MISMATCH" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("depth", ["0", "-3"])
+    def test_map_refuses_a_depth_below_one(self, tmp_path, capsys, depth):
+        """``--depth 0`` is a depth like ``--depth -3``, not "no depth
+        given": both are refused instead of mapping at ``Q + D + 1``."""
+        net_path = tmp_path / "c.json"
+        main(["generate", "--topology", "now-c", "--out", str(net_path)])
+        capsys.readouterr()
+        code = main(["map", "--network", str(net_path), "--depth", depth])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "search_depth must be at least 1" in captured.err
+        assert "isomorphic" not in captured.out
+
     def test_routes_on_disconnected_map_exits_nonzero(self, tmp_path, capsys):
         b = NetworkBuilder()
         b.switches("s0", "s1")

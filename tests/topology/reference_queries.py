@@ -27,7 +27,8 @@ def diameter(net: Network) -> int:
 
     Raises :class:`TopologyError` when the network is not connected.
     """
-    return _Fabric.of(net).diameter()
+    fab = _Fabric.of(net)
+    return fab.diameter(fab.distances)
 
 
 def switch_bridges(net: Network) -> list[Wire]:
@@ -50,7 +51,7 @@ def q_value(net: Network, h0: str, v: str) -> int | None:
     fab, root = _Fabric.around(net, h0)
     if v not in fab.names:
         return None
-    return _TrailFlow(fab, root).q(fab.names.index(v))
+    return _TrailFlow(fab, root).q(fab.names.index(v))[0]
 
 
 def q_max(net: Network, h0: str) -> int:
