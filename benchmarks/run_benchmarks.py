@@ -16,8 +16,10 @@ pytest needed), with numbers and a pass/fail gate from one command:
   smoke gate; the larger tiers are ``--quick``-skipped and the 1125-switch
   tier records a single sample;
 - ``remap`` — incremental remapping: one cable cut on a warm, fully
-  mapped fabric, the seeded remap timed against a from-scratch run. The
-  >=10x probe-reduction acceptance ratio is asserted inside each bench.
+  mapped fabric, the seeded remap timed against a from-scratch run (the
+  >=10x probe-reduction acceptance ratio is asserted inside each map
+  bench), and the NOW cut's route half with the route memo against
+  without it (byte-identical generations asserted inside).
 
 Each benchmark repeats ``--repeats`` times and records the **median**
 wall-clock time per operation plus any extra counters (probe totals,
@@ -364,9 +366,60 @@ def _remap_fattree8() -> tuple[float, dict]:
     )
 
 
+def _remap_now_routes() -> tuple[float, dict]:
+    """The route half of a recovery cycle after the NOW cut above:
+    ``route_cycle`` plus ``distribute_incremental`` on the seeded map,
+    through a route memo holding the pre-cut generation (the timed
+    quantity), against the same half with no memo. The two generations
+    must be byte-identical and the two distribution reports equal, a gate
+    that cannot flake; the cells the patch recompiled and the wall ratio
+    are recorded.
+    """
+    from repro.core.mapper import MapSeed
+    from repro.core.remapper import map_cycle, route_cycle
+    from repro.routing.compile_routes import RouteMemo
+    from repro.routing.incremental import distribute_incremental
+    from repro.service.serialize import route_tables_to_dict
+    from repro.topology.generators import build_full_now
+
+    net = build_full_now()
+    h0 = sorted(net.hosts)[0]
+    prior, _ = map_cycle(net, h0)
+    epoch = net.topology_epoch
+    net.disconnect(net.wire_at("A-l2-1", 2))
+    seed = MapSeed.from_result(prior, net.affected_since(epoch).removed)
+    after, _ = map_cycle(net, h0, seed=seed)
+    assert after.seeded, after.seed_fallback
+    memo = RouteMemo()
+    old, _ = route_cycle(prior.network, routes=memo)
+    memo.commit(old)
+    distribute_incremental(prior.network, h0, old, None)  # the cycle before
+
+    def route_half(routes: RouteMemo | None):
+        gc.collect()  # neither arm pays for the mapping's garbage
+        start = time.perf_counter()
+        tables, safe = route_cycle(after.network, routes=routes)
+        report = distribute_incremental(after.network, h0, tables, old)
+        return time.perf_counter() - start, tables, safe, report
+
+    full_s, full, full_safe, full_report = route_half(None)
+    seconds, patched, safe, report = route_half(memo)
+    assert route_tables_to_dict(patched) == route_tables_to_dict(full)
+    assert safe and full_safe and report == full_report and report.ok
+    memo.commit(patched)
+    assert memo.fallback is None, memo.fallback
+    return seconds, {
+        "cells_run": memo.cells_run,
+        "chains": len(patched.chains),
+        "full_ms": round(full_s * 1e3, 2),
+        "wall_ratio": round(full_s / seconds, 1),
+    }
+
+
 REMAP_SUITE: dict[str, Bench] = {
     "remap_single_cut_full_now": _remap_now,
     "remap_single_cut_fattree8": _remap_fattree8,
+    "remap_single_cut_now_routes": _remap_now_routes,
 }
 
 #: Every suite by name: ``BENCH_<name>.json`` is its committed baseline.

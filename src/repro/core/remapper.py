@@ -28,7 +28,7 @@ from repro.core.mapper_protocol import (
     build_mapper_service,
     resolve_mapper_factory,
 )
-from repro.routing.compile_routes import RouteGeneration, compile_route_tables
+from repro.routing.compile_routes import RouteGeneration, RouteMemo, compile_route_tables
 from repro.routing.deadlock import routes_deadlock_free
 from repro.routing.incremental import DistributionReport, distribute_incremental
 from repro.routing.paths import all_pairs_updown_paths
@@ -113,18 +113,22 @@ def map_cycle(
 
 
 def route_cycle(
-    new_map: Network, memo: DistanceMemo | None = None
+    new_map: Network,
+    memo: DistanceMemo | None = None,
+    routes: RouteMemo | None = None,
 ) -> tuple[RouteGeneration, bool]:
     """The routing half: UP*/DOWN* tables for ``new_map`` and their
     Dally–Seitz verdict. ``memo`` keeps the root pick's BFS rows across
-    the maps of one caller.
+    the maps of one caller, and ``routes`` the generation the caller last
+    committed to it, which the tables are patched from when exact; the
+    caller commits the tables once it has adopted them.
 
     Raises ``ValueError`` when the map is too degenerate to orient (e.g.
     the mapper host alone behind a cut).
     """
     orientation = orient_updown(new_map, memo=memo)
     paths = all_pairs_updown_paths(new_map, orientation)
-    tables = compile_route_tables(new_map, paths)
+    tables = compile_route_tables(new_map, paths, memo=routes)
     return tables, routes_deadlock_free(tables)
 
 
@@ -175,7 +179,11 @@ class RemapperDaemon:
     from-scratch cycle and says why. Every daemon keeps two
     :class:`~repro.topology.analysis.DistanceMemo` objects across cycles,
     one for the search depth on the true fabric and one for the root pick
-    on its maps: both are exact, so neither is a setting.
+    on its maps, and ``route_memo``, a
+    :class:`~repro.routing.compile_routes.RouteMemo` holding
+    ``current_tables`` for the next cycle's routes to be patched from
+    (committed only once a cycle's whole route half has succeeded): all
+    three are exact, so none is a setting.
     """
 
     def __init__(
@@ -205,6 +213,7 @@ class RemapperDaemon:
         self._scratch_probes: int | None = None
         self._depth_memo = DistanceMemo()
         self._root_memo = DistanceMemo()
+        self.route_memo = RouteMemo()
 
     # ------------------------------------------------------------------
     def _plan_seed(self) -> tuple[MapSeed | None, str | None]:
@@ -273,7 +282,7 @@ class RemapperDaemon:
         report: DistributionReport | None = None
         elapsed = result.stats.elapsed_ms
         if rerouted:
-            tables, safe = route_cycle(new_map, self._root_memo)
+            tables, safe = route_cycle(new_map, self._root_memo, self.route_memo)
             # Incremental distribution: push only per-host deltas against
             # the previous generation (the first cycle degenerates to a
             # full push).
@@ -283,6 +292,7 @@ class RemapperDaemon:
                 tables,
                 self.current_tables,
             )
+            self.route_memo.commit(tables)
             self.current_map = new_map
             self.current_tables = tables
             elapsed += report.elapsed_ms

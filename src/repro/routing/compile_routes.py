@@ -34,13 +34,22 @@ distinct tail its number the first time a route uses it, over routes in
 lists them in. The Dally–Seitz check reads its arcs off those
 numbers, the codec writes them as they are, and a :class:`CompiledRoute`
 (and its tail's channel tuple) is built only when a table is read.
+
+A caller that keeps a :class:`RouteMemo` across maps gets the next
+generation patched from the last one it committed: only the (entry
+switch, destination switch) cells whose chain changed are compiled again,
+and the channel numbering is replayed over integers, equal to a full
+compile's (docs/ALGORITHM.md §6).
 """
 
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from repro.routing.paths import RoutingPaths
 from repro.simulator.path_eval import Traversal
@@ -50,6 +59,7 @@ from repro.topology.model import Network
 __all__ = [
     "CompiledRoute",
     "RouteGeneration",
+    "RouteMemo",
     "RouteTable",
     "Tail",
     "WireIndex",
@@ -204,10 +214,14 @@ class RouteGeneration(dict[str, RouteTable]):
 
     Compiled, and written to the wire, in first-seen order over routes in
     (host, destination) order, head before tail; decoded, in the
-    document's own order.
+    document's own order. A generation patched from another keeps that
+    one's keys and the set of tails whose key moved (:meth:`moved_tails`).
     """
 
-    __slots__ = ("channels", "chains", "pairs", "heads", "numbered", "_tails", "_keys")
+    __slots__ = (
+        "channels", "chains", "pairs", "heads", "numbered",
+        "_tails", "_keys", "_since", "_basis", "__weakref__",
+    )
 
     def __init__(
         self,
@@ -227,6 +241,8 @@ class RouteGeneration(dict[str, RouteTable]):
         self.channels, self.chains, self.pairs = channels, chains, pairs
         self.heads, self.numbered = heads, numbered
         self._keys: list[tuple[int | None, Turns]] | None = None
+        self._since: tuple[weakref.ref, frozenset[int]] | None = None
+        self._basis: _Basis | None = None
 
     @property
     def turn_keys(self) -> list[tuple[int | None, Turns]]:
@@ -240,6 +256,15 @@ class RouteGeneration(dict[str, RouteTable]):
                 first = row[0] if row else last
                 self._keys.append((None if first is None else ports[first][0], turns))
         return self._keys
+
+    def moved_tails(self, previous: RouteGeneration) -> frozenset[int] | set[int]:
+        """The tails whose turn key differs from the key of ``previous``'s
+        tail of the same number: the set the patch kept when this
+        generation was patched from ``previous``, else read key by key."""
+        if self._since is not None and self._since[0]() is previous:
+            return self._since[1]
+        pairs = zip(self.turn_keys, previous.turn_keys)
+        return {tail for tail, (key, old) in enumerate(pairs) if key != old}
 
     def in_port(self, host: str) -> int:
         """The port ``host``'s channel enters by — a route's first turn is
@@ -526,21 +551,319 @@ def compile_route_tables(
     paths: RoutingPaths,
     *,
     seed: int = 0,
+    memo: RouteMemo | None = None,
 ) -> RouteGeneration:
     """Route tables for every host pair with a compliant path, numbered.
 
     With every host a leaf (the system model: one wire, to a switch) the
     routes come off the per-destination in-trees; a fabric with any other
-    host is compiled pair by pair from ``paths.node_paths``.
+    host is compiled pair by pair from ``paths.node_paths``. With a
+    ``memo`` the generation is patched from the one the memo holds when
+    that is exact, and compiled whole otherwise; the memo itself moves
+    only on :meth:`RouteMemo.commit`.
     """
     rng = random.Random(seed)
     wire_index = build_wire_index(net)
     hosts = sorted(net.hosts)
+    leaves = all(h in paths.leaf_switch for h in hosts)
+    patched = memo._patch(paths, wire_index) if memo is not None and leaves else None
+    if isinstance(patched, RouteGeneration):
+        return patched
     numbering = _Numbering(hosts)
-    if all(h in paths.leaf_switch for h in hosts):
+    if leaves:
         _switch_routes(numbering, paths, wire_index, rng)
     else:
         for src, dst, node_path in paths.node_paths(hosts, hosts):
             if src != dst:
                 numbering.own(src, dst, _compile(node_path, wire_index, rng))
-    return numbering.generation()
+    generation = numbering.generation()
+    if memo is not None:
+        unfit = None if leaves else "a host that is not a leaf"
+        reason = unfit if patched is None else patched
+        generation._basis = _Basis(reason, len(generation.chains), paths, wire_index, unfit, None)
+    return generation
+
+
+class _Shape:
+    """What no patch changes in a generation's numbering (step 1 of
+    docs/ALGORITHM.md §6), read off one compiled whole: per tail its
+    chain and its last channel's id, per host its channel's id, per
+    host-bearing switch its UP state (``entries``) and its first host's
+    column (``goals``), the chain of each non-empty cell by (entry, goal)
+    position (-1: none), and a number per node."""
+
+    __slots__ = ("tail_chain", "tail_last", "heads", "entries", "goals", "cells", "nodes", "node")
+
+    def __init__(
+        self, paths: RoutingPaths, generation: RouteGeneration, ends: list[tuple[str, str]]
+    ) -> None:
+        self.tail_chain = np.array([chain for chain, _ in generation.pairs], dtype=np.intp)
+        self.tail_last = np.array([last for _, last in generation.pairs], dtype=np.intp)
+        self.heads = generation.heads
+        on: dict[str, str] = {}
+        for host in generation.numbered:
+            on.setdefault(paths.leaf_switch[host], host)
+        where = {switch: k for k, switch in enumerate(on)}
+        self.entries = [paths.index[switch] for switch in on]
+        self.goals = [paths.index[host] for host in on.values()]
+        self.cells = np.full((len(on), len(on)), -1, dtype=np.intp)
+        for chain, (row, _) in enumerate(generation.chains):
+            if row:
+                self.cells[where[ends[row[0]][0]], where[ends[row[-1]][1]]] = chain
+        self.nodes = {name: k for k, name in enumerate(dict.fromkeys(paths.names))}
+        self.node = np.array([self.nodes[name] for name in paths.names], dtype=np.intp)
+
+
+class _Numbers:
+    """A generation's numbering over stable channel ids, one per directed
+    node pair (``ids`` / ``ends``: shared by every generation patched
+    from one compiled whole, and only ever grown). ``order`` is the id of
+    each channel number. ``flat`` is the compile's numbering walk in ids
+    — per host its channel, then per tail it numbers first its chain's
+    ids when the chain is new and its last channel's id — in which chain
+    ``c`` is spelled from ``at[c]`` over ``span[c]`` ids."""
+
+    __slots__ = ("shape", "ids", "ends", "order", "flat", "at", "span")
+
+    def __init__(
+        self, shape: _Shape, ids: dict[tuple[str, str], int], ends: list[tuple[str, str]],
+        order: list[int], flat: np.ndarray, at: np.ndarray, span: np.ndarray,
+    ) -> None:
+        self.shape, self.ids, self.ends = shape, ids, ends
+        self.order, self.flat, self.at, self.span = order, flat, at, span
+
+    @classmethod
+    def of(cls, generation: RouteGeneration, paths: RoutingPaths) -> _Numbers:
+        """The numbers of a generation compiled whole, its channel numbers
+        taken as the ids."""
+        ends = [(c.src.node, c.dst.node) for c in generation.channels]
+        chains, pairs, heads = generation.chains, generation.pairs, generation.heads
+        flat: list[int] = []
+        at: list[int] = []
+        tail = end = 0
+        for host, routes in generation.numbered.items():
+            if host not in heads:
+                continue  # a host with no route
+            flat.append(heads[host])
+            end = max(end, max(routes.values()) + 1)
+            for chain, last in pairs[tail:end]:
+                if chain == len(at):
+                    at.append(len(flat))
+                    flat += chains[chain][0]
+                flat.append(last)
+            tail = max(tail, end)
+        return cls(
+            _Shape(paths, generation, ends),
+            {end: k for k, end in enumerate(ends)},
+            ends,
+            list(range(len(ends))),
+            np.array(flat, dtype=np.intp),
+            np.array(at, dtype=np.intp),
+            np.array([len(row) for row, _ in chains], dtype=np.intp),
+        )
+
+    def id(self, channel: Traversal) -> int:
+        end = (channel.src.node, channel.dst.node)
+        found = self.ids.get(end)
+        if found is None:
+            found = self.ids[end] = len(self.ends)
+            self.ends.append(end)
+        return found
+
+
+class _Basis:
+    """What patching a generation reads besides the generation: why it was
+    compiled whole (``fallback``, None when patched), how many chains its
+    compile built, its paths, why it cannot be patched from (``unfit``),
+    and either its numbers or — compiled whole — the wire index it was
+    compiled on, until a patch first reads them."""
+
+    __slots__ = ("fallback", "cells_run", "paths", "wire_index", "unfit", "numbers")
+
+    def __init__(
+        self, fallback: str | None, cells_run: int, paths: RoutingPaths,
+        wire_index: WireIndex | None, unfit: str | None, numbers: _Numbers | None,
+    ) -> None:
+        self.fallback, self.cells_run, self.paths = fallback, cells_run, paths
+        self.wire_index, self.unfit, self.numbers = wire_index, unfit, numbers
+
+
+def _parallel(wire_index: WireIndex) -> bool:
+    return any(len(candidates) > 1 for candidates in wire_index.values())
+
+
+class RouteMemo:
+    """Route work one owner keeps from one map to the next: the last
+    generation it committed and what patching it reads.
+
+    :func:`compile_route_tables` with ``memo=`` patches that generation
+    when the new map keeps the state numbering, the host → switch
+    assignment and every cell's reachability and has no parallel cables,
+    and compiles whole otherwise; either way the result equals a full
+    compile's in every numbered field (docs/ALGORITHM.md §6). The compile
+    only reads the memo; :meth:`commit` moves it to a generation the
+    caller has adopted. ``fallback`` names why the committed generation
+    was compiled whole (None when it was patched) and ``cells_run``
+    counts the chains its compile built: the cells a patch recompiled,
+    every chain on a full compile.
+    """
+
+    __slots__ = ("fallback", "cells_run", "_generation", "_basis")
+
+    def __init__(self) -> None:
+        self.fallback: str | None = None
+        self.cells_run = 0
+        self._generation: RouteGeneration | None = None
+        self._basis: _Basis | None = None
+
+    def commit(self, generation: RouteGeneration) -> None:
+        """Hold ``generation``, compiled with this memo, for the next patch.
+        The memo takes the generation's basis, so a generation the memo
+        has moved on from keeps no paths alive."""
+        basis, generation._basis = generation._basis, None
+        if basis is None:
+            raise ValueError("a generation compiled without a route memo or committed already")
+        self._generation, self._basis = generation, basis
+        self.fallback, self.cells_run = basis.fallback, basis.cells_run
+
+    def _patch(self, paths: RoutingPaths, wire_index: WireIndex) -> RouteGeneration | str:
+        """The held generation patched onto ``paths``, or why it cannot be."""
+        old, basis = self._generation, self._basis
+        if old is None or basis is None:
+            return "first call"
+        unfit = basis.unfit
+        if unfit is None and basis.numbers is None and _parallel(basis.wire_index or {}):
+            unfit = "parallel cables"
+        if unfit is not None:
+            return unfit
+        if _parallel(wire_index):
+            return "parallel cables"
+        prev = basis.paths
+        if paths.names != prev.names:
+            return "different state numbering"
+        if paths.leaf_switch != prev.leaf_switch:
+            return "a host changed switch"
+        numbers = basis.numbers or _Numbers.of(old, prev)
+        shape = numbers.shape
+        succ, before = paths.succ[:, shape.goals], prev.succ[:, shape.goals]
+        if ((succ[shape.entries] >= 0) != (before[shape.entries] >= 0)).any():
+            return "a cell's reachability changed"
+        changed = [
+            k for k, was in zip(numbers.order, old.channels)
+            if (now := wire_index.get(numbers.ends[k])) is None
+            or now[0].src.port != was.src.port
+            or now[0].dst.port != was.dst.port
+        ]
+        dirty = _dirty_cells(shape, numbers.ends, succ, before, changed)
+        return _patched(old, numbers, dirty, paths, wire_index, changed)
+
+
+def _dirty_cells(
+    shape: _Shape, ends: list[tuple[str, str]], succ: np.ndarray, before: np.ndarray,
+    changed: list[int],
+) -> list[tuple[int, int]]:
+    """The (entry, goal) positions whose chain a patch must compile again:
+    those whose new walk of successor states reaches a state whose
+    successor changed, or whose hop to it crosses a channel that changed
+    value (the hop into the goal host is not part of a chain)."""
+    states = succ.shape[0]
+    inner = (succ >= 0) & (succ < states)
+    bad = succ != before
+    if changed:
+        hot = np.zeros((len(shape.nodes), len(shape.nodes)), dtype=bool)
+        for u, v in map(ends.__getitem__, changed):
+            hot[shape.nodes[u], shape.nodes[v]] = True
+        bad |= inner & hot[shape.node[:states, None], shape.node[np.where(inner, succ, 0)]]
+    step = np.where(inner, succ, states)
+    walk = np.zeros((states + 1, succ.shape[1]), dtype=bool)
+    walk[:states] = bad
+    columns = np.arange(succ.shape[1])
+    while True:
+        grown = bad | walk[step, columns]
+        if (grown == bad).all():
+            break
+        walk[:states] = bad = grown
+    rows, cols = np.nonzero(walk[shape.entries])
+    return list(zip(rows.tolist(), cols.tolist()))
+
+
+def _replay(
+    numbers: _Numbers, rows: dict[int, list[int]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    """The walk with each chain in ``rows`` spelled by its new ids, the
+    chains' ``at`` and ``span`` in it, and its ids in first-seen order:
+    the channel numbering."""
+    flat, at, span = numbers.flat, numbers.at, numbers.span
+    if not rows:
+        return flat, at, span, numbers.order
+    pieces, start = [], 0
+    grow = np.zeros(len(span), dtype=np.intp)
+    for chain in sorted(rows):
+        pieces += [flat[start : at[chain]], np.array(rows[chain], dtype=np.intp)]
+        start = at[chain] + span[chain]
+        grow[chain] = len(rows[chain]) - span[chain]
+    flat = np.concatenate([*pieces, flat[start:]])
+    order = list(dict.fromkeys(flat.tolist()))
+    return flat, at + np.cumsum(grow) - grow, span + grow, order
+
+
+def _patched(
+    old: RouteGeneration, numbers: _Numbers, dirty: list[tuple[int, int]],
+    paths: RoutingPaths, wire_index: WireIndex, changed: list[int],
+) -> RouteGeneration:
+    """``old`` with the chains of the ``dirty`` cells compiled again on
+    ``paths`` and every channel renumbered by replaying the walk."""
+    shape, names, ends = numbers.shape, paths.names, numbers.ends
+    rows: dict[int, tuple[list[int], Turns]] = {}
+    trees: dict[int, tuple[list[int], dict[int, _Suffix]]] = {}
+    for entry, goal in dirty:
+        chain = int(shape.cells[entry, goal])
+        if chain < 0:
+            continue  # a switch into itself: the empty chain
+        if goal not in trees:
+            column = shape.goals[goal]
+            trees[goal] = paths.succ[:, column].tolist(), {column: ((), ((), ()))}
+        step, done = trees[goal]
+        state = shape.entries[entry]
+        channels, hops = (done.get(state) or _suffix(state, step, done, names, wire_index))[1]
+        rows[chain] = [numbers.id(c) for c in channels[:-1]], hops[:-1]
+    flat, at, span, order = _replay(numbers, {c: ids for c, (ids, _) in rows.items()})
+    channels = [wire_index[ends[k]][0] for k in order]
+    number = np.zeros(len(ends), dtype=np.intp)
+    number[order] = np.arange(len(order))
+    was = np.full(len(ends), -1, dtype=np.intp)
+    was[numbers.order] = np.arange(len(numbers.order))
+    moved_ids = number != was
+    # Respell only the chains with a recompiled or renumbered channel, the
+    # tails whose last channel was renumbered, and the heads.
+    chains, pairs = list(old.chains), list(old.pairs)
+    counts = np.concatenate(([0], np.cumsum(moved_ids[flat])))
+    respelled = set(np.flatnonzero(counts[at + span] - counts[at]).tolist()).union(rows)
+    if respelled:
+        spelled, starts, spans = number[flat].tolist(), at.tolist(), span.tolist()
+        for chain in respelled:
+            row = tuple(spelled[starts[chain] : starts[chain] + spans[chain]])
+            chains[chain] = row, (rows[chain][1] if chain in rows else chains[chain][1])
+    lasts = np.flatnonzero(moved_ids[shape.tail_last])
+    for tail, last in zip(lasts.tolist(), number[shape.tail_last[lasts]].tolist()):
+        pairs[tail] = pairs[tail][0], last
+    renumber = number.tolist()
+    heads = {host: renumber[k] for host, k in shape.heads.items()}
+    generation = RouteGeneration(channels, chains, pairs, heads, old.numbered)
+    keys = list(old.turn_keys)
+    hot_ids = np.zeros(len(ends), dtype=bool)
+    hot_ids[changed] = True
+    hot_chains = np.zeros(len(chains), dtype=bool)
+    hot_chains[list(rows)] = True
+    touched = hot_ids[shape.tail_last] | hot_chains[shape.tail_chain]
+    moved = []
+    for tail in np.flatnonzero(touched).tolist():
+        row, hops = _spelled(channels, chains, pairs[tail])
+        key = (channels[row[0]].src.port if row else None, hops)
+        if key != keys[tail]:
+            keys[tail] = key
+            moved.append(tail)
+    generation._keys, generation._since = keys, (weakref.ref(old), frozenset(moved))
+    renumbered = _Numbers(shape, numbers.ids, ends, order, flat, at, span)
+    generation._basis = _Basis(None, len(rows), paths, None, None, renumbered)
+    return generation

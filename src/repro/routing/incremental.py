@@ -97,13 +97,24 @@ def diff_route_tables(
     deltas: dict[str, RouteTableDelta] = {}
     generation, previous = as_generation(new), as_generation(old or {})
     keys, old_keys = generation.turn_keys, previous.turn_keys
+    moved: frozenset[int] | set[int] | None = None
     # Turn strings are compared off the generations' numbers — for a host
     # whose channel still enters by the same port, as the tails' turn
-    # keys — and built only to be sent.
+    # keys — and built only to be sent. A host whose row of tail numbers
+    # is its old row, entered by the same port, differs only where a
+    # tail's key moved (docs/ALGORITHM.md §6).
     for host, routes in generation.numbered.items():
-        delta = RouteTableDelta(host)
+        delta = deltas[host] = RouteTableDelta(host)
         old_routes = previous.numbered.get(host, {})
         in_port, old_in = generation.in_port(host), previous.in_port(host)
+        if in_port == old_in and routes == old_routes:
+            if moved is None:
+                moved = generation.moved_tails(previous)
+            if not moved.isdisjoint(routes.values()):
+                for dst, tail in routes.items():
+                    if tail in moved:
+                        delta.changed[dst] = _sent(keys[tail], in_port)
+            continue
         for dst, tail in routes.items():
             prev, key = old_routes.get(dst), keys[tail]
             if prev is not None and (
@@ -119,7 +130,6 @@ def diff_route_tables(
         for dst in old_routes:
             if dst not in routes:
                 delta.withdrawn.append(dst)
-        deltas[host] = delta
     return deltas
 
 

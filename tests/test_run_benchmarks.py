@@ -154,12 +154,13 @@ class TestScaleSuite:
 class TestRemapSuite:
     """The incremental-remap arms and the committed acceptance numbers."""
 
-    def test_both_arms_registered_and_quick_safe(self, harness):
+    def test_every_arm_registered_and_quick_safe(self, harness):
         assert set(harness.REMAP_SUITE) == {
             "remap_single_cut_full_now",
             "remap_single_cut_fattree8",
+            "remap_single_cut_now_routes",
         }
-        # CI gates on --quick: both arms must actually run there.
+        # CI gates on --quick: every arm must actually run there.
         assert not set(harness.REMAP_SUITE) & harness.SLOW_BENCHES
 
     def test_committed_baseline_hits_the_acceptance_ratios(self):
@@ -174,18 +175,31 @@ class TestRemapSuite:
         doc = json.loads(
             (REPO_ROOT / "benchmarks" / "BENCH_remap.json").read_text()
         )
-        for name, entry in doc["benchmarks"].items():
-            extra = entry["extra"]
+        for name in ("remap_single_cut_full_now", "remap_single_cut_fattree8"):
+            extra = doc["benchmarks"][name]["extra"]
             assert extra["probe_ratio"] >= 10.0, name
             assert extra["wall_ratio"] >= 4.0, name
             assert extra["subtrees_kept"] > 0, name
             assert extra["probes"] < extra["scratch_probes"], name
 
 
+    def test_committed_route_arm_patched_fewer_cells_than_it_holds(self):
+        """The route half after the NOW cut ran through the route memo: it
+        was patched (its generation byte-identical to the full compile's,
+        asserted inside the bench), recompiled fewer cells than the
+        generation has chains, and ran faster than the full compile."""
+        doc = json.loads(
+            (REPO_ROOT / "benchmarks" / "BENCH_remap.json").read_text()
+        )
+        extra = doc["benchmarks"]["remap_single_cut_now_routes"]["extra"]
+        assert extra["cells_run"] < extra["chains"]
+        assert extra["wall_ratio"] > 1.0
+
+
 class TestSuiteRegistry:
-    def test_twelve_arms_and_every_committed_name_is_one(self, harness):
+    def test_thirteen_arms_and_every_committed_name_is_one(self, harness):
         """Whole cycles and per-layer rows belong to ``benchmarks/e2e``; what
-        is left here is exactly these twelve arms. ``find_regressions`` compares
+        is left here is exactly these thirteen arms. ``find_regressions`` compares
         only names common to both documents, so a baseline entry whose arm
         was renamed or dropped would silently stop being gated: every
         committed name must be a registered arm of its own suite."""
@@ -204,7 +218,11 @@ class TestSuiteRegistry:
                 "fat_tree_map_3tier_k16",
                 "fat_tree_map_3tier_k30",
             },
-            "remap": {"remap_single_cut_full_now", "remap_single_cut_fattree8"},
+            "remap": {
+                "remap_single_cut_full_now",
+                "remap_single_cut_fattree8",
+                "remap_single_cut_now_routes",
+            },
         }
         committed = {
             path.name
