@@ -285,11 +285,12 @@ def _remap_single_cut(make_net, cut_end) -> tuple[float, dict]:
     """Cut one cable on a fully mapped fabric and remap both ways.
 
     The timed quantity is the *seeded* remap — cycle N+1 reusing cycle N's
-    map plus the delta journal — on a service built after the cut, the
-    stack ``map_cycle`` builds every cycle (no production path reuses a
-    service across a cut). The from-scratch arm runs on another such
-    service, which is exactly what every remap cost before seeding
-    existed, so the recorded ratios are against the honest
+    map plus the delta journal — on a service built after the cut, as
+    ``map_cycle`` builds one every cycle. Like a daemon's, that service
+    reads the network's probe trie, which cycle N filled and the cut
+    pruned. The from-scratch arm maps a copy of the cut network, so its
+    trie starts empty: exactly what every remap cost before seeding
+    existed, and the recorded ratios are against the honest
     pre-incremental baseline.
 
     Probe counts are deterministic, so the >=10x acceptance ratio is
@@ -315,7 +316,7 @@ def _remap_single_cut(make_net, cut_end) -> tuple[float, dict]:
     delta = net.affected_since(epoch)
     assert delta is not None and not delta.added and not delta.unbounded
 
-    cold = QuiescentProbeService(net=net, mapper=h0, faults=FaultModel())
+    cold = QuiescentProbeService(net=net.copy(), mapper=h0, faults=FaultModel())
     start = time.perf_counter()
     scratch = create_mapper("berkeley", cold, search_depth=depth).map()
     scratch_s = time.perf_counter() - start

@@ -87,24 +87,31 @@ def assemble(
         for index, (far, _) in ports.items():
             if far in nodes and nodes[far] is None:
                 attached[far] = {0: (name, index)}
-    seen: set[frozenset[End]] = set()
-    for name, ports in nodes.items():
-        if ports is None:
-            ports = attached.get(name, {})
-        for index, (far, far_index) in ports.items():
-            a = (name, index + offsets.get(name, 0))
-            b = (far, far_index + offsets.get(far, 0))
-            key = frozenset((a, b))
-            if key in seen:
-                continue
-            seen.add(key)
-            try:
-                net.connect(*a, *b)
-            except TopologyError as exc:
-                raise MappingError(
-                    f"contradictory wire records at {a[0]}:{a[1]} -- "
-                    f"{b[0]}:{b[1]}: {exc}"
-                ) from exc
+    handed: list[tuple[End, End]] = []  # connect_all consumes lazily
+
+    def cables() -> Iterator[tuple[str, int, str, int]]:
+        seen: set[tuple[End, End]] = set()
+        for name, ports in nodes.items():
+            if ports is None:
+                ports = attached.get(name, {})
+            for index, (far, far_index) in ports.items():
+                a = (name, index + offsets.get(name, 0))
+                b = (far, far_index + offsets.get(far, 0))
+                key = (a, b) if a < b else (b, a)
+                if key in seen:
+                    continue
+                seen.add(key)
+                handed.append((a, b))
+                yield (*a, *b)
+
+    try:
+        net.connect_all(cables())
+    except TopologyError as exc:
+        a, b = handed[-1]
+        raise MappingError(
+            f"contradictory wire records at {a[0]}:{a[1]} -- "
+            f"{b[0]}:{b[1]}: {exc}"
+        ) from exc
     return net, offsets
 
 

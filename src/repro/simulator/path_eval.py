@@ -132,15 +132,20 @@ def evaluate_route(
 
 @dataclass(frozen=True, slots=True)
 class EvalCacheStats:
-    """Snapshot of an :class:`IncrementalPathEvaluator`'s counters."""
+    """Snapshot of an :class:`IncrementalPathEvaluator`'s counters.
+
+    Every count but ``nodes`` is the evaluator's own walks since it
+    attached; ``nodes`` is the size of the network's shared trie.
+    """
 
     hits: int = 0
     misses: int = 0
-    #: Flushes: a topology move seen by a walk, or the node backstop.
+    #: Topology moves a walk caught up with (each a prune or a flush),
+    #: plus node-backstop and explicit flushes.
     invalidations: int = 0
     evaluations: int = 0
     nodes: int = 0
-    #: Trie nodes dropped across all flushes.
+    #: Trie nodes dropped by those prunes and flushes.
     nodes_dropped: int = 0
     #: Always 0; benchmarks/e2e/spans.py still reads it by name.
     hinted: int = 0
@@ -153,7 +158,7 @@ class EvalCacheStats:
 
 
 class _Hop:
-    """One directed wire half, read from the network once per trie generation.
+    """One directed wire half, read from the network once while it stands.
 
     The evaluator's hop table holds one record per source end ``(node,
     out_port)``; every trie node whose step crosses that half points at the
@@ -215,6 +220,7 @@ class _TrieNode:
         "chans",
         "children",
         "memo",
+        "foot",
     )
 
     def __init__(
@@ -255,6 +261,29 @@ class _TrieNode:
         # ``(model, loopback?)``, see :meth:`blocked_at`).
         self.children: dict[int, _TrieNode] | None = None
         self.memo: dict[tuple[object, bool], int | None] | None = None
+        # The union of ``dep`` over the root path, made on first read by
+        # :meth:`footprint`. A prune keeps only nodes whose root path it
+        # did not touch, so a kept footprint stays exact.
+        self.foot: frozenset[Endpoint] | None = None
+
+    def footprint(self) -> frozenset[Endpoint]:
+        """Every wire end this node's walk read: ``dep`` over its root path."""
+        if self.foot is not None:
+            return self.foot
+        chain = [self]
+        foot: frozenset[Endpoint] = frozenset()
+        node = self.parent
+        while node is not None:
+            if node.foot is not None:
+                foot = node.foot
+                break
+            chain.append(node)
+            node = node.parent
+        for link in reversed(chain):
+            if link.dep:
+                foot = foot.union(link.dep)
+            link.foot = foot
+        return foot
 
     def traversals(self, loopback: bool = False) -> tuple[Traversal, ...]:
         """The crossings of this prefix, or of its switch-probe loopback
@@ -347,8 +376,33 @@ class ProbeInfo:
         )
 
 
+class _Trie:
+    """The walks cached for one network, shared by every evaluator on it.
+
+    Held by the network it walks (``Network.walk_trie``) and holding no
+    reference back, so it is freed with the network. ``epoch`` is the
+    topology epoch its walks are exact for; ``nodes`` counts the trie.
+    """
+
+    __slots__ = ("roots", "hops", "chan_ids", "epoch", "nodes")
+
+    def __init__(self, epoch: int) -> None:
+        self.roots: dict[str, _TrieNode] = {}
+        # The hop table: source end ``(node, out_port)`` -> the wire half
+        # leaving it, filled on demand (None for an unwired port). Plain-
+        # tuple keys hash much faster than PortRef dataclasses on the
+        # per-probe extension path.
+        self.hops: dict[Endpoint, _Hop | None] = {}
+        # Channel ids, one per source end ever crossed. Never cleared: a
+        # chain detached by the node backstop is still being extended, and
+        # must not meet a recycled id.
+        self.chan_ids: dict[Endpoint, int] = {}
+        self.epoch = epoch
+        self.nodes = 0
+
+
 class IncrementalPathEvaluator:
-    """Prefix-trie cache over :func:`evaluate_route`, for one mapping run.
+    """Prefix-trie cache over :func:`evaluate_route`, one trie per network.
 
     Keyed on ``(source host, turns-prefix)``: each trie node stores the
     walk state after consuming that prefix, so evaluating ``turns + (a,)``
@@ -357,15 +411,25 @@ class IncrementalPathEvaluator:
     extends known probe strings one turn at a time. Every walk descends
     from its root.
 
-    Correctness is guarded by the network's epoch counter: a walk that
-    finds ``net.topology_epoch`` moved flushes the whole trie first
-    (:meth:`invalidate`, the same routine the node backstop uses). Every
-    remap cycle builds a fresh probe stack, and so a fresh trie; only a
-    topology change in the middle of a run reaches the flush. A fault
-    reconfiguration needs no invalidation and is not watched: cached walks
-    never consult the fault model — kill decisions are drawn fresh per
-    probe by the services. Results remain byte-identical to the pure
-    function — including the ``ValueError`` on a non-host source.
+    The trie belongs to the network: every evaluator built on one network
+    (every probe service, so every cycle a remap daemon runs on it) reads
+    and extends the same trie, and the trie is freed with the network. An
+    evaluator owns only its counters (:attr:`stats`).
+
+    Correctness is guarded by the network's epoch counter. A walk that
+    finds ``net.topology_epoch`` moved first prunes the trie by the
+    journal's delta since the trie's epoch: every node whose own step read
+    a changed wire end goes with its subtree, and so does every hop-table
+    entry keyed at one. A walk whose root path reads no changed end
+    evaluates identically on the new network (the footprint argument of
+    :meth:`touches`), so what is kept is exact. When the journal cannot
+    answer (the epoch fell out of its window, or the delta is unbounded)
+    the whole trie goes, through :meth:`invalidate`, the routine the node
+    backstop calls. A fault reconfiguration needs no invalidation and is
+    not watched: cached walks never consult the fault model — kill
+    decisions are drawn fresh per probe by the services. Results remain
+    byte-identical to the pure function — including the ``ValueError`` on
+    a non-host source.
     """
 
     def __init__(self, net: Network) -> None:
@@ -375,18 +439,15 @@ class IncrementalPathEvaluator:
         from repro.simulator.collision import CircuitModel
 
         self._circuit_type = CircuitModel
-        self._roots: dict[str, _TrieNode] = {}
-        # The hop table: source end ``(node, out_port)`` -> the wire half
-        # leaving it, filled on demand (None for an unwired port) and
-        # dropped with the trie on invalidation. Plain-tuple keys hash much
-        # faster than PortRef dataclasses on the per-probe extension path.
-        self._hops: dict[Endpoint, _Hop | None] = {}
-        # Channel ids, one per source end ever crossed. Never cleared: a
-        # chain detached by the node backstop is still being extended, and
-        # must not meet a recycled id.
-        self._chan_ids: dict[Endpoint, int] = {}
-        self._topo_epoch = net.topology_epoch
-        self._n_nodes = 0
+        trie = net.walk_trie
+        if not isinstance(trie, _Trie):
+            trie = net.walk_trie = _Trie(net.topology_epoch)
+        self._trie = trie
+        # The shared tables, bound once for the hot path; they are only
+        # ever changed in place.
+        self._roots = trie.roots
+        self._hops = trie.hops
+        self._chan_ids = trie.chan_ids
         self._hits = 0
         self._misses = 0
         self._invalidations = 0
@@ -400,18 +461,71 @@ class IncrementalPathEvaluator:
             misses=self._misses,
             invalidations=self._invalidations,
             evaluations=self._evaluations,
-            nodes=self._n_nodes,
+            nodes=self._trie.nodes,
             nodes_dropped=self._nodes_dropped,
         )
 
     def invalidate(self) -> None:
         """Drop every cached walk (counted in ``stats.invalidations``)."""
-        self._roots.clear()
-        self._hops.clear()
-        self._nodes_dropped += self._n_nodes
-        self._n_nodes = 0
+        trie = self._trie
+        trie.roots.clear()
+        trie.hops.clear()
+        self._nodes_dropped += trie.nodes
+        trie.nodes = 0
         self._invalidations += 1
-        self._topo_epoch = self._net.topology_epoch
+        trie.epoch = self._net.topology_epoch
+
+    def _catch_up(self) -> None:
+        """Bring the trie to the network's epoch: prune the walks the
+        journal's delta touched, in one pass over the trie, or flush it
+        when the journal cannot say what changed."""
+        net, trie = self._net, self._trie
+        delta = net.affected_since(trie.epoch)
+        if delta is None or delta.unbounded:
+            self.invalidate()
+            return
+        changed = delta.removed | delta.added
+        # A journaled wire change names both of the wire's ends, so a hop
+        # whose ``dep`` meets ``changed`` is exactly one keyed at a changed
+        # end; every node the pass can reach holds its hop-table entry.
+        hops = trie.hops
+        dead = {hops.pop(end, None) for end in changed}
+        dead.discard(None)
+        roots = trie.roots
+        cut = [roots.pop(h0) for h0 in list(roots) if not changed.isdisjoint(roots[h0].dep)]
+        kept = len(roots)
+        stack = [root for root in roots.values() if root.children]
+        while stack:
+            node = stack.pop()
+            children = node.children
+            assert children is not None  # only parents are stacked
+            gone: list[int] = []
+            for turn, child in children.items():
+                hop = child.hop
+                if hop is None:
+                    doomed = not changed.isdisjoint(child.dep)
+                else:
+                    doomed = hop in dead
+                if doomed:
+                    gone.append(turn)
+                else:
+                    kept += 1
+                    if child.children:
+                        stack.append(child)
+            for turn in gone:
+                cut.append(children.pop(turn))
+            if not children:
+                node.children = None
+        dropped = 0
+        while cut:
+            node = cut.pop()
+            dropped += 1
+            if node.children:
+                cut.extend(node.children.values())
+        trie.nodes = kept
+        trie.epoch = net.topology_epoch
+        self._invalidations += 1
+        self._nodes_dropped += dropped
 
     def touches(
         self,
@@ -431,16 +545,11 @@ class IncrementalPathEvaluator:
         through these ends).
 
         Walks (and therefore caches) the route like any evaluation, then
-        checks the ``dep`` of every node on its root path. Purely local
-        computation: no probe is charged.
+        tests the node's cached footprint. Purely local computation: no
+        probe is charged.
         """
-        node: _TrieNode | None = self._walk(h0, tuple(turns))
-        while node is not None:
-            for end in node.dep:
-                if end in endpoints:
-                    return True
-            node = node.parent
-        return False
+        node = self._walk(h0, tuple(turns))
+        return not node.footprint().isdisjoint(endpoints)
 
     def _read_hop(self, key: Endpoint) -> _Hop | None:
         """Read the wire half leaving ``key`` into the hop table."""
@@ -461,10 +570,7 @@ class IncrementalPathEvaluator:
         return hop
 
     def _root(self, h0: str) -> _TrieNode:
-        root = self._roots.get(h0)
-        if root is not None:
-            self._hits += 1
-            return root
+        """Make ``h0``'s root; :meth:`_walk` finds one already made."""
         if not self._net.is_host(h0):
             raise ValueError(f"source {h0} is not a host")
         key = (h0, HOST_PORT)
@@ -475,7 +581,7 @@ class IncrementalPathEvaluator:
             root = _TrieNode(None, hop, 1, None, None, hop.dep)
             root.chans = (hop.cid,)
         self._roots[h0] = root
-        self._n_nodes += 1
+        self._trie.nodes += 1
         self._misses += 1
         return root
 
@@ -520,9 +626,10 @@ class IncrementalPathEvaluator:
             parent.children = {turn: child}
         else:
             children[turn] = child
-        self._n_nodes += 1
+        trie = self._trie
+        trie.nodes += 1
         self._misses += 1
-        if self._n_nodes > MAX_TRIE_NODES:
+        if trie.nodes > MAX_TRIE_NODES:
             # Backstop against unbounded growth on adversarial probe sets:
             # drop the trie but keep handing out this (still valid) node.
             self.invalidate()
@@ -532,21 +639,27 @@ class IncrementalPathEvaluator:
         """Follow ``seq`` down from ``h0``'s root, extending where the trie
         ends; stops at the first absorbing node (every extension of a
         failed prefix is the identical failure)."""
-        if self._net.topology_epoch != self._topo_epoch:
-            self.invalidate()
-        node = self._root(h0)
+        if self._net.topology_epoch != self._trie.epoch:
+            self._catch_up()
+        node = self._roots.get(h0)
+        if node is None:
+            node = self._root(h0)
+        else:
+            self._hits += 1
         if node.status is not None:
             return node
+        hits = 0
         for i, turn in enumerate(seq):
             children = node.children
             child = children.get(turn) if children else None
             if child is None:
                 child = self._extend(node, turn, i)
             else:
-                self._hits += 1
+                hits += 1
             node = child
             if node.status is not None:
                 break
+        self._hits += hits
         return node
 
     def evaluate(self, h0: str, turns: Iterable[int]) -> PathResult:

@@ -102,6 +102,9 @@ class QuiescentProbeService:
             (self.net.radix(s) - 1 for s in self.net.switches), default=7
         )
         self._rng = self.rng if self.rng is not None else random.Random(self.seed)
+        # Reads and extends the network's probe trie, which outlives this
+        # service: the next cycle's service on the same network finds the
+        # walks this one cached, pruned by whatever changed in between.
         self._evaluator = IncrementalPathEvaluator(self.net)
         # One reusable transaction context per service. ``_transact`` is
         # not re-entrant: no layer hook may probe through its own service
@@ -343,7 +346,8 @@ class QuiescentProbeService:
 
     @property
     def eval_cache_stats(self) -> EvalCacheStats:
-        """The evaluation trie's counters."""
+        """This service's own walks since it was built, and the size of
+        the network's evaluation trie they read."""
         return self._evaluator.stats
 
     # -- helpers ----------------------------------------------------------

@@ -20,7 +20,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
-from repro.topology.delta import Delta, DeltaJournal, EMPTY_DELTA
+from repro.topology.delta import Delta, DeltaJournal, EMPTY_DELTA, Endpoint
 
 __all__ = [
     "HOST_PORT",
@@ -134,6 +134,11 @@ class Network:
         self._next_wire_key = 0
         self._journal = DeltaJournal()
         self._epoch = 0
+        #: The probe walks cached over this network
+        #: (:class:`repro.simulator.path_eval.IncrementalPathEvaluator`):
+        #: made by the first evaluator, shared by every later one, kept
+        #: exact through the journal and never copied.
+        self.walk_trie: object | None = None
 
     def _bump_epoch(self, delta: Delta) -> None:
         """The canonical epoch bump: every mutator's last act.
@@ -174,23 +179,54 @@ class Network:
         port_b: int,
     ) -> Wire:
         """Run a wire between two free ports and return it."""
-        ra = self._port_ref(node_a, port_a)
-        rb = self._port_ref(node_b, port_b)
-        if ra == rb:
-            raise TopologyError(f"cannot wire port {ra} to itself")
-        for ref in (ra, rb):
-            if ref in self._port_map:
-                raise TopologyError(f"port {ref} already wired")
-        wire = Wire(ra, rb, key=self._next_wire_key)
-        self._next_wire_key += 1
-        self._wires[wire.key] = wire
-        self._port_map[ra] = wire.key
-        self._port_map[rb] = wire.key
-        delta = Delta(
-            added=frozenset({(ra.node, ra.port), (rb.node, rb.port)})
-        )
-        self._bump_epoch(delta)
-        return wire
+        return self.connect_all(((node_a, port_a, node_b, port_b),))[0]
+
+    def connect_all(
+        self, pairs: Iterable[tuple[str, int, str, int]]
+    ) -> list[Wire]:
+        """Run a batch of wires, in order, as one mutation; return them.
+
+        Each ``(node_a, port_a, node_b, port_b)`` is checked as it is
+        consumed: both nodes exist, both ports are in range and free (of
+        the batch's earlier wires too), and the wire does not join a port
+        to itself. The first bad one raises :class:`TopologyError` and
+        leaves the network as it was. Wire keys follow the batch order,
+        and the batch is one epoch bump with one journal entry: every end
+        it wired, as added.
+        """
+        wires = self._wires
+        port_map = self._port_map
+        made: list[Wire] = []
+        ends: list[Endpoint] = []
+        key = self._next_wire_key
+        try:
+            for node_a, port_a, node_b, port_b in pairs:
+                ra = self._port_ref(node_a, port_a)
+                rb = self._port_ref(node_b, port_b)
+                if port_a == port_b and node_a == node_b:
+                    raise TopologyError(f"cannot wire port {ra} to itself")
+                # Claim both ports, one lookup each; a port already mapped
+                # to another key is taken.
+                if port_map.setdefault(ra, key) != key:
+                    raise TopologyError(f"port {ra} already wired")
+                if port_map.setdefault(rb, key) != key:
+                    del port_map[ra]
+                    raise TopologyError(f"port {rb} already wired")
+                wire = wires[key] = Wire(ra, rb, key=key)
+                made.append(wire)
+                ends.append((node_a, port_a))
+                ends.append((node_b, port_b))
+                key += 1
+        except BaseException:
+            for wire in made:
+                del wires[wire.key]
+                del port_map[wire.a]
+                del port_map[wire.b]
+            raise
+        if made:
+            self._next_wire_key = key
+            self._bump_epoch(Delta(added=frozenset(ends)))
+        return made
 
     def disconnect(self, wire: Wire) -> None:
         """Remove a wire (e.g. to model a pulled cable)."""
@@ -311,7 +347,8 @@ class Network:
         wire = self.wire_at(node, port)
         if wire is None:
             return None
-        return wire.other_end(PortRef(node, port))
+        a = wire.a  # the two ends are distinct ports: matching one decides
+        return wire.b if a.port == port and a.node == node else a
 
     def wires_of(self, node: str) -> Iterator[Wire]:
         """All wires with at least one end on ``node`` (loopbacks yielded once)."""
@@ -399,8 +436,10 @@ class Network:
                 dup.add_host(name, **info.meta)
             else:
                 dup.add_switch(name, radix=info.radix, **info.meta)
-        for wire in self._wires.values():
-            dup.connect(wire.a.node, wire.a.port, wire.b.node, wire.b.port)
+        dup.connect_all(
+            (wire.a.node, wire.a.port, wire.b.node, wire.b.port)
+            for wire in self._wires.values()
+        )
         return dup
 
     def induced_subnetwork(self, keep: Iterable[str]) -> "Network":
@@ -417,9 +456,11 @@ class Network:
                 sub.add_host(name, **info.meta)
             else:
                 sub.add_switch(name, radix=info.radix, **info.meta)
-        for wire in self._wires.values():
-            if wire.a.node in keep_set and wire.b.node in keep_set:
-                sub.connect(wire.a.node, wire.a.port, wire.b.node, wire.b.port)
+        sub.connect_all(
+            (wire.a.node, wire.a.port, wire.b.node, wire.b.port)
+            for wire in self._wires.values()
+            if wire.a.node in keep_set and wire.b.node in keep_set
+        )
         return sub
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -62,13 +62,15 @@ def network_from_dict(data: dict[str, Any]) -> Network:
         net.add_switch(
             switch["name"], radix=int(switch["radix"]), **switch.get("meta", {})
         )
-    for wire in data.get("wires", []):
-        net.connect(
+    net.connect_all(
+        (
             wire["a"]["node"],
             int(wire["a"]["port"]),
             wire["b"]["node"],
             int(wire["b"]["port"]),
         )
+        for wire in data.get("wires", [])
+    )
     return net
 
 

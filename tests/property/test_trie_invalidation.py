@@ -1,18 +1,19 @@
 """Trie invalidation property: warm answers equal cold answers.
 
-The probe trie is a cache for one mapping run, and a topology move in the
-middle of the run flushes it whole. This suite drives one long-lived cached
-service through an arbitrary mutator sequence — cable cuts and plugs, node
-removals, dead-wire reconfigurations, probability changes, probes
-interleaved throughout so the trie is warm when the mutations land — then
-compares every query against a **freshly built** evaluator that walks the
-final network cold. If a flush were ever missed (a cached walk kept across
-a changed wire end) some query must disagree; the property forbids it for
+The probe trie lives with its network, and a topology move prunes from it
+every walk that read a changed wire end. This suite drives one long-lived
+cached service through an arbitrary mutator sequence — cable cuts and
+plugs, node removals, dead-wire reconfigurations, probability changes,
+probes interleaved throughout so the trie is warm when the mutations land —
+then compares every query against a **freshly built** evaluator that walks
+a copy of the final network cold (a copy: an evaluator on the network
+itself would share the warm trie). If a prune ever kept a walk across a
+changed wire end some query must disagree; the property forbids it for
 every sequence hypothesis can dream up.
 
-The flush count is part of the property: exactly one per topology-epoch
+The prune count is part of the property: exactly one per topology-epoch
 move a walk sees. Fault-side changes (dead wires, probabilities) are not
-topology moves and flush nothing.
+topology moves and prune nothing.
 """
 
 from __future__ import annotations
@@ -115,6 +116,23 @@ def _apply(op, payload, svc: QuiescentProbeService, faults: FaultModel) -> None:
         raise AssertionError(op)
 
 
+def _reads(node, ends) -> bool:
+    """Whether this node's step, or an ancestor's, read one of ``ends``."""
+    while node is not None:
+        if any(end in ends for end in node.dep):
+            return True
+        node = node.parent
+    return False
+
+
+def _trie_nodes(svc: QuiescentProbeService):
+    stack = list(svc._evaluator._roots.values())
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend((node.children or {}).values())
+
+
 def _same_answers(warm, cold, queries) -> None:
     for op, payload in queries:
         if op == "host":
@@ -137,7 +155,7 @@ class TestFlushEqualsCold:
         self, params, plan, queries, seed
     ):
         """After *any* mutator sequence — including cuts landing on a warm
-        trie mid-run — the flushed evaluator answers every probe exactly as
+        trie mid-run — the pruned evaluator answers every probe exactly as
         a cold evaluator over the final network does."""
         try:
             net = random_san(**params)
@@ -149,7 +167,7 @@ class TestFlushEqualsCold:
             net=net, mapper=mapper, collision=CircuitModel(), faults=warm_faults
         )
         # A probe that finds the topology epoch moved since the last probe
-        # flushes the trie once, however many mutations moved it.
+        # prunes the trie once, however many mutations moved it.
         epoch, moves = net.topology_epoch, 0
         for op, payload in plan:
             if op in _PROBE_KINDS and net.topology_epoch != epoch:
@@ -166,7 +184,7 @@ class TestFlushEqualsCold:
         warm_faults.set_corrupt_prob(0.0)
         cold_faults = FaultModel(dead_wires=warm_faults.dead_wires, seed=seed)
         cold = QuiescentProbeService(
-            net=net, mapper=mapper, collision=CircuitModel(), faults=cold_faults
+            net=net.copy(), mapper=mapper, collision=CircuitModel(), faults=cold_faults
         )
         _same_answers(warm, cold, queries)
         assert warm.eval_cache_stats.invalidations == moves
@@ -178,9 +196,10 @@ class TestFlushEqualsCold:
         queries=st.lists(_probe_ops, min_size=3, max_size=10),
     )
     @settings(max_examples=60, **_SETTINGS)
-    def test_single_cut_flushes_once(self, params, warmup, cut_seed, queries):
-        """A single cable cut on a warm trie drops every cached walk, once,
-        and the rebuilt walks answer identically to a cold evaluator."""
+    def test_single_cut_prunes_once(self, params, warmup, cut_seed, queries):
+        """A single cable cut on a warm trie drops, once, exactly the
+        cached walks that read one of the cable's two ends, and the kept
+        and rebuilt walks answer identically to a cold evaluator."""
         try:
             net = random_san(**params)
         except TopologyError:
@@ -193,13 +212,15 @@ class TestFlushEqualsCold:
             _apply(op, payload, warm, warm.faults)
         if not net.wires:
             return
-        nodes_before = warm.eval_cache_stats.nodes
-        net.disconnect(random.Random(cut_seed).choice(net.wires))
+        wire = random.Random(cut_seed).choice(net.wires)
+        ends = {(wire.a.node, wire.a.port), (wire.b.node, wire.b.port)}
+        doomed = sum(1 for node in _trie_nodes(warm) if _reads(node, ends))
+        net.disconnect(wire)
 
         cold = QuiescentProbeService(
-            net=net, mapper=mapper, collision=CircuitModel(), faults=FaultModel()
+            net=net.copy(), mapper=mapper, collision=CircuitModel(), faults=FaultModel()
         )
         _same_answers(warm, cold, queries)
         after = warm.eval_cache_stats
         assert after.invalidations == 1
-        assert after.nodes_dropped == nodes_before
+        assert after.nodes_dropped == doomed

@@ -11,6 +11,7 @@ from repro.simulator.path_eval import (
     evaluate_route,
 )
 from repro.simulator.turns import switch_probe_turns
+from repro.topology.delta import JOURNAL_WINDOW, UNBOUNDED_DELTA
 from repro.topology.generators import build_ring, build_subcluster
 
 
@@ -63,26 +64,54 @@ def _answer(ev, turns):
     return got.status, got.nodes, got.delivered_to, got.failed_at_turn
 
 
+def _trie_nodes(ev):
+    stack = list(ev._roots.values())
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend((node.children or {}).values())
+
+
+def _reads(node, ends):
+    """Whether this node's step, or an ancestor's, read one of ``ends``."""
+    while node is not None:
+        if any(end in ends for end in node.dep):
+            return True
+        node = node.parent
+    return False
+
+
+def _ends(wire):
+    return {(wire.a.node, wire.a.port), (wire.b.node, wire.b.port)}
+
+
 class TestInvalidation:
-    def test_mid_run_cut_flushes_once_and_answers_cold(self, now_c):
+    def test_mid_run_cut_prunes_once_and_answers_cold(self, now_c):
         ev = IncrementalPathEvaluator(now_c)
         for turns in PROBES:
             ev.evaluate("C-n00", turns)
-        nodes = ev.stats.nodes
         last = evaluate_route(now_c, "C-n00", (5, 1, -2)).traversals[-1]
-        now_c.disconnect(now_c.wire_at(last.src.node, last.src.port))
-        cold = IncrementalPathEvaluator(now_c)
+        wire = now_c.wire_at(last.src.node, last.src.port)
+        nodes = list(_trie_nodes(ev))
+        doomed = {id(n) for n in nodes if _reads(n, _ends(wire))}
+        assert 0 < len(doomed) < len(nodes)
+        now_c.disconnect(wire)
+        cold = IncrementalPathEvaluator(now_c.copy())
         for turns in PROBES:
             assert _answer(ev, turns) == _answer(cold, turns)
+        # Exactly the walks that read a changed end went; the rest are
+        # the same objects, answering the re-walk.
         assert ev.stats.invalidations == 1
-        assert ev.stats.nodes_dropped == nodes
+        assert ev.stats.nodes_dropped == len(doomed)
+        survivors = {id(n) for n in _trie_nodes(ev)}
+        assert {id(n) for n in nodes} - doomed <= survivors
 
-    def test_unrelated_cut_flushes_too(self, now_c):
+    def test_unrelated_cut_drops_nothing(self, now_c):
         ev = IncrementalPathEvaluator(now_c)
         ev.evaluate("C-n00", (5, 1))
         nodes = ev.stats.nodes
-        # A wire the cached walk never crossed: the trie goes all the same,
-        # and the walk is rebuilt node for node.
+        # A wire the cached walk never crossed: the prune keeps every
+        # node, and the re-walk is answered from the trie alone.
         path = evaluate_route(now_c, "C-n00", (5, 1))
         crossed = {t.src for t in path.traversals} | {
             t.dst for t in path.traversals
@@ -91,19 +120,52 @@ class TestInvalidation:
             w for w in now_c.wires if w.a not in crossed and w.b not in crossed
         )
         now_c.disconnect(wire)
+        before = ev.stats
         ev.evaluate("C-n00", (5, 1))
         assert ev.stats.invalidations == 1
-        assert ev.stats.nodes_dropped == nodes
+        assert ev.stats.nodes_dropped == 0
         assert ev.stats.nodes == nodes
+        assert ev.stats.misses == before.misses
+        assert ev.stats.hits == before.hits + 3  # the root and two steps
 
-    def test_epoch_moves_between_walks_flush_once(self, now_c):
+    def test_epoch_moves_between_walks_prune_once(self, now_c):
         ev = IncrementalPathEvaluator(now_c)
         before = _answer(ev, (5, 1, -2))
         wire = next(iter(now_c.wires))
+        doomed = sum(1 for n in _trie_nodes(ev) if _reads(n, _ends(wire)))
         now_c.disconnect(wire)
         now_c.connect(wire.a.node, wire.a.port, wire.b.node, wire.b.port)
         assert _answer(ev, (5, 1, -2)) == before
         assert ev.stats.invalidations == 1
+        assert ev.stats.nodes_dropped == doomed
+
+    @pytest.mark.parametrize("journal", ["out-of-window", "unbounded"])
+    def test_a_journal_that_cannot_answer_flushes_whole(
+        self, now_c, journal, monkeypatch
+    ):
+        ev = IncrementalPathEvaluator(now_c)
+        for turns in PROBES:
+            ev.evaluate("C-n00", turns)
+        nodes = ev.stats.nodes
+        # A wire no cached walk read: a prune would keep every node.
+        read = {end for n in _trie_nodes(ev) for end in n.dep}
+        wire = next(w for w in now_c.wires if not _ends(w) & read)
+        if journal == "unbounded":
+            now_c.disconnect(wire)
+            monkeypatch.setattr(
+                now_c, "affected_since", lambda epoch: UNBOUNDED_DELTA
+            )
+        else:
+            for _ in range(JOURNAL_WINDOW):
+                now_c.disconnect(wire)
+                wire = now_c.connect(
+                    wire.a.node, wire.a.port, wire.b.node, wire.b.port
+                )
+        assert _answer(ev, PROBES[0]) == _answer(
+            IncrementalPathEvaluator(now_c.copy()), PROBES[0]
+        )
+        assert ev.stats.invalidations == 1
+        assert ev.stats.nodes_dropped == nodes
 
     def test_fault_reconfig_is_cache_transparent(self, now_c):
         faults = FaultModel()

@@ -1,14 +1,20 @@
-"""A trie generation holds each wire half once.
+"""A trie holds each wire half once, and a network holds one trie.
 
 White-box pins on the evaluator behind a real mapping run: the trie's
 nodes point at shared hop records instead of carrying their own traversal
 tuples, and the cache counters of the run are the ones the pre-hop-table
-evaluator produced (captured at the parent commit, before any edit).
+evaluator produced. Every service on one network shares its trie, while
+each service's counters count only its own walks.
 """
+
+import gc
+import weakref
+from dataclasses import replace
 
 import pytest
 
 from repro.core.mapper_protocol import create_mapper
+from repro.simulator.path_eval import EvalCacheStats, _Trie
 from repro.simulator.stack import build_service_stack
 from repro.topology.analysis import recommended_search_depth
 from repro.topology.generators import build_subcluster, build_three_tier_fat_tree
@@ -96,3 +102,50 @@ def test_cache_counters_are_the_parent_commits(run, hits_misses_hinted_nodes):
     assert (
         stats.hits, stats.misses, stats.hinted, stats.nodes
     ) == hits_misses_hinted_nodes
+
+
+def _live_tries() -> int:
+    return sum(1 for obj in gc.get_objects() if isinstance(obj, _Trie))
+
+
+def test_services_on_one_network_share_its_trie_and_count_their_own_walks():
+    """The trie belongs to the network; the counters belong to the service.
+    A second service on the network reads the first one's walks (a
+    repeated map is all hits), and a cut is pruned by, and charged to, the
+    service whose walk first sees it."""
+    first = _map_subcluster_c()
+    net, h0 = first.net, first.mapper
+    cold = first.eval_cache_stats
+    second = build_service_stack(net, h0)
+    assert second._evaluator._roots is first._evaluator._roots
+    assert second.eval_cache_stats == EvalCacheStats(nodes=cold.nodes)
+    create_mapper(
+        "berkeley", second, search_depth=recommended_search_depth(net, h0)
+    ).map()
+    warm = second.eval_cache_stats
+    assert warm.evaluations == cold.evaluations
+    assert (warm.hits, warm.misses) == (cold.hits + cold.misses, 0)
+    assert warm.nodes == cold.nodes
+    assert first.eval_cache_stats == cold
+
+    wire = next(w for w in net.wires if net.is_switch(w.a.node) and net.is_switch(w.b.node))
+    net.disconnect(wire)
+    third = build_service_stack(net, h0)
+    third.probe_switch((5,))
+    pruned = third.eval_cache_stats
+    assert pruned.invalidations == 1 and 0 < pruned.nodes_dropped < cold.nodes
+    assert pruned.nodes == cold.nodes - pruned.nodes_dropped + pruned.misses
+    # The other services' own counters did not move; they read the same trie.
+    assert second.eval_cache_stats == replace(warm, nodes=pruned.nodes)
+
+
+def test_the_trie_is_freed_with_its_network():
+    gc.collect()
+    before = _live_tries()
+    svc = _map_subcluster_c()
+    assert _live_tries() == before + 1
+    net = weakref.ref(svc.net)
+    del svc
+    gc.collect()
+    assert net() is None
+    assert _live_tries() == before
