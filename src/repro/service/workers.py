@@ -1,26 +1,48 @@
 """Simulator workers: the CPU-heavy half of the map server.
 
-One remap cycle — rebuild the tenant's network from JSON, run the
-Berkeley mapper through a full middleware stack, compile and check UP*/
-DOWN* routes, verify the map against the effective fabric — is pure CPU
-and would stall the event loop for tens of milliseconds to minutes (scale
-tiers). The server therefore dispatches :func:`run_map_job` into a
+One remap cycle — bring the tenant's network up to date from JSON, run
+the Berkeley mapper through a full middleware stack, compile and check
+UP*/DOWN* routes, verify the map against the effective fabric — is pure
+CPU and would stall the event loop for tens of milliseconds to minutes
+(scale tiers). The server therefore dispatches :func:`run_map_job` into a
 ``ProcessPoolExecutor``; everything crossing the pool boundary is a plain
 JSON-able dict (the payload built by :meth:`TenantState.job_payload`, the
 outcome consumed by :meth:`TenantState.adopt`), so the pool never pickles
-live simulator state and a worker crash loses exactly one cycle.
+live simulator state.
 
-Each worker process builds one seeded simulator per job: probe RNG,
-fault RNG and mapper exploration order all derive from the payload's
-seed, so a cycle's outcome is a deterministic function of its payload —
-re-running a failed payload reproduces the failure bit-for-bit.
+Each worker process keeps one slot from one job to the next, the way
+:class:`~repro.core.remapper.RemapperDaemon` keeps its state from one
+cycle to the next. The slot holds the last job's key (tenant and mapper
+host), the fabric that job decoded, and the daemon's three memos: the
+depth bound's and the root pick's
+:class:`~repro.topology.analysis.DistanceMemo` and a
+:class:`~repro.routing.compile_routes.RouteMemo`. A job with the held key
+whose document keeps the held nodes patches the held fabric by the wires
+that changed, so the probe walks cached on it (``Network.walk_trie``) are
+pruned by the journal instead of walked again; any other job decodes its
+document whole and replaces the slot. The memos and the trie are exact,
+so a slot changes how long a job takes, never what it answers: probe
+RNG, fault RNG and mapper exploration order all derive from the payload's
+seed, and an outcome is a deterministic function of its payload except
+for its ``eval_cache`` counters — re-running a failed payload reproduces
+the failure bit-for-bit.
+
+A job takes the slot out while it runs and puts it back only when it
+returns an outcome, so a raised exception, or a second job beside it on a
+thread pool, never meets a half-patched fabric. A worker crash loses one
+cycle and the slot; the next job decodes whole.
 """
 
 from __future__ import annotations
 
+import sys
+from dataclasses import dataclass
+from typing import Any
+
 from repro.core.instrumentation import analyze_records
 from repro.core.mapper import MappingError, MapSeed
 from repro.core.remapper import map_cycle, route_cycle
+from repro.routing.compile_routes import RouteMemo
 from repro.service.serialize import (
     map_result_from_dict,
     map_result_to_dict,
@@ -29,11 +51,85 @@ from repro.service.serialize import (
 from repro.service.tenant import dead_wires_from_doc
 from repro.simulator.faults import FaultModel
 from repro.simulator.stack import TraceBusLayer, describe_stack
-from repro.topology.analysis import core_network, effective_network
+from repro.topology.analysis import DistanceMemo, core_network, effective_network
 from repro.topology.isomorphism import match_networks
-from repro.topology.serialize import network_from_dict
+from repro.topology.model import Network
+from repro.topology.serialize import network_from_dict, wire_from_dict
 
 __all__ = ["run_map_job"]
+
+#: The document fields a patch keeps: everything but the wires.
+_HEADER = ("format", "version", "default_radix", "hosts", "switches")
+
+_Ends = tuple[str, int, str, int]
+
+
+@dataclass(slots=True)
+class _Slot:
+    """What a worker keeps from its last job."""
+
+    #: ``(tenant, mapper)`` as the job's payload named them.
+    key: tuple[Any, Any]
+    #: The held document's :data:`_HEADER` fields.
+    header: tuple
+    #: The held fabric's wires, each with its lower end first.
+    wires: set[_Ends]
+    net: Network
+    depth_memo: DistanceMemo
+    root_memo: DistanceMemo
+    route_memo: RouteMemo
+
+
+#: Between jobs: empty, or ``{"slot": the slot the last job put back}``.
+_held: dict[str, _Slot] = {}
+
+
+def _in_order(wire: _Ends) -> _Ends:
+    a, pa, b, pb = wire
+    return wire if (a, pa) <= (b, pb) else (b, pb, a, pa)
+
+
+def _patch(slot: _Slot, doc: dict) -> None:
+    """Bring the held fabric to ``doc`` by the wires that changed: one
+    disconnect per lost wire and one ``connect_all`` of the new ones.
+    Raises what decoding ``doc`` would, or ``ValueError`` when it lists a
+    wire twice (a set of wires cannot see that)."""
+    wires = [wire_from_dict(wire) for wire in doc.get("wires", [])]
+    now = set(map(_in_order, wires))
+    if len(now) != len(wires):
+        raise ValueError("a wire is listed twice")
+    net, held = slot.net, slot.wires
+    for a, pa, _, _ in sorted(held - now):
+        net.disconnect(net.wire_at(a, pa))
+    net.connect_all(wire for wire in wires if _in_order(wire) not in held)
+    slot.wires = now
+
+
+def _take_slot(payload: dict) -> _Slot:
+    """The slot this job runs on: the held one patched to the payload's
+    network when it is the same tenant's with the same nodes, else a new
+    one decoded whole (raising what :func:`network_from_dict` raises)."""
+    held = _held.pop("slot", None)
+    key = (payload.get("tenant"), payload.get("mapper"))
+    doc = payload["network"]
+    if (
+        held is not None
+        and held.key == key
+        and isinstance(doc, dict)
+        and tuple(map(doc.get, _HEADER)) == held.header
+    ):
+        try:
+            _patch(held, doc)
+        except (KeyError, TypeError, ValueError):
+            # The held fabric may be half-patched: it is dropped, and the
+            # whole decode below raises what a fresh worker raises.
+            pass
+        else:
+            return held
+    net = network_from_dict(doc)
+    wires = {(w.a.node, w.a.port, w.b.node, w.b.port) for w in net.wires}
+    header = tuple(map(doc.get, _HEADER))
+    return _Slot(key, header, wires, net, DistanceMemo(), DistanceMemo(), RouteMemo())
 
 
 def _mapping_failure(payload: dict, kind: str, message: str) -> dict:
@@ -59,22 +155,34 @@ def run_map_job(payload: dict) -> dict:
     anything else propagates and surfaces in the server log — a bug must
     keep its traceback (SAN006 discipline).
     """
+    slot = None
     try:
-        net = network_from_dict(payload["network"])
-        dead = dead_wires_from_doc(payload.get("dead_wires", []))
-    except (KeyError, TypeError, ValueError) as exc:
-        return _mapping_failure(payload, "bad-payload", str(exc))
-    mapper_host = payload.get("mapper") or sorted(net.hosts)[0]
-    if mapper_host not in net.hosts:
-        return _mapping_failure(
-            payload, "bad-payload", f"mapper {mapper_host!r} is not a host"
+        slot = _take_slot(payload)
+        net = slot.net
+        mapper_host = payload.get("mapper") or min(net.hosts, default=None)
+        if mapper_host not in net.hosts:
+            raise ValueError(f"mapper {mapper_host!r} is not a host")
+        # The fabric's names are interned (network_from_dict): so is the
+        # map's own host, or a pickled outcome carries the name twice.
+        mapper_host = sys.intern(mapper_host)
+        faults = FaultModel(
+            drop_prob=float(payload.get("drop_prob", 0.0)),
+            corrupt_prob=float(payload.get("corrupt_prob", 0.0)),
+            dead_wires=dead_wires_from_doc(payload.get("dead_wires", [])),
+            seed=int(payload.get("seed", 0)),
         )
-    faults = FaultModel(
-        drop_prob=float(payload.get("drop_prob", 0.0)),
-        corrupt_prob=float(payload.get("corrupt_prob", 0.0)),
-        dead_wires=dead,
-        seed=int(payload.get("seed", 0)),
-    )
+    except (KeyError, TypeError, ValueError) as exc:
+        outcome = _mapping_failure(payload, "bad-payload", str(exc))
+    else:
+        outcome = _cycle(payload, slot, mapper_host, faults)
+    if slot is not None:
+        _held["slot"] = slot
+    return outcome
+
+
+def _cycle(payload: dict, slot: _Slot, mapper_host: str, faults: FaultModel) -> dict:
+    """The cycle of :func:`run_map_job` on a decoded payload."""
+    net = slot.net
     seed = None
     if "map_seed" in payload:
         seed_doc = payload["map_seed"]
@@ -95,17 +203,21 @@ def run_map_job(payload: dict) -> dict:
             mapper_host,
             faults=faults,
             seed=seed,
+            memo=slot.depth_memo,
             layers=(TraceBusLayer((records.append,)),),
         )
     except MappingError as exc:
         return _mapping_failure(payload, "mapping-failed", str(exc))
     try:
-        tables, deadlock_free = route_cycle(result.network)
+        tables, deadlock_free = route_cycle(
+            result.network, slot.root_memo, slot.route_memo
+        )
     except ValueError as exc:
         # A fabric split can leave the mapper's component too degenerate
         # to route (e.g. the mapper host alone behind the cut). Expected
         # under faults, so it degrades the tenant instead of crashing.
         return _mapping_failure(payload, "routing-failed", str(exc))
+    slot.route_memo.commit(tables)
     # The effective fabric the map must match: the actual network minus
     # dead cables (a dead wire answers no probe, exactly like a cut one),
     # restricted to the mapper's connected component — a cut that splits

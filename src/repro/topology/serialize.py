@@ -8,12 +8,19 @@ the role the distributed route files play in the Berkeley NOW system.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 from typing import Any
 
 from repro.topology.model import Network
 
-__all__ = ["network_to_dict", "network_from_dict", "save_network", "load_network"]
+__all__ = [
+    "network_to_dict",
+    "network_from_dict",
+    "save_network",
+    "load_network",
+    "wire_from_dict",
+]
 
 FORMAT_VERSION = 1
 
@@ -50,28 +57,34 @@ def network_to_dict(net: Network) -> dict[str, Any]:
 
 
 def network_from_dict(data: dict[str, Any]) -> Network:
-    """Inverse of :func:`network_to_dict`."""
-    if data.get("format") != "san-map":
+    """Inverse of :func:`network_to_dict`.
+
+    Node names are interned, so every network decoded in one process
+    shares one string object per name: a result built from several
+    decoded documents still pickles each name once.
+    """
+    if not isinstance(data, dict) or data.get("format") != "san-map":
         raise ValueError("not a san-map document")
     if data.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported format version: {data.get('version')!r}")
     net = Network(default_radix=int(data.get("default_radix", 8)))
     for host in data.get("hosts", []):
-        net.add_host(host["name"], **host.get("meta", {}))
+        net.add_host(sys.intern(host["name"]), **host.get("meta", {}))
     for switch in data.get("switches", []):
         net.add_switch(
-            switch["name"], radix=int(switch["radix"]), **switch.get("meta", {})
+            sys.intern(switch["name"]),
+            radix=int(switch["radix"]),
+            **switch.get("meta", {}),
         )
-    net.connect_all(
-        (
-            wire["a"]["node"],
-            int(wire["a"]["port"]),
-            wire["b"]["node"],
-            int(wire["b"]["port"]),
-        )
-        for wire in data.get("wires", [])
-    )
+    net.connect_all(map(wire_from_dict, data.get("wires", [])))
     return net
+
+
+def wire_from_dict(wire: dict[str, Any]) -> tuple[str, int, str, int]:
+    """One wire of a :func:`network_to_dict` document, as
+    :meth:`Network.connect_all` takes it, node names interned."""
+    a, b = wire["a"], wire["b"]
+    return (sys.intern(a["node"]), int(a["port"]), sys.intern(b["node"]), int(b["port"]))
 
 
 def save_network(net: Network, path: str | Path) -> None:

@@ -22,6 +22,7 @@ from repro.service.serialize import (
 )
 from repro.service.tenant import TenantSpec, TenantState, build_tenant_network
 from repro.service.workers import run_map_job
+from tests.service.worker_slot import differing, pickled, run_fresh
 
 
 def _served_cycle(tenant: TenantState) -> tuple[dict, dict]:
@@ -110,6 +111,36 @@ class TestOutcomeCarriesEachChannelOnce:
         # route object itself.
         assert len({id(part) for route in routes for part in route.tail}) <= 2 * 2400
 
+    def test_patched_outcome_pickles_like_a_fresh_one(self):
+        """A worker that keeps its tenant's fabric answers each cut from
+        names decoded out of earlier payloads beside this payload's own.
+        Names are interned, so pickle still writes each one once and the
+        outcome stays a fresh worker's size (124 kB against 102 kB on the
+        first cut when they were not)."""
+        tenant = TenantState(TenantSpec(name="t", topology="now-full"))
+        net = tenant.net
+        inner = sorted(
+            (w for w in net.wires if net.is_switch(w.a.node) and net.is_switch(w.b.node)),
+            key=lambda w: (w.a, w.b),
+        )
+        cuts = inner[::31]
+        steps = [lambda: None]
+        steps += [lambda w=w: net.disconnect(w) for w in cuts]
+        steps.append(
+            lambda: net.connect_all((w.a.node, w.a.port, w.b.node, w.b.port) for w in cuts)
+        )
+        for step in steps:
+            step()
+            payload = tenant.job_payload()
+            outcome = run_map_job(pickled(payload))
+            fresh = run_fresh(pickled(payload))
+            assert outcome["ok"] and not differing(outcome, fresh)
+            size, fresh_size = len(pickle.dumps(outcome)), len(pickle.dumps(fresh))
+            # Within 1 %, and in fact within the width of the eval_cache
+            # counters: a map host name that is not interned costs ~300 B.
+            assert abs(size - fresh_size) <= min(32, fresh_size // 100), (size, fresh_size)
+            tenant.adopt(outcome, route_tables_from_dict(outcome["tables"]))
+
 
 class TestPlanTimeFallbackIsReported:
     def test_replug_says_why_it_could_not_seed(self):
@@ -183,3 +214,52 @@ class TestErrorCodes:
         assert outcome["message"]
         assert outcome["tenant"] == "t"
         assert outcome["net_epoch"] == payload["net_epoch"]
+
+
+def _no_hosts() -> dict:
+    payload = _payload(
+        network={"format": "san-map", "version": 1, "hosts": [], "switches": []}
+    )
+    del payload["mapper"]
+    return payload
+
+
+class TestMalformedPayloads:
+    """Every field is decoded inside the one guarded block: these used to
+    raise out of the worker. Each is tried on a fresh worker (the decode
+    route) and on one holding the same tenant's fabric (the patch route)."""
+
+    @pytest.mark.parametrize(
+        "make_payload",
+        [
+            lambda: _payload(network=["not", "a", "document"]),
+            lambda: _payload(network="san-map"),
+            _no_hosts,
+            lambda: _payload(seed="x"),
+            lambda: _payload(seed=[1]),
+            lambda: _payload(drop_prob="often"),
+            lambda: _payload(corrupt_prob=1.5),
+            lambda: _payload(drop_prob=-0.1),
+            lambda: _payload(drop_prob=float("nan")),
+        ],
+        ids=[
+            "network-list",
+            "network-string",
+            "no-hosts-no-mapper",
+            "seed-not-numeric",
+            "seed-list",
+            "drop-prob-not-numeric",
+            "corrupt-prob-above-one",
+            "drop-prob-negative",
+            "drop-prob-nan",
+        ],
+    )
+    def test_decode_failures_are_bad_payload(self, make_payload):
+        payload = make_payload()
+        fresh = run_fresh(pickled(payload))
+        assert run_map_job(_payload())["ok"]
+        outcome = run_map_job(pickled(payload))
+        for got in (fresh, outcome):
+            assert got["ok"] is False and got["error"] == "bad-payload", got
+            assert got["message"] and got["tenant"] == "t"
+        assert not differing(outcome, fresh)
