@@ -21,7 +21,7 @@ class Diagnostic:
     col: int
     rule_id: str
     message: str
-    hint: str | None = field(default=None, compare=False)
+    hint: str | None = field(compare=False)
 
     def render(self, *, show_hint: bool = True) -> str:
         """``path:line:col: SANxxx message`` plus an indented hint line."""

@@ -52,8 +52,8 @@ class ModuleInfo:
     module: str
     source: str
     tree: ast.Module
-    line_suppressions: dict[int, set[str] | None] = field(default_factory=dict)
-    file_suppressions: set[str] | None | bool = False
+    line_suppressions: dict[int, set[str] | None]
+    file_suppressions: set[str] | None | bool
 
     def in_package(self, *prefixes: str) -> bool:
         """Is this module inside any of the given dotted packages?"""

@@ -36,7 +36,7 @@ class ShrinkResult:
     seed: int
     failing: tuple[str, ...]
     runs: int
-    final: CellResult | None = None
+    final: CellResult
 
     @property
     def n_events(self) -> int:

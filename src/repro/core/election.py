@@ -51,7 +51,7 @@ from repro.simulator.stack import (
     ProbeLayer,
     TraceBusLayer,
 )
-from repro.simulator.timing import MYRINET_TIMING, TimingModel
+from repro.simulator.timing import wire_time_us
 from repro.topology.model import Network
 
 __all__ = ["ElectionOutcome", "election_runs", "election_times"]
@@ -79,7 +79,6 @@ def _rival_schedule(
     *,
     search_depth: int,
     collision: CollisionModel,
-    timing: TimingModel,
     cap: int,
 ) -> list[tuple[float, str]]:
     """(relative time, delivered-to host) for a rival's host-probe hits.
@@ -106,7 +105,6 @@ def _rival_schedule(
             max_explorations=None,
             layers=(CapLayer(cap), TraceBusLayer((on_record,))),
             collision=collision,
-            timing=timing,
         )
     except ProbeBudgetExceeded:
         pass
@@ -125,13 +123,11 @@ class _RivalSilenceLayer(ProbeLayer):
         self,
         *,
         winner: str,
-        timing: TimingModel,
         start_us: dict[str, float],
         rival_events: list[tuple[float, str, str]],  # (abs time, sender, target)
         rival_end_us: dict[str, float],
     ) -> None:
         self._winner = winner
-        self._timing = timing
         self._start = start_us
         self._events = sorted(rival_events)
         self._cursor = 0
@@ -186,7 +182,7 @@ class _RivalSilenceLayer(ProbeLayer):
             return
         target = ctx.responder
         assert target is not None
-        arrival = self._t_send + self._timing.wire_time_us(ctx.info.hops)
+        arrival = self._t_send + wire_time_us(ctx.info.hops)
         if target == self._winner or not self._is_active(target, arrival):
             return
         # Busy rival: no answer — but it heard our address.
@@ -212,7 +208,6 @@ def election_runs(
     capped mapping run per rival, so they are computed once per call.
     """
     collision = collision or CircuitModel()
-    timing = MYRINET_TIMING
     hosts = sorted(net.hosts)
     winner = hosts[-1]
     schedules = {
@@ -221,7 +216,6 @@ def election_runs(
             h,
             search_depth=search_depth,
             collision=collision,
-            timing=timing,
             cap=RIVAL_PROBE_CAP,
         )
         for h in hosts
@@ -239,7 +233,6 @@ def election_runs(
 
         silence = _RivalSilenceLayer(
             winner=winner,
-            timing=timing,
             start_us=start_us,
             rival_events=rival_events,
             rival_end_us=rival_end,
@@ -251,7 +244,6 @@ def election_runs(
             max_explorations=None,
             layers=(silence,),
             collision=collision,
-            timing=timing,
             jitter=JITTER,
             rng=rng,
         )

@@ -77,7 +77,7 @@ def map_cycle(
     name — built with this function's defaults where the algorithm's
     constructor accepts them, on the probe-service class its spec
     requires — or a ``(service, depth) -> Mapper`` callable.
-    ``stack_kwargs`` (``layers=``, ``collision=``, ``timing=``) go to
+    ``stack_kwargs`` (``layers=``, ``collision=``, ``jitter=``, ``rng=``) go to
     :func:`~repro.simulator.stack.build_service_stack`. A ``seed`` handed
     to a mapper without ``seed_with`` is dropped, and the result says so.
     With no ``search_depth`` the cycle maps at the proven depth, through
@@ -144,20 +144,21 @@ class RemapCycle:
     n_routes: int
     distribution: DistributionReport | None
     elapsed_ms: float
-    #: Whether this cycle's map adopted subtrees from the previous cycle.
-    incremental: bool = False
     #: Why an incremental cycle fell back to from-scratch, if it did
     #: (``None`` when it seeded successfully or seeding was never planned).
     seed_fallback: str | None = None
     #: Probes this cycle avoided versus the last from-scratch baseline
     #: (0 for unseeded cycles or before a baseline exists).
     probes_saved: int = 0
-    #: Prior-map nodes adopted intact by this cycle's mapper.
-    subtrees_kept: int = 0
 
     @property
     def changed(self) -> bool:
         return not self.diff.identical
+
+    @property
+    def incremental(self) -> bool:
+        """Whether this cycle's map adopted subtrees from the previous cycle."""
+        return self.map_result.seeded
 
 
 class RemapperDaemon:
@@ -305,10 +306,8 @@ class RemapperDaemon:
             n_routes=sum(len(t) for t in tables.values()),
             distribution=report,
             elapsed_ms=elapsed,
-            incremental=result.seeded,
             seed_fallback=result.seed_fallback or plan_fallback,
             probes_saved=probes_saved,
-            subtrees_kept=result.kept_nodes,
         )
         self.history.append(cycle)
         return cycle

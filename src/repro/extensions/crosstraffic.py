@@ -35,15 +35,11 @@ from repro.simulator.stack import (
     RetryLayer,
     build_service_stack,
 )
-from repro.simulator.timing import MYRINET_TIMING
 from repro.simulator.traffic import CrossTraffic
 from repro.topology.analysis import core_network, effective_network
 from repro.topology.isomorphism import match_networks
 from repro.topology.model import Network
 
-#: Bytes of one background message, and the seed of the traffic generator.
-MESSAGE_BYTES = 4096
-TRAFFIC_SEED = 0
 #: Retry budgets a study sweeps at every rate.
 RETRIES = (0, 2)
 
@@ -69,15 +65,12 @@ def build_crosstraffic_service(
     layer). Blocked placements are not recorded against the occupancy —
     a destroyed probe worm leaves nothing behind in the fabric.
     """
-    occupancy = ChannelOccupancy(MYRINET_TIMING)
+    occupancy = ChannelOccupancy()
     traffic = CrossTraffic(
         net,
         occupancy,
-        MYRINET_TIMING,
+        frozenset({mapper}),
         rate_msgs_per_ms=rate_msgs_per_ms,
-        message_bytes=MESSAGE_BYTES,
-        seed=TRAFFIC_SEED,
-        exclude_hosts=frozenset({mapper}),
     )
     layers = [InterferenceLayer(occupancy, traffic=traffic, record_blocked=False)]
     if retries:
@@ -106,7 +99,7 @@ class TrafficPoint:
     probes: int
     probes_lost: int
     elapsed_ms: float
-    error: str = ""
+    error: str
 
     @property
     def completeness(self) -> float:

@@ -32,7 +32,7 @@ from typing import Mapping
 from repro.routing.compile_routes import RouteTable, as_generation
 from repro.simulator.path_eval import PathStatus, evaluate_route
 from repro.simulator.turns import Turns
-from repro.simulator.timing import MYRINET_TIMING
+from repro.simulator.timing import HOST_OVERHEAD_US, LINK_BANDWIDTH_BYTES_PER_US, SWITCH_LATENCY_US
 from repro.topology.model import Network
 
 #: Bytes a table message spends per added or changed route, and per
@@ -175,9 +175,9 @@ def distribute_incremental(
         )
         report.bytes_sent += payload
         report.elapsed_us += (
-            MYRINET_TIMING.host_overhead_us
-            + outcome.hops * MYRINET_TIMING.switch_latency_us
-            + payload / MYRINET_TIMING.link_bandwidth_bytes_per_us
+            HOST_OVERHEAD_US
+            + outcome.hops * SWITCH_LATENCY_US
+            + payload / LINK_BANDWIDTH_BYTES_PER_US
         )
         report.delivered.append(host)
     return report

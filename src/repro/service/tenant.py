@@ -75,6 +75,15 @@ class TenantSpec:
         params = data.get("params", {})
         if not isinstance(params, dict):
             raise SerializationError("tenant spec: 'params' is not an object")
+        topology = data.get("topology", "now-c")
+        kind = NAMED_TOPOLOGIES.get(topology) if isinstance(topology, str) else None
+        if kind is not None or topology == "explicit":
+            reads = kind.defaults if kind is not None else ("network",)
+            unread = sorted(set(params) - set(reads))
+            if unread:
+                raise SerializationError(
+                    f"tenant spec: topology {topology!r} reads no params {unread}"
+                )
         mapper = data.get("mapper")
         if mapper is not None and not isinstance(mapper, str):
             raise SerializationError("tenant spec: 'mapper' is not a string")
@@ -86,9 +95,11 @@ class TenantSpec:
             if type(value) not in (int, float):
                 raise SerializationError(f"tenant spec: {key!r} is not a number")
         try:
+            if kind is not None:
+                kind.resolve(params)  # every parameter value casts
             return cls(
                 name=data["name"],
-                topology=data.get("topology", "now-c"),
+                topology=topology,
                 params=params,
                 mapper=mapper,
                 seed=seed,

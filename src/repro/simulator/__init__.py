@@ -59,7 +59,6 @@ from repro.simulator.stack import (
     build_service_stack,
     describe_stack,
 )
-from repro.simulator.timing import TimingModel, MYRINET_TIMING
 from repro.simulator.faults import FaultModel
 
 __all__ = [
@@ -72,7 +71,6 @@ __all__ = [
     "FaultModel",
     "InterferenceLayer",
     "IncrementalPathEvaluator",
-    "MYRINET_TIMING",
     "PacketModel",
     "PathResult",
     "PathStatus",
@@ -85,7 +83,6 @@ __all__ = [
     "ProbeStats",
     "QuiescentProbeService",
     "RetryLayer",
-    "TimingModel",
     "TraceBusLayer",
     "TURN_MAX",
     "TURN_MIN",

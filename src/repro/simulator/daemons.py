@@ -14,26 +14,19 @@ order vs. uniformly random placement).
 
 from __future__ import annotations
 
-import enum
 import random
 from dataclasses import dataclass
 
 from repro.topology.model import Network
 
-__all__ = ["DaemonMode", "DaemonPlacement"]
-
-
-class DaemonMode(enum.Enum):
-    MASTER_SLAVE = "master/slave"
-    ELECTION = "election"
+__all__ = ["DaemonPlacement"]
 
 
 @dataclass(frozen=True)
 class DaemonPlacement:
-    """A set of hosts running mapper daemons, plus the operational mode."""
+    """A set of hosts running mapper daemons."""
 
     responders: frozenset[str]
-    mode: DaemonMode = DaemonMode.MASTER_SLAVE
 
     @classmethod
     def sequential_fill(cls, net: Network, count: int) -> "DaemonPlacement":
@@ -56,4 +49,4 @@ class DaemonPlacement:
 
     def including(self, *hosts: str) -> "DaemonPlacement":
         """The placement with ``hosts`` added (the mapper must respond)."""
-        return DaemonPlacement(self.responders | set(hosts), self.mode)
+        return DaemonPlacement(self.responders | set(hosts))

@@ -22,7 +22,8 @@ import bisect
 from dataclasses import dataclass, field
 
 from repro.simulator.path_eval import PathResult, ProbeInfo, Traversal
-from repro.simulator.timing import TimingModel
+from repro.simulator.timing import BLOCKED_PORT_TIMEOUT_US, PROBE_BYTES, SWITCH_LATENCY_US
+from repro.simulator.timing import LINK_BANDWIDTH_BYTES_PER_US
 
 __all__ = ["ChannelOccupancy", "WormPlacement"]
 
@@ -47,8 +48,7 @@ class ChannelOccupancy:
     #: hit rate is high; the bound keeps adversarial traffic from growing it.
     _PLAN_MEMO_MAX = 4096
 
-    def __init__(self, timing: TimingModel) -> None:
-        self._timing = timing
+    def __init__(self) -> None:
         self._busy: dict[Channel, list[tuple[float, float]]] = {}
         self._plan_memo: dict[tuple, list[tuple[Channel, float, float]]] = {}
 
@@ -63,12 +63,11 @@ class ChannelOccupancy:
         key = (message_bytes or 0, tuple(traversals))
         plan = self._plan_memo.get(key)
         if plan is None:
-            t = self._timing
-            tx = (message_bytes or t.probe_bytes) / t.link_bandwidth_bytes_per_us
+            tx = (message_bytes or PROBE_BYTES) / LINK_BANDWIDTH_BYTES_PER_US
             plan = []
             for i, tr in enumerate(traversals):
-                begin = i * t.switch_latency_us
-                end = begin + tx + t.switch_latency_us
+                begin = i * SWITCH_LATENCY_US
+                end = begin + tx + SWITCH_LATENCY_US
                 plan.append(((tr.src, tr.dst), begin, end))
             if len(self._plan_memo) >= self._PLAN_MEMO_MAX:
                 self._plan_memo.clear()
@@ -112,13 +111,13 @@ class ChannelOccupancy:
         occupying switch and link resources" (Section 1.1) until the ROM
         timeout fires the forward reset. With ``record_blocked`` the partial
         path up to the blocked channel therefore stays busy for the
-        ``blocked_port_timeout`` — this is what makes contention cascade and
+        blocked-port timeout — this is what makes contention cascade and
         produces the election mode's long-tail mapping times.
         """
         plan = self._intervals(path, start_us, message_bytes)
         for k, (channel, begin, end) in enumerate(plan):
             if self._overlaps(channel, begin, end):
-                reset_at = begin + self._timing.blocked_port_timeout_us
+                reset_at = begin + BLOCKED_PORT_TIMEOUT_US
                 if record_blocked:
                     for held_channel, held_begin, _held_end in plan[:k]:
                         self._insert(held_channel, held_begin, reset_at)

@@ -37,7 +37,7 @@ from repro.simulator.path_eval import (
 )
 from repro.simulator.probes import ProbeKind, ProbeRecord, ProbeStats
 from repro.simulator.stack import ProbeContext, ProbeLayer
-from repro.simulator.timing import MYRINET_TIMING, TimingModel
+from repro.simulator.timing import PROBE_TIMEOUT_US, probe_response_us
 from repro.simulator.turns import Turns, validate_turns
 from repro.topology.delta import Endpoint
 from repro.topology.model import Network
@@ -59,8 +59,6 @@ class QuiescentProbeService:
         Self-collision model; the proof's two cases are
         :class:`~repro.simulator.collision.CircuitModel` and
         :class:`~repro.simulator.collision.CutThroughModel`.
-    timing:
-        Cost model; probe costs accumulate in ``stats.elapsed_us``.
     responders:
         Hosts that answer host-probes. ``None`` means every host.
     faults:
@@ -71,13 +69,15 @@ class QuiescentProbeService:
     rng:
         Share a jitter RNG with the caller (the election run interleaves
         its own draws with probe jitter on one stream). ``None`` seeds a
-        private ``random.Random(seed)``.
+        private ``random.Random(0)``.
+
+    Probe costs come from :mod:`~repro.simulator.timing` and accumulate
+    in ``stats.elapsed_us``.
     """
 
     net: Network
     mapper: str
     collision: CollisionModel = field(default_factory=CircuitModel)
-    timing: TimingModel = MYRINET_TIMING
     responders: frozenset[str] | None = None
     faults: FaultModel = field(default_factory=FaultModel)
     #: Multiplicative software-time jitter: each probe's cost is scaled by a
@@ -85,7 +85,6 @@ class QuiescentProbeService:
     #: SBUS contention noise — the source of the paper's min/avg/max spread
     #: in Figure 7. Zero disables it (fully deterministic timing).
     jitter: float = 0.0
-    seed: int = 0
     layers: tuple = ()
     rng: random.Random | None = None
 
@@ -101,7 +100,7 @@ class QuiescentProbeService:
         self._turn_limit = max(
             (self.net.radix(s) - 1 for s in self.net.switches), default=7
         )
-        self._rng = self.rng if self.rng is not None else random.Random(self.seed)
+        self._rng = self.rng if self.rng is not None else random.Random(0)
         # Reads and extends the network's probe trie, which outlives this
         # service: the next cycle's service on the same network finds the
         # walks this one cached, pruned by whatever changed in between.
@@ -169,11 +168,9 @@ class QuiescentProbeService:
             hit = ctx.hit
             info = ctx.info
             cost = self._jittered(
-                self.timing.probe_response_us(
-                    info.hops, info.hops if round_trip else 0
-                )
+                probe_response_us(info.hops, info.hops if round_trip else 0)
                 if hit
-                else self.timing.probe_timeout_us()
+                else PROBE_TIMEOUT_US
             )
             record = ProbeRecord(
                 kind, turns, hit, cost, ctx.response if hit else None

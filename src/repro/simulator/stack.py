@@ -298,8 +298,7 @@ def build_service_stack(
     quiescent core (or a ``service_cls`` subclass adding probe kinds,
     e.g. the self-identifying baseline) plus the given layers in order.
     All remaining keyword arguments go to the service constructor
-    (``collision=``, ``timing=``, ``faults=``, ``jitter=``, ``seed=``,
-    ``rng=``, ``responders=``).
+    (``collision=``, ``faults=``, ``jitter=``, ``rng=``, ``responders=``).
     """
     from repro.simulator.quiescent import QuiescentProbeService
 

@@ -24,10 +24,15 @@ import networkx as nx
 
 from repro.simulator.occupancy import ChannelOccupancy
 from repro.simulator.path_eval import PathResult, PathStatus, Traversal
-from repro.simulator.timing import TimingModel
 from repro.topology.model import HOST_PORT, Network, PortRef
 
 __all__ = ["CrossTraffic", "host_pair_paths"]
+
+#: Bytes of one background message: traffic worms carry application
+#: payloads, much larger than probes, so they hold channels much longer.
+MESSAGE_BYTES = 4096
+#: The seed of the traffic generator.
+TRAFFIC_SEED = 0
 
 
 def host_pair_paths(net: Network) -> dict[tuple[str, str], list[Traversal]]:
@@ -77,8 +82,8 @@ class CrossTraffic:
     """Poisson cross-traffic injected onto a channel-occupancy fabric.
 
     ``rate_msgs_per_ms`` is the aggregate message rate across all host
-    pairs; ``message_bytes`` is the application payload size (traffic worms
-    are much larger than probes, so they hold channels much longer).
+    pairs, none of them to or from ``exclude_hosts``; each message is
+    :data:`MESSAGE_BYTES` long.
 
     ``fill_until(t)`` lazily extends the injected traffic to cover the
     simulation clock — callers advance it as their own time advances, so
@@ -88,14 +93,11 @@ class CrossTraffic:
 
     net: Network
     occupancy: ChannelOccupancy
-    timing: TimingModel
+    exclude_hosts: frozenset[str]
     rate_msgs_per_ms: float = 1.0
-    message_bytes: int = 4096
-    seed: int = 0
-    exclude_hosts: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
-        self._rng = random.Random(self.seed)
+        self._rng = random.Random(TRAFFIC_SEED)
         self._cursor_us = 0.0
         self._pairs: list | None = None
         self.messages_placed = 0
@@ -134,7 +136,7 @@ class CrossTraffic:
             placement = self.occupancy.try_place(
                 path,
                 self._cursor_us,
-                message_bytes=self.message_bytes,
+                message_bytes=MESSAGE_BYTES,
                 record_blocked=True,
             )
             if placement.ok:

@@ -5,7 +5,7 @@ A **spec** is a plain dict ``{"kind": ..., <params>..., "mapper"?: host}``.
 Each kind declares, next to its builder, the parameters it reads, each
 parameter's single default (a constant, or derived from the parameters
 before it) and the floor of every parameter the chaos shrinker may lower.
-Keys a kind does not read are ignored.
+Keys a kind does not read are ignored here; a tenant spec refuses them.
 
 ==================  =====================================================  ================
 kind                parameters (default)                                   shrink floors
@@ -68,7 +68,10 @@ class TopologyKind:
         for key, default in self.defaults.items():
             value = spec.get(key, default(p) if callable(default) else default)
             cast = float if isinstance(default, float) else int
-            p[key] = None if value is None else cast(value)
+            try:
+                p[key] = None if value is None else cast(value)
+            except (TypeError, ValueError):
+                raise ValueError(f"parameter {key!r}: {value!r} is not {cast.__name__}") from None
         return p
 
 

@@ -58,8 +58,7 @@ def test_reference_knobs_stay_out_of_production_signatures():
         return list(inspect.signature(func).parameters)
 
     assert parameters(QuiescentProbeService) == [
-        "net", "mapper", "collision", "timing", "responders", "faults",
-        "jitter", "seed", "layers", "rng",
+        "net", "mapper", "collision", "responders", "faults", "jitter", "layers", "rng",
     ]
     assert parameters(match_networks) == ["model", "actual"]
     assert parameters(all_pairs_updown_paths) == ["net", "orientation"]

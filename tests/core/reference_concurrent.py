@@ -52,7 +52,6 @@ from repro.simulator.collision import CircuitModel, CollisionModel
 from repro.simulator.occupancy import ChannelOccupancy
 from repro.simulator.probes import ProbeKind
 from repro.simulator.stack import InterferenceLayer, ProbeContext, ProbeLayer
-from repro.simulator.timing import MYRINET_TIMING, TimingModel
 from repro.topology.model import Network
 
 #: An actor is a callable run in its own thread with the scheduler as its
@@ -255,7 +254,6 @@ def run_concurrent_mappers(
     *,
     search_depth: int,
     collision: CollisionModel | None = None,
-    timing: TimingModel = MYRINET_TIMING,
     start_stagger_us: float = 500.0,
     yield_rule: bool = False,
     max_explorations: int | None = 2000,
@@ -276,7 +274,7 @@ def run_concurrent_mappers(
         raise ValueError("need at least one mapper host")
     collision = collision or CircuitModel()
     scheduler = LockstepScheduler()
-    occupancy = ChannelOccupancy(timing)
+    occupancy = ChannelOccupancy()
     active = dict.fromkeys(mappers, True)
     outcomes: dict[str, MapperOutcome] = {}
 
@@ -296,7 +294,6 @@ def run_concurrent_mappers(
                     max_explorations=max_explorations,
                     layers=layers,
                     collision=collision,
-                    timing=timing,
                 )
             except _Yielded:
                 pass

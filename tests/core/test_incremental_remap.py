@@ -77,9 +77,9 @@ class TestFullNowSingleFaults:
 
         net, h0, faults, scratch, s_cycle = arms[False]
         _, _, _, inc, i_cycle = arms[True]
-        assert not s_cycle.incremental and s_cycle.subtrees_kept == 0
+        assert not s_cycle.incremental and s_cycle.map_result.kept_nodes == 0
         assert i_cycle.incremental, i_cycle.seed_fallback
-        assert i_cycle.subtrees_kept > 0 and i_cycle.probes_saved > 0
+        assert i_cycle.map_result.kept_nodes > 0 and i_cycle.probes_saved > 0
 
         # Outcome equivalence: isomorphic to each other and to N - F.
         assert match_networks(inc.current_map, scratch.current_map)
@@ -119,7 +119,7 @@ class TestFullNowSingleFaults:
         second = daemon.run_cycle()
         assert not first.incremental  # nothing to seed from yet
         assert second.incremental and not second.changed
-        assert second.subtrees_kept == daemon.current_map.n_hosts + (
+        assert second.map_result.kept_nodes == daemon.current_map.n_hosts + (
             daemon.current_map.n_switches
         )
         # Only the confirmation frontier was probed: one per non-mapper host.

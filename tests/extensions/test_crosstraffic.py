@@ -8,6 +8,7 @@ from repro.extensions.crosstraffic import (
     build_crosstraffic_service,
     crosstraffic_study,
 )
+from repro.simulator import traffic
 from repro.simulator.stack import InterferenceLayer, RetryLayer
 from repro.simulator.quiescent import QuiescentProbeService
 from repro.topology.analysis import recommended_search_depth
@@ -28,7 +29,7 @@ class TestTrafficService:
         assert _lost(svc_t) == 0
 
     def test_heavy_traffic_loses_probes(self, ring_net, monkeypatch):
-        monkeypatch.setattr(crosstraffic, "TRAFFIC_SEED", 3)
+        monkeypatch.setattr(traffic, "TRAFFIC_SEED", 3)
         depth = recommended_search_depth(ring_net, "h0")
         svc = build_crosstraffic_service(ring_net, "h0", rate_msgs_per_ms=200.0)
         BerkeleyMapper(svc, search_depth=depth, host_first=False).map()
@@ -36,7 +37,7 @@ class TestTrafficService:
 
     def test_losses_never_corrupt_only_omit(self, ring_net, monkeypatch):
         """Deductions are sound: the produced map embeds in the truth."""
-        monkeypatch.setattr(crosstraffic, "TRAFFIC_SEED", 5)
+        monkeypatch.setattr(traffic, "TRAFFIC_SEED", 5)
         depth = recommended_search_depth(ring_net, "h0")
         svc = build_crosstraffic_service(ring_net, "h0", rate_msgs_per_ms=150.0)
         result = BerkeleyMapper(svc, search_depth=depth, host_first=False).map()
@@ -77,7 +78,7 @@ class TestStudy:
 
     def test_retries_recover_completeness(self, ring_net, monkeypatch):
         monkeypatch.setattr(crosstraffic, "RETRIES", (0, 3))
-        monkeypatch.setattr(crosstraffic, "TRAFFIC_SEED", 2)
+        monkeypatch.setattr(traffic, "TRAFFIC_SEED", 2)
         points = crosstraffic_study(
             ring_net,
             "h0",

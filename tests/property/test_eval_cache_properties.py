@@ -102,7 +102,7 @@ def _services(params, collision, *, drop, corrupt, jitter, seed):
             collision=collision,
             faults=FaultModel(drop_prob=drop, corrupt_prob=corrupt, seed=seed),
             jitter=jitter,
-            seed=seed,
+            rng=random.Random(seed),
             service_cls=service_cls,
         )
 
@@ -270,7 +270,7 @@ def _map_with_cut(params, service_cls, *, seed, cut_at, cut_seed):
         sorted(net.hosts)[0],
         layers=(CountingLayer(((cut_at, cut),)), _KeptTrace()),
         faults=FaultModel(seed=seed),
-        seed=seed,
+        rng=random.Random(seed),
         service_cls=service_cls,
     )
     try:

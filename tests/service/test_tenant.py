@@ -63,6 +63,30 @@ def test_from_dict_refuses_an_unknown_key(extra):
         TenantSpec.from_dict({**SPEC, **extra})
 
 
+@pytest.mark.parametrize("topology, params", [
+    ("ring", {"sise": 8}),  # a misspelling must not load the default ring
+    ("ring", {"size": 8, "k": 4}),  # a parameter of another kind
+    ("now-c", {"size": 8}),  # the NOW subclusters read none
+    ("explicit", {"network": {}, "size": 8}),  # an inline document reads only `network`
+])
+def test_from_dict_refuses_a_param_the_topology_does_not_read(topology, params):
+    with pytest.raises(SerializationError, match=f"topology '{topology}' reads no params"):
+        TenantSpec.from_dict({**SPEC, "topology": topology, "params": params})
+
+
+@pytest.mark.parametrize("key, value", [("size", "x"), ("hosts_per_switch", [1])])
+def test_from_dict_refuses_a_param_value_that_will_not_cast(key, value):
+    with pytest.raises(SerializationError, match=f"parameter '{key}'"):
+        TenantSpec.from_dict({**SPEC, "params": {key: value}})
+
+
+def test_serve_config_with_a_misspelled_param_fails_at_load(tmp_path, capsys):
+    config = tmp_path / "tenants.json"
+    config.write_text(json.dumps([{**SPEC, "params": {"sise": 8}}]))
+    assert main(["serve", "--config", str(config), "--burst", "1", "--workers", "1"]) == 2
+    assert "reads no params ['sise']" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("mapper", [5, ["ring-n000"], True])
 def test_from_dict_refuses_a_mapper_that_is_not_a_string(mapper):
     with pytest.raises(SerializationError, match="'mapper' is not a string"):

@@ -2,7 +2,7 @@
 
 from repro.simulator.occupancy import ChannelOccupancy
 from repro.simulator.path_eval import PathResult, PathStatus, Traversal
-from repro.simulator.timing import TimingModel
+from repro.simulator import traffic as traffic_module
 from repro.simulator.traffic import CrossTraffic, host_pair_paths
 from repro.simulator.daemons import DaemonPlacement
 from repro.topology.model import PortRef
@@ -15,18 +15,15 @@ def _path(*hops):
 
 
 class TestOccupancy:
-    def _timing(self):
-        return TimingModel()
-
     def test_disjoint_worms_both_placed(self):
-        occ = ChannelOccupancy(self._timing())
+        occ = ChannelOccupancy()
         p1 = _path(("a", 0, "b", 0))
         p2 = _path(("c", 0, "d", 0))
         assert occ.try_place(p1, 0.0).ok
         assert occ.try_place(p2, 0.0).ok
 
     def test_conflicting_worms_block(self):
-        occ = ChannelOccupancy(self._timing())
+        occ = ChannelOccupancy()
         p = _path(("a", 0, "b", 0))
         assert occ.try_place(p, 0.0).ok
         placement = occ.try_place(p, 0.0)
@@ -34,21 +31,20 @@ class TestOccupancy:
         assert placement.blocked_channel is not None
 
     def test_opposite_directions_do_not_conflict(self):
-        occ = ChannelOccupancy(self._timing())
+        occ = ChannelOccupancy()
         fwd = _path(("a", 0, "b", 0))
         rev = _path(("b", 0, "a", 0))
         assert occ.try_place(fwd, 0.0).ok
         assert occ.try_place(rev, 0.0).ok
 
     def test_time_separation_avoids_conflict(self):
-        occ = ChannelOccupancy(self._timing())
+        occ = ChannelOccupancy()
         p = _path(("a", 0, "b", 0))
         assert occ.try_place(p, 0.0).ok
         assert occ.try_place(p, 1000.0).ok  # a millisecond later
 
     def test_blocked_worm_holds_partial_path(self):
-        timing = self._timing()
-        occ = ChannelOccupancy(timing)
+        occ = ChannelOccupancy()
         blocker = _path(("m", 0, "n", 0))
         assert occ.try_place(blocker, 0.0).ok
         # Two-hop worm whose second hop conflicts: its FIRST hop should
@@ -64,8 +60,7 @@ class TestOccupancy:
         assert occ.try_place(held, 60_000.0).ok
 
     def test_larger_messages_hold_longer(self):
-        timing = self._timing()
-        occ = ChannelOccupancy(timing)
+        occ = ChannelOccupancy()
         p = _path(("a", 0, "b", 0))
         assert occ.try_place(p, 0.0, message_bytes=64_000).ok
         # 64 kB at 160 B/us holds the channel ~400 us.
@@ -83,10 +78,10 @@ class TestCrossTraffic:
         assert trs[0].src.node == "h0"
         assert trs[-1].dst.node == "h2"
 
-    def test_fill_until_is_incremental(self, two_switch_net):
-        occ = ChannelOccupancy(TimingModel())
+    def test_fill_until_is_incremental(self, two_switch_net, monkeypatch):
+        monkeypatch.setattr(traffic_module, "TRAFFIC_SEED", 3)
         traffic = CrossTraffic(
-            two_switch_net, occ, TimingModel(), rate_msgs_per_ms=5.0, seed=3
+            two_switch_net, ChannelOccupancy(), frozenset(), rate_msgs_per_ms=5.0
         )
         first = traffic.fill_until(10_000.0)
         again = traffic.fill_until(10_000.0)  # no new coverage
@@ -96,20 +91,17 @@ class TestCrossTraffic:
         assert more > 0
 
     def test_zero_rate_is_free(self, two_switch_net):
-        occ = ChannelOccupancy(TimingModel())
         traffic = CrossTraffic(
-            two_switch_net, occ, TimingModel(), rate_msgs_per_ms=0.0
+            two_switch_net, ChannelOccupancy(), frozenset(), rate_msgs_per_ms=0.0
         )
         assert traffic.fill_until(1e6) == 0
 
     def test_excluded_hosts_send_nothing(self, two_switch_net):
-        occ = ChannelOccupancy(TimingModel())
         traffic = CrossTraffic(
             two_switch_net,
-            occ,
-            TimingModel(),
+            ChannelOccupancy(),
+            frozenset(two_switch_net.hosts),
             rate_msgs_per_ms=5.0,
-            exclude_hosts=frozenset(two_switch_net.hosts),
         )
         assert traffic.fill_until(10_000.0) == 0
 

@@ -1,5 +1,7 @@
 """Quiescent probe service: the R function, accounting, timing, daemons."""
 
+import random
+
 import pytest
 
 from repro.core.instrumentation import TraceRecorder
@@ -7,7 +9,7 @@ from repro.simulator.collision import CircuitModel, PacketModel
 from repro.simulator.faults import FaultModel
 from repro.simulator.quiescent import QuiescentProbeService
 from repro.simulator.stack import TraceBusLayer
-from repro.simulator.timing import TimingModel
+from repro.simulator import quiescent, timing
 from tests.topology.reference_builder import NetworkBuilder
 
 
@@ -113,9 +115,11 @@ class TestCollisionIntegration:
 
 
 class TestTimingAccounting:
-    def test_costs_accumulate(self, tiny_net):
-        timing = TimingModel(host_overhead_us=100, reply_overhead_us=10, timeout_us=500)
-        svc = QuiescentProbeService(tiny_net, "h0", timing=timing)
+    def test_costs_accumulate(self, tiny_net, monkeypatch):
+        monkeypatch.setattr(timing, "HOST_OVERHEAD_US", 100)
+        monkeypatch.setattr(timing, "REPLY_OVERHEAD_US", 10)
+        monkeypatch.setattr(quiescent, "PROBE_TIMEOUT_US", 100 + 500)
+        svc = QuiescentProbeService(tiny_net, "h0")
         svc.probe_host((3,))  # hit
         hit_cost = svc.stats.elapsed_us
         assert 110 < hit_cost < 130  # overheads + small wire time
@@ -124,7 +128,7 @@ class TestTimingAccounting:
 
     def test_jitter_deterministic_per_seed(self, tiny_net):
         def total(seed):
-            svc = QuiescentProbeService(tiny_net, "h0", jitter=0.1, seed=seed)
+            svc = QuiescentProbeService(tiny_net, "h0", jitter=0.1, rng=random.Random(seed))
             for _ in range(5):
                 svc.probe_host((3,))
             return svc.stats.elapsed_us

@@ -9,7 +9,7 @@ blocks a probe that needs it.
 
 from repro.simulator.occupancy import ChannelOccupancy
 from repro.simulator.path_eval import PathResult, PathStatus
-from repro.simulator.timing import MYRINET_TIMING
+from repro.simulator import timing, traffic as traffic_module
 from repro.simulator.traffic import CrossTraffic, host_pair_paths
 
 
@@ -43,16 +43,8 @@ class TestHostPairPaths:
 
 
 class TestCrossTrafficGenerator:
-    def _traffic(self, net, *, rate=50.0, seed=0, exclude=frozenset()):
-        occupancy = ChannelOccupancy(MYRINET_TIMING)
-        return CrossTraffic(
-            net,
-            occupancy,
-            MYRINET_TIMING,
-            rate_msgs_per_ms=rate,
-            seed=seed,
-            exclude_hosts=exclude,
-        )
+    def _traffic(self, net, *, rate=50.0, exclude=frozenset()):
+        return CrossTraffic(net, ChannelOccupancy(), exclude, rate_msgs_per_ms=rate)
 
     def test_zero_rate_places_nothing(self, ring_net):
         traffic = self._traffic(ring_net, rate=0.0)
@@ -69,13 +61,15 @@ class TestCrossTrafficGenerator:
         assert traffic.fill_until(40_000.0) > 0
         assert traffic.messages_placed >= first
 
-    def test_seeded_replay_is_identical(self, ring_net):
-        def run(seed):
-            traffic = self._traffic(ring_net, seed=seed)
+    def test_seeded_replay_is_identical(self, ring_net, monkeypatch):
+        monkeypatch.setattr(traffic_module, "TRAFFIC_SEED", 4)
+
+        def run():
+            traffic = self._traffic(ring_net)
             traffic.fill_until(30_000.0)
             return traffic.messages_placed, traffic.messages_blocked
 
-        assert run(4) == run(4)
+        assert run() == run()
 
     def test_excluded_hosts_never_appear(self, ring_net):
         traffic = self._traffic(ring_net, exclude=frozenset({"h0"}))
@@ -88,7 +82,7 @@ class TestProbeInterference:
     def test_worm_blocks_concurrent_probe_on_same_channel(self, two_switch_net):
         """A placed message owns its channels for its service time; a probe
         needing one of those channels at the same instant is blocked."""
-        occupancy = ChannelOccupancy(MYRINET_TIMING)
+        occupancy = ChannelOccupancy()
         route = host_pair_paths(two_switch_net)[("h0", "h2")]
         worm = occupancy.try_place(
             _path(route), 100.0, message_bytes=4096, record_blocked=True
@@ -98,19 +92,19 @@ class TestProbeInterference:
         assert not probe.ok
 
     def test_probe_passes_once_the_worm_drains(self, two_switch_net):
-        occupancy = ChannelOccupancy(MYRINET_TIMING)
+        occupancy = ChannelOccupancy()
         route = host_pair_paths(two_switch_net)[("h0", "h2")]
         assert occupancy.try_place(
             _path(route), 100.0, message_bytes=4096, record_blocked=True
         ).ok
-        tx_us = 4096 / MYRINET_TIMING.link_bandwidth_bytes_per_us
-        later = 100.0 + 10 * (tx_us + MYRINET_TIMING.switch_latency_us)
+        tx_us = 4096 / timing.LINK_BANDWIDTH_BYTES_PER_US
+        later = 100.0 + 10 * (tx_us + timing.SWITCH_LATENCY_US)
         assert occupancy.try_place(_path(route), later).ok
 
     def test_disjoint_channels_do_not_interfere(self, two_switch_net):
         """h0->h1 stays inside s0; a worm there cannot block the h2->h3
         exchange inside s1."""
-        occupancy = ChannelOccupancy(MYRINET_TIMING)
+        occupancy = ChannelOccupancy()
         paths = host_pair_paths(two_switch_net)
         assert occupancy.try_place(
             _path(paths[("h0", "h1")]), 100.0, message_bytes=4096,

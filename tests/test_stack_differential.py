@@ -23,10 +23,9 @@ from pathlib import Path
 import pytest
 
 from repro.core.election import _rival_schedule, election_runs
-from repro.extensions import crosstraffic
 from repro.extensions.crosstraffic import crosstraffic_study
 from repro.simulator.collision import CircuitModel
-from repro.simulator.timing import MYRINET_TIMING
+from repro.simulator import traffic
 from repro.topology.analysis import recommended_search_depth
 from repro.topology.generators import build_ring, build_subcluster
 from tests.core.reference_concurrent import run_concurrent_mappers
@@ -62,7 +61,6 @@ def test_rival_schedule_digest_matches_capped_wrapper(subcluster_c):
         "C-n04",
         search_depth=depth,
         collision=CircuitModel(),
-        timing=MYRINET_TIMING,
         cap=600,
     )
     want = GOLDEN["rival_schedule_C-n04"]
@@ -97,7 +95,7 @@ def test_concurrent_mapping_byte_identical_to_legacy_wrapper(yield_rule):
 
 def test_crosstraffic_study_byte_identical_to_legacy_wrappers(subcluster_c, monkeypatch):
     net, depth = subcluster_c
-    monkeypatch.setattr(crosstraffic, "TRAFFIC_SEED", 3)
+    monkeypatch.setattr(traffic, "TRAFFIC_SEED", 3)
     pts = crosstraffic_study(net, "C-svc", search_depth=depth, rates=(0.0, 2.0, 5.0))
     got = [
         {

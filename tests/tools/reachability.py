@@ -1,18 +1,18 @@
 """Which ``src/`` functions does no product entry point ever enter, and
-which defaulted parameters does none ever vary?
+which defaulted parameters and dataclass fields does none ever vary?
 
 Run from the repository root (it takes a few minutes, so it is not part
 of tier-1)::
 
-    python tests/tools/reachability.py           # print both tables
+    python tests/tools/reachability.py           # print the three tables
     python tests/tools/reachability.py --check   # compare with the committed ones
 
-It prints the two docs/STATIC_ANALYSIS.md tables on stdout, each row with
-the disposition the committed table gives it (blank for a new row). With
-``--check`` it prints nothing on stdout and exits 1 when either table is
-stale: a never-entered def or a never-varied parameter has no row, or a
-row names a def or parameter that is gone, or that some entry point now
-enters or varies.
+It prints the three docs/STATIC_ANALYSIS.md tables on stdout, each row
+with the disposition the committed table gives it (blank for a new row).
+With ``--check`` it prints nothing on stdout and exits 1 when any table is
+stale: a never-entered def, a never-varied parameter or a never-varied
+field has no row, or a row names one that is gone, or that some entry
+point now enters or varies.
 
 Every product entry point runs in its own subprocess with a generated
 ``sitecustomize.py`` on ``PYTHONPATH``. It installs a ``sys.setprofile``
@@ -21,8 +21,13 @@ collector (``threading.setprofile`` for later threads) that appends each
 that process's own. For a code object with defaulted parameters it also
 appends up to two distinct fingerprints of the value each one is bound
 to (:func:`fingerprint`: scalars, enum members and tuples of these by
-value, anything else by class). A forked child reopens a file of its
-own, so pool workers count. The entry points:
+value, anything else by class). A dataclass-generated ``__init__`` (code
+from ``<string>``) whose ``self`` is of a dataclass declared under
+``src/`` gets the same treatment for every defaulted init field, keyed by
+the class that declares the field; an omitted ``default_factory`` field
+binds the dataclasses sentinel and is recorded as :data:`FACTORY`, which
+is also the resolved default of such a field. A forked child reopens a
+file of its own, so pool workers count. The entry points:
 
 - every ``san-map`` subcommand on its smallest inputs (``chaos`` and
   ``tournament`` as CI runs them, plus one incremental ``chaos --config``
@@ -45,10 +50,13 @@ its default's (none at all if its def was never entered) and no call
 site under ``src/``, ``examples/`` or ``benchmarks/`` passes it a literal
 other than the default, traced or not. Defaults are resolved by
 qualified name, so a nested def's default counts only when it is a
-literal. Dataclass-generated ``__init__``s are not ``src/`` code objects,
-so config-object fields are out of reach. A failing entry point is
-reported and fails the run, because its functions would be listed as
-unreachable.
+literal. A defaulted init field of a ``src/`` dataclass is a row of the
+fields table by the same rule (a call site passes it by keyword, by
+position or through ``dataclasses.replace``), and when besides no
+``src/`` code writes it after construction (:func:`stored_attributes`):
+the one rule covers config inputs never varied and record fields never
+written. A failing entry point is reported and fails the run, because its
+functions would be listed as unreachable.
 
 A disposition is one of (``test_reachability_table.py`` holds the
 committed tables to it in tier-1, and refuses the first three in a
@@ -58,11 +66,11 @@ it):
 - ``delete`` (functions) — nothing calls it;
 - ``reference: <path>`` (functions) — only tests call it, so it moves to
   the test helper at ``<path>`` that reads it;
-- ``constant`` (options) — the parameter goes and its value becomes a
-  module constant or is inlined;
+- ``constant`` (options and fields) — the parameter or field goes and
+  its value becomes a module or class constant or is inlined;
 - ``kept: <reason>`` — one of :data:`KEPT_REASONS` (functions) or
-  :data:`OPTION_KEPT_REASONS` (options), optionally followed by `` — ``
-  and a detail.
+  :data:`OPTION_KEPT_REASONS` (options and fields), optionally followed
+  by `` — `` and a detail.
 """
 
 from __future__ import annotations
@@ -78,10 +86,14 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
+sys.path.insert(0, str(ROOT))  # for tests.tools.size when run as a script
+from tests.tools.size import defaulted_fields  # noqa: E402
+
 SRC = ROOT / "src"
 TABLE = ROOT / "docs" / "STATIC_ANALYSIS.md"
 HEADER = "| module | function | disposition |"
 OPTIONS_HEADER = "| module | function | parameter | disposition |"
+FIELDS_HEADER = "| module | class | field | disposition |"
 
 #: Why a never-entered def stays in ``src/``.
 KEPT_REASONS = (
@@ -92,7 +104,7 @@ KEPT_REASONS = (
     "registry kind",
 )
 
-#: Why a never-varied parameter stays settable.
+#: Why a never-varied parameter or field stays settable.
 OPTION_KEPT_REASONS = (
     "deployment setting",
     "injected clock (SAN001)",
@@ -171,6 +183,9 @@ _CAMPAIGN = {
 _FINGERPRINT = '''\
 import enum
 
+#: The fingerprint of a default_factory field's default.
+FACTORY = "<factory>"
+
 
 def fingerprint(value):
     if isinstance(value, enum.Enum):
@@ -191,6 +206,8 @@ with open(os.environ["REACH_PARAMS"]) as _f:
     _DEFAULTED = {(path, qual): names for path, qual, names in json.load(_f)}
 _seen = {}
 _open_params = {}  # id(code) -> {parameter: fingerprints seen}, until two
+_initializers = set()  # id(code) of every dataclass-generated __init__
+_open_fields = {}  # class -> {field: (path, declaring qualname, fingerprints seen)}, until two
 _out = None
 
 
@@ -198,7 +215,44 @@ def _open():
     global _out
     _seen.clear()
     _open_params.clear()
+    _initializers.clear()
+    _open_fields.clear()
     _out = open(os.path.join(_DIR, f"{os.getpid()}.tsv"), "a", buffering=1)
+
+
+def _defaulted_fields(cls):
+    """A dataclass's defaulted init fields, each with the src/ class declaring it."""
+    import dataclasses
+
+    if not dataclasses.is_dataclass(cls):
+        return {}
+    fields = {}
+    for field in dataclasses.fields(cls):
+        if not field.init or (field.default is dataclasses.MISSING
+                              and field.default_factory is dataclasses.MISSING):
+            continue
+        owner = next(c for c in cls.__mro__ if field.name in c.__dict__.get("__annotations__", {}))
+        path = getattr(sys.modules.get(owner.__module__), "__file__", None) or ""
+        if path.startswith(_SRC):
+            fields[field.name] = (path, owner.__qualname__, set())
+    return fields
+
+
+def _record_fields(local):
+    cls = type(local.get("self"))
+    fields = _open_fields.get(cls)
+    if fields is None:
+        fields = _open_fields[cls] = _defaulted_fields(cls)
+    for name, (path, owner, prints) in list(fields.items()):
+        value = local.get(name)
+        # An omitted default_factory field binds the dataclasses sentinel.
+        factory = type(value).__name__ == "_HAS_DEFAULT_FACTORY_CLASS"
+        print_ = FACTORY if factory else fingerprint(value)
+        if print_ not in prints:
+            prints.add(print_)
+            _out.write(f"@field\\t{path}\\t{owner}\\t{name}\\t{print_}\\n")
+            if len(prints) == 2:
+                del fields[name]
 
 
 def _hook(frame, event, arg):
@@ -213,6 +267,11 @@ def _hook(frame, event, arg):
             names = _DEFAULTED.get((code.co_filename, code.co_qualname))
             if names:
                 _open_params[key] = {name: set() for name in names}
+        elif code.co_filename == "<string>" and code.co_name == "__init__":
+            _initializers.add(key)
+    if key in _initializers:
+        _record_fields(frame.f_locals)
+        return
     params = _open_params.get(key)
     if params is None:
         return
@@ -334,6 +393,7 @@ exec(_FINGERPRINT, _fingerprint_ns)
 #: The collector's fingerprint: scalars, enum members and tuples of these
 #: by value, anything else by class.
 fingerprint = _fingerprint_ns["fingerprint"]
+FACTORY = _fingerprint_ns["FACTORY"]
 
 
 def _literal(node: ast.expr) -> tuple[bool, object]:
@@ -343,24 +403,32 @@ def _literal(node: ast.expr) -> tuple[bool, object]:
         return False, None
 
 
+def _lookup(path: str, qual: str) -> object:
+    """The object ``qual`` names in the ``src/`` module at ``path`` (None under ``<locals>``)."""
+    import importlib
+    import inspect
+
+    if "<locals>" in qual:
+        return None
+    sys.path.insert(0, str(SRC))
+    module = ".".join(Path(path).relative_to("src").with_suffix("").parts)
+    obj = importlib.import_module(module.removesuffix(".__init__"))
+    for part in qual.split("."):
+        obj = inspect.getattr_static(obj, part, None)
+        obj = getattr(obj, "__func__", None) or getattr(obj, "fget", None) or obj
+    return obj
+
+
 def default_fingerprints(
     params: dict[tuple[str, str], dict[str, ast.expr]],
 ) -> dict[tuple[str, str, str], str | None]:
     """Each default, resolved by qualified name and fingerprinted (None: unresolved)."""
-    import importlib
     import inspect
 
-    sys.path.insert(0, str(SRC))
     prints: dict[tuple[str, str, str], str | None] = {}
     for (path, qual), named in params.items():
-        func = None
-        if "<locals>" not in qual:
-            module = ".".join(Path(path).relative_to("src").with_suffix("").parts)
-            obj = importlib.import_module(module.removesuffix(".__init__"))
-            for part in qual.split("."):
-                obj = inspect.getattr_static(obj, part, None)
-                obj = getattr(obj, "__func__", None) or getattr(obj, "fget", None) or obj
-            func = inspect.unwrap(obj) if callable(obj) else None
+        func = _lookup(path, qual)
+        func = inspect.unwrap(func) if callable(func) else None
         signature = inspect.signature(func).parameters if func is not None else {}
         for name, node in named.items():
             if name in signature:
@@ -392,6 +460,16 @@ def statically_varied(
         parts = qual.split(".")
         name = parts[-2] if parts[-1] == "__init__" and len(parts) > 1 else parts[-1]
         by_name.setdefault(name, []).append(((path, qual), positional))
+    return _varied_at_call_sites(by_name, params, defaults)
+
+
+def _varied_at_call_sites(
+    by_name: dict[str, list[tuple[tuple[str, str], list[str]]]],
+    params: dict[tuple[str, str], dict[str, ast.expr]],
+    defaults: dict[tuple[str, str, str], str | None],
+) -> set[tuple[str, str, str]]:
+    """The ``(*key, name)`` a call of a name in ``by_name`` passes a non-default literal,
+    by keyword or by the key's ``positional`` names."""
     varied = set()
     for root in ("src", "examples", "benchmarks"):
         for file in sorted((ROOT / root).rglob("*.py")):
@@ -415,30 +493,133 @@ def statically_varied(
     return varied
 
 
-def read_runs(reach_dir: Path) -> tuple[set[tuple[str, str]], dict[tuple[str, str, str], set[str]]]:
-    """The defs the runs entered, and each parameter's recorded fingerprints."""
+Bound = dict[tuple[str, str, str], set[str]]
+
+
+def read_runs(reach_dir: Path) -> tuple[set[tuple[str, str]], Bound, Bound]:
+    """The defs the runs entered, each parameter's recorded fingerprints,
+    and each dataclass field's."""
     seen: set[tuple[str, str]] = set()
-    bound: dict[tuple[str, str, str], set[str]] = {}
+    bound: Bound = {}
+    fields: Bound = {}
     for file in reach_dir.glob("*.tsv"):
         for line in file.read_text().splitlines():
+            if line.startswith("@field\t"):
+                _, filename, qual, name, print_ = line.split("\t")
+                key = (str(Path(filename).relative_to(ROOT)), qual, name)
+                fields.setdefault(key, set()).add(print_)
+                continue
             filename, qual, *param = line.split("\t")
             path = str(Path(filename).relative_to(ROOT))
             seen.add((path, qual))
             if param:
                 name, print_ = param
                 bound.setdefault((path, qual, name), set()).add(print_)
-    return seen, bound
+    return seen, bound, fields
 
 
-def never_varied(bound: dict[tuple[str, str, str], set[str]]) -> set[tuple[str, str, str]]:
-    """Every defaulted ``src/`` parameter no run and no literal call site varies."""
-    params = defaulted_parameters()
-    defaults = default_fingerprints(params)
-    unvaried = {
+def _bound_to_default(defaults: dict[tuple[str, str, str], str | None], bound: Bound) -> set:
+    """The keys with a resolved default that every run bound to it (or never bound)."""
+    return {
         key for key, default in defaults.items()
         if default is not None and bound.get(key, {default}) == {default}
     }
-    return unvaried - statically_varied(params, defaults)
+
+
+def never_varied(bound: Bound) -> set[tuple[str, str, str]]:
+    """Every defaulted ``src/`` parameter no run and no literal call site varies."""
+    params = defaulted_parameters()
+    defaults = default_fingerprints(params)
+    return _bound_to_default(defaults, bound) - statically_varied(params, defaults)
+
+
+def _dataclasses(root: Path = SRC):
+    """``(module path, class qualname, {field: default expression})`` of every
+    ``@dataclass`` under ``root`` with a defaulted init field."""
+
+    def init(value: ast.expr) -> bool:
+        return not (isinstance(value, ast.Call) and any(
+            kw.arg == "init" and isinstance(kw.value, ast.Constant) and kw.value.value is False
+            for kw in value.keywords
+        ))
+
+    def walk(node: ast.AST, prefix: str, path: str):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                qual = prefix + child.name
+                named = {stmt.target.id: stmt.value for stmt in defaulted_fields(child)
+                         if isinstance(stmt.target, ast.Name) and init(stmt.value)}
+                if named:
+                    yield path, qual, named
+                yield from walk(child, qual + ".", path)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from walk(child, prefix + child.name + ".<locals>.", path)
+            else:
+                yield from walk(child, prefix, path)
+
+    for file in sorted(root.rglob("*.py")):
+        yield from walk(ast.parse(file.read_text()), "", str(file.relative_to(ROOT)))
+
+
+def defined_fields() -> set[tuple[str, str, str]]:
+    """``(module path, class qualname, field)`` of every defaulted init field under ``src/``."""
+    return {(path, qual, name) for path, qual, named in _dataclasses() for name in named}
+
+
+#: Methods that write into the container they are called on.
+_MUTATORS = frozenset({"append", "extend", "insert", "add", "update", "setdefault",
+                       "pop", "popitem", "remove", "discard", "clear"})
+
+
+def stored_attributes() -> set[str]:
+    """Every attribute name ``src/`` writes after construction: ``x.name = …``,
+    ``x.name += …``, ``del x.name``, ``setattr``/``object.__setattr__`` with
+    a literal name, or a write into its container (``x.name[k] = …``,
+    ``x.name.append(…)`` and the other :data:`_MUTATORS`)."""
+    names = set()
+    for file in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(file.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                names.add(node.attr)
+            elif (isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del))
+                  and isinstance(node.value, ast.Attribute)):
+                names.add(node.value.attr)
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in ("setattr", "__setattr__") and len(node.args) >= 2 \
+                        and isinstance(node.args[1], ast.Constant):
+                    names.add(node.args[1].value)
+                elif name in _MUTATORS and isinstance(func, ast.Attribute) \
+                        and isinstance(func.value, ast.Attribute):
+                    names.add(func.value.attr)
+    return names
+
+
+def never_varied_fields(bound: Bound) -> set[tuple[str, str, str]]:
+    """Every defaulted ``src/`` dataclass field that every built object bound
+    to its default, that no call site passes a non-default literal (by
+    keyword, by position or through ``dataclasses.replace``), and that no
+    ``src/`` code stores to after construction."""
+    import dataclasses
+
+    params: dict[tuple[str, str], dict[str, ast.expr]] = {}
+    defaults: dict[tuple[str, str, str], str | None] = {}
+    by_name: dict[str, list[tuple[tuple[str, str], list[str]]]] = {}
+    for path, qual, named in _dataclasses():
+        cls = _lookup(path, qual)
+        fields = {f.name: f for f in dataclasses.fields(cls)} if cls is not None else {}
+        params[(path, qual)] = named
+        for name in named:
+            field = fields.get(name)
+            defaults[(path, qual, name)] = None if field is None else (
+                FACTORY if field.default is dataclasses.MISSING else fingerprint(field.default))
+        positional = [name for name, field in fields.items() if field.init]
+        by_name.setdefault(qual.split(".")[-1], []).append(((path, qual), positional))
+        by_name.setdefault("replace", []).append(((path, qual), []))
+    unvaried = _bound_to_default(defaults, bound) - _varied_at_call_sites(by_name, params, defaults)
+    stored = stored_attributes()
+    return {key for key in unvaried if key[2] not in stored}
 
 
 def _committed(header: str, row: re.Pattern, path: Path) -> dict[tuple[str, ...], str]:
@@ -465,6 +646,11 @@ def committed_table(path: Path = TABLE) -> dict[tuple[str, ...], str]:
 def committed_options(path: Path = TABLE) -> dict[tuple[str, ...], str]:
     """``(module path, qualname, parameter) -> disposition`` of the committed options table."""
     return _committed(OPTIONS_HEADER, _OPTION_ROW, path)
+
+
+def committed_fields(path: Path = TABLE) -> dict[tuple[str, ...], str]:
+    """``(module path, class qualname, field) -> disposition`` of the committed fields table."""
+    return _committed(FIELDS_HEADER, _OPTION_ROW, path)
 
 
 def disposition_problem(disposition: str, options: bool = False) -> str | None:
@@ -531,22 +717,27 @@ def main(argv: list[str] | None = None) -> int:
             if done.returncode != 0:
                 failed.append(label)
                 print(done.stderr[-2000:], file=sys.stderr)
-        seen, bound = read_runs(reach_dir)
+        seen, bound, bound_fields = read_runs(reach_dir)
     defined = defined_functions()
     never = defined - seen
     unvaried = never_varied(bound)
-    print(f"{len(never)} functions never entered, {len(unvaried)} parameters never varied"
+    unvaried_fields = never_varied_fields(bound_fields)
+    print(f"{len(never)} functions never entered, {len(unvaried)} parameters never varied, "
+          f"{len(unvaried_fields)} fields never varied"
           + (f"; entry points failed: {', '.join(failed)}" if failed else ""),
           file=sys.stderr)
     if args.check:
         problems = check(never, defined, committed_table())
         problems += check(unvaried, defined_parameters(), committed_options())
+        problems += check(unvaried_fields, defined_fields(), committed_fields())
         for problem in problems:
             print(problem, file=sys.stderr)
         return 1 if failed or problems else 0
     _print_table(HEADER, never, committed_table())
     print()
     _print_table(OPTIONS_HEADER, unvaried, committed_options())
+    print()
+    _print_table(FIELDS_HEADER, unvaried_fields, committed_fields())
     return 1 if failed else 0
 
 

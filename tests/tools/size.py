@@ -71,6 +71,18 @@ def _is_classvar(annotation: ast.expr) -> bool:
     return isinstance(target, ast.Name) and target.id == "ClassVar"
 
 
+def defaulted_fields(node: ast.ClassDef) -> list[ast.AnnAssign]:
+    """The defaulted field statements of a ``@dataclass`` class (none for another class)."""
+    if not _is_dataclass(node):
+        return []
+    return [
+        stmt for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign)
+        and stmt.value is not None
+        and not _is_classvar(stmt.annotation)
+    ]
+
+
 def count_source(source: str) -> dict[str, int]:
     """The four counts of one module's source text."""
     tree = ast.parse(source)
@@ -85,13 +97,8 @@ def count_source(source: str) -> dict[str, int]:
             defs += 1
             defaulted += len(node.args.defaults)
             defaulted += sum(d is not None for d in node.args.kw_defaults)
-        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
-            fields += sum(
-                isinstance(stmt, ast.AnnAssign)
-                and stmt.value is not None
-                and not _is_classvar(stmt.annotation)
-                for stmt in node.body
-            )
+        elif isinstance(node, ast.ClassDef):
+            fields += len(defaulted_fields(node))
     return dict(zip(FIELDS, (len(code - docstrings), defs, defaulted, fields)))
 
 

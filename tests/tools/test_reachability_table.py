@@ -1,16 +1,19 @@
 """The committed reachability tables are well-formed (AST only, no entry point).
 
 ``reachability.py --check`` (outside tier-1, minutes) decides whether the
-tables are *current*; this decides, in tier-1, that every row says what is
-to become of its def or parameter in the agreed vocabulary, that the def
-or parameter is there, and that no row waits to be carried out.
+three tables are *current*; this decides, in tier-1, that every row says
+what is to become of its def, parameter or dataclass field in the agreed
+vocabulary, that the def, parameter or field is there, and that no row
+waits to be carried out.
 """
 
 from __future__ import annotations
 
 from tests.tools.reachability import (
+    committed_fields,
     committed_options,
     committed_table,
+    defined_fields,
     defined_functions,
     defined_parameters,
     disposition_problem,
@@ -20,6 +23,7 @@ from tests.tools.reachability import (
 def test_table_is_not_empty():
     assert committed_table()
     assert committed_options()
+    assert committed_fields()
 
 
 def test_every_row_has_a_disposition_from_the_vocabulary():
@@ -40,6 +44,15 @@ def test_every_option_row_has_a_disposition_from_the_vocabulary():
     assert not problems
 
 
+def test_every_field_row_has_a_disposition_from_the_option_vocabulary():
+    problems = {
+        ":".join(key): problem
+        for key, disposition in committed_fields().items()
+        if (problem := disposition_problem(disposition, options=True))
+    }
+    assert not problems
+
+
 def test_every_row_names_a_def_under_src():
     gone = sorted(set(committed_table()) - defined_functions())
     assert not gone
@@ -50,12 +63,17 @@ def test_every_option_row_names_a_defaulted_parameter_under_src():
     assert not gone
 
 
+def test_every_field_row_names_a_defaulted_init_field_under_src():
+    gone = sorted(set(committed_fields()) - defined_fields())
+    assert not gone
+
+
 def test_no_committed_row_waits_to_be_carried_out():
     """A ``delete``, ``reference: …`` or ``constant`` row is carried out by
     the change that records it, so a committed row is always ``kept``."""
     pending = sorted(
         ":".join(key)
-        for rows in (committed_table(), committed_options())
+        for rows in (committed_table(), committed_options(), committed_fields())
         for key, disposition in rows.items()
         if not disposition.startswith("kept: ")
     )
