@@ -11,7 +11,9 @@ operations timeline on subcluster C and shows what each cycle costs:
   deltas travel, not full tables);
 - the recompute is patched from the last generation when the new map
   keeps its state numbering: each routed cycle says how many chains were
-  compiled again, or why the route memo compiled every chain.
+  compiled again, or why the route memo compiled every chain. The memo is
+  read through ``daemon.state``, the work the daemon carries from one
+  cycle to the next.
 
 Run:  python examples/remapper_daemon.py
 """
@@ -46,7 +48,7 @@ def show(cycle, label: str, memo) -> None:
 def main() -> None:
     net = build_subcluster("C")
     daemon = RemapperDaemon(net, "C-svc")
-    memo = daemon.route_memo
+    memo = daemon.state.route_memo
 
     show(daemon.run_cycle(), "boot: first full map", memo)
     show(daemon.run_cycle(), "steady state", memo)

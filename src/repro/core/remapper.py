@@ -8,7 +8,9 @@ network interfaces."
 depth, probe stack, mapper, seed, ``map()``; then orient, paths, tables and
 the Dally–Seitz check — and the only copy of them: the daemon here and the
 map server's worker (:func:`repro.service.workers.run_map_job`) both run
-these (``docs/ARCHITECTURE.md``, "The remap cycle").
+these (``docs/ARCHITECTURE.md``, "The remap cycle"), each through one
+:class:`CycleState`, the work that loop carries from one cycle to the
+next.
 
 :class:`RemapperDaemon` packages one complete cycle — map, diff against the
 previous map, and (only when something changed) recompute + verify +
@@ -46,6 +48,7 @@ from repro.topology.model import Network
 
 __all__ = [
     "MAX_EXPLORATIONS",
+    "CycleState",
     "RemapCycle",
     "RemapperDaemon",
     "map_cycle",
@@ -132,6 +135,76 @@ def route_cycle(
     return tables, routes_deadlock_free(tables)
 
 
+class CycleState:
+    """What one remap loop carries from one cycle to the next.
+
+    ``net`` is the fabric it maps. ``depth_memo`` keeps the search depth's
+    flows and BFS rows on that fabric and ``root_memo`` the root pick's rows
+    on its maps (two :class:`~repro.topology.analysis.DistanceMemo`);
+    ``route_memo`` (a :class:`~repro.routing.compile_routes.RouteMemo`)
+    holds the generation the caller last committed. ``last_result`` is the
+    last map, taken with the journal epochs snapshotted before it ran, and
+    :meth:`plan_seed` reads both. All of it is exact: it changes what a
+    cycle costs, never what it answers, so none of it is a setting.
+    :class:`RemapperDaemon` keeps one, and so does each map-server worker
+    (:mod:`repro.service.workers`).
+    """
+
+    def __init__(self, net: Network) -> None:
+        self.net = net
+        self.depth_memo = DistanceMemo()
+        self.root_memo = DistanceMemo()
+        self.route_memo = RouteMemo()
+        self.last_result: MapResult | None = None
+        #: The topology and fault epochs snapshotted before ``last_result``
+        #: was mapped (the fault epoch ``None`` when it ran without faults).
+        self._epochs: tuple[int, int | None] = (0, None)
+
+    def plan_seed(
+        self, faults: FaultModel | None
+    ) -> tuple[MapSeed | None, str | None]:
+        """Build a seed from the last map and the delta journals (``its
+        epoch snapshot .. now``), or explain why the next map must run from
+        scratch. Before a first map there is nothing to fall back from: no
+        seed, no reason.
+        """
+        prior = self.last_result
+        if prior is None:
+            return None, None
+        net_epoch, fault_epoch = self._epochs
+        fault = EMPTY_DELTA
+        if faults is not None and fault_epoch is not None:
+            fault = faults.affected_since(fault_epoch)
+        affected, reason = seedable_removals(self.net.affected_since(net_epoch), fault)
+        if affected is None:
+            return None, reason
+        return MapSeed.from_result(prior, affected), None
+
+    def map(
+        self, mapper_host: str, faults: FaultModel | None, **kwargs: Any
+    ) -> tuple[MapResult, Any]:
+        """:func:`map_cycle` on ``net`` through the depth memo; ``kwargs``
+        go to it unchanged. The result becomes ``last_result``."""
+        # Snapshot the journals *before* mapping: anything that mutates
+        # mid-run lands after these epochs and is charged to the next
+        # cycle's delta, never silently skipped.
+        epochs = (
+            self.net.topology_epoch,
+            faults.fault_epoch if faults is not None else None,
+        )
+        result, svc = map_cycle(
+            self.net, mapper_host, faults=faults, memo=self.depth_memo, **kwargs
+        )
+        self.last_result, self._epochs = result, epochs
+        return result, svc
+
+    def route(self, new_map: Network) -> tuple[RouteGeneration, bool]:
+        """:func:`route_cycle` on ``new_map`` through the root and route
+        memos. The caller commits the tables to ``route_memo`` once it has
+        adopted them."""
+        return route_cycle(new_map, self.root_memo, self.route_memo)
+
+
 @dataclass(slots=True)
 class RemapCycle:
     """Record of one map/diff/route cycle."""
@@ -169,22 +242,17 @@ class RemapperDaemon:
     built each cycle, so topology mutations between cycles are discovered
     in-band like the real system would.
 
-    A cycle is :func:`map_cycle`, a diff against the previous map and —
-    only when something changed — :func:`route_cycle` plus incremental
-    distribution. ``mapper_factory`` (a registry name or a ``(service,
+    A cycle maps through ``state``, the daemon's one :class:`CycleState`,
+    diffs against the previous map and — only when something changed —
+    routes through ``state`` and distributes incrementally, committing the
+    tables to ``state.route_memo`` once the whole route half has
+    succeeded. ``mapper_factory`` (a registry name or a ``(service,
     depth) -> Mapper`` callable), ``faults`` and ``layers`` go to
     :func:`map_cycle` unchanged; the same layer objects join every
     cycle's stack, so a layer with per-cycle state rearms itself (the
     chaos runner's does). ``faults`` also feeds seed planning, which
     ``incremental`` turns on; every fallback path degrades to the plain
-    from-scratch cycle and says why. Every daemon keeps two
-    :class:`~repro.topology.analysis.DistanceMemo` objects across cycles,
-    one for the search depth on the true fabric and one for the root pick
-    on its maps, and ``route_memo``, a
-    :class:`~repro.routing.compile_routes.RouteMemo` holding
-    ``current_tables`` for the next cycle's routes to be patched from
-    (committed only once a cycle's whole route half has succeeded): all
-    three are exact, so none is a setting.
+    from-scratch cycle and says why.
     """
 
     def __init__(
@@ -198,7 +266,7 @@ class RemapperDaemon:
         layers: Iterable[ProbeLayer] = (),
         incremental: bool = False,
     ) -> None:
-        self._net = net
+        self.state = CycleState(net)
         self._mapper_host = mapper_host
         self._search_depth = search_depth
         self._mapper = mapper_factory or "berkeley"
@@ -208,61 +276,23 @@ class RemapperDaemon:
         self.history: list[RemapCycle] = []
         self.current_map: Network | None = None
         self.current_tables: RouteGeneration | None = None
-        self._last_result: MapResult | None = None
-        self._net_epoch: int | None = None
-        self._fault_epoch: int | None = None
         self._scratch_probes: int | None = None
-        self._depth_memo = DistanceMemo()
-        self._root_memo = DistanceMemo()
-        self.route_memo = RouteMemo()
 
     # ------------------------------------------------------------------
-    def _plan_seed(self) -> tuple[MapSeed | None, str | None]:
-        """Build a seed from the previous cycle's map and the delta
-        journals (``last map's epoch snapshot .. now``), or explain why
-        this cycle must run from scratch. A first cycle has nothing to
-        fall back from: no seed, no reason.
-        """
-        prior = self._last_result
-        if prior is None or self._net_epoch is None:
-            return None, None
-        fault = EMPTY_DELTA
-        if self._faults is not None and self._fault_epoch is not None:
-            fault = self._faults.affected_since(self._fault_epoch)
-        affected, reason = seedable_removals(
-            self._net.affected_since(self._net_epoch), fault
-        )
-        if affected is None:
-            return None, reason
-        return MapSeed.from_result(prior, affected), None
-
     def run_cycle(self) -> RemapCycle:
         """One complete cycle; appends to and returns from ``history``."""
-        seed: MapSeed | None = None
-        plan_fallback: str | None = None
-        if self._incremental:
-            seed, plan_fallback = self._plan_seed()
-        # Snapshot the journals *before* mapping: anything that mutates
-        # mid-run lands after these epochs and is charged to the next
-        # cycle's delta, never silently skipped.
-        net_epoch = self._net.topology_epoch
-        fault_epoch = (
-            self._faults.fault_epoch if self._faults is not None else None
+        seed, plan_fallback = (
+            self.state.plan_seed(self._faults) if self._incremental else (None, None)
         )
-        result, _ = map_cycle(
-            self._net,
+        result, _ = self.state.map(
             self._mapper_host,
-            faults=self._faults,
+            self._faults,
             mapper=self._mapper,
             seed=seed,
             search_depth=self._search_depth,
-            memo=self._depth_memo,
             layers=self._layers,
         )
         new_map = result.network
-        self._last_result = result
-        self._net_epoch = net_epoch
-        self._fault_epoch = fault_epoch
         probes_saved = 0
         if result.seeded:
             if self._scratch_probes is not None:
@@ -283,7 +313,7 @@ class RemapperDaemon:
         report: DistributionReport | None = None
         elapsed = result.stats.elapsed_ms
         if rerouted:
-            tables, safe = route_cycle(new_map, self._root_memo, self.route_memo)
+            tables, safe = self.state.route(new_map)
             # Incremental distribution: push only per-host deltas against
             # the previous generation (the first cycle degenerates to a
             # full push).
@@ -293,7 +323,7 @@ class RemapperDaemon:
                 tables,
                 self.current_tables,
             )
-            self.route_memo.commit(tables)
+            self.state.route_memo.commit(tables)
             self.current_map = new_map
             self.current_tables = tables
             elapsed += report.elapsed_ms

@@ -24,7 +24,7 @@ from repro.routing.compile_routes import RouteGeneration
 from repro.service.serialize import SerializationError
 from repro.simulator.faults import FaultModel
 from repro.topology.delta import EMPTY_DELTA, seedable_removals
-from repro.topology.generators import NAMED_TOPOLOGIES, build_named_topology
+from repro.topology.generators.named import NAMED_TOPOLOGIES, build_named_topology, unread_keys
 from repro.topology.model import Network, PortRef
 from repro.topology.serialize import network_from_dict, network_to_dict
 
@@ -78,8 +78,7 @@ class TenantSpec:
         topology = data.get("topology", "now-c")
         kind = NAMED_TOPOLOGIES.get(topology) if isinstance(topology, str) else None
         if kind is not None or topology == "explicit":
-            reads = kind.defaults if kind is not None else ("network",)
-            unread = sorted(set(params) - set(reads))
+            unread = unread_keys(params, kind.defaults if kind is not None else ("network",))
             if unread:
                 raise SerializationError(
                     f"tenant spec: topology {topology!r} reads no params {unread}"

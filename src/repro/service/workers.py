@@ -10,17 +10,17 @@ JSON-able dict (the payload built by :meth:`TenantState.job_payload`, the
 outcome consumed by :meth:`TenantState.adopt`), so the pool never pickles
 live simulator state.
 
-Each worker process keeps one slot from one job to the next, the way
-:class:`~repro.core.remapper.RemapperDaemon` keeps its state from one
-cycle to the next. The slot holds the last job's key (tenant and mapper
-host), the fabric that job decoded, and the daemon's three memos: the
-depth bound's and the root pick's
-:class:`~repro.topology.analysis.DistanceMemo` and a
-:class:`~repro.routing.compile_routes.RouteMemo`. A job with the held key
-whose document keeps the held nodes patches the held fabric by the wires
-that changed, so the probe walks cached on it (``Network.walk_trie``) are
-pruned by the journal instead of walked again; any other job decodes its
-document whole and replaces the slot. The memos and the trie are exact,
+Each worker process keeps one slot from one job to the next: the last
+job's key (tenant, mapper host and the document's node fields) and a
+:class:`~repro.core.remapper.CycleState`, the one
+:class:`~repro.core.remapper.RemapperDaemon` keeps from one cycle to the
+next — the fabric that job decoded, the depth bound's and the root pick's
+distance memos and the route memo. A job with the held key patches the
+held fabric by the wires that changed, so the probe walks cached on it
+(``Network.walk_trie``) are pruned by the journal instead of walked
+again; any other job decodes its document whole and starts a new state.
+The seed still travels in the payload, planned by the server from the
+tenant's journal (``docs/INCREMENTAL.md``, Layer 5). The state is exact,
 so a slot changes how long a job takes, never what it answers: probe
 RNG, fault RNG and mapper exploration order all derive from the payload's
 seed, and an outcome is a deterministic function of its payload except
@@ -37,12 +37,10 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Any
 
 from repro.core.instrumentation import analyze_records
 from repro.core.mapper import MappingError, MapSeed
-from repro.core.remapper import map_cycle, route_cycle
-from repro.routing.compile_routes import RouteMemo
+from repro.core.remapper import CycleState
 from repro.service.serialize import (
     map_result_from_dict,
     map_result_to_dict,
@@ -51,7 +49,7 @@ from repro.service.serialize import (
 from repro.service.tenant import dead_wires_from_doc
 from repro.simulator.faults import FaultModel
 from repro.simulator.stack import TraceBusLayer, describe_stack
-from repro.topology.analysis import DistanceMemo, core_network, effective_network
+from repro.topology.analysis import core_network, effective_network
 from repro.topology.isomorphism import match_networks
 from repro.topology.model import Network
 from repro.topology.serialize import network_from_dict, wire_from_dict
@@ -68,16 +66,10 @@ _Ends = tuple[str, int, str, int]
 class _Slot:
     """What a worker keeps from its last job."""
 
-    #: ``(tenant, mapper)`` as the job's payload named them.
-    key: tuple[Any, Any]
-    #: The held document's :data:`_HEADER` fields.
-    header: tuple
-    #: The held fabric's wires, each with its lower end first.
-    wires: set[_Ends]
-    net: Network
-    depth_memo: DistanceMemo
-    root_memo: DistanceMemo
-    route_memo: RouteMemo
+    #: The payload's tenant and mapper, then the document's :data:`_HEADER`
+    #: fields.
+    key: tuple
+    state: CycleState
 
 
 #: Between jobs: empty, or ``{"slot": the slot the last job put back}``.
@@ -89,7 +81,7 @@ def _in_order(wire: _Ends) -> _Ends:
     return wire if (a, pa) <= (b, pb) else (b, pb, a, pa)
 
 
-def _patch(slot: _Slot, doc: dict) -> None:
+def _patch(net: Network, doc: dict) -> None:
     """Bring the held fabric to ``doc`` by the wires that changed: one
     disconnect per lost wire and one ``connect_all`` of the new ones.
     Raises what decoding ``doc`` would, or ``ValueError`` when it lists a
@@ -98,11 +90,10 @@ def _patch(slot: _Slot, doc: dict) -> None:
     now = set(map(_in_order, wires))
     if len(now) != len(wires):
         raise ValueError("a wire is listed twice")
-    net, held = slot.net, slot.wires
+    held = {_in_order((w.a.node, w.a.port, w.b.node, w.b.port)) for w in net.wires}
     for a, pa, _, _ in sorted(held - now):
         net.disconnect(net.wire_at(a, pa))
     net.connect_all(wire for wire in wires if _in_order(wire) not in held)
-    slot.wires = now
 
 
 def _take_slot(payload: dict) -> _Slot:
@@ -110,26 +101,20 @@ def _take_slot(payload: dict) -> _Slot:
     network when it is the same tenant's with the same nodes, else a new
     one decoded whole (raising what :func:`network_from_dict` raises)."""
     held = _held.pop("slot", None)
-    key = (payload.get("tenant"), payload.get("mapper"))
     doc = payload["network"]
-    if (
-        held is not None
-        and held.key == key
-        and isinstance(doc, dict)
-        and tuple(map(doc.get, _HEADER)) == held.header
-    ):
+    key = (payload.get("tenant"), payload.get("mapper"))
+    if isinstance(doc, dict):
+        key += tuple(map(doc.get, _HEADER))
+    if held is not None and held.key == key:
         try:
-            _patch(held, doc)
+            _patch(held.state.net, doc)
         except (KeyError, TypeError, ValueError):
             # The held fabric may be half-patched: it is dropped, and the
             # whole decode below raises what a fresh worker raises.
             pass
         else:
             return held
-    net = network_from_dict(doc)
-    wires = {(w.a.node, w.a.port, w.b.node, w.b.port) for w in net.wires}
-    header = tuple(map(doc.get, _HEADER))
-    return _Slot(key, header, wires, net, DistanceMemo(), DistanceMemo(), RouteMemo())
+    return _Slot(key, CycleState(network_from_dict(doc)))
 
 
 def _mapping_failure(payload: dict, kind: str, message: str) -> dict:
@@ -158,7 +143,7 @@ def run_map_job(payload: dict) -> dict:
     slot = None
     try:
         slot = _take_slot(payload)
-        net = slot.net
+        net = slot.state.net
         mapper_host = payload.get("mapper") or min(net.hosts, default=None)
         if mapper_host not in net.hosts:
             raise ValueError(f"mapper {mapper_host!r} is not a host")
@@ -174,15 +159,14 @@ def run_map_job(payload: dict) -> dict:
     except (KeyError, TypeError, ValueError) as exc:
         outcome = _mapping_failure(payload, "bad-payload", str(exc))
     else:
-        outcome = _cycle(payload, slot, mapper_host, faults)
+        outcome = _cycle(payload, slot.state, mapper_host, faults)
     if slot is not None:
         _held["slot"] = slot
     return outcome
 
 
-def _cycle(payload: dict, slot: _Slot, mapper_host: str, faults: FaultModel) -> dict:
+def _cycle(payload: dict, state: CycleState, mapper_host: str, faults: FaultModel) -> dict:
     """The cycle of :func:`run_map_job` on a decoded payload."""
-    net = slot.net
     seed = None
     if "map_seed" in payload:
         seed_doc = payload["map_seed"]
@@ -198,32 +182,28 @@ def _cycle(payload: dict, slot: _Slot, mapper_host: str, faults: FaultModel) -> 
 
     records: list = []
     try:
-        result, svc = map_cycle(
-            net,
+        result, svc = state.map(
             mapper_host,
-            faults=faults,
+            faults,
             seed=seed,
-            memo=slot.depth_memo,
             layers=(TraceBusLayer((records.append,)),),
         )
     except MappingError as exc:
         return _mapping_failure(payload, "mapping-failed", str(exc))
     try:
-        tables, deadlock_free = route_cycle(
-            result.network, slot.root_memo, slot.route_memo
-        )
+        tables, deadlock_free = state.route(result.network)
     except ValueError as exc:
         # A fabric split can leave the mapper's component too degenerate
         # to route (e.g. the mapper host alone behind the cut). Expected
         # under faults, so it degrades the tenant instead of crashing.
         return _mapping_failure(payload, "routing-failed", str(exc))
-    slot.route_memo.commit(tables)
+    state.route_memo.commit(tables)
     # The effective fabric the map must match: the actual network minus
     # dead cables (a dead wire answers no probe, exactly like a cut one),
     # restricted to the mapper's connected component — a cut that splits
     # the fabric hides the far side from in-band discovery, it does not
     # make the near side unmappable.
-    effective = effective_network(net, faults, mapper_host)
+    effective = effective_network(state.net, faults, mapper_host)
     report = match_networks(result.network, core_network(effective))
     analysis = analyze_records(records)
     cache = svc.eval_cache_stats

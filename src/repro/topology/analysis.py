@@ -582,13 +582,13 @@ def effective_network(
     A silently dead cable (Section 5.6) is in-band indistinguishable from an
     absent cable, and anything the mapper cannot reach cannot appear in its
     map — so this is the network the theorem's ``N`` becomes under faults.
-    Reads only ``faults.dead_wires``.
+    Reads only ``faults.dead_wires``, and copies ``net`` only when one of
+    its wires is dead: the subnetwork taken last is a new network either way.
     """
-    eff = net.copy()
-    if faults.dead_wires:
-        for wire in list(eff.wires):
-            if frozenset((wire.a, wire.b)) in faults.dead_wires:
-                eff.disconnect(wire)
+    cut = [wire for wire in net.wires if frozenset((wire.a, wire.b)) in faults.dead_wires]
+    eff = net.copy() if cut else net
+    for wire in cut:
+        eff.disconnect(eff.wire_at(wire.a.node, wire.a.port))
     if mapper_host not in eff:
         return eff.induced_subnetwork([mapper_host])  # raises: no such node
     fab = _Fabric.of(eff)

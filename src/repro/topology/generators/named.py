@@ -5,7 +5,9 @@ A **spec** is a plain dict ``{"kind": ..., <params>..., "mapper"?: host}``.
 Each kind declares, next to its builder, the parameters it reads, each
 parameter's single default (a constant, or derived from the parameters
 before it) and the floor of every parameter the chaos shrinker may lower.
-Keys a kind does not read are ignored here; a tenant spec refuses them.
+A spec key the kind does not read, other than ``kind`` and ``mapper``, is
+refused (:func:`unread_keys`): a misspelled ``size`` must not build the
+default fabric.
 
 ==================  =====================================================  ================
 kind                parameters (default)                                   shrink floors
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from repro.topology.generators.fattree import build_fat_tree, build_three_tier_fat_tree
 from repro.topology.generators.now import build_full_now, build_subcluster
@@ -45,7 +47,7 @@ from repro.topology.generators.regular import build_ring, build_star, build_toru
 from repro.topology.model import Network, TopologyError
 
 __all__ = ["NAMED_TOPOLOGIES", "TopologyKind", "build_named_topology", "build_topology",
-           "shrink_candidates"]
+           "shrink_candidates", "unread_keys"]
 
 Params = Mapping[str, Any]
 _SIDE = itemgetter("size")
@@ -135,13 +137,25 @@ def build_named_topology(kind: str, params: Params) -> Network:
     return entry.build(entry.resolve(params))
 
 
+def unread_keys(spec: Params, reads: Iterable[str]) -> list[str]:
+    """The keys of ``spec`` outside ``reads``, sorted: what building it
+    would silently ignore."""
+    return sorted(set(spec).difference(reads))
+
+
 def build_topology(spec: Params) -> tuple[Network, str]:
     """Materialize a spec; returns ``(network, mapper_host)``.
 
     ``mapper`` names the mapping host (default: the first host in sorted
-    order); a host the fabric lacks is a :class:`TopologyError`.
+    order); a host the fabric lacks, or a key the kind does not read, is a
+    :class:`TopologyError`.
     """
-    net = build_named_topology(spec.get("kind"), spec)
+    kind = spec.get("kind")
+    entry = _entry(kind)
+    unread = unread_keys(spec, (*entry.defaults, "kind", "mapper")) if entry else []
+    if unread:
+        raise TopologyError(f"topology {kind!r} reads no params {unread}")
+    net = build_named_topology(kind, spec)
     mapper = spec.get("mapper") or sorted(net.hosts)[0]
     if mapper not in net.hosts:
         raise TopologyError(f"mapper host {mapper!r} not in topology")

@@ -84,6 +84,22 @@ class TestEffectiveNetwork:
         assert eff.n_switches == 0
 
 
+    def test_the_input_network_is_left_untouched(self):
+        """With or without a dead wire to cut, the fabric handed in keeps
+        its epoch and its wires, and what comes back is a new network."""
+        net = build_ring(6)
+        wire = net.wire_at("ring-s2", 1)
+        elsewhere = build_ring(7).wire_at("ring-s6", 1)  # names no wire of ``net``
+        for dead in ((), (wire,), (elsewhere,)):
+            epoch, wires = net.topology_epoch, [(w.key, w.a, w.b) for w in net.wires]
+            faults = FaultModel(dead_wires=frozenset(frozenset((w.a, w.b)) for w in dead))
+            eff = effective_network(net, faults, "ring-n000")
+            assert eff is not net
+            assert net.topology_epoch == epoch
+            assert [(w.key, w.a, w.b) for w in net.wires] == wires
+            assert eff.n_wires == net.n_wires - (dead == (wire,))
+
+
 class TestQuotientMapOracle:
     def test_true_map_passes(self):
         net = build_ring(6)

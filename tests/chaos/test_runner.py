@@ -67,6 +67,13 @@ class TestBuildTopology:
         cell = run_cell(Scenario("q", (), seed=1), {"kind": ["ring"]}, 0)
         assert cell.invalid == "topology: unknown topology kind ['ring']"
 
+    def test_misspelled_parameter_marks_the_cell_invalid(self):
+        """A chaos config's parameter the kind does not read is refused as
+        a tenant spec's is, not mapped on the kind's defaults."""
+        cell = run_cell(Scenario("q", (), seed=1), {"kind": "ring", "sise": 8}, 0)
+        assert cell.invalid == "topology: topology 'ring' reads no params ['sise']"
+        assert cell.failing == ("scenario_valid",)
+
     def test_unknown_mapper_rejected(self):
         with pytest.raises(TopologyError, match="mapper host"):
             build_topology({**RING6, "mapper": "ghost"})

@@ -50,7 +50,7 @@ def test_a_cut_sequence_keeps_names_and_most_routes():
     for wire in trunk:
         if wire.key in {b.key for b in bridges(net)}:
             continue
-        prior, old = daemon._last_result, daemon.current_tables
+        prior, old = daemon.state.last_result, daemon.current_tables
         net.disconnect(wire)
         cycle = daemon.run_cycle()
         assert cycle.incremental, cycle.seed_fallback

@@ -295,7 +295,7 @@ def test_now_recover_cut_epochs_through_the_daemon(seed):
         mapper = sorted(net.hosts)[0]
         daemon = RemapperDaemon(net, mapper, incremental=True)
         daemon.run_cycle()
-        assert daemon.route_memo.fallback == "first call"
+        assert daemon.state.route_memo.fallback == "first call"
         for (node, port), _ in planner.epoch():
             net.disconnect(net.wire_at(node, port))
             old = daemon.current_tables
@@ -309,11 +309,11 @@ def test_now_recover_cut_epochs_through_the_daemon(seed):
             assert cycle.distribution == distribute_incremental(
                 daemon.current_map, mapper, fresh, old
             )
-            if daemon.route_memo.fallback is None:
+            if daemon.state.route_memo.fallback is None:
                 patched += 1
-                assert daemon.route_memo.cells_run < len(fresh.chains)
+                assert daemon.state.route_memo.cells_run < len(fresh.chains)
             else:  # a re-explored switch took another's name
-                assert daemon.route_memo.fallback == "a host changed switch"
+                assert daemon.state.route_memo.fallback == "a host changed switch"
     assert routed == 24
     assert patched >= 20
 
@@ -333,7 +333,7 @@ def test_a_cycle_whose_routing_fails_leaves_the_memo_as_it_was():
     daemon.run_cycle()
     net.disconnect(net.wire_at("s1", 0))
     daemon.run_cycle()
-    memo = daemon.route_memo
+    memo = daemon.state.route_memo
     assert memo.fallback is None and memo.cells_run > 0
     held = (memo.fallback, memo.cells_run, memo._generation, memo._basis)
     current = (daemon.current_map, daemon.current_tables)

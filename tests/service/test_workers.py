@@ -1,9 +1,11 @@
 """``run_map_job`` called directly: the served wrapper of the one cycle.
 
-Two contracts. *Differential*: the daemon and the worker wrap the same
-``map_cycle``/``route_cycle`` (docs/ARCHITECTURE.md, "The remap cycle"),
-so the same fabric driven through the same cold → cut → plug sequence must
-produce equal documents, probe counts and fallback reasons either way.
+Two contracts. *Differential*: the daemon and the worker each keep one
+``CycleState`` around the same ``map_cycle``/``route_cycle``
+(docs/ARCHITECTURE.md, "The remap cycle"), so the same fabric driven
+through the same cold → cut → plug sequence, or any sequence of cuts and
+plugs that leaves it connected, must produce equal documents, probe
+counts and fallback reasons either way.
 *Error codes*: every expected failure comes back as a dict with a stable
 code; the worker never raises for one.
 """
@@ -13,6 +15,7 @@ from __future__ import annotations
 import pickle
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.remapper import RemapperDaemon
 from repro.service.serialize import (
@@ -22,6 +25,7 @@ from repro.service.serialize import (
 )
 from repro.service.tenant import TenantSpec, TenantState, build_tenant_network
 from repro.service.workers import run_map_job
+from repro.topology.analysis import bridges
 from tests.service.worker_slot import differing, pickled, run_fresh
 
 
@@ -81,6 +85,56 @@ class TestDaemonAndWorkerAgree:
             fallbacks.append(cycle.seed_fallback)
         assert fallbacks[:2] == [None, None]
         assert "connectivity was added" in fallbacks[2]
+
+
+def _cuttable(net) -> list[tuple[str, int, str, int]]:
+    """The switch-to-switch cables whose cut leaves the fabric connected,
+    so both sides keep mapping and routing all of it."""
+    bridged = {wire.key for wire in bridges(net)}
+    return sorted(
+        (w.a.node, w.a.port, w.b.node, w.b.port)
+        for w in net.wires
+        if w.key not in bridged
+        and w.a.node != w.b.node
+        and net.is_switch(w.a.node)
+        and net.is_switch(w.b.node)
+    )
+
+
+class TestDaemonAndWorkerAgreeOverSequences:
+    """The daemon and the served worker each keep one ``CycleState``; over
+    any cut / plug sequence they must answer alike on every cycle."""
+
+    @given(steps=st.lists(
+        st.tuples(st.sampled_from(("quiet", "cut", "plug", "cut+plug")), st.integers(0, 999)),
+        min_size=1,
+        max_size=4,
+    ))
+    @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_every_cycle_agrees(self, steps):
+        tenant = TenantState(TenantSpec(name="t", topology="now-c"))
+        daemon_net = build_tenant_network(tenant.spec)
+        daemon = RemapperDaemon(daemon_net, tenant.mapper_host(), incremental=True)
+        cut: list[tuple[str, int, str, int]] = []
+        for op, pick in [("quiet", 0), *steps]:
+            if op in ("plug", "cut+plug") and cut:
+                ends = cut.pop(0)
+                for net in (tenant.net, daemon_net):
+                    net.connect(*ends)
+            if op in ("cut", "cut+plug"):
+                candidates = _cuttable(tenant.net)
+                ends = candidates[pick % len(candidates)]
+                cut.append(ends)
+                for net in (tenant.net, daemon_net):
+                    net.disconnect(net.wire_at(*ends[:2]))
+            _, outcome = _served_cycle(tenant)
+            cycle = daemon.run_cycle()
+            assert outcome["map_result"] == map_result_to_dict(cycle.map_result), op
+            assert outcome["tables"] == route_tables_to_dict(daemon.current_tables), op
+            assert outcome["probes"] == cycle.map_result.stats.total_probes, op
+            assert outcome["seeded"] == cycle.incremental, op
+            assert outcome["seed_fallback"] == cycle.seed_fallback, op
+            assert outcome["isomorphic"] and outcome["deadlock_free"], op
 
 
 class TestOutcomeCarriesEachChannelOnce:

@@ -52,4 +52,4 @@ def holds(payload: dict) -> bool:
 def held_network() -> Network | None:
     """The fabric the worker holds between jobs, if any."""
     slot = workers._held.get("slot")
-    return None if slot is None else slot.net
+    return None if slot is None else slot.state.net

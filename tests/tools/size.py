@@ -12,7 +12,9 @@
   positional or keyword-only.
 - **defaulted dataclass fields**: annotated assignments with a value in
   the body of a class decorated ``@dataclass`` (called or not, bare or
-  ``dataclasses.``-qualified); a ``ClassVar`` is not a field.
+  ``dataclasses.``-qualified); a ``ClassVar`` is not a field, and a
+  ``field(...)`` call with neither ``default`` nor ``default_factory``
+  (``compare=False``, ``kw_only=True``, ``init=False``) has no default.
 """
 
 from __future__ import annotations
@@ -71,6 +73,16 @@ def _is_classvar(annotation: ast.expr) -> bool:
     return isinstance(target, ast.Name) and target.id == "ClassVar"
 
 
+def _has_default(value: ast.expr) -> bool:
+    if not isinstance(value, ast.Call):
+        return True
+    target = value.func
+    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+    return name != "field" or any(
+        kw.arg in ("default", "default_factory") for kw in value.keywords
+    )
+
+
 def defaulted_fields(node: ast.ClassDef) -> list[ast.AnnAssign]:
     """The defaulted field statements of a ``@dataclass`` class (none for another class)."""
     if not _is_dataclass(node):
@@ -79,6 +91,7 @@ def defaulted_fields(node: ast.ClassDef) -> list[ast.AnnAssign]:
         stmt for stmt in node.body
         if isinstance(stmt, ast.AnnAssign)
         and stmt.value is not None
+        and _has_default(stmt.value)
         and not _is_classvar(stmt.annotation)
     ]
 

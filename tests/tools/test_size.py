@@ -53,6 +53,23 @@ def test_the_fixture_counts():
     }
 
 
+def test_a_field_call_without_a_default_is_not_defaulted():
+    source = """
+from dataclasses import dataclass, field
+import dataclasses
+
+
+@dataclass
+class Record:
+    hint: str = field(compare=False)
+    seed: int = field(kw_only=True)
+    window: list = dataclasses.field(init=False, repr=False)
+    size: int = field(default=3, compare=False)
+    tags: list = dataclasses.field(default_factory=list)
+"""
+    assert count_source(source)["defaulted dataclass fields"] == 2
+
+
 def test_files_and_directories_add_up(tmp_path):
     (tmp_path / "pkg").mkdir()
     (tmp_path / "pkg" / "a.py").write_text(FIXTURE)

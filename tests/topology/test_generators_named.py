@@ -1,6 +1,8 @@
 """Topologies by name: the one kind table behind ``san-map generate``,
 tenant specs, chaos cells and tournament families."""
 
+import re
+
 import pytest
 
 from repro.topology.generators import (
@@ -33,6 +35,17 @@ def test_unknown_kind_and_missing_mapper_are_rejected():
         build_topology({"kind": "ring", "mapper": "ghost"})
     assert shrink_candidates({"kind": "klein-bottle"}) == []
     assert shrink_candidates({"kind": ["ring"]}) == []
+
+
+@pytest.mark.parametrize("spec, unread", [
+    ({"kind": "ring", "sise": 8}, ["sise"]),  # a misspelling must not build the default ring
+    ({"kind": "ring", "size": 8, "k": 4}, ["k"]),  # a parameter of another kind
+    ({"kind": "now-c", "size": 8, "mapper": "C-svc"}, ["size"]),  # the subclusters read none
+])
+def test_a_key_the_kind_does_not_read_is_refused(spec, unread):
+    message = f"topology {spec['kind']!r} reads no params {unread}"
+    with pytest.raises(TopologyError, match=re.escape(message)):
+        build_topology(spec)
 
 
 @pytest.mark.parametrize(
