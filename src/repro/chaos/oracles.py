@@ -30,8 +30,8 @@ from typing import Protocol
 
 from repro.routing.compile_routes import RouteTable
 from repro.routing.deadlock import routes_deadlock_free
+from repro.routing.incremental import UNREACHABLE_ENDPOINT, route_deliveries
 from repro.simulator.faults import FaultModel
-from repro.simulator.path_eval import PathStatus, evaluate_route
 from repro.topology.analysis import core_network, effective_network
 from repro.topology.isomorphism import match_networks
 from repro.topology.model import Network
@@ -184,15 +184,12 @@ class RouteDeliveryOracle:
         eff = effective_network(ctx.truth, ctx.faults, ctx.mapper_host)
         total = 0
         bad: list[str] = []
-        for table in ctx.final_tables.values():
-            for dst, route in table.routes.items():
-                total += 1
-                if table.host not in eff or dst not in eff:
-                    bad.append(f"{table.host}->{dst} (unreachable endpoint)")
-                    continue
-                out = evaluate_route(eff, table.host, route.turns)
-                if out.status is not PathStatus.DELIVERED or out.delivered_to != dst:
-                    bad.append(f"{table.host}->{dst}")
+        for src, dst, failure in route_deliveries(ctx.final_tables, eff):
+            total += 1
+            if failure == UNREACHABLE_ENDPOINT:
+                bad.append(f"{src}->{dst} ({failure})")
+            elif failure is not None:
+                bad.append(f"{src}->{dst}")
         if bad:
             return OracleVerdict(
                 self.name,

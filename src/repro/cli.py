@@ -93,28 +93,26 @@ def _cmd_map(args: argparse.Namespace) -> int:
     net = load_network(args.network)
     mapper_host = args.mapper_host or sorted(net.hosts)[0]
 
+    mapper = algorithm
     if args.profile and spec.capabilities.profiler:
         from repro.core.instrumentation import PhaseProfiler
 
         # Only a callable can carry a profiler in: the spec's mapper built
         # with map_cycle's own defaults, on the spec's service class.
-        result, svc = map_cycle(
-            net,
-            mapper_host,
-            mapper=resolve_mapper_factory(
-                algorithm,
-                host_first=False,
-                max_explorations=MAX_EXPLORATIONS,
-                radix=net.default_radix,
-                profiler=PhaseProfiler(),
-            ),
-            search_depth=args.depth,
-            service_cls=spec.service_cls,
+        mapper = resolve_mapper_factory(
+            algorithm,
+            host_first=False,
+            max_explorations=MAX_EXPLORATIONS,
+            radix=net.default_radix,
+            profiler=PhaseProfiler(),
         )
-    else:
-        result, svc = map_cycle(
-            net, mapper_host, mapper=algorithm, search_depth=args.depth
-        )
+    result, svc = map_cycle(
+        net,
+        mapper_host,
+        mapper=mapper,
+        search_depth=args.depth,
+        service_cls=spec.service_cls,
+    )
     produced, stats = result.network, result.stats
 
     if args.stack:
@@ -181,6 +179,7 @@ def _cmd_routes(args: argparse.Namespace) -> int:
         compile_route_tables,
         lash_route_tables,
         orient_updown,
+        route_deliveries,
         routes_deadlock_free,
     )
 
@@ -205,15 +204,11 @@ def _cmd_routes(args: argparse.Namespace) -> int:
     print(f"routes: {n_routes}; deadlock-free: {safe}")
 
     if args.verify_against:
-        from repro.simulator.path_eval import PathStatus, evaluate_route
-
         actual = load_network(args.verify_against)
-        bad = 0
-        for table in tables.values():
-            for dst, route in table.routes.items():
-                out = evaluate_route(actual, table.host, route.turns)
-                if out.status is not PathStatus.DELIVERED or out.delivered_to != dst:
-                    bad += 1
+        bad = sum(
+            failure is not None
+            for _, _, failure in route_deliveries(tables, actual)
+        )
         print(f"delivery check on actual network: {n_routes - bad}/{n_routes} ok")
         safe = safe and bad == 0
 

@@ -29,7 +29,6 @@ from repro.core.mapper_protocol import MapperCapabilities, register_mapper
 from repro.core.model_graph import KIND_HOST, KIND_SWITCH, MergedVertex, ModelGraph
 from repro.core.planner import ProbePlanner
 from repro.core.relative import MappingError
-from repro.simulator.path_eval import PathStatus, evaluate_route
 from repro.simulator.probes import ProbeService, ProbeStats
 from repro.simulator.turns import Turns
 from repro.topology.analysis import core_network
@@ -122,7 +121,7 @@ class MapResult:
 class MapSeed:
     """A prior map plus the wire-end delta separating it from the present.
 
-    ``network`` and ``witnesses`` come from the prior run's
+    ``network``, ``witnesses`` and ``entries`` come from the prior run's
     :class:`MapResult`; ``affected`` is the merged *removals-only* delta of
     every mutation since that map was captured (additions make a seed
     unsound — a kept subtree cannot prove a wire it never probed does not
@@ -135,11 +134,10 @@ class MapSeed:
     network: Network
     witnesses: Mapping[str, Turns]
     affected: frozenset[Endpoint]
-    #: Per-switch witness entry ports (``MapResult.entry_ports``). When the
-    #: seed comes straight from a prior run these are already known, and
-    #: providing them skips the defensive witness re-walk over the prior
-    #: map. Leave ``None`` for hand-built seeds to keep that validation.
-    entries: Mapping[str, int] | None = None
+    #: Per-switch witness entry ports (``MapResult.entry_ports``), in
+    #: prior-map coordinates: the port each switch's witness walk entered
+    #: it by. A seed always carries them; nothing re-walks a witness.
+    entries: Mapping[str, int]
 
     @classmethod
     def from_result(
@@ -392,39 +390,22 @@ class BerkeleyMapper(ModelGraph):
         affected = seed.affected
         order = sorted(prior.nodes)
 
-        # Entry ports (prior-map coordinates) and cleanliness, per node.
-        # When the seed supplies entry ports (it came straight from a prior
-        # run's MapResult) trust the witnesses — the confirmation frontier
-        # and the explore loop's contradiction checks catch anything stale.
-        # Otherwise re-walk each witness over the prior map defensively.
-        pre = seed.entries
-        entries: dict[str, int] = {}
+        # Every node needs a witness and every switch an entry port
+        # (prior-map coordinates); then cleanliness, per node. Both come
+        # from the prior run's MapResult and are trusted: the confirmation
+        # frontier and the explore loop's contradiction checks catch
+        # anything stale.
+        entries = seed.entries
         clean: dict[str, bool] = {}
         for name in order:
             wit = seed.witnesses.get(name)
             if wit is None:
                 return f"prior map carries no witness for {name}"
-            if prior.is_host(name):
-                if name == h0:
-                    if wit != ():
-                        return "mapper host witness is not empty"
-                elif pre is None:
-                    path = evaluate_route(prior, h0, wit)
-                    if (
-                        path.status is not PathStatus.DELIVERED
-                        or path.delivered_to != name
-                    ):
-                        return f"witness for {name} does not reach it"
-            elif pre is not None:
-                entry = pre.get(name)
-                if entry is None:
-                    return f"prior map carries no entry port for {name}"
-                entries[name] = entry
-            else:
-                path = evaluate_route(prior, h0, wit)
-                if path.status is not PathStatus.STRANDED or path.nodes[-1] != name:
-                    return f"witness for {name} does not reach it"
-                entries[name] = path.traversals[-1].dst.port
+            if name == h0:
+                if wit != ():
+                    return "mapper host witness is not empty"
+            elif not prior.is_host(name) and name not in entries:
+                return f"prior map carries no entry port for {name}"
             clean[name] = not affected or not crosses(wit, affected)
         if not clean[h0]:
             return "mapper host attachment is inside the dirty region"
@@ -513,7 +494,7 @@ class BerkeleyMapper(ModelGraph):
 
     @staticmethod
     def _seed_index(
-        net: Network, end, entries: dict[str, int]
+        net: Network, end, entries: Mapping[str, int]
     ) -> int:
         """Model index of a prior-map wire end: port minus entry port."""
         if net.is_host(end.node):

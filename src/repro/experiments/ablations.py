@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.baselines.selfid import SelfIdProbeService
 from repro.core.mapper_protocol import create_mapper
 from repro.core.planner import ProbePlanner
+from repro.core.remapper import map_cycle
 from repro.experiments.common import system
 from repro.experiments.tables import print_table
 from repro.simulator.collision import CircuitModel, CutThroughModel
@@ -79,16 +79,13 @@ def run(name: str = "C+A+B") -> list[AblationRow]:
         (CutThroughModel(slack_hops=1), "collision: cut-through slack=1"),
         (CutThroughModel(slack_hops=3), "collision: cut-through slack=3"),
     ):
-        svc = build_service_stack(
-            fixture.net, fixture.mapper_host, collision=collision
+        result, _ = map_cycle(
+            fixture.net,
+            fixture.mapper_host,
+            search_depth=fixture.search_depth,
+            collision=collision,
         )
-        record(
-            label,
-            create_mapper(
-                "berkeley", svc, search_depth=fixture.search_depth,
-                host_first=False,
-            ).map(),
-        )
+        record(label, result)
 
     # 3. probe-pair order
     for host_first, label in ((True, "pair order: host first"), (False, "pair order: switch first")):
@@ -120,13 +117,13 @@ def run(name: str = "C+A+B") -> list[AblationRow]:
         record(f"coupon seeding: {n} probes", mapper.map())
 
     # 5. self-identifying switches (lower bound)
-    svc = build_service_stack(
-        fixture.net, fixture.mapper_host, service_cls=SelfIdProbeService
+    result, _ = map_cycle(
+        fixture.net,
+        fixture.mapper_host,
+        mapper="selfid",
+        search_depth=fixture.search_depth,
     )
-    record(
-        "self-identifying switches",
-        create_mapper("selfid", svc, search_depth=fixture.search_depth).map(),
-    )
+    record("self-identifying switches", result)
     return rows
 
 

@@ -21,6 +21,7 @@ from typing import cast
 
 from repro.baselines.myricom import MyricomMapper, ProbeBreakdown
 from repro.core.mapper_protocol import create_mapper
+from repro.core.remapper import map_cycle
 from repro.experiments.common import PAPER, SYSTEMS, system
 from repro.experiments.tables import print_table
 from repro.simulator.stack import build_service_stack
@@ -54,11 +55,9 @@ def run(systems=SYSTEMS) -> list[MyricomRow]:
     rows = []
     for name in systems:
         fixture = system(name)
-        svc_b = build_service_stack(fixture.net, fixture.mapper_host)
-        berkeley = create_mapper(
-            "berkeley", svc_b, search_depth=fixture.search_depth,
-            host_first=False,
-        ).map()
+        berkeley, _ = map_cycle(
+            fixture.net, fixture.mapper_host, search_depth=fixture.search_depth
+        )
         svc_m = build_service_stack(fixture.net, fixture.mapper_host)
         # The per-category probe breakdown only exists on the native
         # result, so drop from the protocol to the concrete runner here.

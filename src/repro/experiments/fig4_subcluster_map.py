@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 from repro.core.instrumentation import cache_summary
 from repro.core.mapper import MapResult
-from repro.core.mapper_protocol import create_mapper
+from repro.core.remapper import map_cycle
 from repro.experiments.common import system
 from repro.simulator.path_eval import EvalCacheStats
-from repro.simulator.stack import build_service_stack
 from repro.topology.isomorphism import IsomorphismReport, match_networks
 from repro.topology.render import to_ascii, to_dot
 
@@ -35,10 +34,12 @@ class MapExperiment:
 
 def run(name: str = "C") -> MapExperiment:
     fixture = system(name)
-    svc = build_service_stack(fixture.net, fixture.mapper_host)
-    result = create_mapper(
-        "berkeley", svc, search_depth=fixture.search_depth, host_first=False
-    ).map()
+    # A fresh copy of the shared fixture: probe walks are cached on the
+    # fabric they walk (``Network.walk_trie``), so mapping the fixture
+    # itself would count walks an earlier run cached as this run's hits.
+    result, svc = map_cycle(
+        fixture.net.copy(), fixture.mapper_host, search_depth=fixture.search_depth
+    )
     verification = match_networks(result.network, fixture.core)
     return MapExperiment(
         system=name,

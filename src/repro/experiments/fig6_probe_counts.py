@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.mapper_protocol import create_mapper
+from repro.core.remapper import map_cycle
 from repro.experiments.common import PAPER, SYSTEMS, system
 from repro.experiments.tables import print_table
-from repro.simulator.stack import TraceBusLayer, build_service_stack
+from repro.simulator.stack import TraceBusLayer
 from repro.topology.isomorphism import match_networks
 
 __all__ = ["ProbeCountRow", "run", "main"]
@@ -44,10 +44,9 @@ def run() -> list[ProbeCountRow]:
     rows = []
     for name in SYSTEMS:
         fixture = system(name)
-        svc = build_service_stack(fixture.net, fixture.mapper_host)
-        result = create_mapper(
-            "berkeley", svc, search_depth=fixture.search_depth, host_first=False
-        ).map()
+        result, _ = map_cycle(
+            fixture.net, fixture.mapper_host, search_depth=fixture.search_depth
+        )
         s = result.stats
         rows.append(
             ProbeCountRow(
@@ -75,14 +74,12 @@ def probe_length_histogram() -> str:
 
     fixture = system("C")
     recorder = TraceRecorder()
-    svc = build_service_stack(
+    map_cycle(
         fixture.net,
         fixture.mapper_host,
+        search_depth=fixture.search_depth,
         layers=(TraceBusLayer((recorder,)),),
     )
-    create_mapper(
-        "berkeley", svc, search_depth=fixture.search_depth, host_first=False
-    ).map()
     analysis = analyze_records(recorder.records)
     return (
         analysis.histogram()

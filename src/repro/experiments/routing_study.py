@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.mapper_protocol import create_mapper
+from repro.core.remapper import map_cycle
 from repro.experiments.common import SYSTEMS, system
 from repro.experiments.tables import print_table
 from repro.routing import (
@@ -24,10 +24,9 @@ from repro.routing import (
     compile_route_tables,
     distribute_incremental,
     orient_updown,
+    route_deliveries,
     routes_deadlock_free,
 )
-from repro.simulator.path_eval import PathStatus, evaluate_route
-from repro.simulator.stack import build_service_stack
 
 __all__ = ["RoutingRow", "run", "main"]
 
@@ -50,28 +49,23 @@ def run(systems=SYSTEMS) -> list[RoutingRow]:
     rows = []
     for name in systems:
         fixture = system(name)
-        svc = build_service_stack(fixture.net, fixture.mapper_host)
-        result = create_mapper(
-            "berkeley", svc, search_depth=fixture.search_depth,
-            host_first=False,
-        ).map()
+        result, _ = map_cycle(
+            fixture.net, fixture.mapper_host, search_depth=fixture.search_depth
+        )
         m = result.network
         orientation = orient_updown(m)
         paths = all_pairs_updown_paths(m, orientation)
         tables = compile_route_tables(m, paths)
         n_hosts = m.n_hosts
         n_routes = sum(len(t) for t in tables.values())
-        valid = 0
-        max_hops = 0
-        for t in tables.values():
-            for dst, route in t.routes.items():
-                outcome = evaluate_route(fixture.net, t.host, route.turns)
-                if (
-                    outcome.status is PathStatus.DELIVERED
-                    and outcome.delivered_to == dst
-                ):
-                    valid += 1
-                max_hops = max(max_hops, route.hops)
+        valid = sum(
+            failure is None
+            for _, _, failure in route_deliveries(tables, fixture.net)
+        )
+        max_hops = max(
+            (route.hops for t in tables.values() for route in t.routes.values()),
+            default=0,
+        )
         report = distribute_incremental(m, fixture.mapper_host, tables, None)
         rows.append(
             RoutingRow(

@@ -17,7 +17,8 @@ raw BFS labeling) are relabeled per the paper's heuristic.
 - :mod:`~repro.routing.deadlock` — channel-dependency-graph acyclicity
   (Dally–Seitz) over complete route sets;
 - :mod:`~repro.routing.incremental` — route-table distribution to all
-  interfaces, full or only what changed.
+  interfaces, full or only what changed, and the one check that a
+  generation's routes deliver on a fabric.
 """
 
 from repro.routing.updown import UpDownOrientation, orient_updown
@@ -28,6 +29,7 @@ from repro.routing.incremental import (
     DistributionReport,
     diff_route_tables,
     distribute_incremental,
+    route_deliveries,
 )
 from repro.routing.lash import LashRouting, lash_route_tables
 from repro.routing.quality import RouteQuality, analyze_routes
@@ -46,5 +48,6 @@ __all__ = [
     "all_pairs_updown_paths",
     "compile_route_tables",
     "orient_updown",
+    "route_deliveries",
     "routes_deadlock_free",
 ]

@@ -27,7 +27,7 @@ evaluating the mapper->host route on the actual network.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from repro.routing.compile_routes import RouteTable, as_generation
 from repro.simulator.path_eval import PathStatus, evaluate_route
@@ -41,11 +41,16 @@ BYTES_PER_ROUTE = 16
 BYTES_PER_WITHDRAWAL = 4
 
 __all__ = [
+    "UNREACHABLE_ENDPOINT",
     "DistributionReport",
     "RouteTableDelta",
     "diff_route_tables",
     "distribute_incremental",
+    "route_deliveries",
 ]
+
+#: The failure of a route whose source or destination host the fabric lacks.
+UNREACHABLE_ENDPOINT = "unreachable endpoint"
 
 
 @dataclass(slots=True)
@@ -181,3 +186,27 @@ def distribute_incremental(
         )
         report.delivered.append(host)
     return report
+
+
+def route_deliveries(
+    tables: Mapping[str, RouteTable], net: Network
+) -> Iterator[tuple[str, str, str | None]]:
+    """Judge every route of ``tables`` on ``net``, the one delivery check.
+
+    Yields ``(src, dst, failure)`` per route in (source, destination)
+    order. ``failure`` is ``None`` when the route delivers to ``dst``,
+    :data:`UNREACHABLE_ENDPOINT` when ``net`` lacks either host, and
+    otherwise the :class:`~repro.simulator.path_eval.PathStatus` value the
+    walk ended with (``"delivered"`` for one that reached another host).
+    """
+    for src in sorted(tables):
+        routes = tables[src].routes
+        for dst in sorted(routes):
+            if src not in net or dst not in net:
+                yield src, dst, UNREACHABLE_ENDPOINT
+                continue
+            out = evaluate_route(net, src, routes[dst].turns)
+            if out.status is PathStatus.DELIVERED and out.delivered_to == dst:
+                yield src, dst, None
+            else:
+                yield src, dst, out.status.value

@@ -28,6 +28,7 @@ import asyncio
 import time
 from collections import deque
 from concurrent.futures import Executor, ProcessPoolExecutor
+from itertools import islice
 from typing import Any, Iterable
 
 from repro.service.protocol import ProtocolError, read_frame, write_frame
@@ -39,7 +40,7 @@ from repro.service.serialize import (
 from repro.service.tenant import TenantSpec, TenantState
 from repro.service.workers import run_map_job
 from repro.routing.deadlock import routes_deadlock_free
-from repro.simulator.path_eval import PathStatus, evaluate_route
+from repro.routing.incremental import route_deliveries
 
 __all__ = ["MapServer", "ServerStats", "percentile"]
 
@@ -371,6 +372,8 @@ class MapServer:
         ``sample`` bounds the delivery check to the first N (src, dst)
         pairs in sorted order — deterministic, so repeated verifies cover
         the same routes. The full check is O(hosts²) route evaluations.
+        Each failure names how its route ended (a ``PathStatus`` value, or
+        ``unreachable endpoint`` for a host the fabric no longer has).
         """
         try:
             tenant = self._tenant(request)
@@ -386,21 +389,14 @@ class MapServer:
         deadlock_free = routes_deadlock_free(tenant.tables)
         checked = delivered = 0
         failures: list[dict] = []
-        for src in sorted(tenant.tables):
-            table = tenant.tables[src]
-            for dst in sorted(table.routes):
-                if sample is not None and checked >= sample:
-                    break
-                checked += 1
-                out = evaluate_route(tenant.net, src, table.routes[dst].turns)
-                if out.status is PathStatus.DELIVERED and out.delivered_to == dst:
-                    delivered += 1
-                elif len(failures) < 10:
-                    failures.append(
-                        {"src": src, "dst": dst, "status": out.status.value}
-                    )
-            if sample is not None and checked >= sample:
-                break
+        for src, dst, failure in islice(
+            route_deliveries(tenant.tables, tenant.net), sample
+        ):
+            checked += 1
+            if failure is None:
+                delivered += 1
+            elif len(failures) < 10:
+                failures.append({"src": src, "dst": dst, "status": failure})
         return {
             "ok": deadlock_free and delivered == checked,
             "tenant": tenant.spec.name,

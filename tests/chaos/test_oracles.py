@@ -10,6 +10,7 @@ from repro.chaos.oracles import (
     RouteDeliveryOracle,
     effective_network,
 )
+from repro.routing.incremental import route_deliveries
 from repro.simulator.faults import FaultModel
 from repro.topology.analysis import core_network
 from repro.topology.generators import build_ring
@@ -170,6 +171,20 @@ class TestRouteOracles:
             ),
         )
         assert not RouteDeliveryOracle().check(ctx).ok
+
+    def test_routes_to_a_host_the_fabric_lost_fail_as_unreachable(self):
+        net = build_ring(6)
+        tables = self._tables(net)
+        truth = net.copy()
+        gone = "ring-n005"
+        truth.remove_node(gone)
+        judged = list(route_deliveries(tables, truth))
+        failed = [(src, dst) for src, dst, failure in judged if failure is not None]
+        assert len(failed) == 10 and all(gone in pair for pair in failed)
+        verdict = RouteDeliveryOracle().check(_ctx(truth, final_tables=tables))
+        assert not verdict.ok
+        assert verdict.detail.startswith(f"{len(failed)}/{len(judged)} routes fail: ")
+        assert f"ring-n000->{gone} (unreachable endpoint)" in verdict.detail
 
 
 class TestConvergenceAndContradiction:

@@ -213,25 +213,29 @@ class TestFatTreeK8:
 
 
 class TestSeedValidation:
-    """The defensive (no pre-computed entries) seed path still works and
-    still rejects malformed seeds."""
+    """A malformed seed falls back to a cold map with a named reason."""
 
-    def test_hand_built_seed_without_entries(self):
+    def test_a_switch_without_an_entry_port_falls_back(self):
         net = build_full_now()
         h0 = sorted(net.hosts)[0]
         depth = recommended_search_depth(net, h0)
         svc = QuiescentProbeService(net=net, mapper=h0, faults=FaultModel())
         prior = BerkeleyMapper(svc, search_depth=depth).map()
+        entries = dict(prior.entry_ports)
+        victim = sorted(entries)[0]
+        del entries[victim]
         mapper = BerkeleyMapper(svc, search_depth=depth)
         mapper.seed_with(
             MapSeed(
                 network=prior.network,
                 witnesses=prior.witnesses,
                 affected=frozenset(),
+                entries=entries,
             )
         )
         result = mapper.map()
-        assert result.seeded
+        assert not result.seeded
+        assert result.seed_fallback == f"prior map carries no entry port for {victim}"
         assert match_networks(result.network, prior.network)
 
     @pytest.mark.parametrize("break_witness", [True, False])
@@ -254,6 +258,7 @@ class TestSeedValidation:
                 network=prior.network,
                 witnesses=witnesses,
                 affected=frozenset(),
+                entries=prior.entry_ports,
             )
         )
         result = mapper.map()

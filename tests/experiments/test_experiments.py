@@ -19,8 +19,10 @@ from repro.experiments import (
     routing_study,
 )
 from repro.core import election, parallel
+from repro.core.remapper import map_cycle
 from repro.extensions import crosstraffic
 from repro.experiments.common import PAPER, system
+from repro.topology.generators import build_subcluster
 
 
 class TestFixtures:
@@ -57,6 +59,21 @@ class TestFig4:
         assert exp.verification.isomorphic
         net = exp.result.network
         assert (net.n_hosts, net.n_switches, net.n_wires) == (100, 40, 193)
+
+    def test_cache_counters_do_not_depend_on_earlier_runs(self):
+        """The eval-cache line counts this map's walks only, never walks
+        an earlier experiment cached on the shared fixture's fabric."""
+        before = fig4_subcluster_map.run("C").cache
+        fig6_probe_counts.run()  # maps every fixture, C included
+        after = fig4_subcluster_map.run("C").cache
+        fixture = system("C")
+        _, cold = map_cycle(
+            build_subcluster("C"),
+            fixture.mapper_host,
+            search_depth=fixture.search_depth,
+        )
+        assert before == after == cold.eval_cache_stats
+        assert after.misses > 0
 
 
 class TestFig6:

@@ -3,7 +3,11 @@
 import pytest
 
 from repro.routing.compile_routes import RouteTable, compile_route_tables
-from repro.routing.incremental import diff_route_tables, distribute_incremental
+from repro.routing.incremental import (
+    diff_route_tables,
+    distribute_incremental,
+    route_deliveries,
+)
 from repro.routing.paths import all_pairs_updown_paths
 from repro.routing.updown import orient_updown
 from tests.topology.reference_builder import NetworkBuilder
@@ -126,6 +130,47 @@ class TestIncrementalDistribution:
         assert full.bytes_sent == 16 * sum(
             len(t.routes) for host, t in tables.items() if host != "h0"
         )
+
+
+class TestRouteDeliveries:
+    def test_every_pair_in_sorted_order(self, evolving_net):
+        tables = _tables(evolving_net)
+        hosts = sorted(tables)
+        assert list(route_deliveries(tables, evolving_net)) == [
+            (src, dst, None) for src in hosts for dst in hosts if dst != src
+        ]
+
+    def test_a_failure_names_how_its_route_ended(self, evolving_net):
+        tables = _tables(evolving_net)
+        actual = evolving_net.copy()
+        actual.disconnect(actual.wire_at("s0", 5))
+        judged = {(src, dst): f for src, dst, f in route_deliveries(tables, actual)}
+        assert judged[("h0", "h2")] == judged[("h2", "h1")] == "no such wire"
+        assert judged[("h0", "h1")] is None
+
+    def test_a_route_that_reaches_another_host_fails(self, evolving_net):
+        tables = _tables(evolving_net)
+        swapped = evolving_net.copy()
+        swapped.disconnect(swapped.wire_at("h0", 0))
+        swapped.disconnect(swapped.wire_at("h1", 0))
+        swapped.connect("h0", 0, "s0", 1)
+        swapped.connect("h1", 0, "s0", 0)
+        judged = {(src, dst): f for src, dst, f in route_deliveries(tables, swapped)}
+        assert judged[("h2", "h0")] == judged[("h2", "h1")] == "delivered"
+
+    def test_a_host_the_fabric_lacks_is_an_unreachable_endpoint(self, evolving_net):
+        tables = _tables(evolving_net)
+        actual = evolving_net.copy()
+        actual.remove_node("h2")
+        failed = {
+            (src, dst): f
+            for src, dst, f in route_deliveries(tables, actual)
+            if f is not None
+        }
+        assert set(failed) == {
+            ("h0", "h2"), ("h1", "h2"), ("h2", "h0"), ("h2", "h1")
+        }
+        assert set(failed.values()) == {"unreachable endpoint"}
 
 
 class TestChaosDifferential:

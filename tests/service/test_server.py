@@ -19,10 +19,12 @@ import pytest
 
 from repro.service.client import MapClient, ServiceError
 from repro.service.protocol import read_frame
-from repro.service.serialize import route_tables_to_dict
+from repro.service.serialize import map_result_from_dict, route_tables_to_dict
 from repro.service.server import MapServer, percentile
 from repro.service.tenant import TenantSpec
+from repro.topology.analysis import core_network, effective_network
 from repro.topology.generators import build_ring
+from repro.topology.isomorphism import match_networks
 from tests.routing.test_deadlock_reference import shortest_path_tables
 
 RING = TenantSpec(name="ring", topology="ring", params={"size": 4, "hosts_per_switch": 1})
@@ -232,6 +234,51 @@ class TestMapRouteVerify:
                     stats = await client.stats("mesh")
                     assert stats["status"] == "unmapped"
                     assert stats["generation"] == 0
+            return True
+
+        assert asyncio.run(run())
+
+    def test_map_sends_its_result_only_when_asked(self):
+        async def run():
+            async with _server(RING) as (server, host, port):
+                async with MapClient(host, port) as client:
+                    plain = await client.map("ring")
+                    assert plain["adopted"] is True
+                    assert "map_result" not in plain
+                    cut = await client.cut("ring", auto=True)
+                    assert cut["ok"] is True
+                    full = await client.request(
+                        "map", tenant="ring", wait=True, include_result=True
+                    )
+                    assert full["adopted"] is True
+                    result = map_result_from_dict(full["map_result"])
+                    tenant = server.tenants["ring"]
+                    effective = effective_network(
+                        tenant.net, tenant.faults, tenant.mapper_host()
+                    )
+                    assert match_networks(result.network, core_network(effective))
+            return True
+
+        assert asyncio.run(run())
+
+    def test_verify_names_a_route_whose_host_is_gone(self):
+        async def run():
+            async with _server(RING) as (server, host, port):
+                async with MapClient(host, port) as client:
+                    await client.map("ring")
+                    net = server.tenants["ring"].net
+                    gone = sorted(net.hosts)[0]
+                    net.remove_node(gone)
+                    verdict = await client.verify("ring")
+                    assert verdict["ok"] is False
+                    assert verdict["failures"][0] == {
+                        "src": gone,
+                        "dst": sorted(net.hosts)[0],
+                        "status": "unreachable endpoint",
+                    }
+                    n = net.n_hosts + 1
+                    assert verdict["routes_checked"] == n * (n - 1)
+                    assert verdict["routes_delivered"] == (n - 1) * (n - 2)
             return True
 
         assert asyncio.run(run())

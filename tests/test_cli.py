@@ -125,6 +125,29 @@ class TestRoutesCommand:
         for host, table in doc.items():
             assert set(table) == hosts - {host}
 
+    def test_a_host_the_fabric_lacks_fails_only_its_routes(
+        self, ring_json, tmp_path, capsys
+    ):
+        """Every route from or to a mapped host the actual fabric lacks
+        fails as an unreachable endpoint; the rest are still checked."""
+        map_path = tmp_path / "map.json"
+        main(["map", "--network", str(ring_json), "--out", str(map_path)])
+        actual = load_network(ring_json)
+        n = actual.n_hosts
+        actual.remove_node(sorted(actual.hosts)[-1])
+        less_path = tmp_path / "less.json"
+        save_network(actual, less_path)
+        capsys.readouterr()
+        code = main([
+            "routes", "--map", str(map_path), "--verify-against", str(less_path),
+        ])
+        total = n * (n - 1)
+        assert code == 1
+        assert (
+            f"delivery check on actual network: {total - 2 * (n - 1)}/{total} ok"
+            in capsys.readouterr().out
+        )
+
 
 class TestLashScheme:
     def test_lash_routes(self, ring_json, tmp_path, capsys):

@@ -33,6 +33,9 @@ file of its own, so pool workers count. The entry points:
   ``tournament`` as CI runs them, plus one incremental ``chaos --config``
   run; ``generate`` for every kind; ``routes`` also on a fabric with a
   host-to-host cable), and ``san-lint`` (also ``--format json``);
+- two failure paths, each expected to exit 1 (:data:`EXPECTED_EXIT`):
+  ``san-lint`` on a file with a finding, and ``chaos --config --shrink``
+  on a cell that fails (a probe budget of one);
 - ``examples/*.py``;
 - ``benchmarks/e2e/run.py --quick`` per workload (its results land in
   the git-ignored ``benchmarks/e2e/out/``, as any run's do);
@@ -55,8 +58,9 @@ fields table by the same rule (a call site passes it by keyword, by
 position or through ``dataclasses.replace``), and when besides no
 ``src/`` code writes it after construction (:func:`stored_attributes`):
 the one rule covers config inputs never varied and record fields never
-written. A failing entry point is reported and fails the run, because its
-functions would be listed as unreachable.
+written. An entry point that exits with any status but its expected one
+is reported and fails the run, because its functions would be listed as
+unreachable.
 
 A disposition is one of (``test_reachability_table.py`` holds the
 committed tables to it in tier-1, and refuses the first three in a
@@ -176,6 +180,17 @@ _CAMPAIGN = {
     "seeds": [0],
     "incremental": True,
 }
+
+#: The same cell held to a probe budget no map fits in, so it fails and
+#: ``--shrink`` shrinks it.
+_FAILING_CAMPAIGN = {**_CAMPAIGN, "name": "reachability-failing", "probe_budget": 1}
+
+#: A module with one lint finding (SAN008, a mutable default argument).
+_FINDING = "def grow(items=[]):\n    items.append(1)\n    return items\n"
+
+#: The exit status of an entry point that fails by design; every other
+#: entry point must exit 0.
+EXPECTED_EXIT = {"san-lint finding": 1, "chaos shrink": 1}
 
 
 #: Shared by the collector and :func:`fingerprint`, so a recorded value
@@ -299,9 +314,11 @@ def entry_points(scratch: Path) -> list[tuple[str, list[str]]]:
     py = sys.executable
     san_map = [py, "-m", "repro"]
     ring, mapped = str(scratch / "ring.json"), str(scratch / "map.json")
-    inputs = {"tenants.json": _TENANTS, "host-cable.json": _HOST_CABLE, "campaign.json": _CAMPAIGN}
+    inputs = {"tenants.json": _TENANTS, "host-cable.json": _HOST_CABLE, "campaign.json": _CAMPAIGN,
+              "failing.json": _FAILING_CAMPAIGN}
     for name, doc in inputs.items():
         (scratch / name).write_text(json.dumps(doc))
+    (scratch / "finding.py").write_text(_FINDING)
     sys.path.insert(0, str(SRC))
     from repro.topology.generators.named import NAMED_TOPOLOGIES
 
@@ -328,6 +345,8 @@ def entry_points(scratch: Path) -> list[tuple[str, list[str]]]:
         ("chaos replay", [*san_map, "chaos", "--replay-corpus", "tests/chaos/corpus"]),
         ("chaos incremental", [*san_map, "chaos", "--config", str(scratch / "campaign.json"),
                                "--verbose", "--shrink"]),
+        ("chaos shrink", [*san_map, "chaos", "--config", str(scratch / "failing.json"),
+                          "--shrink"]),
         ("serve", [*san_map, "serve", "--burst", "1", "--tenants", "2", "--workers", "1"]),
         ("client session", [py, "-c", _SESSION, str(scratch / "tenants.json")]),
         ("experiment", [*san_map, "experiment", "all"]),
@@ -335,6 +354,7 @@ def entry_points(scratch: Path) -> list[tuple[str, list[str]]]:
         ("san-lint", [py, "-m", "repro.analysis.cli", "src/repro", "benchmarks", "examples"]),
         ("san-lint rules", [py, "-m", "repro.analysis.cli", "--list-rules"]),
         ("san-lint json", [py, "-m", "repro.analysis.cli", "--format", "json", "src/repro/analysis"]),
+        ("san-lint finding", [py, "-m", "repro.analysis.cli", str(scratch / "finding.py")]),
     ]
     runs += [(f"example {p.stem}", [py, str(p)]) for p in sorted(ROOT.glob("examples/*.py"))]
     for workload in ("now_cold", "now_recover", "fattree_map", "served_churn"):
@@ -714,7 +734,7 @@ def main(argv: list[str] | None = None) -> int:
         for label, cmd in entry_points(scratch):
             done = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True)
             print(f"{label}: exit {done.returncode}", file=sys.stderr)
-            if done.returncode != 0:
+            if done.returncode != EXPECTED_EXIT.get(label, 0):
                 failed.append(label)
                 print(done.stderr[-2000:], file=sys.stderr)
         seen, bound, bound_fields = read_runs(reach_dir)
