@@ -47,6 +47,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import resource
 import statistics
 import sys
 import time
@@ -236,17 +237,19 @@ def _scale_map(k: int, hosts_per_edge: int | None = None) -> tuple[float, dict]:
     from repro.topology.isomorphism import match_networks
 
     net = build_three_tier_fat_tree(k, hosts_per_edge=hosts_per_edge)
-    # A dropped trie is cyclic garbage (child -> parent -> children): left
-    # alone, the previous sample's would be reclaimed inside this one.
+    # The trie is freed by reference counts, but the mapper's model graph
+    # is cyclic: left alone, the previous sample's would be reclaimed
+    # inside this one.
     gc.collect()
     start = time.perf_counter()
     svc = build_service_stack(net, net.hosts[0])
     mapper = create_mapper(
         "berkeley", svc, radix=k, search_depth=6, host_first=False
     )
-    map_start = time.perf_counter()
-    result = mapper.map()
-    map_seconds = time.perf_counter() - map_start
+    with _CollectorWatch() as collector:
+        map_start = time.perf_counter()
+        result = mapper.map()
+        map_seconds = time.perf_counter() - map_start
     report = match_networks(result.network, net)
     elapsed = time.perf_counter() - start
     assert report.isomorphic, report.reason
@@ -265,7 +268,41 @@ def _scale_map(k: int, hosts_per_edge: int | None = None) -> tuple[float, dict]:
         "us_per_probe": round(map_seconds * 1e6 / result.stats.total_probes, 2),
         "cache_nodes": cache.nodes,
         "cache_invalidations": cache.invalidations,
+        # What the cycle collector did during the map, and the process's
+        # high-water resident set so far (tiers run smallest first).
+        "gc_collections": collector.collections,
+        "gc_ms": round(collector.seconds * 1e3, 1),
+        "max_rss_mb": round(
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1
+        ),
     }
+
+
+class _CollectorWatch:
+    """Counts the cycle collector's passes and time inside a block.
+
+    Observation only: a ``gc.callbacks`` hook that reads a clock, never
+    triggers or defers a collection.
+    """
+
+    def __init__(self) -> None:
+        self.collections = 0
+        self.seconds = 0.0
+        self._started = 0.0
+
+    def _hook(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+        else:
+            self.collections += 1
+            self.seconds += time.perf_counter() - self._started
+
+    def __enter__(self) -> "_CollectorWatch":
+        gc.callbacks.append(self._hook)
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        gc.callbacks.remove(self._hook)
 
 
 SCALE_SUITE: dict[str, Bench] = {

@@ -99,6 +99,10 @@ class CellResult:
     scenario: Scenario
     topology: dict[str, Any]
     seed: int
+    #: The :func:`run_cell` keywords the cell ran under (settle cycles,
+    #: probe budget, mapper, incremental arm), so a re-run of it, or of a
+    #: shrunk copy, runs as it did. Not part of :meth:`to_dict`.
+    settings: dict[str, Any]
     cycles: list[CycleOutcome] = field(default_factory=list)
     verdicts: list[OracleVerdict] = field(default_factory=list)
     map_digest: str = ""
@@ -154,7 +158,17 @@ def _execute_cell(
     mapper_factory: Callable | str | None,
     incremental: bool,
 ) -> CellResult:
-    result = CellResult(scenario, dict(topology), seed)
+    result = CellResult(
+        scenario,
+        dict(topology),
+        seed,
+        {
+            "settle_cycles": settle_cycles,
+            "probe_budget": probe_budget,
+            "mapper_factory": mapper_factory,
+            "incremental": incremental,
+        },
+    )
     try:
         net, mapper_host = build_topology(topology)
     except TopologyError as exc:

@@ -73,6 +73,9 @@ def shrink_failure(
 ) -> ShrinkResult:
     """Minimize a failing cell while preserving at least one failing oracle.
 
+    Every candidate runs under the failing cell's own settings (its probe
+    budget, settle cycles, mapper and incremental arm), so a failure that
+    depends on them still reproduces.
     Determinism re-runs are disabled during the search (they would double
     every probe of every candidate); the final minimized cell is executed
     once more *with* the determinism check so the artifact records the full
@@ -90,7 +93,13 @@ def shrink_failure(
         """The candidate's result iff it still fails one of the target oracles."""
         if not budget.take():
             return None
-        result = run_cell(scenario, topology, failure.seed, check_determinism=check_det)
+        result = run_cell(
+            scenario,
+            topology,
+            failure.seed,
+            check_determinism=check_det,
+            **failure.settings,
+        )
         if result.invalid is not None:
             return None  # incoherent schedule, not a reproduction
         return result if target & set(result.failing) else None
@@ -159,7 +168,7 @@ def shrink_failure(
                 progress = True
                 break
 
-    final = run_cell(scenario, topology, failure.seed)
+    final = run_cell(scenario, topology, failure.seed, **failure.settings)
     return ShrinkResult(
         original=failure,
         scenario=scenario,

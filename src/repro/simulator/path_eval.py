@@ -18,6 +18,7 @@ in the same direction may block on its own tail.
 from __future__ import annotations
 
 import enum
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
@@ -39,6 +40,10 @@ __all__ = [
 
 #: Trie nodes an evaluator holds before its backstop flushes the trie.
 MAX_TRIE_NODES = 1_000_000
+
+#: Bits of a trie node's channel mask: a mask below 2**60 is a two-digit
+#: int, a third of the tuple of channel ids it stands for.
+_SEEN_BITS = 60
 
 
 class PathStatus(enum.Enum):
@@ -157,55 +162,53 @@ class EvalCacheStats:
 
 
 
-class _Hop:
-    """One directed wire half, read from the network once while it stands.
+class _Columns:
+    """The trie's storage: one entry per node in each of parallel lists.
 
-    The evaluator's hop table holds one record per source end ``(node,
-    out_port)``; every trie node whose step crosses that half points at the
-    same record, so the far end, its kind and radix, and the forward and
-    reverse :class:`Traversal` exist once however many cached walks (and
-    :class:`ProbeInfo` tuples) cross the wire. ``dep`` is the two wire ends
-    the crossing read; ``cid`` / ``rcid`` are small ints naming this
-    channel and its reverse — an id stands for a *source end* and is never
+    A node is an int id, and ids follow creation order, so a parent always
+    precedes its children. Node 0 is a sentinel standing above every root;
+    it is never walked and never dropped. Per node:
+
+    - ``parent`` and ``depth``: the message sits at the far end of the
+      node's own step after ``depth`` wire crossings;
+    - ``hop``: the hop row the node's own step read, or -1 for an
+      ILLEGAL_TURN or HIT_HOST_TOO_SOON verdict, which reads only radix and
+      kind;
+    - ``status``: None while the walk is in flight; otherwise the node is
+      *absorbing*: the prefix already failed (``depth`` is the parent's),
+      every extension yields the identical failure, and no child is ever
+      made past it;
+    - ``key``: the turn the node's step took (its source host for a
+      root), or None once a prune dropped it;
+    - the incremental circuit-model state of an in-flight node: the index
+      of the first directed re-crossing (None while all channels are
+      distinct), the largest index whose reverse channel was also crossed
+      (drives the loopback verdict: a retrace re-crosses every wire
+      backwards), and ``seen``, a mask of the channels crossed so far
+      (bit ``id % _SEEN_BITS`` per channel id), no longer extended once
+      the worm has blocked. Distinct ids may share a bit, so a set bit is
+      confirmed along the parent chain (:meth:`crossed`), and a clear bit
+      proves the channel uncrossed.
+
+    ``children`` maps a turn to the ``{parent: child}`` dict of every step
+    that took it: a handful of dicts of ints, and a hit costs two lookups
+    and no allocation. The hop table ``hops`` maps a source end ``(node,
+    out_port)`` to its row in ``rows``, the tuple ``(node, port, is_host,
+    radix, cid, rcid, dep, cid_bit, rcid_bit)``: the far end, its kind and
+    radix, the channel ids of the wire half and of its reverse, the wire
+    ends a step through the row reads (both ends of the wire; the probed
+    end alone when it is unwired, ``node`` None), and the two ids'
+    ``seen`` bits. A channel id stands for a *source end* and is never
     handed to another, and a source end has one wire at a time, so within
     one walk equal ids mean the same directed channel.
-    """
 
-    __slots__ = ("dst", "dst_is_host", "dst_radix", "fwd", "rev", "dep", "cid", "rcid")
+    Three caches fill on first read: the forward and reverse
+    :class:`Traversal` of a row (``crossings``), shared by every walk and
+    :class:`ProbeInfo` crossing that wire half; a node's footprint
+    (``foot``); and a collision model's verdict (``memo``).
 
-    def __init__(
-        self,
-        src: PortRef,
-        dst: PortRef,
-        dst_is_host: bool,
-        dst_radix: int,
-        cid: int,
-        rcid: int,
-    ) -> None:
-        self.dst = dst
-        self.dst_is_host = dst_is_host
-        self.dst_radix = dst_radix
-        self.fwd = Traversal(src, dst)
-        self.rev = Traversal(dst, src)
-        self.dep: tuple[Endpoint, Endpoint] = (
-            (src.node, src.port),
-            (dst.node, dst.port),
-        )
-        self.cid = cid
-        self.rcid = rcid
-
-
-class _TrieNode:
-    """One cached walk state: the message after consuming a turns-prefix.
-
-    A node is its parent plus the one :class:`_Hop` its own step crossed:
-    the message sits at ``hop.dst`` after ``depth`` wire crossings.
-    ``status`` is ``None`` while the walk is still in flight; otherwise the
-    node is *absorbing* — the prefix already failed (``hop`` is ``None``,
-    ``depth`` is the parent's), every extension yields the identical
-    failure, and children are never materialized past it. The traversal
-    tuple is not stored: :meth:`traversals` rebuilds it from the parent
-    chain for the few readers that want it.
+    Nothing here references a node object, so no node is tracked by the
+    cycle collector and a dropped trie is freed by reference counts.
     """
 
     __slots__ = (
@@ -213,123 +216,220 @@ class _TrieNode:
         "hop",
         "depth",
         "status",
-        "failed_at",
-        "dep",
+        "key",
         "fwd_blocked",
         "last_rev",
-        "chans",
+        "seen",
         "children",
-        "memo",
+        "hops",
+        "rows",
+        "crossings",
         "foot",
+        "memo",
     )
 
-    def __init__(
+    def __init__(self) -> None:
+        self.parent: list[int] = [0]
+        self.hop: list[int] = [-1]
+        self.depth: list[int] = [0]
+        self.status: list[PathStatus | None] = [None]
+        self.key: list[int | str | None] = [""]
+        self.fwd_blocked: list[int | None] = [None]
+        self.last_rev: list[int | None] = [None]
+        self.seen: list[int] = [0]
+        self.children: defaultdict[int, dict[int, int]] = defaultdict(dict)
+        self.hops: dict[Endpoint, int] = {}
+        self.rows: list[tuple] = []
+        self.crossings: list[tuple[Traversal, Traversal] | None] = []
+        self.foot: dict[int, frozenset[Endpoint]] = {0: frozenset()}
+        self.memo: dict[tuple[int, object, bool], int | None] = {}
+
+    def add(
         self,
-        parent: "_TrieNode | None",
-        hop: _Hop | None,
+        parent: int,
+        hop: int,
         depth: int,
         status: PathStatus | None,
-        failed_at: int | None,
-        dep: tuple[Endpoint, ...],
-    ) -> None:
-        self.parent = parent
-        self.hop = hop
-        self.depth = depth
-        self.status = status
-        self.failed_at = failed_at
-        # The wire ends *this node's own step* reads from the network: the
-        # crossed wire's two ends for an in-flight extension, the probed
-        # (node, out-port) for a NO_SUCH_WIRE verdict, the source's port 0
-        # for a root. Ancestors carry the deps of earlier hops, so the
-        # deps on a node's root path are its walk's whole footprint —
-        # which is what :meth:`IncrementalPathEvaluator.touches` reads.
-        # ILLEGAL_TURN and HIT_HOST_TOO_SOON read only radix/kind
-        # (immutable while the node exists; removal is covered by the
-        # ancestor that crossed into the node), so their dep is empty.
-        self.dep = dep
-        # Incremental circuit-model state (in-flight nodes only): the index
-        # of the first directed re-crossing (None while all channels are
-        # distinct), the largest index whose reverse channel was also
-        # crossed (drives the loopback verdict: a retrace re-crosses every
-        # wire backwards), and the ids of the channels crossed so far — a
-        # handful of ints, no longer extended once the worm has blocked.
-        self.fwd_blocked: int | None = None
-        self.last_rev: int | None = None
-        self.chans: tuple[int, ...] = ()
-        # Both created on first use: most nodes are leaves, and only a
-        # non-circuit collision model ever memoizes a verdict (keyed
-        # ``(model, loopback?)``, see :meth:`blocked_at`).
-        self.children: dict[int, _TrieNode] | None = None
-        self.memo: dict[tuple[object, bool], int | None] | None = None
-        # The union of ``dep`` over the root path, made on first read by
-        # :meth:`footprint`. A prune keeps only nodes whose root path it
-        # did not touch, so a kept footprint stays exact.
-        self.foot: frozenset[Endpoint] | None = None
+        key: int | str,
+        fwd_blocked: int | None,
+        last_rev: int | None,
+        seen: int,
+    ) -> int:
+        """Append one node; its id."""
+        node = len(self.key)
+        self.parent.append(parent)
+        self.hop.append(hop)
+        self.depth.append(depth)
+        self.status.append(status)
+        self.key.append(key)
+        self.fwd_blocked.append(fwd_blocked)
+        self.last_rev.append(last_rev)
+        self.seen.append(seen)
+        return node
 
-    def footprint(self) -> frozenset[Endpoint]:
-        """Every wire end this node's walk read: ``dep`` over its root path."""
-        if self.foot is not None:
-            return self.foot
-        chain = [self]
-        foot: frozenset[Endpoint] = frozenset()
-        node = self.parent
-        while node is not None:
-            if node.foot is not None:
-                foot = node.foot
-                break
-            chain.append(node)
-            node = node.parent
-        for link in reversed(chain):
-            if link.dep:
-                foot = foot.union(link.dep)
-            link.foot = foot
-        return foot
+    def dep(self, node: int) -> tuple[Endpoint, ...]:
+        """The wire ends this node's own step read from the network.
 
-    def traversals(self, loopback: bool = False) -> tuple[Traversal, ...]:
-        """The crossings of this prefix, or of its switch-probe loopback
+        The deps on a node's root path are its walk's whole footprint,
+        which is what :meth:`IncrementalPathEvaluator.touches` reads.
+        """
+        hop = self.hop[node]
+        return self.rows[hop][6] if hop >= 0 else ()
+
+    def crossing(self, hop: int) -> tuple[Traversal, Traversal]:
+        """The forward and reverse :class:`Traversal` of a wired row."""
+        pair = self.crossings[hop]
+        if pair is None:
+            src, dst = self.rows[hop][6]
+            fwd = Traversal(PortRef(*src), PortRef(*dst))
+            pair = self.crossings[hop] = (fwd, Traversal(fwd.dst, fwd.src))
+        return pair
+
+    def traversals(self, node: int, loopback: bool) -> tuple[Traversal, ...]:
+        """The crossings of a node's prefix, or of its switch-probe loopback
         (out along the prefix, bounce, retrace every hop backwards)."""
-        back: list[_Hop] = []
-        node: _TrieNode | None = self
-        while node is not None:
-            if node.hop is not None:
-                back.append(node.hop)
-            node = node.parent
-        out = tuple([hop.fwd for hop in reversed(back)])
-        return out + tuple([hop.rev for hop in back]) if loopback else out
+        parent, hop = self.parent, self.hop
+        if self.status[node] is not None:
+            node = parent[node]  # an absorbing step crossed nothing
+        back: list[tuple[Traversal, Traversal]] = []
+        while node:
+            back.append(self.crossing(hop[node]))
+            node = parent[node]
+        out = tuple([pair[0] for pair in reversed(back)])
+        return out + tuple([pair[1] for pair in back]) if loopback else out
 
-    def blocked_at(self, collision: "CollisionModel", loopback: bool) -> int | None:
+    def crossed(self, node: int, channel: int) -> bool:
+        """Did the walk to in-flight ``node`` cross ``channel``?"""
+        parent, hop, rows = self.parent, self.hop, self.rows
+        while node:
+            if rows[hop[node]][4] == channel:
+                return True
+            node = parent[node]
+        return False
+
+    def footprint(self, node: int) -> frozenset[Endpoint]:
+        """Every wire end this node's walk read: ``dep`` over its root path.
+
+        Cached per node on first read. A prune keeps only nodes whose root
+        path it did not touch, so a kept footprint stays exact.
+        """
+        foot = self.foot
+        got = foot.get(node)
+        if got is not None:
+            return got
+        parent = self.parent
+        chain = [node]
+        node = parent[node]
+        while (got := foot.get(node)) is None:
+            chain.append(node)
+            node = parent[node]
+        for link in reversed(chain):
+            dep = self.dep(link)
+            if dep:
+                got = got.union(dep)
+            foot[link] = got
+        return got
+
+    def blocked_at(
+        self, node: int, collision: "CollisionModel", loopback: bool
+    ) -> int | None:
         """A collision model's verdict on :meth:`traversals`.
 
         Memoized per node per model instance (models are frozen
         dataclasses, hence hashable); an unhashable custom model simply
         skips the memo.
         """
-        memo = self.memo
-        if memo is None:
-            memo = self.memo = {}
-        key = (collision, loopback)
+        key = (node, collision, loopback)
         try:
-            return memo[key]
+            return self.memo[key]
         except KeyError:
-            blocked = memo[key] = collision.blocked_at(self.traversals(loopback))
+            blocked = self.memo[key] = collision.blocked_at(
+                self.traversals(node, loopback)
+            )
         except TypeError:  # unhashable model: compute, skip the memo
-            blocked = collision.blocked_at(self.traversals(loopback))
+            blocked = collision.blocked_at(self.traversals(node, loopback))
         return blocked
+
+    def prune(self, dead: set[int], roots: dict[str, int]) -> tuple[int, int]:
+        """Drop every node whose own step read a row in ``dead``, with its
+        subtree, in one pass in id order; returns (kept, dropped).
+
+        A dropped node keeps its parent and hop, so a :class:`ProbeInfo`
+        answered from it still reads its traversals.
+        """
+        parent, hop, key = self.parent, self.hop, self.key
+        children = self.children
+        kept = dropped = 0
+        for node in range(1, len(key)):
+            k = key[node]
+            if k is None:
+                continue
+            up = parent[node]
+            if hop[node] in dead or key[up] is None:
+                key[node] = None
+                if up:
+                    del children[k][up]
+                else:
+                    del roots[k]
+                dropped += 1
+            else:
+                kept += 1
+        if dropped:
+            self.foot = {n: f for n, f in self.foot.items() if key[n] is not None}
+            self.memo = {k: v for k, v in self.memo.items() if key[k[0]] is not None}
+        return kept, dropped
+
+    def compacted(self, roots: dict[str, int]) -> "_Columns":
+        """The live nodes and the rows the hop table names, renumbered in
+        id order, so parents still precede children; ``roots`` is
+        rewritten to the new ids."""
+        new = _Columns()
+        rows: dict[int, int] = {}
+        for end, hop in self.hops.items():
+            rows[hop] = new.hops[end] = len(new.rows)
+            new.rows.append(self.rows[hop])
+            new.crossings.append(self.crossings[hop])
+        ids = [0] * len(self.key)
+        old_parent, old_hop = self.parent, self.hop
+        for node in range(1, len(self.key)):
+            k = self.key[node]
+            if k is None:
+                continue
+            up = ids[old_parent[node]]
+            hop = old_hop[node]
+            ids[node] = new.add(
+                up,
+                rows[hop] if hop >= 0 else -1,
+                self.depth[node],
+                self.status[node],
+                k,
+                self.fwd_blocked[node],
+                self.last_rev[node],
+                self.seen[node],
+            )
+            if up:
+                new.children[k][up] = ids[node]
+            else:
+                roots[k] = ids[node]
+        # A prune keeps the caches to live nodes (and the sentinel's foot).
+        new.foot.update((ids[n], f) for n, f in self.foot.items() if n)
+        new.memo = {(ids[n], *rest): v for (n, *rest), v in self.memo.items()}
+        return new
 
 
 class ProbeInfo:
     """The slice of a path evaluation the probe hot path actually needs.
 
     Unlike :class:`PathResult` this carries no node list, and constructing
-    one is O(1): ``traversals`` is either an explicit tuple (the
-    pure-function arm) or the evaluator's trie node, from whose parent
-    chain the tuple is built on first read — its :class:`Traversal` objects
-    are the hop table's, shared with every probe crossing the same wire
-    half. ``blocked`` is the collision model's verdict (index of the first
-    self-blocking traversal) and is only meaningful when ``ok``.
+    one is O(1): it is answered from trie node ``node`` of ``cols``, and
+    ``traversals`` is read from the node's parent chain on first use. Its
+    :class:`Traversal` objects are the hop rows', shared with every probe
+    crossing the same wire half. ``blocked`` is the collision model's
+    verdict (index of the first self-blocking traversal) and is only
+    meaningful when ``ok``.
     """
 
-    __slots__ = ("status", "hops", "delivered_to", "blocked", "_traversals")
+    __slots__ = ("status", "hops", "delivered_to", "blocked", "_traversals", "_node")
 
     def __init__(
         self,
@@ -337,13 +437,15 @@ class ProbeInfo:
         hops: int,
         delivered_to: str | None,
         blocked: int | None,
-        traversals: "tuple[Traversal, ...] | _TrieNode",
+        cols: _Columns,
+        node: int,
     ) -> None:
         self.status = status
         self.hops = hops
         self.delivered_to = delivered_to
         self.blocked = blocked
-        self._traversals = traversals
+        self._traversals: tuple[Traversal, ...] | _Columns = cols
+        self._node = node
 
     @property
     def ok(self) -> bool:
@@ -352,11 +454,13 @@ class ProbeInfo:
     @property
     def traversals(self) -> tuple[Traversal, ...]:
         got = self._traversals
-        if isinstance(got, _TrieNode):
+        if got.__class__ is _Columns:
+            cols: _Columns = got  # type: ignore[assignment]
+            node = self._node
             # Only a delivered loopback has more hops than the forward walk
             # it was answered from.
-            got = self._traversals = got.traversals(self.hops > got.depth)
-        return got
+            got = self._traversals = cols.traversals(node, self.hops > cols.depth[node])
+        return got  # type: ignore[return-value]
 
     def _fields(self) -> tuple:
         return (self.status, self.hops, self.delivered_to, self.blocked, self.traversals)
@@ -381,24 +485,21 @@ class _Trie:
 
     Held by the network it walks (``Network.walk_trie``) and holding no
     reference back, so it is freed with the network. ``epoch`` is the
-    topology epoch its walks are exact for; ``nodes`` counts the trie.
+    topology epoch its walks are exact for; ``nodes`` counts the trie;
+    ``roots`` maps a source host to its root in ``cols``.
     """
 
-    __slots__ = ("roots", "hops", "chan_ids", "epoch", "nodes")
+    __slots__ = ("roots", "chan_ids", "epoch", "nodes", "cols")
 
     def __init__(self, epoch: int) -> None:
-        self.roots: dict[str, _TrieNode] = {}
-        # The hop table: source end ``(node, out_port)`` -> the wire half
-        # leaving it, filled on demand (None for an unwired port). Plain-
-        # tuple keys hash much faster than PortRef dataclasses on the
-        # per-probe extension path.
-        self.hops: dict[Endpoint, _Hop | None] = {}
+        self.roots: dict[str, int] = {}
         # Channel ids, one per source end ever crossed. Never cleared: a
         # chain detached by the node backstop is still being extended, and
         # must not meet a recycled id.
         self.chan_ids: dict[Endpoint, int] = {}
         self.epoch = epoch
         self.nodes = 0
+        self.cols = _Columns()
 
 
 class IncrementalPathEvaluator:
@@ -446,8 +547,10 @@ class IncrementalPathEvaluator:
         # The shared tables, bound once for the hot path; they are only
         # ever changed in place.
         self._roots = trie.roots
-        self._hops = trie.hops
         self._chan_ids = trie.chan_ids
+        # The storage the last walk ran in: the trie's, unless the node
+        # backstop flushed it under that walk.
+        self._cols = trie.cols
         self._hits = 0
         self._misses = 0
         self._invalidations = 0
@@ -469,7 +572,7 @@ class IncrementalPathEvaluator:
         """Drop every cached walk (counted in ``stats.invalidations``)."""
         trie = self._trie
         trie.roots.clear()
-        trie.hops.clear()
+        trie.cols = _Columns()
         self._nodes_dropped += trie.nodes
         trie.nodes = 0
         self._invalidations += 1
@@ -484,44 +587,17 @@ class IncrementalPathEvaluator:
         if delta is None or delta.unbounded:
             self.invalidate()
             return
-        changed = delta.removed | delta.added
-        # A journaled wire change names both of the wire's ends, so a hop
-        # whose ``dep`` meets ``changed`` is exactly one keyed at a changed
-        # end; every node the pass can reach holds its hop-table entry.
-        hops = trie.hops
-        dead = {hops.pop(end, None) for end in changed}
-        dead.discard(None)
-        roots = trie.roots
-        cut = [roots.pop(h0) for h0 in list(roots) if not changed.isdisjoint(roots[h0].dep)]
-        kept = len(roots)
-        stack = [root for root in roots.values() if root.children]
-        while stack:
-            node = stack.pop()
-            children = node.children
-            assert children is not None  # only parents are stacked
-            gone: list[int] = []
-            for turn, child in children.items():
-                hop = child.hop
-                if hop is None:
-                    doomed = not changed.isdisjoint(child.dep)
-                else:
-                    doomed = hop in dead
-                if doomed:
-                    gone.append(turn)
-                else:
-                    kept += 1
-                    if child.children:
-                        stack.append(child)
-            for turn in gone:
-                cut.append(children.pop(turn))
-            if not children:
-                node.children = None
-        dropped = 0
-        while cut:
-            node = cut.pop()
-            dropped += 1
-            if node.children:
-                cut.extend(node.children.values())
+        # A journaled wire change names both of the wire's ends, so a row
+        # whose ``dep`` meets the change is exactly one keyed at a changed
+        # end; every node the pass keeps holds its hop-table entry.
+        cols = trie.cols
+        hops = cols.hops
+        dead = {hops.pop(end) for end in delta.removed | delta.added if end in hops}
+        kept, dropped = cols.prune(dead, trie.roots)
+        if len(cols.key) - 1 - kept > kept:
+            # Dropped ids are never reused, so once they outnumber the
+            # live ones the pass would mostly skip them: renumber.
+            trie.cols = cols.compacted(trie.roots)
         trie.nodes = kept
         trie.epoch = net.topology_epoch
         self._invalidations += 1
@@ -549,115 +625,137 @@ class IncrementalPathEvaluator:
         probe is charged.
         """
         node = self._walk(h0, tuple(turns))
-        return not node.footprint().isdisjoint(endpoints)
+        return not self._cols.footprint(node).isdisjoint(endpoints)
 
-    def _read_hop(self, key: Endpoint) -> _Hop | None:
-        """Read the wire half leaving ``key`` into the hop table."""
+    def _read_row(self, cols: _Columns, end: Endpoint) -> int:
+        """Read the wire half leaving ``end`` into the hop table."""
         net = self._net
-        dst = net.neighbor_at(*key)
-        hop = None
-        if dst is not None:
+        dst = net.neighbor_at(*end)
+        if dst is None:
+            row: tuple = (None, -1, False, 0, -1, -1, (end,), 0, 0)
+        else:
             ids = self._chan_ids
-            hop = _Hop(
-                PortRef(*key),
-                dst,
+            far = (dst.node, dst.port)
+            cid = ids.setdefault(end, len(ids))
+            rcid = ids.setdefault(far, len(ids))
+            row = (
+                dst.node,
+                dst.port,
                 net.is_host(dst.node),
                 net.radix(dst.node),
-                ids.setdefault(key, len(ids)),
-                ids.setdefault((dst.node, dst.port), len(ids)),
+                cid,
+                rcid,
+                (end, far),
+                1 << cid % _SEEN_BITS,
+                1 << rcid % _SEEN_BITS,
             )
-        self._hops[key] = hop
+        hop = cols.hops[end] = len(cols.rows)
+        cols.rows.append(row)
+        cols.crossings.append(None)
         return hop
 
-    def _root(self, h0: str) -> _TrieNode:
+    def _root(self, cols: _Columns, h0: str) -> int:
         """Make ``h0``'s root; :meth:`_walk` finds one already made."""
         if not self._net.is_host(h0):
             raise ValueError(f"source {h0} is not a host")
-        key = (h0, HOST_PORT)
-        hop = self._hops[key] if key in self._hops else self._read_hop(key)
+        end = (h0, HOST_PORT)
+        hop = cols.hops.get(end)
         if hop is None:
-            root = _TrieNode(None, None, 0, PathStatus.NOT_ATTACHED, None, (key,))
+            hop = self._read_row(cols, end)
+        row = cols.rows[hop]
+        if row[0] is None:
+            root = cols.add(0, hop, 0, PathStatus.NOT_ATTACHED, h0, None, None, 0)
         else:
-            root = _TrieNode(None, hop, 1, None, None, hop.dep)
-            root.chans = (hop.cid,)
+            root = cols.add(0, hop, 1, None, h0, None, None, row[7])
         self._roots[h0] = root
         self._trie.nodes += 1
         self._misses += 1
         return root
 
-    def _extend(self, parent: _TrieNode, turn: int, i: int) -> _TrieNode:
-        at = parent.hop
-        assert at is not None  # in-flight nodes always have a position
-        if at.dst_is_host:
-            child = _TrieNode(
-                parent, None, parent.depth, PathStatus.HIT_HOST_TOO_SOON, i, ()
-            )
+    def _extend(self, cols: _Columns, parent: int, turn: int, i: int) -> int:
+        # The parent is in flight, so its row is wired.
+        rows = cols.rows
+        at = rows[cols.hop[parent]]
+        depth = cols.depth[parent]
+        hop, fwd_blocked, last_rev, seen = -1, None, None, 0
+        if at[2]:
+            status: PathStatus | None = PathStatus.HIT_HOST_TOO_SOON
         else:
-            dst = at.dst
-            out_port = dst.port + turn  # NOT modulo the radix (Section 2.2)
-            if not 0 <= out_port < at.dst_radix:
-                child = _TrieNode(
-                    parent, None, parent.depth, PathStatus.ILLEGAL_TURN, i, ()
-                )
+            port = at[1] + turn
+            if not 0 <= port < at[3]:  # NOT modulo the radix (Section 2.2)
+                status = PathStatus.ILLEGAL_TURN
             else:
-                key = (dst.node, out_port)
-                hops = self._hops
-                hop = hops[key] if key in hops else self._read_hop(key)
+                end = (at[0], port)
+                hop = cols.hops.get(end)
                 if hop is None:
-                    child = _TrieNode(
-                        parent, None, parent.depth, PathStatus.NO_SUCH_WIRE, i, (key,)
-                    )
+                    hop = self._read_row(cols, end)
+                row = rows[hop]
+                if row[0] is None:
+                    status = PathStatus.NO_SUCH_WIRE
                 else:
-                    child = _TrieNode(
-                        parent, hop, parent.depth + 1, None, None, hop.dep
-                    )
+                    status = None
+                    depth += 1
                     # Extend the circuit-model state by one channel.
-                    if parent.fwd_blocked is not None:
-                        child.fwd_blocked = parent.fwd_blocked
-                    elif hop.cid in parent.chans:
-                        child.fwd_blocked = i + 1  # +1: the attach hop
-                    else:
-                        child.chans = parent.chans + (hop.cid,)
-                        child.last_rev = (
-                            i + 1 if hop.rcid in parent.chans else parent.last_rev
-                        )
-        children = parent.children
-        if children is None:
-            parent.children = {turn: child}
-        else:
-            children[turn] = child
+                    fwd_blocked = cols.fwd_blocked[parent]
+                    if fwd_blocked is None:
+                        seen = cols.seen[parent]
+                        if seen & row[7] and cols.crossed(parent, row[4]):
+                            fwd_blocked = i + 1  # +1: the attach hop
+                            seen = 0
+                        else:
+                            last_rev = (
+                                i + 1
+                                if seen & row[8] and cols.crossed(parent, row[5])
+                                else cols.last_rev[parent]
+                            )
+                            seen |= row[7]
+        # :meth:`_Columns.add`, inlined on the hot path.
+        child = len(cols.key)
+        cols.parent.append(parent)
+        cols.hop.append(hop)
+        cols.depth.append(depth)
+        cols.status.append(status)
+        cols.key.append(turn)
+        cols.fwd_blocked.append(fwd_blocked)
+        cols.last_rev.append(last_rev)
+        cols.seen.append(seen)
+        cols.children[turn][parent] = child
         trie = self._trie
         trie.nodes += 1
         self._misses += 1
         if trie.nodes > MAX_TRIE_NODES:
             # Backstop against unbounded growth on adversarial probe sets:
-            # drop the trie but keep handing out this (still valid) node.
+            # drop the trie; this walk finishes on the storage it began in,
+            # which its answer keeps alive.
             self.invalidate()
         return child
 
-    def _walk(self, h0: str, seq: tuple[int, ...]) -> _TrieNode:
+    def _walk(self, h0: str, seq: tuple[int, ...]) -> int:
         """Follow ``seq`` down from ``h0``'s root, extending where the trie
         ends; stops at the first absorbing node (every extension of a
-        failed prefix is the identical failure)."""
+        failed prefix is the identical failure). The node is in
+        ``self._cols``."""
         if self._net.topology_epoch != self._trie.epoch:
             self._catch_up()
+        cols = self._cols = self._trie.cols
         node = self._roots.get(h0)
         if node is None:
-            node = self._root(h0)
+            node = self._root(cols, h0)
         else:
             self._hits += 1
-        if node.status is not None:
+        status = cols.status
+        if status[node] is not None:
             return node
+        children = cols.children
         hits = 0
         for i, turn in enumerate(seq):
-            children = node.children
-            child = children.get(turn) if children else None
+            child = children[turn].get(node)
             if child is None:
-                child = self._extend(node, turn, i)
+                child = self._extend(cols, node, turn, i)
             else:
                 hits += 1
             node = child
-            if node.status is not None:
+            if status[node] is not None:
                 break
         self._hits += hits
         return node
@@ -666,21 +764,25 @@ class IncrementalPathEvaluator:
         """Drop-in replacement for :func:`evaluate_route`."""
         node = self._walk(h0, tuple(turns))
         self._evaluations += 1
-        status, delivered_to = node.status, None
+        cols = self._cols
+        status, delivered_to, failed_at = cols.status[node], None, None
         if status is None:
-            at = node.hop
-            assert at is not None
-            if at.dst_is_host:
-                status, delivered_to = PathStatus.DELIVERED, at.dst.node
+            row = cols.rows[cols.hop[node]]
+            if row[2]:
+                status, delivered_to = PathStatus.DELIVERED, row[0]
             else:
                 status = PathStatus.STRANDED
-        traversals = node.traversals()
+        elif status is not PathStatus.NOT_ATTACHED:
+            # An absorbing step consumed turn ``depth - 1``: the parent's
+            # walk crossed the attach wire plus one wire per turn.
+            failed_at = cols.depth[node] - 1
+        traversals = cols.traversals(node, False)
         return PathResult(
             status=status,
             nodes=[h0, *(tr.dst.node for tr in traversals)],
             traversals=list(traversals),
             delivered_to=delivered_to,
-            failed_at_turn=node.failed_at,
+            failed_at_turn=failed_at,
         )
 
     def probe_info(
@@ -696,22 +798,21 @@ class IncrementalPathEvaluator:
         """
         node = self._walk(h0, tuple(turns))
         self._evaluations += 1
-        if node.status is not None:
-            return ProbeInfo(node.status, node.depth, None, None, node)
-        at = node.hop
-        assert at is not None
-        if not at.dst_is_host:
-            return ProbeInfo(PathStatus.STRANDED, node.depth, None, None, node)
+        cols = self._cols
+        status, depth = cols.status[node], cols.depth[node]
+        if status is not None:
+            return ProbeInfo(status, depth, None, None, cols, node)
+        row = cols.rows[cols.hop[node]]
+        if not row[2]:
+            return ProbeInfo(PathStatus.STRANDED, depth, None, None, cols, node)
         blocked: int | None = None
         if collision is not None:
             if collision.__class__ is self._circuit_type:
                 # Exact incremental verdict: first directed re-crossing.
-                blocked = node.fwd_blocked
+                blocked = cols.fwd_blocked[node]
             else:
-                blocked = node.blocked_at(collision, False)
-        return ProbeInfo(
-            PathStatus.DELIVERED, node.depth, at.dst.node, blocked, node
-        )
+                blocked = cols.blocked_at(node, collision, False)
+        return ProbeInfo(PathStatus.DELIVERED, depth, row[0], blocked, cols, node)
 
     def loopback_info(
         self,
@@ -733,28 +834,28 @@ class IncrementalPathEvaluator:
         """
         node = self._walk(h0, tuple(turns))
         self._evaluations += 1
-        if node.status is not None:
-            return ProbeInfo(node.status, node.depth, None, None, node)
-        at = node.hop
-        assert at is not None
-        if at.dst_is_host:
+        cols = self._cols
+        status, m = cols.status[node], cols.depth[node]
+        if status is not None:
+            return ProbeInfo(status, m, None, None, cols, node)
+        if cols.rows[cols.hop[node]][2]:
             # The bounce turn arrives with the message already at a host.
             return ProbeInfo(
-                PathStatus.HIT_HOST_TOO_SOON, node.depth, None, None, node
+                PathStatus.HIT_HOST_TOO_SOON, m, None, None, cols, node
             )
-        m = node.depth
         blocked: int | None = None
         if collision is not None:
+            fwd_blocked = cols.fwd_blocked[node]
             if collision.__class__ is not self._circuit_type:
-                blocked = node.blocked_at(collision, True)
-            elif node.fwd_blocked is not None:
-                blocked = node.fwd_blocked
-            elif node.last_rev is not None:
+                blocked = cols.blocked_at(node, collision, True)
+            elif fwd_blocked is not None:
+                blocked = fwd_blocked
+            elif cols.last_rev[node] is not None:
                 # Exact incremental verdict. The forward channels are all
                 # distinct past ``fwd_blocked``'s check, so the loopback's
                 # first re-crossing is the earliest retrace of a wire the
                 # forward pass crossed both ways — the retrace visits
                 # reverses in backward order, so the *largest* such
                 # forward index blocks first.
-                blocked = 2 * m - 1 - node.last_rev
-        return ProbeInfo(PathStatus.DELIVERED, 2 * m, h0, blocked, node)
+                blocked = 2 * m - 1 - cols.last_rev[node]
+        return ProbeInfo(PathStatus.DELIVERED, 2 * m, h0, blocked, cols, node)

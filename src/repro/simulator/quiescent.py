@@ -108,8 +108,10 @@ class QuiescentProbeService:
         # One reusable transaction context per service. ``_transact`` is
         # not re-entrant: no layer hook may probe through its own service
         # (they mutate clocks/topology or observe records instead), and
-        # callers consume the context before the next probe starts.
-        self._ctx = ProbeContext(ProbeKind.HOST, (), self)
+        # callers consume the context before the next probe starts. The
+        # context does not point back here, so a dropped service, and the
+        # trie storage its last answer reads, is freed by reference counts.
+        self._ctx = ProbeContext(ProbeKind.HOST, ())
         self._last_validated: Turns | None = None
         for layer in self._layers:
             layer.on_attach(self)

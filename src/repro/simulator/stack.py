@@ -72,12 +72,12 @@ class ProbeContext:
     ``.hops`` and ``.traversals`` only. ``responder``/``response`` are the
     service-level return value and the name recorded in the trace; the
     evaluation callable sets both, gates may clear ``hit`` (the engine then
-    records a timeout-cost miss).
+    records a timeout-cost miss). A layer that reads its service takes it
+    in :meth:`ProbeLayer.on_attach`.
     """
 
     kind: ProbeKind
     turns: Turns
-    service: "QuiescentProbeService"
     attempt: int = 0
     info: object | None = None
     hit: bool = False
@@ -260,8 +260,11 @@ class InterferenceLayer(ProbeLayer):
         #: Hits vetoed by occupancy (the old ``probes_lost_to_traffic``).
         self.lost = 0
 
+    def on_attach(self, service: "QuiescentProbeService") -> None:
+        self._stats = service.stats
+
     def now_us(self, ctx: ProbeContext) -> float:
-        return ctx.service.stats.elapsed_us
+        return self._stats.elapsed_us
 
     def gate(self, ctx: ProbeContext) -> None:
         now = self.now_us(ctx)

@@ -8,12 +8,8 @@ The bug lives here, guarded by a fixture, so it can never leak into the
 production mapper.
 """
 
-from functools import partial
-
 import pytest
 
-from repro.chaos import shrink
-from repro.chaos.runner import run_cell
 from repro.core.mapper import BerkeleyMapper
 
 
@@ -44,10 +40,3 @@ def buggy_mapper_factory():
         )
 
     return factory
-
-
-@pytest.fixture()
-def buggy_shrinker(monkeypatch, buggy_mapper_factory):
-    """``shrink_failure`` runs its candidates under the buggy mapper (it
-    runs them under the registry's default mapper otherwise)."""
-    monkeypatch.setattr(shrink, "run_cell", partial(run_cell, mapper_factory=buggy_mapper_factory))

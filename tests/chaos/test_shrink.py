@@ -10,7 +10,12 @@ import pytest
 
 from repro.chaos import corpus
 from repro.chaos.corpus import replay_artifact
-from repro.chaos.runner import demo_scenarios, run_cell
+from repro.chaos.runner import (
+    campaign_config_from_dict,
+    demo_scenarios,
+    run_campaign,
+    run_cell,
+)
 from repro.chaos.scenario import Scenario, cut, drop, heal, kill_host
 from repro.chaos.shrink import shrink_failure
 from tests.chaos.reference_documents import artifact_from_shrink, shrink_result_to_dict
@@ -42,7 +47,7 @@ class TestInjectedBugDemonstration:
         assert "quotient_map" in cell.failing
 
     def test_compound_failure_shrinks_to_at_most_5_events(
-        self, buggy_mapper_factory, buggy_shrinker
+        self, buggy_mapper_factory
     ):
         compound = next(
             s for s in demo_scenarios() if s.name == "compound-failure"
@@ -53,7 +58,7 @@ class TestInjectedBugDemonstration:
         assert shrunk.final is not None and not shrunk.final.passed
         assert set(shrunk.failing) & set(cell.failing)
 
-    def test_noise_is_stripped_down_to_the_trigger(self, buggy_mapper_factory, buggy_shrinker):
+    def test_noise_is_stripped_down_to_the_trigger(self, buggy_mapper_factory):
         """Seven events of noise around one live cut shrink to ~the cut."""
         noisy = Scenario(
             "noisy",
@@ -74,7 +79,7 @@ class TestInjectedBugDemonstration:
         assert shrunk.runs <= 150  # the default budget is respected
 
     def test_shrunk_failure_promotes_to_a_replayable_artifact(
-        self, buggy_mapper_factory, buggy_shrinker, monkeypatch
+        self, buggy_mapper_factory, monkeypatch
     ):
         cell = self._fail(
             Scenario("promote", (cut(1, "ring-s3", 1),), seed=21),
@@ -94,7 +99,7 @@ class TestInjectedBugDemonstration:
 
 
 class TestShrinkMechanics:
-    def test_topology_shrinks_too(self, buggy_mapper_factory, buggy_shrinker):
+    def test_topology_shrinks_too(self, buggy_mapper_factory):
         cell = run_cell(
             Scenario("t", (cut(1, "ring-s4", 1),), seed=2),
             RING6,
@@ -106,7 +111,7 @@ class TestShrinkMechanics:
         shrunk = shrink_failure(cell)
         assert shrunk.topology["size"] < 6
 
-    def test_to_dict_records_the_reduction(self, buggy_mapper_factory, buggy_shrinker):
+    def test_to_dict_records_the_reduction(self, buggy_mapper_factory):
         compound = next(
             s for s in demo_scenarios() if s.name == "compound-failure"
         )
@@ -119,3 +124,27 @@ class TestShrinkMechanics:
         assert doc["original_events"] == 5
         assert doc["shrunk_events"] <= doc["original_events"]
         assert doc["failing"]
+
+    def test_a_cell_shrinks_under_its_own_campaign_settings(self):
+        """An incremental cell held to a one-probe budget fails to converge;
+        its candidates run under that budget too, so the shrunk cell still
+        fails the same way."""
+        config = campaign_config_from_dict({
+            "name": "one-probe",
+            "scenarios": [{
+                "name": "cut-then-heal", "seed": 103, "cycles": 3,
+                "events": [
+                    {"action": "cut", "args": ["ring-s2", 1], "cycle": 1},
+                    {"action": "heal", "args": ["ring-s2", 1], "cycle": 2},
+                ],
+            }],
+            "topologies": [RING6],
+            "seeds": [0],
+            "incremental": True,
+            "probe_budget": 1,
+        })
+        [cell] = run_campaign(config).failures()
+        assert "remap_converges" in cell.failing
+        shrunk = shrink_failure(cell)
+        assert "remap_converges" in shrunk.failing
+        assert not shrunk.final.passed

@@ -27,6 +27,7 @@ from repro.simulator.faults import FaultModel
 from repro.simulator.quiescent import QuiescentProbeService
 from repro.topology.generators import random_san
 from repro.topology.model import Network, TopologyError
+from tests.simulator.trie_view import trie_nodes as _trie_nodes
 
 network_params = st.fixed_dictionaries(
     {
@@ -123,14 +124,6 @@ def _reads(node, ends) -> bool:
             return True
         node = node.parent
     return False
-
-
-def _trie_nodes(svc: QuiescentProbeService):
-    stack = list(svc._evaluator._roots.values())
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend((node.children or {}).values())
 
 
 def _same_answers(warm, cold, queries) -> None:

@@ -55,6 +55,21 @@ def route_touches(
     return False
 
 
+class _WalkedProbeInfo(ProbeInfo):
+    """A :class:`ProbeInfo` over an explicit traversal tuple: the pure
+    walk's answer, which has no trie node to read it from."""
+
+    __slots__ = ()
+
+    def __init__(self, status, hops, delivered_to, blocked, traversals) -> None:
+        self.status = status
+        self.hops = hops
+        self.delivered_to = delivered_to
+        self.blocked = blocked
+        self._traversals = traversals
+        self._node = 0
+
+
 class PureWalkProbeService(QuiescentProbeService):
     """``QuiescentProbeService`` with the evaluator bypassed."""
 
@@ -65,7 +80,7 @@ class PureWalkProbeService(QuiescentProbeService):
             if path.status is PathStatus.DELIVERED
             else None
         )
-        return ProbeInfo(
+        return _WalkedProbeInfo(
             path.status, path.hops, path.delivered_to, blocked, tuple(path.traversals)
         )
 

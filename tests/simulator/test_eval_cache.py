@@ -13,6 +13,7 @@ from repro.simulator.path_eval import (
 from repro.simulator.turns import switch_probe_turns
 from repro.topology.delta import JOURNAL_WINDOW, UNBOUNDED_DELTA
 from repro.topology.generators import build_ring, build_subcluster
+from tests.simulator.trie_view import trie_nodes as _trie_nodes
 
 
 @pytest.fixture()
@@ -62,14 +63,6 @@ class TestEvaluate:
 def _answer(ev, turns):
     got = ev.evaluate("C-n00", turns)
     return got.status, got.nodes, got.delivered_to, got.failed_at_turn
-
-
-def _trie_nodes(ev):
-    stack = list(ev._roots.values())
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend((node.children or {}).values())
 
 
 def _reads(node, ends):
@@ -223,6 +216,34 @@ class TestProbeInfo:
             assert via_loop.blocked == explicit.blocked
 
 
+    def test_dropped_ids_are_compacted_away(self, now_c):
+        """A dropped node's id is never reused, so once dropped ids outnumber
+        the live ones a prune renumbers the trie; the answers stay the cold
+        ones, and an answer given before still reads its own traversals."""
+        ev = IncrementalPathEvaluator(now_c)
+        for turns in PROBES:
+            ev.evaluate("C-n00", turns)
+        held = ev.probe_info("C-n00", (5, 1, -2))
+        want = evaluate_route(now_c, "C-n00", (5, 1, -2)).traversals
+        wire = now_c.wire_at(want[-1].src.node, want[-1].src.port)
+        first = ev._trie.cols
+        for _ in range(8):
+            now_c.disconnect(wire)
+            for turns in PROBES:
+                ev.evaluate("C-n00", turns)
+            wire = now_c.connect(wire.a.node, wire.a.port, wire.b.node, wire.b.port)
+            for turns in PROBES:
+                ev.evaluate("C-n00", turns)
+        cols = ev._trie.cols
+        assert cols is not first
+        assert len(cols.key) - 1 <= 2 * ev.stats.nodes
+        assert ev.stats.nodes == len(list(_trie_nodes(ev)))
+        cold = IncrementalPathEvaluator(now_c.copy())
+        for turns in PROBES:
+            assert _answer(ev, turns) == _answer(cold, turns)
+        assert held.traversals == tuple(want)
+
+
 class TestNodeBackstop:
     def test_max_nodes_caps_memory_but_stays_correct(self, monkeypatch):
         ring = build_ring(4, hosts_per_switch=1)
@@ -237,6 +258,19 @@ class TestNodeBackstop:
                 want.delivered_to,
             )
         assert ev.stats.nodes <= 3 + 2  # cap plus the walk in flight
+
+    def test_an_answer_from_a_flushed_walk_reads_its_traversals(self, monkeypatch):
+        """The backstop flushes inside the walk; the answer still reads the
+        traversals of the storage the walk ran in."""
+        ring = build_ring(4, hosts_per_switch=1)
+        h0 = sorted(ring.hosts)[0]
+        monkeypatch.setattr(path_eval, "MAX_TRIE_NODES", 3)
+        ev = IncrementalPathEvaluator(ring)
+        info = ev.probe_info(h0, (-2, 1, 1, 1))
+        assert ev.stats.invalidations == 1
+        assert info.traversals == tuple(
+            evaluate_route(ring, h0, (-2, 1, 1, 1)).traversals
+        )
 
     @pytest.mark.parametrize("prime", ["walk", "loopback"])
     def test_cut_after_a_backstop_flush_is_seen(self, prime, monkeypatch):

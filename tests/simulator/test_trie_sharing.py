@@ -7,7 +7,9 @@ evaluator produced. Every service on one network shares its trie, while
 each service's counters count only its own walks.
 """
 
+import enum
 import gc
+import types
 import weakref
 from dataclasses import replace
 
@@ -18,6 +20,7 @@ from repro.simulator.path_eval import EvalCacheStats, _Trie
 from repro.simulator.stack import build_service_stack
 from repro.topology.analysis import recommended_search_depth
 from repro.topology.generators import build_subcluster, build_three_tier_fat_tree
+from tests.simulator.trie_view import trie_nodes as _trie_nodes
 
 
 def _map_fat_tree_k4():
@@ -35,14 +38,6 @@ def _map_subcluster_c():
         "berkeley", svc, search_depth=recommended_search_depth(net, h0)
     ).map()
     return svc
-
-
-def _trie_nodes(svc):
-    stack = list(svc._evaluator._roots.values())
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend((node.children or {}).values())
 
 
 @pytest.fixture(scope="module")
@@ -82,11 +77,35 @@ def test_probes_sharing_a_prefix_share_its_traversal_objects(fat_tree_svc):
     assert all(a is b for a, b in zip(short, loop))
 
 
-def test_a_leaf_owns_no_children_dict(fat_tree_svc):
-    nodes = list(_trie_nodes(fat_tree_svc))
-    leaves = [n for n in nodes if not n.children]
-    assert len(leaves) > len(nodes) // 2
-    assert all(n.children is None for n in leaves)
+def _tracked_objects_of(root) -> int:
+    """GC-tracked objects reachable from ``root``, not counting or entering
+    classes, enum members, functions and modules (shared, not owned)."""
+    shared = (type, enum.Enum, types.FunctionType, types.ModuleType)
+    seen = {id(root)}
+    stack = [root]
+    tracked = 0
+    while stack:
+        obj = stack.pop()
+        tracked += gc.is_tracked(obj)
+        for ref in gc.get_referents(obj):
+            if id(ref) not in seen and not isinstance(ref, shared):
+                seen.add(id(ref))
+                stack.append(ref)
+    return tracked
+
+
+def test_a_trie_node_is_no_tracked_object():
+    """The trie keeps its nodes in columns: however many nodes a map
+    leaves, the trie owns a handful of objects the cycle collector tracks,
+    and dropping it frees every node by reference counts alone."""
+    svc = _map_fat_tree_k4()
+    net, nodes = svc.net, svc.eval_cache_stats.nodes
+    del svc  # the network is now the trie's one holder
+    for _ in range(3):  # a hop row nests tuples three deep, and a
+        gc.collect()  # collection may untrack just one level of them
+    assert _tracked_objects_of(net.walk_trie) < 32 < nodes
+    net.walk_trie = None
+    assert gc.collect() == 0  # nothing was left for the collector
 
 
 @pytest.mark.parametrize(
