@@ -716,6 +716,11 @@ class RouteMemo:
         self._generation: RouteGeneration | None = None
         self._basis: _Basis | None = None
 
+    @property
+    def generation(self) -> RouteGeneration | None:
+        """The generation last committed (None before the first)."""
+        return self._generation
+
     def commit(self, generation: RouteGeneration) -> None:
         """Hold ``generation``, compiled with this memo, for the next patch.
         The memo takes the generation's basis, so a generation the memo

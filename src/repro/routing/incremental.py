@@ -159,11 +159,19 @@ def distribute_incremental(
     impossible when the map is correct) is recorded in ``failed``.
     """
     report = DistributionReport(mapper_host=mapper_host)
-    deltas = diff_route_tables(old_tables, new_tables)
+    # A full push sends every route as an addition: only the counts are
+    # read, so no turn string is built.
+    if old_tables is None:
+        updates = {host: (len(table.routes), 0) for host, table in new_tables.items()}
+    else:
+        updates = {
+            host: (len(delta.added) + len(delta.changed), len(delta.withdrawn))
+            for host, delta in diff_route_tables(old_tables, new_tables).items()
+        }
     mapper_table = new_tables.get(mapper_host)
-    for host in sorted(deltas):
-        delta = deltas[host]
-        if delta.empty or host == mapper_host:
+    for host in sorted(updates):
+        sent, withdrawn = updates[host]
+        if not (sent or withdrawn) or host == mapper_host:
             report.delivered.append(host)
             continue
         route = mapper_table.routes.get(host) if mapper_table else None
@@ -174,10 +182,7 @@ def distribute_incremental(
         if outcome.status is not PathStatus.DELIVERED or outcome.delivered_to != host:
             report.failed.append(host)
             continue
-        payload = (
-            BYTES_PER_ROUTE * (len(delta.added) + len(delta.changed))
-            + BYTES_PER_WITHDRAWAL * len(delta.withdrawn)
-        )
+        payload = BYTES_PER_ROUTE * sent + BYTES_PER_WITHDRAWAL * withdrawn
         report.bytes_sent += payload
         report.elapsed_us += (
             HOST_OVERHEAD_US

@@ -25,6 +25,15 @@ tail, head or route whose channels do not meet where the document says,
 checks each table in a few C-level passes over its routes, and builds the
 generation over the document's numbers with one ``int`` per number — no
 route object until a table is read.
+
+A ``route-delta`` document (version 5) stands in for a ``route-tables``
+document when the generation keeps every route, tail and head of one the
+reader already holds, as a generation patched from it does: it names that
+generation, lists the new channels (each a held channel's number, or the
+ports of a new one) and spells only the chains whose channels changed.
+The decoder applies it to the held generation, re-runs the version-4
+checks on what it changes and takes the rest from the held generation by
+identity (docs/SERVICE.md, "A cut crosses the wire as what it changed").
 """
 
 from __future__ import annotations
@@ -48,6 +57,7 @@ __all__ = [
     "probe_stats_from_dict",
     "probe_stats_to_dict",
     "require_kind",
+    "route_delta_to_dict",
     "route_tables_from_dict",
     "route_tables_to_dict",
 ]
@@ -55,6 +65,10 @@ __all__ = [
 #: Version stamp of every document this module emits; bump on any shape
 #: change so a mixed-version server/worker pair fails loudly, not subtly.
 FORMAT_VERSION = 4
+
+#: Version stamp of a ``route-delta`` document: the one kind that is newer
+#: than the documents it is read beside.
+DELTA_VERSION = 5
 
 
 #: The one type a number in a document may have: ``int``, never ``bool``
@@ -72,7 +86,7 @@ def require_kind(data: Any, kind: str) -> dict:
         raise SerializationError(f"{kind}: expected an object, got {type(data).__name__}")
     if data.get("kind") != kind:
         raise SerializationError(f"{kind}: wrong or missing kind {data.get('kind')!r}")
-    if data.get("version") != FORMAT_VERSION:
+    if data.get("version") != (DELTA_VERSION if kind == "route-delta" else FORMAT_VERSION):
         raise SerializationError(
             f"{kind}: unsupported version {data.get('version')!r}"
         )
@@ -259,23 +273,24 @@ def map_result_from_dict(data: Any) -> MapResult:
 
 def _indices(values: Any, bound: int, where: str) -> None:
     """Refuse ``values`` unless each is an ``int`` (a ``bool`` is not) in
-    ``range(bound)``: C-level passes, then the first offender named."""
+    ``range(bound)``: C-level passes, then the first offender named.
+    ``where`` names the document kind and the place."""
     if not _INT.issuperset(map(type, values)) or (
         values and not 0 <= min(values) <= max(values) < bound
     ):
         bad = next(v for v in values if type(v) is not int or not 0 <= v < bound)
-        raise SerializationError(f"route-tables: {where}: malformed index {bad!r}")
+        raise SerializationError(f"{where}: malformed index {bad!r}")
 
 
 def _list(value: Any, where: str) -> list:
     if type(value) is not list:
-        raise SerializationError(f"route-tables: {where} is not a list")
+        raise SerializationError(f"{where} is not a list")
     return value
 
 
 def _channels(value: Any) -> list[Traversal]:
     channels, kind = [], "route-tables"
-    for item in _list(value, "channels"):
+    for item in _list(value, "route-tables: channels"):
         if type(item) is not list or len(item) != 2:
             raise SerializationError(f"route-tables: malformed channel {item!r}")
         channels.append(Traversal(_port_ref(item[0], kind), _port_ref(item[1], kind)))
@@ -291,7 +306,7 @@ def _chains(
     for the empty chain)."""
     if not {list}.issuperset(map(type, rows)):
         raise SerializationError("route-tables: a chain is not a list")
-    _indices(list(itertools.chain.from_iterable(rows)), len(channels), "chains")
+    _indices(list(itertools.chain.from_iterable(rows)), len(channels), "route-tables: chains")
     chains, ends = [], []
     for at, row in enumerate(rows):
         hops = [channels[n] for n in row]
@@ -316,8 +331,9 @@ def _tails(
     if not {list}.issuperset(map(type, items)) or not {2}.issuperset(map(len, items)):
         raise SerializationError("route-tables: a tail is not a [chain, last channel] pair")
     chain_col, last_col = list(map(itemgetter(0), items)), list(map(itemgetter(1), items))
-    _indices(chain_col, len(ends), "tails")
-    _indices([last for last in last_col if last is not None], len(channels), "tails")
+    where = "route-tables: tails"
+    _indices(chain_col, len(ends), where)
+    _indices([last for last in last_col if last is not None], len(channels), where)
     pairs, enters, exits = [], [], []
     for at, (chain, last) in enumerate(zip(chain_col, last_col)):
         start, end = ends[chain]
@@ -356,11 +372,11 @@ def _table(
         raise SerializationError(f"{where}: head {head!r} over {len(routes)} routes")
     if head is None:
         return None, {}
-    _indices([head], len(channels), f"table {host!r}")
+    _indices([head], len(channels), where)
     if (leaves := channels[head].src.node) != host:
         raise SerializationError(f"{where}: head leaves {leaves!r}")
     tails, land = routes.values(), channels[head].dst.node
-    _indices(tails, len(enters), f"table {host!r}")
+    _indices(tails, len(enters), where)
     if not {land, None}.issuperset(map(enters.__getitem__, tails)) or list(
         map(exits.__getitem__, tails)
     ) != list(routes):
@@ -370,6 +386,10 @@ def _table(
             if (land if exits[tail] is None else exits[tail]) != dst:
                 raise _refused(host, dst, f"tail {tail} ends at {exits[tail] or land!r}")
     return ids[head], dict(zip(routes, map(ids.__getitem__, tails)))
+
+
+#: A generation and the id its holder names it by.
+Held = tuple[str, RouteGeneration]
 
 
 def route_tables_to_dict(tables: Mapping[str, RouteTable]) -> dict:
@@ -392,12 +412,17 @@ def route_tables_to_dict(tables: Mapping[str, RouteTable]) -> dict:
     }
 
 
-def route_tables_from_dict(data: Any) -> RouteGeneration:
+def route_tables_from_dict(data: Any, base: Held | None = None) -> RouteGeneration:
     """A generation over the document's own numbering, with one ``int``
-    object per number: it keeps none of the document's."""
+    object per number: it keeps none of the document's. A ``route-delta``
+    document is applied to ``base``, the generation it names, and refused
+    without it."""
+    if isinstance(data, dict) and data.get("kind") == "route-delta":
+        return _applied(require_kind(data, "route-delta"), base)
     data = require_kind(data, "route-tables")
     channels = _channels(data.get("channels"))
-    rows, items = _list(data.get("chains"), "chains"), _list(data.get("tails"), "tails")
+    rows = _list(data.get("chains"), "route-tables: chains")
+    items = _list(data.get("tails"), "route-tables: tails")
     ids = list(range(max(len(channels), len(rows), len(items))))
     chains, ends = _chains(rows, channels, ids)
     pairs, enters, exits = _tails(items, channels, ends, ids)
@@ -408,3 +433,110 @@ def route_tables_from_dict(data: Any) -> RouteGeneration:
         if head is not None:
             heads[host] = head
     return RouteGeneration(channels, chains, pairs, heads, numbered)
+
+
+# A ``route-delta`` document is a generation written against one its reader
+# holds, when it keeps that generation's routes (``numbered``), tails and
+# heads, channel for channel: ``base`` names the held generation, each
+# entry of ``channels`` is a held channel's number or a new channel's ports
+# (the new generation's channels, in its order), and ``chains`` lists
+# ``[chain, channel numbers]`` for each chain whose channels are not the
+# held chain's. Everything else is the held generation's, renumbered.
+
+def route_delta_to_dict(tables: RouteGeneration, base: Held) -> dict | None:
+    """``tables`` as a ``route-delta`` against ``base``, or None when it
+    does not keep the held generation's routes, tails and heads (a
+    generation compiled whole, or one in which a host's channel moved)."""
+    held_id, held = base
+    if (
+        tables.numbered is not held.numbered
+        or len(tables.chains) != len(held.chains)
+        or len(tables.pairs) != len(held.pairs)
+    ):
+        return None
+    number = {channel: k for k, channel in enumerate(held.channels)}
+    back = [number.get(channel, -1) for channel in tables.channels]
+    forth: dict[int | None, int | None] = dict.fromkeys(range(len(held.channels)), -1)
+    forth.update((k, n) for n, k in enumerate(back) if k >= 0)
+    forth[None] = None  # the empty tail's last channel
+    if tables.heads != {host: forth[k] for host, k in held.heads.items()} or tables.pairs != [
+        (chain, forth[last]) for chain, last in held.pairs
+    ]:
+        return None
+    return {
+        "kind": "route-delta",
+        "version": DELTA_VERSION,
+        "base": held_id,
+        "channels": [
+            k if k >= 0 else [[c.src.node, c.src.port], [c.dst.node, c.dst.port]]
+            for k, c in zip(back, tables.channels)
+        ],
+        "chains": [
+            [chain, list(row)]
+            for chain, ((row, _), (was, _)) in enumerate(zip(tables.chains, held.chains))
+            if tuple(map(back.__getitem__, row)) != was
+        ],
+    }
+
+
+def _ends(channels: list[Traversal], row: tuple[int, ...] | list[int]) -> tuple | None:
+    """The node a chain starts at and the node it ends at (None if empty)."""
+    return (channels[row[0]].src.node, channels[row[-1]].dst.node) if row else None
+
+
+def _applied(data: dict, base: Held | None) -> RouteGeneration:
+    """The held generation with a ``route-delta`` applied: the version-4
+    checks re-run on what the delta changes — each new channel's shape,
+    each changed chain's continuity, and that it starts and ends where the
+    held chain did — and everything else the held generation's, which
+    passed them when it was decoded (docs/SERVICE.md)."""
+    kind = "route-delta"
+    if base is None:
+        raise SerializationError(f"{kind}: no held generation to apply it to")
+    held_id, held = base
+    if data.get("base") != held_id:
+        raise SerializationError(f"{kind}: made against {data.get('base')!r}, not {held_id!r}")
+    # Per held channel number, its number here (-1: dropped).
+    forth: dict[int | None, int | None] = dict.fromkeys(range(len(held.channels)), -1)
+    channels: list[Traversal] = []
+    for at, item in enumerate(_list(data.get("channels"), f"{kind}: channels")):
+        if type(item) is int:
+            if forth.get(item) != -1:
+                raise SerializationError(
+                    f"{kind}: channel {at}: {item!r} names no unlisted held channel"
+                )
+            forth[item] = at
+            channels.append(held.channels[item])
+        elif type(item) is list and len(item) == 2:
+            channels.append(Traversal(_port_ref(item[0], kind), _port_ref(item[1], kind)))
+        else:
+            raise SerializationError(f"{kind}: malformed channel {item!r}")
+    forth[None] = None  # the empty tail's last channel
+    chains = list(held.chains)
+    for item in _list(data.get("chains"), f"{kind}: chains"):
+        if type(item) is not list or len(item) != 2 or type(item[1]) is not list:
+            raise SerializationError(f"{kind}: a changed chain is not a [chain, channels] pair")
+        at, row = item
+        _indices([at], len(chains), f"{kind}: chains")
+        _indices(row, len(channels), f"{kind}: chain {at}")
+        if chains[at] is not held.chains[at]:
+            raise SerializationError(f"{kind}: chain {at} is changed twice")
+        hops = [channels[n] for n in row]
+        for was, now in zip(hops, hops[1:]):
+            if now.src.node != was.dst.node:
+                raise SerializationError(f"{kind}: chain {at} does not chain at {was.dst.node!r}")
+        if _ends(channels, row) != _ends(held.channels, held.chains[at][0]):
+            raise SerializationError(f"{kind}: chain {at} does not run where the held one ran")
+        chains[at] = tuple(row), tuple([w.src.port - h.dst.port for h, w in zip(hops, hops[1:])])
+    respell = forth.__getitem__
+    for at, (row, turns) in enumerate(held.chains):
+        if chains[at] is held.chains[at] and (renumbered := tuple(map(respell, row))) != row:
+            if -1 in renumbered:
+                raise SerializationError(f"{kind}: chain {at} crosses a channel the delta drops")
+            chains[at] = renumbered, turns
+    lasts = list(map(forth.__getitem__, map(itemgetter(1), held.pairs)))
+    pairs = list(zip(map(itemgetter(0), held.pairs), lasts))
+    heads = {host: forth[k] for host, k in held.heads.items()}
+    if -1 in heads.values() or -1 in lasts:
+        raise SerializationError(f"{kind}: the delta drops a host's channel or a tail's last one")
+    return RouteGeneration(channels, chains, pairs, heads, held.numbered)

@@ -25,6 +25,7 @@ down — and the bad map is never used to seed the next cycle.
 from __future__ import annotations
 
 import asyncio
+import sys
 import time
 from collections import deque
 from concurrent.futures import Executor, ProcessPoolExecutor
@@ -41,6 +42,7 @@ from repro.service.tenant import TenantSpec, TenantState
 from repro.service.workers import run_map_job
 from repro.routing.deadlock import routes_deadlock_free
 from repro.routing.incremental import route_deliveries
+from repro.topology.model import TopologyError
 
 __all__ = ["MapServer", "ServerStats", "percentile"]
 
@@ -389,8 +391,11 @@ class MapServer:
         deadlock_free = routes_deadlock_free(tenant.tables)
         checked = delivered = 0
         failures: list[dict] = []
+        # A sample past the route count checks every route (islice takes
+        # no stop beyond sys.maxsize).
         for src, dst, failure in islice(
-            route_deliveries(tenant.tables, tenant.net), sample
+            route_deliveries(tenant.tables, tenant.net),
+            None if sample is None else min(sample, sys.maxsize),
         ):
             checked += 1
             if failure is None:
@@ -454,7 +459,10 @@ class MapServer:
             tenant = self._tenant(request)
         except KeyError as exc:
             return _error("unknown-tenant", str(exc))
-        if request.get("auto"):
+        auto = request.get("auto", False)
+        if type(auto) is not bool:
+            return _error("bad-request", "'auto' must be a boolean")
+        if auto:
             # Deterministic churn for load generators that don't know the
             # topology: cut the first (sorted) switch-to-switch cable.
             candidates = sorted(
@@ -479,7 +487,10 @@ class MapServer:
                 return _error(
                     "bad-request", "cut needs string 'node' and int 'port', or 'auto'"
                 )
-            wire = tenant.net.wire_at(node, port)
+            try:
+                wire = tenant.net.wire_at(node, port)
+            except TopologyError as exc:  # no such node, or no such port on it
+                return _error("no-wire", str(exc))
             if wire is None:
                 return _error("no-wire", f"no wire at {node}:{port}")
         tenant.net.disconnect(wire)
@@ -567,9 +578,13 @@ class MapServer:
             # so it is decoded whole and refused on whatever the worker's
             # seed decode would refuse it on; and tables are served only
             # if they are deadlock-free as decoded, whatever the worker's
-            # own verdict says.
+            # own verdict says. A delta is applied to the served generation,
+            # and the id the adopted generation is held under must be the
+            # one its payload asked for.
             try:
-                tables = route_tables_from_dict(outcome["tables"])
+                if outcome.get("tables_id") != payload["tables_id"]:
+                    raise SerializationError("outcome: tables_id is not its payload's")
+                tables = route_tables_from_dict(outcome["tables"], base=tenant.base)
                 if not routes_deadlock_free(tables):
                     raise SerializationError(
                         "route-tables: the channel dependency graph has a cycle"

@@ -17,6 +17,7 @@ generator vocabulary ``san-map generate`` uses
 
 from __future__ import annotations
 
+import secrets
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -181,6 +182,10 @@ class TenantState:
         #: Current route-table generation; ``None`` until the first
         #: successful cycle. Swapped atomically, never mutated in place.
         self.tables: RouteGeneration | None = None
+        #: The id the payload that produced ``tables`` gave them, which the
+        #: next payload names as its ``base``: a fresh random one per
+        #: payload, so no worker, server or tenant holds another's.
+        self.tables_id: str | None = None
         self.generation = 0
         #: Serialized MapResult of the last successful cycle (the witness
         #: seed for the next incremental cycle travels from this).
@@ -203,13 +208,23 @@ class TenantState:
             return self.spec.mapper
         return sorted(self.net.hosts)[0]
 
+    @property
+    def base(self) -> tuple[str, RouteGeneration] | None:
+        """The served generation under its id: what a ``route-delta``
+        outcome is applied to (None before the first)."""
+        if self.tables is None or self.tables_id is None:
+            return None
+        return self.tables_id, self.tables
+
     def job_payload(self) -> dict:
         """The JSON document a simulator worker maps this tenant from.
 
-        Includes a witness seed when a prior map exists and the tenant's
-        delta journal can prove what changed since it (the soundness ladder of
-        :func:`repro.topology.delta.seedable_removals`, the one
-        :class:`RemapperDaemon` climbs); when it cannot, the reason
+        Names the served generation as ``base`` and the one it asks for as
+        ``tables_id``: a worker that holds the base may answer with what
+        changed since it. Includes a witness seed when a prior map exists
+        and the tenant's delta journal can prove what changed since it (the
+        soundness ladder of :func:`repro.topology.delta.seedable_removals`,
+        the one :class:`RemapperDaemon` climbs); when it cannot, the reason
         travels instead and comes back as the outcome's ``seed_fallback``.
         No server op reconfigures ``self.faults``, so only the network's
         journal is consulted.
@@ -225,7 +240,10 @@ class TenantState:
             "drop_prob": self.spec.drop_prob,
             "corrupt_prob": self.spec.corrupt_prob,
             "dead_wires": _dead_wires_doc(self.faults),
+            "tables_id": secrets.token_hex(16),
         }
+        if self.base is not None:
+            payload["base"] = self.tables_id
         if self.last_result_doc is not None and self.net_epoch_at_last_map is not None:
             affected, reason = seedable_removals(
                 self.net.affected_since(self.net_epoch_at_last_map), EMPTY_DELTA
@@ -289,5 +307,6 @@ class TenantState:
         self.last_result_doc = outcome["map_result"]
         self.net_epoch_at_last_map = outcome["net_epoch"]
         self.tables = tables
+        self.tables_id = outcome.get("tables_id")
         self.generation += 1
         self.status = "mapped"

@@ -25,7 +25,11 @@ so a slot changes how long a job takes, never what it answers: probe
 RNG, fault RNG and mapper exploration order all derive from the payload's
 seed, and an outcome is a deterministic function of its payload except
 for its ``eval_cache`` counters — re-running a failed payload reproduces
-the failure bit-for-bit.
+the failure bit-for-bit. The one exception is how the tables are
+written: the slot also keeps the ``tables_id`` of the payload whose
+generation its route memo holds, and when the payload names that one as
+its ``base`` and the compile patched it, the outcome carries a
+``route-delta`` against it instead of whole ``route-tables``.
 
 A job takes the slot out while it runs and puts it back only when it
 returns an outcome, so a raised exception, or a second job beside it on a
@@ -44,6 +48,7 @@ from repro.core.remapper import CycleState
 from repro.service.serialize import (
     map_result_from_dict,
     map_result_to_dict,
+    route_delta_to_dict,
     route_tables_to_dict,
 )
 from repro.service.tenant import dead_wires_from_doc
@@ -70,6 +75,9 @@ class _Slot:
     #: fields.
     key: tuple
     state: CycleState
+    #: The ``tables_id`` of the payload whose generation the route memo
+    #: holds (None: none held).
+    tables_id: str | None
 
 
 #: Between jobs: empty, or ``{"slot": the slot the last job put back}``.
@@ -114,7 +122,7 @@ def _take_slot(payload: dict) -> _Slot:
             pass
         else:
             return held
-    return _Slot(key, CycleState(network_from_dict(doc)))
+    return _Slot(key, CycleState(network_from_dict(doc)), None)
 
 
 def _mapping_failure(payload: dict, kind: str, message: str) -> dict:
@@ -150,6 +158,8 @@ def run_map_job(payload: dict) -> dict:
         # The fabric's names are interned (network_from_dict): so is the
         # map's own host, or a pickled outcome carries the name twice.
         mapper_host = sys.intern(mapper_host)
+        if not isinstance(payload.get("tables_id"), (str, type(None))):
+            raise ValueError("tables_id is not a string")
         faults = FaultModel(
             drop_prob=float(payload.get("drop_prob", 0.0)),
             corrupt_prob=float(payload.get("corrupt_prob", 0.0)),
@@ -159,14 +169,15 @@ def run_map_job(payload: dict) -> dict:
     except (KeyError, TypeError, ValueError) as exc:
         outcome = _mapping_failure(payload, "bad-payload", str(exc))
     else:
-        outcome = _cycle(payload, slot.state, mapper_host, faults)
+        outcome = _cycle(payload, slot, mapper_host, faults)
     if slot is not None:
         _held["slot"] = slot
     return outcome
 
 
-def _cycle(payload: dict, state: CycleState, mapper_host: str, faults: FaultModel) -> dict:
+def _cycle(payload: dict, slot: _Slot, mapper_host: str, faults: FaultModel) -> dict:
     """The cycle of :func:`run_map_job` on a decoded payload."""
+    state = slot.state
     seed = None
     if "map_seed" in payload:
         seed_doc = payload["map_seed"]
@@ -197,7 +208,14 @@ def _cycle(payload: dict, state: CycleState, mapper_host: str, faults: FaultMode
         # to route (e.g. the mapper host alone behind the cut). Expected
         # under faults, so it degrades the tenant instead of crashing.
         return _mapping_failure(payload, "routing-failed", str(exc))
+    # The tables as what changed since the generation the payload names,
+    # when this worker holds that one and the compile patched it; else whole.
+    doc = None
+    held = state.route_memo.generation
+    if held is not None and slot.tables_id is not None and payload.get("base") == slot.tables_id:
+        doc = route_delta_to_dict(tables, (slot.tables_id, held))
     state.route_memo.commit(tables)
+    slot.tables_id = payload.get("tables_id")
     # The effective fabric the map must match: the actual network minus
     # dead cables (a dead wire answers no probe, exactly like a cut one),
     # restricted to the mapper's connected component — a cut that splits
@@ -212,8 +230,9 @@ def _cycle(payload: dict, state: CycleState, mapper_host: str, faults: FaultMode
         "ok": True,
         "tenant": payload.get("tenant", "?"),
         "net_epoch": payload.get("net_epoch"),
+        "tables_id": payload.get("tables_id"),
         "map_result": map_result_to_dict(result),
-        "tables": route_tables_to_dict(tables),
+        "tables": route_tables_to_dict(tables) if doc is None else doc,
         "n_routes": sum(len(t) for t in tables.values()),
         "deadlock_free": deadlock_free,
         "isomorphic": bool(report),

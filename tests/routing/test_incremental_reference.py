@@ -13,7 +13,9 @@ each cycle's routes against the previous cycle's:
   generations as compiled and for plain dicts of their tables (the
   hand-built path, numbered by ``as_generation``);
 - ``distribute_incremental`` reports the same ``bytes_sent``, time and
-  ``delivered`` / ``failed`` lists as it does over the oracle's diff.
+  ``delivered`` / ``failed`` lists as it does over the oracle's diff, and
+  as the oracle's distribution loop does — on the first cycle too, a full
+  push, which counts its routes and builds no turn string.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from repro.routing.compile_routes import RouteTable
 from repro.routing.incremental import diff_route_tables, distribute_incremental
 from repro.topology.generators import build_named_topology
 from repro.topology.model import Network, TopologyError
-from tests.routing.reference_incremental import reference_diff_route_tables
+from tests.routing.reference_incremental import reference_diff_route_tables, reference_distribute
 from tests.topology.test_analysis_reference import seeded_fabric
 
 
@@ -45,6 +47,7 @@ def assert_distribution_agrees(net: Network, old, new) -> None:
         assert list(got.items()) == list(want.items())
     mapper = sorted(net.hosts)[0]
     report = distribute_incremental(net, mapper, new, old)
+    assert report == reference_distribute(net, mapper, new, old)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(incremental, "diff_route_tables", reference_diff_route_tables)
         assert report == distribute_incremental(net, mapper, new, old)
@@ -166,4 +169,29 @@ def test_a_moved_host_changes_first_turns_only():
     changed = diff_route_tables(before, after)[host].changed
     assert changed and all(
         turns[1:] == before[host].routes[dst].turns[1:] for dst, turns in changed.items()
+    )
+
+
+def test_a_full_push_builds_no_turn_string():
+    """With no previous generation every route is an addition: the push
+    counts them per host and never spells a turn string (it used to build
+    all 9 900 on the full NOW only to count them)."""
+    net = build_named_topology("now-full", {})
+    tables, _ = route_cycle(net)
+    mapper = sorted(net.hosts)[0]
+    spelled = []
+    real = incremental._sent
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(incremental, "_sent", lambda *a: spelled.append(a) or real(*a))
+        report = distribute_incremental(net, mapper, tables, None)
+        assert not spelled
+        # A cut's push does diff, and spells what it sends.
+        wire = _trunk(net)[0]
+        net.disconnect(wire)
+        after, _ = route_cycle(net)
+        assert distribute_incremental(net, mapper, after, tables).ok
+        assert spelled
+    assert report == reference_distribute(net, mapper, tables, None)
+    assert report.ok and report.bytes_sent == 16 * sum(
+        len(t.routes) for host, t in tables.items() if host != mapper
     )

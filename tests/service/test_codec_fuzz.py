@@ -1,4 +1,5 @@
-"""Structure-aware fuzz of the version-4 ``route-tables`` document.
+"""Structure-aware fuzz of the version-4 ``route-tables`` document and
+the version-5 ``route-delta`` document.
 
 The decoder runs on the server's event loop over whatever a worker sent
 back, and the server turns exactly one exception — ``SerializationError``
@@ -69,6 +70,47 @@ accepted (an empty table under ``0``) — "table 0 is malformed"; and
 ``_field`` letting a ``bool`` through, which the route decoder's index
 passes refuse anyway — the ``map_result`` cases "search-depth-is-a-bool"
 and "stats-count-is-a-bool".
+
+The version-5 ``route-delta`` is held to the same two answers, applied to
+the generation it names: a held generation decoded from its version-4
+document, with the delta the route memo's patch gives after one trunk cut
+on subcluster C, a ring with two hosts per switch and the default fat
+tree. Its mutations bend the envelope and the ``base`` id; a channel entry
+(junk, the next held number, another entry, a held number in a list, a
+held number replaced by a new channel's or nowhere's ports, entries
+swapped, dropped or listed twice); a new channel's ports; a changed
+chain's number or row (junk, another number, a channel replaced, cut at
+either end, lengthened, reversed, the pair the wrong length); and another
+chain given a changed chain's row or an empty one. A delta against
+another id or with no held generation is refused by its base, a
+version-4 document stamped version 5 by its version and stamped a delta
+by its shape, and the reverse likewise; a delta applied to another
+generation under its own id is refused or re-derives.
+
+Decoder mutants of ``_applied`` run by hand against this file (fifteen,
+all killed), each with the check removed and what kills it — a draw is
+``(mutator, at, slot, junk)`` on delta ``which=0``:
+
+- no held-generation check — ``test_a_delta_applied_to_the_wrong_base_is_refused``,
+  ``TypeError``; no ``base`` id check — the same test, nothing raised;
+- no range or listed-twice check on a held number — the fixed sweep,
+  ``IndexError``; a ``bool`` taken as a held number, and a channel entry
+  of three ends read as its first two —
+  ``test_a_delta_with_a_well_meant_fault_is_refused``;
+- a new channel's ends not checked as port refs —
+  ``(bend_new_channel, 1, 1, "1")``, ``TypeError`` deriving a turn;
+- a changed chain's ``[chain, channels]`` shape unchecked —
+  ``(changed_chain, 0, 7, True)``, ``ValueError``; its number unchecked —
+  ``(changed_chain, 0, 0, 0.5)``, ``TypeError``; its row unchecked —
+  ``(delta_retype_field, 0, 952, True)``, ``IndexError``; a chain changed
+  twice taken as its last change — the well-meant-fault test;
+- no continuity check — ``(bend_new_channel, 2, 2, True)``: "channels
+  chain"; no check that a changed chain starts and ends where the held
+  one did — ``(add_chain, 2, 0, True)``: "channels chain";
+- a kept chain over a dropped channel accepted — ``(held_as_new, 168, 0,
+  True)``: "channels chain"; a dropped head or last channel accepted —
+  ``(held_as_new, 1, 0, True)``, a route read off channel ``-1``;
+- no version check on a delta — ``test_a_relabelled_document_is_refused``.
 """
 
 from __future__ import annotations
@@ -79,14 +121,21 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.routing.compile_routes import RouteGeneration, RouteTable, compile_route_tables
+from repro.routing.compile_routes import (
+    RouteGeneration,
+    RouteMemo,
+    RouteTable,
+    compile_route_tables,
+)
 from repro.routing.paths import all_pairs_updown_paths
 from repro.routing.updown import orient_updown
 from repro.service.serialize import (
     SerializationError,
+    route_delta_to_dict,
     route_tables_from_dict,
     route_tables_to_dict,
 )
+from repro.topology.generators import build_named_topology
 from tests.routing.test_route_tables_golden import FABRICS
 from tests.service import reference_codec
 
@@ -393,3 +442,313 @@ def test_a_version_3_document_is_refused_whole(name):
     doc["version"] = 4
     with pytest.raises(SerializationError, match="chains is not a list"):
         route_tables_from_dict(doc)
+
+
+# -- version 5: the route-delta ----------------------------------------------
+#: Fabrics and the trunk cut whose patched generation is the delta: between
+#: them, changed chains over held and new channels, on leaf switches and on
+#: switches with two hosts.
+CUTS = (
+    ("now-c", {}, 3),
+    ("ring", {"size": 6, "hosts_per_switch": 2}, 0),
+    ("fat-tree-3tier", {}, 2),
+)
+
+
+def _patched(topology: str, params: dict, cut: int) -> tuple[RouteGeneration, RouteGeneration]:
+    """A generation compiled through a route memo, and the one the memo
+    patches from it after the ``cut``-th trunk cable is pulled."""
+    net = build_named_topology(topology, params)
+    memo = RouteMemo()
+
+    def compiled() -> RouteGeneration:
+        return compile_route_tables(net, all_pairs_updown_paths(net, orient_updown(net)), memo=memo)
+
+    held = compiled()
+    memo.commit(held)
+    trunk = sorted(
+        (w for w in net.wires if net.is_switch(w.a.node) and net.is_switch(w.b.node)),
+        key=lambda w: w.key,
+    )
+    net.disconnect(trunk[cut])
+    return held, compiled()
+
+
+@pytest.fixture(scope="module")
+def deltas() -> list[tuple[dict, tuple[str, RouteGeneration], RouteGeneration]]:
+    """Per cut: the delta document, the held generation as the reader
+    holds it (decoded from its version-4 document) under its id, and the
+    patched generation the delta stands for."""
+    out = []
+    for topology, params, cut in CUTS:
+        held, patched = _patched(topology, params, cut)
+        doc = route_delta_to_dict(patched, ("held", held))
+        assert doc is not None and doc["chains"], topology
+        held_as_read = route_tables_from_dict(json.loads(json.dumps(route_tables_to_dict(held))))
+        out.append((json.loads(json.dumps(doc)), ("held", held_as_read), patched))
+    return out
+
+
+def _entries(doc) -> list:
+    entries = doc.get("channels")
+    return entries if isinstance(entries, list) else []
+
+
+def _changed(doc) -> list:
+    chains = doc.get("chains")
+    return [c for c in chains if isinstance(c, list)] if isinstance(chains, list) else []
+
+
+def delta_retag(doc, at, slot, junk):
+    doc[_pick(["kind", "version", "base"], at)] = _pick(
+        ["route-tables", "route-delta", 4, 5, "5", 5.0, None, "other", junk], slot
+    )
+
+
+def delta_retype_field(doc, at, slot, junk):
+    doc[_pick(["channels", "chains"], at)] = _pick([junk, {}, [], "x", [junk]], slot)
+
+
+def channel_entry(doc, at, slot, junk):
+    """A channel entry replaced by junk, by the next held number, by
+    another entry, or by a held number wrapped in a list."""
+    entries = _entries(doc)
+    if entries:
+        k = at % len(entries)
+        entry = entries[k]
+        nudged = entry + 1 if type(entry) is int else junk
+        entries[k] = _pick([junk, nudged, copy.deepcopy(_pick(entries, at + 1)), [entry]], slot)
+
+
+def bend_new_channel(doc, at, slot, junk):
+    """A new channel's node renamed or port moved, or one end replaced."""
+    new = [e for e in _entries(doc) if isinstance(e, list) and len(e) == 2]
+    channel = _pick(new, at)
+    if channel is not None:
+        end = channel[slot % 2]
+        if isinstance(end, list) and len(end) == 2:
+            if slot % 4 < 2:
+                end[1] = end[1] + 1 if isinstance(end[1], int) and junk is None else junk
+            else:
+                renamed = end[0] + "x" if isinstance(end[0], str) else 0
+                end[0] = _pick(["nowhere", junk, renamed], at)
+        else:
+            channel[slot % 2] = junk
+
+
+def held_as_new(doc, at, slot, junk):
+    """A held channel's number replaced by a new channel's ports: another
+    new channel's, or the ports of nowhere."""
+    entries = _entries(doc)
+    held = [k for k, e in enumerate(entries) if type(e) is int]
+    new = [e for e in entries if isinstance(e, list)]
+    if held:
+        k = _pick(held, at)
+        nowhere = [["nowhere", 0], ["nowhere", 1]]
+        entries[k] = copy.deepcopy(_pick(new, slot)) if new and slot % 2 else nowhere
+
+
+def shuffle_entries(doc, at, slot, junk):
+    """Two channel entries swapped, one dropped, or one listed twice."""
+    entries = _entries(doc)
+    if len(entries) > 1:
+        a, b = at % len(entries), slot % len(entries)
+        if (at + slot) % 3 == 0:
+            entries[a], entries[b] = entries[b], entries[a]
+        elif (at + slot) % 3 == 1:
+            del entries[a]
+        else:
+            entries.insert(b, copy.deepcopy(entries[a]))
+
+
+def changed_chain(doc, at, slot, junk):
+    """A changed chain's number or row replaced by junk or another number,
+    a channel of its row replaced, the row cut at either end, lengthened
+    or reversed, or the pair made the wrong length."""
+    item = _pick(_changed(doc), at)
+    if item is None:
+        return
+    row = item[1] if len(item) == 2 and isinstance(item[1], list) else None
+    choice = slot % 8
+    if choice == 0:
+        item[0] = junk
+    elif choice == 1:
+        item[0] = item[0] + 1 if type(item[0]) is int else junk
+    elif choice == 2:
+        item[1] = junk
+    elif choice == 3 and row:
+        row[at % len(row)] = junk
+    elif choice == 4 and row:
+        del row[0 if at % 2 else -1]
+    elif choice == 5 and row:
+        row.append(row[0] if junk is None else junk)
+    elif choice == 6 and row:
+        row.reverse()
+    else:
+        item[:] = _pick([item[:1], [*item, junk], [item]], at)
+
+
+def add_chain(doc, at, slot, junk):
+    """Another chain number given another changed chain's row, an empty
+    row, or a changed chain listed twice."""
+    chains = doc.get("chains")
+    items = _changed(doc)
+    if isinstance(chains, list) and items:
+        donor = copy.deepcopy(_pick(items, slot))
+        if at % 3 == 0:
+            chains.append(donor)
+        elif len(donor) == 2:
+            donor[0] = at % 64
+            if at % 3 == 2:
+                donor[1] = []
+            chains.append(donor)
+
+
+DELTA_MUTATORS = [
+    drop_field,
+    delta_retag,
+    delta_retype_field,
+    channel_entry,
+    bend_new_channel,
+    held_as_new,
+    shuffle_entries,
+    changed_chain,
+    add_chain,
+]
+
+
+def test_an_unbent_delta_applies_to_the_patched_generation(deltas):
+    for doc, base, patched in deltas:
+        tables = route_tables_from_dict(doc, base=base)
+        for name in ("channels", "chains", "pairs", "heads", "numbered"):
+            assert getattr(tables, name) == getattr(patched, name), name
+        assert tables.numbered is base[1].numbered
+        assert_every_route_rederives(tables)
+
+
+@settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    which=st.integers(min_value=0, max_value=len(CUTS) - 1),
+    bends=st.lists(
+        st.tuples(
+            st.sampled_from(DELTA_MUTATORS),
+            st.integers(min_value=0, max_value=10**4),
+            st.integers(min_value=0, max_value=10**4),
+            st.sampled_from(JUNK),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_a_bent_delta_is_refused_or_still_tells_one_story(deltas, which, bends):
+    doc, base, _ = deltas[which]
+    doc = copy.deepcopy(doc)
+    for bend, at, slot, junk in bends:
+        bend(doc, at, slot, junk)
+    try:
+        tables = route_tables_from_dict(doc, base=base)
+    except SerializationError:
+        return
+    assert_every_route_rederives(tables)
+
+
+def test_the_delta_mutators_reach_past_the_first_check(deltas):
+    """As for version 4: over a fixed sweep, both answers occur and at
+    least eight distinct complaints are heard."""
+    complaints: set[str] = set()
+    decoded = 0
+    for doc_at, (base_doc, base, _) in enumerate(deltas):
+        for bend in DELTA_MUTATORS:
+            for at in range(4):
+                for junk in JUNK:
+                    doc = copy.deepcopy(base_doc)
+                    bend(doc, at + doc_at, at * 7 + 1, junk)
+                    try:
+                        assert_every_route_rederives(route_tables_from_dict(doc, base=base))
+                        decoded += 1
+                    except SerializationError as exc:
+                        words = str(exc).split(" ")[1:]
+                        complaints.add(" ".join([w for w in words if w.isalpha()][:3]))
+    assert decoded > 50 and len(complaints) >= 8, (decoded, sorted(complaints))
+
+
+def _first_held(doc) -> int:
+    return next(k for k, e in enumerate(doc["channels"]) if type(e) is int and e == 1)
+
+
+def _first_new(doc) -> int:
+    return next(k for k, e in enumerate(doc["channels"]) if type(e) is list)
+
+
+@pytest.mark.parametrize(
+    "bend, complaint",
+    [
+        (lambda d: d["channels"].__setitem__(_first_held(d), True), "malformed channel True"),
+        (lambda d: d["channels"][_first_new(d)].append(["s", 0]), "malformed channel"),
+        (lambda d: d["chains"].append(copy.deepcopy(d["chains"][0])), "is changed twice"),
+    ],
+    ids=["a-boolean-held-number", "a-channel-with-three-ends", "a-chain-changed-twice"],
+)
+def test_a_delta_with_a_well_meant_fault_is_refused(deltas, bend, complaint):
+    """Faults that would still decode into routes that re-derive — ``true``
+    read as held channel 1, a third end ignored, the last of two changes
+    to one chain taken — so the fuzz cannot see them: each is refused."""
+    doc = copy.deepcopy(deltas[0][0])
+    bend(doc)
+    with pytest.raises(SerializationError, match=complaint):
+        route_tables_from_dict(doc, base=deltas[0][1])
+
+
+def test_only_a_generation_that_keeps_the_held_routes_is_a_delta():
+    """The encoder writes a delta only over the held generation's own
+    ``numbered``, tails and heads: a generation in which one route names
+    another tail, or one compiled whole, is written whole."""
+    held, patched = _patched(*CUTS[0])
+    assert route_delta_to_dict(patched, ("held", held)) is not None
+    host = next(h for h, routes in held.numbered.items() if len(set(routes.values())) > 1)
+    routes = dict(held.numbered[host])
+    first, second = list(routes)[:2]
+    routes[first], routes[second] = routes[second], routes[first]
+    moved = RouteGeneration(
+        held.channels, held.chains, held.pairs, held.heads, {**held.numbered, host: routes}
+    )
+    assert route_delta_to_dict(moved, ("held", held)) is None
+    whole = route_tables_from_dict(route_tables_to_dict(patched))
+    assert route_delta_to_dict(whole, ("held", held)) is None
+
+
+def test_a_delta_applied_to_the_wrong_base_is_refused(deltas):
+    """Another generation's id, or none held at all: refused whole."""
+    doc, (_, held), _ = deltas[0]
+    with pytest.raises(SerializationError, match="made against 'held', not 'other'"):
+        route_tables_from_dict(doc, base=("other", held))
+    with pytest.raises(SerializationError, match="no held generation"):
+        route_tables_from_dict(doc)
+
+
+def test_a_delta_applied_to_another_generation_under_its_id(deltas):
+    """A holder that names the wrong generation by the right id: the checks
+    still stand between it and a route that does not re-derive."""
+    for doc, _, _ in deltas:
+        for _, (_, other), _ in deltas:
+            try:
+                tables = route_tables_from_dict(doc, base=("held", other))
+            except SerializationError:
+                continue
+            assert_every_route_rederives(tables)
+
+
+def test_a_relabelled_document_is_refused(deltas):
+    """A version-4 document stamped version 5, or stamped a version-5 delta;
+    a delta stamped version 4, or stamped a version-4 document."""
+    doc, base, patched = deltas[0]
+    full = json.loads(json.dumps(route_tables_to_dict(patched)))
+    with pytest.raises(SerializationError, match="unsupported version 5"):
+        route_tables_from_dict({**full, "version": 5}, base=base)
+    with pytest.raises(SerializationError, match="not a \\[chain, channels\\] pair"):
+        relabelled = {**full, "kind": "route-delta", "version": 5, "base": "held"}
+        route_tables_from_dict(relabelled, base=base)
+    with pytest.raises(SerializationError, match="unsupported version 4"):
+        route_tables_from_dict({**doc, "version": 4}, base=base)
+    with pytest.raises(SerializationError, match="malformed channel"):
+        route_tables_from_dict({**doc, "kind": "route-tables", "version": 4}, base=base)

@@ -16,12 +16,18 @@ import threading
 from concurrent.futures import Executor, ThreadPoolExecutor
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.service.client import MapClient, ServiceError
 from repro.service.protocol import read_frame
-from repro.service.serialize import map_result_from_dict, route_tables_to_dict
+from repro.service.serialize import (
+    map_result_from_dict,
+    route_tables_from_dict,
+    route_tables_to_dict,
+)
 from repro.service.server import MapServer, percentile
 from repro.service.tenant import TenantSpec
+from repro.service.workers import run_map_job
 from repro.topology.analysis import core_network, effective_network
 from repro.topology.generators import build_ring
 from repro.topology.isomorphism import match_networks
@@ -29,6 +35,7 @@ from tests.routing.test_deadlock_reference import shortest_path_tables
 
 RING = TenantSpec(name="ring", topology="ring", params={"size": 4, "hosts_per_switch": 1})
 MESH = TenantSpec(name="mesh", topology="mesh", params={"size": 2, "hosts_per_switch": 1})
+NOW_C = TenantSpec(name="c", topology="now-c")
 
 
 class _BrokenExecutor(Executor):
@@ -194,6 +201,116 @@ class TestDispatch:
             assert "RuntimeError" in response["message"]
 
         asyncio.run(run())
+
+
+#: The error codes docs/SERVICE.md lists for a request (``internal-error``
+#: is the catch-all no request should reach).
+DOCUMENTED = {
+    "bad-request", "unknown-tenant", "unknown-op", "unmapped", "no-route", "no-wire", "bad-plug",
+}
+
+_NAMES = ("ring-s0", "ring-s3", "ring-n000", "ring-n002", "ghost")
+#: A port no node of the ring has (its switches have 8, its hosts 1) or
+#: not a port at all: with one of these, no cut or plug is a real one.
+_NO_PORT = st.one_of(
+    st.integers(max_value=-1),
+    st.integers(min_value=8),
+    st.booleans(),
+    st.floats(allow_nan=True),
+    st.text(max_size=3),
+    st.none(),
+)
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.sampled_from([-1, 0, 2**63, 10**30]),
+    st.floats(allow_nan=True),
+    st.text(max_size=6),
+    st.sampled_from(_NAMES),
+    st.lists(st.one_of(st.sampled_from(_NAMES), _NO_PORT), max_size=3),
+    st.tuples(st.sampled_from(_NAMES), _NO_PORT).map(list),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+_FIELDS = {
+    "cut": ("node", "port", "auto"),
+    "plug": ("a", "b"),
+    "route": ("src", "dst"),
+    "verify": ("sample",),
+    "stats": (),
+}
+
+
+@st.composite
+def _junk_requests(draw) -> dict:
+    op = draw(st.sampled_from(sorted(_FIELDS)))
+    request = {"op": op}
+    if draw(st.booleans()):
+        request["tenant"] = draw(st.one_of(st.sampled_from(["ring", "idle"]), _JUNK))
+    for name in _FIELDS[op]:
+        if draw(st.booleans()):
+            value = draw(_NO_PORT if name == "port" else _JUNK)
+            if name == "auto" and value is True:
+                value = "yes"  # a real auto cut is not junk
+            request[name] = value
+    return request
+
+
+@pytest.fixture(scope="module")
+def junk_server():
+    """A server that is never started: one mapped ring tenant and one that
+    never mapped, the ops under test reach no executor."""
+    idle = TenantSpec(name="idle", topology="ring", params={"size": 4, "hosts_per_switch": 1})
+    server = MapServer([RING, idle])
+    tenant = server.tenants["ring"]
+    outcome = run_map_job(tenant.job_payload())
+    tenant.adopt(outcome, route_tables_from_dict(outcome["tables"], base=tenant.base))
+    return server
+
+
+class TestJunkInEveryField:
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(request=_junk_requests())
+    def test_every_answer_is_documented_and_changes_nothing(self, junk_server, request):
+        """Typed junk in every field of ``cut``, ``plug``, ``route``,
+        ``verify`` and ``stats``: each answer is ``ok`` or carries a code
+        the protocol documents, never ``internal-error``, and no tenant's
+        generation, tables or topology epoch moves."""
+        def state() -> list:
+            return [(t.generation, t.tables, t.net.topology_epoch) for t in tenants]
+
+        tenants = junk_server.tenants.values()
+        before = state()
+        response = asyncio.run(junk_server.handle_request(request))
+        assert response.get("ok") or response.get("error") in DOCUMENTED, (request, response)
+        assert state() == before, request
+
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            {"node": "nope", "port": 0},
+            {"node": "ring-s0", "port": -1},
+            {"node": "ring-s0", "port": 10**30},
+        ],
+    )
+    def test_a_cut_at_no_port_is_no_wire(self, junk_server, request_):
+        """These used to answer ``internal-error`` ("TopologyError: no such
+        node: nope") where ``plug`` answers ``bad-plug``."""
+        request = {"op": "cut", "tenant": "ring", **request_}
+        response = asyncio.run(junk_server.handle_request(request))
+        assert response["error"] == "no-wire", response
+
+    def test_a_huge_sample_verifies_every_route(self, junk_server):
+        """``islice`` refuses a stop beyond ``sys.maxsize``: a huge sample
+        used to answer ``internal-error``."""
+        response = asyncio.run(
+            junk_server.handle_request({"op": "verify", "tenant": "ring", "sample": 10**30})
+        )
+        assert response["ok"] and response["routes_checked"] == 12, response
 
 
 class TestMapRouteVerify:
@@ -559,6 +676,87 @@ class TestFailureSemantics:
                         good = await client.map("ring")
                         assert good["adopted"] is True
                         assert good["generation"] == 1
+                finally:
+                    await server.stop()
+            return True
+
+        assert asyncio.run(run())
+
+    @pytest.mark.parametrize(
+        "doctor, complaint",
+        [
+            pytest.param(
+                lambda o: o["tables"].update(base="0" * 32), "made against", id="another-base"
+            ),
+            pytest.param(
+                lambda o: o["tables"].update(version=4), "unsupported version 4", id="relabelled-v4"
+            ),
+            pytest.param(
+                lambda o: o["tables"].update(kind="route-tables", version=4),
+                "malformed channel 0",
+                id="relabelled-route-tables",
+            ),
+            pytest.param(
+                lambda o: o["tables"]["channels"].__setitem__(0, 10**6),
+                "names no unlisted held channel",
+                id="held-channel-out-of-range",
+            ),
+            pytest.param(
+                lambda o: o["tables"]["channels"].__setitem__(1, o["tables"]["channels"][0]),
+                "names no unlisted held channel",
+                id="held-channel-twice",
+            ),
+            pytest.param(
+                lambda o: o["tables"]["chains"].append([10**6, []]),
+                "malformed index",
+                id="changed-chain-out-of-range",
+            ),
+            pytest.param(
+                lambda o: o["tables"]["chains"].append([0, [0, 0]]),
+                "does not chain at",
+                id="changed-chain-does-not-chain",
+            ),
+            pytest.param(
+                lambda o: o["tables"]["chains"].append([0, [0]]),
+                "does not run where the held one ran",
+                id="changed-chain-runs-elsewhere",
+            ),
+            pytest.param(lambda o: o["tables"]["channels"].pop(), "drops", id="channel-dropped"),
+            pytest.param(lambda o: o.update(tables_id="x"), "tables_id", id="another-tables-id"),
+        ],
+    )
+    def test_a_bad_delta_leaves_the_tenant_untouched(self, doctor, complaint):
+        """A cut answered as a ``route-delta`` is applied to the served
+        generation and refused whole on any fault: the tenant keeps its
+        generation, tables and id. The worker holds the refused one, so
+        the next cycle answers whole tables, and the cut after it a delta
+        that is adopted and served."""
+
+        async def run():
+            with _DoctoringPool(max_workers=1) as pool:
+                server = MapServer([NOW_C], executor=pool)
+                host, port = await server.start()
+                try:
+                    async with MapClient(host, port) as client:
+                        assert (await client.map("c"))["adopted"]
+                        tenant = server.tenants["c"]
+                        held = (tenant.tables, tenant.tables_id)
+                        await client.request("cut", tenant="c", node="C-l2-2", port=1)
+                        pool.doctor = lambda o: o["tables"]["kind"] == "route-delta" and doctor(o)
+                        bad = await client.map("c")
+                        assert bad["error"] == "bad-worker-outcome", bad
+                        assert complaint in bad["message"]
+                        assert (bad["generation"], tenant.tables, tenant.tables_id) == (1, *held)
+                        pool.doctor = None
+                        sent = []
+                        pool.doctor = lambda o: sent.append(o["tables"]["kind"])
+                        assert (await client.map("c"))["adopted"]
+                        await client.request("cut", tenant="c", node="C-l2-2", port=0)
+                        good = await client.map("c")
+                        assert good["adopted"] and good["generation"] == 3
+                        assert sent == ["route-tables", "route-delta"]
+                        verdict = await client.verify("c")
+                        assert verdict["ok"] and verdict["routes_checked"] == good["n_routes"]
                 finally:
                     await server.stop()
             return True

@@ -7,8 +7,10 @@ when the next job is the same tenant's with the same nodes. The slot may
 change what a job costs, never what it answers: after every job below,
 every outcome key but ``eval_cache`` is JSON-equal to what a worker with
 an emptied slot returns for the same payload, and the held fabric
-serializes to the payload's network document. Payloads go through
-pickle first, as they do through the pool.
+serializes to the payload's network document. A ``route-delta`` is
+compared as the generation it gives applied to the tenant's, which is
+the fresh worker's whole document decoded, field for field. Payloads go
+through pickle first, as they do through the pool.
 
 Hand-run mutants, each failing this suite:
 
@@ -97,10 +99,17 @@ class _Tenant:
         before = held_network()
         outcome = run_map_job(pickled(payload))
         kept = before is not None and held_network() is before
-        assert not differing(outcome, run_fresh(pickled(payload)))
+        fresh = run_fresh(pickled(payload))
+        assert not differing(outcome, fresh, self.state.base)
         assert holds(payload)
         if outcome["ok"]:
-            self.state.adopt(outcome, route_tables_from_dict(outcome["tables"]))
+            tables = route_tables_from_dict(outcome["tables"], base=self.state.base)
+            self.state.adopt(outcome, tables)
+            # A delta applied to the tenant's generation is the fresh
+            # worker's whole document decoded, field for field.
+            full = route_tables_from_dict(fresh["tables"])
+            for name in ("channels", "chains", "pairs", "heads", "numbered"):
+                assert getattr(self.state.tables, name) == getattr(full, name), name
         return outcome, kept
 
 
@@ -218,7 +227,8 @@ class TestThreadPool:
                 for _ in range(2):
                     futures = [pool.submit(job, pickled(p)) for p in payloads * 2]
                     got = [future.result(timeout=120) for future in futures]
-                    assert not any(map(differing, got, want * 2))
+                    base = tenant.state.base
+                    assert not any(differing(g, w, base) for g, w in zip(got, want * 2))
                     assert holds(payloads[0]) or holds(payloads[1])
         finally:
             sys.setswitchinterval(interval)

@@ -29,12 +29,22 @@ from repro.topology.analysis import bridges
 from tests.service.worker_slot import differing, pickled, run_fresh
 
 
+#: The five numbered fields of a route generation.
+FIELDS = ("channels", "chains", "pairs", "heads", "numbered")
+
+
 def _served_cycle(tenant: TenantState) -> tuple[dict, dict]:
-    """One cycle the way the server runs it, minus the pool."""
+    """One cycle the way the server runs it, minus the pool; the adopted
+    generation, a delta applied, equals the full decode of the v4
+    document a fresh worker returns for the same payload field for
+    field."""
     payload = tenant.job_payload()
-    outcome = run_map_job(payload)
+    outcome = run_map_job(pickled(payload))
     assert outcome["ok"], outcome
-    tenant.adopt(outcome, route_tables_from_dict(outcome["tables"]))
+    tenant.adopt(outcome, route_tables_from_dict(outcome["tables"], base=tenant.base))
+    full = route_tables_from_dict(run_fresh(pickled(payload))["tables"])
+    for name in FIELDS:
+        assert getattr(tenant.tables, name) == getattr(full, name), name
     return payload, outcome
 
 
@@ -71,7 +81,7 @@ class TestDaemonAndWorkerAgree:
             _, outcome = _served_cycle(tenant)
             cycle = daemon.run_cycle()
             assert outcome["map_result"] == map_result_to_dict(cycle.map_result)
-            assert outcome["tables"] == route_tables_to_dict(
+            assert route_tables_to_dict(tenant.tables) == route_tables_to_dict(
                 daemon.current_tables
             )
             assert (
@@ -130,7 +140,9 @@ class TestDaemonAndWorkerAgreeOverSequences:
             _, outcome = _served_cycle(tenant)
             cycle = daemon.run_cycle()
             assert outcome["map_result"] == map_result_to_dict(cycle.map_result), op
-            assert outcome["tables"] == route_tables_to_dict(daemon.current_tables), op
+            assert route_tables_to_dict(tenant.tables) == route_tables_to_dict(
+                daemon.current_tables
+            ), op
             assert outcome["probes"] == cycle.map_result.stats.total_probes, op
             assert outcome["seeded"] == cycle.incremental, op
             assert outcome["seed_fallback"] == cycle.seed_fallback, op
@@ -185,7 +197,9 @@ class TestOutcomeCarriesEachChannelOnce:
         )
         for step in steps:
             step()
+            # No base named: both workers answer whole tables.
             payload = tenant.job_payload()
+            payload.pop("base", None)
             outcome = run_map_job(pickled(payload))
             fresh = run_fresh(pickled(payload))
             assert outcome["ok"] and not differing(outcome, fresh)
@@ -194,6 +208,83 @@ class TestOutcomeCarriesEachChannelOnce:
             # counters: a map host name that is not interned costs ~300 B.
             assert abs(size - fresh_size) <= min(32, fresh_size // 100), (size, fresh_size)
             tenant.adopt(outcome, route_tables_from_dict(outcome["tables"]))
+
+
+def _kind(outcome: dict) -> str:
+    return outcome["tables"]["kind"]
+
+
+class TestRouteDeltas:
+    """A worker whose compile patched the generation the payload names as
+    its ``base`` answers with a ``route-delta`` against it; any other job
+    answers whole tables, and what the tenant adopts is the same either
+    way (``_served_cycle`` checks it field for field)."""
+
+    def test_a_cut_ships_what_it_changed(self):
+        """On the full NOW a seeded cut changes a handful of the 553
+        chains: the delta is a kilobyte or two against the 103 kB
+        document, and the whole outcome shrinks with it."""
+        tenant = TenantState(TenantSpec(name="t", topology="now-full"))
+        _, first = _served_cycle(tenant)
+        assert _kind(first) == "route-tables"
+        first_size = len(pickle.dumps(first))
+        first_cut, *cuts = sorted(_cuttable(tenant.net))[:4]
+        # This cut maps from scratch, so switches are renamed: the route
+        # memo compiles whole, and the outcome is whole tables.
+        tenant.net.disconnect(tenant.net.wire_at(*first_cut[:2]))
+        assert _kind(_served_cycle(tenant)[1]) == "route-tables"
+        for ends in cuts:
+            tenant.net.disconnect(tenant.net.wire_at(*ends[:2]))
+            held = tenant.base
+            _, outcome = _served_cycle(tenant)
+            doc = outcome["tables"]
+            assert (doc["kind"], doc["version"], doc["base"]) == ("route-delta", 5, held[0])
+            assert len(pickle.dumps(doc)) < 8_000
+            assert len(pickle.dumps(outcome)) < first_size // 3
+            # Nothing is numbered anew: the routes are the held ones.
+            assert tenant.tables.numbered is held[1].numbered
+            assert outcome["tables_id"] == tenant.tables_id != held[0]
+
+    def test_a_delta_only_against_the_generation_the_tenant_holds(self):
+        """The worker holds the generation of the last payload it answered.
+        A refused outcome, a fresh worker (a crash, a second process), a
+        second tenant between two jobs and a new tenant of the same name
+        (a new server on a shared pool) each leave the named base and the
+        held one apart: whole tables, and the adopted generation is still
+        the fresh worker's."""
+        tenant = TenantState(TenantSpec(name="t", topology="now-c"))
+        _served_cycle(tenant)
+
+        def cut() -> None:
+            cuttable = _cuttable(tenant.net)
+            tenant.net.disconnect(tenant.net.wire_at(*cuttable[len(cuttable) // 2][:2]))
+
+        cut()
+        assert _kind(_served_cycle(tenant)[1]) == "route-delta"
+        # Refused: the worker moved on to a generation the tenant lacks.
+        cut()
+        assert _kind(run_map_job(pickled(tenant.job_payload()))) == "route-delta"
+        cut()
+        assert _kind(_served_cycle(tenant)[1]) == "route-tables"
+        # A fresh worker holds nothing.
+        cut()
+        assert _kind(run_fresh(pickled(tenant.job_payload()))) == "route-tables"
+        assert _kind(_served_cycle(tenant)[1]) == "route-delta"
+        # A second tenant's job between two of this one's.
+        other = TenantState(TenantSpec(name="u", topology="now-c"))
+        _served_cycle(other)
+        cut()
+        assert _kind(_served_cycle(tenant)[1]) == "route-tables"
+        # A new tenant of the same name: it names no base, then its own.
+        again = TenantState(TenantSpec(name="t", topology="now-c"))
+        assert "base" not in again.job_payload()
+        assert _kind(_served_cycle(again)[1]) == "route-tables"
+        cut()
+        assert _kind(_served_cycle(tenant)[1]) == "route-tables"
+
+    def test_a_junk_tables_id_is_a_bad_payload(self):
+        outcome = run_map_job(_payload(tables_id=7))
+        assert outcome["error"] == "bad-payload" and "tables_id" in outcome["message"]
 
 
 class TestPlanTimeFallbackIsReported:

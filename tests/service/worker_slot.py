@@ -6,7 +6,9 @@ from __future__ import annotations
 import json
 import pickle
 
+from repro.routing.compile_routes import RouteGeneration
 from repro.service import workers
+from repro.service.serialize import route_tables_from_dict, route_tables_to_dict
 from repro.service.workers import run_map_job
 from repro.topology.model import Network
 from repro.topology.serialize import network_to_dict
@@ -29,10 +31,18 @@ def run_fresh(payload: dict) -> dict:
         workers._held.update(held)
 
 
-def differing(outcome: dict, fresh: dict) -> list[str]:
+def differing(
+    outcome: dict, fresh: dict, base: tuple[str, RouteGeneration] | None = None
+) -> list[str]:
     """The keys, ``eval_cache`` aside, whose values two outcomes do not
     share as JSON (a list to assert empty: pytest would spend minutes
-    diffing two ~100 kB documents)."""
+    diffing two ~100 kB documents). A ``route-delta`` in ``outcome`` is
+    applied to ``base`` first and compared as the version-4 document of
+    the generation it gives."""
+    tables = outcome.get("tables")
+    if isinstance(tables, dict) and tables.get("kind") == "route-delta":
+        applied = route_tables_from_dict(tables, base=base)
+        outcome = {**outcome, "tables": route_tables_to_dict(applied)}
     return sorted(
         key
         for key in (outcome.keys() | fresh.keys()) - {"eval_cache"}
