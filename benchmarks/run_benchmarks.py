@@ -179,7 +179,7 @@ def _micro_route_document() -> tuple[float, dict]:
     from repro.topology.generators import build_full_now
 
     net = build_full_now()
-    tables, _ = route_cycle(map_cycle(net, sorted(net.hosts)[0])[0].network)
+    tables = route_cycle(map_cycle(net, sorted(net.hosts)[0])[0].network)
 
     def cross():
         return route_tables_from_dict(pickle.loads(pickle.dumps(route_tables_to_dict(tables))))
@@ -406,9 +406,10 @@ def _remap_fattree8() -> tuple[float, dict]:
 
 def _remap_now_routes() -> tuple[float, dict]:
     """The route half of a recovery cycle after the NOW cut above:
-    ``route_cycle`` plus ``distribute_incremental`` on the seeded map,
-    through a route memo holding the pre-cut generation (the timed
-    quantity), against the same half with no memo. The two generations
+    ``route_cycle``, ``routes_deadlock_free`` and ``distribute_incremental``
+    on the seeded map, as the daemon runs them, through a route memo
+    holding the pre-cut generation (the timed quantity), against the same
+    half with no memo. The two generations
     must be byte-identical and the two distribution reports equal, a gate
     that cannot flake; the cells the patch recompiled and the wall ratio
     are recorded.
@@ -416,6 +417,7 @@ def _remap_now_routes() -> tuple[float, dict]:
     from repro.core.mapper import MapSeed
     from repro.core.remapper import map_cycle, route_cycle
     from repro.routing.compile_routes import RouteMemo
+    from repro.routing.deadlock import routes_deadlock_free
     from repro.routing.incremental import distribute_incremental
     from repro.service.serialize import route_tables_to_dict
     from repro.topology.generators import build_full_now
@@ -429,14 +431,15 @@ def _remap_now_routes() -> tuple[float, dict]:
     after, _ = map_cycle(net, h0, seed=seed)
     assert after.seeded, after.seed_fallback
     memo = RouteMemo()
-    old, _ = route_cycle(prior.network, routes=memo)
+    old = route_cycle(prior.network, routes=memo)
     memo.commit(old)
     distribute_incremental(prior.network, h0, old, None)  # the cycle before
 
     def route_half(routes: RouteMemo | None):
         gc.collect()  # neither arm pays for the mapping's garbage
         start = time.perf_counter()
-        tables, safe = route_cycle(after.network, routes=routes)
+        tables = route_cycle(after.network, routes=routes)
+        safe = routes_deadlock_free(tables)
         report = distribute_incremental(after.network, h0, tables, old)
         return time.perf_counter() - start, tables, safe, report
 

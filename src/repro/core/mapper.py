@@ -348,7 +348,6 @@ class BerkeleyMapper(ModelGraph):
         """Drop the model graph for a from-scratch restart after a seed
         failure. Probe stats and the exploration/merge counters survive —
         probes already sent were really sent."""
-        self._vertices.clear()
         self._live.clear()
         self._hosts.clear()
         self._frontier.clear()

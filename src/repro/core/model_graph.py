@@ -108,11 +108,10 @@ class ModelGraph:
         self._radix = radix
         self._prof = profiler
         self._ids = itertools.count()
-        self._vertices: list[MergedVertex] = []
         # Live (undead, unaliased) vertices by vid, maintained incrementally
-        # at creation/merge/delete so nothing ever rescans ``_vertices``.
-        # dict preserves insertion order, so iteration matches the old
-        # creation-order scan exactly.
+        # at creation/merge/delete; nothing keeps a vertex once it is
+        # merged away or deleted. dict preserves insertion order, so
+        # iteration is creation order.
         self._live: dict[int, MergedVertex] = {}
         self._hosts: dict[str, MergedVertex] = {}
         self._mergelist: deque[MergedVertex] = deque()
@@ -127,7 +126,6 @@ class ModelGraph:
         self, kind: str, probe_string: Turns, host_name: str | None = None
     ) -> MergedVertex:
         v = MergedVertex(next(self._ids), kind, probe_string, host_name)
-        self._vertices.append(v)
         self._live[v.vid] = v
         return v
 
@@ -309,7 +307,7 @@ class ModelGraph:
     # ------------------------------------------------------------------
     def _live_vertices(self) -> list[MergedVertex]:
         # Maintained incrementally (creation / merge / delete); insertion
-        # order equals creation order, matching the old full-list scan.
+        # order is creation order.
         return list(self._live.values())
 
     def _prune(self) -> None:

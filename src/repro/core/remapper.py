@@ -5,12 +5,13 @@ compute and to distribute a set of mutually deadlock-free routes to all
 network interfaces."
 
 :func:`map_cycle` and :func:`route_cycle` are that loop's two halves —
-depth, probe stack, mapper, seed, ``map()``; then orient, paths, tables and
-the Dally–Seitz check — and the only copy of them: the daemon here and the
-map server's worker (:func:`repro.service.workers.run_map_job`) both run
-these (``docs/ARCHITECTURE.md``, "The remap cycle"), each through one
+depth, probe stack, mapper, seed, ``map()``; then orient, paths and
+tables — and the only copy of them: the daemon here and the map server's
+worker (:func:`repro.service.workers.run_map_job`) both run these
+(``docs/ARCHITECTURE.md``, "The remap cycle"), each through one
 :class:`CycleState`, the work that loop carries from one cycle to the
-next.
+next. The Dally–Seitz check runs where a generation is adopted: in the
+daemon's cycle, and in the map server on what a worker sends back.
 
 :class:`RemapperDaemon` packages one complete cycle — map, diff against the
 previous map, and (only when something changed) recompute + verify +
@@ -119,20 +120,20 @@ def route_cycle(
     new_map: Network,
     memo: DistanceMemo | None = None,
     routes: RouteMemo | None = None,
-) -> tuple[RouteGeneration, bool]:
-    """The routing half: UP*/DOWN* tables for ``new_map`` and their
-    Dally–Seitz verdict. ``memo`` keeps the root pick's BFS rows across
-    the maps of one caller, and ``routes`` the generation the caller last
-    committed to it, which the tables are patched from when exact; the
-    caller commits the tables once it has adopted them.
+) -> RouteGeneration:
+    """The routing half: UP*/DOWN* tables for ``new_map``. ``memo`` keeps
+    the root pick's BFS rows across the maps of one caller, and ``routes``
+    the generation the caller last committed to it, which the tables are
+    patched from when exact; the caller checks the tables deadlock-free
+    (:func:`~repro.routing.deadlock.routes_deadlock_free`) and commits
+    them once it has adopted them.
 
     Raises ``ValueError`` when the map is too degenerate to orient (e.g.
     the mapper host alone behind a cut).
     """
     orientation = orient_updown(new_map, memo=memo)
     paths = all_pairs_updown_paths(new_map, orientation)
-    tables = compile_route_tables(new_map, paths, memo=routes)
-    return tables, routes_deadlock_free(tables)
+    return compile_route_tables(new_map, paths, memo=routes)
 
 
 class CycleState:
@@ -198,7 +199,7 @@ class CycleState:
         self.last_result, self._epochs = result, epochs
         return result, svc
 
-    def route(self, new_map: Network) -> tuple[RouteGeneration, bool]:
+    def route(self, new_map: Network) -> RouteGeneration:
         """:func:`route_cycle` on ``new_map`` through the root and route
         memos. The caller commits the tables to ``route_memo`` once it has
         adopted them."""
@@ -244,9 +245,10 @@ class RemapperDaemon:
 
     A cycle maps through ``state``, the daemon's one :class:`CycleState`,
     diffs against the previous map and — only when something changed —
-    routes through ``state`` and distributes incrementally, committing the
-    tables to ``state.route_memo`` once the whole route half has
-    succeeded. ``mapper_factory`` (a registry name or a ``(service,
+    routes through ``state``, checks the tables deadlock-free and
+    distributes them incrementally, committing the tables to
+    ``state.route_memo`` once the whole route half has succeeded.
+    ``mapper_factory`` (a registry name or a ``(service,
     depth) -> Mapper`` callable), ``faults`` and ``layers`` go to
     :func:`map_cycle` unchanged; the same layer objects join every
     cycle's stack, so a layer with per-cycle state rearms itself (the
@@ -313,7 +315,8 @@ class RemapperDaemon:
         report: DistributionReport | None = None
         elapsed = result.stats.elapsed_ms
         if rerouted:
-            tables, safe = self.state.route(new_map)
+            tables = self.state.route(new_map)
+            safe = routes_deadlock_free(tables)
             # Incremental distribution: push only per-host deltas against
             # the previous generation (the first cycle degenerates to a
             # full push).

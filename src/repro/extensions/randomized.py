@@ -111,13 +111,9 @@ class CouponMapper(BerkeleyMapper):
         self.coupon_hits = 0
 
     def _seed_phase(self) -> None:
-        # The root switch (created by _initialize) anchors every random walk.
-        root = None
-        for v in self._vertices:
-            if v.kind == KIND_SWITCH:
-                root = v
-                break
-        assert root is not None
+        # Every random walk starts at the switch the mapper host hangs off:
+        # the root ``_initialize`` made, or the one a seed kept.
+        [(root, _)] = self._hosts[self._svc.mapper_host].nbrs[0]
         # Random direction, biased toward small turns: "excluding turn 0,
         # turns of +/-1 are the best, turns of +/-2 are the next best"
         # (Section 3.3) — a uniform draw over +/-7 dies almost immediately

@@ -567,39 +567,26 @@ class MapServer:
         except Exception as exc:  # noqa: BLE001 - a dead worker degrades one tenant, not the server
             outcome = {
                 "ok": False,
-                "tenant": tenant.spec.name,
                 "error": "worker-failed",
                 "message": f"{type(exc).__name__}: {exc}",
             }
-        tables = None
-        if outcome.get("ok") and "tables" in outcome:
-            # Everything adopt() stores is checked here, before it touches
-            # the tenant: a bad map_result would poison every later seed,
-            # so it is decoded whole and refused on whatever the worker's
-            # seed decode would refuse it on; and tables are served only
-            # if they are deadlock-free as decoded, whatever the worker's
-            # own verdict says. A delta is applied to the served generation,
-            # and the id the adopted generation is held under must be the
-            # one its payload asked for.
+        result = tables = None
+        if outcome.get("ok"):
+            # The map and the tables are checked here, before they touch the
+            # tenant: a bad map_result would poison every later seed, so it
+            # is decoded whole and refused on whatever the worker's seed
+            # decode would refuse it on; a delta is applied to the served
+            # generation; and tables are served only if they are
+            # deadlock-free as decoded. The rest adopt() stores comes from
+            # the payload and from these two, not from the worker's word.
             try:
-                if outcome.get("tables_id") != payload["tables_id"]:
-                    raise SerializationError("outcome: tables_id is not its payload's")
+                result = map_result_from_dict(outcome.get("map_result"))
                 tables = route_tables_from_dict(outcome["tables"], base=tenant.base)
                 if not routes_deadlock_free(tables):
                     raise SerializationError(
                         "route-tables: the channel dependency graph has a cycle"
                     )
-                map_result_from_dict(outcome.get("map_result"))
-                epoch = outcome.get("net_epoch")
-                if not isinstance(epoch, int) or isinstance(epoch, bool):
-                    raise SerializationError("outcome: net_epoch is not an int")
             except (KeyError, TypeError, ValueError) as exc:
-                outcome = {
-                    "ok": False,
-                    "tenant": tenant.spec.name,
-                    "error": "bad-worker-outcome",
-                    "message": str(exc),
-                }
-        tenant.adopt(outcome, tables)
-        outcome["adopted"] = bool(tenant.last_cycle and tenant.last_cycle.get("adopted"))
-        return outcome
+                outcome = {"ok": False, "error": "bad-worker-outcome", "message": str(exc)}
+                result = tables = None
+        return {**outcome, **tenant.adopt(payload, outcome, result, tables)}

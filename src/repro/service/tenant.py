@@ -21,12 +21,12 @@ import secrets
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
+from repro.core.mapper import MapResult
 from repro.routing.compile_routes import RouteGeneration
 from repro.service.serialize import SerializationError
-from repro.simulator.faults import FaultModel
 from repro.topology.delta import EMPTY_DELTA, seedable_removals
 from repro.topology.generators.named import NAMED_TOPOLOGIES, build_named_topology, unread_keys
-from repro.topology.model import Network, PortRef
+from repro.topology.model import Network
 from repro.topology.serialize import network_from_dict, network_to_dict
 
 __all__ = ["TenantSpec", "TenantState", "build_tenant_network"]
@@ -126,39 +126,6 @@ def build_tenant_network(spec: TenantSpec) -> Network:
         raise SerializationError(f"tenant spec: bad explicit network: {exc}") from exc
 
 
-def _dead_wires_doc(faults: FaultModel) -> list:
-    doc = []
-    for pair in faults.dead_wires:
-        ends = sorted(
-            [[end.node, end.port] for end in pair]
-        )
-        doc.append(ends)
-    return sorted(doc)
-
-
-def dead_wires_from_doc(doc: Any) -> frozenset[frozenset]:
-    """Rebuild a :class:`FaultModel` dead-wire set from its JSON form."""
-    if not isinstance(doc, list):
-        raise SerializationError("dead wires: expected a list")
-    wires = []
-    for pair in doc:
-        if not isinstance(pair, list) or not 1 <= len(pair) <= 2:
-            raise SerializationError(f"dead wires: malformed wire {pair!r}")
-        ends = []
-        for end in pair:
-            if (
-                not isinstance(end, list)
-                or len(end) != 2
-                or not isinstance(end[0], str)
-                or not isinstance(end[1], int)
-                or isinstance(end[1], bool)
-            ):
-                raise SerializationError(f"dead wires: malformed end {end!r}")
-            ends.append(PortRef(end[0], end[1]))
-        wires.append(frozenset(ends))
-    return frozenset(wires)
-
-
 class TenantState:
     """Everything the server holds for one tenant.
 
@@ -174,11 +141,6 @@ class TenantState:
             raise SerializationError(
                 f"tenant {spec.name!r}: mapper {spec.mapper!r} is not a host of its fabric"
             )
-        self.faults = FaultModel(
-            drop_prob=spec.drop_prob,
-            corrupt_prob=spec.corrupt_prob,
-            seed=spec.seed,
-        )
         #: Current route-table generation; ``None`` until the first
         #: successful cycle. Swapped atomically, never mutated in place.
         self.tables: RouteGeneration | None = None
@@ -225,9 +187,9 @@ class TenantState:
         and the tenant's delta journal can prove what changed since it (the
         soundness ladder of :func:`repro.topology.delta.seedable_removals`,
         the one :class:`RemapperDaemon` climbs); when it cannot, the reason
-        travels instead and comes back as the outcome's ``seed_fallback``.
-        No server op reconfigures ``self.faults``, so only the network's
-        journal is consulted.
+        travels instead and comes back as the cycle's ``seed_fallback``.
+        A tenant's faults are its spec's probabilities, which nothing
+        changes, so only the network's journal is consulted.
         """
         payload: dict[str, Any] = {
             "tenant": self.spec.name,
@@ -239,7 +201,6 @@ class TenantState:
             "seed": self.spec.seed,
             "drop_prob": self.spec.drop_prob,
             "corrupt_prob": self.spec.corrupt_prob,
-            "dead_wires": _dead_wires_doc(self.faults),
             "tables_id": secrets.token_hex(16),
         }
         if self.base is not None:
@@ -257,56 +218,64 @@ class TenantState:
                 }
         return payload
 
-    def adopt(self, outcome: dict, tables: RouteGeneration | None) -> None:
-        """Fold a finished worker cycle into the tenant (event loop only).
+    def adopt(
+        self,
+        payload: dict,
+        outcome: dict,
+        result: MapResult | None,
+        tables: RouteGeneration | None,
+    ) -> dict:
+        """Fold a finished worker cycle into the tenant (event loop only)
+        and return its summary, which becomes ``last_cycle``.
 
-        A failed or unverified cycle never touches the served tables: the
-        tenant keeps answering route queries from the previous generation
-        and only the status/counters record the failure.
+        ``payload`` is what was sent for the cycle; ``result`` and
+        ``tables`` are the outcome's map and generation as the server
+        decoded them, the generation checked deadlock-free (both None when
+        it accepted none). The epoch, the tables' id and every count come
+        from these, never from the worker's word; of the outcome only the
+        worker's own verdicts and counters are kept. A failed or
+        unverified cycle never touches the served tables: the tenant keeps
+        answering route queries from the previous generation and only the
+        status/counters record the failure.
         """
-        adopted = (
-            bool(outcome.get("ok"))
-            and bool(outcome.get("isomorphic"))
-            and bool(outcome.get("deadlock_free"))
-            and tables is not None
-        )
-        self.last_cycle = {
+        cycle = {
             k: outcome[k]
             for k in (
-                "ok",
-                "error",
-                "message",
-                "mismatch",
-                "seeded",
-                "seed_fallback",
-                "kept_nodes",
-                "probes",
-                "elapsed_ms",
-                "deadlock_free",
-                "isomorphic",
-                "n_routes",
-                "trace",
-                "eval_cache",
-                "stack",
+                "ok", "error", "message", "mismatch", "isomorphic", "trace", "eval_cache", "stack"
             )
             if k in outcome
         }
-        self.last_cycle["adopted"] = adopted
+        if result is not None:
+            cycle.update(
+                seeded=result.seeded,
+                # The mapper's own reason, else the one seed planning gave.
+                seed_fallback=result.seed_fallback or payload.get("seed_fallback"),
+                kept_nodes=result.kept_nodes,
+                probes=result.stats.total_probes,
+                elapsed_ms=result.stats.elapsed_ms,
+            )
+        if tables is not None:
+            cycle.update(n_routes=sum(len(t) for t in tables.values()), deadlock_free=True)
+        adopted = (
+            result is not None and tables is not None and bool(outcome.get("isomorphic"))
+        )
+        cycle["adopted"] = adopted
+        self.last_cycle = cycle
         if not adopted:
-            # An unverified map (faults corrupted discovery, routes not
-            # deadlock-free) is as unusable as a MappingError: keep the
-            # previous generation, do not let the bad map seed the next
-            # cycle, and record why.
+            # An unverified map (faults corrupted discovery) is as unusable
+            # as a MappingError: keep the previous generation, do not let
+            # the bad map seed the next cycle, and record why.
             self.maps_failed += 1
             self.status = "degraded" if self.tables is not None else "failed"
-            return
-        if outcome.get("seed_fallback"):
+            return cycle
+        if cycle["seed_fallback"]:
             self.seed_fallbacks += 1
         self.maps_completed += 1
-        self.probes_total += int(outcome.get("probes", 0))
+        self.probes_total += cycle["probes"]
         self.last_result_doc = outcome["map_result"]
-        self.net_epoch_at_last_map = outcome["net_epoch"]
+        self.net_epoch_at_last_map = payload["net_epoch"]
         self.tables = tables
-        self.tables_id = outcome.get("tables_id")
+        self.tables_id = payload["tables_id"]
         self.generation += 1
         self.status = "mapped"
+        return cycle

@@ -1,14 +1,18 @@
 """Simulator workers: the CPU-heavy half of the map server.
 
 One remap cycle — bring the tenant's network up to date from JSON, run
-the Berkeley mapper through a full middleware stack, compile and check
-UP*/DOWN* routes, verify the map against the effective fabric — is pure
+the Berkeley mapper through a full middleware stack, compile UP*/DOWN*
+routes, verify the map against the effective fabric — is pure
 CPU and would stall the event loop for tens of milliseconds to minutes
 (scale tiers). The server therefore dispatches :func:`run_map_job` into a
 ``ProcessPoolExecutor``; everything crossing the pool boundary is a plain
 JSON-able dict (the payload built by :meth:`TenantState.job_payload`, the
 outcome consumed by :meth:`TenantState.adopt`), so the pool never pickles
-live simulator state.
+live simulator state. An outcome carries only what the worker alone
+knows — the map, the tables, its isomorphism verdict and its probe
+counters; the server takes the epoch, the tables' id and every count
+from the payload it sent and the map and tables it decodes, and it
+checks the tables deadlock-free itself.
 
 Each worker process keeps one slot from one job to the next: the last
 job's key (tenant, mapper host and the document's node fields) and a
@@ -46,12 +50,12 @@ from repro.core.instrumentation import analyze_records
 from repro.core.mapper import MappingError, MapSeed
 from repro.core.remapper import CycleState
 from repro.service.serialize import (
+    _port_ref,
     map_result_from_dict,
     map_result_to_dict,
     route_delta_to_dict,
     route_tables_to_dict,
 )
-from repro.service.tenant import dead_wires_from_doc
 from repro.simulator.faults import FaultModel
 from repro.simulator.stack import TraceBusLayer, describe_stack
 from repro.topology.analysis import core_network, effective_network
@@ -125,14 +129,8 @@ def _take_slot(payload: dict) -> _Slot:
     return _Slot(key, CycleState(network_from_dict(doc)), None)
 
 
-def _mapping_failure(payload: dict, kind: str, message: str) -> dict:
-    return {
-        "ok": False,
-        "tenant": payload.get("tenant", "?"),
-        "net_epoch": payload.get("net_epoch"),
-        "error": kind,
-        "message": message,
-    }
+def _failure(kind: str, message: str) -> dict:
+    return {"ok": False, "error": kind, "message": message}
 
 
 def run_map_job(payload: dict) -> dict:
@@ -141,12 +139,14 @@ def run_map_job(payload: dict) -> dict:
     Decode the payload, run the shared :func:`~repro.core.remapper.
     map_cycle` and :func:`~repro.core.remapper.route_cycle`, verify the
     map against the effective fabric, encode. Returns a JSON-able outcome
-    dict: ``ok`` plus either the serialized ``map_result``/``tables`` and
-    verification verdicts, or an ``error`` code and message. Only
-    *expected* failures (an unusable payload or seed, a probe-model
-    contradiction, an unroutable map) are converted to error outcomes;
-    anything else propagates and surfaces in the server log — a bug must
-    keep its traceback (SAN006 discipline).
+    dict: ``ok`` plus either the serialized ``map_result`` and ``tables``,
+    the isomorphism verdict (``isomorphic``, ``mismatch``) and the probe
+    stack's ``stack``, ``trace`` and ``eval_cache``, or an ``error`` code
+    and ``message``. The tables are not checked deadlock-free here: the
+    server checks what it adopts. Only *expected* failures (an unusable
+    payload or seed, a probe-model contradiction, an unroutable map) are
+    converted to error outcomes; anything else propagates and surfaces in
+    the server log — a bug must keep its traceback (SAN006 discipline).
     """
     slot = None
     try:
@@ -163,11 +163,10 @@ def run_map_job(payload: dict) -> dict:
         faults = FaultModel(
             drop_prob=float(payload.get("drop_prob", 0.0)),
             corrupt_prob=float(payload.get("corrupt_prob", 0.0)),
-            dead_wires=dead_wires_from_doc(payload.get("dead_wires", [])),
             seed=int(payload.get("seed", 0)),
         )
     except (KeyError, TypeError, ValueError) as exc:
-        outcome = _mapping_failure(payload, "bad-payload", str(exc))
+        outcome = _failure("bad-payload", str(exc))
     else:
         outcome = _cycle(payload, slot, mapper_host, faults)
     if slot is not None:
@@ -182,14 +181,13 @@ def _cycle(payload: dict, slot: _Slot, mapper_host: str, faults: FaultModel) -> 
     if "map_seed" in payload:
         seed_doc = payload["map_seed"]
         try:
+            ends = [_port_ref(end, "map-seed") for end in seed_doc.get("affected", [])]
             seed = MapSeed.from_result(
                 map_result_from_dict(seed_doc["map_result"]),
-                frozenset(
-                    (str(n), int(p)) for n, p in seed_doc.get("affected", [])
-                ),
+                frozenset((end.node, end.port) for end in ends),
             )
         except (KeyError, TypeError, ValueError) as exc:
-            return _mapping_failure(payload, "bad-seed", str(exc))
+            return _failure("bad-seed", str(exc))
 
     records: list = []
     try:
@@ -200,14 +198,14 @@ def _cycle(payload: dict, slot: _Slot, mapper_host: str, faults: FaultModel) -> 
             layers=(TraceBusLayer((records.append,)),),
         )
     except MappingError as exc:
-        return _mapping_failure(payload, "mapping-failed", str(exc))
+        return _failure("mapping-failed", str(exc))
     try:
-        tables, deadlock_free = state.route(result.network)
+        tables = state.route(result.network)
     except ValueError as exc:
         # A fabric split can leave the mapper's component too degenerate
         # to route (e.g. the mapper host alone behind the cut). Expected
         # under faults, so it degrades the tenant instead of crashing.
-        return _mapping_failure(payload, "routing-failed", str(exc))
+        return _failure("routing-failed", str(exc))
     # The tables as what changed since the generation the payload names,
     # when this worker holds that one and the compile patched it; else whole.
     doc = None
@@ -216,8 +214,7 @@ def _cycle(payload: dict, slot: _Slot, mapper_host: str, faults: FaultModel) -> 
         doc = route_delta_to_dict(tables, (slot.tables_id, held))
     state.route_memo.commit(tables)
     slot.tables_id = payload.get("tables_id")
-    # The effective fabric the map must match: the actual network minus
-    # dead cables (a dead wire answers no probe, exactly like a cut one),
+    # The effective fabric the map must match: the actual network
     # restricted to the mapper's connected component — a cut that splits
     # the fabric hides the far side from in-band discovery, it does not
     # make the near side unmappable.
@@ -228,21 +225,10 @@ def _cycle(payload: dict, slot: _Slot, mapper_host: str, faults: FaultModel) -> 
 
     return {
         "ok": True,
-        "tenant": payload.get("tenant", "?"),
-        "net_epoch": payload.get("net_epoch"),
-        "tables_id": payload.get("tables_id"),
         "map_result": map_result_to_dict(result),
         "tables": route_tables_to_dict(tables) if doc is None else doc,
-        "n_routes": sum(len(t) for t in tables.values()),
-        "deadlock_free": deadlock_free,
         "isomorphic": bool(report),
         "mismatch": None if report else report.reason,
-        "probes": result.stats.total_probes,
-        "elapsed_ms": result.stats.elapsed_ms,
-        "seeded": result.seeded,
-        "kept_nodes": result.kept_nodes,
-        # The mapper's own reason, else the one seed planning gave.
-        "seed_fallback": result.seed_fallback or payload.get("seed_fallback"),
         "stack": describe_stack(svc),
         "trace": {
             "probes": analysis.total,

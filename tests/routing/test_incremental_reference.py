@@ -100,7 +100,7 @@ def replay(net: Network, steps: list[tuple[int, int]]) -> int:
         elif kind == 2:
             _move_a_host(net, at)
         try:
-            new, _ = route_cycle(net)
+            new = route_cycle(net)
         except ValueError:
             continue  # nothing left to orient; a later step may heal it
         assert_distribution_agrees(net, old, new)
@@ -146,14 +146,14 @@ def test_a_cut_changes_some_routes_and_a_replug_restores_them():
     all empty: one fixed cut on subcluster C moves routes, and plugging
     the cable back moves them back."""
     net = build_named_topology("now-c", {})
-    before, _ = route_cycle(net)
+    before = route_cycle(net)
     wire = _trunk(net)[0]
     net.disconnect(wire)
-    after, _ = route_cycle(net)
+    after = route_cycle(net)
     assert_distribution_agrees(net, before, after)
     assert sum(d.n_updates for d in diff_route_tables(before, after).values()) > 0
     net.connect(wire.a.node, wire.a.port, wire.b.node, wire.b.port)
-    healed, _ = route_cycle(net)
+    healed = route_cycle(net)
     assert_distribution_agrees(net, after, healed)
     assert all(d.empty for d in diff_route_tables(before, healed).values())
 
@@ -162,9 +162,9 @@ def test_a_moved_host_changes_first_turns_only():
     """A host re-plugged into another port of its switch: every route out
     of it changes where it meets its tail, and nothing else changes."""
     net = build_named_topology("now-c", {})
-    before, _ = route_cycle(net)
+    before = route_cycle(net)
     host = _move_a_host(net, 0)
-    after, _ = route_cycle(net)
+    after = route_cycle(net)
     assert_distribution_agrees(net, before, after)
     changed = diff_route_tables(before, after)[host].changed
     assert changed and all(
@@ -177,7 +177,7 @@ def test_a_full_push_builds_no_turn_string():
     counts them per host and never spells a turn string (it used to build
     all 9 900 on the full NOW only to count them)."""
     net = build_named_topology("now-full", {})
-    tables, _ = route_cycle(net)
+    tables = route_cycle(net)
     mapper = sorted(net.hosts)[0]
     spelled = []
     real = incremental._sent
@@ -188,7 +188,7 @@ def test_a_full_push_builds_no_turn_string():
         # A cut's push does diff, and spells what it sends.
         wire = _trunk(net)[0]
         net.disconnect(wire)
-        after, _ = route_cycle(net)
+        after = route_cycle(net)
         assert distribute_incremental(net, mapper, after, tables).ok
         assert spelled
     assert report == reference_distribute(net, mapper, tables, None)

@@ -286,9 +286,10 @@ class TestHostsAreLeaves:
             builtins.__import__ = recording
             import repro.routing.updown
             from repro.core.remapper import route_cycle
+            from repro.routing.deadlock import routes_deadlock_free
             from repro.topology.generators import build_ring
-            tables, ok = route_cycle(build_ring(4))
-            assert ok and len(tables) == 4
+            tables = route_cycle(build_ring(4))
+            assert routes_deadlock_free(tables) and len(tables) == 4
             cycle = {"repro.routing.updown", "repro.routing.paths",
                      "repro.routing.compile_routes", "repro.routing.deadlock",
                      "repro.core.remapper"}

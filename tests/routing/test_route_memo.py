@@ -303,9 +303,9 @@ def test_now_recover_cut_epochs_through_the_daemon(seed):
             if not cycle.routes_recomputed:
                 continue
             routed += 1
-            fresh, safe = route_cycle(daemon.current_map)
+            fresh = route_cycle(daemon.current_map)
             assert_same_generation(daemon.current_tables, fresh)
-            assert cycle.deadlock_free == safe
+            assert cycle.deadlock_free == routes_deadlock_free(fresh)
             assert cycle.distribution == distribute_incremental(
                 daemon.current_map, mapper, fresh, old
             )
@@ -350,9 +350,9 @@ def test_a_cycle_whose_routing_fails_leaves_the_memo_as_it_was():
     old = daemon.current_tables
     cycle = daemon.run_cycle()
     assert cycle.routes_recomputed and memo.fallback is None
-    fresh, safe = route_cycle(daemon.current_map)
+    fresh = route_cycle(daemon.current_map)
     assert_same_generation(daemon.current_tables, fresh)
-    assert cycle.deadlock_free == safe
+    assert cycle.deadlock_free == routes_deadlock_free(fresh)
     assert list(diff_route_tables(old, daemon.current_tables).items()) == list(
         reference_diff_route_tables(old, fresh).items()
     )

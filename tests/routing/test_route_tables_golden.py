@@ -161,7 +161,7 @@ def compute_digests(name: str) -> dict[str, str]:
 
 
 def served_document_digest() -> str:
-    tables, _ = route_cycle(FABRICS["now-full-mapped"]())
+    tables = route_cycle(FABRICS["now-full-mapped"]())
     return hashlib.sha256(
         json.dumps(route_tables_to_dict(tables)).encode()
     ).hexdigest()

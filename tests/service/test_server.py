@@ -22,16 +22,17 @@ from repro.service.client import MapClient, ServiceError
 from repro.service.protocol import read_frame
 from repro.service.serialize import (
     map_result_from_dict,
-    route_tables_from_dict,
     route_tables_to_dict,
 )
 from repro.service.server import MapServer, percentile
 from repro.service.tenant import TenantSpec
 from repro.service.workers import run_map_job
+from repro.simulator.faults import NO_FAULTS
 from repro.topology.analysis import core_network, effective_network
 from repro.topology.generators import build_ring
 from repro.topology.isomorphism import match_networks
 from tests.routing.test_deadlock_reference import shortest_path_tables
+from tests.service.worker_slot import adopt
 
 RING = TenantSpec(name="ring", topology="ring", params={"size": 4, "hosts_per_switch": 1})
 MESH = TenantSpec(name="mesh", topology="mesh", params={"size": 2, "hosts_per_switch": 1})
@@ -75,6 +76,10 @@ class _DoctoringPool(ThreadPoolExecutor):
             return outcome
 
         return super().submit(doctored, *args, **kwargs)
+
+
+class _GatedDoctoringPool(_GatedPool, _DoctoringPool):
+    """Jobs wait for the gate, and their outcomes pass through ``doctor``."""
 
 
 def _first_route(outcome: dict) -> tuple[dict, dict, str]:
@@ -263,8 +268,8 @@ def junk_server():
     idle = TenantSpec(name="idle", topology="ring", params={"size": 4, "hosts_per_switch": 1})
     server = MapServer([RING, idle])
     tenant = server.tenants["ring"]
-    outcome = run_map_job(tenant.job_payload())
-    tenant.adopt(outcome, route_tables_from_dict(outcome["tables"], base=tenant.base))
+    payload = tenant.job_payload()
+    adopt(tenant, payload, run_map_job(payload))
     return server
 
 
@@ -371,7 +376,7 @@ class TestMapRouteVerify:
                     result = map_result_from_dict(full["map_result"])
                     tenant = server.tenants["ring"]
                     effective = effective_network(
-                        tenant.net, tenant.faults, tenant.mapper_host()
+                        tenant.net, NO_FAULTS, tenant.mapper_host()
                     )
                     assert match_networks(result.network, core_network(effective))
             return True
@@ -578,11 +583,6 @@ class TestFailureSemantics:
                 id="map-result-whose-profile-does-not-decode",
             ),
             pytest.param(
-                lambda o: o.update(net_epoch="latest"),
-                "net_epoch",
-                id="net-epoch-not-an-int",
-            ),
-            pytest.param(
                 lambda o: o["tables"].update(version=3),
                 "unsupported version 3",
                 id="tables-of-the-previous-version",
@@ -722,7 +722,6 @@ class TestFailureSemantics:
                 id="changed-chain-runs-elsewhere",
             ),
             pytest.param(lambda o: o["tables"]["channels"].pop(), "drops", id="channel-dropped"),
-            pytest.param(lambda o: o.update(tables_id="x"), "tables_id", id="another-tables-id"),
         ],
     )
     def test_a_bad_delta_leaves_the_tenant_untouched(self, doctor, complaint):
@@ -758,6 +757,49 @@ class TestFailureSemantics:
                         verdict = await client.verify("c")
                         assert verdict["ok"] and verdict["routes_checked"] == good["n_routes"]
                 finally:
+                    await server.stop()
+            return True
+
+        assert asyncio.run(run())
+
+    def test_an_echoed_epoch_and_tables_id_are_not_adopted(self):
+        """An outcome names no epoch and no tables id: the tenant adopts
+        under its payload's. A worker that echoes the epoch after a cut
+        made while its job ran, and an id of its own, changes neither, so
+        the next payload's seed still names the cut and its base is the
+        id the payload asked for. (The echoed epoch used to be kept, and
+        the cut fell out of every later seed.)"""
+
+        async def run():
+            with _GatedDoctoringPool(max_workers=1) as pool:
+                server = MapServer([NOW_C], executor=pool)
+                host, port = await server.start()
+                try:
+                    async with MapClient(host, port) as client:
+                        pool.gate.set()
+                        assert (await client.map("c"))["adopted"]
+                        pool.gate.clear()
+                        tenant = server.tenants["c"]
+                        epoch = tenant.net.topology_epoch
+                        pool.doctor = lambda o: o.update(
+                            net_epoch=tenant.net.topology_epoch, tables_id="0" * 32
+                        )
+                        sent = await client.request_raw("map", tenant="c", wait=False)
+                        assert sent["dispatched"] and not sent["coalesced"]
+                        cut = await client.request("cut", tenant="c", node="C-l2-2", port=1)
+                        assert tenant.net.topology_epoch == epoch + 1
+                        pool.gate.set()
+                        done = await server.run_map_cycle("c")
+                        assert done["adopted"] and tenant.generation == 2
+                        assert tenant.net_epoch_at_last_map == epoch
+                        payload = tenant.job_payload()
+                        assert payload["base"] == tenant.tables_id != "0" * 32
+                        assert sorted(payload["map_seed"]["affected"]) == sorted(cut["cut"])
+                        pool.doctor = None
+                        again = await client.map("c")
+                        assert again["adopted"] and again["seeded"]
+                finally:
+                    pool.gate.set()
                     await server.stop()
             return True
 

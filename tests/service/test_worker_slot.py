@@ -37,7 +37,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.service.serialize import route_tables_from_dict
 from repro.service.tenant import TenantSpec, TenantState
 from repro.service.workers import run_map_job
-from tests.service.worker_slot import differing, held_network, holds, pickled, run_fresh
+from tests.service.worker_slot import adopt, differing, held_network, holds, pickled, run_fresh
 
 _SETTINGS = dict(
     max_examples=8,
@@ -94,7 +94,8 @@ class _Tenant:
 
     def serve(self) -> tuple[dict, bool]:
         """One job through the stateful worker, checked against a fresh
-        one; returns the outcome and whether the held fabric was kept."""
+        one; returns the outcome (an ok one with the summary the tenant
+        adopted) and whether the held fabric was kept."""
         payload = self.state.job_payload()
         before = held_network()
         outcome = run_map_job(pickled(payload))
@@ -103,8 +104,7 @@ class _Tenant:
         assert not differing(outcome, fresh, self.state.base)
         assert holds(payload)
         if outcome["ok"]:
-            tables = route_tables_from_dict(outcome["tables"], base=self.state.base)
-            self.state.adopt(outcome, tables)
+            outcome = adopt(self.state, payload, outcome)
             # A delta applied to the tenant's generation is the fresh
             # worker's whole document decoded, field for field.
             full = route_tables_from_dict(fresh["tables"])

@@ -7,7 +7,10 @@ through the same cold → cut → plug sequence, or any sequence of cuts and
 plugs that leaves it connected, must produce equal documents, probe
 counts and fallback reasons either way.
 *Error codes*: every expected failure comes back as a dict with a stable
-code; the worker never raises for one.
+code; the worker never raises for one. An outcome carries only what the
+worker alone knows (``OK_KEYS``, ``FAILURE_KEYS``): the server takes the
+epoch, the tables' id and every count from its payload and from the map
+and generation it decodes.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ import pickle
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.remapper import RemapperDaemon
+from repro.core.mapper import MappingError
+from repro.core.remapper import CycleState, RemapperDaemon
 from repro.service.serialize import (
     map_result_to_dict,
     route_tables_from_dict,
@@ -26,26 +30,32 @@ from repro.service.serialize import (
 from repro.service.tenant import TenantSpec, TenantState, build_tenant_network
 from repro.service.workers import run_map_job
 from repro.topology.analysis import bridges
-from tests.service.worker_slot import differing, pickled, run_fresh
+from tests.service.worker_slot import adopt, differing, pickled, run_fresh
 
 
 #: The five numbered fields of a route generation.
 FIELDS = ("channels", "chains", "pairs", "heads", "numbered")
 
+#: Every key of an ``ok`` outcome, and of a failed one.
+OK_KEYS = {"ok", "map_result", "tables", "isomorphic", "mismatch", "stack", "trace", "eval_cache"}
+FAILURE_KEYS = {"ok", "error", "message"}
+
 
 def _served_cycle(tenant: TenantState) -> tuple[dict, dict]:
-    """One cycle the way the server runs it, minus the pool; the adopted
+    """One cycle the way the server runs it, minus the pool; returns the
+    payload and the outcome as the server's cycle returns it. The adopted
     generation, a delta applied, equals the full decode of the v4
     document a fresh worker returns for the same payload field for
     field."""
     payload = tenant.job_payload()
     outcome = run_map_job(pickled(payload))
     assert outcome["ok"], outcome
-    tenant.adopt(outcome, route_tables_from_dict(outcome["tables"], base=tenant.base))
+    assert outcome.keys() == OK_KEYS
+    served = adopt(tenant, payload, outcome)
     full = route_tables_from_dict(run_fresh(pickled(payload))["tables"])
     for name in FIELDS:
         assert getattr(tenant.tables, name) == getattr(full, name), name
-    return payload, outcome
+    return payload, served
 
 
 class TestDaemonAndWorkerAgree:
@@ -161,7 +171,6 @@ class TestOutcomeCarriesEachChannelOnce:
         60 600 + 9 900."""
         tenant = TenantState(TenantSpec(name="t", topology="now-full"))
         outcome = run_map_job(tenant.job_payload())
-        assert outcome["n_routes"] == 9900
         assert len(pickle.dumps(outcome)) < 110_000
         doc = outcome["tables"]
         assert len(doc["channels"]) == 332
@@ -169,6 +178,7 @@ class TestOutcomeCarriesEachChannelOnce:
         tables = route_tables_from_dict(pickle.loads(pickle.dumps(doc)))
         assert route_tables_to_dict(tables) == doc
         routes = [r for table in tables.values() for r in table.routes.values()]
+        assert len(routes) == 9900
         held = [t for route in routes for t in route.traversals]
         assert len(held) == 60_600
         assert len({id(t) for t in held}) == 332 <= 2 * len(tenant.net.wires)
@@ -207,7 +217,7 @@ class TestOutcomeCarriesEachChannelOnce:
             # Within 1 %, and in fact within the width of the eval_cache
             # counters: a map host name that is not interned costs ~300 B.
             assert abs(size - fresh_size) <= min(32, fresh_size // 100), (size, fresh_size)
-            tenant.adopt(outcome, route_tables_from_dict(outcome["tables"]))
+            adopt(tenant, payload, outcome)
 
 
 def _kind(outcome: dict) -> str:
@@ -236,14 +246,14 @@ class TestRouteDeltas:
         for ends in cuts:
             tenant.net.disconnect(tenant.net.wire_at(*ends[:2]))
             held = tenant.base
-            _, outcome = _served_cycle(tenant)
+            payload, outcome = _served_cycle(tenant)
             doc = outcome["tables"]
             assert (doc["kind"], doc["version"], doc["base"]) == ("route-delta", 5, held[0])
             assert len(pickle.dumps(doc)) < 8_000
             assert len(pickle.dumps(outcome)) < first_size // 3
             # Nothing is numbered anew: the routes are the held ones.
             assert tenant.tables.numbered is held[1].numbered
-            assert outcome["tables_id"] == tenant.tables_id != held[0]
+            assert payload["tables_id"] == tenant.tables_id != held[0]
 
     def test_a_delta_only_against_the_generation_the_tenant_holds(self):
         """The worker holds the generation of the last payload it answered.
@@ -331,10 +341,6 @@ class TestErrorCodes:
             (lambda: _payload(mapper="ring-s0"), "bad-payload"),
             (lambda: _payload(mapper="no-such-node"), "bad-payload"),
             (
-                lambda: _payload(dead_wires=[[["ring-s0", True], ["ring-s1", 0]]]),
-                "bad-payload",
-            ),
-            (
                 lambda: _payload(map_seed={"map_result": {"kind": "?"}}),
                 "bad-seed",
             ),
@@ -344,7 +350,6 @@ class TestErrorCodes:
             "malformed-network",
             "switch-as-mapper",
             "unknown-mapper-node",
-            "boolean-dead-wire-port",
             "corrupt-seed",
             "mapper-host-isolated",
         ],
@@ -354,11 +359,39 @@ class TestErrorCodes:
     ):
         payload = make_payload()
         outcome = run_map_job(payload)
+        assert outcome.keys() == FAILURE_KEYS
         assert outcome["ok"] is False
         assert outcome["error"] == code
         assert outcome["message"]
-        assert outcome["tenant"] == "t"
-        assert outcome["net_epoch"] == payload["net_epoch"]
+
+    def test_a_mapping_contradiction_is_an_outcome(self, monkeypatch):
+        def contradiction(*args, **kwargs):
+            raise MappingError("the probe model contradicts itself")
+
+        monkeypatch.setattr(CycleState, "map", contradiction)
+        assert run_fresh(_payload()) == {
+            "ok": False,
+            "error": "mapping-failed",
+            "message": "the probe model contradicts itself",
+        }
+
+    @pytest.mark.parametrize(
+        "end",
+        [["ring-s0", 3.7], ["ring-s0", True], [5, 2]],
+        ids=["float-port", "bool-port", "int-node"],
+    )
+    def test_a_seed_end_that_is_no_port_ref_is_a_bad_seed(self, end):
+        """Each ``affected`` end of a seed is a ``[node, port]`` pair as
+        strict as every other port ref the codecs read. These used to seed
+        port 3, port 1 and node "5"."""
+        tenant = TenantState(TenantSpec(name="t", topology="ring", params={"size": 4}))
+        _served_cycle(tenant)
+        payload = tenant.job_payload()
+        assert payload["map_seed"]["affected"] == []
+        payload["map_seed"]["affected"] = [end]
+        outcome = run_fresh(pickled(payload))
+        assert outcome.keys() == FAILURE_KEYS
+        assert outcome["error"] == "bad-seed" and "malformed port ref" in outcome["message"]
 
 
 def _no_hosts() -> dict:
@@ -406,5 +439,5 @@ class TestMalformedPayloads:
         outcome = run_map_job(pickled(payload))
         for got in (fresh, outcome):
             assert got["ok"] is False and got["error"] == "bad-payload", got
-            assert got["message"] and got["tenant"] == "t"
+            assert got["message"] and got.keys() == FAILURE_KEYS
         assert not differing(outcome, fresh)

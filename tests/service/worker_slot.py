@@ -7,8 +7,14 @@ import json
 import pickle
 
 from repro.routing.compile_routes import RouteGeneration
+from repro.routing.deadlock import routes_deadlock_free
 from repro.service import workers
-from repro.service.serialize import route_tables_from_dict, route_tables_to_dict
+from repro.service.serialize import (
+    map_result_from_dict,
+    route_tables_from_dict,
+    route_tables_to_dict,
+)
+from repro.service.tenant import TenantState
 from repro.service.workers import run_map_job
 from repro.topology.model import Network
 from repro.topology.serialize import network_to_dict
@@ -50,6 +56,17 @@ def differing(
         or key not in fresh
         or json.dumps(outcome[key], sort_keys=True) != json.dumps(fresh[key], sort_keys=True)
     )
+
+
+def adopt(tenant: TenantState, payload: dict, outcome: dict) -> dict:
+    """Adopt an ``ok`` outcome of ``payload`` as the server does: its map
+    and generation decoded (a delta applied to the tenant's), the
+    generation checked deadlock-free. Returns the outcome as the server's
+    cycle returns it, with the summary the tenant adopted."""
+    result = map_result_from_dict(outcome["map_result"])
+    tables = route_tables_from_dict(outcome["tables"], base=tenant.base)
+    assert routes_deadlock_free(tables)
+    return {**outcome, **tenant.adopt(payload, outcome, result, tables)}
 
 
 def holds(payload: dict) -> bool:

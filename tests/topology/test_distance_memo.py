@@ -285,7 +285,7 @@ class TestRootPickMemo:
             daemon.run_cycle()
             assert_orientation_equals_fresh(daemon.current_map, memo)
             # The daemon's own root memo routed exactly as a fresh pass.
-            fresh, _ = route_cycle(daemon.current_map)
+            fresh = route_cycle(daemon.current_map)
             for part in ("channels", "chains", "pairs", "heads", "numbered"):
                 assert getattr(daemon.current_tables, part) == getattr(fresh, part)
             if memo.fallback is None and memo.rows_run < len(memo.rows):
