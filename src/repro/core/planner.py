@@ -25,11 +25,15 @@ us nothing about the range of turns that we should be focusing on".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 __all__ = ["PortPlan", "ProbePlanner"]
 
 
+@cache
 def _alternating_order(radix: int) -> tuple[int, ...]:
+    """±1, ±2, …: built once per radix, so every plan, and every probe
+    string made from it, shares one set of turn ints."""
     order: list[int] = []
     for mag in range(1, radix):
         order.extend((mag, -mag))

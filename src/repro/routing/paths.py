@@ -48,6 +48,12 @@ __all__ = [
 
 _INF = np.iinfo(np.int32).max // 4
 
+#: The sweep runs in int16 while there are fewer states than this: a
+#: shortest path has fewer arcs than there are states, and two of these
+#: infinities add up without overflow. ``RoutingPaths.dist`` is int32 with
+#: ``_INF`` either way.
+_INF16 = np.iinfo(np.int16).max // 2
+
 
 @dataclass(slots=True)
 class PhaseGraph:
@@ -202,7 +208,9 @@ def all_pairs_updown_paths(
     names = core + core + list(leaf_switch)
     index = {name: i for i, name in enumerate(core)}
     index.update((name, m + i) for i, name in enumerate(leaf_switch))
-    dist = np.full((m, len(names)), _INF, dtype=np.int32)
+    narrow = len(names) < _INF16
+    inf = _INF16 if narrow else _INF
+    dist = np.full((m, len(names)), inf, dtype=np.int16 if narrow else np.int32)
     succ = np.full((m, len(names)), -1, dtype=np.int32)
     ups = np.arange(c)
     np.fill_diagonal(dist, 0)
@@ -227,13 +235,19 @@ def all_pairs_updown_paths(
     dist[tails, heads] = 1
     succ[tails, heads] = heads
 
-    # Min-plus Floyd–Warshall with numpy row/column broadcasting.
+    # Min-plus Floyd–Warshall with numpy row/column broadcasting, into
+    # buffers made once.
+    via = np.empty_like(dist)
+    better = np.empty(dist.shape, dtype=bool)
     for k in range(m):
-        via = dist[:, k, None] + dist[None, k, :]
-        better = via < dist
-        if better.any():
-            dist[better] = via[better]
-            succ[better] = np.broadcast_to(succ[:, k, None], succ.shape)[better]
+        np.add(dist[:, k, None], dist[None, k, :], out=via)
+        np.less(via, dist, out=better)
+        np.copyto(dist, via, where=better)
+        np.copyto(succ, succ[:, k, None], where=better)
+    if narrow:
+        unreached = dist == inf
+        dist = dist.astype(np.int32)
+        dist[unreached] = _INF
     return RoutingPaths(
         core=core,
         names=names,

@@ -19,7 +19,10 @@ Two refinements from the paper are implemented:
   and restores their usability.
 
 Labels are totally ordered pairs ``(level, tiebreak)`` so that parallel
-wires and equal BFS depths orient deterministically.
+wires and equal BFS depths orient deterministically. A level is the plain
+int BFS depth; only a relabeled dominant switch gets a ``Fraction`` (a
+half below its lowest neighbour), and an int and a ``Fraction`` compare
+and equal by value.
 
 Root choice and labelling are plain BFS rows over one integer-indexed
 fabric (:class:`~repro.topology.analysis._Fabric`, nodes in name order),
@@ -101,7 +104,7 @@ class UpDownOrientation:
     """BFS labels and the up/down orientation of every wire."""
 
     root: str
-    labels: dict[str, tuple[Fraction, int]]
+    labels: dict[str, tuple[int | Fraction, int]]
     relabeled: list[str] = field(default_factory=list)
 
     def is_up(self, from_node: str, to_node: str) -> bool:
@@ -151,8 +154,8 @@ def orient_updown(
     # Total order: (level, stable index). Hosts sit below their switch by
     # construction of BFS (their only neighbor is one level up), so host
     # wires orient host -> switch = up automatically.
-    labels: dict[str, tuple[Fraction, int]] = {
-        n: (Fraction(level[i]), i) for i, n in enumerate(ordered)
+    labels: dict[str, tuple[int | Fraction, int]] = {
+        n: (level[i], i) for i, n in enumerate(ordered)
     }
 
     relabeled: list[str] = []

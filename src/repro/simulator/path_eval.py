@@ -41,6 +41,10 @@ __all__ = [
 #: Trie nodes an evaluator holds before its backstop flushes the trie.
 MAX_TRIE_NODES = 1_000_000
 
+#: An evaluator's last walk before it has walked: no reshape count, source
+#: or sequence matches it.
+_NO_WALK = (-1, None, None, 0, None, 0)
+
 #: Bits of a trie node's channel mask: a mask below 2**60 is a two-digit
 #: int, a third of the tuple of channel ids it stands for.
 _SEEN_BITS = 60
@@ -486,12 +490,15 @@ class _Trie:
     Held by the network it walks (``Network.walk_trie``) and holding no
     reference back, so it is freed with the network. ``epoch`` is the
     topology epoch its walks are exact for; ``nodes`` counts the trie;
-    ``roots`` maps a source host to its root in ``cols``.
+    ``roots`` maps a source host to its root in ``cols``; ``reshapes``
+    counts the prunes, flushes and compactions so far, after any of which
+    a node id read before may name another node or none.
     """
 
-    __slots__ = ("roots", "chan_ids", "epoch", "nodes", "cols")
+    __slots__ = ("roots", "chan_ids", "epoch", "nodes", "cols", "reshapes")
 
     def __init__(self, epoch: int) -> None:
+        self.reshapes = 0
         self.roots: dict[str, int] = {}
         # Channel ids, one per source end ever crossed. Never cleared: a
         # chain detached by the node backstop is still being extended, and
@@ -509,8 +516,9 @@ class IncrementalPathEvaluator:
     walk state after consuming that prefix, so evaluating ``turns + (a,)``
     right after ``turns`` costs one switch-hop instead of ``len(turns)+1``.
     That is exactly the access pattern of the mapper's explore loop, which
-    extends known probe strings one turn at a time. Every walk descends
-    from its root.
+    extends known probe strings one turn at a time. A walk descends from
+    its root, unless it repeats the last walk or is its sibling
+    (:meth:`_walk`).
 
     The trie belongs to the network: every evaluator built on one network
     (every probe service, so every cycle a remap daemon runs on it) reads
@@ -556,6 +564,11 @@ class IncrementalPathEvaluator:
         self._invalidations = 0
         self._evaluations = 0
         self._nodes_dropped = 0
+        # The last walk: the trie's reshape count when it began, its
+        # source and sequence object, the node it reached, the node one
+        # turn short of that (None when the walk absorbed sooner) and the
+        # hits a repeat of it counts.
+        self._last: tuple = _NO_WALK
 
     @property
     def stats(self) -> EvalCacheStats:
@@ -575,6 +588,7 @@ class IncrementalPathEvaluator:
         trie.cols = _Columns()
         self._nodes_dropped += trie.nodes
         trie.nodes = 0
+        trie.reshapes += 1
         self._invalidations += 1
         trie.epoch = self._net.topology_epoch
 
@@ -600,6 +614,7 @@ class IncrementalPathEvaluator:
             trie.cols = cols.compacted(trie.roots)
         trie.nodes = kept
         trie.epoch = net.topology_epoch
+        trie.reshapes += 1
         self._invalidations += 1
         self._nodes_dropped += dropped
 
@@ -734,30 +749,65 @@ class IncrementalPathEvaluator:
         """Follow ``seq`` down from ``h0``'s root, extending where the trie
         ends; stops at the first absorbing node (every extension of a
         failed prefix is the identical failure). The node is in
-        ``self._cols``."""
-        if self._net.topology_epoch != self._trie.epoch:
+        ``self._cols``.
+
+        The last walk is remembered until the trie is reshaped: the same
+        sequence object again (the second half of a probe pair) is its
+        node, and a sibling (equal but for the last turn) takes one step
+        from the node one turn short. Either counts the hits the walk
+        from the root would.
+        """
+        trie = self._trie
+        if self._net.topology_epoch != trie.epoch:
             self._catch_up()
-        cols = self._cols = self._trie.cols
+        reshapes, last_h0, last, node, up, repeat = self._last
+        if reshapes == trie.reshapes and h0 == last_h0:
+            if seq is last:
+                self._hits += repeat
+                return node
+            n = len(seq)
+            if n and n == len(last) and seq[:-1] == last[:-1]:
+                if up is None:  # the last walk absorbed before its last turn
+                    self._hits += repeat
+                else:
+                    cols = self._cols
+                    turn = seq[-1]
+                    node = cols.children[turn].get(up)
+                    if node is None:
+                        self._hits += n
+                        node = self._extend(cols, up, turn, n - 1)
+                    else:
+                        self._hits += n + 1
+                    repeat = n + 1
+                self._last = (reshapes, h0, seq, node, up, repeat)
+                return node
+        reshapes = trie.reshapes
+        cols = self._cols = trie.cols
         node = self._roots.get(h0)
         if node is None:
             node = self._root(cols, h0)
         else:
             self._hits += 1
         status = cols.status
+        n = steps = len(seq)
         if status[node] is not None:
-            return node
-        children = cols.children
-        hits = 0
-        for i, turn in enumerate(seq):
-            child = children[turn].get(node)
-            if child is None:
-                child = self._extend(cols, node, turn, i)
-            else:
-                hits += 1
-            node = child
-            if status[node] is not None:
-                break
-        self._hits += hits
+            steps = 0
+        else:
+            children = cols.children
+            hits = 0
+            for i, turn in enumerate(seq):
+                child = children[turn].get(node)
+                if child is None:
+                    child = self._extend(cols, node, turn, i)
+                else:
+                    hits += 1
+                node = child
+                if status[node] is not None:
+                    steps = i + 1
+                    break
+            self._hits += hits
+        up = cols.parent[node] if n and steps == n else None
+        self._last = (reshapes, h0, seq, node, up, steps + 1)
         return node
 
     def evaluate(self, h0: str, turns: Iterable[int]) -> PathResult:

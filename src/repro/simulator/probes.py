@@ -32,9 +32,14 @@ class ProbeKind(enum.Enum):
     SWITCH = "switch"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ProbeRecord:
-    """One probe in the trace: kind, turns, outcome, time charged (µs)."""
+    """One probe in the trace: kind, turns, outcome, time charged (µs).
+
+    Immutable by contract, not by ``frozen=True``: a frozen dataclass's
+    constructor costs four times a plain one's, and every probe makes one.
+    Nothing writes a field after the service publishes the record.
+    """
 
     kind: ProbeKind
     turns: Turns
@@ -49,7 +54,8 @@ class ProbeStats:
 
     ``host_probes``/``host_hits`` and ``switch_probes``/``switch_hits``
     correspond directly to the columns of the Figure 6 table; ``elapsed_us``
-    accumulates the timing model's per-probe costs.
+    accumulates the timing model's per-probe costs. The probe engine
+    counts each :class:`ProbeRecord` it publishes into these fields.
     """
 
     host_probes: int = 0
@@ -57,15 +63,6 @@ class ProbeStats:
     switch_probes: int = 0
     switch_hits: int = 0
     elapsed_us: float = 0.0
-
-    def record(self, rec: ProbeRecord) -> None:
-        if rec.kind is ProbeKind.HOST:
-            self.host_probes += 1
-            self.host_hits += rec.hit
-        else:
-            self.switch_probes += 1
-            self.switch_hits += rec.hit
-        self.elapsed_us += rec.cost_us
 
     @property
     def total_probes(self) -> int:

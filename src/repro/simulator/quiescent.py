@@ -112,14 +112,11 @@ class QuiescentProbeService:
         # context does not point back here, so a dropped service, and the
         # trie storage its last answer reads, is freed by reference counts.
         self._ctx = ProbeContext(ProbeKind.HOST, ())
+        # A hit's cost by hop count: one-way probes, then round trips.
+        self._costs: tuple[dict[int, float], dict[int, float]] = ({}, {})
         self._last_validated: Turns | None = None
         for layer in self._layers:
             layer.on_attach(self)
-
-    def _jittered(self, cost: float) -> float:
-        if not self.jitter:
-            return cost
-        return cost * self._rng.uniform(1.0 - self.jitter, 1.0 + self.jitter)
 
     # -- the probe transaction -------------------------------------------
     def _transact(
@@ -127,7 +124,6 @@ class QuiescentProbeService:
         kind: ProbeKind,
         turns: Turns,
         evaluate,
-        *,
         round_trip: bool,
         check_responder: bool = False,
     ) -> ProbeContext:
@@ -155,6 +151,7 @@ class QuiescentProbeService:
             ctx.response = None
             ctx.record = None
             ctx.payload = None
+        stats = self._stats
         while True:
             if layers:
                 for layer in layers:
@@ -168,17 +165,30 @@ class QuiescentProbeService:
             if check_responder and ctx.hit and not self._responds(ctx.responder):
                 ctx.hit = False
             hit = ctx.hit
-            info = ctx.info
-            cost = self._jittered(
-                probe_response_us(info.hops, info.hops if round_trip else 0)
-                if hit
-                else PROBE_TIMEOUT_US
-            )
-            record = ProbeRecord(
-                kind, turns, hit, cost, ctx.response if hit else None
-            )
-            self._stats.record(record)
-            ctx.record = record
+            if hit:
+                # A hit's cost depends only on its hop count and the
+                # reply's direction, so it is computed once per both.
+                hops = ctx.info.hops
+                costs = self._costs[round_trip]
+                cost = costs.get(hops)
+                if cost is None:
+                    cost = costs[hops] = probe_response_us(
+                        hops, hops if round_trip else 0
+                    )
+                response = ctx.response
+            else:
+                cost, response = PROBE_TIMEOUT_US, None
+            if self.jitter:
+                cost *= self._rng.uniform(1.0 - self.jitter, 1.0 + self.jitter)
+            ctx.record = ProbeRecord(kind, turns, hit, cost, response)
+            # Count the published record into the Figure 6 ledger.
+            if kind is ProbeKind.HOST:
+                stats.host_probes += 1
+                stats.host_hits += hit
+            else:
+                stats.switch_probes += 1
+                stats.switch_hits += hit
+            stats.elapsed_us += cost
             if layers:
                 for layer in layers:
                     layer.after(ctx)
@@ -261,20 +271,14 @@ class QuiescentProbeService:
         return None
 
     def probe_host(self, turns: Turns) -> str | None:
-        turns = self._validated(turns)
         ctx = self._transact(
-            ProbeKind.HOST,
-            turns,
-            self._eval_host,
-            round_trip=True,
-            check_responder=True,
+            ProbeKind.HOST, self._validated(turns), self._eval_host, True, True
         )
         return ctx.responder if ctx.hit else None
 
     def probe_switch(self, turns: Turns) -> bool:
-        turns = self._validated(turns)
         ctx = self._transact(
-            ProbeKind.SWITCH, turns, self._eval_switch, round_trip=False
+            ProbeKind.SWITCH, self._validated(turns), self._eval_switch, False
         )
         return ctx.hit
 

@@ -25,6 +25,15 @@ class TestOrdering:
         probed = _drain(plan)
         assert probed == [t for t in range(-7, 8) if t != 0]
 
+    def test_plans_of_one_radix_share_their_turn_ints(self):
+        """Probe strings hold the plan's turn ints, so fresh ones per plan
+        (turns below -5 are not interned) would add up on a wide fabric."""
+        a, b = PortPlan(radix=30), PortPlan(radix=30)
+        assert a.order is b.order
+        drained = [_drain(PortPlan(radix=30)) for _ in range(2)]
+        assert all(x is y for x, y in zip(*drained))
+        assert min(drained[0]) == -29
+
     def test_all_fourteen_without_hits(self):
         plan = ProbePlanner().new_plan()
         assert len(_drain(plan)) == 14

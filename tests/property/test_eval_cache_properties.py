@@ -12,7 +12,11 @@ epoch counters on `Network`/`FaultModel` must invalidate exactly enough.
 The three probe-plan tests together run ≥200 randomized cases (120 + 50 +
 40). `TestMappingEquivalence` pins the same property one layer up: a whole
 `BerkeleyMapper` run on each arm, through a cable cut that lands mid-map
-and flushes the cached arm's trie.
+and flushes the cached arm's trie. `TestLastWalkEquivalence` drives two
+services on one network through the mapper's own access pattern (runs of
+sibling strings, each probed twice as one tuple, repeats, cuts and plugs
+between them) and also holds every evaluation-cache counter to a run whose
+evaluators forget their last walk.
 """
 
 from __future__ import annotations
@@ -25,11 +29,13 @@ from repro.core.instrumentation import TraceRecorder
 from repro.core.mapper import BerkeleyMapper
 from repro.simulator.collision import CircuitModel, CutThroughModel, PacketModel
 from repro.simulator.faults import FaultModel
+from repro.simulator.path_eval import evaluate_route
 from repro.simulator.quiescent import QuiescentProbeService
 from repro.simulator.stack import CountingLayer, TraceBusLayer, build_service_stack
 from repro.topology.generators import random_san
 from repro.topology.model import TopologyError
 from tests.simulator.reference_service import PureWalkProbeService
+from tests.simulator.trie_view import MemoFreeProbeService
 from tests.topology.reference_isomorphism import networks_equal
 
 network_params = st.fixed_dictionaries(
@@ -309,3 +315,97 @@ class TestMappingEquivalence:
                 want.merges, want.explorations
             )
         _assert_stats_identical(cached, pure)
+
+
+_turn = st.integers(min_value=-3, max_value=3).filter(bool)
+
+_move = st.one_of(
+    st.tuples(st.just("none"), st.just(0)),
+    st.tuples(st.just("cut_path"), st.integers(min_value=0, max_value=10_000)),
+    st.tuples(st.just("cut_wire"), st.integers(min_value=0, max_value=10_000)),
+    st.tuples(st.just("plug_wire"), st.integers(min_value=0, max_value=10_000)),
+)
+
+#: One round of the hazard: a run of siblings ``prefix + (t,)`` on one
+#: service, a topology move (a cut of a wire that run's last walk crossed
+#: among them), a probe by the other service (whose walk catches the trie
+#: up), a re-send of the first service's last string object or not, and
+#: more siblings of the same prefix on the first service.
+_rounds = st.tuples(
+    st.integers(min_value=0, max_value=1),
+    st.lists(_turn, max_size=4).map(tuple),
+    st.lists(_turn, min_size=1, max_size=4),
+    _move,
+    st.lists(_turn, max_size=5).map(tuple),
+    st.booleans(),
+    st.lists(_turn, min_size=1, max_size=4),
+    st.booleans(),
+)
+
+
+def _run_rounds(params, collision, rounds, service_cls):
+    """The rounds on two services of ``service_cls`` sharing one network;
+    every answer in order, and the two services."""
+    net = random_san(**params)
+    mapper = sorted(net.hosts)[0]
+    services = [
+        build_service_stack(
+            net,
+            mapper,
+            layers=(_KeptTrace(),),
+            collision=collision,
+            service_cls=service_cls,
+        )
+        for _ in range(2)
+    ]
+    answers: list[object] = []
+    for which, prefix, first, (move, seed), other, repeat, then, host_first in rounds:
+        svc = services[which]
+        probe = prefix
+        for turn in first:
+            probe = prefix + (turn,)
+            answers.append(svc.response(probe, host_first=host_first))
+        if move == "cut_path":
+            crossed = [
+                net.wire_at(tr.src.node, tr.src.port)
+                for tr in evaluate_route(net, mapper, probe).traversals
+            ]
+            if crossed:
+                net.disconnect(random.Random(seed).choice(crossed))
+        elif move != "none":
+            _apply(move, seed, svc, None)
+        answers.append(services[1 - which].response(other))
+        if repeat:
+            answers.append((svc.probe_switch(probe), svc.probe_host(probe)))
+        for turn in then:
+            answers.append(svc.response(prefix + (turn,), host_first=host_first))
+    return answers, services
+
+
+class TestLastWalkEquivalence:
+    @given(
+        params=network_params,
+        collision=_collisions,
+        rounds=st.lists(_rounds, min_size=1, max_size=6),
+    )
+    @settings(max_examples=60, **_SETTINGS)
+    def test_sibling_runs_repeats_and_cuts(self, params, collision, rounds):
+        """Remembering the last walk changes no answer, no record and no
+        cache counter, whichever service's walk reshaped the trie."""
+        try:
+            (got, cached), (want, pure), (free, memo_free) = (
+                _run_rounds(params, collision, rounds, cls)
+                for cls in (
+                    QuiescentProbeService,
+                    PureWalkProbeService,
+                    MemoFreeProbeService,
+                )
+            )
+        except TopologyError:
+            return
+        assert got == want == free
+        for ours, theirs in zip(cached, pure):
+            _assert_stats_identical(ours, theirs)
+        assert [s.eval_cache_stats for s in cached] == [
+            s.eval_cache_stats for s in memo_free
+        ]

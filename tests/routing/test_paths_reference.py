@@ -52,6 +52,7 @@ host on a switch.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, reject, settings, strategies as st
 
@@ -243,6 +244,33 @@ def test_dual_homed_host_is_core(monkeypatch):
         new, _ = assert_same_paths(net, orientation)
         assert "h0" not in new.leaf_switch
         assert "h0" in new.core
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: build_named_topology("now-full", {}), id="now-full"),
+        pytest.param(
+            lambda: cut_switch_wires(
+                build_named_topology("random", {"size": 14, "seed": 5}), 5, 3
+            ),
+            id="random-14-three-cuts",
+        ),
+        pytest.param(lambda: SPECIAL["all-three-on-random-7"](), id="decorated"),
+    ],
+)
+def test_int16_sweep_equals_int32_sweep(monkeypatch, build):
+    """A sweep over few enough states runs in int16; forced into int32 it
+    leaves the same distances (unreached ones included) and successors."""
+    net = build()
+    orientation = orient_updown(net)
+    narrow = all_pairs_updown_paths(net, orientation)
+    assert narrow.dist.min() == 0 and narrow.dist.max() == paths_module._INF
+    monkeypatch.setattr(paths_module, "_INF16", 0)
+    wide = all_pairs_updown_paths(net, orientation)
+    assert narrow.dist.dtype == wide.dist.dtype == np.int32
+    assert np.array_equal(narrow.dist, wide.dist)
+    assert np.array_equal(narrow.succ, wide.succ)
 
 
 # ---------------------------------------------------------------------------

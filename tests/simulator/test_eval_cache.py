@@ -10,9 +10,13 @@ from repro.simulator.path_eval import (
     PathStatus,
     evaluate_route,
 )
+from repro.simulator.quiescent import QuiescentProbeService
+from repro.simulator.stack import TraceBusLayer, build_service_stack
 from repro.simulator.turns import switch_probe_turns
 from repro.topology.delta import JOURNAL_WINDOW, UNBOUNDED_DELTA
 from repro.topology.generators import build_ring, build_subcluster
+from tests.simulator.reference_service import PureWalkProbeService
+from tests.simulator.trie_view import MemoFreeProbeService
 from tests.simulator.trie_view import trie_nodes as _trie_nodes
 
 
@@ -299,3 +303,72 @@ class TestNodeBackstop:
             want.nodes,
             want.failed_at_turn,
         )
+
+
+def _interleaved(service_cls):
+    """Two services on one network probe siblings of ``(5, 1)`` the way
+    the mapper does (switch half, then host half on the same tuple), and
+    the wire that ``(5, 1)``'s last turn crosses goes and comes back
+    between them. The second service's walk catches the trie up, so the
+    prune runs under the first service's memory of its last walk."""
+    net = build_subcluster("C")
+    h0 = "C-n00"
+    traces: tuple[list, list] = ([], [])
+    a, b = (
+        build_service_stack(
+            net, h0, layers=(TraceBusLayer((seen.append,)),), service_cls=service_cls
+        )
+        for seen in traces
+    )
+    last = evaluate_route(net, h0, (5, 1)).traversals[-1]
+    wire = net.wire_at(last.src.node, last.src.port)
+    answers = []
+
+    def siblings(svc, prefix, turns):
+        for turn in turns:
+            probe = prefix + (turn,)
+            answers.append((svc.probe_switch(probe), svc.probe_host(probe)))
+
+    for cut in (True, False) * 4:
+        siblings(a, (5, 1), (1, -1))
+        if cut:
+            net.disconnect(wire)
+        else:
+            wire = net.connect(wire.a.node, wire.a.port, wire.b.node, wire.b.port)
+        siblings(b, (5,), (1, 2))
+        siblings(a, (5, 1), (2, -2))
+    return answers, traces, (a, b)
+
+
+class TestLastWalk:
+    def test_a_sibling_resumes_from_the_parent(self, now_c):
+        ev = IncrementalPathEvaluator(now_c)
+        ev.probe_info("C-n00", (5, 1, 1))
+        before = ev.stats
+        # The host half re-reads the node; the sibling takes one step.
+        ev.loopback_info("C-n00", (5, 1, 1))
+        ev.probe_info("C-n00", (5, 1, -1))
+        after = ev.stats
+        assert after.hits - before.hits == 4 + 3
+        assert after.misses - before.misses == 1
+        for turns in ((5, 1, 1), (5, 1, -1)):
+            assert ev.evaluate("C-n00", turns) == evaluate_route(now_c, "C-n00", turns)
+        # The memory is of one source's walk.
+        probe = (5, 1, 2)
+        for h0 in ("C-n00", "C-n01"):
+            assert ev.evaluate(h0, probe) == evaluate_route(now_c, h0, probe)
+
+    def test_a_prune_by_another_service_drops_the_memory(self):
+        got, traces, (a, b) = _interleaved(QuiescentProbeService)
+        want, pure_traces, pure = _interleaved(PureWalkProbeService)
+        free, _, memo_free = _interleaved(MemoFreeProbeService)
+        assert got == want == free
+        assert traces == pure_traces
+        assert [s.stats for s in (a, b)] == [s.stats for s in pure]
+        assert [s.eval_cache_stats for s in (a, b)] == [
+            s.eval_cache_stats for s in memo_free
+        ]
+        # Every catch-up, and so every prune, ran in the second service.
+        assert a.eval_cache_stats.invalidations == 0
+        assert b.eval_cache_stats.invalidations == 8
+        assert b.eval_cache_stats.nodes_dropped > 0

@@ -7,6 +7,11 @@ node, with the attributes a test reads: ``parent``, ``children``, ``hop``,
 ``depth`` and ``dep``. A view lives as long as a test holds it, and the
 same node yields the same view meanwhile, so ``id(view)`` names a node
 across walks for as long as its id stands.
+
+:class:`MemoFreeProbeService` is the cached service with the evaluator's
+memory of its last walk wiped before every walk: every probe walks from
+its root, as the evaluator did before it remembered, so its counters are
+the ones a remembered walk must reproduce.
 """
 
 from __future__ import annotations
@@ -15,7 +20,9 @@ import weakref
 from collections import defaultdict
 from typing import Iterator
 
-from repro.simulator.path_eval import Traversal
+from repro.simulator.path_eval import _NO_WALK, ProbeInfo, Traversal
+from repro.simulator.quiescent import QuiescentProbeService
+from repro.simulator.turns import Turns
 
 _VIEWS: "weakref.WeakValueDictionary[tuple[int, int], TrieNode]" = (
     weakref.WeakValueDictionary()
@@ -95,3 +102,15 @@ def trie_nodes(owner) -> Iterator[TrieNode]:
         node = stack.pop()
         yield TrieNode(cols, node)
         stack.extend(index.get(node, {}).values())
+
+
+class MemoFreeProbeService(QuiescentProbeService):
+    """Every walk from the root: the last walk is forgotten first."""
+
+    def _probe_info(self, turns: Turns) -> ProbeInfo:
+        self._evaluator._last = _NO_WALK
+        return super()._probe_info(turns)
+
+    def _loopback_info(self, turns: Turns) -> ProbeInfo:
+        self._evaluator._last = _NO_WALK
+        return super()._loopback_info(turns)
