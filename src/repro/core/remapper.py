@@ -45,7 +45,7 @@ from repro.topology.analysis import (
 )
 from repro.topology.delta import EMPTY_DELTA, seedable_removals
 from repro.topology.diff import MapDiff, diff_networks
-from repro.topology.model import Network
+from repro.topology.model import Network, PortRef
 
 __all__ = [
     "MAX_EXPLORATIONS",
@@ -206,6 +206,11 @@ class CycleState:
         return route_cycle(new_map, self.root_memo, self.route_memo)
 
 
+def _wire_ends(net: Network) -> set[tuple[PortRef, PortRef]]:
+    """Every wire of ``net`` by its two named ends."""
+    return {(wire.a, wire.b) for wire in net.wires}
+
+
 @dataclass(slots=True)
 class RemapCycle:
     """Record of one map/diff/route cycle."""
@@ -244,10 +249,11 @@ class RemapperDaemon:
     in-band like the real system would.
 
     A cycle maps through ``state``, the daemon's one :class:`CycleState`,
-    diffs against the previous map and — only when something changed —
-    routes through ``state``, checks the tables deadlock-free and
-    distributes them incrementally, committing the tables to
-    ``state.route_memo`` once the whole route half has succeeded.
+    diffs against the previous map and — only when something changed, or
+    an isomorphic map renamed a switch — routes through ``state``, checks
+    the tables deadlock-free and distributes them incrementally, committing
+    the tables to ``state.route_memo`` once the whole route half has
+    succeeded.
     ``mapper_factory`` (a registry name or a ``(service,
     depth) -> Mapper`` callable), ``faults`` and ``layers`` go to
     :func:`map_cycle` unchanged; the same layer objects join every
@@ -310,7 +316,14 @@ class RemapperDaemon:
             diff = diff_networks(self.current_map, new_map)
 
         tables = self.current_tables
-        rerouted = not (diff.identical and tables is not None)
+        # An isomorphic map can still name its switches otherwise (a map
+        # from scratch after a seeded one): the held tables name the old
+        # map's switches, so they are kept only when the names agree too.
+        rerouted = not (
+            diff.identical
+            and tables is not None
+            and _wire_ends(new_map) == _wire_ends(self.current_map)
+        )
         safe: bool | None = None
         report: DistributionReport | None = None
         elapsed = result.stats.elapsed_ms

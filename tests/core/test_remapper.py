@@ -3,13 +3,15 @@
 import pytest
 
 from repro.chaos.oracles import effective_network
-from repro.core.remapper import RemapperDaemon, map_cycle
+from repro.core.remapper import RemapperDaemon, map_cycle, route_cycle
+from repro.service.serialize import route_tables_to_dict
 from repro.simulator.faults import FaultModel
 from repro.simulator.path_eval import PathStatus, evaluate_route
 from repro.topology.analysis import core_network
 from tests.topology.reference_builder import NetworkBuilder
 from repro.topology.generators import build_subcluster
 from repro.topology.isomorphism import match_networks
+from repro.topology.serialize import network_to_dict
 
 
 @pytest.fixture()
@@ -45,6 +47,28 @@ class TestSteadyState:
         assert not second.routes_recomputed
         assert second.distribution is None
         assert len(daemon.history) == 2
+
+    def test_a_renaming_map_reroutes(self):
+        """A from-scratch map of a fabric a seeded map saw before is
+        isomorphic to it but names its switches otherwise: nothing changed,
+        yet the tables are compiled on the new map's names."""
+        net = build_subcluster("C")
+        daemon = RemapperDaemon(net, "C-n00", incremental=True)
+        daemon.run_cycle()
+        ends = ("C-l2-0", 1, "C-leaf-2", 7)
+        net.disconnect(net.wire_at(*ends[:2]))
+        assert daemon.run_cycle().incremental
+        seeded = network_to_dict(daemon.current_map)
+        net.connect(*ends)
+        net.disconnect(net.wire_at(*ends[:2]))
+        cycle = daemon.run_cycle()
+        assert not cycle.incremental and not cycle.changed
+        assert network_to_dict(cycle.map_result.network) != seeded
+        assert cycle.routes_recomputed and cycle.deadlock_free
+        assert daemon.current_map is cycle.map_result.network
+        assert route_tables_to_dict(daemon.current_tables) == route_tables_to_dict(
+            route_cycle(cycle.map_result.network)
+        )
 
     def test_route_lookup(self, live_net):
         daemon = RemapperDaemon(live_net, "h0")
