@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 from repro.core.mapper import BerkeleyMapper
 from repro.core.mapper_protocol import register_mapper
-from repro.core.model_graph import KIND_SWITCH, MergedVertex
+from repro.core.model_graph import KIND_SWITCH
 from repro.core.planner import PortPlan, _alternating_order
 
 __all__ = ["InfoGainMapper", "InfoGainPlanner"]
@@ -138,39 +138,33 @@ class InfoGainMapper(BerkeleyMapper):
         """Fixed per-vertex tie-break."""
         return (vid * 2654435761) % 997
 
-    def _pop_frontier(self) -> MergedVertex:
+    def _pop_frontier(self) -> int:
         """Pick the frontier vertex with the best expected discrimination.
 
         Rank live entries by (shallowest depth, most known indices,
         seeded jitter): shallow keeps the tree small, known indices make
         the exploration cheap (pre-narrowed window) and host-dense
         (anchors merge away replicates still waiting on the frontier).
-        Stale entries — dead, already explored, merged duplicates — are
+        Stale entries — pruned, already explored, merged duplicates — are
         dropped during the scan so the frontier never accumulates junk.
         """
         frontier = self._frontier
-        best: MergedVertex | None = None
+        best: int | None = None
         best_key: tuple[int, int, int, int] | None = None
-        live: list[tuple[MergedVertex, object]] = []
-        seen: set[int] = set()
+        live: dict[int, None] = {}  # explorable representatives, in order
         for entry in frontier:
             v = self._find(entry)
-            if (
-                v.dead
-                or v.explored
-                or v.kind != KIND_SWITCH
-                or v.vid in seen
-            ):
+            if v is None or v.explored or v.kind != KIND_SWITCH or v.vid in live:
                 continue
-            seen.add(v.vid)
-            live.append((v, entry))
+            live[v.vid] = None
             key = (v.depth, -len(v.nbrs), self._jitter(v.vid), v.vid)
             if best_key is None or key < best_key:
-                best, best_key = v, key
+                best, best_key = v.vid, key
         if best is None:
             # Nothing explorable left; hand back a stale entry for the
             # main loop to discard on its own validity checks.
             return frontier.popleft()
+        del live[best]
         frontier.clear()
-        frontier.extend(entry for v, entry in live if v is not best)
+        frontier.extend(live)
         return best

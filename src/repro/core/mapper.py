@@ -225,7 +225,7 @@ class BerkeleyMapper(ModelGraph):
         self._kept_nodes = 0
         self._seed_fallback: str | None = None
 
-        self._frontier: deque[MergedVertex] = deque()
+        self._frontier: deque[int] = deque()
         self._explorations = 0
         self._growth: list[GrowthSample] = []
         self._peak_nodes = 0
@@ -289,28 +289,23 @@ class BerkeleyMapper(ModelGraph):
             ):
                 break
             v = self._find(self._pop_frontier())
-            if v.dead or v.explored or v.kind != KIND_SWITCH:
+            if v is None or v.explored or v.kind != KIND_SWITCH or v.depth >= self._depth:
                 continue
-            if v.depth >= self._depth:
-                continue
-            if prof is None:
-                self._explore(v)
-                v.explored = True
-                self._explorations += 1
-                self._drain_mergelist()
-            else:
-                t0 = prof.clock()
-                self._explore(v)
+            t0 = prof.clock() if prof is not None else 0.0
+            self._explore(v)
+            if prof is not None:
                 prof.add("explore", prof.clock() - t0)
-                v.explored = True
-                self._explorations += 1
-                t0 = prof.clock()
-                self._drain_mergelist()
+            v.explored = True
+            self._explorations += 1
+            del v  # the drain may merge it away, and then nothing holds it
+            t0 = prof.clock() if prof is not None else 0.0
+            self._drain_mergelist()
+            if prof is not None:
                 prof.add("deduce", prof.clock() - t0)
             self._snapshot()
 
-    def _pop_frontier(self) -> "MergedVertex":
-        """Select the next frontier vertex to explore.
+    def _pop_frontier(self) -> int:
+        """Select the id of the next frontier vertex to explore.
 
         The base algorithm is strict BFS (the deque is FIFO), matching
         the paper; the information-gain variant overrides this to
@@ -342,7 +337,7 @@ class BerkeleyMapper(ModelGraph):
         root = self._new_vertex(KIND_SWITCH, ())
         self._hosts[h0.host_name] = h0  # type: ignore[index]
         self._link(h0, 0, root, 0)
-        self._frontier.append(root)
+        self._frontier.append(root.vid)
 
     def _reset_model(self) -> None:
         """Drop the model graph for a from-scratch restart after a seed
@@ -475,7 +470,7 @@ class BerkeleyMapper(ModelGraph):
             v = made.get(name)
             if v is not None and v.kind == KIND_SWITCH:
                 v.explored = False
-                self._frontier.append(v)
+                self._frontier.append(v.vid)
         self._kept_nodes = len(made)
         self._snapshot()
 
@@ -518,7 +513,7 @@ class BerkeleyMapper(ModelGraph):
             if response == KIND_SWITCH:
                 child = self._new_vertex(KIND_SWITCH, turns)
                 self._link(v, turn, child, 0)
-                self._frontier.append(child)
+                self._frontier.append(child.vid)
             else:
                 child = self._new_vertex(KIND_HOST, turns, host_name=response)
                 self._link(v, turn, child, 0)
@@ -561,7 +556,7 @@ class BerkeleyMapper(ModelGraph):
         pending: set[int] = set()
         for entry in self._frontier:
             rep = self._find(entry)
-            if not rep.dead and not rep.explored and rep.vid not in pending:
+            if rep is not None and not rep.explored and rep.vid not in pending:
                 pending.add(rep.vid)
                 n_frontier += 1
         self._growth.append(

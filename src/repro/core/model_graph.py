@@ -4,10 +4,16 @@ After the paper's second modification, labels are replaced by *merging
 vertex objects*, driven by a ``mergelist`` of vertices whose neighborhoods
 changed — "merging two switches may produce new ones to merge".
 
-The model graph here is a set of :class:`MergedVertex` objects with
-union-find aliasing. Each vertex keeps a ``nbrs`` mapping from *relative
-port index* (relative to the entry port of the vertex's creation probe
-path) to the set of ``(neighbor, neighbor_index)`` wire-ends seen there.
+The model graph here holds only live :class:`MergedVertex` objects. Each
+keeps a ``nbrs`` mapping from *relative port index* (relative to the entry
+port of the vertex's creation probe path) to the set of ``(neighbor,
+neighbor_index)`` wire-ends seen there. A merge rewrites every wire-end
+that named the absorbed vertex and a deletion drops them, so ``nbrs``
+only ever names live vertices, and the absorbed object is freed at its
+merge. What outlives a vertex is its id: the frontier and the mergelist
+hold ids, and a union-find over ids (``_parent``) leads each, and each
+switch a seed named, to the live vertex it was merged into.
+
 The single deduction rule is the paper's: an actual switch port has exactly
 one cable, so two wire-ends recorded at the same index must lead to
 replicates — merge them, shifting the absorbed vertex's indices so the
@@ -56,9 +62,7 @@ class MergedVertex:
         "host_name",
         "probe_string",
         "nbrs",
-        "alias",
         "explored",
-        "dead",
         "multi",
     )
 
@@ -74,9 +78,7 @@ class MergedVertex:
         self.host_name = host_name
         self.probe_string = probe_string
         self.nbrs: dict[int, set[tuple["MergedVertex", int]]] = {}
-        self.alias: "MergedVertex | None" = None
         self.explored = False
-        self.dead = False
         # Number of indices in ``nbrs`` currently holding more than one
         # wire-end. Maintained at every set mutation so the deduction drain
         # can skip vertices with nothing to deduce in O(1) instead of
@@ -107,14 +109,16 @@ class ModelGraph:
     ) -> None:
         self._radix = radix
         self._prof = profiler
-        self._ids = itertools.count()
-        # Live (undead, unaliased) vertices by vid, maintained incrementally
-        # at creation/merge/delete; nothing keeps a vertex once it is
-        # merged away or deleted. dict preserves insertion order, so
+        # Union-find over vertex ids: a vertex's id is its index here, and
+        # it holds the id of the vertex it was merged into (its own while
+        # it has not been).
+        self._parent: list[int] = []
+        # The vertices neither merged away nor pruned, by vid; nothing else
+        # holds a vertex object. dict preserves insertion order, so
         # iteration is creation order.
         self._live: dict[int, MergedVertex] = {}
         self._hosts: dict[str, MergedVertex] = {}
-        self._mergelist: deque[MergedVertex] = deque()
+        self._mergelist: deque[int] = deque()
         self._merges = 0
         # A switch's name in the map a seed adopted it from, by vertex.
         self._names: dict[MergedVertex, str] = {}
@@ -125,20 +129,22 @@ class ModelGraph:
     def _new_vertex(
         self, kind: str, probe_string: Turns, host_name: str | None = None
     ) -> MergedVertex:
-        v = MergedVertex(next(self._ids), kind, probe_string, host_name)
-        self._live[v.vid] = v
+        vid = len(self._parent)
+        self._parent.append(vid)
+        v = self._live[vid] = MergedVertex(vid, kind, probe_string, host_name)
         return v
 
-    def _find(self, v: MergedVertex) -> MergedVertex:
-        root = v
-        while root.alias is not None:
-            root = root.alias
-        while v.alias is not None:  # path compression
-            v.alias, v = root, v.alias
-        return root
+    def _find(self, vid: int) -> MergedVertex | None:
+        """The live vertex ``vid`` was merged into, or None once pruned."""
+        parent = self._parent
+        root = vid
+        while parent[root] != root:
+            root = parent[root]
+        while parent[vid] != root:  # path compression
+            parent[vid], vid = root, parent[vid]
+        return self._live.get(root)
 
     def _link(self, u: MergedVertex, ui: int, w: MergedVertex, wi: int) -> None:
-        u, w = self._find(u), self._find(w)
         self._add_end(u, ui, w, wi)
         self._add_end(w, wi, u, ui)
 
@@ -156,7 +162,7 @@ class ModelGraph:
         if len(ends) > 1:
             if before == 1:
                 u.multi += 1
-            self._mergelist.append(u)
+            self._mergelist.append(u.vid)
 
     def _drop_end(
         self, w: MergedVertex, wi: int, end: tuple[MergedVertex, int]
@@ -180,21 +186,14 @@ class ModelGraph:
             return
         # "When a new host-vertex is created, it is put on mergelist":
         # identical names force a merge (hosts are uniquely identified).
-        self._merge(self._find(existing), self._find(child), 0)
+        self._merge(existing, child, 0)
 
     # ------------------------------------------------------------------
     # merging (the deduction engine)
     # ------------------------------------------------------------------
     def _merge(self, keep: MergedVertex, absorb: MergedVertex, shift: int) -> None:
-        """Merge ``absorb`` into ``keep``; absorb's index i becomes i+shift."""
-        keep, absorb = self._find(keep), self._find(absorb)
-        if keep is absorb:
-            if shift != 0:
-                raise MappingError(
-                    f"vertex {keep!r} would merge with itself under a nonzero "
-                    f"port shift ({shift}); the network violates the system model"
-                )
-            return
+        """Merge live ``absorb`` into live ``keep``, a distinct vertex;
+        absorb's index i becomes i+shift."""
         if keep.kind != absorb.kind:
             raise MappingError(
                 f"cannot merge a {keep.kind} with a {absorb.kind}; "
@@ -216,11 +215,9 @@ class ModelGraph:
 
         prof = self._prof
         t0 = prof.clock() if prof is not None else 0.0
-        # Detach absorb's adjacency, rewrite endpoint references, reattach.
-        moved = list(absorb.nbrs.items())
-        absorb.nbrs = {}
-        absorb.multi = 0
-        for i, ends in moved:
+        # Rewrite every wire-end that names absorb to name keep. Nothing
+        # here writes to absorb's own adjacency, which goes with it.
+        for i, ends in absorb.nbrs.items():
             new_i = i + shift
             # Deterministic order: set iteration follows id()-based hashes,
             # which vary run to run; merge order must not. (The common
@@ -229,10 +226,9 @@ class ModelGraph:
                 sorted(ends, key=lambda e: (e[0].vid, e[1])) if len(ends) > 1 else ends
             )
             for (w, wi) in ordered:
-                w = self._find(w)
                 if w is absorb:
                     # Loopback wire inside the absorbed vertex; its far end
-                    # moves too (it is in `moved`, handled when reached).
+                    # moves too, when the loop reaches that index.
                     w = keep
                     wi = wi + shift
                 else:
@@ -247,14 +243,13 @@ class ModelGraph:
                 self._add_end(keep, new_i, w, wi)
                 self._add_end(w, wi, keep, new_i)
 
-        absorb.alias = keep
-        absorb.dead = True
-        self._live.pop(absorb.vid, None)
+        self._parent[absorb.vid] = keep.vid
+        del self._live[absorb.vid]
         keep.explored = keep.explored or absorb.explored
         if keep.kind == KIND_HOST:
             self._hosts[keep.host_name] = keep  # type: ignore[index]
         self._merges += 1
-        self._mergelist.append(keep)
+        self._mergelist.append(keep.vid)
         if prof is not None:
             prof.add("merge", prof.clock() - t0)
 
@@ -269,38 +264,24 @@ class ModelGraph:
         """
         while self._mergelist:
             v = self._find(self._mergelist.popleft())
-            if v.dead or not v.multi:
-                continue
-            self._deduce_at(v)
+            if v is not None and v.multi:
+                self._deduce_at(v)
 
-    def _deduce_at(self, v: MergedVertex) -> None:
-        """Collapse any index of ``v`` holding more than one wire-end."""
-        progressed = True
-        while progressed:
-            progressed = False
-            v = self._find(v)
-            if v.dead or not v.multi:
-                return
-            for i in list(v.nbrs):
-                ends = v.nbrs.get(i)
-                if not ends or len(ends) < 2:
-                    continue
-                ordered = sorted(ends, key=lambda e: (e[0].vid, e[1]))
-                (w1, wi1) = ordered[0]
-                (w2, wi2) = ordered[1]
-                w1, w2 = self._find(w1), self._find(w2)
-                if w1 is w2:
-                    if wi1 == wi2:
-                        continue  # duplicates collapse via set semantics
-                    raise MappingError(
-                        f"port index {i} of {v!r} is wired to two different "
-                        f"ports of the same node; violates the system model"
-                    )
-                # Two wire-ends on one actual port: replicates. Align the
-                # indices of the shared wire-end (Section 3.1.2 re-indexing).
-                self._merge(w1, w2, wi1 - wi2)
-                progressed = True
-                break
+    def _deduce_at(self, v: MergedVertex | None) -> None:
+        """Collapse every index of ``v`` holding more than one wire-end,
+        the first such index first, until none is left."""
+        while v is not None and v.multi:
+            i, ends = next((i, ends) for i, ends in v.nbrs.items() if len(ends) > 1)
+            (w1, wi1), (w2, wi2) = sorted(ends, key=lambda e: (e[0].vid, e[1]))[:2]
+            if w1 is w2:
+                raise MappingError(
+                    f"port index {i} of {v!r} is wired to two different "
+                    f"ports of the same node; violates the system model"
+                )
+            # Two wire-ends on one actual port: replicates. Align the
+            # indices of the shared wire-end (Section 3.1.2 re-indexing).
+            self._merge(w1, w2, wi1 - wi2)
+            v = self._find(v.vid)
 
     # ------------------------------------------------------------------
     # pruning and output
@@ -328,30 +309,20 @@ class ModelGraph:
         )
         while pending:
             v = pending.popleft()
-            if v.dead or v.degree() > 1:
-                continue
-            self._delete(v, cascade=pending)
+            if v.vid in self._live and v.degree() <= 1:
+                self._delete(v, cascade=pending)
 
     def _delete(
         self, v: MergedVertex, cascade: deque[MergedVertex] | None = None
     ) -> None:
-        for i, ends in list(v.nbrs.items()):
+        for i, ends in v.nbrs.items():
             for (w, wi) in ends:
-                w = self._find(w)
                 if w is v:
                     continue
                 self._drop_end(w, wi, (v, i))
-                if (
-                    cascade is not None
-                    and not w.dead
-                    and w.kind == KIND_SWITCH
-                    and w.degree() <= 1
-                ):
+                if cascade is not None and w.kind == KIND_SWITCH and w.degree() <= 1:
                     cascade.append(w)
-        v.nbrs = {}
-        v.multi = 0
-        v.dead = True
-        self._live.pop(v.vid, None)
+        del self._live[v.vid]
 
     def _build_network(
         self,
@@ -383,7 +354,7 @@ class ModelGraph:
         if live is None:
             live = self._live_vertices()
         live = sorted(live, key=lambda v: v.vid)
-        kept = {self._find(v).vid: name for v, name in self._names.items()}
+        kept = {rep.vid: name for v, name in self._names.items() if (rep := self._find(v.vid))}
         taken = {kept.get(v.vid) if v.kind == KIND_SWITCH else v.host_name for v in live}
         fresh = (name for n in itertools.count() if (name := f"switch-{n}") not in taken)
         names: dict[int, str] = {}
@@ -412,7 +383,6 @@ class ModelGraph:
             ports = nodes[names[v.vid]] = {}
             for i, ends in v.nbrs.items():
                 for (w, wi) in ends:
-                    w = self._find(w)
                     if w.kind == KIND_HOST:
                         ports[i] = (w.host_name, 0)  # type: ignore[assignment]
                     else:

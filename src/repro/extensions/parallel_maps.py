@@ -142,7 +142,6 @@ def _islands(graph: ModelGraph) -> list[list[MergedVertex]]:
         for u in island:  # grows as the walk reaches new vertices
             for ends in u.nbrs.values():
                 for w, _ in ends:
-                    w = graph._find(w)
                     if w.vid not in seen:
                         seen.add(w.vid)
                         island.append(w)

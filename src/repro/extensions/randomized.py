@@ -157,7 +157,7 @@ class CouponMapper(BerkeleyMapper):
         vertices are created in the walk's frame (entry 0); following a
         known wire re-bases to the far vertex's frame.
         """
-        current = self._find(root)
+        current = root
         entry = 0  # the walk enters the root exactly as its creation did
         for i, turn in enumerate(string):
             prefix = string[: i + 1]
@@ -167,7 +167,6 @@ class CouponMapper(BerkeleyMapper):
             if existing and not is_last:
                 # Port already known: follow the wire instead of duplicating.
                 far, far_idx = min(existing, key=lambda e: (e[0].vid, e[1]))
-                far = self._find(far)
                 if far.kind != KIND_SWITCH:
                     # The model claims a host here, yet the probe passed
                     # through. Unresolvable locally; stop absorbing (sound:
@@ -182,5 +181,5 @@ class CouponMapper(BerkeleyMapper):
             else:
                 child = self._new_vertex(KIND_SWITCH, prefix)
                 self._link(current, idx, child, 0)
-                self._frontier.append(child)
-                current, entry = self._find(child), 0
+                self._frontier.append(child.vid)
+                current, entry = child, 0

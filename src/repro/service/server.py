@@ -9,7 +9,7 @@ Concurrency model (documented in detail in ``docs/SERVICE.md``):
   simulator workers (:func:`repro.service.workers.run_map_job`); the
   tenant's job payload is serialized JSON, so worker processes share
   nothing with the server and a crashed worker loses one cycle, not the
-  service;
+  service: the server replaces a pool that a dead worker broke;
 - per tenant, at most **one cycle is in flight**: concurrent ``map``
   requests for the same tenant coalesce onto the running cycle's future
   (they all observe the same outcome), while cycles for *different*
@@ -29,6 +29,7 @@ import sys
 import time
 from collections import deque
 from concurrent.futures import Executor, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from itertools import islice
 from typing import Any, Iterable
 
@@ -113,7 +114,10 @@ class MapServer:
     ``executor`` accepts any :class:`concurrent.futures.Executor` (tests
     inject a thread pool or an inline executor for determinism); by
     default :meth:`start` creates a ``ProcessPoolExecutor`` with
-    ``max_workers`` simulator workers and :meth:`stop` shuts it down.
+    ``max_workers`` simulator workers and :meth:`stop` shuts it down. A
+    worker that dies breaks that pool, and the server replaces the pool
+    it owns; an injected executor belongs to its caller and is never
+    replaced.
     """
 
     def __init__(
@@ -554,22 +558,27 @@ class MapServer:
         return await asyncio.shield(self._inflight[name])
 
     async def _cycle(self, tenant: TenantState) -> dict:
-        if self._executor is None:
+        executor = self._executor
+        if executor is None:
             raise RuntimeError("server is not started (no executor)")
         payload = tenant.job_payload()
         loop = asyncio.get_running_loop()
         try:
-            outcome = await loop.run_in_executor(
-                self._executor, run_map_job, payload
-            )
+            outcome = await loop.run_in_executor(executor, run_map_job, payload)
         except asyncio.CancelledError:
             raise
-        except Exception as exc:  # noqa: BLE001 - a dead worker degrades one tenant, not the server
-            outcome = {
-                "ok": False,
-                "error": "worker-failed",
-                "message": f"{type(exc).__name__}: {exc}",
-            }
+        except BrokenProcessPool as exc:
+            # A worker process died, and with it the pool and every job in
+            # it. Cycles that meet one breakage all hold the same broken
+            # pool: the first replaces it, the rest find it replaced. No
+            # await separates the check from the swap, so the event loop
+            # serialises them.
+            if self._owns_executor and self._executor is executor:
+                executor.shutdown(wait=False, cancel_futures=True)
+                self._executor = ProcessPoolExecutor(max_workers=self._max_workers)
+            outcome = _error("worker-died", f"{type(exc).__name__}: {exc}")
+        except Exception as exc:  # noqa: BLE001 - a failed job degrades one tenant, not the server
+            outcome = _error("worker-failed", f"{type(exc).__name__}: {exc}")
         result = tables = None
         if outcome.get("ok"):
             # The map and the tables are checked here, before they touch the
@@ -587,6 +596,6 @@ class MapServer:
                         "route-tables: the channel dependency graph has a cycle"
                     )
             except (KeyError, TypeError, ValueError) as exc:
-                outcome = {"ok": False, "error": "bad-worker-outcome", "message": str(exc)}
+                outcome = _error("bad-worker-outcome", str(exc))
                 result = tables = None
         return {**outcome, **tenant.adopt(payload, outcome, result, tables)}

@@ -38,7 +38,8 @@ its ``base`` and the compile patched it, the outcome carries a
 A job takes the slot out while it runs and puts it back only when it
 returns an outcome, so a raised exception, or a second job beside it on a
 thread pool, never meets a half-patched fabric. A worker crash loses one
-cycle and the slot; the next job decodes whole.
+cycle and the slot: the server replaces the process pool the dead worker
+broke, and the next job decodes whole on a fresh worker.
 """
 
 from __future__ import annotations
