@@ -45,7 +45,6 @@ from repro.core import BerkeleyMapper, MapResult, MappingError
 from repro.core.mapper_protocol import (
     MAPPER_REGISTRY,
     Mapper,
-    MapperCapabilities,
     MapperSpec,
     create_mapper,
     mapper_names,
@@ -90,7 +89,6 @@ __all__ = [
     "MAPPER_REGISTRY",
     "MapResult",
     "Mapper",
-    "MapperCapabilities",
     "MapperSpec",
     "MappingError",
     "MapDiff",

@@ -36,7 +36,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.core.mapper import MapResult
-from repro.core.mapper_protocol import MapperCapabilities, register_mapper
+from repro.core.mapper_protocol import register_mapper
 from repro.core.planner import PortPlan
 from repro.core.relative import (
     Candidate,
@@ -94,8 +94,6 @@ class MyricomMapper:
     Requires a service with the raw ``probe_loopback`` facility
     (:class:`~repro.simulator.quiescent.QuiescentProbeService` provides it).
     """
-
-    capabilities = MapperCapabilities()
 
     def __init__(
         self,

@@ -25,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.core.mapper import MapResult
-from repro.core.mapper_protocol import MapperCapabilities, register_mapper
+from repro.core.mapper_protocol import register_mapper
 from repro.core.planner import PortPlan
 from repro.core.relative import (
     MappingError,
@@ -93,8 +93,6 @@ class SelfIdResult:
 )
 class SelfIdMapper:
     """BFS mapping with self-identifying switches: no replicates, ever."""
-
-    capabilities = MapperCapabilities()
 
     def __init__(
         self, service: SelfIdProbeService, *, search_depth: int, radix: int = 8

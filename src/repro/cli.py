@@ -59,14 +59,15 @@ def _print_mapper_registry() -> int:
 
     specs = iter_mapper_specs()
     name_w = max(len(s.name) for s in specs) + 2
-    caps_w = max(len(s.capabilities.summary()) for s in specs) + 2
+    caps = {s.name: "+".join(s.capabilities) or "-" for s in specs}
+    caps_w = max(map(len, caps.values())) + 2
     print(f"{'name':<{name_w}}{'capabilities':<{caps_w}}summary")
     for spec in specs:
         service = (
             f" [needs {spec.service_cls.__name__}]" if spec.service_cls else ""
         )
         print(
-            f"{spec.name:<{name_w}}{spec.capabilities.summary():<{caps_w}}"
+            f"{spec.name:<{name_w}}{caps[spec.name]:<{caps_w}}"
             f"{spec.summary}{service}"
         )
     return 0
@@ -93,18 +94,19 @@ def _cmd_map(args: argparse.Namespace) -> int:
     net = load_network(args.network)
     mapper_host = args.mapper_host or sorted(net.hosts)[0]
 
-    mapper = algorithm
-    if args.profile and spec.capabilities.profiler:
+    mapper, profiler = algorithm, None
+    if args.profile and "profiler" in spec.capabilities:
         from repro.core.instrumentation import PhaseProfiler
 
         # Only a callable can carry a profiler in: the spec's mapper built
         # with map_cycle's own defaults, on the spec's service class.
+        profiler = PhaseProfiler()
         mapper = resolve_mapper_factory(
             algorithm,
             host_first=False,
             max_explorations=MAX_EXPLORATIONS,
             radix=net.default_radix,
-            profiler=PhaseProfiler(),
+            profiler=profiler,
         )
     result, svc = map_cycle(
         net,
@@ -126,10 +128,10 @@ def _cmd_map(args: argparse.Namespace) -> int:
 
         print(cache_summary(svc.eval_cache_stats))
     if args.profile:
-        if result.profile is None:
+        if profiler is None:
             print(f"profile: the {algorithm} mapper does not record phases")
         else:
-            print(result.profile.render())
+            print(profiler.snapshot().render())
     # The map is owed what the mapper can reach: its own component.
     reachable = effective_network(net, NO_FAULTS, mapper_host)
     report = match_networks(produced, core_network(reachable))

@@ -25,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
-from repro.core.mapper_protocol import MapperCapabilities, register_mapper
+from repro.core.mapper_protocol import register_mapper
 from repro.core.model_graph import KIND_HOST, KIND_SWITCH, MergedVertex, ModelGraph
 from repro.core.planner import ProbePlanner
 from repro.core.relative import MappingError
@@ -36,7 +36,7 @@ from repro.topology.delta import Endpoint
 from repro.topology.model import Network
 
 if TYPE_CHECKING:
-    from repro.core.instrumentation import PhaseProfile, PhaseProfiler
+    from repro.core.instrumentation import PhaseProfiler
 
 __all__ = [
     "BerkeleyMapper",
@@ -69,8 +69,6 @@ class MapResult:
     merges: int
     peak_model_nodes: int
     growth: list[GrowthSample] = field(default_factory=list)
-    switch_names: dict[int, str] = field(default_factory=dict)
-    profile: "PhaseProfile | None" = None
     #: Discovery witness per map node: the probe string whose walk from the
     #: mapper host identifies that node (empty for the mapper host and its
     #: attach switch). What a later run needs to seed itself from this map.
@@ -183,11 +181,9 @@ class BerkeleyMapper(ModelGraph):
         Keep the per-exploration model-size trace (Figure 8).
     profiler:
         Optional :class:`~repro.core.instrumentation.PhaseProfiler`; when
-        given, per-phase wall-clock is accumulated and snapshotted into
-        ``MapResult.profile``. Purely observational.
+        given, per-phase wall-clock is accumulated into it, and its caller
+        reads it with ``profiler.snapshot()``. Purely observational.
     """
-
-    capabilities = MapperCapabilities(seed_with=True, profiler=True)
 
     def __init__(
         self,
@@ -245,7 +241,7 @@ class BerkeleyMapper(ModelGraph):
             prof.add("prune", prof.clock() - t0)
         self._snapshot(final=True)
         t0 = prof.clock() if prof is not None else 0.0
-        network, names, witnesses, entry_ports = self._build_network()
+        network, witnesses, entry_ports = self._build_network()
         if prof is not None:
             prof.add("build", prof.clock() - t0)
         return MapResult(
@@ -257,8 +253,6 @@ class BerkeleyMapper(ModelGraph):
             merges=self._merges,
             peak_model_nodes=self._peak_nodes,
             growth=self._growth,
-            switch_names=names,
-            profile=prof.snapshot() if prof is not None else None,
             witnesses=witnesses,
             entry_ports=entry_ports,
             seeded=self._seeded,

@@ -14,10 +14,10 @@ experiments, the tournament harness) race them interchangeably:
   ``map() -> MapResult``. Algorithms keep their richer native ``run()``
   results (probe breakdowns, pin counts) for the experiments that study
   them; ``map()`` is the common denominator the drivers call.
-* :class:`MapperCapabilities` — declared, checkable flags for the
-  optional parts of the interface (``seed_with`` incremental seeding,
-  ``profiler`` phase timing), so a driver can feature-test a registry
-  entry instead of duck-typing an instance.
+* :attr:`MapperSpec.capabilities` — the optional parts of the interface
+  (``seed_with`` incremental seeding, ``profiler`` phase timing), derived
+  from the registered factory itself, so a listing cannot claim what the
+  class does not have.
 * :data:`MAPPER_REGISTRY` — string-keyed specs. Construction goes
   through :func:`create_mapper`/:func:`resolve_mapper_factory` so the
   choice of algorithm is data (``mapper_factory="berkeley"``), not an
@@ -39,7 +39,6 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
-    Iterator,
     Protocol,
     runtime_checkable,
 )
@@ -50,7 +49,6 @@ if TYPE_CHECKING:
 __all__ = [
     "MAPPER_REGISTRY",
     "Mapper",
-    "MapperCapabilities",
     "MapperSpec",
     "UnknownMapperError",
     "build_mapper_service",
@@ -69,38 +67,13 @@ class Mapper(Protocol):
 
     ``map()`` probes the network through the service the mapper was
     constructed with and returns a :class:`~repro.core.mapper.MapResult`.
-    Everything beyond that — seeding, profiling — is optional
-    and advertised through the registry spec's
-    :class:`MapperCapabilities`.
+    Everything beyond that — seeding, profiling — is optional, and the
+    registry spec's :attr:`~MapperSpec.capabilities` names what a
+    factory has.
     """
 
     def map(self) -> "MapResult":
         ...  # pragma: no cover - protocol
-
-
-@dataclass(frozen=True)
-class MapperCapabilities:
-    """Declared optional-interface flags for a registered mapper.
-
-    ``seed_with``
-        The mapper accepts a prior-map seed via ``seed_with(MapSeed)``
-        before ``map()`` (the incremental-remap fast path).
-    ``profiler``
-        The constructor takes ``profiler=`` and snapshots per-phase
-        wall-clock into ``MapResult.profile``.
-    """
-
-    seed_with: bool = False
-    profiler: bool = False
-
-    def flags(self) -> Iterator[tuple[str, bool]]:
-        yield "seed_with", self.seed_with
-        yield "profiler", self.profiler
-
-    def summary(self) -> str:
-        """Compact ``seed_with+profiler`` style rendering for CLI listings."""
-        on = [name for name, flag in self.flags() if flag]
-        return "+".join(on) if on else "-"
 
 
 @dataclass(frozen=True)
@@ -109,7 +82,6 @@ class MapperSpec:
 
     name: str
     factory: Callable[..., Mapper]
-    capabilities: MapperCapabilities
     summary: str
     #: Probe-service class this algorithm needs (or benefits from) —
     #: e.g. the self-id baseline needs ``SelfIdProbeService``. ``None``
@@ -122,10 +94,23 @@ class MapperSpec:
         """Construct the mapper against ``service``.
 
         Unknown keyword arguments raise ``TypeError`` exactly as the
-        underlying constructor would — capability flags, not silent
-        dropping, are how optional features are negotiated.
+        underlying constructor would — capabilities, not silent dropping,
+        are how optional features are negotiated.
         """
         return self.factory(service, search_depth=search_depth, **kwargs)
+
+    @property
+    def capabilities(self) -> tuple[str, ...]:
+        """The optional parts of the interface the factory has, in listing
+        order: ``seed_with`` when it has that method (a prior-map seed
+        installed before ``map()``, the incremental-remap fast path), and
+        ``profiler`` when its constructor takes that keyword (per-phase
+        wall-clock accumulated into the caller's ``PhaseProfiler``)."""
+        has = {
+            "seed_with": hasattr(self.factory, "seed_with"),
+            "profiler": bool(self.accepted_kwargs({"profiler": None})),
+        }
+        return tuple(name for name, on in has.items() if on)
 
     def accepted_kwargs(self, candidates: dict[str, Any]) -> dict[str, Any]:
         """Filter ``candidates`` down to kwargs the factory accepts.
@@ -177,20 +162,18 @@ def register_mapper(
 ) -> Callable[[type], type]:
     """Class decorator: add a mapper class to :data:`MAPPER_REGISTRY`.
 
-    Capabilities are the class's ``capabilities`` attribute, so a subclass
-    that inherits the flags does not restate them. The class gains a
-    ``registry_name`` attribute for round-tripping.
+    The spec's capabilities are derived from the class, so a subclass has
+    whatever its base has. The class gains a ``registry_name`` attribute
+    for round-tripping.
     """
 
     def decorate(cls: type) -> type:
-        caps = getattr(cls, "capabilities", None) or MapperCapabilities()
         existing = MAPPER_REGISTRY.get(name)
         if existing is not None and existing.factory is not cls:
             raise ValueError(f"mapper name {name!r} is already registered")
         MAPPER_REGISTRY[name] = MapperSpec(
             name=name,
             factory=cls,
-            capabilities=caps,
             summary=summary,
             service_cls=service_cls,
         )

@@ -329,7 +329,7 @@ class ModelGraph:
         live: Iterable[MergedVertex] | None = None,
         radix: int | None = None,
         host_meta: Mapping[str, Mapping] | None = None,
-    ) -> tuple[Network, dict[int, str], dict[str, Turns], dict[str, int]]:
+    ) -> tuple[Network, dict[str, Turns], dict[str, int]]:
         """Convert the merged model graph into a :class:`Network`.
 
         Switch port numbers are the relative indices shifted so the minimum
@@ -390,4 +390,4 @@ class ModelGraph:
         net, entry_ports = assemble(
             nodes, self._radix if radix is None else radix, host_meta
         )
-        return net, names, witnesses, entry_ports
+        return net, witnesses, entry_ports

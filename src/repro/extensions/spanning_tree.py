@@ -40,7 +40,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.core.mapper import MapResult
-from repro.core.mapper_protocol import MapperCapabilities, register_mapper
+from repro.core.mapper_protocol import register_mapper
 from repro.core.planner import PortPlan
 from repro.core.relative import (
     Candidate,
@@ -97,8 +97,6 @@ class SpanningTreeMapper:
     Requires a service with the raw ``probe_loopback`` facility
     (:class:`~repro.simulator.quiescent.QuiescentProbeService`).
     """
-
-    capabilities = MapperCapabilities()
 
     def __init__(
         self,

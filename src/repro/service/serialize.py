@@ -42,8 +42,7 @@ import itertools
 from operator import itemgetter
 from typing import Any, Mapping
 
-from repro.core.instrumentation import PhaseProfile
-from repro.core.mapper import GrowthSample, MapResult
+from repro.core.mapper import MapResult
 from repro.routing.compile_routes import Chain, Pair, RouteGeneration, RouteTable, as_generation
 from repro.simulator.path_eval import Traversal
 from repro.simulator.probes import ProbeStats
@@ -64,6 +63,9 @@ __all__ = [
 
 #: Version stamp of every document this module emits; bump on any shape
 #: change so a mixed-version server/worker pair fails loudly, not subtly.
+#: A ``map-result`` document may change shape without a bump: its decoder
+#: refuses a key it does not read as it refuses a missing one, so a reader
+#: on either side of such a change refuses the other side's document.
 FORMAT_VERSION = 4
 
 #: Version stamp of a ``route-delta`` document: the one kind that is newer
@@ -157,13 +159,16 @@ def probe_stats_from_dict(data: Any) -> ProbeStats:
 # MapResult
 # ---------------------------------------------------------------------------
 
+#: Every key of a ``map-result`` document: what the decoder reads, and all
+#: it accepts. ``MapResult.growth`` (Figure 8's trace) stays in-process.
+_MAP_RESULT_KEYS = frozenset({
+    "kind", "version", "network", "stats", "mapper_host", "search_depth",
+    "explorations", "merges", "peak_model_nodes", "witnesses", "entry_ports",
+    "seeded", "kept_nodes", "seed_fallback",
+})
+
+
 def map_result_to_dict(result: MapResult) -> dict:
-    profile = None
-    if result.profile is not None:
-        profile = {
-            name: [calls, wall]
-            for name, (calls, wall) in result.profile.phases.items()
-        }
     return {
         "kind": "map-result",
         "version": FORMAT_VERSION,
@@ -174,14 +179,6 @@ def map_result_to_dict(result: MapResult) -> dict:
         "explorations": result.explorations,
         "merges": result.merges,
         "peak_model_nodes": result.peak_model_nodes,
-        "growth": [
-            [g.exploration, g.n_nodes, g.n_edges, g.n_frontier]
-            for g in result.growth
-        ],
-        "switch_names": sorted(
-            [vid, name] for vid, name in result.switch_names.items()
-        ),
-        "profile": profile,
         "witnesses": {
             name: list(turns) for name, turns in sorted(result.witnesses.items())
         },
@@ -195,39 +192,13 @@ def map_result_to_dict(result: MapResult) -> dict:
 def map_result_from_dict(data: Any) -> MapResult:
     kind = "map-result"
     data = require_kind(data, kind)
+    unknown = sorted(data.keys() - _MAP_RESULT_KEYS)
+    if unknown:
+        raise SerializationError(f"{kind}: unknown keys {unknown}")
     try:
         network = network_from_dict(_field(data, kind, "network", dict))
     except (KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"{kind}: bad network: {exc}") from exc
-    growth = []
-    for item in _field(data, kind, "growth", list):
-        if type(item) is not list or len(item) != 4 or not _INT.issuperset(map(type, item)):
-            raise SerializationError(f"{kind}: malformed growth sample {item!r}")
-        growth.append(GrowthSample(*item))
-    switch_names: dict[int, str] = {}
-    for item in _field(data, kind, "switch_names", list):
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            or type(item[0]) is not int
-            or not isinstance(item[1], str)
-        ):
-            raise SerializationError(f"{kind}: malformed switch name {item!r}")
-        switch_names[item[0]] = item[1]
-    profile = None
-    if data.get("profile") is not None:
-        raw = _field(data, kind, "profile", dict)
-        phases: dict[str, tuple[int, float]] = {}
-        for name, pair in raw.items():
-            if (
-                type(pair) is not list
-                or len(pair) != 2
-                or type(pair[0]) is not int
-                or type(pair[1]) not in (int, float)
-            ):
-                raise SerializationError(f"{kind}: malformed profile row {name!r}")
-            phases[name] = (pair[0], float(pair[1]))
-        profile = PhaseProfile(phases=phases)
     witnesses = {
         name: _turns(turns, kind, f"witness {name!r}")
         for name, turns in _field(data, kind, "witnesses", dict).items()
@@ -248,9 +219,6 @@ def map_result_from_dict(data: Any) -> MapResult:
         explorations=_field(data, kind, "explorations", int),
         merges=_field(data, kind, "merges", int),
         peak_model_nodes=_field(data, kind, "peak_model_nodes", int),
-        growth=growth,
-        switch_names=switch_names,
-        profile=profile,
         witnesses=witnesses,
         entry_ports=entry_ports,
         seeded=bool(data.get("seeded", False)),

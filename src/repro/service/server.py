@@ -75,6 +75,8 @@ class ServerStats:
         self.requests: dict[str, int] = {}
         self.errors: dict[str, int] = {}
         self._latency: dict[str, deque[float]] = {}
+        #: Process pools built to replace one a dead worker broke.
+        self.pool_restarts = 0
 
     def record(self, op: str, seconds: float, *, ok: bool) -> None:
         self.requests[op] = self.requests.get(op, 0) + 1
@@ -101,6 +103,7 @@ class ServerStats:
             "requests": dict(sorted(self.requests.items())),
             "errors": dict(sorted(self.errors.items())),
             "latency": self.latency_summary(),
+            "pool_restarts": self.pool_restarts,
         }
 
 
@@ -278,6 +281,9 @@ class MapServer:
         return {"ok": True, "tenants": len(self.tenants)}
 
     async def _op_tenants(self, request: dict) -> dict:
+        include_hosts = request.get("include_hosts", False)
+        if type(include_hosts) is not bool:
+            return _error("bad-request", "'include_hosts' must be a boolean")
         return {
             "ok": True,
             "tenants": [
@@ -291,7 +297,7 @@ class MapServer:
                     "remap_in_flight": t.spec.name in self._inflight,
                     **(
                         {"host_names": sorted(t.net.hosts)}
-                        if request.get("include_hosts")
+                        if include_hosts
                         else {}
                     ),
                 }
@@ -304,7 +310,10 @@ class MapServer:
             tenant = self._tenant(request)
         except KeyError as exc:
             return _error("unknown-tenant", str(exc))
-        if not request.get("wait", True):
+        wait, include_result = request.get("wait", True), request.get("include_result", False)
+        if type(wait) is not bool or type(include_result) is not bool:
+            return _error("bad-request", "'wait' and 'include_result' must be booleans")
+        if not wait:
             task = self._ensure_cycle(tenant)
             return {
                 "ok": True,
@@ -336,7 +345,7 @@ class MapServer:
                 if k in outcome
             },
         }
-        if request.get("include_result") and "map_result" in outcome:
+        if include_result and "map_result" in outcome:
             response["map_result"] = outcome["map_result"]
         if not response["ok"]:
             response.setdefault("error", "cycle-not-adopted")
@@ -576,6 +585,7 @@ class MapServer:
             if self._owns_executor and self._executor is executor:
                 executor.shutdown(wait=False, cancel_futures=True)
                 self._executor = ProcessPoolExecutor(max_workers=self._max_workers)
+                self.stats.pool_restarts += 1
             outcome = _error("worker-died", f"{type(exc).__name__}: {exc}")
         except Exception as exc:  # noqa: BLE001 - a failed job degrades one tenant, not the server
             outcome = _error("worker-failed", f"{type(exc).__name__}: {exc}")

@@ -240,9 +240,7 @@ class TenantState:
         """
         cycle = {
             k: outcome[k]
-            for k in (
-                "ok", "error", "message", "mismatch", "isomorphic", "trace", "eval_cache", "stack"
-            )
+            for k in ("ok", "error", "message", "mismatch", "isomorphic", "eval_cache")
             if k in outcome
         }
         if result is not None:

@@ -1,18 +1,18 @@
 """Simulator workers: the CPU-heavy half of the map server.
 
 One remap cycle — bring the tenant's network up to date from JSON, run
-the Berkeley mapper through a full middleware stack, compile UP*/DOWN*
-routes, verify the map against the effective fabric — is pure
-CPU and would stall the event loop for tens of milliseconds to minutes
-(scale tiers). The server therefore dispatches :func:`run_map_job` into a
-``ProcessPoolExecutor``; everything crossing the pool boundary is a plain
-JSON-able dict (the payload built by :meth:`TenantState.job_payload`, the
+the Berkeley mapper on the layer-less probe stack the daemon builds,
+compile UP*/DOWN* routes, verify the map against the effective fabric —
+is pure CPU and would stall the event loop for tens of milliseconds to
+minutes (scale tiers). The server therefore dispatches
+:func:`run_map_job` into a ``ProcessPoolExecutor``; everything crossing
+the pool boundary is a plain JSON-able dict (the payload built by :meth:`TenantState.job_payload`, the
 outcome consumed by :meth:`TenantState.adopt`), so the pool never pickles
 live simulator state. An outcome carries only what the worker alone
-knows — the map, the tables, its isomorphism verdict and its probe
-counters; the server takes the epoch, the tables' id and every count
-from the payload it sent and the map and tables it decodes, and it
-checks the tables deadlock-free itself.
+knows — the map, the tables, its isomorphism verdict and its
+evaluation-cache counters; the server takes the epoch, the tables' id
+and every count from the payload it sent and the map and tables it
+decodes, and it checks the tables deadlock-free itself.
 
 Each worker process keeps one slot from one job to the next: the last
 job's key (tenant, mapper host and the document's node fields) and a
@@ -47,7 +47,6 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
-from repro.core.instrumentation import analyze_records
 from repro.core.mapper import MappingError, MapSeed
 from repro.core.remapper import CycleState
 from repro.service.serialize import (
@@ -58,7 +57,6 @@ from repro.service.serialize import (
     route_tables_to_dict,
 )
 from repro.simulator.faults import FaultModel
-from repro.simulator.stack import TraceBusLayer, describe_stack
 from repro.topology.analysis import core_network, effective_network
 from repro.topology.isomorphism import match_networks
 from repro.topology.model import Network
@@ -142,8 +140,8 @@ def run_map_job(payload: dict) -> dict:
     map against the effective fabric, encode. Returns a JSON-able outcome
     dict: ``ok`` plus either the serialized ``map_result`` and ``tables``,
     the isomorphism verdict (``isomorphic``, ``mismatch``) and the probe
-    stack's ``stack``, ``trace`` and ``eval_cache``, or an ``error`` code
-    and ``message``. The tables are not checked deadlock-free here: the
+    service's ``eval_cache`` counters, or an ``error`` code and
+    ``message``. The tables are not checked deadlock-free here: the
     server checks what it adopts. Only *expected* failures (an unusable
     payload or seed, a probe-model contradiction, an unroutable map) are
     converted to error outcomes; anything else propagates and surfaces in
@@ -190,14 +188,8 @@ def _cycle(payload: dict, slot: _Slot, mapper_host: str, faults: FaultModel) -> 
         except (KeyError, TypeError, ValueError) as exc:
             return _failure("bad-seed", str(exc))
 
-    records: list = []
     try:
-        result, svc = state.map(
-            mapper_host,
-            faults,
-            seed=seed,
-            layers=(TraceBusLayer((records.append,)),),
-        )
+        result, svc = state.map(mapper_host, faults, seed=seed)
     except MappingError as exc:
         return _failure("mapping-failed", str(exc))
     try:
@@ -221,7 +213,6 @@ def _cycle(payload: dict, slot: _Slot, mapper_host: str, faults: FaultModel) -> 
     # make the near side unmappable.
     effective = effective_network(state.net, faults, mapper_host)
     report = match_networks(result.network, core_network(effective))
-    analysis = analyze_records(records)
     cache = svc.eval_cache_stats
 
     return {
@@ -230,17 +221,6 @@ def _cycle(payload: dict, slot: _Slot, mapper_host: str, faults: FaultModel) -> 
         "tables": route_tables_to_dict(tables) if doc is None else doc,
         "isomorphic": bool(report),
         "mismatch": None if report else report.reason,
-        "stack": describe_stack(svc),
-        "trace": {
-            "probes": analysis.total,
-            "hits": analysis.hits,
-            "answered_us": analysis.answered_us,
-            "timeout_us": analysis.timeout_us,
-            "by_length": {
-                str(length): list(pair)
-                for length, pair in sorted(analysis.by_length.items())
-            },
-        },
         "eval_cache": {
             "hits": cache.hits,
             "misses": cache.misses,

@@ -16,6 +16,7 @@ import json
 
 import pytest
 
+from repro.core.instrumentation import PhaseProfiler
 from repro.core.mapper import BerkeleyMapper, MapResult
 from repro.core.mapper_protocol import (
     Mapper,
@@ -188,10 +189,10 @@ def test_capability_flags_match_the_instance(name):
     spec = get_mapper_spec(name)
     svc = build_mapper_service(spec, net, "C-svc")
     mapper = spec.create(svc, search_depth=3)
-    assert callable(getattr(mapper, "seed_with", None)) == (
-        spec.capabilities.seed_with
-    )
-    if not spec.capabilities.profiler:
+    assert callable(getattr(mapper, "seed_with", None)) == ("seed_with" in spec.capabilities)
+    if "profiler" in spec.capabilities:
+        spec.create(svc, search_depth=3, profiler=PhaseProfiler())
+    else:
         with pytest.raises(TypeError):
             spec.create(svc, search_depth=3, profiler=object())
 

@@ -138,12 +138,14 @@ def test_fresh_names_fill_the_lowest_free_numbers():
     lone = graph._new_vertex(KIND_SWITCH, (8,))
     graph._names[lone] = "switch-9"
     graph._merge(switches[2], lone, 0)
-    net, names, _, _ = graph._build_network()
-    assert [names[s.vid] for s in switches] == [
+    net, witnesses, _ = graph._build_network()
+    named = {witness: name for name, witness in witnesses.items()}
+    names = [named[s.probe_string] for s in switches]
+    assert names == [
         "switch-1",
         "switch-4",
         "switch-9",
         "switch-0",
         "switch-3",
     ]
-    assert sorted(net.nodes) == sorted(["h0", "switch-2", *names.values()])
+    assert sorted(net.nodes) == sorted(["h0", "switch-2", *names])

@@ -6,6 +6,7 @@ the death answers ``worker-died`` and leaves the tenant's generation as it
 was, and the next cycle maps on a fresh worker, so its outcome is the one
 a fresh worker returns. An injected executor is the caller's and stays.
 Workers are killed with SIGKILL, the way the kernel's OOM killer ends one.
+The ``stats`` op counts the pools built to replace a broken one.
 """
 
 from __future__ import annotations
@@ -68,6 +69,10 @@ def _served(state: TenantState) -> tuple:
     )
 
 
+async def _pool_restarts(server: MapServer) -> int:
+    return (await server.handle_request({"op": "stats"}))["server"]["pool_restarts"]
+
+
 def _as_fresh(outcome: dict, payload: dict) -> list[str]:
     """How a cycle's outcome differs from a fresh worker's on its payload."""
     fresh = run_fresh(pickled(payload))
@@ -99,6 +104,7 @@ def test_a_killed_worker_costs_one_cycle():
             assert _as_fresh(again, sent[-1]) == []
             for _ in range(2):  # the other tenant keeps being adopted
                 assert (await server.run_map_cycle("c"))["adopted"] is True
+            assert await _pool_restarts(server) == 1
         finally:
             await server.stop()
         return len(_CountingPool.built)
@@ -130,6 +136,7 @@ def test_cycles_that_meet_one_death_build_one_pool():
             again = await server.run_map_cycle("ring")
             assert again["adopted"] is True and _as_fresh(again, sent[-1]) == []
             assert (await server.run_map_cycle("c"))["adopted"] is True
+            assert await _pool_restarts(server) == 1
         finally:
             await server.stop()
         return len(_CountingPool.built)
@@ -151,6 +158,7 @@ def test_an_injected_pool_is_never_replaced():
                     outcome = await server.run_map_cycle("ring")
                     assert outcome["error"] == "worker-died"
                     assert server._executor is pool
+                assert await _pool_restarts(server) == 0
             finally:
                 await server.stop()
         return True

@@ -11,20 +11,18 @@ Two properties per document kind:
   claims raises :class:`SerializationError`, never half-builds state.
 
 The map under test is a real Berkeley mapping run (the session-scoped
-``mapped_c`` fixture), so the network/witness/growth shapes being
+``mapped_c`` fixture), so the network/witness shapes being
 serialized are the ones production emits, not hand-rolled minimums.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import re
 from pathlib import Path
 
 import pytest
 
-from repro.core.instrumentation import PhaseProfile
 from repro.routing.compile_routes import compile_route_tables
 from repro.routing.paths import all_pairs_updown_paths
 from repro.routing.updown import orient_updown
@@ -70,8 +68,6 @@ class TestMapResultRoundTrip:
         assert back.seeded == mapped_c.seeded
         assert back.kept_nodes == mapped_c.kept_nodes
         assert back.seed_fallback == mapped_c.seed_fallback
-        assert back.growth == mapped_c.growth
-        assert back.switch_names == mapped_c.switch_names
         assert back.witnesses == mapped_c.witnesses
         assert back.entry_ports == mapped_c.entry_ports
 
@@ -81,15 +77,6 @@ class TestMapResultRoundTrip:
         assert back.network.n_switches == mapped_c.network.n_switches
         report = match_networks(back.network, mapped_c.network)
         assert report, report.reason
-
-    def test_profile_rows_survive(self, mapped_c):
-        profiled = dataclasses.replace(
-            mapped_c,
-            profile=PhaseProfile(phases={"explore": (7, 0.125), "probe": (31, 0.5)}),
-        )
-        back = map_result_from_dict(_json_round_trip(map_result_to_dict(profiled)))
-        assert back.profile is not None
-        assert back.profile.phases == profiled.profile.phases
 
 
 class TestProbeStatsRoundTrip:
@@ -219,10 +206,28 @@ class TestMalformedRejection:
         with pytest.raises(SerializationError, match="turn list"):
             map_result_from_dict(doc)
 
-    def test_malformed_growth_sample_is_rejected(self, mapped_c):
+    def test_a_document_carrying_growth_is_refused(self, mapped_c):
+        """The growth trace stays in-process (Figure 8 reads it there): a
+        document carrying one, as an older worker writes it, is refused
+        whole, not read with the trace dropped."""
         doc = map_result_to_dict(mapped_c)
-        doc["growth"] = [[1, 2, 3]]  # four-tuple expected
-        with pytest.raises(SerializationError, match="growth sample"):
+        assert "growth" not in doc and mapped_c.growth
+        doc["growth"] = [
+            [g.exploration, g.n_nodes, g.n_edges, g.n_frontier] for g in mapped_c.growth
+        ]
+        with pytest.raises(SerializationError, match=r"unknown keys \['growth'\]"):
+            map_result_from_dict(_json_round_trip(doc))
+
+    def test_a_document_missing_witnesses_under_another_key_is_refused(self, mapped_c):
+        """The strict key check does not stand in for the missing-field
+        one: the witnesses under a misspelt key are refused by that key,
+        and under none by the field's name."""
+        doc = map_result_to_dict(mapped_c)
+        doc["witness"] = doc.pop("witnesses")
+        with pytest.raises(SerializationError, match=r"unknown keys \['witness'\]"):
+            map_result_from_dict(doc)
+        del doc["witness"]
+        with pytest.raises(SerializationError, match="missing field 'witnesses'"):
             map_result_from_dict(doc)
 
     @pytest.mark.parametrize(
@@ -240,26 +245,21 @@ class TestMalformedRejection:
             ),
             pytest.param(
                 lambda d: d.update(switch_names=[[True, "x"]]),
-                "malformed switch name",
-                id="switch-name-vertex-is-a-bool",
-            ),
-            pytest.param(
-                lambda d: d.update(growth=[["a", "b", None, {}]]),
-                "malformed growth sample",
-                id="growth-sample-of-non-ints",
+                r"unknown keys \['switch_names'\]",
+                id="carries-vertex-names",
             ),
             pytest.param(
                 lambda d: d.update(profile={"x": ["7", "nan"]}),
-                "malformed profile row 'x'",
-                id="profile-row-of-strings",
+                r"unknown keys \['profile'\]",
+                id="carries-a-profile",
             ),
         ],
     )
     def test_a_map_result_is_refused_rather_than_coerced(self, mapped_c, doctor, complaint):
         """The server decodes a worker's map_result before adopting it as
-        the next cycle's seed: a bool where a count belongs, or a growth or
-        profile row of strings, is refused — not adopted as ``True``, not
-        coerced to ``(7, nan)``."""
+        the next cycle's seed: a bool where a count belongs is refused, not
+        adopted as ``True``; and a field the decoder does not read is
+        refused, not carried along unchecked into the next seed."""
         doc = _json_round_trip(map_result_to_dict(mapped_c))
         doctor(doc)
         with pytest.raises(SerializationError, match=complaint):

@@ -317,6 +317,24 @@ class TestJunkInEveryField:
         )
         assert response["ok"] and response["routes_checked"] == 12, response
 
+    @pytest.mark.parametrize(
+        "op, flag", [("map", "wait"), ("map", "include_result"), ("tenants", "include_hosts")]
+    )
+    @pytest.mark.parametrize(
+        "value", ["no", 0, 1, None, [], {}], ids=["str", "zero", "one", "null", "list", "dict"]
+    )
+    def test_a_flag_that_is_not_a_boolean_is_a_bad_request(self, junk_server, op, flag, value):
+        """``map``'s ``wait`` and ``include_result`` and ``tenants``'
+        ``include_hosts`` are booleans when present: ``"wait": "no"`` used
+        to wait for a cycle and ``"wait": null`` to start one. Junk answers
+        ``bad-request`` and starts no cycle."""
+        tenant = junk_server.tenants["ring"]
+        generation = tenant.generation
+        request = {"op": op, "tenant": "ring", flag: value}
+        response = asyncio.run(junk_server.handle_request(request))
+        assert response["error"] == "bad-request", response
+        assert junk_server._inflight == {} and tenant.generation == generation
+
 
 class TestMapRouteVerify:
     def test_full_tenant_lifecycle_over_the_socket(self):
@@ -579,7 +597,7 @@ class TestFailureSemantics:
             ),
             pytest.param(
                 lambda o: o["map_result"].update(profile={"explore": ["once", 0.5]}),
-                "malformed profile row 'explore'",
+                "unknown keys ['profile']",
                 id="map-result-whose-profile-does-not-decode",
             ),
             pytest.param(

@@ -37,7 +37,7 @@ from tests.service.worker_slot import adopt, differing, pickled, run_fresh
 FIELDS = ("channels", "chains", "pairs", "heads", "numbered")
 
 #: Every key of an ``ok`` outcome, and of a failed one.
-OK_KEYS = {"ok", "map_result", "tables", "isomorphic", "mismatch", "stack", "trace", "eval_cache"}
+OK_KEYS = {"ok", "map_result", "tables", "isomorphic", "mismatch", "eval_cache"}
 FAILURE_KEYS = {"ok", "error", "message"}
 
 
@@ -161,6 +161,25 @@ class TestDaemonAndWorkerAgreeOverSequences:
             assert outcome["seeded"] == cycle.incremental, op
             assert outcome["seed_fallback"] == cycle.seed_fallback, op
             assert outcome["isomorphic"] and outcome["deadlock_free"], op
+
+
+def test_the_job_probes_on_the_daemons_layerless_stack(monkeypatch):
+    """The served job and the daemon map on one stack: the probe service
+    each cycle builds carries no layer, so the quiescent engine takes its
+    layer-less path on both sides."""
+    services = []
+    original = CycleState.map
+
+    def spy(self, *args, **kwargs):
+        result, svc = original(self, *args, **kwargs)
+        services.append(svc)
+        return result, svc
+
+    monkeypatch.setattr(CycleState, "map", spy)
+    tenant = TenantState(TenantSpec(name="t", topology="now-c"))
+    assert run_fresh(pickled(tenant.job_payload()))["ok"]
+    RemapperDaemon(build_tenant_network(tenant.spec), tenant.mapper_host()).run_cycle()
+    assert [svc.stack_layers for svc in services] == [(), ()]
 
 
 class TestOutcomeCarriesEachChannelOnce:
