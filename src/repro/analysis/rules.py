@@ -621,7 +621,7 @@ def _layer_impurities(
                 and is_netfault(func.value)
             ):
                 yield node, f"private call `{ast.unparse(func)}()`"
-            # in-place container mutation: faults.dead_wires.add(...)
+            # in-place container mutation: faults.__dict__.update(...)
             elif (
                 func.attr in MUTATING_METHODS
                 and isinstance(func.value, ast.Attribute)
@@ -646,7 +646,7 @@ class ProbeLayerPurity(Rule):
     )
     hint = (
         "call a public epoch-bumping mutator (`set_drop_prob`, "
-        "`set_dead_wires`, `connect`, ...) instead of touching simulator "
+        "`connect`, `disconnect`, ...) instead of touching simulator "
         "state from a layer hook"
     )
 

@@ -54,7 +54,7 @@ class SelfIdProbeService(QuiescentProbeService):
         if (
             path.status is PathStatus.DELIVERED
             and self.collision.blocked_at(path.traversals) is None
-            and not self.faults.kills_traversals(path.traversals)
+            and not self.faults.lost()
         ):
             # The identified switch is the bounce point: the node reached
             # after the forward half of the loopback string.

@@ -1,14 +1,17 @@
 """Applying scheduled events to a live ``(Network, FaultModel)`` pair.
 
 The applier is the single writer through which a chaos campaign disturbs the
-system under test. It funnels every change through the two existing epoch
-counters so the PR-2 evaluation cache invalidates exactly when it must:
+system under test. A failed cable answers no probe, exactly like a cable
+that is not there (Section 5.6), so every cable failure is a topology
+mutation, journaled and epoch-bumped by the
+:class:`~repro.topology.model.Network` itself:
 
-- fault-level events (``cut``/``heal``/``kill_*``/``revive_*``/``drop``/
-  ``corrupt``) go through the :class:`~repro.simulator.faults.FaultModel`
-  mutators, bumping ``fault_epoch``;
-- structural events (``unplug``/``plug``) mutate the
-  :class:`~repro.topology.model.Network` itself, bumping ``topology_epoch``.
+- ``cut``/``kill_*`` disconnect the cable, or every cable of the node, and
+  ``heal``/``revive_*`` reconnect the same ends with one ``connect_all``;
+- ``unplug``/``plug`` remove and add physical cables;
+- ``drop``/``corrupt`` go through the
+  :class:`~repro.simulator.faults.FaultModel` mutators, bumping
+  ``fault_epoch``.
 
 Incoherent events — healing a cable that is not cut, killing a node twice,
 plugging an occupied port — raise :class:`ScenarioError` rather than being
@@ -18,32 +21,33 @@ distinguishable from "this schedule reproduces the failure".
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterable
 
 from repro.chaos.scenario import ChaosEvent, ScenarioError
 from repro.simulator.faults import FaultModel
-from repro.topology.model import Network, PortRef, TopologyError, Wire
+from repro.topology.model import Network, PortRef, TopologyError
 
 __all__ = ["ScenarioApplier"]
 
-
-def _ends(wire: Wire) -> frozenset[PortRef]:
-    return frozenset((wire.a, wire.b))
+#: A cable by its two ends, in :class:`~repro.topology.model.Wire` order.
+Cable = tuple[PortRef, PortRef]
 
 
 class ScenarioApplier:
     """Stateful interpreter for :class:`~repro.chaos.scenario.ChaosEvent`.
 
-    Tracks which cables were cut explicitly and which nodes are killed; the
-    fault model's dead-wire set is always the union of the two views, so a
-    ``plug`` onto a killed switch correctly yields a dead new cable, and a
-    ``revive`` resurrects exactly the node's *current* cables.
+    Holds every down cable by its ends, in ``down``: a cable is down while
+    it is cut or touches a killed node, and a down cable is missing from
+    the network. So a ``plug`` onto a killed switch gives a cable that is
+    down from birth, and a ``revive`` brings back exactly the node's
+    cables that nothing else keeps down.
     """
 
     def __init__(self, net: Network, faults: FaultModel) -> None:
         self._net = net
-        self._faults = faults
-        self._cut: set[frozenset[PortRef]] = set(faults.dead_wires)
+        #: The down cables, in the order they went down.
+        self.down: dict[Cable, None] = {}
+        self._cut: set[Cable] = set()
         self._killed: set[str] = set()
         self._dispatch: dict[str, Callable[..., None]] = {
             "cut": self._cut_cable,
@@ -52,8 +56,8 @@ class ScenarioApplier:
             "revive_switch": self._revive,
             "kill_host": self._kill,
             "revive_host": self._revive,
-            "drop": self._faults.set_drop_prob,
-            "corrupt": self._faults.set_corrupt_prob,
+            "drop": faults.set_drop_prob,
+            "corrupt": faults.set_corrupt_prob,
             "unplug": self._unplug,
             "plug": self._plug,
         }
@@ -69,33 +73,54 @@ class ScenarioApplier:
             raise ScenarioError(f"cannot apply {event}: {exc}") from exc
 
     # ------------------------------------------------------------------
-    def _wire_at(self, node: str, port: int) -> Wire:
-        wire = self._net.wire_at(node, int(port))
-        if wire is None:
-            raise ScenarioError(f"no cable at {node}:{port}")
-        return wire
+    def _down_at(self, end: PortRef) -> Cable | None:
+        for cable in self.down:
+            if end in cable:
+                return cable
+        return None
 
-    def _sync(self) -> None:
-        """Recompute the fault model's dead set from cuts + killed nodes."""
-        dead = set(self._cut)
-        for node in self._killed:
-            for wire in self._net.wires_of(node):
-                dead.add(_ends(wire))
-        self._faults.set_dead_wires(dead)
+    def _cable_at(self, node: str, port: int) -> Cable:
+        """The cable plugged into ``node:port``, up or down."""
+        wire = self._net.wire_at(node, int(port))
+        if wire is not None:
+            return wire.a, wire.b
+        cable = self._down_at(PortRef(node, int(port)))
+        if cable is None:
+            raise ScenarioError(f"no cable at {node}:{port}")
+        return cable
+
+    def _take_down(self, cables: Iterable[Cable]) -> None:
+        for a, b in cables:
+            if (a, b) not in self.down:
+                self._net.disconnect(self._net.wire_at(a.node, a.port))
+                self.down[a, b] = None
+
+    def _bring_up(self, cables: Iterable[Cable]) -> None:
+        """Reconnect the given down cables that nothing keeps down."""
+        up = [
+            (a, b)
+            for a, b in cables
+            if (a, b) not in self._cut
+            and a.node not in self._killed
+            and b.node not in self._killed
+        ]
+        for cable in up:
+            del self.down[cable]
+        self._net.connect_all((a.node, a.port, b.node, b.port) for a, b in up)
 
     def _cut_cable(self, node: str, port: int) -> None:
-        ends = _ends(self._wire_at(node, port))
-        if ends in self._cut:
+        cable = self._cable_at(node, port)
+        if cable in self._cut:
             raise ScenarioError(f"cable at {node}:{port} is already cut")
-        self._cut.add(ends)
-        self._sync()
+        self._cut.add(cable)
+        self._take_down([cable])
 
     def _heal_cable(self, node: str, port: int) -> None:
-        ends = _ends(self._wire_at(node, port))
-        if ends not in self._cut:
+        cable = self._cable_at(node, port)
+        if cable not in self._cut:
             raise ScenarioError(f"cable at {node}:{port} is not cut")
-        self._cut.discard(ends)
-        self._sync()
+        self._cut.discard(cable)
+        self._bring_up([cable])
 
     def _kill(self, name: str) -> None:
         if name not in self._net:
@@ -103,24 +128,29 @@ class ScenarioApplier:
         if name in self._killed:
             raise ScenarioError(f"{name} is already dead")
         self._killed.add(name)
-        self._sync()
+        self._take_down([(w.a, w.b) for w in self._net.wires_of(name)])
 
     def _revive(self, name: str) -> None:
         if name not in self._killed:
             raise ScenarioError(f"{name} is not dead")
         self._killed.discard(name)
-        self._sync()
+        self._bring_up([c for c in self.down if name in (c[0].node, c[1].node)])
 
     def _unplug(self, node: str, port: int) -> None:
-        wire = self._wire_at(node, port)
-        self._net.disconnect(wire)
-        # A cable that no longer exists cannot also be "silently dead".
-        if _ends(wire) in self._cut:
-            self._cut.discard(_ends(wire))
-        self._sync()
+        cable = self._cable_at(node, port)
+        if cable in self.down:
+            # A cable that no longer exists cannot also be down.
+            del self.down[cable]
+            self._cut.discard(cable)
+        else:
+            self._net.disconnect(self._net.wire_at(node, int(port)))
 
     def _plug(self, node_a: str, port_a: int, node_b: str, port_b: int) -> None:
-        self._net.connect(node_a, int(port_a), node_b, int(port_b))
-        # The new cable of a killed node must be dead from birth.
+        for node, port in ((node_a, port_a), (node_b, port_b)):
+            end = PortRef(node, int(port))
+            if self._down_at(end) is not None:
+                raise TopologyError(f"port {end} already wired")
+        wire = self._net.connect(node_a, int(port_a), node_b, int(port_b))
+        # The new cable of a killed node is down from birth.
         if node_a in self._killed or node_b in self._killed:
-            self._sync()
+            self._take_down([(wire.a, wire.b)])

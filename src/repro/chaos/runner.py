@@ -73,7 +73,7 @@ class ChaosLayer(CountingLayer):
     """
 
     def __init__(self, applier: ScenarioApplier) -> None:
-        self._applier = applier
+        self.applier = applier
         self.arm(())
 
     def arm(self, events: Iterable[ChaosEvent]) -> None:
@@ -83,10 +83,7 @@ class ChaosLayer(CountingLayer):
         super().__init__((e.after_probes, e) for e in ordered)
 
     def fire(self, payload) -> None:
-        self._applier.apply(payload)
-
-    def describe(self) -> str:
-        return f"ChaosLayer(pending={self.pending})"
+        self.applier.apply(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +180,11 @@ def _execute_cell(
         mapper_host,
         mapper_factory=mapper_factory,
         # The stack probes through ``faults``, the search depth is taken on
-        # the fabric minus its dead wires, and on the incremental arm cycle
-        # N+1 seeds its mapper from cycle N's map plus both delta journals;
-        # every unseedable situation (healed wire, probability reconfig,
-        # mid-map chaos pushing the window) falls back to the plain
+        # the fabric as the applier left it (a down cable is a missing
+        # wire), and on the incremental arm cycle N+1 seeds its mapper from
+        # cycle N's map plus the network's delta journal; every unseedable
+        # situation (healed wire, probability reconfig, mid-map chaos
+        # pushing the window) falls back to the plain
         # from-scratch cycle the oracles already police. Outcomes must
         # agree either way — that equivalence is exactly what replaying
         # the corpus under this arm checks.

@@ -77,7 +77,6 @@ def _cmd_map(args: argparse.Namespace) -> int:
     from repro.core.mapper_protocol import get_mapper_spec, resolve_mapper_factory
     from repro.core.remapper import MAX_EXPLORATIONS, map_cycle
     from repro.simulator.faults import NO_FAULTS
-    from repro.simulator.stack import describe_stack
     from repro.topology.analysis import core_network, effective_network
     from repro.topology.isomorphism import match_networks
     from repro.topology.render import to_ascii
@@ -117,8 +116,6 @@ def _cmd_map(args: argparse.Namespace) -> int:
     )
     produced, stats = result.network, result.stats
 
-    if args.stack:
-        print(describe_stack(svc))
     print(f"mapped with {algorithm}: {produced.n_hosts} hosts, "
           f"{produced.n_switches} switches, {produced.n_wires} wires")
     print(f"probes: {stats.total_probes} ({stats.total_hits} answered), "
@@ -408,8 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-phase wall-clock table (berkeley only)")
     p.add_argument("--stats", action="store_true",
                    help="print probe-evaluation cache counters")
-    p.add_argument("--stack", action="store_true",
-                   help="print the composed probe-service layer chain")
     p.set_defaults(func=_cmd_map)
 
     p = sub.add_parser(

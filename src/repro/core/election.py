@@ -191,9 +191,6 @@ class _RivalSilenceLayer(ProbeLayer):
             self._yielded.setdefault(target, arrival)
         ctx.hit = False
 
-    def describe(self) -> str:
-        return f"RivalSilenceLayer(rival_events={len(self._events)})"
-
 
 def election_runs(
     net: Network,

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.simulator.path_eval import EvalCacheStats
-from repro.simulator.probes import ProbeKind
 
 __all__ = [
     "PhaseProfile",
@@ -132,13 +131,9 @@ def chaos_summary(summary: dict, *, name: str = "campaign") -> str:
 class TraceAnalysis:
     """Aggregates over a probe trace."""
 
-    total: int
-    hits: int
     by_length: dict[int, tuple[int, int]]  # length -> (probes, hits)
     answered_us: float
     timeout_us: float
-    host_probes: int
-    switch_probes: int
 
     @property
     def timeout_share(self) -> float:
@@ -180,28 +175,16 @@ def analyze_records(records) -> TraceAnalysis:
     by_length: dict[int, list[int]] = {}
     answered = 0.0
     timeout = 0.0
-    host_probes = 0
-    switch_probes = 0
-    hits = 0
     for rec in records:
         bucket = by_length.setdefault(len(rec.turns), [0, 0])
         bucket[0] += 1
         if rec.hit:
             bucket[1] += 1
-            hits += 1
             answered += rec.cost_us
         else:
             timeout += rec.cost_us
-        if rec.kind is ProbeKind.HOST:
-            host_probes += 1
-        else:
-            switch_probes += 1
     return TraceAnalysis(
-        total=len(records),
-        hits=hits,
         by_length={k: (v[0], v[1]) for k, v in by_length.items()},
         answered_us=answered,
         timeout_us=timeout,
-        host_probes=host_probes,
-        switch_probes=switch_probes,
     )

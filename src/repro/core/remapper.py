@@ -38,12 +38,8 @@ from repro.routing.paths import all_pairs_updown_paths
 from repro.routing.updown import orient_updown
 from repro.simulator.faults import FaultModel
 from repro.simulator.stack import ProbeLayer
-from repro.topology.analysis import (
-    DistanceMemo,
-    effective_network,
-    recommended_search_depth,
-)
-from repro.topology.delta import EMPTY_DELTA, seedable_removals
+from repro.topology.analysis import DistanceMemo, recommended_search_depth
+from repro.topology.delta import UNBOUNDED_DELTA, seedable_removals
 from repro.topology.diff import MapDiff, diff_networks
 from repro.topology.model import Network, PortRef
 
@@ -89,17 +85,11 @@ def map_cycle(
     Raises :class:`~repro.core.mapper.MappingError` on a deduction
     contradiction.
     """
-    fabric = net
     if faults is not None:
         stack_kwargs["faults"] = faults
-        if faults.dead_wires:
-            # Cutting cables can grow the diameter (a cut ring becomes a
-            # chain) and a dead wire answers no probe, so the proven
-            # ``Q + D + 1`` is taken on what the mapper can still reach.
-            fabric = effective_network(net, faults, mapper_host)
     depth = search_depth
     if depth is None:
-        depth = recommended_search_depth(fabric, mapper_host, memo)
+        depth = recommended_search_depth(net, mapper_host, memo)
     svc = build_mapper_service(mapper, net, mapper_host, **stack_kwargs)
     built = resolve_mapper_factory(
         mapper,
@@ -144,7 +134,7 @@ class CycleState:
     on its maps (two :class:`~repro.topology.analysis.DistanceMemo`);
     ``route_memo`` (a :class:`~repro.routing.compile_routes.RouteMemo`)
     holds the generation the caller last committed. ``last_result`` is the
-    last map, taken with the journal epochs snapshotted before it ran, and
+    last map, taken with the epochs snapshotted before it ran, and
     :meth:`plan_seed` reads both. All of it is exact: it changes what a
     cycle costs, never what it answers, so none of it is a setting.
     :class:`RemapperDaemon` keeps one, and so does each map-server worker
@@ -164,19 +154,25 @@ class CycleState:
     def plan_seed(
         self, faults: FaultModel | None
     ) -> tuple[MapSeed | None, str | None]:
-        """Build a seed from the last map and the delta journals (``its
-        epoch snapshot .. now``), or explain why the next map must run from
-        scratch. Before a first map there is nothing to fall back from: no
-        seed, no reason.
+        """Build a seed from the last map and the network's delta journal
+        (``its epoch snapshot .. now``), or explain why the next map must
+        run from scratch. A moved fault epoch (a probability change) has no
+        wire-end footprint, so it counts as an unbounded delta. Before a
+        first map there is nothing to fall back from: no seed, no reason.
         """
         prior = self.last_result
         if prior is None:
             return None, None
         net_epoch, fault_epoch = self._epochs
-        fault = EMPTY_DELTA
-        if faults is not None and fault_epoch is not None:
-            fault = faults.affected_since(fault_epoch)
-        affected, reason = seedable_removals(self.net.affected_since(net_epoch), fault)
+        delta = self.net.affected_since(net_epoch)
+        if (
+            delta is not None
+            and faults is not None
+            and fault_epoch is not None
+            and faults.fault_epoch != fault_epoch
+        ):
+            delta = UNBOUNDED_DELTA
+        affected, reason = seedable_removals(delta)
         if affected is None:
             return None, reason
         return MapSeed.from_result(prior, affected), None
@@ -186,7 +182,7 @@ class CycleState:
     ) -> tuple[MapResult, Any]:
         """:func:`map_cycle` on ``net`` through the depth memo; ``kwargs``
         go to it unchanged. The result becomes ``last_result``."""
-        # Snapshot the journals *before* mapping: anything that mutates
+        # Snapshot the epochs *before* mapping: anything that mutates
         # mid-run lands after these epochs and is charged to the next
         # cycle's delta, never silently skipped.
         epochs = (

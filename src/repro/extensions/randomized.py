@@ -58,7 +58,7 @@ class EarlyHostProbeService(QuiescentProbeService):
         if host is not None:
             if self.collision.blocked_at(path.traversals) is not None:
                 host = None
-            elif self.faults.kills_traversals(path.traversals):
+            elif self.faults.lost():
                 host = None
             elif not self._responds(host):
                 host = None

@@ -100,7 +100,8 @@ def _field(data: Mapping, kind: str, name: str, types: type | tuple) -> Any:
         value = data[name]
     except KeyError:
         raise SerializationError(f"{kind}: missing field {name!r}") from None
-    if not isinstance(value, types) or type(value) is bool:
+    # A JSON boolean is a field of its own: never a count, never coerced.
+    if not isinstance(value, types) or (type(value) is bool) != (types is bool):
         raise SerializationError(
             f"{kind}: field {name!r} has type {type(value).__name__}"
         )
@@ -221,7 +222,7 @@ def map_result_from_dict(data: Any) -> MapResult:
         peak_model_nodes=_field(data, kind, "peak_model_nodes", int),
         witnesses=witnesses,
         entry_ports=entry_ports,
-        seeded=bool(data.get("seeded", False)),
+        seeded=_field(data, kind, "seeded", bool),
         kept_nodes=_field(data, kind, "kept_nodes", int),
         seed_fallback=fallback,
     )

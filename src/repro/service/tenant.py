@@ -24,7 +24,7 @@ from typing import Any, Mapping
 from repro.core.mapper import MapResult
 from repro.routing.compile_routes import RouteGeneration
 from repro.service.serialize import SerializationError
-from repro.topology.delta import EMPTY_DELTA, seedable_removals
+from repro.topology.delta import seedable_removals
 from repro.topology.generators.named import NAMED_TOPOLOGIES, build_named_topology, unread_keys
 from repro.topology.model import Network
 from repro.topology.serialize import network_from_dict, network_to_dict
@@ -207,7 +207,7 @@ class TenantState:
             payload["base"] = self.tables_id
         if self.last_result_doc is not None and self.net_epoch_at_last_map is not None:
             affected, reason = seedable_removals(
-                self.net.affected_since(self.net_epoch_at_last_map), EMPTY_DELTA
+                self.net.affected_since(self.net_epoch_at_last_map)
             )
             if affected is None:
                 payload["seed_fallback"] = reason

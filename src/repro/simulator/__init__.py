@@ -57,7 +57,6 @@ from repro.simulator.stack import (
     RetryLayer,
     TraceBusLayer,
     build_service_stack,
-    describe_stack,
 )
 from repro.simulator.faults import FaultModel
 
@@ -88,7 +87,6 @@ __all__ = [
     "TURN_MIN",
     "Turns",
     "build_service_stack",
-    "describe_stack",
     "reverse_turns",
     "switch_probe_turns",
     "validate_turns",

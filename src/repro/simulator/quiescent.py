@@ -62,7 +62,7 @@ class QuiescentProbeService:
     responders:
         Hosts that answer host-probes. ``None`` means every host.
     faults:
-        Optional loss/corruption/dead-wire injection.
+        Optional probe loss/corruption injection.
     layers:
         Middleware layers (:class:`~repro.simulator.stack.ProbeLayer`)
         hooked into every probe transaction, in order.
@@ -210,11 +210,7 @@ class QuiescentProbeService:
         info = self._probe_info(ctx.turns)
         ctx.info = info
         if info.ok and info.blocked is None:
-            # Inactive faults kill nothing and draw nothing, so skipping the
-            # call is byte-identical (and the traversal tuple is never built).
-            if not self.faults.active or not self.faults.kills_traversals(
-                info.traversals
-            ):
+            if not self.faults.lost():
                 target = info.delivered_to
                 assert target is not None
                 ctx.hit = True
@@ -227,10 +223,7 @@ class QuiescentProbeService:
         if info.ok:
             # By construction the loopback terminates back at the mapper.
             assert info.delivered_to == self.mapper
-            if info.blocked is None and (
-                not self.faults.active
-                or not self.faults.kills_traversals(info.traversals)
-            ):
+            if info.blocked is None and not self.faults.lost():
                 ctx.hit = True
                 ctx.response = "switch"
 
@@ -241,10 +234,7 @@ class QuiescentProbeService:
             info.ok
             and info.delivered_to == self.mapper
             and info.blocked is None
-            and (
-                not self.faults.active
-                or not self.faults.kills_traversals(info.traversals)
-            )
+            and not self.faults.lost()
         ):
             ctx.hit = True
             ctx.response = "loopback"
@@ -257,11 +247,6 @@ class QuiescentProbeService:
     @property
     def stats(self) -> ProbeStats:
         return self._stats
-
-    @property
-    def stack_layers(self) -> tuple[ProbeLayer, ...]:
-        """The middleware layers, in hook order."""
-        return self._layers
 
     def find_layer(self, cls: type):
         """First attached layer that is an instance of ``cls``, or None."""

@@ -59,7 +59,6 @@ __all__ = [
     "RetryLayer",
     "TraceBusLayer",
     "build_service_stack",
-    "describe_stack",
 ]
 
 
@@ -114,10 +113,6 @@ class ProbeLayer:
         """Return True to re-run the transaction after a miss."""
         return False
 
-    def describe(self) -> str:
-        """One-line human description for ``san-map map --stack``."""
-        return type(self).__name__
-
 
 class CountingLayer(ProbeLayer):
     """Fire payloads once the probe count crosses their thresholds.
@@ -137,11 +132,6 @@ class CountingLayer(ProbeLayer):
         self._pending = sorted(triggers, key=lambda t: t[0])
         self._next = 0
 
-    @property
-    def pending(self) -> int:
-        """Triggers not yet fired."""
-        return len(self._pending) - self._next
-
     def fire(self, payload: object) -> None:
         """Default action: call the payload. Subclasses override."""
         if callable(payload):
@@ -156,9 +146,6 @@ class CountingLayer(ProbeLayer):
             self._next += 1
             self.fire(payload)
         self.sent += 1
-
-    def describe(self) -> str:
-        return f"CountingLayer(triggers={len(self._pending)})"
 
 
 class ProbeBudgetExceeded(RuntimeError):
@@ -186,9 +173,6 @@ class CapLayer(CountingLayer):
     def fire(self, payload: object) -> None:
         raise ProbeBudgetExceeded(self.cap)
 
-    def describe(self) -> str:
-        return f"CapLayer(cap={self.cap})"
-
 
 class TraceBusLayer(ProbeLayer):
     """Publish every accounted :class:`ProbeRecord` to subscribers.
@@ -210,9 +194,6 @@ class TraceBusLayer(ProbeLayer):
         for fn in self._subscribers:
             fn(record)
 
-    def describe(self) -> str:
-        return f"TraceBusLayer(subscribers={len(self._subscribers)})"
-
 
 class RetryLayer(ProbeLayer):
     """Re-send missed probes up to ``retries`` extra times.
@@ -230,9 +211,6 @@ class RetryLayer(ProbeLayer):
 
     def retry_after_miss(self, ctx: ProbeContext) -> bool:
         return ctx.attempt < self.retries
-
-    def describe(self) -> str:
-        return f"RetryLayer(retries={self.retries})"
 
 
 class InterferenceLayer(ProbeLayer):
@@ -277,10 +255,6 @@ class InterferenceLayer(ProbeLayer):
             self.lost += 1
             ctx.hit = False
 
-    def describe(self) -> str:
-        traffic = "on" if self.traffic is not None else "off"
-        return f"InterferenceLayer(traffic={traffic}, lost={self.lost})"
-
 
 # ----------------------------------------------------------------------
 # factory
@@ -307,14 +281,3 @@ def build_service_stack(
 
     cls = QuiescentProbeService if service_cls is None else service_cls
     return cls(net, mapper, layers=tuple(layers), **service_kwargs)
-
-
-def describe_stack(service) -> str:
-    """Render the composed layer chain (``san-map map --stack``)."""
-    lines = [f"core: {type(service).__name__}(mapper={service.mapper_host})"]
-    layers = tuple(getattr(service, "stack_layers", ()))
-    if not layers:
-        lines.append("layers: (none)")
-    for i, layer in enumerate(layers, 1):
-        lines.append(f"layer {i}: {layer.describe()}")
-    return "\n".join(lines)

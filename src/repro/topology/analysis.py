@@ -577,22 +577,20 @@ def core_network(net: Network) -> Network:
 def effective_network(
     net: Network, faults: "FaultModel", mapper_host: str
 ) -> Network:
-    """Ground truth minus dead cables, restricted to the mapper's component.
+    """Ground truth restricted to the mapper's component.
 
-    A silently dead cable (Section 5.6) is in-band indistinguishable from an
-    absent cable, and anything the mapper cannot reach cannot appear in its
-    map — so this is the network the theorem's ``N`` becomes under faults.
-    Reads only ``faults.dead_wires``, and copies ``net`` only when one of
-    its wires is dead: the subnetwork taken last is a new network either way.
+    Anything the mapper cannot reach cannot appear in its map, so this is
+    the network the theorem's ``N`` becomes under faults. ``faults`` is
+    not read: a silently dead cable (Section 5.6) is in-band
+    indistinguishable from an absent one, so a failed cable is already a
+    missing wire of ``net`` (the chaos applier disconnects it), and probe
+    loss hides nothing for good. The parameter stays for the callers that
+    pass it positionally. The subnetwork returned is a new network.
     """
-    cut = [wire for wire in net.wires if frozenset((wire.a, wire.b)) in faults.dead_wires]
-    eff = net.copy() if cut else net
-    for wire in cut:
-        eff.disconnect(eff.wire_at(wire.a.node, wire.a.port))
-    if mapper_host not in eff:
-        return eff.induced_subnetwork([mapper_host])  # raises: no such node
-    fab = _Fabric.of(eff)
+    if mapper_host not in net:
+        return net.induced_subnetwork([mapper_host])  # raises: no such node
+    fab = _Fabric.of(net)
     dist = fab.distances(fab.names.index(mapper_host))
-    return eff.induced_subnetwork(
+    return net.induced_subnetwork(
         name for name, d in zip(fab.names, dist) if d >= 0
     )

@@ -1,25 +1,24 @@
 """Delta journal: what changed between two epochs, as a wire-end set.
 
-``Network`` and ``FaultModel`` bump a monotone epoch counter on every
-mutation; derived caches (the path-evaluation trie, a seeded remap) key
-their validity on it. A bare counter only supports the wholesale answer
-"something changed, drop everything". This module records *what* changed:
-every ``_bump_epoch`` call journals a :class:`Delta` describing the wire
-ends whose connectivity the mutation touched, and a consumer holding an
-older epoch asks :meth:`DeltaJournal.since` for the merged delta covering
-the gap.
+``Network`` bumps a monotone epoch counter on every mutation; derived
+caches (the path-evaluation trie, a seeded remap) key their validity on it.
+A bare counter only supports the wholesale answer "something changed, drop
+everything". This module records *what* changed: every ``_bump_epoch``
+call journals a :class:`Delta` describing the wire ends whose connectivity
+the mutation touched, and a consumer holding an older epoch asks
+:meth:`DeltaJournal.since` for the merged delta covering the gap.
 
 The contract (documented for consumers in ``docs/INCREMENTAL.md``):
 
 - ``removed`` — wire ends whose connectivity was taken away (a cable cut,
-  a node unplugged, a wire entering the dead set). Any cached structure
-  whose derivation crossed such an end is stale.
-- ``added`` — wire ends that gained connectivity (a cable plugged, a wire
-  leaving the dead set). Cached *absences* (a memoized NO_SUCH_WIRE, a
-  pruned search window) keyed on such an end are stale.
-- ``unbounded`` — the mutation cannot be described by a wire set (e.g. a
-  fault-probability change). Consumers must treat the whole derived
-  structure as suspect.
+  a node unplugged or killed). Any cached structure whose derivation
+  crossed such an end is stale.
+- ``added`` — wire ends that gained connectivity (a cable plugged or
+  healed). Cached *absences* (a memoized NO_SUCH_WIRE, a pruned search
+  window) keyed on such an end are stale.
+- ``unbounded`` — the change cannot be described by a wire set (e.g. a
+  fault-probability change, which moves ``FaultModel.fault_epoch``).
+  Consumers must treat the whole derived structure as suspect.
 - ``since`` returning ``None`` — the requested epoch has fallen out of the
   journal's bounded window; same consequence as ``unbounded``.
 
@@ -97,23 +96,20 @@ def merge_deltas(deltas: Iterable[Delta]) -> Delta:
 
 
 def seedable_removals(
-    topology: Delta | None, faults: Delta | None
+    delta: Delta | None,
 ) -> tuple[frozenset[Endpoint] | None, str | None]:
-    """The seeding soundness ladder over the two journals' deltas.
+    """The seeding soundness ladder over one delta.
 
-    ``topology`` and ``faults`` are what ``Network.affected_since`` and
-    ``FaultModel.affected_since`` returned for the epochs snapshotted at
-    the prior map. A prior map may seed the next one only across a
-    bounded, removals-only delta: returns ``(removed wire ends, None)``
-    then, and ``(None, reason)`` for a delta that fell out of either
+    ``delta`` is what ``Network.affected_since`` returned for the epoch
+    snapshotted at the prior map (:data:`UNBOUNDED_DELTA` when the fault
+    model was reconfigured since). A prior map may seed the next one only
+    across a bounded, removals-only delta: returns ``(removed wire ends,
+    None)`` then, and ``(None, reason)`` for a delta that fell out of the
     journal window, is unbounded (a probability reconfiguration) or
-    *added* connectivity (a plugged cable, a healed wire).
+    *added* connectivity (a plugged or healed cable).
     """
-    if topology is None:
+    if delta is None:
         return None, "topology delta fell out of the journal window"
-    if faults is None:
-        return None, "fault delta fell out of the journal window"
-    delta = topology.merge(faults)
     if delta.unbounded:
         return None, "delta is unbounded (not describable by wire ends)"
     if delta.added:

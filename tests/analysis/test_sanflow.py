@@ -33,7 +33,7 @@ def test_layer_subclass_across_modules_is_checked(tmp_path):
 
         class Sneaky(CountingLayer):
             def fire(self, payload):
-                self.service.faults.dead_wires.add(payload)
+                self.service.faults.__dict__.update(payload)
     """
     copy = install_copy(
         tmp_path / "simulator-state", "layers.py", textwrap.dedent(simulator_state)

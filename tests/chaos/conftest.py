@@ -2,7 +2,7 @@
 
 ``buggy_mapper_factory`` is the acceptance-criteria fixture: a mapper with a
 deliberately injected bug (it silently drops one switch-switch cable from
-its map whenever any wire is dead at map time). The oracle suite must catch
+its map whenever any cable is down at map time). The oracle suite must catch
 it and the shrinker must reduce any failing schedule to a handful of events.
 The bug lives here, guarded by a fixture, so it can never leak into the
 production mapper.
@@ -10,16 +10,17 @@ production mapper.
 
 import pytest
 
+from repro.chaos.runner import ChaosLayer
 from repro.core.mapper import BerkeleyMapper
 
 
 class _WireDroppingMapper(BerkeleyMapper):
-    """Correct mapper until a fault exists; then it loses one cable."""
+    """Correct mapper until a cable is down; then it loses one cable."""
 
     def map(self):
         result = super().map()
-        faults = getattr(self._svc, "faults", None)
-        if faults is not None and faults.dead_wires:
+        chaos = self._svc.find_layer(ChaosLayer)
+        if chaos is not None and chaos.applier.down:
             net = result.network
             sw_wires = [
                 w

@@ -2,7 +2,7 @@
 
 Two daemons face identical worlds — same topology, same single-fault
 scenario, same seeds — one remapping from scratch every cycle, one seeding
-cycle N+1 from cycle N's map plus the delta journals. The incremental arm
+cycle N+1 from cycle N's map plus the network's delta journal. The incremental arm
 must be *outcome-equivalent*: its map isomorphic to the from-scratch map
 and to the effective network N−F, its route tables semantically identical
 (same coverage, every route delivers, deadlock-free), while probing the
@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.chaos.apply import ScenarioApplier
 from repro.chaos.oracles import effective_network
+from repro.chaos.scenario import ChaosEvent
 from repro.core.mapper import BerkeleyMapper, MapSeed
 from repro.core.remapper import RemapperDaemon
 from repro.routing.deadlock import routes_deadlock_free
@@ -93,14 +95,15 @@ class TestFullNowSingleFaults:
         assert i_probes * 10 <= s_probes, (s_probes, i_probes)
 
     def test_single_dead_wire_differential(self):
-        """A silently dead cable (fault-side removal, topology untouched)
-        flows through the fault journal and seeds just as well."""
+        """A silently dead cable, cut through the chaos applier, is a
+        missing wire: it flows through the network's journal, leaves the
+        fault epoch alone and seeds just as well."""
         arms = {}
         for incremental in (False, True):
             net, h0, faults, daemon = _arm(incremental)
             daemon.run_cycle()
-            wire = net.wire_at(*NOW_CUT)
-            faults.set_dead_wires([frozenset((wire.a, wire.b))])
+            ScenarioApplier(net, faults).apply(ChaosEvent(0, "cut", NOW_CUT))
+            assert faults.fault_epoch == 0
             cycle = daemon.run_cycle()
             arms[incremental] = (net, h0, faults, daemon, cycle)
 

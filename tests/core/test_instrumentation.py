@@ -23,17 +23,17 @@ class TestAnalyzeTrace:
     def test_totals_consistent_with_stats(self, traced_run):
         stats, records = traced_run
         a = analyze_records(records)
-        assert a.total == stats.total_probes
-        assert a.hits == stats.total_hits
-        assert a.host_probes == stats.host_probes
-        assert a.switch_probes == stats.switch_probes
+        assert sum(p for p, _h in a.by_length.values()) == stats.total_probes
+        assert sum(h for _p, h in a.by_length.values()) == stats.total_hits
         assert a.answered_us + a.timeout_us == pytest.approx(stats.elapsed_us)
 
     def test_by_length_partitions_total(self, traced_run):
         stats, records = traced_run
         a = analyze_records(records)
-        assert sum(p for p, _h in a.by_length.values()) == a.total
-        assert sum(h for _p, h in a.by_length.values()) == a.hits
+        assert sum(p for p, _h in a.by_length.values()) == len(records)
+        assert sum(h for _p, h in a.by_length.values()) == sum(
+            rec.hit for rec in records
+        )
 
     def test_deep_probes_hit_less(self, traced_run):
         """The deepest probes are replicate-exploration tails: their hit

@@ -10,10 +10,10 @@ The chaos campaign's value rests on two meta-properties that must hold for
   least one oracle the original failure failed, and is never larger than
   the input.
 
-Plus a stateful machine over :class:`ScenarioApplier`: any legal event
-sequence keeps the applier's cut/killed bookkeeping consistent with the
-fault model's dead-wire set, bumps ``fault_epoch`` on every fault-level
-event, and round-trips through serialization.
+Plus a stateful machine over :class:`ScenarioApplier`: after any legal
+event sequence the network's wires are exactly the physical cables minus
+the cut ones and those touching a killed node, a refused event moves no
+epoch, and the fault epoch only moves forward.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 from repro.chaos import shrink
 from repro.chaos.apply import ScenarioApplier
-from repro.chaos.runner import run_cell
+from repro.chaos.runner import ChaosLayer, run_cell
 from repro.chaos.scenario import (
     ChaosEvent,
     Scenario,
@@ -37,6 +37,7 @@ from repro.chaos.scenario import (
 )
 from repro.simulator.faults import FaultModel
 from repro.topology.generators import build_ring
+from repro.topology.model import PortRef
 
 _SETTINGS = dict(
     max_examples=15,
@@ -135,7 +136,7 @@ class TestShrinkerFaithfulness:
         class WireDroppingMapper(BerkeleyMapper):
             def map(self):
                 result = super().map()
-                if self._svc.faults.dead_wires:
+                if self._svc.find_layer(ChaosLayer).applier.down:
                     net = result.network
                     sw = [
                         w
@@ -179,11 +180,12 @@ class TestShrinkerFaithfulness:
 
 
 class ApplierMachine(RuleBasedStateMachine):
-    """Stateful model of the applier/fault-model pair.
+    """Stateful model of the applier over one ring.
 
     The model tracks what *should* be cut and killed; the invariants assert
-    the fault model's dead-wire set is exactly the union view and that the
-    epoch only ever moves forward.
+    the network holds exactly the physical cables that are neither cut nor
+    touching a killed node, and that the fault epoch only ever moves
+    forward.
     """
 
     def __init__(self):
@@ -191,6 +193,7 @@ class ApplierMachine(RuleBasedStateMachine):
         self.net = build_ring(4)
         self.faults = FaultModel(seed=0)
         self.applier = ScenarioApplier(self.net, self.faults)
+        self.physical = {(w.a, w.b) for w in self.net.wires}
         self.cut: set = set()
         self.killed: set = set()
         self.last_epoch = self.faults.fault_epoch
@@ -203,14 +206,14 @@ class ApplierMachine(RuleBasedStateMachine):
         port=st.sampled_from([0, 1]),
     )
     def cut_or_heal(self, node, port):
-        wire = self.net.wire_at(node, port)
-        ends = frozenset((wire.a, wire.b))
-        if ends in self.cut:
+        end = PortRef(node, port)
+        cable = next(c for c in self.physical if end in c)
+        if cable in self.cut:
             self._apply("heal", (node, port))
-            self.cut.discard(ends)
+            self.cut.discard(cable)
         else:
             self._apply("cut", (node, port))
-            self.cut.add(ends)
+            self.cut.add(cable)
 
     @rule(name=st.sampled_from(
         [f"ring-s{i}" for i in range(4)] + [f"ring-n{i:03d}" for i in range(4)]
@@ -234,22 +237,27 @@ class ApplierMachine(RuleBasedStateMachine):
     def double_kill_rejected(self):
         victim = sorted(self.killed)[0]
         kind = "switch" if victim.startswith("ring-s") else "host"
-        epoch = self.faults.fault_epoch
+        epochs = (self.net.topology_epoch, self.faults.fault_epoch)
         try:
             self._apply(f"kill_{kind}", (victim,))
         except ScenarioError:
             pass
         else:
             raise AssertionError("double kill must raise")
-        assert self.faults.fault_epoch == epoch  # failed events don't bump
+        # failed events don't bump
+        assert (self.net.topology_epoch, self.faults.fault_epoch) == epochs
 
     @invariant()
-    def dead_set_is_union_of_views(self):
-        expect = set(self.cut)
-        for node in self.killed:
-            for wire in self.net.wires_of(node):
-                expect.add(frozenset((wire.a, wire.b)))
-        assert self.faults.dead_wires == frozenset(expect)
+    def wires_are_the_cables_nothing_keeps_down(self):
+        expect = {
+            (a, b)
+            for a, b in self.physical
+            if (a, b) not in self.cut
+            and a.node not in self.killed
+            and b.node not in self.killed
+        }
+        assert {(w.a, w.b) for w in self.net.wires} == expect
+        assert set(self.applier.down) == self.physical - expect
         assert self.applier._killed == set(self.killed)
 
     @invariant()

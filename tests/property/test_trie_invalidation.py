@@ -3,8 +3,9 @@
 The probe trie lives with its network, and a topology move prunes from it
 every walk that read a changed wire end. This suite drives one long-lived
 cached service through an arbitrary mutator sequence — cable cuts and
-plugs, node removals, dead-wire reconfigurations, probability changes,
-probes interleaved throughout so the trie is warm when the mutations land —
+plugs, node removals, a failed cable swapped for the last one that failed,
+probability changes, probes interleaved throughout so the trie is warm when
+the mutations land —
 then compares every query against a **freshly built** evaluator that walks
 a copy of the final network cold (a copy: an evaluator on the network
 itself would share the warm trie). If a prune ever kept a walk across a
@@ -12,8 +13,8 @@ changed wire end some query must disagree; the property forbids it for
 every sequence hypothesis can dream up.
 
 The prune count is part of the property: exactly one per topology-epoch
-move a walk sees. Fault-side changes (dead wires, probabilities) are not
-topology moves and prune nothing.
+move a walk sees. A failed cable is a missing wire, so it is a topology
+move like any cut; probability changes are not, and prune nothing.
 """
 
 from __future__ import annotations
@@ -73,7 +74,9 @@ def _free_switch_ports(net: Network) -> list[tuple[str, int]]:
     ]
 
 
-def _apply(op, payload, svc: QuiescentProbeService, faults: FaultModel) -> None:
+def _apply(
+    op, payload, svc: QuiescentProbeService, faults: FaultModel, failed: list
+) -> None:
     net = svc.net
     if op == "host":
         svc.probe_host(payload)
@@ -104,11 +107,18 @@ def _apply(op, payload, svc: QuiescentProbeService, faults: FaultModel) -> None:
         if victims:
             net.remove_node(rnd.choice(victims))
     elif op == "dead":
-        wires = net.wires
-        dead = (
-            [frozenset((w.a, w.b)) for w in rnd.sample(wires, 1)] if wires else []
-        )
-        faults.set_dead_wires(dead)
+        # One cable fails and the last one to fail comes back on the same
+        # two ends (the chaos applier's cut and heal), if both are free.
+        if failed:
+            a, b = failed.pop()
+            if a.node in net and b.node in net and not (
+                net.wire_at(a.node, a.port) or net.wire_at(b.node, b.port)
+            ):
+                net.connect(a.node, a.port, b.node, b.port)
+        if net.wires:
+            wire = rnd.choice(net.wires)
+            net.disconnect(wire)
+            failed.append((wire.a, wire.b))
     elif op == "drop":
         faults.set_drop_prob(payload)
     elif op == "corrupt":
@@ -161,11 +171,11 @@ class TestFlushEqualsCold:
         )
         # A probe that finds the topology epoch moved since the last probe
         # prunes the trie once, however many mutations moved it.
-        epoch, moves = net.topology_epoch, 0
+        epoch, moves, failed = net.topology_epoch, 0, []
         for op, payload in plan:
             if op in _PROBE_KINDS and net.topology_epoch != epoch:
                 epoch, moves = net.topology_epoch, moves + 1
-            _apply(op, payload, warm, warm_faults)
+            _apply(op, payload, warm, warm_faults, failed)
         if mapper not in net.hosts:
             return  # an unplug_node cascade took the mapper host with it
         if net.topology_epoch != epoch:
@@ -175,9 +185,9 @@ class TestFlushEqualsCold:
         # deterministic, then rebuild cold over the *same* final state.
         warm_faults.set_drop_prob(0.0)
         warm_faults.set_corrupt_prob(0.0)
-        cold_faults = FaultModel(dead_wires=warm_faults.dead_wires, seed=seed)
         cold = QuiescentProbeService(
-            net=net.copy(), mapper=mapper, collision=CircuitModel(), faults=cold_faults
+            net=net.copy(), mapper=mapper, collision=CircuitModel(),
+            faults=FaultModel(seed=seed),
         )
         _same_answers(warm, cold, queries)
         assert warm.eval_cache_stats.invalidations == moves
@@ -202,7 +212,7 @@ class TestFlushEqualsCold:
             net=net, mapper=mapper, collision=CircuitModel(), faults=FaultModel()
         )
         for op, payload in warmup:
-            _apply(op, payload, warm, warm.faults)
+            _apply(op, payload, warm, warm.faults, [])
         if not net.wires:
             return
         wire = random.Random(cut_seed).choice(net.wires)

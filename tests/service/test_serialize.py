@@ -265,6 +265,40 @@ class TestMalformedRejection:
         with pytest.raises(SerializationError, match=complaint):
             map_result_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "doctor, complaint",
+        [
+            pytest.param(
+                lambda d: d.update(seeded="no"),
+                "field 'seeded' has type str",
+                id="a-word",
+            ),
+            pytest.param(
+                lambda d: d.update(seeded=1),
+                "field 'seeded' has type int",
+                id="a-count",
+            ),
+            pytest.param(
+                lambda d: d.update(seeded=None),
+                "field 'seeded' has type NoneType",
+                id="null",
+            ),
+            pytest.param(
+                lambda d: d.pop("seeded"),
+                "missing field 'seeded'",
+                id="missing",
+            ),
+        ],
+    )
+    def test_seeded_is_refused_unless_a_boolean(self, mapped_c, doctor, complaint):
+        """``seeded`` is a JSON boolean or the document is refused: a
+        worker's ``"no"`` is not read as ``True``, nor a missing key as
+        ``False``."""
+        doc = _json_round_trip(map_result_to_dict(mapped_c))
+        doctor(doc)
+        with pytest.raises(SerializationError, match=complaint):
+            map_result_from_dict(doc)
+
     def test_malformed_traversal_endpoint_is_rejected(self, mapped_tables):
         doc = route_tables_to_dict(mapped_tables)
         doc["channels"][0] = [["s0", 0], ["s1"]]

@@ -700,6 +700,43 @@ class TestFailureSemantics:
 
         assert asyncio.run(run())
 
+    def test_a_seeded_word_that_is_not_a_boolean_is_a_bad_worker_outcome(self):
+        """A worker's ``"seeded": "no"`` used to decode as ``True`` and be
+        adopted. It is refused: the served generation, its tables and the
+        next cycle's seed stay those of the last good cycle, and
+        ``last_cycle`` records the refusal, carrying no word of the
+        refused map."""
+
+        async def run():
+            with _DoctoringPool(max_workers=1) as pool:
+                server = MapServer([RING], executor=pool)
+                host, port = await server.start()
+                try:
+                    async with MapClient(host, port) as client:
+                        good = await client.map("ring")
+                        assert good["adopted"] is True and good["generation"] == 1
+                        tenant = server.tenants["ring"]
+                        tables, seed = tenant.tables, tenant.last_result_doc
+
+                        pool.doctor = lambda o: o["map_result"].update(seeded="no")
+                        bad = await client.map("ring")
+                        assert bad["ok"] is False
+                        assert bad["error"] == "bad-worker-outcome"
+                        assert "field 'seeded' has type str" in bad["message"]
+                        assert bad["generation"] == 1
+                        assert tenant.generation == 1
+                        assert tenant.tables is tables
+                        assert tenant.last_result_doc is seed
+                        assert tenant.last_cycle["adopted"] is False
+                        assert tenant.last_cycle["error"] == "bad-worker-outcome"
+                        assert "seeded" not in tenant.last_cycle
+                        assert tenant.status == "degraded"
+                finally:
+                    await server.stop()
+            return True
+
+        assert asyncio.run(run())
+
     @pytest.mark.parametrize(
         "doctor, complaint",
         [

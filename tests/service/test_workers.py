@@ -29,6 +29,7 @@ from repro.service.serialize import (
 )
 from repro.service.tenant import TenantSpec, TenantState, build_tenant_network
 from repro.service.workers import run_map_job
+from repro.simulator.stack import ProbeLayer
 from repro.topology.analysis import bridges
 from tests.service.worker_slot import adopt, differing, pickled, run_fresh
 
@@ -179,7 +180,7 @@ def test_the_job_probes_on_the_daemons_layerless_stack(monkeypatch):
     tenant = TenantState(TenantSpec(name="t", topology="now-c"))
     assert run_fresh(pickled(tenant.job_payload()))["ok"]
     RemapperDaemon(build_tenant_network(tenant.spec), tenant.mapper_host()).run_cycle()
-    assert [svc.stack_layers for svc in services] == [(), ()]
+    assert [svc.find_layer(ProbeLayer) for svc in services] == [None, None]
 
 
 class TestOutcomeCarriesEachChannelOnce:

@@ -170,12 +170,11 @@ class TestInvalidation:
         ev.evaluate("C-n00", (5, 1))
         nodes = ev.stats.nodes
         assert nodes > 0
-        wire = next(iter(now_c.wires))
-        faults.set_dead_wires([frozenset((wire.a, wire.b))])
+        faults.set_drop_prob(0.5)
         got = ev.evaluate("C-n00", (5, 1))
-        # Cached walks never consult the fault model (kill decisions are
-        # drawn per probe by the services), so a real dead-set change
-        # flushes nothing and the path answer is unchanged.
+        # Cached walks never consult the fault model (loss is drawn per
+        # probe by the services), so a real probability change flushes
+        # nothing and the path answer is unchanged.
         assert ev.stats.invalidations == 0
         assert ev.stats.nodes == nodes
         want = evaluate_route(now_c, "C-n00", (5, 1))

@@ -159,9 +159,9 @@ class TestTimingAccounting:
 
 class TestFaults:
     def test_dead_wire_eats_probes(self, tiny_net):
-        wire = tiny_net.wire_at("s0", 3)
-        faults = FaultModel(dead_wires=frozenset({frozenset((wire.a, wire.b))}))
-        svc = QuiescentProbeService(tiny_net, "h0", faults=faults)
+        svc = QuiescentProbeService(tiny_net, "h0")
+        # A failed cable is a missing wire (the chaos applier's cut).
+        tiny_net.disconnect(tiny_net.wire_at("s0", 3))
         assert svc.probe_host((3,)) is None  # h1 behind the dead wire
         assert svc.probe_host((7,)) == "h2"  # other paths fine
 

@@ -2,7 +2,7 @@
 
 Each layer is exercised in isolation against a real quiescent core (the
 layers are thin; mocking the engine would test nothing), plus the
-factory, the describe chain and the hook-ordering contract.
+factory and the hook-ordering contract.
 """
 
 import pytest
@@ -18,7 +18,6 @@ from repro.simulator.stack import (
     RetryLayer,
     TraceBusLayer,
     build_service_stack,
-    describe_stack,
 )
 
 
@@ -38,7 +37,7 @@ class TestCountingLayer:
         assert fired == ["first"]
         svc.probe_switch((1,))  # probe 2: nothing
         svc.probe_switch((1,))  # probe 3: threshold 3 fires
-        assert fired == ["first", "third"] and layer.pending == 0
+        assert fired == ["first", "third"]
 
     def test_threshold_zero_fires_before_the_first_probe(self, tiny_net):
         fired = []
@@ -65,10 +64,6 @@ class TestCountingLayer:
         svc.probe_switch((1,))
         svc.probe_loopback((1, -1))
         assert layer.sent == 3
-
-    def test_pending_counts_unfired_triggers(self):
-        layer = CountingLayer([(5, None), (9, None)])
-        assert layer.pending == 2
 
     def test_retry_attempts_count_as_probes(self, tiny_net):
         """A retry is a fresh send: counting triggers see every attempt."""
@@ -191,7 +186,7 @@ class TestFactoryAndDescribe:
     def test_default_stack_is_the_plain_quiescent_service(self, tiny_net):
         svc = build_service_stack(tiny_net, "h0")
         assert type(svc) is QuiescentProbeService
-        assert svc.stack_layers == ()
+        assert svc.find_layer(ProbeLayer) is None
         assert svc.probe_host((3,)) == "h1"
 
     def test_service_cls_swaps_the_core(self, tiny_net):
@@ -208,22 +203,3 @@ class TestFactoryAndDescribe:
         svc = build_service_stack(tiny_net, "h0", layers=(retry,))
         assert svc.find_layer(RetryLayer) is retry
         assert svc.find_layer(CapLayer) is None
-
-    def test_describe_stack_renders_the_chain(self, tiny_net):
-        svc = build_service_stack(
-            tiny_net,
-            "h0",
-            layers=(CapLayer(9), RetryLayer(2), TraceBusLayer()),
-        )
-        text = describe_stack(svc)
-        assert text.splitlines() == [
-            "core: QuiescentProbeService(mapper=h0)",
-            "layer 1: CapLayer(cap=9)",
-            "layer 2: RetryLayer(retries=2)",
-            "layer 3: TraceBusLayer(subscribers=0)",
-        ]
-
-    def test_describe_stack_layerless(self, tiny_net):
-        assert "layers: (none)" in describe_stack(
-            build_service_stack(tiny_net, "h0")
-        )

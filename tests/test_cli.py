@@ -95,17 +95,6 @@ class TestMapCommand:
         assert "eval cache:" in out
         assert "hit rate" in out
 
-    def test_stack_flag_prints_the_layer_chain(self, ring_json, capsys):
-        assert main(["map", "--network", str(ring_json), "--stack"]) == 0
-        out = capsys.readouterr().out
-        assert "core: QuiescentProbeService(mapper=" in out
-        assert "layers: (none)" in out
-
-    def test_stack_flag_names_the_selfid_core(self, ring_json, capsys):
-        assert main(["map", "--network", str(ring_json),
-                     "--mapper", "selfid", "--stack"]) == 0
-        assert "core: SelfIdProbeService(mapper=" in capsys.readouterr().out
-
 
 class TestRoutesCommand:
     def test_routes_roundtrip(self, ring_json, tmp_path):

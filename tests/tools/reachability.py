@@ -333,7 +333,7 @@ def entry_points(scratch: Path) -> list[tuple[str, list[str]]]:
         ("generate", [*san_map, "generate", "--topology", "ring", "--out", ring]),
         ("analyze", [*san_map, "analyze", "--network", ring]),
         ("map", [*san_map, "map", "--network", ring, "--out", mapped, "--render",
-                 "--profile", "--stats", "--stack"]),
+                 "--profile", "--stats"]),
         ("map list", [*san_map, "map", "--mapper", "list"]),
         ("routes", [*san_map, "routes", "--map", mapped, "--verify-against", ring]),
         ("routes lash", [*san_map, "routes", "--map", mapped, "--scheme", "lash"]),

@@ -12,14 +12,13 @@ for ``test_analysis.py``.
 
 ``reference_effective_network`` is ``effective_network`` as it found the
 mapper's component before it used the analysis module's own BFS: a
-networkx ``Graph`` of the faulted copy and ``node_connected_component``.
+networkx ``Graph`` of a copy and ``node_connected_component``.
 """
 
 from __future__ import annotations
 
 import networkx as nx
 
-from repro.simulator.faults import FaultModel
 from repro.topology.model import Network
 
 _SINK = "__sink__"
@@ -138,15 +137,9 @@ def reference_q_value(net: Network, h0: str, v: str) -> int | None:
     return int(cost)
 
 
-def reference_effective_network(
-    net: Network, faults: FaultModel, mapper_host: str
-) -> Network:
-    """Ground truth minus dead cables, restricted to the mapper's component."""
+def reference_effective_network(net: Network, mapper_host: str) -> Network:
+    """Ground truth restricted to the mapper's component."""
     eff = net.copy()
-    if faults.dead_wires:
-        for wire in list(eff.wires):
-            if frozenset((wire.a, wire.b)) in faults.dead_wires:
-                eff.disconnect(wire)
     g = nx.Graph(eff.to_networkx())
     if mapper_host not in g:
         return eff.induced_subnetwork([mapper_host])

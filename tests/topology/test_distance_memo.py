@@ -157,22 +157,25 @@ class TestDepthMemo:
     def test_growing_dead_wire_sets(
         self, seed, n_switches, n_hosts, extra_links, n_steps
     ):
-        """The effective fabric a dead-wire fault model leaves is a fresh
-        network every call; its delta is read off ``mult`` all the same."""
+        """Cables fail one by one, each a missing wire of the fabric. The
+        memos kept over the fabric itself (where ``map_cycle`` takes the
+        depth) and over its effective network (a fresh network every call,
+        its delta read off ``mult`` all the same) both match a memo-free
+        pass."""
         try:
             net = seeded_fabric(seed, n_switches, n_hosts, extra_links, 1, 1)
         except TopologyError:
             return
         rng = random.Random(seed)
         h0 = sorted(net.hosts)[0]
-        memo, depth_memo = DistanceMemo(), DistanceMemo()
+        own, kept = (DistanceMemo(), DistanceMemo()), (DistanceMemo(), DistanceMemo())
         wires = sorted(net.wires, key=lambda w: w.key)
         rng.shuffle(wires)
-        dead: frozenset = frozenset()
         for wire in wires[:n_steps]:
-            dead = dead | {frozenset((wire.a, wire.b))}
-            eff = effective_network(net, FaultModel(dead_wires=dead), h0)
-            assert_kept_equals_fresh(eff, h0, memo, depth_memo)
+            net.disconnect(wire)
+            assert_kept_equals_fresh(net, h0, *own)
+            eff = effective_network(net, FaultModel(), h0)
+            assert_kept_equals_fresh(eff, h0, *kept)
 
     @pytest.mark.parametrize(
         "build",
