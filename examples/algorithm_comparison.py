@@ -47,25 +47,26 @@ def compare(name: str, net, mapper_host: str) -> None:
     )
 
     svc = build_service_stack(net, mapper_host)
-    myricom = create_mapper("myricom", svc, search_depth=depth).run()
+    mapper = create_mapper("myricom", svc, search_depth=depth)
+    myricom = mapper.map()
     rows.append(
         (
             "Myricom (eager)",
-            myricom.breakdown.total,
+            mapper.breakdown.total,
             myricom.elapsed_ms,
-            myricom.switches_explored,  # its whole memory footprint
+            myricom.explorations,  # its whole memory footprint
             bool(match_networks(myricom.network, core)),
         )
     )
 
     svc = build_service_stack(net, mapper_host, service_cls=SelfIdProbeService)
-    selfid = create_mapper("selfid", svc, search_depth=depth).run()
+    selfid = create_mapper("selfid", svc, search_depth=depth).map()
     rows.append(
         (
             "Self-identifying",
             selfid.stats.total_probes,
             selfid.elapsed_ms,
-            selfid.switches_explored,
+            selfid.explorations,
             bool(match_networks(selfid.network, core)),
         )
     )

@@ -6,7 +6,7 @@
   mapper discussed in Section 6, a lower bound on in-band mapping cost.
 """
 
-from repro.baselines.myricom import MyricomMapper, MyricomResult
+from repro.baselines.myricom import MyricomMapper
 from repro.baselines.selfid import SelfIdMapper
 
-__all__ = ["MyricomMapper", "MyricomResult", "SelfIdMapper"]
+__all__ = ["MyricomMapper", "SelfIdMapper"]

@@ -27,7 +27,10 @@ Implementation notes (faithful to the text, with two documented choices):
 - the per-category accounting matches Figure 10's columns: ``loop``
   (self-comparison probes, which is what detects loopback cables), ``host``
   and ``sw`` (per-port probes when exploring a new switch), and ``comp``
-  (comparisons against other explored switches).
+  (comparisons against other explored switches), kept on the mapper as
+  :attr:`MyricomMapper.breakdown`;
+- every switch reached is explored, ``F`` included, and the map is pruned
+  to ``N - F`` as the Berkeley Algorithm's PRUNE stage does.
 """
 
 from __future__ import annotations
@@ -46,12 +49,11 @@ from repro.core.relative import (
     record_wire,
     x_sweep,
 )
-from repro.simulator.probes import ProbeStats
 from repro.simulator.quiescent import QuiescentProbeService
 from repro.simulator.turns import Turns, reverse_turns
-from repro.topology.model import Network
+from repro.topology.analysis import core_network
 
-__all__ = ["MyricomMapper", "MyricomResult", "ProbeBreakdown"]
+__all__ = ["MyricomMapper", "ProbeBreakdown"]
 
 
 @dataclass(slots=True)
@@ -68,22 +70,6 @@ class ProbeBreakdown:
         return self.loop + self.host + self.switch + self.compare
 
 
-@dataclass(slots=True)
-class MyricomResult:
-    """Output of a Myricom Algorithm run."""
-
-    network: Network
-    breakdown: ProbeBreakdown
-    stats: ProbeStats
-    mapper_host: str
-    candidates_popped: int
-    switches_explored: int
-
-    @property
-    def elapsed_ms(self) -> float:
-        return self.stats.elapsed_ms
-
-
 @register_mapper(
     "myricom",
     summary="eager O(N²) compare-all baseline (Section 4)",
@@ -93,6 +79,7 @@ class MyricomMapper:
 
     Requires a service with the raw ``probe_loopback`` facility
     (:class:`~repro.simulator.quiescent.QuiescentProbeService` provides it).
+    After :meth:`map`, :attr:`breakdown` holds Figure 10's probe counts.
     """
 
     def __init__(
@@ -109,17 +96,21 @@ class MyricomMapper:
         self._radix = radix
         self._explored: list[SwitchRecord] = []
         self._hosts: dict[str, tuple[SwitchRecord, int]] = {}
-        self._breakdown = ProbeBreakdown()
-        self._pops = 0
+        self.breakdown = ProbeBreakdown()
 
     # ------------------------------------------------------------------
-    def run(self) -> MyricomResult:
+    def map(self) -> MapResult:
+        """Explore breadth-first, identifying each candidate eagerly.
+
+        Eager identification means each explored switch is final:
+        explorations and peak model size are both the explored-switch
+        count, and nothing ever merges.
+        """
         root = self._new_switch(())
         frontier: deque[Candidate] = deque()
         self._explore(root, frontier)
         while frontier:
             cand = frontier.popleft()
-            self._pops += 1
             match = self._identify(cand)
             if match is not None:
                 switch, rel = match
@@ -131,28 +122,16 @@ class MyricomMapper:
                 self._explore(new, frontier)
         nodes = {sw.name: sw.ports for sw in self._explored}
         nodes.update(dict.fromkeys(self._hosts))
-        return MyricomResult(
-            network=assemble(nodes, self._radix)[0],
-            breakdown=self._breakdown,
+        n = len(self._explored)
+        return MapResult(
+            network=core_network(assemble(nodes, self._radix)[0]),
             stats=self._svc.stats.snapshot(),
             mapper_host=self._svc.mapper_host,
-            candidates_popped=self._pops,
-            switches_explored=len(self._explored),
+            search_depth=self._depth,
+            explorations=n,
+            merges=0,
+            peak_model_nodes=n,
         )
-
-    def map(self) -> MapResult:
-        """Protocol entry point: run and repackage as a ``MapResult``.
-
-        ``run`` keeps the algorithm's native :class:`MyricomResult` (the
-        Figure 10 probe breakdown, every switch reached — ``F`` included);
-        ``map`` flattens it into the common pruned shape every driver
-        understands. Eager identification means each explored switch is
-        final — explorations and peak model size are both the
-        explored-switch count, and nothing ever merges.
-        """
-        native = self.run()
-        n = native.switches_explored
-        return MapResult.from_native(native, self._depth, n, 0, n)
 
     # ------------------------------------------------------------------
     # exploration of a confirmed-new switch
@@ -173,7 +152,7 @@ class MyricomMapper:
         while (turn := plan.next_turn()) is not None:
             route = sw.route + (turn,)
             host = self._svc.probe_host(route)
-            self._breakdown.host += 1
+            self.breakdown.host += 1
             if host is not None:
                 plan.feed(turn, True)
                 if host in self._hosts:
@@ -184,7 +163,7 @@ class MyricomMapper:
                 self._hosts[host] = (sw, turn)
                 sw.ports[turn] = (host, 0)
                 continue
-            self._breakdown.switch += 1
+            self.breakdown.switch += 1
             if self._svc.probe_switch(route):
                 plan.feed(turn, True)
                 frontier.append(Candidate(route, sw, turn))
@@ -225,9 +204,9 @@ class MyricomMapper:
         retrace = reverse_turns(sw.route)
         for x in x_sweep(sw.window, self._radix):
             if category == "loop":
-                self._breakdown.loop += 1
+                self.breakdown.loop += 1
             else:
-                self._breakdown.compare += 1
+                self.breakdown.compare += 1
             if self._svc.probe_loopback(route + (x,) + retrace):
                 return -x
         return None

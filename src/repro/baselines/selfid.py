@@ -16,13 +16,14 @@ Myricom Algorithm needs the same sweep against *every* explored switch).
 The paper's caveat stands: self-identification removes replicate detection,
 not the probe-collision or cross-traffic problems — the service still
 applies the collision model, so a sweep probe can fail and the wire's far
-index stay unresolved (counted in ``unresolved_wires``).
+index stay unresolved (counted in ``SelfIdMapper.unresolved_wires``).
+Every switch reached is identified, ``F`` included, and the map is pruned
+to ``N - F`` as the Berkeley Algorithm's PRUNE stage does.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from repro.core.mapper import MapResult
 from repro.core.mapper_protocol import register_mapper
@@ -35,13 +36,14 @@ from repro.core.relative import (
     x_sweep,
 )
 from repro.simulator.path_eval import PathStatus
-from repro.simulator.probes import ProbeKind, ProbeStats
+from repro.simulator.probes import ProbeKind
 from repro.simulator.quiescent import QuiescentProbeService
 from repro.simulator.stack import ProbeContext
 from repro.simulator.turns import Turns, reverse_turns, switch_probe_turns, validate_turns
+from repro.topology.analysis import core_network
 from repro.topology.model import Network
 
-__all__ = ["SelfIdMapper", "SelfIdProbeService", "SelfIdResult"]
+__all__ = ["SelfIdMapper", "SelfIdProbeService"]
 
 
 class SelfIdProbeService(QuiescentProbeService):
@@ -72,20 +74,6 @@ class SelfIdProbeService(QuiescentProbeService):
         return ctx.payload if ctx.hit else None
 
 
-@dataclass(slots=True)
-class SelfIdResult:
-    network: Network
-    stats: ProbeStats
-    mapper_host: str
-    switches_explored: int
-    pin_probes: int
-    unresolved_wires: int
-
-    @property
-    def elapsed_ms(self) -> float:
-        return self.stats.elapsed_ms
-
-
 @register_mapper(
     "selfid",
     summary="hypothetical self-identifying-switch BFS (Section 6)",
@@ -102,10 +90,16 @@ class SelfIdMapper:
         self._svc = service
         self._depth = search_depth
         self._radix = radix
-        self._pin_probes = 0
-        self._unresolved = 0
+        #: Wires whose far port no sweep probe pinned, after :meth:`map`.
+        self.unresolved_wires = 0
 
-    def run(self) -> SelfIdResult:
+    def map(self) -> MapResult:
+        """Explore breadth-first, recognizing every switch on sight.
+
+        Self-identification makes every switch final on first sight, so
+        explorations and peak model size both equal the switch count and
+        nothing merges.
+        """
         svc = self._svc
         root_id = svc.probe_switch_id(())
         if root_id is None:
@@ -118,26 +112,16 @@ class SelfIdMapper:
             if len(sw.route) >= self._depth:
                 continue
             self._scan(sw, switches, frontier)
-        return SelfIdResult(
-            network=self._build(switches),
+        n = len(switches)
+        return MapResult(
+            network=core_network(self._build(switches)),
             stats=svc.stats.snapshot(),
             mapper_host=svc.mapper_host,
-            switches_explored=len(switches),
-            pin_probes=self._pin_probes,
-            unresolved_wires=self._unresolved,
+            search_depth=self._depth,
+            explorations=n,
+            merges=0,
+            peak_model_nodes=n,
         )
-
-    def map(self) -> MapResult:
-        """Protocol entry point: run and repackage as a ``MapResult``.
-
-        Self-identification makes every switch final on first sight, so
-        explorations and peak model size both equal the switch count and
-        nothing merges (``run`` keeps the richer :class:`SelfIdResult`
-        with pin-probe and unresolved-wire counts, ``F`` unpruned).
-        """
-        native = self.run()
-        n = native.switches_explored
-        return MapResult.from_native(native, self._depth, n, 0, n)
 
     # ------------------------------------------------------------------
     def _new_switch(self, sid: str, route: Turns) -> SwitchRecord:
@@ -168,7 +152,7 @@ class SelfIdMapper:
                     far = switches[far_id]
                     rel = self._pin(probe, far)
                     if rel is None:
-                        self._unresolved += 1
+                        self.unresolved_wires += 1
                     else:
                         record_wire(sw, turn, far, rel)
                 continue
@@ -189,7 +173,6 @@ class SelfIdMapper:
         for x in x_sweep(far.window, self._radix):
             if -x in far.ports:
                 continue  # that far port is already known to hold another wire
-            self._pin_probes += 1
             if self._svc.probe_loopback(route + (x,) + retrace):
                 return -x
         return None

@@ -31,7 +31,6 @@ from repro.core.planner import ProbePlanner
 from repro.core.relative import MappingError
 from repro.simulator.probes import ProbeService, ProbeStats
 from repro.simulator.turns import Turns
-from repro.topology.analysis import core_network
 from repro.topology.delta import Endpoint
 from repro.topology.model import Network
 
@@ -87,32 +86,6 @@ class MapResult:
     @property
     def elapsed_ms(self) -> float:
         return self.stats.elapsed_ms
-
-    @classmethod
-    def from_native(
-        cls,
-        native,
-        search_depth: int,
-        explorations: int,
-        merges: int,
-        peak_model_nodes: int,
-    ) -> "MapResult":
-        """The protocol shape of a breadth-first mapper's native result.
-
-        A mapper that explores every switch it reaches maps ``N`` — its
-        ``run()`` keeps that — while :meth:`Mapper.map` promises the
-        theorem's ``N - F`` for every algorithm, as Berkeley's PRUNE stage
-        delivers it. This is the one place a breadth-first map is pruned.
-        """
-        return cls(
-            network=core_network(native.network),
-            stats=native.stats,
-            mapper_host=native.mapper_host,
-            search_depth=search_depth,
-            explorations=explorations,
-            merges=merges,
-            peak_model_nodes=peak_model_nodes,
-        )
 
 
 @dataclass(frozen=True, slots=True)

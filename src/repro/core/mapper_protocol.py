@@ -11,9 +11,9 @@ remapper daemon, the chaos runner, the map service workers, the CLI, the
 experiments, the tournament harness) race them interchangeably:
 
 * :class:`Mapper` — the structural protocol every algorithm satisfies:
-  ``map() -> MapResult``. Algorithms keep their richer native ``run()``
-  results (probe breakdowns, pin counts) for the experiments that study
-  them; ``map()`` is the common denominator the drivers call.
+  ``map() -> MapResult``, the theorem's ``N - F``, is every mapper's only
+  entry point. What an experiment studies beyond the map (Myricom's probe
+  breakdown, the coupon hits) is read off the mapper after ``map()``.
 * :attr:`MapperSpec.capabilities` — the optional parts of the interface
   (``seed_with`` incremental seeding, ``profiler`` phase timing), derived
   from the registered factory itself, so a listing cannot claim what the

@@ -39,7 +39,7 @@ from repro.routing.updown import orient_updown
 from repro.simulator.faults import FaultModel
 from repro.simulator.stack import ProbeLayer
 from repro.topology.analysis import DistanceMemo, recommended_search_depth
-from repro.topology.delta import UNBOUNDED_DELTA, seedable_removals
+from repro.topology.delta import seedable_removals
 from repro.topology.diff import MapDiff, diff_networks
 from repro.topology.model import Network, PortRef
 
@@ -157,8 +157,9 @@ class CycleState:
         """Build a seed from the last map and the network's delta journal
         (``its epoch snapshot .. now``), or explain why the next map must
         run from scratch. A moved fault epoch (a probability change) has no
-        wire-end footprint, so it counts as an unbounded delta. Before a
-        first map there is nothing to fall back from: no seed, no reason.
+        wire-end footprint, so it forces a from-scratch map, after the
+        journal window's own reason. Before a first map there is nothing to
+        fall back from: no seed, no reason.
         """
         prior = self.last_result
         if prior is None:
@@ -171,7 +172,7 @@ class CycleState:
             and fault_epoch is not None
             and faults.fault_epoch != fault_epoch
         ):
-            delta = UNBOUNDED_DELTA
+            return None, "delta is unbounded (not describable by wire ends)"
         affected, reason = seedable_removals(delta)
         if affected is None:
             return None, reason

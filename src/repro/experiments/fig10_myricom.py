@@ -59,16 +59,17 @@ def run(systems=SYSTEMS) -> list[MyricomRow]:
             fixture.net, fixture.mapper_host, search_depth=fixture.search_depth
         )
         svc_m = build_service_stack(fixture.net, fixture.mapper_host)
-        # The per-category probe breakdown only exists on the native
-        # result, so drop from the protocol to the concrete runner here.
-        myricom = cast(
+        # The per-category probe breakdown is the Myricom mapper's own,
+        # read off it after map(), so keep its concrete type here.
+        mapper = cast(
             MyricomMapper,
             create_mapper("myricom", svc_m, search_depth=fixture.search_depth),
-        ).run()
+        )
+        myricom = mapper.map()
         rows.append(
             MyricomRow(
                 system=name,
-                breakdown=myricom.breakdown,
+                breakdown=mapper.breakdown,
                 myricom_time_ms=myricom.elapsed_ms,
                 myricom_correct=bool(match_networks(myricom.network, fixture.core)),
                 berkeley_probes=berkeley.stats.total_probes,

@@ -90,8 +90,8 @@ class CouponMapper(BerkeleyMapper):
     """Berkeley mapper with a coupon-collecting random seeding phase.
 
     Capabilities are inherited from :class:`BerkeleyMapper` — the coupon
-    phase only pre-seeds the model graph; seeding, batching and
-    profiling all still apply to the BFS phase.
+    phase only pre-seeds the model graph; prior-map seeding and phase
+    profiling both still apply to the BFS phase.
     """
 
     def __init__(

@@ -31,7 +31,9 @@ algorithm (eager O(N) comparison sweeps per candidate):
 
 Like the Myricom baseline this needs the raw ``probe_loopback``
 facility; unlike it, comparison cost is proportional to signature
-collisions, not to the number of explored switches.
+collisions, not to the number of explored switches. Like it, every
+switch reached is explored, ``F`` included, and the map is pruned to
+``N - F`` as the Berkeley Algorithm's PRUNE stage does.
 """
 
 from __future__ import annotations
@@ -49,30 +51,11 @@ from repro.core.relative import (
     assemble,
     record_wire,
 )
-from repro.simulator.probes import ProbeStats
 from repro.simulator.quiescent import QuiescentProbeService
 from repro.simulator.turns import Turns, reverse_turns
-from repro.topology.model import Network
+from repro.topology.analysis import core_network
 
-__all__ = ["SpanningTreeMapper", "SpanningTreeResult"]
-
-
-@dataclass(slots=True)
-class SpanningTreeResult:
-    """Native output of a spanning-tree mapping run."""
-
-    network: Network
-    stats: ProbeStats
-    mapper_host: str
-    #: Switches explored (tree nodes plus merged-away duplicate views).
-    explorations: int
-    #: Views recognized as an already-known switch (cross-edge far ends).
-    merges: int
-    #: Mirror candidates skipped because their wire was already resolved
-    #: from the other side — the probes the tree structure saved.
-    skipped_candidates: int
-    #: Identity-confirmation loopback probes sent.
-    sweep_probes: int
+__all__ = ["SpanningTreeMapper"]
 
 
 @dataclass(slots=True)
@@ -120,13 +103,15 @@ class SpanningTreeMapper:
         self._used: dict[str, frozenset[int]] = {}
         self._hosts: dict[str, tuple[SwitchRecord, int]] = {}
         self._sigs: dict[tuple, list[SwitchRecord]] = {}
+        #: Switches explored (tree nodes plus merged-away duplicate views).
         self._explorations = 0
+        #: Views recognized as an already-known switch (cross-edge far ends).
         self._merges = 0
-        self._skipped = 0
-        self._sweeps = 0
 
     # ------------------------------------------------------------------
-    def run(self) -> SpanningTreeResult:
+    def map(self) -> MapResult:
+        """Grow the tree, recognizing each explored view by its local view;
+        peak model size is the adopted-switch count."""
         root = self._new_switch(())
         root.ports[0] = (self._svc.mapper_host, 0)
         self._hosts[self._svc.mapper_host] = (root, 0)
@@ -140,7 +125,6 @@ class SpanningTreeMapper:
             if parent.ports.get(pturn) is not None:
                 # The wire was already resolved from its other end — the
                 # cross-edge dedup that makes the tree structure pay.
-                self._skipped += 1
                 continue
             view = self._explore(cand.route)
             known = self._recognize(view)
@@ -156,26 +140,14 @@ class SpanningTreeMapper:
                 record_wire(parent, pturn, far, shift)
         nodes = {sw.name: dict(sorted(sw.ports.items())) for sw in self._switches}
         nodes.update(dict.fromkeys(self._hosts))
-        return SpanningTreeResult(
-            network=assemble(nodes, self._radix)[0],
+        return MapResult(
+            network=core_network(assemble(nodes, self._radix)[0]),
             stats=self._svc.stats.snapshot(),
             mapper_host=self._svc.mapper_host,
+            search_depth=self._depth,
             explorations=self._explorations,
             merges=self._merges,
-            skipped_candidates=self._skipped,
-            sweep_probes=self._sweeps,
-        )
-
-    def map(self) -> MapResult:
-        """Protocol entry point: run and repackage as a ``MapResult``
-        (``run`` keeps the unpruned :class:`SpanningTreeResult`)."""
-        native = self.run()
-        return MapResult.from_native(
-            native,
-            self._depth,
-            native.explorations,
-            native.merges,
-            len(self._switches),
+            peak_model_nodes=len(self._switches),
         )
 
     # ------------------------------------------------------------------
@@ -269,7 +241,6 @@ class SpanningTreeMapper:
         x = -shift
         if abs(x) >= self._radix:
             return False
-        self._sweeps += 1
         return self._svc.probe_loopback(
             route + (x,) + reverse_turns(peer.route)
         )

@@ -16,11 +16,9 @@ The contract (documented for consumers in ``docs/INCREMENTAL.md``):
 - ``added`` — wire ends that gained connectivity (a cable plugged or
   healed). Cached *absences* (a memoized NO_SUCH_WIRE, a pruned search
   window) keyed on such an end are stale.
-- ``unbounded`` — the change cannot be described by a wire set (e.g. a
-  fault-probability change, which moves ``FaultModel.fault_epoch``).
-  Consumers must treat the whole derived structure as suspect.
 - ``since`` returning ``None`` — the requested epoch has fallen out of the
-  journal's bounded window; same consequence as ``unbounded``.
+  journal's bounded window. Consumers must treat the whole derived
+  structure as suspect.
 
 A delta never under-reports: every mutator journals at least the ends it
 touched, so "my footprint is disjoint from the delta" is a sound proof of
@@ -39,7 +37,6 @@ __all__ = [
     "DeltaJournal",
     "EMPTY_DELTA",
     "Endpoint",
-    "UNBOUNDED_DELTA",
     "seedable_removals",
 ]
 
@@ -55,11 +52,10 @@ class Delta:
 
     removed: frozenset[Endpoint] = field(default_factory=frozenset)
     added: frozenset[Endpoint] = field(default_factory=frozenset)
-    unbounded: bool = False
 
     @property
     def empty(self) -> bool:
-        return not (self.removed or self.added or self.unbounded)
+        return not (self.removed or self.added)
 
     def merge(self, other: "Delta") -> "Delta":
         """The footprint of applying ``self`` then ``other``.
@@ -76,15 +72,11 @@ class Delta:
         return Delta(
             removed=self.removed | other.removed,
             added=self.added | other.added,
-            unbounded=self.unbounded or other.unbounded,
         )
 
 
 #: Shared no-change delta (node additions, metadata-only mutations).
 EMPTY_DELTA = Delta()
-
-#: Shared "not describable by wires" delta.
-UNBOUNDED_DELTA = Delta(unbounded=True)
 
 
 def merge_deltas(deltas: Iterable[Delta]) -> Delta:
@@ -101,17 +93,13 @@ def seedable_removals(
     """The seeding soundness ladder over one delta.
 
     ``delta`` is what ``Network.affected_since`` returned for the epoch
-    snapshotted at the prior map (:data:`UNBOUNDED_DELTA` when the fault
-    model was reconfigured since). A prior map may seed the next one only
-    across a bounded, removals-only delta: returns ``(removed wire ends,
+    snapshotted at the prior map. A prior map may seed the next one only
+    across a journaled, removals-only delta: returns ``(removed wire ends,
     None)`` then, and ``(None, reason)`` for a delta that fell out of the
-    journal window, is unbounded (a probability reconfiguration) or
-    *added* connectivity (a plugged or healed cable).
+    journal window or *added* connectivity (a plugged or healed cable).
     """
     if delta is None:
         return None, "topology delta fell out of the journal window"
-    if delta.unbounded:
-        return None, "delta is unbounded (not describable by wire ends)"
     if delta.added:
         return None, (
             "connectivity was added; a kept subtree cannot prove a "

@@ -9,8 +9,8 @@ and a random SAN. The random family is pinned to seed 5 because the committed
 registered algorithm's ``map()`` matches the core on seeds 0-39 of that
 generator, 40 of 40 — including the 33 seeds with a host-free dead end
 (``F`` non-empty; seed 5 is one of the seven without), where the
-breadth-first mappers' native ``run()`` result keeps ``F`` and differs
-from the core by exactly that. Loopback identification (Myricom X-sweeps,
+breadth-first mappers explore ``F`` and their ``map()`` prunes it.
+Loopback identification (Myricom X-sweeps,
 spanning-tree confirmation probes) mis-merges on none of them.
 """
 

@@ -2,10 +2,11 @@
 
 The Berkeley Algorithm's PRUNE stage removes F (host-free regions behind
 switch-bridges) — Theorem 1 promises exactly `N − F`. The Myricom
-Algorithm has no prune: its loopback and comparison probes work fine inside
-F (switch-probes cross the bridge once each way), so it maps the *full*
-network. Neither is wrong; they answer slightly different questions, and
-this difference is worth pinning down in a test.
+Algorithm has no deduction to prune with: its loopback and comparison
+probes work fine inside F (switch-probes cross the bridge once each way),
+so it explores the *full* network, and its map() prunes F afterwards.
+Both maps answer the same question, `N − F`; only Myricom pays probes
+for F.
 """
 
 from repro.baselines.myricom import MyricomMapper
@@ -26,13 +27,13 @@ class TestFRegionBehavior:
             svc_b, search_depth=depth, host_first=False
         ).map()
         svc_m = QuiescentProbeService(bridge_net, "h0")
-        myricom = MyricomMapper(svc_m, search_depth=depth).run()
+        myricom = MyricomMapper(svc_m, search_depth=depth).map()
 
         core = core_network(bridge_net)
         # Berkeley: the theorem's answer, N - F.
         assert match_networks(berkeley.network, core)
         assert berkeley.network.n_switches == 2
-        # Myricom: the full network, F included.
-        report = match_networks(myricom.network, bridge_net)
+        # Myricom explores every switch, F included, and maps N - F too.
+        assert myricom.explorations == 4
+        report = match_networks(myricom.network, core)
         assert report, report.reason
-        assert myricom.network.n_switches == 4

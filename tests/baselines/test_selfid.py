@@ -12,7 +12,7 @@ from repro.topology.isomorphism import match_networks
 def _selfid(net, mapper="h0", depth=None):
     depth = depth or recommended_search_depth(net, mapper)
     svc = SelfIdProbeService(net, mapper)
-    return SelfIdMapper(svc, search_depth=depth).run()
+    return SelfIdMapper(svc, search_depth=depth).map()
 
 
 class TestService:
@@ -39,20 +39,20 @@ class TestMapper:
 
     def test_each_switch_explored_once(self, ring_net):
         result = _selfid(ring_net)
-        assert result.switches_explored == 4
+        assert result.explorations == 4
 
     def test_subcluster_c(self, subcluster_c, subcluster_c_depth, subcluster_c_core):
         svc = SelfIdProbeService(subcluster_c, "C-svc")
-        result = SelfIdMapper(svc, search_depth=subcluster_c_depth).run()
-        assert match_networks(result.network, subcluster_c_core)
-        assert result.unresolved_wires == 0
+        mapper = SelfIdMapper(svc, search_depth=subcluster_c_depth)
+        assert match_networks(mapper.map().network, subcluster_c_core)
+        assert mapper.unresolved_wires == 0
 
     def test_lower_bound_on_probe_count(
         self, subcluster_c, subcluster_c_depth
     ):
         """Section 6: self-identification makes exploration much cheaper."""
         svc_s = SelfIdProbeService(subcluster_c, "C-svc")
-        selfid = SelfIdMapper(svc_s, search_depth=subcluster_c_depth).run()
+        selfid = SelfIdMapper(svc_s, search_depth=subcluster_c_depth).map()
         svc_b = QuiescentProbeService(subcluster_c, "C-svc")
         berkeley = BerkeleyMapper(
             svc_b, search_depth=subcluster_c_depth, host_first=False

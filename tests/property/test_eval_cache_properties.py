@@ -188,12 +188,10 @@ class TestCacheEquivalence:
         _assert_stats_identical(cached, pure)
         stats = cached.eval_cache_stats
         assert stats is not None and pure.eval_cache_stats is None
-        # hits/misses count per-node trie steps, evaluations count probe
-        # walks: both only ever grow, and the rate stays a valid fraction.
+        # hits/misses count per-node trie steps: neither goes negative,
+        # and the rate stays a valid fraction.
         assert stats.hits >= 0 and stats.misses >= 0
         assert 0.0 <= stats.hit_rate <= 1.0
-        if any(op in ("host", "switch", "loopback") for op, _ in plan):
-            assert stats.evaluations > 0
 
     @given(
         params=network_params,

@@ -13,7 +13,7 @@ from repro.simulator.path_eval import (
 from repro.simulator.quiescent import QuiescentProbeService
 from repro.simulator.stack import TraceBusLayer, build_service_stack
 from repro.simulator.turns import switch_probe_turns
-from repro.topology.delta import JOURNAL_WINDOW, UNBOUNDED_DELTA
+from repro.topology.delta import JOURNAL_WINDOW
 from repro.topology.generators import build_ring, build_subcluster
 from tests.simulator.reference_service import PureWalkProbeService
 from tests.simulator.trie_view import MemoFreeProbeService
@@ -136,10 +136,7 @@ class TestInvalidation:
         assert ev.stats.invalidations == 1
         assert ev.stats.nodes_dropped == doomed
 
-    @pytest.mark.parametrize("journal", ["out-of-window", "unbounded"])
-    def test_a_journal_that_cannot_answer_flushes_whole(
-        self, now_c, journal, monkeypatch
-    ):
+    def test_a_journal_that_cannot_answer_flushes_whole(self, now_c):
         ev = IncrementalPathEvaluator(now_c)
         for turns in PROBES:
             ev.evaluate("C-n00", turns)
@@ -147,17 +144,11 @@ class TestInvalidation:
         # A wire no cached walk read: a prune would keep every node.
         read = {end for n in _trie_nodes(ev) for end in n.dep}
         wire = next(w for w in now_c.wires if not _ends(w) & read)
-        if journal == "unbounded":
+        for _ in range(JOURNAL_WINDOW):
             now_c.disconnect(wire)
-            monkeypatch.setattr(
-                now_c, "affected_since", lambda epoch: UNBOUNDED_DELTA
+            wire = now_c.connect(
+                wire.a.node, wire.a.port, wire.b.node, wire.b.port
             )
-        else:
-            for _ in range(JOURNAL_WINDOW):
-                now_c.disconnect(wire)
-                wire = now_c.connect(
-                    wire.a.node, wire.a.port, wire.b.node, wire.b.port
-                )
         assert _answer(ev, PROBES[0]) == _answer(
             IncrementalPathEvaluator(now_c.copy()), PROBES[0]
         )

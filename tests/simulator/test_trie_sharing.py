@@ -142,7 +142,7 @@ def test_services_on_one_network_share_its_trie_and_count_their_own_walks():
         "berkeley", second, search_depth=recommended_search_depth(net, h0)
     ).map()
     warm = second.eval_cache_stats
-    assert warm.evaluations == cold.evaluations
+    assert second.stats.total_probes == first.stats.total_probes
     assert (warm.hits, warm.misses) == (cold.hits + cold.misses, 0)
     assert warm.nodes == cold.nodes
     assert first.eval_cache_stats == cold

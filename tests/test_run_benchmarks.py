@@ -100,7 +100,18 @@ class TestGateCli:
         monkeypatch.setattr(harness, "SUITES", {"micro": {"b": arm}})
         assert harness.main(["--suite", "micro", "--quick", "--out", str(out)]) == 0
         assert seen and all(seen)
-        assert json.loads((out / "BENCH_micro.json").read_text())["benchmarks"]["b"]
+        assert json.loads((out / "BENCH_micro.current.json").read_text())["benchmarks"]["b"]
+
+    def test_ungated_quick_run_leaves_the_baseline_alone(
+        self, harness, tmp_path, monkeypatch
+    ):
+        """A quick run skips tiers and repeats, so it must not replace the
+        committed baseline even without --check-against."""
+        doc = _doc(b=1.0)
+        monkeypatch.setattr(harness, "run_suite", lambda *a, **k: doc)
+        args = ["--suite", "micro", "--quick", "--out", str(tmp_path)]
+        assert harness.main(args) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["BENCH_micro.current.json"]
 
 
 class TestScaleSuite:

@@ -81,7 +81,7 @@ def test_a_batch_is_one_journal_entry_naming_every_end(fabric):
     delta = net.affected_since(epoch)
     ends = {(n, p) for a, pa, b, pb in _cables(source) for n, p in ((a, pa), (b, pb))}
     assert delta.added == ends
-    assert not delta.removed and not delta.unbounded
+    assert not delta.removed
 
 
 def test_an_empty_batch_changes_nothing():

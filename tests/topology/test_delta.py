@@ -11,7 +11,6 @@ from repro.topology.delta import (
     DeltaJournal,
     EMPTY_DELTA,
     JOURNAL_WINDOW,
-    UNBOUNDED_DELTA,
     merge_deltas,
 )
 from repro.topology.model import Network
@@ -46,7 +45,6 @@ def _net() -> Network:
 class TestDelta:
     def test_empty_and_endpoints(self):
         assert EMPTY_DELTA.empty
-        assert not UNBOUNDED_DELTA.empty
         d = Delta(removed=frozenset({("s0", 1)}), added=frozenset({("s1", 2)}))
         assert not d.empty
         assert endpoints(d) == {("s0", 1), ("s1", 2)}
@@ -58,17 +56,11 @@ class TestDelta:
         plug = Delta(added=frozenset({("s0", 1), ("s1", 1)}))
         merged = cut.merge(plug)
         assert merged.removed == merged.added == {("s0", 1), ("s1", 1)}
-        assert not merged.unbounded
 
     def test_merge_short_circuits_on_empty(self):
         d = Delta(removed=frozenset({("s0", 1)}))
         assert d.merge(EMPTY_DELTA) is d
         assert EMPTY_DELTA.merge(d) is d
-
-    def test_unbounded_is_sticky_through_merges(self):
-        d = Delta(removed=frozenset({("s0", 1)}))
-        assert d.merge(UNBOUNDED_DELTA).unbounded
-        assert merge_deltas([EMPTY_DELTA, UNBOUNDED_DELTA, d]).unbounded
 
     def test_merge_deltas_of_nothing_is_no_change(self):
         assert merge_deltas([]) is EMPTY_DELTA
@@ -171,7 +163,7 @@ class TestNetworkJournal:
         net.disconnect(net.wire_at("s0", 1))
         delta = net.affected_since(epoch)
         assert delta.removed == {("s0", 1), ("s1", 1)}
-        assert not delta.added and not delta.unbounded
+        assert not delta.added
 
     def test_connect_journals_both_ends_as_added(self):
         net = _net()
