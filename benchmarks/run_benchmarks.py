@@ -349,7 +349,8 @@ def _remap_single_cut(make_net, cut_end) -> tuple[float, dict]:
     depth = recommended_search_depth(net, h0)
     before = QuiescentProbeService(net=net, mapper=h0, faults=FaultModel())
     epoch = net.topology_epoch
-    prior = create_mapper("berkeley", before, search_depth=depth).map()
+    # BENCH_remap.json's probe counts are the host-probe-first order's.
+    prior = create_mapper("berkeley", before, search_depth=depth, host_first=True).map()
 
     net.disconnect(net.wire_at(*cut_end))
     delta = net.affected_since(epoch)
@@ -357,12 +358,12 @@ def _remap_single_cut(make_net, cut_end) -> tuple[float, dict]:
 
     cold = QuiescentProbeService(net=net.copy(), mapper=h0, faults=FaultModel())
     start = time.perf_counter()
-    scratch = create_mapper("berkeley", cold, search_depth=depth).map()
+    scratch = create_mapper("berkeley", cold, search_depth=depth, host_first=True).map()
     scratch_s = time.perf_counter() - start
     scratch_probes = scratch.stats.total_probes
 
     after = QuiescentProbeService(net=net, mapper=h0, faults=FaultModel())
-    seeded_mapper = create_mapper("berkeley", after, search_depth=depth)
+    seeded_mapper = create_mapper("berkeley", after, search_depth=depth, host_first=True)
     seeded_mapper.seed_with(
         MapSeed(
             network=prior.network,

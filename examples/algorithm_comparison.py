@@ -33,9 +33,7 @@ def compare(name: str, net, mapper_host: str) -> None:
     rows = []
 
     svc = build_service_stack(net, mapper_host)
-    berkeley = create_mapper(
-        "berkeley", svc, search_depth=depth, host_first=False
-    ).map()
+    berkeley = create_mapper("berkeley", svc, search_depth=depth).map()
     rows.append(
         (
             "Berkeley (lazy)",

@@ -34,9 +34,7 @@ from repro import (
 def remap(actual, mapper_host: str, event: str) -> None:
     depth = recommended_search_depth(actual, mapper_host)
     svc = build_service_stack(actual, mapper_host)
-    result = create_mapper(
-        "berkeley", svc, search_depth=depth, host_first=False
-    ).map()
+    result = create_mapper("berkeley", svc, search_depth=depth).map()
     report = match_networks(result.network, core_network(actual))
     orientation = orient_updown(result.network)
     paths = all_pairs_updown_paths(result.network, orientation)

@@ -42,9 +42,7 @@ def main() -> None:
     # --- 1+2: in-band mapping -----------------------------------------
     depth = recommended_search_depth(actual, mapper_host)
     svc = build_service_stack(actual, mapper_host)
-    result = create_mapper(
-        "berkeley", svc, search_depth=depth, host_first=False
-    ).map()
+    result = create_mapper("berkeley", svc, search_depth=depth).map()
     the_map = result.network
     assert match_networks(the_map, core_network(actual))
     print(

@@ -37,9 +37,7 @@ def main() -> None:
     depth = recommended_search_depth(actual, mapper_host)
     print(f"exploration depth Q+D+1 = {depth}")
 
-    result = create_mapper(
-        "berkeley", probes, search_depth=depth, host_first=False
-    ).map()
+    result = create_mapper("berkeley", probes, search_depth=depth).map()
 
     print(f"\nmap produced: {result.network}")
     print(

@@ -692,7 +692,7 @@ class MappersViaRegistry(Rule):
     hint = (
         "decorate the class with @register_mapper(name, summary=...) and "
         "construct through create_mapper(name, ...) / "
-        "resolve_mapper_factory(name); direct constructor calls stay "
+        "map_cycle(mapper=name); direct constructor calls stay "
         "legal inside repro.core and in the module defining the class"
     )
 

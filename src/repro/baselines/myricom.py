@@ -39,7 +39,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.core.mapper import MapResult
-from repro.core.mapper_protocol import register_mapper
+from repro.core.mapper_protocol import maps_once, register_mapper
 from repro.core.planner import PortPlan
 from repro.core.relative import (
     Candidate,
@@ -99,6 +99,7 @@ class MyricomMapper:
         self.breakdown = ProbeBreakdown()
 
     # ------------------------------------------------------------------
+    @maps_once
     def map(self) -> MapResult:
         """Explore breadth-first, identifying each candidate eagerly.
 

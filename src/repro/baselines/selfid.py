@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import deque
 
 from repro.core.mapper import MapResult
-from repro.core.mapper_protocol import register_mapper
+from repro.core.mapper_protocol import maps_once, register_mapper
 from repro.core.planner import PortPlan
 from repro.core.relative import (
     MappingError,
@@ -93,6 +93,7 @@ class SelfIdMapper:
         #: Wires whose far port no sweep probe pinned, after :meth:`map`.
         self.unresolved_wires = 0
 
+    @maps_once
     def map(self) -> MapResult:
         """Explore breadth-first, recognizing every switch on sight.
 

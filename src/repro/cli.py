@@ -22,6 +22,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Callable
 
 from repro.topology.generators import NAMED_TOPOLOGIES, build_named_topology
 from repro.topology.serialize import load_network, save_network
@@ -74,8 +75,8 @@ def _print_mapper_registry() -> int:
 
 
 def _cmd_map(args: argparse.Namespace) -> int:
-    from repro.core.mapper_protocol import get_mapper_spec, resolve_mapper_factory
-    from repro.core.remapper import MAX_EXPLORATIONS, map_cycle
+    from repro.core.mapper_protocol import Mapper, get_mapper_spec
+    from repro.core.remapper import map_cycle
     from repro.simulator.faults import NO_FAULTS
     from repro.topology.analysis import core_network, effective_network
     from repro.topology.isomorphism import match_networks
@@ -93,20 +94,21 @@ def _cmd_map(args: argparse.Namespace) -> int:
     net = load_network(args.network)
     mapper_host = args.mapper_host or sorted(net.hosts)[0]
 
-    mapper, profiler = algorithm, None
+    mapper: str | Callable[[object, int], Mapper] = algorithm
+    profiler = None
     if args.profile and "profiler" in spec.capabilities:
         from repro.core.instrumentation import PhaseProfiler
 
         # Only a callable can carry a profiler in: the spec's mapper built
-        # with map_cycle's own defaults, on the spec's service class.
+        # as map_cycle builds it, on the spec's service class.
         profiler = PhaseProfiler()
-        mapper = resolve_mapper_factory(
-            algorithm,
-            host_first=False,
-            max_explorations=MAX_EXPLORATIONS,
-            radix=net.default_radix,
-            profiler=profiler,
-        )
+
+        def profiled(svc: object, depth: int) -> Mapper:
+            return spec.factory(
+                svc, search_depth=depth, radix=net.default_radix, profiler=profiler
+            )
+
+        mapper = profiled
     result, svc = map_cycle(
         net,
         mapper_host,
@@ -502,7 +504,7 @@ def main(argv: list[str] | None = None) -> int:
     expected operational failure and becomes a one-line message with exit
     code 2; anything else is a bug and must keep its traceback.
     """
-    from repro.core.mapper import MappingError
+    from repro.core.mapper import ExplorationLimitError, MappingError
 
     args = build_parser().parse_args(argv)
     try:
@@ -512,6 +514,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (json.JSONDecodeError, ValueError) as exc:
         print(f"san-map: error: invalid input: {exc}", file=sys.stderr)
+        return 2
+    except ExplorationLimitError as exc:
+        print(f"san-map: mapping failed: {exc}", file=sys.stderr)
         return 2
     except MappingError as exc:
         print(

@@ -102,7 +102,6 @@ def _rival_schedule(
             net,
             host,
             search_depth=search_depth,
-            max_explorations=None,
             layers=(CapLayer(cap), TraceBusLayer((on_record,))),
             collision=collision,
         )
@@ -238,7 +237,6 @@ def election_runs(
             net,
             winner,
             search_depth=search_depth,
-            max_explorations=None,
             layers=(silence,),
             collision=collision,
             jitter=JITTER,

@@ -25,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
-from repro.core.mapper_protocol import register_mapper
+from repro.core.mapper_protocol import maps_once, register_mapper
 from repro.core.model_graph import KIND_HOST, KIND_SWITCH, MergedVertex, ModelGraph
 from repro.core.planner import ProbePlanner
 from repro.core.relative import MappingError
@@ -38,12 +38,26 @@ if TYPE_CHECKING:
     from repro.core.instrumentation import PhaseProfiler
 
 __all__ = [
+    "EXPLORATION_LIMIT",
     "BerkeleyMapper",
+    "ExplorationLimitError",
     "GrowthSample",
     "MapResult",
     "MapSeed",
     "MappingError",
 ]
+
+
+#: Switch explorations a map may make before it fails with
+#: :class:`ExplorationLimitError`: a resource guard, not a tuning knob.
+#: About twice the largest fabric benchmarked (a three-tier fat tree k=30
+#: needs 92 671); a host-poor fabric, whose unmerged walk tree grows as
+#: 2^O(D+Q), reaches it in bounded time instead of growing without end.
+EXPLORATION_LIMIT = 200_000
+
+
+class ExplorationLimitError(MappingError):
+    """A map reached :data:`EXPLORATION_LIMIT` explorations unfinished."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,7 +163,7 @@ class BerkeleyMapper(ModelGraph):
     host_first:
         Whether the host-probe of each probe pair is sent before the
         switch-probe (the second test is skipped when the first one
-        identifies the node).
+        identifies the node). Off by default: the switch-probe goes first.
     record_growth:
         Keep the per-exploration model-size trace (Figure 8).
     profiler:
@@ -164,7 +178,7 @@ class BerkeleyMapper(ModelGraph):
         *,
         search_depth: int,
         planner: ProbePlanner | None = None,
-        host_first: bool = True,
+        host_first: bool = False,
         record_growth: bool = False,
         radix: int = 8,
         max_explorations: int | None = None,
@@ -175,10 +189,12 @@ class BerkeleyMapper(ModelGraph):
         With plentiful host anchors merging keeps the model graph small
         (Figure 8), but in anchor-poor settings (Figure 9 with few daemons)
         the unmerged walk tree is exponential in the search depth — the
-        paper's own complexity bound is 2^O(D+Q). A production mapper runs
-        under a resource bound; when the bound trips, exploration stops and
-        the mapper prunes and returns the best map it has (sound, possibly
-        incomplete).
+        paper's own complexity bound is 2^O(D+Q). The experiments that
+        model the real mapper's resource bound pass one; when it trips,
+        exploration stops and the mapper prunes and returns the best map it
+        has (sound, possibly incomplete). A map that reaches
+        :data:`EXPLORATION_LIMIT` first raises :class:`ExplorationLimitError`
+        instead of returning part of a map.
         """
         if search_depth < 1:
             raise ValueError("search_depth must be at least 1")
@@ -202,6 +218,7 @@ class BerkeleyMapper(ModelGraph):
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
+    @maps_once
     def map(self) -> MapResult:
         """Map the network — the :class:`Mapper` protocol entry point."""
         prof = self._prof
@@ -258,6 +275,12 @@ class BerkeleyMapper(ModelGraph):
             v = self._find(self._pop_frontier())
             if v is None or v.explored or v.kind != KIND_SWITCH or v.depth >= self._depth:
                 continue
+            if self._explorations >= EXPLORATION_LIMIT:
+                raise ExplorationLimitError(
+                    f"exploration limit reached: {self._explorations} switch "
+                    "explorations did not finish the map (too few responding "
+                    "hosts to merge on?)"
+                )
             t0 = prof.clock() if prof is not None else 0.0
             self._explore(v)
             if prof is not None:

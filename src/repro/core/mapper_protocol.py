@@ -12,17 +12,21 @@ experiments, the tournament harness) race them interchangeably:
 
 * :class:`Mapper` — the structural protocol every algorithm satisfies:
   ``map() -> MapResult``, the theorem's ``N - F``, is every mapper's only
-  entry point. What an experiment studies beyond the map (Myricom's probe
-  breakdown, the coupon hits) is read off the mapper after ``map()``.
+  entry point, and it runs once per mapper (:func:`maps_once`; a second
+  call raises :class:`MapperReusedError`). What an experiment studies
+  beyond the map (Myricom's probe breakdown, the coupon hits) is read off
+  the mapper after ``map()``.
 * :attr:`MapperSpec.capabilities` — the optional parts of the interface
   (``seed_with`` incremental seeding, ``profiler`` phase timing), derived
   from the registered factory itself, so a listing cannot claim what the
   class does not have.
 * :data:`MAPPER_REGISTRY` — string-keyed specs. Construction goes
-  through :func:`create_mapper`/:func:`resolve_mapper_factory` so the
+  through :func:`create_mapper` (or ``map_cycle(mapper=name)``) so the
   choice of algorithm is data (``mapper_factory="berkeley"``), not an
   import; sanlint's SAN015 keeps direct constructor calls out of the
-  consumer layers.
+  consumer layers. Every factory is called the same way:
+  ``spec.factory(service, search_depth=..., radix=..., **options)``;
+  an option the constructor does not take raises its ``TypeError``.
 
 Registration is lazy: looking up a name imports its defining module,
 which registers the class via :func:`register_mapper` at import time.
@@ -32,8 +36,8 @@ imports while still making every built-in algorithm reachable by name.
 
 from __future__ import annotations
 
+import functools
 import importlib
-import inspect
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -49,15 +53,15 @@ if TYPE_CHECKING:
 __all__ = [
     "MAPPER_REGISTRY",
     "Mapper",
+    "MapperReusedError",
     "MapperSpec",
     "UnknownMapperError",
-    "build_mapper_service",
     "create_mapper",
     "get_mapper_spec",
     "iter_mapper_specs",
     "mapper_names",
+    "maps_once",
     "register_mapper",
-    "resolve_mapper_factory",
 ]
 
 
@@ -88,47 +92,44 @@ class MapperSpec:
     #: means the default quiescent core is enough.
     service_cls: type | None = None
 
-    def create(
-        self, service: object, *, search_depth: int, **kwargs: Any
-    ) -> Mapper:
-        """Construct the mapper against ``service``.
-
-        Unknown keyword arguments raise ``TypeError`` exactly as the
-        underlying constructor would — capabilities, not silent dropping,
-        are how optional features are negotiated.
-        """
-        return self.factory(service, search_depth=search_depth, **kwargs)
-
     @property
     def capabilities(self) -> tuple[str, ...]:
         """The optional parts of the interface the factory has, in listing
         order: ``seed_with`` when it has that method (a prior-map seed
         installed before ``map()``, the incremental-remap fast path), and
-        ``profiler`` when its constructor takes that keyword (per-phase
-        wall-clock accumulated into the caller's ``PhaseProfiler``)."""
+        ``profiler`` when it is a model graph, whose constructor takes
+        that keyword (per-phase wall-clock accumulated into the caller's
+        ``PhaseProfiler``)."""
+        from repro.core.model_graph import ModelGraph
+
         has = {
             "seed_with": hasattr(self.factory, "seed_with"),
-            "profiler": bool(self.accepted_kwargs({"profiler": None})),
+            "profiler": isinstance(self.factory, type)
+            and issubclass(self.factory, ModelGraph),
         }
         return tuple(name for name, on in has.items() if on)
 
-    def accepted_kwargs(self, candidates: dict[str, Any]) -> dict[str, Any]:
-        """Filter ``candidates`` down to kwargs the factory accepts.
 
-        Used by drivers that hold one set of defaults for every
-        algorithm (e.g. the remapper daemon's ``max_explorations``):
-        algorithms that understand an option get it, the rest are built
-        without it. A ``**kwargs`` factory accepts everything.
-        """
-        try:
-            params = inspect.signature(self.factory).parameters
-        except (TypeError, ValueError):  # pragma: no cover - C callables
-            return dict(candidates)
-        if any(
-            p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
-        ):
-            return dict(candidates)
-        return {k: v for k, v in candidates.items() if k in params}
+class MapperReusedError(RuntimeError):
+    """``map()`` called a second time on one mapper. A mapper maps once:
+    build a fresh one per map."""
+
+
+def maps_once(method: Callable[[Any], "MapResult"]) -> Callable[[Any], "MapResult"]:
+    """Decorate a mapper's ``map()`` so that a second call raises
+    :class:`MapperReusedError` instead of mapping on leftover state."""
+
+    @functools.wraps(method)
+    def map_(self: Any) -> "MapResult":
+        if getattr(self, "_mapped", False):
+            raise MapperReusedError(
+                f"{type(self).__name__}.map() was already called; "
+                "a mapper maps once"
+            )
+        self._mapped = True
+        return method(self)
+
+    return map_
 
 
 class UnknownMapperError(ValueError):
@@ -163,8 +164,7 @@ def register_mapper(
     """Class decorator: add a mapper class to :data:`MAPPER_REGISTRY`.
 
     The spec's capabilities are derived from the class, so a subclass has
-    whatever its base has. The class gains a ``registry_name`` attribute
-    for round-tripping.
+    whatever its base has.
     """
 
     def decorate(cls: type) -> type:
@@ -177,7 +177,6 @@ def register_mapper(
             summary=summary,
             service_cls=service_cls,
         )
-        cls.registry_name = name  # type: ignore[attr-defined]
         return cls
 
     return decorate
@@ -207,54 +206,11 @@ def iter_mapper_specs() -> list[MapperSpec]:
 def create_mapper(
     name: str, service: object, *, search_depth: int, **kwargs: Any
 ) -> Mapper:
-    """Build the named mapper against ``service`` — the one front door."""
-    return get_mapper_spec(name).create(
+    """Build the named mapper against ``service`` — the one front door.
+
+    ``kwargs`` go to the constructor as they are: one it does not take
+    raises its ``TypeError``.
+    """
+    return get_mapper_spec(name).factory(
         service, search_depth=search_depth, **kwargs
     )
-
-
-def resolve_mapper_factory(
-    factory: str | Callable[[object, int], Mapper],
-    **default_kwargs: Any,
-) -> Callable[[object, int], Mapper]:
-    """Normalize a registry name or callable into ``(service, depth) ->``.
-
-    Drivers (remapper daemon, chaos runner) accept ``mapper_factory`` as
-    either an injected callable or a registry name; ``default_kwargs``
-    are driver-wide options passed through to algorithms whose
-    constructors accept them (see :meth:`MapperSpec.accepted_kwargs`).
-    """
-    if callable(factory):
-        return factory
-    spec = get_mapper_spec(factory)
-    kwargs = spec.accepted_kwargs(default_kwargs)
-
-    def build(service: object, depth: int) -> Mapper:
-        return spec.create(service, search_depth=depth, **kwargs)
-
-    return build
-
-
-def build_mapper_service(
-    mapper: str | MapperSpec | Callable[[object, int], Mapper],
-    net: object,
-    mapper_host: str,
-    **stack_kwargs: Any,
-) -> Any:
-    """Build a probe-service stack suitable for the given mapper.
-
-    Honors the spec's ``service_cls`` (e.g. ``SelfIdProbeService`` for
-    the self-id baseline) unless the caller passes an explicit
-    ``service_cls`` of its own; an injected factory callable declares
-    none and gets the default core. Everything else goes straight to
-    :func:`repro.simulator.stack.build_service_stack`.
-    """
-    from repro.simulator.stack import build_service_stack
-
-    if not callable(mapper):
-        spec = (
-            mapper if isinstance(mapper, MapperSpec) else get_mapper_spec(mapper)
-        )
-        if spec.service_cls is not None:
-            stack_kwargs.setdefault("service_cls", spec.service_cls)
-    return build_service_stack(net, mapper_host, **stack_kwargs)

@@ -22,6 +22,7 @@ import statistics
 from dataclasses import dataclass
 
 from repro.core.mapper import MapResult
+from repro.core.mapper_protocol import create_mapper
 from repro.core.remapper import map_cycle
 from repro.simulator.daemons import DaemonPlacement
 from repro.topology.model import Network
@@ -77,7 +78,13 @@ def timed_run(
         net,
         mapper_host,
         search_depth=search_depth,
-        max_explorations=max_explorations,
+        mapper=lambda svc, depth: create_mapper(
+            "berkeley",
+            svc,
+            search_depth=depth,
+            radix=net.default_radix,
+            max_explorations=max_explorations,
+        ),
         responders=responders,
         jitter=jitter,
         rng=random.Random(seed),

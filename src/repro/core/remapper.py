@@ -26,37 +26,26 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from repro.core.mapper import MapResult, MapSeed
-from repro.core.mapper_protocol import (
-    Mapper,
-    build_mapper_service,
-    resolve_mapper_factory,
-)
+from repro.core.mapper_protocol import Mapper, get_mapper_spec
 from repro.routing.compile_routes import RouteGeneration, RouteMemo, compile_route_tables
 from repro.routing.deadlock import routes_deadlock_free
 from repro.routing.incremental import DistributionReport, distribute_incremental
 from repro.routing.paths import all_pairs_updown_paths
 from repro.routing.updown import orient_updown
 from repro.simulator.faults import FaultModel
-from repro.simulator.stack import ProbeLayer
+from repro.simulator.stack import ProbeLayer, build_service_stack
 from repro.topology.analysis import DistanceMemo, recommended_search_depth
 from repro.topology.delta import seedable_removals
 from repro.topology.diff import MapDiff, diff_networks
 from repro.topology.model import Network, PortRef
 
 __all__ = [
-    "MAX_EXPLORATIONS",
     "CycleState",
     "RemapCycle",
     "RemapperDaemon",
     "map_cycle",
     "route_cycle",
 ]
-
-#: Switch-exploration bound per cycle, for mappers that take one. A
-#: resource guard, not a tuning knob: the full NOW needs 135 explorations
-#: and a three-tier fat tree k=10 needs 1491.
-MAX_EXPLORATIONS = 20_000
-
 
 def map_cycle(
     net: Network,
@@ -66,7 +55,6 @@ def map_cycle(
     mapper: str | Callable[[object, int], Mapper] = "berkeley",
     seed: MapSeed | None = None,
     search_depth: int | None = None,
-    max_explorations: int | None = MAX_EXPLORATIONS,
     memo: DistanceMemo | None = None,
     **stack_kwargs: Any,
 ) -> tuple[MapResult, Any]:
@@ -74,29 +62,32 @@ def map_cycle(
     probe stack it ran on.
 
     ``mapper`` is a :data:`~repro.core.mapper_protocol.MAPPER_REGISTRY`
-    name — built with this function's defaults where the algorithm's
-    constructor accepts them, on the probe-service class its spec
-    requires — or a ``(service, depth) -> Mapper`` callable.
+    name or a ``(service, depth) -> Mapper`` callable. A name is built as
+    ``spec.factory(service, search_depth=depth, radix=net.default_radix)``
+    on the probe-service class its spec requires (a caller's own
+    ``service_cls`` wins); any other option is the callable's to pass.
     ``stack_kwargs`` (``layers=``, ``collision=``, ``jitter=``, ``rng=``) go to
     :func:`~repro.simulator.stack.build_service_stack`. A ``seed`` handed
     to a mapper without ``seed_with`` is dropped, and the result says so.
     With no ``search_depth`` the cycle maps at the proven depth, through
     ``memo`` when the caller keeps one across cycles.
     Raises :class:`~repro.core.mapper.MappingError` on a deduction
-    contradiction.
+    contradiction, and its :class:`~repro.core.mapper.ExplorationLimitError`
+    when a map reaches the exploration limit unfinished.
     """
     if faults is not None:
         stack_kwargs["faults"] = faults
     depth = search_depth
     if depth is None:
         depth = recommended_search_depth(net, mapper_host, memo)
-    svc = build_mapper_service(mapper, net, mapper_host, **stack_kwargs)
-    built = resolve_mapper_factory(
-        mapper,
-        host_first=False,
-        max_explorations=max_explorations,
-        radix=net.default_radix,
-    )(svc, depth)
+    if callable(mapper):
+        svc = build_service_stack(net, mapper_host, **stack_kwargs)
+        built = mapper(svc, depth)
+    else:
+        spec = get_mapper_spec(mapper)
+        stack_kwargs.setdefault("service_cls", spec.service_cls)
+        svc = build_service_stack(net, mapper_host, **stack_kwargs)
+        built = spec.factory(svc, search_depth=depth, radix=net.default_radix)
     seeder = getattr(built, "seed_with", None)
     if seed is not None and seeder is not None:
         seeder(seed)

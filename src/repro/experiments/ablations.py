@@ -68,7 +68,6 @@ def run(name: str = "C+A+B") -> list[AblationRow]:
                 "berkeley",
                 svc,
                 search_depth=fixture.search_depth,
-                host_first=False,
                 planner=ProbePlanner(heuristic=heuristic),
             ).map(),
         )
@@ -110,7 +109,6 @@ def run(name: str = "C+A+B") -> list[AblationRow]:
             "coupon",
             svc,
             search_depth=fixture.search_depth,
-            host_first=False,
             coupon_probes=n,
             coupon_seed=7,
         )

@@ -42,7 +42,6 @@ def run(name: str = "C+A+B") -> GrowthExperiment:
         "berkeley",
         svc,
         search_depth=fixture.search_depth,
-        host_first=False,
         record_growth=True,
     ).map()
     samples = result.growth

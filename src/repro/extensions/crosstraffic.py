@@ -72,7 +72,7 @@ def build_crosstraffic_service(
         frozenset({mapper}),
         rate_msgs_per_ms=rate_msgs_per_ms,
     )
-    layers = [InterferenceLayer(occupancy, traffic=traffic, record_blocked=False)]
+    layers = [InterferenceLayer(occupancy, traffic=traffic)]
     if retries:
         layers.append(RetryLayer(retries))
     return build_service_stack(
@@ -126,9 +126,7 @@ def crosstraffic_study(
             interference = svc.find_layer(InterferenceLayer)
             error = ""
             try:
-                result = create_mapper(
-                    "berkeley", svc, search_depth=search_depth, host_first=False
-                ).map()
+                result = create_mapper("berkeley", svc, search_depth=search_depth).map()
                 produced = result.network
                 correct = bool(match_networks(produced, core))
             except MappingError as exc:  # pragma: no cover - defensive

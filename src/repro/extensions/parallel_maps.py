@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.mapper_protocol import create_mapper
 from repro.core.model_graph import KIND_HOST, KIND_SWITCH, MergedVertex, ModelGraph
 from repro.core.relative import MappingError
 from repro.core.remapper import map_cycle
@@ -74,7 +75,13 @@ def map_local_region(
         net,
         mapper_host,
         search_depth=local_depth,
-        max_explorations=max_explorations,
+        mapper=lambda svc, depth: create_mapper(
+            "berkeley",
+            svc,
+            search_depth=depth,
+            radix=net.default_radix,
+            max_explorations=max_explorations,
+        ),
     )
     return PartialMap(
         owner=mapper_host,

@@ -42,7 +42,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.core.mapper import MapResult
-from repro.core.mapper_protocol import register_mapper
+from repro.core.mapper_protocol import maps_once, register_mapper
 from repro.core.planner import PortPlan
 from repro.core.relative import (
     Candidate,
@@ -109,6 +109,7 @@ class SpanningTreeMapper:
         self._merges = 0
 
     # ------------------------------------------------------------------
+    @maps_once
     def map(self) -> MapResult:
         """Grow the tree, recognizing each explored view by its local view;
         peak model size is the adopted-switch count."""

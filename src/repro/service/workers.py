@@ -47,7 +47,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
-from repro.core.mapper import MappingError, MapSeed
+from repro.core.mapper import ExplorationLimitError, MappingError, MapSeed
 from repro.core.remapper import CycleState
 from repro.service.serialize import (
     _port_ref,
@@ -143,7 +143,8 @@ def run_map_job(payload: dict) -> dict:
     service's ``eval_cache`` counters, or an ``error`` code and
     ``message``. The tables are not checked deadlock-free here: the
     server checks what it adopts. Only *expected* failures (an unusable
-    payload or seed, a probe-model contradiction, an unroutable map) are
+    payload or seed, a probe-model contradiction, a map that reached the
+    exploration limit, an unroutable map) are
     converted to error outcomes; anything else propagates and surfaces in
     the server log — a bug must keep its traceback (SAN006 discipline).
     """
@@ -190,6 +191,8 @@ def _cycle(payload: dict, slot: _Slot, mapper_host: str, faults: FaultModel) -> 
 
     try:
         result, svc = state.map(mapper_host, faults, seed=seed)
+    except ExplorationLimitError as exc:
+        return _failure("exploration-limit", str(exc))
     except MappingError as exc:
         return _failure("mapping-failed", str(exc))
     try:

@@ -222,35 +222,25 @@ class InterferenceLayer(ProbeLayer):
     the hit when any channel is busy. ``traffic`` (optional) is a
     :class:`~repro.simulator.traffic.CrossTraffic` generator advanced to
     ``now + FILL_AHEAD_US`` before each placement. The clock is the
-    service's accumulated ``stats.elapsed_us`` (:meth:`now_us`).
+    service's accumulated ``stats.elapsed_us``. A blocked probe is not
+    recorded against the occupancy: a probe worm destroyed by
+    cross-traffic leaves nothing behind in the fabric.
     """
 
-    def __init__(
-        self,
-        occupancy,
-        *,
-        traffic=None,
-        record_blocked: bool = True,
-    ) -> None:
+    def __init__(self, occupancy, *, traffic=None) -> None:
         self.occupancy = occupancy
         self.traffic = traffic
-        self._record_blocked = record_blocked
         #: Hits vetoed by occupancy (the old ``probes_lost_to_traffic``).
         self.lost = 0
 
     def on_attach(self, service: "QuiescentProbeService") -> None:
         self._stats = service.stats
 
-    def now_us(self, ctx: ProbeContext) -> float:
-        return self._stats.elapsed_us
-
     def gate(self, ctx: ProbeContext) -> None:
-        now = self.now_us(ctx)
+        now = self._stats.elapsed_us
         if self.traffic is not None:
             self.traffic.fill_until(now + FILL_AHEAD_US)
-        placement = self.occupancy.try_place(
-            ctx.info, now, record_blocked=self._record_blocked
-        )
+        placement = self.occupancy.try_place(ctx.info, now, record_blocked=False)
         if not placement.ok:
             self.lost += 1
             ctx.hit = False

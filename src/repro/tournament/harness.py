@@ -209,7 +209,6 @@ def _run_cell(mapper: str, family: Family, collision: str) -> TournamentCell:
         net,
         host,
         mapper=mapper,
-        max_explorations=50_000,
         collision=COLLISIONS[collision](),
     )
     wall_ms = (time.perf_counter() - start) * 1e3

@@ -179,14 +179,19 @@ class LockstepLayer(ProbeLayer):
 
 class _SharedClockInterference(InterferenceLayer):
     """Occupancy placed at the scheduler's shared clock, not at the
-    service's own accumulated ``stats.elapsed_us``."""
+    service's own accumulated ``stats.elapsed_us``. A blocked mapper's
+    worm holds what it reached until the forward reset, so contention
+    cascades."""
 
     def __init__(self, occupancy, scheduler: LockstepScheduler) -> None:
         super().__init__(occupancy)
         self._sched = scheduler
 
-    def now_us(self, ctx: ProbeContext) -> float:
-        return self._sched.now
+    def gate(self, ctx: ProbeContext) -> None:
+        placement = self.occupancy.try_place(ctx.info, self._sched.now, record_blocked=True)
+        if not placement.ok:
+            self.lost += 1
+            ctx.hit = False
 
 
 @dataclass(slots=True)
@@ -256,7 +261,6 @@ def run_concurrent_mappers(
     collision: CollisionModel | None = None,
     start_stagger_us: float = 500.0,
     yield_rule: bool = False,
-    max_explorations: int | None = 2000,
     mapper: str | Callable[[object, int], Mapper] = "berkeley",
 ) -> ConcurrentOutcome:
     """Run one :func:`~repro.core.remapper.map_cycle` per host concurrently
@@ -291,7 +295,6 @@ def run_concurrent_mappers(
                     host,
                     mapper=mapper,
                     search_depth=search_depth,
-                    max_explorations=max_explorations,
                     layers=layers,
                     collision=collision,
                 )

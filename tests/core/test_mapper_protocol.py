@@ -1,17 +1,19 @@
 """Protocol-conformance suite: every registered mapper through one door.
 
 Each registry entry must (1) build through ``create_mapper``/
-``MapperSpec.create``, (2) return a ``MapResult`` whose network is
+``spec.factory``, (2) return a ``MapResult`` whose network is
 isomorphic to the actual core on the paper's testbeds, (3) honor its
 declared capability flags (absent features raise ``TypeError`` at
-construction, they are not silently dropped), and (4) be byte-for-byte
-deterministic across runs. A final guard pins registry-built Berkeley to
-the committed Figure 4/5 probe counts so the refactor can never drift
-the paper numbers.
+construction, they are not silently dropped), (4) be byte-for-byte
+deterministic across runs, and (5) map once. ``map_cycle`` builds every
+registry name one way: depth and radix, nothing else. A final guard pins
+registry-built Berkeley to the committed Figure 4/5 probe counts so the
+refactor can never drift the paper numbers.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -19,14 +21,15 @@ import pytest
 from repro.core.instrumentation import PhaseProfiler
 from repro.core.mapper import BerkeleyMapper, MapResult
 from repro.core.mapper_protocol import (
+    MAPPER_REGISTRY,
     Mapper,
+    MapperReusedError,
     UnknownMapperError,
-    build_mapper_service,
     create_mapper,
     get_mapper_spec,
     mapper_names,
-    resolve_mapper_factory,
 )
+from repro.core.remapper import map_cycle
 from repro.simulator.stack import build_service_stack
 from repro.topology.analysis import core_network, recommended_search_depth
 from repro.topology.generators import build_full_now, build_subcluster
@@ -43,12 +46,13 @@ ALL_MAPPERS = [
 ]
 
 
+def _service(name: str, net, host: str):
+    return build_service_stack(net, host, service_cls=get_mapper_spec(name).service_cls)
+
+
 def _map_once(name: str, net, host: str) -> MapResult:
-    spec = get_mapper_spec(name)
-    svc = build_mapper_service(spec, net, host)
     depth = recommended_search_depth(net, host)
-    kwargs = spec.accepted_kwargs({"host_first": False})
-    return spec.create(svc, search_depth=depth, **kwargs).map()
+    return create_mapper(name, _service(name, net, host), search_depth=depth).map()
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +78,7 @@ def test_maps_subcluster_c_isomorphically(name):
     result = _map_once(name, net, "C-svc")
     mapper = create_mapper(
         name,
-        build_mapper_service(name, net, "C-svc"),
+        _service(name, net, "C-svc"),
         search_depth=recommended_search_depth(net, "C-svc"),
     )
     assert isinstance(mapper, Mapper)
@@ -187,14 +191,43 @@ def test_labeled_mapper_is_byte_identical_across_processes():
 def test_capability_flags_match_the_instance(name):
     net = build_subcluster("C")
     spec = get_mapper_spec(name)
-    svc = build_mapper_service(spec, net, "C-svc")
-    mapper = spec.create(svc, search_depth=3)
+    svc = _service(name, net, "C-svc")
+    mapper = spec.factory(svc, search_depth=3)
     assert callable(getattr(mapper, "seed_with", None)) == ("seed_with" in spec.capabilities)
     if "profiler" in spec.capabilities:
-        spec.create(svc, search_depth=3, profiler=PhaseProfiler())
+        spec.factory(svc, search_depth=3, profiler=PhaseProfiler())
     else:
         with pytest.raises(TypeError):
-            spec.create(svc, search_depth=3, profiler=object())
+            spec.factory(svc, search_depth=3, profiler=object())
+
+
+@pytest.mark.parametrize("name", mapper_names())
+def test_a_second_map_raises(name, ring_net):
+    """A mapper maps once: a second ``map()`` on the same mapper raises
+    instead of mapping on the state the first one left behind."""
+    depth = recommended_search_depth(ring_net, "h0")
+    mapper = create_mapper(name, _service(name, ring_net, "h0"), search_depth=depth)
+    assert match_networks(mapper.map().network, ring_net)
+    with pytest.raises(MapperReusedError):
+        mapper.map()
+
+
+def test_map_cycle_builds_a_registry_mapper_with_depth_and_radix(monkeypatch, ring_net):
+    """Every registry name is built the same way: ``search_depth`` and the
+    fabric's radix, nothing else. An option ``map_cycle`` does not take
+    is refused, not dropped."""
+    spec = get_mapper_spec("berkeley")
+    calls = []
+
+    def recorder(service, **kwargs):
+        calls.append(kwargs)
+        return spec.factory(service, **kwargs)
+
+    monkeypatch.setitem(MAPPER_REGISTRY, "berkeley", dataclasses.replace(spec, factory=recorder))
+    map_cycle(ring_net, "h0", search_depth=6)
+    assert calls == [{"search_depth": 6, "radix": ring_net.default_radix}]
+    with pytest.raises(TypeError):
+        map_cycle(ring_net, "h0", mapper="myricom", max_explorations=5)
 
 
 def test_registry_construction_matches_direct_and_pins_figure5():
@@ -240,26 +273,3 @@ def test_infogain_beats_default_probe_order(now_results):
         _map_once("berkeley-infogain", small, "C-svc").stats.total_probes
         < _map_once("berkeley", small, "C-svc").stats.total_probes
     )
-
-
-def test_resolve_mapper_factory_filters_driver_kwargs():
-    """Driver-wide defaults reach algorithms that understand them and are
-    dropped for the rest — myricom has no ``host_first``."""
-    net = build_subcluster("C")
-    depth = recommended_search_depth(net, "C-svc")
-    for name in ("berkeley", "myricom"):
-        factory = resolve_mapper_factory(
-            name, host_first=False, max_explorations=50_000
-        )
-        svc = build_mapper_service(name, net, "C-svc")
-        result = factory(svc, depth).map()
-        assert match_networks(result.network, core_network(net))
-
-
-def test_resolve_mapper_factory_passes_callables_through():
-    sentinel = object()
-
-    def factory(svc, depth):
-        return sentinel
-
-    assert resolve_mapper_factory(factory) is factory

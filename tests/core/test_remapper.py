@@ -3,13 +3,15 @@
 import pytest
 
 from repro.chaos.oracles import effective_network
+from repro.core import mapper as mapper_module
+from repro.core.mapper import ExplorationLimitError
 from repro.core.remapper import RemapperDaemon, map_cycle, route_cycle
 from repro.service.serialize import route_tables_to_dict
 from repro.simulator.faults import FaultModel
 from repro.simulator.path_eval import PathStatus, evaluate_route
 from repro.topology.analysis import core_network
 from tests.topology.reference_builder import NetworkBuilder
-from repro.topology.generators import build_subcluster
+from repro.topology.generators import build_subcluster, build_three_tier_fat_tree
 from repro.topology.isomorphism import match_networks
 from repro.topology.serialize import network_to_dict
 
@@ -145,3 +147,23 @@ class TestAdaptation:
         assert cycle.routes_recomputed and cycle.deadlock_free
         far_hosts = set(net.hosts) - set(near.hosts)
         assert far_hosts and not far_hosts & set(daemon.current_map.hosts)
+
+
+class TestExplorationLimit:
+    def test_a_host_poor_fabric_fails_by_name_at_the_limit(self, monkeypatch):
+        """With only the mapper host answering, nothing anchors a merge and
+        the walk tree grows as 2^O(D+Q): this k=6 fat tree needs about
+        19 000 explorations. The limit ends the map there, loudly."""
+        monkeypatch.setattr(mapper_module, "EXPLORATION_LIMIT", 300)
+        net = build_three_tier_fat_tree(6, hosts_per_edge=1)
+        host = min(net.hosts)
+        with pytest.raises(ExplorationLimitError, match="limit reached: 300 switch"):
+            map_cycle(net, host, responders=frozenset({host}))
+
+    def test_a_map_that_fits_the_limit_is_whole(self, live_net, monkeypatch):
+        needed = map_cycle(live_net, "h0")[0].explorations
+        monkeypatch.setattr(mapper_module, "EXPLORATION_LIMIT", needed)
+        assert match_networks(map_cycle(live_net, "h0")[0].network, live_net)
+        monkeypatch.setattr(mapper_module, "EXPLORATION_LIMIT", needed - 1)
+        with pytest.raises(ExplorationLimitError):
+            map_cycle(live_net, "h0")

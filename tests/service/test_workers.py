@@ -20,6 +20,7 @@ import pickle
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from repro.core import mapper as mapper_module
 from repro.core.mapper import MappingError
 from repro.core.remapper import CycleState, RemapperDaemon
 from repro.service.serialize import (
@@ -398,6 +399,13 @@ class TestErrorCodes:
             "error": "mapping-failed",
             "message": "the probe model contradicts itself",
         }
+
+    def test_a_map_past_the_exploration_limit_is_an_outcome(self, monkeypatch):
+        monkeypatch.setattr(mapper_module, "EXPLORATION_LIMIT", 1)
+        outcome = run_fresh(_payload())
+        assert outcome.keys() == FAILURE_KEYS
+        assert outcome["error"] == "exploration-limit"
+        assert outcome["message"].startswith("exploration limit reached: 1 switch")
 
     @pytest.mark.parametrize(
         "end",

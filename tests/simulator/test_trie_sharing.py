@@ -26,7 +26,7 @@ from tests.simulator.trie_view import trie_nodes as _trie_nodes
 def _map_fat_tree_k4():
     net = build_three_tier_fat_tree(4)
     svc = build_service_stack(net, sorted(net.hosts)[0])
-    create_mapper("berkeley", svc, radix=4, search_depth=6, host_first=False).map()
+    create_mapper("berkeley", svc, radix=4, search_depth=6).map()
     return svc
 
 
@@ -34,9 +34,9 @@ def _map_subcluster_c():
     net = build_subcluster("C")
     h0 = sorted(net.hosts)[0]
     svc = build_service_stack(net, h0)
-    create_mapper(
-        "berkeley", svc, search_depth=recommended_search_depth(net, h0)
-    ).map()
+    depth = recommended_search_depth(net, h0)
+    # The pinned counters below are the host-probe-first order's.
+    create_mapper("berkeley", svc, search_depth=depth, host_first=True).map()
     return svc
 
 
@@ -138,9 +138,8 @@ def test_services_on_one_network_share_its_trie_and_count_their_own_walks():
     second = build_service_stack(net, h0)
     assert second._evaluator._roots is first._evaluator._roots
     assert second.eval_cache_stats == EvalCacheStats(nodes=cold.nodes)
-    create_mapper(
-        "berkeley", second, search_depth=recommended_search_depth(net, h0)
-    ).map()
+    depth = recommended_search_depth(net, h0)
+    create_mapper("berkeley", second, search_depth=depth, host_first=True).map()
     warm = second.eval_cache_stats
     assert second.stats.total_probes == first.stats.total_probes
     assert (warm.hits, warm.misses) == (cold.hits + cold.misses, 0)
