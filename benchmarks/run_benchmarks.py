@@ -104,7 +104,11 @@ def _micro_probe_pair() -> tuple[float, dict]:
     from repro.topology.generators import build_subcluster
 
     svc = build_service_stack(build_subcluster("C"), "C-n00")
-    per_op = _time_op(lambda: svc.response((5, 1), host_first=False), 2000)
+    turns = (5, 1)
+    # The mapper's pair: the switch probe, then the host probe on a miss.
+    per_op = _time_op(
+        lambda: svc.probe_switch(turns) or svc.probe_host(turns), 2000
+    )
     stats = svc.eval_cache_stats
     return per_op, {"cache_hit_rate": round(stats.hit_rate, 4)}
 

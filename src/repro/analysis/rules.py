@@ -451,8 +451,8 @@ class ServiceEvaluatesViaCache(Rule):
         "hit rate just quietly stop meaning anything."
     )
     hint = (
-        "use IncrementalPathEvaluator (probe_info()/loopback_info()/"
-        "evaluate()) or the service's _probe_info()/_path() helpers; the "
+        "use IncrementalPathEvaluator (probe_info()/loopback_info()) or "
+        "the service's _probe_info()/_loopback_info() helpers; the "
         "pure-walk oracle is a test-side subclass "
         "(tests/simulator/reference_service.py)"
     )

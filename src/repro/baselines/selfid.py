@@ -35,11 +35,10 @@ from repro.core.relative import (
     record_wire,
     x_sweep,
 )
-from repro.simulator.path_eval import PathStatus
 from repro.simulator.probes import ProbeKind
 from repro.simulator.quiescent import QuiescentProbeService
 from repro.simulator.stack import ProbeContext
-from repro.simulator.turns import Turns, reverse_turns, switch_probe_turns, validate_turns
+from repro.simulator.turns import Turns, reverse_turns
 from repro.topology.analysis import core_network
 from repro.topology.model import Network
 
@@ -50,26 +49,23 @@ class SelfIdProbeService(QuiescentProbeService):
     """Probe service for hardware with self-identifying switches."""
 
     def _eval_switch_id(self, ctx: ProbeContext) -> None:
-        loop = switch_probe_turns(ctx.turns)
-        path = self._path(loop)
-        ctx.info = path
-        if (
-            path.status is PathStatus.DELIVERED
-            and self.collision.blocked_at(path.traversals) is None
-            and not self.faults.lost()
-        ):
-            # The identified switch is the bounce point: the node reached
-            # after the forward half of the loopback string.
-            bounce = path.nodes[len(ctx.turns) + 1]
+        info = self._loopback_info(ctx.turns)
+        ctx.info = info
+        if info.ok and info.blocked is None and not self.faults.lost():
+            # The identified switch is the bounce point, where the forward
+            # half's last crossing (after the attach wire) lands.
+            bounce = info.traversals[len(ctx.turns)].dst.node
             ctx.hit = True
             ctx.response = bounce
             ctx.payload = bounce
 
     def probe_switch_id(self, turns: Turns) -> str | None:
         """Switch-probe whose returning loopback carries the switch's id."""
-        turns = validate_turns(turns)
         ctx = self._transact(
-            ProbeKind.SWITCH, turns, self._eval_switch_id, round_trip=False
+            ProbeKind.SWITCH,
+            self._validated(turns),
+            self._eval_switch_id,
+            round_trip=False,
         )
         return ctx.payload if ctx.hit else None
 

@@ -38,6 +38,7 @@ from repro.core.mapper import BerkeleyMapper
 from repro.core.mapper_protocol import register_mapper
 from repro.core.model_graph import KIND_SWITCH
 from repro.core.planner import PortPlan, _alternating_order
+from repro.simulator.turns import turn_alphabet
 
 __all__ = ["InfoGainMapper", "InfoGainPlanner"]
 
@@ -56,7 +57,7 @@ class InfoGainPlanner:
 
     def __init__(self, *, radix: int = 8) -> None:
         self.radix = radix
-        turns = [t for t in range(-(radix - 1), radix) if t != 0]
+        turns = turn_alphabet(radix)
         self._hits: dict[int, int] = {t: 0 for t in turns}
         self._trials: dict[int, int] = {t: 0 for t in turns}
         # The paper's static preference, used as the Beta prior mean

@@ -15,8 +15,9 @@ relative turns worth probing are constrained by what it has already found:
   from the window arithmetic);
 - probing order: "excluding turn 0, turns of +/-1 are the best, turns of
   +/-2 are the next best, etc." — the default order alternates outward from
-  ±1. A fixed ``-7..+7`` order is provided for the ablation benchmark
-  (the paper suspects the tricks save "factors of 2 or more").
+  ±1. The fixed ascending alphabet (``-7..+7`` at radix 8) is provided
+  for the ablation benchmark (the paper suspects the tricks save
+  "factors of 2 or more").
 
 Failed probes update nothing: "probes that fail to generate a response tell
 us nothing about the range of turns that we should be focusing on".
@@ -26,6 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
+
+from repro.simulator.turns import turn_alphabet
 
 __all__ = ["PortPlan", "ProbePlanner"]
 
@@ -38,10 +41,6 @@ def _alternating_order(radix: int) -> tuple[int, ...]:
     for mag in range(1, radix):
         order.extend((mag, -mag))
     return tuple(order)
-
-
-def _fixed_order(radix: int) -> tuple[int, ...]:
-    return tuple(t for t in range(-(radix - 1), radix) if t != 0)
 
 
 @dataclass
@@ -103,5 +102,5 @@ class ProbePlanner:
         if self.heuristic:
             return PortPlan(radix=self.radix, use_window=True)
         return PortPlan(
-            radix=self.radix, use_window=False, order=_fixed_order(self.radix)
+            radix=self.radix, use_window=False, order=turn_alphabet(self.radix)
         )

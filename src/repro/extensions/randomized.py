@@ -16,13 +16,14 @@ host mid-string, and the phase is nearly worthless in host-dense networks.
 
 - :class:`EarlyHostProbeService` implements the firmware change: a probe
   that reaches a host *anywhere* along its string gets a reply naming the
-  host and the prefix that reached it.
+  host and the prefix that reached it. It answers from the same cached
+  walk as the native probe kinds and checks its string against the
+  fabric's own turn alphabet, so any switch radix maps.
 - :class:`CouponMapper` runs the coupon phase before the BFS exploration
   (phase 2 = the unmodified Berkeley algorithm). Each hit contributes a
   whole path of switch vertices ending in a host anchor; the regular
-  deduction engine consumes them. With a plain probe service it degrades
-  gracefully to exact-length host-probes (the ablation bench shows the
-  difference).
+  deduction engine consumes them. It needs the firmware change: the
+  registry builds it on :class:`EarlyHostProbeService`.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from repro.simulator.path_eval import PathStatus
 from repro.simulator.probes import ProbeKind
 from repro.simulator.quiescent import QuiescentProbeService
 from repro.simulator.stack import ProbeContext
-from repro.simulator.turns import Turns, validate_turns
+from repro.simulator.turns import Turns, turn_alphabet
 
 __all__ = ["CouponMapper", "EarlyHostProbeService"]
 
@@ -45,18 +46,19 @@ class EarlyHostProbeService(QuiescentProbeService):
     """Quiescent service with the Section 6 firmware change."""
 
     def _eval_host_any(self, ctx: ProbeContext) -> None:
-        path = self._path(ctx.turns)
-        ctx.info = path
+        info = self._probe_info(ctx.turns)
+        ctx.info = info
         host: str | None = None
         prefix: Turns = ctx.turns
-        if path.status is PathStatus.DELIVERED:
-            host = path.delivered_to
-        elif path.status is PathStatus.HIT_HOST_TOO_SOON:
-            host = path.nodes[-1]
-            assert path.failed_at_turn is not None
-            prefix = ctx.turns[: path.failed_at_turn]
+        if info.status is PathStatus.DELIVERED:
+            host = info.delivered_to
+        elif info.status is PathStatus.HIT_HOST_TOO_SOON:
+            host = info.traversals[-1].dst.node
+            # The walk crossed the attach wire plus one wire per turn it
+            # consumed, and stopped on the next turn.
+            prefix = ctx.turns[: info.hops - 1]
         if host is not None:
-            if self.collision.blocked_at(path.traversals) is not None:
+            if self.collision.blocked_at(info.traversals) is not None:
                 host = None
             elif self.faults.lost():
                 host = None
@@ -74,9 +76,11 @@ class EarlyHostProbeService(QuiescentProbeService):
         Returns ``(host, prefix)`` where ``prefix`` is the (possibly whole)
         turn string that reached the host, or ``None``.
         """
-        turns = validate_turns(turns)
         ctx = self._transact(
-            ProbeKind.HOST, turns, self._eval_host_any, round_trip=True
+            ProbeKind.HOST,
+            self._validated(turns),
+            self._eval_host_any,
+            round_trip=True,
         )
         return ctx.payload if ctx.hit else None
 
@@ -118,7 +122,7 @@ class CouponMapper(BerkeleyMapper):
         # turns of +/-1 are the best, turns of +/-2 are the next best"
         # (Section 3.3) — a uniform draw over +/-7 dies almost immediately
         # to ILLEGAL TURN / NO SUCH WIRE.
-        turns_alphabet = [t for t in range(-(self._radix - 1), self._radix) if t]
+        turns_alphabet = turn_alphabet(self._radix)
         weights = [1.0 / (abs(t) ** 2) for t in turns_alphabet]
         for _ in range(self._coupon_probes):
             length = self._coupon_rng.randint(
@@ -128,16 +132,10 @@ class CouponMapper(BerkeleyMapper):
                 self._coupon_rng.choices(turns_alphabet, weights=weights)[0]
                 for _ in range(length)
             )
-            if hasattr(self._svc, "probe_host_any"):
-                got = self._svc.probe_host_any(string)
-                if got is None:
-                    continue
-                host, prefix = got
-            else:
-                host = self._svc.probe_host(string)
-                if host is None:
-                    continue
-                prefix = string
+            got = self._svc.probe_host_any(string)
+            if got is None:
+                continue
+            host, prefix = got
             self.coupon_hits += 1
             self._absorb_path(root, prefix, host)
         self._drain_mergelist()

@@ -24,8 +24,6 @@ Everything the mapping algorithms can observe in-band is produced here:
 """
 
 from repro.simulator.turns import (
-    TURN_MAX,
-    TURN_MIN,
     Turns,
     reverse_turns,
     switch_probe_turns,
@@ -83,8 +81,6 @@ __all__ = [
     "QuiescentProbeService",
     "RetryLayer",
     "TraceBusLayer",
-    "TURN_MAX",
-    "TURN_MIN",
     "Turns",
     "build_service_stack",
     "reverse_turns",

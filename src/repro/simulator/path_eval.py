@@ -806,30 +806,6 @@ class IncrementalPathEvaluator:
         self._last = (reshapes, h0, seq, node, up, steps + 1)
         return node
 
-    def evaluate(self, h0: str, turns: Iterable[int]) -> PathResult:
-        """Drop-in replacement for :func:`evaluate_route`."""
-        node = self._walk(h0, tuple(turns))
-        cols = self._cols
-        status, delivered_to, failed_at = cols.status[node], None, None
-        if status is None:
-            row = cols.rows[cols.hop[node]]
-            if row[2]:
-                status, delivered_to = PathStatus.DELIVERED, row[0]
-            else:
-                status = PathStatus.STRANDED
-        elif status is not PathStatus.NOT_ATTACHED:
-            # An absorbing step consumed turn ``depth - 1``: the parent's
-            # walk crossed the attach wire plus one wire per turn.
-            failed_at = cols.depth[node] - 1
-        traversals = cols.traversals(node, False)
-        return PathResult(
-            status=status,
-            nodes=[h0, *(tr.dst.node for tr in traversals)],
-            traversals=list(traversals),
-            delivered_to=delivered_to,
-            failed_at_turn=failed_at,
-        )
-
     def probe_info(
         self,
         h0: str,

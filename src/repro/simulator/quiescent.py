@@ -32,7 +32,6 @@ from repro.simulator.faults import FaultModel
 from repro.simulator.path_eval import (
     EvalCacheStats,
     IncrementalPathEvaluator,
-    PathResult,
     ProbeInfo,
 )
 from repro.simulator.probes import ProbeKind, ProbeRecord, ProbeStats
@@ -311,10 +310,6 @@ class QuiescentProbeService:
         """Switch-probe loopback of ``turns`` without walking the retrace."""
         return self._evaluator.loopback_info(self.mapper, turns, self.collision)
 
-    def _path(self, turns: Turns) -> PathResult:
-        """Full :class:`PathResult` (node list included) for subclasses."""
-        return self._evaluator.evaluate(self.mapper, turns)
-
     def route_crosses(
         self, turns: Turns, endpoints: frozenset[Endpoint] | set[Endpoint]
     ) -> bool:
@@ -345,19 +340,3 @@ class QuiescentProbeService:
             # active mapper daemon by definition).
             return True
         return self.responders is None or host in self.responders
-
-    def response(self, turns: Turns, *, host_first: bool = True):
-        """The full probe pair of Section 2.3: returns ``R(turns)``.
-
-        ``host_first`` controls which of the two tests is sent first; the
-        second is skipped when the first already identified the node.
-        Returns a host name, the string ``"switch"``, or ``None``.
-        """
-        if host_first:
-            host = self.probe_host(turns)
-            if host is not None:
-                return host
-            return "switch" if self.probe_switch(turns) else None
-        if self.probe_switch(turns):
-            return "switch"
-        return self.probe_host(turns)

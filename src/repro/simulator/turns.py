@@ -1,11 +1,12 @@
 """Turn strings: the routing alphabet of Section 2.2.
 
-A routing address is a string ``a1...ak`` over ``{-7, ..., +7}``. Each
-character is a *turn*: the output port is the input port plus the turn,
-*not* reduced modulo the switch degree. Turn 0 sends a message back out the
-port it arrived on — ordinary probes never use it mid-route, but the
-switch-probe of Section 2.3 uses a single 0 as its bounce: the loopback
-string for ``a1...ak`` is ``a1...ak 0 -ak...-a1``.
+A routing address is a string ``a1...ak`` of relative turns; the switch
+radix sets the alphabet (``{-7, ..., +7}`` on Myrinet's 8-port crossbars).
+Each character is a *turn*: the output port is the input port plus the
+turn, *not* reduced modulo the switch degree. Turn 0 sends a message back
+out the port it arrived on — ordinary probes never use it mid-route, but
+the switch-probe of Section 2.3 uses a single 0 as its bounce: the
+loopback string for ``a1...ak`` is ``a1...ak 0 -ak...-a1``.
 """
 
 from __future__ import annotations
@@ -13,31 +14,32 @@ from __future__ import annotations
 from typing import Iterable
 
 __all__ = [
-    "TURN_MAX",
-    "TURN_MIN",
     "Turns",
     "reverse_turns",
     "switch_probe_turns",
+    "turn_alphabet",
     "validate_turns",
 ]
-
-TURN_MIN = -7
-TURN_MAX = 7
 
 #: A routing address: a tuple of turns.
 Turns = tuple[int, ...]
 
 
+def turn_alphabet(radix: int) -> Turns:
+    """The nonzero turns on radix-``radix`` switches, ascending:
+    ``-(radix-1) ... -1, 1 ... radix-1``."""
+    return tuple(t for t in range(1 - radix, radix) if t)
+
+
 def validate_turns(
-    turns: Iterable[int], *, allow_zero: bool = False, limit: int = TURN_MAX
+    turns: Iterable[int], *, allow_zero: bool = False, limit: int
 ) -> Turns:
     """Check every turn is in the alphabet; returns a normalized tuple.
 
     Probe strings proper have ``a_i != 0`` (Section 2.3); the loopback
     bounce is the only legitimate zero, enabled with ``allow_zero``.
-    ``limit`` is the alphabet radius — Myrinet's routing flits encode
-    ``{-7..+7}``, but the algorithms are radix-generic, so services on
-    wider fabrics pass ``radix - 1``.
+    ``limit`` is the alphabet radius, ``radix - 1`` of the fabric's
+    widest switch (7 on Myrinet, whose routing flits encode ``{-7..+7}``).
     """
     # Already-canonical input (a tuple of exact ints, the common case on
     # the probe hot path) is checked in one pass and returned as the same
@@ -62,5 +64,5 @@ def reverse_turns(turns: Iterable[int]) -> Turns:
 
 def switch_probe_turns(turns: Iterable[int]) -> Turns:
     """The loopback string ``a1...ak 0 -ak...-a1`` of the switch-probe."""
-    fwd = validate_turns(turns)
+    fwd = tuple(turns)
     return fwd + (0,) + reverse_turns(fwd)

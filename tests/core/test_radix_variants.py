@@ -8,7 +8,9 @@ These tests run the whole pipeline on 4-port and 16-port fabrics.
 import pytest
 
 from repro.core.mapper import BerkeleyMapper
+from repro.core.mapper_protocol import mapper_names
 from repro.core.planner import PortPlan, ProbePlanner
+from repro.core.remapper import map_cycle
 from repro.routing import (
     all_pairs_updown_paths,
     compile_route_tables,
@@ -16,7 +18,7 @@ from repro.routing import (
     routes_deadlock_free,
 )
 from repro.simulator.quiescent import QuiescentProbeService
-from repro.topology.analysis import recommended_search_depth
+from repro.topology.analysis import core_network, recommended_search_depth
 from tests.topology.reference_builder import NetworkBuilder
 from repro.topology.isomorphism import match_networks
 
@@ -31,6 +33,23 @@ def _radix4_net():
     b.link("s0", "s1", port_a=1, port_b=1)
     b.link("s1", "s2", port_a=2, port_b=1)
     b.link("s2", "s0", port_a=2, port_b=2)
+    return b.build()
+
+
+def _radix10_net():
+    """Three radix-10 switches cabled in a ring on ports 8 and 9: every
+    switch-to-switch turn from a host's port 0 is 8 or 9, outside
+    Myrinet's +/-7."""
+    b = NetworkBuilder(default_radix=10)
+    b.switches("s0", "s1", "s2")
+    b.hosts("h0", "h1", "h2", "h3")
+    b.attach("h0", "s0", port=0)
+    b.attach("h1", "s1", port=0)
+    b.attach("h2", "s2", port=0)
+    b.attach("h3", "s2", port=5)
+    b.link("s0", "s1", port_a=9, port_b=8)
+    b.link("s1", "s2", port_a=9, port_b=8)
+    b.link("s2", "s0", port_a=9, port_b=8)
     return b.build()
 
 
@@ -95,3 +114,14 @@ class TestRadix16:
         plan = PortPlan(radix=16)
         plan.feed(15, True)  # forces entry port 0
         assert plan.entry_port_window == (0, 0)
+
+
+class TestRadix10:
+    @pytest.mark.parametrize("name", mapper_names())
+    def test_every_mapper_maps_the_core(self, name):
+        """Every probe kind, the Section 6 firmware kinds included, checks
+        its turns against the fabric's own alphabet, not Myrinet's."""
+        net = _radix10_net()
+        result, _ = map_cycle(net, "h0", mapper=name)
+        report = match_networks(result.network, core_network(net))
+        assert report, report.reason

@@ -16,7 +16,10 @@ and flushes the cached arm's trie. `TestLastWalkEquivalence` drives two
 services on one network through the mapper's own access pattern (runs of
 sibling strings, each probed twice as one tuple, repeats, cuts and plugs
 between them) and also holds every evaluation-cache counter to a run whose
-evaluators forget their last walk.
+evaluators forget their last walk. `TestFirmwareKindEquivalence` (80
+cases) holds the two Section 6 firmware kinds, coupon's early-host probe
+and self-id's identity probe, to pure-walk twins that read their answer
+off the whole walked path.
 """
 
 from __future__ import annotations
@@ -25,8 +28,10 @@ import random
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.baselines.selfid import SelfIdProbeService
 from repro.core.instrumentation import TraceRecorder
 from repro.core.mapper import BerkeleyMapper
+from repro.extensions.randomized import EarlyHostProbeService
 from repro.simulator.collision import CircuitModel, CutThroughModel, PacketModel
 from repro.simulator.faults import FaultModel
 from repro.simulator.path_eval import evaluate_route
@@ -34,7 +39,11 @@ from repro.simulator.quiescent import QuiescentProbeService
 from repro.simulator.stack import CountingLayer, TraceBusLayer, build_service_stack
 from repro.topology.generators import random_san
 from repro.topology.model import TopologyError
-from tests.simulator.reference_service import PureWalkProbeService
+from tests.simulator.reference_service import (
+    PureWalkEarlyHostProbeService,
+    PureWalkProbeService,
+    PureWalkSelfIdProbeService,
+)
 from tests.simulator.trie_view import MemoFreeProbeService
 from tests.topology.reference_isomorphism import networks_equal
 
@@ -83,7 +92,16 @@ class _KeptTrace(TraceBusLayer):
         super().__init__((self.recorder,))
 
 
-def _services(params, collision, *, drop, corrupt, jitter, seed):
+def _services(
+    params,
+    collision,
+    *,
+    drop,
+    corrupt,
+    jitter,
+    seed,
+    classes=(QuiescentProbeService, PureWalkProbeService),
+):
     """The cached service and its pure-walk twin, identically configured.
 
     Both share one Network object (so a topology cut hits both) but carry
@@ -111,7 +129,8 @@ def _services(params, collision, *, drop, corrupt, jitter, seed):
             service_cls=service_cls,
         )
 
-    return build(QuiescentProbeService), build(PureWalkProbeService)
+    cached_cls, pure_cls = classes
+    return build(cached_cls), build(pure_cls)
 
 
 def _apply(op, payload, cached, pure) -> None:
@@ -123,6 +142,10 @@ def _apply(op, payload, cached, pure) -> None:
         assert cached.probe_switch(payload) == pure.probe_switch(payload)
     elif op == "loopback":
         assert cached.probe_loopback(payload) == pure.probe_loopback(payload)
+    elif op == "host_any":
+        assert cached.probe_host_any(payload) == pure.probe_host_any(payload)
+    elif op == "switch_id":
+        assert cached.probe_switch_id(payload) == pure.probe_switch_id(payload)
     elif op == "responders":
         hosts = sorted(net.hosts)
         rnd = random.Random(payload)
@@ -247,6 +270,63 @@ class TestCacheEquivalence:
         _assert_stats_identical(cached, pure)
 
 
+#: The Section 6 firmware kinds, each on its own service and its pure-walk
+#: twin. Wider turns than the native plans use, so a walk often brushes a
+#: host before its last turn (coupon's early reply) or falls off.
+_wide_turns = st.lists(
+    st.integers(min_value=-5, max_value=5).filter(bool), max_size=6
+).map(tuple)
+_FIRMWARE = {
+    "host_any": (EarlyHostProbeService, PureWalkEarlyHostProbeService),
+    "switch_id": (SelfIdProbeService, PureWalkSelfIdProbeService),
+}
+
+
+class TestFirmwareKindEquivalence:
+    @given(
+        params=network_params,
+        collision=_collisions,
+        kind=st.sampled_from(sorted(_FIRMWARE)),
+        plan=st.lists(
+            st.one_of(
+                st.tuples(st.just("probe"), _wide_turns),
+                st.tuples(st.just("host"), _turns),
+                st.tuples(
+                    st.sampled_from(["responders", "cut_wire", "plug_wire"]),
+                    st.integers(min_value=0, max_value=10_000),
+                ),
+            ),
+            min_size=5,
+            max_size=25,
+        ),
+        drop=st.sampled_from([0.0, 0.3]),
+        jitter=st.sampled_from([0.0, 0.2]),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=80, **_SETTINGS)
+    def test_cached_walk_answers_as_the_pure_walk(
+        self, params, collision, kind, plan, drop, jitter, seed
+    ):
+        """Coupon's early-host probe and self-id's identity probe read the
+        cached walk: the same answers (the early host's prefix, the bounce
+        switch), the same records and the same fault draws as a re-walk."""
+        pair = _services(
+            params,
+            collision,
+            drop=drop,
+            corrupt=0.0,
+            jitter=jitter,
+            seed=seed,
+            classes=_FIRMWARE[kind],
+        )
+        if pair is None:
+            return
+        cached, pure = pair
+        for op, payload in plan:
+            _apply(kind if op == "probe" else op, payload, cached, pure)
+        _assert_stats_identical(cached, pure)
+
+
 def _map_with_cut(params, service_cls, *, seed, cut_at, cut_seed):
     """One full mapping run with a cable cut after ``cut_at`` probes.
 
@@ -333,6 +413,13 @@ _rounds = st.tuples(
 )
 
 
+def _pair(svc, turns, host_first=True):
+    """Both halves of the probe pair on one string, in the given order."""
+    if host_first:
+        return svc.probe_host(turns), svc.probe_switch(turns)
+    return svc.probe_switch(turns), svc.probe_host(turns)
+
+
 def _run_rounds(params, collision, rounds, service_cls):
     """The rounds on two services of ``service_cls`` sharing one network;
     every answer in order, and the two services."""
@@ -354,7 +441,7 @@ def _run_rounds(params, collision, rounds, service_cls):
         probe = prefix
         for turn in first:
             probe = prefix + (turn,)
-            answers.append(svc.response(probe, host_first=host_first))
+            answers.append(_pair(svc, probe, host_first))
         if move == "cut_path":
             crossed = [
                 net.wire_at(tr.src.node, tr.src.port)
@@ -364,11 +451,11 @@ def _run_rounds(params, collision, rounds, service_cls):
                 net.disconnect(random.Random(seed).choice(crossed))
         elif move != "none":
             _apply(move, seed, svc, None)
-        answers.append(services[1 - which].response(other))
+        answers.append(_pair(services[1 - which], other))
         if repeat:
             answers.append((svc.probe_switch(probe), svc.probe_host(probe)))
         for turn in then:
-            answers.append(svc.response(prefix + (turn,), host_first=host_first))
+            answers.append(_pair(svc, prefix + (turn,), host_first))
     return answers, services
 
 

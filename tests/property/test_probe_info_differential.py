@@ -4,7 +4,8 @@ A trie node is a parent pointer plus a shared hop record, so several things
 that used to be stored per node are now computed: ``ProbeInfo.traversals``
 is rebuilt from the parent chain on read (a loopback's retrace from the
 same hops), ``hops`` comes from the depth, the circuit verdict from
-small-int channel ids, and ``evaluate().nodes`` from the traversals. Each
+small-int channel ids, and a walk's node list and failing turn
+(``walk_result``) from the traversals and the depth. Each
 is held against the pure :func:`evaluate_route` here — on fabrics with
 parallel cables and a cable looping one switch back to itself, under all
 three collision models, and again after a cut and a plug on a walked path
@@ -23,6 +24,7 @@ from repro.simulator.path_eval import IncrementalPathEvaluator, PathStatus, eval
 from repro.simulator.turns import switch_probe_turns
 from repro.topology.generators import random_san
 from repro.topology.model import TopologyError
+from tests.simulator.trie_view import walk_result
 
 _params = st.fixed_dictionaries(
     {
@@ -86,7 +88,7 @@ def _check(ev, net, h0, turns, collision) -> None:
     assert info.traversals == tuple(want.traversals)
     if want.status is PathStatus.DELIVERED:
         assert info.blocked == collision.blocked_at(want.traversals)
-    full = ev.evaluate(h0, turns)
+    full = walk_result(ev, h0, turns)
     assert (full.status, full.nodes, full.traversals) == (
         want.status,
         want.nodes,

@@ -6,21 +6,32 @@ evaluation methods with the stateless :func:`evaluate_route` /
 :func:`route_touches` bodies. It draws from the fault RNG at the same
 points as the cached service, so records are byte-comparable. Inject it
 through the ``service_cls=`` seam of ``build_service_stack``; it is the
-oracle of ``tests/property/test_eval_cache_properties.py``.
+oracle of ``tests/property/test_eval_cache_properties.py``. The two
+Section 6 firmware services get pure-walk twins too, which answer their
+kinds from the whole :class:`PathResult` of the walked string (the
+early host's prefix from the failing turn, the bounce switch from the
+node list), so the cached kinds' index arithmetic is held to the walk.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
+from repro.baselines.selfid import SelfIdProbeService
+from repro.extensions.randomized import EarlyHostProbeService
 from repro.simulator.path_eval import (
-    PathResult,
     PathStatus,
     ProbeInfo,
     evaluate_route,
 )
 from repro.simulator.quiescent import QuiescentProbeService
-from repro.simulator.turns import Turns, reverse_turns, validate_turns
+from repro.simulator.stack import ProbeContext
+from repro.simulator.turns import (
+    Turns,
+    reverse_turns,
+    switch_probe_turns,
+    validate_turns,
+)
 from repro.topology.delta import Endpoint
 from repro.topology.model import HOST_PORT, Network
 
@@ -88,9 +99,6 @@ class PureWalkProbeService(QuiescentProbeService):
         fwd = validate_turns(turns, limit=self._turn_limit)
         return self._probe_info(fwd + (0,) + reverse_turns(fwd))
 
-    def _path(self, turns: Turns) -> PathResult:
-        return evaluate_route(self.net, self.mapper, turns)
-
     def route_crosses(self, turns: Turns, endpoints) -> bool:
         return route_touches(self.net, self.mapper, tuple(turns), endpoints)
 
@@ -98,3 +106,56 @@ class PureWalkProbeService(QuiescentProbeService):
     def eval_cache_stats(self) -> None:
         """No cache, no counters."""
         return None
+
+
+class PureWalkEarlyHostProbeService(PureWalkProbeService, EarlyHostProbeService):
+    """Coupon's early-host firmware kind answered from the whole pure walk:
+    the host is the walk's last node, the prefix ends at the turn the walk
+    failed on."""
+
+    def _eval_host_any(self, ctx: ProbeContext) -> None:
+        path = evaluate_route(self.net, self.mapper, ctx.turns)
+        ctx.info = _WalkedProbeInfo(
+            path.status, path.hops, path.delivered_to, None, tuple(path.traversals)
+        )
+        host: str | None = None
+        prefix: Turns = ctx.turns
+        if path.status is PathStatus.DELIVERED:
+            host = path.delivered_to
+        elif path.status is PathStatus.HIT_HOST_TOO_SOON:
+            host = path.nodes[-1]
+            assert path.failed_at_turn is not None
+            prefix = ctx.turns[: path.failed_at_turn]
+        if host is not None:
+            if self.collision.blocked_at(path.traversals) is not None:
+                host = None
+            elif self.faults.lost():
+                host = None
+            elif not self._responds(host):
+                host = None
+        if host is not None:
+            ctx.hit = True
+            ctx.responder = host
+            ctx.response = host
+            ctx.payload = (host, prefix)
+
+
+class PureWalkSelfIdProbeService(PureWalkProbeService, SelfIdProbeService):
+    """Self-id's switch-identity kind answered by walking the whole
+    loopback string: the identity is the node the bounce turn leaves."""
+
+    def _eval_switch_id(self, ctx: ProbeContext) -> None:
+        loop = switch_probe_turns(ctx.turns)
+        path = evaluate_route(self.net, self.mapper, loop)
+        ctx.info = _WalkedProbeInfo(
+            path.status, path.hops, path.delivered_to, None, tuple(path.traversals)
+        )
+        if (
+            path.status is PathStatus.DELIVERED
+            and self.collision.blocked_at(path.traversals) is None
+            and not self.faults.lost()
+        ):
+            bounce = path.nodes[len(ctx.turns) + 1]
+            ctx.hit = True
+            ctx.response = bounce
+            ctx.payload = bounce

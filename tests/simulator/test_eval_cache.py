@@ -18,6 +18,7 @@ from repro.topology.generators import build_ring, build_subcluster
 from tests.simulator.reference_service import PureWalkProbeService
 from tests.simulator.trie_view import MemoFreeProbeService
 from tests.simulator.trie_view import trie_nodes as _trie_nodes
+from tests.simulator.trie_view import walk_result
 
 
 @pytest.fixture()
@@ -40,7 +41,7 @@ class TestEvaluate:
     def test_matches_pure_function_exactly(self, now_c):
         ev = IncrementalPathEvaluator(now_c)
         for turns in PROBES:
-            got = ev.evaluate("C-n00", turns)
+            got = walk_result(ev, "C-n00", turns)
             want = evaluate_route(now_c, "C-n00", turns)
             assert (got.status, got.hops, got.delivered_to) == (
                 want.status,
@@ -54,18 +55,18 @@ class TestEvaluate:
     def test_non_host_source_raises_like_pure(self, now_c):
         switch = sorted(now_c.switches)[0]
         with pytest.raises(ValueError, match="not a host"):
-            IncrementalPathEvaluator(now_c).evaluate(switch, (1,))
+            walk_result(IncrementalPathEvaluator(now_c), switch, (1,))
 
     def test_prefix_extension_costs_one_node(self, now_c):
         ev = IncrementalPathEvaluator(now_c)
-        ev.evaluate("C-n00", (5, 1, -2))
+        walk_result(ev, "C-n00", (5, 1, -2))
         nodes_before = ev.stats.nodes
-        ev.evaluate("C-n00", (5, 1, -2, 2))
+        walk_result(ev, "C-n00", (5, 1, -2, 2))
         assert ev.stats.nodes == nodes_before + 1
 
 
 def _answer(ev, turns):
-    got = ev.evaluate("C-n00", turns)
+    got = walk_result(ev, "C-n00", turns)
     return got.status, got.nodes, got.delivered_to, got.failed_at_turn
 
 
@@ -86,7 +87,7 @@ class TestInvalidation:
     def test_mid_run_cut_prunes_once_and_answers_cold(self, now_c):
         ev = IncrementalPathEvaluator(now_c)
         for turns in PROBES:
-            ev.evaluate("C-n00", turns)
+            walk_result(ev, "C-n00", turns)
         last = evaluate_route(now_c, "C-n00", (5, 1, -2)).traversals[-1]
         wire = now_c.wire_at(last.src.node, last.src.port)
         nodes = list(_trie_nodes(ev))
@@ -105,7 +106,7 @@ class TestInvalidation:
 
     def test_unrelated_cut_drops_nothing(self, now_c):
         ev = IncrementalPathEvaluator(now_c)
-        ev.evaluate("C-n00", (5, 1))
+        walk_result(ev, "C-n00", (5, 1))
         nodes = ev.stats.nodes
         # A wire the cached walk never crossed: the prune keeps every
         # node, and the re-walk is answered from the trie alone.
@@ -118,7 +119,7 @@ class TestInvalidation:
         )
         now_c.disconnect(wire)
         before = ev.stats
-        ev.evaluate("C-n00", (5, 1))
+        walk_result(ev, "C-n00", (5, 1))
         assert ev.stats.invalidations == 1
         assert ev.stats.nodes_dropped == 0
         assert ev.stats.nodes == nodes
@@ -139,7 +140,7 @@ class TestInvalidation:
     def test_a_journal_that_cannot_answer_flushes_whole(self, now_c):
         ev = IncrementalPathEvaluator(now_c)
         for turns in PROBES:
-            ev.evaluate("C-n00", turns)
+            walk_result(ev, "C-n00", turns)
         nodes = ev.stats.nodes
         # A wire no cached walk read: a prune would keep every node.
         read = {end for n in _trie_nodes(ev) for end in n.dep}
@@ -158,11 +159,11 @@ class TestInvalidation:
     def test_fault_reconfig_is_cache_transparent(self, now_c):
         faults = FaultModel()
         ev = IncrementalPathEvaluator(now_c)
-        ev.evaluate("C-n00", (5, 1))
+        walk_result(ev, "C-n00", (5, 1))
         nodes = ev.stats.nodes
         assert nodes > 0
         faults.set_drop_prob(0.5)
-        got = ev.evaluate("C-n00", (5, 1))
+        got = walk_result(ev, "C-n00", (5, 1))
         # Cached walks never consult the fault model (loss is drawn per
         # probe by the services), so a real probability change flushes
         # nothing and the path answer is unchanged.
@@ -176,7 +177,7 @@ class TestInvalidation:
 
     def test_explicit_invalidate_clears_nodes(self, now_c):
         ev = IncrementalPathEvaluator(now_c)
-        ev.evaluate("C-n00", (5, 1, -2))
+        walk_result(ev, "C-n00", (5, 1, -2))
         assert ev.stats.nodes > 0
         ev.invalidate()
         assert ev.stats.nodes == 0
@@ -216,7 +217,7 @@ class TestProbeInfo:
         ones, and an answer given before still reads its own traversals."""
         ev = IncrementalPathEvaluator(now_c)
         for turns in PROBES:
-            ev.evaluate("C-n00", turns)
+            walk_result(ev, "C-n00", turns)
         held = ev.probe_info("C-n00", (5, 1, -2))
         want = evaluate_route(now_c, "C-n00", (5, 1, -2)).traversals
         wire = now_c.wire_at(want[-1].src.node, want[-1].src.port)
@@ -224,10 +225,10 @@ class TestProbeInfo:
         for _ in range(8):
             now_c.disconnect(wire)
             for turns in PROBES:
-                ev.evaluate("C-n00", turns)
+                walk_result(ev, "C-n00", turns)
             wire = now_c.connect(wire.a.node, wire.a.port, wire.b.node, wire.b.port)
             for turns in PROBES:
-                ev.evaluate("C-n00", turns)
+                walk_result(ev, "C-n00", turns)
         cols = ev._trie.cols
         assert cols is not first
         assert len(cols.key) - 1 <= 2 * ev.stats.nodes
@@ -245,7 +246,7 @@ class TestNodeBackstop:
         monkeypatch.setattr(path_eval, "MAX_TRIE_NODES", 3)
         ev = IncrementalPathEvaluator(ring)
         for turns in [(1,), (1, 1), (1, 1, 1), (2,), (2, 1), (1, 2, 1)]:
-            got = ev.evaluate(mapper, turns)
+            got = walk_result(ev, mapper, turns)
             want = evaluate_route(ring, mapper, turns)
             assert (got.status, got.delivered_to) == (
                 want.status,
@@ -280,12 +281,12 @@ class TestNodeBackstop:
         if prime == "loopback":
             ev.loopback_info(h0, prefix)
         else:
-            ev.evaluate(h0, prefix)
+            walk_result(ev, h0, prefix)
         assert ev.stats.invalidations == 1
         assert ev.stats.nodes_dropped == 4  # the cap plus the node past it
         last = evaluate_route(ring, h0, prefix).traversals[-1]
         ring.disconnect(ring.wire_at(last.src.node, last.src.port))
-        got = ev.evaluate(h0, (*prefix, -7))
+        got = walk_result(ev, h0, (*prefix, -7))
         want = evaluate_route(ring, h0, (*prefix, -7))
         assert want.status is PathStatus.NO_SUCH_WIRE
         assert (got.status, got.nodes, got.failed_at_turn) == (
@@ -342,11 +343,11 @@ class TestLastWalk:
         assert after.hits - before.hits == 4 + 3
         assert after.misses - before.misses == 1
         for turns in ((5, 1, 1), (5, 1, -1)):
-            assert ev.evaluate("C-n00", turns) == evaluate_route(now_c, "C-n00", turns)
+            assert walk_result(ev, "C-n00", turns) == evaluate_route(now_c, "C-n00", turns)
         # The memory is of one source's walk.
         probe = (5, 1, 2)
         for h0 in ("C-n00", "C-n01"):
-            assert ev.evaluate(h0, probe) == evaluate_route(now_c, h0, probe)
+            assert walk_result(ev, h0, probe) == evaluate_route(now_c, h0, probe)
 
     def test_a_prune_by_another_service_drops_the_memory(self):
         got, traces, (a, b) = _interleaved(QuiescentProbeService)

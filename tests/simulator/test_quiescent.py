@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.core.instrumentation import TraceRecorder
+from repro.core.mapper import BerkeleyMapper
 from repro.simulator.collision import CircuitModel, PacketModel
 from repro.simulator.faults import FaultModel
 from repro.simulator.quiescent import QuiescentProbeService
@@ -54,22 +55,28 @@ class TestSwitchProbe:
         assert svc.probe_switch((2,)) is False
 
 
+def _pair(svc, host_first):
+    """The mapper's probe pair of Section 2.3, on ``svc``."""
+    return BerkeleyMapper(svc, search_depth=1, host_first=host_first)._probe_pair
+
+
 class TestResponseFunction:
     def test_pair_semantics(self, two_switch_net):
-        svc = QuiescentProbeService(two_switch_net, "h0")
-        assert svc.response((1,)) == "h1"
-        assert svc.response((4,)) == "switch"
-        assert svc.response((2,)) is None
+        for host_first in (True, False):
+            probe = _pair(QuiescentProbeService(two_switch_net, "h0"), host_first)
+            assert probe((1,)) == "h1"
+            assert probe((4,)) == "switch"
+            assert probe((2,)) is None
 
     def test_host_first_skips_switch_probe(self, tiny_net):
         svc = QuiescentProbeService(tiny_net, "h0")
-        svc.response((3,), host_first=True)
+        _pair(svc, host_first=True)((3,))
         assert svc.stats.host_probes == 1
         assert svc.stats.switch_probes == 0
 
     def test_switch_first_skips_host_probe(self, two_switch_net):
         svc = QuiescentProbeService(two_switch_net, "h0")
-        svc.response((4,), host_first=False)
+        _pair(svc, host_first=False)((4,))
         assert svc.stats.switch_probes == 1
         assert svc.stats.host_probes == 0
 

@@ -6,7 +6,9 @@ the roots through the children dict and yields one :class:`TrieNode` per
 node, with the attributes a test reads: ``parent``, ``children``, ``hop``,
 ``depth`` and ``dep``. A view lives as long as a test holds it, and the
 same node yields the same view meanwhile, so ``id(view)`` names a node
-across walks for as long as its id stands.
+across walks for as long as its id stands. :func:`walk_result` reads a
+cached walk back as the :class:`PathResult` the pure walk returns, for
+tests that compare the two whole.
 
 :class:`MemoFreeProbeService` is the cached service with the evaluator's
 memory of its last walk wiped before every walk: every probe walks from
@@ -20,7 +22,13 @@ import weakref
 from collections import defaultdict
 from typing import Iterator
 
-from repro.simulator.path_eval import _NO_WALK, ProbeInfo, Traversal
+from repro.simulator.path_eval import (
+    _NO_WALK,
+    PathResult,
+    PathStatus,
+    ProbeInfo,
+    Traversal,
+)
 from repro.simulator.quiescent import QuiescentProbeService
 from repro.simulator.turns import Turns
 
@@ -102,6 +110,29 @@ def trie_nodes(owner) -> Iterator[TrieNode]:
         node = stack.pop()
         yield TrieNode(cols, node)
         stack.extend(index.get(node, {}).values())
+
+
+def walk_result(ev, h0: str, turns: Turns) -> PathResult:
+    """The walk of ``turns`` from ``h0`` through evaluator ``ev``'s trie,
+    as :func:`~repro.simulator.path_eval.evaluate_route` reports it."""
+    info = ev.probe_info(h0, turns)
+    traversals = info.traversals
+    failed_at = None
+    if info.status not in (
+        PathStatus.DELIVERED,
+        PathStatus.STRANDED,
+        PathStatus.NOT_ATTACHED,
+    ):
+        # An absorbing walk crossed the attach wire and one wire per turn
+        # before the turn it failed on.
+        failed_at = info.hops - 1
+    return PathResult(
+        status=info.status,
+        nodes=[h0, *(tr.dst.node for tr in traversals)],
+        traversals=list(traversals),
+        delivered_to=info.delivered_to,
+        failed_at_turn=failed_at,
+    )
 
 
 class MemoFreeProbeService(QuiescentProbeService):
