@@ -55,7 +55,8 @@ class ProbeStats:
     ``host_probes``/``host_hits`` and ``switch_probes``/``switch_hits``
     correspond directly to the columns of the Figure 6 table; ``elapsed_us``
     accumulates the timing model's per-probe costs. The probe engine
-    counts each :class:`ProbeRecord` it publishes into these fields.
+    counts each probe it answers into these fields, whether or not a layer
+    asked for its :class:`ProbeRecord`.
     """
 
     host_probes: int = 0

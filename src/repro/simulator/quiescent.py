@@ -179,8 +179,7 @@ class QuiescentProbeService:
                 cost, response = PROBE_TIMEOUT_US, None
             if self.jitter:
                 cost *= self._rng.uniform(1.0 - self.jitter, 1.0 + self.jitter)
-            ctx.record = ProbeRecord(kind, turns, hit, cost, response)
-            # Count the published record into the Figure 6 ledger.
+            # Count the probe into the Figure 6 ledger.
             if kind is ProbeKind.HOST:
                 stats.host_probes += 1
                 stats.host_hits += hit
@@ -189,6 +188,9 @@ class QuiescentProbeService:
                 stats.switch_hits += hit
             stats.elapsed_us += cost
             if layers:
+                # Only layers read the record, so a layer-less probe
+                # builds none.
+                ctx.record = ProbeRecord(kind, turns, hit, cost, response)
                 for layer in layers:
                     layer.after(ctx)
                 if not hit and any(

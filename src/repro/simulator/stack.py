@@ -82,6 +82,8 @@ class ProbeContext:
     hit: bool = False
     responder: str | None = None
     response: str | None = None
+    #: The probe's trace record, set when a layer is attached (only layers
+    #: read it, from :meth:`ProbeLayer.after` on).
     record: ProbeRecord | None = None
     #: Free slot for probe kinds whose result is richer than hit/responder
     #: (e.g. the coupon phase's ``(host, prefix)`` pair).

@@ -34,19 +34,32 @@ from repro.topology.model import Network, TopologyError
 
 
 def assert_only_live(graph: ModelGraph) -> None:
-    """Every wire-end of every live vertex names a live vertex, and
-    ``multi`` counts the indices holding two or more ends."""
+    """Every wire-end of every live vertex names a live vertex that holds
+    the wire's other end, no index holds a wire to itself, and ``multi``
+    counts the indices holding two or more ends.
+
+    The in-place twin merge leans on the middle two: it drops the twin's
+    one end from its neighbour's set and writes nothing else, which is
+    exact only while each end has its back-reference."""
     live = graph._live
     for v in live.values():
-        for ends in v.nbrs.values():
+        for i, ends in v.nbrs.items():
             assert ends
-            for w, _ in ends:
+            for w, wi in ends:
                 assert live.get(w.vid) is w, f"{v.vid} names {w.vid}, not live"
+                assert (v, i) in w.nbrs.get(wi, ()), f"{w.vid}:{wi} lacks {v.vid}:{i}"
+                assert (w, wi) != (v, i), f"{v.vid}:{i} is wired to itself"
         assert v.multi == sum(len(ends) > 1 for ends in v.nbrs.values())
 
 
 class _Checked:
-    """Check the invariant wherever the graph settles."""
+    """Check the invariant wherever the graph settles: after each
+    vertex's deductions (in-place twin merges included) and after every
+    drain and PRUNE."""
+
+    def _deduce_at(self, v) -> None:
+        super()._deduce_at(v)  # type: ignore[misc]
+        assert_only_live(self)  # type: ignore[arg-type]
 
     def _drain_mergelist(self) -> None:
         super()._drain_mergelist()  # type: ignore[misc]
