@@ -249,9 +249,7 @@ def _scale_map(k: int, hosts_per_edge: int | None = None) -> tuple[float, dict]:
     gc.collect()
     start = time.perf_counter()
     svc = build_service_stack(net, net.hosts[0])
-    mapper = create_mapper(
-        "berkeley", svc, radix=k, search_depth=6, host_first=False
-    )
+    mapper = create_mapper("berkeley", svc, search_depth=6, host_first=False)
     with _CollectorWatch() as collector:
         map_start = time.perf_counter()
         result = mapper.map()

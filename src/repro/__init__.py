@@ -23,9 +23,10 @@ Every discovery algorithm registers in
 :data:`repro.core.mapper_protocol.MAPPER_REGISTRY` ("berkeley",
 "berkeley-infogain", "myricom", "selfid", "coupon", "spanning-tree");
 ``create_mapper(name, service, search_depth=...)`` builds any of them
-behind the same :class:`~repro.core.mapper_protocol.Mapper` protocol;
-any other keyword goes to the constructor as it is (``radix=``,
-``max_explorations=`` where the algorithm has that bound), and one the
+behind the same :class:`~repro.core.mapper_protocol.Mapper` protocol,
+at the switch radix the service reports (``svc.radix``, the fabric's
+widest switch); any other keyword goes to the constructor as it is
+(``max_explorations=`` where the algorithm has that bound), and one the
 constructor does not take raises its ``TypeError``. A mapper's ``map()``
 runs once: build a fresh mapper for each map. A model-graph map that
 reaches :data:`repro.core.mapper.EXPLORATION_LIMIT` explorations

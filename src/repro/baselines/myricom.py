@@ -87,13 +87,12 @@ class MyricomMapper:
         service: QuiescentProbeService,
         *,
         search_depth: int,
-        radix: int = 8,
     ) -> None:
         if search_depth < 1:
             raise ValueError("search_depth must be at least 1")
         self._svc = service
         self._depth = search_depth
-        self._radix = radix
+        self._radix = service.radix
         self._explored: list[SwitchRecord] = []
         self._hosts: dict[str, tuple[SwitchRecord, int]] = {}
         self.breakdown = ProbeBreakdown()

@@ -78,14 +78,12 @@ class SelfIdProbeService(QuiescentProbeService):
 class SelfIdMapper:
     """BFS mapping with self-identifying switches: no replicates, ever."""
 
-    def __init__(
-        self, service: SelfIdProbeService, *, search_depth: int, radix: int = 8
-    ) -> None:
+    def __init__(self, service: SelfIdProbeService, *, search_depth: int) -> None:
         if search_depth < 1:
             raise ValueError("search_depth must be at least 1")
         self._svc = service
         self._depth = search_depth
-        self._radix = radix
+        self._radix = service.radix
         #: Wires whose far port no sweep probe pinned, after :meth:`map`.
         self.unresolved_wires = 0
 

@@ -104,9 +104,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
         profiler = PhaseProfiler()
 
         def profiled(svc: object, depth: int) -> Mapper:
-            return spec.factory(
-                svc, search_depth=depth, radix=net.default_radix, profiler=profiler
-            )
+            return spec.factory(svc, search_depth=depth, profiler=profiler)
 
         mapper = profiled
     result, svc = map_cycle(

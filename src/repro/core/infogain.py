@@ -32,13 +32,13 @@ an already-issued plan.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from repro.core.mapper import BerkeleyMapper
 from repro.core.mapper_protocol import register_mapper
 from repro.core.model_graph import KIND_SWITCH
 from repro.core.planner import PortPlan, _alternating_order
-from repro.simulator.turns import turn_alphabet
 
 __all__ = ["InfoGainMapper", "InfoGainPlanner"]
 
@@ -55,21 +55,11 @@ class InfoGainPlanner:
     depends on the order being fixed at creation).
     """
 
-    def __init__(self, *, radix: int = 8) -> None:
-        self.radix = radix
-        turns = turn_alphabet(radix)
-        self._hits: dict[int, int] = {t: 0 for t in turns}
-        self._trials: dict[int, int] = {t: 0 for t in turns}
-        # The paper's static preference, used as the Beta prior mean
-        # (1/|t|) and as the tie-break so a cold start is byte-identical
-        # to the default alternating order.
-        self._default_rank = {
-            t: i for i, t in enumerate(_alternating_order(radix))
-        }
+    def __init__(self) -> None:
+        self._hits: Counter[int] = Counter()
+        self._trials: Counter[int] = Counter()
 
     def observe(self, turn: int, hit: bool) -> None:
-        if turn not in self._trials:
-            return
         self._trials[turn] += 1
         if hit:
             self._hits[turn] += 1
@@ -80,16 +70,14 @@ class InfoGainPlanner:
         prior = w / abs(turn)
         return (self._hits[turn] + prior) / (self._trials[turn] + w)
 
-    def new_plan(self) -> PortPlan:
+    def new_plan(self, radix: int) -> PortPlan:
+        # The paper's static preference is the Beta prior mean (1/|t|) and,
+        # through a stable sort of the alternating order, the tie-break, so
+        # a cold start is byte-identical to the default order.
         order = tuple(
-            sorted(
-                self._default_rank,
-                key=lambda t: (-self._score(t), self._default_rank[t]),
-            )
+            sorted(_alternating_order(radix), key=lambda t: -self._score(t))
         )
-        return _ObservedPlan(
-            radix=self.radix, use_window=True, order=order, planner=self
-        )
+        return _ObservedPlan(radix=radix, use_window=True, order=order, planner=self)
 
 
 @dataclass
@@ -126,14 +114,11 @@ class InfoGainMapper(BerkeleyMapper):
         service,
         *,
         search_depth: int,
-        radix: int = 8,
         **kwargs,
     ) -> None:
         if kwargs.get("planner") is None:
-            kwargs["planner"] = InfoGainPlanner(radix=radix)
-        super().__init__(
-            service, search_depth=search_depth, radix=radix, **kwargs
-        )
+            kwargs["planner"] = InfoGainPlanner()
+        super().__init__(service, search_depth=search_depth, **kwargs)
 
     def _jitter(self, vid: int) -> int:
         """Fixed per-vertex tie-break."""

@@ -180,7 +180,7 @@ class BerkeleyMapper(ModelGraph):
         planner: ProbePlanner | None = None,
         host_first: bool = False,
         record_growth: bool = False,
-        radix: int = 8,
+        radix: int | None = None,
         max_explorations: int | None = None,
         profiler: "PhaseProfiler | None" = None,
     ) -> None:
@@ -195,13 +195,20 @@ class BerkeleyMapper(ModelGraph):
         has (sound, possibly incomplete). A map that reaches
         :data:`EXPLORATION_LIMIT` first raises :class:`ExplorationLimitError`
         instead of returning part of a map.
+
+        The switch radix is the service's (``service.radix``); ``radix``
+        is accepted only to be checked against it.
         """
         if search_depth < 1:
             raise ValueError("search_depth must be at least 1")
-        super().__init__(radix=radix, profiler=profiler)
+        if radix is not None and radix != service.radix:
+            raise ValueError(
+                f"radix {radix} is not the probe service's radix {service.radix}"
+            )
+        super().__init__(radix=service.radix, profiler=profiler)
         self._svc = service
         self._depth = search_depth
-        self._planner = planner or ProbePlanner(radix=radix)
+        self._planner = planner or ProbePlanner()
         self._host_first = host_first
         self._record_growth = record_growth
         self._max_explorations = max_explorations
@@ -486,7 +493,7 @@ class BerkeleyMapper(ModelGraph):
         return end.port - entries[end.node]
 
     def _explore(self, v: MergedVertex) -> None:
-        plan = self._planner.new_plan()
+        plan = self._planner.new_plan(self._radix)
         # Knowledge inherited from merged replicates: every known index is a
         # confirmed wire (narrowing the entry-port window), and re-probing it
         # cannot teach anything — an actual port has exactly one cable.

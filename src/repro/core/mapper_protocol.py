@@ -25,7 +25,8 @@ experiments, the tournament harness) race them interchangeably:
   choice of algorithm is data (``mapper_factory="berkeley"``), not an
   import; sanlint's SAN015 keeps direct constructor calls out of the
   consumer layers. Every factory is called the same way:
-  ``spec.factory(service, search_depth=..., radix=..., **options)``;
+  ``spec.factory(service, search_depth=..., **options)``, and every
+  mapper reads the switch radix from its service (``service.radix``);
   an option the constructor does not take raises its ``TypeError``.
 
 Registration is lazy: looking up a name imports its defining module,

@@ -82,7 +82,6 @@ def timed_run(
             "berkeley",
             svc,
             search_depth=depth,
-            radix=net.default_radix,
             max_explorations=max_explorations,
         ),
         responders=responders,

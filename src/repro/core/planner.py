@@ -47,7 +47,7 @@ def _alternating_order(radix: int) -> tuple[int, ...]:
 class PortPlan:
     """Turn sequence for exploring one switch, updated with probe outcomes."""
 
-    radix: int = 8
+    radix: int
     use_window: bool = True
     order: tuple[int, ...] = ()
     _window: tuple[int, int] = field(init=False)
@@ -89,18 +89,16 @@ class PortPlan:
 
 @dataclass(frozen=True, slots=True)
 class ProbePlanner:
-    """Factory for per-switch :class:`PortPlan` objects.
+    """Factory for per-switch :class:`PortPlan` objects, at the radix the
+    mapper reads from its probe service.
 
     ``heuristic=False`` yields the naive plan (fixed order, no window
     pruning) for the ablation study.
     """
 
-    radix: int = 8
     heuristic: bool = True
 
-    def new_plan(self) -> PortPlan:
+    def new_plan(self, radix: int) -> PortPlan:
         if self.heuristic:
-            return PortPlan(radix=self.radix, use_window=True)
-        return PortPlan(
-            radix=self.radix, use_window=False, order=turn_alphabet(self.radix)
-        )
+            return PortPlan(radix=radix, use_window=True)
+        return PortPlan(radix=radix, use_window=False, order=turn_alphabet(radix))

@@ -33,10 +33,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.mapper_protocol import create_mapper
 from repro.core.model_graph import KIND_HOST, KIND_SWITCH, MergedVertex, ModelGraph
+from repro.core.parallel import timed_run
 from repro.core.relative import MappingError
-from repro.core.remapper import map_cycle
 from repro.topology.model import Network
 
 __all__ = [
@@ -71,17 +70,8 @@ def map_local_region(
     max_explorations: int | None = 60,
 ) -> PartialMap:
     """Map the region within ``local_depth`` probe turns of one host."""
-    result, _ = map_cycle(
-        net,
-        mapper_host,
-        search_depth=local_depth,
-        mapper=lambda svc, depth: create_mapper(
-            "berkeley",
-            svc,
-            search_depth=depth,
-            radix=net.default_radix,
-            max_explorations=max_explorations,
-        ),
+    result = timed_run(
+        net, mapper_host, search_depth=local_depth, max_explorations=max_explorations
     )
     return PartialMap(
         owner=mapper_host,

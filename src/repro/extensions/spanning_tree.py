@@ -86,13 +86,12 @@ class SpanningTreeMapper:
         service: QuiescentProbeService,
         *,
         search_depth: int,
-        radix: int = 8,
     ) -> None:
         if search_depth < 1:
             raise ValueError("search_depth must be at least 1")
         self._svc = service
         self._depth = search_depth
-        self._radix = radix
+        self._radix = service.radix
         #: Adopted switches. A record's ``ports`` holds only *resolved*
         #: wires; switch-hits whose far end is still a queued candidate are
         #: in ``_used`` but not there yet. Views recognized as duplicates

@@ -92,7 +92,9 @@ class ProbeStats:
 
 @runtime_checkable
 class ProbeService(Protocol):
-    """What a mapper may do: send the two probe kinds, read its own clock."""
+    """What a mapper may do: send the two probe kinds, read its own clock,
+    and know the switch radix of its fabric (its turn alphabet, Section 2.2).
+    """
 
     @property
     def mapper_host(self) -> str:
@@ -101,6 +103,11 @@ class ProbeService(Protocol):
 
     @property
     def stats(self) -> ProbeStats:
+        ...  # pragma: no cover - protocol
+
+    @property
+    def radix(self) -> int:
+        """The largest switch radix of the fabric: every mapper's radix."""
         ...  # pragma: no cover - protocol
 
     def probe_host(self, turns: Turns) -> str | None:

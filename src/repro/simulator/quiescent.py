@@ -39,7 +39,7 @@ from repro.simulator.stack import ProbeContext, ProbeLayer
 from repro.simulator.timing import PROBE_TIMEOUT_US, probe_response_us
 from repro.simulator.turns import Turns, validate_turns
 from repro.topology.delta import Endpoint
-from repro.topology.model import Network
+from repro.topology.model import SWITCH_RADIX, Network
 
 __all__ = ["QuiescentProbeService"]
 
@@ -94,11 +94,13 @@ class QuiescentProbeService:
             raise ValueError("jitter must be in [0, 1)")
         self._stats = ProbeStats()
         self._layers: tuple[ProbeLayer, ...] = tuple(self.layers)
-        # Turn-alphabet radius: Myrinet encodes {-7..+7}; wider fabrics
-        # need wider routing flits, so derive the limit from the hardware.
-        self._turn_limit = max(
-            (self.net.radix(s) - 1 for s in self.net.switches), default=7
+        # The fabric's widest switch (Myrinet's 8 on a switchless one) sets
+        # the radix every mapper works to and the turn-alphabet radius:
+        # Myrinet encodes {-7..+7}, and wider switches need wider flits.
+        self._radix = max(
+            (self.net.radix(s) for s in self.net.switches), default=SWITCH_RADIX
         )
+        self._turn_limit = self._radix - 1
         self._rng = self.rng if self.rng is not None else random.Random(0)
         # Reads and extends the network's probe trie, which outlives this
         # service: the next cycle's service on the same network finds the
@@ -248,6 +250,10 @@ class QuiescentProbeService:
     @property
     def stats(self) -> ProbeStats:
         return self._stats
+
+    @property
+    def radix(self) -> int:
+        return self._radix
 
     def find_layer(self, cls: type):
         """First attached layer that is an instance of ``cls``, or None."""

@@ -29,6 +29,10 @@ class _Liar:
     def stats(self) -> ProbeStats:
         return self._inner.stats
 
+    @property
+    def radix(self):
+        return self._inner.radix
+
     def probe_host(self, turns):
         real = self._inner.probe_host(turns)
         return self._rewrites.get(tuple(turns), real)

@@ -6,7 +6,7 @@ isomorphic to the actual core on the paper's testbeds, (3) honor its
 declared capability flags (absent features raise ``TypeError`` at
 construction, they are not silently dropped), (4) be byte-for-byte
 deterministic across runs, and (5) map once. ``map_cycle`` builds every
-registry name one way: depth and radix, nothing else. A final guard pins
+registry name one way: its depth, nothing else (the radix is the service's). A final guard pins
 registry-built Berkeley to the committed Figure 4/5 probe counts so the
 refactor can never drift the paper numbers.
 """
@@ -212,10 +212,10 @@ def test_a_second_map_raises(name, ring_net):
         mapper.map()
 
 
-def test_map_cycle_builds_a_registry_mapper_with_depth_and_radix(monkeypatch, ring_net):
-    """Every registry name is built the same way: ``search_depth`` and the
-    fabric's radix, nothing else. An option ``map_cycle`` does not take
-    is refused, not dropped."""
+def test_map_cycle_builds_a_registry_mapper_with_its_depth_only(monkeypatch, ring_net):
+    """Every registry name is built the same way: ``search_depth``, nothing
+    else; the mapper reads the radix from its service. An option
+    ``map_cycle`` does not take is refused, not dropped."""
     spec = get_mapper_spec("berkeley")
     calls = []
 
@@ -225,7 +225,7 @@ def test_map_cycle_builds_a_registry_mapper_with_depth_and_radix(monkeypatch, ri
 
     monkeypatch.setitem(MAPPER_REGISTRY, "berkeley", dataclasses.replace(spec, factory=recorder))
     map_cycle(ring_net, "h0", search_depth=6)
-    assert calls == [{"search_depth": 6, "radix": ring_net.default_radix}]
+    assert calls == [{"search_depth": 6}]
     with pytest.raises(TypeError):
         map_cycle(ring_net, "h0", mapper="myricom", max_explorations=5)
 

@@ -2,25 +2,45 @@
 
 The paper's hardware is 8-port, but the algorithm is radix-generic (the
 turn alphabet, planner windows, and port spans all derive from the radix).
-These tests run the whole pipeline on 4-port and 16-port fabrics.
+These tests run the whole pipeline on 4-, 10- and 16-port fabrics, and on
+a mixed one whose widest switch is above its default radix: every mapper
+reads the radix from its probe service, the fabric's widest switch.
 """
+
+import json
+from pathlib import Path
 
 import pytest
 
 from repro.core.mapper import BerkeleyMapper
-from repro.core.mapper_protocol import mapper_names
+from repro.core.mapper_protocol import create_mapper, mapper_names
 from repro.core.planner import PortPlan, ProbePlanner
-from repro.core.remapper import map_cycle
+from repro.core.remapper import RemapperDaemon, map_cycle
 from repro.routing import (
     all_pairs_updown_paths,
     compile_route_tables,
     orient_updown,
     routes_deadlock_free,
 )
+from repro.service.tenant import TenantSpec, TenantState
+from repro.service.workers import run_map_job
 from repro.simulator.quiescent import QuiescentProbeService
+from repro.simulator.stack import build_service_stack
 from repro.topology.analysis import core_network, recommended_search_depth
+from repro.topology.generators import build_three_tier_fat_tree
+from repro.topology.serialize import network_from_dict
+from tests.service.worker_slot import adopt, pickled
 from tests.topology.reference_builder import NetworkBuilder
 from repro.topology.isomorphism import match_networks
+
+#: Default radix 8, but switch ``s1`` is radix 12 and wired on ports 0, 9,
+#: 10 and 11: three switches, six hosts. A mapper at radix 8 never turns
+#: past +/-7, so from ``s1``'s port 0 it finds nothing behind it.
+MIXED_RADIX = Path(__file__).parent / "data" / "mixed_radix.json"
+
+
+def _mixed_doc() -> dict:
+    return json.loads(MIXED_RADIX.read_text())
 
 
 def _radix4_net():
@@ -80,7 +100,7 @@ class TestRadix4:
         assert result.network.radix(result.network.switches[0]) == 4
 
     def test_planner_alphabet(self):
-        plan = ProbePlanner(radix=4).new_plan()
+        plan = ProbePlanner().new_plan(4)
         turns = set()
         while (t := plan.next_turn()) is not None:
             turns.add(t)
@@ -125,3 +145,46 @@ class TestRadix10:
         result, _ = map_cycle(net, "h0", mapper=name)
         report = match_networks(result.network, core_network(net))
         assert report, report.reason
+
+    def test_registry_berkeley_maps_the_fat_tree_at_its_radix(self):
+        """The quickstart's call, with no radix: the k=10 three-tier fat
+        tree maps whole, at the fattree_map workload's probe count."""
+        net = build_three_tier_fat_tree(10, hosts_per_edge=1)
+        svc = build_service_stack(net, net.hosts[0])
+        result = create_mapper("berkeley", svc, search_depth=6).map()
+        assert len(result.network.switches) == 125
+        assert len(result.network.hosts) == 50
+        assert result.stats.total_probes == 23_848
+
+    def test_berkeley_refuses_a_radix_its_service_does_not_have(self):
+        svc = QuiescentProbeService(_radix10_net(), "h0")
+        with pytest.raises(ValueError, match="radix 8 .* radix 10"):
+            BerkeleyMapper(svc, search_depth=4, radix=8)
+
+
+class TestMixedRadix:
+    @pytest.mark.parametrize("name", mapper_names())
+    def test_every_mapper_maps_it(self, name):
+        net = network_from_dict(_mixed_doc())
+        result, _ = map_cycle(net, "h0", mapper=name)
+        report = match_networks(result.network, core_network(net))
+        assert report, report.reason
+
+    def test_daemon_maps_n_minus_f(self):
+        net = network_from_dict(_mixed_doc())
+        cycle = RemapperDaemon(net, "h0").run_cycle()
+        report = match_networks(cycle.map_result.network, core_network(net))
+        assert report, report.reason
+        assert cycle.deadlock_free
+        assert cycle.n_routes == 6 * 5
+
+    def test_a_served_explicit_tenant_is_adopted(self):
+        tenant = TenantState(
+            TenantSpec(name="t", topology="explicit", params={"network": _mixed_doc()})
+        )
+        payload = tenant.job_payload()
+        outcome = run_map_job(pickled(payload))
+        assert outcome["ok"] and outcome["isomorphic"], outcome.get("mismatch")
+        served = adopt(tenant, payload, outcome)
+        assert served["adopted"]
+        assert served["n_routes"] == 6 * 5
