@@ -91,11 +91,11 @@ def _micro_route_eval() -> tuple[float, dict]:
 
 def _micro_switch_probe_eval() -> tuple[float, dict]:
     from repro.simulator.path_eval import evaluate_route
-    from repro.simulator.turns import switch_probe_turns
     from repro.topology.generators import build_subcluster
 
     net = build_subcluster("C")
-    loop = switch_probe_turns((5, 1, 2))
+    # The switch-probe loopback string a1..ak 0 -ak..-a1 of (5, 1, 2).
+    loop = (5, 1, 2, 0, -2, -1, -5)
     return _time_op(lambda: evaluate_route(net, "C-n00", loop), 2000), {}
 
 

@@ -480,8 +480,8 @@ class NoAdHocServiceWrappers(Rule):
     title = "probe-service behavior composes as stack layers, not wrappers"
     rationale = (
         "Every probe walks one accounting path: the quiescent engine "
-        "evaluates, applies the composed middleware layers, and records "
-        "exactly one ProbeRecord. A class outside the stack that "
+        "evaluates, applies the composed middleware layers, and counts it "
+        "into the one ProbeStats. A class outside the stack that "
         "re-implements probe_host/probe_switch/probe_loopback forks that "
         "path — its probes bypass the layers' counting, capping, chaos "
         "triggers and trace bus, and the five wrapper classes this rule "

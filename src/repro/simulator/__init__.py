@@ -26,7 +26,6 @@ Everything the mapping algorithms can observe in-band is produced here:
 from repro.simulator.turns import (
     Turns,
     reverse_turns,
-    switch_probe_turns,
     validate_turns,
 )
 from repro.simulator.path_eval import (
@@ -84,6 +83,5 @@ __all__ = [
     "Turns",
     "build_service_stack",
     "reverse_turns",
-    "switch_probe_turns",
     "validate_turns",
 ]

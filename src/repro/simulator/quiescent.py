@@ -19,7 +19,10 @@ event injection, cross-traffic, probe budgets — are *not* subclassed or
 wrapped around this service. They are middleware layers from
 :mod:`repro.simulator.stack` hooking into the single probe transaction
 (:meth:`QuiescentProbeService._transact`); compose them with
-:func:`~repro.simulator.stack.build_service_stack`.
+:func:`~repro.simulator.stack.build_service_stack`. A stack with none (the
+daemon's, the served job's) answers the two canonical kinds on a straight
+line: the same checks, draws and accounting, none of the transaction's
+context, callable or record.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from repro.simulator.faults import FaultModel
 from repro.simulator.path_eval import (
     EvalCacheStats,
     IncrementalPathEvaluator,
+    PathStatus,
     ProbeInfo,
 )
 from repro.simulator.probes import ProbeKind, ProbeRecord, ProbeStats
@@ -42,6 +46,8 @@ from repro.topology.delta import Endpoint
 from repro.topology.model import SWITCH_RADIX, Network
 
 __all__ = ["QuiescentProbeService"]
+
+_DELIVERED = PathStatus.DELIVERED
 
 
 @dataclass
@@ -262,17 +268,49 @@ class QuiescentProbeService:
                 return layer
         return None
 
+    # The two canonical kinds take a straight line on a layer-less stack
+    # (the daemon's and the served job's): the checks and fault draws of
+    # ``_eval_host`` / ``_eval_switch`` in the same order, and the same
+    # accounting as ``_transact``, with no context, callable or record.
     def probe_host(self, turns: Turns) -> str | None:
-        ctx = self._transact(
-            ProbeKind.HOST, self._validated(turns), self._eval_host, True, True
-        )
-        return ctx.responder if ctx.hit else None
+        if turns is not self._last_validated:
+            turns = self._last_validated = validate_turns(turns, limit=self._turn_limit)
+        if self._layers:
+            ctx = self._transact(ProbeKind.HOST, turns, self._eval_host, True, True)
+            return ctx.responder if ctx.hit else None
+        info = self._probe_info(turns)
+        hit = info.status is _DELIVERED and info.blocked is None and not self.faults.lost()
+        host = info.delivered_to if hit and self._responds(info.delivered_to) else None
+        cost = PROBE_TIMEOUT_US if host is None else self._costs[1].get(info.hops)
+        if cost is None:
+            cost = self._costs[1][info.hops] = probe_response_us(info.hops, info.hops)
+        if self.jitter:
+            cost *= self._rng.uniform(1.0 - self.jitter, 1.0 + self.jitter)
+        stats = self._stats
+        stats.host_probes += 1
+        stats.host_hits += host is not None
+        stats.elapsed_us += cost
+        return host
 
     def probe_switch(self, turns: Turns) -> bool:
-        ctx = self._transact(
-            ProbeKind.SWITCH, self._validated(turns), self._eval_switch, False
-        )
-        return ctx.hit
+        if turns is not self._last_validated:
+            turns = self._last_validated = validate_turns(turns, limit=self._turn_limit)
+        if self._layers:
+            return self._transact(ProbeKind.SWITCH, turns, self._eval_switch, False).hit
+        info = self._loopback_info(turns)
+        hit = info.status is _DELIVERED and info.blocked is None and not self.faults.lost()
+        # By construction a delivered loopback terminates back at the mapper.
+        assert not hit or info.delivered_to == self.mapper
+        cost = self._costs[0].get(info.hops) if hit else PROBE_TIMEOUT_US
+        if cost is None:
+            cost = self._costs[0][info.hops] = probe_response_us(info.hops, 0)
+        if self.jitter:
+            cost *= self._rng.uniform(1.0 - self.jitter, 1.0 + self.jitter)
+        stats = self._stats
+        stats.switch_probes += 1
+        stats.switch_hits += hit
+        stats.elapsed_us += cost
+        return hit
 
     def _validated(self, turns: Turns) -> Turns:
         """Validate a probe string, memoizing by object identity.
@@ -282,11 +320,9 @@ class QuiescentProbeService:
         on its contents and the fixed turn limit), so the identity check is
         sound and skips re-walking the string on the second half.
         """
-        if turns is self._last_validated:
-            return turns
-        out = validate_turns(turns, limit=self._turn_limit)
-        self._last_validated = out if out is turns else None
-        return out
+        if turns is not self._last_validated:
+            turns = self._last_validated = validate_turns(turns, limit=self._turn_limit)
+        return turns
 
     def probe_loopback(self, turns: Turns) -> bool:
         """Send an arbitrary worm (zeros allowed); True iff it returns here.

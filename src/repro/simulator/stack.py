@@ -95,8 +95,10 @@ class ProbeLayer:
 
     Layers are deliberately tiny objects — one concern each — composed via
     :func:`build_service_stack`. Subclasses override only the hooks they
-    need; the engine skips the hook loops entirely for layer-less stacks,
-    so the quiescent fast path pays nothing.
+    need. Attaching any layer, even this no-op base, sends every probe
+    through the engine's transaction; on a layer-less stack the two
+    canonical kinds take a straight line instead (walk, fault draw,
+    responder check, accounting) with no context, hook loop or record.
     """
 
     def on_attach(self, service: "QuiescentProbeService") -> None:

@@ -16,7 +16,6 @@ from typing import Iterable
 __all__ = [
     "Turns",
     "reverse_turns",
-    "switch_probe_turns",
     "turn_alphabet",
     "validate_turns",
 ]
@@ -60,9 +59,3 @@ def validate_turns(
 def reverse_turns(turns: Iterable[int]) -> Turns:
     """``-ak ... -a1``: the turns that retrace a path back to its source."""
     return tuple(-t for t in reversed(tuple(turns)))
-
-
-def switch_probe_turns(turns: Iterable[int]) -> Turns:
-    """The loopback string ``a1...ak 0 -ak...-a1`` of the switch-probe."""
-    fwd = tuple(turns)
-    return fwd + (0,) + reverse_turns(fwd)

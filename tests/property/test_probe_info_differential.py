@@ -21,9 +21,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.simulator.collision import CircuitModel, CutThroughModel, PacketModel
 from repro.simulator.path_eval import IncrementalPathEvaluator, PathStatus, evaluate_route
-from repro.simulator.turns import switch_probe_turns
 from repro.topology.generators import random_san
 from repro.topology.model import TopologyError
+from tests.simulator.reference_service import switch_probe_turns
 from tests.simulator.trie_view import walk_result
 
 _params = st.fixed_dictionaries(

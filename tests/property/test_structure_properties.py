@@ -7,12 +7,13 @@ from repro.core.mapper import BerkeleyMapper
 from repro.simulator.collision import CircuitModel, CutThroughModel
 from repro.simulator.path_eval import PathStatus, evaluate_route
 from repro.simulator.quiescent import QuiescentProbeService
-from repro.simulator.turns import reverse_turns, switch_probe_turns
+from repro.simulator.turns import reverse_turns
 from repro.topology.analysis import recommended_search_depth
 from repro.topology.generators import random_san
 from repro.topology.isomorphism import match_networks
 from repro.topology.model import TopologyError
 from repro.topology.serialize import network_from_dict, network_to_dict
+from tests.simulator.reference_service import switch_probe_turns
 from tests.topology.reference_isomorphism import networks_equal
 
 turns_strategy = st.lists(

@@ -26,14 +26,16 @@ from repro.simulator.path_eval import (
 )
 from repro.simulator.quiescent import QuiescentProbeService
 from repro.simulator.stack import ProbeContext
-from repro.simulator.turns import (
-    Turns,
-    reverse_turns,
-    switch_probe_turns,
-    validate_turns,
-)
+from repro.simulator.turns import Turns, reverse_turns, validate_turns
 from repro.topology.delta import Endpoint
 from repro.topology.model import HOST_PORT, Network
+
+
+def switch_probe_turns(turns: Iterable[int]) -> Turns:
+    """The loopback string ``a1...ak 0 -ak...-a1`` of the switch-probe:
+    what the cached loopback reader answers without building it."""
+    fwd = tuple(turns)
+    return fwd + (0,) + reverse_turns(fwd)
 
 
 def route_touches(
@@ -96,8 +98,9 @@ class PureWalkProbeService(QuiescentProbeService):
         )
 
     def _loopback_info(self, turns: Turns) -> ProbeInfo:
-        fwd = validate_turns(turns, limit=self._turn_limit)
-        return self._probe_info(fwd + (0,) + reverse_turns(fwd))
+        return self._probe_info(
+            switch_probe_turns(validate_turns(turns, limit=self._turn_limit))
+        )
 
     def route_crosses(self, turns: Turns, endpoints) -> bool:
         return route_touches(self.net, self.mapper, tuple(turns), endpoints)

@@ -12,10 +12,9 @@ from repro.simulator.path_eval import (
 )
 from repro.simulator.quiescent import QuiescentProbeService
 from repro.simulator.stack import TraceBusLayer, build_service_stack
-from repro.simulator.turns import switch_probe_turns
 from repro.topology.delta import JOURNAL_WINDOW
 from repro.topology.generators import build_ring, build_subcluster
-from tests.simulator.reference_service import PureWalkProbeService
+from tests.simulator.reference_service import PureWalkProbeService, switch_probe_turns
 from tests.simulator.trie_view import MemoFreeProbeService
 from tests.simulator.trie_view import trie_nodes as _trie_nodes
 from tests.simulator.trie_view import walk_result

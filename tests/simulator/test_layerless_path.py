@@ -1,0 +1,207 @@
+"""The layer-less probe path answers, draws and accounts as the transaction.
+
+On a stack with no layers ``probe_host`` / ``probe_switch`` skip the
+transaction shell (no context, no evaluation callable, no record). A no-op
+:class:`ProbeLayer` sends the same probes through ``_transact``. Every
+fabric is mapped twice per mapper, once each way, with faults, jitter, a
+responder subset and either collision model: the probe answers, the
+serialized map result, the Figure 6 ledger, the evaluation-cache counters
+and both RNG streams must come out equal.
+
+The call-count guard holds the straight line to its length: a warm
+layer-less probe is a handful of Python calls (walk, answer, one fault
+draw, the responder check), counted under ``sys.setprofile``.
+"""
+
+from __future__ import annotations
+
+import random
+import sys
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.core.infogain import InfoGainMapper
+from repro.core.mapper import BerkeleyMapper
+from repro.extensions.randomized import CouponMapper, EarlyHostProbeService
+from repro.service.serialize import map_result_to_dict
+from repro.simulator.collision import CircuitModel, CutThroughModel
+from repro.simulator.faults import FaultModel
+from repro.simulator.quiescent import QuiescentProbeService
+from repro.simulator.stack import ProbeLayer
+from repro.topology.analysis import recommended_search_depth
+from repro.topology.generators import build_full_now, build_three_tier_fat_tree, random_san
+from repro.topology.model import TopologyError
+
+_SERVICES = {
+    BerkeleyMapper: QuiescentProbeService,
+    CouponMapper: EarlyHostProbeService,
+    InfoGainMapper: QuiescentProbeService,
+}
+
+
+def _map(mapper_cls, build, layers: tuple, conditions: dict, depth: int | None):
+    """Map a fresh copy of the fabric (the walk trie lives on the network,
+    so each side starts from an empty one) and return every observable."""
+    net = build()
+    hosts = sorted(net.hosts)
+    host = hosts[0]
+    silent = conditions["silent"]
+    svc = _SERVICES[mapper_cls](
+        net,
+        host,
+        collision=conditions["collision"](),
+        responders=None if silent is None else frozenset(
+            h for i, h in enumerate(hosts) if not silent >> i & 1
+        ),
+        faults=FaultModel(
+            drop_prob=conditions["drop_prob"],
+            corrupt_prob=conditions["corrupt_prob"],
+            seed=conditions["seed"],
+        ),
+        jitter=conditions["jitter"],
+        layers=layers,
+        rng=random.Random(conditions["seed"]),
+    )
+    answers: list = []
+    probe_host, probe_switch = svc.probe_host, svc.probe_switch
+
+    def logged_host(turns):
+        got = probe_host(turns)
+        answers.append(("host", tuple(turns), got))
+        return got
+
+    def logged_switch(turns):
+        got = probe_switch(turns)
+        answers.append(("switch", tuple(turns), got))
+        return got
+
+    svc.probe_host, svc.probe_switch = logged_host, logged_switch
+    if depth is None:
+        depth = recommended_search_depth(net, host)
+    mapper = mapper_cls(svc, search_depth=depth, max_explorations=2000)
+    try:
+        result: object = map_result_to_dict(mapper.map())
+    except Exception as exc:  # a faulty map may fail; both sides alike
+        result = repr(exc)
+    return {
+        "answers": answers,
+        "map": result,
+        "stats": svc.stats,
+        "eval_cache": svc.eval_cache_stats,
+        "fault_rng": svc.faults._rng.getstate(),
+        "jitter_rng": svc._rng.getstate(),
+    }
+
+
+def assert_paths_agree(build, conditions: dict, depth: int | None = None) -> None:
+    for mapper_cls in _SERVICES:
+        bare = _map(mapper_cls, build, (), conditions, depth)
+        layered = _map(mapper_cls, build, (ProbeLayer(),), conditions, depth)
+        assert bare["answers"], "the map sent no canonical probe"
+        for what in bare:
+            assert bare[what] == layered[what], f"{mapper_cls.__name__}: {what} differs"
+
+
+_fabrics = st.fixed_dictionaries(
+    {
+        "n_switches": st.integers(min_value=2, max_value=8),
+        "n_hosts": st.integers(min_value=2, max_value=6),
+        "extra_links": st.integers(min_value=0, max_value=3),
+        "parallel_link_prob": st.sampled_from([0.3, 0.6]),
+        "pendant_switches": st.integers(min_value=0, max_value=2),
+        "seed": st.integers(min_value=0, max_value=10_000),
+    }
+)
+_conditions = st.fixed_dictionaries(
+    {
+        "drop_prob": st.sampled_from([0.0, 0.05, 0.2]),
+        "corrupt_prob": st.sampled_from([0.0, 0.05]),
+        "jitter": st.sampled_from([0.0, 0.1]),
+        # The hosts running no daemon, a bit mask over the sorted hosts
+        # (None: no responder set at all).
+        "silent": st.none() | st.integers(min_value=0, max_value=63),
+        "collision": st.sampled_from([CircuitModel, CutThroughModel]),
+        "seed": st.integers(min_value=0, max_value=1000),
+    }
+)
+
+
+@given(params=_fabrics, conditions=_conditions)
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_random_fabrics_probe_alike_with_and_without_a_layer(params, conditions):
+    try:
+        random_san(**params)
+    except TopologyError:
+        return
+    assert_paths_agree(lambda: random_san(**params), conditions)
+
+
+_NAMED_CONDITIONS = [
+    # Every host answers; circuit collisions; no faults or jitter.
+    dict(drop_prob=0.0, corrupt_prob=0.0, jitter=0.0, silent=None,
+         collision=CircuitModel, seed=0),
+    # Faults of both kinds, jitter, a responder subset, cut-through.
+    dict(drop_prob=0.1, corrupt_prob=0.05, jitter=0.2, silent=0b1011_0100,
+         collision=CutThroughModel, seed=3),
+]
+
+
+@pytest.mark.parametrize("conditions", _NAMED_CONDITIONS, ids=["clean", "faulty"])
+@pytest.mark.parametrize(
+    "build, depth",
+    [(build_full_now, None), (lambda: build_three_tier_fat_tree(4), 6)],
+    ids=["now", "fattree4"],
+)
+def test_named_fabrics_probe_alike_with_and_without_a_layer(build, depth, conditions):
+    assert_paths_agree(build, conditions, depth)
+
+
+def _python_calls(fn, *args) -> tuple[object, int]:
+    calls = 0
+
+    def count(frame, event, arg) -> None:
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        got = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return got, calls
+
+
+#: Python-level calls one warm layer-less probe may make. Through the
+#: transaction shell (the memo's own call, ``_transact``, an evaluation
+#: callable, the ``ok`` property) a hit took 12 either way.
+_CALL_BUDGET = 8
+
+
+@pytest.mark.parametrize(
+    "last, sibling, switch_hit, host",
+    [
+        # The sibling's loopback comes home: one fault draw.
+        ((-2, -1), (-2, 1), True, None),
+        # The sibling lands on a host: a fault draw and the responder check.
+        ((-2, 1, 2), (-2, 1, 3), False, "clos-n0003"),
+    ],
+    ids=["switch-hit", "host-hit"],
+)
+def test_a_warm_layerless_probe_pair_is_a_few_python_calls(last, sibling, switch_hit, host):
+    net = build_three_tier_fat_tree(4)
+    svc = QuiescentProbeService(net, sorted(net.hosts)[0])
+    # Warm the trie on both strings and every hit cost, then walk ``last``
+    # so the sibling takes one step from the node one turn short.
+    for turns in (sibling, last):
+        svc.probe_switch(turns)
+        svc.probe_host(turns)
+    svc.probe_switch(last)
+    turns = tuple(list(sibling))  # a fresh tuple, as the mapper builds one
+    got, switch_calls = _python_calls(svc.probe_switch, turns)
+    assert got is switch_hit
+    got, host_calls = _python_calls(svc.probe_host, turns)
+    assert got == host
+    assert switch_calls <= _CALL_BUDGET, f"probe_switch made {switch_calls} calls"
+    assert host_calls <= _CALL_BUDGET, f"probe_host made {host_calls} calls"

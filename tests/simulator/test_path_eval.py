@@ -93,7 +93,7 @@ class TestBouncesAndLoops:
         assert result.nodes == ["h0", "s0", "s1", "s0", "h0"]
 
     def test_switch_probe_loopback_path(self, two_switch_net):
-        from repro.simulator.turns import switch_probe_turns
+        from tests.simulator.reference_service import switch_probe_turns
 
         loop = switch_probe_turns((4,))
         result = evaluate_route(two_switch_net, "h0", loop)

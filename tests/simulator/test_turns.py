@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.simulator.turns import (
-    reverse_turns,
-    switch_probe_turns,
-    turn_alphabet,
-    validate_turns,
-)
+from repro.simulator.turns import reverse_turns, turn_alphabet, validate_turns
+from tests.simulator.reference_service import switch_probe_turns
 
 
 class TestValidate:
