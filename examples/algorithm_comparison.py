@@ -23,7 +23,6 @@ from repro import (
     match_networks,
     recommended_search_depth,
 )
-from repro.baselines.selfid import SelfIdProbeService
 from repro.topology.generators import build_hypercube, build_ring
 
 
@@ -57,7 +56,7 @@ def compare(name: str, net, mapper_host: str) -> None:
         )
     )
 
-    svc = build_service_stack(net, mapper_host, service_cls=SelfIdProbeService)
+    svc = build_service_stack(net, mapper_host)
     selfid = create_mapper("selfid", svc, search_depth=depth).map()
     rows.append(
         (

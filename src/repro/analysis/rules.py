@@ -482,20 +482,27 @@ class NoAdHocServiceWrappers(Rule):
         "Every probe walks one accounting path: the quiescent engine "
         "evaluates, applies the composed middleware layers, and counts it "
         "into the one ProbeStats. A class outside the stack that "
-        "re-implements probe_host/probe_switch/probe_loopback forks that "
+        "re-implements one of the five probe kinds forks that "
         "path — its probes bypass the layers' counting, capping, chaos "
         "triggers and trace bus, and the five wrapper classes this rule "
         "replaced each drifted from the engine in exactly that way."
     )
     hint = (
         "subclass ProbeLayer (before/gate/after/retry_after_miss hooks) and "
-        "compose it via build_service_stack(layers=...); new probe *kinds* "
-        "belong in QuiescentProbeService subclasses as new method names "
-        "routed through _transact()"
+        "compose it via build_service_stack(layers=...); a new probe *kind* "
+        "is a method on QuiescentProbeService routed through _transact()"
     )
 
-    #: The canonical probe entry points owned by the stacked engine.
-    _CANONICAL = frozenset({"probe_host", "probe_switch", "probe_loopback"})
+    #: The probe entry points owned by the stacked engine, one per kind.
+    _CANONICAL = frozenset(
+        {
+            "probe_host",
+            "probe_switch",
+            "probe_loopback",
+            "probe_host_any",
+            "probe_switch_id",
+        }
+    )
 
     #: The only modules allowed to define the canonical entry points.
     _STACK_MODULES = frozenset(

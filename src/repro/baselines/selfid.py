@@ -5,9 +5,9 @@ switches would make the network mapping problem trivial. ... if a probe made
 it to a switch and back, it would carry a unique identifier and the
 exploration process would be simpler."
 
-This module implements that hypothetical: a probe service extension whose
-switch-probes return the far switch's unique id (simulating the hardware
-change), and a BFS mapper that exploits it. Replicates never exist — every
+The probe service's ``probe_switch_id`` kind implements that hypothetical:
+a switch-probe that returns the far switch's unique id (simulating the
+hardware change). This module is the BFS mapper that exploits it. Replicates never exist — every
 discovered switch is recognized on sight — so each switch is explored
 exactly once, and identifying which *port* of an already-known switch a new
 wire lands on needs a single bounded X-sweep against that one switch (the
@@ -35,50 +35,22 @@ from repro.core.relative import (
     record_wire,
     x_sweep,
 )
-from repro.simulator.probes import ProbeKind
 from repro.simulator.quiescent import QuiescentProbeService
-from repro.simulator.stack import ProbeContext
 from repro.simulator.turns import Turns, reverse_turns
 from repro.topology.analysis import core_network
 from repro.topology.model import Network
 
-__all__ = ["SelfIdMapper", "SelfIdProbeService"]
-
-
-class SelfIdProbeService(QuiescentProbeService):
-    """Probe service for hardware with self-identifying switches."""
-
-    def _eval_switch_id(self, ctx: ProbeContext) -> None:
-        info = self._loopback_info(ctx.turns)
-        ctx.info = info
-        if info.ok and info.blocked is None and not self.faults.lost():
-            # The identified switch is the bounce point, where the forward
-            # half's last crossing (after the attach wire) lands.
-            bounce = info.traversals[len(ctx.turns)].dst.node
-            ctx.hit = True
-            ctx.response = bounce
-            ctx.payload = bounce
-
-    def probe_switch_id(self, turns: Turns) -> str | None:
-        """Switch-probe whose returning loopback carries the switch's id."""
-        ctx = self._transact(
-            ProbeKind.SWITCH,
-            self._validated(turns),
-            self._eval_switch_id,
-            round_trip=False,
-        )
-        return ctx.payload if ctx.hit else None
+__all__ = ["SelfIdMapper"]
 
 
 @register_mapper(
     "selfid",
     summary="hypothetical self-identifying-switch BFS (Section 6)",
-    service_cls=SelfIdProbeService,
 )
 class SelfIdMapper:
     """BFS mapping with self-identifying switches: no replicates, ever."""
 
-    def __init__(self, service: SelfIdProbeService, *, search_depth: int) -> None:
+    def __init__(self, service: QuiescentProbeService, *, search_depth: int) -> None:
         if search_depth < 1:
             raise ValueError("search_depth must be at least 1")
         self._svc = service

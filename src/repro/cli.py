@@ -64,13 +64,7 @@ def _print_mapper_registry() -> int:
     caps_w = max(map(len, caps.values())) + 2
     print(f"{'name':<{name_w}}{'capabilities':<{caps_w}}summary")
     for spec in specs:
-        service = (
-            f" [needs {spec.service_cls.__name__}]" if spec.service_cls else ""
-        )
-        print(
-            f"{spec.name:<{name_w}}{caps[spec.name]:<{caps_w}}"
-            f"{spec.summary}{service}"
-        )
+        print(f"{spec.name:<{name_w}}{caps[spec.name]:<{caps_w}}{spec.summary}")
     return 0
 
 
@@ -100,20 +94,14 @@ def _cmd_map(args: argparse.Namespace) -> int:
         from repro.core.instrumentation import PhaseProfiler
 
         # Only a callable can carry a profiler in: the spec's mapper built
-        # as map_cycle builds it, on the spec's service class.
+        # as map_cycle builds it.
         profiler = PhaseProfiler()
 
         def profiled(svc: object, depth: int) -> Mapper:
             return spec.factory(svc, search_depth=depth, profiler=profiler)
 
         mapper = profiled
-    result, svc = map_cycle(
-        net,
-        mapper_host,
-        mapper=mapper,
-        search_depth=args.depth,
-        service_cls=spec.service_cls,
-    )
+    result, svc = map_cycle(net, mapper_host, mapper=mapper, search_depth=args.depth)
     produced, stats = result.network, result.stats
 
     print(f"mapped with {algorithm}: {produced.n_hosts} hosts, "

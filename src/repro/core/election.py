@@ -179,7 +179,7 @@ class _RivalSilenceLayer(ProbeLayer):
     def gate(self, ctx: ProbeContext) -> None:
         if ctx.kind is not ProbeKind.HOST:
             return
-        target = ctx.responder
+        target = ctx.response
         assert target is not None
         arrival = self._t_send + wire_time_us(ctx.info.hops)
         if target == self._winner or not self._is_active(target, arrival):

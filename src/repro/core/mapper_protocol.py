@@ -88,10 +88,6 @@ class MapperSpec:
     name: str
     factory: Callable[..., Mapper]
     summary: str
-    #: Probe-service class this algorithm needs (or benefits from) —
-    #: e.g. the self-id baseline needs ``SelfIdProbeService``. ``None``
-    #: means the default quiescent core is enough.
-    service_cls: type | None = None
 
     @property
     def capabilities(self) -> tuple[str, ...]:
@@ -160,7 +156,6 @@ def register_mapper(
     name: str,
     *,
     summary: str,
-    service_cls: type | None = None,
 ) -> Callable[[type], type]:
     """Class decorator: add a mapper class to :data:`MAPPER_REGISTRY`.
 
@@ -172,12 +167,7 @@ def register_mapper(
         existing = MAPPER_REGISTRY.get(name)
         if existing is not None and existing.factory is not cls:
             raise ValueError(f"mapper name {name!r} is already registered")
-        MAPPER_REGISTRY[name] = MapperSpec(
-            name=name,
-            factory=cls,
-            summary=summary,
-            service_cls=service_cls,
-        )
+        MAPPER_REGISTRY[name] = MapperSpec(name=name, factory=cls, summary=summary)
         return cls
 
     return decorate

@@ -63,10 +63,9 @@ def map_cycle(
 
     ``mapper`` is a :data:`~repro.core.mapper_protocol.MAPPER_REGISTRY`
     name or a ``(service, depth) -> Mapper`` callable. A name is built as
-    ``spec.factory(service, search_depth=depth)`` on the probe-service
-    class its spec requires (a caller's own ``service_cls`` wins), and the
-    mapper reads the switch radix from that service; any other option is
-    the callable's to pass.
+    ``spec.factory(service, search_depth=depth)``, and the mapper reads
+    the switch radix from that service; any other option is the
+    callable's to pass.
     ``stack_kwargs`` (``layers=``, ``collision=``, ``jitter=``, ``rng=``) go to
     :func:`~repro.simulator.stack.build_service_stack`. A ``seed`` handed
     to a mapper without ``seed_with`` is dropped, and the result says so.
@@ -81,14 +80,11 @@ def map_cycle(
     depth = search_depth
     if depth is None:
         depth = recommended_search_depth(net, mapper_host, memo)
+    svc = build_service_stack(net, mapper_host, **stack_kwargs)
     if callable(mapper):
-        svc = build_service_stack(net, mapper_host, **stack_kwargs)
         built = mapper(svc, depth)
     else:
-        spec = get_mapper_spec(mapper)
-        stack_kwargs.setdefault("service_cls", spec.service_cls)
-        svc = build_service_stack(net, mapper_host, **stack_kwargs)
-        built = spec.factory(svc, search_depth=depth)
+        built = get_mapper_spec(mapper).factory(svc, search_depth=depth)
     seeder = getattr(built, "seed_with", None)
     if seed is not None and seeder is not None:
         seeder(seed)

@@ -99,12 +99,8 @@ def run(name: str = "C+A+B") -> list[AblationRow]:
 
     # 4. coupon-collecting seeding (with the Section 6 firmware change:
     # hosts answer probes that hit them mid-string)
-    from repro.extensions.randomized import EarlyHostProbeService
-
     for n in (0, 30, 100):
-        svc = build_service_stack(
-            fixture.net, fixture.mapper_host, service_cls=EarlyHostProbeService
-        )
+        svc = build_service_stack(fixture.net, fixture.mapper_host)
         mapper = create_mapper(
             "coupon",
             svc,

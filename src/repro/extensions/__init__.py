@@ -22,11 +22,10 @@ from repro.extensions.parallel_maps import (
     merge_partial_maps,
     parallel_mapping_study,
 )
-from repro.extensions.randomized import CouponMapper, EarlyHostProbeService
+from repro.extensions.randomized import CouponMapper
 
 __all__ = [
     "CouponMapper",
-    "EarlyHostProbeService",
     "MergeConflict",
     "PartialMap",
     "build_crosstraffic_service",

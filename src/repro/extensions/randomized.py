@@ -14,16 +14,15 @@ error causing a message to be discarded, the host could read it and send a
 response". Without that change a random walk dies the moment it brushes any
 host mid-string, and the phase is nearly worthless in host-dense networks.
 
-- :class:`EarlyHostProbeService` implements the firmware change: a probe
-  that reaches a host *anywhere* along its string gets a reply naming the
-  host and the prefix that reached it. It answers from the same cached
+- The probe service's ``probe_host_any`` kind is the firmware change: a
+  probe that reaches a host *anywhere* along its string gets a reply naming
+  the host and the prefix that reached it. It answers from the same cached
   walk as the native probe kinds and checks its string against the
   fabric's own turn alphabet, so any switch radix maps.
 - :class:`CouponMapper` runs the coupon phase before the BFS exploration
-  (phase 2 = the unmodified Berkeley algorithm). Each hit contributes a
-  whole path of switch vertices ending in a host anchor; the regular
-  deduction engine consumes them. It needs the firmware change: the
-  registry builds it on :class:`EarlyHostProbeService`.
+  (phase 2 = the unmodified Berkeley algorithm), sending that kind. Each
+  hit contributes a whole path of switch vertices ending in a host anchor;
+  the regular deduction engine consumes them.
 """
 
 from __future__ import annotations
@@ -33,62 +32,15 @@ import random
 from repro.core.mapper import BerkeleyMapper
 from repro.core.mapper_protocol import register_mapper
 from repro.core.model_graph import KIND_HOST, KIND_SWITCH
-from repro.simulator.path_eval import PathStatus
-from repro.simulator.probes import ProbeKind
 from repro.simulator.quiescent import QuiescentProbeService
-from repro.simulator.stack import ProbeContext
-from repro.simulator.turns import Turns, turn_alphabet
+from repro.simulator.turns import turn_alphabet
 
-__all__ = ["CouponMapper", "EarlyHostProbeService"]
-
-
-class EarlyHostProbeService(QuiescentProbeService):
-    """Quiescent service with the Section 6 firmware change."""
-
-    def _eval_host_any(self, ctx: ProbeContext) -> None:
-        info = self._probe_info(ctx.turns)
-        ctx.info = info
-        host: str | None = None
-        prefix: Turns = ctx.turns
-        if info.status is PathStatus.DELIVERED:
-            host = info.delivered_to
-        elif info.status is PathStatus.HIT_HOST_TOO_SOON:
-            host = info.traversals[-1].dst.node
-            # The walk crossed the attach wire plus one wire per turn it
-            # consumed, and stopped on the next turn.
-            prefix = ctx.turns[: info.hops - 1]
-        if host is not None:
-            if self.collision.blocked_at(info.traversals) is not None:
-                host = None
-            elif self.faults.lost():
-                host = None
-            elif not self._responds(host):
-                host = None
-        if host is not None:
-            ctx.hit = True
-            ctx.responder = host
-            ctx.response = host
-            ctx.payload = (host, prefix)
-
-    def probe_host_any(self, turns: Turns) -> tuple[str, Turns] | None:
-        """Host-probe that also succeeds on HIT-A-HOST-TOO-SOON.
-
-        Returns ``(host, prefix)`` where ``prefix`` is the (possibly whole)
-        turn string that reached the host, or ``None``.
-        """
-        ctx = self._transact(
-            ProbeKind.HOST,
-            self._validated(turns),
-            self._eval_host_any,
-            round_trip=True,
-        )
-        return ctx.payload if ctx.hit else None
+__all__ = ["CouponMapper"]
 
 
 @register_mapper(
     "coupon",
     summary="coupon-collecting random seeding + Berkeley BFS (Section 6)",
-    service_cls=EarlyHostProbeService,
 )
 class CouponMapper(BerkeleyMapper):
     """Berkeley mapper with a coupon-collecting random seeding phase.
@@ -100,7 +52,7 @@ class CouponMapper(BerkeleyMapper):
 
     def __init__(
         self,
-        service,
+        service: QuiescentProbeService,
         *,
         search_depth: int,
         coupon_probes: int = 40,

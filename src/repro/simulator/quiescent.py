@@ -6,6 +6,13 @@ probe's fate is a pure function of the topology, the collision model and the
 fault model, so the service evaluates probes analytically and charges the
 timing model for each — no event queue needed.
 
+The service answers all five probe kinds: the two canonical ones
+(``probe_host``, ``probe_switch``), the Myricom Algorithm's comparison worm
+(``probe_loopback``), and the two Section 6 kinds, the firmware change's
+early-host reply (``probe_host_any``) and the hypothetical
+self-identifying switch (``probe_switch_id``). A kind costs nothing to a
+mapper that never sends it.
+
 Host-probe semantics beyond path evaluation:
 
 - the terminal host must be running a mapper daemon (active or passive) to
@@ -22,7 +29,8 @@ wrapped around this service. They are middleware layers from
 :func:`~repro.simulator.stack.build_service_stack`. A stack with none (the
 daemon's, the served job's) answers the two canonical kinds on a straight
 line: the same checks, draws and accounting, none of the transaction's
-context, callable or record.
+context, callable or record. The other three kinds always take the
+transaction: no served, daemon or benchmarked cycle sends them.
 """
 
 from __future__ import annotations
@@ -126,105 +134,83 @@ class QuiescentProbeService:
             layer.on_attach(self)
 
     # -- the probe transaction -------------------------------------------
-    def _transact(
-        self,
-        kind: ProbeKind,
-        turns: Turns,
-        evaluate,
-        round_trip: bool,
-        check_responder: bool = False,
-    ) -> ProbeContext:
+    def _transact(self, kind: ProbeKind, turns: Turns, evaluate) -> ProbeContext:
         """Run one probe through the full middleware pipeline.
 
         One attempt = before hooks, path evaluation, hit gates, the
         responder check, cost + accounting, after hooks. A layer may
         demand a retry after a miss; each retry is a complete fresh
         attempt (a re-sent probe), not a re-examination.
+
+        The kind sets the reply's shape: a host-kind reply retraces the
+        path and must come from a responder, while a switch-kind probe
+        (switch, loopback, switch-id) returns to the mapper by itself.
         """
         layers = self._layers
+        host = kind is ProbeKind.HOST
+        costs = self._costs[host]
         ctx = self._ctx
         ctx.kind = kind
         ctx.turns = turns
         ctx.attempt = 0
-        ctx.hit = False
-        if layers:
-            # Layer hooks may inspect any context field, so scrub the
-            # leftovers from the previous transaction. The layerless fast
-            # path skips this: evaluate() always writes ``info`` before
-            # the engine reads it, and the hit-only fields are only read
-            # when this transaction's evaluate set them.
+        stats = self._stats
+        while True:
+            # Layer hooks may inspect any context field, so every attempt
+            # starts from a scrubbed one.
             ctx.info = None
-            ctx.responder = None
+            ctx.hit = False
             ctx.response = None
             ctx.record = None
             ctx.payload = None
-        stats = self._stats
-        while True:
-            if layers:
-                for layer in layers:
-                    layer.before(ctx)
+            for layer in layers:
+                layer.before(ctx)
             evaluate(ctx)
-            if layers and ctx.hit:
+            if ctx.hit:
                 for layer in layers:
                     layer.gate(ctx)
                     if not ctx.hit:
                         break
-            if check_responder and ctx.hit and not self._responds(ctx.responder):
+            if host and ctx.hit and not self._responds(ctx.response):
                 ctx.hit = False
             hit = ctx.hit
             if hit:
                 # A hit's cost depends only on its hop count and the
                 # reply's direction, so it is computed once per both.
                 hops = ctx.info.hops
-                costs = self._costs[round_trip]
                 cost = costs.get(hops)
                 if cost is None:
-                    cost = costs[hops] = probe_response_us(
-                        hops, hops if round_trip else 0
-                    )
+                    cost = costs[hops] = probe_response_us(hops, hops if host else 0)
                 response = ctx.response
             else:
                 cost, response = PROBE_TIMEOUT_US, None
             if self.jitter:
                 cost *= self._rng.uniform(1.0 - self.jitter, 1.0 + self.jitter)
             # Count the probe into the Figure 6 ledger.
-            if kind is ProbeKind.HOST:
+            if host:
                 stats.host_probes += 1
                 stats.host_hits += hit
             else:
                 stats.switch_probes += 1
                 stats.switch_hits += hit
             stats.elapsed_us += cost
-            if layers:
-                # Only layers read the record, so a layer-less probe
-                # builds none.
-                ctx.record = ProbeRecord(kind, turns, hit, cost, response)
-                for layer in layers:
-                    layer.after(ctx)
-                if not hit and any(
-                    layer.retry_after_miss(ctx) for layer in layers
-                ):
-                    ctx.attempt += 1
-                    ctx.info = None
-                    ctx.hit = False
-                    ctx.responder = None
-                    ctx.response = None
-                    ctx.record = None
-                    ctx.payload = None
-                    continue
-            return ctx
+            ctx.record = ProbeRecord(kind, turns, hit, cost, response)
+            for layer in layers:
+                layer.after(ctx)
+            if hit or not any(layer.retry_after_miss(ctx) for layer in layers):
+                return ctx
+            ctx.attempt += 1
 
     # -- evaluation callables (one per probe kind) -----------------------
+    # Each decides whether the probe came back and what it names; the
+    # engine gates it, checks a host answer's responder and accounts it.
     def _eval_host(self, ctx: ProbeContext) -> None:
         info = self._probe_info(ctx.turns)
         ctx.info = info
         if info.ok and info.blocked is None:
             if not self.faults.lost():
-                target = info.delivered_to
-                assert target is not None
+                assert info.delivered_to is not None
                 ctx.hit = True
-                ctx.responder = target
-                ctx.response = target
+                ctx.response = info.delivered_to
 
     def _eval_switch(self, ctx: ProbeContext) -> None:
         info = self._loopback_info(ctx.turns)
@@ -247,6 +233,32 @@ class QuiescentProbeService:
         ):
             ctx.hit = True
             ctx.response = "loopback"
+
+    def _eval_host_any(self, ctx: ProbeContext) -> None:
+        info = self._probe_info(ctx.turns)
+        ctx.info = info
+        if info.status is _DELIVERED:
+            host, prefix = info.delivered_to, ctx.turns
+        elif info.status is PathStatus.HIT_HOST_TOO_SOON:
+            host = info.traversals[-1].dst.node
+            # The walk crossed the attach wire plus one wire per turn it
+            # consumed, and stopped on the next turn.
+            prefix = ctx.turns[: info.hops - 1]
+        else:
+            return
+        if self.collision.blocked_at(info.traversals) is None and not self.faults.lost():
+            ctx.hit = True
+            ctx.response = host
+            ctx.payload = (host, prefix)
+
+    def _eval_switch_id(self, ctx: ProbeContext) -> None:
+        info = self._loopback_info(ctx.turns)
+        ctx.info = info
+        if info.ok and info.blocked is None and not self.faults.lost():
+            # The identified switch is the bounce point, where the forward
+            # half's last crossing (after the attach wire) lands.
+            ctx.hit = True
+            ctx.response = info.traversals[len(ctx.turns)].dst.node
 
     # -- ProbeService ----------------------------------------------------
     @property
@@ -276,8 +288,8 @@ class QuiescentProbeService:
         if turns is not self._last_validated:
             turns = self._last_validated = validate_turns(turns, limit=self._turn_limit)
         if self._layers:
-            ctx = self._transact(ProbeKind.HOST, turns, self._eval_host, True, True)
-            return ctx.responder if ctx.hit else None
+            ctx = self._transact(ProbeKind.HOST, turns, self._eval_host)
+            return ctx.response if ctx.hit else None
         info = self._probe_info(turns)
         hit = info.status is _DELIVERED and info.blocked is None and not self.faults.lost()
         host = info.delivered_to if hit and self._responds(info.delivered_to) else None
@@ -296,7 +308,7 @@ class QuiescentProbeService:
         if turns is not self._last_validated:
             turns = self._last_validated = validate_turns(turns, limit=self._turn_limit)
         if self._layers:
-            return self._transact(ProbeKind.SWITCH, turns, self._eval_switch, False).hit
+            return self._transact(ProbeKind.SWITCH, turns, self._eval_switch).hit
         info = self._loopback_info(turns)
         hit = info.status is _DELIVERED and info.blocked is None and not self.faults.lost()
         # By construction a delivered loopback terminates back at the mapper.
@@ -334,10 +346,29 @@ class QuiescentProbeService:
         Myricom mapper keeps its own per-category counters on top.
         """
         seq = validate_turns(turns, allow_zero=True, limit=self._turn_limit)
-        ctx = self._transact(
-            ProbeKind.SWITCH, seq, self._eval_loopback, round_trip=False
-        )
-        return ctx.hit
+        return self._transact(ProbeKind.SWITCH, seq, self._eval_loopback).hit
+
+    def probe_host_any(self, turns: Turns) -> tuple[str, Turns] | None:
+        """Host-probe that also succeeds on HIT-A-HOST-TOO-SOON.
+
+        The Section 6 firmware change: "instead of a 'hit host too soon'
+        error causing a message to be discarded, the host could read it
+        and send a response". Returns ``(host, prefix)``, where ``prefix``
+        is the (possibly whole) turn string that reached the host, or
+        ``None``. The coupon mapper's random walks send it.
+        """
+        ctx = self._transact(ProbeKind.HOST, self._validated(turns), self._eval_host_any)
+        return ctx.payload if ctx.hit else None
+
+    def probe_switch_id(self, turns: Turns) -> str | None:
+        """Switch-probe whose returning loopback carries the switch's id.
+
+        Section 6's hypothetical self-identifying switch: the name of the
+        switch the probe bounced off, or ``None``. The self-id baseline
+        sends it.
+        """
+        ctx = self._transact(ProbeKind.SWITCH, self._validated(turns), self._eval_switch_id)
+        return ctx.response if ctx.hit else None
 
     # -- cached evaluation -------------------------------------------------
     # The pure-walk oracle this section is proven byte-equivalent to (same

@@ -68,11 +68,12 @@ class ProbeContext:
 
     ``info`` duck-types between :class:`~repro.simulator.path_eval.ProbeInfo`
     and :class:`~repro.simulator.path_eval.PathResult` — layers may rely on
-    ``.hops`` and ``.traversals`` only. ``responder``/``response`` are the
-    service-level return value and the name recorded in the trace; the
-    evaluation callable sets both, gates may clear ``hit`` (the engine then
-    records a timeout-cost miss). A layer that reads its service takes it
-    in :meth:`ProbeLayer.on_attach`.
+    ``.hops`` and ``.traversals`` only. ``response`` is the name the probe
+    answered with: the host for a host-kind probe (the engine checks it
+    against the responders), the bounce switch for a switch-id probe, and
+    the name recorded in the trace. The evaluation callable sets it; gates
+    may clear ``hit`` (the engine then records a timeout-cost miss). A
+    layer that reads its service takes it in :meth:`ProbeLayer.on_attach`.
     """
 
     kind: ProbeKind
@@ -80,13 +81,12 @@ class ProbeContext:
     attempt: int = 0
     info: object | None = None
     hit: bool = False
-    responder: str | None = None
     response: str | None = None
-    #: The probe's trace record, set when a layer is attached (only layers
-    #: read it, from :meth:`ProbeLayer.after` on).
+    #: The probe's trace record, read by layers from
+    #: :meth:`ProbeLayer.after` on.
     record: ProbeRecord | None = None
-    #: Free slot for probe kinds whose result is richer than hit/responder
-    #: (e.g. the coupon phase's ``(host, prefix)`` pair).
+    #: The early-host probe's ``(host, prefix)`` pair, the one answer
+    #: richer than a name.
     payload: object = None
 
 
@@ -260,18 +260,16 @@ def build_service_stack(
     mapper: str,
     *,
     layers: Iterable[ProbeLayer] = (),
-    service_cls: type | None = None,
     **service_kwargs,
 ):
     """Build a probe service as core engine + middleware layers.
 
     The single construction point for every probe path in the repo: the
-    quiescent core (or a ``service_cls`` subclass adding probe kinds,
-    e.g. the self-identifying baseline) plus the given layers in order.
-    All remaining keyword arguments go to the service constructor
-    (``collision=``, ``faults=``, ``jitter=``, ``rng=``, ``responders=``).
+    quiescent core, which answers every probe kind, plus the given layers
+    in order. All remaining keyword arguments go to the service
+    constructor (``collision=``, ``faults=``, ``jitter=``, ``rng=``,
+    ``responders=``).
     """
     from repro.simulator.quiescent import QuiescentProbeService
 
-    cls = QuiescentProbeService if service_cls is None else service_cls
-    return cls(net, mapper, layers=tuple(layers), **service_kwargs)
+    return QuiescentProbeService(net, mapper, layers=tuple(layers), **service_kwargs)

@@ -417,8 +417,14 @@ def test_san011_flags_each_canonical_method_once():
 
             def probe_loopback(self, turns):
                 return False
+
+            def probe_host_any(self, turns):
+                return None
+
+            def probe_switch_id(self, turns):
+                return None
     """
-    assert ids(lint(src)) == ["SAN011", "SAN011", "SAN011"]
+    assert ids(lint(src)) == ["SAN011"] * 5
 
 
 def test_san011_quiet_inside_the_stack_modules():
@@ -443,16 +449,21 @@ def test_san011_skips_protocol_declarations():
     assert ids(lint(src, module="repro.simulator.probes")) == []
 
 
-def test_san011_allows_new_probe_kinds_on_subclasses():
+def test_san011_flags_a_probe_kind_on_a_subclass_outside_the_stack():
     src = """
         from repro.simulator.quiescent import QuiescentProbeService
 
         class SelfIdProbeService(QuiescentProbeService):
             def probe_switch_id(self, turns):
-                ctx = self._transact(None, turns, self._eval, round_trip=False)
+                ctx = self._transact(None, turns, self._eval)
+                return ctx.response if ctx.hit else None
+
+        class EarlyHostProbeService(QuiescentProbeService):
+            def probe_host_any(self, turns):
+                ctx = self._transact(None, turns, self._eval)
                 return ctx.payload if ctx.hit else None
     """
-    assert ids(lint(src, module="repro.baselines.selfid")) == []
+    assert ids(lint(src, module="repro.baselines.selfid")) == ["SAN011", "SAN011"]
 
 
 def test_san015_registered_class_and_pedagogical_run_only_are_quiet():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines.selfid import SelfIdMapper, SelfIdProbeService
+from repro.baselines.selfid import SelfIdMapper
 from repro.core.mapper import BerkeleyMapper
 from repro.simulator.quiescent import QuiescentProbeService
 from repro.topology.analysis import recommended_search_depth
@@ -11,18 +11,18 @@ from repro.topology.isomorphism import match_networks
 
 def _selfid(net, mapper="h0", depth=None):
     depth = depth or recommended_search_depth(net, mapper)
-    svc = SelfIdProbeService(net, mapper)
+    svc = QuiescentProbeService(net, mapper)
     return SelfIdMapper(svc, search_depth=depth).map()
 
 
 class TestService:
     def test_id_probe_returns_switch_identity(self, two_switch_net):
-        svc = SelfIdProbeService(two_switch_net, "h0")
+        svc = QuiescentProbeService(two_switch_net, "h0")
         assert svc.probe_switch_id(()) == "s0"
         assert svc.probe_switch_id((4,)) == "s1"
 
     def test_id_probe_none_for_host_or_nothing(self, tiny_net):
-        svc = SelfIdProbeService(tiny_net, "h0")
+        svc = QuiescentProbeService(tiny_net, "h0")
         assert svc.probe_switch_id((3,)) is None  # a host
         assert svc.probe_switch_id((2,)) is None  # free port
 
@@ -42,7 +42,7 @@ class TestMapper:
         assert result.explorations == 4
 
     def test_subcluster_c(self, subcluster_c, subcluster_c_depth, subcluster_c_core):
-        svc = SelfIdProbeService(subcluster_c, "C-svc")
+        svc = QuiescentProbeService(subcluster_c, "C-svc")
         mapper = SelfIdMapper(svc, search_depth=subcluster_c_depth)
         assert match_networks(mapper.map().network, subcluster_c_core)
         assert mapper.unresolved_wires == 0
@@ -51,7 +51,7 @@ class TestMapper:
         self, subcluster_c, subcluster_c_depth
     ):
         """Section 6: self-identification makes exploration much cheaper."""
-        svc_s = SelfIdProbeService(subcluster_c, "C-svc")
+        svc_s = QuiescentProbeService(subcluster_c, "C-svc")
         selfid = SelfIdMapper(svc_s, search_depth=subcluster_c_depth).map()
         svc_b = QuiescentProbeService(subcluster_c, "C-svc")
         berkeley = BerkeleyMapper(

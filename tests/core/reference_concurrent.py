@@ -243,7 +243,7 @@ class _FabricYieldLayer(ProbeLayer):
     def gate(self, ctx: ProbeContext) -> None:
         if ctx.kind is not ProbeKind.HOST:
             return
-        target = ctx.responder
+        target = ctx.response
         assert target is not None
         if target == self._host or not self._active.get(target, False):
             return

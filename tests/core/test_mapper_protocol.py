@@ -46,13 +46,9 @@ ALL_MAPPERS = [
 ]
 
 
-def _service(name: str, net, host: str):
-    return build_service_stack(net, host, service_cls=get_mapper_spec(name).service_cls)
-
-
 def _map_once(name: str, net, host: str) -> MapResult:
     depth = recommended_search_depth(net, host)
-    return create_mapper(name, _service(name, net, host), search_depth=depth).map()
+    return create_mapper(name, build_service_stack(net, host), search_depth=depth).map()
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +74,7 @@ def test_maps_subcluster_c_isomorphically(name):
     result = _map_once(name, net, "C-svc")
     mapper = create_mapper(
         name,
-        _service(name, net, "C-svc"),
+        build_service_stack(net, "C-svc"),
         search_depth=recommended_search_depth(net, "C-svc"),
     )
     assert isinstance(mapper, Mapper)
@@ -191,7 +187,7 @@ def test_labeled_mapper_is_byte_identical_across_processes():
 def test_capability_flags_match_the_instance(name):
     net = build_subcluster("C")
     spec = get_mapper_spec(name)
-    svc = _service(name, net, "C-svc")
+    svc = build_service_stack(net, "C-svc")
     mapper = spec.factory(svc, search_depth=3)
     assert callable(getattr(mapper, "seed_with", None)) == ("seed_with" in spec.capabilities)
     if "profiler" in spec.capabilities:
@@ -206,7 +202,7 @@ def test_a_second_map_raises(name, ring_net):
     """A mapper maps once: a second ``map()`` on the same mapper raises
     instead of mapping on the state the first one left behind."""
     depth = recommended_search_depth(ring_net, "h0")
-    mapper = create_mapper(name, _service(name, ring_net, "h0"), search_depth=depth)
+    mapper = create_mapper(name, build_service_stack(ring_net, "h0"), search_depth=depth)
     assert match_networks(mapper.map().network, ring_net)
     with pytest.raises(MapperReusedError):
         mapper.map()

@@ -25,7 +25,7 @@ from repro.core.model_graph import KIND_HOST, KIND_SWITCH, MergedVertex, ModelGr
 from repro.core.relative import MappingError
 from repro.extensions import parallel_maps
 from repro.extensions.parallel_maps import MergeConflict, map_local_region
-from repro.extensions.randomized import CouponMapper, EarlyHostProbeService
+from repro.extensions.randomized import CouponMapper
 from repro.simulator.quiescent import QuiescentProbeService
 from repro.simulator.stack import build_service_stack
 from repro.topology.analysis import recommended_search_depth
@@ -86,11 +86,7 @@ class _CheckedGraph(_Checked, ModelGraph):
     pass
 
 
-_MAPPERS = {
-    _CheckedBerkeley: QuiescentProbeService,
-    _CheckedInfoGain: QuiescentProbeService,
-    _CheckedCoupon: EarlyHostProbeService,
-}
+_MAPPERS = [_CheckedBerkeley, _CheckedInfoGain, _CheckedCoupon]
 
 _params = st.fixed_dictionaries(
     {
@@ -111,7 +107,7 @@ def _fabric(params: dict) -> Network | None:
         return None
 
 
-@pytest.mark.parametrize("mapper_cls", list(_MAPPERS), ids=lambda c: c.__name__)
+@pytest.mark.parametrize("mapper_cls", _MAPPERS, ids=lambda c: c.__name__)
 @given(params=_params)
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_every_mapper_keeps_only_live_vertices_in_nbrs(mapper_cls, params):
@@ -119,7 +115,7 @@ def test_every_mapper_keeps_only_live_vertices_in_nbrs(mapper_cls, params):
     if net is None:
         return
     host = sorted(net.hosts)[0]
-    svc = _MAPPERS[mapper_cls](net, host)
+    svc = QuiescentProbeService(net, host)
     mapper = mapper_cls(
         svc,
         search_depth=recommended_search_depth(net, host),

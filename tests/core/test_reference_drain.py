@@ -24,7 +24,7 @@ from repro.core.mapper import BerkeleyMapper
 from repro.core.model_graph import ModelGraph
 from repro.extensions import parallel_maps
 from repro.extensions.parallel_maps import MergeConflict, map_local_region
-from repro.extensions.randomized import CouponMapper, EarlyHostProbeService
+from repro.extensions.randomized import CouponMapper
 from repro.service.serialize import map_result_to_dict
 from repro.simulator.quiescent import QuiescentProbeService
 from repro.topology.analysis import recommended_search_depth
@@ -34,21 +34,17 @@ from repro.topology.serialize import network_to_dict
 from tests.core.reference_drain import MergeLog, ParentLog, ReferenceDrain
 from tests.core.test_phase_profiler import FakeClock
 
-_SERVICES = {
-    BerkeleyMapper: QuiescentProbeService,
-    CouponMapper: EarlyHostProbeService,
-    InfoGainMapper: QuiescentProbeService,
-}
+_MAPPERS = (BerkeleyMapper, CouponMapper, InfoGainMapper)
 _REFERENCE = {
     cls: type(f"Reference{cls.__name__}", (ReferenceDrain, cls), {})
-    for cls in _SERVICES
+    for cls in _MAPPERS
 }
 
 
-def _run(mapper_cls, service_cls, net: Network, host: str, depth: int):
+def _run(mapper_cls, net: Network, host: str, depth: int):
     prof = PhaseProfiler(clock=FakeClock())
     mapper = mapper_cls(
-        service_cls(net, host),
+        QuiescentProbeService(net, host),
         search_depth=depth,
         radix=net.default_radix,
         max_explorations=4000,
@@ -68,9 +64,9 @@ def assert_same_as_reference(net: Network, depth: int | None = None) -> None:
     host = sorted(net.hosts)[0]
     if depth is None:
         depth = recommended_search_depth(net, host)
-    for cls, service_cls in _SERVICES.items():
-        got = _run(cls, service_cls, net, host, depth)
-        want = _run(_REFERENCE[cls], service_cls, net, host, depth)
+    for cls in _MAPPERS:
+        got = _run(cls, net, host, depth)
+        want = _run(_REFERENCE[cls], net, host, depth)
         for what, a, b in zip(("writes", "mergelist", "map", "profile"), got, want):
             assert a == b, f"{cls.__name__}: {what} differs"
 

@@ -2,17 +2,16 @@
 
 import pytest
 
-from repro.extensions.randomized import CouponMapper, EarlyHostProbeService
+from repro.extensions.randomized import CouponMapper
 from repro.simulator.quiescent import QuiescentProbeService
 from repro.topology.analysis import core_network, recommended_search_depth
 from repro.topology.generators import build_fat_tree
 from repro.topology.isomorphism import match_networks
 
 
-def _coupon(net, mapper="h0", coupon_probes=40, seed=1, early=True, **kwargs):
+def _coupon(net, mapper="h0", coupon_probes=40, seed=1, **kwargs):
     depth = recommended_search_depth(net, mapper)
-    svc_cls = EarlyHostProbeService if early else QuiescentProbeService
-    svc = svc_cls(net, mapper)
+    svc = QuiescentProbeService(net, mapper)
     mapper_obj = CouponMapper(
         svc,
         search_depth=depth,

@@ -18,8 +18,8 @@ sibling strings, each probed twice as one tuple, repeats, cuts and plugs
 between them) and also holds every evaluation-cache counter to a run whose
 evaluators forget their last walk. `TestFirmwareKindEquivalence` (80
 cases) holds the two Section 6 firmware kinds, coupon's early-host probe
-and self-id's identity probe, to pure-walk twins that read their answer
-off the whole walked path.
+and self-id's identity probe, to the pure walk's answers read off the
+whole walked path.
 """
 
 from __future__ import annotations
@@ -28,22 +28,16 @@ import random
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.baselines.selfid import SelfIdProbeService
 from repro.core.instrumentation import TraceRecorder
 from repro.core.mapper import BerkeleyMapper
-from repro.extensions.randomized import EarlyHostProbeService
 from repro.simulator.collision import CircuitModel, CutThroughModel, PacketModel
 from repro.simulator.faults import FaultModel
 from repro.simulator.path_eval import evaluate_route
 from repro.simulator.quiescent import QuiescentProbeService
-from repro.simulator.stack import CountingLayer, TraceBusLayer, build_service_stack
+from repro.simulator.stack import CountingLayer, TraceBusLayer
 from repro.topology.generators import random_san
 from repro.topology.model import TopologyError
-from tests.simulator.reference_service import (
-    PureWalkEarlyHostProbeService,
-    PureWalkProbeService,
-    PureWalkSelfIdProbeService,
-)
+from tests.simulator.reference_service import PureWalkProbeService
 from tests.simulator.trie_view import MemoFreeProbeService
 from tests.topology.reference_isomorphism import networks_equal
 
@@ -100,7 +94,6 @@ def _services(
     corrupt,
     jitter,
     seed,
-    classes=(QuiescentProbeService, PureWalkProbeService),
 ):
     """The cached service and its pure-walk twin, identically configured.
 
@@ -115,10 +108,10 @@ def _services(
         return None
     mapper = sorted(net.hosts)[0]
 
-    def build(service_cls: type) -> QuiescentProbeService:
-        # Built through the stack factory with a recording trace bus so
-        # the equivalence proof covers the stacked construction path too.
-        return build_service_stack(
+    def build(cls: type) -> QuiescentProbeService:
+        # Built with a recording trace bus, so the equivalence proof
+        # covers the records the layers read.
+        return cls(
             net,
             mapper,
             layers=(_KeptTrace(),),
@@ -126,11 +119,9 @@ def _services(
             faults=FaultModel(drop_prob=drop, corrupt_prob=corrupt, seed=seed),
             jitter=jitter,
             rng=random.Random(seed),
-            service_cls=service_cls,
         )
 
-    cached_cls, pure_cls = classes
-    return build(cached_cls), build(pure_cls)
+    return build(QuiescentProbeService), build(PureWalkProbeService)
 
 
 def _apply(op, payload, cached, pure) -> None:
@@ -270,23 +261,20 @@ class TestCacheEquivalence:
         _assert_stats_identical(cached, pure)
 
 
-#: The Section 6 firmware kinds, each on its own service and its pure-walk
-#: twin. Wider turns than the native plans use, so a walk often brushes a
-#: host before its last turn (coupon's early reply) or falls off.
+#: The Section 6 firmware kinds. Wider turns than the native plans use,
+#: so a walk often brushes a host before its last turn (coupon's early
+#: reply) or falls off.
 _wide_turns = st.lists(
     st.integers(min_value=-5, max_value=5).filter(bool), max_size=6
 ).map(tuple)
-_FIRMWARE = {
-    "host_any": (EarlyHostProbeService, PureWalkEarlyHostProbeService),
-    "switch_id": (SelfIdProbeService, PureWalkSelfIdProbeService),
-}
+_FIRMWARE = ("host_any", "switch_id")
 
 
 class TestFirmwareKindEquivalence:
     @given(
         params=network_params,
         collision=_collisions,
-        kind=st.sampled_from(sorted(_FIRMWARE)),
+        kind=st.sampled_from(_FIRMWARE),
         plan=st.lists(
             st.one_of(
                 st.tuples(st.just("probe"), _wide_turns),
@@ -311,13 +299,7 @@ class TestFirmwareKindEquivalence:
         cached walk: the same answers (the early host's prefix, the bounce
         switch), the same records and the same fault draws as a re-walk."""
         pair = _services(
-            params,
-            collision,
-            drop=drop,
-            corrupt=0.0,
-            jitter=jitter,
-            seed=seed,
-            classes=_FIRMWARE[kind],
+            params, collision, drop=drop, corrupt=0.0, jitter=jitter, seed=seed
         )
         if pair is None:
             return
@@ -327,7 +309,7 @@ class TestFirmwareKindEquivalence:
         _assert_stats_identical(cached, pure)
 
 
-def _map_with_cut(params, service_cls, *, seed, cut_at, cut_seed):
+def _map_with_cut(params, cls, *, seed, cut_at, cut_seed):
     """One full mapping run with a cable cut after ``cut_at`` probes.
 
     Each arm builds its own Network from the same generator seed, so the
@@ -341,13 +323,12 @@ def _map_with_cut(params, service_cls, *, seed, cut_at, cut_seed):
         if wires:
             net.disconnect(random.Random(cut_seed).choice(wires))
 
-    svc = build_service_stack(
+    svc = cls(
         net,
         sorted(net.hosts)[0],
         layers=(CountingLayer(((cut_at, cut),)), _KeptTrace()),
         faults=FaultModel(seed=seed),
         rng=random.Random(seed),
-        service_cls=service_cls,
     )
     try:
         result = BerkeleyMapper(svc, search_depth=6, host_first=False).map()
@@ -420,19 +401,13 @@ def _pair(svc, turns, host_first=True):
     return svc.probe_switch(turns), svc.probe_host(turns)
 
 
-def _run_rounds(params, collision, rounds, service_cls):
-    """The rounds on two services of ``service_cls`` sharing one network;
+def _run_rounds(params, collision, rounds, cls):
+    """The rounds on two services of ``cls`` sharing one network;
     every answer in order, and the two services."""
     net = random_san(**params)
     mapper = sorted(net.hosts)[0]
     services = [
-        build_service_stack(
-            net,
-            mapper,
-            layers=(_KeptTrace(),),
-            collision=collision,
-            service_cls=service_cls,
-        )
+        cls(net, mapper, layers=(_KeptTrace(),), collision=collision)
         for _ in range(2)
     ]
     answers: list[object] = []

@@ -4,21 +4,18 @@ This is what ``QuiescentProbeService(use_cache=False)`` was before the
 option left the production constructor: a subclass overriding exactly the
 evaluation methods with the stateless :func:`evaluate_route` /
 :func:`route_touches` bodies. It draws from the fault RNG at the same
-points as the cached service, so records are byte-comparable. Inject it
-through the ``service_cls=`` seam of ``build_service_stack``; it is the
-oracle of ``tests/property/test_eval_cache_properties.py``. The two
-Section 6 firmware services get pure-walk twins too, which answer their
-kinds from the whole :class:`PathResult` of the walked string (the
-early host's prefix from the failing turn, the bounce switch from the
-node list), so the cached kinds' index arithmetic is held to the walk.
+points as the cached service, so records are byte-comparable. Construct
+it in place of the service; it is the oracle of
+``tests/property/test_eval_cache_properties.py``. It also answers the two
+Section 6 kinds from the whole :class:`PathResult` of the walked string
+(the early host's prefix from the failing turn, the bounce switch from
+the node list), so the cached kinds' index arithmetic is held to the walk.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from repro.baselines.selfid import SelfIdProbeService
-from repro.extensions.randomized import EarlyHostProbeService
 from repro.simulator.path_eval import (
     PathStatus,
     ProbeInfo,
@@ -110,44 +107,32 @@ class PureWalkProbeService(QuiescentProbeService):
         """No cache, no counters."""
         return None
 
-
-class PureWalkEarlyHostProbeService(PureWalkProbeService, EarlyHostProbeService):
-    """Coupon's early-host firmware kind answered from the whole pure walk:
-    the host is the walk's last node, the prefix ends at the turn the walk
-    failed on."""
-
     def _eval_host_any(self, ctx: ProbeContext) -> None:
+        """The early-host kind off the whole pure walk: the host is the
+        walk's last node, the prefix ends at the turn the walk failed on."""
         path = evaluate_route(self.net, self.mapper, ctx.turns)
         ctx.info = _WalkedProbeInfo(
             path.status, path.hops, path.delivered_to, None, tuple(path.traversals)
         )
-        host: str | None = None
-        prefix: Turns = ctx.turns
         if path.status is PathStatus.DELIVERED:
-            host = path.delivered_to
+            host, prefix = path.delivered_to, ctx.turns
         elif path.status is PathStatus.HIT_HOST_TOO_SOON:
             host = path.nodes[-1]
             assert path.failed_at_turn is not None
             prefix = ctx.turns[: path.failed_at_turn]
-        if host is not None:
-            if self.collision.blocked_at(path.traversals) is not None:
-                host = None
-            elif self.faults.lost():
-                host = None
-            elif not self._responds(host):
-                host = None
-        if host is not None:
+        else:
+            return
+        if (
+            self.collision.blocked_at(path.traversals) is None
+            and not self.faults.lost()
+        ):
             ctx.hit = True
-            ctx.responder = host
             ctx.response = host
             ctx.payload = (host, prefix)
 
-
-class PureWalkSelfIdProbeService(PureWalkProbeService, SelfIdProbeService):
-    """Self-id's switch-identity kind answered by walking the whole
-    loopback string: the identity is the node the bounce turn leaves."""
-
     def _eval_switch_id(self, ctx: ProbeContext) -> None:
+        """The switch-identity kind by walking the whole loopback string:
+        the identity is the node the bounce turn leaves."""
         loop = switch_probe_turns(ctx.turns)
         path = evaluate_route(self.net, self.mapper, loop)
         ctx.info = _WalkedProbeInfo(
@@ -158,7 +143,5 @@ class PureWalkSelfIdProbeService(PureWalkProbeService, SelfIdProbeService):
             and self.collision.blocked_at(path.traversals) is None
             and not self.faults.lost()
         ):
-            bounce = path.nodes[len(ctx.turns) + 1]
             ctx.hit = True
-            ctx.response = bounce
-            ctx.payload = bounce
+            ctx.response = path.nodes[len(ctx.turns) + 1]

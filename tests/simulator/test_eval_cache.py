@@ -11,7 +11,7 @@ from repro.simulator.path_eval import (
     evaluate_route,
 )
 from repro.simulator.quiescent import QuiescentProbeService
-from repro.simulator.stack import TraceBusLayer, build_service_stack
+from repro.simulator.stack import TraceBusLayer
 from repro.topology.delta import JOURNAL_WINDOW
 from repro.topology.generators import build_ring, build_subcluster
 from tests.simulator.reference_service import PureWalkProbeService, switch_probe_turns
@@ -295,7 +295,7 @@ class TestNodeBackstop:
         )
 
 
-def _interleaved(service_cls):
+def _interleaved(cls):
     """Two services on one network probe siblings of ``(5, 1)`` the way
     the mapper does (switch half, then host half on the same tuple), and
     the wire that ``(5, 1)``'s last turn crosses goes and comes back
@@ -305,9 +305,7 @@ def _interleaved(service_cls):
     h0 = "C-n00"
     traces: tuple[list, list] = ([], [])
     a, b = (
-        build_service_stack(
-            net, h0, layers=(TraceBusLayer((seen.append,)),), service_cls=service_cls
-        )
+        cls(net, h0, layers=(TraceBusLayer((seen.append,)),))
         for seen in traces
     )
     last = evaluate_route(net, h0, (5, 1)).traversals[-1]

@@ -1,12 +1,13 @@
 """The layer-less probe path answers, draws and accounts as the transaction.
 
 On a stack with no layers ``probe_host`` / ``probe_switch`` skip the
-transaction shell (no context, no evaluation callable, no record). A no-op
-:class:`ProbeLayer` sends the same probes through ``_transact``. Every
-fabric is mapped twice per mapper, once each way, with faults, jitter, a
-responder subset and either collision model: the probe answers, the
-serialized map result, the Figure 6 ledger, the evaluation-cache counters
-and both RNG streams must come out equal.
+transaction shell (no context, no evaluation callable, no record), and the
+other three kinds take the transaction with an empty layer loop. A no-op
+:class:`ProbeLayer` sends every probe through the hooks. Every fabric is
+mapped twice by each of the six registry mappers, once each way, with
+faults, jitter, a responder subset and either collision model: the probe
+answers of all five kinds, the serialized map result, the Figure 6 ledger,
+the evaluation-cache counters and both RNG streams must come out equal.
 
 The call-count guard holds the straight line to its length: a warm
 layer-less probe is a handful of Python calls (walk, answer, one fault
@@ -21,9 +22,14 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.baselines.myricom import MyricomMapper
+from repro.baselines.selfid import SelfIdMapper
 from repro.core.infogain import InfoGainMapper
 from repro.core.mapper import BerkeleyMapper
-from repro.extensions.randomized import CouponMapper, EarlyHostProbeService
+from repro.core.model_graph import ModelGraph
+from repro.core.remapper import map_cycle
+from repro.extensions.randomized import CouponMapper
+from repro.extensions.spanning_tree import SpanningTreeMapper
 from repro.service.serialize import map_result_to_dict
 from repro.simulator.collision import CircuitModel, CutThroughModel
 from repro.simulator.faults import FaultModel
@@ -33,11 +39,24 @@ from repro.topology.analysis import recommended_search_depth
 from repro.topology.generators import build_full_now, build_three_tier_fat_tree, random_san
 from repro.topology.model import TopologyError
 
-_SERVICES = {
-    BerkeleyMapper: QuiescentProbeService,
-    CouponMapper: EarlyHostProbeService,
-    InfoGainMapper: QuiescentProbeService,
-}
+_MAPPERS = (
+    BerkeleyMapper,
+    CouponMapper,
+    InfoGainMapper,
+    MyricomMapper,
+    SelfIdMapper,
+    SpanningTreeMapper,
+)
+_KINDS = ("probe_host", "probe_switch", "probe_loopback", "probe_host_any", "probe_switch_id")
+
+
+def _logged(answers: list, kind: str, probe):
+    def logged(turns):
+        got = probe(turns)
+        answers.append((kind, tuple(turns), got))
+        return got
+
+    return logged
 
 
 def _map(mapper_cls, build, layers: tuple, conditions: dict, depth: int | None):
@@ -47,7 +66,7 @@ def _map(mapper_cls, build, layers: tuple, conditions: dict, depth: int | None):
     hosts = sorted(net.hosts)
     host = hosts[0]
     silent = conditions["silent"]
-    svc = _SERVICES[mapper_cls](
+    svc = QuiescentProbeService(
         net,
         host,
         collision=conditions["collision"](),
@@ -64,22 +83,13 @@ def _map(mapper_cls, build, layers: tuple, conditions: dict, depth: int | None):
         rng=random.Random(conditions["seed"]),
     )
     answers: list = []
-    probe_host, probe_switch = svc.probe_host, svc.probe_switch
-
-    def logged_host(turns):
-        got = probe_host(turns)
-        answers.append(("host", tuple(turns), got))
-        return got
-
-    def logged_switch(turns):
-        got = probe_switch(turns)
-        answers.append(("switch", tuple(turns), got))
-        return got
-
-    svc.probe_host, svc.probe_switch = logged_host, logged_switch
+    for kind in _KINDS:
+        setattr(svc, kind, _logged(answers, kind, getattr(svc, kind)))
     if depth is None:
         depth = recommended_search_depth(net, host)
-    mapper = mapper_cls(svc, search_depth=depth, max_explorations=2000)
+    # A faulty map may wander: bound the model graph's explorations.
+    bound = {"max_explorations": 2000} if issubclass(mapper_cls, ModelGraph) else {}
+    mapper = mapper_cls(svc, search_depth=depth, **bound)
     try:
         result: object = map_result_to_dict(mapper.map())
     except Exception as exc:  # a faulty map may fail; both sides alike
@@ -95,10 +105,10 @@ def _map(mapper_cls, build, layers: tuple, conditions: dict, depth: int | None):
 
 
 def assert_paths_agree(build, conditions: dict, depth: int | None = None) -> None:
-    for mapper_cls in _SERVICES:
+    for mapper_cls in _MAPPERS:
         bare = _map(mapper_cls, build, (), conditions, depth)
         layered = _map(mapper_cls, build, (ProbeLayer(),), conditions, depth)
-        assert bare["answers"], "the map sent no canonical probe"
+        assert bare["answers"], "the map sent no probe"
         for what in bare:
             assert bare[what] == layered[what], f"{mapper_cls.__name__}: {what} differs"
 
@@ -155,6 +165,27 @@ _NAMED_CONDITIONS = [
 )
 def test_named_fabrics_probe_alike_with_and_without_a_layer(build, depth, conditions):
     assert_paths_agree(build, conditions, depth)
+
+
+#: Each registry mapper's Figure 6 ledger on the full NOW, clean, at the
+#: proven depth: (host probes, host hits, switch probes, switch hits).
+#: Which kinds a service answers, and how, moves none of them.
+_NOW_PROBES = {
+    "berkeley": (816, 289, 1343, 527),
+    "berkeley-infogain": (658, 321, 1142, 484),
+    "coupon": (860, 313, 1344, 524),
+    "myricom": (411, 99, 18359, 255),
+    "selfid": (263, 99, 457, 148),
+    "spanning-tree": (932, 256, 737, 352),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NOW_PROBES))
+def test_full_now_probe_counts_are_pinned(name):
+    net = build_full_now()
+    result, _ = map_cycle(net, sorted(net.hosts)[0], mapper=name)
+    s = result.stats
+    assert (s.host_probes, s.host_hits, s.switch_probes, s.switch_hits) == _NOW_PROBES[name]
 
 
 def _python_calls(fn, *args) -> tuple[object, int]:

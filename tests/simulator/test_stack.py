@@ -161,6 +161,27 @@ class TestHookContract:
         svc.probe_host((2,))  # structural miss
         assert calls == []
 
+    @pytest.mark.parametrize("kind", ["probe_host", "probe_host_any"])
+    def test_one_responder_rule_for_both_host_kinds(self, tiny_net, kind):
+        """A host that runs no daemon eats the probe after the gates, for
+        the early-host kind as for the plain one: the gate sees the hit,
+        the probe misses and is charged the timeout."""
+        seen = []
+
+        class Gate(ProbeLayer):
+            def gate(self, ctx):
+                seen.append((ctx.kind, ctx.turns, ctx.response))
+
+        svc = build_service_stack(
+            tiny_net, "h0", layers=(Gate(),), responders=frozenset({"h2"})
+        )
+        assert getattr(svc, kind)((3,)) is None
+        assert seen == [(ProbeKind.HOST, (3,), "h1")]
+        missed = build_service_stack(tiny_net, "h0")
+        missed.probe_host((2,))
+        assert svc.stats.host_probes == 1 and svc.stats.host_hits == 0
+        assert svc.stats.elapsed_us == missed.stats.elapsed_us
+
     def test_vetoed_hit_costs_a_timeout(self, tiny_net):
         class Veto(ProbeLayer):
             def gate(self, ctx):
@@ -189,14 +210,11 @@ class TestFactoryAndDescribe:
         assert svc.find_layer(ProbeLayer) is None
         assert svc.probe_host((3,)) == "h1"
 
-    def test_service_cls_swaps_the_core(self, tiny_net):
-        from repro.baselines.selfid import SelfIdProbeService
-
-        svc = build_service_stack(
-            tiny_net, "h0", service_cls=SelfIdProbeService
-        )
-        assert isinstance(svc, SelfIdProbeService)
+    def test_the_plain_stack_answers_every_probe_kind(self, tiny_net):
+        svc = build_service_stack(tiny_net, "h0")
+        assert svc.probe_host_any((3,)) == ("h1", (3,))
         assert svc.probe_switch_id(()) == "s0"
+        assert svc.probe_switch_id((3,)) is None  # a host, not a switch
 
     def test_find_layer_locates_layers(self, tiny_net):
         retry = RetryLayer(1)

@@ -58,6 +58,20 @@ class TestMapCommand:
         assert "isomorphic" in capsys.readouterr().out
         assert load_network(out).n_switches == 4
 
+    def test_mapper_list_names_all_six_and_no_service_class(self, capsys):
+        assert main(["map", "--mapper", "list"]) == 0
+        out = capsys.readouterr().out
+        names = [line.split()[0] for line in out.splitlines()[1:]]
+        assert names == [
+            "berkeley",
+            "berkeley-infogain",
+            "coupon",
+            "myricom",
+            "selfid",
+            "spanning-tree",
+        ]
+        assert "[needs" not in out
+
     @pytest.mark.parametrize("algorithm", ["myricom", "selfid"])
     def test_alternative_algorithms(self, ring_json, algorithm):
         assert main(["map", "--network", str(ring_json),
