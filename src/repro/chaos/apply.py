@@ -92,7 +92,7 @@ class ScenarioApplier:
     def _take_down(self, cables: Iterable[Cable]) -> None:
         for a, b in cables:
             if (a, b) not in self.down:
-                self._net.disconnect(self._net.wire_at(a.node, a.port))
+                self._net.disconnect(self._net.wire_at(*a))
                 self.down[a, b] = None
 
     def _bring_up(self, cables: Iterable[Cable]) -> None:
@@ -106,7 +106,7 @@ class ScenarioApplier:
         ]
         for cable in up:
             del self.down[cable]
-        self._net.connect_all((a.node, a.port, b.node, b.port) for a, b in up)
+        self._net.connect_all((*a, *b) for a, b in up)
 
     def _cut_cable(self, node: str, port: int) -> None:
         cable = self._cable_at(node, port)

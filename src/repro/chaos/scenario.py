@@ -49,12 +49,13 @@ class ScenarioError(ValueError):
     """A schedule is malformed or refers to targets that do not exist."""
 
 
-#: action name -> (arity, human-readable signature). ``cut``/``heal`` work at
-#: the fault level (the cable silently eats messages; the physical layer has
-#: not noticed — Section 5.6); ``unplug``/``plug`` are structural (the cable
-#: really is gone / newly present, bumping ``Network.topology_epoch``);
-#: ``kill_*``/``revive_*`` silence every cable of a node; ``drop``/``corrupt``
-#: ramp the probabilistic error rates of Section 2.3.1.
+#: action name -> (arity, human-readable signature). A cut cable silently
+#: eats every message (Section 5.6), which no probe tells from a missing
+#: cable, so ``cut``/``heal`` disconnect / reconnect it; ``unplug``/``plug``
+#: remove / run a cable; ``kill_*``/``revive_*`` take down / bring back every
+#: cable of a node. These act on the ``Network``: a cable going down or
+#: coming up bumps ``Network.topology_epoch``. ``drop``/``corrupt`` ramp the
+#: probabilistic error rates of Section 2.3.1 on the ``FaultModel``.
 ACTIONS: Mapping[str, tuple[int, str]] = {
     "cut": (2, "(node, port)"),
     "heal": (2, "(node, port)"),

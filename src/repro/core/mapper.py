@@ -31,8 +31,7 @@ from repro.core.planner import ProbePlanner
 from repro.core.relative import MappingError
 from repro.simulator.probes import ProbeService, ProbeStats
 from repro.simulator.turns import Turns
-from repro.topology.delta import Endpoint
-from repro.topology.model import Network
+from repro.topology.model import Network, PortRef
 
 if TYPE_CHECKING:
     from repro.core.instrumentation import PhaseProfiler
@@ -118,7 +117,7 @@ class MapSeed:
 
     network: Network
     witnesses: Mapping[str, Turns]
-    affected: frozenset[Endpoint]
+    affected: frozenset[PortRef]
     #: Per-switch witness entry ports (``MapResult.entry_ports``), in
     #: prior-map coordinates: the port each switch's witness walk entered
     #: it by. A seed always carries them; nothing re-walks a witness.
@@ -126,7 +125,7 @@ class MapSeed:
 
     @classmethod
     def from_result(
-        cls, prior: MapResult, affected: frozenset[Endpoint]
+        cls, prior: MapResult, affected: frozenset[PortRef]
     ) -> "MapSeed":
         """The seed a prior run's result makes, given the delta since it."""
         return cls(

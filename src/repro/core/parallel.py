@@ -71,9 +71,6 @@ def timed_run(
 
     ``seed`` seeds the probe-cost jitter stream.
     """
-    responders = None
-    if placement is not None:
-        responders = frozenset(placement.including(mapper_host).responders)
     result, _ = map_cycle(
         net,
         mapper_host,
@@ -84,7 +81,7 @@ def timed_run(
             search_depth=depth,
             max_explorations=max_explorations,
         ),
-        responders=responders,
+        responders=None if placement is None else placement.responders,
         jitter=jitter,
         rng=random.Random(seed),
     )

@@ -370,7 +370,7 @@ def build_wire_index(net: Network) -> WireIndex:
     each hop one dict lookup that already yields the channel object.
     """
     index: WireIndex = {}
-    for wire in sorted(net.wires, key=lambda w: (w.a.node, w.a.port, w.b.node, w.b.port)):
+    for wire in sorted(net.wires, key=lambda w: (w.a, w.b)):
         a, b = wire.a, wire.b
         if a.node == b.node:
             continue  # self-loop cables never carry a route hop

@@ -29,13 +29,12 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from repro.routing.compile_routes import CompiledRoute, RouteGeneration, RouteTable, channel_table
+from repro.simulator.path_eval import Traversal
 
 __all__ = [
     "dependency_cycle",
     "routes_deadlock_free",
 ]
-
-Channel = tuple  # (PortRef src, PortRef dst)
 
 _UNSEEN, _OPEN, _DONE = 0, 1, 2
 
@@ -81,7 +80,7 @@ def _successors(
 
 def dependency_cycle(
     tables: Mapping[str, RouteTable] | Iterable[CompiledRoute],
-) -> list[Channel] | None:
+) -> list[Traversal] | None:
     """A witness dependency cycle, or None when the routes are safe."""
     channels, successors = _successors(tables)
 
@@ -97,10 +96,7 @@ def dependency_cycle(
         while chain:
             for wanted in pending[-1]:
                 if colour[wanted] == _OPEN:
-                    return [
-                        (channels[c].src, channels[c].dst)
-                        for c in chain[chain.index(wanted):]
-                    ]
+                    return [channels[c] for c in chain[chain.index(wanted):]]
                 if colour[wanted] == _UNSEEN:
                     colour[wanted] = _OPEN
                     chain.append(wanted)

@@ -119,8 +119,7 @@ def lash_route_tables(net: Network) -> LashRouting:
 
 def _dependencies(route: CompiledRoute):
     trs = route.traversals
-    for a, b in zip(trs, trs[1:]):
-        yield ((a.src, a.dst), (b.src, b.dst))
+    return zip(trs, trs[1:])
 
 
 def _stays_acyclic(cdg: nx.DiGraph, deps) -> bool:

@@ -61,7 +61,7 @@ def analyze_routes(
         for dst, route in table.routes.items():
             n_routes += 1
             for tr in route.traversals:
-                loads[(tr.src, tr.dst)] += 1
+                loads[tr] += 1
                 if net.is_switch(tr.src.node):
                     switch_hits[tr.src.node] += 1
                 if net.is_switch(tr.dst.node):
@@ -124,8 +124,7 @@ def parallel_wire_spread(
     for table in tables.values():
         for route in table.routes.values():
             for tr in route.traversals:
-                a, b = sorted((tr.src, tr.dst))
-                wire_use[(a, b)] += 1
+                wire_use[tuple(sorted(tr))] += 1
 
     spread: dict[tuple[str, str], list[int]] = {}
     for pair, wires in groups.items():

@@ -485,7 +485,7 @@ class MapServer:
                     if tenant.net.is_switch(w.a.node)
                     and tenant.net.is_switch(w.b.node)
                 ),
-                key=lambda w: (w.a.node, w.a.port, w.b.node, w.b.port),
+                key=lambda w: (w.a, w.b),
             )
             if not candidates:
                 return _error("no-wire", "no switch-to-switch wire left to cut")

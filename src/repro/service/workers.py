@@ -101,7 +101,7 @@ def _patch(net: Network, doc: dict) -> None:
     now = set(map(_in_order, wires))
     if len(now) != len(wires):
         raise ValueError("a wire is listed twice")
-    held = {_in_order((w.a.node, w.a.port, w.b.node, w.b.port)) for w in net.wires}
+    held = {_in_order((*w.a, *w.b)) for w in net.wires}
     for a, pa, _, _ in sorted(held - now):
         net.disconnect(net.wire_at(a, pa))
     net.connect_all(wire for wire in wires if _in_order(wire) not in held)
@@ -184,7 +184,7 @@ def _cycle(payload: dict, slot: _Slot, mapper_host: str, faults: FaultModel) -> 
             ends = [_port_ref(end, "map-seed") for end in seed_doc.get("affected", [])]
             seed = MapSeed.from_result(
                 map_result_from_dict(seed_doc["map_result"]),
-                frozenset((end.node, end.port) for end in ends),
+                frozenset(ends),
             )
         except (KeyError, TypeError, ValueError) as exc:
             return _failure("bad-seed", str(exc))

@@ -63,12 +63,11 @@ class CircuitModel:
     """The worm holds its whole path: any directed reuse blocks."""
 
     def blocked_at(self, traversals: Sequence[Traversal]) -> int | None:
-        seen: set[tuple] = set()
+        seen: set[Traversal] = set()
         for i, tr in enumerate(traversals):
-            key = (tr.src, tr.dst)
-            if key in seen:
+            if tr in seen:
                 return i
-            seen.add(key)
+            seen.add(tr)
         return None
 
 
@@ -89,11 +88,10 @@ class CutThroughModel:
             raise ValueError("slack_hops must be non-negative")
 
     def blocked_at(self, traversals: Sequence[Traversal]) -> int | None:
-        last_use: dict[tuple, int] = {}
+        last_use: dict[Traversal, int] = {}
         for i, tr in enumerate(traversals):
-            key = (tr.src, tr.dst)
-            prev = last_use.get(key)
+            prev = last_use.get(tr)
             if prev is not None and (i - prev) <= self.slack_hops:
                 return i
-            last_use[key] = i
+            last_use[tr] = i
         return None

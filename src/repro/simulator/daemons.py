@@ -46,7 +46,3 @@ class DaemonPlacement:
         rng = random.Random(0)
         rng.shuffle(hosts)
         return cls(frozenset(hosts[: max(0, count)]))
-
-    def including(self, *hosts: str) -> "DaemonPlacement":
-        """The placement with ``hosts`` added (the mapper must respond)."""
-        return DaemonPlacement(self.responders | set(hosts))

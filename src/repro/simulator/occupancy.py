@@ -19,15 +19,14 @@ flit simulator. DESIGN.md records the substitution.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
-from repro.simulator.path_eval import PathResult, ProbeInfo, Traversal
+from repro.simulator.path_eval import Traversal
 from repro.simulator.timing import BLOCKED_PORT_TIMEOUT_US, PROBE_BYTES, SWITCH_LATENCY_US
 from repro.simulator.timing import LINK_BANDWIDTH_BYTES_PER_US
 
 __all__ = ["ChannelOccupancy", "WormPlacement"]
-
-Channel = tuple  # (PortRef, PortRef) directed
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,7 +36,7 @@ class WormPlacement:
     ok: bool
     start_us: float
     finish_us: float
-    blocked_channel: Channel | None = None
+    blocked_channel: Traversal | None = None
 
 
 class ChannelOccupancy:
@@ -49,12 +48,12 @@ class ChannelOccupancy:
     _PLAN_MEMO_MAX = 4096
 
     def __init__(self) -> None:
-        self._busy: dict[Channel, list[tuple[float, float]]] = {}
-        self._plan_memo: dict[tuple, list[tuple[Channel, float, float]]] = {}
+        self._busy: dict[Traversal, list[tuple[float, float]]] = {}
+        self._plan_memo: dict[tuple, list[tuple[Traversal, float, float]]] = {}
 
     def _relative_plan(
-        self, traversals, message_bytes: int | None
-    ) -> list[tuple[Channel, float, float]]:
+        self, traversals: Sequence[Traversal], message_bytes: int | None
+    ) -> list[tuple[Traversal, float, float]]:
         """Per-channel busy offsets for a worm launched at time zero.
 
         Offsets depend only on the traversal sequence and the message size,
@@ -68,7 +67,7 @@ class ChannelOccupancy:
             for i, tr in enumerate(traversals):
                 begin = i * SWITCH_LATENCY_US
                 end = begin + tx + SWITCH_LATENCY_US
-                plan.append(((tr.src, tr.dst), begin, end))
+                plan.append((tr, begin, end))
             if len(self._plan_memo) >= self._PLAN_MEMO_MAX:
                 self._plan_memo.clear()
             self._plan_memo[key] = plan
@@ -76,35 +75,32 @@ class ChannelOccupancy:
 
     def _intervals(
         self,
-        path: PathResult | ProbeInfo,
+        traversals: Sequence[Traversal],
         start_us: float,
         message_bytes: int | None = None,
-    ) -> list[tuple[Channel, float, float]]:
+    ) -> list[tuple[Traversal, float, float]]:
         """Busy interval per channel of a worm launched at ``start_us``.
 
         Hop ``i`` becomes busy when the head arrives (i switch latencies in)
         and stays busy until the tail clears it (one message-transmission
         time later). ``message_bytes`` overrides the probe size — cross
         traffic carries application payloads, not probe-sized messages.
-        ``path`` may be anything exposing ``.traversals`` (a full
-        :class:`PathResult` or the evaluator's lightweight ``ProbeInfo``).
         """
         return [
             (channel, start_us + begin, start_us + end)
-            for channel, begin, end in self._relative_plan(
-                path.traversals, message_bytes
-            )
+            for channel, begin, end in self._relative_plan(traversals, message_bytes)
         ]
 
     def try_place(
         self,
-        path: PathResult | ProbeInfo,
+        traversals: Sequence[Traversal],
         start_us: float,
         *,
         record_blocked: bool = True,
         message_bytes: int | None = None,
     ) -> WormPlacement:
-        """Place the worm if no channel conflicts; record its occupancy.
+        """Place the worm crossing ``traversals`` if no channel conflicts;
+        record its occupancy.
 
         On conflict the worm blocks: "should a message block and wait for an
         output port, the rest of the message may remain in the network,
@@ -114,7 +110,7 @@ class ChannelOccupancy:
         blocked-port timeout — this is what makes contention cascade and
         produces the election mode's long-tail mapping times.
         """
-        plan = self._intervals(path, start_us, message_bytes)
+        plan = self._intervals(traversals, start_us, message_bytes)
         for k, (channel, begin, end) in enumerate(plan):
             if self._overlaps(channel, begin, end):
                 reset_at = begin + BLOCKED_PORT_TIMEOUT_US
@@ -133,7 +129,7 @@ class ChannelOccupancy:
         return WormPlacement(ok=True, start_us=start_us, finish_us=finish)
 
     # -- internals -------------------------------------------------------
-    def _overlaps(self, channel: Channel, begin: float, end: float) -> bool:
+    def _overlaps(self, channel: Traversal, begin: float, end: float) -> bool:
         ivs = self._busy.get(channel)
         if not ivs:
             return False
@@ -145,6 +141,6 @@ class ChannelOccupancy:
                     return True
         return False
 
-    def _insert(self, channel: Channel, begin: float, end: float) -> None:
+    def _insert(self, channel: Traversal, begin: float, end: float) -> None:
         ivs = self._busy.setdefault(channel, [])
         bisect.insort(ivs, (begin, end))

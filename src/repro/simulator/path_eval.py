@@ -20,9 +20,8 @@ from __future__ import annotations
 import enum
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from repro.topology.delta import Endpoint
 from repro.topology.model import HOST_PORT, Network, PortRef
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -61,9 +60,9 @@ class PathStatus(enum.Enum):
     NOT_ATTACHED = "source host not attached"
 
 
-@dataclass(frozen=True, slots=True)
-class Traversal:
-    """One directed wire crossing: from ``src`` out to ``dst``."""
+class Traversal(NamedTuple):
+    """One directed wire crossing, a directed channel: from ``src`` out to
+    ``dst``. A plain tuple underneath, so it equals ``(src, dst)``."""
 
     src: PortRef
     dst: PortRef
@@ -241,10 +240,10 @@ class _Columns:
         self.last_rev: list[int | None] = [None]
         self.seen: list[int] = [0]
         self.children: defaultdict[int, dict[int, int]] = defaultdict(dict)
-        self.hops: dict[Endpoint, int] = {}
+        self.hops: dict[tuple[str, int], int] = {}
         self.rows: list[tuple] = []
         self.crossings: list[tuple[Traversal, Traversal] | None] = []
-        self.foot: dict[int, frozenset[Endpoint]] = {0: frozenset()}
+        self.foot: dict[int, frozenset[tuple[str, int]]] = {0: frozenset()}
         self.memo: dict[tuple[int, object, bool], int | None] = {}
 
     def add(
@@ -270,7 +269,7 @@ class _Columns:
         self.seen.append(seen)
         return node
 
-    def dep(self, node: int) -> tuple[Endpoint, ...]:
+    def dep(self, node: int) -> tuple[tuple[str, int], ...]:
         """The wire ends this node's own step read from the network.
 
         The deps on a node's root path are its walk's whole footprint,
@@ -310,7 +309,7 @@ class _Columns:
             node = parent[node]
         return False
 
-    def footprint(self, node: int) -> frozenset[Endpoint]:
+    def footprint(self, node: int) -> frozenset[tuple[str, int]]:
         """Every wire end this node's walk read: ``dep`` over its root path.
 
         Cached per node on first read. A prune keeps only nodes whose root
@@ -339,8 +338,7 @@ class _Columns:
         """A collision model's verdict on :meth:`traversals`.
 
         Memoized per node per model instance (models are frozen
-        dataclasses, hence hashable); an unhashable custom model simply
-        skips the memo.
+        dataclasses, hence hashable).
         """
         key = (node, collision, loopback)
         try:
@@ -349,8 +347,6 @@ class _Columns:
             blocked = self.memo[key] = collision.blocked_at(
                 self.traversals(node, loopback)
             )
-        except TypeError:  # unhashable model: compute, skip the memo
-            blocked = collision.blocked_at(self.traversals(node, loopback))
         return blocked
 
     def prune(self, dead: set[int], roots: dict[str, int]) -> tuple[int, int]:
@@ -502,7 +498,7 @@ class _Trie:
         # Channel ids, one per source end ever crossed. Never cleared: a
         # chain detached by the node backstop is still being extended, and
         # must not meet a recycled id.
-        self.chan_ids: dict[Endpoint, int] = {}
+        self.chan_ids: dict[tuple[str, int], int] = {}
         self.epoch = epoch
         self.nodes = 0
         self.cols = _Columns()
@@ -618,7 +614,7 @@ class IncrementalPathEvaluator:
         self,
         h0: str,
         turns: Iterable[int],
-        endpoints: frozenset[Endpoint] | set[Endpoint],
+        endpoints: frozenset[PortRef] | set[PortRef],
     ) -> bool:
         """Does this route's footprint intersect the given wire ends?
 
@@ -638,8 +634,14 @@ class IncrementalPathEvaluator:
         node = self._walk(h0, tuple(turns))
         return not self._cols.footprint(node).isdisjoint(endpoints)
 
-    def _read_row(self, cols: _Columns, end: Endpoint) -> int:
-        """Read the wire half leaving ``end`` into the hop table."""
+    def _read_row(self, cols: _Columns, end: tuple[str, int]) -> int:
+        """Read the wire half leaving ``end`` into the hop table.
+
+        A row holds its wire ends as plain tuples, never as
+        :class:`PortRef`: the cycle collector untracks a plain tuple of
+        strs and ints but never a tuple subclass, so the trie owns no
+        tracked object per row.
+        """
         net = self._net
         dst = net.neighbor_at(*end)
         if dst is None:

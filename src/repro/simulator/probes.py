@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Protocol, runtime_checkable
+from typing import NamedTuple, Protocol, runtime_checkable
 
 from repro.simulator.turns import Turns
 
@@ -32,14 +32,8 @@ class ProbeKind(enum.Enum):
     SWITCH = "switch"
 
 
-@dataclass(slots=True)
-class ProbeRecord:
-    """One probe in the trace: kind, turns, outcome, time charged (µs).
-
-    Immutable by contract, not by ``frozen=True``: a frozen dataclass's
-    constructor costs four times a plain one's, and every probe makes one.
-    Nothing writes a field after the service publishes the record.
-    """
+class ProbeRecord(NamedTuple):
+    """One probe in the trace: kind, turns, outcome, time charged (µs)."""
 
     kind: ProbeKind
     turns: Turns

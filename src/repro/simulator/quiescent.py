@@ -50,8 +50,7 @@ from repro.simulator.probes import ProbeKind, ProbeRecord, ProbeStats
 from repro.simulator.stack import ProbeContext, ProbeLayer
 from repro.simulator.timing import PROBE_TIMEOUT_US, probe_response_us
 from repro.simulator.turns import Turns, validate_turns
-from repro.topology.delta import Endpoint
-from repro.topology.model import SWITCH_RADIX, Network
+from repro.topology.model import SWITCH_RADIX, Network, PortRef
 
 __all__ = ["QuiescentProbeService"]
 
@@ -386,7 +385,7 @@ class QuiescentProbeService:
         return self._evaluator.loopback_info(self.mapper, turns, self.collision)
 
     def route_crosses(
-        self, turns: Turns, endpoints: frozenset[Endpoint] | set[Endpoint]
+        self, turns: Turns, endpoints: frozenset[PortRef] | set[PortRef]
     ) -> bool:
         """Whether the route's footprint intersects the given wire ends.
 

@@ -244,7 +244,9 @@ class InterferenceLayer(ProbeLayer):
         now = self._stats.elapsed_us
         if self.traffic is not None:
             self.traffic.fill_until(now + FILL_AHEAD_US)
-        placement = self.occupancy.try_place(ctx.info, now, record_blocked=False)
+        placement = self.occupancy.try_place(
+            ctx.info.traversals, now, record_blocked=False
+        )
         if not placement.ok:
             self.lost += 1
             ctx.hit = False

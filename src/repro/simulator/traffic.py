@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import networkx as nx
 
 from repro.simulator.occupancy import ChannelOccupancy
-from repro.simulator.path_eval import PathResult, PathStatus, Traversal
-from repro.topology.model import HOST_PORT, Network, PortRef
+from repro.simulator.path_eval import Traversal
+from repro.topology.model import Network
 
 __all__ = ["CrossTraffic", "host_pair_paths"]
 
@@ -128,13 +128,8 @@ class CrossTraffic:
             if self._cursor_us >= t_us:
                 break
             _, traversals = pairs[self._rng.randrange(len(pairs))]
-            path = PathResult(
-                status=PathStatus.DELIVERED,
-                nodes=[],
-                traversals=list(traversals),
-            )
             placement = self.occupancy.try_place(
-                path,
+                traversals,
                 self._cursor_us,
                 message_bytes=MESSAGE_BYTES,
                 record_blocked=True,

@@ -6,7 +6,10 @@ A bare counter only supports the wholesale answer "something changed, drop
 everything". This module records *what* changed: every ``_bump_epoch``
 call journals a :class:`Delta` describing the wire ends whose connectivity
 the mutation touched, and a consumer holding an older epoch asks
-:meth:`DeltaJournal.since` for the merged delta covering the gap.
+:meth:`DeltaJournal.since` for the merged delta covering the gap. A wire
+end is a :class:`~repro.topology.model.PortRef`, a named tuple equal to
+its plain ``(node, port)`` tuple, so delta sets and cache keys of either
+form meet without conversion.
 
 The contract (documented for consumers in ``docs/INCREMENTAL.md``):
 
@@ -30,28 +33,25 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
+
+if TYPE_CHECKING:  # pragma: no cover - typing only, model.py imports this module
+    from repro.topology.model import PortRef
 
 __all__ = [
     "Delta",
     "DeltaJournal",
     "EMPTY_DELTA",
-    "Endpoint",
     "seedable_removals",
 ]
-
-#: A wire end as a plain ``(node, port)`` tuple — the same flat key shape
-#: the evaluator's adjacency memo uses, so delta sets and cache keys meet
-#: without conversion.
-Endpoint = tuple[str, int]
 
 
 @dataclass(frozen=True, slots=True)
 class Delta:
     """The wire-end footprint of one mutation (or a merged run of them)."""
 
-    removed: frozenset[Endpoint] = field(default_factory=frozenset)
-    added: frozenset[Endpoint] = field(default_factory=frozenset)
+    removed: frozenset[PortRef] = field(default_factory=frozenset)
+    added: frozenset[PortRef] = field(default_factory=frozenset)
 
     @property
     def empty(self) -> bool:
@@ -89,7 +89,7 @@ def merge_deltas(deltas: Iterable[Delta]) -> Delta:
 
 def seedable_removals(
     delta: Delta | None,
-) -> tuple[frozenset[Endpoint] | None, str | None]:
+) -> tuple[frozenset[PortRef] | None, str | None]:
     """The seeding soundness ladder over one delta.
 
     ``delta`` is what ``Network.affected_since`` returned for the epoch

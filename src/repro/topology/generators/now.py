@@ -206,7 +206,7 @@ def combine_subclusters(*names: str) -> Network:
         for switch in net.switches:
             combined.add_switch(switch, radix=net.radix(switch), **net.meta(switch))
         for wire in net.wires:
-            combined.connect(wire.a.node, wire.a.port, wire.b.node, wire.b.port)
+            combined.connect(*wire.a, *wire.b)
 
     for prev, curr in zip(names, names[1:]):
         # Remove one redundant cable in each of the two subclusters being
@@ -219,8 +219,7 @@ def combine_subclusters(*names: str) -> Network:
             v = f"{sub}-{spec.redundant_cable[1]}"
             wire = _find_wire(combined, u, v)
             combined.disconnect(wire)
-            freed.append((wire.a.node, wire.a.port))
-            freed.append((wire.b.node, wire.b.port))
+            freed += wire.a, wire.b
         # Two cross cables between the roots of the joined subclusters.
         for i in range(2):
             a_root = f"{prev}-root-{i}"

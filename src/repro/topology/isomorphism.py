@@ -219,7 +219,7 @@ def _verify(
         a, b = sorted(ends)
         if not 0 <= a.port < actual.radix(a.node):
             return False
-        a_wire = actual.wire_at(a.node, a.port)
+        a_wire = actual.wire_at(*a)
         if a_wire is None or {a_wire.a, a_wire.b} != {a, b}:
             return False
         if (a, b) in seen:

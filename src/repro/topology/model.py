@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from repro.topology.delta import Delta, DeltaJournal, EMPTY_DELTA, Endpoint
+from repro.topology.delta import Delta, DeltaJournal, EMPTY_DELTA
 
 __all__ = [
     "HOST_PORT",
@@ -50,9 +50,12 @@ class NodeKind(enum.Enum):
     SWITCH = "switch"
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class PortRef:
-    """A wire end: the ``(node, port)`` pair of Section 2.1."""
+class PortRef(NamedTuple):
+    """A wire end: the ``(node, port)`` pair of Section 2.1.
+
+    A plain tuple underneath, so it hashes, compares and sorts as its
+    ``(node, port)`` tuple and meets one as a dict or set key.
+    """
 
     node: str
     port: int
@@ -130,10 +133,14 @@ class Network:
         self._default_radix = default_radix
         self._nodes: dict[str, _NodeInfo] = {}
         self._wires: dict[int, Wire] = {}
-        self._port_map: dict[PortRef, int] = {}
+        self._port_map: dict[tuple[str, int], int] = {}
         self._next_wire_key = 0
         self._journal = DeltaJournal()
-        self._epoch = 0
+        #: Monotone mutation counter: bumped by every structural change.
+        #: Derived structures (the incremental path-evaluation trie,
+        #: routing adjacency) compare it against the epoch they were built
+        #: at to decide whether their cached view is still valid.
+        self.topology_epoch = 0
         #: The probe walks cached over this network
         #: (:class:`repro.simulator.path_eval.IncrementalPathEvaluator`):
         #: made by the first evaluator, shared by every later one, kept
@@ -149,7 +156,7 @@ class Network:
         :meth:`affected_since`) instead of only *that* something changed.
         """
         self._journal.record(delta)
-        self._epoch += 1
+        self.topology_epoch += 1
 
     # ------------------------------------------------------------------
     # construction
@@ -197,7 +204,7 @@ class Network:
         wires = self._wires
         port_map = self._port_map
         made: list[Wire] = []
-        ends: list[Endpoint] = []
+        ends: list[PortRef] = []
         key = self._next_wire_key
         try:
             for node_a, port_a, node_b, port_b in pairs:
@@ -214,8 +221,8 @@ class Network:
                     raise TopologyError(f"port {rb} already wired")
                 wire = wires[key] = Wire(ra, rb, key=key)
                 made.append(wire)
-                ends.append((node_a, port_a))
-                ends.append((node_b, port_b))
+                ends.append(ra)
+                ends.append(rb)
                 key += 1
         except BaseException:
             for wire in made:
@@ -235,15 +242,7 @@ class Network:
             raise TopologyError(f"wire {wire} not in network")
         del self._port_map[stored.a]
         del self._port_map[stored.b]
-        delta = Delta(
-            removed=frozenset(
-                {
-                    (stored.a.node, stored.a.port),
-                    (stored.b.node, stored.b.port),
-                }
-            )
-        )
-        self._bump_epoch(delta)
+        self._bump_epoch(Delta(removed=frozenset((stored.a, stored.b))))
 
     def remove_node(self, name: str) -> None:
         """Remove a node and every wire incident on it."""
@@ -256,7 +255,7 @@ class Network:
         # covers the *unwired* ones too, so caches keyed on the node's mere
         # existence (e.g. a memoized "source host not attached") also drop.
         delta = Delta(
-            removed=frozenset((name, port) for port in range(info.radix))
+            removed=frozenset(PortRef(name, port) for port in range(info.radix))
         )
         del self._nodes[name]
         self._bump_epoch(delta)
@@ -268,16 +267,6 @@ class Network:
     def default_radix(self) -> int:
         return self._default_radix
 
-    @property
-    def topology_epoch(self) -> int:
-        """Monotone mutation counter: bumped by every structural change.
-
-        Derived structures (the incremental path-evaluation trie, routing
-        adjacency) compare this against the epoch they were built at to
-        decide whether their cached view of the network is still valid.
-        """
-        return self._epoch
-
     def affected_since(self, epoch: int) -> Delta | None:
         """The merged wire-end delta of every mutation since ``epoch``.
 
@@ -286,7 +275,7 @@ class Network:
         is also the only sound interpretation. See
         :mod:`repro.topology.delta` for the delta contract.
         """
-        return self._journal.since(epoch, self._epoch)
+        return self._journal.since(epoch, self.topology_epoch)
 
     def is_host(self, name: str) -> bool:
         return self._info(name).kind is NodeKind.HOST
@@ -355,7 +344,7 @@ class Network:
         info = self._info(node)
         seen: set[int] = set()
         for port in range(info.radix):
-            key = self._port_map.get(PortRef(node, port))
+            key = self._port_map.get((node, port))
             if key is not None and key not in seen:
                 seen.add(key)
                 yield self._wires[key]
@@ -363,7 +352,7 @@ class Network:
     def free_ports(self, node: str) -> list[int]:
         info = self._info(node)
         return [
-            p for p in range(info.radix) if PortRef(node, p) not in self._port_map
+            p for p in range(info.radix) if (node, p) not in self._port_map
         ]
 
     def host_attachment(self, host: str) -> PortRef | None:
@@ -437,8 +426,7 @@ class Network:
             else:
                 dup.add_switch(name, radix=info.radix, **info.meta)
         dup.connect_all(
-            (wire.a.node, wire.a.port, wire.b.node, wire.b.port)
-            for wire in self._wires.values()
+            (*wire.a, *wire.b) for wire in self._wires.values()
         )
         return dup
 
@@ -457,7 +445,7 @@ class Network:
             else:
                 sub.add_switch(name, radix=info.radix, **info.meta)
         sub.connect_all(
-            (wire.a.node, wire.a.port, wire.b.node, wire.b.port)
+            (*wire.a, *wire.b)
             for wire in self._wires.values()
             if wire.a.node in keep_set and wire.b.node in keep_set
         )

@@ -188,7 +188,9 @@ class _SharedClockInterference(InterferenceLayer):
         self._sched = scheduler
 
     def gate(self, ctx: ProbeContext) -> None:
-        placement = self.occupancy.try_place(ctx.info, self._sched.now, record_blocked=True)
+        placement = self.occupancy.try_place(
+            ctx.info.traversals, self._sched.now, record_blocked=True
+        )
         if not placement.ok:
             self.lost += 1
             ctx.hit = False

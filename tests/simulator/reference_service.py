@@ -24,8 +24,7 @@ from repro.simulator.path_eval import (
 from repro.simulator.quiescent import QuiescentProbeService
 from repro.simulator.stack import ProbeContext
 from repro.simulator.turns import Turns, reverse_turns, validate_turns
-from repro.topology.delta import Endpoint
-from repro.topology.model import HOST_PORT, Network
+from repro.topology.model import HOST_PORT, Network, PortRef
 
 
 def switch_probe_turns(turns: Iterable[int]) -> Turns:
@@ -39,7 +38,7 @@ def route_touches(
     net: Network,
     h0: str,
     turns: Iterable[int],
-    endpoints: frozenset[Endpoint] | set[Endpoint],
+    endpoints: frozenset[PortRef] | set[PortRef],
 ) -> bool:
     """Whether the message path of ``turns`` touches any wire end given.
 

@@ -29,10 +29,6 @@ class TestPlacementConstructors:
         assert a.responders == b.responders
         assert len(a.responders) == 2
 
-    def test_including_adds_the_mapper(self, two_switch_net):
-        placement = DaemonPlacement(frozenset({"h2"})).including("h0")
-        assert placement.responders == frozenset({"h0", "h2"})
-
 
 class TestPartialPlacementProbing:
     """Probe interference: daemon-less hosts are timeouts, not replies."""
@@ -86,7 +82,7 @@ class TestDeterministicReplay:
             svc = QuiescentProbeService(
                 ring_net,
                 "h0",
-                responders=placement.including("h0").responders,
+                responders=placement.responders,
             )
             depth = recommended_search_depth(ring_net, "h0")
             result = BerkeleyMapper(

@@ -1,7 +1,7 @@
 """Channel occupancy, traffic and daemon placement tests."""
 
 from repro.simulator.occupancy import ChannelOccupancy
-from repro.simulator.path_eval import PathResult, PathStatus, Traversal
+from repro.simulator.path_eval import Traversal
 from repro.simulator import traffic as traffic_module
 from repro.simulator.traffic import CrossTraffic, host_pair_paths
 from repro.simulator.daemons import DaemonPlacement
@@ -9,9 +9,8 @@ from repro.topology.model import PortRef
 
 
 def _path(*hops):
-    """Build a PathResult from (node, port, node, port) hop tuples."""
-    trs = [Traversal(PortRef(a, pa), PortRef(b, pb)) for a, pa, b, pb in hops]
-    return PathResult(status=PathStatus.DELIVERED, nodes=[], traversals=trs)
+    """The traversals of (node, port, node, port) hop tuples."""
+    return [Traversal(PortRef(a, pa), PortRef(b, pb)) for a, pa, b, pb in hops]
 
 
 class TestOccupancy:
@@ -116,7 +115,3 @@ class TestDaemonPlacement:
         b = DaemonPlacement.random_fill(two_switch_net, 2)
         assert a.responders == b.responders
         assert len(a.responders) == 2
-
-    def test_including(self, two_switch_net):
-        p = DaemonPlacement.sequential_fill(two_switch_net, 1).including("h3")
-        assert p.responders == {"h0", "h3"}

@@ -207,7 +207,7 @@ def _python_calls(fn, *args) -> tuple[object, int]:
 #: Python-level calls one warm layer-less probe may make. Through the
 #: transaction shell (the memo's own call, ``_transact``, an evaluation
 #: callable, the ``ok`` property) a hit took 12 either way.
-_CALL_BUDGET = 8
+_CALL_BUDGET = 7
 
 
 @pytest.mark.parametrize(

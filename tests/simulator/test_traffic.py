@@ -8,15 +8,8 @@ blocks a probe that needs it.
 """
 
 from repro.simulator.occupancy import ChannelOccupancy
-from repro.simulator.path_eval import PathResult, PathStatus
 from repro.simulator import timing, traffic as traffic_module
 from repro.simulator.traffic import CrossTraffic, host_pair_paths
-
-
-def _path(traversals) -> PathResult:
-    return PathResult(
-        status=PathStatus.DELIVERED, nodes=[], traversals=list(traversals)
-    )
 
 
 class TestHostPairPaths:
@@ -85,21 +78,21 @@ class TestProbeInterference:
         occupancy = ChannelOccupancy()
         route = host_pair_paths(two_switch_net)[("h0", "h2")]
         worm = occupancy.try_place(
-            _path(route), 100.0, message_bytes=4096, record_blocked=True
+            route, 100.0, message_bytes=4096, record_blocked=True
         )
         assert worm.ok
-        probe = occupancy.try_place(_path(route), 100.0)
+        probe = occupancy.try_place(route, 100.0)
         assert not probe.ok
 
     def test_probe_passes_once_the_worm_drains(self, two_switch_net):
         occupancy = ChannelOccupancy()
         route = host_pair_paths(two_switch_net)[("h0", "h2")]
         assert occupancy.try_place(
-            _path(route), 100.0, message_bytes=4096, record_blocked=True
+            route, 100.0, message_bytes=4096, record_blocked=True
         ).ok
         tx_us = 4096 / timing.LINK_BANDWIDTH_BYTES_PER_US
         later = 100.0 + 10 * (tx_us + timing.SWITCH_LATENCY_US)
-        assert occupancy.try_place(_path(route), later).ok
+        assert occupancy.try_place(route, later).ok
 
     def test_disjoint_channels_do_not_interfere(self, two_switch_net):
         """h0->h1 stays inside s0; a worm there cannot block the h2->h3
@@ -107,7 +100,7 @@ class TestProbeInterference:
         occupancy = ChannelOccupancy()
         paths = host_pair_paths(two_switch_net)
         assert occupancy.try_place(
-            _path(paths[("h0", "h1")]), 100.0, message_bytes=4096,
+            paths[("h0", "h1")], 100.0, message_bytes=4096,
             record_blocked=True,
         ).ok
-        assert occupancy.try_place(_path(paths[("h2", "h3")]), 100.0).ok
+        assert occupancy.try_place(paths[("h2", "h3")], 100.0).ok
